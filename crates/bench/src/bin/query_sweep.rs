@@ -15,14 +15,18 @@
 //! * records which path the planner chose and how its runtime compares
 //!   to the best and worst forced alternatives.
 //!
-//! Guards: zero divergence everywhere; at the largest point the planner
-//! must pick at least three distinct driving paths across the suite
-//! (an indexed scan, a DHT point lookup, and a CsrView-backed plan) and
-//! must never lose to the **best** forced path by more than 10% on any
-//! query. `--smoke` runs one small point and relaxes the optimality
-//! bound to the **worst** forced path (tiny graphs make constant
-//! factors noisy, but the planner must still never pick pathologically
-//! wrong).
+//! Guards: zero divergence everywhere; on every point and every forced
+//! path the two-hop's expand stages inspect at most `|E|` adjacency
+//! entries and keep at most `|V|` frontier rows, summed over ranks (a
+//! count, so it gates on the wall backend too: a regression to
+//! `(root, cur)` pair enumeration fails it by orders of magnitude); at
+//! the largest point the planner must pick at least three distinct
+//! driving paths across the suite (an indexed scan, a DHT point lookup,
+//! and a CsrView-backed plan) and must never lose to the **best** forced
+//! path by more than 10% on any query. `--smoke` runs one small point
+//! and relaxes the optimality bound to the **worst** forced path (tiny
+//! graphs make constant factors noisy, but the planner must still never
+//! pick pathologically wrong).
 
 use gdi_bench::{
     backend_selection, emit, emit_json_unless_smoke, for_backends, rich_lpg, spec_for, BackendKind,
@@ -39,6 +43,18 @@ struct Timing {
     choice: String,
     sim_s: f64,
     picked: bool,
+    /// Per stage `(rows, expanded, comm_bytes)`, summed over ranks.
+    stages: Vec<(u64, u64, u64)>,
+}
+
+impl Timing {
+    fn expanded(&self) -> u64 {
+        self.stages.iter().map(|s| s.1).sum()
+    }
+
+    fn comm_bytes(&self) -> u64 {
+        self.stages.iter().map(|s| s.2).sum()
+    }
 }
 
 /// One suite query at one sweep point.
@@ -165,6 +181,11 @@ fn run_point(nranks: usize, scale: u32, params: &SuiteParams) -> PointOut {
                     choice: choice.to_string(),
                     sim_s: s,
                     picked,
+                    stages: got
+                        .stages
+                        .iter()
+                        .map(|st| (st.rows, st.expanded, st.comm_bytes))
+                        .collect(),
                 });
             }
             queries.push(out);
@@ -186,6 +207,11 @@ fn run_point(nranks: usize, scale: u32, params: &SuiteParams) -> PointOut {
     for o in &outs[1..] {
         for (a, b) in agg.queries.iter_mut().zip(&o.queries) {
             a.divergence += b.divergence;
+            for (ta, tb) in a.timings.iter_mut().zip(&b.timings) {
+                for (sa, sb) in ta.stages.iter_mut().zip(&tb.stages) {
+                    *sa = (sa.0 + sb.0, sa.1 + sb.1, sa.2 + sb.2);
+                }
+            }
         }
     }
     agg
@@ -306,8 +332,13 @@ fn run_on(backend: BackendKind) {
                     json.push(',');
                 }
                 json.push_str(&format!(
-                    "{{\"choice\":\"{}\",\"sim_s\":{:.9},\"picked\":{}}}",
-                    t.choice, t.sim_s, t.picked
+                    "{{\"choice\":\"{}\",\"sim_s\":{:.9},\"picked\":{},\
+                     \"expanded\":{},\"comm_bytes\":{}}}",
+                    t.choice,
+                    t.sim_s,
+                    t.picked,
+                    t.expanded(),
+                    t.comm_bytes()
                 ));
             }
             json.push_str("]}");
@@ -319,6 +350,28 @@ fn run_on(backend: BackendKind) {
 
     // ---- guards ---------------------------------------------------------
     for r in &results {
+        // counts, so they gate on every backend: the two-hop reads no
+        // root, its frontier is a vertex set — an expand stage that
+        // inspects more entries than the graph has edges, or keeps more
+        // rows than it has vertices, is enumerating (root, cur) pairs
+        let edges = spec_for(r.scale, 7, rich_lpg()).n_edges();
+        for t in r
+            .queries
+            .iter()
+            .filter(|q| q.name == "two-hop")
+            .flat_map(|q| &q.timings)
+        {
+            for &(rows, expanded, _) in &t.stages[1..t.stages.len() - 1] {
+                assert!(
+                    expanded <= edges && rows <= r.vertices,
+                    "two-hop via {} at P={}: an expand stage inspected {expanded} entries \
+                     (|E| = {edges}) and kept {rows} rows (|V| = {})",
+                    t.choice,
+                    r.nranks,
+                    r.vertices
+                );
+            }
+        }
         for q in &r.queries {
             assert_eq!(
                 q.divergence, 0,

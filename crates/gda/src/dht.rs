@@ -39,7 +39,7 @@ use gdi::{GdiError, GdiResult};
 use rma::RankCtx;
 
 use crate::config::{GdaConfig, WIN_INDEX};
-use crate::dptr::TaggedIdx;
+use crate::dptr::{TaggedIdx, OFFSET_MASK};
 
 /// Word index of the heap free-list head.
 const HEAP_HEAD_WORD: usize = 0;
@@ -181,9 +181,14 @@ impl<'c, 'f> Dht<'c, 'f> {
             if idx == 0 {
                 return Err(GdiError::OutOfMemory);
             }
+            // the link shares the entry's value word: if a racing alloc
+            // already took `idx` and stored its value there, this read is
+            // not a link at all. The CAS below then fails on the bumped
+            // tag; masking only keeps the doomed candidate well-formed.
             let link = self
                 .ctx
-                .get_u64(WIN_INDEX, target, self.entry_word(idx) + 1);
+                .get_u64(WIN_INDEX, target, self.entry_word(idx) + 1)
+                & OFFSET_MASK;
             let prev = self.ctx.cas_u64(
                 WIN_INDEX,
                 target,

@@ -272,7 +272,15 @@ pub(crate) fn maintenance_rank(eng: &GdaRank) -> GdiResult<MaintenanceReport> {
     let mut vacuumed_versions = 0u64;
     let mut vacuumed_blocks = 0u64;
     let mut edge_holders: FxHashSet<u64> = FxHashSet::default();
-    let mut chains: Vec<(Vec<u8>, Vec<DPtr>)> = Vec::new();
+    // multi-block chains, as (highest block offset, primary): the
+    // compaction candidates
+    let mut chains: Vec<(u64, DPtr)> = Vec::new();
+    let mut note_chain = |blocks: &[DPtr]| {
+        if blocks.len() > 1 {
+            let top = blocks.iter().map(|b| b.offset()).max().unwrap_or(0);
+            chains.push((top, blocks[0]));
+        }
+    };
     for &raw in &mine {
         let id = DPtr::from_raw(raw);
         let Ok((bytes, blocks)) = hio::read_chain(ctx, cfg, id) else {
@@ -294,7 +302,7 @@ pub(crate) fn maintenance_rank(eng: &GdaRank) -> GdiResult<MaintenanceReport> {
                 vacuumed_blocks += b;
             }
         }
-        chains.push((bytes, blocks));
+        note_chain(&blocks);
     }
     let mut eh: Vec<u64> = edge_holders.into_iter().collect();
     eh.sort_unstable();
@@ -314,7 +322,7 @@ pub(crate) fn maintenance_rank(eng: &GdaRank) -> GdiResult<MaintenanceReport> {
                 vacuumed_blocks += b;
             }
         }
-        chains.push((bytes, blocks));
+        note_chain(&blocks);
     }
     if vacuumed_versions > 0 {
         ctx.record_vacuum(vacuumed_versions);
@@ -330,12 +338,16 @@ pub(crate) fn maintenance_rank(eng: &GdaRank) -> GdiResult<MaintenanceReport> {
     // maximizes how far the live data packs down in one pass.
     let mut compacted_chains = 0u64;
     let mut compacted_blocks = 0u64;
-    chains.retain(|(_, blocks)| blocks.len() > 1);
-    chains.sort_unstable_by_key(|(_, blocks)| {
-        std::cmp::Reverse(blocks.iter().map(|b| b.offset()).max().unwrap_or(0))
-    });
-    for (bytes, blocks) in &chains {
-        let moved = compact_chain(eng, bytes, blocks);
+    chains.sort_unstable_by_key(|&(top, _)| std::cmp::Reverse(top));
+    for &(_, primary) in &chains {
+        // read the chain now, not during the vacuum sweep: the vacuum
+        // patched `depth`/`prev` of the holders it touched in place, and
+        // rewriting a pre-vacuum image would resurrect the link to the
+        // archives it just freed (the next pass would free them again)
+        let Ok((bytes, blocks)) = hio::read_chain(ctx, cfg, primary) else {
+            continue;
+        };
+        let moved = compact_chain(eng, &bytes, &blocks);
         if moved > 0 {
             compacted_chains += 1;
             compacted_blocks += moved;
@@ -516,6 +528,53 @@ mod tests {
             let tx = eng.begin(AccessMode::ReadWrite);
             let v = tx.translate_vertex_id(AppVertexId(1)).unwrap();
             tx.delete_vertex(v).unwrap();
+            tx.commit().unwrap();
+            assert_eq!(eng.bm.count_free(0), cfg.blocks_per_rank);
+        });
+    }
+
+    /// A pass that both vacuums a multi-block holder's archives and
+    /// compacts its chain must rewrite the holder *as the vacuum left
+    /// it*: compacting from the pre-vacuum image would resurrect the
+    /// `prev` link to blocks the same pass just freed, and the next
+    /// pass would free them again ("free-list cycle during vacuum").
+    #[test]
+    fn vacuumed_holders_compact_from_their_patched_image() {
+        let cfg = GdaConfig {
+            blocks_per_rank: 1024,
+            ..GdaConfig::tiny()
+        };
+        let (db, fabric) = GdaDb::with_fabric("vac-compact", cfg, 1, CostModel::zero());
+        fabric.run(|ctx| {
+            let eng = db.attach(ctx);
+            eng.init_collective();
+            let tx = eng.begin(AccessMode::ReadWrite);
+            for a in 1..=40u64 {
+                tx.create_vertex(AppVertexId(a)).unwrap();
+            }
+            tx.commit().unwrap();
+            for pass in 0..3u64 {
+                // every commit archives vertex 1's previous version and
+                // grows its holder across more blocks
+                for i in 0..13u64 {
+                    let tx = eng.begin(AccessMode::ReadWrite);
+                    let hub = tx.translate_vertex_id(AppVertexId(1)).unwrap();
+                    let to = tx
+                        .translate_vertex_id(AppVertexId(2 + pass * 13 + i))
+                        .unwrap();
+                    tx.add_edge(hub, to, None, true).unwrap();
+                    tx.commit().unwrap();
+                }
+                let rep = eng.maintenance().unwrap();
+                assert!(rep.vacuumed_versions >= 1, "{rep:?}");
+            }
+            // deleting everything drains the pool exactly: no block was
+            // freed twice, none leaked
+            let tx = eng.begin(AccessMode::ReadWrite);
+            for a in 1..=40u64 {
+                let v = tx.translate_vertex_id(AppVertexId(a)).unwrap();
+                tx.delete_vertex(v).unwrap();
+            }
             tx.commit().unwrap();
             assert_eq!(eng.bm.count_free(0), cfg.blocks_per_rank);
         });

@@ -306,6 +306,18 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
                     },
                 );
                 match refetched {
+                    // first committer wins: the application may already
+                    // have acted on the lock-free copy, so a version that
+                    // moved on in between is a write-write conflict, not
+                    // something to paper over with the fresh holder
+                    Ok((holder, ..)) if holder.version != obj.holder.version => {
+                        self.eng.lm.release(id, LockKind::Write);
+                        drop(cache);
+                        if abort_on_critical {
+                            return self.fail(GdiError::LockConflict);
+                        }
+                        return Err(GdiError::LockConflict);
+                    }
                     Ok((holder, blocks, bytes)) => {
                         obj.holder = holder;
                         obj.blocks = blocks;

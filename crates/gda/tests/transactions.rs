@@ -518,6 +518,46 @@ fn write_conflicts_abort_not_corrupt() {
     assert!(total > 0, "no transaction ever committed");
 }
 
+/// The interleaving `write_conflicts_abort_not_corrupt` only hits by
+/// luck, forced: a writer reads a value lock-free, another transaction
+/// commits an overwrite, and only then does the first declare its write
+/// intent. It must lose (first committer wins) — continuing on the
+/// refetched holder would commit `stale + 1` over the other's update.
+#[test]
+fn write_after_a_concurrent_commit_conflicts() {
+    single_rank(|eng| {
+        let (_, age, _) = std_meta(eng);
+        let tx = eng.begin(AccessMode::ReadWrite);
+        let v = tx.create_vertex(app(1)).unwrap();
+        tx.add_property(v, age, &PropertyValue::U64(10)).unwrap();
+        tx.commit().unwrap();
+
+        let slow = eng.begin(AccessMode::ReadWrite);
+        let seen = slow.property(v, age).unwrap().unwrap().as_u64().unwrap();
+        let fast = eng.begin(AccessMode::ReadWrite);
+        fast.update_property(v, age, &PropertyValue::U64(seen + 1))
+            .unwrap();
+        fast.commit().unwrap();
+        assert_eq!(
+            slow.update_property(v, age, &PropertyValue::U64(seen + 1)),
+            Err(GdiError::LockConflict)
+        );
+        drop(slow);
+
+        let tx = eng.begin(AccessMode::ReadOnly);
+        assert_eq!(
+            tx.property(v, age).unwrap(),
+            Some(PropertyValue::U64(11)),
+            "the committed update survives, the stale one left no trace"
+        );
+        tx.commit().unwrap();
+        // an unrelated later writer is not affected
+        let tx = eng.begin(AccessMode::ReadWrite);
+        tx.update_property(v, age, &PropertyValue::U64(12)).unwrap();
+        tx.commit().unwrap();
+    });
+}
+
 #[test]
 fn collective_read_transaction_scans_index() {
     let cfg = GdaConfig::tiny();

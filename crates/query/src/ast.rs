@@ -137,6 +137,14 @@ impl Query {
         }
     }
 
+    /// Must execution remember which root each binding started from?
+    /// Only a cycle-closing step or a root projection over expansions
+    /// reads it; every other query treats its roots as one set.
+    pub fn tracks_roots(&self) -> bool {
+        self.expands.iter().any(|e| e.close_to_root)
+            || (self.returns.target == AggTarget::Root && !self.expands.is_empty())
+    }
+
     /// Does any expansion step use the given orientation?
     pub fn uses_orientation(&self, o: EdgeOrientation) -> bool {
         self.expands.iter().any(|e| e.orient == o)

@@ -8,35 +8,66 @@
 //! collective below fires in plan order on all ranks. Two ranks
 //! disagreeing on a plan would deadlock the fabric.
 //!
-//! The executor carries bindings as `(root, cur)` pairs — the first and
-//! the newest chain vertex, which is all the supported projections need
-//! — deduplicated after every stage:
+//! ## Bindings are a frontier of root-lane rows
+//!
+//! The supported projections need two things of a binding chain: its
+//! first vertex (`root`) and its newest (`cur`). The executor never
+//! materialises those pairs. It keeps one `Frontier` — the **distinct**
+//! `cur` vertices, each on the rank that owns it, each carrying a row
+//! of **root-lane bits**: lane *i* is set iff root *i* reaches this
+//! vertex (the multi-source-BFS representation). Every stage works on
+//! whole rows, so its cost follows the edges it touches times the row
+//! width in words, not the number of `(root, cur)` pairs:
 //!
 //! - **driving stage**: point lookup (one DHT translation, owner rank
-//!   keeps the binding; a deleted id is an empty result, not an error),
+//!   keeps the root; a deleted id is an empty result, not an error),
 //!   local index-posting scan ([`gda::Transaction::local_index_scan`]),
-//!   or full-partition sweep over the collective [`gda::CsrView`];
-//! - **expand stages**: transactional
-//!   [`gda::Transaction::neighbors_matching`] (pipelined one-sided chain
-//!   reads), or Csr routing — bindings travel to the rank owning `cur`
-//!   via `alltoallv` and probe its cached view adjacency, with a
-//!   broadcast semi-join of qualifying target ids when the target
-//!   pattern filters (the view has no vertex labels/properties);
-//! - **aggregate stage**: targets are routed to their owner rank for
-//!   machine-wide dedup, then combined with `allreduce`/`allgatherv`
-//!   (sums are wrapping: generator properties span the full `u64`
-//!   range).
+//!   or full-partition sweep over the collective [`gda::CsrView`]. All
+//!   three leave every root on its owner, and roots are numbered
+//!   machine-wide in rank order — that number is the root's lane;
+//! - **expand stage**: each local row is ORed into the rows of `cur`'s
+//!   label-matching neighbours (adjacency from one
+//!   [`gda::Transaction::neighbors`] call per distinct `cur` on the Tx
+//!   path, from the cached view row on the Csr path), the partial rows
+//!   travel to the neighbours' owners in one `alltoallv`, duplicates are
+//!   OR-merged on arrival, and the **owner** evaluates the target
+//!   pattern once per distinct arriving vertex against its local
+//!   holder. Nobody scans a whole partition to pre-qualify targets and
+//!   no id set is broadcast: the filter runs where the holder lives, on
+//!   the vertices that were actually reached;
+//! - **close-cycle stage**: the batch's root ids are allgathered into a
+//!   root→lane map, and a row keeps lane *i* only if an edge of `cur`
+//!   leads to root *i* — a bit test per edge, no routing;
+//! - **aggregate stage**: `…(Last)` is the set of vertices whose row is
+//!   non-zero, `…(Root)` the OR of all rows (one `allgatherv` of the
+//!   hit bits) read back against each rank's own roots. Either way the
+//!   targets already sit on their owners, deduplicated, so values
+//!   combine with one `allreduce`/`allgatherv` (sums are wrapping:
+//!   generator properties span the full `u64` range).
+//!
+//! **Lane batches.** A row is at most [`LANE_BATCH`] lanes wide. When
+//! the machine-wide root count exceeds that, the expand stages run once
+//! per batch of consecutive roots (the batch count comes from one
+//! allgather of the per-rank root counts, so all ranks agree), bounding
+//! frontier memory by `local vertices × LANE_BATCH / 8` bytes. When root
+//! identity is dead — no closing stage and the projection does not read
+//! the root — all roots share lane 0 and the frontier is a plain vertex
+//! set.
 
-use rustc_hash::FxHashSet;
+use rustc_hash::{FxHashMap, FxHashSet};
 
-use gda::{DPtr, GdaRank, Transaction};
+use gda::{CsrView, DPtr, GdaRank, Transaction};
 use gdi::{
     AccessMode, Constraint, EdgeOrientation, GdiError, GdiResult, PropertyValue, Subconstraint,
 };
 
-use crate::ast::{AggTarget, Aggregate, NodePattern, Query};
+use crate::ast::{AggTarget, Aggregate, Expand, NodePattern, Query};
 use crate::physical::{AccessPath, ExpandPath, QueryOutput, QueryValue, StageStats};
 use crate::planner::Plan;
+
+/// Widest frontier row, in root lanes (a multiple of 64). Queries with
+/// more roots run their expand stages once per batch of this many.
+pub const LANE_BATCH: usize = 4096;
 
 /// Does `v` satisfy the pattern's label + property predicates (app-id
 /// excluded — the driving stages handle it)?
@@ -70,9 +101,103 @@ fn pattern_constraint(p: &NodePattern, epoch: u64) -> Constraint {
     Constraint::from_sub(sub).at_epoch(epoch)
 }
 
-fn dedup_pairs(v: &mut Vec<(DPtr, DPtr)>) {
-    let mut seen = FxHashSet::default();
-    v.retain(|&(a, b)| seen.insert((a.raw(), b.raw())));
+/// Slot of a vertex that arrived but failed the stage's target pattern:
+/// remembered so the pattern is evaluated once per distinct vertex.
+const REJECTED: u32 = u32::MAX;
+
+/// The distinct `cur` vertices of the live bindings, each with a row of
+/// `words` root-lane words (see the module docs).
+struct Frontier {
+    words: usize,
+    slot: FxHashMap<u64, u32>,
+    ids: Vec<u64>,
+    bits: Vec<u64>,
+}
+
+impl Frontier {
+    fn new(words: usize) -> Self {
+        Self {
+            words,
+            slot: FxHashMap::default(),
+            ids: Vec::new(),
+            bits: Vec::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// OR `row` into `id`'s row. A vertex seen for the first time is
+    /// admitted only if `admit` says so; the verdict sticks.
+    #[inline]
+    fn or_row(&mut self, id: u64, row: &[u64], admit: impl FnOnce() -> bool) {
+        let Self {
+            words,
+            slot,
+            ids,
+            bits,
+        } = self;
+        let at = *slot.entry(id).or_insert_with(|| {
+            if !admit() {
+                return REJECTED;
+            }
+            ids.push(id);
+            bits.resize(bits.len() + *words, 0);
+            (ids.len() - 1) as u32
+        });
+        if at != REJECTED {
+            let at = at as usize * *words;
+            for (d, s) in bits[at..at + *words].iter_mut().zip(row) {
+                *d |= *s;
+            }
+        }
+    }
+
+    fn rows(&self) -> impl Iterator<Item = (u64, &[u64])> {
+        self.ids
+            .iter()
+            .copied()
+            .zip(self.bits.chunks_exact(self.words))
+    }
+}
+
+/// Call `f` with every neighbour of the local vertex `cur` along `e`'s
+/// orientation and edge label — read from the cached view row when the
+/// plan expands over `csr`, from `cur`'s holder otherwise. Returns how
+/// many there were.
+fn for_each_neighbor(
+    tx: &Transaction,
+    csr: Option<&CsrView>,
+    cur: u64,
+    e: &Expand,
+    mut f: impl FnMut(DPtr),
+) -> u64 {
+    let Some(view) = csr else {
+        let nbrs = tx
+            .neighbors(DPtr::from_raw(cur), e.orient, e.edge_label)
+            .expect("expand neighbors");
+        nbrs.iter().for_each(|n| f(*n));
+        return nbrs.len() as u64;
+    };
+    let Some(&row) = view.index_of.get(&cur) else {
+        return 0;
+    };
+    let (tgts, lbls) = match e.orient {
+        EdgeOrientation::Outgoing => (view.out(row), view.out_labels(row)),
+        EdgeOrientation::Any => (view.any(row), view.any_labels(row)),
+        EdgeOrientation::Incoming | EdgeOrientation::Undirected => {
+            unreachable!("the planner never assigns csr to in/undirected expands")
+        }
+    };
+    let mut n = 0;
+    for (t, l) in tgts.iter().zip(lbls) {
+        if e.edge_label.map(|el| *l == el.0).unwrap_or(true) {
+            n += 1;
+            f(*t);
+        }
+    }
+    n
 }
 
 /// Execute `plan` collectively. Every rank must call this with the same
@@ -81,47 +206,42 @@ fn dedup_pairs(v: &mut Vec<(DPtr, DPtr)>) {
 pub fn execute(eng: &GdaRank, q: &Query, plan: &Plan) -> QueryOutput {
     let ctx = eng.ctx();
     ctx.record_query_exec();
-    let nranks = eng.nranks();
+    let (rank, nranks) = (eng.rank(), eng.nranks());
     let epoch = eng.meta_epoch();
     // the view rendezvous is collective: it must run before the read
     // transaction's own collectives, in plan order
     let view = plan.uses_view.then(|| eng.olap_view());
     let tx = eng.begin_collective(AccessMode::ReadOnly);
-    let mut stages: Vec<StageStats> = Vec::new();
-    let record = |stages: &mut Vec<StageStats>, si: usize, rows: u64, expanded: u64, bytes: u64| {
-        ctx.record_query_stage(rows, expanded, bytes);
-        stages.push(StageStats {
+    let mut stages: Vec<StageStats> = (0..q.expands.len() + 2)
+        .map(|si| StageStats {
             desc: plan
                 .stages
                 .get(si)
                 .map(|s| s.desc.clone())
                 .unwrap_or_default(),
-            rows,
-            expanded,
-            comm_bytes: bytes,
-        });
-    };
+            rows: 0,
+            expanded: 0,
+            comm_bytes: 0,
+        })
+        .collect();
 
     // ---- driving stage ---------------------------------------------------
-    let mut bind: Vec<(DPtr, DPtr)> = match plan.choice.access {
+    // every path leaves a root on the rank that owns it
+    let mut roots: Vec<u64> = match plan.choice.access {
         AccessPath::PointLookup => {
             let app = q.root.app_id.expect("point lookup requires an app-id");
-            let mut b = Vec::new();
             match tx.translate_vertex_id(app) {
-                // only the owner rank retains the binding, so dedup and
-                // routing behave exactly like the scan paths
-                Ok(v) if v.rank() == eng.rank() => {
-                    if node_matches(&tx, v, &q.root).expect("root filter") {
-                        b.push((v, v));
-                    }
+                Ok(v)
+                    if v.rank() == rank && node_matches(&tx, v, &q.root).expect("root filter") =>
+                {
+                    vec![v.raw()]
                 }
-                Ok(_) => {}
+                Ok(_) => Vec::new(),
                 // deleted or never-created id: an empty result (churn
                 // safety — concurrent deletes must not panic readers)
-                Err(GdiError::NotFound(_)) => {}
+                Err(GdiError::NotFound(_)) => Vec::new(),
                 Err(e) => panic!("point lookup failed: {e:?}"),
             }
-            b
         }
         AccessPath::IndexScan(ix) => {
             let c = pattern_constraint(&q.root, epoch);
@@ -129,147 +249,168 @@ pub fn execute(eng: &GdaRank, q: &Query, plan: &Plan) -> QueryOutput {
                 .expect("index scan")
                 .into_iter()
                 .filter(|p| q.root.app_id.map(|a| a == p.app_id).unwrap_or(true))
-                .map(|p| (p.vertex, p.vertex))
+                .map(|p| p.vertex.raw())
                 .collect()
         }
         AccessPath::Sweep => {
             let view = view.as_ref().expect("sweep plans carry a view");
-            let mut b = Vec::new();
-            for i in 0..view.len() {
-                if let Some(a) = q.root.app_id {
-                    if view.apps[i] != a.0 {
-                        continue;
-                    }
-                }
-                let v = view.vids[i];
-                if node_matches(&tx, v, &q.root).expect("root filter") {
-                    b.push((v, v));
-                }
-            }
-            b
+            (0..view.len())
+                .filter(|&i| q.root.app_id.map(|a| a.0 == view.apps[i]).unwrap_or(true))
+                .map(|i| view.vids[i])
+                .filter(|&v| node_matches(&tx, v, &q.root).expect("root filter"))
+                .map(DPtr::raw)
+                .collect()
         }
     };
-    dedup_pairs(&mut bind);
-    record(&mut stages, 0, bind.len() as u64, 0, 0);
+    roots.sort_unstable();
+    roots.dedup();
+    stages[0].rows = roots.len() as u64;
 
-    // ---- expand stages ---------------------------------------------------
-    for (si, e) in q.expands.iter().enumerate() {
-        let mut expanded = 0u64;
-        let mut bytes = 0u64;
-        match plan.choice.expand {
-            ExpandPath::Tx => {
-                let c = pattern_constraint(&e.target, epoch);
-                let mut next = Vec::new();
-                for &(root, cur) in &bind {
-                    if e.close_to_root {
-                        let nbrs = tx
-                            .neighbors(cur, e.orient, e.edge_label)
-                            .expect("close-cycle neighbors");
-                        expanded += nbrs.len() as u64;
-                        if nbrs.contains(&root) {
-                            // the closing step filters bindings; `cur`
-                            // stays the last non-closing variable
-                            next.push((root, cur));
-                        }
-                    } else if e.target.is_trivial() {
-                        // nothing to filter: plain edge-list walk, no
-                        // holder prefetch
-                        let nbrs = tx
-                            .neighbors(cur, e.orient, e.edge_label)
-                            .expect("expand neighbors");
-                        expanded += nbrs.len() as u64;
-                        for n in nbrs {
-                            next.push((root, n));
-                        }
-                    } else {
-                        let nbrs = tx
-                            .neighbors_matching(cur, e.orient, e.edge_label, &c)
-                            .expect("expand neighbors");
-                        expanded += nbrs.len() as u64;
-                        for n in nbrs {
-                            next.push((root, n));
-                        }
-                    }
-                }
-                bind = next;
-            }
-            ExpandPath::Csr => {
-                let view = view.as_ref().expect("csr plans carry a view");
-                // semi-join: every rank qualifies its local partition
-                // against the target pattern and broadcasts the ids (the
-                // view has no vertex attributes). Collective — gated on
-                // query shape only, identical on all ranks.
-                let qual: Option<FxHashSet<u64>> = if e.close_to_root || e.target.is_trivial() {
-                    None
-                } else {
-                    let mut mine = Vec::new();
-                    for i in 0..view.len() {
-                        let v = view.vids[i];
-                        if node_matches(&tx, v, &e.target).expect("target filter") {
-                            mine.push(v.raw());
-                        }
-                    }
-                    bytes += mine.len() as u64 * 8;
-                    Some(ctx.allgatherv(mine).into_iter().flatten().collect())
-                };
-                // route each binding to the rank owning `cur`, whose
-                // view holds its adjacency
-                let mut outbox: Vec<Vec<(u64, u64)>> = vec![Vec::new(); nranks];
-                for &(root, cur) in &bind {
-                    outbox[cur.rank()].push((root.raw(), cur.raw()));
-                }
-                bytes += bind.len() as u64 * 16;
-                let inbox = ctx.alltoallv(outbox);
-                let mut next = Vec::new();
-                for (root_raw, cur_raw) in inbox.into_iter().flatten() {
-                    let root = DPtr::from_raw(root_raw);
-                    let cur = DPtr::from_raw(cur_raw);
-                    let Some(&row) = view.index_of.get(&cur_raw) else {
-                        continue;
-                    };
-                    let (tgts, lbls) = match e.orient {
-                        EdgeOrientation::Outgoing => (view.out(row), view.out_labels(row)),
-                        EdgeOrientation::Any => (view.any(row), view.any_labels(row)),
-                        EdgeOrientation::Incoming | EdgeOrientation::Undirected => {
-                            unreachable!("the planner never assigns csr to in/undirected expands")
-                        }
-                    };
-                    for (t, l) in tgts.iter().zip(lbls) {
-                        if let Some(el) = e.edge_label {
-                            if *l != el.0 {
-                                continue;
-                            }
-                        }
-                        expanded += 1;
-                        if e.close_to_root {
-                            if *t == root {
-                                next.push((root, cur));
-                            }
-                        } else if qual.as_ref().map(|s| s.contains(&t.raw())).unwrap_or(true) {
-                            next.push((root, *t));
-                        }
-                    }
-                }
-                bind = next;
-            }
+    // ---- lanes -----------------------------------------------------------
+    // root identity matters only to a closing stage or a root projection
+    // over expands; otherwise one shared lane carries every root
+    let track_roots = q.tracks_roots();
+    let (first_lane, lanes) = if track_roots {
+        let counts = ctx.allgatherv(vec![roots.len()]);
+        let count = |c: &[Vec<usize>]| c.iter().map(|c| c[0]).sum::<usize>();
+        (count(&counts[..rank]), count(&counts))
+    } else {
+        (0, 1)
+    };
+
+    // ---- expand stages, once per lane batch --------------------------------
+    let csr = match plan.choice.expand {
+        ExpandPath::Csr => view.as_deref(),
+        ExpandPath::Tx => None,
+    };
+    // `Root` projection: the OR of all rows, one bit per machine-wide lane
+    let project_roots = track_roots && q.returns.target == AggTarget::Root;
+    let mut root_hits = vec![0u64; lanes.div_ceil(64)];
+    // `Last` projection: the vertices whose row is non-zero
+    let mut last_hits: FxHashSet<u64> = FxHashSet::default();
+    for batch in 0..lanes.div_ceil(LANE_BATCH) {
+        let lane0 = batch * LANE_BATCH;
+        let words = (lanes - lane0).min(LANE_BATCH).div_ceil(64);
+        // this rank's roots of the batch, as a range of `roots`
+        let own = if track_roots {
+            let clamp = |lane: usize| lane.saturating_sub(first_lane).min(roots.len());
+            clamp(lane0)..clamp(lane0 + LANE_BATCH)
+        } else {
+            0..roots.len()
+        };
+        let mut frontier = Frontier::new(words);
+        let mut lane_row = vec![0u64; words];
+        for i in own.clone() {
+            let lane = if track_roots {
+                first_lane + i - lane0
+            } else {
+                0
+            };
+            lane_row[lane / 64] = 1 << (lane % 64);
+            frontier.or_row(roots[i], &lane_row, || true);
+            lane_row[lane / 64] = 0;
         }
-        dedup_pairs(&mut bind);
-        record(&mut stages, si + 1, bind.len() as u64, expanded, bytes);
+
+        for (e, st) in q.expands.iter().zip(&mut stages[1..]) {
+            let mut next = Frontier::new(words);
+            if e.close_to_root {
+                // lanes are numbered in rank order, so concatenating the
+                // ranks' batch roots lists them by lane
+                let all_roots = ctx.allgatherv(roots[own.clone()].to_vec());
+                st.comm_bytes += own.len() as u64 * 8;
+                let lane_of: FxHashMap<u64, usize> =
+                    all_roots.into_iter().flatten().zip(0..).collect();
+                let mut expanded = 0;
+                for (cur, row) in frontier.rows() {
+                    lane_row.fill(0);
+                    expanded += for_each_neighbor(&tx, csr, cur, e, |t| {
+                        if let Some(&lane) = lane_of.get(&t.raw()) {
+                            lane_row[lane / 64] |= 1 << (lane % 64);
+                        }
+                    });
+                    // the closing step filters lanes; `cur` stays the
+                    // last non-closing variable
+                    let mut any = 0;
+                    for (m, r) in lane_row.iter_mut().zip(row) {
+                        *m &= *r;
+                        any |= *m;
+                    }
+                    if any != 0 {
+                        next.or_row(cur, &lane_row, || true);
+                    }
+                }
+                st.expanded += expanded;
+                ctx.charge_cpu(expanded + (lane_of.len() + frontier.len() * words) as u64);
+            } else {
+                // partial rows, keyed by neighbour, merged before they
+                // travel
+                let mut partial = Frontier::new(words);
+                let mut expanded = 0;
+                for (cur, row) in frontier.rows() {
+                    expanded += for_each_neighbor(&tx, csr, cur, e, |t| {
+                        partial.or_row(t.raw(), row, || true)
+                    });
+                }
+                st.expanded += expanded;
+                let mut outbox: Vec<Vec<u64>> = vec![Vec::new(); nranks];
+                for (id, row) in partial.rows() {
+                    let to = &mut outbox[DPtr::from_raw(id).rank()];
+                    to.push(id);
+                    to.extend_from_slice(row);
+                }
+                st.comm_bytes += (partial.len() * (1 + words) * 8) as u64;
+                // the owner filters: one pattern evaluation per distinct
+                // arriving vertex, against its local holder
+                let filter = !e.target.is_trivial();
+                for inbox in ctx.alltoallv(outbox) {
+                    for arrived in inbox.chunks_exact(1 + words) {
+                        let id = arrived[0];
+                        next.or_row(id, &arrived[1..], || {
+                            !filter
+                                || node_matches(&tx, DPtr::from_raw(id), &e.target)
+                                    .expect("target filter")
+                        });
+                    }
+                }
+                ctx.charge_cpu((expanded + (partial.len() + next.len()) as u64) * words as u64);
+            }
+            st.rows += next.len() as u64;
+            frontier = next;
+        }
+
+        if project_roots {
+            let hits = &mut root_hits[lane0 / 64..][..words];
+            for (_, row) in frontier.rows() {
+                for (h, r) in hits.iter_mut().zip(row) {
+                    *h |= *r;
+                }
+            }
+        } else {
+            last_hits.extend(frontier.ids);
+        }
     }
 
     // ---- aggregate stage -------------------------------------------------
-    // route the target vertex of each binding to its owner rank and
-    // dedup there: distinct-target semantics without a global set
-    let mut outbox: Vec<Vec<u64>> = vec![Vec::new(); nranks];
-    for &(root, cur) in &bind {
-        let v = match q.returns.target {
-            AggTarget::Root => root,
-            AggTarget::Last => cur,
-        };
-        outbox[v.rank()].push(v.raw());
-    }
-    let routed: u64 = outbox.iter().map(|o| o.len() as u64 * 8).sum();
-    let mine: FxHashSet<u64> = ctx.alltoallv(outbox).into_iter().flatten().collect();
+    // the distinct targets, each on the rank that owns it
+    let agg = stages.last_mut().expect("aggregate stage");
+    let mine: Vec<u64> = if project_roots {
+        agg.comm_bytes = root_hits.len() as u64 * 8;
+        let mut hits = vec![0u64; root_hits.len()];
+        for theirs in ctx.allgatherv(root_hits) {
+            for (h, t) in hits.iter_mut().zip(theirs) {
+                *h |= t;
+            }
+        }
+        roots
+            .iter()
+            .zip(first_lane..)
+            .filter(|(_, lane)| hits[lane / 64] >> (lane % 64) & 1 == 1)
+            .map(|(r, _)| *r)
+            .collect()
+    } else {
+        last_hits.into_iter().collect()
+    };
+    agg.rows = mine.len() as u64;
     let value = match &q.returns.agg {
         Aggregate::Count => QueryValue::Count(ctx.allreduce_sum_u64(mine.len() as u64)),
         Aggregate::Sum(pt) => {
@@ -281,15 +422,10 @@ pub fn execute(eng: &GdaRank, q: &Query, plan: &Plan) -> QueryOutput {
                     s = s.wrapping_add(x);
                 }
             }
-            let total = ctx
-                .allgatherv(vec![s])
-                .into_iter()
-                .flatten()
-                .fold(0u64, |a, b| a.wrapping_add(b));
-            QueryValue::Sum(total)
+            QueryValue::Sum(ctx.allreduce_wrapping_sum_u64(s))
         }
         Aggregate::CollectIds => {
-            let mut ids: Vec<u64> = mine
+            let ids: Vec<u64> = mine
                 .iter()
                 .map(|&raw| {
                     tx.vertex_app_id(DPtr::from_raw(raw))
@@ -297,19 +433,14 @@ pub fn execute(eng: &GdaRank, q: &Query, plan: &Plan) -> QueryOutput {
                         .0
                 })
                 .collect();
-            ids.sort_unstable();
             let mut all: Vec<u64> = ctx.allgatherv(ids).into_iter().flatten().collect();
             all.sort_unstable();
             QueryValue::Ids(all)
         }
     };
-    record(
-        &mut stages,
-        1 + q.expands.len(),
-        mine.len() as u64,
-        0,
-        routed,
-    );
+    for st in &stages {
+        ctx.record_query_stage(st.rows, st.expanded, st.comm_bytes);
+    }
     tx.commit().expect("collective read-only commit");
     QueryOutput { value, stages }
 }

@@ -14,10 +14,11 @@
 //! - **index-posting scan** when an explicit index covers a root label,
 //! - **zero-transaction [`gda::CsrView`] sweep** otherwise,
 //!
-//! and between transactional neighbor fetches and cached-view Csr
-//! routing for the expansion stages. [`executor::execute`] then runs
-//! the [`planner::Plan`] as one collective read-only transaction (plus
-//! the view rendezvous when the plan needs it), surfacing per-stage
+//! and between holder edge lists and cached-view rows as the adjacency
+//! source of the expansion stages. [`executor::execute`] then runs the
+//! [`planner::Plan`] as one collective read-only transaction (plus the
+//! view rendezvous when the plan needs it) over a frontier of root-lane
+//! bit rows — never `(root, cur)` pairs — surfacing per-stage
 //! row/communication counters through [`rma::CommStats`].
 //!
 //! Everything here is **collective and deterministic**: all ranks

@@ -6,7 +6,7 @@ use std::fmt;
 
 use gda::IndexId;
 
-/// How the driving stage produces the initial bindings.
+/// How the driving stage produces the roots — the initial frontier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessPath {
     /// One DHT translation of the root's app-id equality predicate
@@ -30,16 +30,18 @@ impl fmt::Display for AccessPath {
     }
 }
 
-/// How expansion stages traverse edges.
+/// Where expansion stages read a frontier vertex's adjacency. Either
+/// way the stage ORs the vertex's root-lane row into its neighbours'
+/// rows, routes them to the neighbours' owners with `alltoallv` and
+/// filters there (see [`crate::executor`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExpandPath {
-    /// Per-binding transactional neighbor fetch
-    /// ([`gda::Transaction::neighbors_matching`] — pipelined one-sided
-    /// chain reads plus holder filters).
+    /// Read each distinct frontier vertex's edge list from its holder
+    /// ([`gda::Transaction::neighbors`], one call per vertex, on its
+    /// owner). Needs no view and serves every orientation.
     Tx,
-    /// Route bindings to edge owners with `alltoallv` and probe the
-    /// cached [`gda::CsrView`] adjacency (plus a broadcast semi-join of
-    /// qualifying targets when the target pattern filters).
+    /// Read it from the vertex's row of the cached [`gda::CsrView`]
+    /// (outgoing/any orientation only).
     Csr,
 }
 
@@ -73,7 +75,9 @@ impl fmt::Display for PathChoice {
 pub struct StagePlan {
     /// Operator description (stable explain text).
     pub desc: String,
-    /// Estimated surviving bindings after the stage, machine-wide.
+    /// Estimated surviving bindings after the stage, machine-wide —
+    /// capped at what a frontier holds (`vertices × root lanes`); the
+    /// aggregate stage estimates distinct targets.
     pub est_rows: f64,
     /// Estimated simulated nanoseconds spent in the stage (critical
     /// path, LogGP model).
@@ -85,7 +89,9 @@ pub struct StagePlan {
 pub struct StageStats {
     /// Operator description (mirrors the [`StagePlan`] entry).
     pub desc: String,
-    /// Bindings surviving the stage on this rank.
+    /// Frontier rows — distinct newest vertices, however many roots
+    /// reach each — surviving the stage on this rank, summed over lane
+    /// batches (driving stage: roots; aggregate stage: distinct targets).
     pub rows: u64,
     /// Adjacency entries inspected by the stage on this rank.
     pub expanded: u64,

@@ -24,6 +24,14 @@
 //! is the machine-wide critical path in simulated nanoseconds, so "the
 //! cheapest plan" means the same thing as the benches' simulated time.
 //!
+//! Expansion is costed the way the executor runs it (see
+//! [`crate::executor`]): a stage touches each **distinct** frontier
+//! vertex once per lane batch, ORs a row of root-lane words per edge,
+//! routes one row per distinct neighbour and filters on the owner. So
+//! row estimates are capped at what a frontier can hold — `n · lanes`
+//! bindings — and work terms scale with frontier rows × row words, never
+//! with `(root, cur)` pairs.
+//!
 //! Planning must be **deterministic across ranks**: the executor runs
 //! collectives in plan order, so two ranks disagreeing on a plan would
 //! deadlock the fabric. [`Catalog::gather`] is therefore collective
@@ -34,7 +42,8 @@ use gda::{GdaRank, IndexDef};
 use gdi::{CmpOp, EdgeOrientation};
 use rma::CostModel;
 
-use crate::ast::{Aggregate, NodePattern, Query};
+use crate::ast::{AggTarget, Aggregate, NodePattern, Query};
+use crate::executor::LANE_BATCH;
 use crate::physical::{AccessPath, ExpandPath, PathChoice, StagePlan};
 
 /// Fallback mean out-degree when no scan view is cached anywhere.
@@ -43,10 +52,6 @@ const DEFAULT_DEG_OUT: f64 = 8.0;
 const HOLDER_EVAL_WORDS: f64 = 48.0;
 /// Holder decode + predicate evaluation: cpu ops per vertex.
 const HOLDER_EVAL_OPS: f64 = 8.0;
-/// Wire size of one routed `(root, cur)` binding pair.
-const PAIR_BYTES: f64 = 16.0;
-/// Encoded holder bytes moved by one remote holder fetch.
-const HOLDER_WIRE_BYTES: usize = 192;
 
 /// Statistics of one explicit index as the planner sees it.
 #[derive(Debug, Clone, PartialEq)]
@@ -204,10 +209,6 @@ impl Catalog {
 
     fn holder_eval_ns(&self) -> f64 {
         self.cost.local_word_ns * HOLDER_EVAL_WORDS + self.cost.cpu_op_ns * HOLDER_EVAL_OPS
-    }
-
-    fn remote_holder_ns(&self) -> f64 {
-        self.cost.transfer(0, 1, HOLDER_WIRE_BYTES) + self.holder_eval_ns()
     }
 
     /// Cost of making the scan view available (revalidation when cached
@@ -391,6 +392,20 @@ pub fn plan_choice(cat: &Catalog, q: &Query, choice: PathChoice) -> Option<Plan>
     }
     rows = rows.max(1e-3);
 
+    // ---- frontier shape --------------------------------------------------
+    // one lane per root while root identity is live, one shared lane
+    // otherwise; rows wider than a lane batch run the expands per batch
+    let roots = rows;
+    let track_roots = q.tracks_roots();
+    let lanes = if track_roots { roots.max(1.0) } else { 1.0 };
+    let batches = (lanes / LANE_BATCH as f64).ceil();
+    let words = (lanes.min(LANE_BATCH as f64) / 64.0).ceil();
+    let row_bytes = 8.0 * (1.0 + words);
+    // bindings a frontier can hold, and the frontier rows (distinct
+    // vertices, summed over batches) a binding estimate amounts to
+    let cap = n * lanes;
+    let frontier_rows = |bindings: f64| bindings.min(n * batches);
+
     // ---- expansion stages ------------------------------------------------
     for e in &q.expands {
         if matches!(
@@ -409,50 +424,49 @@ pub fn plan_choice(cat: &Catalog, q: &Query, choice: PathChoice) -> Option<Plan>
         } else {
             1.0
         };
-        let rloc = rows / p;
         let tsel = cat.pattern_sel(&e.target);
-        let ns = match choice.expand {
-            ExpandPath::Tx => {
-                let edge_fetch =
-                    cat.cost.transfer(0, 1, 64 + (deg * 24.0) as usize) + deg * cat.cost.cpu_op_ns;
-                let filter = if !e.close_to_root && !e.target.is_trivial() {
-                    deg * esel * cat.remote_holder_ns()
-                } else {
-                    0.0
-                };
-                rloc * (edge_fetch + filter)
-            }
+        let mut ns = 0.0;
+        // adjacency of every local frontier row: its holder's edge list
+        // (tx) or its cached view row (csr)
+        let cur = frontier_rows(rows) / p;
+        let fetch = match choice.expand {
+            ExpandPath::Tx => cat.cost.transfer(0, 0, 64 + (deg * 24.0) as usize),
             ExpandPath::Csr => {
-                let mut ns = 0.0;
                 if !view_paid {
                     ns += cat.view_ns();
                     view_paid = true;
                 }
-                if !e.close_to_root && !e.target.is_trivial() {
-                    // semi-join: local qualify scan + id broadcast
-                    ns += (n / p) * cat.holder_eval_ns();
-                    ns += cat
-                        .cost
-                        .allgather(cat.nranks, ((n * tsel * 8.0) / p) as usize);
-                    ns += n * tsel * cat.cost.cpu_op_ns;
-                }
-                let routed = (rloc * PAIR_BYTES) as usize;
-                ns += cat
-                    .cost
-                    .alltoallv(cat.nranks.saturating_sub(1), routed, routed);
-                ns += rloc
-                    * (2.0 * cat.cost.local_word_ns
-                        + deg * (cat.cost.local_word_ns + cat.cost.cpu_op_ns));
-                ns
+                (2.0 + deg) * cat.cost.local_word_ns
             }
         };
-        total += ns;
-        rows = if e.close_to_root {
-            rows * (deg * esel / n).min(1.0)
+        if e.close_to_root {
+            // root→lane map per batch, then a bit test per edge and one
+            // row AND per frontier vertex
+            ns += batches
+                * cat
+                    .cost
+                    .allgather(cat.nranks, (lanes / batches / p * 8.0) as usize);
+            ns += cur * fetch + cat.cost.cpu_op_ns * (lanes + cur * (deg * esel + words));
+            rows *= (deg * esel / n).min(1.0);
         } else {
-            rows * deg * esel * tsel
-        };
+            // one row OR per edge, one routed row per distinct neighbour,
+            // merged and filtered on its owner
+            let reached = (rows * deg * esel).min(cap);
+            let arrive = frontier_rows(reached) / p;
+            let routed = (arrive * row_bytes / batches) as usize;
+            ns += cur * (fetch + deg * esel * words * cat.cost.cpu_op_ns);
+            ns += batches
+                * cat
+                    .cost
+                    .alltoallv(cat.nranks.saturating_sub(1), routed, routed);
+            ns += 2.0 * arrive * words * cat.cost.cpu_op_ns;
+            if !e.target.is_trivial() {
+                ns += arrive * cat.holder_eval_ns();
+            }
+            rows = reached * tsel;
+        }
         rows = rows.max(1e-3);
+        total += ns;
         let dir = match e.orient {
             EdgeOrientation::Outgoing => "out",
             EdgeOrientation::Incoming => "in",
@@ -481,16 +495,24 @@ pub fn plan_choice(cat: &Catalog, q: &Query, choice: PathChoice) -> Option<Plan>
     }
 
     // ---- aggregate stage -------------------------------------------------
-    let rloc = rows / p;
-    let routed = (rloc * 8.0) as usize;
-    let mut ns = cat
-        .cost
-        .alltoallv(cat.nranks.saturating_sub(1), routed, routed);
+    // the distinct targets already sit on their owners; a root projection
+    // first ORs the hit lanes across ranks
+    let mut ns = 0.0;
+    rows = match q.returns.target {
+        AggTarget::Root => {
+            if track_roots {
+                ns += cat.cost.allgather(cat.nranks, (lanes / 8.0) as usize);
+            }
+            rows.min(roots)
+        }
+        AggTarget::Last => rows.min(n),
+    };
+    let tloc = rows / p;
     ns += match &q.returns.agg {
         Aggregate::Count => cat.cost.reduce_like(cat.nranks, 8),
-        Aggregate::Sum(_) => rloc * cat.holder_eval_ns() + cat.cost.allgather(cat.nranks, 8),
+        Aggregate::Sum(_) => tloc * cat.holder_eval_ns() + cat.cost.reduce_like(cat.nranks, 8),
         Aggregate::CollectIds => {
-            rloc * cat.holder_eval_ns() + cat.cost.allgather(cat.nranks, routed)
+            tloc * cat.holder_eval_ns() + cat.cost.allgather(cat.nranks, (tloc * 8.0) as usize)
         }
     };
     total += ns;

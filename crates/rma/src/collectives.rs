@@ -93,6 +93,15 @@ impl<'a> RankCtx<'a> {
         self.exchange(v, 8, cost, |views| views.iter().map(|x| **x).sum())
     }
 
+    /// Wrapping sum-allreduce of a `u64` (sums of full-range values,
+    /// where overflow is part of the contract instead of a bug).
+    pub fn allreduce_wrapping_sum_u64(&self, v: u64) -> u64 {
+        let cost = self.cost_model().reduce_like(self.nranks(), 8);
+        self.exchange(v, 8, cost, |views| {
+            views.iter().fold(0u64, |a, x| a.wrapping_add(**x))
+        })
+    }
+
     /// Max-allreduce of a `u64`.
     pub fn allreduce_max_u64(&self, v: u64) -> u64 {
         let cost = self.cost_model().reduce_like(self.nranks(), 8);
@@ -234,6 +243,14 @@ mod tests {
         let f = fabric(5);
         let r = f.run(|ctx| ctx.allreduce_sum_u64(ctx.rank() as u64 + 1));
         assert_eq!(r, vec![15; 5]);
+    }
+
+    #[test]
+    fn allreduce_wrapping_sum_wraps() {
+        let f = fabric(3);
+        let r = f.run(|ctx| ctx.allreduce_wrapping_sum_u64(u64::MAX - ctx.rank() as u64));
+        // 3·MAX − 3 ≡ −6 (mod 2^64)
+        assert_eq!(r, vec![u64::MAX - 5; 3]);
     }
 
     #[test]

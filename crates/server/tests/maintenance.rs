@@ -136,3 +136,120 @@ fn scheduled_maintenance_runs_between_drain_cycles() {
     // its live version (all later reads committed above)
     assert!(m.vacuumed_versions() >= 1, "{m:?}");
 }
+
+/// Collective job body: this rank's free blocks plus every block
+/// reachable from a live local holder (its chain, its archived
+/// versions, its heavy-edge holders and theirs). Equals the pool size
+/// unless a block leaked or sits on the free list while still in use.
+fn free_plus_live_blocks(eng: &gda::GdaRank) -> usize {
+    use gda::hio::read_chain;
+    use gda::holder::Holder;
+    let (ctx, cfg) = (eng.ctx(), eng.cfg());
+    let view = eng.olap_view();
+    let mut live = 0;
+    let mut edge_holders = std::collections::BTreeSet::new();
+    let mut walk = |id: gda::DPtr, edge_holders: &mut std::collections::BTreeSet<u64>| {
+        let (bytes, blocks) = read_chain(ctx, cfg, id).expect("live holder chain");
+        let h = Holder::try_decode(&bytes).expect("live holder decodes");
+        live += blocks.len();
+        for (_, e) in h.live_edges() {
+            if !e.edge_holder.is_null() && e.edge_holder.rank() == eng.rank() {
+                edge_holders.insert(e.edge_holder.raw());
+            }
+        }
+        let (mut cur, mut seen) = (h.prev, 0);
+        while cur != 0 && seen < h.depth {
+            let (bytes, blocks) =
+                read_chain(ctx, cfg, gda::DPtr::from_raw(cur)).expect("archive chain");
+            live += blocks.len();
+            cur = Holder::try_decode(&bytes).expect("archive decodes").prev;
+            seen += 1;
+        }
+    };
+    for &v in &view.vids {
+        walk(v, &mut edge_holders);
+    }
+    for raw in std::mem::take(&mut edge_holders) {
+        walk(gda::DPtr::from_raw(raw), &mut edge_holders);
+    }
+    gda::blocks::BlockManager::new(ctx, *cfg).count_free(eng.rank()) + live
+}
+
+/// Engine defect found by the benchmark PR: a maintenance pass that both
+/// vacuumed a multi-block holder's archives and compacted its chain
+/// rewrote the holder from bytes read *before* the vacuum, resurrecting
+/// the `prev` link to the blocks it had just freed. The next pass walked
+/// that link and freed them a second time — "free-list cycle during
+/// vacuum". Fifty edge inserts on one vertex grow exactly such a holder.
+#[test]
+fn repeated_maintenance_keeps_the_block_pool_whole() {
+    let cfg = GdaConfig {
+        blocks_per_rank: 1024,
+        ..GdaConfig::tiny()
+    };
+    let (db, fabric) = GdaDb::with_fabric("srv-maint-twice", cfg, 2, CostModel::default());
+    fabric.run(|ctx| db.attach(ctx).init_collective());
+    let server = GdiServer::new(db.clone(), ServerOptions::default());
+    let mut passes = Vec::new();
+    std::thread::scope(|s| {
+        let srv = &server;
+        let ranks = s.spawn(move || fabric.run(|ctx| srv.serve_rank(ctx)));
+        let session = server.session();
+        for v in 1..=64u64 {
+            let out = session
+                .execute(Op::AddVertex {
+                    v: AppVertexId(v),
+                    label: None,
+                    prop: None,
+                })
+                .unwrap();
+            assert!(out.is_committed(), "{out:?}");
+        }
+        // each rank's free + live blocks, by collective job
+        let pool_blocks = || {
+            let sums = std::sync::Arc::new(parking_lot::Mutex::new(Vec::new()));
+            let sink = sums.clone();
+            server
+                .submit_olap(move |eng| {
+                    // collective: count before taking the lock
+                    let sum = free_plus_live_blocks(eng);
+                    sink.lock().push(sum);
+                    0.0
+                })
+                .unwrap()
+                .wait();
+            let sums = sums.lock().clone();
+            sums
+        };
+        // every commit archives the previous version of vertex 2 (even
+        // ids live on rank 0) and grows its holder across more blocks
+        for round in 0..3u64 {
+            for i in 0..50u64 {
+                let out = session
+                    .execute(Op::AddEdge {
+                        from: AppVertexId(2),
+                        to: AppVertexId(3 + (round * 50 + i) % 60),
+                        label: None,
+                    })
+                    .unwrap();
+                assert!(out.is_committed(), "{out:?}");
+            }
+            let report = server.maintenance().unwrap();
+            let pool = pool_blocks();
+            passes.push((report, pool.clone()));
+            // a broken pool panics the next pass on its rank thread,
+            // which would hang this one: stop and fail below instead
+            if pool != [cfg.blocks_per_rank; 2] {
+                break;
+            }
+        }
+        server.shutdown();
+        ranks.join().unwrap();
+    });
+    for (report, pool) in &passes {
+        assert!(report.vacuumed_versions >= 1, "{report:?}");
+        assert_eq!(pool, &[cfg.blocks_per_rank; 2], "after {report:?}");
+    }
+    assert_eq!(passes.len(), 3);
+    assert_eq!(server.metrics().maintenance_runs, 3);
+}

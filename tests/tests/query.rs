@@ -162,26 +162,29 @@ fn build_query(meta: &LpgMeta, s: &QuerySketch) -> Query {
     }
 }
 
-/// Run `q` through the planner-picked plan and every viable forced
-/// choice on a fresh `nranks`-rank database; every result must equal the
-/// sequential oracle.
-fn assert_all_paths_match(nranks: usize, spec: &GraphSpec, sketches: &[QuerySketch]) {
+/// Run every query `build` makes through the planner-picked plan and
+/// every viable forced choice on a fresh `nranks`-rank database; every
+/// result must equal the sequential oracle. Returns the oracle's values.
+fn assert_all_paths_match(
+    nranks: usize,
+    spec: &GraphSpec,
+    build: impl Fn(&LpgMeta) -> Vec<Query> + Sync,
+) -> Vec<QueryValue> {
     let cfg = sized_config(spec, nranks);
     let (db, fabric) = GdaDb::with_fabric("qdiff", cfg, nranks, CostModel::zero());
-    let spec = *spec;
-    let sketches = sketches.to_vec();
-    let outcomes = fabric.run(move |ctx| {
+    let outcomes = fabric.run(|ctx| {
         let eng = db.attach(ctx);
         eng.init_collective();
-        let (meta, _) = load_with_label_indexes(&eng, &spec);
+        let (meta, _) = load_with_label_indexes(&eng, spec);
         let _ = eng.olap_view();
         let cat = planner::Catalog::gather(&eng);
         let mut failures: Vec<String> = Vec::new();
-        for (qi, s) in sketches.iter().enumerate() {
-            let q = build_query(&meta, s);
-            let want = reference_eval(&spec, &meta, &q);
-            let picked = planner::plan(&cat, &q);
-            let got = executor::execute(&eng, &q, &picked);
+        let mut wants = Vec::new();
+        for (qi, q) in build(&meta).iter().enumerate() {
+            let want = reference_eval(spec, &meta, q);
+            wants.push(want.clone());
+            let picked = planner::plan(&cat, q);
+            let got = executor::execute(&eng, q, &picked);
             if got.value != want {
                 failures.push(format!(
                     "query {qi} [{}] planner pick {}: got {:?}, oracle {:?}",
@@ -191,11 +194,11 @@ fn assert_all_paths_match(nranks: usize, spec: &GraphSpec, sketches: &[QuerySket
                     want
                 ));
             }
-            for choice in planner::viable_choices(&cat, &q) {
-                let Some(plan) = planner::plan_choice(&cat, &q, choice) else {
+            for choice in planner::viable_choices(&cat, q) {
+                let Some(plan) = planner::plan_choice(&cat, q, choice) else {
                     continue;
                 };
-                let got = executor::execute(&eng, &q, &plan);
+                let got = executor::execute(&eng, q, &plan);
                 if got.value != want {
                     failures.push(format!(
                         "query {qi} [{}] forced {}: got {:?}, oracle {:?}",
@@ -207,11 +210,12 @@ fn assert_all_paths_match(nranks: usize, spec: &GraphSpec, sketches: &[QuerySket
                 }
             }
         }
-        failures
+        (failures, wants)
     });
-    if let Some(f) = outcomes.into_iter().flatten().next() {
+    if let Some(f) = outcomes.iter().flat_map(|(f, _)| f).next() {
         panic!("{f}");
     }
+    outcomes.into_iter().next().expect("rank 0").1
 }
 
 proptest! {
@@ -229,9 +233,193 @@ proptest! {
     ) {
         let nranks = [1usize, 2, 4][pidx];
         let spec = rich_spec(scale, edge_factor, seed);
-        assert_all_paths_match(nranks, &spec, &sketches);
+        assert_all_paths_match(nranks, &spec, |meta| {
+            sketches.iter().map(|s| build_query(meta, s)).collect()
+        });
     }
 }
+
+// ---------------------------------------------------------------------
+// Deterministic frontier cases: lane batches, mid-size suite, counters
+// ---------------------------------------------------------------------
+
+/// The threshold `t` for which exactly `k` vertices satisfy `P0 > t`.
+fn p0_threshold_for(spec: &GraphSpec, k: usize) -> u64 {
+    let mut vals: Vec<u64> = (0..spec.n_vertices())
+        .filter_map(|v| {
+            spec.lpg
+                .vertex_props(spec.seed, v)
+                .into_iter()
+                .find(|(p, _)| *p == 0)
+                .map(|(_, x)| x)
+        })
+        .collect();
+    vals.sort_unstable_by(|a, b| b.cmp(a));
+    assert!(vals[k - 1] > vals[k], "property values collide at rank {k}");
+    vals[k]
+}
+
+/// Root counts one below, at and one above the executor's lane batch:
+/// the expand stages run once, once, and twice (the second batch a
+/// single lane wide). Root projection, cycle close and a sum over the
+/// last variable all have to survive the split, on ranks whose share of
+/// a batch is uneven (P = 3).
+#[test]
+fn root_counts_around_the_lane_batch_match_oracle() {
+    let spec = rich_spec(13, 3, 29);
+    let batch = executor::LANE_BATCH;
+    for k in [batch - 1, batch, batch + 1] {
+        let t = p0_threshold_for(&spec, k);
+        assert_all_paths_match(3, &spec, |meta| {
+            let roots = || QueryBuilder::node("a").prop_gt(meta.ptype(0), t);
+            vec![
+                roots()
+                    .expand_out(None)
+                    .to("b")
+                    .label(meta.label(1))
+                    .count(AggTarget::Root),
+                roots()
+                    .expand_any(None)
+                    .to("b")
+                    .expand_any(None)
+                    .close_cycle()
+                    .sum(AggTarget::Last, meta.ptype(1)),
+                roots()
+                    .expand_out(Some(meta.label(0)))
+                    .to("b")
+                    .expand_out(None)
+                    .to("c")
+                    .expand_out(None)
+                    .close_cycle()
+                    .collect_ids(AggTarget::Root),
+            ]
+        });
+    }
+}
+
+/// The five suite queries on mid-size graphs, every forced path, on
+/// 1-, 2- and 4-rank fabrics.
+#[test]
+fn suite_matches_oracle_on_every_path_at_mid_size() {
+    let params = SuiteParams::default();
+    for (nranks, scale) in [(1, 9), (2, 10), (4, 10)] {
+        let spec = rich_spec(scale, 8, 41);
+        assert_all_paths_match(nranks, &spec, |meta| {
+            suite(meta, &params).into_iter().map(|(_, q)| q).collect()
+        });
+    }
+}
+
+/// A closing expand over an edge label no edge carries, and a root
+/// projection over a frontier the target filter emptied: both are the
+/// oracle's empty value, not a panic or a stale row.
+#[test]
+fn empty_frontiers_return_the_empty_value() {
+    let mut spec = rich_spec(7, 6, 5);
+    spec.lpg.edge_label_fraction = 0.0; // no edge carries any label
+    let empty = assert_all_paths_match(2, &spec, |meta| {
+        let never = gdi::PropertyValue::U64(u64::MAX);
+        vec![
+            QueryBuilder::node("a")
+                .expand_out(None)
+                .to("b")
+                .expand_out(Some(meta.label(0)))
+                .close_cycle()
+                .count(AggTarget::Root),
+            QueryBuilder::node("a")
+                .expand_out(None)
+                .to("b")
+                .expand_out(Some(meta.label(0)))
+                .close_cycle()
+                .collect_ids(AggTarget::Last),
+            QueryBuilder::node("a")
+                .label(meta.label(0))
+                .expand_any(None)
+                .to("b")
+                .prop(meta.ptype(0), CmpOp::Gt, never.clone())
+                .sum(AggTarget::Root, meta.ptype(1)),
+            QueryBuilder::node("a")
+                .label(meta.label(0))
+                .expand_any(None)
+                .to("b")
+                .prop(meta.ptype(0), CmpOp::Gt, never)
+                .collect_ids(AggTarget::Root),
+        ]
+    });
+    assert_eq!(
+        empty,
+        vec![
+            QueryValue::Count(0),
+            QueryValue::Ids(Vec::new()),
+            QueryValue::Sum(0),
+            QueryValue::Ids(Vec::new()),
+        ]
+    );
+}
+
+/// Counter pin: the suite's two-hop never enumerates `(root, cur)`
+/// pairs. Summed over ranks, each expand stage inspects at most every
+/// edge once and keeps at most every vertex once — on both expand
+/// paths, with the exact values pinned (they are deterministic), so a
+/// regression to per-pair work fails here and not in a benchmark.
+#[test]
+fn two_hop_work_is_bounded_by_the_graph() {
+    let spec = rich_spec(8, 8, 7);
+    let nranks = 2;
+    let cfg = sized_config(&spec, nranks);
+    let (db, fabric) = GdaDb::with_fabric("qpin", cfg, nranks, CostModel::zero());
+    let per_rank = fabric.run(|ctx| {
+        let eng = db.attach(ctx);
+        eng.init_collective();
+        let (meta, _) = load_with_label_indexes(&eng, &spec);
+        let _ = eng.olap_view();
+        let cat = planner::Catalog::gather(&eng);
+        let (_, q) = suite(&meta, &SuiteParams::default()).swap_remove(1);
+        assert_eq!(q.expands.len(), 2, "suite order changed");
+        planner::viable_choices(&cat, &q)
+            .into_iter()
+            .filter_map(|c| planner::plan_choice(&cat, &q, c))
+            .map(|plan| {
+                let out = executor::execute(&eng, &q, &plan);
+                let counters: Vec<(u64, u64)> =
+                    out.stages.iter().map(|s| (s.rows, s.expanded)).collect();
+                (plan.choice.to_string(), out.value, counters)
+            })
+            .collect::<Vec<_>>()
+    });
+    let (edges, vertices) = (spec.n_edges(), spec.n_vertices());
+    for (i, (choice, value, _)) in per_rank[0].iter().enumerate() {
+        // (rows, expanded) per stage, summed over ranks
+        let total: Vec<(u64, u64)> = (0..4)
+            .map(|st| {
+                per_rank.iter().fold((0, 0), |(r, e), rank| {
+                    let (rows, expanded) = rank[i].2[st];
+                    (r + rows, e + expanded)
+                })
+            })
+            .collect();
+        for &(rows, expanded) in &total[1..3] {
+            assert!(expanded <= edges, "{choice}: {expanded} entries > |E|");
+            assert!(rows <= vertices, "{choice}: {rows} rows > |V|");
+        }
+        assert_eq!(*value, QueryValue::Count(PIN_TWO_HOP.3), "{choice}");
+        assert_eq!(
+            total,
+            vec![
+                (PIN_TWO_HOP.0, 0),
+                PIN_TWO_HOP.1,
+                PIN_TWO_HOP.2,
+                (PIN_TWO_HOP.3, 0)
+            ],
+            "{choice}"
+        );
+    }
+}
+
+/// `two_hop_work_is_bounded_by_the_graph`'s pinned counters on
+/// `rich_spec(8, 8, 7)`: roots, `(rows, expanded)` of the two expand
+/// stages, distinct targets.
+const PIN_TWO_HOP: (u64, (u64, u64), (u64, u64), u64) = (118, (157, 1043), (91, 1955), 91);
 
 // ---------------------------------------------------------------------
 // Durable axis: differential contract after checkpoint + crash + recover
@@ -378,15 +566,15 @@ fn explain_format_is_stable() {
     let plan = planner::plan(&cat, &q);
     let golden = "\
 query: MATCH (p:#1)-[:#2]->(c:#3) RETURN count(DISTINCT p)
-choice: index-scan(ix2)+csr est=0.152ms rows~227.6 [view]
+choice: index-scan(ix2)+tx est=0.104ms rows~227.6
   stage 1: index-scan[lab1] (p labels=1 props=1) rows~682.7 est=0.041ms
-  stage 2: expand-csr out[lbl] to (c labels=1 props=1) rows~227.6 est=0.104ms
-  stage 3: count(distinct p) rows~227.6 est=0.006ms
+  stage 2: expand-tx out[lbl] to (c labels=1 props=1) rows~227.6 est=0.056ms
+  stage 3: count(distinct p) rows~227.6 est=0.007ms
 alternatives:
-  index-scan(ix2)+csr      0.152ms
-  sweep+csr                0.192ms
-  index-scan(ix2)+tx       0.881ms
-  sweep+tx                 0.932ms
+  index-scan(ix2)+tx       0.104ms
+  index-scan(ix2)+csr      0.110ms
+  sweep+csr                0.150ms
+  sweep+tx                 0.156ms
 ";
     assert_eq!(
         plan.explain(),
