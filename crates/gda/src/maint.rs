@@ -357,7 +357,7 @@ pub(crate) fn maintenance_rank(eng: &GdaRank) -> GdiResult<MaintenanceReport> {
 
     // -- pass 4: checksum verification of the published chain ---------
     let (verified_bytes, verify_errors) = match eng.persistence() {
-        Some(store) => crate::persist::verify_rank_chain(&store, me),
+        Some(store) => store.verify_chain(me),
         None => (0, 0),
     };
     if verified_bytes > 0 || verify_errors > 0 {

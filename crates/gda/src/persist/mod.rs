@@ -41,13 +41,27 @@
 //! re-marks the dirty chunks it drained, and leaves the previous
 //! snapshot — and the serving database — untouched.
 //!
+//! ## Snapshot files stream
+//!
+//! Neither side of the codec ever holds a window image next to the
+//! window, or a file next to what it decodes to: the writer moves one
+//! strip ([`STRIP_BYTES`]) at a time from the window through a buffered
+//! file handle that feeds the [`Checksum`] on the way, and the reader
+//! streams the whole file through the checksum first, then decodes
+//! runs straight into the image they belong to. The file layout, the
+//! checksum's definition and its detection argument live with the
+//! codec in `persist/snapshot.rs` and `persist/format.rs`; this file
+//! keeps the store, the manifest, the redo log, the checkpoint
+//! collective and recovery.
+//!
 //! ## Incremental (delta) checkpoints
 //!
 //! Durability cost is proportional to *churn*, not database size: the
 //! fabric tracks which chunks of each window were written since the
 //! last checkpoint ([`rma::DirtyMap`], one chunk = one block), and a
-//! checkpoint ordinarily writes only those chunks as a **delta** file
-//! chained onto the last **full** snapshot. The manifest records the
+//! checkpoint ordinarily writes only those chunks — as runs of
+//! adjacent chunks — into a **delta** file chained onto the last
+//! **full** snapshot. The manifest records the
 //! chain (`full base, delta, delta, …`); recovery folds the chain in
 //! order before replaying the redo tails. A checkpoint *rebases* to a
 //! full snapshot when the chain is empty or too long, when a rank's
@@ -98,7 +112,7 @@
 //! served traffic).
 
 use std::fs::{self, File, OpenOptions};
-use std::io::Write as _;
+use std::io::{Read, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -111,182 +125,31 @@ use gdi::{
     AppVertexId, Datatype, EntityType, GdiError, GdiResult, LabelId, Multiplicity, PTypeId,
     SizeType,
 };
-use rma::{CostModel, Fabric, WinId};
+use rma::{CostModel, Fabric};
 
-use crate::config::{GdaConfig, WIN_DATA, WIN_INDEX, WIN_SYSTEM, WIN_USAGE};
+use crate::config::GdaConfig;
 use crate::db::{GdaDb, GdaRank};
 use crate::dptr::DPtr;
 use crate::faults::{self, FaultMode, FaultPlane};
 use crate::hio;
 use crate::holder::Holder;
-use crate::index::{IndexDef, IndexId, IndexShared, Posting};
+use crate::index::{IndexDef, IndexId, IndexShared};
 use crate::meta::{MetaParts, MetaStore, PTypeDef};
 
-/// Magic prefix of a per-rank snapshot file.
-const SNAP_MAGIC: &[u8; 8] = b"GDASNAP\x01";
-/// Magic prefix of a manifest file.
-const MANIFEST_MAGIC: &[u8; 8] = b"GDAMANI\x01";
-/// On-disk format version (bumped on incompatible layout changes).
-/// v2: the checksum's FNV-1a prime was corrected (v1 shipped a
-/// truncated constant), which changes every snapshot/manifest/frame
-/// checksum — v1 files fail the checksum before the version check.
-/// v3: the system window grew by one word (the per-rank topology-epoch
-/// counter backing OLAP scan views), so every snapshot's window image
-/// lengths changed.
-/// v4: MVCC snapshot isolation — the block format gained a per-block
-/// version-stamp word (`[next:8][stamp:8][payload]`), the holder header
-/// grew to 48 bytes (commit epoch + archived-version pointer), the
-/// system window gained three words (commit-epoch counter, read-epoch
-/// watermark, min-active-snapshot), and the manifest's config encoding
-/// gained the `mvcc`/`mvcc_chain_limit` fields.
-/// v5: incremental checkpoints — snapshot files gained a kind byte
-/// (full = 0, delta = 1) with delta files carrying the base id and
-/// chunked window patches, the manifest gained the delta-chain list,
-/// redo segments moved to constant per-rank names truncated at
-/// publish, and every log frame gained the checkpoint generation it
-/// was appended under.
-const FORMAT_VERSION: u32 = 5;
+mod format;
+mod snapshot;
 
-/// Snapshot-kind byte: a self-contained full image.
-const SNAP_FULL: u8 = 0;
-/// Snapshot-kind byte: a delta patch over the previous chain member.
-const SNAP_DELTA: u8 = 1;
+pub use format::Checksum;
+use format::{
+    check_file_header, io_err, Dec, Enc, FILE_HEADER_BYTES, FORMAT_VERSION, MANIFEST_MAGIC,
+};
+pub use snapshot::STRIP_BYTES;
+pub(crate) use snapshot::{read_rank_snapshot_chain, RankSnapshot};
+use snapshot::{write_rank_snapshot, DeltaSpec, ALL_WINDOWS};
 
 /// A delta chain longer than this rebases to a full snapshot (bounds
 /// recovery work and keeps gc able to reclaim old bases).
 const DELTA_CHAIN_CAP: usize = 8;
-
-// ---------------------------------------------------------------------
-// binary encoding helpers
-// ---------------------------------------------------------------------
-
-/// FNV-1a over a byte slice (the snapshot/log checksum). The prime is
-/// part of the on-disk format: changing it invalidates every existing
-/// checksum and requires a [`FORMAT_VERSION`] bump.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-/// Append-only little-endian encoder.
-#[derive(Default)]
-struct Enc {
-    buf: Vec<u8>,
-}
-
-impl Enc {
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn bytes(&mut self, v: &[u8]) {
-        self.u32(v.len() as u32);
-        self.buf.extend_from_slice(v);
-    }
-    fn str(&mut self, v: &str) {
-        self.bytes(v.as_bytes());
-    }
-}
-
-/// Checked little-endian decoder over a byte slice.
-struct Dec<'a> {
-    b: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn new(b: &'a [u8]) -> Self {
-        Self { b, pos: 0 }
-    }
-    fn take(&mut self, n: usize) -> GdiResult<&'a [u8]> {
-        if self.pos + n > self.b.len() {
-            return Err(GdiError::Io("truncated persistence record".into()));
-        }
-        let s = &self.b[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-    fn u8(&mut self) -> GdiResult<u8> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> GdiResult<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> GdiResult<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn bytes(&mut self) -> GdiResult<Vec<u8>> {
-        let n = self.u32()? as usize;
-        Ok(self.take(n)?.to_vec())
-    }
-    fn str(&mut self) -> GdiResult<String> {
-        String::from_utf8(self.bytes()?).map_err(|_| GdiError::Io("invalid utf-8".into()))
-    }
-}
-
-fn io_err(what: &str, e: std::io::Error) -> GdiError {
-    GdiError::Io(format!("{what}: {e}"))
-}
-
-/// Sparse (zero-run-length) encoding of a window's raw bytes: windows
-/// are mostly zero words, so a run-length split keeps snapshot files
-/// proportional to *live* data.
-fn encode_sparse(enc: &mut Enc, bytes: &[u8]) {
-    debug_assert!(bytes.len().is_multiple_of(8));
-    enc.u64(bytes.len() as u64);
-    let words: Vec<u64> = bytes
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-        .collect();
-    let mut i = 0;
-    let n = words.len();
-    while i < n {
-        let z0 = i;
-        while i < n && words[i] == 0 {
-            i += 1;
-        }
-        let zeros = (i - z0) as u32;
-        let d0 = i;
-        while i < n && words[i] != 0 {
-            i += 1;
-        }
-        enc.u32(zeros);
-        enc.u32((i - d0) as u32);
-        for w in &words[d0..i] {
-            enc.u64(*w);
-        }
-    }
-}
-
-/// Inverse of [`encode_sparse`].
-fn decode_sparse(dec: &mut Dec) -> GdiResult<Vec<u8>> {
-    let len = dec.u64()? as usize;
-    if !len.is_multiple_of(8) {
-        return Err(GdiError::Io("sparse window length not word-aligned".into()));
-    }
-    let mut out = Vec::with_capacity(len);
-    while out.len() < len {
-        let zeros = dec.u32()? as usize;
-        let data = dec.u32()? as usize;
-        if out.len() + (zeros + data) * 8 > len {
-            return Err(GdiError::Io("sparse window run overflows".into()));
-        }
-        out.resize(out.len() + zeros * 8, 0);
-        for _ in 0..data {
-            out.extend_from_slice(&dec.u64()?.to_le_bytes());
-        }
-    }
-    Ok(out)
-}
 
 // ---------------------------------------------------------------------
 // redo records
@@ -356,7 +219,7 @@ impl RedoRecord {
         }
     }
 
-    fn decode(dec: &mut Dec) -> GdiResult<Self> {
+    fn decode(dec: &mut Dec<&[u8]>) -> GdiResult<Self> {
         let tag = dec.u8()?;
         let primary = dec.u64()?;
         let app_id = dec.u64()?;
@@ -381,8 +244,16 @@ impl RedoRecord {
     }
 }
 
+/// Bytes of a redo frame's header: `[payload_len u32][checksum u64]`.
+const FRAME_HEADER_BYTES: usize = 12;
+
+/// Smallest encoded [`RedoRecord`] (a delete: tag, primary, app id,
+/// edge flag, version) — what bounds a frame's record count by its
+/// payload length.
+const MIN_RECORD_BYTES: u64 = 26;
+
 /// Frame a batch of records (one committed transaction) for the log:
-/// `[payload_len u32][fnv1a u64][payload]`, where the payload starts
+/// `[payload_len u32][checksum u64][payload]`, where the payload starts
 /// with the checkpoint generation the frame was appended under. Redo
 /// files keep their name across checkpoints (truncation at publish),
 /// so the generation is what lets replay — and the scan layer's
@@ -390,17 +261,39 @@ impl RedoRecord {
 /// when a truncation failed or the process crashed between publish and
 /// truncate.
 fn encode_frame(records: &[RedoRecord], generation: u64) -> Vec<u8> {
-    let mut payload = Enc::default();
-    payload.u64(generation);
-    payload.u32(records.len() as u32);
+    let payload_estimate: usize = records
+        .iter()
+        .map(|r| match r {
+            RedoRecord::Upsert { bytes, .. } => MIN_RECORD_BYTES as usize + 4 + bytes.len(),
+            RedoRecord::Delete { .. } => MIN_RECORD_BYTES as usize,
+        })
+        .sum();
+    // the header is reserved up front and patched once the payload
+    // behind it is complete: one buffer, no copy
+    let mut e = Enc::default();
+    e.buf.reserve(FRAME_HEADER_BYTES + 12 + payload_estimate);
+    e.buf.resize(FRAME_HEADER_BYTES, 0);
+    e.u64(generation);
+    e.u32(records.len() as u32);
     for r in records {
-        r.encode(&mut payload);
+        r.encode(&mut e);
     }
-    let mut out = Enc::default();
-    out.u32(payload.buf.len() as u32);
-    out.u64(fnv1a(&payload.buf));
-    out.buf.extend_from_slice(&payload.buf);
-    out.buf
+    let (head, payload) = e.buf.split_at_mut(FRAME_HEADER_BYTES);
+    head[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    head[4..].copy_from_slice(&Checksum::of(payload).to_le_bytes());
+    e.buf
+}
+
+/// Decode one checksum-clean frame payload: its generation and records.
+fn decode_frame(payload: &[u8]) -> GdiResult<(u64, Vec<RedoRecord>)> {
+    let mut dec = Dec::over(payload);
+    let generation = dec.u64()?;
+    let count = dec.u32()? as u64;
+    let mut frame = Vec::with_capacity(dec.count(count, MIN_RECORD_BYTES)?);
+    for _ in 0..count {
+        frame.push(RedoRecord::decode(&mut dec)?);
+    }
+    Ok((generation, frame))
 }
 
 /// Parse a log file's bytes into records, stopping at the first torn or
@@ -412,34 +305,19 @@ fn encode_frame(records: &[RedoRecord], generation: u64) -> Vec<u8> {
 fn parse_log(bytes: &[u8], min_gen: u64) -> (Vec<RedoRecord>, usize) {
     let mut records = Vec::new();
     let mut pos = 0usize;
-    while pos + 12 <= bytes.len() {
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-        let sum = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().unwrap());
-        let start = pos + 12;
-        if start + len > bytes.len() {
+    while let Some(head) = bytes.get(pos..pos + FRAME_HEADER_BYTES) {
+        let len = u32::from_le_bytes(head[..4].try_into().expect("4 bytes")) as usize;
+        let sum = u64::from_le_bytes(head[4..].try_into().expect("8 bytes"));
+        let start = pos + FRAME_HEADER_BYTES;
+        let Some(payload) = bytes.get(start..start + len) else {
             break; // torn tail
-        }
-        let payload = &bytes[start..start + len];
-        if fnv1a(payload) != sum {
+        };
+        if Checksum::of(payload) != sum {
             break; // corrupt frame
         }
-        let mut dec = Dec::new(payload);
-        let Ok(generation) = dec.u64() else { break };
-        let Ok(count) = dec.u32() else { break };
-        let mut frame = Vec::with_capacity(count as usize);
-        let mut ok = true;
-        for _ in 0..count {
-            match RedoRecord::decode(&mut dec) {
-                Ok(r) => frame.push(r),
-                Err(_) => {
-                    ok = false;
-                    break;
-                }
-            }
-        }
-        if !ok {
+        let Ok((generation, frame)) = decode_frame(payload) else {
             break;
-        }
+        };
         if generation >= min_gen {
             records.extend(frame);
         }
@@ -519,6 +397,14 @@ pub struct CheckpointReport {
     pub wall_s: f64,
 }
 
+/// One rank's open redo log: the append handle and the file's length,
+/// kept beside it so a failed append can be rolled back without asking
+/// the file system on every commit.
+struct RedoWriter {
+    file: File,
+    len: u64,
+}
+
 /// The shared persistence state of one database: per-rank redo writers,
 /// the current checkpoint id, failure injection and the last checkpoint
 /// report. Attached to a [`GdaDb`] via [`GdaDb::enable_persistence`] and
@@ -530,7 +416,7 @@ pub struct PersistStore {
     /// (empty at genesis). Everything in here is live recovery state:
     /// gc must not touch it.
     chain: Mutex<Vec<u64>>,
-    writers: Vec<Mutex<Option<File>>>,
+    writers: Vec<Mutex<Option<RedoWriter>>>,
     log_errors: AtomicU64,
     unlogged_mutations: AtomicU64,
     faults: Arc<FaultPlane>,
@@ -605,6 +491,16 @@ impl PersistStore {
         self.last_checkpoint.lock().clone()
     }
 
+    /// Re-read and checksum-validate every file of the published
+    /// snapshot chain that belongs to `rank` (plus the manifests, for
+    /// rank 0), streaming each through `O(strip)` memory: the online
+    /// scrub behind the maintenance verifier pass. Returns `(bytes
+    /// verified, errors found)` — an unreadable file counts as one
+    /// error.
+    pub fn verify_chain(&self, rank: usize) -> (u64, u64) {
+        snapshot::verify_rank_chain(self, rank)
+    }
+
     /// The fault-injection plane this store probes at every persistence
     /// I/O boundary (the catalog lives in [`crate::faults`]). Arm faults
     /// here to simulate failing disks, torn writes and read corruption;
@@ -649,45 +545,53 @@ impl PersistStore {
     /// Returns the framed byte count (what the LogGP model charges).
     pub(crate) fn append(&self, rank: usize, records: &[RedoRecord]) -> GdiResult<usize> {
         let mut guard = self.writers[rank].lock();
-        if guard.is_none() {
-            let path = self.log_path(rank);
-            let f = OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&path)
-                .map_err(|e| io_err("open redo segment", e))?;
-            if self.opts.sync {
-                // the segment's directory entry must survive power loss
-                // along with the synced appends that follow
-                sync_dir(&self.opts.dir)?;
+        let w = match &mut *guard {
+            Some(w) => w,
+            none => {
+                let file = OpenOptions::new()
+                    .create(true)
+                    .append(true)
+                    .open(self.log_path(rank))
+                    .map_err(|e| io_err("open redo segment", e))?;
+                if self.opts.sync {
+                    // the segment's directory entry must survive power loss
+                    // along with the synced appends that follow
+                    sync_dir(&self.opts.dir)?;
+                }
+                let len = file
+                    .metadata()
+                    .map_err(|e| io_err("stat redo segment", e))?
+                    .len();
+                none.insert(RedoWriter { file, len })
             }
-            *guard = Some(f);
-        }
+        };
         let frame = encode_frame(records, self.current());
-        let f = guard.as_mut().unwrap();
         match self.probe_fault(faults::REDO_APPEND, rank) {
             Some(FaultMode::TornWrite(k)) => {
                 // crash mid-append: the first `k` bytes land and stay —
                 // recovery must truncate at the last checksum-valid frame
-                let _ = f.write_all(&frame[..k.min(frame.len())]);
-                let _ = f.sync_data();
+                let torn = &frame[..k.min(frame.len())];
+                if w.file.write_all(torn).is_ok() {
+                    w.len += torn.len() as u64;
+                }
+                let _ = w.file.sync_data();
                 return Err(GdiError::Io("injected torn redo append".into()));
             }
             Some(_) => return Err(GdiError::Io("injected redo append failure".into())),
             None => {}
         }
-        let pre_len = f.metadata().map(|m| m.len()).unwrap_or(0);
-        if let Err(e) = f.write_all(&frame) {
+        if let Err(e) = w.file.write_all(&frame) {
             // A short write would leave a torn frame mid-log, and since
             // replay stops at the first invalid frame it would also orphan
             // every frame appended after it. Roll the file back to the
             // pre-append length so a *reported* failure loses only this
             // commit's durability, never the log's integrity.
-            let _ = f.set_len(pre_len);
+            let _ = w.file.set_len(w.len);
             return Err(io_err("append redo", e));
         }
+        w.len += frame.len() as u64;
         if self.opts.sync {
-            f.sync_data().map_err(|e| io_err("sync redo", e))?;
+            w.file.sync_data().map_err(|e| io_err("sync redo", e))?;
         }
         Ok(frame.len())
     }
@@ -758,8 +662,8 @@ impl PersistStore {
             return Err(GdiError::Io("injected redo rotate failure".into()));
         }
         let mut guard = self.writers[rank].lock();
-        // drop the append handle first: the next append reopens the
-        // (now empty) file
+        // drop the append handle (and the length kept beside it) first:
+        // the next append reopens the now empty file
         *guard = None;
         match OpenOptions::new().write(true).open(self.log_path(rank)) {
             Ok(f) => {
@@ -928,7 +832,7 @@ fn encode_cfg(enc: &mut Enc, cfg: &GdaConfig) {
     enc.u64(cfg.mvcc_chain_limit as u64);
 }
 
-fn decode_cfg(dec: &mut Dec) -> GdiResult<GdaConfig> {
+fn decode_cfg<R: Read>(dec: &mut Dec<R>) -> GdiResult<GdaConfig> {
     Ok(GdaConfig {
         block_size: dec.u64()? as usize,
         blocks_per_rank: dec.u64()? as usize,
@@ -1003,32 +907,31 @@ fn encode_manifest(m: &Manifest) -> Vec<u8> {
             e.u32(p.0);
         }
     }
-    let sum = fnv1a(&e.buf);
+    let sum = Checksum::of(&e.buf);
     e.u64(sum);
     e.buf
 }
 
 fn decode_manifest(bytes: &[u8]) -> GdiResult<Manifest> {
-    if bytes.len() < 16 {
+    if bytes.len() < FILE_HEADER_BYTES + 8 {
         return Err(GdiError::Io("manifest too short".into()));
     }
+    // magic and version come before the checksum: a manifest of another
+    // format version says so instead of looking corrupt
+    let head = bytes[..FILE_HEADER_BYTES].try_into().expect("header");
+    check_file_header(head, MANIFEST_MAGIC, "manifest")?;
     let (body, tail) = bytes.split_at(bytes.len() - 8);
-    let sum = u64::from_le_bytes(tail.try_into().unwrap());
-    if fnv1a(body) != sum {
+    if Checksum::of(body) != u64::from_le_bytes(tail.try_into().expect("8 bytes")) {
         return Err(GdiError::Io("manifest checksum mismatch".into()));
     }
-    let mut d = Dec::new(body);
-    if d.take(8)? != MANIFEST_MAGIC {
-        return Err(GdiError::Io("bad manifest magic".into()));
-    }
-    if d.u32()? != FORMAT_VERSION {
-        return Err(GdiError::Io("unsupported manifest version".into()));
-    }
+    let mut d = Dec::over(&body[FILE_HEADER_BYTES..]);
     let id = d.u64()?;
     let name = d.str()?;
     let nranks = d.u32()? as usize;
-    let nchain = d.u32()?;
-    let mut chain = Vec::with_capacity(nchain as usize);
+    // every count below is checked against the bytes that remain (at
+    // the element's smallest encoding) before its vector is allocated
+    let nchain = d.u32()? as u64;
+    let mut chain = Vec::with_capacity(d.count(nchain, 8)?);
     for _ in 0..nchain {
         chain.push(d.u64()?);
     }
@@ -1039,14 +942,14 @@ fn decode_manifest(bytes: &[u8]) -> GdiResult<Manifest> {
     let epoch = d.u64()?;
     let next_label = d.u32()?;
     let next_ptype = d.u32()?;
-    let nlabels = d.u32()?;
-    let mut labels = Vec::with_capacity(nlabels as usize);
+    let nlabels = d.u32()? as u64;
+    let mut labels = Vec::with_capacity(d.count(nlabels, 8)?);
     for _ in 0..nlabels {
         let id = LabelId(d.u32()?);
         labels.push(crate::meta::LabelDef { id, name: d.str()? });
     }
-    let nptypes = d.u32()?;
-    let mut ptypes = Vec::with_capacity(nptypes as usize);
+    let nptypes = d.u32()? as u64;
+    let mut ptypes = Vec::with_capacity(d.count(nptypes, 20)?);
     for _ in 0..nptypes {
         ptypes.push(PTypeDef {
             id: PTypeId(d.u32()?),
@@ -1059,18 +962,18 @@ fn decode_manifest(bytes: &[u8]) -> GdiResult<Manifest> {
         });
     }
     let index_next_id = d.u32()?;
-    let ndefs = d.u32()?;
-    let mut index_defs = Vec::with_capacity(ndefs as usize);
+    let ndefs = d.u32()? as u64;
+    let mut index_defs = Vec::with_capacity(d.count(ndefs, 16)?);
     for _ in 0..ndefs {
         let id = IndexId(d.u32()?);
         let name = d.str()?;
-        let nl = d.u32()?;
-        let mut dl = Vec::with_capacity(nl as usize);
+        let nl = d.u32()? as u64;
+        let mut dl = Vec::with_capacity(d.count(nl, 4)?);
         for _ in 0..nl {
             dl.push(LabelId(d.u32()?));
         }
-        let np = d.u32()?;
-        let mut dp = Vec::with_capacity(np as usize);
+        let np = d.u32()? as u64;
+        let mut dp = Vec::with_capacity(d.count(np, 4)?);
         for _ in 0..np {
             dp.push(PTypeId(d.u32()?));
         }
@@ -1122,23 +1025,28 @@ fn sync_dir(dir: &Path) -> GdiResult<()> {
         .map_err(|e| io_err("sync directory", e))
 }
 
-fn write_atomically(path: &Path, bytes: &[u8], sync: bool) -> GdiResult<()> {
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = File::create(&tmp).map_err(|e| io_err("create snapshot tmp", e))?;
-        f.write_all(bytes)
-            .map_err(|e| io_err("write snapshot", e))?;
-        if sync {
-            f.sync_all().map_err(|e| io_err("sync snapshot", e))?;
-        }
+/// Make the fully written `tmp` file the file at `path`: sync it (under
+/// the `sync` policy), rename it into place, sync the directory.
+fn publish_tmp(file: File, tmp: &Path, path: &Path, sync: bool) -> GdiResult<()> {
+    if sync {
+        file.sync_all().map_err(|e| io_err("sync snapshot", e))?;
     }
-    fs::rename(&tmp, path).map_err(|e| io_err("rename snapshot", e))?;
+    drop(file);
+    fs::rename(tmp, path).map_err(|e| io_err("rename snapshot", e))?;
     if sync {
         if let Some(parent) = path.parent() {
             sync_dir(parent)?;
         }
     }
     Ok(())
+}
+
+fn write_atomically(path: &Path, bytes: &[u8], sync: bool) -> GdiResult<()> {
+    let tmp = path.with_extension("tmp");
+    let mut f = File::create(&tmp).map_err(|e| io_err("create snapshot tmp", e))?;
+    f.write_all(bytes)
+        .map_err(|e| io_err("write snapshot", e))?;
+    publish_tmp(f, &tmp, path, sync)
 }
 
 /// Set up persistence for a fresh database: creates the directory,
@@ -1162,317 +1070,6 @@ pub(crate) fn create_store(db: &GdaDb, opts: PersistOptions) -> GdiResult<Arc<Pe
 // ---------------------------------------------------------------------
 // checkpoint (collective)
 // ---------------------------------------------------------------------
-
-const ALL_WINDOWS: [WinId; 4] = [WIN_DATA, WIN_USAGE, WIN_SYSTEM, WIN_INDEX];
-
-/// What a delta checkpoint ships for one rank: the chain member it
-/// patches and the drained dirty bitmaps (one per window, in
-/// [`ALL_WINDOWS`] order — the fabric tracks windows in `WinId` order,
-/// which matches).
-struct DeltaSpec<'a> {
-    base: u64,
-    bitmaps: &'a [Vec<u64>],
-}
-
-/// Write one rank's snapshot file — a self-contained full image, or
-/// (with `delta`) only the chunks whose dirty bits are set. Returns
-/// `(file bytes, chunks shipped)`; a full image reports 0 chunks.
-fn write_rank_snapshot(
-    eng: &GdaRank,
-    store: &PersistStore,
-    id: u64,
-    dir: &Path,
-    delta: Option<&DeltaSpec<'_>>,
-) -> GdiResult<(u64, u64)> {
-    let ctx = eng.ctx();
-    let me = eng.rank();
-    let injected = store.probe_fault(faults::SNAP_WRITE, me);
-    if matches!(injected, Some(FaultMode::Error)) {
-        return Err(GdiError::Io("injected checkpoint failure".into()));
-    }
-    let mut e = Enc::default();
-    e.buf.extend_from_slice(SNAP_MAGIC);
-    e.u32(FORMAT_VERSION);
-    e.u64(id);
-    e.u32(me as u32);
-    e.u32(eng.nranks() as u32);
-    encode_cfg(&mut e, eng.cfg());
-    let mut shipped = 0u64;
-    match delta {
-        None => {
-            e.u8(SNAP_FULL);
-            for win in ALL_WINDOWS {
-                let len = ctx.win_len_bytes(win);
-                let mut buf = vec![0u8; len];
-                ctx.get_bytes(win, me, 0, &mut buf);
-                encode_sparse(&mut e, &buf);
-            }
-        }
-        Some(d) => {
-            let chunk = ctx.dirty_chunk_bytes();
-            e.u8(SNAP_DELTA);
-            e.u64(d.base);
-            e.u32(chunk as u32);
-            for win in ALL_WINDOWS {
-                let len = ctx.win_len_bytes(win);
-                let chunks: Vec<usize> = rma::dirty::set_chunks(&d.bitmaps[win.0])
-                    .into_iter()
-                    .filter(|c| c * chunk < len)
-                    .collect();
-                e.u64(len as u64);
-                e.u32(chunks.len() as u32);
-                for c in chunks {
-                    let off = c * chunk;
-                    let n = chunk.min(len - off);
-                    let mut buf = vec![0u8; n];
-                    ctx.get_bytes(win, me, off, &mut buf);
-                    e.u32(c as u32);
-                    e.bytes(&buf);
-                    shipped += 1;
-                }
-            }
-        }
-    }
-    let postings = eng.indexes().export_rank(me);
-    e.u32(postings.len() as u32);
-    for (ix, ps) in &postings {
-        e.u32(ix.0);
-        e.u64(ps.len() as u64);
-        for p in ps {
-            e.u64(p.vertex.raw());
-            e.u64(p.app_id.0);
-        }
-    }
-    let sum = fnv1a(&e.buf);
-    e.u64(sum);
-    // charge the device write to the simulated clock (sequential append
-    // bandwidth, same device model as the redo log)
-    ctx.charge_ns(ctx.cost_model().log_write(e.buf.len()));
-    let path = dir.join(format!("rank-{me}.snap"));
-    if let Some(FaultMode::TornWrite(k)) = injected {
-        // crash mid-write: the tmp file keeps its partial bytes, the
-        // rename never happens, and the checkpoint aborts collectively
-        let _ = fs::write(path.with_extension("tmp"), &e.buf[..k.min(e.buf.len())]);
-        return Err(GdiError::Io("injected torn snapshot write".into()));
-    }
-    write_atomically(&path, &e.buf, store.opts.sync)?;
-    Ok((e.buf.len() as u64, shipped))
-}
-
-/// One rank's decoded snapshot file: the four window images (in
-/// [`ALL_WINDOWS`] order: data, usage, system, index) plus the rank's
-/// index postings. Shared with the reshard path, which lifts logical
-/// contents out of the images instead of restoring them verbatim.
-pub(crate) struct RankSnapshot {
-    pub(crate) windows: Vec<Vec<u8>>,
-    pub(crate) postings: Vec<(IndexId, Vec<Posting>)>,
-    pub(crate) bytes: u64,
-}
-
-/// One window's delta patches: the window's byte length and the
-/// `(chunk index, chunk bytes)` list.
-type WindowPatches = (usize, Vec<(usize, Vec<u8>)>);
-
-/// One decoded snapshot file, before chain folding: either a full
-/// window image or a delta patch over the previous chain member.
-enum SnapPiece {
-    Full(RankSnapshot),
-    Delta {
-        base: u64,
-        /// Per window, in [`ALL_WINDOWS`] order.
-        patches: Vec<WindowPatches>,
-        postings: Vec<(IndexId, Vec<Posting>)>,
-        bytes: u64,
-    },
-}
-
-/// Read and validate one snapshot file of checkpoint `id`, shard
-/// `rank`, against `layout` (the config the shard was written under) —
-/// no live fabric needed.
-fn read_snapshot_piece(
-    store: &PersistStore,
-    id: u64,
-    rank: usize,
-    layout: &GdaConfig,
-    nranks: usize,
-) -> GdiResult<SnapPiece> {
-    let path = store.ckpt_dir(id).join(format!("rank-{rank}.snap"));
-    let mut bytes = fs::read(&path).map_err(|e| io_err("read rank snapshot", e))?;
-    match store.probe_fault(faults::SNAP_READ, rank) {
-        Some(FaultMode::BitFlip(k)) => faults::flip_bit(&mut bytes, k),
-        Some(_) => return Err(GdiError::Io("injected snapshot read failure".into())),
-        None => {}
-    }
-    if bytes.len() < 16 {
-        return Err(GdiError::Io("rank snapshot too short".into()));
-    }
-    let (body, tail) = bytes.split_at(bytes.len() - 8);
-    if fnv1a(body) != u64::from_le_bytes(tail.try_into().unwrap()) {
-        return Err(GdiError::Io("rank snapshot checksum mismatch".into()));
-    }
-    let mut d = Dec::new(body);
-    if d.take(8)? != SNAP_MAGIC {
-        return Err(GdiError::Io("bad rank snapshot magic".into()));
-    }
-    if d.u32()? != FORMAT_VERSION {
-        return Err(GdiError::Io("unsupported snapshot version".into()));
-    }
-    if d.u64()? != id || d.u32()? as usize != rank || d.u32()? as usize != nranks {
-        return Err(GdiError::Io("rank snapshot identity mismatch".into()));
-    }
-    let cfg = decode_cfg(&mut d)?;
-    if cfg.block_size != layout.block_size
-        || cfg.blocks_per_rank != layout.blocks_per_rank
-        || cfg.dht_buckets_per_rank != layout.dht_buckets_per_rank
-        || cfg.dht_heap_per_rank != layout.dht_heap_per_rank
-    {
-        return Err(GdiError::Io("snapshot layout does not match config".into()));
-    }
-    let kind = d.u8()?;
-    let mut windows = Vec::new();
-    let mut delta = None;
-    match kind {
-        SNAP_FULL => {
-            for _ in ALL_WINDOWS {
-                windows.push(decode_sparse(&mut d)?);
-            }
-        }
-        SNAP_DELTA => {
-            let base = d.u64()?;
-            let chunk = d.u32()? as usize;
-            if chunk < 8 {
-                return Err(GdiError::Io("bad delta chunk size".into()));
-            }
-            let mut patches = Vec::with_capacity(ALL_WINDOWS.len());
-            for _ in ALL_WINDOWS {
-                let win_len = d.u64()? as usize;
-                let n = d.u32()? as usize;
-                let mut ps = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let c = d.u32()? as usize;
-                    let data = d.bytes()?;
-                    let off = c * chunk;
-                    if off >= win_len || off + data.len() > win_len {
-                        return Err(GdiError::Io("delta chunk out of window bounds".into()));
-                    }
-                    ps.push((off, data));
-                }
-                patches.push((win_len, ps));
-            }
-            delta = Some((base, patches));
-        }
-        _ => return Err(GdiError::Io("unknown snapshot kind".into())),
-    }
-    let nix = d.u32()?;
-    let mut postings = Vec::with_capacity(nix as usize);
-    for _ in 0..nix {
-        let ix = IndexId(d.u32()?);
-        let n = d.u64()?;
-        let mut ps = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            let vertex = DPtr::from_raw(d.u64()?);
-            let app_id = AppVertexId(d.u64()?);
-            ps.push(Posting { vertex, app_id });
-        }
-        postings.push((ix, ps));
-    }
-    Ok(match delta {
-        None => SnapPiece::Full(RankSnapshot {
-            windows,
-            postings,
-            bytes: bytes.len() as u64,
-        }),
-        Some((base, patches)) => SnapPiece::Delta {
-            base,
-            patches,
-            postings,
-            bytes: bytes.len() as u64,
-        },
-    })
-}
-
-/// Fold the published snapshot chain into one logical rank image: the
-/// full base restores every window verbatim, each delta overlays its
-/// dirty chunks in chain order, and the *last* file's postings win
-/// (every file carries the rank's full posting set). Both the
-/// same-topology restore and the resharded restore go through here.
-pub(crate) fn read_rank_snapshot_chain(
-    store: &PersistStore,
-    chain: &[u64],
-    rank: usize,
-    layout: &GdaConfig,
-    nranks: usize,
-) -> GdiResult<RankSnapshot> {
-    let Some((&base_id, deltas)) = chain.split_first() else {
-        return Err(GdiError::Io("empty snapshot chain".into()));
-    };
-    let SnapPiece::Full(mut snap) = read_snapshot_piece(store, base_id, rank, layout, nranks)?
-    else {
-        return Err(GdiError::Io(
-            "snapshot chain base is not a full image".into(),
-        ));
-    };
-    let mut prev = base_id;
-    for &id in deltas {
-        let SnapPiece::Delta {
-            base,
-            patches,
-            postings,
-            bytes,
-        } = read_snapshot_piece(store, id, rank, layout, nranks)?
-        else {
-            return Err(GdiError::Io("snapshot chain member is not a delta".into()));
-        };
-        if base != prev {
-            return Err(GdiError::Io("delta does not chain onto predecessor".into()));
-        }
-        for (win, (win_len, ps)) in snap.windows.iter_mut().zip(&patches) {
-            if win.len() != *win_len {
-                return Err(GdiError::Io("delta window size mismatch".into()));
-            }
-            for (off, data) in ps {
-                win[*off..*off + data.len()].copy_from_slice(data);
-            }
-        }
-        snap.postings = postings;
-        snap.bytes += bytes;
-        prev = id;
-    }
-    Ok(snap)
-}
-
-/// Re-read and checksum-validate every file of the published snapshot
-/// chain that belongs to `rank` (plus the manifest, on rank 0): the
-/// online scrub behind the maintenance verifier pass. Returns `(bytes
-/// verified, errors found)` — an unreadable file counts as one error.
-pub(crate) fn verify_rank_chain(store: &PersistStore, rank: usize) -> (u64, u64) {
-    let mut bytes = 0u64;
-    let mut errors = 0u64;
-    let chain = store.chain();
-    let mut check = |path: PathBuf, magic: &[u8; 8]| match fs::read(&path) {
-        Ok(b) => {
-            let ok = b.len() >= 16
-                && b.starts_with(magic)
-                && fnv1a(&b[..b.len() - 8])
-                    == u64::from_le_bytes(b[b.len() - 8..].try_into().unwrap());
-            bytes += b.len() as u64;
-            if !ok {
-                errors += 1;
-            }
-        }
-        Err(_) => errors += 1,
-    };
-    for id in &chain {
-        check(
-            store.ckpt_dir(*id).join(format!("rank-{rank}.snap")),
-            SNAP_MAGIC,
-        );
-        if rank == 0 {
-            check(store.ckpt_dir(*id).join("manifest.bin"), MANIFEST_MAGIC);
-        }
-    }
-    (bytes, errors)
-}
 
 /// The collective checkpoint body behind [`GdaRank::checkpoint`]:
 /// delta when the chain and churn allow it, full otherwise.
@@ -2437,16 +2034,10 @@ pub(crate) mod tests {
                 v
             },
         ] {
-            let mut e = Enc::default();
-            encode_sparse(&mut e, &pattern);
-            let mut d = Dec::new(&e.buf);
-            assert_eq!(decode_sparse(&mut d).unwrap(), pattern);
-            assert_eq!(d.pos, e.buf.len());
+            snapshot::tests::full_roundtrip(&pattern);
         }
         // all-zero windows compress to a few bytes
-        let mut e = Enc::default();
-        encode_sparse(&mut e, &vec![0u8; 1 << 20]);
-        assert!(e.buf.len() < 32);
+        assert!(snapshot::tests::full_roundtrip(&vec![0u8; 1 << 20]) < 32);
     }
 
     #[test]
@@ -3889,5 +3480,328 @@ pub(crate) mod tests {
             assert!(store.ckpt_dir_exists(3));
             assert!(store.ckpt_dir_exists(4));
         });
+    }
+
+    /// A one-rank database with a label, an index and a property,
+    /// checkpointed into the chain `[1 (full), 2 (delta)]` with a redo
+    /// tail behind it. Returns the store (readable after the fabric is
+    /// gone) and the config the files were written under.
+    fn small_chain(td: &TestDir) -> (Arc<PersistStore>, GdaConfig) {
+        let cfg = GdaConfig::tiny();
+        let (db, fabric) = GdaDb::with_fabric("hostile", cfg, 1, CostModel::zero());
+        let store = db.enable_persistence(PersistOptions::new(&td.0)).unwrap();
+        fabric.run(|ctx| {
+            let eng = db.attach(ctx);
+            eng.init_collective();
+            let node = eng.create_label("Node").unwrap();
+            eng.create_index("nodes", vec![node], vec![]).unwrap();
+            let vertices = |ids: std::ops::Range<u64>| {
+                let tx = eng.begin(AccessMode::ReadWrite);
+                for i in ids {
+                    let v = tx.create_vertex(AppVertexId(i)).unwrap();
+                    tx.add_label(v, node).unwrap();
+                }
+                tx.commit().unwrap();
+            };
+            vertices(0..12);
+            assert_eq!(eng.checkpoint().unwrap(), 1);
+            vertices(12..15);
+            assert_eq!(eng.checkpoint().unwrap(), 2);
+            assert!(!store.last_checkpoint().unwrap().full);
+            vertices(15..17);
+        });
+        (store, cfg)
+    }
+
+    /// Recompute the trailing checksum of a snapshot or manifest image.
+    fn reseal(file: &mut [u8]) {
+        let body = file.len() - 8;
+        let sum = Checksum::of(&file[..body]);
+        file[body..].copy_from_slice(&sum.to_le_bytes());
+    }
+
+    /// Recompute the length and checksum of a single-frame redo image.
+    fn reseal_frame(frame: &mut [u8]) {
+        let (head, payload) = frame.split_at_mut(FRAME_HEADER_BYTES);
+        head[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+        head[4..].copy_from_slice(&Checksum::of(payload).to_le_bytes());
+    }
+
+    /// The four parsers fed `bytes` in place of the file at `target`
+    /// (0 = full snapshot, 1 = delta, 2 = manifest, 3 = redo frame),
+    /// checksum re-sealed so the parser itself is reached: each must
+    /// return a value or a typed I/O error.
+    fn parse_hostile(
+        store: &PersistStore,
+        cfg: &GdaConfig,
+        target: usize,
+        mut bytes: Vec<u8>,
+    ) -> Result<(), String> {
+        let typed = |r: GdiResult<()>| match r {
+            Ok(()) | Err(GdiError::Io(_)) => Ok(()),
+            Err(other) => Err(format!("untyped error {other:?}")),
+        };
+        match target {
+            0 | 1 => {
+                if bytes.len() >= 8 {
+                    reseal(&mut bytes);
+                }
+                let path = store.ckpt_dir(target as u64 + 1).join("rank-0.snap");
+                let original = fs::read(&path).unwrap();
+                fs::write(&path, &bytes).unwrap();
+                let got = read_rank_snapshot_chain(store, &[1, 2], 0, cfg, 1);
+                fs::write(&path, original).unwrap();
+                if let Ok(snap) = &got {
+                    let want = [
+                        cfg.data_bytes(),
+                        cfg.usage_bytes(),
+                        cfg.system_bytes(),
+                        cfg.index_bytes(),
+                    ];
+                    let lens: Vec<usize> = snap.windows.iter().map(Vec::len).collect();
+                    if lens != want {
+                        return Err(format!("decoded window lengths {lens:?}"));
+                    }
+                }
+                typed(got.map(|_| ()))
+            }
+            2 => {
+                if bytes.len() >= 8 {
+                    reseal(&mut bytes);
+                }
+                typed(decode_manifest(&bytes).map(|_| ()))
+            }
+            _ => {
+                if bytes.len() >= FRAME_HEADER_BYTES {
+                    reseal_frame(&mut bytes);
+                }
+                let (records, valid) = parse_log(&bytes, 0);
+                if valid != 0 && valid != bytes.len() {
+                    return Err(format!("valid prefix {valid} of {}", bytes.len()));
+                }
+                if valid == 0 && !records.is_empty() {
+                    return Err("records out of a rejected frame".into());
+                }
+                Ok(())
+            }
+        }
+    }
+
+    /// A [`small_chain`] directory kept alive with the pristine images
+    /// [`parse_hostile`] mutates.
+    struct HostileFixture {
+        _dir: TestDir,
+        store: Arc<PersistStore>,
+        cfg: GdaConfig,
+        images: Vec<Vec<u8>>,
+    }
+
+    impl HostileFixture {
+        fn new(tag: &str) -> Self {
+            let dir = TestDir::new(tag);
+            let (store, cfg) = small_chain(&dir);
+            let images = pristine_images(&store);
+            Self {
+                _dir: dir,
+                store,
+                cfg,
+                images,
+            }
+        }
+    }
+
+    /// The pristine images [`parse_hostile`] mutates, in target order.
+    fn pristine_images(store: &PersistStore) -> Vec<Vec<u8>> {
+        let frame = encode_frame(
+            &[
+                RedoRecord::Upsert {
+                    primary: DPtr::new(0, 256).raw(),
+                    app_id: 7,
+                    is_edge: false,
+                    version: 3,
+                    bytes: vec![9; 40],
+                },
+                RedoRecord::Delete {
+                    primary: DPtr::new(0, 128).raw(),
+                    app_id: 9,
+                    is_edge: true,
+                    version: 11,
+                },
+            ],
+            2,
+        );
+        vec![
+            fs::read(store.ckpt_dir(1).join("rank-0.snap")).unwrap(),
+            fs::read(store.ckpt_dir(2).join("rank-0.snap")).unwrap(),
+            fs::read(store.ckpt_dir(2).join("manifest.bin")).unwrap(),
+            frame,
+        ]
+    }
+
+    /// Every 4- and 8-byte field position of every persisted structure
+    /// survives the values a hostile length would take: nothing
+    /// panics, and nothing is allocated from a count the input cannot
+    /// back (`u32::MAX` postings or `2⁶³` window bytes would abort the
+    /// test process if they were).
+    #[test]
+    fn every_field_position_survives_hostile_values() {
+        let fx = HostileFixture::new("hostile-sweep");
+        let (store, cfg) = (&fx.store, &fx.cfg);
+        for (target, image) in fx.images.iter().enumerate() {
+            parse_hostile(store, cfg, target, image.clone()).unwrap();
+            // snapshots are mostly window data: sweep their structured
+            // head and tail, and everything of the two small formats
+            let offsets: Vec<usize> = if target < 2 {
+                (0..200.min(image.len()))
+                    .chain(image.len().saturating_sub(400)..image.len())
+                    .collect()
+            } else {
+                (0..image.len()).collect()
+            };
+            for at in offsets {
+                for (width, hostile) in [
+                    (4usize, u32::MAX as u64),
+                    (4, 1 << 31),
+                    (4, 1 << 20),
+                    (8, u64::MAX),
+                    (8, 1 << 63),
+                    (8, 1 << 32),
+                ] {
+                    if at + width > image.len() {
+                        continue;
+                    }
+                    let mut m = image.clone();
+                    m[at..at + width].copy_from_slice(&hostile.to_le_bytes()[..width]);
+                    if let Err(e) = parse_hostile(store, cfg, target, m) {
+                        panic!("target {target} offset {at} width {width} := {hostile:#x}: {e}");
+                    }
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(192))]
+
+        /// Random damage — overwritten fields, truncation, appended
+        /// bytes — to valid snapshot, delta, manifest and redo-frame
+        /// images, re-sealed so the checksum passes: the parser answers
+        /// with a value or a typed error, never a panic.
+        #[test]
+        fn resealed_mutations_never_panic_a_parser(
+            target in 0usize..4,
+            edits in proptest::prop::collection::vec(
+                (0.0f64..1.0, 0usize..3, proptest::any::<u64>(), 0usize..4),
+                1..5,
+            ),
+            cut in proptest::prop::option::of(0.0f64..1.0),
+            extra in proptest::prop::collection::vec(proptest::any::<u8>(), 0..24),
+        ) {
+            let fx = HostileFixture::new("hostile-prop");
+            let mut m = fx.images[target].clone();
+            for (at, width, value, shape) in edits {
+                let width = [1usize, 4, 8][width];
+                let at = ((m.len() - width) as f64 * at) as usize;
+                // small counts, huge counts, sign bits and noise
+                let value = match shape {
+                    0 => value,
+                    1 => value % 64,
+                    2 => u64::MAX - value % 64,
+                    _ => 1u64 << (value % 64),
+                };
+                m[at..at + width].copy_from_slice(&value.to_le_bytes()[..width]);
+            }
+            if let Some(cut) = cut {
+                m.truncate((m.len() as f64 * cut) as usize);
+            }
+            m.extend_from_slice(&extra);
+            let outcome = parse_hostile(&fx.store, &fx.cfg, target, m);
+            proptest::prop_assert!(outcome.is_ok(), "target {target}: {outcome:?}");
+        }
+    }
+
+    /// FNV-1a over bytes: the checksum of format versions 2–5.
+    fn fnv1a_v5(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ *b as u64).wrapping_mul(0x100_0000_01b3)
+        })
+    }
+
+    /// A directory written by format version 5 is refused at the
+    /// manifest with the version named — not reported as a checksum
+    /// mismatch, and before any redo frame is parsed: under the v6
+    /// checksum every v5 frame looks like a torn tail, which replay
+    /// would truncate away.
+    #[test]
+    fn v5_directory_is_refused_by_version_and_left_untouched() {
+        let td = TestDir::new("v5dir");
+        small_chain(&td);
+        // rewrite every file as version 5 would have sealed it
+        for id in [1u64, 2] {
+            for name in ["rank-0.snap", "manifest.bin"] {
+                let path = td.0.join(format!("ckpt-{id}/{name}"));
+                let mut file = fs::read(&path).unwrap();
+                file[8..12].copy_from_slice(&5u32.to_le_bytes());
+                let body = file.len() - 8;
+                let sum = fnv1a_v5(&file[..body]);
+                file[body..].copy_from_slice(&sum.to_le_bytes());
+                fs::write(&path, file).unwrap();
+            }
+        }
+        let log_path = td.0.join("redo-rank-0.log");
+        let mut log = fs::read(&log_path).unwrap();
+        let (records, valid) = parse_log(&log, 0);
+        assert!(!records.is_empty() && valid == log.len());
+        let mut pos = 0;
+        while pos < log.len() {
+            let len = u32::from_le_bytes(log[pos..pos + 4].try_into().unwrap()) as usize;
+            let payload = pos + FRAME_HEADER_BYTES..pos + FRAME_HEADER_BYTES + len;
+            let sum = fnv1a_v5(&log[payload.clone()]);
+            log[pos + 4..pos + FRAME_HEADER_BYTES].copy_from_slice(&sum.to_le_bytes());
+            pos = payload.end;
+        }
+        fs::write(&log_path, &log).unwrap();
+        assert_eq!(
+            parse_log(&log, 0),
+            (Vec::new(), 0),
+            "a v5 frame is a torn tail to the v6 parser"
+        );
+
+        let listing = |dir: &Path| -> Vec<(PathBuf, Vec<u8>)> {
+            let mut files = Vec::new();
+            let mut dirs = vec![dir.to_path_buf()];
+            while let Some(d) = dirs.pop() {
+                for e in fs::read_dir(&d).unwrap().flatten() {
+                    if e.path().is_dir() {
+                        dirs.push(e.path());
+                    } else {
+                        files.push((e.path(), fs::read(e.path()).unwrap()));
+                    }
+                }
+            }
+            files.sort();
+            files
+        };
+        let before = listing(&td.0);
+        let err = recover(PersistOptions::new(&td.0), CostModel::zero()).err();
+        assert_eq!(
+            err,
+            Some(GdiError::Io("unsupported manifest version 5".into()))
+        );
+        assert!(
+            listing(&td.0) == before,
+            "a refused recovery changed the directory"
+        );
+        // the snapshot reader names the version the same way
+        let snap = snapshot::verify_file(
+            &td.0.join("ckpt-1/rank-0.snap"),
+            format::SNAP_MAGIC,
+            "snapshot",
+            None,
+        );
+        assert_eq!(
+            snap.unwrap_err(),
+            GdiError::Io("unsupported snapshot version 5".into())
+        );
     }
 }

@@ -143,6 +143,35 @@ pub fn set_chunks(bitmap: &[u64]) -> Vec<usize> {
     out
 }
 
+/// Maximal runs `(first chunk, chunk count)` of adjacent set bits among
+/// the first `limit` chunks of a drained bitmap, ascending — what a
+/// delta checkpoint ships: one contiguous byte range per run.
+pub fn set_runs(bitmap: &[u64], limit: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+    let limit = limit.min(bitmap.len() * 64);
+    // first bit at or after `from` whose value is `set`, below `limit`
+    let next = move |from: usize, set: bool| -> Option<usize> {
+        let mut wi = from / 64;
+        let mut mask = u64::MAX << (from % 64);
+        while wi * 64 < limit {
+            let w = if set { bitmap[wi] } else { !bitmap[wi] } & mask;
+            if w != 0 {
+                let bit = wi * 64 + w.trailing_zeros() as usize;
+                return (bit < limit).then_some(bit);
+            }
+            wi += 1;
+            mask = u64::MAX;
+        }
+        None
+    };
+    let mut from = 0;
+    std::iter::from_fn(move || {
+        let first = next(from, true)?;
+        let end = next(first, false).unwrap_or(limit);
+        from = end;
+        Some((first, end - first))
+    })
+}
+
 /// Total set bits across a drained per-window bitmap set.
 pub fn dirty_chunks(bitmaps: &[Vec<u64>]) -> u64 {
     bitmaps
@@ -189,6 +218,32 @@ mod tests {
         m.remark(0, &t);
         let t2 = m.take(0);
         assert_eq!(set_chunks(&t2[0]), vec![1]);
+    }
+
+    #[test]
+    fn runs_coalesce_adjacent_chunks_up_to_the_limit() {
+        let m = DirtyMap::new(1, &[200 * 64], 64);
+        m.mark(WinId(0), 0, 0, 1); // chunk 0
+        m.mark(WinId(0), 0, 5 * 64, 3 * 64); // chunks 5..=7
+        m.mark(WinId(0), 0, 60 * 64, 10 * 64); // 60..=69: crosses a bitmap word
+        m.mark(WinId(0), 0, 190 * 64, 10 * 64); // 190..=199: up to the last chunk
+        let t = m.take(0);
+        let runs = |limit| set_runs(&t[0], limit).collect::<Vec<_>>();
+        assert_eq!(runs(200), vec![(0, 1), (5, 3), (60, 10), (190, 10)]);
+        // the bitmap is padded to whole words; chunks at or past the
+        // limit (beyond the window's end) are never reported
+        assert_eq!(runs(usize::MAX), runs(200));
+        assert_eq!(runs(195), vec![(0, 1), (5, 3), (60, 10), (190, 5)]);
+        assert_eq!(runs(64), vec![(0, 1), (5, 3), (60, 4)]);
+        assert_eq!(runs(0), vec![]);
+        // every set chunk is in exactly one run
+        let total: usize = runs(200).iter().map(|r| r.1).sum();
+        assert_eq!(total, set_chunks(&t[0]).len());
+        // a full bitmap is one run
+        assert_eq!(
+            set_runs(&[u64::MAX; 3], 150).collect::<Vec<_>>(),
+            vec![(0, 150)]
+        );
     }
 
     #[test]

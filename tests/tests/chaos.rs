@@ -9,9 +9,12 @@
 //! fault on these paths is survivable by construction: a voted abort
 //! unwinds the attempt and the redo tails stay replayable.
 //!
-//! Plus a deterministic torn-redo-tail case at the integration level:
-//! a crash mid-append leaves a half-written frame whose checksum fails;
-//! recovery must truncate it and keep every earlier commit.
+//! Plus two deterministic cases at the integration level: snapshot
+//! writes torn at every boundary of the streamed file layout (header,
+//! mid-run, strip boundary, trailing checksum — full image and delta),
+//! and a torn redo tail: a crash mid-append leaves a half-written frame
+//! whose checksum fails; recovery must truncate it and keep every
+//! earlier commit.
 //!
 //! Runs under both fabric backends (CI sets `GDI_FABRIC_BACKEND`) and
 //! scales down via `PROPTEST_CASES` for the smoke form.
@@ -21,9 +24,9 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use gda::faults::{self, FaultMode};
-use gda::persist::{recover, PersistOptions};
+use gda::persist::{recover, PersistOptions, STRIP_BYTES};
 use gda::{GdaConfig, GdaDb};
-use gdi::{AccessMode, AppVertexId, PropertyValue};
+use gdi::{AccessMode, AppVertexId, Datatype, EntityType, Multiplicity, PropertyValue, SizeType};
 use gdi_tests::harness::{apply_ops, install_ptype, read_state, reference_state, ReadState, WlOp};
 use rma::CostModel;
 use workloads::scratch::ScratchDir;
@@ -41,6 +44,33 @@ const CRASH_POINTS: &[&str] = &[
     faults::SNAP_PRUNE,
 ];
 
+/// Byte counts a torn `snap.write` lets through before the "crash", for
+/// the sampled harness (whose files are a few KiB): nothing, inside the
+/// version field, inside the checkpoint id (the historical point),
+/// inside the config, at the first window's first run header, mid-run
+/// twice, and everything — trailing checksum included — with only the
+/// rename missing.
+const TORN_AT: &[usize] = &[0, 9, 16, 61, 95, 400, 2_500, usize::MAX];
+
+/// Application ids of the ballast vertices (clear of the scripted ids).
+const BALLAST_BASE: u64 = 1_000_000;
+/// Bytes of the blob each ballast vertex carries.
+const BALLAST_BLOB: usize = 400;
+
+/// What an interrupted run did and what recovery read back.
+struct Tortured {
+    /// The recovered read state.
+    state: ReadState,
+    /// Rank 0's results of the run's two `checkpoint()` calls.
+    checkpoints: [Option<u64>; 2],
+    /// Bytes of rank 0's snapshot file per successful checkpoint call.
+    snap_bytes: [Option<u64>; 2],
+    /// The checkpoint recovery restored from.
+    recovered_from: u64,
+    /// Ballast blobs that came back intact.
+    ballast_intact: usize,
+}
+
 fn arb_op(ids: u64) -> impl Strategy<Value = WlOp> {
     prop_oneof![
         (0..ids).prop_map(WlOp::Create),
@@ -51,14 +81,15 @@ fn arb_op(ids: u64) -> impl Strategy<Value = WlOp> {
     ]
 }
 
-/// Interrupted run: the scripted ops interleaved with a full checkpoint,
-/// a delta checkpoint and a maintenance pass, with one fault armed at
-/// `(point, rank, skip)`; then a crash and recovery. Returns the
-/// recovered read state.
+/// Interrupted run: `ballast` blob-carrying vertices, then the scripted
+/// ops interleaved with a full checkpoint, a delta checkpoint and a
+/// maintenance pass, with one fault armed at `(point, rank, skip)`; then
+/// a crash and recovery.
 #[allow(clippy::too_many_arguments)]
 fn tortured_state(
     nranks: usize,
     cfg: GdaConfig,
+    ballast: usize,
     ops: &[WlOp],
     cuts: (usize, usize),
     ids: u64,
@@ -67,26 +98,59 @@ fn tortured_state(
     rank: Option<usize>,
     skip: u64,
     mode: FaultMode,
-) -> ReadState {
-    {
+) -> Tortured {
+    let blob = |i: usize| PropertyValue::Bytes(vec![(i % 251) as u8 | 1; BALLAST_BLOB]);
+    let (checkpoints, snap_bytes) = {
         let (db, fabric) = GdaDb::with_fabric("chaos", cfg, nranks, CostModel::zero());
         let store = db.enable_persistence(PersistOptions::new(dir)).unwrap();
         store.fault_plane().arm_at(point, rank, skip, 1, mode);
-        fabric.run(|ctx| {
+        let per_rank = fabric.run(|ctx| {
             let eng = db.attach(ctx);
             eng.init_collective();
             let ptype = install_ptype(&eng);
+            if ballast > 0 && ctx.rank() == 0 {
+                let blob_type = eng
+                    .create_ptype(
+                        "blob",
+                        Datatype::Byte,
+                        EntityType::Vertex,
+                        Multiplicity::Single,
+                        SizeType::NoLimit,
+                        0,
+                    )
+                    .unwrap();
+                let tx = eng.begin(AccessMode::ReadWrite);
+                for i in 0..ballast {
+                    let v = tx
+                        .create_vertex(AppVertexId(BALLAST_BASE + i as u64))
+                        .unwrap();
+                    tx.add_property(v, blob_type, &blob(i)).unwrap();
+                }
+                tx.commit().unwrap();
+            }
+            ctx.barrier();
             apply_ops(&eng, &ops[..cuts.0], ptype);
             // any of these collective steps may be the crash point; a
             // voted failure must unwind without losing committed work
-            let _ = eng.checkpoint();
+            let mut ids = [None; 2];
+            let mut bytes = [None; 2];
+            let mut checkpoint = |slot: usize| {
+                ids[slot] = eng.checkpoint().ok();
+                bytes[slot] = ids[slot]
+                    .and_then(|_| store.last_checkpoint())
+                    .map(|report| report.per_rank_bytes[0]);
+                ctx.barrier();
+            };
+            checkpoint(0);
             apply_ops(&eng, &ops[cuts.0..cuts.1], ptype);
-            let _ = eng.checkpoint(); // dirty-chunk delta path
+            checkpoint(1); // dirty-chunk delta path
             let _ = eng.maintenance(); // vacuum + verify + prune path
             apply_ops(&eng, &ops[cuts.1..], ptype);
+            (ids, bytes)
         });
+        per_rank[0]
         // drop: the crash (everything in memory is lost)
-    }
+    };
     let (db, fabric, plan) = recover(PersistOptions::new(dir), CostModel::zero()).unwrap();
     let db: Arc<GdaDb> = db;
     let states = fabric.run(|ctx| {
@@ -94,9 +158,30 @@ fn tortured_state(
         let rec = plan.restore_rank(&eng).unwrap();
         assert_eq!(rec.errors, 0, "replay errors: {rec:?}");
         let ptype = eng.meta().ptype_from_name("val").unwrap();
-        read_state(&eng, ids, ptype)
+        let ballast_intact = if ballast > 0 {
+            let blob_type = eng.meta().ptype_from_name("blob").unwrap();
+            let tx = eng.begin(AccessMode::ReadOnly);
+            let intact = (0..ballast)
+                .filter(|i| {
+                    let v = tx.translate_vertex_id(AppVertexId(BALLAST_BASE + *i as u64));
+                    v.is_ok_and(|v| tx.property(v, blob_type).unwrap() == Some(blob(*i)))
+                })
+                .count();
+            tx.commit().unwrap();
+            intact
+        } else {
+            0
+        };
+        (read_state(&eng, ids, ptype), ballast_intact)
     });
-    states.into_iter().next().unwrap()
+    let (state, ballast_intact) = states.into_iter().next().unwrap();
+    Tortured {
+        state,
+        checkpoints,
+        snap_bytes,
+        recovered_from: plan.snapshot_id(),
+        ballast_intact,
+    }
 }
 
 proptest! {
@@ -114,7 +199,7 @@ proptest! {
         point_idx in 0usize..CRASH_POINTS.len(),
         rank_pick in 0usize..6,
         skip in 0u64..3,
-        torn in prop::bool::ANY,
+        torn in prop::option::of(0usize..TORN_AT.len()),
         p_pick in 0usize..3,
     ) {
         let ids = 10u64;
@@ -127,23 +212,113 @@ proptest! {
         let point = CRASH_POINTS[point_idx];
         // None = any rank; Some(r) scopes the fault to one rank
         let rank = (rank_pick < nranks).then_some(rank_pick);
-        let mode = if torn && point == faults::SNAP_WRITE {
-            FaultMode::TornWrite(16)
-        } else {
-            FaultMode::Error
+        let mode = match torn {
+            Some(at) if point == faults::SNAP_WRITE => FaultMode::TornWrite(TORN_AT[at]),
+            _ => FaultMode::Error,
         };
         let cfg = GdaConfig::tiny();
         let td = ScratchDir::new("chaos-prop");
         let want = reference_state(nranks, cfg, &ops, ids);
         let got = tortured_state(
-            nranks, cfg, &ops, cuts, ids, td.path(), point, rank, skip, mode,
-        );
+            nranks, cfg, 0, &ops, cuts, ids, td.path(), point, rank, skip, mode,
+        )
+        .state;
         prop_assert!(
             got == want,
             "recovered state diverged (point={point} rank={rank:?} skip={skip} \
              mode={mode:?} cuts={cuts:?} of {} P={nranks}):\n got {got:?}\nwant {want:?}\n ops {ops:?}",
             ops.len()
         );
+    }
+}
+
+/// A snapshot write torn at every boundary of the streamed layout, on a
+/// database whose files span several strips: inside the fixed header,
+/// mid-run, exactly on a strip (= write-buffer) boundary and one byte to
+/// either side of it, just before and inside the trailing checksum, and
+/// with every byte down but the rename missing — for the full image and
+/// for the delta. Each time the checkpoint fails, the previous snapshot
+/// stays current, and recovery reads back the uninterrupted run.
+#[test]
+fn snapshot_torn_at_every_layout_boundary_recovers() {
+    let cfg = GdaConfig {
+        block_size: 512,
+        blocks_per_rank: 4096,
+        dht_buckets_per_rank: 1024,
+        dht_heap_per_rank: 2048,
+        ..GdaConfig::tiny()
+    };
+    let (nranks, ids, ballast) = (2, 10u64, 2_400);
+    let ops: Vec<WlOp> = (0..ids)
+        .map(WlOp::Create)
+        .chain((0..ids - 1).map(|v| WlOp::AddEdge(v, v + 1)))
+        .chain((0..ids).map(|v| WlOp::SetProp(v, 1_000 + v)))
+        .chain([WlOp::Delete(3), WlOp::Create(3), WlOp::SetProp(4, 77)])
+        .collect();
+    let cuts = (ids as usize + 4, ops.len() - 2);
+    let want = reference_state(nranks, cfg, &ops, ids);
+    let run = |skip: u64, mode: FaultMode| {
+        let td = ScratchDir::new("chaos-torn-snap");
+        let faulty = Some(0);
+        tortured_state(
+            nranks,
+            cfg,
+            ballast,
+            &ops,
+            cuts,
+            ids,
+            td.path(),
+            faults::SNAP_WRITE,
+            faulty,
+            skip,
+            mode,
+        )
+    };
+    // an unharmed run (the fault is armed beyond the last write) tells
+    // the lengths of rank 0's two files
+    let clean = run(99, FaultMode::Error);
+    assert!(clean.state == want && clean.ballast_intact == ballast);
+    assert_eq!(clean.checkpoints, [Some(1), Some(2)]);
+    let [Some(full_len), Some(delta_len)] = clean.snap_bytes.map(|b| b.map(|b| b as usize)) else {
+        panic!("both checkpoints succeeded");
+    };
+    assert!(
+        full_len > 2 * STRIP_BYTES + 1 && delta_len > 600,
+        "the files must span strips: {full_len} / {delta_len}"
+    );
+    let boundaries = |len: usize| {
+        let mut at = vec![5, 40, len / 2, len - 9, len - 8, len - 4, len - 1, len];
+        for strip in (STRIP_BYTES..len).step_by(STRIP_BYTES) {
+            at.extend([strip - 1, strip, strip + 1]);
+        }
+        at
+    };
+    // call 0 writes the full image, call 1 the delta; after a torn
+    // call 0 the second call writes the (first) full image instead
+    for (skip, len) in [(0u64, full_len), (1, delta_len)] {
+        for at in boundaries(len) {
+            let got = run(skip, FaultMode::TornWrite(at));
+            let what = format!("file {skip} torn at {at} of {len}");
+            assert!(
+                got.state == want,
+                "{what}: diverged\n got {:?}\nwant {want:?}",
+                got.state
+            );
+            assert_eq!(got.ballast_intact, ballast, "{what}: ballast lost");
+            let expect = if skip == 0 {
+                [None, Some(1)]
+            } else {
+                [Some(1), None]
+            };
+            assert_eq!(
+                got.checkpoints, expect,
+                "{what}: the torn checkpoint must fail alone"
+            );
+            assert_eq!(
+                got.recovered_from, 1,
+                "{what}: the previous snapshot stays current"
+            );
+        }
     }
 }
 
