@@ -59,6 +59,7 @@ pub mod dirty;
 pub mod fabric;
 pub mod faults;
 pub mod stats;
+pub mod wait;
 pub mod window;
 
 pub use backend::{BackendKind, BACKEND_ENV};
@@ -68,6 +69,7 @@ pub use dirty::DirtyMap;
 pub use fabric::{Fabric, FabricBuilder, RankCtx, WinId};
 pub use faults::{FaultMode, FaultPlane};
 pub use stats::{CommStats, RankReport};
+pub use wait::WakeSource;
 pub use window::Window;
 
 /// Number of bytes in one fabric word (the atomic access granularity,

@@ -29,6 +29,7 @@
 //!   `AddVertex` ops (the one commit-time error a front-end can provoke)
 //!   out of the group.
 
+use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::time::Instant;
 
@@ -211,19 +212,44 @@ fn run_individual(eng: &GdaRank, req: &Request) -> OpOutcome {
     }
 }
 
-fn fulfill(bc: &BatchCtx, req: &Request, outcome: OpOutcome, grouped: bool, t0: Instant) {
-    // record decided-and-applied outcomes for the token's retries;
-    // aborts stay absent (no effects — a retry may honestly re-execute)
+/// Record a decided-and-applied outcome for its token's retries (aborts
+/// stay absent: no effects — a retry may honestly re-execute), then
+/// resolve the ticket.
+fn record_and_ack(bc: &BatchCtx, req: &Request, outcome: OpOutcome) {
     if let (Some(token), true) = (req.token, outcome.is_committed()) {
         bc.dedup.lock().record(token, outcome.clone());
     }
-    bc.counters.complete(outcome.is_committed(), grouped, t0);
     req.ticket.fulfill(outcome);
 }
 
-/// Execute one drained batch. `group_commit = false` serves every request
-/// in its own transaction (the baseline the throughput bench compares
-/// against).
+/// Acknowledge one op. Its counters come first, so a client that sees
+/// its ticket resolve also sees the op in [`crate::GdiServer::metrics`].
+fn fulfill(bc: &BatchCtx, req: &Request, outcome: OpOutcome, grouped: bool) {
+    let op = (outcome.is_committed(), req.submitted.elapsed());
+    bc.counters.complete(grouped, std::iter::once(op));
+    record_and_ack(bc, req, outcome);
+}
+
+/// Acknowledge ops decided together (a validated read group, a committed
+/// write group): one clock read and one pass over the rank's counters
+/// for the whole group, then the tickets.
+fn ack_group(bc: &BatchCtx, group: Vec<(&Request, OpOutcome)>) {
+    let now = Instant::now();
+    bc.counters.complete(
+        true,
+        group.iter().map(|(req, outcome)| {
+            let waited = now.saturating_duration_since(req.submitted);
+            (outcome.is_committed(), waited)
+        }),
+    );
+    for (req, outcome) in group {
+        record_and_ack(bc, req, outcome);
+    }
+}
+
+/// Execute one drained batch and leave `batch` empty. `group_commit =
+/// false` serves every request in its own transaction (the baseline the
+/// throughput bench compares against).
 ///
 /// The whole drain cycle shares one translation-cache epoch check
 /// ([`GdaRank::cache_begin_cycle`]): the owner-rank epoch words are
@@ -235,7 +261,7 @@ fn fulfill(bc: &BatchCtx, req: &Request, outcome: OpOutcome, grouped: bool, t0: 
 pub(crate) fn execute_batch(
     eng: &GdaRank,
     counters: &RankCounters,
-    batch: Vec<Request>,
+    batch: &mut VecDeque<Request>,
     opts: &ServerOptions,
     dedup: &Mutex<DedupWindow>,
 ) -> ReadTiming {
@@ -244,35 +270,37 @@ pub(crate) fn execute_batch(
     // deadline are shed (provably unexecuted, safe to retry); tokened
     // requests whose outcome is already decided in the dedup window are
     // answered from it (a retry after a lost ack) — never re-applied
-    let mut live: Vec<Request> = Vec::with_capacity(batch.len());
-    for req in batch {
+    batch.retain(|req| {
         if let Some(d) = opts.deadline {
             if req.submitted.elapsed() > d {
                 counters.deadline_misses.fetch_add(1, Ordering::Relaxed);
                 req.ticket.fulfill(OpOutcome::DeadlineExceeded);
-                continue;
+                return false;
             }
         }
         if let Some(token) = req.token {
             if let Some(prev) = dedup.lock().get(token) {
                 counters.dedup_hits.fetch_add(1, Ordering::Relaxed);
                 req.ticket.fulfill(prev);
-                continue;
+                return false;
             }
         }
-        live.push(req);
-    }
-    if live.is_empty() {
+        true
+    });
+    if batch.is_empty() {
         return ReadTiming::default();
     }
-    let pin = live.len() >= eng.nranks();
+    let pin = batch.len() >= eng.nranks();
     if pin {
         eng.cache_begin_cycle();
     }
-    let timing = execute_batch_inner(eng, &bc, live, opts.group_commit, opts.write_group);
+    let timing = execute_batch_inner(eng, &bc, batch, opts.group_commit, opts.write_group);
     if pin {
         eng.cache_end_cycle();
     }
+    // every request has its outcome: dropping one is a state read. The
+    // emptied buffer goes back to the serve loop for the next drain
+    batch.clear();
     timing
 }
 
@@ -297,16 +325,16 @@ impl ReadTiming {
 fn execute_batch_inner(
     eng: &GdaRank,
     bc: &BatchCtx,
-    batch: Vec<Request>,
+    batch: &VecDeque<Request>,
     group_commit: bool,
     write_group: usize,
 ) -> ReadTiming {
     let mut timing = ReadTiming::default();
     if !group_commit || batch.len() == 1 {
-        for req in &batch {
+        for req in batch {
             let t0 = eng.ctx().now_ns();
             let out = run_individual(eng, req);
-            fulfill(bc, req, out, false, req.submitted);
+            fulfill(bc, req, out, false);
             if req.op.is_read() {
                 timing.add(eng.ctx().now_ns() - t0, 1);
             }
@@ -318,7 +346,7 @@ fn execute_batch_inner(
     let mut writes: Vec<&Request> = Vec::new();
     let mut solo: Vec<&Request> = Vec::new();
     let mut created: FxHashSet<u64> = FxHashSet::default();
-    for req in &batch {
+    for req in batch {
         if req.op.is_read() {
             reads.push(req);
         } else if let Some(app) = req.op.creates_vertex() {
@@ -348,7 +376,7 @@ fn execute_batch_inner(
                 // a critical error (read-lock conflict) killed the shared
                 // transaction; the remaining reads fall back individually
                 let out = run_individual(eng, req);
-                fulfill(bc, req, out, false, req.submitted);
+                fulfill(bc, req, out, false);
                 continue;
             }
             match apply_op(&tx, &req.op) {
@@ -362,19 +390,22 @@ fn execute_batch_inner(
                     // give it the same individual retry the reads behind
                     // it will get
                     let out = run_individual(eng, req);
-                    fulfill(bc, req, out, false, req.submitted);
+                    fulfill(bc, req, out, false);
                 }
             }
         }
-        let validated = tx.status() != TxStatus::Active || tx.commit().is_ok();
-        for (req, outcome) in buffered {
-            if validated || !outcome.is_committed() {
-                fulfill(bc, req, outcome, true, req.submitted);
-            } else {
-                // stale-metadata commit failure: reads are effect-free,
-                // so re-run against a fresh snapshot
-                let out = run_individual(eng, req);
-                fulfill(bc, req, out, false, req.submitted);
+        if tx.status() != TxStatus::Active || tx.commit().is_ok() {
+            ack_group(bc, buffered);
+        } else {
+            for (req, outcome) in buffered {
+                if outcome.is_committed() {
+                    // stale-metadata commit failure: reads are
+                    // effect-free, so re-run against a fresh snapshot
+                    let out = run_individual(eng, req);
+                    fulfill(bc, req, out, false);
+                } else {
+                    fulfill(bc, req, outcome, true);
+                }
             }
         }
         timing.add(eng.ctx().now_ns() - read_t0, reads.len() as u64);
@@ -392,7 +423,7 @@ fn execute_batch_inner(
     // ---- deduplicated creates, after the groups made theirs visible ---
     for req in &solo {
         let out = run_individual(eng, req);
-        fulfill(bc, req, out, false, req.submitted);
+        fulfill(bc, req, out, false);
     }
     timing
 }
@@ -406,20 +437,20 @@ fn execute_write_group(eng: &GdaRank, bc: &BatchCtx, writes: &[&Request]) {
     if writes.len() == 1 {
         let req = writes[0];
         let out = run_individual(eng, req);
-        fulfill(bc, req, out, false, req.submitted);
+        fulfill(bc, req, out, false);
         return;
     }
     let tx = eng.begin_grouped(AccessMode::ReadWrite);
-    let mut done: Vec<(&Request, OpReply)> = Vec::with_capacity(writes.len());
+    let mut done: Vec<(&Request, OpOutcome)> = Vec::with_capacity(writes.len());
     let mut poison_at: Option<usize> = None;
     for (i, req) in writes.iter().enumerate() {
         match apply_grouped(&tx, &req.op) {
             Ok(GroupApply::Done(reply)) if tx.status() == TxStatus::Active => {
-                done.push((req, reply));
+                done.push((req, OpOutcome::Committed(reply)));
             }
             Ok(GroupApply::Skip(e)) if tx.status() == TxStatus::Active => {
                 // clean conflict: this op aborts, the group lives on
-                fulfill(bc, req, OpOutcome::Aborted(e), true, req.submitted);
+                fulfill(bc, req, OpOutcome::Aborted(e), true);
             }
             // the shared transaction was poisoned (engine-level abort)
             _ => {
@@ -430,11 +461,7 @@ fn execute_write_group(eng: &GdaRank, bc: &BatchCtx, writes: &[&Request]) {
     }
     match poison_at {
         None => match tx.commit() {
-            Ok(()) => {
-                for (req, reply) in done {
-                    fulfill(bc, req, OpOutcome::Committed(reply), true, req.submitted);
-                }
-            }
+            Ok(()) => ack_group(bc, done),
             Err(e) => match failed_commit_outcome(e) {
                 OpOutcome::Aborted(_) => {
                     // pre-write-back abort (stale metadata / validation):
@@ -442,15 +469,16 @@ fn execute_write_group(eng: &GdaRank, bc: &BatchCtx, writes: &[&Request]) {
                     // honest individual re-run
                     for (req, _) in done {
                         let out = run_individual(eng, req);
-                        fulfill(bc, req, out, false, req.submitted);
+                        fulfill(bc, req, out, false);
                     }
                 }
                 uncertain => {
                     // partial persistence is possible and re-running
                     // could double-apply: report commit-uncertain
-                    for (req, _) in done {
-                        fulfill(bc, req, uncertain.clone(), true, req.submitted);
+                    for (_, outcome) in &mut done {
+                        *outcome = uncertain.clone();
                     }
+                    ack_group(bc, done);
                 }
             },
         },
@@ -461,11 +489,11 @@ fn execute_write_group(eng: &GdaRank, bc: &BatchCtx, writes: &[&Request]) {
             tx.abort();
             for (req, _) in done {
                 let out = run_individual(eng, req);
-                fulfill(bc, req, out, false, req.submitted);
+                fulfill(bc, req, out, false);
             }
             for req in &writes[i..] {
                 let out = run_individual(eng, req);
-                fulfill(bc, req, out, false, req.submitted);
+                fulfill(bc, req, out, false);
             }
         }
     }

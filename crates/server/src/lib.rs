@@ -24,6 +24,14 @@
 //!   ([`gda::GdaRank::begin_grouped`]); per-session outcomes are fanned
 //!   back individually, with an exactly-once fallback discipline (see
 //!   `batch.rs`).
+//! * **Hand-offs that do not sleep**: a push, a drain and an ack are each
+//!   a short critical section or a single atomic transition, and every
+//!   waiter — serve loop on its queue, client on its ticket, producer on
+//!   a full queue — polls, then yields, and only then sleeps
+//!   ([`rma::wait`]); the notifier makes a system call only when someone
+//!   actually sleeps. The serve loop blocks on one wake source that
+//!   pushes, [`GdiServer::submit_olap`] and [`GdiServer::shutdown`] all
+//!   signal; there is no polling interval.
 //! * **Admission control**: the queue bound plus an
 //!   [`AdmissionPolicy`] — block (backpressure) or reject (load
 //!   shedding) — with live per-rank throughput, latency-percentile and

@@ -4,7 +4,7 @@
 //! collected when serving stops.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
+use std::time::Duration;
 
 use parking_lot::Mutex;
 use rma::RankReport;
@@ -109,20 +109,26 @@ pub(crate) struct RankCounters {
 }
 
 impl RankCounters {
-    pub fn complete(&self, committed: bool, grouped: bool, submitted_at: Instant) {
-        if committed {
-            self.committed.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.aborted.fetch_add(1, Ordering::Relaxed);
+    /// Count a group of decided ops — `(committed, submit → now)` each —
+    /// with one histogram lock and one add per counter.
+    pub fn complete(&self, grouped: bool, ops: impl Iterator<Item = (bool, Duration)>) {
+        let (mut total, mut committed) = (0u64, 0u64);
+        {
+            let mut latency = self.latency.lock();
+            for (ok, waited) in ops {
+                total += 1;
+                committed += ok as u64;
+                latency.add(waited.as_nanos() as f64);
+            }
         }
-        if grouped {
-            self.grouped_ops.fetch_add(1, Ordering::Relaxed);
+        self.committed.fetch_add(committed, Ordering::Relaxed);
+        self.aborted.fetch_add(total - committed, Ordering::Relaxed);
+        let class = if grouped {
+            &self.grouped_ops
         } else {
-            self.fallback_ops.fetch_add(1, Ordering::Relaxed);
-        }
-        self.latency
-            .lock()
-            .add(submitted_at.elapsed().as_nanos() as f64);
+            &self.fallback_ops
+        };
+        class.fetch_add(total, Ordering::Relaxed);
     }
 }
 

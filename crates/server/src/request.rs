@@ -4,11 +4,11 @@
 //! that resolves to exactly one [`OpOutcome`] — the acknowledgement
 //! contract the stress tests assert (no lost acks, no double-apply).
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use gdi::{AppVertexId, GdiError, LabelId, PTypeId, PropertyValue};
-use parking_lot::{Condvar, Mutex};
+use rma::WakeSource;
 
 /// One client operation, mirroring the Table-3 interactive op kinds plus
 /// the read-only point queries. Each op names the application vertex that
@@ -117,29 +117,40 @@ impl OpOutcome {
     }
 }
 
-/// Shared slot fulfilled by the serving rank, waited on by the client.
+/// The single-assignment completion slot a serving rank resolves and a
+/// client waits on. The `OnceLock` is the whole state: one atomic word
+/// (empty → resolved, never back) guarding the outcome, so "exactly once"
+/// is the state transition itself — a second resolution finds the word
+/// taken and changes nothing, in release builds too. A waiter polls that
+/// word and touches [`WakeSource`]'s lock only if it has to sleep.
 #[derive(Debug, Default)]
 pub(crate) struct TicketInner {
-    slot: Mutex<Option<OpOutcome>>,
-    ready: Condvar,
+    outcome: OnceLock<OpOutcome>,
+    wake: WakeSource,
 }
 
 impl TicketInner {
-    pub(crate) fn fulfill(&self, outcome: OpOutcome) {
-        let mut g = self.slot.lock();
-        debug_assert!(g.is_none(), "ticket fulfilled twice (double ack)");
-        *g = Some(outcome);
-        self.ready.notify_all();
+    /// The state transition: `true` if this call resolved the ticket.
+    fn resolve(&self, outcome: OpOutcome) -> bool {
+        let first = self.outcome.set(outcome).is_ok();
+        if first {
+            self.wake.notify();
+        }
+        first
     }
 
-    /// Resolve with `outcome` only if still pending (used by the
-    /// drop-guard below; never overwrites a real ack).
+    /// Acknowledge an executed (or shed) request. The first resolution
+    /// stands; a second one is a serve-loop bug.
+    pub(crate) fn fulfill(&self, outcome: OpOutcome) {
+        let first = self.resolve(outcome);
+        debug_assert!(first, "ticket fulfilled twice (double ack)");
+    }
+
+    /// Resolve with `outcome` only if still pending (the drop-guards'
+    /// path; never overwrites a real ack). On a resolved ticket — every
+    /// request dropped after its ack — this is one load of the state.
     pub(crate) fn fulfill_if_pending(&self, outcome: OpOutcome) {
-        let mut g = self.slot.lock();
-        if g.is_none() {
-            *g = Some(outcome);
-            self.ready.notify_all();
-        }
+        self.resolve(outcome);
     }
 }
 
@@ -152,18 +163,16 @@ pub struct Ticket(pub(crate) Arc<TicketInner>);
 impl Ticket {
     /// Block until the outcome is available.
     pub fn wait(&self) -> OpOutcome {
-        let mut g = self.0.slot.lock();
-        loop {
-            if let Some(out) = g.clone() {
-                return out;
-            }
-            self.0.ready.wait(&mut g);
-        }
+        let slot = &self.0.outcome;
+        self.0.wake.wait_until(None, || slot.get().is_some());
+        slot.get()
+            .expect("the wait ends on a resolved slot")
+            .clone()
     }
 
     /// Non-blocking probe.
     pub fn try_get(&self) -> Option<OpOutcome> {
-        self.0.slot.lock().clone()
+        self.0.outcome.get().cloned()
     }
 }
 
@@ -220,5 +229,61 @@ mod tests {
         assert!(t.try_get().is_none());
         inner.fulfill(OpOutcome::Committed(OpReply::Unit));
         assert_eq!(t.wait(), OpOutcome::Committed(OpReply::Unit));
+        // a resolved ticket (and its clones) can be read again and again
+        assert_eq!(t.clone().wait(), OpOutcome::Committed(OpReply::Unit));
+        assert_eq!(t.try_get(), Some(OpOutcome::Committed(OpReply::Unit)));
+    }
+
+    /// Exactly once is the state transition: the first resolution
+    /// stands, whoever comes second.
+    #[test]
+    fn first_resolution_stands() {
+        let inner = TicketInner::default();
+        assert!(inner.resolve(OpOutcome::Committed(OpReply::Count(1))));
+        assert!(!inner.resolve(OpOutcome::DeadlineExceeded));
+        inner.fulfill_if_pending(OpOutcome::Aborted(GdiError::TransactionClosed));
+        assert_eq!(
+            inner.outcome.get(),
+            Some(&OpOutcome::Committed(OpReply::Count(1)))
+        );
+    }
+
+    /// A request dropped unexecuted resolves its ticket as an abort; one
+    /// dropped after its ack leaves the ack alone.
+    #[test]
+    fn dropped_request_resolves_its_ticket() {
+        let request = |ticket: &Arc<TicketInner>| Request {
+            op: Op::CountEdges { v: AppVertexId(1) },
+            ticket: ticket.clone(),
+            submitted: Instant::now(),
+            token: None,
+        };
+        let lost = Arc::new(TicketInner::default());
+        drop(request(&lost));
+        assert_eq!(
+            Ticket(lost).wait(),
+            OpOutcome::Aborted(GdiError::TransactionClosed)
+        );
+        let acked = Arc::new(TicketInner::default());
+        let req = request(&acked);
+        req.ticket.fulfill(OpOutcome::Committed(OpReply::Unit));
+        drop(req);
+        assert_eq!(Ticket(acked).wait(), OpOutcome::Committed(OpReply::Unit));
+    }
+
+    /// A waiter asleep on the ticket is woken by the ack.
+    #[test]
+    fn sleeping_waiter_is_woken() {
+        let inner = Arc::new(TicketInner::default());
+        let t = Ticket(inner.clone());
+        let waiter = std::thread::spawn(move || {
+            let t0 = Instant::now();
+            (t.wait(), t0.elapsed())
+        });
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        inner.fulfill(OpOutcome::Committed(OpReply::Unit));
+        let (out, waited) = waiter.join().unwrap();
+        assert_eq!(out, OpOutcome::Committed(OpReply::Unit));
+        assert!(waited < rma::wait::SAFETY_TIMEOUT / 2, "missed the wake");
     }
 }

@@ -1,6 +1,7 @@
 //! The multi-session GDI server: request routing, per-rank serve loops,
 //! OLAP rendezvous, admission control and shutdown.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -9,8 +10,8 @@ use gda::dptr::owner_rank;
 use gda::persist::{CheckpointReport, PersistOptions, RankRecovery, RecoveryPlan};
 use gda::{GdaDb, GdaRank};
 use gdi::{GdiError, GdiResult};
-use parking_lot::{Condvar, Mutex};
-use rma::{CostModel, Fabric, RankCtx, RankReport};
+use parking_lot::Mutex;
+use rma::{CostModel, Fabric, RankCtx, RankReport, WakeSource};
 
 use crate::batch::execute_batch;
 use crate::metrics::{RankCounters, RankMetrics, RecoverySummary, ServerMetrics};
@@ -42,9 +43,6 @@ pub struct ServerOptions {
     pub write_group: usize,
     /// Full-queue behaviour.
     pub admission: AdmissionPolicy,
-    /// How long a serving rank sleeps on an empty queue before re-polling
-    /// (also the OLAP rendezvous latency bound).
-    pub poll_interval: Duration,
     /// Which serving rank a session's ops land on.
     pub route: RoutePolicy,
     /// Background maintenance cadence: `Some(n)` makes rank 0's serve
@@ -92,7 +90,6 @@ impl Default for ServerOptions {
             group_commit: true,
             write_group: 16,
             admission: AdmissionPolicy::Block,
-            poll_interval: Duration::from_micros(200),
             route: RoutePolicy::Owner,
             maintenance_interval: None,
             deadline: None,
@@ -165,7 +162,7 @@ impl Drop for OlapPending {
 pub(crate) struct DedupWindow {
     capacity: usize,
     map: rustc_hash::FxHashMap<u64, OpOutcome>,
-    order: std::collections::VecDeque<u64>,
+    order: VecDeque<u64>,
 }
 
 impl DedupWindow {
@@ -173,7 +170,7 @@ impl DedupWindow {
         Self {
             capacity: capacity.max(1),
             map: rustc_hash::FxHashMap::default(),
-            order: std::collections::VecDeque::new(),
+            order: VecDeque::new(),
         }
     }
 
@@ -210,10 +207,13 @@ struct ServerInner {
     /// Admission pause gate: a *count* of outstanding pauses (concurrent
     /// checkpoints and explicit operator pauses compose — resuming one
     /// never cancels another). While non-zero, `Block`-policy submitters
-    /// wait on the condvar and `Reject`-policy submitters are shed with
-    /// [`SubmitError::Paused`] (checkpoint stall bounding).
-    paused: Mutex<usize>,
-    pause_cv: Condvar,
+    /// wait on `pause_wake` and `Reject`-policy submitters are shed with
+    /// [`SubmitError::Paused`] (checkpoint stall bounding). A submit
+    /// reads it as one atomic load; nobody locks anything unless a pause
+    /// is outstanding long enough to sleep through.
+    paused: AtomicUsize,
+    /// Signalled when the last pause is released and on shutdown.
+    pause_wake: WakeSource,
     /// Successful collective checkpoints triggered through this server.
     checkpoints: AtomicU64,
     /// Collective maintenance passes submitted through this server
@@ -294,8 +294,8 @@ impl GdiServer {
             olap_jobs: Mutex::new(Vec::new()),
             olap_submitted: AtomicU64::new(0),
             fabric_reports: Mutex::new((0..nranks).map(|_| None).collect()),
-            paused: Mutex::new(0),
-            pause_cv: Condvar::new(),
+            paused: AtomicUsize::new(0),
+            pause_wake: WakeSource::new(),
             checkpoints: AtomicU64::new(0),
             maintenance_runs: AtomicU64::new(0),
             recovery: Mutex::new(None),
@@ -393,6 +393,12 @@ impl GdiServer {
         // publish after the job is in place: serve loops read the counter
         // first, then index the vec
         self.0.olap_submitted.fetch_add(1, Ordering::SeqCst);
+        drop(jobs);
+        // every rank's serve loop waits on its queue for "a request or a
+        // job": get them all up for the rendezvous
+        for q in &self.0.queues {
+            q.wake();
+        }
         Ok(Ticket(ticket))
     }
 
@@ -403,22 +409,25 @@ impl GdiServer {
     /// Pauses nest: admission resumes when every pause has been matched
     /// by a [`GdiServer::resume_admission`].
     pub fn pause_admission(&self) {
-        *self.0.paused.lock() += 1;
+        self.0.paused.fetch_add(1, Ordering::SeqCst);
     }
 
     /// Release one [`GdiServer::pause_admission`]; wakes blocked
     /// submitters once no pause remains outstanding.
     pub fn resume_admission(&self) {
-        let mut g = self.0.paused.lock();
-        *g = g.saturating_sub(1);
-        if *g == 0 {
-            self.0.pause_cv.notify_all();
+        // an unmatched resume finds 0 and changes nothing
+        let before = self
+            .0
+            .paused
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1));
+        if before == Ok(1) {
+            self.0.pause_wake.notify();
         }
     }
 
     /// Is admission currently paused?
     pub fn admission_paused(&self) -> bool {
-        *self.0.paused.lock() > 0
+        self.0.paused.load(Ordering::SeqCst) > 0
     }
 
     /// Is the server in degraded read-only mode (failed checkpoint or
@@ -452,7 +461,9 @@ impl GdiServer {
     fn observe_store_health(&self) {
         if let Some(store) = self.0.db.persistence() {
             let errs = store.log_errors();
-            let prev = self.0.last_log_errors.swap(errs, Ordering::Relaxed);
+            // `fetch_max`: every rank observes, and a late observer must
+            // not lower the mark under a count a peer already acted on
+            let prev = self.0.last_log_errors.fetch_max(errs, Ordering::Relaxed);
             if errs > prev {
                 self.enter_degraded("redo-log append errors observed");
             }
@@ -573,19 +584,17 @@ impl GdiServer {
             self.0.write_rejects.fetch_add(1, Ordering::Relaxed);
             return Err(SubmitError::ReadOnly);
         }
-        {
-            let mut paused = self.0.paused.lock();
-            if *paused > 0 {
-                match self.0.opts.admission {
-                    AdmissionPolicy::Block => {
-                        // also wake on shutdown (shutdown notifies the
-                        // condvar without touching the pause count)
-                        while *paused > 0 && self.0.accepting.load(Ordering::SeqCst) {
-                            self.0.pause_cv.wait(&mut paused);
-                        }
-                    }
-                    AdmissionPolicy::Reject => return Err(SubmitError::Paused),
+        if self.0.paused.load(Ordering::SeqCst) > 0 {
+            match self.0.opts.admission {
+                AdmissionPolicy::Block => {
+                    // until the last pause is released — or shutdown,
+                    // which signals without touching the pause count
+                    self.0.pause_wake.wait_until(None, || {
+                        self.0.paused.load(Ordering::SeqCst) == 0
+                            || !self.0.accepting.load(Ordering::SeqCst)
+                    });
                 }
+                AdmissionPolicy::Reject => return Err(SubmitError::Paused),
             }
         }
         if !self.0.accepting.load(Ordering::SeqCst) {
@@ -637,12 +646,8 @@ impl GdiServer {
         self.0.accepting.store(false, Ordering::SeqCst);
         // wake submitters blocked on a paused gate so they observe the
         // shutdown instead of waiting forever (the pause count itself
-        // is left to its owners); the lock orders this notify against a
-        // submitter's check-then-wait, so no wakeup is lost
-        {
-            let _gate = self.0.paused.lock();
-            self.0.pause_cv.notify_all();
-        }
+        // is left to its owners)
+        self.0.pause_wake.notify();
         // synchronize with any in-flight submit_olap: after this lock
         // round-trip the OLAP job count is final, so a rank observing a
         // closed queue also observes every job it must still serve
@@ -669,16 +674,16 @@ impl GdiServer {
             fn drop(&mut self) {
                 if std::thread::panicking() {
                     self.inner.accepting.store(false, Ordering::SeqCst);
+                    // closing wakes every peer's serve loop and every
+                    // blocked producer
                     for q in &self.inner.queues {
                         q.close();
                     }
-                    loop {
-                        let (batch, _) = self.inner.queues[self.rank]
-                            .drain_wait(usize::MAX, Duration::from_millis(0));
-                        if batch.is_empty() {
-                            break;
-                        }
-                    }
+                    // closed and non-empty: the wait returns at once;
+                    // dropping the requests resolves their tickets
+                    let mut orphans = VecDeque::new();
+                    self.inner.queues[self.rank]
+                        .drain_wait(&mut orphans, usize::MAX, None, || false);
                 }
             }
         }
@@ -709,6 +714,9 @@ impl GdiServer {
         let mut batches: u64 = 0;
         let mut executed: u64 = 0;
         let mut read_timing = crate::batch::ReadTiming::default();
+        // one batch buffer for the life of the loop: a drain swaps it
+        // with the queue's deque, `execute_batch` hands it back empty
+        let mut batch = VecDeque::new();
         loop {
             // collective rendezvous: all ranks run pending OLAP jobs in
             // submission order before draining more interactive work
@@ -723,6 +731,9 @@ impl GdiServer {
                 let value = (pending.0)(&eng);
                 ctx.barrier();
                 if rank == 0 {
+                    // jobs commit too (maintenance, transactions inside
+                    // analytics): same health watch as after a batch
+                    self.observe_store_health();
                     pending
                         .1
                         .fulfill(OpOutcome::Committed(OpReply::Scalar(value)));
@@ -741,35 +752,40 @@ impl GdiServer {
                 drop(jobs);
                 olap_served += 1;
             }
-            let (batch, closed) =
-                inner.queues[rank].drain_wait(inner.opts.max_batch, inner.opts.poll_interval);
-            // rank 0 doubles as the health observer: store write errors
-            // degrade the server to read-only until a checkpoint succeeds
-            if rank == 0 {
-                self.observe_store_health();
-            }
-            if batch.is_empty() {
+            // block until there is a request, a job to rendezvous for, or
+            // the queue closed — pushes, `submit_olap` and `shutdown` all
+            // signal this queue's drainer
+            let closed =
+                inner.queues[rank].drain_wait(&mut batch, inner.opts.max_batch, None, || {
+                    olap_served < inner.olap_submitted.load(Ordering::SeqCst)
+                });
+            let drained = batch.len();
+            if drained == 0 {
                 if closed && olap_served == inner.olap_submitted.load(Ordering::SeqCst) {
                     break;
                 }
                 continue;
             }
             if trace {
-                eprintln!("[serve r{rank}] drained {} closed={closed}", batch.len());
+                eprintln!("[serve r{rank}] drained {drained} closed={closed}");
             }
-            ctx.record_drain(batch.len());
+            ctx.record_drain(drained);
             batches += 1;
-            executed += batch.len() as u64;
+            executed += drained as u64;
             inner.counters[rank].batches.fetch_add(1, Ordering::Relaxed);
             let t = execute_batch(
                 &eng,
                 &inner.counters[rank],
-                batch,
+                &mut batch,
                 &inner.opts,
                 &inner.dedup,
             );
             read_timing.read_ns += t.read_ns;
             read_timing.read_ops += t.read_ops;
+            // every rank watches the store after its own commits: redo
+            // append errors degrade the server to read-only until a
+            // checkpoint succeeds
+            self.observe_store_health();
             // background maintenance cadence: rank 0 enqueues a
             // collective pass every n of its drain cycles; it executes
             // at the next OLAP rendezvous, where no serve-loop
