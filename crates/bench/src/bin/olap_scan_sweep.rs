@@ -19,8 +19,8 @@
 //!   regression guard for that satellite fix).
 //!
 //! At every point the scan-built view must be **logically identical**
-//! to the tx-built view and both PageRank outputs must match exactly —
-//! the process aborts on any divergence.
+//! to the tx-built view and PageRank, WCC and BFS on the two must match
+//! exactly — the process aborts on any divergence.
 //!
 //! `--smoke` runs one small point (the CI guard: zero divergence and a
 //! minimum view-build speedup at P=2).
@@ -31,7 +31,9 @@ use gdi_bench::{
 };
 use graphgen::{load_into, sized_config, LpgConfig};
 use rma::CostModel;
-use workloads::analytics::{build_view, build_view_indexed, pagerank, scan_view};
+use workloads::analytics::{
+    bfs, build_view, build_view_indexed, pagerank, scan_view, wcc_converged,
+};
 
 #[derive(Debug, Clone, Copy, Default)]
 struct PointOut {
@@ -129,6 +131,16 @@ fn run_point(nranks: usize, scale: u32) -> PointOut {
             pr_reuse = pagerank(&eng_srv, &v, 10, 0.85);
         });
         if pr_tx != pr_reuse {
+            p.divergence += 1;
+        }
+        // the other kernels on the cached mirror vs the tx view: same
+        // dense numbering, same halo, so the answers are identical
+        let mirror = eng_srv.olap_view();
+        let root = gdi_bench::bfs_root(&spec);
+        if wcc_converged(&eng, &tx_view) != wcc_converged(&eng_srv, &mirror) {
+            p.divergence += 1;
+        }
+        if bfs(&eng, &tx_view, root) != bfs(&eng_srv, &mirror, root) {
             p.divergence += 1;
         }
 

@@ -576,6 +576,63 @@ pub fn free_chain(bm: &BlockManager, blocks: &[DPtr]) {
     }
 }
 
+/// The structural chain walk behind [`read_chain_bytes`] and
+/// [`read_chain_local`]: follow the chain at `primary` inside one rank's
+/// data window of `win_len` bytes, fetching every block through `fetch`
+/// (`(byte offset, block buffer)`) and appending its payload to `out`.
+/// `None` on any structural implausibility: a block outside the window
+/// or on another rank, a total length outside `[header, pool]`, a chain
+/// that ends early or outgrows the pool.
+fn walk_chain(
+    cfg: &GdaConfig,
+    primary: DPtr,
+    win_len: usize,
+    mut fetch: impl FnMut(usize, &mut [u8]),
+    block_buf: &mut [u8],
+    out: &mut Vec<u8>,
+    mut visit: impl FnMut(DPtr),
+) -> Option<()> {
+    debug_assert!(!primary.is_null());
+    debug_assert_eq!(block_buf.len(), cfg.block_size);
+    let payload = payload_per_block(cfg);
+    let max_total = payload * cfg.blocks_per_rank;
+    let mut block = |dp: DPtr, buf: &mut [u8]| -> Option<DPtr> {
+        let off = dp.offset() as usize;
+        if dp.rank() != primary.rank() || off + cfg.block_size > win_len {
+            return None;
+        }
+        fetch(off, buf);
+        Some(DPtr::from_raw(u64::from_le_bytes(
+            buf[..8].try_into().unwrap(),
+        )))
+    };
+    let mut next = block(primary, block_buf)?;
+    if block_buf.len() < BLOCK_PAYLOAD_OFFSET + crate::holder::HEADER_BYTES.min(payload) {
+        return None;
+    }
+    let total = Holder::peek_total_len(&block_buf[BLOCK_PAYLOAD_OFFSET..]);
+    if total < crate::holder::HEADER_BYTES || total > max_total {
+        return None;
+    }
+    out.clear();
+    out.reserve(total);
+    out.extend_from_slice(&block_buf[BLOCK_PAYLOAD_OFFSET..][..payload.min(total)]);
+    visit(primary);
+    let mut nblocks = 1usize;
+    while out.len() < total {
+        if next.is_null() || nblocks > cfg.blocks_per_rank {
+            return None;
+        }
+        let cur = next;
+        next = block(cur, block_buf)?;
+        visit(cur);
+        nblocks += 1;
+        let take = payload.min(total - out.len());
+        out.extend_from_slice(&block_buf[BLOCK_PAYLOAD_OFFSET..][..take]);
+    }
+    Some(())
+}
+
 /// Offline variant of [`read_chain`] over a raw **data-window byte
 /// image** (a snapshot's first window): follows the chain inside the
 /// image without a live fabric. Chains are rank-local (continuation
@@ -591,39 +648,44 @@ pub fn read_chain_bytes(
     data: &[u8],
     primary: DPtr,
 ) -> Option<(Vec<u8>, Vec<DPtr>)> {
-    debug_assert!(!primary.is_null());
-    let payload = payload_per_block(cfg);
-    let max_total = payload * cfg.blocks_per_rank;
-    let block = |dp: DPtr| -> Option<&[u8]> {
-        let off = dp.offset() as usize;
-        if dp.rank() != primary.rank() || off + cfg.block_size > data.len() {
-            return None;
-        }
-        Some(&data[off..off + cfg.block_size])
-    };
-    let buf = block(primary)?;
-    let mut next = DPtr::from_raw(u64::from_le_bytes(buf[..8].try_into().unwrap()));
-    if buf.len() < 16 + crate::holder::HEADER_BYTES.min(payload) {
-        return None;
-    }
-    let total = Holder::peek_total_len(&buf[16..]);
-    if total < crate::holder::HEADER_BYTES || total > max_total {
-        return None;
-    }
-    let mut bytes = Vec::with_capacity(total);
-    bytes.extend_from_slice(&buf[16..16 + payload.min(total)]);
-    let mut blocks = vec![primary];
-    while bytes.len() < total {
-        if next.is_null() || blocks.len() > cfg.blocks_per_rank {
-            return None;
-        }
-        let buf = block(next)?;
-        blocks.push(next);
-        let take = payload.min(total - bytes.len());
-        bytes.extend_from_slice(&buf[16..16 + take]);
-        next = DPtr::from_raw(u64::from_le_bytes(buf[..8].try_into().unwrap()));
-    }
+    let mut block_buf = vec![0u8; cfg.block_size];
+    let mut bytes = Vec::new();
+    let mut blocks = Vec::new();
+    walk_chain(
+        cfg,
+        primary,
+        data.len(),
+        |off, buf| buf.copy_from_slice(&data[off..off + cfg.block_size]),
+        &mut block_buf,
+        &mut bytes,
+        |dp| blocks.push(dp),
+    )?;
     Some((bytes, blocks))
+}
+
+/// [`read_chain_bytes`] against this rank's **live data window**: the
+/// same structural checks, but every block is read where it lies (one
+/// local `get` each) into a caller-owned block buffer and the holder
+/// bytes land in the reused `out` — no window image, no per-chain
+/// allocation. The OLAP scan sweep's reader (`crate::scan`); like every
+/// unlocked read it assumes no concurrent writer.
+pub fn read_chain_local(
+    ctx: &RankCtx,
+    cfg: &GdaConfig,
+    primary: DPtr,
+    block_buf: &mut [u8],
+    out: &mut Vec<u8>,
+) -> Option<()> {
+    debug_assert_eq!(primary.rank(), ctx.rank());
+    walk_chain(
+        cfg,
+        primary,
+        ctx.win_len_bytes(WIN_DATA),
+        |off, buf| ctx.get_bytes(WIN_DATA, primary.rank(), off, buf),
+        block_buf,
+        out,
+        |_| {},
+    )
 }
 
 #[cfg(test)]
@@ -757,6 +819,7 @@ mod tests {
             }
             let mut image = vec![0u8; ctx.win_len_bytes(WIN_DATA)];
             ctx.get_bytes(WIN_DATA, 0, 0, &mut image);
+            let (mut block, mut reused) = (vec![0u8; cfg.block_size], Vec::new());
             for (h, primary) in [&small, &large].into_iter().zip(&primaries) {
                 let (live_bytes, live_blocks) = read_chain(ctx, cfg, *primary).unwrap();
                 let (img_bytes, img_blocks) =
@@ -764,10 +827,19 @@ mod tests {
                 assert_eq!(img_bytes, live_bytes);
                 assert_eq!(img_blocks, live_blocks);
                 assert_eq!(Holder::decode(&img_bytes), *h);
+                // the scan sweep's reader: same bytes, block by block
+                // from the window, into buffers that are reused
+                read_chain_local(ctx, cfg, *primary, &mut block, &mut reused).expect("local read");
+                assert_eq!(reused, live_bytes);
             }
             // a never-written block decodes to None, not garbage
             let free = bm.acquire(0).unwrap();
             assert!(read_chain_bytes(cfg, &image, free).is_none());
+            assert!(read_chain_local(ctx, cfg, free, &mut block, &mut reused).is_none());
+            // neither does a pointer past the window's end
+            let beyond = DPtr::new(0, image.len() as u64);
+            assert!(read_chain_bytes(cfg, &image, beyond).is_none());
+            assert!(read_chain_local(ctx, cfg, beyond, &mut block, &mut reused).is_none());
         });
     }
 

@@ -389,10 +389,71 @@ impl Holder {
     /// Defensive decode: structural validation of every field, `None` on
     /// any inconsistency.
     pub fn try_decode(bytes: &[u8]) -> Option<Self> {
+        let lay = Layout::parse(bytes)?;
+        let app_id = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
+        let version = u64::from_le_bytes(bytes[24..32].try_into().unwrap());
+        let commit_epoch = u64::from_le_bytes(bytes[32..40].try_into().unwrap());
+        let prev = u64::from_le_bytes(bytes[40..48].try_into().unwrap());
+        let mut edges = Vec::with_capacity(lay.num_edges);
+        for rec in lay.edge_records(bytes).chunks_exact(EDGE_RECORD_BYTES) {
+            edges.push(EdgeRecord::decode(rec)?);
+        }
+        let mut entries = Vec::new();
+        lay.walk_entries(bytes, |id, data| {
+            entries.push(Entry {
+                id,
+                data: data.to_vec(),
+            })
+        })?;
+        Some(Self {
+            app_id,
+            is_edge: lay.flags & FLAG_EDGE_HOLDER != 0,
+            version,
+            commit_epoch,
+            prev,
+            depth: ((lay.flags & DEPTH_MASK) >> 16) as u8,
+            edges,
+            entries,
+        })
+    }
+
+    /// Validate a serialized holder **exactly as [`Holder::try_decode`]
+    /// does** (header, known flags, length arithmetic, every edge
+    /// record's direction byte, entry framing — the two share one
+    /// layout parser) and hand back its edge section without materialising
+    /// a `Holder`: no entry is copied, no `Vec` is allocated. The OLAP
+    /// scan sweep reads adjacency this way (`crate::scan`).
+    pub fn scan_edges(bytes: &[u8]) -> Option<EdgeScan<'_>> {
+        let lay = Layout::parse(bytes)?;
+        let records = lay.edge_records(bytes);
+        for rec in records.chunks_exact(EDGE_RECORD_BYTES) {
+            Direction::from_u8(rec[20])?;
+        }
+        lay.walk_entries(bytes, |_, _| {})?;
+        Some(EdgeScan {
+            app_id: u64::from_le_bytes(bytes[16..24].try_into().unwrap()),
+            records,
+        })
+    }
+}
+
+/// Section bounds of a serialized holder whose header is structurally
+/// plausible — the validation [`Holder::try_decode`] and
+/// [`Holder::scan_edges`] share, so the two accept exactly the same
+/// bytes.
+struct Layout {
+    num_edges: usize,
+    flags: u32,
+    /// End of the entry section (= the holder's total length).
+    end: usize,
+}
+
+impl Layout {
+    fn parse(bytes: &[u8]) -> Option<Layout> {
         if bytes.len() < HEADER_BYTES {
             return None;
         }
-        let total = Self::peek_total_len(bytes);
+        let total = Holder::peek_total_len(bytes);
         if total < HEADER_BYTES || bytes.len() < total {
             return None;
         }
@@ -405,18 +466,23 @@ impl Holder {
         if HEADER_BYTES + num_edges * EDGE_RECORD_BYTES + entries_bytes != total {
             return None;
         }
-        let app_id = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
-        let version = u64::from_le_bytes(bytes[24..32].try_into().unwrap());
-        let commit_epoch = u64::from_le_bytes(bytes[32..40].try_into().unwrap());
-        let prev = u64::from_le_bytes(bytes[40..48].try_into().unwrap());
-        let mut edges = Vec::with_capacity(num_edges);
-        let mut off = HEADER_BYTES;
-        for _ in 0..num_edges {
-            edges.push(EdgeRecord::decode(&bytes[off..off + EDGE_RECORD_BYTES])?);
-            off += EDGE_RECORD_BYTES;
-        }
-        let mut entries = Vec::new();
-        let end = off + entries_bytes;
+        Some(Layout {
+            num_edges,
+            flags,
+            end: total,
+        })
+    }
+
+    fn edge_records<'a>(&self, bytes: &'a [u8]) -> &'a [u8] {
+        &bytes[HEADER_BYTES..HEADER_BYTES + self.num_edges * EDGE_RECORD_BYTES]
+    }
+
+    /// Walk the entry section's framing, handing every `(id, data)` to
+    /// `f`; `None` when a frame overruns the section or the walk does
+    /// not end on its boundary.
+    fn walk_entries<'a>(&self, bytes: &'a [u8], mut f: impl FnMut(u32, &'a [u8])) -> Option<()> {
+        let mut off = HEADER_BYTES + self.num_edges * EDGE_RECORD_BYTES;
+        let end = self.end;
         while off < end {
             if off + 8 > end {
                 return None;
@@ -426,23 +492,30 @@ impl Holder {
             if off + 8 + len > end {
                 return None;
             }
-            let data = bytes[off + 8..off + 8 + len].to_vec();
-            entries.push(Entry { id, data });
+            f(id, &bytes[off + 8..off + 8 + len]);
             off += 8 + len.div_ceil(8) * 8;
         }
-        if off != end {
-            return None;
-        }
-        Some(Self {
-            app_id,
-            is_edge: flags & FLAG_EDGE_HOLDER != 0,
-            version,
-            commit_epoch,
-            prev,
-            depth: ((flags & DEPTH_MASK) >> 16) as u8,
-            edges,
-            entries,
-        })
+        (off == end).then_some(())
+    }
+}
+
+/// The validated edge section of a serialized holder (see
+/// [`Holder::scan_edges`]).
+#[derive(Debug, Clone, Copy)]
+pub struct EdgeScan<'a> {
+    /// Application-level id of the holder.
+    pub app_id: u64,
+    records: &'a [u8],
+}
+
+impl<'a> EdgeScan<'a> {
+    /// The live (non-tombstoned) edge records in slot order — the
+    /// records [`Holder::live_edges`] yields on the decoded holder.
+    pub fn live(&self) -> impl Iterator<Item = EdgeRecord> + 'a {
+        self.records
+            .chunks_exact(EDGE_RECORD_BYTES)
+            .filter(|rec| rec[21] & EdgeRecord::TOMBSTONE == 0)
+            .map(|rec| EdgeRecord::decode(rec).expect("direction bytes validated by scan_edges"))
     }
 }
 
@@ -604,5 +677,156 @@ mod tests {
         let mut bad = bytes.clone();
         bad[15] |= 0x80; // flags bit 31
         assert!(Holder::try_decode(&bad).is_none());
+    }
+
+    /// What `scan_edges` promises, on arbitrary bytes: it accepts
+    /// exactly what `try_decode` accepts, and then yields exactly the
+    /// decoded holder's live edge records.
+    fn assert_scan_matches_decode(bytes: &[u8]) {
+        match (Holder::scan_edges(bytes), Holder::try_decode(bytes)) {
+            (None, None) => {}
+            (Some(scan), Some(h)) => {
+                assert_eq!(scan.app_id, h.app_id);
+                let want: Vec<EdgeRecord> = h.live_edges().map(|(_, r)| *r).collect();
+                assert_eq!(scan.live().collect::<Vec<_>>(), want);
+            }
+            (scan, decoded) => panic!(
+                "scan_edges {} what try_decode {}",
+                if scan.is_some() { "accepts" } else { "refuses" },
+                if decoded.is_some() {
+                    "accepts"
+                } else {
+                    "refuses"
+                },
+            ),
+        }
+    }
+
+    /// A holder with edges in every direction, a tombstone in the
+    /// middle and entries of awkward lengths.
+    fn busy() -> Holder {
+        let mut h = sample();
+        h.push_edge(EdgeRecord::lightweight(
+            DPtr::new(0, 640),
+            0,
+            Direction::Undirected,
+        ));
+        h.push_edge(EdgeRecord {
+            edge_holder: DPtr::new(1, 768),
+            ..EdgeRecord::lightweight(DPtr::new(1, 512), 9, Direction::Out)
+        });
+        h.remove_edge(1).unwrap();
+        h.add_property(PTypeId(9), vec![7; 13]);
+        h.add_property(PTypeId(10), Vec::new());
+        h
+    }
+
+    #[test]
+    fn scan_edges_reads_what_decode_reads() {
+        for h in [sample(), busy(), Holder::new_vertex(3)] {
+            let bytes = h.encode();
+            assert_scan_matches_decode(&bytes);
+            assert!(Holder::scan_edges(&bytes).is_some());
+        }
+        let live: Vec<EdgeRecord> = Holder::scan_edges(&busy().encode())
+            .unwrap()
+            .live()
+            .collect();
+        assert_eq!(live.len(), 3, "the tombstoned slot is skipped");
+    }
+
+    /// The positions a hostile writer would aim at, one by one: each is
+    /// refused by both readers.
+    #[test]
+    fn scan_edges_refuses_what_decode_refuses() {
+        let good = busy().encode();
+        let refused = |m: Vec<u8>| {
+            assert_scan_matches_decode(&m);
+            assert!(Holder::scan_edges(&m).is_none());
+        };
+        let with = |at: usize, v: &[u8]| {
+            let mut m = good.clone();
+            m[at..at + v.len()].copy_from_slice(v);
+            m
+        };
+        let u32_at = |at: usize| u32::from_le_bytes(good[at..at + 4].try_into().unwrap());
+        // unknown flag bit
+        refused(with(15, &[good[15] | 0x80]));
+        // bad direction byte: on a live record, and on the tombstoned
+        // one (decode validates every record, so must the scan)
+        refused(with(HEADER_BYTES + 20, &[3]));
+        refused(with(HEADER_BYTES + EDGE_RECORD_BYTES + 20, &[0xFF]));
+        // length arithmetic off by one, each of the three terms
+        refused(with(0, &(u32_at(0) + 1).to_le_bytes()));
+        refused(with(0, &(u32_at(0) - 1).to_le_bytes()));
+        refused(with(4, &(u32_at(4) + 1).to_le_bytes()));
+        refused(with(8, &(u32_at(8) - 8).to_le_bytes()));
+        // total length beyond the bytes at hand, below the header
+        refused(good[..good.len() - 1].to_vec());
+        refused(with(0, &40u32.to_le_bytes()));
+        refused(good[..HEADER_BYTES - 1].to_vec());
+        // entry framing: a length that overruns the section (by a lot,
+        // by one byte), and a section whose end no frame boundary meets
+        let entries = HEADER_BYTES + 4 * EDGE_RECORD_BYTES;
+        refused(with(entries + 4, &u32::MAX.to_le_bytes()));
+        let last = good.len() - 8; // the empty property's frame
+        refused(with(last + 4, &1u32.to_le_bytes()));
+        let mut ragged = with(0, &(u32_at(0) + 4).to_le_bytes());
+        ragged[8..12].copy_from_slice(&(u32_at(8) + 4).to_le_bytes());
+        ragged.extend_from_slice(&[0; 4]);
+        refused(ragged);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Random holders round-trip through both readers alike — and
+        /// so does every single-field corruption of them: any byte of
+        /// the header or of an edge record's direction/flags, any entry
+        /// frame word, overwritten with a hostile value.
+        #[test]
+        fn scan_edges_is_try_decode_on_random_and_hostile_holders(
+            edges in proptest::collection::vec((0usize..4, 1u64..64, 0u32..5, 0u8..3, 0u8..2), 0..12),
+            props in proptest::collection::vec((3u32..9, 0usize..20), 0..6),
+            is_edge in 0u8..2,
+            hits in proptest::collection::vec((0usize..4096, 0u64..6), 1..8),
+        ) {
+            let mut h = Holder::new_vertex(77);
+            h.is_edge = is_edge == 1;
+            for (rank, block, label, dir, tomb) in edges {
+                h.push_edge(EdgeRecord {
+                    flags: tomb,
+                    ..EdgeRecord::lightweight(
+                        DPtr::new(rank, block * 128),
+                        label,
+                        Direction::from_u8(dir).unwrap(),
+                    )
+                });
+            }
+            for (pt, len) in props {
+                h.add_property(PTypeId(pt), vec![0xA5; len]);
+            }
+            let good = h.encode();
+            assert_scan_matches_decode(&good);
+            proptest::prop_assert!(Holder::scan_edges(&good).is_some());
+            for (at, kind) in hits {
+                let mut m = good.clone();
+                let at = at % m.len();
+                match kind {
+                    0 => m[at] = 0xFF,
+                    1 => m[at] = m[at].wrapping_add(1),
+                    2 => m[at] = m[at].wrapping_sub(1),
+                    3 => m[at] ^= 0x80,
+                    4 => {
+                        // a whole hostile word
+                        let at = at & !3;
+                        let end = (at + 4).min(m.len());
+                        m[at..end].copy_from_slice(&u32::MAX.to_le_bytes()[..end - at]);
+                    }
+                    _ => m.truncate(at),
+                }
+                assert_scan_matches_decode(&m);
+            }
+        }
     }
 }

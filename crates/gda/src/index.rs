@@ -188,6 +188,13 @@ impl IndexShared {
             .unwrap_or_default()
     }
 
+    /// Number of postings in `rank`'s partition of an index: the map's
+    /// length under the partition lock, nothing materialised or sorted
+    /// (the planner's statistic — it only ever needed the count).
+    pub fn local_len(&self, rank: usize, id: IndexId) -> usize {
+        self.postings[rank].lock().get(&id).map_or(0, |m| m.len())
+    }
+
     /// Export the index definitions plus the id allocator (persistence
     /// support: the manifest half of a durable snapshot).
     pub fn export_defs(&self) -> (Vec<IndexDef>, u32) {

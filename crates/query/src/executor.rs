@@ -34,7 +34,12 @@
 //!   pattern once per distinct arriving vertex against its local
 //!   holder. Nobody scans a whole partition to pre-qualify targets and
 //!   no id set is broadcast: the filter runs where the holder lives, on
-//!   the vertices that were actually reached;
+//!   the vertices that were actually reached. On the Csr path a stage
+//!   names vertices by their **halo id** in the view (`Names`): the
+//!   frontier's vertex → row-slot table and the closing stage's root →
+//!   lane table are flat arrays over the view's rows and ghosts, a view
+//!   row's neighbours arrive already named, and only the wire carries
+//!   internal ids. The Tx path names them by internal id, in hash maps;
 //! - **close-cycle stage**: the batch's root ids are allgathered into a
 //!   root→lane map, and a row keeps lane *i* only if an edge of `cur`
 //!   leads to root *i* — a bit test per edge, no routing;
@@ -104,47 +109,118 @@ fn pattern_constraint(p: &NodePattern, epoch: u64) -> Constraint {
 /// Slot of a vertex that arrived but failed the stage's target pattern:
 /// remembered so the pattern is evaluated once per distinct vertex.
 const REJECTED: u32 = u32::MAX;
+/// Slot of a vertex a dense table has not seen.
+const VACANT: u32 = u32::MAX - 1;
+
+/// What the expand stages call a vertex. On the Tx path that is its
+/// internal id; when the plan expands over the scan view it is the
+/// vertex's **halo id** in that view (a row or a ghost, see
+/// `gda::scan`) — dense, so per-vertex state is a flat table instead of
+/// a hash map, and a view row's neighbours arrive already named.
+#[derive(Clone, Copy)]
+struct Names<'v>(Option<&'v CsrView>);
+
+impl Names<'_> {
+    /// An empty per-vertex table over this name space.
+    fn table(self) -> Slots {
+        match self.0 {
+            Some(view) => Slots::Dense(vec![VACANT; view.halo_len()]),
+            None => Slots::Sparse(FxHashMap::default()),
+        }
+    }
+
+    /// The name of internal id `id`; `None` when the view cannot see it
+    /// from this rank (then no local edge leads to it either).
+    #[inline]
+    fn of(self, id: u64) -> Option<u64> {
+        match self.0 {
+            Some(view) => view.halo_of(DPtr::from_raw(id)).map(u64::from),
+            None => Some(id),
+        }
+    }
+
+    /// The internal id behind `name`.
+    #[inline]
+    fn id(self, name: u64) -> DPtr {
+        match self.0 {
+            Some(view) => view.target(name as u32),
+            None => DPtr::from_raw(name),
+        }
+    }
+}
+
+/// A `name → u32` table: a hash map over internal ids, a flat array
+/// over halo ids.
+enum Slots {
+    Sparse(FxHashMap<u64, u32>),
+    Dense(Vec<u32>),
+}
+
+impl Slots {
+    #[inline]
+    fn get(&self, name: u64) -> Option<u32> {
+        match self {
+            Slots::Sparse(map) => map.get(&name).copied(),
+            Slots::Dense(table) => Some(table[name as usize]).filter(|&at| at != VACANT),
+        }
+    }
+
+    /// The value at `name`, set from `init` on first sight.
+    #[inline]
+    fn get_or_insert_with(&mut self, name: u64, init: impl FnOnce() -> u32) -> u32 {
+        match self {
+            Slots::Sparse(map) => *map.entry(name).or_insert_with(init),
+            Slots::Dense(table) => {
+                let at = &mut table[name as usize];
+                if *at == VACANT {
+                    *at = init();
+                }
+                *at
+            }
+        }
+    }
+}
 
 /// The distinct `cur` vertices of the live bindings, each with a row of
 /// `words` root-lane words (see the module docs).
 struct Frontier {
     words: usize,
-    slot: FxHashMap<u64, u32>,
-    ids: Vec<u64>,
+    slot: Slots,
+    names: Vec<u64>,
     bits: Vec<u64>,
 }
 
 impl Frontier {
-    fn new(words: usize) -> Self {
+    fn new(words: usize, names: Names) -> Self {
         Self {
             words,
-            slot: FxHashMap::default(),
-            ids: Vec::new(),
+            slot: names.table(),
+            names: Vec::new(),
             bits: Vec::new(),
         }
     }
 
     fn len(&self) -> usize {
-        self.ids.len()
+        self.names.len()
     }
 
-    /// OR `row` into `id`'s row. A vertex seen for the first time is
+    /// OR `row` into `name`'s row. A vertex seen for the first time is
     /// admitted only if `admit` says so; the verdict sticks.
     #[inline]
-    fn or_row(&mut self, id: u64, row: &[u64], admit: impl FnOnce() -> bool) {
+    fn or_row(&mut self, name: u64, row: &[u64], admit: impl FnOnce() -> bool) {
         let Self {
             words,
             slot,
-            ids,
+            names,
             bits,
         } = self;
-        let at = *slot.entry(id).or_insert_with(|| {
+        let at = slot.get_or_insert_with(name, || {
             if !admit() {
                 return REJECTED;
             }
-            ids.push(id);
+            names.push(name);
             bits.resize(bits.len() + *words, 0);
-            (ids.len() - 1) as u32
+            (names.len() - 1) as u32
         });
         if at != REJECTED {
             let at = at as usize * *words;
@@ -155,34 +231,32 @@ impl Frontier {
     }
 
     fn rows(&self) -> impl Iterator<Item = (u64, &[u64])> {
-        self.ids
+        self.names
             .iter()
             .copied()
             .zip(self.bits.chunks_exact(self.words))
     }
 }
 
-/// Call `f` with every neighbour of the local vertex `cur` along `e`'s
-/// orientation and edge label — read from the cached view row when the
-/// plan expands over `csr`, from `cur`'s holder otherwise. Returns how
-/// many there were.
+/// Call `f` with the name of every neighbour of the local vertex `cur`
+/// along `e`'s orientation and edge label — read from the view row when
+/// the plan expands over the view (`cur` is then a row, its neighbours
+/// halo ids), from `cur`'s holder otherwise. Returns how many there were.
 fn for_each_neighbor(
     tx: &Transaction,
-    csr: Option<&CsrView>,
+    names: Names,
     cur: u64,
     e: &Expand,
-    mut f: impl FnMut(DPtr),
+    mut f: impl FnMut(u64),
 ) -> u64 {
-    let Some(view) = csr else {
+    let Some(view) = names.0 else {
         let nbrs = tx
             .neighbors(DPtr::from_raw(cur), e.orient, e.edge_label)
             .expect("expand neighbors");
-        nbrs.iter().for_each(|n| f(*n));
+        nbrs.iter().for_each(|n| f(n.raw()));
         return nbrs.len() as u64;
     };
-    let Some(&row) = view.index_of.get(&cur) else {
-        return 0;
-    };
+    let row = cur as usize;
     let (tgts, lbls) = match e.orient {
         EdgeOrientation::Outgoing => (view.out(row), view.out_labels(row)),
         EdgeOrientation::Any => (view.any(row), view.any_labels(row)),
@@ -194,7 +268,7 @@ fn for_each_neighbor(
     for (t, l) in tgts.iter().zip(lbls) {
         if e.edge_label.map(|el| *l == el.0).unwrap_or(true) {
             n += 1;
-            f(*t);
+            f(*t as u64);
         }
     }
     n
@@ -279,10 +353,10 @@ pub fn execute(eng: &GdaRank, q: &Query, plan: &Plan) -> QueryOutput {
     };
 
     // ---- expand stages, once per lane batch --------------------------------
-    let csr = match plan.choice.expand {
+    let names = Names(match plan.choice.expand {
         ExpandPath::Csr => view.as_deref(),
         ExpandPath::Tx => None,
-    };
+    });
     // `Root` projection: the OR of all rows, one bit per machine-wide lane
     let project_roots = track_roots && q.returns.target == AggTarget::Root;
     let mut root_hits = vec![0u64; lanes.div_ceil(64)];
@@ -298,7 +372,7 @@ pub fn execute(eng: &GdaRank, q: &Query, plan: &Plan) -> QueryOutput {
         } else {
             0..roots.len()
         };
-        let mut frontier = Frontier::new(words);
+        let mut frontier = Frontier::new(words, names);
         let mut lane_row = vec![0u64; words];
         for i in own.clone() {
             let lane = if track_roots {
@@ -306,26 +380,36 @@ pub fn execute(eng: &GdaRank, q: &Query, plan: &Plan) -> QueryOutput {
             } else {
                 0
             };
+            // a root the view has no row for has no edges to follow
+            let Some(name) = names.of(roots[i]) else {
+                continue;
+            };
             lane_row[lane / 64] = 1 << (lane % 64);
-            frontier.or_row(roots[i], &lane_row, || true);
+            frontier.or_row(name, &lane_row, || true);
             lane_row[lane / 64] = 0;
         }
 
         for (e, st) in q.expands.iter().zip(&mut stages[1..]) {
-            let mut next = Frontier::new(words);
+            let mut next = Frontier::new(words, names);
             if e.close_to_root {
                 // lanes are numbered in rank order, so concatenating the
                 // ranks' batch roots lists them by lane
                 let all_roots = ctx.allgatherv(roots[own.clone()].to_vec());
                 st.comm_bytes += own.len() as u64 * 8;
-                let lane_of: FxHashMap<u64, usize> =
-                    all_roots.into_iter().flatten().zip(0..).collect();
+                let mut lane_of = names.table();
+                let mut n_roots = 0;
+                for (root, lane) in all_roots.into_iter().flatten().zip(0u32..) {
+                    n_roots += 1;
+                    if let Some(name) = names.of(root) {
+                        lane_of.get_or_insert_with(name, || lane);
+                    }
+                }
                 let mut expanded = 0;
                 for (cur, row) in frontier.rows() {
                     lane_row.fill(0);
-                    expanded += for_each_neighbor(&tx, csr, cur, e, |t| {
-                        if let Some(&lane) = lane_of.get(&t.raw()) {
-                            lane_row[lane / 64] |= 1 << (lane % 64);
+                    expanded += for_each_neighbor(&tx, names, cur, e, |t| {
+                        if let Some(lane) = lane_of.get(t) {
+                            lane_row[lane as usize / 64] |= 1 << (lane % 64);
                         }
                     });
                     // the closing step filters lanes; `cur` stays the
@@ -340,22 +424,22 @@ pub fn execute(eng: &GdaRank, q: &Query, plan: &Plan) -> QueryOutput {
                     }
                 }
                 st.expanded += expanded;
-                ctx.charge_cpu(expanded + (lane_of.len() + frontier.len() * words) as u64);
+                ctx.charge_cpu(expanded + (n_roots + frontier.len() * words) as u64);
             } else {
                 // partial rows, keyed by neighbour, merged before they
                 // travel
-                let mut partial = Frontier::new(words);
+                let mut partial = Frontier::new(words, names);
                 let mut expanded = 0;
                 for (cur, row) in frontier.rows() {
-                    expanded += for_each_neighbor(&tx, csr, cur, e, |t| {
-                        partial.or_row(t.raw(), row, || true)
-                    });
+                    expanded +=
+                        for_each_neighbor(&tx, names, cur, e, |t| partial.or_row(t, row, || true));
                 }
                 st.expanded += expanded;
                 let mut outbox: Vec<Vec<u64>> = vec![Vec::new(); nranks];
-                for (id, row) in partial.rows() {
-                    let to = &mut outbox[DPtr::from_raw(id).rank()];
-                    to.push(id);
+                for (name, row) in partial.rows() {
+                    let id = names.id(name);
+                    let to = &mut outbox[id.rank()];
+                    to.push(id.raw());
                     to.extend_from_slice(row);
                 }
                 st.comm_bytes += (partial.len() * (1 + words) * 8) as u64;
@@ -365,7 +449,12 @@ pub fn execute(eng: &GdaRank, q: &Query, plan: &Plan) -> QueryOutput {
                 for inbox in ctx.alltoallv(outbox) {
                     for arrived in inbox.chunks_exact(1 + words) {
                         let id = arrived[0];
-                        next.or_row(id, &arrived[1..], || {
+                        // what arrives is local; without a row it is not
+                        // live, and nothing matches it
+                        let Some(name) = names.of(id) else {
+                            continue;
+                        };
+                        next.or_row(name, &arrived[1..], || {
                             !filter
                                 || node_matches(&tx, DPtr::from_raw(id), &e.target)
                                     .expect("target filter")
@@ -386,7 +475,7 @@ pub fn execute(eng: &GdaRank, q: &Query, plan: &Plan) -> QueryOutput {
                 }
             }
         } else {
-            last_hits.extend(frontier.ids);
+            last_hits.extend(frontier.names.iter().map(|&name| names.id(name).raw()));
         }
     }
 

@@ -98,7 +98,7 @@ impl Catalog {
         // one exchange: per-index local posting counts + local view stats
         let mut local: Vec<u64> = defs
             .iter()
-            .map(|d| eng.local_index_vertices(d.id).len() as u64)
+            .map(|d| eng.local_index_len(d.id) as u64)
             .collect();
         let peek = eng.olap_view_peek();
         let (lv, le_out, le_any, have) = peek

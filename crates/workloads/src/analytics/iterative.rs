@@ -1,17 +1,17 @@
 //! Iterative value-propagation analytics: PageRank, CDLP, WCC (Fig. 6a/6b).
 //!
 //! All three follow the same bulk-synchronous skeleton the paper's OLAP
-//! evaluation uses: per iteration, every rank computes messages from its
-//! local vertices' current values, delivers them to the owners of the
-//! target vertices with one `alltoallv`, and updates local state. The
-//! iteration counts match the paper's parameters (PR: `i=10, d=0.85`;
-//! CDLP/WCC: `i=5`).
-
-use rustc_hash::FxHashMap;
+//! evaluation uses: per iteration, every rank sweeps its rows into a
+//! flat array over the view's halo (rows + ghosts), one halo exchange
+//! moves the ghost values between their holders and their owners, and
+//! local state is updated — **one collective per iteration**, with the
+//! scalar every rank needs (dangling mass, "anything still active")
+//! riding the exchange. The iteration counts match the paper's
+//! parameters (PR: `i=10, d=0.85`; CDLP/WCC: `i=5`).
 
 use gda::GdaRank;
 
-use super::{route, CsrView};
+use super::CsrView;
 
 /// PageRank with `iters` power iterations and damping factor `damping`
 /// (paper: `i=10, df=0.85`). Returns the local vertices' scores, parallel
@@ -19,42 +19,38 @@ use super::{route, CsrView};
 /// to 1 across all ranks.
 pub fn pagerank(eng: &GdaRank, view: &CsrView, iters: usize, damping: f64) -> Vec<f64> {
     let ctx = eng.ctx();
-    let nranks = ctx.nranks();
-    let n_global = ctx.allreduce_sum_u64(view.len() as u64) as f64;
-    let mut pr = vec![1.0 / n_global; view.len()];
+    let n = view.len();
+    let n_global = ctx.allreduce_sum_u64(n as u64) as f64;
+    let mut pr = vec![1.0 / n_global; n];
+    // contributions per target: local ones land on their row, remote
+    // ones are combined on the target's ghost before they travel (the
+    // combining optimization real systems use to cut message volume)
+    let mut acc = vec![0.0f64; view.halo_len()];
 
     for _ in 0..iters {
-        // combine contributions per destination before sending (the
-        // combining optimization real systems use to cut message volume)
+        acc.fill(0.0);
         let mut dangling = 0.0f64;
-        let mut combined: FxHashMap<u64, f64> = FxHashMap::default();
         for (i, &score) in pr.iter().enumerate() {
             let out = view.out(i);
             if out.is_empty() {
                 dangling += score;
             } else {
                 let share = score / out.len() as f64;
-                for t in out {
-                    *combined.entry(t.raw()).or_insert(0.0) += share;
+                for &t in out {
+                    acc[t as usize] += share;
                 }
             }
         }
-        ctx.charge_cpu(view.out_edges() as u64 + view.len() as u64 + 1);
-        let rows = route(
-            nranks,
-            combined
-                .into_iter()
-                .map(|(raw, c)| (gda::DPtr::from_raw(raw), c)),
-        );
-        let recv = ctx.alltoallv(rows);
-        let global_dangling = ctx.allreduce_sum_f64(dangling);
+        ctx.charge_cpu(view.out_edges() as u64 + n as u64 + 1);
+        // the dangling-mass allreduce rides the exchange
+        let global_dangling: f64 = view
+            .push_ghosts(ctx, &mut acc, 1, dangling, |a, b| *a += b)
+            .iter()
+            .sum();
 
         let base = (1.0 - damping) / n_global + damping * global_dangling / n_global;
-        for v in pr.iter_mut() {
-            *v = base;
-        }
-        for (raw, c) in recv.into_iter().flatten() {
-            pr[view.index_of[&raw]] += damping * c;
+        for (v, a) in pr.iter_mut().zip(&acc) {
+            *v = base + damping * a;
         }
     }
     pr
@@ -64,45 +60,41 @@ pub fn pagerank(eng: &GdaRank, view: &CsrView, iters: usize, damping: f64) -> Ve
 /// rounds (paper: `i=5`). Every vertex adopts the most frequent label among
 /// its neighbors (ties broken towards the smallest label), starting from
 /// its own app id — the LDBC Graphalytics definition.
+///
+/// A round *pulls*: owners ship their rows' labels to the ghosts that
+/// mirror them, then every row reads its neighbours' labels where they
+/// lie. Edge records are symmetric (an edge is a record on both of its
+/// endpoints, and both are removed together), so the labels a row reads
+/// over its records are exactly the labels its neighbours would have
+/// sent it over theirs.
 pub fn cdlp(eng: &GdaRank, view: &CsrView, iters: usize) -> Vec<u64> {
     let ctx = eng.ctx();
-    let nranks = ctx.nranks();
-    let mut labels: Vec<u64> = view.apps.clone();
+    let n = view.len();
+    let mut labels = vec![0u64; view.halo_len()];
+    labels[..n].copy_from_slice(&view.apps);
+    let mut next = vec![0u64; n];
+    let mut heard: Vec<u64> = Vec::new();
 
     for _ in 0..iters {
-        let msgs = (0..view.len()).flat_map(|i| {
-            let l = labels[i];
-            view.any(i).iter().map(move |&t| (t, l))
-        });
-        let rows = route(nranks, msgs);
-        let recv = ctx.alltoallv(rows);
+        view.pull_ghosts(ctx, &mut labels, 1);
         ctx.charge_cpu(view.any_edges() as u64 + 1);
-
-        // most-frequent incoming label per vertex, ties to the minimum
-        let mut freq: FxHashMap<(usize, u64), u64> = FxHashMap::default();
-        for (raw, l) in recv.into_iter().flatten() {
-            *freq.entry((view.index_of[&raw], l)).or_insert(0) += 1;
-        }
-        let mut best: Vec<Option<(u64, u64)>> = vec![None; view.len()]; // (count, label)
-        for ((i, l), c) in freq {
-            let cand = (c, l);
-            best[i] = Some(match best[i] {
-                None => cand,
-                Some((bc, bl)) => {
-                    if c > bc || (c == bc && l < bl) {
-                        cand
-                    } else {
-                        (bc, bl)
-                    }
+        for (i, slot) in next.iter_mut().enumerate() {
+            heard.clear();
+            heard.extend(view.any(i).iter().map(|&t| labels[t as usize]));
+            heard.sort_unstable();
+            // most frequent label, ties to the minimum: the first
+            // longest run of the sorted labels
+            let mut best = (0usize, labels[i]);
+            for run in heard.chunk_by(|a, b| a == b) {
+                if run.len() > best.0 {
+                    best = (run.len(), run[0]);
                 }
-            });
-        }
-        for (i, b) in best.into_iter().enumerate() {
-            if let Some((_, l)) = b {
-                labels[i] = l;
             }
+            *slot = best.1;
         }
+        labels[..n].copy_from_slice(&next);
     }
+    labels.truncate(n);
     labels
 }
 
@@ -110,30 +102,46 @@ pub fn cdlp(eng: &GdaRank, view: &CsrView, iters: usize) -> Vec<u64> {
 /// `iters` rounds (paper: `i=5`). Returns the component label (minimum
 /// reachable app id within the horizon) per local vertex. With
 /// `iters >= diameter` the labels are the exact WCC ids.
+///
+/// Only rows whose label fell in the previous round are *active*: every
+/// other row's neighbours already heard its label. A round pushes the
+/// labels the active rows held at its start, so after any number of
+/// rounds the labels equal those of plain synchronous propagation; the
+/// rounds end early once no rank has an active row left.
 pub fn wcc(eng: &GdaRank, view: &CsrView, iters: usize) -> Vec<u64> {
     let ctx = eng.ctx();
-    let nranks = ctx.nranks();
+    let n = view.len();
     let mut comp: Vec<u64> = view.apps.clone();
+    let mut active: Vec<u32> = (0..n as u32).collect();
+    // the smallest label each halo slot heard this round
+    let mut heard = vec![u64::MAX; view.halo_len()];
 
     for _ in 0..iters {
-        // only changed values need to propagate; first round sends all
-        let msgs = (0..view.len()).flat_map(|i| {
-            let c = comp[i];
-            view.any(i).iter().map(move |&t| (t, c))
-        });
-        let rows = route(nranks, msgs);
-        let recv = ctx.alltoallv(rows);
-        ctx.charge_cpu(view.any_edges() as u64 + 1);
-        let mut changed = false;
-        for (raw, c) in recv.into_iter().flatten() {
-            let i = view.index_of[&raw];
-            if c < comp[i] {
-                comp[i] = c;
-                changed = true;
+        heard.fill(u64::MAX);
+        let mut edges = 0;
+        for &i in &active {
+            let c = comp[i as usize];
+            let nbrs = view.any(i as usize);
+            edges += nbrs.len();
+            for &t in nbrs {
+                let h = &mut heard[t as usize];
+                *h = (*h).min(c);
             }
         }
-        if !ctx.allreduce_any(changed) {
+        ctx.charge_cpu(edges as u64 + 1);
+        // "is anyone still active" rides the exchange
+        let busy = view.push_ghosts(ctx, &mut heard, 1, active.len() as u64, |a, b| {
+            *a = (*a).min(b)
+        });
+        if busy.iter().all(|&a| a == 0) {
             break;
+        }
+        active.clear();
+        for (i, (c, &h)) in comp.iter_mut().zip(&heard).enumerate() {
+            if h < *c {
+                *c = h;
+                active.push(i as u32);
+            }
         }
     }
     comp

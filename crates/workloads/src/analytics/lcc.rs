@@ -12,7 +12,7 @@ use rustc_hash::FxHashSet;
 
 use gda::{DPtr, GdaRank};
 
-use super::{route, CsrView};
+use super::CsrView;
 
 /// Compute the local clustering coefficient of every local vertex
 /// (parallel to `view.apps`). The graph is treated as undirected with
@@ -21,39 +21,40 @@ pub fn lcc(eng: &GdaRank, view: &CsrView) -> Vec<f64> {
     let ctx = eng.ctx();
     let nranks = ctx.nranks();
 
-    // deduplicated undirected neighborhoods (excluding self-loops)
+    // deduplicated undirected neighborhoods (excluding self-loops), as
+    // internal ids: a pair query names a vertex its receiver never saw
     let nbr_sets: Vec<FxHashSet<u64>> = (0..view.len())
         .map(|i| {
             view.any(i)
                 .iter()
-                .map(|d| d.raw())
-                .filter(|&raw| raw != view.vids[i].raw())
+                .filter(|&&t| t as usize != i)
+                .map(|&t| view.target(t).raw())
                 .collect()
         })
         .collect();
 
-    // queries: (w1, w2, origin_vertex_local_idx); grouped by owner of w1
-    let mut queries: Vec<(DPtr, (u64, u64, u32))> = Vec::new();
+    // queries: (w1, w2, origin_vertex_local_idx), sent to the owner of w1
+    let mut queries: Vec<Vec<(u64, u64, u32)>> = vec![Vec::new(); nranks];
     for (i, set) in nbr_sets.iter().enumerate() {
         let mut sorted: Vec<u64> = set.iter().copied().collect();
         sorted.sort_unstable();
         for (a_pos, &w1) in sorted.iter().enumerate() {
             for &w2 in &sorted[a_pos + 1..] {
-                queries.push((DPtr::from_raw(w1), (w1, w2, i as u32)));
+                queries[DPtr::from_raw(w1).rank()].push((w1, w2, i as u32));
             }
         }
     }
-    ctx.charge_cpu(queries.len() as u64 + view.len() as u64 + 1);
-    let rows = route(nranks, queries);
-    let recv = ctx.alltoallv(rows);
+    ctx.charge_cpu(queries.iter().map(Vec::len).sum::<usize>() as u64 + view.len() as u64 + 1);
+    let recv = ctx.alltoallv(queries);
 
     // answer: does w2 ∈ N(w1)? route hits back to the asker's rank
-    let me = ctx.rank();
-    let mut answers: Vec<Vec<u32>> = (0..nranks).map(|_| Vec::new()).collect();
+    let mut answers: Vec<Vec<u32>> = vec![Vec::new(); nranks];
     for (asker_rank, row) in recv.into_iter().enumerate() {
-        for (_w1_raw, (w1, w2, origin_idx)) in row {
-            let i = view.index_of[&w1];
-            debug_assert_eq!(DPtr::from_raw(w1).rank(), me);
+        for (w1, w2, origin_idx) in row {
+            let w1 = DPtr::from_raw(w1);
+            let i = view
+                .row_of(w1)
+                .unwrap_or_else(|| panic!("lcc: queried vertex {w1} is not a row of this rank"));
             if nbr_sets[i].contains(&w2) {
                 answers[asker_rank].push(origin_idx);
             }
@@ -66,10 +67,8 @@ pub fn lcc(eng: &GdaRank, view: &CsrView) -> Vec<f64> {
     for idx in hits.into_iter().flatten() {
         triangles[idx as usize] += 1;
     }
-    view.apps
-        .iter()
-        .enumerate()
-        .map(|(i, _)| {
+    (0..view.len())
+        .map(|i| {
             let d = nbr_sets[i].len() as u64;
             if d < 2 {
                 0.0

@@ -13,11 +13,16 @@
 //!   `neighbors` call per vertex — the reference path, kept as the
 //!   differential oracle;
 //! * the **scan builder** ([`scan_view`], or `GdaRank::olap_view` for
-//!   the cached variant): one sequential sweep of the raw storage
-//!   windows, no transactions, no DHT translations — the fast path.
+//!   the cached variant): one sweep of the raw storage windows, no
+//!   transactions, no DHT translations — the fast path.
 //!
-//! The iterative algorithms exchange values keyed by internal id
-//! (`DPtr`), whose rank field gives the message destination for free.
+//! Either way the view numbers its rows and the remote vertices they
+//! point at (its *ghosts*) densely, once, so a kernel's state is a flat
+//! array over `view.halo_len()` slots and an exchange is "ship the ghost
+//! slice, fold what arrives through the mirror list"
+//! (`CsrView::push_ghosts`) or its reverse (`CsrView::pull_ghosts`):
+//! values only, one collective per iteration, no id on the wire and no
+//! lookup on either side.
 
 pub mod iterative;
 pub mod lcc;
@@ -52,8 +57,9 @@ fn tx_adjacency(tx: &Transaction, vid: DPtr, orient: EdgeOrientation) -> Vec<(DP
 
 /// The one parameterized tx-based builder behind [`build_view`] and
 /// [`build_view_indexed`]: fetch every `(app, vid)` item's holder
-/// through the open collective transaction and assemble the CSR.
-fn build_view_from(tx: &Transaction, items: Vec<(u64, DPtr)>) -> CsrView {
+/// through the open collective transaction, assemble the CSR and resolve
+/// its halo (collective, like the transaction around it).
+fn build_view_from(eng: &GdaRank, tx: &Transaction, items: Vec<(u64, DPtr)>) -> CsrView {
     let mut apps = Vec::with_capacity(items.len());
     let mut vids = Vec::with_capacity(items.len());
     let mut out = Vec::with_capacity(items.len());
@@ -64,7 +70,7 @@ fn build_view_from(tx: &Transaction, items: Vec<(u64, DPtr)>) -> CsrView {
         out.push(tx_adjacency(tx, vid, EdgeOrientation::Outgoing));
         any.push(tx_adjacency(tx, vid, EdgeOrientation::Any));
     }
-    CsrView::from_adjacency(apps, vids, out, any)
+    CsrView::from_adjacency(eng, apps, vids, out, any)
 }
 
 /// Collective: build the local view from this rank's partition of an
@@ -77,6 +83,7 @@ pub fn build_view_indexed(eng: &GdaRank, index: gda::IndexId) -> CsrView {
     let mut postings = eng.local_index_vertices(index);
     postings.sort_by_key(|p| p.app_id);
     let view = build_view_from(
+        eng,
         &tx,
         postings
             .into_iter()
@@ -90,7 +97,8 @@ pub fn build_view_indexed(eng: &GdaRank, index: gda::IndexId) -> CsrView {
 /// Collective: build the local view of the given app-id partition by
 /// translating ids and fetching adjacency through a collective read
 /// transaction (the tx-based reference path — the scan layer's
-/// differential oracle).
+/// differential oracle). The partition must follow ownership, as
+/// `GraphSpec::vertices_for_rank` and a scan view's `apps` do.
 pub fn build_view(eng: &GdaRank, apps: &[u64]) -> CsrView {
     let tx = eng.begin_collective(AccessMode::ReadOnly);
     let items = apps
@@ -102,7 +110,7 @@ pub fn build_view(eng: &GdaRank, apps: &[u64]) -> CsrView {
             (app, vid)
         })
         .collect();
-    let view = build_view_from(&tx, items);
+    let view = build_view_from(eng, &tx, items);
     tx.commit().expect("read-only collective commit");
     view
 }
@@ -114,22 +122,17 @@ pub fn scan_view(eng: &GdaRank) -> Rc<CsrView> {
     gda::scan::build_view(eng, ScanPartition::LocalAll)
 }
 
-/// Route `(target, payload)` messages into per-rank rows for `alltoallv`
-/// (the destination rank is the `DPtr`'s rank field).
-pub fn route<T>(nranks: usize, msgs: impl IntoIterator<Item = (DPtr, T)>) -> Vec<Vec<(u64, T)>> {
-    let mut rows: Vec<Vec<(u64, T)>> = (0..nranks).map(|_| Vec::new()).collect();
-    for (dp, payload) in msgs {
-        rows[dp.rank()].push((dp.raw(), payload));
-    }
-    rows
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use gda::GdaDb;
     use graphgen::{load_into, sized_config, GraphSpec};
     use rma::CostModel;
+
+    /// A root with edges: the first endpoint of the first generated edge.
+    fn root_with_edges(spec: &GraphSpec) -> u64 {
+        spec.edges_for_rank(0, 1)[0].0
+    }
 
     #[test]
     fn view_covers_partition_and_degrees() {
@@ -152,9 +155,10 @@ mod tests {
             // out-degree sum over all ranks equals m
             let total = ctx.allreduce_sum_u64(view.out_edges() as u64);
             assert_eq!(total, spec.n_edges());
-            // each vid resolves back
+            // each vid and app id resolves back
             for (i, vid) in view.vids.iter().enumerate() {
-                assert_eq!(view.index_of[&vid.raw()], i);
+                assert_eq!(view.row_of(*vid), Some(i));
+                assert_eq!(view.row_of_app(view.apps[i]), Some(i));
             }
         });
     }
@@ -194,17 +198,73 @@ mod tests {
         });
     }
 
+    /// ROADMAP 3(b), pinned: every kernel runs **one collective per
+    /// iteration / round / level** — the scalar each used to allreduce
+    /// beside its exchange (dangling mass, "anyone active", frontier
+    /// size) rides the exchange.
     #[test]
-    fn route_groups_by_rank() {
-        let msgs = vec![
-            (DPtr::new(0, 128), 1u64),
-            (DPtr::new(2, 128), 2u64),
-            (DPtr::new(0, 256), 3u64),
-        ];
-        let rows = route(3, msgs);
-        assert_eq!(rows[0].len(), 2);
-        assert_eq!(rows[1].len(), 0);
-        assert_eq!(rows[2].len(), 1);
-        assert_eq!(rows[2][0], (DPtr::new(2, 128).raw(), 2));
+    fn kernels_run_one_collective_per_iteration() {
+        let spec = GraphSpec {
+            scale: 6,
+            edge_factor: 4,
+            seed: 21,
+            lpg: graphgen::LpgConfig::bare(),
+        };
+        let nranks = 3;
+        let cfg = sized_config(&spec, nranks);
+        let (db, fabric) = GdaDb::with_fabric("coll", cfg, nranks, CostModel::default());
+        fabric.run(|ctx| {
+            let eng = db.attach(ctx);
+            eng.init_collective();
+            load_into(&eng, &spec);
+            let view = scan_view(&eng);
+            let collectives = |f: &dyn Fn()| {
+                let before = ctx.stats_snapshot().collectives;
+                f();
+                ctx.stats_snapshot().collectives - before
+            };
+            // PageRank: the vertex count once, then one per iteration
+            for iters in [1, 4, 10] {
+                let n = collectives(&|| {
+                    pagerank(&eng, &view, iters, 0.85);
+                });
+                assert_eq!(n, 1 + iters as u64, "pagerank, {iters} iterations");
+            }
+            for iters in [1, 5] {
+                let n = collectives(&|| {
+                    cdlp(&eng, &view, iters);
+                });
+                assert_eq!(n, iters as u64, "cdlp, {iters} rounds");
+            }
+            // WCC: one per round while labels still move; converged, the
+            // rounds that moved a label plus the two that notice none did
+            for iters in [1, 2] {
+                let n = collectives(&|| {
+                    wcc(&eng, &view, iters);
+                });
+                assert_eq!(n, iters as u64, "wcc, {iters} rounds");
+            }
+            let mut moving = 0;
+            while ctx.allreduce_any(wcc(&eng, &view, moving) != wcc(&eng, &view, moving + 1)) {
+                moving += 1;
+            }
+            let n = collectives(&|| {
+                wcc_converged(&eng, &view);
+            });
+            assert_eq!(n, moving as u64 + 2, "wcc to convergence");
+            // BFS: one per level, the level past the deepest included
+            // (that is the exchange that finds the frontier empty)
+            let root = root_with_edges(&spec);
+            let levels = bfs(&eng, &view, root).levels;
+            let n = collectives(&|| {
+                bfs(&eng, &view, root);
+            });
+            assert!(levels >= 2, "the test graph is deeper than the k-hop below");
+            assert_eq!(n, levels as u64 + 2, "bfs, {levels} levels");
+            let n = collectives(&|| {
+                khop(&eng, &view, root, 2);
+            });
+            assert_eq!(n, 3, "2-hop: levels 0, 1 and the count of level 2");
+        });
     }
 }

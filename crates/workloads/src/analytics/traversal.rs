@@ -1,15 +1,17 @@
 //! BFS and k-hop neighborhood queries (Fig. 6e/6f).
 //!
 //! Level-synchronous distributed BFS in the Graph500 style: per level, each
-//! rank expands its local frontier through the adjacency it fetched via
-//! GDI, routes discovered vertices to their owners with one `alltoallv`,
-//! and the ranks agree on termination with an `allreduce` of the next
-//! frontier size. Edges are traversed in both directions (Graph500 treats
-//! the Kronecker graph as undirected).
+//! rank expands its local frontier over the view's dense adjacency, marks
+//! what it reaches in one `seen` array over rows and ghosts, and ships each
+//! newly seen ghost to its owner — once, as its position in the owner's
+//! ghost slice — with one `alltoallv`. The level's frontier size rides the
+//! same exchange, so the ranks agree on the visit count and on termination
+//! without a second collective. Edges are traversed in both directions
+//! (Graph500 treats the Kronecker graph as undirected).
 
 use gda::GdaRank;
 
-use super::{route, CsrView};
+use super::CsrView;
 
 /// Result of a BFS / k-hop run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,48 +36,61 @@ pub fn khop(eng: &GdaRank, view: &CsrView, root_app: u64, k: u32) -> u64 {
 fn bounded_bfs(eng: &GdaRank, view: &CsrView, root_app: u64, max_levels: u32) -> BfsResult {
     let ctx = eng.ctx();
     let nranks = ctx.nranks();
-    let mut visited = vec![false; view.len()];
-    let mut frontier: Vec<usize> = Vec::new();
-    if let Some(&i) = view.app_index.get(&root_app) {
-        visited[i] = true;
-        frontier.push(i);
+    let n = view.len();
+    let mut seen = vec![false; view.halo_len()];
+    let mut frontier: Vec<u32> = Vec::new();
+    if let Some(i) = view.row_of_app(root_app) {
+        seen[i] = true;
+        frontier.push(i as u32);
     }
-    let mut total_visited = ctx.allreduce_sum_u64(frontier.len() as u64);
-    assert!(total_visited == 1, "BFS root {root_app} not found");
+    let mut visited = 0u64;
     let mut levels = 0u32;
 
-    loop {
-        if levels >= max_levels {
-            break;
-        }
-        // expand: messages to the owners of discovered vertices
-        let msgs = frontier
-            .iter()
-            .flat_map(|&i| view.any(i).iter().map(|&t| (t, ())));
-        let rows = route(nranks, msgs);
-        let recv = ctx.alltoallv(rows);
-        ctx.charge_cpu(frontier.len() as u64 + 1);
-
-        let mut next: Vec<usize> = Vec::new();
-        for (raw, ()) in recv.into_iter().flatten() {
-            let i = view.index_of[&raw];
-            if !visited[i] {
-                visited[i] = true;
-                next.push(i);
+    for depth in 0.. {
+        // expand: local discoveries join the next frontier directly, a
+        // ghost seen for the first time goes to its owner. Every row to a
+        // peer starts with this level's local frontier size.
+        let mut outbox: Vec<Vec<u32>> = vec![vec![frontier.len() as u32]; nranks];
+        let mut next: Vec<u32> = Vec::new();
+        if depth < max_levels {
+            for &i in &frontier {
+                for &t in view.any(i as usize) {
+                    if !std::mem::replace(&mut seen[t as usize], true) {
+                        if (t as usize) < n {
+                            next.push(t);
+                        } else {
+                            let owner = view.target(t).rank();
+                            outbox[owner].push(t - view.ghost_range(owner).start as u32);
+                        }
+                    }
+                }
             }
         }
-        let next_total = ctx.allreduce_sum_u64(next.len() as u64);
-        if next_total == 0 {
+        ctx.charge_cpu(frontier.len() as u64 + 1);
+        let mut level_size = 0u64;
+        for (r, inbox) in ctx.alltoallv(outbox).into_iter().enumerate() {
+            level_size += inbox[0] as u64;
+            for &pos in &inbox[1..] {
+                let i = view.mirror(r)[pos as usize];
+                if !std::mem::replace(&mut seen[i as usize], true) {
+                    next.push(i);
+                }
+            }
+        }
+        if depth == 0 {
+            assert!(level_size == 1, "BFS root {root_app} not found");
+        }
+        if level_size == 0 {
             break;
         }
-        total_visited += next_total;
+        visited += level_size;
+        levels = depth;
+        if depth >= max_levels {
+            break;
+        }
         frontier = next;
-        levels += 1;
     }
-    BfsResult {
-        visited: total_visited,
-        levels,
-    }
+    BfsResult { visited, levels }
 }
 
 #[cfg(test)]

@@ -9,13 +9,11 @@
 //! feature dimension `k` is the scaling knob of Fig. 6c/6d
 //! (`k ∈ {4, 16, 64, 256, 500}`).
 
-use rustc_hash::FxHashMap;
-
-use gda::{DPtr, GdaRank};
+use gda::GdaRank;
 use gdi::{AccessMode, Datatype, EntityType, Multiplicity, PTypeId, PropertyValue, SizeType};
 use graphgen::kronecker::hash3;
 
-use crate::analytics::{route, CsrView};
+use crate::analytics::CsrView;
 
 /// GNN configuration.
 #[derive(Debug, Clone, Copy)]
@@ -86,55 +84,52 @@ pub fn conv_layer(
     layer: usize,
 ) -> f64 {
     let ctx = eng.ctx();
-    let nranks = ctx.nranks();
+    let k = cfg.k;
 
-    // read current features + push to out-neighborhood owners
+    // read current features
     let tx = eng.begin_collective(AccessMode::ReadOnly);
-    let mut feats: Vec<Vec<f64>> = Vec::with_capacity(view.len());
-    for &vid in &view.vids {
-        let f = match tx.property(vid, ptype).expect("feature read") {
-            Some(PropertyValue::F64Vec(v)) => v,
-            Some(PropertyValue::F64(x)) => vec![x],
-            _ => vec![0.0; cfg.k],
-        };
-        feats.push(f);
+    let mut feats = vec![0.0f64; view.len() * k];
+    for (&vid, f) in view.vids.iter().zip(feats.chunks_exact_mut(k)) {
+        match tx.property(vid, ptype).expect("feature read") {
+            Some(PropertyValue::F64Vec(v)) => {
+                let take = v.len().min(k);
+                f[..take].copy_from_slice(&v[..take]);
+            }
+            Some(PropertyValue::F64(x)) => f[0] = x,
+            _ => {}
+        }
     }
     tx.commit().expect("feature fetch commit");
 
-    let msgs = (0..view.len()).flat_map(|i| {
-        let f = feats[i].clone();
-        view.out(i).iter().map(move |&t| (t, f.clone()))
-    });
-    let rows = route(nranks, msgs);
-    let recv = ctx.alltoallv(rows);
-
-    // aggregate (sum) per local vertex, seeded with the vertex's own
-    // feature (self-loop in the convolution)
-    let mut agg: FxHashMap<u64, Vec<f64>> = FxHashMap::default();
-    for (raw, f) in recv.into_iter().flatten() {
-        let e = agg.entry(raw).or_insert_with(|| vec![0.0; cfg.k]);
-        for (a, x) in e.iter_mut().zip(f.iter()) {
-            *a += x;
-        }
-    }
-    ctx.charge_cpu((view.len() * cfg.k * cfg.k) as u64 + 1);
-
-    // transform + non-linearity + write-back
-    let tx = eng.begin_collective(AccessMode::ReadWrite);
-    let mut norm = 0.0f64;
-    for (i, &vid) in view.vids.iter().enumerate() {
-        let mut h = feats[i].clone();
-        if let Some(a) = agg.get(&DPtr::from_raw(vid.raw()).raw()) {
-            for (x, y) in h.iter_mut().zip(a.iter()) {
-                *x += y;
+    // aggregate (sum) over the out-neighborhood: one flat row of `k`
+    // sums per halo slot — a remote target's contributions are combined
+    // on its ghost, and the ghost slice is all that travels
+    let mut agg = vec![0.0f64; view.halo_len() * k];
+    for (i, f) in feats.chunks_exact(k).enumerate() {
+        for &t in view.out(i) {
+            for (a, x) in agg[t as usize * k..][..k].iter_mut().zip(f) {
+                *a += x;
             }
         }
+    }
+    view.push_ghosts(ctx, &mut agg, k, 0.0, |a, b| *a += b);
+    ctx.charge_cpu((view.len() * k * k) as u64 + 1);
+
+    // transform + non-linearity + write-back; the vertex's own feature
+    // joins the sum (self-loop in the convolution)
+    let tx = eng.begin_collective(AccessMode::ReadWrite);
+    let mut norm = 0.0f64;
+    let mut h = vec![0.0f64; k];
+    for (i, &vid) in view.vids.iter().enumerate() {
+        for ((x, f), a) in h.iter_mut().zip(&feats[i * k..]).zip(&agg[i * k..]) {
+            *x = f + a;
+        }
         // MLP: out = tanh(W · h)
-        let mut out = vec![0.0f64; cfg.k];
+        let mut out = vec![0.0f64; k];
         for (r, o) in out.iter_mut().enumerate() {
             let mut acc = 0.0;
             for (c, x) in h.iter().enumerate() {
-                acc += weight(cfg.seed, layer, r, c, cfg.k) * x;
+                acc += weight(cfg.seed, layer, r, c, k) * x;
             }
             *o = acc.tanh();
             norm += *o * *o;

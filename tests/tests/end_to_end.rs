@@ -65,11 +65,7 @@ fn full_pipeline_on_one_database() {
         let root_comp = {
             // find the root's component label (it lives on its owner rank)
             let root = gdi_bench::bfs_root(&spec);
-            let local = view
-                .app_index
-                .get(&root)
-                .map(|&i| comp[i])
-                .unwrap_or(u64::MAX);
+            let local = view.row_of_app(root).map_or(u64::MAX, |i| comp[i]);
             ctx.allreduce_min_u64(local)
         };
         let comp_size =
