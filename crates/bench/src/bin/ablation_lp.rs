@@ -13,8 +13,8 @@ use gdi_bench::{
 use graphgen::{GraphSpec, LpgConfig};
 use workloads::oltp::Mix;
 
-fn run(spec: &GraphSpec, nranks: usize, ops: usize) -> (f64, f64) {
-    gda_oltp(nranks, spec, &Mix::READ_MOSTLY, ops)
+fn run(backend: BackendKind, spec: &GraphSpec, nranks: usize, ops: usize) -> (f64, f64) {
+    gda_oltp(backend, nranks, spec, &Mix::READ_MOSTLY, ops)
 }
 
 fn main() {
@@ -52,7 +52,7 @@ fn run_on(backend: BackendKind) {
             seed: params.seed,
             lpg,
         };
-        let (mqps, _) = run(&spec, nranks, ops);
+        let (mqps, _) = run(backend, &spec, nranks, ops);
         out.push_str(&format!(
             "{:<34} {:>8} {:>10.4} {:>14}\n",
             format!("labels={labels}"),
@@ -79,7 +79,7 @@ fn run_on(backend: BackendKind) {
             seed: params.seed,
             lpg,
         };
-        let (mqps, _) = run(&spec, nranks, ops);
+        let (mqps, _) = run(backend, &spec, nranks, ops);
         out.push_str(&format!(
             "{:<34} {:>8} {:>10.4} {:>14}\n",
             format!("ptypes={ptypes}"),
@@ -101,7 +101,7 @@ fn run_on(backend: BackendKind) {
             seed: params.seed,
             lpg: LpgConfig::default(),
         };
-        let (mqps, _) = run(&spec, nranks, ops);
+        let (mqps, _) = run(backend, &spec, nranks, ops);
         out.push_str(&format!(
             "{:<34} {:>8} {:>10.4} {:>14}\n",
             format!("edge_factor={ef}"),

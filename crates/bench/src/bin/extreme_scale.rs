@@ -45,7 +45,7 @@ fn run(backend: BackendKind) {
     for &nranks in &params.ranks {
         let scale = params.weak_scale(nranks);
         let spec = spec_for(scale, params.seed, LpgConfig::default());
-        let (mqps, _) = gda_oltp(nranks, &spec, &Mix::READ_MOSTLY, ops);
+        let (mqps, _) = gda_oltp(backend, nranks, &spec, &Mix::READ_MOSTLY, ops);
         out.push_str(&format!(
             "{:<10} {:>7} {:>14} {:>16.4}\n",
             "measured", nranks, scale, mqps

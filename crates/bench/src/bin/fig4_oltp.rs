@@ -42,7 +42,7 @@ fn main() {
                         &params,
                         true,
                         LpgConfig::default(),
-                        |p, s| gda_oltp(p, s, m, ops),
+                        |p, s| gda_oltp(b, p, s, m, ops),
                     ),
                     b,
                 )
@@ -64,7 +64,7 @@ fn main() {
                         &params,
                         false,
                         LpgConfig::default(),
-                        |p, s| gda_oltp(p, s, m, ops),
+                        |p, s| gda_oltp(b, p, s, m, ops),
                     ),
                     b,
                 )
@@ -86,7 +86,7 @@ fn main() {
                         &params,
                         true,
                         LpgConfig::default(),
-                        |p, s| gda_oltp(p, s, m, ops),
+                        |p, s| gda_oltp(b, p, s, m, ops),
                     ),
                     b,
                 )
@@ -97,7 +97,7 @@ fn main() {
                     &params,
                     true,
                     LpgConfig::default(),
-                    |p, s| janus_oltp(p, s, &Mix::LINKBENCH, ops),
+                    |p, s| janus_oltp(b, p, s, &Mix::LINKBENCH, ops),
                 ),
                 b,
             ));
@@ -118,7 +118,7 @@ fn main() {
                         &params,
                         false,
                         LpgConfig::default(),
-                        |p, s| gda_oltp(p, s, m, ops),
+                        |p, s| gda_oltp(b, p, s, m, ops),
                     ),
                     b,
                 )
@@ -129,7 +129,7 @@ fn main() {
                     &params,
                     false,
                     LpgConfig::default(),
-                    |p, s| janus_oltp(p, s, &Mix::LINKBENCH, ops),
+                    |p, s| janus_oltp(b, p, s, &Mix::LINKBENCH, ops),
                 ),
                 b,
             ));

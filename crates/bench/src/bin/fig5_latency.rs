@@ -54,7 +54,7 @@ fn run_on(backend: BackendKind) {
         let systems: Vec<(&str, Vec<OltpResult>)> = vec![
             (
                 "GDA",
-                gda_oltp_detailed(nranks, &spec, &Mix::LINKBENCH, ops),
+                gda_oltp_detailed(backend, nranks, &spec, &Mix::LINKBENCH, ops),
             ),
             (
                 "Janus",
@@ -101,7 +101,10 @@ fn run_on(backend: BackendKind) {
     let last = *params.ranks.iter().filter(|&&r| r <= 8).max().unwrap_or(&1);
     let spec = spec_for(params.base_scale, params.seed, LpgConfig::default());
     for (sys, results) in [
-        ("GDA", gda_oltp_detailed(last, &spec, &Mix::LINKBENCH, ops)),
+        (
+            "GDA",
+            gda_oltp_detailed(backend, last, &spec, &Mix::LINKBENCH, ops),
+        ),
         (
             "Janus",
             janus_oltp_detailed(last, &spec, &Mix::LINKBENCH, ops),

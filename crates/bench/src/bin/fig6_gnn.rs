@@ -6,7 +6,7 @@
 
 use gdi_bench::{
     args_without_backend, backend_selection, emit, emit_series_json, for_backends, gda_olap,
-    gda_olap_scan, label_series, render_series, spec_for, OlapAlgo, Point, RunParams, Series,
+    label_series, render_series, spec_for, OlapAlgo, Point, RunParams, Series, ViewMode,
 };
 use graphgen::LpgConfig;
 
@@ -42,13 +42,7 @@ fn main() {
                 // before/after: tx-based view build vs the scan layer (the
                 // GNN's feature updates never retire a scan view, so the
                 // mirror survives all layers)
-                for (tag, runner) in [
-                    (
-                        "GDA",
-                        gda_olap as fn(usize, &graphgen::GraphSpec, OlapAlgo) -> f64,
-                    ),
-                    ("GDA-scan", gda_olap_scan),
-                ] {
+                for (tag, view) in [("GDA", ViewMode::Tx), ("GDA-scan", ViewMode::Scan)] {
                     let mut points = Vec::new();
                     for &nranks in &params.ranks {
                         let scale = if weak {
@@ -57,7 +51,7 @@ fn main() {
                             base
                         };
                         let spec = spec_for(scale, params.seed, LpgConfig::bare());
-                        let secs = runner(nranks, &spec, OlapAlgo::Gnn { layers, k });
+                        let secs = gda_olap(b, nranks, &spec, OlapAlgo::Gnn { layers, k }, view);
                         points.push(Point {
                             nranks,
                             scale,

@@ -7,8 +7,8 @@
 
 use gdi_bench::{
     args_without_backend, backend_selection, emit, emit_series_json, for_backends, gda_olap,
-    gda_olap_scan, label_series, neo4j_olap, render_series, rich_lpg, sweep_runtime as sweep,
-    OlapAlgo, RunParams, Series,
+    label_series, neo4j_olap, render_series, rich_lpg, sweep_runtime as sweep, OlapAlgo, RunParams,
+    Series, ViewMode,
 };
 use graphgen::LpgConfig;
 
@@ -32,7 +32,7 @@ fn main() {
                         &params,
                         true,
                         LpgConfig::default(),
-                        |p, s| gda_olap(p, s, a),
+                        |p, s| gda_olap(b, p, s, a, ViewMode::Tx),
                     ),
                     b,
                 ));
@@ -42,7 +42,7 @@ fn main() {
                         &params,
                         true,
                         LpgConfig::default(),
-                        |p, s| gda_olap_scan(p, s, a),
+                        |p, s| gda_olap(b, p, s, a, ViewMode::Scan),
                     ),
                     b,
                 ));
@@ -69,7 +69,7 @@ fn main() {
                         &params,
                         false,
                         LpgConfig::default(),
-                        |p, s| gda_olap(p, s, a),
+                        |p, s| gda_olap(b, p, s, a, ViewMode::Tx),
                     ),
                     b,
                 ));
@@ -79,7 +79,7 @@ fn main() {
                         &params,
                         false,
                         LpgConfig::default(),
-                        |p, s| gda_olap_scan(p, s, a),
+                        |p, s| gda_olap(b, p, s, a, ViewMode::Scan),
                     ),
                     b,
                 ));
@@ -87,13 +87,13 @@ fn main() {
             // BI2 runs on the rich LPG configuration; Neo4j comparison included
             series.push(label_series(
                 sweep("BI2/GDA", &params, false, rich_lpg(), |p, s| {
-                    gda_olap(p, s, OlapAlgo::Bi2)
+                    gda_olap(b, p, s, OlapAlgo::Bi2, ViewMode::Tx)
                 }),
                 b,
             ));
             series.push(label_series(
                 sweep("BI2/Neo4j", &params, false, rich_lpg(), |p, s| {
-                    neo4j_olap(p, s, OlapAlgo::Bi2)
+                    neo4j_olap(b, p, s, OlapAlgo::Bi2)
                 }),
                 b,
             ));

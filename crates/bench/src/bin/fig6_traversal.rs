@@ -7,8 +7,8 @@
 
 use gdi_bench::{
     args_without_backend, backend_selection, emit, emit_series_json, for_backends, gda_olap,
-    gda_olap_scan, graph500_bfs, label_series, neo4j_olap, render_series, sweep_runtime, OlapAlgo,
-    RunParams,
+    graph500_bfs, label_series, neo4j_olap, render_series, sweep_runtime, OlapAlgo, RunParams,
+    ViewMode,
 };
 use graphgen::LpgConfig;
 
@@ -51,42 +51,42 @@ fn main() {
             for k in [2u32, 3, 4] {
                 series.push(label_series(
                     sweep(&format!("{k}-Hop/GDA"), &params, weak, |p, s| {
-                        gda_olap(p, s, OlapAlgo::Khop(k))
+                        gda_olap(b, p, s, OlapAlgo::Khop(k), ViewMode::Tx)
                     }),
                     b,
                 ));
                 series.push(label_series(
                     sweep(&format!("{k}-Hop/GDA-scan"), &params, weak, |p, s| {
-                        gda_olap_scan(p, s, OlapAlgo::Khop(k))
+                        gda_olap(b, p, s, OlapAlgo::Khop(k), ViewMode::Scan)
                     }),
                     b,
                 ));
             }
             series.push(label_series(
                 sweep("BFS/GDA", &params, weak, |p, s| {
-                    gda_olap(p, s, OlapAlgo::Bfs)
+                    gda_olap(b, p, s, OlapAlgo::Bfs, ViewMode::Tx)
                 }),
                 b,
             ));
             series.push(label_series(
                 sweep("BFS/GDA-scan", &params, weak, |p, s| {
-                    gda_olap_scan(p, s, OlapAlgo::Bfs)
+                    gda_olap(b, p, s, OlapAlgo::Bfs, ViewMode::Scan)
                 }),
                 b,
             ));
             series.push(label_series(
-                sweep("BFS/Graph500", &params, weak, graph500_bfs),
+                sweep("BFS/Graph500", &params, weak, |p, s| graph500_bfs(b, p, s)),
                 b,
             ));
             series.push(label_series(
                 sweep("BFS/Neo4j", &params, weak, |p, s| {
-                    neo4j_olap(p, s, OlapAlgo::Bfs)
+                    neo4j_olap(b, p, s, OlapAlgo::Bfs)
                 }),
                 b,
             ));
             series.push(label_series(
                 sweep("4-Hop/Neo4j", &params, weak, |p, s| {
-                    neo4j_olap(p, s, OlapAlgo::Khop(4))
+                    neo4j_olap(b, p, s, OlapAlgo::Khop(4))
                 }),
                 b,
             ));

@@ -12,7 +12,7 @@
 
 use gdi_bench::{
     backend_selection, emit, emit_json, for_backends, gda_olap, graph500_bfs, BackendKind,
-    OlapAlgo, RunParams,
+    OlapAlgo, RunParams, ViewMode,
 };
 use graphgen::{GraphSpec, KroneckerSampler, LpgConfig};
 
@@ -66,8 +66,8 @@ fn run(backend: BackendKind) {
             lpg: LpgConfig::default(),
         };
         let (mean, max, zeros) = degree_stats(&spec);
-        let gda_s = gda_olap(nranks, &spec, OlapAlgo::Bfs);
-        let g500_s = graph500_bfs(nranks, &spec);
+        let gda_s = gda_olap(backend, nranks, &spec, OlapAlgo::Bfs, ViewMode::Tx);
+        let g500_s = graph500_bfs(backend, nranks, &spec);
         out.push_str(&format!(
             "{:<28} {:>9.1} {:>9} {:>7.1}% {:>12.5} {:>14.5} {:>9.2}x\n",
             name,

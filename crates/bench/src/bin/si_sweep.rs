@@ -1,26 +1,19 @@
 //! `si_sweep` — abort-free read traffic under MVCC snapshot isolation.
 //!
 //! Drives the Table-3 read-heavy mix through the serving front-end at
-//! growing session counts, A/B-ing the engine's two read paths on the
-//! same traffic:
-//!
-//! * `snapshot` — `mvcc = true`: read-only transactions pin a snapshot
-//!   epoch at begin and read validated version chains, taking no locks;
-//! * `locking`  — `mvcc = false`: the seed behaviour, shared read locks
-//!   with conflict aborts.
+//! growing session counts. Read-only transactions pin a snapshot epoch
+//! at begin and read validated version chains, taking no locks. (The 2PL
+//! read path this sweep used to compare against lost at every committed
+//! point — 6.58 / 6.62 vs 4.05 / 4.12 simulated µs per read — and is
+//! gone.)
 //!
 //! Reported per point: read-op commits/aborts, overall abort fraction,
 //! per-committed-op simulated service time, client-observed wall
 //! latency percentiles, and the MVCC fabric counters (pins, snapshot
 //! reads, archives, truncations).
 //!
-//! Gates:
-//! * read aborts under the snapshot path must be **zero** — on every
-//!   backend, smoke or full (the tentpole's abort-free claim);
-//! * on full simulated runs with ≥ 1000 sessions, the snapshot path's
-//!   per-committed-op simulated service time must beat the locking
-//!   path's (the modeled read-latency win; wall timings are
-//!   hardware-dependent and non-gating).
+//! Gate: read aborts must be **zero** and snapshot pins non-zero — on
+//! every backend, smoke or full (the abort-free claim).
 //!
 //! `--smoke` runs a seconds-sized configuration (the CI smoke step).
 //!
@@ -44,7 +37,6 @@ use workloads::traffic::{load_and_serve, ServeRun, TrafficConfig};
 
 struct Point {
     sessions: usize,
-    path: &'static str,
     committed: u64,
     read_committed: u64,
     read_aborted: u64,
@@ -52,9 +44,8 @@ struct Point {
     /// Simulated service time per committed op (makespan / commits).
     sim_per_op_us: f64,
     /// Simulated service time per **read** request (the serve loops'
-    /// read-section clock over read requests served) — the number the
-    /// read-latency gate compares, isolated from write-commit
-    /// bookkeeping.
+    /// read-section clock over read requests served), isolated from
+    /// write-commit bookkeeping.
     sim_read_us: f64,
     p50_us: f64,
     p99_us: f64,
@@ -70,11 +61,9 @@ fn measure(
     spec: &graphgen::GraphSpec,
     sessions: usize,
     ops_per_session: usize,
-    mvcc: bool,
 ) -> Point {
     let total_ops = sessions * ops_per_session;
     let mut cfg = oltp_sized_config(spec, nranks, total_ops);
-    cfg.mvcc = mvcc;
     // session inserts land in disjoint id spaces; headroom beyond the
     // per-rank OLTP sizing (and room for version-chain archives)
     cfg.dht_heap_per_rank += (total_ops * 2).next_power_of_two();
@@ -90,33 +79,15 @@ fn measure(
     // session-affine routing (the paper's deployment shape): an op lands
     // on the rank its session connected to and the serve loop reaches
     // the vertex with one-sided RMA — so the read path pays real remote
-    // costs, which is exactly where the two paths differ (remote lock
-    // round trips vs lock-free validated copies)
+    // costs
     let opts = ServerOptions {
         route: RoutePolicy::SessionAffine,
         ..ServerOptions::default()
     };
     let run: ServeRun = load_and_serve(&db, &fabric, opts, spec, &tcfg);
 
-    if std::env::var("GDI_SI_DEBUG").is_ok() {
-        let reps = fabric.last_reports();
-        let sum = |f: &dyn Fn(&rma::RankReport) -> u64| reps.iter().map(f).sum::<u64>();
-        eprintln!(
-            "    [debug mvcc={mvcc}] gets={} puts={} atomics={} flushes={} local={} coll={} \
-             sim_ns={:?}",
-            sum(&|r| r.gets),
-            sum(&|r| r.puts),
-            sum(&|r| r.atomics),
-            sum(&|r| r.flushes),
-            sum(&|r| r.local_ops),
-            sum(&|r| r.collectives),
-            run.summaries
-                .iter()
-                .map(|s| s.sim_serve_ns)
-                .collect::<Vec<_>>(),
-        );
-    }
     let lat = run.metrics.latency();
+    let fabric_total = run.metrics.fabric_total();
     let committed = run.traffic.committed();
     let max_serve_ns = run
         .summaries
@@ -127,7 +98,6 @@ fn measure(
     let read_ops: u64 = run.summaries.iter().map(|s| s.read_ops).sum();
     Point {
         sessions,
-        path: if mvcc { "snapshot" } else { "locking" },
         committed,
         read_committed: run.traffic.read_committed(),
         read_aborted: run.traffic.read_aborted(),
@@ -144,10 +114,10 @@ fn measure(
         },
         p50_us: lat.percentile_ns(50.0) / 1e3,
         p99_us: lat.percentile_ns(99.0) / 1e3,
-        snapshot_pins: run.metrics.snapshot_pins(),
-        snapshot_reads: run.metrics.snapshot_reads(),
-        version_archives: run.metrics.version_archives(),
-        chain_truncations: run.metrics.chain_truncations(),
+        snapshot_pins: fabric_total.snapshot_pins,
+        snapshot_reads: fabric_total.snapshot_reads,
+        version_archives: fabric_total.version_archives,
+        chain_truncations: fabric_total.chain_truncations,
     }
 }
 
@@ -185,16 +155,15 @@ fn run_on(backend: BackendKind) {
 
     let mut out = String::new();
     let mut json_rows: Vec<String> = Vec::new();
-    out.push_str("### si_sweep — snapshot-isolation reads vs the locking path (read-heavy mix)\n");
+    out.push_str("### si_sweep — snapshot-isolation reads (read-heavy mix)\n");
     out.push_str(&format!(
         "P={nranks} scale={scale} ({} vertices), mix={}, op budget={op_budget}\n\n",
         spec.n_vertices(),
         Mix::READ_MOSTLY.name,
     ));
     out.push_str(&format!(
-        "{:>9} {:>9} {:>10} {:>10} {:>10} {:>7} {:>12} {:>12} {:>9} {:>9} {:>8} {:>9} {:>9} {:>7}\n",
+        "{:>9} {:>10} {:>10} {:>10} {:>7} {:>12} {:>12} {:>9} {:>9} {:>8} {:>9} {:>9} {:>7}\n",
         "sessions",
-        "path",
         "committed",
         "read_ok",
         "read_abrt",
@@ -212,96 +181,61 @@ fn run_on(backend: BackendKind) {
     let mut points: Vec<Point> = Vec::new();
     for &sessions in &session_counts {
         let ops_per_session = (op_budget / sessions).max(2);
-        for mvcc in [false, true] {
-            eprintln!(
-                "  [si_sweep] S={sessions} path={} ...",
-                if mvcc { "snapshot" } else { "locking" }
-            );
-            let p = measure(backend, nranks, &spec, sessions, ops_per_session, mvcc);
-            out.push_str(&format!(
-                "{:>9} {:>9} {:>10} {:>10} {:>10} {:>6.2}% {:>12.3} {:>12.3} {:>9.1} {:>9.1} {:>8} {:>9} {:>9} {:>7}\n",
-                p.sessions,
-                p.path,
-                p.committed,
-                p.read_committed,
-                p.read_aborted,
-                p.abort_frac * 100.0,
-                p.sim_per_op_us,
-                p.sim_read_us,
-                p.p50_us,
-                p.p99_us,
-                p.snapshot_pins,
-                p.snapshot_reads,
-                p.version_archives,
-                p.chain_truncations,
-            ));
-            json_rows.push(format!(
-                "{{\"sessions\":{},\"path\":\"{}\",\"committed\":{},\
-                 \"read_committed\":{},\"read_aborted\":{},\"abort_frac\":{:.5},\
-                 \"sim_per_op_us\":{:.4},\"sim_read_us\":{:.4},\
-                 \"p50_us\":{:.2},\"p99_us\":{:.2},\
-                 \"snapshot_pins\":{},\"snapshot_reads\":{},\
-                 \"version_archives\":{},\"chain_truncations\":{}}}",
-                p.sessions,
-                p.path,
-                p.committed,
-                p.read_committed,
-                p.read_aborted,
-                p.abort_frac,
-                p.sim_per_op_us,
-                p.sim_read_us,
-                p.p50_us,
-                p.p99_us,
-                p.snapshot_pins,
-                p.snapshot_reads,
-                p.version_archives,
-                p.chain_truncations,
-            ));
-            points.push(p);
-        }
+        eprintln!("  [si_sweep] S={sessions} ...");
+        let p = measure(backend, nranks, &spec, sessions, ops_per_session);
+        out.push_str(&format!(
+            "{:>9} {:>10} {:>10} {:>10} {:>6.2}% {:>12.3} {:>12.3} {:>9.1} {:>9.1} {:>8} {:>9} {:>9} {:>7}\n",
+            p.sessions,
+            p.committed,
+            p.read_committed,
+            p.read_aborted,
+            p.abort_frac * 100.0,
+            p.sim_per_op_us,
+            p.sim_read_us,
+            p.p50_us,
+            p.p99_us,
+            p.snapshot_pins,
+            p.snapshot_reads,
+            p.version_archives,
+            p.chain_truncations,
+        ));
+        json_rows.push(format!(
+            "{{\"sessions\":{},\"committed\":{},\
+             \"read_committed\":{},\"read_aborted\":{},\"abort_frac\":{:.5},\
+             \"sim_per_op_us\":{:.4},\"sim_read_us\":{:.4},\
+             \"p50_us\":{:.2},\"p99_us\":{:.2},\
+             \"snapshot_pins\":{},\"snapshot_reads\":{},\
+             \"version_archives\":{},\"chain_truncations\":{}}}",
+            p.sessions,
+            p.committed,
+            p.read_committed,
+            p.read_aborted,
+            p.abort_frac,
+            p.sim_per_op_us,
+            p.sim_read_us,
+            p.p50_us,
+            p.p99_us,
+            p.snapshot_pins,
+            p.snapshot_reads,
+            p.version_archives,
+            p.chain_truncations,
+        ));
+        points.push(p);
     }
     out.push('\n');
 
-    // ---- gates ---------------------------------------------------------
-    // 1. abort-free reads: the snapshot path never aborts a read op —
-    //    every backend, every configuration
-    for p in points.iter().filter(|p| p.path == "snapshot") {
+    // ---- gate: abort-free reads — every backend, every configuration --
+    for p in &points {
         assert_eq!(
             p.read_aborted, 0,
-            "snapshot path aborted {} read ops at S={} — reads must be abort-free",
+            "{} read ops aborted at S={} — reads must be abort-free",
             p.read_aborted, p.sessions
         );
         assert!(
             p.snapshot_pins > 0 && p.snapshot_reads > 0,
-            "snapshot path served no pinned reads at S={} — A/B is vacuous",
+            "no pinned reads served at S={} — the gate is vacuous",
             p.sessions
         );
-    }
-    // 2. modeled read-latency win at high session counts: compare the
-    //    serve loops' per-read service time — the cost a read request
-    //    actually pays, isolated from write-commit bookkeeping (LogGP
-    //    relation; wall timings are hardware-dependent and non-gating)
-    if backend == BackendKind::Sim && !smoke {
-        for &sessions in session_counts.iter().filter(|&&s| s >= 1000) {
-            let read_of = |path: &str| {
-                points
-                    .iter()
-                    .find(|p| p.sessions == sessions && p.path == path)
-                    .map(|p| p.sim_read_us)
-                    .unwrap_or(0.0)
-            };
-            let (snap, lock) = (read_of("snapshot"), read_of("locking"));
-            out.push_str(&format!(
-                "S={sessions}: snapshot {snap:.3} us/read vs locking {lock:.3} us/read \
-                 ({:.2}x)\n",
-                lock / snap.max(1e-12)
-            ));
-            assert!(
-                snap < lock,
-                "snapshot path ({snap:.3} us/read) did not beat the locking path \
-                 ({lock:.3} us/read) at S={sessions}"
-            );
-        }
     }
 
     emit(bench, &out);

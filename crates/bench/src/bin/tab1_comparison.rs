@@ -5,7 +5,7 @@
 //! configuration, so re-running after bigger experiments updates it.
 
 use gdi_bench::{
-    backend_selection, emit, emit_json, for_backends, gda_oltp_on, spec_for, BackendKind, RunParams,
+    backend_selection, emit, emit_json, for_backends, gda_oltp, spec_for, BackendKind, RunParams,
 };
 use graphgen::LpgConfig;
 use workloads::oltp::Mix;
@@ -34,7 +34,7 @@ fn run_on(backend: BackendKind) {
     let nranks = *params.ranks.iter().max().unwrap_or(&4);
     let scale = params.weak_scale(nranks);
     let spec = spec_for(scale, params.seed, LpgConfig::default());
-    let (mqps, _) = gda_oltp_on(
+    let (mqps, _) = gda_oltp(
         backend,
         nranks,
         &spec,

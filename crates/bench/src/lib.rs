@@ -328,14 +328,10 @@ pub fn sweep_runtime(
 // GDA runners
 // ---------------------------------------------------------------------
 
-/// Run a GDA OLTP mix: returns `(throughput MQ/s, failure fraction)`.
-/// Runs on the process-default backend; see [`gda_oltp_on`] to pin one.
-pub fn gda_oltp(nranks: usize, spec: &GraphSpec, mix: &Mix, ops: usize) -> (f64, f64) {
-    gda_oltp_on(BackendKind::from_env(), nranks, spec, mix, ops)
-}
-
-/// [`gda_oltp`] pinned to an explicit fabric backend.
-pub fn gda_oltp_on(
+/// Run a GDA OLTP mix on `backend` (harnesses pass
+/// [`BackendKind::from_env`]): returns `(throughput MQ/s, failure
+/// fraction)`.
+pub fn gda_oltp(
     backend: BackendKind,
     nranks: usize,
     spec: &GraphSpec,
@@ -374,16 +370,6 @@ pub fn oltp_sized_config(spec: &GraphSpec, nranks: usize, ops: usize) -> gda::Gd
 
 /// GDA OLTP with full per-op results (latency histograms for Fig. 5).
 pub fn gda_oltp_detailed(
-    nranks: usize,
-    spec: &GraphSpec,
-    mix: &Mix,
-    ops: usize,
-) -> Vec<OltpResult> {
-    gda_oltp_detailed_on(BackendKind::from_env(), nranks, spec, mix, ops)
-}
-
-/// [`gda_oltp_detailed`] pinned to an explicit fabric backend.
-pub fn gda_oltp_detailed_on(
     backend: BackendKind,
     nranks: usize,
     spec: &GraphSpec,
@@ -463,25 +449,11 @@ pub enum ViewMode {
     Scan,
 }
 
-/// Run one GDA OLAP/OLSP workload; returns the active-clock runtime in
-/// seconds (max over ranks, measured between two barriers — simulated
-/// on the LogGP backend, real elapsed on the wall backend).
-pub fn gda_olap(nranks: usize, spec: &GraphSpec, algo: OlapAlgo) -> f64 {
-    gda_olap_with(nranks, spec, algo, ViewMode::Tx)
-}
-
-/// [`gda_olap`] on the zero-transaction scan path (`gda::scan`).
-pub fn gda_olap_scan(nranks: usize, spec: &GraphSpec, algo: OlapAlgo) -> f64 {
-    gda_olap_with(nranks, spec, algo, ViewMode::Scan)
-}
-
-/// [`gda_olap`] with an explicit view builder.
-pub fn gda_olap_with(nranks: usize, spec: &GraphSpec, algo: OlapAlgo, mode: ViewMode) -> f64 {
-    gda_olap_on(BackendKind::from_env(), nranks, spec, algo, mode)
-}
-
-/// [`gda_olap_with`] pinned to an explicit fabric backend.
-pub fn gda_olap_on(
+/// Run one GDA OLAP/OLSP workload with view builder `mode`; returns the
+/// active-clock runtime in seconds (max over ranks, measured between two
+/// barriers — simulated on the LogGP backend, real elapsed on the wall
+/// backend).
+pub fn gda_olap(
     backend: BackendKind,
     nranks: usize,
     spec: &GraphSpec,
@@ -500,7 +472,7 @@ pub fn gda_olap_on(
         let eng = db.attach(ctx);
         eng.init_collective();
         let (meta, _) = load_into(&eng, spec);
-        run_algo_timed_with(&eng, ctx, spec, &meta, algo, mode)
+        run_algo_timed(&eng, ctx, spec, &meta, algo, mode)
     });
     times.into_iter().fold(0.0, f64::max)
 }
@@ -508,23 +480,13 @@ pub fn gda_olap_on(
 /// Execute an algorithm between clock-reconciling barriers and return the
 /// rank's simulated elapsed seconds.
 ///
-/// The timed region *includes* materializing the local partition through
-/// GDI (`build_view`): a graph database answers OLAP queries from its
-/// transactional storage, so fetching adjacency through the collective
-/// read transaction is part of the query — this is exactly the overhead
-/// that separates GDA from the raw Graph500 kernel in Fig. 6e/6f.
+/// The timed region *includes* materializing the local partition with
+/// the view builder `mode` names: a graph database answers OLAP queries
+/// from its transactional storage, so fetching adjacency ([`ViewMode::Tx`]:
+/// through the collective read transaction) is part of the query — this
+/// is exactly the overhead that separates GDA from the raw Graph500
+/// kernel in Fig. 6e/6f.
 pub fn run_algo_timed(
-    eng: &gda::GdaRank,
-    ctx: &RankCtx,
-    spec: &GraphSpec,
-    meta: &LpgMeta,
-    algo: OlapAlgo,
-) -> f64 {
-    run_algo_timed_with(eng, ctx, spec, meta, algo, ViewMode::Tx)
-}
-
-/// [`run_algo_timed`] with an explicit view builder ([`ViewMode`]).
-pub fn run_algo_timed_with(
     eng: &gda::GdaRank,
     ctx: &RankCtx,
     spec: &GraphSpec,
@@ -625,12 +587,7 @@ pub fn rich_lpg() -> LpgConfig {
 // ---------------------------------------------------------------------
 
 /// JanusGraph-like OLTP: `(MQ/s, failure fraction)`.
-pub fn janus_oltp(nranks: usize, spec: &GraphSpec, mix: &Mix, ops: usize) -> (f64, f64) {
-    janus_oltp_on(BackendKind::from_env(), nranks, spec, mix, ops)
-}
-
-/// [`janus_oltp`] pinned to an explicit fabric backend.
-pub fn janus_oltp_on(
+pub fn janus_oltp(
     backend: BackendKind,
     nranks: usize,
     spec: &GraphSpec,
@@ -693,12 +650,7 @@ pub fn janus_oltp_detailed(
 
 /// Neo4j-like OLTP: `(MQ/s, failure fraction)`. `nranks` are clients; the
 /// store is always one server.
-pub fn neo4j_oltp(nranks: usize, spec: &GraphSpec, mix: &Mix, ops: usize) -> (f64, f64) {
-    neo4j_oltp_on(BackendKind::from_env(), nranks, spec, mix, ops)
-}
-
-/// [`neo4j_oltp`] pinned to an explicit fabric backend.
-pub fn neo4j_oltp_on(
+pub fn neo4j_oltp(
     backend: BackendKind,
     nranks: usize,
     spec: &GraphSpec,
@@ -757,12 +709,7 @@ pub fn neo4j_oltp_detailed(
 }
 
 /// Graph500 reference BFS runtime in active-clock seconds.
-pub fn graph500_bfs(nranks: usize, spec: &GraphSpec) -> f64 {
-    graph500_bfs_on(BackendKind::from_env(), nranks, spec)
-}
-
-/// [`graph500_bfs`] pinned to an explicit fabric backend.
-pub fn graph500_bfs_on(backend: BackendKind, nranks: usize, spec: &GraphSpec) -> f64 {
+pub fn graph500_bfs(backend: BackendKind, nranks: usize, spec: &GraphSpec) -> f64 {
     let fabric = rma::FabricBuilder::new(nranks)
         .cost(CostModel::default())
         .backend(backend)
@@ -779,12 +726,7 @@ pub fn graph500_bfs_on(backend: BackendKind, nranks: usize, spec: &GraphSpec) ->
 }
 
 /// Neo4j server-side OLAP runtime in active-clock seconds.
-pub fn neo4j_olap(nranks: usize, spec: &GraphSpec, algo: OlapAlgo) -> f64 {
-    neo4j_olap_on(BackendKind::from_env(), nranks, spec, algo)
-}
-
-/// [`neo4j_olap`] pinned to an explicit fabric backend.
-pub fn neo4j_olap_on(backend: BackendKind, nranks: usize, spec: &GraphSpec, algo: OlapAlgo) -> f64 {
+pub fn neo4j_olap(backend: BackendKind, nranks: usize, spec: &GraphSpec, algo: OlapAlgo) -> f64 {
     let store = Arc::new(baselines::Neo4jStore::default());
     let fabric = rma::FabricBuilder::new(nranks)
         .cost(CostModel::default())
@@ -849,7 +791,7 @@ mod tests {
     #[test]
     fn small_end_to_end_point() {
         let spec = spec_for(8, 7, LpgConfig::default());
-        let (mqps, fail) = gda_oltp(2, &spec, &Mix::READ_MOSTLY, 50);
+        let (mqps, fail) = gda_oltp(BackendKind::from_env(), 2, &spec, &Mix::READ_MOSTLY, 50);
         assert!(mqps > 0.0);
         assert!(fail < 0.5);
     }

@@ -186,16 +186,12 @@ impl<'d, 'c, 'f> GdaRank<'d, 'c, 'f> {
         }
 
         // ---- phase 5: write holders + index postings ---------------------
-        // under MVCC (or persistence) every published holder needs a
-        // nonzero owner-rank version stamp: validated snapshot reads
-        // reject a zero seqlock stamp, and replay orders by version.
-        // Bulk-loaded holders keep commit_epoch 0 — visible to every
-        // snapshot, like any pre-MVCC world state.
-        let stamp_holders = self.cfg().mvcc || self.persist_enabled();
+        // every published holder needs a nonzero owner-rank version
+        // stamp: validated snapshot reads reject a zero seqlock stamp,
+        // and replay orders by version. Bulk-loaded holders keep
+        // commit_epoch 0 — visible to every snapshot.
         for (app, (primary, h)) in &mut local {
-            if stamp_holders {
-                h.version = self.next_version_stamp(*primary);
-            }
+            h.version = self.next_version_stamp(*primary);
             let mut blocks = vec![*primary];
             hio::write_chain(self.ctx(), &self.bm, &h.encode(), &mut blocks)?;
             self.indexes()
@@ -204,13 +200,8 @@ impl<'d, 'c, 'f> GdaRank<'d, 'c, 'f> {
         self.ctx().flush(me);
         // one topology-epoch bump per rank closes the bulk load (all
         // writes of a bulk load land in the local window), so cached
-        // OLAP scan views revalidate against the new graph; the load is
-        // NOT in the redo log, so the store is told the tail is no
-        // longer a complete delta (scan views rebuild instead of patch)
+        // OLAP scan views revalidate against the new graph
         self.bump_topology_epoch(me);
-        if let Some(store) = &self.persist {
-            store.note_unlogged_mutation();
-        }
         self.ctx().barrier();
         Ok(report)
     }

@@ -43,14 +43,6 @@ pub struct GdaConfig {
     pub translation_cache: bool,
     /// Maximum resident entries of the translation cache (per rank).
     pub translation_cache_capacity: usize,
-    /// Enable MVCC snapshot-isolation reads: read-only transactions pin
-    /// the global read-epoch watermark at `begin` and read lock-free
-    /// validated version chains — they never take locks, never abort,
-    /// and never block writers. Writers keep the locking path (write-
-    /// write conflict detection only) and archive the overwritten
-    /// version at commit. Disable to fall back to the 2PL read path
-    /// (the pre-MVCC behavior, kept as the bench comparison axis).
-    pub mvcc: bool,
     /// Maximum archived versions kept per object before commit-time
     /// truncation frees archives older than the snapshot floor.
     pub mvcc_chain_limit: usize,
@@ -66,7 +58,6 @@ impl Default for GdaConfig {
             max_lock_retries: 48,
             translation_cache: true,
             translation_cache_capacity: 8192,
-            mvcc: true,
             mvcc_chain_limit: 4,
         }
     }
@@ -83,7 +74,6 @@ impl GdaConfig {
             max_lock_retries: 48,
             translation_cache: true,
             translation_cache_capacity: 128,
-            mvcc: true,
             mvcc_chain_limit: 4,
         }
     }
@@ -162,10 +152,10 @@ impl GdaConfig {
     }
 
     /// System-window word index of the **commit-epoch counter** (live on
-    /// rank 0 only): every local read-write commit under
-    /// [`GdaConfig::mvcc`] `fadd`s it to allocate its commit epoch `e`.
-    /// Collective (bulk-load) transactions allocate no epoch — their
-    /// holders stay at epoch 0, visible to every snapshot.
+    /// rank 0 only): every local read-write commit `fadd`s it to allocate
+    /// its commit epoch `e`. Collective (bulk-load) transactions allocate
+    /// no epoch — their holders stay at epoch 0, visible to every
+    /// snapshot.
     pub fn epoch_counter_word(&self) -> usize {
         self.blocks_per_rank + 3
     }

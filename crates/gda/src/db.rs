@@ -686,54 +686,38 @@ impl<'d, 'c, 'f> GdaRank<'d, 'c, 'f> {
     /// Collective: the cached, epoch-validated OLAP scan view of this
     /// rank's partition (every live local vertex, rows sorted by app
     /// id). One topology-epoch read revalidates the cached mirror; when
-    /// the epoch moved the view is delta-patched from the redo-log tail
-    /// when cheap, and rebuilt by a raw-window sweep otherwise — an
+    /// the epoch moved the rank rebuilds it by a raw-window sweep — an
     /// abort-free rendezvous, so collective OLAP jobs (`server` crate)
     /// reuse the mirror across jobs instead of rebuilding per request.
     /// Every rank must call this together; like collective read-only
     /// transactions, it assumes no concurrent writers.
     pub fn olap_view(&self) -> Rc<crate::scan::CsrView> {
         use crate::scan;
-        // what this rank can offer without a sweep, and whether it is
-        // the very rows the peers' halos were resolved against
-        let cached = self.scan_cache.borrow_mut().take();
-        let (usable, revalidated) = match cached {
-            Some(v) if scan::revalidate(self, &v) => (Some(v), true),
-            Some(v) => (scan::try_patch(self, &v).map(Rc::new), false),
-            None => (None, false),
-        };
+        let cached = self
+            .scan_cache
+            .borrow_mut()
+            .take()
+            .filter(|v| scan::revalidate(self, v));
         // every rank votes, and the vote is "did anything change
-        // anywhere", not "does anyone sweep": ghost and mirror lists of
+        // anywhere", not "do I sweep": ghost and mirror lists of
         // different ranks name each other, so a rank whose own rows
         // stand must still re-resolve its halo when a peer's moved
-        const SWEEP: u64 = 2;
-        let vote = match (&usable, revalidated) {
-            (Some(_), true) => 0,
-            (Some(_), false) => 1,
-            (None, _) => SWEEP,
-        };
-        let view = match self.ctx.allreduce_max_u64(vote) {
-            0 => usable.expect("voted unchanged with a usable view"),
-            // the rebuild sweep is collective (DHT exchange): a rank
-            // whose view is still valid participates as a responder
-            // without re-sweeping its own window
-            SWEEP => Rc::new(scan::build_collective(
-                self,
-                usable.map(Rc::unwrap_or_clone),
-            )),
-            // patched rows somewhere, no sweep anywhere
-            _ => {
-                let mut v = Rc::unwrap_or_clone(usable.expect("voted no sweep with a usable view"));
-                scan::resolve(self.ctx, &mut v);
-                Rc::new(v)
-            }
-        };
-        // a reuse is exactly a pure revalidation: builds and delta
-        // patches carry their own counters, so builds + patches +
-        // reuses partitions the jobs this rank served
-        if revalidated {
+        let stale_somewhere = self.ctx.allreduce_max_u64(cached.is_none() as u64) != 0;
+        // a reuse is exactly a revalidation, so builds + reuses
+        // partitions the jobs this rank served
+        if cached.is_some() {
             self.ctx.record_scan_reuse();
         }
+        let view = match cached {
+            Some(v) if !stale_somewhere => v,
+            // the rebuild is collective (DHT exchange): a rank whose view
+            // is still valid takes part as a responder without
+            // re-sweeping its own window
+            own_rows => Rc::new(scan::build_collective(
+                self,
+                own_rows.map(Rc::unwrap_or_clone),
+            )),
+        };
         *self.scan_cache.borrow_mut() = Some(view.clone());
         view
     }

@@ -462,22 +462,26 @@ impl<'c, 'f> Dht<'c, 'f> {
 /// Recovery primitive for **elastic resharding**: restoring a `P`-rank
 /// snapshot onto `Q ≠ P` ranks cannot `put` the window bytes back
 /// (every placement changes), so the logical contents are lifted out of
-/// the image instead. The snapshot was taken quiesced, so no marked
+/// the image instead. Also the first step of every OLAP view sweep
+/// (`gda::scan`). The image was taken quiesced, so no marked
 /// (self-pointing) entries can appear; one is treated as end-of-chain
 /// defensively, as is any structurally impossible link.
+///
+/// Total on any byte image: nothing past `win.len()` is read, and since
+/// a live entry sits on exactly one chain, at most `dht_heap_per_rank`
+/// entries are visited over *all* buckets — a link cycle reachable from
+/// every bucket ends the decode instead of being walked once per bucket.
 pub fn decode_partition(cfg: &GdaConfig, win: &[u8]) -> Vec<(u64, u64)> {
     let nwords = win.len() / 8;
-    let word = |i: usize| -> u64 {
-        debug_assert!(i < nwords);
-        u64::from_le_bytes(win[i * 8..i * 8 + 8].try_into().unwrap())
-    };
+    let word = |i: usize| -> u64 { u64::from_le_bytes(win[i * 8..i * 8 + 8].try_into().unwrap()) };
     let nb = cfg.dht_buckets_per_rank;
     let heap = cfg.dht_heap_per_rank as u64;
     let heap_base = 2 + nb;
     let mut out = Vec::new();
-    for b in 0..nb {
+    let mut budget = cfg.dht_heap_per_rank;
+    // a truncated image has fewer bucket words than the config says
+    for b in 0..nb.min(nwords.saturating_sub(2)) {
         let mut ptr = word(2 + b);
-        let mut steps = 0usize;
         while ptr != 0 && ptr <= heap {
             let ew = heap_base + 3 * (ptr as usize - 1);
             if ew + 2 >= nwords {
@@ -489,14 +493,14 @@ pub fn decode_partition(cfg: &GdaConfig, win: &[u8]) -> Vec<(u64, u64)> {
             if next == ptr {
                 break; // marked entry: impossible in a quiesced snapshot
             }
+            if budget == 0 {
+                return out; // more visits than entries: a cycle
+            }
+            budget -= 1;
             if k != FREE_KEY {
                 out.push((k, v));
             }
             ptr = next;
-            steps += 1;
-            if steps > cfg.dht_heap_per_rank {
-                break; // cycle guard on corrupt images
-            }
         }
     }
     out
@@ -745,12 +749,11 @@ mod tests {
         });
     }
 
-    /// The offline partition decoder must see exactly what live lookups
-    /// see — it is the seed of a resharded restore.
-    #[test]
-    fn offline_decode_matches_live_contents() {
+    /// A real partition image after inserts and deletes, and the sorted
+    /// live `(key, value)` pairs it holds.
+    fn partition_image() -> (GdaConfig, Vec<u8>, Vec<(u64, u64)>) {
         let (f, cfg) = fabric(1);
-        f.run(|ctx| {
+        let win = f.run(|ctx| {
             let dht = Dht::new(ctx, cfg);
             dht.init_collective();
             for k in 0..60u64 {
@@ -761,15 +764,91 @@ mod tests {
             }
             let mut win = vec![0u8; ctx.win_len_bytes(WIN_INDEX)];
             ctx.get_bytes(WIN_INDEX, 0, 0, &mut win);
-            let mut decoded = decode_partition(&cfg, &win);
-            decoded.sort_unstable();
-            let mut want: Vec<(u64, u64)> = (0..60u64)
-                .filter(|k| !k.is_multiple_of(3))
-                .map(|k| (k, k * 3 + 1))
-                .collect();
-            want.sort_unstable();
-            assert_eq!(decoded, want);
+            win
         });
+        let want = (0..60u64)
+            .filter(|k| !k.is_multiple_of(3))
+            .map(|k| (k, k * 3 + 1))
+            .collect();
+        (cfg, win.into_iter().next().unwrap(), want)
+    }
+
+    fn sorted(mut pairs: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
+        pairs.sort_unstable();
+        pairs
+    }
+
+    /// The offline partition decoder must see exactly what live lookups
+    /// see — it is the seed of a resharded restore.
+    #[test]
+    fn offline_decode_matches_live_contents() {
+        let (cfg, win, want) = partition_image();
+        assert_eq!(sorted(decode_partition(&cfg, &win)), want);
+    }
+
+    /// Hostile bytes: a window shorter than its bucket array used to
+    /// panic at the first missing bucket word.
+    #[test]
+    fn decode_reads_nothing_past_a_truncated_window() {
+        let (cfg, win, want) = partition_image();
+        let buckets_end = (2 + cfg.dht_buckets_per_rank) * 8;
+        for len in [0, 7, 8, 16, 17, buckets_end - 8, buckets_end] {
+            assert!(decode_partition(&cfg, &win[..len]).is_empty(), "len {len}");
+        }
+        // entries cut off mid-heap end their chains; the rest decode
+        let got = decode_partition(&cfg, &win[..buckets_end + 3 * 8 * 20]);
+        assert!(!got.is_empty() && got.iter().all(|p| want.contains(p)));
+    }
+
+    /// Hostile bytes: a two-entry cycle A → B → A reachable from every
+    /// bucket used to pass the per-bucket step guard once per bucket and
+    /// return `buckets × (heap + 1)` pairs.
+    #[test]
+    fn decode_bounds_a_cycle_shared_by_every_bucket() {
+        let cfg = GdaConfig::tiny();
+        let mut words = vec![0u64; cfg.index_bytes() / 8];
+        let heap_base = 2 + cfg.dht_buckets_per_rank;
+        words[2..heap_base].fill(1);
+        words[heap_base..heap_base + 6].copy_from_slice(&[10, 100, 2, 20, 200, 1]);
+        let win: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        let got = decode_partition(&cfg, &win);
+        assert!(got.len() <= cfg.dht_heap_per_rank, "{} pairs", got.len());
+        assert!(got.iter().all(|p| [(10, 100), (20, 200)].contains(p)));
+    }
+
+    proptest::proptest! {
+        /// Random word corruptions and truncations of a real partition
+        /// image: the decode never panics, never returns more pairs than
+        /// the heap has entries, and is exact on an image left as it was.
+        #[test]
+        fn decode_is_total_on_corrupted_images(
+            hits in proptest::collection::vec((0usize..4096, 0usize..6, proptest::prelude::any::<u64>()), 0..12),
+            cut in 0usize..4096,
+        ) {
+            let (cfg, mut win, want) = partition_image();
+            let pristine = win.clone();
+            let nwords = win.len() / 8;
+            for (at, kind, noise) in hits {
+                // small values are plausible links, the rest is noise
+                let value = match kind {
+                    0 => 0,
+                    1 => noise % (cfg.dht_heap_per_rank as u64 + 2),
+                    2 => u64::MAX,
+                    _ => noise,
+                };
+                let i = at % nwords;
+                win[i * 8..i * 8 + 8].copy_from_slice(&value.to_le_bytes());
+            }
+            // most cases keep the whole window
+            if cut < win.len() && cut % 4 == 0 {
+                win.truncate(cut);
+            }
+            let got = decode_partition(&cfg, &win);
+            proptest::prop_assert!(got.len() <= cfg.dht_heap_per_rank);
+            if win == pristine {
+                proptest::prop_assert_eq!(sorted(got), want);
+            }
+        }
     }
 
     #[test]

@@ -41,8 +41,8 @@
 //! * [`rankmap`] — the canonical rank-ownership math and the
 //!   snapshot-rank → live-rank map resharding is built on;
 //! * [`scan`] — the zero-transaction OLAP scan layer: epoch-validated
-//!   CSR mirrors built from raw window sweeps, delta-patched from the
-//!   redo-log tail, cached per rank ([`GdaRank::olap_view`]);
+//!   CSR mirrors built from raw window sweeps, cached per rank
+//!   ([`GdaRank::olap_view`]);
 //! * [`analysis`] — the work–depth guarantees table (§5.9).
 //!
 //! ## Quick start

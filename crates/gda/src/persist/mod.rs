@@ -32,10 +32,9 @@
 //! `CURRENT` pointer. Only after a successful publish does each rank
 //! truncate its redo log; truncation failure is non-fatal because every
 //! log frame carries the checkpoint generation it was appended under,
-//! so replay (and delta-patching scan views) skip frames from before
-//! the published snapshot. That ordering means no unwind path ever has
-//! to move `CURRENT` back: it only ever advances to a snapshot all
-//! ranks have fully committed to.
+//! so replay skips frames from before the published snapshot. That
+//! ordering means no unwind path ever has to move `CURRENT` back: it
+//! only ever advances to a snapshot all ranks have fully committed to.
 //! A failed checkpoint (any rank; detected with an abort-vote
 //! allreduce, like a collective commit) deletes its partial directory,
 //! re-marks the dirty chunks it drained, and leaves the previous
@@ -256,10 +255,9 @@ const MIN_RECORD_BYTES: u64 = 26;
 /// `[payload_len u32][checksum u64][payload]`, where the payload starts
 /// with the checkpoint generation the frame was appended under. Redo
 /// files keep their name across checkpoints (truncation at publish),
-/// so the generation is what lets replay — and the scan layer's
-/// delta-patching — reject frames that predate the published snapshot
-/// when a truncation failed or the process crashed between publish and
-/// truncate.
+/// so the generation is what lets replay reject frames that predate
+/// the published snapshot when a truncation failed or the process
+/// crashed between publish and truncate.
 fn encode_frame(records: &[RedoRecord], generation: u64) -> Vec<u8> {
     let payload_estimate: usize = records
         .iter()
@@ -418,7 +416,6 @@ pub struct PersistStore {
     chain: Mutex<Vec<u64>>,
     writers: Vec<Mutex<Option<RedoWriter>>>,
     log_errors: AtomicU64,
-    unlogged_mutations: AtomicU64,
     faults: Arc<FaultPlane>,
     last_checkpoint: Mutex<Option<CheckpointReport>>,
 }
@@ -441,7 +438,6 @@ impl PersistStore {
             chain: Mutex::new(chain),
             writers: (0..nranks).map(|_| Mutex::new(None)).collect(),
             log_errors: AtomicU64::new(0),
-            unlogged_mutations: AtomicU64::new(0),
             faults,
             last_checkpoint: Mutex::new(None),
         })
@@ -470,20 +466,6 @@ impl PersistStore {
     /// database kept serving; durability of those commits is lost).
     pub fn log_errors(&self) -> u64 {
         self.log_errors.load(Ordering::Relaxed)
-    }
-
-    /// Mutations applied *outside* the redo log (collective bulk loads,
-    /// which are durable at checkpoint granularity and never logged).
-    /// While this counter differs from what a cached scan view recorded
-    /// at build time, the redo tail is not a complete delta — such
-    /// views must rebuild rather than patch (`gda::scan`).
-    pub fn unlogged_mutations(&self) -> u64 {
-        self.unlogged_mutations.load(Ordering::Relaxed)
-    }
-
-    /// Record one unlogged mutation batch (bulk-load hook).
-    pub(crate) fn note_unlogged_mutation(&self) {
-        self.unlogged_mutations.fetch_add(1, Ordering::Relaxed);
     }
 
     /// The report of the most recent successful checkpoint.
@@ -598,58 +580,6 @@ impl PersistStore {
 
     pub(crate) fn note_log_error(&self) {
         self.log_errors.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Position mark of `rank`'s redo log: `(checkpoint generation,
-    /// byte length)`. A scan view records one mark per rank at build
-    /// time; [`PersistStore::read_log_tail`] later replays exactly the
-    /// records appended after the mark — the delta-patch source of
-    /// `gda::scan`. The generation is load-bearing: the redo file keeps
-    /// its name across checkpoints (truncation at publish), so a
-    /// length-only mark taken before a checkpoint could silently
-    /// address unrelated post-truncation bytes once commits regrow the
-    /// file past the recorded length. Marks are only meaningful while
-    /// no append is in flight (the quiescent-OLAP contract).
-    pub fn log_mark(&self, rank: usize) -> (u64, u64) {
-        let generation = self.current();
-        let len = fs::metadata(self.log_path(rank))
-            .map(|m| m.len())
-            .unwrap_or(0);
-        (generation, len)
-    }
-
-    /// Records appended to `rank`'s redo log after `mark`
-    /// ([`PersistStore::log_mark`]). Returns `None` when the mark is no
-    /// longer addressable — a checkpoint published since the mark was
-    /// taken (the log was truncated, or is about to be inconsistent
-    /// with the mark's length), or the file shrank — in which case the
-    /// caller must fall back to a full rebuild.
-    pub fn read_log_tail(&self, rank: usize, mark: (u64, u64)) -> Option<Vec<RedoRecord>> {
-        use std::io::{Read, Seek, SeekFrom};
-        let (generation, pos) = mark;
-        if generation != self.current() {
-            return None;
-        }
-        // seek to the mark and read only the tail: a delta patch must
-        // cost O(delta), not O(total log since the last checkpoint)
-        let mut f = match File::open(self.log_path(rank)) {
-            Ok(f) => f,
-            // a log that never received an append has no file; an
-            // empty tail is only valid if the mark said "empty" too
-            Err(_) if pos == 0 => return Some(Vec::new()),
-            Err(_) => return None,
-        };
-        let len = f.metadata().ok()?.len();
-        if pos > len {
-            return None; // the file shrank: the mark is meaningless
-        }
-        f.seek(SeekFrom::Start(pos)).ok()?;
-        let mut bytes = Vec::with_capacity((len - pos) as usize);
-        f.read_to_end(&mut bytes).ok()?;
-        // frames below the mark's generation are stale leftovers of a
-        // failed truncation — already in the snapshot, not a delta
-        let (records, _) = parse_log(&bytes, generation);
-        Some(records)
     }
 
     /// Truncate `rank`'s redo log after a successful publish: every
@@ -828,7 +758,9 @@ fn encode_cfg(enc: &mut Enc, cfg: &GdaConfig) {
     enc.u64(cfg.max_lock_retries as u64);
     enc.u8(cfg.translation_cache as u8);
     enc.u64(cfg.translation_cache_capacity as u64);
-    enc.u8(cfg.mvcc as u8);
+    // v6 position of the retired `mvcc` switch: written as 1, skipped on
+    // read (snapshot reads are unconditional)
+    enc.u8(1);
     enc.u64(cfg.mvcc_chain_limit as u64);
 }
 
@@ -841,8 +773,10 @@ fn decode_cfg<R: Read>(dec: &mut Dec<R>) -> GdiResult<GdaConfig> {
         max_lock_retries: dec.u64()? as usize,
         translation_cache: dec.u8()? != 0,
         translation_cache_capacity: dec.u64()? as usize,
-        mvcc: dec.u8()? != 0,
-        mvcc_chain_limit: dec.u64()? as usize,
+        mvcc_chain_limit: {
+            dec.u8()?; // legacy `mvcc` byte, either value
+            dec.u64()? as usize
+        },
     })
 }
 
@@ -1201,8 +1135,8 @@ fn checkpoint_rank_inner(eng: &GdaRank, force_full: bool) -> GdiResult<u64> {
     }
     // Post-publish: every frame in the redo log describes a commit the
     // published chain captures, so truncate it. Failure is non-fatal —
-    // the stale frames carry generation ≤ `old` and both replay and
-    // scan-view patching skip them (`parse_log` / `log_mark`).
+    // the stale frames carry generation ≤ `old` and replay skips them
+    // (`parse_log`).
     if let Err(e) = store.truncate_log(me) {
         eprintln!("gda: redo truncation failed on rank {me} (non-fatal): {e}");
     }
@@ -2070,6 +2004,77 @@ pub(crate) mod tests {
         let mut bad = bytes.clone();
         bad[20] ^= 0xFF;
         assert!(decode_manifest(&bad).is_err());
+    }
+
+    /// Format v6 keeps the byte of the retired `GdaConfig::mvcc` switch:
+    /// written as 1, accepted as 0 or 1. A directory a `mvcc = false`
+    /// build checkpointed — every holder at commit epoch 0, the epoch
+    /// counter and the watermark never moved; a bulk load writes the
+    /// same — recovers, and every read resolves through the (now
+    /// unconditional) snapshot path, because epoch 0 is visible to every
+    /// pin.
+    #[test]
+    fn legacy_mvcc_byte_is_accepted_and_epoch_zero_holders_resolve() {
+        for legacy in [0u8, 1] {
+            let td = TestDir::new(&format!("legacy-mvcc-{legacy}"));
+            let cfg = GdaConfig::tiny();
+            {
+                let (db, fabric) = GdaDb::with_fabric("legacy", cfg, 2, CostModel::zero());
+                db.enable_persistence(PersistOptions::new(&td.0)).unwrap();
+                fabric.run(|ctx| {
+                    let eng = db.attach(ctx);
+                    eng.init_collective();
+                    let (vs, es) = if ctx.rank() == 0 {
+                        (
+                            (0..20).map(crate::bulk::VertexSpec::new).collect(),
+                            (0..20u64)
+                                .map(|i| crate::bulk::EdgeSpec {
+                                    from: AppVertexId(i),
+                                    to: AppVertexId((i + 1) % 20),
+                                    label: 0,
+                                    directed: true,
+                                })
+                                .collect(),
+                        )
+                    } else {
+                        (Vec::new(), Vec::new())
+                    };
+                    eng.bulk_load(vs, es).unwrap();
+                    assert_eq!(eng.checkpoint().unwrap(), 1);
+                });
+            }
+            let path = td.0.join("ckpt-1/manifest.bin");
+            let mut bytes = fs::read(&path).unwrap();
+            // header, id, name, nranks, chain, then the cfg record: five
+            // u64, the cache flag, the cache capacity — and the byte
+            let at = FILE_HEADER_BYTES + 8 + (4 + "legacy".len()) + 4 + (4 + 8) + 5 * 8 + 1 + 8;
+            assert_eq!(bytes[at], 1, "the retired switch is written as 1");
+            bytes[at] = legacy;
+            reseal(&mut bytes);
+            let back = decode_manifest(&bytes).unwrap();
+            assert_eq!(back.cfg.mvcc_chain_limit, cfg.mvcc_chain_limit);
+            assert_eq!(back.cfg.block_size, cfg.block_size);
+            fs::write(&path, &bytes).unwrap();
+
+            let (db, fabric, plan) =
+                recover(PersistOptions::new(&td.0), CostModel::zero()).unwrap();
+            fabric.run(|ctx| {
+                let eng = db.attach(ctx);
+                plan.restore_rank(&eng).unwrap();
+                let tx = eng.begin(AccessMode::ReadOnly);
+                assert_eq!(
+                    tx.snapshot_epoch(),
+                    Some(0),
+                    "nothing ever committed an epoch"
+                );
+                for i in 0..20u64 {
+                    let v = tx.translate_vertex_id(AppVertexId(i)).unwrap();
+                    assert_eq!(tx.edge_count(v, EdgeOrientation::Outgoing).unwrap(), 1);
+                    assert_eq!(tx.edge_count(v, EdgeOrientation::Incoming).unwrap(), 1);
+                }
+                tx.commit().unwrap();
+            });
+        }
     }
 
     /// Full lifecycle on one rank: commits → checkpoint → more commits
@@ -3314,53 +3319,6 @@ pub(crate) mod tests {
             assert_eq!(eng.bm.count_free(0), eng.cfg().blocks_per_rank);
             assert_eq!(eng.bm.count_free(1), eng.cfg().blocks_per_rank);
             ctx.barrier();
-        });
-    }
-
-    /// Regression (stale-mark patching): a `log_mark` taken before a
-    /// checkpoint must not be usable afterwards. The redo file keeps
-    /// its name and is truncated at publish, so once post-checkpoint
-    /// commits regrow the file past the marked length, a length-only
-    /// mark would silently read unrelated bytes (typically mid-frame →
-    /// an empty "delta") instead of forcing the rebuild.
-    #[test]
-    fn log_mark_from_previous_generation_forces_rebuild() {
-        let td = TestDir::new("stalemark");
-        let cfg = GdaConfig::tiny();
-        let (db, fabric) = GdaDb::with_fabric("sm", cfg, 1, CostModel::zero());
-        let store = db.enable_persistence(PersistOptions::new(&td.0)).unwrap();
-        fabric.run(|ctx| {
-            let eng = db.attach(ctx);
-            eng.init_collective();
-            let tx = eng.begin(AccessMode::ReadWrite);
-            tx.create_vertex(AppVertexId(1)).unwrap();
-            tx.commit().unwrap();
-            let mark = store.log_mark(0);
-            // sanity: the tail after the mark is addressable pre-ckpt
-            let tx = eng.begin(AccessMode::ReadWrite);
-            tx.create_vertex(AppVertexId(2)).unwrap();
-            tx.commit().unwrap();
-            assert!(!store.read_log_tail(0, mark).unwrap().is_empty());
-            // a checkpoint truncates the log and bumps the generation
-            eng.checkpoint().unwrap();
-            // regrow the file well past the marked length
-            for i in 10..30u64 {
-                let tx = eng.begin(AccessMode::ReadWrite);
-                tx.create_vertex(AppVertexId(i)).unwrap();
-                tx.commit().unwrap();
-            }
-            let len_now = fs::metadata(td.0.join("redo-rank-0.log")).unwrap().len();
-            assert!(len_now > mark.1, "the file must have regrown past the mark");
-            assert!(
-                store.read_log_tail(0, mark).is_none(),
-                "a pre-checkpoint mark must force a rebuild, not patch"
-            );
-            // a fresh mark patches normally again
-            let mark2 = store.log_mark(0);
-            let tx = eng.begin(AccessMode::ReadWrite);
-            tx.create_vertex(AppVertexId(90)).unwrap();
-            tx.commit().unwrap();
-            assert_eq!(store.read_log_tail(0, mark2).unwrap().len(), 1);
         });
     }
 

@@ -63,19 +63,18 @@
 //! never hidden inside a kernel. An edge whose target is a row of no
 //! rank's view is a broken invariant and panics there, with the pointer.
 //!
-//! ## Epoch validation and delta maintenance
+//! ## Epoch validation
 //!
 //! The view is stamped with its rank's **topology-epoch word**
 //! ([`crate::config::GdaConfig::topo_word`]): commits bump it once per
 //! touched rank when (and only when) they change membership or an edge
 //! list, so property-only writes (a GNN layer's feature updates) never
 //! retire a view. One epoch read per OLAP job revalidates a cached
-//! view; when the epoch moved, the view is **patched from the redo-log
-//! tail** when the database is durable and the delta is small
-//! (vertex-holder upserts of rows already in the view), and rebuilt by
-//! a fresh sweep otherwise. Like the collective read-only transactions
-//! it replaces, the scan layer assumes OLAP jobs do not run concurrently
-//! with mutating transactions (§5.6's optimized read path).
+//! view; when the epoch moved, the rank rebuilds its rows by a fresh
+//! sweep — there is no incremental maintenance. Like the collective
+//! read-only transactions it replaces, the scan layer assumes OLAP jobs
+//! do not run concurrently with mutating transactions (§5.6's optimized
+//! read path).
 
 use std::ops::Range;
 use std::rc::Rc;
@@ -91,13 +90,14 @@ use crate::dht;
 use crate::dptr::DPtr;
 use crate::hio;
 use crate::holder::{EdgeScan, Holder};
-use crate::persist::RedoRecord;
 
 /// One edge as the tx-based builders hand it over: `(target,
 /// lightweight label)`.
 pub type ScanEdge = (DPtr, u32);
 
-/// Which vertices a scan view covers on this rank.
+/// Which vertices a scan view covers on this rank. One variant is left;
+/// the enum stays only because the frozen `benchmark/` names it (a
+/// `[benchmark]` PR may drop both).
 #[derive(Debug, Clone, Copy)]
 pub enum ScanPartition {
     /// Every live vertex whose primary block lives on this rank (the
@@ -143,13 +143,6 @@ pub struct CsrView {
     mirror: Vec<Vec<u32>>,
     /// This rank's topology-epoch word, observed before the sweep.
     stamp: u64,
-    /// Redo-log position marks per rank at build time (durable
-    /// databases only) — the delta-patch source.
-    marks: Option<Vec<(u64, u64)>>,
-    /// The store's unlogged-mutation counter at build time: a bulk
-    /// load bumps it without logging anything, so a tail read past the
-    /// marks is only a complete delta while the counter is unchanged.
-    unlogged_at_build: u64,
 }
 
 impl CsrView {
@@ -416,7 +409,7 @@ fn ghost_key(t: DPtr) -> u64 {
     t.raw().wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_right(32)
 }
 
-/// The one row-assembly routine behind the sweep, the delta patch and
+/// The one row-assembly routine behind the sweep and
 /// [`CsrView::from_adjacency`]: the rows are fixed up front (that is
 /// what numbers local targets), edges are appended row by row, and
 /// [`Assembler::finish`] puts the ghosts in their canonical order.
@@ -453,8 +446,6 @@ impl Assembler {
             ghost_off: Vec::new(),
             mirror: Vec::new(),
             stamp: 0,
-            marks: None,
-            unlogged_at_build: 0,
         };
         view.out_off.push(0);
         view.any_off.push(0);
@@ -559,7 +550,7 @@ impl Assembler {
 /// of the same generation — one `alltoallv` of each rank's ghost-id
 /// lists leaves every owner with its mirror lists (see the module
 /// docs). Every rank calls this whenever *any* rank's rows changed.
-pub(crate) fn resolve(ctx: &RankCtx, view: &mut CsrView) {
+fn resolve(ctx: &RankCtx, view: &mut CsrView) {
     let n = view.len();
     let asks = (0..ctx.nranks())
         .map(|r| {
@@ -584,10 +575,6 @@ pub(crate) fn resolve(ctx: &RankCtx, view: &mut CsrView) {
         })
         .collect();
 }
-
-/// Delta-patch budget: a redo tail touching more than this fraction of
-/// the view's rows is not "cheap" — rebuild instead.
-const PATCH_MAX_FRACTION: f64 = 0.125;
 
 /// Collective: build a fresh [`CsrView`] for `part` by the raw-window
 /// sweep protocol (see the module docs). Every rank must call this
@@ -619,9 +606,8 @@ pub(crate) fn build_collective(eng: &GdaRank, reuse: Option<CsrView>) -> CsrView
     }
     let mine: Vec<(u64, u64)> = ctx.alltoallv(routed).into_iter().flatten().collect();
 
-    // a still-usable cached view skips its own sweep entirely (reuse
-    // accounting is the caller's — `GdaRank::olap_view` — so patched
-    // views are not double-counted as reuses)
+    // a still-valid cached view skips its own sweep entirely (reuse
+    // accounting is the caller's — `GdaRank::olap_view`)
     let mut view = reuse.unwrap_or_else(|| sweep(eng, mine));
     // the exchange also closes the build: no rank leaves before every
     // rank has finished reading its window
@@ -634,14 +620,8 @@ pub(crate) fn build_collective(eng: &GdaRank, reuse: Option<CsrView>) -> CsrView
 fn sweep(eng: &GdaRank, mut mine: Vec<(u64, u64)>) -> CsrView {
     let ctx = eng.ctx();
     let cfg = eng.cfg();
-    // -- epoch stamp + log marks, observed *before* any data is read ----
+    // -- epoch stamp, observed *before* any data is read -----------------
     let stamp = eng.topology_epoch(eng.rank());
-    // a store that has ever dropped an append (I/O error) has gaps the
-    // delta patch would silently miss — only a clean log is a valid
-    // patch source, so such views carry no marks and always rebuild
-    let store = eng.persistence().filter(|store| store.log_errors() == 0);
-    let unlogged_at_build = store.as_ref().map(|s| s.unlogged_mutations()).unwrap_or(0);
-    let marks = store.map(|store| (0..eng.nranks()).map(|r| store.log_mark(r)).collect());
 
     // -- rows ascend by app id; edges are appended in that order ----------
     mine.sort_unstable_by_key(|&(app, _)| app);
@@ -667,8 +647,6 @@ fn sweep(eng: &GdaRank, mut mine: Vec<(u64, u64)>) -> CsrView {
     ctx.record_scan_build(mine.len() as u64, scanned_bytes);
     CsrView {
         stamp,
-        marks,
-        unlogged_at_build,
         ..asm.finish(eng.nranks())
     }
 }
@@ -679,113 +657,10 @@ pub(crate) fn revalidate(eng: &GdaRank, view: &CsrView) -> bool {
     eng.topology_epoch(view.rank) == view.stamp
 }
 
-/// Try to delta-patch a stale view from the redo-log tails. Succeeds
-/// only when the database is durable, no checkpoint rotated the
-/// segments since the build, every topology-relevant tail record is a
-/// vertex upsert of a row already in the view, and the delta is small
-/// ([`PATCH_MAX_FRACTION`]). Returns the patched view (fresh stamp and
-/// marks, halo **unresolved** — the caller's rendezvous resolves it) or
-/// `None` — the caller rebuilds.
-pub(crate) fn try_patch(eng: &GdaRank, view: &CsrView) -> Option<CsrView> {
-    let store = eng.persistence()?;
-    let marks = view.marks.as_ref()?;
-    if store.log_errors() > 0 || store.unlogged_mutations() != view.unlogged_at_build {
-        // a dropped append, or an unlogged mutation batch (a bulk
-        // load), since the marks were taken: the tail is incomplete —
-        // the change is visible in memory but not in the log, so only
-        // a full sweep can be trusted
-        return None;
-    }
-    let ctx = eng.ctx();
-    // fresh stamp first (same observe-before-read ordering as a build)
-    let stamp = eng.topology_epoch(view.rank);
-    let new_marks: Vec<(u64, u64)> = (0..eng.nranks()).map(|r| store.log_mark(r)).collect();
-    // collect the tail records that touch this view's rank: any rank's
-    // log may carry commits against our window
-    let mut touched: FxHashMap<usize, (u64, Vec<u8>)> = FxHashMap::default();
-    for (r, &mark) in marks.iter().enumerate() {
-        let records = store.read_log_tail(r, mark)?;
-        for rec in records {
-            match rec {
-                RedoRecord::Upsert {
-                    primary,
-                    is_edge,
-                    version,
-                    bytes,
-                    ..
-                } => {
-                    let primary = DPtr::from_raw(primary);
-                    if is_edge || primary.rank() != view.rank {
-                        continue; // heavy-edge holders carry no CSR rows
-                    }
-                    // a vertex the view has no row for: membership changed
-                    let row = view.row_of(primary)?;
-                    let slot = touched.entry(row).or_insert((0, Vec::new()));
-                    if version >= slot.0 {
-                        *slot = (version, bytes);
-                    }
-                }
-                RedoRecord::Delete {
-                    primary, is_edge, ..
-                } => {
-                    if !is_edge && DPtr::from_raw(primary).rank() == view.rank {
-                        return None; // membership changed
-                    }
-                }
-            }
-        }
-    }
-    if touched.len() as f64 > PATCH_MAX_FRACTION * view.len().max(8) as f64 {
-        return None; // not cheap: a sweep amortizes better
-    }
-    // validate the replacement rows, then assemble one fresh set of CSR
-    // arrays with them folded in: accessors stay flat slice lookups and
-    // repeated patches never accumulate state
-    let mut replaced: FxHashMap<usize, EdgeScan> = FxHashMap::default();
-    let mut bytes_total = 0u64;
-    for (&row, (_, bytes)) in &touched {
-        let scan = Holder::scan_edges(bytes)?;
-        if scan.app_id != view.apps[row] {
-            return None; // block reused by another object: not patchable
-        }
-        bytes_total += bytes.len() as u64;
-        replaced.insert(row, scan);
-    }
-    let mut asm = Assembler::new(
-        eng.cfg(),
-        view.rank,
-        view.apps.iter().copied().zip(view.vids.iter().copied()),
-    );
-    for i in 0..view.len() {
-        match replaced.get(&i) {
-            Some(scan) => asm.push_records(scan),
-            None => {
-                for (&t, &l) in view.out(i).iter().zip(view.out_labels(i)) {
-                    asm.out_edge(view.target(t), l);
-                }
-                for (&t, &l) in view.any(i).iter().zip(view.any_labels(i)) {
-                    asm.any_edge(view.target(t), l);
-                }
-            }
-        }
-        asm.end_row();
-    }
-    let n_rows = replaced.len() as u64;
-    ctx.record_scan_patch(n_rows, bytes_total);
-    ctx.charge_cpu(bytes_total / 8 + n_rows + 1);
-    Some(CsrView {
-        stamp,
-        marks: Some(new_marks),
-        unlogged_at_build: view.unlogged_at_build,
-        ..asm.finish(eng.nranks())
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::db::GdaDb;
-    use crate::persist::PersistOptions;
     use gdi::{AccessMode, AppVertexId};
     use proptest::prelude::*;
     use rma::CostModel;
@@ -1135,59 +1010,6 @@ mod tests {
         });
     }
 
-    #[test]
-    fn durable_view_patches_from_redo_tail() {
-        let dir = crate::persist::tests::TestDir::new("scan-patch");
-        let cfg = GdaConfig::tiny();
-        let (db, fabric) = GdaDb::with_fabric("scan-patch", cfg, 2, CostModel::default());
-        db.enable_persistence(PersistOptions::new(&dir.0)).unwrap();
-        fabric.run(|ctx| {
-            let eng = db.attach(ctx);
-            eng.init_collective();
-            build_graph(&eng, 12);
-            let v1 = eng.olap_view();
-            // one small cross-rank edge mutation: both owners' epochs
-            // move, but the redo tail is two vertex upserts — patchable
-            if ctx.rank() == 0 {
-                let tx = eng.begin(AccessMode::ReadWrite);
-                let a = tx.translate_vertex_id(AppVertexId(0)).unwrap();
-                let b = tx.translate_vertex_id(AppVertexId(7)).unwrap();
-                tx.add_edge(a, b, None, true).unwrap();
-                tx.commit().unwrap();
-            }
-            ctx.barrier();
-            let v2 = eng.olap_view();
-            assert!(!Rc::ptr_eq(&v1, &v2));
-            let want = oracle_view(&eng, &v2.apps.clone());
-            assert!(adjacency_eq(&v2, &want), "patched view diverges");
-            // patched on both sides, resolved against each other: the
-            // new edge's endpoints now mirror one another
-            assert!(v2.logical_eq(&want));
-            for r in 0..ctx.nranks() {
-                assert_eq!(v2.mirror(r), want.mirror(r), "mirror({r}) after the patch");
-            }
-            let touched = ctx.stats_snapshot();
-            // at least the two endpoint owners patched instead of
-            // re-sweeping (builds: only the initial one)
-            let patches = ctx.allreduce_sum_u64(touched.scan_patches);
-            let builds = ctx.allreduce_sum_u64(touched.scan_builds);
-            assert!(patches >= 1, "no delta patch happened");
-            assert_eq!(builds, 2, "a patchable delta must not re-sweep");
-            // a vertex deletion changes membership: full rebuild
-            if ctx.rank() == 0 {
-                let tx = eng.begin(AccessMode::ReadWrite);
-                let v = tx.translate_vertex_id(AppVertexId(5)).unwrap();
-                tx.delete_vertex(v).unwrap();
-                tx.commit().unwrap();
-            }
-            ctx.barrier();
-            let v3 = eng.olap_view();
-            assert!(v3.row_of_app(5).is_none(), "deleted vertex still in view");
-            let want = oracle_view(&eng, &v3.apps.clone());
-            assert!(adjacency_eq(&v3, &want));
-        });
-    }
-
     /// The stale-halo hazard at its smallest: a vertex with a *small*
     /// app id appears on rank 1, touching no one. Rank 0's epoch does
     /// not move and its rows stand; rank 1 rebuilds and every one of its
@@ -1242,53 +1064,6 @@ mod tests {
         });
     }
 
-    /// Regression: on a **durable** database a bulk load bumps the
-    /// topology epoch but appends nothing to the redo log — the delta
-    /// patch must refuse the (empty) tail and rebuild, or every later
-    /// OLAP job would silently miss the loaded data forever.
-    #[test]
-    fn durable_bulk_load_forces_rebuild_not_patch() {
-        let dir = crate::persist::tests::TestDir::new("scan-bulk-durable");
-        let cfg = GdaConfig::tiny();
-        let (db, fabric) = GdaDb::with_fabric("scan-bd", cfg, 2, CostModel::default());
-        db.enable_persistence(PersistOptions::new(&dir.0)).unwrap();
-        fabric.run(|ctx| {
-            let eng = db.attach(ctx);
-            eng.init_collective();
-            build_graph(&eng, 8);
-            let v1 = eng.olap_view();
-            let vs = if ctx.rank() == 0 {
-                vec![
-                    crate::bulk::VertexSpec::new(100),
-                    crate::bulk::VertexSpec::new(101),
-                ]
-            } else {
-                Vec::new()
-            };
-            let es = if ctx.rank() == 0 {
-                vec![crate::bulk::EdgeSpec {
-                    from: AppVertexId(100),
-                    to: AppVertexId(101),
-                    label: 0,
-                    directed: true,
-                }]
-            } else {
-                Vec::new()
-            };
-            eng.bulk_load(vs, es).unwrap();
-            let v2 = eng.olap_view();
-            assert!(!Rc::ptr_eq(&v1, &v2), "bulk load must invalidate views");
-            // the loaded vertices must be visible (an empty-tail patch
-            // would have re-stamped the old rows)
-            let total: u64 = ctx.allreduce_sum_u64(v2.len() as u64);
-            assert_eq!(total, 10, "bulk-loaded vertices missing from the view");
-            let want = oracle_view(&eng, &v2.apps.clone());
-            assert!(adjacency_eq(&v2, &want));
-            // and it was a rebuild, not a patch
-            assert_eq!(ctx.stats_snapshot().scan_patches, 0);
-        });
-    }
-
     #[test]
     fn bulk_load_bumps_topology_epoch() {
         let cfg = GdaConfig::tiny();
@@ -1321,7 +1096,9 @@ mod tests {
             let v2 = eng.olap_view();
             assert!(!Rc::ptr_eq(&v1, &v2), "bulk load must invalidate views");
             let total: u64 = ctx.allreduce_sum_u64(v2.len() as u64);
-            assert_eq!(total, 10);
+            assert_eq!(total, 10, "bulk-loaded vertices missing from the view");
+            let want = oracle_view(&eng, &v2.apps.clone());
+            assert!(adjacency_eq(&v2, &want));
         });
     }
 }

@@ -5,8 +5,11 @@
 //! vertex is never fetched twice), the set of acquired distributed RW
 //! locks, and the dirty-object list written back at commit. All changes
 //! are **visible only locally** until commit; commit writes dirty blocks,
-//! updates the internal DHT and the explicit indexes, and releases locks —
-//! two-phase locking end to end, giving serializability for graph data.
+//! updates the internal DHT and the explicit indexes, and releases locks.
+//! Local read-only transactions take no locks at all: they pin a snapshot
+//! epoch at `begin` and read validated version chains (snapshot
+//! isolation); local writers lock only what they write (write-write
+//! conflict detection); collective transactions keep two-phase locking.
 //!
 //! Conflicts do not block indefinitely: lock acquisition is bounded, and a
 //! failed acquisition aborts the transaction with
@@ -71,8 +74,8 @@ pub struct Transaction<'r, 'd, 'c, 'f> {
     /// block write latencies overlap (the engine half of the service
     /// layer's group commit; see [`crate::db::GdaRank::begin_grouped`]).
     grouped: Cell<bool>,
-    /// MVCC: the snapshot epoch pinned at `begin` (local read-only
-    /// transactions under `cfg.mvcc`). A pinned transaction takes no
+    /// MVCC: the snapshot epoch pinned at `begin` (every local read-only
+    /// transaction). A pinned transaction takes no
     /// locks and reads validated version chains at this epoch — it can
     /// neither abort on conflict nor block a writer.
     snap: Cell<Option<u64>>,
@@ -82,15 +85,12 @@ pub struct Transaction<'r, 'd, 'c, 'f> {
 impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
     pub(crate) fn new(eng: &'r GdaRank<'d, 'c, 'f>, kind: TxKind, mode: AccessMode) -> Self {
         eng.refresh_meta();
-        // snapshot-pinning is the default read path: every local
-        // read-only transaction under `cfg.mvcc` pins the watermark at
-        // begin. (Collective read-only transactions already run the
-        // paper's no-concurrent-writer fast path and skip both.)
-        let snap = if eng.cfg().mvcc && kind == TxKind::Local && mode == AccessMode::ReadOnly {
-            Some(eng.pin_snapshot())
-        } else {
-            None
-        };
+        // snapshot-pinning is the read path: every local read-only
+        // transaction pins the watermark at begin. (Collective read-only
+        // transactions already run the paper's no-concurrent-writer fast
+        // path and skip both.)
+        let snap =
+            (kind == TxKind::Local && mode == AccessMode::ReadOnly).then(|| eng.pin_snapshot());
         Self {
             eng,
             kind,
@@ -104,8 +104,9 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
         }
     }
 
-    /// The snapshot epoch this transaction pinned at `begin`, if it is
-    /// a snapshot (MVCC) reader.
+    /// The snapshot epoch this transaction pinned at `begin`: `Some` for
+    /// every local read-only transaction, `None` for writers and for
+    /// collective transactions.
     pub fn snapshot_epoch(&self) -> Option<u64> {
         self.snap.get()
     }
@@ -115,7 +116,7 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
     /// transactions stay at epoch 0: bulk loads are visible to every
     /// snapshot and assume no concurrent readers.)
     fn mvcc_writer(&self) -> bool {
-        self.eng.cfg().mvcc && self.kind == TxKind::Local && self.mode != AccessMode::ReadOnly
+        self.kind == TxKind::Local && self.mode != AccessMode::ReadOnly
     }
 
     /// Drop the pinned snapshot (transaction close; idempotent).
@@ -196,15 +197,14 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
             // paper's optimized read path ("read-only transactions that can
             // assume that no participating process modifies the data").
             (TxKind::Collective, AccessMode::ReadOnly) => None,
-            (_, AccessMode::ReadOnly) => Some(LockKind::Read),
             _ if write => Some(LockKind::Write),
-            // Under MVCC, writer conflicts are write-write only: a local
+            // Local writer conflicts are write-write only: a local
             // read-write transaction reads lock-free (validated seqlock
             // copies of the committed version) and only its first *write*
             // touch of an object takes the write lock — so two
             // transactions with overlapping read sets but disjoint write
             // sets both commit (snapshot isolation admits write skew).
-            _ if self.kind == TxKind::Local && self.eng.cfg().mvcc => None,
+            _ if self.kind == TxKind::Local => None,
             _ => Some(LockKind::Read),
         }
     }
@@ -520,18 +520,18 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
                 }
             }
         }
-        let keep_orig = self.mvcc_writer();
+        // only collective transactions get here: no pre-image to keep
         let fetched = hio::read_chains(self.eng.ctx, self.eng.cfg(), &want);
         let mut first_err = None;
         let mut cache = self.cache.borrow_mut();
         for (&id, res) in want.iter().zip(fetched) {
             let decoded = res.and_then(|(bytes, blocks)| {
                 Holder::try_decode(&bytes)
-                    .map(|h| (h, blocks, bytes))
+                    .map(|h| (h, blocks))
                     .ok_or(GdiError::NotFound("object (stale internal id)"))
             });
             match decoded {
-                Ok((holder, blocks, bytes)) => {
+                Ok((holder, blocks)) => {
                     cache.insert(
                         id.raw(),
                         CachedObj {
@@ -542,7 +542,7 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
                             created: false,
                             deleted: false,
                             topo: false,
-                            orig: keep_orig.then_some(bytes),
+                            orig: None,
                         },
                     );
                 }
@@ -1396,7 +1396,6 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
             }
         }
         let mut cache = self.cache.borrow_mut();
-        let mvcc = self.eng.cfg().mvcc;
         // MVCC: one commit epoch for the whole (possibly grouped)
         // transaction, allocated only when there is something to
         // publish. Every allocated epoch is published at the end of
@@ -1465,7 +1464,7 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
                     }
                 }
                 hio::free_chain(&self.eng.bm, &obj.blocks);
-                if mvcc && !obj.created && obj.holder.prev != 0 {
+                if !obj.created && obj.holder.prev != 0 {
                     self.free_archives(obj.holder.prev, obj.holder.depth as usize);
                 }
                 if logging && !obj.created {
@@ -1495,22 +1494,18 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
                 // counter must be raised along with the written version,
                 // or a later incarnation of this app id could stamp
                 // *below* it and lose to its tombstone at replay.
-                // under MVCC every write takes an owner-rank stamp too:
+                // Without persistence the stamp is taken all the same:
                 // version doubles as the seqlock publication stamp, so
                 // it must be unique per rank across objects and
                 // incarnations (a reused block must never revalidate
                 // under a stale stamp)
-                obj.holder.version = if logging || mvcc {
-                    let stamp = self.eng.next_version_stamp(id);
-                    let want = obj.holder.version + 1;
-                    if want > stamp {
-                        self.eng.advance_version_stamp(id, want);
-                        want
-                    } else {
-                        stamp
-                    }
+                let stamp = self.eng.next_version_stamp(id);
+                let want = obj.holder.version + 1;
+                obj.holder.version = if want > stamp {
+                    self.eng.advance_version_stamp(id, want);
+                    want
                 } else {
-                    obj.holder.version + 1
+                    stamp
                 };
                 if let Some(e) = epoch {
                     if obj.created {
@@ -1558,7 +1553,7 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
                 // reads can never assemble a torn mix of versions;
                 // created objects are unreachable until the DHT insert
                 // below and write single-phase
-                let write_res = if mvcc && !obj.created {
+                let write_res = if !obj.created {
                     hio::overwrite_chain(self.eng.ctx, &self.eng.bm, &bytes, &mut obj.blocks)
                 } else {
                     hio::write_chain(self.eng.ctx, &self.eng.bm, &bytes, &mut obj.blocks)

@@ -58,7 +58,7 @@ impl PoisonBarrier {
             self.wake.notify();
             return;
         }
-        self.wake.wait_until(None, || {
+        self.wake.wait_until(|| {
             self.generation.load(Ordering::Acquire) != my_gen
                 || self.poisoned.load(Ordering::Acquire)
         });

@@ -420,12 +420,6 @@ impl<'a> RankCtx<'a> {
         self.stats.record_scan_reuse();
     }
 
-    /// Record one scan view delta-patched from the redo-log tail
-    /// (`holders` rows re-decoded instead of a full sweep).
-    pub fn record_scan_patch(&self, holders: u64, bytes: u64) {
-        self.stats.record_scan_patch(holders, bytes);
-    }
-
     /// Record this rank's share of an elastic-reshard redistribution
     /// (`objects` re-materialized holders, `bytes` of payload). Pure
     /// accounting — the window writes themselves were already charged

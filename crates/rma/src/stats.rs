@@ -30,7 +30,6 @@ pub struct CommStats {
     reshard_bytes: Cell<u64>,
     scan_builds: Cell<u64>,
     scan_reuses: Cell<u64>,
-    scan_patches: Cell<u64>,
     scan_holders: Cell<u64>,
     scan_bytes: Cell<u64>,
     query_execs: Cell<u64>,
@@ -162,15 +161,6 @@ impl CommStats {
     #[inline]
     pub fn record_scan_reuse(&self) {
         self.scan_reuses.set(self.scan_reuses.get() + 1);
-    }
-
-    /// Record one scan view **delta-patched** from the redo-log tail:
-    /// `holders` rows re-decoded in place instead of a full sweep.
-    #[inline]
-    pub fn record_scan_patch(&self, holders: u64, bytes: u64) {
-        self.scan_patches.set(self.scan_patches.get() + 1);
-        self.scan_holders.set(self.scan_holders.get() + holders);
-        self.scan_bytes.set(self.scan_bytes.get() + bytes);
     }
 
     /// Record one declarative-query execution started on this rank (the
@@ -307,7 +297,7 @@ impl CommStats {
             reshard_bytes: self.reshard_bytes.get(),
             scan_builds: self.scan_builds.get(),
             scan_reuses: self.scan_reuses.get(),
-            scan_patches: self.scan_patches.get(),
+            scan_patches: 0,
             scan_holders: self.scan_holders.get(),
             scan_bytes: self.scan_bytes.get(),
             query_execs: self.query_execs.get(),
@@ -371,9 +361,11 @@ pub struct RankReport {
     pub scan_builds: u64,
     /// OLAP jobs that reused a cached scan view (epoch unchanged).
     pub scan_reuses: u64,
-    /// Scan views delta-patched from the redo-log tail.
+    /// Always 0: the redo-tail view patch is gone (a stale view is
+    /// rebuilt). The field stays because the frozen `benchmark/` reads
+    /// it; a `[benchmark]` PR may drop both.
     pub scan_patches: u64,
-    /// Live holders decoded by scan builds/patches on this rank.
+    /// Live holders decoded by scan builds on this rank.
     pub scan_holders: u64,
     /// Holder payload bytes lifted out of raw images by scans.
     pub scan_bytes: u64,
@@ -459,7 +451,6 @@ impl RankReport {
         self.reshard_bytes += other.reshard_bytes;
         self.scan_builds += other.scan_builds;
         self.scan_reuses += other.scan_reuses;
-        self.scan_patches += other.scan_patches;
         self.scan_holders += other.scan_holders;
         self.scan_bytes += other.scan_bytes;
         self.query_execs += other.query_execs;

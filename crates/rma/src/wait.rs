@@ -23,11 +23,11 @@
 //!    Spending one wake's cost before sleeping is the competitive rule of
 //!    Karlin, Li, Manasse & Owicki (SOSP '91): never worse than twice the
 //!    better of "always sleep" and "never sleep";
-//! 3. **sleep** on a condvar, registered as a sleeper, until notified or
-//!    the deadline passes. A sleep is cut into naps of at most
-//!    [`SAFETY_TIMEOUT`]; a nap that ends re-checks the condition and goes
-//!    straight back to sleep, so a long wait (an idle server) yields once
-//!    at its start and costs no CPU after.
+//! 3. **sleep** on a condvar, registered as a sleeper, until notified. A
+//!    sleep is cut into naps of at most [`SAFETY_TIMEOUT`]; a nap that
+//!    ends re-checks the condition and goes straight back to sleep, so a
+//!    long wait (an idle server) yields once at its start and costs no
+//!    CPU after.
 //!
 //! [`WakeSource::notify`] makes a system call only when a sleeper is
 //! registered: an unwaited notify is one fence and one load.
@@ -59,7 +59,7 @@
 
 use std::sync::atomic::{fence, AtomicU32, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Yields before a waiter sleeps. A yield that finds nothing else to run
 /// costs ≈ 0.2 µs, so 100 rounds of useless yielding are ≈ 20 µs — one
@@ -102,28 +102,17 @@ impl WakeSource {
         }
     }
 
-    /// Wait until `cond()` holds or `deadline` passes; returns whether it
-    /// held. With no deadline the only way out is `true`. `cond` runs on
-    /// the caller's thread, in the sleep phase under this source's lock:
-    /// it must be cheap, must not panic, and must not notify this source.
-    pub fn wait_until(&self, deadline: Option<Instant>, mut cond: impl FnMut() -> bool) -> bool {
+    /// Wait until `cond()` holds. `cond` runs on the caller's thread, in
+    /// the sleep phase under this source's lock: it must be cheap, must
+    /// not panic, and must not notify this source.
+    pub fn wait_until(&self, mut cond: impl FnMut() -> bool) {
         if cond() {
-            return true;
+            return;
         }
-        // time left until the deadline: `None` once it has passed
-        let time_left = || match deadline {
-            None => Some(SAFETY_TIMEOUT),
-            Some(d) => d
-                .checked_duration_since(Instant::now())
-                .filter(|t| !t.is_zero()),
-        };
         for _ in 0..YIELD_ROUNDS {
-            if time_left().is_none() {
-                return false;
-            }
             std::thread::yield_now();
             if cond() {
-                return true;
+                return;
             }
         }
         // register, fence, re-check under the lock: the waiter's half of
@@ -131,22 +120,15 @@ impl WakeSource {
         self.sleepers.fetch_add(1, Ordering::SeqCst);
         fence(Ordering::SeqCst);
         let mut guard = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
-        let held = loop {
-            if cond() {
-                break true;
-            }
-            let Some(left) = time_left() else {
-                break false;
-            };
+        while !cond() {
             guard = self
                 .cv
-                .wait_timeout(guard, left.min(SAFETY_TIMEOUT))
+                .wait_timeout(guard, SAFETY_TIMEOUT)
                 .unwrap_or_else(PoisonError::into_inner)
                 .0;
-        };
+        }
         drop(guard);
         self.sleepers.fetch_sub(1, Ordering::SeqCst);
-        held
     }
 
     /// Wake every sleeping waiter so it re-checks its condition. Call
@@ -167,15 +149,16 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
+    use std::time::Instant;
 
     #[test]
     fn already_true_returns_without_waiting() {
         let src = WakeSource::new();
         let mut polls = 0;
-        assert!(src.wait_until(None, || {
+        src.wait_until(|| {
             polls += 1;
             true
-        }));
+        });
         assert_eq!(polls, 1);
         assert_eq!(src.sleepers.load(Ordering::SeqCst), 0);
     }
@@ -188,13 +171,13 @@ mod tests {
         let src = WakeSource::new();
         let flag = AtomicBool::new(false);
         let mut polls = 0;
-        assert!(src.wait_until(None, || {
+        src.wait_until(|| {
             polls += 1;
             if polls == 3 {
                 flag.store(true, Ordering::Release);
             }
             flag.load(Ordering::Acquire)
-        }));
+        });
         assert_eq!(polls, 3);
         assert_eq!(src.sleepers.load(Ordering::SeqCst), 0);
     }
@@ -215,29 +198,12 @@ mod tests {
             })
         };
         let t0 = Instant::now();
-        assert!(src.wait_until(None, || flag.load(Ordering::Acquire)));
+        src.wait_until(|| flag.load(Ordering::Acquire));
         let waited = t0.elapsed();
         publisher.join().unwrap();
         assert!(waited >= Duration::from_millis(20), "{waited:?}");
         assert!(waited < SAFETY_TIMEOUT / 2, "woken by a nap: {waited:?}");
         assert_eq!(src.sleepers.load(Ordering::SeqCst), 0);
-    }
-
-    #[test]
-    fn deadline_passes() {
-        let src = WakeSource::new();
-        let t0 = Instant::now();
-        let held = src.wait_until(Some(t0 + Duration::from_millis(10)), || false);
-        assert!(!held);
-        assert!(t0.elapsed() >= Duration::from_millis(10));
-        assert!(t0.elapsed() < SAFETY_TIMEOUT / 2);
-        // an expired deadline returns after the first poll
-        let mut polls = 0;
-        assert!(!src.wait_until(Some(Instant::now()), || {
-            polls += 1;
-            false
-        }));
-        assert_eq!(polls, 1);
     }
 
     /// A publish without a notify is a caller bug; the safety nap bounds
@@ -252,7 +218,7 @@ mod tests {
             f2.store(true, Ordering::Release); // no notify
         });
         let t0 = Instant::now();
-        assert!(src.wait_until(None, || flag.load(Ordering::Acquire)));
+        src.wait_until(|| flag.load(Ordering::Acquire));
         publisher.join().unwrap();
         assert!(t0.elapsed() < SAFETY_TIMEOUT * 3);
     }

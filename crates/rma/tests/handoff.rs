@@ -125,8 +125,7 @@ proptest! {
     /// publisher pauses a random 0–400 µs before each publish and the
     /// waiters think a random 0–400 µs between waits, so publishes land
     /// before the wait, in its poll, in its yield phase (≈ 20 µs) and in
-    /// its sleep. Odd waiters wait with short deadlines and retry, which
-    /// drives the timed-out path too. No waiter may see a generation
+    /// its sleep. No waiter may see a generation
     /// later than half a safety nap after it was published: a lost wake
     /// would take a whole one.
     #[test]
@@ -134,7 +133,6 @@ proptest! {
         waiters in 1usize..4,
         gaps_us in prop::collection::vec(0u64..400, 1..40),
         think_us in prop::collection::vec(0u64..400, 1..8),
-        patience_us in 5u64..300,
     ) {
         let src = WakeSource::new();
         let generation = AtomicU64::new(0);
@@ -158,13 +156,7 @@ proptest! {
                         let mut slowest = 0u64;
                         for g in 0..published.len() {
                             pause(think_us[(g + w) % think_us.len()]);
-                            let arrived = || generation.load(Ordering::Acquire) > g as u64;
-                            if w % 2 == 1 {
-                                let patience = Duration::from_micros(patience_us);
-                                while !src.wait_until(Some(Instant::now() + patience), arrived) {}
-                            } else {
-                                assert!(src.wait_until(None, arrived));
-                            }
+                            src.wait_until(|| generation.load(Ordering::Acquire) > g as u64);
                             let now = t0.elapsed().as_nanos() as u64;
                             let late = now.saturating_sub(published[g].load(Ordering::Relaxed));
                             slowest = slowest.max(late);
@@ -198,7 +190,7 @@ fn notify_wakes_all_waiters_of_one_source() {
             let (src, go) = (src.clone(), go.clone());
             std::thread::spawn(move || {
                 let t0 = Instant::now();
-                src.wait_until(None, || go.load(Ordering::Acquire) == 1);
+                src.wait_until(|| go.load(Ordering::Acquire) == 1);
                 t0.elapsed()
             })
         })

@@ -247,9 +247,10 @@ fn ack_group(bc: &BatchCtx, group: Vec<(&Request, OpOutcome)>) {
     }
 }
 
-/// Execute one drained batch and leave `batch` empty. `group_commit =
-/// false` serves every request in its own transaction (the baseline the
-/// throughput bench compares against).
+/// Execute one drained batch and leave `batch` empty. A batch of one
+/// request is served in its own transaction (what
+/// [`ServerOptions::unbatched`] drains, the baseline the throughput
+/// bench compares against); anything larger is grouped.
 ///
 /// The whole drain cycle shares one translation-cache epoch check
 /// ([`GdaRank::cache_begin_cycle`]): the owner-rank epoch words are
@@ -294,7 +295,7 @@ pub(crate) fn execute_batch(
     if pin {
         eng.cache_begin_cycle();
     }
-    let timing = execute_batch_inner(eng, &bc, batch, opts.group_commit, opts.write_group);
+    let timing = execute_batch_inner(eng, &bc, batch);
     if pin {
         eng.cache_end_cycle();
     }
@@ -322,22 +323,19 @@ impl ReadTiming {
     }
 }
 
-fn execute_batch_inner(
-    eng: &GdaRank,
-    bc: &BatchCtx,
-    batch: &VecDeque<Request>,
-    group_commit: bool,
-    write_group: usize,
-) -> ReadTiming {
+/// Maximum writes per grouped transaction: bounds the write-lock
+/// footprint one group holds while it executes.
+const WRITE_GROUP: usize = 16;
+
+fn execute_batch_inner(eng: &GdaRank, bc: &BatchCtx, batch: &VecDeque<Request>) -> ReadTiming {
     let mut timing = ReadTiming::default();
-    if !group_commit || batch.len() == 1 {
-        for req in batch {
-            let t0 = eng.ctx().now_ns();
-            let out = run_individual(eng, req);
-            fulfill(bc, req, out, false);
-            if req.op.is_read() {
-                timing.add(eng.ctx().now_ns() - t0, 1);
-            }
+    if batch.len() == 1 {
+        let req = &batch[0];
+        let t0 = eng.ctx().now_ns();
+        let out = run_individual(eng, req);
+        fulfill(bc, req, out, false);
+        if req.op.is_read() {
+            timing.add(eng.ctx().now_ns() - t0, 1);
         }
         return timing;
     }
@@ -373,8 +371,8 @@ fn execute_batch_inner(
         let mut buffered: Vec<(&Request, OpOutcome)> = Vec::with_capacity(reads.len());
         for req in &reads {
             if tx.status() != TxStatus::Active {
-                // a critical error (read-lock conflict) killed the shared
-                // transaction; the remaining reads fall back individually
+                // a critical error killed the shared transaction; the
+                // remaining reads fall back individually
                 let out = run_individual(eng, req);
                 fulfill(bc, req, out, false);
                 continue;
@@ -386,7 +384,7 @@ fn execute_batch_inner(
                     buffered.push((req, OpOutcome::Aborted(e)));
                 }
                 Err(_) => {
-                    // this read's lock conflict poisoned the shared tx:
+                    // this read's critical error poisoned the shared tx:
                     // give it the same individual retry the reads behind
                     // it will get
                     let out = run_individual(eng, req);
@@ -413,10 +411,9 @@ fn execute_batch_inner(
 
     // ---- grouped write transactions (group commit) --------------------
     // bounded sub-groups keep the write-lock footprint (and thus the
-    // cross-rank conflict window) proportional to `write_group`, not to
-    // whatever the drain returned; `write_group == 1` degenerates to the
-    // per-request path inside execute_write_group
-    for chunk in writes.chunks(write_group.max(1)) {
+    // cross-rank conflict window) proportional to `WRITE_GROUP`, not to
+    // whatever the drain returned
+    for chunk in writes.chunks(WRITE_GROUP) {
         execute_write_group(eng, bc, chunk);
     }
 

@@ -285,160 +285,16 @@ impl ServerMetrics {
         }
     }
 
-    /// Sum a fabric-report counter over all serving ranks (reports are
-    /// captured when serving stops).
-    fn fabric_sum(&self, field: impl Fn(&RankReport) -> u64) -> u64 {
-        self.per_rank
-            .iter()
-            .filter_map(|r| r.fabric.as_ref().map(&field))
-            .sum()
-    }
-
-    /// Fabric-side fault injections fired (quiesce/collective points of
-    /// the shared fault plane) over all serving ranks.
-    pub fn fabric_fault_injections(&self) -> u64 {
-        self.fabric_sum(|f| f.fault_injections)
-    }
-
-    /// Translation-cache hits over all serving ranks.
-    pub fn cache_hits(&self) -> u64 {
-        self.fabric_sum(|f| f.cache_hits)
-    }
-
-    /// Translation-cache misses over all serving ranks.
-    pub fn cache_misses(&self) -> u64 {
-        self.fabric_sum(|f| f.cache_misses)
-    }
-
-    /// Translation-cache invalidations over all serving ranks.
-    pub fn cache_invalidations(&self) -> u64 {
-        self.fabric_sum(|f| f.cache_invalidations)
-    }
-
-    /// OLAP scan-view builds (full raw-window sweeps) over all serving
-    /// ranks.
-    pub fn scan_builds(&self) -> u64 {
-        self.fabric_sum(|f| f.scan_builds)
-    }
-
-    /// OLAP jobs served from a revalidated cached scan view.
-    pub fn scan_reuses(&self) -> u64 {
-        self.fabric_sum(|f| f.scan_reuses)
-    }
-
-    /// Scan views delta-patched from the redo-log tail.
-    pub fn scan_patches(&self) -> u64 {
-        self.fabric_sum(|f| f.scan_patches)
-    }
-
-    /// Declarative-query executions over all serving ranks (the `query`
-    /// crate's collective executor; each execution counts once per rank).
-    pub fn query_execs(&self) -> u64 {
-        self.fabric_sum(|f| f.query_execs)
-    }
-
-    /// Bindings surviving query stages over all serving ranks.
-    pub fn query_rows(&self) -> u64 {
-        self.fabric_sum(|f| f.query_rows)
-    }
-
-    /// Adjacency entries inspected by query expand stages over all
-    /// serving ranks.
-    pub fn query_expands(&self) -> u64 {
-        self.fabric_sum(|f| f.query_expands)
-    }
-
-    /// Bytes routed through query stage-level exchanges over all
-    /// serving ranks.
-    pub fn query_bytes(&self) -> u64 {
-        self.fabric_sum(|f| f.query_bytes)
-    }
-
-    /// Snapshot epochs pinned by read-only transactions over all
-    /// serving ranks (MVCC snapshot-isolation read path).
-    pub fn snapshot_pins(&self) -> u64 {
-        self.fabric_sum(|f| f.snapshot_pins)
-    }
-
-    /// Objects resolved through the lock-free validated snapshot read
-    /// path (including version-chain walks) over all serving ranks.
-    pub fn snapshot_reads(&self) -> u64 {
-        self.fabric_sum(|f| f.snapshot_reads)
-    }
-
-    /// Read-epoch watermark advances performed by committing writers
-    /// over all serving ranks.
-    pub fn watermark_advances(&self) -> u64 {
-        self.fabric_sum(|f| f.watermark_advances)
-    }
-
-    /// Pre-images archived onto version chains by committing writers
-    /// over all serving ranks.
-    pub fn version_archives(&self) -> u64 {
-        self.fabric_sum(|f| f.version_archives)
-    }
-
-    /// Archived versions freed by chain truncation below the snapshot
-    /// floor over all serving ranks.
-    pub fn chain_truncations(&self) -> u64 {
-        self.fabric_sum(|f| f.chain_truncations)
-    }
-
-    /// Engine-level maintenance passes over all serving ranks (each
-    /// collective pass counts once per rank).
-    pub fn maintenance_passes(&self) -> u64 {
-        self.fabric_sum(|f| f.maintenance_passes)
-    }
-
-    /// Archived MVCC versions reclaimed by the maintenance vacuum over
-    /// all serving ranks.
-    pub fn vacuumed_versions(&self) -> u64 {
-        self.fabric_sum(|f| f.vacuumed_versions)
-    }
-
-    /// Holder chains repacked by maintenance compaction over all
-    /// serving ranks.
-    pub fn compacted_chains(&self) -> u64 {
-        self.fabric_sum(|f| f.compacted_chains)
-    }
-
-    /// Continuation blocks moved by maintenance compaction over all
-    /// serving ranks.
-    pub fn compacted_blocks(&self) -> u64 {
-        self.fabric_sum(|f| f.compacted_blocks)
-    }
-
-    /// Snapshot-chain bytes checksum-verified by maintenance over all
-    /// serving ranks.
-    pub fn verified_bytes(&self) -> u64 {
-        self.fabric_sum(|f| f.verified_bytes)
-    }
-
-    /// Checksum/readability errors the snapshot verifier flagged over
-    /// all serving ranks (should be zero on a healthy store).
-    pub fn verify_errors(&self) -> u64 {
-        self.fabric_sum(|f| f.verify_errors)
-    }
-
-    /// Incremental (delta) checkpoints published over all serving ranks
-    /// (each collective delta checkpoint counts once per rank).
-    pub fn delta_checkpoints(&self) -> u64 {
-        self.fabric_sum(|f| f.delta_checkpoints)
-    }
-
-    /// Dirty chunks written by delta checkpoints over all serving ranks.
-    pub fn delta_chunks(&self) -> u64 {
-        self.fabric_sum(|f| f.delta_chunks)
-    }
-
-    /// Translation-cache hit fraction (0 when the cache was never probed).
-    pub fn cache_hit_fraction(&self) -> f64 {
-        gda::CacheStats {
-            hits: self.cache_hits(),
-            misses: self.cache_misses(),
-            ..Default::default()
+    /// The fabric-level counters summed over all serving ranks (reports
+    /// are captured when serving stops; sim time is the maximum): read
+    /// the fields — `fabric_total().cache_hits`, `.scan_builds`, … —
+    /// instead of one accessor per counter.
+    pub fn fabric_total(&self) -> RankReport {
+        let mut total = RankReport::default();
+        for report in self.per_rank.iter().filter_map(|r| r.fabric.as_ref()) {
+            total.merge(report);
         }
-        .hit_fraction()
+        total
     }
 }
 

@@ -14,7 +14,6 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::time::Instant;
 
 use parking_lot::Mutex;
 use rma::WakeSource;
@@ -83,25 +82,24 @@ impl<T> BoundedQueue<T> {
                 Err(PushError::Full(back)) => t = back,
                 done => return done,
             }
-            self.space.wait_until(None, || {
+            self.space.wait_until(|| {
                 self.len.load(Ordering::Acquire) < self.cap || self.closed.load(Ordering::Acquire)
             });
         }
     }
 
-    /// Wait until the queue is non-empty or closed, `also()` holds, or
-    /// `deadline` passes; then move up to `max` queued items to the back
-    /// of `batch`. Returns whether the queue is closed (a closed queue is
-    /// still drained until empty). `also` is the drainer's other reason
-    /// to get up; whoever makes it true calls [`BoundedQueue::wake`].
+    /// Wait until the queue is non-empty or closed, or `also()` holds;
+    /// then move up to `max` queued items to the back of `batch`. Returns
+    /// whether the queue is closed (a closed queue is still drained until
+    /// empty). `also` is the drainer's other reason to get up; whoever
+    /// makes it true calls [`BoundedQueue::wake`].
     pub fn drain_wait(
         &self,
         batch: &mut VecDeque<T>,
         max: usize,
-        deadline: Option<Instant>,
         mut also: impl FnMut() -> bool,
     ) -> bool {
-        self.ready.wait_until(deadline, || {
+        self.ready.wait_until(|| {
             self.len.load(Ordering::Acquire) > 0 || self.closed.load(Ordering::Acquire) || also()
         });
         let mut g = self.items.lock();
@@ -148,12 +146,12 @@ impl<T> BoundedQueue<T> {
 mod tests {
     use super::*;
     use std::sync::Arc;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
-    /// One timed drain into a fresh batch: `(items, closed)`.
-    fn drain<T>(q: &BoundedQueue<T>, max: usize, timeout: Duration) -> (Vec<T>, bool) {
+    /// One drain into a fresh batch: `(items, closed)`.
+    fn drain<T>(q: &BoundedQueue<T>, max: usize) -> (Vec<T>, bool) {
         let mut batch = VecDeque::new();
-        let closed = q.drain_wait(&mut batch, max, Some(Instant::now() + timeout), || false);
+        let closed = q.drain_wait(&mut batch, max, || false);
         (batch.into(), closed)
     }
 
@@ -164,7 +162,7 @@ mod tests {
         q.try_push(2).unwrap();
         assert_eq!(q.try_push(3), Err(PushError::Full(3)));
         assert_eq!(q.len(), 2);
-        let (batch, closed) = drain(&q, 10, Duration::from_millis(1));
+        let (batch, closed) = drain(&q, 10);
         assert_eq!(batch, vec![1, 2]);
         assert!(!closed);
         assert_eq!(q.len(), 0);
@@ -179,10 +177,10 @@ mod tests {
             q.try_push(i).unwrap();
         }
         let mut batch = VecDeque::new();
-        q.drain_wait(&mut batch, 2, None, || false);
+        q.drain_wait(&mut batch, 2, || false);
         assert_eq!(batch, [0, 1]);
         assert_eq!(q.len(), 3);
-        q.drain_wait(&mut batch, 8, None, || false);
+        q.drain_wait(&mut batch, 8, || false);
         assert_eq!(batch, [0, 1, 2, 3, 4]);
         assert_eq!(q.len(), 0);
     }
@@ -194,7 +192,7 @@ mod tests {
         q.close();
         assert_eq!(q.try_push(8), Err(PushError::Closed(8)));
         assert_eq!(q.push_wait(9), Err(PushError::Closed(9)));
-        let (batch, closed) = drain(&q, 10, Duration::from_millis(1));
+        let (batch, closed) = drain(&q, 10);
         assert_eq!(batch, vec![7]);
         assert!(closed);
     }
@@ -208,10 +206,10 @@ mod tests {
         // the pusher must be blocked until we drain
         std::thread::sleep(Duration::from_millis(20));
         assert_eq!(q.len(), 1, "push_wait overran the bound");
-        let (b1, _) = drain(&q, 1, Duration::from_millis(1));
+        let (b1, _) = drain(&q, 1);
         assert_eq!(b1, vec![0]);
         assert!(pusher.join().unwrap());
-        let (b2, _) = drain(&q, 1, Duration::from_millis(100));
+        let (b2, _) = drain(&q, 1);
         assert_eq!(b2, vec![1]);
     }
 
@@ -229,7 +227,7 @@ mod tests {
 
     /// Regression: a spurious (or unrelated) wakeup used to be treated as
     /// a timeout, returning an empty batch early. `drain_wait` must keep
-    /// waiting on the remaining deadline until an item arrives.
+    /// waiting until an item arrives.
     #[test]
     fn drain_wait_survives_spurious_wakeups() {
         let q: Arc<BoundedQueue<u32>> = Arc::new(BoundedQueue::new(4));
@@ -243,7 +241,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
             q2.try_push(42).unwrap();
         });
-        let (batch, closed) = drain(&q, 8, Duration::from_secs(5));
+        let (batch, closed) = drain(&q, 8);
         waker.join().unwrap();
         assert_eq!(batch, vec![42], "woke early without an item");
         assert!(!closed);
@@ -263,7 +261,7 @@ mod tests {
         });
         let t0 = Instant::now();
         let mut batch = VecDeque::new();
-        let closed = q.drain_wait(&mut batch, 8, None, || flag.load(Ordering::Acquire));
+        let closed = q.drain_wait(&mut batch, 8, || flag.load(Ordering::Acquire));
         waker.join().unwrap();
         assert!(batch.is_empty() && !closed);
         assert!(
@@ -281,8 +279,8 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
             q2.close();
         });
-        let t0 = std::time::Instant::now();
-        let (batch, closed) = drain(&q, 8, Duration::from_secs(5));
+        let t0 = Instant::now();
+        let (batch, closed) = drain(&q, 8);
         closer.join().unwrap();
         assert!(batch.is_empty());
         assert!(closed);
@@ -321,7 +319,7 @@ mod tests {
                 let mut batch = VecDeque::new();
                 let mut total = 0u32;
                 loop {
-                    let closed = q.drain_wait(&mut batch, 16, None, || false);
+                    let closed = q.drain_wait(&mut batch, 16, || false);
                     if closed && batch.is_empty() {
                         return next;
                     }
@@ -383,18 +381,8 @@ mod tests {
         let used = cpu_ticks() - before;
         assert_eq!(q.len(), 1, "the producer got past the bound");
         assert!(used <= 2, "a blocked producer used {used} ticks");
-        let (b, _) = drain(&q, 1, Duration::from_millis(1));
+        let (b, _) = drain(&q, 1);
         assert_eq!(b, vec![0]);
         assert!(pusher.join().unwrap());
-    }
-
-    #[test]
-    fn drain_times_out_empty() {
-        let q: BoundedQueue<u32> = BoundedQueue::new(4);
-        let t0 = std::time::Instant::now();
-        let (batch, closed) = drain(&q, 8, Duration::from_millis(10));
-        assert!(batch.is_empty());
-        assert!(!closed);
-        assert!(t0.elapsed() >= Duration::from_millis(10));
     }
 }

@@ -164,7 +164,7 @@ impl Ticket {
     /// Block until the outcome is available.
     pub fn wait(&self) -> OpOutcome {
         let slot = &self.0.outcome;
-        self.0.wake.wait_until(None, || slot.get().is_some());
+        self.0.wake.wait_until(|| slot.get().is_some());
         slot.get()
             .expect("the wait ends on a resolved slot")
             .clone()

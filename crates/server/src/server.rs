@@ -33,14 +33,11 @@ pub enum AdmissionPolicy {
 pub struct ServerOptions {
     /// Bound of each per-rank request queue.
     pub queue_capacity: usize,
-    /// Maximum requests drained (and hence coalesced) per serve cycle.
+    /// Maximum requests drained per serve cycle. A drain of more than
+    /// one request is always coalesced into shared transactions with one
+    /// group commit per write group; `1` serves one transaction per
+    /// request ([`ServerOptions::unbatched`]).
     pub max_batch: usize,
-    /// Coalesce compatible ops into shared transactions with one group
-    /// commit per cycle. `false` serves one transaction per request.
-    pub group_commit: bool,
-    /// Maximum writes per grouped transaction: bounds the write-lock
-    /// footprint one group holds while it executes.
-    pub write_group: usize,
     /// Full-queue behaviour.
     pub admission: AdmissionPolicy,
     /// Which serving rank a session's ops land on.
@@ -60,9 +57,6 @@ pub struct ServerOptions {
     /// staleness under overload or injected stalls). `None` (default)
     /// never sheds.
     pub deadline: Option<Duration>,
-    /// Capacity of the idempotency dedup window (token → decided
-    /// outcome, FIFO-evicted). Bounds the memory a retry storm can pin.
-    pub dedup_window: usize,
 }
 
 /// Which serving rank executes a submitted op.
@@ -87,23 +81,20 @@ impl Default for ServerOptions {
         Self {
             queue_capacity: 1024,
             max_batch: 64,
-            group_commit: true,
-            write_group: 16,
             admission: AdmissionPolicy::Block,
             route: RoutePolicy::Owner,
             maintenance_interval: None,
             deadline: None,
-            dedup_window: 1024,
         }
     }
 }
 
 impl ServerOptions {
-    /// The unbatched baseline: every request is its own transaction.
+    /// The unbatched baseline: every drain is one request, and a
+    /// one-request batch is its own transaction.
     pub fn unbatched() -> Self {
         Self {
             max_batch: 1,
-            group_commit: false,
             ..Self::default()
         }
     }
@@ -154,6 +145,10 @@ impl Drop for OlapPending {
             .fulfill_if_pending(OpOutcome::Aborted(gdi::GdiError::TransactionClosed));
     }
 }
+
+/// Capacity of the idempotency dedup window: bounds the memory a retry
+/// storm can pin.
+const DEDUP_WINDOW: usize = 1024;
 
 /// Bounded token → decided-outcome map (FIFO eviction). Only *decided*
 /// outcomes are recorded — committed ops so a retry never double-applies;
@@ -306,7 +301,7 @@ impl GdiServer {
             write_rejects: AtomicU64::new(0),
             retries: AtomicU64::new(0),
             last_log_errors: AtomicU64::new(0),
-            dedup: Mutex::new(DedupWindow::new(opts.dedup_window)),
+            dedup: Mutex::new(DedupWindow::new(DEDUP_WINDOW)),
             db,
         }))
     }
@@ -589,7 +584,7 @@ impl GdiServer {
                 AdmissionPolicy::Block => {
                     // until the last pause is released — or shutdown,
                     // which signals without touching the pause count
-                    self.0.pause_wake.wait_until(None, || {
+                    self.0.pause_wake.wait_until(|| {
                         self.0.paused.load(Ordering::SeqCst) == 0
                             || !self.0.accepting.load(Ordering::SeqCst)
                     });
@@ -682,8 +677,7 @@ impl GdiServer {
                     // closed and non-empty: the wait returns at once;
                     // dropping the requests resolves their tickets
                     let mut orphans = VecDeque::new();
-                    self.inner.queues[self.rank]
-                        .drain_wait(&mut orphans, usize::MAX, None, || false);
+                    self.inner.queues[self.rank].drain_wait(&mut orphans, usize::MAX, || false);
                 }
             }
         }
@@ -755,10 +749,9 @@ impl GdiServer {
             // block until there is a request, a job to rendezvous for, or
             // the queue closed — pushes, `submit_olap` and `shutdown` all
             // signal this queue's drainer
-            let closed =
-                inner.queues[rank].drain_wait(&mut batch, inner.opts.max_batch, None, || {
-                    olap_served < inner.olap_submitted.load(Ordering::SeqCst)
-                });
+            let closed = inner.queues[rank].drain_wait(&mut batch, inner.opts.max_batch, || {
+                olap_served < inner.olap_submitted.load(Ordering::SeqCst)
+            });
             let drained = batch.len();
             if drained == 0 {
                 if closed && olap_served == inner.olap_submitted.load(Ordering::SeqCst) {

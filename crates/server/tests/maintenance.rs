@@ -82,9 +82,10 @@ fn explicit_maintenance_reclaims_mvcc_garbage_while_serving() {
     let m = server.metrics();
     assert_eq!(m.maintenance_runs, 1);
     // engine-level counters: one collective pass counted once per rank
-    assert_eq!(m.maintenance_passes(), 2);
-    assert!(m.vacuumed_versions() >= report.vacuumed_versions);
-    assert_eq!(m.verify_errors(), 0);
+    let fabric = m.fabric_total();
+    assert_eq!(fabric.maintenance_passes, 2);
+    assert!(fabric.vacuumed_versions >= report.vacuumed_versions);
+    assert_eq!(fabric.verify_errors, 0);
     // the overwritten vertices stay readable after the vacuum
     assert!(m.committed() >= 4 + 24);
 }
@@ -130,11 +131,12 @@ fn scheduled_maintenance_runs_between_drain_cycles() {
     let m = server.metrics();
     assert!(m.maintenance_runs >= 1, "cadence never fired: {m:?}");
     // every scheduled run executed collectively on both ranks
-    assert_eq!(m.maintenance_passes(), 2 * m.maintenance_runs);
-    assert_eq!(m.verify_errors(), 0);
+    let fabric = m.fabric_total();
+    assert_eq!(fabric.maintenance_passes, 2 * m.maintenance_runs);
+    assert_eq!(fabric.verify_errors, 0);
     // the vacuum kept the hot vertex's chain bounded without touching
     // its live version (all later reads committed above)
-    assert!(m.vacuumed_versions() >= 1, "{m:?}");
+    assert!(fabric.vacuumed_versions >= 1, "{m:?}");
 }
 
 /// Collective job body: this rank's free blocks plus every block

@@ -2,10 +2,7 @@
 //! scale: these assert the *relationships* the figures show (who wins, by
 //! roughly what factor), which is the contract of this reproduction.
 
-use gdi_bench::{
-    gda_olap_on, gda_oltp_on, graph500_bfs_on, janus_oltp_on, neo4j_olap_on, neo4j_oltp_on,
-    spec_for, BackendKind, OlapAlgo, ViewMode,
-};
+use gdi_bench::{spec_for, BackendKind, OlapAlgo, ViewMode};
 use graphgen::{GraphSpec, LpgConfig};
 use workloads::oltp::Mix;
 
@@ -17,22 +14,22 @@ const OPS: usize = 150;
 // under a `GDI_FABRIC_BACKEND=wall` environment, where these ratios
 // would be hardware noise.
 fn gda_oltp(nranks: usize, spec: &GraphSpec, mix: &Mix, ops: usize) -> (f64, f64) {
-    gda_oltp_on(BackendKind::Sim, nranks, spec, mix, ops)
+    gdi_bench::gda_oltp(BackendKind::Sim, nranks, spec, mix, ops)
 }
 fn janus_oltp(nranks: usize, spec: &GraphSpec, mix: &Mix, ops: usize) -> (f64, f64) {
-    janus_oltp_on(BackendKind::Sim, nranks, spec, mix, ops)
+    gdi_bench::janus_oltp(BackendKind::Sim, nranks, spec, mix, ops)
 }
 fn neo4j_oltp(nranks: usize, spec: &GraphSpec, mix: &Mix, ops: usize) -> (f64, f64) {
-    neo4j_oltp_on(BackendKind::Sim, nranks, spec, mix, ops)
+    gdi_bench::neo4j_oltp(BackendKind::Sim, nranks, spec, mix, ops)
 }
 fn gda_olap(nranks: usize, spec: &GraphSpec, algo: OlapAlgo) -> f64 {
-    gda_olap_on(BackendKind::Sim, nranks, spec, algo, ViewMode::Tx)
+    gdi_bench::gda_olap(BackendKind::Sim, nranks, spec, algo, ViewMode::Tx)
 }
 fn neo4j_olap(nranks: usize, spec: &GraphSpec, algo: OlapAlgo) -> f64 {
-    neo4j_olap_on(BackendKind::Sim, nranks, spec, algo)
+    gdi_bench::neo4j_olap(BackendKind::Sim, nranks, spec, algo)
 }
 fn graph500_bfs(nranks: usize, spec: &GraphSpec) -> f64 {
-    graph500_bfs_on(BackendKind::Sim, nranks, spec)
+    gdi_bench::graph500_bfs(BackendKind::Sim, nranks, spec)
 }
 
 #[test]

@@ -225,6 +225,33 @@ fn snapshot_read_under_writer_lock_neither_blocks_nor_aborts() {
     );
 }
 
+/// There is one read path: every local read-only transaction pins a
+/// snapshot, however it was begun; writers and collective transactions
+/// (the paper's no-concurrent-writer path) never do.
+#[test]
+fn every_local_read_only_transaction_pins_and_nothing_else_does() {
+    let (db, fabric) = GdaDb::with_fabric("who-pins", GdaConfig::tiny(), 2, CostModel::zero());
+    fabric.run(|ctx| {
+        let eng = db.attach(ctx);
+        eng.init_collective();
+        for tx in [
+            eng.begin(AccessMode::ReadOnly),
+            eng.begin_grouped(AccessMode::ReadOnly),
+        ] {
+            assert!(tx.snapshot_epoch().is_some(), "local read-only pins");
+            tx.commit().unwrap();
+        }
+        let writer = eng.begin(AccessMode::ReadWrite);
+        assert_eq!(writer.snapshot_epoch(), None, "local writer");
+        writer.commit().unwrap();
+        for mode in [AccessMode::ReadOnly, AccessMode::ReadWrite] {
+            let tx = eng.begin_collective(mode);
+            assert_eq!(tx.snapshot_epoch(), None, "collective {mode:?}");
+            tx.commit().unwrap();
+        }
+    });
+}
+
 // ---------------------------------------------------------------------
 // Differential harness: snapshot reads vs a sequential oracle
 // ---------------------------------------------------------------------
