@@ -82,8 +82,9 @@ impl PropCond {
 
 /// View of an element (vertex or edge) that constraints evaluate against.
 ///
-/// Implemented by GDA's holder caches; defined here so that constraint
-/// semantics are specified independently of any implementation.
+/// Implemented by GDA over a holder's entries (`gda::index`); defined
+/// here so that constraint semantics are specified independently of any
+/// implementation.
 pub trait ElementView {
     /// Does the element carry `label`?
     fn has_label(&self, label: LabelId) -> bool;

@@ -28,6 +28,16 @@
 //! Entry ids follow §5.4.3: `ENTRY_LABEL` (2) tags a label entry whose data
 //! is the label integer id; ids `>= FIRST_PTYPE_ID` are property entries of
 //! that p-type.
+//!
+//! ### Reading without decoding
+//!
+//! [`Holder::try_decode`] materialises a `Holder` (a `Vec` of records, a
+//! `Vec<u8>` per entry) — what a transaction that edits or re-reads an
+//! object wants. Readers that look once read the serialized bytes in
+//! place: [`Holder::scan_edges`] yields the live edge records,
+//! [`Holder::scan_entries`] tests labels and finds property values. All
+//! three validate through one private layout parser, so they accept
+//! exactly the same bytes.
 
 use gdi::{Direction, LabelId, PTypeId, ENTRY_LABEL, FIRST_PTYPE_ID};
 
@@ -217,12 +227,12 @@ impl Holder {
 
     /// All labels on the element.
     pub fn labels(&self) -> Vec<LabelId> {
-        self.entries.iter().filter_map(Entry::as_label).collect()
+        self.entry_scan().labels().collect()
     }
 
     /// Does the element carry `label`?
     pub fn has_label(&self, label: LabelId) -> bool {
-        self.entries.iter().any(|e| e.as_label() == Some(label))
+        self.entry_scan().has_label(label)
     }
 
     /// Add a label; no-op if already present. Returns whether it was added.
@@ -245,11 +255,17 @@ impl Holder {
 
     /// Raw bytes of all property entries of `ptype`, in entry order.
     pub fn properties_raw(&self, ptype: PTypeId) -> Vec<&[u8]> {
-        self.entries
-            .iter()
-            .filter(|e| e.is_property_of(ptype))
-            .map(|e| e.data.as_slice())
-            .collect()
+        self.entry_scan().properties_raw(ptype).collect()
+    }
+
+    /// This decoded holder's entries behind the reader that
+    /// [`Holder::scan_entries`] gives serialized bytes: one label test
+    /// and one property lookup for both representations.
+    pub fn entry_scan(&self) -> EntryScan<'_> {
+        EntryScan {
+            app_id: self.app_id,
+            src: EntrySrc::Decoded(&self.entries),
+        }
     }
 
     /// Append a property entry.
@@ -284,15 +300,7 @@ impl Holder {
 
     /// All distinct p-type ids present — `GDI_GetAllPropertyTypesOf…`.
     pub fn ptypes(&self) -> Vec<PTypeId> {
-        let mut v: Vec<PTypeId> = self
-            .entries
-            .iter()
-            .filter(|e| e.id >= FIRST_PTYPE_ID)
-            .map(|e| PTypeId(e.id))
-            .collect();
-        v.sort_unstable();
-        v.dedup();
-        v
+        self.entry_scan().ptypes()
     }
 
     // ----- edges -----------------------------------------------------------
@@ -424,23 +432,32 @@ impl Holder {
     /// a `Holder`: no entry is copied, no `Vec` is allocated. The OLAP
     /// scan sweep reads adjacency this way (`crate::scan`).
     pub fn scan_edges(bytes: &[u8]) -> Option<EdgeScan<'_>> {
-        let lay = Layout::parse(bytes)?;
-        let records = lay.edge_records(bytes);
-        for rec in records.chunks_exact(EDGE_RECORD_BYTES) {
-            Direction::from_u8(rec[20])?;
-        }
-        lay.walk_entries(bytes, |_, _| {})?;
+        let lay = Layout::validated(bytes)?;
         Some(EdgeScan {
             app_id: u64::from_le_bytes(bytes[16..24].try_into().unwrap()),
-            records,
+            records: lay.edge_records(bytes),
+        })
+    }
+
+    /// The entry-section twin of [`Holder::scan_edges`]: the same
+    /// validation — so it accepts exactly the bytes
+    /// [`Holder::try_decode`] accepts — and then labels are tested and
+    /// property values found **in place**: no `Holder`, no `Entry`, no
+    /// copy of a value. Predicates of collective read-only transactions
+    /// are evaluated this way (`crate::tx`).
+    pub fn scan_entries(bytes: &[u8]) -> Option<EntryScan<'_>> {
+        let lay = Layout::validated(bytes)?;
+        Some(EntryScan {
+            app_id: u64::from_le_bytes(bytes[16..24].try_into().unwrap()),
+            src: EntrySrc::Bytes(&bytes[lay.entries_start()..lay.end]),
         })
     }
 }
 
 /// Section bounds of a serialized holder whose header is structurally
-/// plausible — the validation [`Holder::try_decode`] and
-/// [`Holder::scan_edges`] share, so the two accept exactly the same
-/// bytes.
+/// plausible — the validation [`Holder::try_decode`],
+/// [`Holder::scan_edges`] and [`Holder::scan_entries`] share, so the
+/// three accept exactly the same bytes.
 struct Layout {
     num_edges: usize,
     flags: u32,
@@ -473,29 +490,72 @@ impl Layout {
         })
     }
 
+    /// [`Layout::parse`] plus everything else `try_decode` checks on its
+    /// way: every edge record's direction byte (tombstoned records
+    /// included) and the entry framing.
+    fn validated(bytes: &[u8]) -> Option<Layout> {
+        let lay = Layout::parse(bytes)?;
+        for rec in lay.edge_records(bytes).chunks_exact(EDGE_RECORD_BYTES) {
+            Direction::from_u8(rec[20])?;
+        }
+        lay.walk_entries(bytes, |_, _| {})?;
+        Some(lay)
+    }
+
+    fn entries_start(&self) -> usize {
+        HEADER_BYTES + self.num_edges * EDGE_RECORD_BYTES
+    }
+
     fn edge_records<'a>(&self, bytes: &'a [u8]) -> &'a [u8] {
-        &bytes[HEADER_BYTES..HEADER_BYTES + self.num_edges * EDGE_RECORD_BYTES]
+        &bytes[HEADER_BYTES..self.entries_start()]
     }
 
     /// Walk the entry section's framing, handing every `(id, data)` to
     /// `f`; `None` when a frame overruns the section or the walk does
     /// not end on its boundary.
     fn walk_entries<'a>(&self, bytes: &'a [u8], mut f: impl FnMut(u32, &'a [u8])) -> Option<()> {
-        let mut off = HEADER_BYTES + self.num_edges * EDGE_RECORD_BYTES;
-        let end = self.end;
-        while off < end {
-            if off + 8 > end {
-                return None;
-            }
-            let id = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap());
-            let len = u32::from_le_bytes(bytes[off + 4..off + 8].try_into().unwrap()) as usize;
-            if off + 8 + len > end {
-                return None;
-            }
-            f(id, &bytes[off + 8..off + 8 + len]);
-            off += 8 + len.div_ceil(8) * 8;
+        for frame in Frames::new(&bytes[self.entries_start()..self.end]) {
+            let (id, data) = frame?;
+            f(id, data);
         }
-        (off == end).then_some(())
+        Some(())
+    }
+}
+
+/// The frames of an entry section, in order. A frame that overruns the
+/// section, or a padded frame that ends past it, is yielded as one
+/// `None`, after which the iterator is done.
+struct Frames<'a> {
+    section: &'a [u8],
+    off: usize,
+}
+
+impl<'a> Frames<'a> {
+    fn new(section: &'a [u8]) -> Self {
+        Self { section, off: 0 }
+    }
+}
+
+impl<'a> Iterator for Frames<'a> {
+    type Item = Option<(u32, &'a [u8])>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let (off, end) = (self.off, self.section.len());
+        if off == end {
+            return None;
+        }
+        // whatever happens below, a bad frame is the last item
+        self.off = end;
+        if off + 8 > end {
+            return Some(None);
+        }
+        let id = u32::from_le_bytes(self.section[off..off + 4].try_into().unwrap());
+        let len = u32::from_le_bytes(self.section[off + 4..off + 8].try_into().unwrap()) as usize;
+        if off + 8 + len > end {
+            return Some(None);
+        }
+        self.off = off + 8 + len.div_ceil(8) * 8;
+        Some(Some((id, &self.section[off + 8..off + 8 + len])))
     }
 }
 
@@ -516,6 +576,71 @@ impl<'a> EdgeScan<'a> {
             .chunks_exact(EDGE_RECORD_BYTES)
             .filter(|rec| rec[21] & EdgeRecord::TOMBSTONE == 0)
             .map(|rec| EdgeRecord::decode(rec).expect("direction bytes validated by scan_edges"))
+    }
+}
+
+/// The label and property entries of one holder, read where they lie:
+/// the validated entry section of serialized bytes (see
+/// [`Holder::scan_entries`]) or a decoded holder's entry list
+/// ([`Holder::entry_scan`]). Either way an entry is `(id, value bytes)`
+/// in entry order, so a predicate has one definition for both.
+#[derive(Debug, Clone, Copy)]
+pub struct EntryScan<'a> {
+    /// Application-level id of the holder.
+    pub app_id: u64,
+    src: EntrySrc<'a>,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum EntrySrc<'a> {
+    Bytes(&'a [u8]),
+    Decoded(&'a [Entry]),
+}
+
+impl<'a> EntryScan<'a> {
+    /// Every entry as `(id, value bytes)`, in entry order.
+    fn entries(&self) -> impl Iterator<Item = (u32, &'a [u8])> + 'a {
+        let (section, decoded) = match self.src {
+            EntrySrc::Bytes(section) => (section, &[][..]),
+            EntrySrc::Decoded(entries) => (&[][..], entries),
+        };
+        Frames::new(section)
+            .map(|frame| frame.expect("entry framing validated by scan_entries"))
+            .chain(decoded.iter().map(|e| (e.id, e.data.as_slice())))
+    }
+
+    /// Does the element carry `label`? (A label entry holds exactly the
+    /// 4-byte label id, as [`Entry::as_label`] reads it.)
+    pub fn has_label(&self, label: LabelId) -> bool {
+        self.entries()
+            .any(|(id, data)| id == ENTRY_LABEL && data == label.0.to_le_bytes())
+    }
+
+    /// All labels on the element, in entry order.
+    pub(crate) fn labels(&self) -> impl Iterator<Item = LabelId> + 'a {
+        self.entries()
+            .filter(|(id, _)| *id == ENTRY_LABEL)
+            .filter_map(|(_, data)| Some(LabelId(u32::from_le_bytes(data.try_into().ok()?))))
+    }
+
+    /// All distinct p-type ids present, ascending.
+    pub(crate) fn ptypes(&self) -> Vec<PTypeId> {
+        let mut v: Vec<PTypeId> = self
+            .entries()
+            .filter(|(id, _)| *id >= FIRST_PTYPE_ID)
+            .map(|(id, _)| PTypeId(id))
+            .collect();
+        v.sort_unstable();
+        v.dedup();
+        v
+    }
+
+    /// Raw value bytes of the property entries of `ptype`, in entry
+    /// order — what [`Holder::properties_raw`] returns.
+    pub fn properties_raw(&self, ptype: PTypeId) -> impl Iterator<Item = &'a [u8]> + 'a {
+        self.entries()
+            .filter(move |(id, _)| *id == ptype.0)
+            .map(|(_, data)| data)
     }
 }
 
@@ -679,11 +804,14 @@ mod tests {
         assert!(Holder::try_decode(&bad).is_none());
     }
 
-    /// What `scan_edges` promises, on arbitrary bytes: it accepts
-    /// exactly what `try_decode` accepts, and then yields exactly the
-    /// decoded holder's live edge records.
+    /// What `scan_edges` and `scan_entries` promise, on arbitrary bytes:
+    /// each accepts exactly what `try_decode` accepts, and then the one
+    /// yields exactly the decoded holder's live edge records, the other
+    /// exactly its entries — and every read derived from them.
     fn assert_scan_matches_decode(bytes: &[u8]) {
-        match (Holder::scan_edges(bytes), Holder::try_decode(bytes)) {
+        let decoded = Holder::try_decode(bytes);
+        let verdict = |accepts: bool| if accepts { "accepts" } else { "refuses" };
+        match (Holder::scan_edges(bytes), &decoded) {
             (None, None) => {}
             (Some(scan), Some(h)) => {
                 assert_eq!(scan.app_id, h.app_id);
@@ -692,12 +820,33 @@ mod tests {
             }
             (scan, decoded) => panic!(
                 "scan_edges {} what try_decode {}",
-                if scan.is_some() { "accepts" } else { "refuses" },
-                if decoded.is_some() {
-                    "accepts"
-                } else {
-                    "refuses"
-                },
+                verdict(scan.is_some()),
+                verdict(decoded.is_some()),
+            ),
+        }
+        match (Holder::scan_entries(bytes), &decoded) {
+            (None, None) => {}
+            (Some(scan), Some(h)) => {
+                assert_eq!(scan.app_id, h.app_id);
+                let want: Vec<(u32, &[u8])> =
+                    h.entries.iter().map(|e| (e.id, &e.data[..])).collect();
+                assert_eq!(scan.entries().collect::<Vec<_>>(), want);
+                // the decoded holder behind the same reader
+                assert_eq!(h.entry_scan().entries().collect::<Vec<_>>(), want);
+                assert_eq!(scan.labels().collect::<Vec<_>>(), h.labels());
+                assert_eq!(scan.ptypes(), h.ptypes());
+                for id in 0..16 {
+                    assert_eq!(scan.has_label(LabelId(id)), h.has_label(LabelId(id)));
+                    assert_eq!(
+                        scan.properties_raw(PTypeId(id)).collect::<Vec<_>>(),
+                        h.properties_raw(PTypeId(id)),
+                    );
+                }
+            }
+            (scan, decoded) => panic!(
+                "scan_entries {} what try_decode {}",
+                verdict(scan.is_some()),
+                verdict(decoded.is_some()),
             ),
         }
     }
@@ -735,14 +884,76 @@ mod tests {
         assert_eq!(live.len(), 3, "the tombstoned slot is skipped");
     }
 
-    /// The positions a hostile writer would aim at, one by one: each is
-    /// refused by both readers.
     #[test]
-    fn scan_edges_refuses_what_decode_refuses() {
+    fn scan_entries_reads_what_decode_reads() {
+        for h in [sample(), busy(), Holder::new_vertex(3)] {
+            let bytes = h.encode();
+            assert_scan_matches_decode(&bytes);
+            assert!(Holder::scan_entries(&bytes).is_some());
+        }
+        let bytes = busy().encode();
+        let scan = Holder::scan_entries(&bytes).unwrap();
+        assert!(scan.has_label(LabelId(10)) && scan.has_label(LabelId(11)));
+        assert!(!scan.has_label(LabelId(3)), "a p-type id is not a label");
+        assert_eq!(
+            scan.properties_raw(PTypeId(9)).collect::<Vec<_>>(),
+            [&[7u8; 13][..]]
+        );
+        // present-but-empty is not absent
+        assert_eq!(
+            scan.properties_raw(PTypeId(10)).collect::<Vec<_>>(),
+            [&[][..]]
+        );
+        assert_eq!(scan.properties_raw(PTypeId(12)).count(), 0);
+    }
+
+    /// A label entry is exactly the 4-byte id: a label-tagged entry of
+    /// any other width is no label, to either reader.
+    #[test]
+    fn odd_width_label_entries_carry_no_label() {
+        let mut h = Holder::new_vertex(1);
+        for len in [0usize, 3, 5, 8] {
+            h.entries.push(Entry {
+                id: ENTRY_LABEL,
+                data: 7u64.to_le_bytes()[..len].to_vec(),
+            });
+        }
+        let bytes = h.encode();
+        assert_scan_matches_decode(&bytes);
+        assert!(!Holder::scan_entries(&bytes).unwrap().has_label(LabelId(7)));
+        h.add_label(LabelId(7));
+        let bytes = h.encode();
+        assert_scan_matches_decode(&bytes);
+        assert!(Holder::scan_entries(&bytes).unwrap().has_label(LabelId(7)));
+    }
+
+    /// Multi-valued properties keep their entry order through both
+    /// readers — "the first entry of a p-type" is the same entry.
+    #[test]
+    fn multi_valued_properties_keep_entry_order() {
+        let mut h = Holder::new_vertex(1);
+        h.add_property(PTypeId(5), vec![1]);
+        h.add_label(LabelId(2));
+        h.add_property(PTypeId(6), vec![9; 8]);
+        h.add_property(PTypeId(5), vec![2, 2]);
+        h.add_property(PTypeId(5), vec![3]);
+        let bytes = h.encode();
+        let scan = Holder::scan_entries(&bytes).unwrap();
+        let got: Vec<&[u8]> = scan.properties_raw(PTypeId(5)).collect();
+        assert_eq!(got, [&[1u8][..], &[2, 2], &[3]]);
+        assert_eq!(got, h.properties_raw(PTypeId(5)));
+        assert_eq!(scan.properties_raw(PTypeId(5)).next(), Some(&[1u8][..]));
+    }
+
+    /// The positions a hostile writer would aim at, one by one: each is
+    /// refused by every reader.
+    #[test]
+    fn scans_refuse_what_decode_refuses() {
         let good = busy().encode();
         let refused = |m: Vec<u8>| {
             assert_scan_matches_decode(&m);
             assert!(Holder::scan_edges(&m).is_none());
+            assert!(Holder::scan_entries(&m).is_none());
         };
         let with = |at: usize, v: &[u8]| {
             let mut m = good.clone();
@@ -780,14 +991,14 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(256))]
 
-        /// Random holders round-trip through both readers alike — and
-        /// so does every single-field corruption of them: any byte of
-        /// the header or of an edge record's direction/flags, any entry
-        /// frame word, overwritten with a hostile value.
+        /// Random holders round-trip through all three readers alike —
+        /// and so does every single-field corruption of them: any byte
+        /// of the header or of an edge record's direction/flags, any
+        /// entry frame word, overwritten with a hostile value.
         #[test]
-        fn scan_edges_is_try_decode_on_random_and_hostile_holders(
+        fn scans_are_try_decode_on_random_and_hostile_holders(
             edges in proptest::collection::vec((0usize..4, 1u64..64, 0u32..5, 0u8..3, 0u8..2), 0..12),
-            props in proptest::collection::vec((3u32..9, 0usize..20), 0..6),
+            props in proptest::collection::vec((2u32..9, 0usize..20), 0..6),
             is_edge in 0u8..2,
             hits in proptest::collection::vec((0usize..4096, 0u64..6), 1..8),
         ) {
@@ -803,12 +1014,14 @@ mod tests {
                     )
                 });
             }
-            for (pt, len) in props {
-                h.add_property(PTypeId(pt), vec![0xA5; len]);
+            // (id 2 is the label tag: label entries of every width)
+            for (id, len) in props {
+                h.entries.push(Entry { id, data: vec![0xA5; len] });
             }
             let good = h.encode();
             assert_scan_matches_decode(&good);
             proptest::prop_assert!(Holder::scan_edges(&good).is_some());
+            proptest::prop_assert!(Holder::scan_entries(&good).is_some());
             for (at, kind) in hits {
                 let mut m = good.clone();
                 let at = at % m.len();

@@ -17,7 +17,7 @@ use rustc_hash::FxHashMap;
 use gdi::{AppVertexId, Constraint, GdiError, GdiResult, LabelId, PTypeId};
 
 use crate::dptr::DPtr;
-use crate::holder::Holder;
+use crate::holder::EntryScan;
 
 /// Identifier of an explicit index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -258,38 +258,40 @@ impl IndexShared {
     }
 }
 
-/// Evaluate a constraint against a holder (used when scanning an index
-/// partition with a filter). Property values are compared raw-decoded; the
-/// caller supplies a decode function from p-type to value.
+/// Evaluate a constraint against a holder's entries — serialized bytes
+/// or a decoded holder, [`EntryScan`] reads both — as index scans and
+/// constrained expansions do. Property values are compared decoded; the
+/// caller supplies the decode function from p-type to value, and only
+/// the entries of a p-type the constraint names are ever decoded.
 pub fn holder_matches(
-    holder: &Holder,
+    entries: &EntryScan<'_>,
     constraint: &Constraint,
     decode: impl Fn(PTypeId, &[u8]) -> Option<gdi::PropertyValue>,
 ) -> bool {
-    struct View<'a, F> {
-        h: &'a Holder,
+    struct View<'s, 'a, F> {
+        entries: &'s EntryScan<'a>,
         decode: F,
     }
     impl<F: Fn(PTypeId, &[u8]) -> Option<gdi::PropertyValue>> gdi::constraint::ElementView
-        for View<'_, F>
+        for View<'_, '_, F>
     {
         fn has_label(&self, label: LabelId) -> bool {
-            self.h.has_label(label)
+            self.entries.has_label(label)
         }
         fn properties(&self, ptype: PTypeId) -> Vec<gdi::PropertyValue> {
-            self.h
+            self.entries
                 .properties_raw(ptype)
-                .into_iter()
                 .filter_map(|raw| (self.decode)(ptype, raw))
                 .collect()
         }
     }
-    constraint.eval(&View { h: holder, decode })
+    constraint.eval(&View { entries, decode })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::holder::Holder;
     use gdi::{CmpOp, PropertyValue, Subconstraint};
 
     fn person() -> LabelId {
@@ -396,12 +398,108 @@ mod tests {
         let decode = |_pt: PTypeId, raw: &[u8]| {
             Some(PropertyValue::U64(u64::from_le_bytes(raw.try_into().ok()?)))
         };
-        assert!(holder_matches(&h, &c, decode));
+        // the decoded holder and its serialized bytes answer alike
+        let bytes = h.encode();
+        let scan = Holder::scan_entries(&bytes).unwrap();
+        assert!(holder_matches(&h.entry_scan(), &c, decode));
+        assert!(holder_matches(&scan, &c, decode));
         let c2 = Constraint::from_sub(Subconstraint::new().with_prop(
             PTypeId(3),
             CmpOp::Gt,
             PropertyValue::U64(40),
         ));
-        assert!(!holder_matches(&h, &c2, decode));
+        assert!(!holder_matches(&h.entry_scan(), &c2, decode));
+        assert!(!holder_matches(&scan, &c2, decode));
+    }
+
+    /// P-types 3..=6 are declared `Uint64` for the differential below:
+    /// 8 bytes decode to a number, other multiples of 8 to raw bytes,
+    /// any other width not at all.
+    fn decode_u64(_pt: PTypeId, raw: &[u8]) -> Option<PropertyValue> {
+        PropertyValue::decode(gdi::Datatype::Uint64, raw).ok()
+    }
+
+    /// The constraint semantics written out against the decoded holder's
+    /// own fields (no `EntryScan`): every label condition holds, and every
+    /// property condition holds for **some** decodable entry of its type.
+    fn reference_matches(h: &Holder, c: &Constraint) -> bool {
+        let sub_holds = |sub: &Subconstraint| {
+            sub.label_conds
+                .iter()
+                .all(|lc| h.entries.iter().any(|e| e.as_label() == Some(lc.label)) == lc.present)
+                && sub.prop_conds.iter().all(|pc| {
+                    h.entries
+                        .iter()
+                        .filter(|e| e.id == pc.ptype.0)
+                        .filter_map(|e| decode_u64(pc.ptype, &e.data))
+                        .any(|v| pc.op.eval(v.cmp_total(&pc.value)))
+                })
+        };
+        c.subconstraints.is_empty() || c.subconstraints.iter().any(sub_holds)
+    }
+
+    const OPS: [CmpOp; 6] = [
+        CmpOp::Eq,
+        CmpOp::Ne,
+        CmpOp::Lt,
+        CmpOp::Le,
+        CmpOp::Gt,
+        CmpOp::Ge,
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Constraint evaluation over serialized bytes ≡ over the decoded
+        /// holder ≡ the written-out reference: random holders (0–3
+        /// labels; properties absent, single, multi-valued, of the
+        /// declared width and not) × random DNF constraints (0–3 label
+        /// conditions of either polarity, 0–2 property conditions of
+        /// every operator, 1–2 disjuncts).
+        #[test]
+        fn byte_evaluation_is_decoded_evaluation(
+            labels in proptest::collection::vec(10u32..14, 0..4),
+            props in proptest::collection::vec((3u32..7, 0u64..4, 0usize..4), 0..6),
+            subs in proptest::collection::vec(
+                (
+                    proptest::collection::vec((10u32..14, 0u8..2), 0..4),
+                    proptest::collection::vec((3u32..7, 0usize..6, 0u64..4), 0..3),
+                ),
+                1..3,
+            ),
+        ) {
+            let mut h = Holder::new_vertex(9);
+            for l in labels {
+                h.add_label(LabelId(l));
+            }
+            for (pt, v, shape) in props {
+                // shape 0–1: the declared 8 bytes; 2: two elements; 3: a
+                // width that is no multiple of the element size
+                let width = [8, 8, 16, 5][shape];
+                let mut data = v.to_le_bytes().repeat(2);
+                data.truncate(width);
+                h.add_property(PTypeId(pt), data);
+            }
+            let mut c = Constraint::any();
+            for (label_conds, prop_conds) in subs {
+                let mut sub = Subconstraint::new();
+                for (l, present) in label_conds {
+                    sub = if present == 1 {
+                        sub.with_label(LabelId(l))
+                    } else {
+                        sub.without_label(LabelId(l))
+                    };
+                }
+                for (pt, op, v) in prop_conds {
+                    sub = sub.with_prop(PTypeId(pt), OPS[op], PropertyValue::U64(v));
+                }
+                c = c.or(sub);
+            }
+            let bytes = h.encode();
+            let scan = Holder::scan_entries(&bytes).expect("encoded holders scan");
+            let want = reference_matches(&h, &c);
+            proptest::prop_assert_eq!(holder_matches(&scan, &c, decode_u64), want);
+            proptest::prop_assert_eq!(holder_matches(&h.entry_scan(), &c, decode_u64), want);
+        }
     }
 }

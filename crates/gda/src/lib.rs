@@ -27,7 +27,8 @@
 //! * [`index`] — explicit indexes with per-rank partitions and DNF
 //!   constraints;
 //! * [`tx`] — local and collective ACID transactions: per-transaction
-//!   holder caches, two-phase locking, dirty-block write-back;
+//!   holder caches, two-phase locking, dirty-block write-back, and the
+//!   uncached byte-level reads of collective read-only transactions;
 //! * [`bulk`] — collective bulk ingestion;
 //! * [`db`] — database objects, multi-database registry, the per-rank
 //!   engine handle;

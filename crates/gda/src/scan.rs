@@ -399,24 +399,14 @@ fn no_row(t: DPtr) -> ! {
     panic!("scan view: edge target {t} is a row of no rank's view")
 }
 
-/// The ghost table's key for remote target `t`: its raw pointer, mixed.
-/// Block-aligned pointers end in a run of zero bits, the Fx hash keeps
-/// them at the bottom of its product and the table indexes by exactly
-/// those bits — unmixed, every ghost lands in a handful of buckets. The
-/// mix is a bijection, so distinct pointers stay distinct keys.
-#[inline]
-fn ghost_key(t: DPtr) -> u64 {
-    t.raw().wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_right(32)
-}
-
 /// The one row-assembly routine behind the sweep and
 /// [`CsrView::from_adjacency`]: the rows are fixed up front (that is
 /// what numbers local targets), edges are appended row by row, and
 /// [`Assembler::finish`] puts the ghosts in their canonical order.
 struct Assembler {
     view: CsrView,
-    /// [`ghost_key`] of a remote target → provisional ghost number
-    /// (first appearance).
+    /// Raw pointer of a remote target → provisional ghost number (first
+    /// appearance).
     ghost_of: FxHashMap<u64, u32>,
 }
 
@@ -477,7 +467,7 @@ impl Assembler {
             return self.view.row_of(t).unwrap_or_else(|| no_row(t)) as u32;
         }
         let next = self.view.ghost_ids.len() as u32;
-        let g = *self.ghost_of.entry(ghost_key(t)).or_insert(next);
+        let g = *self.ghost_of.entry(t.raw()).or_insert(next);
         if g == next {
             self.view.ghost_ids.push(t);
         }

@@ -11,6 +11,33 @@
 //! isolation); local writers lock only what they write (write-write
 //! conflict detection); collective transactions keep two-phase locking.
 //!
+//! ### Which reads skip the holder cache
+//!
+//! A **collective read-only** transaction is the paper's "read-only
+//! transactions that can assume that no participating process modifies
+//! the data": it takes no lock, pins nothing and validates nothing, so
+//! the cache buys it neither repeatable reads nor read-your-writes —
+//! only a decode and a hash insert per vertex. Its label, property and
+//! neighbour reads of a vertex **this rank owns** and that it has not
+//! cached therefore go through one byte-level primitive
+//! (`Transaction::with_local_bytes`): the chain is copied block by block
+//! out of the local window into two buffers the transaction reuses
+//! ([`hio::read_chain_local`], one charged local `get` per block) and
+//! read in place by [`Holder::scan_entries`] / [`Holder::scan_edges`] —
+//! no `Holder`, no value clone, no block list, no cache insert. The
+//! buffers remember whose chain they hold, so consecutive reads of one
+//! vertex copy it once; a vertex read again *later* is copied (and, on
+//! the simulated clock, charged) again — the price of keeping nothing.
+//! The condition is the one that path already relied on when it read
+//! unlocked through [`hio::read_chain`]: **no rank writes the data while
+//! the collective transaction is open** (inside the server, collective
+//! jobs run at a rendezvous with the writers quiesced). Everything else
+//! keeps the decoded cache because it needs what the cache gives: local
+//! transactions (a pinned reader's snapshot version, an MVCC writer's
+//! validated copy and pre-image), collective read-write transactions
+//! (their own writes), remote ids (one fetch per vertex, batched), and
+//! any id the transaction already cached.
+//!
 //! Conflicts do not block indefinitely: lock acquisition is bounded, and a
 //! failed acquisition aborts the transaction with
 //! `GDI_ERROR_LOCK_CONFLICT` (a transaction-critical error). This is the
@@ -33,7 +60,7 @@ use gdi::{
 use crate::db::GdaRank;
 use crate::dptr::{owner_rank, DPtr, EdgeUid};
 use crate::hio;
-use crate::holder::{EdgeRecord, Holder};
+use crate::holder::{EdgeRecord, EntryScan, Holder};
 use crate::index::{holder_matches, IndexId, Posting};
 use crate::locks::LockKind;
 
@@ -80,6 +107,10 @@ pub struct Transaction<'r, 'd, 'c, 'f> {
     /// neither abort on conflict nor block a writer.
     snap: Cell<Option<u64>>,
     cache: RefCell<FxHashMap<u64, CachedObj>>,
+    /// Block buffer and chain bytes of the byte-level read path, reused
+    /// from one read to the next, and the id whose chain the bytes hold
+    /// (see the module docs).
+    scratch: Cell<(Vec<u8>, Vec<u8>, u64)>,
 }
 
 impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
@@ -101,6 +132,7 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
             grouped: Cell::new(false),
             snap: Cell::new(snap),
             cache: RefCell::new(FxHashMap::default()),
+            scratch: Cell::default(),
         }
     }
 
@@ -442,7 +474,12 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
             let cache = self.cache.borrow();
             let mut seen = FxHashSet::default();
             for &id in ids {
-                if id.is_null() || cache.contains_key(&id.raw()) || !seen.insert(id.raw()) {
+                // (a byte-path id is read where it lies, when it is read)
+                if id.is_null()
+                    || cache.contains_key(&id.raw())
+                    || self.reads_bytes(id)
+                    || !seen.insert(id.raw())
+                {
                     continue;
                 }
                 want.push(id);
@@ -593,6 +630,51 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
         Ok(r)
     }
 
+    /// Does a read of `id` take the byte path (module docs)? Decided
+    /// from what the transaction already knows: its kind and mode, who
+    /// owns `id`, and whether it sits decoded in the cache.
+    fn reads_bytes(&self, id: DPtr) -> bool {
+        self.kind == TxKind::Collective
+            && self.mode == AccessMode::ReadOnly
+            && !id.is_null()
+            && id.rank() == self.eng.rank()
+            && !self.cache.borrow().contains_key(&id.raw())
+    }
+
+    /// The byte-level read: copy the chain at the local `id` into the
+    /// transaction's scratch buffers and hand the serialized holder to
+    /// `f`. The bytes stay put until the next read, so consecutive reads
+    /// of one id (`has_label`, `property`, `neighbors` of the same
+    /// vertex) copy — and are charged for — its chain once. A chain that
+    /// does not hold up structurally, or bytes `f` refuses, are the usual
+    /// stale-internal-id `NotFound`.
+    fn with_local_bytes<R>(&self, id: DPtr, f: impl FnOnce(&[u8]) -> Option<R>) -> GdiResult<R> {
+        self.check_active()?;
+        let (mut block, mut chain, mut held) = self.scratch.take();
+        if held != id.raw() {
+            block.resize(self.eng.cfg().block_size, 0);
+            let read =
+                hio::read_chain_local(self.eng.ctx, self.eng.cfg(), id, &mut block, &mut chain);
+            held = read.map_or(0, |()| id.raw());
+        }
+        let out = (held != 0).then_some(&chain[..]).and_then(f);
+        self.scratch.set((block, chain, held));
+        out.ok_or(GdiError::NotFound("object (stale internal id)"))
+    }
+
+    /// Read access to the labels and properties of `id`, all from **one**
+    /// read of the element: serialized bytes on the byte path (module
+    /// docs), the cached decoded holder otherwise. Evaluate a whole
+    /// pattern inside `f` rather than calling [`Transaction::has_label`]
+    /// and [`Transaction::property`] once per predicate.
+    pub fn with_entries<R>(&self, id: DPtr, f: impl FnOnce(&EntryScan<'_>) -> R) -> GdiResult<R> {
+        if self.reads_bytes(id) {
+            self.with_local_bytes(id, |bytes| Holder::scan_entries(bytes).map(|e| f(&e)))
+        } else {
+            self.with_holder(id, |h| f(&h.entry_scan()))
+        }
+    }
+
     // ------------------------------------------------------------------
     // vertex id translation & creation
     // ------------------------------------------------------------------
@@ -704,7 +786,7 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
 
     /// `GDI_GetVertexApplicationID` (reverse of translation).
     pub fn vertex_app_id(&self, id: DPtr) -> GdiResult<AppVertexId> {
-        self.with_holder(id, |h| AppVertexId(h.app_id))
+        self.with_entries(id, |e| AppVertexId(e.app_id))
     }
 
     /// `GDI_DeleteVertex`: removes the vertex, its lightweight edges, the
@@ -778,12 +860,12 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
 
     /// `GDI_GetAllLabelsOfVertex`.
     pub fn labels(&self, id: DPtr) -> GdiResult<Vec<LabelId>> {
-        self.with_holder(id, |h| h.labels())
+        self.with_entries(id, |e| e.labels().collect())
     }
 
     /// Does the element carry the label?
     pub fn has_label(&self, id: DPtr, label: LabelId) -> GdiResult<bool> {
-        self.with_holder(id, |h| h.has_label(label))
+        self.with_entries(id, |e| e.has_label(label))
     }
 
     // ------------------------------------------------------------------
@@ -815,7 +897,10 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
         Ok(bytes)
     }
 
-    fn decode_property(&self, ptype: PTypeId, raw: &[u8]) -> Option<PropertyValue> {
+    /// Decode the raw value bytes of a property entry under `ptype`'s
+    /// declared datatype; `None` for an unknown p-type or bytes of the
+    /// wrong width.
+    pub fn decode_property(&self, ptype: PTypeId, raw: &[u8]) -> Option<PropertyValue> {
         let meta = self.eng.meta();
         let def = meta.ptype(ptype)?;
         PropertyValue::decode(def.dtype, raw).ok()
@@ -863,18 +948,17 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
 
     /// `GDI_GetPropertiesOfVertex`: first entry of the type, decoded.
     pub fn property(&self, id: DPtr, ptype: PTypeId) -> GdiResult<Option<PropertyValue>> {
-        self.with_holder(id, |h| {
-            h.properties_raw(ptype)
-                .first()
+        self.with_entries(id, |e| {
+            e.properties_raw(ptype)
+                .next()
                 .and_then(|raw| self.decode_property(ptype, raw))
         })
     }
 
     /// All entries of the type, decoded.
     pub fn properties(&self, id: DPtr, ptype: PTypeId) -> GdiResult<Vec<PropertyValue>> {
-        self.with_holder(id, |h| {
-            h.properties_raw(ptype)
-                .into_iter()
+        self.with_entries(id, |e| {
+            e.properties_raw(ptype)
                 .filter_map(|raw| self.decode_property(ptype, raw))
                 .collect()
         })
@@ -882,7 +966,7 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
 
     /// `GDI_GetAllPropertyTypesOfVertex`.
     pub fn ptypes(&self, id: DPtr) -> GdiResult<Vec<PTypeId>> {
-        self.with_holder(id, |h| h.ptypes())
+        self.with_entries(id, |e| e.ptypes())
     }
 
     // ------------------------------------------------------------------
@@ -1016,24 +1100,48 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
         orient: EdgeOrientation,
         label: Option<LabelId>,
     ) -> GdiResult<Vec<DPtr>> {
-        self.with_holder(id, |h| {
-            h.live_edges()
-                .filter(|(_, r)| orient.matches(r.dir))
-                .filter(|(_, r)| label.map(|l| r.label == l.0).unwrap_or(true))
-                .map(|(_, r)| r.target)
-                .collect()
-        })
+        let mut out = Vec::new();
+        self.for_each_neighbor(id, orient, label, |t| out.push(t))?;
+        Ok(out)
+    }
+
+    /// [`Transaction::neighbors`] without the list: `f` sees every
+    /// neighbour in edge-record order. On the byte path (module docs)
+    /// the records are read in place from the serialized holder.
+    pub fn for_each_neighbor(
+        &self,
+        id: DPtr,
+        orient: EdgeOrientation,
+        label: Option<LabelId>,
+        mut f: impl FnMut(DPtr),
+    ) -> GdiResult<()> {
+        let wanted = |r: &EdgeRecord| orient.matches(r.dir) && label.is_none_or(|l| r.label == l.0);
+        if self.reads_bytes(id) {
+            self.with_local_bytes(id, |bytes| {
+                let edges = Holder::scan_edges(bytes)?;
+                edges.live().filter(wanted).for_each(|r| f(r.target));
+                Some(())
+            })
+        } else {
+            self.with_holder(id, |h| {
+                h.live_edges()
+                    .map(|(_, r)| r)
+                    .filter(|r| wanted(r))
+                    .for_each(|r| f(r.target))
+            })
+        }
     }
 
     /// `GDI_GetNeighborVerticesOfVertex` with a *constraint object*
     /// (Listing 3, lines 9–10): expand over edges matching `edge_label`,
-    /// keep only neighbors whose holders satisfy the DNF `constraint`.
-    /// Fetches each candidate neighbor through the transaction cache (the
-    /// "let the storage handle the filtering" path of §3.1). The
-    /// candidate holders are fetched as **one pipelined non-blocking
-    /// batch** ([`crate::hio::read_chains`]) — one network latency per
-    /// chain level across all candidates, instead of one blocking chain
-    /// walk per neighbor.
+    /// keep only neighbors whose holders satisfy the DNF `constraint`
+    /// (the "let the storage handle the filtering" path of §3.1). The
+    /// candidate holders the transaction reads through its cache are
+    /// fetched as **one pipelined non-blocking batch**
+    /// ([`crate::hio::read_chains`]) — one network latency per chain
+    /// level across all candidates, instead of one blocking chain walk
+    /// per neighbor; candidates on the byte path (module docs) are
+    /// filtered where they lie.
     pub fn neighbors_matching(
         &self,
         id: DPtr,
@@ -1045,14 +1153,18 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
         self.prefetch_holders(&candidates)?;
         let mut out = Vec::new();
         for nbr in candidates {
-            let keep = self.with_holder(nbr, |h| {
-                holder_matches(h, constraint, |pt, raw| self.decode_property(pt, raw))
-            })?;
-            if keep {
+            if self.entries_match(nbr, constraint)? {
                 out.push(nbr);
             }
         }
         Ok(out)
+    }
+
+    /// Does `id` satisfy `constraint`? One read of the element.
+    fn entries_match(&self, id: DPtr, constraint: &Constraint) -> GdiResult<bool> {
+        self.with_entries(id, |e| {
+            holder_matches(e, constraint, |pt, raw| self.decode_property(pt, raw))
+        })
     }
 
     /// `GDI_GetVerticesOfEdge`: (origin, target) internal ids.
@@ -1238,8 +1350,8 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
     // ------------------------------------------------------------------
 
     /// Scan this rank's partition of an explicit index, filtered by a DNF
-    /// constraint (fetches candidate holders through the transaction
-    /// cache). The workhorse of Listings 2 and 3.
+    /// constraint evaluated on each candidate's holder (one read per
+    /// posting). The workhorse of Listings 2 and 3.
     pub fn local_index_scan(
         &self,
         index: IndexId,
@@ -1252,10 +1364,7 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
         let postings = self.eng.local_index_vertices(index);
         let mut out = Vec::new();
         for p in postings {
-            let keep = self.with_holder(p.vertex, |h| {
-                holder_matches(h, constraint, |pt, raw| self.decode_property(pt, raw))
-            })?;
-            if keep {
+            if self.entries_match(p.vertex, constraint)? {
                 out.push(p);
             }
         }

@@ -860,3 +860,232 @@ fn neighbors_matching_batched_prefetch_semantics() {
         tx.commit().unwrap();
     });
 }
+
+// ---------------------------------------------------------------------
+// Which reads take the byte path (`gda::tx` module docs): chosen from
+// kind, mode, owner and cache membership — observable only through what
+// a read returns, so each test sets up a case where the wrong path
+// returns the wrong value.
+// ---------------------------------------------------------------------
+
+/// Two ranks, Person label + age, a `people` index, and Person vertices
+/// `0..n` with `age = id`, chained `i → i + 1` (round-robin ownership
+/// puts half on each rank).
+fn two_rank_people(n: u64, f: impl Fn(&gda::GdaRank, LabelId, gdi::PTypeId, gda::IndexId) + Sync) {
+    let (db, fabric) = GdaDb::with_fabric("paths", GdaConfig::tiny(), 2, CostModel::zero());
+    fabric.run(|ctx| {
+        let eng = db.attach(ctx);
+        eng.init_collective();
+        let ids = (ctx.rank() == 0).then(|| {
+            let (person, age, _) = std_meta(&eng);
+            let index = eng.create_index("people", vec![person], vec![age]).unwrap();
+            let tx = eng.begin(AccessMode::ReadWrite);
+            let mut prev = None;
+            for i in 0..n {
+                let v = tx.create_vertex(app(i)).unwrap();
+                tx.add_label(v, person).unwrap();
+                tx.add_property(v, age, &PropertyValue::U64(i)).unwrap();
+                if let Some(prev) = prev.replace(v) {
+                    tx.add_edge(prev, v, None, true).unwrap();
+                }
+            }
+            tx.commit().unwrap();
+            (person.0, age.0, index.0)
+        });
+        let (person, age, index) = ctx.bcast(0, ids);
+        eng.refresh_meta();
+        f(
+            &eng,
+            LabelId(person),
+            gdi::PTypeId(age),
+            gda::IndexId(index),
+        );
+    });
+}
+
+/// A collective read-**write** transaction keeps the decoded cache: it
+/// sees its own label and property writes through `has_label`,
+/// `property` and `local_index_scan` (the window still holds the old
+/// bytes until commit). The collective read-only transaction after it
+/// reads the committed bytes.
+#[test]
+fn collective_writer_reads_its_own_writes() {
+    two_rank_people(8, |eng, person, age, index| {
+        let vip = (eng.rank() == 0).then(|| eng.create_label("Vip").unwrap().0);
+        let vip = LabelId(eng.ctx().bcast(0, vip));
+        eng.refresh_meta();
+        let old = Constraint::from_sub(Subconstraint::new().with_label(person).with_prop(
+            age,
+            CmpOp::Ge,
+            PropertyValue::U64(100),
+        ));
+        let mine = |tx: &gda::Transaction| -> Vec<u64> {
+            let mut apps: Vec<u64> = tx
+                .local_index_scan(index, &old)
+                .unwrap()
+                .iter()
+                .map(|p| p.app_id.0)
+                .collect();
+            apps.sort_unstable();
+            apps
+        };
+
+        let tx = eng.begin_collective(AccessMode::ReadWrite);
+        assert!(mine(&tx).is_empty(), "nobody is 100 yet");
+        // every rank ages the vertices it owns by 100 and knights them
+        let own: Vec<u64> = (0..8).filter(|i| i % 2 == eng.rank() as u64).collect();
+        for &i in &own {
+            let v = tx.translate_vertex_id(app(i)).unwrap();
+            assert_eq!(v.rank(), eng.rank(), "round-robin ownership");
+            tx.update_property(v, age, &PropertyValue::U64(100 + i))
+                .unwrap();
+            tx.add_label(v, vip).unwrap();
+            assert_eq!(
+                tx.property(v, age).unwrap(),
+                Some(PropertyValue::U64(100 + i))
+            );
+            assert!(tx.has_label(v, vip).unwrap());
+            assert_eq!(tx.labels(v).unwrap(), vec![person, vip]);
+        }
+        assert_eq!(mine(&tx), own, "the scan filters on the written values");
+        tx.commit().unwrap();
+
+        let tx = eng.begin_collective(AccessMode::ReadOnly);
+        assert_eq!(mine(&tx), own);
+        for &i in &own {
+            let v = tx.translate_vertex_id(app(i)).unwrap();
+            assert!(tx.has_label(v, vip).unwrap());
+            assert_eq!(
+                tx.property(v, age).unwrap(),
+                Some(PropertyValue::U64(100 + i))
+            );
+        }
+        tx.commit().unwrap();
+    });
+}
+
+/// A pinned local read-only transaction reads its snapshot version of a
+/// local vertex it first touches *after* an overwrite committed — labels,
+/// properties, neighbours and the index filter alike. (The window holds
+/// the new bytes; only the validated version-chain walk finds the old.)
+#[test]
+fn pinned_reader_keeps_its_snapshot_of_a_local_vertex() {
+    single_rank(|eng| {
+        let (person, age, _) = std_meta(eng);
+        let index = eng.create_index("people", vec![person], vec![age]).unwrap();
+        let tx = eng.begin(AccessMode::ReadWrite);
+        let v = tx.create_vertex(app(1)).unwrap();
+        let w = tx.create_vertex(app(2)).unwrap();
+        tx.add_label(v, person).unwrap();
+        tx.add_property(v, age, &PropertyValue::U64(1)).unwrap();
+        tx.commit().unwrap();
+
+        let pinned = eng.begin(AccessMode::ReadOnly);
+        let writer = eng.begin(AccessMode::ReadWrite);
+        writer
+            .update_property(v, age, &PropertyValue::U64(2))
+            .unwrap();
+        writer.remove_label(v, person).unwrap();
+        writer.add_edge(v, w, None, true).unwrap();
+        writer.commit().unwrap();
+
+        assert_eq!(
+            pinned.property(v, age).unwrap(),
+            Some(PropertyValue::U64(1))
+        );
+        assert!(pinned.has_label(v, person).unwrap());
+        assert!(pinned
+            .neighbors(v, EdgeOrientation::Outgoing, None)
+            .unwrap()
+            .is_empty());
+        pinned.commit().unwrap();
+
+        // a reader that begins now sees the overwrite (index postings are
+        // maintained at commit: `v` lost its label and its posting)
+        let tx = eng.begin(AccessMode::ReadOnly);
+        assert_eq!(tx.property(v, age).unwrap(), Some(PropertyValue::U64(2)));
+        assert!(!tx.has_label(v, person).unwrap());
+        assert_eq!(
+            tx.neighbors(v, EdgeOrientation::Outgoing, None).unwrap(),
+            vec![w]
+        );
+        assert!(tx
+            .local_index_scan(index, &Constraint::any())
+            .unwrap()
+            .is_empty());
+        tx.commit().unwrap();
+    });
+}
+
+/// In a collective read-only transaction a vertex is read from bytes by
+/// its owner and through the decoded cache by everyone else: both ranks
+/// must report the same labels, properties, app ids and neighbours for
+/// every vertex, and the generated values.
+#[test]
+fn collective_reader_agrees_with_the_owner_on_remote_vertices() {
+    two_rank_people(10, |eng, person, age, _| {
+        let tx = eng.begin_collective(AccessMode::ReadOnly);
+        let mut seen = Vec::new();
+        let mut local = 0;
+        for i in 0..10u64 {
+            let v = tx.translate_vertex_id(app(i)).unwrap();
+            local += (v.rank() == eng.rank()) as usize;
+            let out = tx.neighbors(v, EdgeOrientation::Outgoing, None).unwrap();
+            let next: Vec<u64> = out
+                .iter()
+                .map(|&n| tx.vertex_app_id(n).unwrap().0)
+                .collect();
+            assert_eq!(next, if i < 9 { vec![i + 1] } else { vec![] });
+            assert_eq!(tx.vertex_app_id(v).unwrap(), app(i));
+            assert_eq!(tx.property(v, age).unwrap(), Some(PropertyValue::U64(i)));
+            assert_eq!(tx.properties(v, age).unwrap().len(), 1);
+            assert_eq!(tx.ptypes(v).unwrap(), vec![age]);
+            seen.push((
+                tx.labels(v).unwrap(),
+                tx.has_label(v, person).unwrap(),
+                tx.edge_count(v, EdgeOrientation::Any).unwrap(),
+                out,
+            ));
+        }
+        assert_eq!(
+            local, 5,
+            "each rank owns half, reads the other half remotely"
+        );
+        tx.commit().unwrap();
+        let all = eng.ctx().allgatherv(seen);
+        assert_eq!(all[0], all[1], "owner and remote reader disagree");
+    });
+}
+
+/// The byte path keeps nothing but the chain it read last: consecutive
+/// reads of one local vertex fetch its blocks once, a read of another
+/// vertex in between fetches them again.
+#[test]
+fn consecutive_byte_reads_of_one_vertex_fetch_it_once() {
+    two_rank_people(8, |eng, person, age, _| {
+        let tx = eng.begin_collective(AccessMode::ReadOnly);
+        let own: Vec<gda::DPtr> = (0..8)
+            .map(|i| tx.translate_vertex_id(app(i)).unwrap())
+            .filter(|v| v.rank() == eng.rank())
+            .collect();
+        let (v, w) = (own[0], own[1]);
+        let fetched = |f: &dyn Fn()| {
+            let before = eng.ctx().stats_snapshot().local_ops;
+            f();
+            eng.ctx().stats_snapshot().local_ops - before
+        };
+        let once = fetched(&|| assert!(tx.has_label(v, person).unwrap()));
+        assert!(once > 0);
+        // `v` is what the buffers hold: no further fetch
+        let again = fetched(&|| {
+            assert!(tx.property(v, age).unwrap().is_some());
+            tx.neighbors(v, EdgeOrientation::Any, None).unwrap();
+            assert_eq!(tx.labels(v).unwrap(), vec![person]);
+        });
+        assert_eq!(again, 0);
+        // `w` displaces it
+        assert!(fetched(&|| assert!(tx.has_label(w, person).unwrap())) > 0);
+        assert_eq!(fetched(&|| assert!(tx.has_label(v, person).unwrap())), once);
+        tx.commit().unwrap();
+    });
+}

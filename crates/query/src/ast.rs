@@ -60,9 +60,15 @@ impl NodePattern {
         }
     }
 
+    /// Does the pattern carry a label or property predicate — one that
+    /// takes a read of the vertex's holder to decide?
+    pub fn tests_holder(&self) -> bool {
+        !(self.labels.is_empty() && self.props.is_empty())
+    }
+
     /// Does the pattern carry no label/property/app-id predicate at all?
     pub fn is_trivial(&self) -> bool {
-        self.labels.is_empty() && self.props.is_empty() && self.app_id.is_none()
+        !self.tests_holder() && self.app_id.is_none()
     }
 }
 
@@ -123,18 +129,22 @@ pub struct Query {
 }
 
 impl Query {
-    /// Variable name the projection aggregates over.
-    pub fn target_var(&self) -> &str {
+    /// The pattern node the projection aggregates over.
+    pub fn target_pattern(&self) -> &NodePattern {
         match self.returns.target {
-            AggTarget::Root => &self.root.var,
+            AggTarget::Root => &self.root,
             AggTarget::Last => self
                 .expands
                 .iter()
                 .rev()
                 .find(|e| !e.close_to_root)
-                .map(|e| e.target.var.as_str())
-                .unwrap_or(&self.root.var),
+                .map_or(&self.root, |e| &e.target),
         }
+    }
+
+    /// Variable name the projection aggregates over.
+    pub fn target_var(&self) -> &str {
+        &self.target_pattern().var
     }
 
     /// Must execution remember which root each binding started from?

@@ -21,18 +21,24 @@
 //!
 //! - **driving stage**: point lookup (one DHT translation, owner rank
 //!   keeps the root; a deleted id is an empty result, not an error),
-//!   local index-posting scan ([`gda::Transaction::local_index_scan`]),
-//!   or full-partition sweep over the collective [`gda::CsrView`]. All
-//!   three leave every root on its owner, and roots are numbered
-//!   machine-wide in rank order — that number is the root's lane;
+//!   the root pattern evaluated over this rank's index postings
+//!   ([`GdaRank::local_index_vertices`]) or over every row of the
+//!   collective [`gda::CsrView`] (the full-partition sweep). All three
+//!   leave every root on its owner, and roots are numbered machine-wide
+//!   in rank order — that number is the root's lane;
 //! - **expand stage**: each local row is ORed into the rows of `cur`'s
 //!   label-matching neighbours (adjacency from one
-//!   [`gda::Transaction::neighbors`] call per distinct `cur` on the Tx
-//!   path, from the cached view row on the Csr path), the partial rows
+//!   [`gda::Transaction::for_each_neighbor`] read per distinct `cur` on
+//!   the Tx path, from the cached view row on the Csr path), the partial rows
 //!   travel to the neighbours' owners in one `alltoallv`, duplicates are
 //!   OR-merged on arrival, and the **owner** evaluates the target
 //!   pattern once per distinct arriving vertex against its local
-//!   holder. Nobody scans a whole partition to pre-qualify targets and
+//!   holder — one read of the holder's bytes
+//!   ([`gda::Transaction::with_entries`]; the collective read-only
+//!   transaction keeps no decoded copy of a local vertex, see
+//!   `gda::tx`), and that read answers for **every** pattern of the
+//!   query, so a vertex that comes up again at another stage is not
+//!   read again. Nobody scans a whole partition to pre-qualify targets and
 //!   no id set is broadcast: the filter runs where the holder lives, on
 //!   the vertices that were actually reached. On the Csr path a stage
 //!   names vertices by their **halo id** in the view (`Names`): the
@@ -48,7 +54,14 @@
 //!   hit bits) read back against each rank's own roots. Either way the
 //!   targets already sit on their owners, deduplicated, so values
 //!   combine with one `allreduce`/`allgatherv` (sums are wrapping:
-//!   generator properties span the full `u64` range).
+//!   generator properties span the full `u64` range). A summed property
+//!   or collected id comes from the read that evaluated the projected
+//!   variable's pattern; only a variable without predicates is read here.
+//!
+//! A vertex can vanish under a query's feet — a posting, DHT entry or
+//! view row outlives the holder it names. Every predicate and aggregate
+//! read treats `NotFound` as "matches nothing, contributes nothing";
+//! any other error is a bug and panics.
 //!
 //! **Lane batches.** A row is at most [`LANE_BATCH`] lanes wide. When
 //! the machine-wide root count exceeds that, the expand stages run once
@@ -59,12 +72,13 @@
 //! the root — all roots share lane 0 and the frontier is a plain vertex
 //! set.
 
+use std::cell::RefCell;
+
 use rustc_hash::{FxHashMap, FxHashSet};
 
+use gda::holder::EntryScan;
 use gda::{CsrView, DPtr, GdaRank, Transaction};
-use gdi::{
-    AccessMode, Constraint, EdgeOrientation, GdiError, GdiResult, PropertyValue, Subconstraint,
-};
+use gdi::{AccessMode, EdgeOrientation, GdiError, GdiResult, PTypeId, PropertyValue};
 
 use crate::ast::{AggTarget, Aggregate, Expand, NodePattern, Query};
 use crate::physical::{AccessPath, ExpandPath, QueryOutput, QueryValue, StageStats};
@@ -74,36 +88,57 @@ use crate::planner::Plan;
 /// more roots run their expand stages once per batch of this many.
 pub const LANE_BATCH: usize = 4096;
 
-/// Does `v` satisfy the pattern's label + property predicates (app-id
-/// excluded — the driving stages handle it)?
-fn node_matches(tx: &Transaction, v: DPtr, p: &NodePattern) -> GdiResult<bool> {
-    for l in &p.labels {
-        if !tx.has_label(v, *l)? {
-            return Ok(false);
+/// Which of `patterns` does `v` satisfy, by label + property predicates
+/// (app-id excluded — the driving stages handle it)? Bit *i* of the
+/// answer is `patterns[i]`'s verdict. One read of `v` answers for all
+/// of them; `on_match` sees the entries with every pattern that held,
+/// from that same read.
+fn node_matches(
+    tx: &Transaction,
+    v: DPtr,
+    patterns: &[&NodePattern],
+    mut on_match: impl FnMut(&EntryScan<'_>, &NodePattern),
+) -> GdiResult<u64> {
+    tx.with_entries(v, |e| {
+        let mut verdicts = 0;
+        for (i, p) in patterns.iter().enumerate() {
+            if pattern_holds(e, p, |pt, raw| tx.decode_property(pt, raw)) {
+                verdicts |= 1 << i;
+                on_match(e, p);
+            }
         }
-    }
-    for f in &p.props {
-        let Some(val) = tx.property(v, f.ptype)? else {
-            return Ok(false);
-        };
-        if !f.op.eval(val.cmp_total(&f.value)) {
-            return Ok(false);
-        }
-    }
-    Ok(true)
+        verdicts
+    })
 }
 
-/// The pattern as a storage-side DNF constraint (one conjunctive
-/// subconstraint), stamped with the current metadata epoch.
-fn pattern_constraint(p: &NodePattern, epoch: u64) -> Constraint {
-    let mut sub = Subconstraint::new();
-    for l in &p.labels {
-        sub = sub.with_label(*l);
+/// Do the entries at hand satisfy `p`, given the p-type → value
+/// decoder? A property predicate compares the **first** entry of its
+/// p-type, as [`Transaction::property`] reads it.
+fn pattern_holds(
+    e: &EntryScan<'_>,
+    p: &NodePattern,
+    decode: impl Fn(PTypeId, &[u8]) -> Option<PropertyValue>,
+) -> bool {
+    p.labels.iter().all(|l| e.has_label(*l))
+        && p.props.iter().all(|f| {
+            e.properties_raw(f.ptype)
+                .next()
+                .and_then(|raw| decode(f.ptype, raw))
+                .is_some_and(|val| f.op.eval(val.cmp_total(&f.value)))
+        })
+}
+
+/// The answer of a predicate or aggregate read, where a vertex that
+/// vanished under the query — a posting or view row whose holder was
+/// freed — is `None`: it matches nothing and contributes nothing
+/// (concurrent deletes must not panic readers). Any other error is a
+/// bug and surfaces.
+fn found<T>(read: GdiResult<T>, what: &str) -> Option<T> {
+    match read {
+        Ok(v) => Some(v),
+        Err(GdiError::NotFound(_)) => None,
+        Err(e) => panic!("{what} failed: {e:?}"),
     }
-    for f in &p.props {
-        sub = sub.with_prop(f.ptype, f.op, f.value.clone());
-    }
-    Constraint::from_sub(sub).at_epoch(epoch)
 }
 
 /// Slot of a vertex that arrived but failed the stage's target pattern:
@@ -250,11 +285,13 @@ fn for_each_neighbor(
     mut f: impl FnMut(u64),
 ) -> u64 {
     let Some(view) = names.0 else {
-        let nbrs = tx
-            .neighbors(DPtr::from_raw(cur), e.orient, e.edge_label)
-            .expect("expand neighbors");
-        nbrs.iter().for_each(|n| f(n.raw()));
-        return nbrs.len() as u64;
+        let mut n = 0;
+        let read = tx.for_each_neighbor(DPtr::from_raw(cur), e.orient, e.edge_label, |t| {
+            n += 1;
+            f(t.raw())
+        });
+        found(read, "expand neighbors");
+        return n;
     };
     let row = cur as usize;
     let (tgts, lbls) = match e.orient {
@@ -281,7 +318,6 @@ pub fn execute(eng: &GdaRank, q: &Query, plan: &Plan) -> QueryOutput {
     let ctx = eng.ctx();
     ctx.record_query_exec();
     let (rank, nranks) = (eng.rank(), eng.nranks());
-    let epoch = eng.meta_epoch();
     // the view rendezvous is collective: it must run before the read
     // transaction's own collectives, in plan order
     let view = plan.uses_view.then(|| eng.olap_view());
@@ -299,39 +335,87 @@ pub fn execute(eng: &GdaRank, q: &Query, plan: &Plan) -> QueryOutput {
         })
         .collect();
 
+    // What the aggregate reads of a vertex. A vertex that passes the
+    // projected variable's pattern leaves its value here, from the read
+    // that admitted it — the aggregate stage reads only what no
+    // predicate read before it.
+    let agg_value = |e: &EntryScan<'_>| match &q.returns.agg {
+        Aggregate::Count => None,
+        Aggregate::Sum(pt) => {
+            let first = e.properties_raw(*pt).next();
+            match first.and_then(|raw| tx.decode_property(*pt, raw)) {
+                Some(PropertyValue::U64(x)) => Some(x),
+                _ => Some(0),
+            }
+        }
+        Aggregate::CollectIds => Some(e.app_id),
+    };
+    let agg_values: RefCell<FxHashMap<u64, u64>> = RefCell::default();
+    let target = q.target_pattern();
+    // A vertex can come up at more than one stage (a root candidate that
+    // is also a hop's target), so when several patterns of the query
+    // test holders, the one read of a vertex evaluates them all and
+    // leaves a verdict bit for each; the stages ask the bits.
+    let tested: Vec<&NodePattern> = std::iter::once(&q.root)
+        .chain(
+            q.expands
+                .iter()
+                .filter(|e| !e.close_to_root)
+                .map(|e| &e.target),
+        )
+        .filter(|p| p.tests_holder())
+        .collect();
+    let shared = (2..=64).contains(&tested.len());
+    let verdicts: RefCell<FxHashMap<u64, u64>> = RefCell::default();
+    let read = |v: DPtr, patterns: &[&NodePattern]| {
+        let keep = |e: &EntryScan<'_>, p: &NodePattern| {
+            let projected = std::ptr::eq(p, target).then(|| agg_value(e)).flatten();
+            if let Some(x) = projected {
+                agg_values.borrow_mut().insert(v.raw(), x);
+            }
+        };
+        found(node_matches(&tx, v, patterns, keep), "filter").unwrap_or(0)
+    };
+    let matches = |v: DPtr, p: &NodePattern| {
+        let bit = tested.iter().position(|t| std::ptr::eq(*t, p));
+        match bit.filter(|_| shared) {
+            Some(bit) => {
+                let mut verdicts = verdicts.borrow_mut();
+                *verdicts.entry(v.raw()).or_insert_with(|| read(v, &tested)) >> bit & 1 == 1
+            }
+            None => read(v, &[p]) == 1,
+        }
+    };
+    // a DHT entry, a view row or an arriving neighbour is taken at its
+    // word when the pattern has nothing to test (a posting is not: index
+    // maintenance is lazy, so the index scan reads what it lists)
+    let admits = |v: DPtr, p: &NodePattern| !p.tests_holder() || matches(v, p);
+
     // ---- driving stage ---------------------------------------------------
     // every path leaves a root on the rank that owns it
     let mut roots: Vec<u64> = match plan.choice.access {
         AccessPath::PointLookup => {
             let app = q.root.app_id.expect("point lookup requires an app-id");
-            match tx.translate_vertex_id(app) {
-                Ok(v)
-                    if v.rank() == rank && node_matches(&tx, v, &q.root).expect("root filter") =>
-                {
-                    vec![v.raw()]
-                }
-                Ok(_) => Vec::new(),
-                // deleted or never-created id: an empty result (churn
-                // safety — concurrent deletes must not panic readers)
-                Err(GdiError::NotFound(_)) => Vec::new(),
-                Err(e) => panic!("point lookup failed: {e:?}"),
+            // deleted or never-created id: an empty result
+            match found(tx.translate_vertex_id(app), "point lookup") {
+                Some(v) if v.rank() == rank && admits(v, &q.root) => vec![v.raw()],
+                _ => Vec::new(),
             }
         }
-        AccessPath::IndexScan(ix) => {
-            let c = pattern_constraint(&q.root, epoch);
-            tx.local_index_scan(ix, &c)
-                .expect("index scan")
-                .into_iter()
-                .filter(|p| q.root.app_id.map(|a| a == p.app_id).unwrap_or(true))
-                .map(|p| p.vertex.raw())
-                .collect()
-        }
+        AccessPath::IndexScan(ix) => eng
+            .local_index_vertices(ix)
+            .into_iter()
+            .filter(|p| q.root.app_id.map(|a| a == p.app_id).unwrap_or(true))
+            .map(|p| p.vertex)
+            .filter(|&v| matches(v, &q.root))
+            .map(DPtr::raw)
+            .collect(),
         AccessPath::Sweep => {
             let view = view.as_ref().expect("sweep plans carry a view");
             (0..view.len())
                 .filter(|&i| q.root.app_id.map(|a| a.0 == view.apps[i]).unwrap_or(true))
                 .map(|i| view.vids[i])
-                .filter(|&v| node_matches(&tx, v, &q.root).expect("root filter"))
+                .filter(|&v| admits(v, &q.root))
                 .map(DPtr::raw)
                 .collect()
         }
@@ -445,7 +529,6 @@ pub fn execute(eng: &GdaRank, q: &Query, plan: &Plan) -> QueryOutput {
                 st.comm_bytes += (partial.len() * (1 + words) * 8) as u64;
                 // the owner filters: one pattern evaluation per distinct
                 // arriving vertex, against its local holder
-                let filter = !e.target.is_trivial();
                 for inbox in ctx.alltoallv(outbox) {
                     for arrived in inbox.chunks_exact(1 + words) {
                         let id = arrived[0];
@@ -455,9 +538,7 @@ pub fn execute(eng: &GdaRank, q: &Query, plan: &Plan) -> QueryOutput {
                             continue;
                         };
                         next.or_row(name, &arrived[1..], || {
-                            !filter
-                                || node_matches(&tx, DPtr::from_raw(id), &e.target)
-                                    .expect("target filter")
+                            admits(DPtr::from_raw(id), &e.target)
                         });
                     }
                 }
@@ -500,28 +581,21 @@ pub fn execute(eng: &GdaRank, q: &Query, plan: &Plan) -> QueryOutput {
         last_hits.into_iter().collect()
     };
     agg.rows = mine.len() as u64;
+    let agg_values = agg_values.into_inner();
+    let values = mine.iter().filter_map(|raw| {
+        agg_values.get(raw).copied().or_else(|| {
+            let read = tx.with_entries(DPtr::from_raw(*raw), agg_value);
+            found(read, "aggregate read").flatten()
+        })
+    });
     let value = match &q.returns.agg {
         Aggregate::Count => QueryValue::Count(ctx.allreduce_sum_u64(mine.len() as u64)),
-        Aggregate::Sum(pt) => {
-            let mut s = 0u64;
-            for &raw in &mine {
-                if let Some(PropertyValue::U64(x)) =
-                    tx.property(DPtr::from_raw(raw), *pt).expect("sum property")
-                {
-                    s = s.wrapping_add(x);
-                }
-            }
+        Aggregate::Sum(_) => {
+            let s = values.fold(0u64, u64::wrapping_add);
             QueryValue::Sum(ctx.allreduce_wrapping_sum_u64(s))
         }
         Aggregate::CollectIds => {
-            let ids: Vec<u64> = mine
-                .iter()
-                .map(|&raw| {
-                    tx.vertex_app_id(DPtr::from_raw(raw))
-                        .expect("collect app id")
-                        .0
-                })
-                .collect();
+            let ids: Vec<u64> = values.collect();
             let mut all: Vec<u64> = ctx.allgatherv(ids).into_iter().flatten().collect();
             all.sort_unstable();
             QueryValue::Ids(all)
@@ -541,4 +615,91 @@ pub fn run(eng: &GdaRank, q: &Query) -> (Plan, QueryOutput) {
     let plan = crate::planner::plan(&cat, q);
     let out = execute(eng, q, &plan);
     (plan, out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ast::PropFilter;
+    use gda::holder::Holder;
+    use gdi::{CmpOp, Datatype, LabelId};
+
+    /// Every p-type is declared `Uint64`: 8 bytes decode to a number,
+    /// a width that is no multiple of 8 not at all.
+    fn decode_u64(_pt: PTypeId, raw: &[u8]) -> Option<PropertyValue> {
+        PropertyValue::decode(Datatype::Uint64, raw).ok()
+    }
+
+    fn pattern(labels: &[u32], props: &[(u32, CmpOp, u64)]) -> NodePattern {
+        NodePattern {
+            labels: labels.iter().map(|l| LabelId(*l)).collect(),
+            props: props
+                .iter()
+                .map(|&(pt, op, v)| PropFilter {
+                    ptype: PTypeId(pt),
+                    op,
+                    value: PropertyValue::U64(v),
+                })
+                .collect(),
+            ..NodePattern::any("v")
+        }
+    }
+
+    /// Labels 10 and 11; p-type 3 = 5 then 50 (multi-valued), p-type 4 of
+    /// an undecodable width, p-type 5 absent — read from the serialized
+    /// bytes (that they and the decoded holder give the same entries is
+    /// `gda::holder`'s differential test).
+    fn holds(p: &NodePattern) -> bool {
+        let mut h = Holder::new_vertex(1);
+        h.add_label(LabelId(10));
+        h.add_label(LabelId(11));
+        h.add_property(PTypeId(3), 5u64.to_le_bytes().to_vec());
+        h.add_property(PTypeId(3), 50u64.to_le_bytes().to_vec());
+        h.add_property(PTypeId(4), vec![7; 5]);
+        let bytes = h.encode();
+        pattern_holds(&Holder::scan_entries(&bytes).unwrap(), p, decode_u64)
+    }
+
+    #[test]
+    fn a_pattern_is_a_conjunction_over_labels_and_first_entries() {
+        assert!(holds(&pattern(&[], &[])));
+        assert!(holds(&pattern(&[10, 11], &[])));
+        assert!(!holds(&pattern(&[10, 12], &[])));
+        use CmpOp::*;
+        for (op, below, at, above) in [
+            (Eq, false, true, false),
+            (Ne, true, false, true),
+            (Lt, false, false, true),
+            (Le, false, true, true),
+            (Gt, true, false, false),
+            (Ge, true, true, false),
+        ] {
+            for (rhs, want) in [(4, below), (5, at), (6, above)] {
+                assert_eq!(
+                    holds(&pattern(&[], &[(3, op, rhs)])),
+                    want,
+                    "5 {op:?} {rhs}"
+                );
+            }
+            // no first entry to compare, or none that decodes: no match,
+            // whatever the operator
+            assert!(!holds(&pattern(&[], &[(5, op, 0)])));
+            assert!(!holds(&pattern(&[], &[(4, op, 0)])));
+        }
+        assert!(holds(&pattern(&[10], &[(3, Gt, 4), (3, Lt, 6)])));
+        assert!(!holds(&pattern(&[10], &[(3, Gt, 4), (3, Lt, 5)])));
+        assert!(!holds(&pattern(&[12], &[(3, Gt, 4)])));
+    }
+
+    /// Of a multi-valued property a predicate sees the first entry —
+    /// not the last, not any.
+    #[test]
+    fn a_predicate_compares_the_first_entry_of_its_ptype() {
+        assert!(holds(&pattern(&[], &[(3, CmpOp::Gt, 4)])));
+        assert!(
+            !holds(&pattern(&[], &[(3, CmpOp::Gt, 10)])),
+            "50 is not first"
+        );
+        assert!(!holds(&pattern(&[], &[(3, CmpOp::Eq, 50)])));
+    }
 }

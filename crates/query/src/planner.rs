@@ -48,10 +48,9 @@ use crate::physical::{AccessPath, ExpandPath, PathChoice, StagePlan};
 
 /// Fallback mean out-degree when no scan view is cached anywhere.
 const DEFAULT_DEG_OUT: f64 = 8.0;
-/// Holder decode + predicate evaluation: words touched per vertex.
-const HOLDER_EVAL_WORDS: f64 = 48.0;
-/// Holder decode + predicate evaluation: cpu ops per vertex.
-const HOLDER_EVAL_OPS: f64 = 8.0;
+/// Label + property entry bytes of a typical vertex holder (the edge
+/// records are estimated from the catalog's degrees).
+const HOLDER_ENTRY_BYTES: f64 = 96.0;
 
 /// Statistics of one explicit index as the planner sees it.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,6 +81,8 @@ pub struct Catalog {
     /// Every rank holds a cached scan view (a Csr stage revalidates
     /// instead of sweeping).
     pub view_cached: bool,
+    /// BGDL block size in bytes: a holder is read in whole blocks.
+    pub block_bytes: usize,
     /// The fabric's LogGP constants.
     pub cost: CostModel,
     /// Metadata epoch the catalog was taken at.
@@ -160,6 +161,7 @@ impl Catalog {
             deg_out,
             deg_any,
             view_cached,
+            block_bytes: eng.cfg().block_size,
             cost: *ctx.cost_model(),
             meta_epoch: eng.meta_epoch(),
         }
@@ -207,16 +209,31 @@ impl Catalog {
             .min_by_key(|s| (s.entries, s.def.id))
     }
 
-    fn holder_eval_ns(&self) -> f64 {
-        self.cost.local_word_ns * HOLDER_EVAL_WORDS + self.cost.cpu_op_ns * HOLDER_EVAL_OPS
+    /// One read of a local vertex's holder — a pattern evaluation, an
+    /// aggregate's property read, or a Tx stage's adjacency fetch. The
+    /// collective read-only transaction copies the chain out of the
+    /// local window block by block (one charged `get` per block, nothing
+    /// cached between reads) and evaluates in place, so the cost is the
+    /// holder's blocks: header, one 24-byte record per incident edge,
+    /// the entries — plus half a block, because sizes are skewed and a
+    /// partly filled last block is read whole.
+    fn holder_read_ns(&self) -> f64 {
+        let payload = (self.block_bytes - gda::hio::BLOCK_PAYLOAD_OFFSET) as f64;
+        let bytes = gda::holder::HEADER_BYTES as f64
+            + gda::holder::EDGE_RECORD_BYTES as f64 * self.deg_any
+            + HOLDER_ENTRY_BYTES;
+        let blocks = (bytes / payload + 0.5).max(1.0);
+        blocks * self.cost.transfer(0, 0, self.block_bytes)
     }
 
-    /// Cost of making the scan view available (revalidation when cached
-    /// everywhere, a full collective sweep otherwise).
+    /// Cost of making the scan view available: when cached everywhere,
+    /// one read of this rank's own topology-epoch word and the 8-byte
+    /// "anything stale anywhere" vote ([`GdaRank::olap_view`]); a full
+    /// collective sweep otherwise.
     fn view_ns(&self) -> f64 {
         let p = self.nranks;
         if self.view_cached {
-            p as f64 * self.cost.atomic(0, 1) + self.cost.barrier(p)
+            self.cost.atomic(0, 0) + self.cost.reduce_like(p, 8)
         } else {
             let local = self.n_vertices as f64 / p as f64;
             local * self.cost.local_word_ns * 64.0
@@ -339,16 +356,24 @@ pub fn plan_choice(cat: &Catalog, q: &Query, choice: PathChoice) -> Option<Plan>
         || (!q.expands.is_empty() && choice.expand == ExpandPath::Csr);
 
     // ---- driving stage ---------------------------------------------------
+    // a posting is always read (the index is maintained lazily); a DHT
+    // entry or view row only if the pattern has a predicate to test
+    let root_is_read = q.root.tests_holder() || matches!(choice.access, AccessPath::IndexScan(_));
+    let root_read = if root_is_read {
+        cat.holder_read_ns()
+    } else {
+        0.0
+    };
     let mut rows;
     match choice.access {
         AccessPath::PointLookup => {
             q.root.app_id?;
-            rows = if q.root.labels.is_empty() && q.root.props.is_empty() {
-                1.0
-            } else {
+            rows = if q.root.tests_holder() {
                 (cat.pattern_sel(&q.root) * n).min(1.0)
+            } else {
+                1.0
             };
-            let ns = 2.0 * cat.cost.transfer(0, 1, 64) + cat.holder_eval_ns();
+            let ns = 2.0 * cat.cost.transfer(0, 1, 64) + root_read;
             total += ns;
             stages.push(StagePlan {
                 desc: format!("point-lookup {}", pattern_desc(&q.root)),
@@ -364,9 +389,9 @@ pub fn plan_choice(cat: &Catalog, q: &Query, choice: PathChoice) -> Option<Plan>
                 return None;
             }
             rows = (n * cat.pattern_sel(&q.root)).min(st.entries as f64);
-            // holder filter per posting, plus the posting indirection
-            // (tx-cache probe) a direct view sweep does not pay
-            let ns = (st.entries as f64 / p) * (cat.holder_eval_ns() + cat.cost.cpu_op_ns);
+            // holder filter per posting, plus listing the posting itself
+            // (`GdaRank::local_index_vertices` charges one op each)
+            let ns = (st.entries as f64 / p) * (root_read + cat.cost.cpu_op_ns);
             total += ns;
             stages.push(StagePlan {
                 desc: format!("index-scan[{}] {}", st.def.name, pattern_desc(&q.root)),
@@ -380,7 +405,7 @@ pub fn plan_choice(cat: &Catalog, q: &Query, choice: PathChoice) -> Option<Plan>
                 ns += cat.view_ns();
                 view_paid = true;
             }
-            ns += (n / p) * cat.holder_eval_ns();
+            ns += (n / p) * root_read;
             rows = n * cat.pattern_sel(&q.root);
             total += ns;
             stages.push(StagePlan {
@@ -426,11 +451,11 @@ pub fn plan_choice(cat: &Catalog, q: &Query, choice: PathChoice) -> Option<Plan>
         };
         let tsel = cat.pattern_sel(&e.target);
         let mut ns = 0.0;
-        // adjacency of every local frontier row: its holder's edge list
+        // adjacency of every local frontier row: a read of its holder
         // (tx) or its cached view row (csr)
         let cur = frontier_rows(rows) / p;
         let fetch = match choice.expand {
-            ExpandPath::Tx => cat.cost.transfer(0, 0, 64 + (deg * 24.0) as usize),
+            ExpandPath::Tx => cat.holder_read_ns(),
             ExpandPath::Csr => {
                 if !view_paid {
                     ns += cat.view_ns();
@@ -461,7 +486,7 @@ pub fn plan_choice(cat: &Catalog, q: &Query, choice: PathChoice) -> Option<Plan>
                     .alltoallv(cat.nranks.saturating_sub(1), routed, routed);
             ns += 2.0 * arrive * words * cat.cost.cpu_op_ns;
             if !e.target.is_trivial() {
-                ns += arrive * cat.holder_eval_ns();
+                ns += arrive * cat.holder_read_ns();
             }
             rows = reached * tsel;
         }
@@ -508,12 +533,18 @@ pub fn plan_choice(cat: &Catalog, q: &Query, choice: PathChoice) -> Option<Plan>
         AggTarget::Last => rows.min(n),
     };
     let tloc = rows / p;
+    // the value comes with the read that tested the projected variable's
+    // pattern; a variable without predicates is read here
+    let target = q.target_pattern();
+    let read = if target.tests_holder() || (std::ptr::eq(target, &q.root) && root_is_read) {
+        0.0
+    } else {
+        tloc * cat.holder_read_ns()
+    };
     ns += match &q.returns.agg {
         Aggregate::Count => cat.cost.reduce_like(cat.nranks, 8),
-        Aggregate::Sum(_) => tloc * cat.holder_eval_ns() + cat.cost.reduce_like(cat.nranks, 8),
-        Aggregate::CollectIds => {
-            tloc * cat.holder_eval_ns() + cat.cost.allgather(cat.nranks, (tloc * 8.0) as usize)
-        }
+        Aggregate::Sum(_) => read + cat.cost.reduce_like(cat.nranks, 8),
+        Aggregate::CollectIds => read + cat.cost.allgather(cat.nranks, (tloc * 8.0) as usize),
     };
     total += ns;
     let agg_desc = match &q.returns.agg {
@@ -599,6 +630,7 @@ mod tests {
             deg_out: 8.0,
             deg_any: 16.0,
             view_cached: true,
+            block_bytes: 512,
             cost: CostModel::default(),
             meta_epoch: 1,
         }

@@ -58,9 +58,15 @@ impl Hasher for FxHasher {
         self.add_to_hash(i as u64);
     }
 
+    /// The Fx product, rotated as upstream rustc-hash 2 does: a
+    /// multiplication leaves the entropy of its input in the *high* bits
+    /// (the low `k` bits of the product depend only on the low `k` bits
+    /// of the key), and the std table picks its bucket from the low
+    /// ones. Unrotated, keys that share their low bits — block-aligned
+    /// pointers — share a handful of buckets.
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash
+        self.hash.rotate_left(26)
     }
 }
 
@@ -78,5 +84,21 @@ mod tests {
         let mut s: FxHashSet<u64> = FxHashSet::default();
         s.insert(7);
         assert!(s.contains(&7));
+    }
+
+    /// 512-byte-aligned keys (what a block-aligned `DPtr` is) must spread
+    /// over the low bits the std table indexes by.
+    #[test]
+    fn aligned_keys_spread_over_the_low_bits() {
+        use std::hash::BuildHasher;
+        let build = FxBuildHasher::default();
+        let low: HashSet<u64> = (0..4096u64)
+            .map(|i| build.hash_one(i << 9) & 0xfff)
+            .collect();
+        assert!(
+            low.len() >= 2048,
+            "4096 aligned keys fell into {} of 4096 low-bit values",
+            low.len()
+        );
     }
 }

@@ -357,6 +357,212 @@ fn empty_frontiers_return_the_empty_value() {
     );
 }
 
+/// A posting, a DHT entry and a view row can outlive their vertex (index
+/// maintenance is eventually consistent; a view is a snapshot). Every
+/// read that meets such a vertex — a predicate's, an aggregate's — takes
+/// it as matching nothing and contributing nothing, on every access
+/// path; it never panics a reader. Phase 1 blanks the
+/// holder of an *isolated* vertex that the indexed aggregate counts and
+/// runs the suite plus root-only shapes; phase 2 blanks a *sink* (edges
+/// in, none out) that an unfiltered expand admits unread, so the
+/// aggregate stage's own reads meet it.
+#[test]
+fn a_vanished_vertex_matches_nothing_on_any_path() {
+    let nranks = 2;
+    let spec = rich_spec(8, 6, 23);
+    let cfg = sized_config(&spec, nranks);
+    let n = spec.n_vertices() as usize;
+    let (mut outd, mut ind) = (vec![0u32; n], vec![0u32; n]);
+    for (u, v) in spec.edges_for_rank(0, 1) {
+        outd[u as usize] += 1;
+        ind[v as usize] += 1;
+    }
+    let p2_of = |v: u64| {
+        let props = spec.lpg.vertex_props(spec.seed, v);
+        props.iter().find(|(i, _)| *i == 2).map_or(0, |(_, x)| *x)
+    };
+    let (db, fabric) = GdaDb::with_fabric("vanish", cfg, nranks, CostModel::zero());
+    let failures = fabric.run(|ctx| {
+        let eng = db.attach(ctx);
+        eng.init_collective();
+        let (meta, _) = load_with_label_indexes(&eng, &spec);
+        let _ = eng.olap_view();
+        let cat = planner::Catalog::gather(&eng);
+        let mut failures: Vec<String> = Vec::new();
+        // planner pick and every viable forced choice must return `want`
+        let mut check = |q: &Query, want: QueryValue| {
+            let picked = planner::plan(&cat, q);
+            let forced = planner::viable_choices(&cat, q)
+                .into_iter()
+                .filter_map(|c| planner::plan_choice(&cat, q, c));
+            for plan in std::iter::once(picked).chain(forced) {
+                let got = executor::execute(&eng, q, &plan).value;
+                if got != want {
+                    failures.push(format!(
+                        "[{}] via {}: got {got:?}, want {want:?}",
+                        q.display(),
+                        plan.choice
+                    ));
+                }
+            }
+        };
+        // blank `app`'s primary block on its owner: what a freed, zeroed
+        // block reads as (`NotFound`), with every pointer to it intact
+        let vanish = |app: u64| {
+            let v = eng.peek_translate(AppVertexId(app)).expect("loaded");
+            if v.rank() == eng.rank() {
+                let zeros = vec![0u8; cfg.block_size];
+                ctx.put_bytes(gda::config::WIN_DATA, v.rank(), v.offset() as usize, &zeros);
+            }
+            ctx.barrier();
+        };
+        let ids_of = |v: QueryValue| match v {
+            QueryValue::Ids(ids) => ids,
+            other => panic!("expected ids, got {other:?}"),
+        };
+
+        // ---- phase 1: an isolated vertex the indexed aggregate counts ----
+        let (l1, p1) = (meta.label(1), meta.ptype(1));
+        let t1 = SuiteParams::default().t1;
+        let summed = QueryBuilder::node("v")
+            .label(l1)
+            .prop_gt(p1, t1)
+            .collect_ids(AggTarget::Root);
+        let summed_ids = ids_of(reference_eval(&spec, &meta, &summed));
+        let lone = *summed_ids
+            .iter()
+            .find(|&&v| outd[v as usize] == 0 && ind[v as usize] == 0)
+            .expect("an isolated vertex among the indexed aggregate's roots");
+        vanish(lone);
+        let params = SuiteParams {
+            point_id: lone,
+            ..SuiteParams::default()
+        };
+        for (name, q) in suite(&meta, &params) {
+            let want = match (name, reference_eval(&spec, &meta, &q)) {
+                ("indexed-sum", QueryValue::Sum(s)) => QueryValue::Sum(s.wrapping_sub(p2_of(lone))),
+                // no edges: the oracle's answer is empty already
+                ("point-neighborhood", v) => {
+                    assert_eq!(v, QueryValue::Ids(Vec::new()));
+                    v
+                }
+                (_, v) => v,
+            };
+            check(&q, want);
+        }
+        let without = |ids: &[u64], gone: u64| -> Vec<u64> {
+            ids.iter().copied().filter(|&v| v != gone).collect()
+        };
+        check(&summed, QueryValue::Ids(without(&summed_ids, lone)));
+        // the DHT still names it: without a predicate nothing reads it
+        // before the aggregate does
+        check(
+            &QueryBuilder::node("v")
+                .with_app_id(AppVertexId(lone))
+                .collect_ids(AggTarget::Root),
+            QueryValue::Ids(Vec::new()),
+        );
+        check(
+            &QueryBuilder::node("v")
+                .with_app_id(AppVertexId(lone))
+                .label(l1)
+                .collect_ids(AggTarget::Root),
+            QueryValue::Ids(Vec::new()),
+        );
+
+        // ---- phase 2: a sink the expand admits without reading it --------
+        let reached = QueryBuilder::node("a")
+            .expand_out(None)
+            .to("b")
+            .collect_ids(AggTarget::Last);
+        let reached_ids = ids_of(reference_eval(&spec, &meta, &reached));
+        let sink = (0..n as u64)
+            .find(|&v| outd[v as usize] == 0 && ind[v as usize] > 0 && p2_of(v) != 0)
+            .expect("a vertex with in-edges only");
+        assert!(reached_ids.contains(&sink));
+        vanish(sink);
+        check(&reached, QueryValue::Ids(without(&reached_ids, sink)));
+        let reached_sum = QueryBuilder::node("a")
+            .expand_out(None)
+            .to("b")
+            .sum(AggTarget::Last, meta.ptype(2));
+        let QueryValue::Sum(s) = reference_eval(&spec, &meta, &reached_sum) else {
+            panic!("a sum");
+        };
+        check(&reached_sum, QueryValue::Sum(s.wrapping_sub(p2_of(sink))));
+        // behind a target filter it is read, and matches nothing
+        let carried = spec.lpg.vertex_label_indices(spec.seed, sink)[0];
+        let labelled = QueryBuilder::node("a")
+            .expand_out(None)
+            .to("b")
+            .label(meta.label(carried))
+            .collect_ids(AggTarget::Last);
+        let labelled_ids = ids_of(reference_eval(&spec, &meta, &labelled));
+        assert!(labelled_ids.contains(&sink));
+        check(&labelled, QueryValue::Ids(without(&labelled_ids, sink)));
+        failures
+    });
+    if let Some(f) = failures.iter().flatten().next() {
+        panic!("{f}");
+    }
+}
+
+/// Of a multi-valued property a pattern compares the first entry, as
+/// `Transaction::property` reads it — on every driving path alike: an
+/// index scan and a sweep that disagreed (any entry vs the first) would
+/// make the answer depend on the plan.
+#[test]
+fn every_root_path_compares_the_first_entry_of_a_multi_valued_property() {
+    use gdi::{AccessMode, Datatype, EntityType, Multiplicity, PropertyValue, SizeType};
+    let cfg = gda::GdaConfig::tiny();
+    let (db, fabric) = GdaDb::with_fabric("multi", cfg, 2, CostModel::zero());
+    let answers = fabric.run(|ctx| {
+        let eng = db.attach(ctx);
+        eng.init_collective();
+        let ids = (ctx.rank() == 0).then(|| {
+            let l = eng.create_label("L").unwrap();
+            let (dt, multi) = (Datatype::Uint64, Multiplicity::Multi);
+            let p = eng
+                .create_ptype("p", dt, EntityType::Vertex, multi, SizeType::Fixed, 1)
+                .unwrap();
+            eng.create_index("by_l", vec![l], vec![]).unwrap();
+            let tx = eng.begin(AccessMode::ReadWrite);
+            for (app, entries) in [(1, [5, 50]), (2, [50, 5]), (3, [50, 50]), (4, [5, 5])] {
+                let v = tx.create_vertex(AppVertexId(app)).unwrap();
+                tx.add_label(v, l).unwrap();
+                for x in entries {
+                    tx.add_property(v, p, &PropertyValue::U64(x)).unwrap();
+                }
+            }
+            tx.commit().unwrap();
+            (l.0, p.0)
+        });
+        let (l, p) = ctx.bcast(0, ids);
+        eng.refresh_meta();
+        let _ = eng.olap_view();
+        let cat = planner::Catalog::gather(&eng);
+        let q = QueryBuilder::node("v")
+            .label(LabelId(l))
+            .prop_gt(PTypeId(p), 10)
+            .collect_ids(AggTarget::Root);
+        let choices = planner::viable_choices(&cat, &q);
+        assert!(choices.len() >= 2, "an index scan and a sweep: {choices:?}");
+        choices
+            .into_iter()
+            .filter_map(|c| planner::plan_choice(&cat, &q, c))
+            .map(|plan| {
+                (
+                    plan.choice.to_string(),
+                    executor::execute(&eng, &q, &plan).value,
+                )
+            })
+            .collect::<Vec<_>>()
+    });
+    for (choice, got) in answers.into_iter().flatten() {
+        assert_eq!(got, QueryValue::Ids(vec![2, 3]), "via {choice}");
+    }
+}
+
 /// Counter pin: the suite's two-hop never enumerates `(root, cur)`
 /// pairs. Summed over ranks, each expand stage inspects at most every
 /// edge once and keeps at most every vertex once — on both expand
@@ -420,6 +626,46 @@ fn two_hop_work_is_bounded_by_the_graph() {
 /// `rich_spec(8, 8, 7)`: roots, `(rows, expanded)` of the two expand
 /// stages, distinct targets.
 const PIN_TWO_HOP: (u64, (u64, u64), (u64, u64), u64) = (118, (157, 1043), (91, 1955), 91);
+
+/// Read pin: a vertex that comes up at two stages is read once. The
+/// suite's two-hop sweeps every local vertex as `a` and filters the far
+/// end `c` on another property; over the view (`sweep+csr`: adjacency
+/// costs no holder read) it fetches exactly the blocks the root sweep
+/// alone fetches — the `c` verdicts come from the read that tested `a`.
+#[test]
+fn a_vertex_tested_at_two_stages_is_read_once() {
+    use query::{AccessPath, ExpandPath, PathChoice};
+    let spec = rich_spec(8, 8, 7);
+    let nranks = 2;
+    let cfg = sized_config(&spec, nranks);
+    let (db, fabric) = GdaDb::with_fabric("qreads", cfg, nranks, CostModel::zero());
+    fabric.run(|ctx| {
+        let eng = db.attach(ctx);
+        eng.init_collective();
+        let (meta, _) = load_with_label_indexes(&eng, &spec);
+        let _ = eng.olap_view();
+        let cat = planner::Catalog::gather(&eng);
+        let params = SuiteParams::default();
+        let (_, two_hop) = suite(&meta, &params).swap_remove(1);
+        let root_only = QueryBuilder::node("a")
+            .prop_gt(meta.ptype(0), params.t1)
+            .count(AggTarget::Root);
+        let choice = PathChoice {
+            access: AccessPath::Sweep,
+            expand: ExpandPath::Csr,
+        };
+        // holder blocks this rank fetches from its own window
+        let gets = |q: &Query| {
+            let plan = planner::plan_choice(&cat, q, choice).expect("sweep+csr is viable");
+            let before = ctx.stats_snapshot().local_ops;
+            executor::execute(&eng, q, &plan);
+            ctx.stats_snapshot().local_ops - before
+        };
+        let one_pass = gets(&root_only);
+        assert!(one_pass > 0);
+        assert_eq!(gets(&two_hop), one_pass);
+    });
+}
 
 // ---------------------------------------------------------------------
 // Durable axis: differential contract after checkpoint + crash + recover
@@ -544,6 +790,7 @@ fn golden_catalog() -> planner::Catalog {
         deg_out: 8.0,
         deg_any: 16.0,
         view_cached: true,
+        block_bytes: 512,
         cost: CostModel::default(),
         meta_epoch: 1,
     }
@@ -551,7 +798,10 @@ fn golden_catalog() -> planner::Catalog {
 
 /// `Plan::explain` is a stable text format: tools (and humans) parse it,
 /// so any change must be deliberate — update the golden string when it
-/// is.
+/// is. (The numbers are the planner's costs: they last moved when a
+/// holder read was re-costed as whole blocks of an uncached chain and
+/// the cached-view rendezvous as one epoch read plus an 8-byte vote,
+/// which turned this pick from `+tx` to `+csr`.)
 #[test]
 fn explain_format_is_stable() {
     let cat = golden_catalog();
@@ -566,15 +816,15 @@ fn explain_format_is_stable() {
     let plan = planner::plan(&cat, &q);
     let golden = "\
 query: MATCH (p:#1)-[:#2]->(c:#3) RETURN count(DISTINCT p)
-choice: index-scan(ix2)+tx est=0.104ms rows~227.6
-  stage 1: index-scan[lab1] (p labels=1 props=1) rows~682.7 est=0.041ms
-  stage 2: expand-tx out[lbl] to (c labels=1 props=1) rows~227.6 est=0.056ms
+choice: index-scan(ix2)+csr est=0.162ms rows~227.6 [view]
+  stage 1: index-scan[lab1] (p labels=1 props=1) rows~682.7 est=0.077ms
+  stage 2: expand-csr out[lbl] to (c labels=1 props=1) rows~227.6 est=0.078ms
   stage 3: count(distinct p) rows~227.6 est=0.007ms
 alternatives:
-  index-scan(ix2)+tx       0.104ms
-  index-scan(ix2)+csr      0.110ms
-  sweep+csr                0.150ms
-  sweep+tx                 0.156ms
+  index-scan(ix2)+csr      0.162ms
+  index-scan(ix2)+tx       0.182ms
+  sweep+csr                0.238ms
+  sweep+tx                 0.261ms
 ";
     assert_eq!(
         plan.explain(),
