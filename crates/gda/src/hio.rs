@@ -218,52 +218,307 @@ pub fn overwrite_chain(
     Ok(())
 }
 
-/// Fetch the full serialized holder starting at `primary`, following the
-/// chain. Returns the holder bytes and the chain's block addresses.
-///
-/// Fails with `GDI_ERROR_NOT_FOUND` when the bytes are structurally
-/// implausible — the symptom of a *stale internal id* whose storage was
-/// reclaimed and reused while the caller still held the id (GDI's volatile
-/// ids, §3.4, make this a condition transactions must tolerate).
+// ---------------------------------------------------------------------
+// Reading a chain. Every structural rule lives in `Cursor`; the two
+// drivers below (`walk`, `walk_levels`) only decide when blocks are
+// fetched, and the `read_chain*` entry points only pick a `Source`.
+// Who calls which: docs/ARCHITECTURE.md, "Reading a holder chain".
+// ---------------------------------------------------------------------
+
+pub(crate) const STALE: GdiError = GdiError::NotFound("object (stale internal id)");
+
+/// The bounds a chain must stay inside: block geometry from the config,
+/// window length and rank count from where the blocks are read.
+struct Shape {
+    block: usize,
+    payload: usize,
+    /// `payload × blocks_per_rank`: a holder cannot outgrow its rank's
+    /// pool, so a longer `total_len` is garbage — and the cap on what a
+    /// walk may reserve for bytes it has not seen yet.
+    max_total: usize,
+    win_len: usize,
+    nranks: usize,
+}
+
+/// Where a walk's blocks come from.
+enum Source<'a> {
+    /// One blocking `get` per block: locked, quiesced and rank-local
+    /// readers, which no writer can race.
+    Live(&'a RankCtx<'a>),
+    /// Lock-free: the block copy and a re-read of its stamp word.
+    Validated(&'a RankCtx<'a>),
+    /// One rank's data-window image out of a snapshot; no fabric.
+    Image(&'a [u8]),
+}
+
+impl Source<'_> {
+    fn shape(&self, cfg: &GdaConfig) -> Shape {
+        let payload = payload_per_block(cfg);
+        let (win_len, nranks) = match self {
+            Source::Live(ctx) | Source::Validated(ctx) => {
+                (ctx.win_len_bytes(WIN_DATA), ctx.nranks())
+            }
+            // the caller picked the image by the primary's rank
+            Source::Image(data) => (data.len(), usize::MAX),
+        };
+        Shape {
+            block: cfg.block_size,
+            payload,
+            max_total: payload * cfg.blocks_per_rank,
+            win_len,
+            nranks,
+        }
+    }
+
+    /// Copy the block at `dp` (which [`Cursor::aim`] vouched for) into
+    /// `buf`; a validating source returns the stamp word as re-read
+    /// **after** the copy, the seqlock's second observation.
+    fn fetch(&self, dp: DPtr, buf: &mut [u8]) -> u64 {
+        let off = dp.offset() as usize;
+        match self {
+            Source::Live(ctx) => {
+                ctx.get_bytes(WIN_DATA, dp.rank(), off, buf);
+                0
+            }
+            Source::Validated(ctx) => {
+                // The copy and the re-read ride one injection round
+                // (§5.1 non-blocking overlap): same-target one-sided
+                // reads complete in issue order, so the re-read still
+                // observes the stamp *after* the copy — the validated
+                // read costs one network latency, not two, which is
+                // what keeps it cheaper than a lock/unlock round-trip
+                // pair. (Data transfers execute immediately in shared
+                // memory, so the order also holds inside an enclosing
+                // per-level batch.)
+                let mut again = [0u8; 8];
+                ctx.begin_nb_batch();
+                ctx.get_bytes(WIN_DATA, dp.rank(), off, buf);
+                ctx.get_bytes(WIN_DATA, dp.rank(), off + BLOCK_STAMP_OFFSET, &mut again);
+                ctx.end_nb_batch();
+                u64::from_le_bytes(again)
+            }
+            Source::Image(data) => {
+                buf.copy_from_slice(&data[off..off + buf.len()]);
+                0
+            }
+        }
+    }
+}
+
+/// The cursor's answer after every block.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Step {
+    /// Fetch the block [`Cursor::aim`] names next.
+    More,
+    /// The holder's bytes are complete.
+    Done,
+    /// Structurally implausible: the symptom of a *stale internal id*
+    /// whose storage was reclaimed and reused while the caller still
+    /// held the id (GDI's volatile ids, §3.4, make this a condition
+    /// transactions must tolerate).
+    Stale,
+    /// Validated walks only: a writer is mid-publication (or the object
+    /// moved on between two blocks). Transient — read again.
+    Torn,
+}
+
+/// One chain walk's state and **every structural rule of a chain**:
+/// where the next block may lie, how long the holder may be, how much
+/// of each block is payload and — for a validated walk — the seqlock
+/// checks of the module docs.
+struct Cursor {
+    /// The primary's rank; continuation blocks never leave it.
+    rank: usize,
+    next: DPtr,
+    depth: usize,
+    total: usize,
+    /// The stamp the primary was published under (validated walks).
+    stamp: u64,
+    validate: bool,
+}
+
+impl Cursor {
+    fn new(primary: DPtr, validate: bool) -> Self {
+        debug_assert!(!primary.is_null());
+        Cursor {
+            rank: primary.rank(),
+            next: primary,
+            depth: 0,
+            total: 0,
+            stamp: 0,
+            validate,
+        }
+    }
+
+    /// The block to fetch next, if the link to it holds up: on the
+    /// primary's rank, that rank exists, and the whole block lies inside
+    /// the data window.
+    fn aim(&self, shape: &Shape) -> Result<DPtr, Step> {
+        let dp = self.next;
+        if dp.is_null() {
+            // the chain ends before `total` bytes. Behind a primary
+            // whose copy validated that means the object moved on
+            // between blocks — retry
+            return Err(if self.validate {
+                Step::Torn
+            } else {
+                Step::Stale
+            });
+        }
+        // (a link that validated under the primary's stamp was written
+        // by that publication, so a malformed one is never transient)
+        if dp.rank() != self.rank
+            || self.rank >= shape.nranks
+            || dp.offset() as usize + shape.block > shape.win_len
+        {
+            return Err(Step::Stale);
+        }
+        Ok(dp)
+    }
+
+    /// Account for `block`, the copy of the block [`Cursor::aim`] named
+    /// (`reread` as returned by [`Source::fetch`]), appending its payload
+    /// to `out`.
+    fn take(&mut self, shape: &Shape, block: &[u8], reread: u64, out: &mut Vec<u8>) -> Step {
+        let word = |at: usize| u64::from_le_bytes(block[at..at + 8].try_into().unwrap());
+        if self.validate {
+            // untorn iff both stamp observations agree on a non-zero
+            // value; a continuation under another stamp than the
+            // primary's is a concurrent resize
+            let seen = word(BLOCK_STAMP_OFFSET);
+            if seen == 0 || seen != reread || (self.depth > 0 && seen != self.stamp) {
+                return Step::Torn;
+            }
+            self.stamp = seen;
+        }
+        if self.depth == 0 {
+            let total = Holder::peek_total_len(&block[BLOCK_PAYLOAD_OFFSET..]);
+            if total < crate::holder::HEADER_BYTES || total > shape.max_total {
+                return Step::Stale;
+            }
+            self.total = total;
+            // (a fresh allocation, not `reserve`: growing would copy the
+            // stale bytes along, and on an empty vector it takes the
+            // allocator's cold path — 10 of a one-block read's 85 ns)
+            out.clear();
+            if out.capacity() < total {
+                *out = Vec::with_capacity(total);
+            }
+        }
+        // (no separate depth cap: every block but the last adds a full
+        // payload, so `total ≤ max_total` ends the walk within
+        // `blocks_per_rank` blocks, cycles included)
+        let take = shape.payload.min(self.total - out.len());
+        out.extend_from_slice(&block[BLOCK_PAYLOAD_OFFSET..][..take]);
+        self.next = DPtr::from_raw(word(0));
+        self.depth += 1;
+        debug_assert!(self.depth * shape.payload <= shape.max_total);
+        if out.len() < self.total {
+            return Step::More;
+        }
+        // the assembled bytes must be the publication the stamp names
+        if self.validate && stamp_of(out) != self.stamp {
+            return Step::Torn;
+        }
+        Step::Done
+    }
+}
+
+/// Driver 1: walk one chain block by block, each fetch completing
+/// before the next is aimed. Holder bytes land in `out`, every block
+/// taken is reported to `visit`; returns how the walk ended (never
+/// [`Step::More`]) and the stamp it validated.
+fn walk(
+    src: &Source<'_>,
+    cfg: &GdaConfig,
+    primary: DPtr,
+    block_buf: &mut [u8],
+    out: &mut Vec<u8>,
+    mut visit: impl FnMut(DPtr),
+) -> (Step, u64) {
+    debug_assert_eq!(block_buf.len(), cfg.block_size);
+    let shape = src.shape(cfg);
+    let mut cur = Cursor::new(primary, matches!(src, Source::Validated(_)));
+    let mut step = Step::More;
+    while step == Step::More {
+        step = match cur.aim(&shape) {
+            Ok(dp) => {
+                let reread = src.fetch(dp, block_buf);
+                visit(dp);
+                cur.take(&shape, block_buf, reread, out)
+            }
+            Err(end) => end,
+        };
+    }
+    (step, cur.stamp)
+}
+
+/// Driver 2: walk many chains at once, **pipelining** the block reads:
+/// per chain *depth level*, every outstanding block is issued inside
+/// one non-blocking batch, so the whole level costs a single network
+/// latency instead of one blocking round trip per chain hop (§5.1's
+/// non-blocking overlap, applied across objects). Level 0 fetches all
+/// primary blocks, level `k` the `k`-th continuation block of every
+/// chain still incomplete; the deepest chain bounds the number of
+/// rounds. Per chain, in input order: its cursor, how its walk ended
+/// and its bytes — a hostile chain ends only its own walk.
+fn walk_levels(
+    ctx: &RankCtx,
+    cfg: &GdaConfig,
+    primaries: &[DPtr],
+    validate: bool,
+    mut visit: impl FnMut(usize, DPtr),
+) -> Vec<(Cursor, Step, Vec<u8>)> {
+    let src = if validate {
+        Source::Validated(ctx)
+    } else {
+        Source::Live(ctx)
+    };
+    let shape = src.shape(cfg);
+    let mut block_buf = vec![0u8; cfg.block_size];
+    let mut chains: Vec<(Cursor, Step, Vec<u8>)> = primaries
+        .iter()
+        .map(|&p| (Cursor::new(p, validate), Step::More, Vec::new()))
+        .collect();
+    while chains.iter().any(|(_, step, _)| *step == Step::More) {
+        ctx.begin_nb_batch();
+        for (i, (cur, step, bytes)) in chains.iter_mut().enumerate() {
+            if *step != Step::More {
+                continue;
+            }
+            *step = match cur.aim(&shape) {
+                Ok(dp) => {
+                    let reread = src.fetch(dp, &mut block_buf);
+                    visit(i, dp);
+                    cur.take(&shape, &block_buf, reread, bytes)
+                }
+                Err(end) => end,
+            };
+        }
+        ctx.end_nb_batch();
+    }
+    chains
+}
+
+/// Fetch the full serialized holder starting at `primary` with blocking
+/// gets, ignoring stamps: the reader of everyone no writer can race
+/// (lock holders, maintenance, the quiesced recovery replay). Returns
+/// the holder bytes and the chain's block addresses, or — on any
+/// structural implausibility — the stale-internal-id
+/// `GDI_ERROR_NOT_FOUND` that transactions must tolerate (§3.4).
 pub fn read_chain(
     ctx: &RankCtx,
     cfg: &GdaConfig,
     primary: DPtr,
 ) -> GdiResult<(Vec<u8>, Vec<DPtr>)> {
-    debug_assert!(!primary.is_null());
-    let payload = payload_per_block(cfg);
-    let max_total = payload * cfg.blocks_per_rank;
-    let mut block_buf = vec![0u8; cfg.block_size];
-    ctx.get_bytes(
-        WIN_DATA,
-        primary.rank(),
-        primary.offset() as usize,
-        &mut block_buf,
-    );
-    let mut next = DPtr::from_raw(u64::from_le_bytes(block_buf[..8].try_into().unwrap()));
-    let total = Holder::peek_total_len(&block_buf[16..]);
-    if total < crate::holder::HEADER_BYTES || total > max_total {
-        return Err(GdiError::NotFound("object (stale internal id)"));
+    let (mut block_buf, mut bytes, mut blocks) =
+        (vec![0u8; cfg.block_size], Vec::new(), Vec::new());
+    let src = Source::Live(ctx);
+    let visit = |dp| blocks.push(dp);
+    match walk(&src, cfg, primary, &mut block_buf, &mut bytes, visit).0 {
+        Step::Done => Ok((bytes, blocks)),
+        _ => Err(STALE),
     }
-    let mut bytes = Vec::with_capacity(total);
-    bytes.extend_from_slice(&block_buf[16..16 + payload.min(total)]);
-    let mut blocks = vec![primary];
-    while bytes.len() < total {
-        if next.is_null() || blocks.len() > cfg.blocks_per_rank {
-            return Err(GdiError::NotFound("object (stale internal id)"));
-        }
-        ctx.get_bytes(
-            WIN_DATA,
-            next.rank(),
-            next.offset() as usize,
-            &mut block_buf,
-        );
-        blocks.push(next);
-        let take = payload.min(total - bytes.len());
-        bytes.extend_from_slice(&block_buf[16..16 + take]);
-        next = DPtr::from_raw(u64::from_le_bytes(block_buf[..8].try_into().unwrap()));
-    }
-    Ok((bytes, blocks))
 }
 
 /// Retries before a lock-free validated read reports the chain as
@@ -274,13 +529,9 @@ pub fn read_chain(
 const VALIDATE_RETRIES: usize = 100_000;
 
 /// Lock-free **snapshot fetch** of the chain at `primary`: the MVCC
-/// read path. Copies each block, then re-reads its stamp word; a block
-/// is untorn iff both stamp observations agree on a non-zero value (see
-/// the module docs for the seqlock argument), and the whole chain must
-/// carry the primary's stamp — a mixed-stamp chain is a concurrent
-/// resize and is retried. On success the assembled holder bytes carry a
-/// `version` field equal to the returned stamp, so the bytes are
-/// exactly one atomic publication.
+/// read path (see the module docs for the seqlock argument). On success
+/// the assembled holder bytes carry a `version` field equal to the
+/// returned stamp, so the bytes are exactly one atomic publication.
 ///
 /// Returns the holder bytes and the stamp they were published under.
 /// Never blocks the writer and never reports a *conflict*: transient
@@ -291,280 +542,65 @@ pub fn read_chain_validated(
     cfg: &GdaConfig,
     primary: DPtr,
 ) -> GdiResult<(Vec<u8>, u64)> {
-    debug_assert!(!primary.is_null());
-    let payload = payload_per_block(cfg);
-    let max_total = payload * cfg.blocks_per_rank;
-    let mut block_buf = vec![0u8; cfg.block_size];
-    let mut stamp_buf = [0u8; 8];
-    // one validated block copy; None = torn/in-flight (retry). The
-    // block copy and the stamp re-read ride one injection round (§5.1
-    // non-blocking overlap): same-target one-sided reads complete in
-    // issue order, so the re-read still observes the stamp *after* the
-    // copy — the validated read costs one network latency, not two,
-    // which is what keeps it cheaper than a lock/unlock round-trip pair
-    let mut read_block = |dp: DPtr, buf: &mut Vec<u8>| -> Option<(DPtr, u64)> {
-        ctx.begin_nb_batch();
-        ctx.get_bytes(WIN_DATA, dp.rank(), dp.offset() as usize, buf);
-        let s1 = u64::from_le_bytes(buf[8..16].try_into().unwrap());
-        ctx.get_bytes(
-            WIN_DATA,
-            dp.rank(),
-            dp.offset() as usize + BLOCK_STAMP_OFFSET,
-            &mut stamp_buf,
-        );
-        ctx.end_nb_batch();
-        let s2 = u64::from_le_bytes(stamp_buf);
-        if s1 == 0 || s1 != s2 {
-            return None;
-        }
-        let next = DPtr::from_raw(u64::from_le_bytes(buf[..8].try_into().unwrap()));
-        Some((next, s1))
-    };
-    'retry: for attempt in 0..VALIDATE_RETRIES {
+    let (mut block_buf, mut bytes) = (vec![0u8; cfg.block_size], Vec::new());
+    let src = Source::Validated(ctx);
+    for attempt in 0..VALIDATE_RETRIES {
         if attempt > 0 {
             // a torn read means a writer is mid-publication; on an
             // oversubscribed host it may be descheduled — yield so it
             // can finish instead of charge-spinning validated copies
             std::thread::yield_now();
         }
-        let Some((mut next, stamp)) = read_block(primary, &mut block_buf) else {
-            continue 'retry;
-        };
-        let total = Holder::peek_total_len(&block_buf[16..]);
-        if total < crate::holder::HEADER_BYTES || total > max_total {
-            return Err(GdiError::NotFound("object (stale internal id)"));
+        match walk(&src, cfg, primary, &mut block_buf, &mut bytes, |_| {}) {
+            (Step::Done, stamp) => return Ok((bytes, stamp)),
+            (Step::Stale, _) => return Err(STALE),
+            _ => {}
         }
-        let mut bytes = Vec::with_capacity(total);
-        bytes.extend_from_slice(&block_buf[16..16 + payload.min(total)]);
-        let mut depth = 1usize;
-        while bytes.len() < total {
-            if next.is_null() || depth > cfg.blocks_per_rank {
-                // the primary's copy validated, so a broken chain here
-                // means the object moved on between blocks — retry
-                continue 'retry;
-            }
-            let Some((n, s)) = read_block(next, &mut block_buf) else {
-                continue 'retry;
-            };
-            if s != stamp {
-                continue 'retry; // continuation republished under a newer version
-            }
-            let take = payload.min(total - bytes.len());
-            bytes.extend_from_slice(&block_buf[16..16 + take]);
-            next = n;
-            depth += 1;
-        }
-        // the assembled bytes must be the publication the stamp names
-        if bytes.len() >= 32 && u64::from_le_bytes(bytes[24..32].try_into().unwrap()) != stamp {
-            continue 'retry;
-        }
-        return Ok((bytes, stamp));
     }
     Err(GdiError::NotFound(
         "object (snapshot validation did not converge)",
     ))
 }
 
-/// Batched lock-free validated fetch: [`read_chain_validated`]'s
-/// seqlock protocol applied across many chains with
-/// [`read_chains`]-style level pipelining. One optimistic pipelined
-/// pass validates every block copy (stamp re-read after the copy, all
-/// stamps equal to the chain's primary stamp, assembled bytes naming
-/// that stamp); chains torn by a concurrent overwrite — rare — fall
-/// back to the per-chain retry loop. Per-primary results preserve
-/// input order.
-pub fn read_chains_validated(
-    ctx: &RankCtx,
-    cfg: &GdaConfig,
-    primaries: &[DPtr],
-) -> Vec<GdiResult<(Vec<u8>, u64)>> {
-    let payload = payload_per_block(cfg);
-    let max_total = payload * cfg.blocks_per_rank;
-    struct VChain {
-        bytes: Vec<u8>,
-        stamp: u64,
-        next: DPtr,
-        depth: usize,
-        total: usize,
-        torn: bool,
-        failed: bool,
-    }
-    let mut chains: Vec<VChain> = primaries
-        .iter()
-        .map(|&p| {
-            debug_assert!(!p.is_null());
-            VChain {
-                bytes: Vec::new(),
-                stamp: 0,
-                next: p,
-                depth: 0,
-                total: usize::MAX,
-                torn: false,
-                failed: false,
-            }
-        })
-        .collect();
-    let mut block_buf = vec![0u8; cfg.block_size];
-    let mut stamp_buf = [0u8; 8];
-    loop {
-        let pending: Vec<usize> = chains
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| !c.torn && !c.failed && (c.depth == 0 || c.bytes.len() < c.total))
-            .map(|(i, _)| i)
-            .collect();
-        if pending.is_empty() {
-            break;
-        }
-        // one latency for the whole level; data transfers execute
-        // immediately (shared memory), so the copy-then-stamp-re-read
-        // order the seqlock needs is preserved inside the batch
-        ctx.begin_nb_batch();
-        for &i in &pending {
-            let c = &mut chains[i];
-            let dp = c.next;
-            if dp.is_null() || c.depth >= cfg.blocks_per_rank {
-                // primary validated but the chain broke mid-walk: the
-                // object moved on between blocks — treat as torn
-                c.torn = true;
-                continue;
-            }
-            ctx.get_bytes(WIN_DATA, dp.rank(), dp.offset() as usize, &mut block_buf);
-            let s1 = u64::from_le_bytes(block_buf[8..16].try_into().unwrap());
-            ctx.get_bytes(
-                WIN_DATA,
-                dp.rank(),
-                dp.offset() as usize + BLOCK_STAMP_OFFSET,
-                &mut stamp_buf,
-            );
-            let s2 = u64::from_le_bytes(stamp_buf);
-            if s1 == 0 || s1 != s2 || (c.depth > 0 && s1 != c.stamp) {
-                c.torn = true;
-                continue;
-            }
-            c.next = DPtr::from_raw(u64::from_le_bytes(block_buf[..8].try_into().unwrap()));
-            if c.depth == 0 {
-                c.stamp = s1;
-                let total = Holder::peek_total_len(&block_buf[16..]);
-                if total < crate::holder::HEADER_BYTES || total > max_total {
-                    c.failed = true;
-                    continue;
-                }
-                c.total = total;
-                c.bytes.reserve(total);
-            }
-            c.depth += 1;
-            let take = payload.min(c.total - c.bytes.len());
-            c.bytes.extend_from_slice(&block_buf[16..16 + take]);
-        }
-        ctx.end_nb_batch();
-    }
-    primaries
-        .iter()
-        .zip(chains)
-        .map(|(&p, c)| {
-            if c.failed {
-                return Err(GdiError::NotFound("object (stale internal id)"));
-            }
-            // assembled bytes must be the publication the stamp names
-            if c.torn
-                || c.bytes.len() < 32
-                || u64::from_le_bytes(c.bytes[24..32].try_into().unwrap()) != c.stamp
-            {
-                // concurrent overwrite tore this chain: per-chain retry
-                return read_chain_validated(ctx, cfg, p);
-            }
-            Ok((c.bytes, c.stamp))
-        })
-        .collect()
-}
-
-/// Fetch many holders at once, **pipelining** the block reads: per
-/// chain *depth level*, every outstanding block is issued inside one
-/// non-blocking batch, so the whole level costs a single network
-/// latency instead of one blocking round trip per chain hop (§5.1's
-/// non-blocking overlap, applied across objects). Level 0 fetches all
-/// primary blocks, level `k` the `k`-th continuation block of every
-/// chain still incomplete; the deepest chain bounds the number of
-/// rounds.
-///
-/// Per-primary results preserve input order and fail individually with
-/// the same structural checks as [`read_chain`] — a stale internal id
-/// poisons only its own slot.
+/// Many holders at once through the level-pipelined driver. Per-primary
+/// results preserve input order and fail individually with the same
+/// structural checks as [`read_chain`] — a stale internal id poisons
+/// only its own slot.
 pub fn read_chains(
     ctx: &RankCtx,
     cfg: &GdaConfig,
     primaries: &[DPtr],
 ) -> Vec<GdiResult<(Vec<u8>, Vec<DPtr>)>> {
-    let payload = payload_per_block(cfg);
-    let max_total = payload * cfg.blocks_per_rank;
-    struct Chain {
-        bytes: Vec<u8>,
-        blocks: Vec<DPtr>,
-        next: DPtr,
-        total: usize,
-        failed: bool,
-    }
-    let mut chains: Vec<Chain> = primaries
-        .iter()
-        .map(|&p| {
-            debug_assert!(!p.is_null());
-            Chain {
-                bytes: Vec::new(),
-                blocks: Vec::new(),
-                next: p,
-                total: usize::MAX,
-                failed: false,
-            }
-        })
-        .collect();
-    let mut block_buf = vec![0u8; cfg.block_size];
-    loop {
-        let pending: Vec<usize> = chains
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| !c.failed && (c.blocks.is_empty() || c.bytes.len() < c.total))
-            .map(|(i, _)| i)
-            .collect();
-        if pending.is_empty() {
-            break;
-        }
-        // one latency for the whole level: every block read of this
-        // round overlaps inside the non-blocking batch
-        ctx.begin_nb_batch();
-        for &i in &pending {
-            let c = &mut chains[i];
-            let dp = c.next;
-            if dp.is_null() || c.blocks.len() >= cfg.blocks_per_rank {
-                c.failed = true;
-                continue;
-            }
-            ctx.get_bytes(WIN_DATA, dp.rank(), dp.offset() as usize, &mut block_buf);
-            c.next = DPtr::from_raw(u64::from_le_bytes(block_buf[..8].try_into().unwrap()));
-            if c.blocks.is_empty() {
-                // primary block: learn the chain's total length
-                let total = Holder::peek_total_len(&block_buf[16..]);
-                if total < crate::holder::HEADER_BYTES || total > max_total {
-                    c.failed = true;
-                    continue;
-                }
-                c.total = total;
-                c.bytes.reserve(total);
-            }
-            c.blocks.push(dp);
-            let take = payload.min(c.total - c.bytes.len());
-            c.bytes.extend_from_slice(&block_buf[16..16 + take]);
-        }
-        ctx.end_nb_batch();
-    }
-    chains
+    let mut blocks = vec![Vec::new(); primaries.len()];
+    let visit = |i: usize, dp| blocks[i].push(dp);
+    let walked = walk_levels(ctx, cfg, primaries, false, visit);
+    walked
         .into_iter()
-        .map(|c| {
-            if c.failed {
-                Err(GdiError::NotFound("object (stale internal id)"))
-            } else {
-                Ok((c.bytes, c.blocks))
-            }
+        .zip(blocks)
+        .map(|((_, step, bytes), blocks)| match step {
+            Step::Done => Ok((bytes, blocks)),
+            _ => Err(STALE),
+        })
+        .collect()
+}
+
+/// [`read_chain_validated`] across many chains: one optimistic
+/// pipelined pass validates every block copy; chains torn by a
+/// concurrent overwrite — rare — fall back to the per-chain retry loop.
+/// Per-primary results preserve input order.
+pub fn read_chains_validated(
+    ctx: &RankCtx,
+    cfg: &GdaConfig,
+    primaries: &[DPtr],
+) -> Vec<GdiResult<(Vec<u8>, u64)>> {
+    let walked = walk_levels(ctx, cfg, primaries, true, |_, _| {});
+    primaries
+        .iter()
+        .zip(walked)
+        .map(|(&p, (cur, step, bytes))| match step {
+            Step::Done => Ok((bytes, cur.stamp)),
+            Step::Stale => Err(STALE),
+            _ => read_chain_validated(ctx, cfg, p),
         })
         .collect()
 }
@@ -574,63 +610,6 @@ pub fn free_chain(bm: &BlockManager, blocks: &[DPtr]) {
     for dp in blocks {
         bm.release(*dp);
     }
-}
-
-/// The structural chain walk behind [`read_chain_bytes`] and
-/// [`read_chain_local`]: follow the chain at `primary` inside one rank's
-/// data window of `win_len` bytes, fetching every block through `fetch`
-/// (`(byte offset, block buffer)`) and appending its payload to `out`.
-/// `None` on any structural implausibility: a block outside the window
-/// or on another rank, a total length outside `[header, pool]`, a chain
-/// that ends early or outgrows the pool.
-fn walk_chain(
-    cfg: &GdaConfig,
-    primary: DPtr,
-    win_len: usize,
-    mut fetch: impl FnMut(usize, &mut [u8]),
-    block_buf: &mut [u8],
-    out: &mut Vec<u8>,
-    mut visit: impl FnMut(DPtr),
-) -> Option<()> {
-    debug_assert!(!primary.is_null());
-    debug_assert_eq!(block_buf.len(), cfg.block_size);
-    let payload = payload_per_block(cfg);
-    let max_total = payload * cfg.blocks_per_rank;
-    let mut block = |dp: DPtr, buf: &mut [u8]| -> Option<DPtr> {
-        let off = dp.offset() as usize;
-        if dp.rank() != primary.rank() || off + cfg.block_size > win_len {
-            return None;
-        }
-        fetch(off, buf);
-        Some(DPtr::from_raw(u64::from_le_bytes(
-            buf[..8].try_into().unwrap(),
-        )))
-    };
-    let mut next = block(primary, block_buf)?;
-    if block_buf.len() < BLOCK_PAYLOAD_OFFSET + crate::holder::HEADER_BYTES.min(payload) {
-        return None;
-    }
-    let total = Holder::peek_total_len(&block_buf[BLOCK_PAYLOAD_OFFSET..]);
-    if total < crate::holder::HEADER_BYTES || total > max_total {
-        return None;
-    }
-    out.clear();
-    out.reserve(total);
-    out.extend_from_slice(&block_buf[BLOCK_PAYLOAD_OFFSET..][..payload.min(total)]);
-    visit(primary);
-    let mut nblocks = 1usize;
-    while out.len() < total {
-        if next.is_null() || nblocks > cfg.blocks_per_rank {
-            return None;
-        }
-        let cur = next;
-        next = block(cur, block_buf)?;
-        visit(cur);
-        nblocks += 1;
-        let take = payload.min(total - out.len());
-        out.extend_from_slice(&block_buf[BLOCK_PAYLOAD_OFFSET..][..take]);
-    }
-    Some(())
 }
 
 /// Offline variant of [`read_chain`] over a raw **data-window byte
@@ -648,27 +627,19 @@ pub fn read_chain_bytes(
     data: &[u8],
     primary: DPtr,
 ) -> Option<(Vec<u8>, Vec<DPtr>)> {
-    let mut block_buf = vec![0u8; cfg.block_size];
-    let mut bytes = Vec::new();
-    let mut blocks = Vec::new();
-    walk_chain(
-        cfg,
-        primary,
-        data.len(),
-        |off, buf| buf.copy_from_slice(&data[off..off + cfg.block_size]),
-        &mut block_buf,
-        &mut bytes,
-        |dp| blocks.push(dp),
-    )?;
-    Some((bytes, blocks))
+    let (mut block_buf, mut bytes, mut blocks) =
+        (vec![0u8; cfg.block_size], Vec::new(), Vec::new());
+    let src = Source::Image(data);
+    let visit = |dp| blocks.push(dp);
+    let (step, _) = walk(&src, cfg, primary, &mut block_buf, &mut bytes, visit);
+    (step == Step::Done).then_some((bytes, blocks))
 }
 
-/// [`read_chain_bytes`] against this rank's **live data window**: the
-/// same structural checks, but every block is read where it lies (one
-/// local `get` each) into a caller-owned block buffer and the holder
-/// bytes land in the reused `out` — no window image, no per-chain
-/// allocation. The OLAP scan sweep's reader (`crate::scan`); like every
-/// unlocked read it assumes no concurrent writer.
+/// [`read_chain`] of a chain on **this rank** into caller-owned, reused
+/// buffers (one local `get` per block, no per-chain allocation, no
+/// block list). The OLAP scan sweep's reader (`crate::scan`) and the
+/// byte path of collective read-only transactions; like every unlocked
+/// read it assumes no concurrent writer.
 pub fn read_chain_local(
     ctx: &RankCtx,
     cfg: &GdaConfig,
@@ -677,15 +648,8 @@ pub fn read_chain_local(
     out: &mut Vec<u8>,
 ) -> Option<()> {
     debug_assert_eq!(primary.rank(), ctx.rank());
-    walk_chain(
-        cfg,
-        primary,
-        ctx.win_len_bytes(WIN_DATA),
-        |off, buf| ctx.get_bytes(WIN_DATA, primary.rank(), off, buf),
-        block_buf,
-        out,
-        |_| {},
-    )
+    let (step, _) = walk(&Source::Live(ctx), cfg, primary, block_buf, out, |_| {});
+    (step == Step::Done).then_some(())
 }
 
 #[cfg(test)]
@@ -958,5 +922,201 @@ mod tests {
             }
             ctx.barrier();
         });
+    }
+    // -----------------------------------------------------------------
+    // Hostile chains: whatever a block holds, every reader answers with
+    // a typed error / `None` or with bytes — never a panic.
+    // -----------------------------------------------------------------
+
+    /// Two ranks; rank 0 lays down three chains in its own window — a
+    /// one-block holder, the five-block `victim`, another one-block
+    /// holder — and hands them to `f` with an offline image of it.
+    fn with_victim(f: impl Fn(&RankCtx, &GdaConfig, [DPtr; 3], &[DPtr], &[u8]) + Sync) {
+        let cfg = GdaConfig::tiny();
+        let fabric = cfg.build_fabric(2, CostModel::zero());
+        fabric.run(|ctx| {
+            let bm = BlockManager::new(ctx, cfg);
+            bm.init_collective();
+            if ctx.rank() == 0 {
+                let mut chains = Vec::new();
+                for (version, edges) in [(11, 1), (12, 20), (13, 2)] {
+                    let mut h = big_holder(edges, 0);
+                    h.version = version;
+                    let mut blocks = vec![bm.acquire(0).unwrap()];
+                    write_chain(ctx, &bm, &h.encode(), &mut blocks).unwrap();
+                    chains.push(blocks);
+                }
+                assert_eq!(chains[1].len(), 5);
+                let primaries = [chains[0][0], chains[1][0], chains[2][0]];
+                let mut image = vec![0u8; ctx.win_len_bytes(WIN_DATA)];
+                ctx.get_bytes(WIN_DATA, 0, 0, &mut image);
+                f(ctx, &cfg, primaries, &chains[1], &image);
+            }
+            ctx.barrier();
+        });
+    }
+
+    /// What every entry point makes of `primaries[1]` (the two batch
+    /// readers see it between its intact neighbours, which must read
+    /// fine whatever the middle slot holds), as holder bytes or `None`;
+    /// typed errors are checked on the way. Order: `read_chain`,
+    /// `read_chains`, `read_chain_local`, `read_chain_bytes` over
+    /// `image`, `read_chain_validated`, `read_chains_validated`.
+    fn all_readers(
+        ctx: &RankCtx,
+        cfg: &GdaConfig,
+        primaries: [DPtr; 3],
+        image: &[u8],
+    ) -> [Option<Vec<u8>>; 6] {
+        fn bytes<T>(r: GdiResult<(Vec<u8>, T)>) -> Option<Vec<u8>> {
+            match r {
+                Ok((bytes, _)) => Some(bytes),
+                Err(GdiError::NotFound(_)) => None,
+                Err(e) => panic!("untyped chain failure: {e:?}"),
+            }
+        }
+        let mut plain = read_chains(ctx, cfg, &primaries);
+        let mut validated = read_chains_validated(ctx, cfg, &primaries);
+        for neighbour in [0, 2] {
+            assert!(
+                plain[neighbour].is_ok(),
+                "a hostile chain poisons only its slot"
+            );
+            assert!(validated[neighbour].is_ok());
+        }
+        let (mut block, mut local) = (vec![0u8; cfg.block_size], Vec::new());
+        let read = read_chain_local(ctx, cfg, primaries[1], &mut block, &mut local);
+        [
+            bytes(read_chain(ctx, cfg, primaries[1])),
+            bytes(plain.swap_remove(1)),
+            read.map(|()| local),
+            read_chain_bytes(cfg, image, primaries[1]).map(|(bytes, _)| bytes),
+            bytes(read_chain_validated(ctx, cfg, primaries[1])),
+            bytes(validated.swap_remove(1)),
+        ]
+    }
+
+    /// A continuation link — or a primary handed to a lock-free read —
+    /// that leaves the primary's rank, names a rank that does not exist,
+    /// or reaches past the data window is a stale internal id to every
+    /// live reader (the parent commit died in `Window::span` and in the
+    /// fabric's window table instead).
+    #[test]
+    fn links_off_rank_or_off_window_are_stale_ids() {
+        with_victim(|ctx, cfg, primaries, victim, image| {
+            let win = image.len() as u64;
+            let hostile = [
+                DPtr::new(7, victim[2].offset()),              // no such rank
+                DPtr::new(1, victim[2].offset()),              // not the primary's rank
+                DPtr::new(0, win - cfg.block_size as u64 + 8), // straddles the window's end
+                DPtr::new(0, (1 << 40) + 64),                  // far outside
+            ];
+            for bad in hostile {
+                // as the victim's second link …
+                let link_at = victim[1].offset() as usize;
+                ctx.put_bytes(WIN_DATA, 0, link_at, &bad.raw().to_le_bytes());
+                let mut image = image.to_vec();
+                image[link_at..link_at + 8].copy_from_slice(&bad.raw().to_le_bytes());
+                assert_eq!(
+                    all_readers(ctx, cfg, primaries, &image),
+                    [const { None }; 6]
+                );
+                assert_eq!(read_chain(ctx, cfg, primaries[1]).err(), Some(STALE));
+                assert_eq!(
+                    read_chain_validated(ctx, cfg, primaries[1]).err(),
+                    Some(STALE)
+                );
+                ctx.put_bytes(WIN_DATA, 0, link_at, &victim[2].raw().to_le_bytes());
+                // … and as a fabricated primary (but for the one that is
+                // somebody's address: a never-written block on rank 1)
+                if bad.rank() == 1 {
+                    continue;
+                }
+                assert_eq!(read_chain(ctx, cfg, bad).err(), Some(STALE));
+                assert_eq!(read_chain_validated(ctx, cfg, bad).err(), Some(STALE));
+                assert_eq!(read_chains(ctx, cfg, &[bad]).remove(0).err(), Some(STALE));
+                assert_eq!(
+                    read_chains_validated(ctx, cfg, &[bad]).remove(0).err(),
+                    Some(STALE)
+                );
+            }
+            let (bytes, blocks) = read_chain(ctx, cfg, primaries[1]).expect("link restored");
+            assert_eq!((Holder::decode(&bytes).version, &blocks[..]), (12, victim));
+        });
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// One hostile word anywhere in the victim's chain — a link that
+        /// cycles, crosses ranks, leaves the window or is unaligned, a
+        /// NULL before the end, a `total_len` below the header, above
+        /// the pool or beyond the chain, a zeroed or foreign stamp —
+        /// through the cursor and through every entry point: bytes of
+        /// the announced length or a typed refusal, at most
+        /// `blocks_per_rank` blocks visited, at most `payload ×
+        /// blocks_per_rank` bytes reserved.
+        #[test]
+        fn hostile_chain_words_never_panic_any_reader(
+            slot in 0usize..11,
+            kind in 0usize..9,
+            raw in proptest::prelude::any::<u64>(),
+        ) {
+            with_victim(|ctx, cfg, primaries, victim, image| {
+                let max_total = payload_per_block(cfg) * cfg.blocks_per_rank;
+                let good = read_chain(ctx, cfg, primaries[1]).unwrap().0;
+                let (win, len) = (image.len() as u64, good.len());
+                let hostile: u64 = match kind {
+                    0 => 0, // NULL / zero stamp / zero length
+                    1 => victim[raw as usize % 5].raw(), // a cycle (or a skip)
+                    2 => DPtr::new(raw as usize % 9, victim[2].offset()).raw(), // other ranks
+                    3 => DPtr::new(0, win - raw % 128).raw(), // around the window's end
+                    4 => victim[3].raw() + 1 + raw % 127, // unaligned
+                    5 => raw % 48, // below the header
+                    6 => max_total as u64 + 1 + raw % 1000, // above the pool
+                    7 => (len + 1) as u64 + raw % (max_total - len) as u64, // beyond the chain
+                    _ => raw,
+                };
+                // the word: a block's link (slots 0–4), a block's stamp
+                // (5–9), or the length the primary announces (10)
+                let (block, field, width) = match slot {
+                    0..=4 => (slot, 0, 8),
+                    5..=9 => (slot - 5, BLOCK_STAMP_OFFSET, 8),
+                    _ => (0, BLOCK_PAYLOAD_OFFSET, 4),
+                };
+                let at = victim[block].offset() as usize + field;
+                let word = if width == 4 { hostile & u64::from(u32::MAX) } else { hostile };
+                let mut image = image.to_vec();
+                image[at..at + width].copy_from_slice(&word.to_le_bytes()[..width]);
+                ctx.put_bytes(WIN_DATA, 0, at, &word.to_le_bytes()[..width]);
+
+                // the cursor itself, with what it visits and reserves
+                let (mut buf, mut out) = (vec![0u8; cfg.block_size], Vec::new());
+                let (src, mut visited) = (Source::Image(&image), 0);
+                let (step, _) =
+                    walk(&src, cfg, primaries[1], &mut buf, &mut out, |_| visited += 1);
+                assert!(visited <= cfg.blocks_per_rank, "{visited} blocks visited");
+                assert!(out.capacity() <= max_total, "{} bytes reserved", out.capacity());
+                let announced =
+                    Holder::peek_total_len(&image[primaries[1].offset() as usize + 16..]);
+                let offline = (step == Step::Done).then_some(out);
+                if let Some(bytes) = &offline {
+                    assert_eq!(bytes.len(), announced);
+                }
+
+                // the plain readers consult no stamp and agree with the
+                // offline walk word for word; a validated read returns
+                // only what they find, and never a chain whose stamps
+                // disagree
+                let [plain @ .., one, batched] = all_readers(ctx, cfg, primaries, &image);
+                assert!(plain.iter().all(|p| *p == offline), "{plain:?} != {offline:?}");
+                assert!(one.is_none() || one == offline);
+                assert_eq!(one, batched);
+                if field == BLOCK_STAMP_OFFSET {
+                    assert_eq!(offline, Some(good));
+                    assert_eq!(one.is_some(), word == 12, "stamp {word} on block {block}");
+                }
+            });
+        }
     }
 }

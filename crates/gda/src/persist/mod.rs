@@ -1196,11 +1196,86 @@ pub struct RankRecovery {
     pub resharded_from: Option<usize>,
 }
 
-/// Tombstone key: the deleted object's identity `(primary, app_id,
-/// is_edge)`.
-type TombKey = (u64, u64, bool);
-/// Tombstone value: `(version at delete, deleting rank, log position)`.
-type TombInfo = (u64, usize, usize);
+/// The **replay-order rule**, spelled once for the physical replay
+/// ([`apply_record`]) and the logical one (`crate::reshard::plan`):
+/// which record of an object is the later state. Deletes replay in a
+/// first pass and leave tombstones here; an upsert in the second pass
+/// consults its own identity's tombstone to distinguish a genuinely
+/// later state from an older record of the deleted object — which must
+/// never resurrect it — and is then measured against whatever state
+/// its primary already holds.
+#[derive(Default)]
+pub(crate) struct ReplayOrder {
+    /// Object identity `(primary, app_id, is_edge)` → `(version at
+    /// delete, the log holding the delete, position in that log)`.
+    tombstones: FxHashMap<(u64, u64, bool), (u64, usize, usize)>,
+}
+
+impl ReplayOrder {
+    /// `(identity, version)` of the object state a record speaks of.
+    fn key(rec: &RedoRecord) -> ((u64, u64, bool), u64) {
+        match *rec {
+            RedoRecord::Upsert {
+                primary,
+                app_id,
+                is_edge,
+                version,
+                ..
+            }
+            | RedoRecord::Delete {
+                primary,
+                app_id,
+                is_edge,
+                version,
+            } => ((primary, app_id, is_edge), version),
+        }
+    }
+
+    /// The committed delete `rec`, found at position `seq` of log `log`,
+    /// is a fact whatever the physical state: remember it.
+    pub(crate) fn tombstone(&mut self, rec: &RedoRecord, log: usize, seq: usize) {
+        let (id, version) = Self::key(rec);
+        self.tombstones.insert(id, (version, log, seq));
+    }
+
+    /// May the upsert `rec` (position `seq` of log `log`) replay past its
+    /// object's tombstone? Only when it is *later than the delete*: a
+    /// later position in the same log, or a newer version from another
+    /// log (a genuine recreate) — which then retires the tombstone.
+    pub(crate) fn admits(&mut self, rec: &RedoRecord, log: usize, seq: usize) -> bool {
+        let (id, version) = Self::key(rec);
+        if let Some(&(t_ver, t_log, t_seq)) = self.tombstones.get(&id) {
+            let later = if t_log == log {
+                seq > t_seq
+            } else {
+                version > t_ver
+            };
+            if !later {
+                return false;
+            }
+            self.tombstones.remove(&id);
+        }
+        true
+    }
+
+    /// Is the state found at `rec`'s primary — an object `(app_id,
+    /// is_edge)` — the object `rec` speaks of, not another one (or stale
+    /// bytes of one) at the same address?
+    pub(crate) fn same_object(rec: &RedoRecord, app_id: u64, is_edge: bool) -> bool {
+        let ((_, rec_app, rec_edge), _) = Self::key(rec);
+        (rec_app, rec_edge) == (app_id, is_edge)
+    }
+
+    /// Does `rec` move its object forward from a state at version
+    /// `current`? An upsert only when strictly newer (replay is
+    /// idempotent); a delete unless a newer state already won.
+    pub(crate) fn supersedes(rec: &RedoRecord, current: u64) -> bool {
+        match rec {
+            RedoRecord::Upsert { version, .. } => *version > current,
+            RedoRecord::Delete { version, .. } => *version >= current,
+        }
+    }
+}
 
 /// The collective restore work [`recover`] hands back: every rank of
 /// the freshly built fabric must call [`RecoveryPlan::restore_rank`]
@@ -1218,14 +1293,8 @@ pub struct RecoveryPlan {
     /// still claimed after the last sweep (its only upserts were refused
     /// by a tombstone) is released back to the pool.
     claimed: Mutex<FxHashSet<u64>>,
-    /// Replayed deletes, keyed by object identity `(primary, app_id,
-    /// is_edge)` → `(version at delete, deleting rank, log position)`.
-    /// Deletes replay in a first pass; an upsert in the second pass
-    /// consults its own identity's tombstone to distinguish a genuinely
-    /// later state (same log at a later position, or a newer version
-    /// cross-log) from an older record of the deleted object — which
-    /// must never resurrect it.
-    tombstones: Mutex<FxHashMap<TombKey, TombInfo>>,
+    /// The tombstones of sweep 2, consulted by sweep 3.
+    order: Mutex<ReplayOrder>,
     /// `Some` when the plan restores onto a different rank count than
     /// the snapshot was written by: [`RecoveryPlan::restore_rank`] then
     /// runs the elastic redistribution of the `reshard` module instead of
@@ -1603,29 +1672,15 @@ fn apply_record(
             primary,
             app_id,
             is_edge,
-            version,
             bytes,
+            ..
         } => {
             let dp = DPtr::from_raw(*primary);
             let bytes = &sanitize_replayed_holder(bytes);
             // a record at or before its object's tombstoned delete must
-            // never resurrect the object: "later than the delete" is a
-            // later position in the same log, or a newer version from
-            // another log (a genuine recreate)
-            let key = (*primary, *app_id, *is_edge);
-            {
-                let mut tombs = plan.tombstones.lock();
-                if let Some(&(t_ver, t_rank, t_seq)) = tombs.get(&key) {
-                    let later = if t_rank == me {
-                        seq > t_seq
-                    } else {
-                        *version > t_ver
-                    };
-                    if !later {
-                        return Ok(false);
-                    }
-                    tombs.remove(&key);
-                }
+            // never resurrect the object
+            if !plan.order.lock().admits(rec, me, seq) {
+                return Ok(false);
             }
             // a primary in the deferred-free set was vacated by a
             // replayed delete, and one in the claimed set was already
@@ -1646,9 +1701,11 @@ fn apply_record(
                     .and_then(|(cur, blocks)| Holder::try_decode(&cur).map(|h| (h, blocks)))
             };
             match occupant {
-                Some((cur, mut blocks)) if cur.app_id == *app_id && cur.is_edge == *is_edge => {
-                    if cur.version >= *version {
-                        return Ok(false); // replay is idempotent
+                Some((cur, mut blocks))
+                    if ReplayOrder::same_object(rec, cur.app_id, cur.is_edge) =>
+                {
+                    if !ReplayOrder::supersedes(rec, cur.version) {
+                        return Ok(false);
                     }
                     // a shrinking rewrite must not release surplus
                     // continuation blocks straight into the pool —
@@ -1702,14 +1759,12 @@ fn apply_record(
             primary,
             app_id,
             is_edge,
-            version,
+            ..
         } => {
             let dp = DPtr::from_raw(*primary);
             // the logical delete is a committed fact: tombstone it for
             // the upsert pass regardless of the physical state here
-            plan.tombstones
-                .lock()
-                .insert((*primary, *app_id, *is_edge), (*version, me, seq));
+            plan.order.lock().tombstone(rec, me, seq);
             // a primary claimed out of a free list in sweep 1 was free
             // at snapshot time: the object this delete targets exists
             // only in not-yet-replayed upserts, and any decodable bytes
@@ -1725,10 +1780,10 @@ fn apply_record(
             let Some(cur) = Holder::try_decode(&cur) else {
                 return Ok(false);
             };
-            if vacated || cur.app_id != *app_id || cur.is_edge != *is_edge {
+            if vacated || !ReplayOrder::same_object(rec, cur.app_id, cur.is_edge) {
                 return Ok(false); // not (or no longer) this object
             }
-            if cur.version > *version {
+            if !ReplayOrder::supersedes(rec, cur.version) {
                 return Ok(false); // a newer state won (re-replay)
             }
             // defer the frees: pools are refilled only after the last
@@ -1879,7 +1934,7 @@ pub fn recover_with_topology(
         restored: (0..live_ranks).map(|_| AtomicBool::new(false)).collect(),
         deferred: Mutex::new(FxHashSet::default()),
         claimed: Mutex::new(FxHashSet::default()),
-        tombstones: Mutex::new(FxHashMap::default()),
+        order: Mutex::new(ReplayOrder::default()),
         reshard,
         stats: Mutex::new(vec![None; live_ranks]),
     });
@@ -2231,6 +2286,14 @@ pub(crate) mod tests {
                     tx.create_vertex(AppVertexId(1)).unwrap();
                     tx.commit().unwrap();
                 }
+                // and one that lives and dies inside the tail: its upsert
+                // sits *before* its delete in the log and must stay dead
+                let tx = eng.begin(AccessMode::ReadWrite);
+                let v = tx.create_vertex(AppVertexId(3)).unwrap();
+                tx.commit().unwrap();
+                let tx = eng.begin(AccessMode::ReadWrite);
+                tx.delete_vertex(v).unwrap();
+                tx.commit().unwrap();
             });
         }
         let (db, fabric, plan) = recover(PersistOptions::new(&td.0), CostModel::zero()).unwrap();
@@ -2241,6 +2304,7 @@ pub(crate) mod tests {
             let tx = eng.begin(AccessMode::ReadOnly);
             tx.translate_vertex_id(AppVertexId(1)).unwrap();
             tx.translate_vertex_id(AppVertexId(2)).unwrap();
+            assert!(tx.translate_vertex_id(AppVertexId(3)).is_err());
             tx.commit().unwrap();
             // storage is not leaking: delete the vertices and verify the
             // pool drains back to full

@@ -58,7 +58,7 @@ use crate::dptr::DPtr;
 use crate::hio;
 use crate::holder::Holder;
 use crate::index::{IndexDef, IndexId, Posting};
-use crate::persist::{PersistStore, RankRecovery, RankSnapshot, RedoRecord};
+use crate::persist::{PersistStore, RankRecovery, RankSnapshot, RedoRecord, ReplayOrder};
 use crate::rankmap::RankMap;
 
 /// What the logical replay did (global counts over all `P` logs).
@@ -243,30 +243,21 @@ pub(crate) fn plan(
     }
 
     // ---- logical redo replay ----------------------------------------
-    // Same ordering rules as the physical `apply_record` path: all
-    // committed deletes land (or tombstone) first, keyed by object
-    // identity; then upserts in log order, refused at or before their
-    // object's tombstone ("later" = a later position in the same log,
-    // or a newer commit-stamp version cross-log), and refused when an
-    // already-live state of the same object is at least as new.
-    type TombKey = (u64, u64, bool);
-    let mut tombs: FxHashMap<TombKey, (u64, usize, usize)> = FxHashMap::default();
+    // The physical `apply_record` path's ordering, by the same
+    // `ReplayOrder`: all committed deletes land (or tombstone) first;
+    // then upserts in log order, refused at or before their object's
+    // tombstone, and refused when an already-live state of the same
+    // object is at least as new.
+    let mut order = ReplayOrder::default();
     let mut replay = ReplayCounts::default();
     for (r, log) in logs.iter().enumerate() {
         for (seq, rec) in log.iter().enumerate() {
-            if let RedoRecord::Delete {
-                primary,
-                app_id,
-                is_edge,
-                version,
-            } = rec
-            {
-                tombs.insert((*primary, *app_id, *is_edge), (*version, r, seq));
+            if let RedoRecord::Delete { primary, .. } = rec {
+                order.tombstone(rec, r, seq);
                 match objects.get(primary) {
                     Some(cur)
-                        if cur.app_id == *app_id
-                            && cur.is_edge == *is_edge
-                            && cur.version <= *version =>
+                        if ReplayOrder::same_object(rec, cur.app_id, cur.is_edge)
+                            && ReplayOrder::supersedes(rec, cur.version) =>
                     {
                         objects.remove(primary);
                         replay.applied += 1;
@@ -290,18 +281,9 @@ pub(crate) fn plan(
             else {
                 continue;
             };
-            let key = (*primary, *app_id, *is_edge);
-            if let Some(&(t_ver, t_rank, t_seq)) = tombs.get(&key) {
-                let later = if t_rank == r {
-                    seq > t_seq
-                } else {
-                    *version > t_ver
-                };
-                if !later {
-                    replay.skipped += 1;
-                    continue;
-                }
-                tombs.remove(&key);
+            if !order.admits(rec, r, seq) {
+                replay.skipped += 1;
+                continue;
             }
             let Some(h) = Holder::try_decode(bytes) else {
                 replay.errors += 1;
@@ -313,8 +295,8 @@ pub(crate) fn plan(
                 membership(index_defs, &h.labels())
             };
             match objects.get_mut(primary) {
-                Some(cur) if cur.app_id == *app_id && cur.is_edge == *is_edge => {
-                    if cur.version >= *version {
+                Some(cur) if ReplayOrder::same_object(rec, cur.app_id, cur.is_edge) => {
+                    if !ReplayOrder::supersedes(rec, cur.version) {
                         replay.skipped += 1;
                     } else {
                         cur.version = *version;

@@ -1,42 +1,34 @@
 //! Transactions and the graph-data CRUD routines (§5.6).
 //!
-//! A [`Transaction`] holds all per-transaction state the paper describes:
-//! a hashmap from internal ids to cached *holder* objects (so the same
-//! vertex is never fetched twice), the set of acquired distributed RW
-//! locks, and the dirty-object list written back at commit. All changes
-//! are **visible only locally** until commit; commit writes dirty blocks,
-//! updates the internal DHT and the explicit indexes, and releases locks.
-//! Local read-only transactions take no locks at all: they pin a snapshot
-//! epoch at `begin` and read validated version chains (snapshot
-//! isolation); local writers lock only what they write (write-write
-//! conflict detection); collective transactions keep two-phase locking.
+//! All changes of a [`Transaction`] are **visible only locally** until
+//! commit. Who locks what is decided once, at an object's first touch
+//! (`Transaction::first_touch`): local read-only transactions take no
+//! locks at all — they pin a snapshot epoch at `begin` and read
+//! validated version chains (snapshot isolation); local writers lock
+//! only what they write (write-write conflict detection); collective
+//! transactions keep two-phase locking. Which chain reader serves which
+//! of them: docs/ARCHITECTURE.md, "Reading a holder chain".
 //!
-//! ### Which reads skip the holder cache
+//! ### Why collective read-only reads skip the holder cache
 //!
 //! A **collective read-only** transaction is the paper's "read-only
 //! transactions that can assume that no participating process modifies
 //! the data": it takes no lock, pins nothing and validates nothing, so
 //! the cache buys it neither repeatable reads nor read-your-writes —
-//! only a decode and a hash insert per vertex. Its label, property and
-//! neighbour reads of a vertex **this rank owns** and that it has not
-//! cached therefore go through one byte-level primitive
-//! (`Transaction::with_local_bytes`): the chain is copied block by block
-//! out of the local window into two buffers the transaction reuses
-//! ([`hio::read_chain_local`], one charged local `get` per block) and
-//! read in place by [`Holder::scan_entries`] / [`Holder::scan_edges`] —
-//! no `Holder`, no value clone, no block list, no cache insert. The
-//! buffers remember whose chain they hold, so consecutive reads of one
-//! vertex copy it once; a vertex read again *later* is copied (and, on
-//! the simulated clock, charged) again — the price of keeping nothing.
-//! The condition is the one that path already relied on when it read
-//! unlocked through [`hio::read_chain`]: **no rank writes the data while
-//! the collective transaction is open** (inside the server, collective
-//! jobs run at a rendezvous with the writers quiesced). Everything else
-//! keeps the decoded cache because it needs what the cache gives: local
-//! transactions (a pinned reader's snapshot version, an MVCC writer's
-//! validated copy and pre-image), collective read-write transactions
-//! (their own writes), remote ids (one fetch per vertex, batched), and
-//! any id the transaction already cached.
+//! only a decode and a hash insert per vertex. Its reads of a vertex
+//! **this rank owns** and that it has not cached therefore go through
+//! the byte-level `Transaction::with_local_bytes`; a vertex read again
+//! *later* is copied (and, on the simulated clock, charged) again — the
+//! price of keeping nothing. The condition is the one that path already
+//! relied on when it read unlocked through [`hio::read_chain`]: **no
+//! rank writes the data while the collective transaction is open**
+//! (inside the server, collective jobs run at a rendezvous with the
+//! writers quiesced). Everything else keeps the decoded cache because
+//! it needs what the cache gives: local transactions (a pinned reader's
+//! snapshot version, an MVCC writer's validated copy and pre-image),
+//! collective read-write transactions (their own writes), remote ids
+//! (one fetch per vertex, batched), and any id the transaction already
+//! cached.
 //!
 //! Conflicts do not block indefinitely: lock acquisition is bounded, and a
 //! failed acquisition aborts the transaction with
@@ -217,40 +209,13 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
         Err(e)
     }
 
-    /// Lock kind needed on first touch.
-    fn entry_lock(&self, write: bool) -> Option<LockKind> {
-        // A pinned snapshot reader never locks: it reads validated
-        // version chains at its epoch instead (see `snapshot_fetch`).
-        if self.snap.get().is_some() {
-            return None;
-        }
-        match (self.kind, self.mode) {
-            // Collective read-only transactions skip locking entirely: the
-            // paper's optimized read path ("read-only transactions that can
-            // assume that no participating process modifies the data").
-            (TxKind::Collective, AccessMode::ReadOnly) => None,
-            _ if write => Some(LockKind::Write),
-            // Local writer conflicts are write-write only: a local
-            // read-write transaction reads lock-free (validated seqlock
-            // copies of the committed version) and only its first *write*
-            // touch of an object takes the write lock — so two
-            // transactions with overlapping read sets but disjoint write
-            // sets both commit (snapshot isolation admits write skew).
-            _ if self.kind == TxKind::Local => None,
-            _ => Some(LockKind::Read),
-        }
-    }
-
-    /// Snapshot read of `id` at pinned epoch `snap`: a validated
-    /// (seqlock) copy of the current version, then — when that version
-    /// committed after the snapshot — a walk down the archived `prev`
-    /// chain to the newest version with `commit_epoch ≤ snap`. Never
-    /// takes a lock, never aborts on conflict; an object with no
-    /// version at the snapshot (created later) is simply `NotFound`.
-    fn snapshot_fetch(&self, id: DPtr, snap: u64) -> GdiResult<Holder> {
-        let (bytes, _stamp) = hio::read_chain_validated(self.eng.ctx, self.eng.cfg(), id)?;
-        let mut holder =
-            Holder::try_decode(&bytes).ok_or(GdiError::NotFound("object (stale internal id)"))?;
+    /// The version of an object a snapshot pinned at `snap` reads, given
+    /// its already-fetched current version `holder`, which committed
+    /// *after* the snapshot: walk down the archived `prev` chain to the
+    /// newest version with `commit_epoch ≤ snap`. Never takes a lock,
+    /// never aborts on conflict; an object with no version at the
+    /// snapshot (created later) is simply `NotFound`.
+    fn archived_at(&self, mut holder: Holder, snap: u64) -> GdiResult<Holder> {
         // The walk is bounded by the live holder's recorded archive
         // depth and requires strictly decreasing commit epochs of the
         // same object: a `prev` that reaches freed (possibly reused)
@@ -276,7 +241,6 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
             };
             holder = next;
         }
-        self.eng.ctx().record_snapshot_read();
         Ok(holder)
     }
 
@@ -302,304 +266,175 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
         if id.is_null() {
             return Err(GdiError::InvalidArgument("null internal id"));
         }
-        let mut cache = self.cache.borrow_mut();
-        if let Some(obj) = cache.get_mut(&id.raw()) {
-            if obj.deleted {
-                return Err(GdiError::NotFound("object deleted in this transaction"));
-            }
-            if write && obj.lock == Some(LockKind::Read) {
-                match self.eng.lm.upgrade(id) {
-                    Ok(()) => obj.lock = Some(LockKind::Write),
-                    Err(e) => {
-                        drop(cache);
-                        if abort_on_critical {
-                            return self.fail(e);
-                        }
-                        return Err(e);
-                    }
-                }
-            } else if write && obj.lock.is_none() && !obj.created && self.snap.get().is_none() {
-                // MVCC writer's lock-free first-touch read turning into a
-                // write intent: take the write lock *now* (write-write
-                // conflict detection), then refetch — the lockless copy
-                // may be stale and carries no block list or pre-image
-                if let Err(e) = self.eng.lm.acquire_write(id) {
-                    drop(cache);
-                    if abort_on_critical {
-                        return self.fail(e);
-                    }
-                    return Err(e);
-                }
-                let refetched = hio::read_chain(self.eng.ctx, self.eng.cfg(), id).and_then(
-                    |(bytes, blocks)| {
-                        Holder::try_decode(&bytes)
-                            .map(|h| (h, blocks, bytes))
-                            .ok_or(GdiError::NotFound("object (stale internal id)"))
-                    },
-                );
-                match refetched {
-                    // first committer wins: the application may already
-                    // have acted on the lock-free copy, so a version that
-                    // moved on in between is a write-write conflict, not
-                    // something to paper over with the fresh holder
-                    Ok((holder, ..)) if holder.version != obj.holder.version => {
-                        self.eng.lm.release(id, LockKind::Write);
-                        drop(cache);
-                        if abort_on_critical {
-                            return self.fail(GdiError::LockConflict);
-                        }
-                        return Err(GdiError::LockConflict);
-                    }
-                    Ok((holder, blocks, bytes)) => {
-                        obj.holder = holder;
-                        obj.blocks = blocks;
-                        obj.orig = Some(bytes);
-                        obj.lock = Some(LockKind::Write);
-                    }
-                    Err(e) => {
-                        // concurrently deleted under our nose: release and
-                        // surface — nothing to write
-                        self.eng.lm.release(id, LockKind::Write);
-                        drop(cache);
-                        if abort_on_critical {
-                            return self.fail(e);
-                        }
-                        return Err(e);
-                    }
-                }
-            }
-            return Ok(());
-        }
-        drop(cache);
-        // pinned snapshot readers bypass locking and the in-place read
-        // entirely: a validated version-chain read at the pinned epoch
-        if let Some(snap) = self.snap.get() {
-            let holder = self.snapshot_fetch(id, snap)?;
-            self.cache.borrow_mut().insert(
-                id.raw(),
-                CachedObj {
-                    holder,
-                    // block list deliberately empty: a snapshot reader
-                    // never writes back or frees anything
-                    blocks: Vec::new(),
-                    lock: None,
-                    dirty: false,
-                    created: false,
-                    deleted: false,
-                    topo: false,
-                    orig: None,
-                },
-            );
-            return Ok(());
-        }
-        let lock = self.entry_lock(write);
-        // MVCC writer's lock-free read: no lock is held, so a plain chain
-        // read could tear against a concurrent 3-phase overwrite — use
-        // the validated seqlock copy of the committed version instead.
-        // Blocks and pre-image stay empty; a later write touch upgrades
-        // via the refetch path above.
-        if lock.is_none() && !write && self.mvcc_writer() {
-            let (bytes, _stamp) = hio::read_chain_validated(self.eng.ctx, self.eng.cfg(), id)?;
-            let holder = Holder::try_decode(&bytes)
-                .ok_or(GdiError::NotFound("object (stale internal id)"))?;
-            self.cache.borrow_mut().insert(
-                id.raw(),
-                CachedObj {
-                    holder,
-                    blocks: Vec::new(),
-                    lock: None,
-                    dirty: false,
-                    created: false,
-                    deleted: false,
-                    topo: false,
-                    orig: None,
-                },
-            );
-            return Ok(());
-        }
-        if let Some(kind) = lock {
-            let res = match kind {
-                LockKind::Read => self.eng.lm.acquire_read(id),
-                LockKind::Write => self.eng.lm.acquire_write(id),
-            };
-            if let Err(e) = res {
-                if abort_on_critical {
-                    return self.fail(e);
-                }
-                return Err(e);
-            }
-        }
-        let keep_orig = self.mvcc_writer();
-        let fetched =
-            hio::read_chain(self.eng.ctx, self.eng.cfg(), id).and_then(|(bytes, blocks)| {
-                Holder::try_decode(&bytes)
-                    .map(|h| (h, blocks, bytes))
-                    .ok_or(GdiError::NotFound("object (stale internal id)"))
-            });
-        let (holder, blocks, bytes) = match fetched {
-            Ok(x) => x,
-            Err(e) => {
-                if let Some(kind) = lock {
-                    self.eng.lm.release(id, kind);
-                }
-                return Err(e);
-            }
+        let cached = match self.cache.borrow_mut().get_mut(&id.raw()) {
+            None => None,
+            Some(obj) if obj.deleted => Some(Err(GdiError::NotFound(
+                "object deleted in this transaction",
+            ))),
+            Some(obj) if write && obj.lock != Some(LockKind::Write) => Some(self.upgrade(id, obj)),
+            Some(_) => return Ok(()),
         };
-        self.cache.borrow_mut().insert(
-            id.raw(),
-            CachedObj {
-                holder,
-                blocks,
-                lock,
-                dirty: false,
-                created: false,
-                deleted: false,
-                topo: false,
-                orig: keep_orig.then_some(bytes),
-            },
-        );
+        match cached.unwrap_or_else(|| self.first_touch(&[id], write)) {
+            Err(e) if abort_on_critical => self.fail(e),
+            res => res,
+        }
+    }
+
+    /// A cached entry that is not write-locked meets a write intent.
+    fn upgrade(&self, id: DPtr, obj: &mut CachedObj) -> GdiResult<()> {
+        if obj.lock == Some(LockKind::Read) {
+            self.eng.lm.upgrade(id)?;
+            obj.lock = Some(LockKind::Write);
+        } else if !obj.created && self.snap.get().is_none() {
+            // MVCC writer's lock-free first-touch read turning into a
+            // write intent: take the write lock *now* (write-write
+            // conflict detection), then refetch — the lockless copy
+            // may be stale and carries no block list or pre-image
+            self.eng.lm.acquire_write(id)?;
+            let refetched = hio::read_chain(self.eng.ctx, self.eng.cfg(), id)
+                .and_then(|(bytes, blocks)| Ok((decode(&bytes)?, blocks, bytes)));
+            match refetched {
+                Ok((holder, blocks, bytes)) if holder.version == obj.holder.version => {
+                    obj.holder = holder;
+                    obj.blocks = blocks;
+                    obj.orig = Some(bytes);
+                    obj.lock = Some(LockKind::Write);
+                }
+                other => {
+                    self.eng.lm.release(id, LockKind::Write);
+                    return Err(match other {
+                        // first committer wins: the application may
+                        // already have acted on the lock-free copy, so a
+                        // version that moved on in between is a
+                        // write-write conflict, not something to paper
+                        // over with the fresh holder
+                        Ok(_) => GdiError::LockConflict,
+                        // concurrently deleted under our nose: nothing
+                        // to write
+                        Err(e) => e,
+                    });
+                }
+            }
+        }
         Ok(())
     }
 
-    /// Batch-fetch every uncached holder in `ids` with one pipelined
-    /// non-blocking batch per chain level ([`hio::read_chains`]),
-    /// acquiring the usual first-touch read locks. Equivalent to
-    /// calling [`Transaction::ensure_cached`] per id — same lock, abort
-    /// and error semantics — but the block reads of all candidates
-    /// overlap instead of paying one blocking round trip each.
-    fn prefetch_holders(&self, ids: &[DPtr]) -> GdiResult<()> {
-        self.check_active()?;
-        let mut want: Vec<DPtr> = Vec::new();
-        {
-            let cache = self.cache.borrow();
-            let mut seen = FxHashSet::default();
-            for &id in ids {
-                // (a byte-path id is read where it lies, when it is read)
-                if id.is_null()
-                    || cache.contains_key(&id.raw())
-                    || self.reads_bytes(id)
-                    || !seen.insert(id.raw())
-                {
-                    continue;
+    /// **First touch** of `ids` — none of them cached, null or repeated:
+    /// decide the read policy once for the whole slice, take every lock
+    /// before the first read (all released again if one is refused),
+    /// fetch — one id through the blocking single-chain readers, several
+    /// as one pipelined non-blocking batch per chain level
+    /// ([`hio::read_chains`]) — and build the cache entries. Returns the
+    /// error of the *first* failing id, what touching them one by one
+    /// would have surfaced; ids that did not fail are cached either way,
+    /// and whether the error aborts the transaction is the caller's call.
+    fn first_touch(&self, ids: &[DPtr], write: bool) -> GdiResult<()> {
+        let (ctx, cfg, lm) = (self.eng.ctx, self.eng.cfg(), &self.eng.lm);
+        let snap = self.snap.get();
+        let lock = match (self.kind, self.mode) {
+            // A pinned snapshot reader never locks: it reads validated
+            // version chains at its epoch instead (see `archived_at`).
+            _ if snap.is_some() => None,
+            // Collective read-only transactions skip locking entirely: the
+            // paper's optimized read path ("read-only transactions that can
+            // assume that no participating process modifies the data").
+            (TxKind::Collective, AccessMode::ReadOnly) => None,
+            _ if write => Some(LockKind::Write),
+            // Local writer conflicts are write-write only: a local
+            // read-write transaction reads lock-free (validated seqlock
+            // copies of the committed version) and only its first *write*
+            // touch of an object takes the write lock — so two
+            // transactions with overlapping read sets but disjoint write
+            // sets both commit (snapshot isolation admits write skew).
+            (TxKind::Local, _) => None,
+            _ => Some(LockKind::Read),
+        };
+        // A pinned reader and an MVCC writer's read hold no lock, so a
+        // plain chain read could tear against a concurrent 3-phase
+        // overwrite — they take the validated seqlock copy of the
+        // committed version instead. Their entries carry no block list,
+        // lock or pre-image: a snapshot reader never writes back or
+        // frees anything, and a writer's later write touch refetches
+        // (`upgrade`).
+        let lock_free = snap.is_some() || (lock.is_none() && self.mvcc_writer());
+        let keep_orig = !lock_free && self.mvcc_writer();
+        if let Some(kind) = lock {
+            for (i, &id) in ids.iter().enumerate() {
+                let res = match kind {
+                    LockKind::Read => lm.acquire_read(id),
+                    LockKind::Write => lm.acquire_write(id),
+                };
+                if let Err(e) = res {
+                    ids[..i].iter().for_each(|&held| lm.release(held, kind));
+                    return Err(e);
                 }
-                want.push(id);
             }
         }
+        let mut first_err = None;
+        let mut admit = |id: DPtr, fetched: GdiResult<(Vec<u8>, Vec<DPtr>)>| {
+            let cached = fetched.and_then(|(bytes, blocks)| {
+                let mut holder = decode(&bytes)?;
+                if let Some(s) = snap {
+                    if holder.commit_epoch > s {
+                        holder = self.archived_at(holder, s)?;
+                    }
+                    ctx.record_snapshot_read();
+                }
+                self.cache.borrow_mut().insert(
+                    id.raw(),
+                    CachedObj {
+                        holder,
+                        blocks,
+                        lock,
+                        dirty: false,
+                        created: false,
+                        deleted: false,
+                        topo: false,
+                        orig: keep_orig.then_some(bytes),
+                    },
+                );
+                Ok(())
+            });
+            if let Err(e) = cached {
+                if let Some(kind) = lock {
+                    lm.release(id, kind);
+                }
+                first_err.get_or_insert(e);
+            }
+        };
+        let unstamped = |(bytes, _stamp)| (bytes, Vec::new());
+        match (ids, lock_free) {
+            (&[id], true) => admit(id, hio::read_chain_validated(ctx, cfg, id).map(unstamped)),
+            (&[id], false) => admit(id, hio::read_chain(ctx, cfg, id)),
+            (_, true) => std::iter::zip(ids, hio::read_chains_validated(ctx, cfg, ids))
+                .for_each(|(&id, fetched)| admit(id, fetched.map(unstamped))),
+            (_, false) => std::iter::zip(ids, hio::read_chains(ctx, cfg, ids))
+                .for_each(|(&id, fetched)| admit(id, fetched)),
+        }
+        first_err.map_or(Ok(()), Err)
+    }
+
+    /// First-touch every holder in `ids` the transaction would read
+    /// through its cache and has not cached yet, as one batch
+    /// ([`Transaction::first_touch`]). Equivalent to calling
+    /// [`Transaction::ensure_cached`] per id — same lock, abort and
+    /// error semantics — but the block reads of all candidates overlap
+    /// instead of paying one blocking round trip each.
+    fn prefetch_holders(&self, ids: &[DPtr]) -> GdiResult<()> {
+        self.check_active()?;
+        let mut seen = FxHashSet::default();
+        // (a byte-path id is read where it lies, when it is read)
+        let want: Vec<DPtr> = ids
+            .iter()
+            .copied()
+            .filter(|&id| !id.is_null() && !self.reads_bytes(id))
+            .filter(|id| !self.cache.borrow().contains_key(&id.raw()))
+            .filter(|id| seen.insert(id.raw()))
+            .collect();
         if want.is_empty() {
             return Ok(());
         }
-        // snapshot readers and MVCC writers read lock-free: one pipelined
-        // validated batch over all candidates' current versions
-        // (`hio::read_chains_validated`), then — for pinned readers only —
-        // a per-object archive walk for the rare candidate whose current
-        // version postdates the snapshot
-        if self.snap.get().is_some() || self.mvcc_writer() {
-            let snap = self.snap.get();
-            let fetched = hio::read_chains_validated(self.eng.ctx, self.eng.cfg(), &want);
-            let mut first_err = None;
-            for (&id, res) in want.iter().zip(fetched) {
-                let resolved = res
-                    .and_then(|(bytes, _stamp)| {
-                        Holder::try_decode(&bytes)
-                            .ok_or(GdiError::NotFound("object (stale internal id)"))
-                    })
-                    .and_then(|holder| match snap {
-                        Some(s) if holder.commit_epoch > s => self.snapshot_fetch(id, s),
-                        _ => {
-                            if snap.is_some() {
-                                self.eng.ctx().record_snapshot_read();
-                            }
-                            Ok(holder)
-                        }
-                    });
-                match resolved {
-                    Ok(holder) => {
-                        self.cache.borrow_mut().insert(
-                            id.raw(),
-                            CachedObj {
-                                holder,
-                                // lock-free read entries: no block list, no
-                                // lock, no pre-image (a write touch upgrades
-                                // via the refetch path in `ensure_cached`)
-                                blocks: Vec::new(),
-                                lock: None,
-                                dirty: false,
-                                created: false,
-                                deleted: false,
-                                topo: false,
-                                orig: None,
-                            },
-                        );
-                    }
-                    // keep the error of the *first* failing candidate (what
-                    // the sequential path would have surfaced)
-                    Err(e) if first_err.is_none() => first_err = Some(e),
-                    Err(_) => {}
-                }
-            }
-            return match first_err {
-                None => Ok(()),
-                Some(e) => Err(e),
-            };
-        }
-        let lock = self.entry_lock(false);
-        if let Some(kind) = lock {
-            for (i, &id) in want.iter().enumerate() {
-                let res = match kind {
-                    LockKind::Read => self.eng.lm.acquire_read(id),
-                    LockKind::Write => self.eng.lm.acquire_write(id),
-                };
-                if let Err(e) = res {
-                    for &held in &want[..i] {
-                        self.eng.lm.release(held, kind);
-                    }
-                    return self.fail(e);
-                }
-            }
-        }
-        // only collective transactions get here: no pre-image to keep
-        let fetched = hio::read_chains(self.eng.ctx, self.eng.cfg(), &want);
-        let mut first_err = None;
-        let mut cache = self.cache.borrow_mut();
-        for (&id, res) in want.iter().zip(fetched) {
-            let decoded = res.and_then(|(bytes, blocks)| {
-                Holder::try_decode(&bytes)
-                    .map(|h| (h, blocks))
-                    .ok_or(GdiError::NotFound("object (stale internal id)"))
-            });
-            match decoded {
-                Ok((holder, blocks)) => {
-                    cache.insert(
-                        id.raw(),
-                        CachedObj {
-                            holder,
-                            blocks,
-                            lock,
-                            dirty: false,
-                            created: false,
-                            deleted: false,
-                            topo: false,
-                            orig: None,
-                        },
-                    );
-                }
-                Err(e) => {
-                    if let Some(kind) = lock {
-                        self.eng.lm.release(id, kind);
-                    }
-                    // keep the error of the *first* failing candidate
-                    // (what the sequential path would have surfaced)
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-            }
-        }
-        drop(cache);
-        match first_err {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
+        self.first_touch(&want, false).or_else(|e| self.fail(e))
     }
 
     /// Read access to a cached holder.
@@ -659,7 +494,7 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
         }
         let out = (held != 0).then_some(&chain[..]).and_then(f);
         self.scratch.set((block, chain, held));
-        out.ok_or(GdiError::NotFound("object (stale internal id)"))
+        out.ok_or(hio::STALE)
     }
 
     /// Read access to the labels and properties of `id`, all from **one**
@@ -759,8 +594,17 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
         if self.eng.translate(app).is_some() {
             return Err(GdiError::AlreadyExists("vertex (application id)"));
         }
-        let target = owner_rank(app, self.eng.nranks());
-        let primary = match self.eng.bm.acquire(target) {
+        self.create_object(
+            owner_rank(app, self.eng.nranks()),
+            Holder::new_vertex(app.0),
+        )
+    }
+
+    /// The created twin of [`Transaction::first_touch`]: allocate a
+    /// primary block on `rank`, write-lock it and cache `holder` there as
+    /// a created (dirty, topology-changing) object. Returns its id.
+    fn create_object(&self, rank: usize, holder: Holder) -> GdiResult<DPtr> {
+        let primary = match self.eng.bm.acquire(rank) {
             Ok(p) => p,
             Err(e) => return self.fail(e),
         };
@@ -771,7 +615,7 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
         self.cache.borrow_mut().insert(
             primary.raw(),
             CachedObj {
-                holder: Holder::new_vertex(app.0),
+                holder,
                 blocks: vec![primary],
                 lock: Some(LockKind::Write),
                 dirty: true,
@@ -1281,32 +1125,11 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
         if !rec.edge_holder.is_null() {
             return Ok(rec.edge_holder);
         }
-        let target_rank = e.vertex.rank();
-        let primary = match self.eng.bm.acquire(target_rank) {
-            Ok(p) => p,
-            Err(err) => return self.fail(err),
-        };
-        if let Err(err) = self.eng.lm.acquire_write(primary) {
-            self.eng.bm.release(primary);
-            return self.fail(err);
-        }
         let (origin, target) = match rec.dir {
             Direction::Out | Direction::Undirected => (e.vertex, rec.target),
             Direction::In => (rec.target, e.vertex),
         };
-        self.cache.borrow_mut().insert(
-            primary.raw(),
-            CachedObj {
-                holder: Holder::new_edge(origin, target),
-                blocks: vec![primary],
-                lock: Some(LockKind::Write),
-                dirty: true,
-                created: true,
-                deleted: false,
-                topo: true,
-                orig: None,
-            },
-        );
+        let primary = self.create_object(e.vertex.rank(), Holder::new_edge(origin, target))?;
         self.update_edge_records(e, rec, |r| r.edge_holder = primary)?;
         Ok(primary)
     }
@@ -1798,4 +1621,10 @@ fn find_mirror_slot(holder: &Holder, remote: DPtr, rec: &EdgeRecord) -> Option<u
                 && r.edge_holder == rec.edge_holder
         })
         .map(|(s, _)| s)
+}
+
+/// Decode fetched chain bytes; bytes that are no holder are the usual
+/// stale internal id.
+fn decode(bytes: &[u8]) -> GdiResult<Holder> {
+    Holder::try_decode(bytes).ok_or(hio::STALE)
 }

@@ -431,15 +431,29 @@ fn distributed_crud_across_ranks() {
         tx.commit().unwrap();
         ctx.barrier();
 
-        // cross-rank edges: rank r connects its vertices to rank r+1's
+        // cross-rank edges: rank r connects its vertices to rank r+1's.
+        // Every rank write-locks its own vertex, then its peer's, and
+        // holds both to commit — a ring, so a bounded-retry abort is the
+        // designed outcome (§3.3), and the client's part is to run the
+        // transaction again.
         let peer = ((ctx.rank() + 1) % ctx.nranks()) as u64 * 100;
-        let tx = eng.begin(AccessMode::ReadWrite);
-        for i in 0..10 {
-            let a = tx.translate_vertex_id(app(base + i)).unwrap();
-            let b = tx.translate_vertex_id(app(peer + i)).unwrap();
-            tx.add_edge(a, b, Some(knows), true).unwrap();
+        'retry: loop {
+            let tx = eng.begin(AccessMode::ReadWrite);
+            for i in 0..10 {
+                let a = tx.translate_vertex_id(app(base + i)).unwrap();
+                let b = tx.translate_vertex_id(app(peer + i)).unwrap();
+                match tx.add_edge(a, b, Some(knows), true) {
+                    Ok(_) => {}
+                    Err(GdiError::LockConflict) => {
+                        assert_eq!(tx.status(), TxStatus::Aborted);
+                        continue 'retry;
+                    }
+                    Err(e) => panic!("add_edge: {e:?}"),
+                }
+            }
+            tx.commit().unwrap();
+            break;
         }
-        tx.commit().unwrap();
         ctx.barrier();
 
         // everyone verifies the full ring
@@ -848,7 +862,27 @@ fn neighbors_matching_batched_prefetch_semantics() {
             .unwrap();
         assert_eq!(during, want, "snapshot probe neither blocks nor aborts");
         probe.commit().unwrap();
+
+        // a probe that pins *before* the writer commits keeps resolving
+        // the candidate at its archived pre-update version afterwards,
+        // whether its first touch is the batch (`neighbors_matching`) or
+        // a single read (`property`)
+        let (batch, single) = (
+            eng.begin(AccessMode::ReadOnly),
+            eng.begin(AccessMode::ReadOnly),
+        );
         blocker.commit().unwrap();
+        let got = batch
+            .neighbors_matching(hub, EdgeOrientation::Outgoing, None, &young)
+            .unwrap();
+        assert_eq!(got, want, "batch first touch reads the archive");
+        for probe in [batch, single] {
+            assert_eq!(
+                probe.property(nbrs[1], age).unwrap(),
+                Some(PropertyValue::U64(30))
+            );
+            probe.commit().unwrap();
+        }
 
         // with the lock released the probe succeeds again (and sees the
         // committed update)
@@ -858,6 +892,48 @@ fn neighbors_matching_batched_prefetch_semantics() {
             .unwrap();
         assert_eq!(after.len(), want.len() - 1, "updated vertex now filtered");
         tx.commit().unwrap();
+    });
+}
+
+/// A lock-free read handed an id — or meeting a continuation link —
+/// that names a rank that does not exist or storage past the data
+/// window reports the stale id it is; the parent commit panicked in the
+/// fabric's window table ("index out of bounds: the len is 1 but the
+/// index is 7") and in `Window::span`.
+#[test]
+fn lock_free_reads_of_hostile_ids_are_not_found() {
+    single_rank(|eng| {
+        let (person, _, name) = std_meta(eng);
+        let tx = eng.begin(AccessMode::ReadWrite);
+        let v = tx.create_vertex(app(1)).unwrap();
+        tx.add_label(v, person).unwrap();
+        let long = PropertyValue::Text("x".repeat(400)); // a multi-block holder
+        tx.add_property(v, name, &long).unwrap();
+        tx.commit().unwrap();
+
+        let stale = Err(GdiError::NotFound("object (stale internal id)"));
+        let no_rank = gda::DPtr::new(7, v.offset());
+        let off_window = gda::DPtr::new(0, (1 << 40) + 64);
+        for mode in [AccessMode::ReadOnly, AccessMode::ReadWrite] {
+            // (a writer's first *read* of an object is lock-free too)
+            let tx = eng.begin(mode);
+            assert_eq!(tx.labels(no_rank), stale);
+            assert_eq!(tx.labels(off_window), stale);
+            assert_eq!(tx.labels(v), Ok(vec![person]));
+            tx.commit().unwrap();
+        }
+        // the vertex's first link, pointed at each of them
+        for bad in [no_rank, off_window] {
+            eng.ctx().put_bytes(
+                gda::config::WIN_DATA,
+                0,
+                v.offset() as usize,
+                &bad.raw().to_le_bytes(),
+            );
+            let tx = eng.begin(AccessMode::ReadOnly);
+            assert_eq!(tx.labels(v), stale);
+            tx.commit().unwrap();
+        }
     });
 }
 
