@@ -5,8 +5,8 @@
 //! For each `(P, Q)` point the harness runs the kill-and-restart
 //! scenario of `workloads::reshard`: tracked session traffic at `P`, a
 //! collective checkpoint mid-stream, a kill, a restore onto `Q` ranks
-//! (`Q = P` runs the physical same-topology path as the baseline,
-//! `Q ≠ P` the full redistribution), read-your-committed-writes
+//! (`Q = P` is the baseline: the same logical rebuild under the
+//! identity rank map), read-your-committed-writes
 //! verification, and a post-restore traffic phase. Reported per point:
 //!
 //! * **restore** — slowest rank's simulated restore seconds and the

@@ -667,13 +667,6 @@ impl<'d, 'c, 'f> GdaRank<'d, 'c, 'f> {
             .aget_u64(crate::config::WIN_SYSTEM, rank, self.cfg().topo_word())
     }
 
-    /// Drop this attach's cached OLAP scan view (recovery hook: after
-    /// an in-place window restore the cached mirror describes a dead
-    /// incarnation of the storage).
-    pub(crate) fn drop_scan_cache(&self) {
-        self.scan_cache.borrow_mut().take();
-    }
-
     /// Bump `rank`'s topology-epoch word (one `fadd`). Commit-path and
     /// bulk-load hook; always issued *after* the corresponding data
     /// writes so a concurrent view build can never capture new bytes

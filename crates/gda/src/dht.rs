@@ -459,10 +459,10 @@ impl<'c, 'f> Dht<'c, 'f> {
 /// window bytes** (a snapshot's fourth window): walks every bucket
 /// chain in the byte image and returns the live `(key, value)` pairs.
 ///
-/// Recovery primitive for **elastic resharding**: restoring a `P`-rank
-/// snapshot onto `Q ≠ P` ranks cannot `put` the window bytes back
-/// (every placement changes), so the logical contents are lifted out of
-/// the image instead. Also the first step of every OLAP view sweep
+/// Recovery primitive: a recovery rebuilds the database at fresh
+/// addresses (on `Q` ranks, `Q = P` included) instead of `put`ting the
+/// window bytes back, so the logical contents are lifted out of the
+/// image. Also the first step of every OLAP view sweep
 /// (`gda::scan`). The image was taken quiesced, so no marked
 /// (self-pointing) entries can appear; one is treated as end-of-chain
 /// defensively, as is any structurally impossible link.
@@ -779,7 +779,7 @@ mod tests {
     }
 
     /// The offline partition decoder must see exactly what live lookups
-    /// see — it is the seed of a resharded restore.
+    /// see — it is the seed of every recovery.
     #[test]
     fn offline_decode_matches_live_contents() {
         let (cfg, win, want) = partition_image();

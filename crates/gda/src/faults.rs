@@ -62,16 +62,18 @@ pub const SNAP_PRUNE: &str = "snap.prune";
 /// the piece checksum must catch it.
 pub const SNAP_READ: &str = "snap.read";
 
-/// Reading the manifest/CURRENT chain during recovery.
+/// Reading the manifest during recovery (before the fabric exists;
+/// probed on rank 0).
 pub const MANIFEST_READ: &str = "manifest.read";
 
-/// Reading one rank's redo log during recovery ([`FaultMode::BitFlip`]
-/// corrupts a frame so checksum validation must truncate there).
+/// Reading one rank's redo log during recovery, at any live rank count
+/// ([`FaultMode::BitFlip`] corrupts a frame, so the replayed tail ends
+/// in front of it; any other failing mode is an I/O error).
 pub const REDO_READ: &str = "redo.read";
 
-/// One rank's phase-3 materialization slice of an elastic reshard; a
-/// voted failure aborts the reshard with the previous topology
-/// recoverable.
+/// One rank's materialization slice of a recovery's redistribution, at
+/// any live rank count; a voted failure aborts the recovery with the
+/// directory untouched.
 pub const RESHARD_REDISTRIBUTE: &str = "reshard.redistribute";
 
 /// The storage-side fault points in catalog order (fabric points not

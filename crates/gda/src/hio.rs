@@ -619,9 +619,9 @@ pub fn free_chain(bm: &BlockManager, blocks: &[DPtr]) {
 /// suffices. Returns `None` on any structural implausibility — the
 /// caller decides whether that is corruption or a vacated block.
 ///
-/// Recovery primitive for **elastic resharding**: the logical holder
-/// contents are lifted out of `P` snapshot images and re-materialized
-/// on `Q` ranks at fresh addresses.
+/// Recovery primitive: the logical holder contents are lifted out of
+/// the `P` snapshot images and re-materialized on the `Q` live ranks
+/// (any `Q`, `P` included) at fresh addresses.
 pub fn read_chain_bytes(
     cfg: &GdaConfig,
     data: &[u8],
@@ -768,7 +768,7 @@ mod tests {
     }
 
     /// The offline chain reader must reproduce exactly what the live
-    /// fetch path reads — it is the seed of a resharded restore.
+    /// fetch path reads — it is the seed of every recovery.
     #[test]
     fn offline_chain_read_matches_live_read() {
         with_pool(|ctx, bm, cfg| {

@@ -49,10 +49,6 @@ pub const EDGE_RECORD_BYTES: usize = 24;
 pub const HEADER_BYTES: usize = 48;
 /// Holder flag: this holder describes a (heavyweight) edge, not a vertex.
 pub const FLAG_EDGE_HOLDER: u32 = 1;
-/// Byte offset of the `commit_epoch` field within a serialized holder
-/// (persistence reads it straight out of redo-record bytes to re-derive
-/// the watermark after a crash).
-pub const COMMIT_EPOCH_OFFSET: usize = 32;
 /// Mask of the archive-chain **depth** packed into flag bits 16..24.
 pub(crate) const DEPTH_MASK: u32 = 0xFF << 16;
 /// Byte offset of the `prev` (archived version chain head) field within
@@ -787,11 +783,7 @@ mod tests {
         h.depth = 3;
         let bytes = h.encode();
         assert_eq!(
-            u64::from_le_bytes(
-                bytes[COMMIT_EPOCH_OFFSET..COMMIT_EPOCH_OFFSET + 8]
-                    .try_into()
-                    .unwrap()
-            ),
+            u64::from_le_bytes(bytes[32..40].try_into().unwrap()),
             77,
             "commit_epoch must sit at the fixed header offset"
         );

@@ -34,13 +34,13 @@
 //!   engine handle;
 //! * [`persist`] — durability: collective full **and incremental
 //!   (delta)** checkpoints driven by dirty-chunk tracking, per-rank
-//!   redo logs, crash recovery (snapshot chain + replay), elastic
-//!   resharded recovery (restore a `P`-rank snapshot onto `Q` ranks);
+//!   redo logs, crash recovery (snapshot chain + logical replay, onto
+//!   the snapshot's rank count or any other);
 //! * [`maint`] — collective background maintenance: MVCC version
 //!   vacuum below the snapshot floor, free-list vacuum, holder-chain
 //!   compaction, checksum verification of the published snapshot chain;
 //! * [`rankmap`] — the canonical rank-ownership math and the
-//!   snapshot-rank → live-rank map resharding is built on;
+//!   snapshot-rank → live-rank map every recovery is built on;
 //! * [`scan`] — the zero-transaction OLAP scan layer: epoch-validated
 //!   CSR mirrors built from raw window sweeps, cached per rank
 //!   ([`GdaRank::olap_view`]);
@@ -100,7 +100,6 @@ pub mod maint;
 pub mod meta;
 pub mod persist;
 pub mod rankmap;
-mod reshard;
 pub mod scan;
 pub mod tx;
 

@@ -17,12 +17,14 @@
 //!   log tail*. Appends are charged to the LogGP clock through
 //!   [`rma::RankCtx::record_log_write`]; group commit amortizes the
 //!   fixed submission overhead exactly as it amortizes RMA doorbells;
-//! * **recovery** ([`recover`]): reads the `CURRENT` pointer, rebuilds
-//!   the database object (catalog, index definitions) and a fresh
-//!   fabric, then — collectively, inside `fabric.run` — restores every
-//!   rank's windows and replays the redo tails
-//!   ([`RecoveryPlan::restore_rank`]), ending with a fresh checkpoint
-//!   so the next crash replays from a clean boundary.
+//! * **recovery** ([`recover`], [`recover_with_topology`]; the
+//!   `persist/recover.rs` module docs): reads the `CURRENT` pointer,
+//!   the manifest, every rank's snapshot chain and redo tail, replays
+//!   the tails logically into one object map, then — collectively,
+//!   inside `fabric.run` on a fresh fabric of any rank count —
+//!   materializes that map ([`RecoveryPlan::restore_rank`]) and commits
+//!   it with a fresh full checkpoint, so the next crash replays from a
+//!   clean boundary.
 //!
 //! ## Snapshot publication protocol
 //!
@@ -49,9 +51,9 @@
 //! streams the whole file through the checksum first, then decodes
 //! runs straight into the image they belong to. The file layout, the
 //! checksum's definition and its detection argument live with the
-//! codec in `persist/snapshot.rs` and `persist/format.rs`; this file
-//! keeps the store, the manifest, the redo log, the checkpoint
-//! collective and recovery.
+//! codec in `persist/snapshot.rs` and `persist/format.rs`, recovery in
+//! `persist/recover.rs`; this file keeps the store, the manifest, the
+//! redo log and the checkpoint collective.
 //!
 //! ## Incremental (delta) checkpoints
 //!
@@ -68,41 +70,12 @@
 //! ([`GdaRank::checkpoint_full`]). Garbage collection never removes a
 //! checkpoint directory still referenced by the current chain.
 //!
-//! ## Replay semantics
+//! ## Durability scope
 //!
-//! Replay is collective and *phased*: ranks replay their logs one at a
-//! time (barriers in between), so the lock-free structures see no
-//! concurrency during recovery. Each [`RedoRecord::Upsert`] carries the
-//! holder's post-commit **version** (bumped under the object's write
-//! lock, hence strictly monotone per live object): a record applies
-//! only if it is newer than the object's current state, which makes
-//! replay idempotent and resolves cross-log ordering for objects
-//! mutated from several ranks (e.g. mirror edge records). Objects are
-//! re-materialized at their **original addresses**
-//! ([`crate::blocks::BlockManager::acquire_at`]) so persisted `DPtr`
-//! references stay valid. Replay runs in three sweeps, each phased over
-//! all ranks:
-//!
-//! 1. **reserve** — claim every upserted primary block out of the free
-//!    lists, so no replayed chain's continuation allocation can steal a
-//!    primary another record still needs. Primaries actually *pulled
-//!    from a free list* here are remembered: they were free at snapshot
-//!    time, so later sweeps treat any bytes still decodable there (a
-//!    stale pre-checkpoint incarnation — deletes leave data and chain
-//!    pointers intact) as vacant rather than as an occupant, and any
-//!    still unwritten after the last sweep (all their records refused
-//!    by a tombstone) are released back to the pool;
-//! 2. **deletes** — committed deletes land first, each leaving an
-//!    identity-keyed *tombstone* `(primary, app_id, is_edge) →
-//!    (version, rank, log position)`; their freed blocks go into a
-//!    *deferred* set refilled into the pools only after the last sweep;
-//! 3. **upserts** — in log order; a record at or before its object's
-//!    tombstoned delete (same log: earlier position; cross-log: not a
-//!    newer version) is refused, so a stale mirror update can never
-//!    resurrect a deleted vertex, while a genuine recreate — or a
-//!    different object reusing the block — applies cleanly.
-//!
-//! Two scope rules are deliberate (documented in
+//! Each [`RedoRecord`] carries the holder's post-commit **version** (a
+//! commit stamp, strictly monotone per object across delete/recreate
+//! incarnations): what recovery orders records of one object by, across
+//! logs. Two scope rules are deliberate (documented in
 //! `docs/ARCHITECTURE.md`): catalog DDL (labels, property types, index
 //! definitions) is durable at **checkpoint** granularity — take a
 //! checkpoint after schema setup — and delete-then-recreate of the same
@@ -113,37 +86,33 @@
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
-use rustc_hash::{FxHashMap, FxHashSet};
+use rustc_hash::FxHashSet;
 
-use gdi::{
-    AppVertexId, Datatype, EntityType, GdiError, GdiResult, LabelId, Multiplicity, PTypeId,
-    SizeType,
-};
-use rma::{CostModel, Fabric};
+use gdi::{Datatype, EntityType, GdiError, GdiResult, LabelId, Multiplicity, PTypeId, SizeType};
 
 use crate::config::GdaConfig;
 use crate::db::{GdaDb, GdaRank};
-use crate::dptr::DPtr;
 use crate::faults::{self, FaultMode, FaultPlane};
-use crate::hio;
-use crate::holder::Holder;
-use crate::index::{IndexDef, IndexId, IndexShared};
-use crate::meta::{MetaParts, MetaStore, PTypeDef};
+use crate::index::{IndexDef, IndexId};
+use crate::meta::{MetaParts, PTypeDef};
 
 mod format;
+mod recover;
 mod snapshot;
 
-pub use format::Checksum;
+pub use self::{
+    format::Checksum,
+    recover::{recover, recover_with_topology, RankRecovery, RecoveryPlan},
+    snapshot::STRIP_BYTES,
+};
 use format::{
     check_file_header, io_err, Dec, Enc, FILE_HEADER_BYTES, FORMAT_VERSION, MANIFEST_MAGIC,
 };
-pub use snapshot::STRIP_BYTES;
-pub(crate) use snapshot::{read_rank_snapshot_chain, RankSnapshot};
 use snapshot::{write_rank_snapshot, DeltaSpec, ALL_WINDOWS};
 
 /// A delta chain longer than this rebases to a full snapshot (bounds
@@ -298,8 +267,8 @@ fn decode_frame(payload: &[u8]) -> GdiResult<(u64, Vec<RedoRecord>)> {
 /// corrupt frame. Frames stamped with a generation below `min_gen`
 /// parse but contribute no records: they describe commits already
 /// captured by the snapshot being replayed onto. Returns the records
-/// and the byte length of the valid prefix (the caller truncates the
-/// file there before appending again).
+/// and the byte length of the valid prefix (a recovery cuts the file
+/// there before anything appends to it again: `PersistStore::cut_log`).
 fn parse_log(bytes: &[u8], min_gen: u64) -> (Vec<RedoRecord>, usize) {
     let mut records = Vec::new();
     let mut pos = 0usize;
@@ -591,21 +560,59 @@ impl PersistStore {
         if self.probe_fault(faults::REDO_ROTATE, rank).is_some() {
             return Err(GdiError::Io("injected redo rotate failure".into()));
         }
-        let mut guard = self.writers[rank].lock();
+        self.cut_log(rank, 0)
+    }
+
+    /// Cut `rank`'s redo log to at most `len` bytes. A recovery cuts
+    /// every log it read to the valid prefix [`Self::read_log`] returned
+    /// once its closing checkpoint has published, so a torn or corrupt
+    /// tail that a failed truncation left behind can never strand the
+    /// frames appended after it (replay stops at the first invalid
+    /// frame). A missing or shorter log is left alone.
+    fn cut_log(&self, rank: usize, len: u64) -> GdiResult<()> {
         // drop the append handle (and the length kept beside it) first:
-        // the next append reopens the now empty file
-        *guard = None;
-        match OpenOptions::new().write(true).open(self.log_path(rank)) {
-            Ok(f) => {
-                f.set_len(0).map_err(|e| io_err("truncate redo log", e))?;
-                if self.opts.sync {
-                    f.sync_all().map_err(|e| io_err("sync redo log", e))?;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+        // the next append reopens the cut file
+        if let Some(w) = self.writers.get(rank) {
+            *w.lock() = None;
+        }
+        let f = match OpenOptions::new().write(true).open(self.log_path(rank)) {
+            Ok(f) => f,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
             Err(e) => return Err(io_err("truncate redo log", e)),
+        };
+        let on_disk = f.metadata().map_err(|e| io_err("stat redo log", e))?.len();
+        if on_disk > len {
+            f.set_len(len).map_err(|e| io_err("truncate redo log", e))?;
+            if self.opts.sync {
+                f.sync_all().map_err(|e| io_err("sync redo log", e))?;
+            }
         }
         Ok(())
+    }
+
+    /// Read `rank`'s redo log for recovery: the records of every
+    /// checksum-clean frame stamped `min_gen` or later (see
+    /// [`parse_log`]) and the byte length of the valid prefix. The one
+    /// log reader. Only a log that does not exist is an empty tail; any
+    /// other I/O error surfaces instead of silently dropping commits.
+    /// Probes `redo.read`: a [`FaultMode::BitFlip`] corrupts the bytes
+    /// read, so the tail ends in front of the flipped frame; any other
+    /// mode is an I/O error. Never writes: the recovery cuts the log to
+    /// the returned length ([`Self::cut_log`]) only after its closing
+    /// checkpoint has published.
+    fn read_log(&self, rank: usize, min_gen: u64) -> GdiResult<(Vec<RedoRecord>, u64)> {
+        let mut bytes = match fs::read(self.log_path(rank)) {
+            Ok(b) => b,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+            Err(e) => return Err(io_err("read redo segment", e)),
+        };
+        match self.probe_fault(faults::REDO_READ, rank) {
+            Some(FaultMode::BitFlip(k)) => faults::flip_bit(&mut bytes, k),
+            Some(_) => return Err(GdiError::Io("injected redo read failure".into())),
+            None => {}
+        }
+        let (records, valid_len) = parse_log(&bytes, min_gen);
+        Ok((records, valid_len as u64))
     }
 
     fn publish_current(&self, id: u64) -> GdiResult<()> {
@@ -936,6 +943,27 @@ fn decode_manifest(bytes: &[u8]) -> GdiResult<Manifest> {
     })
 }
 
+/// Read and decode the manifest of published checkpoint `id`, probing
+/// `manifest.read` on the plane of `opts` (a [`FaultMode::BitFlip`]
+/// corrupts the bytes read, any other failing mode is an I/O error).
+fn read_manifest(opts: &PersistOptions, id: u64) -> GdiResult<Manifest> {
+    let path = opts.dir.join(format!("ckpt-{id}/manifest.bin"));
+    let mut bytes = fs::read(&path).map_err(|e| io_err("read manifest", e))?;
+    if let Some(plane) = &opts.faults {
+        match plane.check(faults::MANIFEST_READ, 0) {
+            Some(FaultMode::BitFlip(k)) => faults::flip_bit(&mut bytes, k),
+            Some(FaultMode::Latency(ns)) => std::thread::sleep(std::time::Duration::from_nanos(ns)),
+            Some(_) => return Err(GdiError::Io("injected manifest read failure".into())),
+            None => {}
+        }
+    }
+    let manifest = decode_manifest(&bytes)?;
+    if manifest.id != id {
+        return Err(GdiError::Io("manifest id does not match CURRENT".into()));
+    }
+    Ok(manifest)
+}
+
 fn manifest_from_db(db: &GdaDb, id: u64, chain: Vec<u64>) -> Manifest {
     let (index_defs, index_next_id) = db.indexes_shared().export_defs();
     Manifest {
@@ -1159,792 +1187,13 @@ fn checkpoint_rank_inner(eng: &GdaRank, force_full: bool) -> GdiResult<u64> {
     Ok(id)
 }
 
-// ---------------------------------------------------------------------
-// recovery
-// ---------------------------------------------------------------------
-
-/// What one rank did during [`RecoveryPlan::restore_rank`].
-#[derive(Debug, Clone, Default)]
-pub struct RankRecovery {
-    /// This rank's id.
-    pub rank: usize,
-    /// Snapshot bytes this rank restored (0 at genesis).
-    pub snapshot_bytes: u64,
-    /// Redo-log bytes this rank parsed.
-    pub log_bytes: u64,
-    /// Records in this rank's log tail.
-    pub records: u64,
-    /// Records applied (newer than the restored state).
-    pub applied: u64,
-    /// Records skipped (older than or equal to the restored state —
-    /// e.g. a re-replay after a recovery-time crash).
-    pub skipped: u64,
-    /// Records that failed to apply (resource exhaustion during
-    /// replay; should be zero).
-    pub errors: u64,
-    /// Simulated seconds of restore + replay on this rank.
-    pub sim_restore_s: f64,
-    /// Wall-clock seconds of restore + replay on this rank.
-    pub wall_restore_s: f64,
-    /// Id of the checkpoint taken at the end of recovery (`None` if it
-    /// failed; the database still serves, logs keep appending — except
-    /// for a resharded recovery, where the closing checkpoint is
-    /// mandatory and its failure fails the restore).
-    pub final_checkpoint: Option<u64>,
-    /// `Some(P)` when this restore resharded a `P`-rank snapshot onto a
-    /// different live rank count (see [`recover_with_topology`]).
-    pub resharded_from: Option<usize>,
-}
-
-/// The **replay-order rule**, spelled once for the physical replay
-/// ([`apply_record`]) and the logical one (`crate::reshard::plan`):
-/// which record of an object is the later state. Deletes replay in a
-/// first pass and leave tombstones here; an upsert in the second pass
-/// consults its own identity's tombstone to distinguish a genuinely
-/// later state from an older record of the deleted object — which must
-/// never resurrect it — and is then measured against whatever state
-/// its primary already holds.
-#[derive(Default)]
-pub(crate) struct ReplayOrder {
-    /// Object identity `(primary, app_id, is_edge)` → `(version at
-    /// delete, the log holding the delete, position in that log)`.
-    tombstones: FxHashMap<(u64, u64, bool), (u64, usize, usize)>,
-}
-
-impl ReplayOrder {
-    /// `(identity, version)` of the object state a record speaks of.
-    fn key(rec: &RedoRecord) -> ((u64, u64, bool), u64) {
-        match *rec {
-            RedoRecord::Upsert {
-                primary,
-                app_id,
-                is_edge,
-                version,
-                ..
-            }
-            | RedoRecord::Delete {
-                primary,
-                app_id,
-                is_edge,
-                version,
-            } => ((primary, app_id, is_edge), version),
-        }
-    }
-
-    /// The committed delete `rec`, found at position `seq` of log `log`,
-    /// is a fact whatever the physical state: remember it.
-    pub(crate) fn tombstone(&mut self, rec: &RedoRecord, log: usize, seq: usize) {
-        let (id, version) = Self::key(rec);
-        self.tombstones.insert(id, (version, log, seq));
-    }
-
-    /// May the upsert `rec` (position `seq` of log `log`) replay past its
-    /// object's tombstone? Only when it is *later than the delete*: a
-    /// later position in the same log, or a newer version from another
-    /// log (a genuine recreate) — which then retires the tombstone.
-    pub(crate) fn admits(&mut self, rec: &RedoRecord, log: usize, seq: usize) -> bool {
-        let (id, version) = Self::key(rec);
-        if let Some(&(t_ver, t_log, t_seq)) = self.tombstones.get(&id) {
-            let later = if t_log == log {
-                seq > t_seq
-            } else {
-                version > t_ver
-            };
-            if !later {
-                return false;
-            }
-            self.tombstones.remove(&id);
-        }
-        true
-    }
-
-    /// Is the state found at `rec`'s primary — an object `(app_id,
-    /// is_edge)` — the object `rec` speaks of, not another one (or stale
-    /// bytes of one) at the same address?
-    pub(crate) fn same_object(rec: &RedoRecord, app_id: u64, is_edge: bool) -> bool {
-        let ((_, rec_app, rec_edge), _) = Self::key(rec);
-        (rec_app, rec_edge) == (app_id, is_edge)
-    }
-
-    /// Does `rec` move its object forward from a state at version
-    /// `current`? An upsert only when strictly newer (replay is
-    /// idempotent); a delete unless a newer state already won.
-    pub(crate) fn supersedes(rec: &RedoRecord, current: u64) -> bool {
-        match rec {
-            RedoRecord::Upsert { version, .. } => *version > current,
-            RedoRecord::Delete { version, .. } => *version >= current,
-        }
-    }
-}
-
-/// The collective restore work [`recover`] hands back: every rank of
-/// the freshly built fabric must call [`RecoveryPlan::restore_rank`]
-/// (the server does this inside its serve loop) exactly once.
-pub struct RecoveryPlan {
-    snapshot_id: u64,
-    restored: Vec<AtomicBool>,
-    deferred: Mutex<FxHashSet<u64>>,
-    /// Primaries sweep 1 actually *pulled out of a free list*: the block
-    /// was free at snapshot time, so any bytes still decodable there are
-    /// a stale pre-checkpoint incarnation (deletes leave data and the
-    /// chain pointer intact), never an occupant. Replay treats these as
-    /// vacant — following a stale chain would free or overwrite
-    /// continuation blocks that now belong to other objects. A primary
-    /// still claimed after the last sweep (its only upserts were refused
-    /// by a tombstone) is released back to the pool.
-    claimed: Mutex<FxHashSet<u64>>,
-    /// The tombstones of sweep 2, consulted by sweep 3.
-    order: Mutex<ReplayOrder>,
-    /// `Some` when the plan restores onto a different rank count than
-    /// the snapshot was written by: [`RecoveryPlan::restore_rank`] then
-    /// runs the elastic redistribution of the `reshard` module instead of
-    /// the physical window restore.
-    reshard: Option<crate::reshard::ReshardState>,
-    stats: Mutex<Vec<Option<RankRecovery>>>,
-}
-
-impl std::fmt::Debug for RecoveryPlan {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RecoveryPlan")
-            .field("snapshot_id", &self.snapshot_id)
-            .finish()
-    }
-}
-
-impl RecoveryPlan {
-    /// The checkpoint id the plan restores from (0 = genesis).
-    pub fn snapshot_id(&self) -> u64 {
-        self.snapshot_id
-    }
-
-    /// `Some(P)` when this plan reshards a `P`-rank snapshot onto a
-    /// different live topology; `None` for a same-topology restore.
-    pub fn resharding_from(&self) -> Option<usize> {
-        self.reshard.as_ref().map(|rs| rs.map.snapshot_ranks())
-    }
-
-    /// Number of logical objects a resharded restore will redistribute
-    /// (0 for a same-topology restore). Diagnostic/bench support.
-    pub fn reshard_objects(&self) -> usize {
-        self.reshard.as_ref().map_or(0, |rs| rs.object_count())
-    }
-
-    /// Per-rank recovery stats (filled as ranks finish restoring).
-    pub fn rank_stats(&self) -> Vec<Option<RankRecovery>> {
-        self.stats.lock().clone()
-    }
-
-    /// Collective: restore this rank's windows from the snapshot and
-    /// replay the redo tails (phased across ranks), then take a fresh
-    /// checkpoint. Every rank of the fabric must call this together,
-    /// once; repeated calls return the recorded stats.
-    pub fn restore_rank(&self, eng: &GdaRank) -> GdiResult<RankRecovery> {
-        let me = eng.rank();
-        if self.restored[me].swap(true, Ordering::SeqCst) {
-            return self.stats.lock()[me]
-                .clone()
-                .ok_or(GdiError::InvalidArgument("restore already in progress"));
-        }
-        let store = eng
-            .persistence()
-            .ok_or(GdiError::InvalidArgument("persistence not enabled"))?;
-        // elastic path: the snapshot was written by a different rank
-        // count — redistribute instead of restoring windows verbatim
-        if let Some(rs) = &self.reshard {
-            return match crate::reshard::restore_rank_resharded(rs, eng, &store) {
-                Ok(out) => {
-                    self.stats.lock()[me] = Some(out.clone());
-                    Ok(out)
-                }
-                Err(e) => {
-                    self.restored[me].store(false, Ordering::SeqCst);
-                    Err(e)
-                }
-            };
-        }
-        let ctx = eng.ctx();
-        let wall0 = Instant::now();
-        let sim0 = ctx.now_ns();
-        // observe the live topology-epoch word *before* the window
-        // restore rewinds it to its snapshot value: an in-place
-        // recovery must leave the word strictly above every value a
-        // pre-crash scan view could have been stamped with, or such a
-        // view could revalidate after enough post-recovery commits
-        let topo_word = eng.cfg().topo_word();
-        let topo_before = ctx.aget_u64(crate::config::WIN_SYSTEM, me, topo_word);
-        let mut out = RankRecovery {
-            rank: me,
-            ..Default::default()
-        };
-
-        // ---- read snapshot + redo tail, then vote ------------------
-        // Every fallible step happens before the first barrier and is
-        // voted on (like a collective commit): if any rank fails, all
-        // ranks return an error together — an early unilateral return
-        // would leave the peers deadlocked in the sweep barriers.
-        let snap_read: GdiResult<Option<RankSnapshot>> = if self.snapshot_id == 0 {
-            Ok(None)
-        } else {
-            read_rank_snapshot_chain(&store, &store.chain(), me, eng.cfg(), eng.nranks()).and_then(
-                |snap| {
-                    for (win, bytes) in ALL_WINDOWS.iter().zip(&snap.windows) {
-                        if bytes.len() != ctx.win_len_bytes(*win) {
-                            return Err(GdiError::Io("snapshot window size mismatch".into()));
-                        }
-                    }
-                    Ok(Some(snap))
-                },
-            )
-        };
-        // only a genuinely absent redo log counts as an empty tail;
-        // any other I/O error must surface, not silently drop commits
-        let log_path = store.log_path(me);
-        let log_read = match fs::read(&log_path) {
-            Ok(b) => Ok(b),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
-            Err(e) => Err(io_err("read redo segment", e)),
-        };
-        let log_read = match (log_read, store.probe_fault(faults::REDO_READ, me)) {
-            (Ok(mut b), Some(FaultMode::BitFlip(k))) => {
-                // silent media corruption: the frame checksum must catch
-                // it and replay truncates at the last valid frame
-                faults::flip_bit(&mut b, k);
-                Ok(b)
-            }
-            (Ok(_), Some(_)) => Err(GdiError::Io("injected redo read failure".into())),
-            (r, _) => r,
-        };
-        let my_err = snap_read.is_err() || log_read.is_err();
-        if ctx.allreduce_any(my_err) {
-            self.restored[me].store(false, Ordering::SeqCst);
-            return Err(snap_read
-                .err()
-                .or(log_read.err())
-                .unwrap_or_else(|| GdiError::Io("recovery failed on a peer rank".into())));
-        }
-
-        // ---- restore windows + postings (or re-init at genesis) -----
-        match snap_read.unwrap() {
-            None => eng.init_collective(),
-            Some(snap) => {
-                for (win, bytes) in ALL_WINDOWS.iter().zip(&snap.windows) {
-                    ctx.put_bytes(*win, me, 0, bytes);
-                }
-                eng.indexes().import_rank(me, snap.postings);
-                out.snapshot_bytes = snap.bytes;
-                ctx.barrier();
-            }
-        }
-
-        // ---- parse the redo tail, truncate any torn frame -----------
-        // Frames stamped below the snapshot id are leftovers of a crash
-        // between publish and truncation (or a failed truncation):
-        // their commits are already in the restored chain, and
-        // re-applying a pre-snapshot *delete* against post-snapshot
-        // state would free blocks the free list already owns.
-        let log_bytes = log_read.unwrap();
-        let (records, valid_len) = parse_log(&log_bytes, self.snapshot_id);
-        if valid_len < log_bytes.len() {
-            if let Ok(f) = OpenOptions::new().write(true).open(&log_path) {
-                let _ = f.set_len(valid_len as u64);
-            }
-        }
-        // replay reads the tail back at device speed
-        ctx.charge_ns(ctx.cost_model().log_write(valid_len));
-        out.log_bytes = valid_len as u64;
-        out.records = records.len() as u64;
-
-        // ---- sweep 1 (phased): reserve every upserted primary -------
-        for phase in 0..eng.nranks() {
-            if phase == me {
-                for rec in &records {
-                    if let RedoRecord::Upsert { primary, .. } = rec {
-                        // a primary actually pulled from a free list was
-                        // free at snapshot time: whatever bytes it still
-                        // holds are stale, not an occupant (see
-                        // `RecoveryPlan::claimed`)
-                        if eng.bm.acquire_at(DPtr::from_raw(*primary)) {
-                            self.claimed.lock().insert(*primary);
-                        }
-                    }
-                }
-            }
-            ctx.barrier();
-        }
-
-        // ---- sweep 2 (phased): replay deletes first. Every committed
-        // delete lands (or tombstones) before any upsert replays, so an
-        // upsert in sweep 3 never faces a live occupant it would have
-        // to guess about — the occupant is either the object's own
-        // older state or vacated bytes.
-        for phase in 0..eng.nranks() {
-            if phase == me {
-                for (seq, rec) in records.iter().enumerate() {
-                    if matches!(rec, RedoRecord::Delete { .. }) {
-                        match apply_record(eng, rec, seq, self) {
-                            Ok(true) => out.applied += 1,
-                            Ok(false) => out.skipped += 1,
-                            Err(_) => out.errors += 1,
-                        }
-                    }
-                }
-            }
-            ctx.barrier();
-        }
-
-        // ---- sweep 3 (phased): replay upserts in log order ----------
-        for phase in 0..eng.nranks() {
-            if phase == me {
-                for (seq, rec) in records.iter().enumerate() {
-                    if matches!(rec, RedoRecord::Upsert { .. }) {
-                        match apply_record(eng, rec, seq, self) {
-                            Ok(true) => out.applied += 1,
-                            Ok(false) => out.skipped += 1,
-                            Err(_) => out.errors += 1,
-                        }
-                    }
-                }
-            }
-            ctx.barrier();
-        }
-
-        // ---- release deferred frees (each rank its own pool) --------
-        // A primary still in the claimed set was pulled from a free list
-        // in sweep 1 but every record for it was refused by a tombstone
-        // (object created and deleted post-checkpoint): hand it back
-        // too, or it leaks — and the end-of-recovery checkpoint would
-        // persist the leak.
-        {
-            let mut deferred = self.deferred.lock();
-            let mut claimed = self.claimed.lock();
-            let mine: FxHashSet<u64> = deferred
-                .iter()
-                .chain(claimed.iter())
-                .copied()
-                .filter(|raw| DPtr::from_raw(*raw).rank() == me)
-                .collect();
-            for raw in mine {
-                deferred.remove(&raw);
-                claimed.remove(&raw);
-                eng.bm.release(DPtr::from_raw(raw));
-            }
-        }
-        ctx.barrier();
-
-        // advance every rank's commit-stamp counter past the largest
-        // replayed version: future commits must stamp strictly above
-        // anything the redo tails reintroduced (matters at genesis,
-        // where the counters restart at zero)
-        let my_max = records
-            .iter()
-            .map(|r| match r {
-                RedoRecord::Upsert { version, .. } | RedoRecord::Delete { version, .. } => *version,
-            })
-            .max()
-            .unwrap_or(0);
-        let global_max = ctx.allreduce_max_u64(my_max);
-        let stamp_word = eng.cfg().stamp_word();
-        let cur = ctx.aget_u64(crate::config::WIN_SYSTEM, me, stamp_word);
-        if cur < global_max {
-            ctx.aput_u64(crate::config::WIN_SYSTEM, me, stamp_word, global_max);
-        }
-        // MVCC: re-derive the read-epoch watermark. Commits log before
-        // they publish, so replayed upserts can carry commit epochs
-        // above the restored watermark word (and at genesis the word
-        // restarts at zero) — yet replay materializes only the latest
-        // version of each object, no archives, so every replayed epoch
-        // must sit at or below the watermark for snapshot readers to
-        // resolve it without a chain walk. The epoch counter resumes at
-        // the watermark: no commit was mid-flight (the crash ended them
-        // all), so no allocated-but-unpublished epoch can be pending.
-        let my_epoch_max = records
-            .iter()
-            .map(|r| match r {
-                RedoRecord::Upsert { bytes, .. } => holder_commit_epoch(bytes),
-                _ => 0,
-            })
-            .max()
-            .unwrap_or(0);
-        let epoch_max = ctx.allreduce_max_u64(my_epoch_max);
-        if me == 0 {
-            let w_word = eng.cfg().watermark_word();
-            let w = ctx
-                .aget_u64(crate::config::WIN_SYSTEM, 0, w_word)
-                .max(epoch_max);
-            ctx.aput_u64(crate::config::WIN_SYSTEM, 0, w_word, w);
-            let c_word = eng.cfg().epoch_counter_word();
-            if ctx.aget_u64(crate::config::WIN_SYSTEM, 0, c_word) < w {
-                ctx.aput_u64(crate::config::WIN_SYSTEM, 0, c_word, w);
-            }
-        }
-        // replicate the re-derived watermark into every rank's local
-        // shadow word (pins read the shadow — it must be at least `W`
-        // before any post-recovery reader pins)
-        ctx.barrier();
-        let w_now = ctx.aget_u64(crate::config::WIN_SYSTEM, 0, eng.cfg().watermark_word());
-        ctx.aput_u64(
-            crate::config::WIN_SYSTEM,
-            me,
-            eng.cfg().wmark_shadow_word(),
-            w_now,
-        );
-        // no reader survives a crash: clear any restored min-active-
-        // snapshot registration
-        ctx.aput_u64(
-            crate::config::WIN_SYSTEM,
-            me,
-            eng.cfg().snap_word(),
-            u64::MAX,
-        );
-        // same discipline for the topology-epoch word: jump past both
-        // the restored value and anything observed pre-restore, so no
-        // pre-crash view stamp can ever match again (replayed topology
-        // changes were applied without bumps), and drop this attach's
-        // own cached view
-        let topo_now = ctx.aget_u64(crate::config::WIN_SYSTEM, me, topo_word);
-        ctx.aput_u64(
-            crate::config::WIN_SYSTEM,
-            me,
-            topo_word,
-            topo_now.max(topo_before) + 1,
-        );
-        eng.drop_scan_cache();
-        ctx.barrier();
-
-        out.sim_restore_s = (ctx.now_ns() - sim0) / 1e9;
-        out.wall_restore_s = wall0.elapsed().as_secs_f64();
-
-        // ---- fresh checkpoint: the next crash replays from here -----
-        // Always a full rebase: a delta would chain this (possibly
-        // resharded — different rank count!) state onto the pre-crash
-        // chain, and the reshard path rebuilds windows logically, so
-        // its dirty map does not cover everything the old base lacks.
-        out.final_checkpoint = eng.checkpoint_full().ok();
-
-        self.stats.lock()[me] = Some(out.clone());
-        Ok(out)
-    }
-}
-
-/// Commit epoch carried by an encoded holder image (0 when too short).
-fn holder_commit_epoch(bytes: &[u8]) -> u64 {
-    use crate::holder::COMMIT_EPOCH_OFFSET;
-    bytes
-        .get(COMMIT_EPOCH_OFFSET..COMMIT_EPOCH_OFFSET + 8)
-        .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
-        .unwrap_or(0)
-}
-
-/// Strip version-chain state from a replayed holder image: the archives
-/// its `prev` pointed at were never logged, so replaying the pointer
-/// would dangle into space that may be free or reused. Commit epoch
-/// (and the version stamp) are preserved — the recovered watermark is
-/// raised to cover every replayed epoch, so snapshot readers never need
-/// the missing chain. In-image archives of an overwritten occupant are
-/// deliberately left allocated-but-unreachable rather than freed:
-/// distinguishing them from reused blocks mid-replay is not worth the
-/// corruption risk, and the leak is bounded by the chain limit.
-fn sanitize_replayed_holder(bytes: &[u8]) -> Vec<u8> {
-    let mut out = bytes.to_vec();
-    if out.len() >= crate::holder::HEADER_BYTES {
-        let mut flags = u32::from_le_bytes(out[12..16].try_into().unwrap());
-        flags &= !crate::holder::DEPTH_MASK;
-        out[12..16].copy_from_slice(&flags.to_le_bytes());
-        out[40..48].fill(0); // prev
-    }
-    out
-}
-
-/// Apply one redo record against the restored state. `seq` is the
-/// record's position in its log (the same-log ordering authority).
-/// Returns whether it was applied (`false` = skipped as stale).
-/// Quiesced single-writer: the phased replay guarantees no concurrency.
-fn apply_record(
-    eng: &GdaRank,
-    rec: &RedoRecord,
-    seq: usize,
-    plan: &RecoveryPlan,
-) -> GdiResult<bool> {
-    let ctx = eng.ctx();
-    let me = eng.rank();
-    match rec {
-        RedoRecord::Upsert {
-            primary,
-            app_id,
-            is_edge,
-            bytes,
-            ..
-        } => {
-            let dp = DPtr::from_raw(*primary);
-            let bytes = &sanitize_replayed_holder(bytes);
-            // a record at or before its object's tombstoned delete must
-            // never resurrect the object
-            if !plan.order.lock().admits(rec, me, seq) {
-                return Ok(false);
-            }
-            // a primary in the deferred-free set was vacated by a
-            // replayed delete, and one in the claimed set was already
-            // free at snapshot time. In both cases any bytes still
-            // decodable there are stale — possibly a pre-checkpoint
-            // incarnation of this very app id at an older version, left
-            // intact by its (pre-checkpoint, hence unlogged-in-the-tail)
-            // delete — and must not be read as an occupant: following
-            // the stale chain pointer would overwrite or double-free
-            // continuation blocks that belong to other objects now.
-            let vacant =
-                plan.deferred.lock().contains(primary) || plan.claimed.lock().contains(primary);
-            let occupant = if vacant {
-                None
-            } else {
-                hio::read_chain(ctx, eng.cfg(), dp)
-                    .ok()
-                    .and_then(|(cur, blocks)| Holder::try_decode(&cur).map(|h| (h, blocks)))
-            };
-            match occupant {
-                Some((cur, mut blocks))
-                    if ReplayOrder::same_object(rec, cur.app_id, cur.is_edge) =>
-                {
-                    if !ReplayOrder::supersedes(rec, cur.version) {
-                        return Ok(false);
-                    }
-                    // a shrinking rewrite must not release surplus
-                    // continuation blocks straight into the pool —
-                    // another not-yet-replayed record's primary could
-                    // still be one of them (it was allocated at
-                    // snapshot time, so sweep 1 could not reserve it).
-                    // Pop them into the deferred set ourselves; the
-                    // write then neither grows nor frees past `needed`.
-                    let needed = hio::blocks_needed(eng.cfg(), bytes.len());
-                    if blocks.len() > needed {
-                        let mut d = plan.deferred.lock();
-                        while blocks.len() > needed {
-                            d.insert(blocks.pop().unwrap().raw());
-                        }
-                    }
-                    hio::write_chain(ctx, &eng.bm, bytes, &mut blocks)?;
-                }
-                _ => {
-                    // vacant: reserved in sweep 1, vacated by a delete,
-                    // or stale bytes of a pre-checkpoint occupant whose
-                    // committed delete freed the block. Clearing the
-                    // claimed/deferred marks makes the block a genuine
-                    // occupant from here on: a later record of the same
-                    // object takes the occupant path (preserving the
-                    // chain just written) and end-of-replay won't
-                    // release it.
-                    eng.bm.acquire_at(dp);
-                    plan.deferred.lock().remove(primary);
-                    plan.claimed.lock().remove(primary);
-                    let mut blocks = vec![dp];
-                    hio::write_chain(ctx, &eng.bm, bytes, &mut blocks)?;
-                }
-            }
-            if !is_edge {
-                match eng.dht.lookup(*app_id) {
-                    Some(raw) if raw == *primary => {}
-                    Some(_) => {
-                        eng.dht.delete(*app_id);
-                        eng.dht.insert(*app_id, *primary)?;
-                    }
-                    None => eng.dht.insert(*app_id, *primary)?,
-                }
-                let holder = Holder::try_decode(bytes)
-                    .ok_or(GdiError::Io("corrupt holder in redo record".into()))?;
-                eng.indexes()
-                    .reindex_vertex(dp, AppVertexId(*app_id), Some(&holder.labels()));
-            }
-            Ok(true)
-        }
-        RedoRecord::Delete {
-            primary,
-            app_id,
-            is_edge,
-            ..
-        } => {
-            let dp = DPtr::from_raw(*primary);
-            // the logical delete is a committed fact: tombstone it for
-            // the upsert pass regardless of the physical state here
-            plan.order.lock().tombstone(rec, me, seq);
-            // a primary claimed out of a free list in sweep 1 was free
-            // at snapshot time: the object this delete targets exists
-            // only in not-yet-replayed upserts, and any decodable bytes
-            // are a stale earlier incarnation whose chain must not be
-            // freed (its continuation blocks belong to other objects)
-            if plan.claimed.lock().contains(primary) {
-                return Ok(false);
-            }
-            let vacated = plan.deferred.lock().contains(primary);
-            let Ok((cur, blocks)) = hio::read_chain(ctx, eng.cfg(), dp) else {
-                return Ok(false); // nothing physical to free
-            };
-            let Some(cur) = Holder::try_decode(&cur) else {
-                return Ok(false);
-            };
-            if vacated || !ReplayOrder::same_object(rec, cur.app_id, cur.is_edge) {
-                return Ok(false); // not (or no longer) this object
-            }
-            if !ReplayOrder::supersedes(rec, cur.version) {
-                return Ok(false); // a newer state won (re-replay)
-            }
-            // defer the frees: pools are refilled only after the last
-            // phase, so no replayed chain can steal a primary another
-            // record still needs (see the module docs)
-            let mut d = plan.deferred.lock();
-            for b in blocks {
-                d.insert(b.raw());
-            }
-            drop(d);
-            if !is_edge {
-                if eng.dht.lookup(*app_id) == Some(*primary) {
-                    eng.dht.delete(*app_id);
-                }
-                eng.indexes().reindex_vertex(dp, AppVertexId(*app_id), None);
-            }
-            Ok(true)
-        }
-    }
-}
-
-/// Rebuild a database from its persistence directory: reads `CURRENT`,
-/// restores the catalog and index definitions from the manifest, and
-/// returns the database, a freshly built fabric and the
-/// [`RecoveryPlan`] whose [`RecoveryPlan::restore_rank`] every rank
-/// must run inside `fabric.run` before serving. Boots the topology the
-/// snapshot was written by; use [`recover_with_topology`] to restore
-/// onto a different rank count.
-pub fn recover(
-    opts: PersistOptions,
-    cost: CostModel,
-) -> GdiResult<(Arc<GdaDb>, Fabric, Arc<RecoveryPlan>)> {
-    recover_with_topology(opts, cost, None)
-}
-
-/// [`recover`] with an **elastic target topology**: restore the latest
-/// snapshot (written by `P` ranks) onto `target_ranks = Some(Q)` ranks.
-///
-/// `None` (or `Some(P)`) boots the snapshot's own topology and restores
-/// physically. For `Q ≠ P` the returned plan carries a full
-/// redistribution (see `docs/ARCHITECTURE.md` § Resharding): the logical database
-/// contents — every vertex, edge, property, index posting and DHT entry,
-/// snapshot *plus* replayed redo tails — are rebuilt on the `Q`-rank
-/// fabric under the new ownership map, and a fresh `Q`-topology
-/// checkpoint commits the reshard before the restore returns. The
-/// database's config is grown automatically where `Q` ranks need more
-/// per-rank capacity than `P` did (scale-in).
-pub fn recover_with_topology(
-    opts: PersistOptions,
-    cost: CostModel,
-    target_ranks: Option<usize>,
-) -> GdiResult<(Arc<GdaDb>, Fabric, Arc<RecoveryPlan>)> {
-    let current = fs::read_to_string(opts.dir.join("CURRENT"))
-        .map_err(|e| io_err("read CURRENT", e))?
-        .trim()
-        .parse::<u64>()
-        .map_err(|_| GdiError::Io("corrupt CURRENT pointer".into()))?;
-    let manifest_path = opts.dir.join(format!("ckpt-{current}/manifest.bin"));
-    let mut manifest_bytes = fs::read(&manifest_path).map_err(|e| io_err("read manifest", e))?;
-    if let Some(plane) = &opts.faults {
-        match plane.check(faults::MANIFEST_READ, 0) {
-            Some(FaultMode::BitFlip(k)) => faults::flip_bit(&mut manifest_bytes, k),
-            Some(FaultMode::Latency(ns)) => std::thread::sleep(std::time::Duration::from_nanos(ns)),
-            Some(_) => return Err(GdiError::Io("injected manifest read failure".into())),
-            None => {}
-        }
-    }
-    let manifest = decode_manifest(&manifest_bytes)?;
-    if manifest.id != current {
-        return Err(GdiError::Io("manifest id does not match CURRENT".into()));
-    }
-    let snapshot_ranks = manifest.nranks;
-    let live_ranks = target_ranks.unwrap_or(snapshot_ranks);
-    if live_ranks == 0 || live_ranks > u16::MAX as usize {
-        return Err(GdiError::InvalidArgument(
-            "target rank count must be in 1..=65535",
-        ));
-    }
-
-    let backend = opts.backend;
-    let store = PersistStore::new(opts, live_ranks, current, manifest.chain.clone());
-
-    // elastic path: read the P snapshot shards + logs and build the
-    // redistribution plan (same topology skips straight to the
-    // physical restore — `reshard` stays `None`)
-    let reshard = if live_ranks == snapshot_ranks {
-        None
-    } else {
-        let mut snapshots: Vec<Option<RankSnapshot>> = Vec::with_capacity(snapshot_ranks);
-        let mut snap_bytes = Vec::with_capacity(snapshot_ranks);
-        for rank in 0..snapshot_ranks {
-            if current == 0 {
-                snapshots.push(None); // genesis: logs only
-                snap_bytes.push(0);
-                continue;
-            }
-            let snap = read_rank_snapshot_chain(
-                &store,
-                &manifest.chain,
-                rank,
-                &manifest.cfg,
-                snapshot_ranks,
-            )?;
-            snap_bytes.push(snap.bytes);
-            snapshots.push(Some(snap));
-        }
-        let mut logs: Vec<Vec<RedoRecord>> = Vec::with_capacity(snapshot_ranks);
-        let mut log_bytes = Vec::with_capacity(snapshot_ranks);
-        for rank in 0..snapshot_ranks {
-            // the P-topology logs are read-only here (no truncation):
-            // they must stay intact for a fallback same-topology
-            // recovery should the reshard abort
-            let bytes = match fs::read(store.log_path(rank)) {
-                Ok(b) => b,
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-                Err(e) => return Err(io_err("read redo segment", e)),
-            };
-            let (records, valid_len) = parse_log(&bytes, current);
-            log_bytes.push(valid_len as u64);
-            logs.push(records);
-        }
-        Some(crate::reshard::plan(
-            &manifest.cfg,
-            crate::rankmap::RankMap::resharded(snapshot_ranks, live_ranks),
-            &manifest.index_defs,
-            &snapshots,
-            &logs,
-            snap_bytes,
-            log_bytes,
-        )?)
-    };
-
-    // one construction tail for both paths; only the config differs
-    // (a reshard may have grown per-rank capacity for scale-in)
-    let cfg = reshard.as_ref().map_or(manifest.cfg, |r| r.cfg);
-    let meta = MetaStore::from_parts(manifest.meta);
-    let indexes = IndexShared::from_parts(live_ranks, manifest.index_defs, manifest.index_next_id);
-    let db = GdaDb::restore(&manifest.name, cfg, live_ranks, meta, indexes);
-    let faults_plane = store.fault_plane().clone();
-    db.set_persistence(store);
-    // the booted fabric shares the store's fault plane, so one arming
-    // call covers fabric latency points and persistence I/O points
-    let fabric = db
-        .cfg
-        .build_fabric_shared(live_ranks, cost, backend, Some(faults_plane));
-    let plan = Arc::new(RecoveryPlan {
-        snapshot_id: current,
-        restored: (0..live_ranks).map(|_| AtomicBool::new(false)).collect(),
-        deferred: Mutex::new(FxHashSet::default()),
-        claimed: Mutex::new(FxHashSet::default()),
-        order: Mutex::new(ReplayOrder::default()),
-        reshard,
-        stats: Mutex::new(vec![None; live_ranks]),
-    });
-    Ok((db, fabric, plan))
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use gdi::{AccessMode, EdgeOrientation, PropertyValue, TxStatus};
+    use crate::dptr::DPtr;
+    use gdi::{AccessMode, AppVertexId, EdgeOrientation, PropertyValue, TxStatus};
+    use rma::CostModel;
+    use snapshot::read_rank_snapshot_chain;
 
     /// A unique, self-cleaning persistence directory for one test.
     pub(crate) struct TestDir(pub PathBuf);
@@ -2189,7 +1438,7 @@ pub(crate) mod tests {
             let rec = plan.restore_rank(&eng).unwrap();
             assert!(rec.records >= 2, "redo tail replayed: {rec:?}");
             assert_eq!(rec.errors, 0);
-            assert_eq!(rec.final_checkpoint, Some(2));
+            assert_eq!(rec.final_checkpoint, 2);
             let age = eng.meta().ptype_from_name("age").unwrap();
             let tx = eng.begin(AccessMode::ReadOnly);
             let a = tx.translate_vertex_id(AppVertexId(0)).unwrap();
@@ -3071,7 +2320,7 @@ pub(crate) mod tests {
                 let eng = db.attach(ctx);
                 let rec = plan.restore_rank(&eng).unwrap();
                 assert_eq!(rec.resharded_from, Some(from));
-                assert!(rec.final_checkpoint.is_some(), "reshard must publish");
+                assert!(rec.final_checkpoint > 0, "reshard must publish");
                 let val = eng.meta().ptype_from_name("val").unwrap();
                 let weight = eng.meta().ptype_from_name("weight").unwrap();
                 let got = observable_state(&eng, 101, val);

@@ -22,8 +22,7 @@
 //! maintenance verifier), and only then decodes it: a full image's data
 //! runs are read straight into the zero-initialized window image, a
 //! delta's runs straight into the image they patch. One decoder
-//! ([`read_rank_snapshot_chain`]) serves the same-topology restore and
-//! the reshard.
+//! ([`read_rank_snapshot_chain`]) serves recovery at every rank count.
 
 use std::fs::{self, File};
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -347,8 +346,8 @@ pub(super) fn write_rank_snapshot(
 
 /// One rank's decoded snapshot chain: the four window images (in
 /// [`ALL_WINDOWS`] order: data, usage, system, index) plus the rank's
-/// index postings. Shared with the reshard path, which lifts logical
-/// contents out of the images instead of restoring them verbatim.
+/// index postings. Recovery lifts the logical contents out of the
+/// images; nothing puts them back into windows verbatim.
 pub(crate) struct RankSnapshot {
     pub(crate) windows: Vec<Vec<u8>>,
     pub(crate) postings: Vec<(IndexId, Vec<Posting>)>,
@@ -546,8 +545,8 @@ fn fold_snapshot_file(
 
 /// Fold the published snapshot chain into one logical rank image: the
 /// full base restores every window verbatim, each delta overlays its
-/// dirty runs in chain order, and the *last* file's postings win. Both
-/// the same-topology restore and the resharded restore go through here.
+/// dirty runs in chain order, and the *last* file's postings win.
+/// Recovery reads every shard through here.
 pub(crate) fn read_rank_snapshot_chain(
     store: &PersistStore,
     chain: &[u64],

@@ -1,5 +1,5 @@
 //! The canonical home of **rank-ownership math** — and the
-//! snapshot-rank → live-rank map behind elastic resharding.
+//! snapshot-rank → live-rank map behind every recovery.
 //!
 //! Ownership used to be baked into every layer as ad-hoc modulo
 //! arithmetic: vertex owners in `dptr`, DHT key placement in `dht`,
@@ -10,14 +10,14 @@
 //! old rank count corrupts data. This module therefore owns the
 //! formulas ([`vertex_owner`], [`dht_rank`], [`dht_bucket`]) — the
 //! other layers delegate — and packages the two topologies of a
-//! resharded recovery into a [`RankMap`]:
+//! recovery into a [`RankMap`]:
 //!
 //! * **snapshot ranks** (`P`): the topology that wrote the snapshot and
 //!   the redo logs being restored;
 //! * **live ranks** (`Q`): the topology of the fabric being booted;
 //! * a deterministic assignment of snapshot shards to live readers
-//!   ([`RankMap::shard_reader`]), so the `P` snapshot files and logs
-//!   are consumed exactly once with no coordination.
+//!   ([`RankMap::shard_reader`]), so each of the `P` snapshot files and
+//!   logs is reported — and its device read charged — exactly once.
 //!
 //! The map is intentionally *pure data* (two integers): live migration
 //! can later extend it with an explicit old-rank → new-rank relocation
@@ -108,8 +108,8 @@ impl RankMap {
         dht_rank(key, self.live_ranks)
     }
 
-    /// The live rank responsible for reading snapshot shard `s` (its
-    /// snapshot file and redo segment) during a resharded restore.
+    /// The live rank responsible for snapshot shard `s` (its snapshot
+    /// file and redo segment) during a restore: who reports its bytes.
     /// Round-robin over the live ranks: every shard has exactly one
     /// reader, and shards spread evenly over readers for `Q < P`.
     #[inline]

@@ -420,8 +420,9 @@ impl<'a> RankCtx<'a> {
         self.stats.record_scan_reuse();
     }
 
-    /// Record this rank's share of an elastic-reshard redistribution
-    /// (`objects` re-materialized holders, `bytes` of payload). Pure
+    /// Record this rank's share of a recovery's redistribution, at any
+    /// rank count (`objects` re-materialized holders, `bytes` of
+    /// payload). Pure
     /// accounting — the window writes themselves were already charged
     /// as ordinary puts by the restore path.
     pub fn record_reshard(&self, objects: u64, bytes: u64) {

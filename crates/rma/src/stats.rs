@@ -134,7 +134,7 @@ impl CommStats {
         self.quiesces.set(self.quiesces.get() + 1);
     }
 
-    /// Record an elastic-reshard redistribution on this rank: `objects`
+    /// Record a recovery's redistribution on this rank: `objects`
     /// logical objects re-materialized here, `bytes` of holder payload
     /// moved into this rank's windows (the restore-path equivalent of
     /// the redo-log counters).
@@ -352,10 +352,10 @@ pub struct RankReport {
     pub log_bytes: u64,
     /// Fabric quiesces (checkpoint drain barriers) this rank entered.
     pub quiesces: u64,
-    /// Logical objects this rank re-materialized during an elastic
-    /// reshard (restore onto a different rank count).
+    /// Logical objects this rank re-materialized during a recovery
+    /// (onto any rank count).
     pub reshard_objects: u64,
-    /// Holder payload bytes moved into this rank by an elastic reshard.
+    /// Holder payload bytes moved into this rank by a recovery.
     pub reshard_bytes: u64,
     /// OLAP scan-view builds (full raw-window sweeps) on this rank.
     pub scan_builds: u64,

@@ -310,8 +310,10 @@ impl GdiServer {
     /// the latest snapshot manifest, rebuilds the database object and a
     /// fresh fabric, and arms the recovery plan. The caller runs
     /// [`GdiServer::serve_rank`] on every rank of the returned fabric
-    /// as usual — each serve loop first restores its rank (windows +
-    /// redo replay, collective) and then starts draining requests.
+    /// as usual — each serve loop first restores its rank (the
+    /// collective rebuild of the replayed state, see
+    /// `gda::persist::recover_with_topology`) and then starts draining
+    /// requests.
     /// Recovery metrics land in [`ServerMetrics::recovery`].
     pub fn recover(
         opts: PersistOptions,

@@ -139,44 +139,6 @@ fn scheduled_maintenance_runs_between_drain_cycles() {
     assert!(fabric.vacuumed_versions >= 1, "{m:?}");
 }
 
-/// Collective job body: this rank's free blocks plus every block
-/// reachable from a live local holder (its chain, its archived
-/// versions, its heavy-edge holders and theirs). Equals the pool size
-/// unless a block leaked or sits on the free list while still in use.
-fn free_plus_live_blocks(eng: &gda::GdaRank) -> usize {
-    use gda::hio::read_chain;
-    use gda::holder::Holder;
-    let (ctx, cfg) = (eng.ctx(), eng.cfg());
-    let view = eng.olap_view();
-    let mut live = 0;
-    let mut edge_holders = std::collections::BTreeSet::new();
-    let mut walk = |id: gda::DPtr, edge_holders: &mut std::collections::BTreeSet<u64>| {
-        let (bytes, blocks) = read_chain(ctx, cfg, id).expect("live holder chain");
-        let h = Holder::try_decode(&bytes).expect("live holder decodes");
-        live += blocks.len();
-        for (_, e) in h.live_edges() {
-            if !e.edge_holder.is_null() && e.edge_holder.rank() == eng.rank() {
-                edge_holders.insert(e.edge_holder.raw());
-            }
-        }
-        let (mut cur, mut seen) = (h.prev, 0);
-        while cur != 0 && seen < h.depth {
-            let (bytes, blocks) =
-                read_chain(ctx, cfg, gda::DPtr::from_raw(cur)).expect("archive chain");
-            live += blocks.len();
-            cur = Holder::try_decode(&bytes).expect("archive decodes").prev;
-            seen += 1;
-        }
-    };
-    for &v in &view.vids {
-        walk(v, &mut edge_holders);
-    }
-    for raw in std::mem::take(&mut edge_holders) {
-        walk(gda::DPtr::from_raw(raw), &mut edge_holders);
-    }
-    gda::blocks::BlockManager::new(ctx, *cfg).count_free(eng.rank()) + live
-}
-
 /// Engine defect found by the benchmark PR: a maintenance pass that both
 /// vacuumed a multi-block holder's archives and compacted its chain
 /// rewrote the holder from bytes read *before* the vacuum, resurrecting
@@ -214,7 +176,7 @@ fn repeated_maintenance_keeps_the_block_pool_whole() {
             server
                 .submit_olap(move |eng| {
                     // collective: count before taking the lock
-                    let sum = free_plus_live_blocks(eng);
+                    let sum = gdi_tests::harness::free_plus_live_blocks(eng);
                     sink.lock().push(sum);
                     0.0
                 })

@@ -53,8 +53,9 @@ pub struct RecoveryScenario {
     /// Base-graph vertices sampled for cross-restart read comparison.
     pub base_sample: usize,
     /// Rank count of the **recovered** server: `None` restarts at the
-    /// original topology; `Some(Q ≠ nranks)` reshards the snapshot and
-    /// redo logs onto `Q` ranks during recovery (elastic restart).
+    /// original topology; `Some(Q)` rebuilds the snapshot and redo logs
+    /// onto `Q` ranks during recovery (elastic restart when `Q ≠
+    /// nranks`).
     pub restart_ranks: Option<usize>,
     /// Tracked ops per session driven against the *recovered* server
     /// after verification (post-restart throughput measurement; 0 =

@@ -2,7 +2,9 @@
 //! serially (identical history on every run), a full-state readback, and
 //! an uninterrupted reference executor. Used by the `recovery` and
 //! `chaos` integration suites to express the differential oracle
-//! *recovered state ≡ uninterrupted state*.
+//! *recovered state ≡ uninterrupted state*. Also the block-pool audit
+//! ([`free_plus_live_blocks`]) the recovery-fault and server
+//! maintenance suites share.
 
 use std::collections::BTreeMap;
 
@@ -134,4 +136,45 @@ pub fn reference_state(nranks: usize, cfg: GdaConfig, ops: &[WlOp], ids: u64) ->
         read_state(&eng, ids, ptype)
     });
     states.into_iter().next().unwrap()
+}
+
+/// Collective: this rank's free blocks plus every block reachable from
+/// a live local holder (its chain, its archived versions, its
+/// heavy-edge holders and theirs). The block-conservation invariant:
+/// this equals `blocks_per_rank` unless a block leaked or sits on the
+/// free list while still in use. Panics on a live chain that does not
+/// read or decode. Assumes no concurrent writers.
+pub fn free_plus_live_blocks(eng: &gda::GdaRank) -> usize {
+    use gda::hio::read_chain;
+    use gda::holder::Holder;
+    use gda::DPtr;
+    use std::collections::BTreeSet;
+    let (ctx, cfg) = (eng.ctx(), eng.cfg());
+    let view = eng.olap_view();
+    let mut live = 0;
+    let mut edge_holders = BTreeSet::new();
+    let mut walk = |id: DPtr, edge_holders: &mut BTreeSet<u64>| {
+        let (bytes, blocks) = read_chain(ctx, cfg, id).expect("live holder chain");
+        let h = Holder::try_decode(&bytes).expect("live holder decodes");
+        live += blocks.len();
+        for (_, e) in h.live_edges() {
+            if !e.edge_holder.is_null() && e.edge_holder.rank() == eng.rank() {
+                edge_holders.insert(e.edge_holder.raw());
+            }
+        }
+        let (mut cur, mut seen) = (h.prev, 0);
+        while cur != 0 && seen < h.depth {
+            let (bytes, blocks) = read_chain(ctx, cfg, DPtr::from_raw(cur)).expect("archive chain");
+            live += blocks.len();
+            cur = Holder::try_decode(&bytes).expect("archive decodes").prev;
+            seen += 1;
+        }
+    };
+    for &v in &view.vids {
+        walk(v, &mut edge_holders);
+    }
+    for raw in std::mem::take(&mut edge_holders) {
+        walk(DPtr::from_raw(raw), &mut edge_holders);
+    }
+    gda::blocks::BlockManager::new(ctx, *cfg).count_free(eng.rank()) + live
 }
