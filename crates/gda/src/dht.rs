@@ -39,7 +39,7 @@ use gdi::{GdiError, GdiResult};
 use rma::RankCtx;
 
 use crate::config::{GdaConfig, WIN_INDEX};
-use crate::dptr::{TaggedIdx, OFFSET_MASK};
+use crate::dptr::{DPtr, TaggedIdx, OFFSET_MASK};
 
 /// Word index of the heap free-list head.
 const HEAP_HEAD_WORD: usize = 0;
@@ -504,6 +504,25 @@ pub fn decode_partition(cfg: &GdaConfig, win: &[u8]) -> Vec<(u64, u64)> {
         }
     }
     out
+}
+
+/// Collective: every `(app id, primary)` pair of the whole DHT whose
+/// primary block lives on this rank. Each rank decodes **its own**
+/// partition out of the raw index window (one local sequential read, no
+/// remote operations, [`decode_partition`]) and one `alltoallv` routes
+/// every pair to its primary's rank — DHT placement is by hash, storage
+/// is not. The first step of an OLAP view sweep (`crate::scan`) and of a
+/// full checkpoint's live-set walk (`crate::persist`).
+pub(crate) fn owned_entries(ctx: &RankCtx, cfg: &GdaConfig) -> Vec<(u64, u64)> {
+    let mut img = vec![0u8; ctx.win_len_bytes(WIN_INDEX)];
+    ctx.get_bytes(WIN_INDEX, ctx.rank(), 0, &mut img);
+    let pairs = decode_partition(cfg, &img);
+    ctx.charge_cpu(pairs.len() as u64 + cfg.dht_buckets_per_rank as u64);
+    let mut routed: Vec<Vec<(u64, u64)>> = vec![Vec::new(); ctx.nranks()];
+    for (app, raw) in pairs {
+        routed[DPtr::from_raw(raw).rank()].push((app, raw));
+    }
+    ctx.alltoallv(routed).into_iter().flatten().collect()
 }
 
 #[cfg(test)]

@@ -75,6 +75,30 @@ pub fn write_chain(
     bytes: &[u8],
     blocks: &mut Vec<DPtr>,
 ) -> GdiResult<()> {
+    write_blocks(ctx, bm, bytes, blocks, true)
+}
+
+/// [`write_chain`] for an MVCC **version archive**: the same blocks, but
+/// written with the volatile put, so no checkpoint ships them (see
+/// `rma::dirty`, "Volatile writes"). Pinned readers of the running
+/// database see archives exactly as before; recovery rebuilds every
+/// object from its live chain and never reads one.
+pub fn write_archive(
+    ctx: &RankCtx,
+    bm: &BlockManager,
+    bytes: &[u8],
+    blocks: &mut Vec<DPtr>,
+) -> GdiResult<()> {
+    write_blocks(ctx, bm, bytes, blocks, false)
+}
+
+fn write_blocks(
+    ctx: &RankCtx,
+    bm: &BlockManager,
+    bytes: &[u8],
+    blocks: &mut Vec<DPtr>,
+    durable: bool,
+) -> GdiResult<()> {
     debug_assert!(!blocks.is_empty(), "write_chain needs a primary block");
     let cfg_payload = bm.block_size() - BLOCK_PAYLOAD_OFFSET;
     let needed = bytes.len().div_ceil(cfg_payload).max(1);
@@ -101,7 +125,12 @@ pub fn write_chain(
         for b in buf[16 + chunk.len()..].iter_mut() {
             *b = 0;
         }
-        ctx.put_bytes(WIN_DATA, dp.rank(), dp.offset() as usize, &buf);
+        let off = dp.offset() as usize;
+        if durable {
+            ctx.put_bytes(WIN_DATA, dp.rank(), off, &buf);
+        } else {
+            ctx.put_bytes_volatile(WIN_DATA, dp.rank(), off, &buf);
+        }
     }
     ctx.end_nb_batch();
     ctx.flush(target);
@@ -241,7 +270,7 @@ struct Shape {
 }
 
 /// Where a walk's blocks come from.
-enum Source<'a> {
+pub(crate) enum Source<'a> {
     /// One blocking `get` per block: locked, quiesced and rank-local
     /// readers, which no writer can race.
     Live(&'a RankCtx<'a>),
@@ -612,29 +641,6 @@ pub fn free_chain(bm: &BlockManager, blocks: &[DPtr]) {
     }
 }
 
-/// Offline variant of [`read_chain`] over a raw **data-window byte
-/// image** (a snapshot's first window): follows the chain inside the
-/// image without a live fabric. Chains are rank-local (continuation
-/// blocks always live on the primary's rank), so one rank's image
-/// suffices. Returns `None` on any structural implausibility — the
-/// caller decides whether that is corruption or a vacated block.
-///
-/// Recovery primitive: the logical holder contents are lifted out of
-/// the `P` snapshot images and re-materialized on the `Q` live ranks
-/// (any `Q`, `P` included) at fresh addresses.
-pub fn read_chain_bytes(
-    cfg: &GdaConfig,
-    data: &[u8],
-    primary: DPtr,
-) -> Option<(Vec<u8>, Vec<DPtr>)> {
-    let (mut block_buf, mut bytes, mut blocks) =
-        (vec![0u8; cfg.block_size], Vec::new(), Vec::new());
-    let src = Source::Image(data);
-    let visit = |dp| blocks.push(dp);
-    let (step, _) = walk(&src, cfg, primary, &mut block_buf, &mut bytes, visit);
-    (step == Step::Done).then_some((bytes, blocks))
-}
-
 /// [`read_chain`] of a chain on **this rank** into caller-owned, reused
 /// buffers (one local `get` per block, no per-chain allocation, no
 /// block list). The OLAP scan sweep's reader (`crate::scan`) and the
@@ -650,6 +656,103 @@ pub fn read_chain_local(
     debug_assert_eq!(primary.rank(), ctx.rank());
     let (step, _) = walk(&Source::Live(ctx), cfg, primary, block_buf, out, |_| {});
     (step == Step::Done).then_some(())
+}
+
+/// One chain of the live set, as [`walk_live`] hands it over.
+pub(crate) struct LiveChain<'a> {
+    /// The primary block: the object's internal id.
+    pub(crate) primary: DPtr,
+    /// Application vertex id (an edge holder's own field).
+    pub(crate) app_id: u64,
+    /// A heavyweight edge's holder rather than a vertex's?
+    pub(crate) is_edge: bool,
+    /// The holder's version field.
+    pub(crate) version: u64,
+    /// The serialized holder.
+    pub(crate) bytes: &'a [u8],
+    /// Its blocks, in chain order.
+    pub(crate) blocks: &'a [DPtr],
+}
+
+/// **The live set**: every holder chain a recovery lifts, and so the
+/// only blocks a full checkpoint image carries. One traversal serves
+/// both, the checkpoint writer over live windows and recovery over
+/// snapshot images, so the two cannot drift apart.
+///
+/// Walks the vertex chains `vertices` names (DHT entries: app id and
+/// primary), then every heavyweight edge-holder chain in `holders` or
+/// named by a live edge record of one of those vertices, each once.
+/// `src(rank)` says where a rank's blocks are read, or `None`: not here.
+/// An edge holder on such a rank is returned for the caller to route to
+/// its rank instead of walked. Nothing follows `prev`: archives are
+/// never part of the live set.
+///
+/// Fails on a chain that does not read or validate, on a vertex that is
+/// not the object its DHT entry names, and on an edge record that
+/// points at a vertex holder.
+pub(crate) fn walk_live<'s>(
+    cfg: &GdaConfig,
+    src: impl Fn(usize) -> Option<Source<'s>>,
+    vertices: impl IntoIterator<Item = (u64, DPtr)>,
+    holders: impl IntoIterator<Item = DPtr>,
+    mut visit: impl FnMut(&LiveChain<'_>),
+) -> Result<Vec<DPtr>, &'static str> {
+    let mut block_buf = vec![0u8; cfg.block_size];
+    let (mut bytes, mut blocks) = (Vec::new(), Vec::new());
+    let mut lift =
+        |src: &Source<'_>, primary: DPtr, bytes: &mut Vec<u8>, blocks: &mut Vec<DPtr>| {
+            blocks.clear();
+            let visit = |dp| blocks.push(dp);
+            walk(src, cfg, primary, &mut block_buf, bytes, visit).0 == Step::Done
+        };
+    let mut queue: Vec<DPtr> = holders.into_iter().collect();
+    for (app, primary) in vertices {
+        let here = src(primary.rank()).ok_or("a vertex chain on a missing rank")?;
+        if !lift(&here, primary, &mut bytes, &mut blocks) {
+            return Err("unreadable vertex chain");
+        }
+        let scan = Holder::scan_edges(&bytes).ok_or("undecodable vertex holder")?;
+        if scan.app_id != app || scan.is_edge {
+            return Err("DHT entry does not match its holder");
+        }
+        queue.extend(scan.live().map(|r| r.edge_holder).filter(|h| !h.is_null()));
+        visit(&LiveChain {
+            primary,
+            app_id: app,
+            is_edge: false,
+            version: stamp_of(&bytes),
+            bytes: &bytes,
+            blocks: &blocks,
+        });
+    }
+    let mut seen = rustc_hash::FxHashSet::default();
+    let mut foreign = Vec::new();
+    for primary in queue {
+        // both mirrors of a heavyweight edge name the same holder
+        if !seen.insert(primary.raw()) {
+            continue;
+        }
+        let Some(here) = src(primary.rank()) else {
+            foreign.push(primary);
+            continue;
+        };
+        if !lift(&here, primary, &mut bytes, &mut blocks) {
+            return Err("unreadable edge-holder chain");
+        }
+        let scan = Holder::scan_edges(&bytes).ok_or("undecodable edge holder")?;
+        if !scan.is_edge {
+            return Err("edge record points at a non-edge holder");
+        }
+        visit(&LiveChain {
+            primary,
+            app_id: scan.app_id,
+            is_edge: true,
+            version: stamp_of(&bytes),
+            bytes: &bytes,
+            blocks: &blocks,
+        });
+    }
+    Ok(foreign)
 }
 
 #[cfg(test)]
@@ -765,6 +868,27 @@ mod tests {
                 free_chain(bm, &blocks);
             }
         });
+    }
+
+    /// One chain out of a data-window image: the walk recovery's lift
+    /// (`walk_live` over `Source::Image`) runs per chain.
+    fn read_chain_bytes(
+        cfg: &GdaConfig,
+        data: &[u8],
+        primary: DPtr,
+    ) -> Option<(Vec<u8>, Vec<DPtr>)> {
+        let (mut block_buf, mut bytes, mut blocks) =
+            (vec![0u8; cfg.block_size], Vec::new(), Vec::new());
+        let visit = |dp| blocks.push(dp);
+        let (step, _) = walk(
+            &Source::Image(data),
+            cfg,
+            primary,
+            &mut block_buf,
+            &mut bytes,
+            visit,
+        );
+        (step == Step::Done).then_some((bytes, blocks))
     }
 
     /// The offline chain reader must reproduce exactly what the live

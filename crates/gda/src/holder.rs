@@ -431,6 +431,7 @@ impl Holder {
         let lay = Layout::validated(bytes)?;
         Some(EdgeScan {
             app_id: u64::from_le_bytes(bytes[16..24].try_into().unwrap()),
+            is_edge: lay.flags & FLAG_EDGE_HOLDER != 0,
             records: lay.edge_records(bytes),
         })
     }
@@ -561,6 +562,8 @@ impl<'a> Iterator for Frames<'a> {
 pub struct EdgeScan<'a> {
     /// Application-level id of the holder.
     pub app_id: u64,
+    /// Is the holder a heavyweight edge's (not a vertex's)?
+    pub is_edge: bool,
     records: &'a [u8],
 }
 

@@ -22,6 +22,7 @@ use rma::RankCtx;
 
 use crate::config::{GdaConfig, WIN_SYSTEM};
 use crate::dptr::DPtr;
+use crate::hio::STALE;
 
 /// The write bit of a lock word.
 pub const WRITE_BIT: u64 = 1 << 63;
@@ -47,12 +48,22 @@ impl<'c, 'f> LockManager<'c, 'f> {
         Self { ctx, cfg }
     }
 
-    /// System-window word index of the lock of the object rooted at `dp`.
+    /// `(rank, system-window word)` of the lock of the object rooted at
+    /// `dp`. An id that names no block — a rank past the fabric, the null
+    /// block, a block past the pool, an offset inside a block — is the
+    /// stale-internal-id `NotFound` the chain readers answer, never an
+    /// out-of-window atomic.
     #[inline]
-    fn lock_word(&self, dp: DPtr) -> (usize, usize) {
-        let block_idx = (dp.offset() / self.cfg.block_size as u64) as usize;
-        debug_assert!(block_idx >= 1, "lock of the null block");
-        (dp.rank(), block_idx)
+    fn lock_word(&self, dp: DPtr) -> GdiResult<(usize, usize)> {
+        let block = self.cfg.block_size as u64;
+        let block_idx = dp.offset() / block;
+        let named = dp.rank() < self.ctx.nranks()
+            && dp.offset().is_multiple_of(block)
+            && (1..=self.cfg.blocks_per_rank as u64).contains(&block_idx);
+        match named {
+            true => Ok((dp.rank(), block_idx as usize)),
+            false => Err(STALE),
+        }
     }
 
     fn backoff(&self, attempt: usize) {
@@ -69,7 +80,7 @@ impl<'c, 'f> LockManager<'c, 'f> {
     /// Acquire a read lock: atomically bump the reader counter; if the
     /// write bit was set, undo and retry (bounded).
     pub fn acquire_read(&self, dp: DPtr) -> GdiResult<()> {
-        let (rank, word) = self.lock_word(dp);
+        let (rank, word) = self.lock_word(dp)?;
         for attempt in 0..self.cfg.max_lock_retries {
             let prev = self.ctx.fadd_u64(WIN_SYSTEM, rank, word, 1);
             if prev & WRITE_BIT == 0 {
@@ -81,9 +92,11 @@ impl<'c, 'f> LockManager<'c, 'f> {
         Err(GdiError::LockConflict)
     }
 
-    /// Release a read lock.
+    /// Release a read lock (of an id no lock was granted on: a no-op).
     pub fn release_read(&self, dp: DPtr) {
-        let (rank, word) = self.lock_word(dp);
+        let Ok((rank, word)) = self.lock_word(dp) else {
+            return;
+        };
         let prev = self.ctx.fsub_u64(WIN_SYSTEM, rank, word, 1);
         debug_assert!(prev & !WRITE_BIT > 0, "read-lock underflow");
     }
@@ -91,7 +104,7 @@ impl<'c, 'f> LockManager<'c, 'f> {
     /// Acquire a write lock: CAS the whole word from 0 (no writer, no
     /// readers) to the write bit.
     pub fn acquire_write(&self, dp: DPtr) -> GdiResult<()> {
-        let (rank, word) = self.lock_word(dp);
+        let (rank, word) = self.lock_word(dp)?;
         for attempt in 0..self.cfg.max_lock_retries {
             if self.ctx.cas_u64(WIN_SYSTEM, rank, word, 0, WRITE_BIT) == 0 {
                 return Ok(());
@@ -105,7 +118,7 @@ impl<'c, 'f> LockManager<'c, 'f> {
     /// are the sole reader (CAS `1 → WRITE_BIT`). On failure the read lock
     /// is still held.
     pub fn upgrade(&self, dp: DPtr) -> GdiResult<()> {
-        let (rank, word) = self.lock_word(dp);
+        let (rank, word) = self.lock_word(dp)?;
         for attempt in 0..self.cfg.max_lock_retries {
             let prev = self.ctx.cas_u64(WIN_SYSTEM, rank, word, 1, WRITE_BIT);
             if prev == 1 {
@@ -123,14 +136,16 @@ impl<'c, 'f> LockManager<'c, 'f> {
         Err(GdiError::LockConflict)
     }
 
-    /// Release a write lock.
+    /// Release a write lock (of an id no lock was granted on: a no-op).
     ///
     /// Uses an atomic subtract of the write bit rather than a CAS: a
     /// concurrent reader's transient `+1/-1` probe (its failed
     /// acquire-read) may be in flight, which would make a
     /// `CAS(WRITE_BIT → 0)` fail spuriously.
     pub fn release_write(&self, dp: DPtr) {
-        let (rank, word) = self.lock_word(dp);
+        let Ok((rank, word)) = self.lock_word(dp) else {
+            return;
+        };
         let prev = self.ctx.fsub_u64(WIN_SYSTEM, rank, word, WRITE_BIT);
         debug_assert!(prev & WRITE_BIT != 0, "write-lock released but not held");
     }
@@ -144,9 +159,9 @@ impl<'c, 'f> LockManager<'c, 'f> {
     }
 
     /// Diagnostic: raw lock word.
-    pub fn peek(&self, dp: DPtr) -> u64 {
-        let (rank, word) = self.lock_word(dp);
-        self.ctx.aget_u64(WIN_SYSTEM, rank, word)
+    pub fn peek(&self, dp: DPtr) -> GdiResult<u64> {
+        let (rank, word) = self.lock_word(dp)?;
+        Ok(self.ctx.aget_u64(WIN_SYSTEM, rank, word))
     }
 }
 
@@ -172,11 +187,11 @@ mod tests {
             lm.acquire_read(dp()).unwrap();
             ctx.barrier();
             // all four ranks hold the read lock simultaneously
-            assert_eq!(lm.peek(dp()), 4);
+            assert_eq!(lm.peek(dp()).unwrap(), 4);
             ctx.barrier();
             lm.release_read(dp());
             ctx.barrier();
-            assert_eq!(lm.peek(dp()), 0);
+            assert_eq!(lm.peek(dp()).unwrap(), 0);
         });
     }
 
@@ -250,9 +265,9 @@ mod tests {
             let lm = LockManager::new(ctx, cfg);
             lm.acquire_read(dp()).unwrap();
             lm.upgrade(dp()).unwrap();
-            assert_eq!(lm.peek(dp()), WRITE_BIT);
+            assert_eq!(lm.peek(dp()).unwrap(), WRITE_BIT);
             lm.release_write(dp());
-            assert_eq!(lm.peek(dp()), 0);
+            assert_eq!(lm.peek(dp()).unwrap(), 0);
         });
     }
 
@@ -266,7 +281,7 @@ mod tests {
             if ctx.rank() == 0 {
                 assert_eq!(lm.upgrade(dp()), Err(GdiError::LockConflict));
                 // read lock still held after failed upgrade
-                assert!(lm.peek(dp()) >= 2);
+                assert!(lm.peek(dp()).unwrap() >= 2);
             }
             ctx.barrier();
             lm.release_read(dp());
@@ -297,6 +312,41 @@ mod tests {
             let total = ctx.allreduce_sum_u64(acquired);
             ctx.barrier();
             assert_eq!(ctx.get_u64(crate::config::WIN_DATA, 0, 0), total);
+        });
+    }
+
+    /// An internal id that names no lock word — another rank than the
+    /// fabric has, the null block, a block past the pool, an offset
+    /// inside a block — is refused with the stale-id `NotFound` by every
+    /// acquisition, and its release and peek touch nothing.
+    #[test]
+    fn hostile_ids_are_stale_not_a_panic() {
+        let (f, cfg) = fabric(2);
+        f.run(|ctx| {
+            let lm = LockManager::new(ctx, cfg);
+            let block = cfg.block_size as u64;
+            for hostile in [
+                DPtr::new(2, block),
+                DPtr::new(0, 0),
+                DPtr::new(1, (cfg.blocks_per_rank as u64 + 1) * block),
+                DPtr::new(0, 1 << 40),
+                DPtr::new(1, block + 8),
+            ] {
+                assert_eq!(lm.acquire_read(hostile), Err(STALE));
+                assert_eq!(lm.acquire_write(hostile), Err(STALE));
+                assert_eq!(lm.upgrade(hostile), Err(STALE));
+                assert_eq!(lm.peek(hostile), Err(STALE));
+                lm.release(hostile, LockKind::Read);
+                lm.release(hostile, LockKind::Write);
+            }
+            // the last block of the pool is a lock like any other
+            let last = DPtr::new(1, cfg.blocks_per_rank as u64 * block);
+            ctx.barrier();
+            if ctx.rank() == 0 {
+                lm.acquire_write(last).unwrap();
+                assert_eq!(lm.peek(last), Ok(WRITE_BIT));
+                lm.release_write(last);
+            }
         });
     }
 }

@@ -81,11 +81,13 @@ pub struct MaintenanceReport {
 /// Seal a truncated archive chain: zero the `prev` field of the last
 /// kept archive, in place (one aligned word write into the archive's
 /// primary block — `prev` sits entirely inside the first block's
-/// payload, after the 48-byte header start). Shared by the commit-path
-/// truncation ([`crate::tx`]) and the vacuum.
+/// payload, after the 48-byte header start). Archives are volatile, so
+/// the seal is too: the volatile put, no dirty mark. Shared by the
+/// commit-path truncation ([`crate::tx`]) and the vacuum.
 pub(crate) fn seal_chain_tail(ctx: &RankCtx, dp: DPtr) {
-    let word = (dp.offset() as usize + BLOCK_PAYLOAD_OFFSET + PREV_OFFSET) / 8;
-    ctx.put_u64(WIN_DATA, dp.rank(), word, 0);
+    let at = dp.offset() as usize + BLOCK_PAYLOAD_OFFSET + PREV_OFFSET;
+    debug_assert!(at.is_multiple_of(8), "prev is an aligned word");
+    ctx.put_bytes_volatile(WIN_DATA, dp.rank(), at, &0u64.to_le_bytes());
     ctx.flush(dp.rank());
 }
 

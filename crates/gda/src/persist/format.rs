@@ -37,7 +37,11 @@ pub(super) const MANIFEST_MAGIC: &[u8; 8] = b"GDAMANI\x01";
 /// the word-wise streaming [`Checksum`] (byte-wise FNV-1a before), and
 /// delta files ship runs of adjacent dirty chunks `(first, count,
 /// bytes)` instead of one `(index, length, bytes)` entry per chunk.
-pub(super) const FORMAT_VERSION: u32 = 6;
+/// v7: snapshot files carry two windows, data and index (the usage and
+/// system windows are gone), and a full image's data window holds the
+/// live chains only, every other block zero. A v6 directory is refused
+/// by version, like every older one.
+pub(super) const FORMAT_VERSION: u32 = 7;
 
 /// Bytes of the fixed `[magic 8][version u32]` prefix of snapshot and
 /// manifest files.

@@ -7,10 +7,11 @@
 //! * a **collective fuzzy checkpoint** ([`GdaRank::checkpoint`]): the
 //!   fabric quiesces ([`rma::RankCtx::quiesce`], the drain barrier the
 //!   server's group-commit cycle already rendezvouses on), every rank
-//!   serializes its four windows (block pool, free lists, lock words,
-//!   DHT partition *including the epoch word*) plus its explicit-index
-//!   postings into a versioned per-rank snapshot file, and rank 0 writes
-//!   a manifest carrying the metadata catalog and index definitions;
+//!   serializes what recovery reads of its windows — the live holder
+//!   chains of its block pool and its DHT partition *including the
+//!   epoch word* — plus its explicit-index postings into a versioned
+//!   per-rank snapshot file, and rank 0 writes a manifest carrying the
+//!   metadata catalog and index definitions;
 //! * a **per-rank logical redo log**: every committed transaction
 //!   appends one frame describing its effects at holder granularity
 //!   ([`RedoRecord`]), so recovery = *load latest snapshot + replay the
@@ -60,15 +61,28 @@
 //! Durability cost is proportional to *churn*, not database size: the
 //! fabric tracks which chunks of each window were written since the
 //! last checkpoint ([`rma::DirtyMap`], one chunk = one block), and a
-//! checkpoint ordinarily writes only those chunks — as runs of
-//! adjacent chunks — into a **delta** file chained onto the last
-//! **full** snapshot. The manifest records the
+//! checkpoint ordinarily writes only the data- and index-window chunks
+//! among them — as runs of adjacent chunks — into a **delta** file
+//! chained onto the last **full** snapshot. The manifest records the
 //! chain (`full base, delta, delta, …`); recovery folds the chain in
 //! order before replaying the redo tails. A checkpoint *rebases* to a
 //! full snapshot when the chain is empty or too long, when a rank's
-//! dirty fraction makes a delta pointless, or on explicit request
-//! ([`GdaRank::checkpoint_full`]). Garbage collection never removes a
-//! checkpoint directory still referenced by the current chain.
+//! dirty fraction of those two windows makes a delta pointless, or on
+//! explicit request ([`GdaRank::checkpoint_full`]). Garbage collection
+//! never removes a checkpoint directory still referenced by the current
+//! chain.
+//!
+//! Both kinds ship only what recovery lifts. A full image walks the live
+//! set — every chain the DHT names, and the heavyweight edge holders
+//! their records name — and writes the data window with every other
+//! block as zeros. A delta never sees an MVCC archive: archives (and
+//! the seal of a truncated archive chain) are written with the volatile
+//! put, which leaves the dirty map alone. Archives serve pinned readers
+//! of the running database only; recovery starts every object at epoch 0
+//! without archives and never follows `prev`. The argument that the
+//! folded chain still equals the live windows on every live block is in
+//! `rma::dirty` ("Volatile writes") and `persist/snapshot.rs`; the
+//! test oracle [`audit_image`] checks it.
 //!
 //! ## Durability scope
 //!
@@ -108,12 +122,12 @@ mod snapshot;
 pub use self::{
     format::Checksum,
     recover::{recover, recover_with_topology, RankRecovery, RecoveryPlan},
-    snapshot::STRIP_BYTES,
+    snapshot::{audit_image, STRIP_BYTES},
 };
 use format::{
     check_file_header, io_err, Dec, Enc, FILE_HEADER_BYTES, FORMAT_VERSION, MANIFEST_MAGIC,
 };
-use snapshot::{write_rank_snapshot, DeltaSpec, ALL_WINDOWS};
+use snapshot::{live_blocks, write_rank_snapshot, Image, SNAPSHOT_WINDOWS};
 
 /// A delta chain longer than this rebases to a full snapshot (bounds
 /// recovery work and keeps gc able to reclaim old bases).
@@ -362,6 +376,9 @@ pub struct CheckpointReport {
     pub sim_stall_s: f64,
     /// Wall-clock seconds of the collective (rank 0's view).
     pub wall_s: f64,
+    /// Wall-clock seconds of a full image's live-set walk (max over
+    /// ranks; 0 for a delta).
+    pub live_walk_s: f64,
 }
 
 /// One rank's open redo log: the append handle and the file's length,
@@ -1058,38 +1075,30 @@ fn checkpoint_rank_inner(eng: &GdaRank, force_full: bool) -> GdiResult<u64> {
     let id = old + 1;
     let dir = store.ckpt_dir(id);
 
-    // Drain this rank's dirty map first: a delta ships exactly these
-    // chunks, a full image supersedes them, and every unwind path
-    // re-marks them so an aborted attempt loses no information.
+    // Drain this rank's dirty map first: a delta ships the data- and
+    // index-window chunks among these, a full image supersedes them, and
+    // every unwind path re-marks them so an aborted attempt loses no
+    // information.
     let drained = ctx.take_dirty(me);
 
     // Decide full vs delta collectively. A full rebase is forced when
     // the chain is empty (genesis, or right after one), has hit the
     // length cap (bounds recovery-time folding and lets gc reclaim old
-    // bases), or any rank dirtied enough of its windows that a delta
-    // stops paying for itself (≥ half the chunks; recovery restores
-    // mark everything, so the first post-recovery checkpoint naturally
-    // rebases).
+    // bases), or any rank dirtied enough of the windows a snapshot
+    // carries that a delta stops paying for itself (≥ half their
+    // chunks).
     let chain = store.chain();
-    let my_dirty = rma::dirty::dirty_chunks(&drained);
     let chunk = ctx.dirty_chunk_bytes();
-    let total_chunks: u64 = ALL_WINDOWS
-        .iter()
-        .map(|w| ctx.win_len_bytes(*w).div_ceil(chunk) as u64)
-        .sum();
+    let (mut my_dirty, mut total_chunks) = (0u64, 0u64);
+    for w in SNAPSHOT_WINDOWS {
+        my_dirty += rma::dirty::dirty_chunks(std::slice::from_ref(&drained[w.0]));
+        total_chunks += ctx.win_len_bytes(w).div_ceil(chunk) as u64;
+    }
     let want_full = force_full
         || chain.is_empty()
         || chain.len() >= DELTA_CHAIN_CAP
         || my_dirty.saturating_mul(2) >= total_chunks;
     let full = ctx.allreduce_any(want_full);
-    let delta_spec = if full {
-        None
-    } else {
-        Some(DeltaSpec {
-            base: *chain.last().unwrap(),
-            bitmaps: &drained,
-        })
-    };
     let chain_after: Vec<u64> = if full {
         vec![id]
     } else {
@@ -1109,8 +1118,21 @@ fn checkpoint_rank_inner(eng: &GdaRank, force_full: bool) -> GdiResult<u64> {
         return Err(dir_err.unwrap_or_else(|| GdiError::Io("checkpoint dir failed".into())));
     }
 
-    // every rank writes its snapshot file; manifest on rank 0
-    let mut res = write_rank_snapshot(eng, &store, id, &dir, delta_spec.as_ref());
+    // every rank writes its snapshot file (a full one behind the
+    // collective live-set walk); manifest on rank 0
+    let mut walk_s = 0.0;
+    let mut res = if full {
+        let walk0 = Instant::now();
+        let live = live_blocks(eng);
+        walk_s = walk0.elapsed().as_secs_f64();
+        live.and_then(|live| write_rank_snapshot(eng, &store, id, &dir, &Image::Full(&live)))
+    } else {
+        let delta = Image::Delta {
+            base: *chain.last().unwrap(),
+            bitmaps: &drained,
+        };
+        write_rank_snapshot(eng, &store, id, &dir, &delta)
+    };
     if res.is_ok() && me == 0 {
         if store.probe_fault(faults::MANIFEST_WRITE, me).is_some() {
             res = Err(GdiError::Io("injected manifest write failure".into()));
@@ -1172,6 +1194,11 @@ fn checkpoint_rank_inner(eng: &GdaRank, force_full: bool) -> GdiResult<u64> {
     let per_rank_bytes = ctx.allgather(bytes);
     let per_rank_chunks = ctx.allgather(shipped);
     let stall_ns = ctx.allreduce_max_f64(ctx.now_ns() - sim0);
+    let live_walk_s = if full {
+        ctx.allreduce_max_f64(walk_s)
+    } else {
+        0.0
+    };
     if me == 0 {
         store.gc(id);
         *store.last_checkpoint.lock() = Some(CheckpointReport {
@@ -1181,6 +1208,7 @@ fn checkpoint_rank_inner(eng: &GdaRank, force_full: bool) -> GdiResult<u64> {
             per_rank_chunks,
             sim_stall_s: stall_ns / 1e9,
             wall_s: wall0.elapsed().as_secs_f64(),
+            live_walk_s,
         });
     }
     ctx.barrier();
@@ -2823,12 +2851,7 @@ pub(crate) mod tests {
                 let got = read_rank_snapshot_chain(store, &[1, 2], 0, cfg, 1);
                 fs::write(&path, original).unwrap();
                 if let Ok(snap) = &got {
-                    let want = [
-                        cfg.data_bytes(),
-                        cfg.usage_bytes(),
-                        cfg.system_bytes(),
-                        cfg.index_bytes(),
-                    ];
+                    let want = snapshot::window_bytes(cfg);
                     let lens: Vec<usize> = snap.windows.iter().map(Vec::len).collect();
                     if lens != want {
                         return Err(format!("decoded window lengths {lens:?}"));
@@ -3073,6 +3096,40 @@ pub(crate) mod tests {
         assert_eq!(
             snap.unwrap_err(),
             GdiError::Io("unsupported snapshot version 5".into())
+        );
+    }
+
+    /// A format-6 directory — four window images, archives and free
+    /// blocks in its fulls — is refused by version with a typed error,
+    /// not read past its usage and system images: v6 and v7 share the
+    /// checksum, so only the version word tells them apart.
+    #[test]
+    fn v6_directory_is_refused_by_version() {
+        let td = TestDir::new("v6dir");
+        small_chain(&td);
+        for id in [1u64, 2] {
+            for name in ["rank-0.snap", "manifest.bin"] {
+                let path = td.0.join(format!("ckpt-{id}/{name}"));
+                let mut file = fs::read(&path).unwrap();
+                file[8..12].copy_from_slice(&6u32.to_le_bytes());
+                reseal(&mut file);
+                fs::write(&path, file).unwrap();
+            }
+        }
+        let err = recover(PersistOptions::new(&td.0), CostModel::zero()).err();
+        assert_eq!(
+            err,
+            Some(GdiError::Io("unsupported manifest version 6".into()))
+        );
+        let snap = snapshot::verify_file(
+            &td.0.join("ckpt-2/rank-0.snap"),
+            format::SNAP_MAGIC,
+            "snapshot",
+            None,
+        );
+        assert_eq!(
+            snap.unwrap_err(),
+            GdiError::Io("unsupported snapshot version 6".into())
         );
     }
 }

@@ -9,8 +9,9 @@
 //!    (the one log reader, `PersistStore::read_log`), lift the committed
 //!    objects out of the snapshot images
 //!    ([`crate::dht::decode_partition`] enumerates the vertices,
-//!    [`crate::hio::read_chain_bytes`] lifts the holder chains, snapshot
-//!    postings seed index membership), drop the images, then replay the
+//!    `hio::walk_live` lifts the live holder chains — the same walk a
+//!    full checkpoint cuts its image to — and snapshot postings seed
+//!    index membership), drop the images, then replay the
 //!    logs against that object map under [`ReplayOrder`]: deletes first,
 //!    leaving identity-keyed tombstones; then upserts in log order,
 //!    refused at or before their object's tombstone and when a state at
@@ -282,76 +283,47 @@ fn corrupt(what: &str) -> GdiError {
     GdiError::Io(format!("recovery: {what}"))
 }
 
-/// Lift every committed object out of the snapshot images: vertices
-/// through the DHT partitions, heavyweight edge holders through their
-/// endpoints' records.
+/// Lift every committed object out of the snapshot images: the live set
+/// ([`hio::walk_live`], the traversal a full checkpoint's image is cut
+/// to) over the data images, from the vertices the DHT images name.
 fn seed_objects(cfg: &GdaConfig, shards: &[Shard]) -> GdiResult<FxHashMap<u64, LiveObject>> {
-    let mut objects: FxHashMap<u64, LiveObject> = FxHashMap::default();
+    let snaps = || shards.iter().filter_map(|s| s.snapshot.as_ref());
     // Index membership is *not* re-derived from labels for snapshot
     // residents: a vertex created before an index existed is not in it.
     // The postings are the authority.
     let mut member: FxHashMap<u64, Vec<IndexId>> = FxHashMap::default();
-    for snap in shards.iter().filter_map(|s| s.snapshot.as_ref()) {
+    for snap in snaps() {
         for (ix, ps) in &snap.postings {
             for p in ps {
                 member.entry(p.vertex.raw()).or_default().push(*ix);
             }
         }
     }
-    let data_of = |rank: usize| -> GdiResult<&[u8]> {
-        shards
-            .get(rank)
-            .and_then(|s| s.snapshot.as_ref())
-            .map(|s| s.windows[0].as_slice())
-            .ok_or_else(|| corrupt("holder chain points at a missing shard"))
+    let image = |rank: usize| {
+        let snap = shards.get(rank)?.snapshot.as_ref()?;
+        Some(hio::Source::Image(snap.data()))
     };
-    let mut edge_holders: Vec<u64> = Vec::new();
-    for snap in shards.iter().filter_map(|s| s.snapshot.as_ref()) {
-        for (app, praw) in decode_partition(cfg, &snap.windows[3]) {
-            let primary = DPtr::from_raw(praw);
-            let (bytes, _) = hio::read_chain_bytes(cfg, data_of(primary.rank())?, primary)
-                .ok_or_else(|| corrupt("unreadable vertex chain in snapshot"))?;
-            let h = Holder::try_decode(&bytes)
-                .ok_or_else(|| corrupt("undecodable vertex holder in snapshot"))?;
-            if h.app_id != app || h.is_edge {
-                return Err(corrupt("DHT entry does not match its holder"));
-            }
-            for (_, rec) in h.live_edges() {
-                if !rec.edge_holder.is_null() {
-                    edge_holders.push(rec.edge_holder.raw());
-                }
-            }
-            let object = LiveObject {
-                app_id: app,
-                is_edge: false,
-                version: h.version,
-                bytes,
-                indexes: member.remove(&praw).unwrap_or_default(),
-            };
-            objects.insert(praw, object);
-        }
-    }
-    // both mirrors of a heavyweight edge reference the same holder
-    for praw in edge_holders {
-        if objects.contains_key(&praw) {
-            continue;
-        }
-        let primary = DPtr::from_raw(praw);
-        let (bytes, _) = hio::read_chain_bytes(cfg, data_of(primary.rank())?, primary)
-            .ok_or_else(|| corrupt("unreadable edge-holder chain in snapshot"))?;
-        let h = Holder::try_decode(&bytes)
-            .ok_or_else(|| corrupt("undecodable edge holder in snapshot"))?;
-        if !h.is_edge {
-            return Err(corrupt("edge record points at a non-edge holder"));
-        }
-        let object = LiveObject {
-            app_id: h.app_id,
-            is_edge: true,
-            version: h.version,
-            bytes,
-            indexes: Vec::new(),
+    let vertices = snaps()
+        .flat_map(|snap| decode_partition(cfg, snap.index()))
+        .map(|(app, raw)| (app, DPtr::from_raw(raw)));
+    let mut objects: FxHashMap<u64, LiveObject> = FxHashMap::default();
+    let lift = |c: &hio::LiveChain<'_>| {
+        let indexes = match c.is_edge {
+            true => Vec::new(),
+            false => member.remove(&c.primary.raw()).unwrap_or_default(),
         };
-        objects.insert(praw, object);
+        let object = LiveObject {
+            app_id: c.app_id,
+            is_edge: c.is_edge,
+            version: c.version,
+            bytes: c.bytes.to_vec(),
+            indexes,
+        };
+        objects.insert(c.primary.raw(), object);
+    };
+    let missing = hio::walk_live(cfg, image, vertices, [], lift).map_err(corrupt)?;
+    if !missing.is_empty() {
+        return Err(corrupt("holder chain points at a missing shard"));
     }
     Ok(objects)
 }

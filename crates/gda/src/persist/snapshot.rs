@@ -1,17 +1,32 @@
-//! The per-rank snapshot file codec (format v6): written and read in one
+//! The per-rank snapshot file codec (format v7): written and read in one
 //! pass each, through `O(strip)` memory.
 //!
 //! ```text
 //! header    magic[8] version:u32 | id:u64 rank:u32 nranks:u32 | config | kind:u8
-//! full      4 × window:  len:u64, then runs  zeros:u32 data:u32 data×8 bytes
-//!           until `len` is covered (counts are in words; a zero run longer
-//!           than u32::MAX words is split into several runs with data = 0)
-//! delta     base:u64 chunk:u32, then 4 × window:  len:u64 runs:u32, then runs
-//!           first_chunk:u32 n_chunks:u32 bytes — the bytes of chunks
-//!           first .. first+n, cut at the window's end
+//! full      2 × window (data, index):  len:u64, then runs  zeros:u32 data:u32
+//!           data×8 bytes until `len` is covered (counts are in words; a zero
+//!           run longer than u32::MAX words is split into several runs with
+//!           data = 0); the data window carries its live blocks only, every
+//!           other block reads as zeros
+//! delta     base:u64 chunk:u32, then 2 × window (data, index):  len:u64
+//!           runs:u32, then runs  first_chunk:u32 n_chunks:u32 bytes — the
+//!           bytes of chunks first .. first+n, cut at the window's end
 //! postings  indexes:u32, then per index  id:u32 count:u64 (vertex:u64 app:u64)×count
 //! trailer   checksum:u64 over every byte before it
 //! ```
+//!
+//! **A snapshot holds exactly the bytes recovery lifts.** Recovery reads
+//! the DHT partition out of the index image and, through it, every live
+//! holder chain out of the data image ([`hio::walk_live`]); it never
+//! reads the free lists (usage window), the lock and counter words
+//! (system window), a free block or an MVCC archive. So no file carries
+//! the usage or system window, a full image zeroes every data block
+//! outside the live set ([`live_blocks`], the same walk over the live
+//! window), and archives never reach a delta: they are written with the
+//! volatile put (`rma::dirty`, "Volatile writes"). Folded, the chain
+//! equals the live windows on every block of the live set
+//! ([`audit_image`] checks it): a live block is either unchanged since
+//! the last image or was rewritten — marked — since.
 //!
 //! The **writer** pushes these sections through a buffered file handle
 //! that feeds the [`Checksum`] on the way: a full image is zero-run-length
@@ -36,10 +51,12 @@ use super::format::{
     MANIFEST_MAGIC, SNAP_MAGIC,
 };
 use super::{decode_cfg, encode_cfg, publish_tmp, PersistStore};
-use crate::config::{GdaConfig, WIN_DATA, WIN_INDEX, WIN_SYSTEM, WIN_USAGE};
+use crate::config::{GdaConfig, WIN_DATA, WIN_INDEX};
 use crate::db::GdaRank;
+use crate::dht;
 use crate::dptr::DPtr;
 use crate::faults::{self, FaultMode};
+use crate::hio::{self, LiveChain, Source};
 use crate::index::{IndexId, Posting};
 
 /// Bytes of window moved per step of a snapshot write, and of file per
@@ -53,23 +70,98 @@ use crate::index::{IndexId, Posting};
 /// better value.
 pub const STRIP_BYTES: usize = 256 * 1024;
 
-/// The engine's windows in the order snapshot files carry them (which
-/// is `WinId` order, the order the fabric tracks dirty bitmaps in).
-pub(super) const ALL_WINDOWS: [WinId; 4] = [WIN_DATA, WIN_USAGE, WIN_SYSTEM, WIN_INDEX];
+/// The windows snapshot files carry, in file order (which is `WinId`
+/// order): the block pool and the DHT partition. Recovery rebuilds the
+/// free lists and the system words; it never reads them.
+pub(super) const SNAPSHOT_WINDOWS: [WinId; 2] = [WIN_DATA, WIN_INDEX];
 
 /// Snapshot-kind byte: a self-contained full image.
 const SNAP_FULL: u8 = 0;
 /// Snapshot-kind byte: a delta patch over the previous chain member.
 const SNAP_DELTA: u8 = 1;
 
-/// The byte lengths of [`ALL_WINDOWS`] under `cfg`.
-pub(super) fn window_bytes(cfg: &GdaConfig) -> [usize; 4] {
-    [
-        cfg.data_bytes(),
-        cfg.usage_bytes(),
-        cfg.system_bytes(),
-        cfg.index_bytes(),
-    ]
+/// The byte lengths of [`SNAPSHOT_WINDOWS`] under `cfg`.
+pub(super) fn window_bytes(cfg: &GdaConfig) -> [usize; 2] {
+    [cfg.data_bytes(), cfg.index_bytes()]
+}
+
+// ---------------------------------------------------------------------
+// the live set
+// ---------------------------------------------------------------------
+
+/// The blocks of one rank's data window that hold a live chain: the
+/// only data blocks a full image carries.
+pub(crate) struct LiveBlocks {
+    block: usize,
+    bits: Vec<u64>,
+}
+
+impl LiveBlocks {
+    fn new(cfg: &GdaConfig) -> Self {
+        Self {
+            block: cfg.block_size,
+            bits: vec![0; (cfg.blocks_per_rank + 1).div_ceil(64)],
+        }
+    }
+
+    fn insert(&mut self, dp: DPtr) {
+        let b = dp.offset() as usize / self.block;
+        self.bits[b / 64] |= 1 << (b % 64);
+    }
+
+    fn contains(&self, b: usize) -> bool {
+        self.bits
+            .get(b / 64)
+            .is_some_and(|w| w & (1 << (b % 64)) != 0)
+    }
+
+    /// Indices of the live blocks, ascending.
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        rma::dirty::set_chunks(&self.bits).into_iter()
+    }
+
+    /// Zero every byte of `buf` — the window bytes from offset `off` on —
+    /// that lies outside a live block.
+    fn clear_dead(&self, off: usize, buf: &mut [u8]) {
+        let mut pos = 0;
+        while pos < buf.len() {
+            let b = (off + pos) / self.block;
+            let end = ((b + 1) * self.block - off).min(buf.len());
+            if !self.contains(b) {
+                buf[pos..end].fill(0);
+            }
+            pos = end;
+        }
+    }
+}
+
+/// Collective, quiesced: this rank's live blocks — every block of every
+/// chain [`hio::walk_live`] finds from the DHT, walked by the rank that
+/// stores it. [`dht::owned_entries`] routes each vertex to its primary's
+/// rank; an edge holder named by a vertex on another rank takes a second
+/// exchange (every rank joins it, whatever its own walk found).
+pub(crate) fn live_blocks(eng: &GdaRank) -> GdiResult<LiveBlocks> {
+    let (ctx, cfg, me) = (eng.ctx(), eng.cfg(), eng.rank());
+    let mut live = LiveBlocks::new(cfg);
+    let here = |rank: usize| (rank == me).then_some(Source::Live(ctx));
+    let mut mark = |c: &LiveChain<'_>| c.blocks.iter().for_each(|dp| live.insert(*dp));
+    let vertices = dht::owned_entries(ctx, cfg)
+        .into_iter()
+        .map(|(app, raw)| (app, DPtr::from_raw(raw)));
+    let first = hio::walk_live(cfg, here, vertices, [], &mut mark);
+    let mut rows = vec![Vec::new(); eng.nranks()];
+    for dp in first.as_deref().unwrap_or_default() {
+        rows[dp.rank()].push(dp.raw());
+    }
+    let routed = ctx.alltoallv(rows).into_iter().flatten();
+    let second = hio::walk_live(cfg, here, [], routed.map(DPtr::from_raw), &mut mark);
+    match first.and(second) {
+        Ok(rest) => {
+            debug_assert!(rest.is_empty(), "routed holders are all local");
+            Ok(live)
+        }
+        Err(e) => Err(GdiError::Io(format!("live set: {e}"))),
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -188,11 +280,13 @@ fn leading_words(bytes: &[u8], zero: bool) -> usize {
 }
 
 /// Stream this rank's instance of `win` as a zero-run-length-encoded
-/// full image, one strip at a time. A zero run carries over strip
-/// boundaries; a data run ends at one (its length precedes its bytes).
+/// full image, one strip at a time, every block outside `live` (when
+/// given) as zeros. A zero run carries over strip boundaries; a data run
+/// ends at one (its length precedes its bytes).
 fn write_full_window(
     ctx: &RankCtx,
     win: WinId,
+    live: Option<&LiveBlocks>,
     w: &mut SnapWriter,
     strip: &mut [u8],
 ) -> GdiResult<()> {
@@ -203,6 +297,9 @@ fn write_full_window(
     while off < len {
         let buf = &mut strip[..STRIP_BYTES.min(len - off)];
         ctx.get_bytes(win, ctx.rank(), off, buf);
+        if let Some(live) = live {
+            live.clear_dead(off, buf);
+        }
         off += buf.len();
         let mut rest: &[u8] = buf;
         while !rest.is_empty() {
@@ -255,16 +352,18 @@ fn write_delta_window(
     Ok(shipped)
 }
 
-/// What a delta checkpoint ships for one rank: the chain member it
-/// patches and the drained dirty bitmaps (one per window, in
-/// [`ALL_WINDOWS`] order).
-pub(super) struct DeltaSpec<'a> {
-    pub(super) base: u64,
-    pub(super) bitmaps: &'a [Vec<u64>],
+/// What one rank's snapshot file holds.
+pub(super) enum Image<'a> {
+    /// A self-contained chain base: the index window whole, the data
+    /// window's live blocks ([`live_blocks`]).
+    Full(&'a LiveBlocks),
+    /// A patch on chain member `base`: the chunks set in the drained
+    /// dirty bitmaps (one per fabric window, in `WinId` order) of the
+    /// windows a snapshot carries.
+    Delta { base: u64, bitmaps: &'a [Vec<u64>] },
 }
 
-/// Write one rank's snapshot file — a self-contained full image, or
-/// (with `delta`) only the chunks whose dirty bits are set — to a tmp
+/// Write one rank's snapshot file — a full image or a delta — to a tmp
 /// file, then rename it into place. Returns `(file bytes, chunks
 /// shipped)`; a full image reports 0 chunks.
 pub(super) fn write_rank_snapshot(
@@ -272,7 +371,7 @@ pub(super) fn write_rank_snapshot(
     store: &PersistStore,
     id: u64,
     dir: &Path,
-    delta: Option<&DeltaSpec<'_>>,
+    image: &Image<'_>,
 ) -> GdiResult<(u64, u64)> {
     let ctx = eng.ctx();
     let me = eng.rank();
@@ -295,11 +394,11 @@ pub(super) fn write_rank_snapshot(
     head.u32(me as u32);
     head.u32(eng.nranks() as u32);
     encode_cfg(&mut head, eng.cfg());
-    match delta {
-        None => head.u8(SNAP_FULL),
-        Some(d) => {
+    match image {
+        Image::Full(_) => head.u8(SNAP_FULL),
+        Image::Delta { base, .. } => {
             head.u8(SNAP_DELTA);
-            head.u64(d.base);
+            head.u64(*base);
             head.u32(ctx.dirty_chunk_bytes() as u32);
         }
     }
@@ -307,11 +406,14 @@ pub(super) fn write_rank_snapshot(
 
     let mut strip = vec![0u8; STRIP_BYTES];
     let mut shipped = 0u64;
-    for win in ALL_WINDOWS {
-        match delta {
-            None => write_full_window(ctx, win, &mut w, &mut strip)?,
-            Some(d) => {
-                shipped += write_delta_window(ctx, win, &d.bitmaps[win.0], &mut w, &mut strip)?
+    for win in SNAPSHOT_WINDOWS {
+        match image {
+            Image::Full(live) => {
+                let live = (win == WIN_DATA).then_some(*live);
+                write_full_window(ctx, win, live, &mut w, &mut strip)?
+            }
+            Image::Delta { bitmaps, .. } => {
+                shipped += write_delta_window(ctx, win, &bitmaps[win.0], &mut w, &mut strip)?
             }
         }
     }
@@ -344,14 +446,26 @@ pub(super) fn write_rank_snapshot(
 // reader
 // ---------------------------------------------------------------------
 
-/// One rank's decoded snapshot chain: the four window images (in
-/// [`ALL_WINDOWS`] order: data, usage, system, index) plus the rank's
-/// index postings. Recovery lifts the logical contents out of the
-/// images; nothing puts them back into windows verbatim.
+/// One rank's decoded snapshot chain: the window images (in
+/// [`SNAPSHOT_WINDOWS`] order: data, index) plus the rank's index
+/// postings. Recovery lifts the logical contents out of the images;
+/// nothing puts them back into windows verbatim.
 pub(crate) struct RankSnapshot {
     pub(crate) windows: Vec<Vec<u8>>,
     pub(crate) postings: Vec<(IndexId, Vec<Posting>)>,
     pub(crate) bytes: u64,
+}
+
+impl RankSnapshot {
+    /// The data-window image: every live chain, zeros elsewhere.
+    pub(crate) fn data(&self) -> &[u8] {
+        &self.windows[0]
+    }
+
+    /// The index-window image: the rank's DHT partition.
+    pub(crate) fn index(&self) -> &[u8] {
+        &self.windows[1]
+    }
 }
 
 /// Stream the `what` file (`"snapshot"`/`"manifest"`) at `path` through
@@ -558,7 +672,7 @@ pub(crate) fn read_rank_snapshot_chain(
         return Err(GdiError::Io("empty snapshot chain".into()));
     }
     let mut snap = RankSnapshot {
-        windows: Vec::with_capacity(ALL_WINDOWS.len()),
+        windows: Vec::with_capacity(SNAPSHOT_WINDOWS.len()),
         postings: Vec::new(),
         bytes: 0,
     };
@@ -568,6 +682,53 @@ pub(crate) fn read_rank_snapshot_chain(
         prev = Some(id);
     }
     Ok(snap)
+}
+
+/// Oracle for tests — collective, and the caller keeps the database
+/// quiet: fold this rank's published snapshot chain and compare it with
+/// the live windows wherever recovery reads it. Every block of every
+/// live chain (the live set a full image is cut to) must equal the data
+/// window byte for byte, and the index image the whole index window;
+/// archives, free blocks, the usage and system windows are not compared
+/// — no snapshot holds them. Returns the live blocks compared on this rank; a
+/// difference or an unreadable chain fails every rank with an `Io`
+/// error naming the first block that differs.
+pub fn audit_image(eng: &GdaRank) -> GdiResult<u64> {
+    let (ctx, cfg, me) = (eng.ctx(), eng.cfg(), eng.rank());
+    ctx.quiesce();
+    let live = live_blocks(eng);
+    let mine = live.and_then(|live| {
+        let store = eng
+            .persistence()
+            .ok_or(GdiError::InvalidArgument("persistence not enabled"))?;
+        let snap = read_rank_snapshot_chain(&store, &store.chain(), me, cfg, eng.nranks())?;
+        let mut window = vec![0u8; cfg.block_size];
+        let mut compared = 0u64;
+        for b in live.iter() {
+            let at = b * cfg.block_size;
+            ctx.get_bytes(WIN_DATA, me, at, &mut window);
+            if snap.data()[at..at + cfg.block_size] != window[..] {
+                return Err(GdiError::Io(format!(
+                    "image differs from the window at live block {b} of rank {me}"
+                )));
+            }
+            compared += 1;
+        }
+        let mut index = vec![0u8; ctx.win_len_bytes(WIN_INDEX)];
+        ctx.get_bytes(WIN_INDEX, me, 0, &mut index);
+        if snap.index() != index {
+            return Err(GdiError::Io(format!(
+                "index image differs from the window on rank {me}"
+            )));
+        }
+        Ok(compared)
+    });
+    if ctx.allreduce_any(mine.is_err()) {
+        return Err(mine
+            .err()
+            .unwrap_or_else(|| GdiError::Io("image audit failed on a peer rank".into())));
+    }
+    mine
 }
 
 /// The body of [`PersistStore::verify_chain`]: every file of the
@@ -644,7 +805,7 @@ pub(super) mod tests {
     pub(in crate::persist) fn full_roundtrip(image: &[u8]) -> usize {
         let enc = with_window(image, 64, |ctx| {
             written("codec-full", |w, strip| {
-                write_full_window(ctx, WIN, w, strip).unwrap()
+                write_full_window(ctx, WIN, None, w, strip).unwrap()
             })
         });
         let mut d = Dec::over(&enc);

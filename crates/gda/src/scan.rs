@@ -84,7 +84,7 @@ use rustc_hash::FxHashMap;
 use gdi::EdgeOrientation;
 use rma::RankCtx;
 
-use crate::config::{GdaConfig, WIN_INDEX};
+use crate::config::GdaConfig;
 use crate::db::GdaRank;
 use crate::dht;
 use crate::dptr::DPtr;
@@ -583,18 +583,9 @@ pub(crate) fn build_collective(eng: &GdaRank, reuse: Option<CsrView>) -> CsrView
     let cfg = eng.cfg();
     ctx.barrier();
 
-    // decode this rank's DHT partition out of the raw index window (one
-    // local sequential read, no remote operations) and route every
-    // `(app, primary)` pair to its primary's owner rank
-    let mut img = vec![0u8; ctx.win_len_bytes(WIN_INDEX)];
-    ctx.get_bytes(WIN_INDEX, eng.rank(), 0, &mut img);
-    let pairs = dht::decode_partition(cfg, &img);
-    ctx.charge_cpu(pairs.len() as u64 + cfg.dht_buckets_per_rank as u64);
-    let mut routed: Vec<Vec<(u64, u64)>> = vec![Vec::new(); eng.nranks()];
-    for (app, raw) in pairs {
-        routed[DPtr::from_raw(raw).rank()].push((app, raw));
-    }
-    let mine: Vec<(u64, u64)> = ctx.alltoallv(routed).into_iter().flatten().collect();
+    // every `(app, primary)` pair whose primary this rank owns, out of
+    // the raw index windows
+    let mine = dht::owned_entries(ctx, cfg);
 
     // a still-valid cached view skips its own sweep entirely (reuse
     // accounting is the caller's — `GdaRank::olap_view`)

@@ -10,7 +10,8 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use gda::blocks::BlockManager;
-use gda::{GdaConfig, GdaDb, PersistOptions};
+use gda::hio;
+use gda::{DPtr, GdaConfig, GdaDb, PersistOptions};
 use gdi::{AccessMode, AppVertexId, Datatype, EntityType, Multiplicity, PropertyValue, SizeType};
 use proptest::prelude::*;
 use rma::CostModel;
@@ -145,6 +146,8 @@ fn run_and_crash(
             if (i + 1) % ckpt_every == 0 {
                 ctx.barrier();
                 eng.checkpoint().unwrap();
+                // the folded chain is the live windows on every live chain
+                gda::persist::audit_image(&eng).unwrap();
             }
             if (i + 1) % (2 * ckpt_every) == 0 {
                 ctx.barrier();
@@ -312,4 +315,172 @@ fn vacuumed_archives_do_not_resurrect_through_recovery() {
         let bm = BlockManager::new(ctx, churn_cfg());
         assert_eq!(bm.count_free(0), churn_cfg().blocks_per_rank);
     });
+}
+
+/// The run structure of one rank's snapshot file (format v7, see
+/// `docs/ARCHITECTURE.md`): per window (data, index), the chunks a
+/// delta ships, or the bytes a full image spends on the window.
+mod file {
+    /// magic, version, id, rank, nranks, config, kind
+    const HEADER: usize = 8 + 4 + 8 + 4 + 4 + 58 + 1;
+
+    fn u32_at(f: &[u8], at: usize) -> usize {
+        u32::from_le_bytes(f[at..at + 4].try_into().unwrap()) as usize
+    }
+
+    fn u64_at(f: &[u8], at: usize) -> usize {
+        u64::from_le_bytes(f[at..at + 8].try_into().unwrap()) as usize
+    }
+
+    /// A delta's shipped chunk indices, per window.
+    pub fn delta_chunks(f: &[u8]) -> [Vec<usize>; 2] {
+        assert_eq!(f[HEADER - 1], 1, "a delta file");
+        let chunk = u32_at(f, HEADER + 8);
+        let mut at = HEADER + 12;
+        [(); 2].map(|()| {
+            let len = u64_at(f, at);
+            let runs = u32_at(f, at + 8);
+            at += 12;
+            let mut chunks = Vec::new();
+            for _ in 0..runs {
+                let (first, n) = (u32_at(f, at), u32_at(f, at + 4));
+                at += 8 + (n * chunk).min(len - first * chunk);
+                chunks.extend(first..first + n);
+            }
+            chunks
+        })
+    }
+
+    /// The bytes a full image's data window takes in the file: its
+    /// length word, every run header and every data word.
+    pub fn full_data_bytes(f: &[u8]) -> usize {
+        assert_eq!(f[HEADER - 1], 0, "a full file");
+        let len = u64_at(f, HEADER);
+        let (mut at, mut covered) = (HEADER + 8, 0);
+        while covered < len {
+            let (zeros, data) = (u32_at(f, at), u32_at(f, at + 4));
+            at += 8 + data * 8;
+            covered += (zeros + data) * 8;
+        }
+        at - HEADER
+    }
+}
+
+/// Archives are volatile, end to end: while a pinned reader keeps a
+/// vertex's old versions alive and the vertex is overwritten past
+/// `mvcc_chain_limit` (archiving every pre-image, truncating and
+/// sealing below the reader's snapshot), a delta ships exactly that
+/// vertex's live chain — not one archive block — and the next full image
+/// carries the live chains and nothing else. The pinned reader still
+/// reads its version after both checkpoints, and recovery reads the
+/// latest values.
+#[test]
+fn archives_never_reach_a_checkpoint() {
+    let dir = TestDir::new("volatile");
+    let cfg = churn_cfg();
+    let hot = 1u64;
+    {
+        let (db, fabric) = GdaDb::with_fabric("vol", cfg, 1, CostModel::zero());
+        db.enable_persistence(PersistOptions::new(&dir.0)).unwrap();
+        fabric.run(|ctx| {
+            let eng = db.attach(ctx);
+            eng.init_collective();
+            let val = eng
+                .create_ptype(
+                    "val",
+                    Datatype::Uint64,
+                    EntityType::Vertex,
+                    Multiplicity::Single,
+                    SizeType::Fixed,
+                    1,
+                )
+                .unwrap();
+            let update = |id: u64, value: u64| {
+                let tx = eng.begin(AccessMode::ReadWrite);
+                let v = tx.translate_vertex_id(AppVertexId(id)).unwrap();
+                tx.update_property(v, val, &PropertyValue::U64(value))
+                    .unwrap();
+                tx.commit().unwrap();
+            };
+            let tx = eng.begin(AccessMode::ReadWrite);
+            let ids: Vec<DPtr> = (1..=8u64)
+                .map(|id| {
+                    let v = tx.create_vertex(AppVertexId(id)).unwrap();
+                    tx.add_property(v, val, &PropertyValue::U64(id)).unwrap();
+                    v
+                })
+                .collect();
+            tx.commit().unwrap();
+            eng.checkpoint().unwrap();
+            // two archives the truncation below will free
+            update(hot, 10);
+            update(hot, 20);
+            eng.checkpoint().unwrap();
+
+            let pinned = eng.begin(AccessMode::ReadOnly);
+            let rounds = 2 * cfg.mvcc_chain_limit as u64;
+            for round in 1..=rounds {
+                update(hot, 100 + round);
+            }
+            let archives = ctx.stats_snapshot();
+            assert!(archives.version_archives >= rounds + 2, "{archives:?}");
+            assert!(archives.chain_truncations >= 1, "{archives:?}");
+
+            let chain = |dp: DPtr| hio::read_chain(ctx, &cfg, dp).unwrap().1;
+            let offsets = |blocks: Vec<DPtr>| -> Vec<usize> {
+                let mut c: Vec<usize> = blocks
+                    .iter()
+                    .map(|b| b.offset() as usize / cfg.block_size)
+                    .collect();
+                c.sort_unstable();
+                c
+            };
+            let delta = eng.checkpoint().unwrap();
+            let f = std::fs::read(dir.0.join(format!("ckpt-{delta}/rank-0.snap"))).unwrap();
+            let [data, index] = file::delta_chunks(&f);
+            assert_eq!(
+                data,
+                offsets(chain(ids[0])),
+                "the delta ships the hot vertex's live chain and no archive"
+            );
+            assert_eq!(index, Vec::<usize>::new(), "an update moves no DHT entry");
+            let snap = pinned.translate_vertex_id(AppVertexId(hot)).unwrap();
+            assert_eq!(
+                pinned.property(snap, val).unwrap(),
+                Some(PropertyValue::U64(20))
+            );
+
+            let full = eng.checkpoint_full().unwrap();
+            let f = std::fs::read(dir.0.join(format!("ckpt-{full}/rank-0.snap"))).unwrap();
+            let live: usize = ids.iter().map(|&v| chain(v).len()).sum();
+            // one run per live block at most, plus the length word and
+            // one run per strip the window is streamed in
+            let strips = cfg.data_bytes().div_ceil(gda::persist::STRIP_BYTES);
+            let bound = live * cfg.block_size + 8 * (live + strips) + 8;
+            let got = file::full_data_bytes(&f);
+            assert!(
+                got <= bound,
+                "full data window {got} B > live chains {bound} B"
+            );
+            assert_eq!(
+                pinned.property(snap, val).unwrap(),
+                Some(PropertyValue::U64(20))
+            );
+            pinned.commit().unwrap();
+        });
+        // crash
+    }
+    let model: BTreeMap<u64, u64> = (1..=8u64)
+        .map(|id| {
+            (
+                id,
+                if id == hot {
+                    100 + 2 * churn_cfg().mvcc_chain_limit as u64
+                } else {
+                    id
+                },
+            )
+        })
+        .collect();
+    recover_and_check(&dir, &model, &[]);
 }

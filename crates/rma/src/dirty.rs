@@ -8,7 +8,22 @@
 //! at engine call sites — means a write path added later can never
 //! silently escape the dirty map: anything that can change window bytes
 //! goes through these six operations, including bulk loads, recovery
-//! restores and maintenance header patches.
+//! restores and maintenance header patches — except the one documented
+//! volatile put below.
+//!
+//! ## Volatile writes
+//!
+//! [`crate::RankCtx::put_bytes_volatile`] is `put_bytes` without the
+//! mark: the same clock charge, the same counters, the same window
+//! bytes, but no checkpoint ever ships them. An engine uses it only for
+//! bytes its recovery never reads. GDA writes its MVCC version archives
+//! (and the word that seals a truncated archive chain) this way: the
+//! archives serve pinned readers of the *running* database, while
+//! recovery rebuilds every object from its live chain alone. That is
+//! sound because every block of a live chain is (re)written by a
+//! *marking* put after its last allocation — an archive block freed and
+//! reused by a live chain is dirty again before any checkpoint can
+//! depend on it — and recovery never follows an archive link.
 //!
 //! The consumer is the checkpoint protocol (`gda::persist`): while the
 //! fabric is quiesced, each rank *drains* the map for its own windows

@@ -653,9 +653,16 @@ impl<'a> RankCtx<'a> {
 
     /// One-sided bulk PUT: write `src` into `target`'s window.
     pub fn put_bytes(&self, win: WinId, target: usize, off: usize, src: &[u8]) {
+        self.shared.dirty.mark(win, target, off, src.len());
+        self.put_bytes_volatile(win, target, off, src);
+    }
+
+    /// [`RankCtx::put_bytes`] without the dirty mark — the same clock
+    /// charge and the same [`CommStats`] — for bytes no checkpoint may
+    /// ship (see [`crate::dirty`], "Volatile writes").
+    pub fn put_bytes_volatile(&self, win: WinId, target: usize, off: usize, src: &[u8]) {
         self.charge_transfer(target, src.len());
         self.stats.record_put(target != self.rank, src.len());
-        self.shared.dirty.mark(win, target, off, src.len());
         self.win(win, target).write_bytes(off, src);
     }
 
@@ -882,6 +889,54 @@ mod tests {
         let r = fabric.last_reports()[0];
         assert_eq!(r.log_appends, 2);
         assert_eq!(r.log_bytes, 1024);
+    }
+
+    #[test]
+    fn volatile_put_charges_like_put_bytes_and_marks_nothing() {
+        let w = WinId(0);
+        // the same local and remote puts, once marking and once not:
+        // (clock after each put, dirty chunks, window bytes, report)
+        let run = |volatile: bool| {
+            let fabric = FabricBuilder::new(2)
+                .backend(BackendKind::Sim)
+                .dirty_chunk(64)
+                .window(1024)
+                .build();
+            let mut out = fabric.run(|ctx| {
+                if ctx.rank() != 0 {
+                    return None;
+                }
+                let mut clock = Vec::new();
+                for (target, off, len) in [(0, 8, 24), (1, 100, 300), (1, 0, 8)] {
+                    let src = vec![0xA5; len];
+                    if volatile {
+                        ctx.put_bytes_volatile(w, target, off, &src);
+                    } else {
+                        ctx.put_bytes(w, target, off, &src);
+                    }
+                    clock.push(ctx.now_ns());
+                }
+                let dirty: Vec<u64> = (0..2)
+                    .map(|r| crate::dirty::dirty_chunks(&ctx.take_dirty(r)))
+                    .collect();
+                let mut bytes = vec![0u8; 1024];
+                ctx.get_bytes(w, 1, 0, &mut bytes);
+                // wall time is the host's, not a charge
+                let report = RankReport {
+                    wall_time_ns: 0.0,
+                    ..ctx.stats_snapshot()
+                };
+                Some((clock, dirty, bytes, report))
+            });
+            out.swap_remove(0).expect("rank 0 reports")
+        };
+        let (clock, dirty, bytes, report) = run(false);
+        let (v_clock, v_dirty, v_bytes, v_report) = run(true);
+        assert_eq!(v_clock, clock, "bit-for-bit the same charges");
+        assert_eq!(v_report, report, "the same CommStats");
+        assert_eq!(v_bytes, bytes, "the same window bytes");
+        assert_eq!(dirty, vec![1, 7]);
+        assert_eq!(v_dirty, vec![0, 0], "no dirty bit set");
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! counts.
 
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use gda::faults::{self, FaultMode, PERSISTENT};
 use gda::persist::PersistOptions;
@@ -168,6 +168,25 @@ fn commit_phase(
     }
 }
 
+/// The image ≡ window oracle after a published checkpoint
+/// ([`gda::persist::audit_image`], run as a collective job): `None`
+/// when the folded snapshot chain equals the live windows on every
+/// live chain, else what differs.
+fn audit_image(srv: &GdiServer) -> Option<String> {
+    let slot: Arc<Mutex<Option<String>>> = Arc::default();
+    let sink = slot.clone();
+    let ticket = srv.submit_olap(move |eng| {
+        if let Err(e) = gda::persist::audit_image(eng) {
+            *sink.lock().unwrap_or_else(|p| p.into_inner()) = Some(e.to_string());
+        }
+        0.0
+    });
+    match ticket {
+        Ok(t) if t.wait().is_committed() => slot.lock().unwrap_or_else(|p| p.into_inner()).take(),
+        _ => Some("image audit job did not run".into()),
+    }
+}
+
 /// Run the full chaos scenario: serve → fault → degrade → repair →
 /// kill → recover → verify. Contract violations land in the report
 /// (not panics), so benches can sweep the fault grid.
@@ -190,6 +209,7 @@ pub fn run_chaos(cfg: &ChaosScenario) -> ChaosReport {
     let mut write_rejects = 0u64;
     let mut write_leaks = 0u64;
     let mut fault_hits = 0u64;
+    let mut mismatches: Vec<String> = Vec::new();
 
     // ---- phase 1: serve, fault, degrade, repair, kill ----------------
     let serve_t0 = std::time::Instant::now();
@@ -225,6 +245,7 @@ pub fn run_chaos(cfg: &ChaosScenario) -> ChaosReport {
                 ranks.join().expect("serving fabric panicked");
                 panic!("healthy anchoring checkpoint failed");
             }
+            mismatches.extend(audit_image(&srv).map(|e| format!("anchoring checkpoint: {e}")));
 
             // arm the persistent fault and force degradation
             let plane = store.fault_plane();
@@ -287,6 +308,7 @@ pub fn run_chaos(cfg: &ChaosScenario) -> ChaosReport {
                 ranks.join().expect("serving fabric panicked");
                 panic!("post-repair checkpoint failed");
             }
+            mismatches.extend(audit_image(&srv).map(|e| format!("post-repair checkpoint: {e}")));
             degraded_exited = !srv.degraded();
             std::thread::scope(|ts| {
                 for (next, committed) in next.iter_mut().zip(committed.iter_mut()) {
@@ -311,7 +333,6 @@ pub fn run_chaos(cfg: &ChaosScenario) -> ChaosReport {
     ropts.backend = cfg.backend;
     let (srv, fabric) = GdiServer::recover_with_ranks(ropts, cfg.cost, cfg.server.clone(), None)
         .expect("recover from persistence dir");
-    let mut mismatches: Vec<String> = Vec::new();
     let mut checks = 0u64;
     let mut recovery_errors = 0u64;
     std::thread::scope(|scope| {

@@ -140,6 +140,10 @@ fn tortured_state(
                     .and_then(|_| store.last_checkpoint())
                     .map(|report| report.per_rank_bytes[0]);
                 ctx.barrier();
+                if ids[slot].is_some() {
+                    // what was published is the live windows on every live chain
+                    gda::persist::audit_image(&eng).unwrap();
+                }
             };
             checkpoint(0);
             apply_ops(&eng, &ops[cuts.0..cuts.1], ptype);
