@@ -36,7 +36,7 @@ use std::cell::{Cell, RefCell};
 
 use rustc_hash::FxHashMap;
 
-use rma::RankCtx;
+use rma::{Counter, RankCtx};
 
 use crate::dht::{epoch_del, epoch_ins, Dht};
 
@@ -50,8 +50,8 @@ struct CacheEntry {
     epoch: u32,
 }
 
-/// Counters of one rank's translation cache (also mirrored into
-/// [`rma::RankReport`] via the rank context).
+/// Counters of one rank's translation cache (also counted as the
+/// `cache.*` rows of [`rma::Counter`] via the rank context).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Probes answered from the cache (no chain walk).
@@ -179,16 +179,16 @@ impl TranslationCache {
             };
             if current == e.epoch {
                 self.hits.set(self.hits.get() + 1);
-                ctx.record_cache_probe(true);
+                ctx.count(Counter::CacheHits, 1);
                 return if e.raw == 0 { None } else { Some(e.raw) };
             }
             // the owner's epoch moved past this entry: retire it
             self.entries.borrow_mut().remove(&key);
             self.invalidations.set(self.invalidations.get() + 1);
-            ctx.record_cache_invalidation();
+            ctx.count(Counter::CacheInvalidations, 1);
         }
         self.misses.set(self.misses.get() + 1);
-        ctx.record_cache_probe(false);
+        ctx.count(Counter::CacheMisses, 1);
         // `word` was observed before this walk: any mutation racing with
         // the walk bumps past it, so the entry self-invalidates later
         let res = dht.lookup(key);

@@ -22,7 +22,7 @@ use gdi::{
     AccessMode, AppVertexId, Datatype, EntityType, GdiError, GdiResult, LabelId, Multiplicity,
     PTypeId, SizeType, TxKind,
 };
-use rma::{CostModel, Fabric, RankCtx};
+use rma::{CostModel, Counter, Fabric, RankCtx};
 
 use crate::blocks::BlockManager;
 use crate::cache::{CacheStats, TranslationCache};
@@ -510,7 +510,7 @@ impl<'d, 'c, 'f> GdaRank<'d, 'c, 'f> {
                     .cas_u64(crate::config::WIN_SYSTEM, 0, word, e - 1, e)
                     == e - 1
                 {
-                    self.ctx.record_watermark_advance();
+                    self.ctx.count(Counter::WatermarkAdvances, 1);
                     return;
                 }
             }
@@ -549,7 +549,7 @@ impl<'d, 'c, 'f> GdaRank<'d, 'c, 'f> {
         snaps.push(s);
         let min = snaps.iter().copied().min().expect("just pushed");
         self.ctx.aput_u64(crate::config::WIN_SYSTEM, me, word, min);
-        self.ctx.record_snapshot_pin();
+        self.ctx.count(Counter::SnapshotPins, 1);
         s
     }
 
@@ -699,7 +699,7 @@ impl<'d, 'c, 'f> GdaRank<'d, 'c, 'f> {
         // a reuse is exactly a revalidation, so builds + reuses
         // partitions the jobs this rank served
         if cached.is_some() {
-            self.ctx.record_scan_reuse();
+            self.ctx.count(Counter::ScanReuses, 1);
         }
         let view = match cached {
             Some(v) if !stale_somewhere => v,

@@ -55,6 +55,18 @@ pub struct Posting {
 
 type RankPostings = FxHashMap<IndexId, FxHashMap<u64, AppVertexId>>;
 
+/// One partition's postings, unordered: callers copy them under the
+/// partition lock and sort them by vertex after dropping it (a vertex
+/// appears once per partition, so an unstable sort is deterministic).
+fn postings(part: &FxHashMap<u64, AppVertexId>) -> Vec<Posting> {
+    part.iter()
+        .map(|(&raw, &app_id)| Posting {
+            vertex: DPtr::from_raw(raw),
+            app_id,
+        })
+        .collect()
+}
+
 /// Shared index state of one database.
 #[derive(Debug)]
 pub struct IndexShared {
@@ -171,21 +183,13 @@ impl IndexShared {
     /// The local partition of an index on `rank`
     /// (`GDI_GetLocalVerticesOfIndex`), unfiltered.
     pub fn local_vertices(&self, rank: usize, id: IndexId) -> Vec<Posting> {
-        let guard = self.postings[rank].lock();
-        guard
+        let mut v = self.postings[rank]
+            .lock()
             .get(&id)
-            .map(|m| {
-                let mut v: Vec<Posting> = m
-                    .iter()
-                    .map(|(&raw, &app)| Posting {
-                        vertex: DPtr::from_raw(raw),
-                        app_id: app,
-                    })
-                    .collect();
-                v.sort_by_key(|p| p.vertex);
-                v
-            })
-            .unwrap_or_default()
+            .map(postings)
+            .unwrap_or_default();
+        v.sort_unstable_by_key(|p| p.vertex);
+        v
     }
 
     /// Number of postings in `rank`'s partition of an index: the map's
@@ -204,22 +208,15 @@ impl IndexShared {
     /// Export one rank's postings of every index, sorted for stable
     /// snapshot bytes (persistence support: the per-rank half).
     pub fn export_rank(&self, rank: usize) -> Vec<(IndexId, Vec<Posting>)> {
-        let guard = self.postings[rank].lock();
-        let mut out: Vec<(IndexId, Vec<Posting>)> = guard
+        let mut out: Vec<_> = self.postings[rank]
+            .lock()
             .iter()
-            .map(|(&id, m)| {
-                let mut v: Vec<Posting> = m
-                    .iter()
-                    .map(|(&raw, &app)| Posting {
-                        vertex: DPtr::from_raw(raw),
-                        app_id: app,
-                    })
-                    .collect();
-                v.sort_by_key(|p| p.vertex);
-                (id, v)
-            })
+            .map(|(&id, m)| (id, postings(m)))
             .collect();
-        out.sort_by_key(|(id, _)| *id);
+        for (_, v) in &mut out {
+            v.sort_unstable_by_key(|p| p.vertex);
+        }
+        out.sort_unstable_by_key(|(id, _)| *id);
         out
     }
 

@@ -44,7 +44,7 @@
 use rustc_hash::FxHashSet;
 
 use gdi::GdiResult;
-use rma::RankCtx;
+use rma::{Counter, RankCtx};
 
 use crate::config::{GdaConfig, WIN_DATA, WIN_INDEX};
 use crate::db::GdaRank;
@@ -326,9 +326,6 @@ pub(crate) fn maintenance_rank(eng: &GdaRank) -> GdiResult<MaintenanceReport> {
         }
         note_chain(&blocks);
     }
-    if vacuumed_versions > 0 {
-        ctx.record_vacuum(vacuumed_versions);
-    }
 
     // -- pass 2: free-list vacuum -------------------------------------
     // Before compaction, so `acquire` below hands out the lowest free
@@ -353,7 +350,6 @@ pub(crate) fn maintenance_rank(eng: &GdaRank) -> GdiResult<MaintenanceReport> {
         if moved > 0 {
             compacted_chains += 1;
             compacted_blocks += moved;
-            ctx.record_compaction(moved);
         }
     }
 
@@ -362,11 +358,16 @@ pub(crate) fn maintenance_rank(eng: &GdaRank) -> GdiResult<MaintenanceReport> {
         Some(store) => store.verify_chain(me),
         None => (0, 0),
     };
-    if verified_bytes > 0 || verify_errors > 0 {
-        ctx.record_verify(verified_bytes, verify_errors);
+    for (c, n) in [
+        (Counter::VacuumedVersions, vacuumed_versions),
+        (Counter::CompactedChains, compacted_chains),
+        (Counter::CompactedBlocks, compacted_blocks),
+        (Counter::VerifiedBytes, verified_bytes),
+        (Counter::VerifyErrors, verify_errors),
+        (Counter::MaintenancePasses, 1),
+    ] {
+        ctx.count(c, n);
     }
-
-    ctx.record_maintenance_pass();
     ctx.barrier();
     Ok(MaintenanceReport {
         floor,

@@ -105,6 +105,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
+use rma::Counter;
 use rustc_hash::FxHashSet;
 
 use gdi::{Datatype, EntityType, GdiError, GdiResult, LabelId, Multiplicity, PTypeId, SizeType};
@@ -1181,7 +1182,8 @@ fn checkpoint_rank_inner(eng: &GdaRank, force_full: bool) -> GdiResult<u64> {
     store.current.store(id, Ordering::Release);
     *store.chain.lock() = chain_after;
     if !full {
-        ctx.record_delta_checkpoint(shipped);
+        ctx.count(Counter::DeltaCheckpoints, 1);
+        ctx.count(Counter::DeltaChunks, shipped);
     }
     // Post-publish: every frame in the redo log describes a commit the
     // published chain captures, so truncate it. Failure is non-fatal —

@@ -63,7 +63,7 @@ use parking_lot::{Mutex, RwLock};
 use rustc_hash::FxHashMap;
 
 use gdi::{AppVertexId, GdiError, GdiResult};
-use rma::{CostModel, Fabric};
+use rma::{CostModel, Counter, Fabric};
 
 use super::format::io_err;
 use super::snapshot::{read_rank_snapshot_chain, RankSnapshot};
@@ -709,7 +709,8 @@ impl RecoveryPlan {
             parts.sort_unstable_by_key(|(id, _)| *id);
             eng.indexes().import_rank(me, parts);
         }
-        ctx.record_reshard(moved, moved_bytes);
+        ctx.count(Counter::ReshardObjects, moved);
+        ctx.count(Counter::ReshardBytes, moved_bytes);
         vote(ctx, my_err)?;
 
         // ---- phase 4: epochs + commit stamps ----------------------------

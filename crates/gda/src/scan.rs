@@ -82,7 +82,7 @@ use std::rc::Rc;
 use rustc_hash::FxHashMap;
 
 use gdi::EdgeOrientation;
-use rma::RankCtx;
+use rma::{Counter, RankCtx};
 
 use crate::config::GdaConfig;
 use crate::db::GdaRank;
@@ -625,7 +625,9 @@ fn sweep(eng: &GdaRank, mut mine: Vec<(u64, u64)>) -> CsrView {
         asm.end_row();
     }
     ctx.charge_cpu(scanned_bytes / 8 + mine.len() as u64 + 1);
-    ctx.record_scan_build(mine.len() as u64, scanned_bytes);
+    ctx.count(Counter::ScanBuilds, 1);
+    ctx.count(Counter::ScanHolders, mine.len() as u64);
+    ctx.count(Counter::ScanBytes, scanned_bytes);
     CsrView {
         stamp,
         ..asm.finish(eng.nranks())

@@ -42,6 +42,7 @@
 
 use std::cell::{Cell, RefCell};
 
+use rma::Counter;
 use rustc_hash::{FxHashMap, FxHashSet};
 
 use gdi::{
@@ -378,7 +379,7 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
                     if holder.commit_epoch > s {
                         holder = self.archived_at(holder, s)?;
                     }
-                    ctx.record_snapshot_read();
+                    ctx.count(Counter::SnapshotReads, 1);
                 }
                 self.cache.borrow_mut().insert(
                     id.raw(),
@@ -1267,7 +1268,7 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
             if let Some(dp) = tail {
                 crate::maint::seal_chain_tail(self.eng.ctx, dp);
             }
-            self.eng.ctx().record_chain_truncation(freed);
+            self.eng.ctx().count(Counter::ChainTruncations, freed);
         }
         kept
     }
@@ -1297,9 +1298,7 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
             freed += 1;
             cur = h.prev;
         }
-        if freed > 0 {
-            self.eng.ctx().record_chain_truncation(freed);
-        }
+        self.eng.ctx().count(Counter::ChainTruncations, freed);
         freed
     }
 
@@ -1469,7 +1468,7 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
                             Ok(head) => {
                                 obj.holder.prev = head.raw();
                                 obj.holder.depth = obj.holder.depth.saturating_add(1);
-                                self.eng.ctx().record_version_archive();
+                                self.eng.ctx().count(Counter::VersionArchives, 1);
                             }
                             Err(e) => {
                                 result = Err(e);

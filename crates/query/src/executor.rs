@@ -79,6 +79,7 @@ use rustc_hash::{FxHashMap, FxHashSet};
 use gda::holder::EntryScan;
 use gda::{CsrView, DPtr, GdaRank, Transaction};
 use gdi::{AccessMode, EdgeOrientation, GdiError, GdiResult, PTypeId, PropertyValue};
+use rma::Counter;
 
 use crate::ast::{AggTarget, Aggregate, Expand, NodePattern, Query};
 use crate::physical::{AccessPath, ExpandPath, QueryOutput, QueryValue, StageStats};
@@ -316,7 +317,7 @@ fn for_each_neighbor(
 /// the per-stage counters are this rank's share.
 pub fn execute(eng: &GdaRank, q: &Query, plan: &Plan) -> QueryOutput {
     let ctx = eng.ctx();
-    ctx.record_query_exec();
+    ctx.count(Counter::QueryExecs, 1);
     let (rank, nranks) = (eng.rank(), eng.nranks());
     // the view rendezvous is collective: it must run before the read
     // transaction's own collectives, in plan order
@@ -602,7 +603,9 @@ pub fn execute(eng: &GdaRank, q: &Query, plan: &Plan) -> QueryOutput {
         }
     };
     for st in &stages {
-        ctx.record_query_stage(st.rows, st.expanded, st.comm_bytes);
+        ctx.count(Counter::QueryRows, st.rows);
+        ctx.count(Counter::QueryExpands, st.expanded);
+        ctx.count(Counter::QueryBytes, st.comm_bytes);
     }
     tx.commit().expect("collective read-only commit");
     QueryOutput { value, stages }

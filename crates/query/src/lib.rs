@@ -19,7 +19,7 @@
 //! [`planner::Plan`] as one collective read-only transaction (plus the
 //! view rendezvous when the plan needs it) over a frontier of root-lane
 //! bit rows — never `(root, cur)` pairs — surfacing per-stage
-//! row/communication counters through [`rma::CommStats`].
+//! row/communication counters as [`rma::Counter`] rows (`query.*`).
 //!
 //! Everything here is **collective and deterministic**: all ranks
 //! gather the same catalog, derive the same plan, and hit the same

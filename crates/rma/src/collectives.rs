@@ -15,6 +15,7 @@ use std::any::Any;
 use std::sync::Arc;
 
 use crate::fabric::RankCtx;
+use crate::stats::Counter;
 
 impl<'a> RankCtx<'a> {
     /// Generic exchange: publish `contrib`, observe every rank's
@@ -60,7 +61,8 @@ impl<'a> RankCtx<'a> {
         self.shared.barrier.wait();
         *self.shared.boards[me].lock() = None;
         self.clock.reconcile(max_clock + cost_ns);
-        self.stats.record_collective(coll_bytes);
+        self.count(Counter::Collectives, 1);
+        self.count(Counter::CollBytes, coll_bytes as u64);
         out
     }
 
@@ -72,7 +74,7 @@ impl<'a> RankCtx<'a> {
         let max = self.clock_sync();
         self.clock
             .reconcile(max + self.cost_model().barrier(self.nranks()));
-        self.stats.record_collective(0);
+        self.count(Counter::Collectives, 1);
     }
 
     /// Broadcast `val` from `root` to all ranks. Non-root ranks pass `None`.

@@ -22,7 +22,7 @@ use crate::barrier::PoisonBarrier;
 use crate::cost::CostModel;
 use crate::dirty::DirtyMap;
 use crate::faults::{FaultMode, FaultPlane};
-use crate::stats::{CommStats, RankReport};
+use crate::stats::{CommStats, Counter, RankReport};
 use crate::window::Window;
 
 /// Identifier of a registered window (index in registration order).
@@ -372,6 +372,14 @@ impl<'a> RankCtx<'a> {
         self.clock.advance(ns);
     }
 
+    /// Add `n` to this rank's counter `c` (see [`crate::stats`]). Pure
+    /// accounting: whatever the counted work cost was charged by the
+    /// fabric ops that did it.
+    #[inline]
+    pub fn count(&self, c: Counter, n: u64) {
+        self.stats.add(c, n);
+    }
+
     /// Drain hook for service layers: record that this rank dequeued `n`
     /// requests from its service queue in one poll, charging the modeled
     /// drain cost (one doorbell check + per-request dispatch). Serving
@@ -379,20 +387,8 @@ impl<'a> RankCtx<'a> {
     /// the poll overhead exactly as batched RDMA amortizes doorbells.
     pub fn record_drain(&self, n: usize) {
         self.clock.advance(self.shared.cost.drain(n));
-        self.stats.record_drain(n);
-    }
-
-    /// Record one translation-cache probe outcome (hit avoided a remote
-    /// chain walk); surfaced through [`RankReport`] for the benches and
-    /// the server metrics.
-    pub fn record_cache_probe(&self, hit: bool) {
-        self.stats.record_cache_probe(hit);
-    }
-
-    /// Record one translation-cache invalidation (an owner-rank epoch
-    /// bump retired a cached entry).
-    pub fn record_cache_invalidation(&self) {
-        self.stats.record_cache_invalidation();
+        self.count(Counter::BatchesDrained, 1);
+        self.count(Counter::RequestsServed, n as u64);
     }
 
     /// Persistence hook: record one durable redo-log append of `bytes`
@@ -403,108 +399,33 @@ impl<'a> RankCtx<'a> {
     /// the batched RMA write-back amortizes network latencies.
     pub fn record_log_write(&self, bytes: usize) {
         self.clock.advance(self.shared.cost.log_write(bytes));
-        self.stats.record_log_write(bytes);
+        self.count(Counter::LogAppends, 1);
+        self.count(Counter::LogBytes, bytes as u64);
     }
 
-    /// Record one OLAP scan-view build on this rank (`holders` live
-    /// holders decoded, `bytes` of payload lifted out of raw window
-    /// images). Pure accounting — the image reads were already charged
-    /// as ordinary gets by the sweep.
-    pub fn record_scan_build(&self, holders: u64, bytes: u64) {
-        self.stats.record_scan_build(holders, bytes);
+    /// Count a one-sided transfer of `bytes` towards `target`: a remote
+    /// one as `op` plus its bytes under `volume`, a local one as one
+    /// [`Counter::LocalOps`].
+    #[inline]
+    fn count_transfer(&self, target: usize, op: Counter, volume: Counter, bytes: usize) {
+        if target == self.rank {
+            self.count(Counter::LocalOps, 1);
+        } else {
+            self.count(op, 1);
+            self.count(volume, bytes as u64);
+        }
     }
 
-    /// Record one OLAP job that revalidated and reused a cached scan
-    /// view (zero sweep work).
-    pub fn record_scan_reuse(&self) {
-        self.stats.record_scan_reuse();
-    }
-
-    /// Record this rank's share of a recovery's redistribution, at any
-    /// rank count (`objects` re-materialized holders, `bytes` of
-    /// payload). Pure
-    /// accounting — the window writes themselves were already charged
-    /// as ordinary puts by the restore path.
-    pub fn record_reshard(&self, objects: u64, bytes: u64) {
-        self.stats.record_reshard(objects, bytes);
-    }
-
-    /// Record one declarative-query execution started on this rank (the
-    /// `query` crate's collective executor).
-    pub fn record_query_exec(&self) {
-        self.stats.record_query_exec();
-    }
-
-    /// Record one executed query stage on this rank (`rows` surviving
-    /// bindings, `expanded` adjacency entries inspected, `bytes` routed
-    /// through stage exchanges). Pure accounting — the underlying gets
-    /// and collectives were already charged as ordinary fabric ops.
-    pub fn record_query_stage(&self, rows: u64, expanded: u64, bytes: u64) {
-        self.stats.record_query_stage(rows, expanded, bytes);
-    }
-
-    /// Record one snapshot pin (a read-only transaction registered its
-    /// snapshot epoch — the MVCC read path). Pure accounting: the pin's
-    /// marker put / watermark get were already charged as fabric ops.
-    pub fn record_snapshot_pin(&self) {
-        self.stats.record_snapshot_pin();
-    }
-
-    /// Record one lock-free snapshot object read served off a validated
-    /// version chain.
-    pub fn record_snapshot_read(&self) {
-        self.stats.record_snapshot_read();
-    }
-
-    /// Record one read-epoch watermark advance (the committing writer's
-    /// in-order `CAS e-1 → e`). Pure accounting — the CAS itself was
-    /// charged as an ordinary atomic.
-    pub fn record_watermark_advance(&self) {
-        self.stats.record_watermark_advance();
-    }
-
-    /// Record one holder version archived onto its version chain by a
-    /// committing writer.
-    pub fn record_version_archive(&self) {
-        self.stats.record_version_archive();
-    }
-
-    /// Record `versions` archived versions freed by one commit-time
-    /// chain truncation below the snapshot floor.
-    pub fn record_chain_truncation(&self, versions: u64) {
-        self.stats.record_chain_truncation(versions);
-    }
-
-    /// Record one completed collective maintenance pass on this rank
-    /// (vacuum + compaction + free-list rebuild + verify; see
-    /// `gda::maint`).
-    pub fn record_maintenance_pass(&self) {
-        self.stats.record_maintenance_pass();
-    }
-
-    /// Record `versions` archived versions freed by the background MVCC
-    /// vacuum (distinct from commit-path truncation).
-    pub fn record_vacuum(&self, versions: u64) {
-        self.stats.record_vacuum(versions);
-    }
-
-    /// Record one holder chain rewritten contiguously by the
-    /// maintenance compactor (`blocks` continuation blocks relocated).
-    pub fn record_compaction(&self, blocks: u64) {
-        self.stats.record_compaction(blocks);
-    }
-
-    /// Record `bytes` of published snapshot-chain data re-read and
-    /// checksum-verified by the online verifier, of which `errors`
-    /// files failed verification.
-    pub fn record_verify(&self, bytes: u64, errors: u64) {
-        self.stats.record_verify(bytes, errors);
-    }
-
-    /// Record one delta (incremental) checkpoint image written by this
-    /// rank, covering `chunks` dirty chunks.
-    pub fn record_delta_checkpoint(&self, chunks: u64) {
-        self.stats.record_delta_checkpoint(chunks);
+    /// Count one atomic towards `target` (a local one as
+    /// [`Counter::LocalOps`]).
+    #[inline]
+    fn count_atomic(&self, target: usize) {
+        let c = if target == self.rank {
+            Counter::LocalOps
+        } else {
+            Counter::Atomics
+        };
+        self.count(c, 1);
     }
 
     // ------------------------------------------------------------------
@@ -541,7 +462,7 @@ impl<'a> RankCtx<'a> {
             }
         }
         self.probe_fault(crate::faults::points::FABRIC_QUIESCE);
-        self.stats.record_quiesce();
+        self.count(Counter::Quiesces, 1);
         self.barrier();
     }
 
@@ -560,7 +481,7 @@ impl<'a> RankCtx<'a> {
         let Some(mode) = self.shared.faults.check(point, self.rank) else {
             return;
         };
-        self.stats.record_fault_injection();
+        self.count(Counter::FaultInjections, 1);
         if let FaultMode::Latency(ns) = mode {
             match self.backend() {
                 BackendKind::Sim => self.clock.advance(ns as f64),
@@ -647,7 +568,7 @@ impl<'a> RankCtx<'a> {
     /// One-sided bulk GET: read `dst.len()` bytes from `target`'s window.
     pub fn get_bytes(&self, win: WinId, target: usize, off: usize, dst: &mut [u8]) {
         self.charge_transfer(target, dst.len());
-        self.stats.record_get(target != self.rank, dst.len());
+        self.count_transfer(target, Counter::Gets, Counter::BytesGet, dst.len());
         self.win(win, target).read_bytes(off, dst);
     }
 
@@ -658,25 +579,25 @@ impl<'a> RankCtx<'a> {
     }
 
     /// [`RankCtx::put_bytes`] without the dirty mark — the same clock
-    /// charge and the same [`CommStats`] — for bytes no checkpoint may
+    /// charge and the same counters — for bytes no checkpoint may
     /// ship (see [`crate::dirty`], "Volatile writes").
     pub fn put_bytes_volatile(&self, win: WinId, target: usize, off: usize, src: &[u8]) {
         self.charge_transfer(target, src.len());
-        self.stats.record_put(target != self.rank, src.len());
+        self.count_transfer(target, Counter::Puts, Counter::BytesPut, src.len());
         self.win(win, target).write_bytes(off, src);
     }
 
     /// One-sided single-word GET (non-atomic flavour; still word-atomic).
     pub fn get_u64(&self, win: WinId, target: usize, word: usize) -> u64 {
         self.charge_transfer(target, 8);
-        self.stats.record_get(target != self.rank, 8);
+        self.count_transfer(target, Counter::Gets, Counter::BytesGet, 8);
         self.win(win, target).load(word)
     }
 
     /// One-sided single-word PUT.
     pub fn put_u64(&self, win: WinId, target: usize, word: usize, v: u64) {
         self.charge_transfer(target, 8);
-        self.stats.record_put(target != self.rank, 8);
+        self.count_transfer(target, Counter::Puts, Counter::BytesPut, 8);
         self.shared.dirty.mark(win, target, word * 8, 8);
         self.win(win, target).store(word, v)
     }
@@ -685,7 +606,7 @@ impl<'a> RankCtx<'a> {
     pub fn aget_u64(&self, win: WinId, target: usize, word: usize) -> u64 {
         self.clock
             .advance(self.shared.cost.atomic(self.rank, target));
-        self.stats.record_atomic(target != self.rank);
+        self.count_atomic(target);
         self.win(win, target).load(word)
     }
 
@@ -693,7 +614,7 @@ impl<'a> RankCtx<'a> {
     pub fn aput_u64(&self, win: WinId, target: usize, word: usize, v: u64) {
         self.clock
             .advance(self.shared.cost.atomic(self.rank, target));
-        self.stats.record_atomic(target != self.rank);
+        self.count_atomic(target);
         self.shared.dirty.mark(win, target, word * 8, 8);
         self.win(win, target).store(word, v)
     }
@@ -704,7 +625,7 @@ impl<'a> RankCtx<'a> {
     pub fn cas_u64(&self, win: WinId, target: usize, word: usize, compare: u64, new: u64) -> u64 {
         self.clock
             .advance(self.shared.cost.atomic(self.rank, target));
-        self.stats.record_atomic(target != self.rank);
+        self.count_atomic(target);
         // conservatively dirty even when the CAS loses — cheaper than
         // branching on the outcome, and a false positive only re-ships
         // one chunk
@@ -716,7 +637,7 @@ impl<'a> RankCtx<'a> {
     pub fn fadd_u64(&self, win: WinId, target: usize, word: usize, delta: u64) -> u64 {
         self.clock
             .advance(self.shared.cost.atomic(self.rank, target));
-        self.stats.record_atomic(target != self.rank);
+        self.count_atomic(target);
         self.shared.dirty.mark(win, target, word * 8, 8);
         self.win(win, target).fadd(word, delta)
     }
@@ -725,7 +646,7 @@ impl<'a> RankCtx<'a> {
     pub fn fsub_u64(&self, win: WinId, target: usize, word: usize, delta: u64) -> u64 {
         self.clock
             .advance(self.shared.cost.atomic(self.rank, target));
-        self.stats.record_atomic(target != self.rank);
+        self.count_atomic(target);
         self.shared.dirty.mark(win, target, word * 8, 8);
         self.win(win, target).fsub(word, delta)
     }
@@ -745,7 +666,7 @@ impl<'a> RankCtx<'a> {
             self.clock
                 .advance(self.shared.cost.flush(self.rank, target));
         }
-        self.stats.record_flush();
+        self.count(Counter::Flushes, 1);
         std::sync::atomic::fence(Ordering::SeqCst);
     }
 
@@ -843,13 +764,23 @@ mod tests {
             .build();
         let w = WinId(0);
         fabric.run(|ctx| {
-            ctx.put_u64(w, 1 - ctx.rank(), 0, 1);
-            ctx.flush(1 - ctx.rank());
+            let (me, peer) = (ctx.rank(), 1 - ctx.rank());
+            ctx.put_u64(w, peer, 0, 1);
+            ctx.flush(peer);
+            // remote ops count with their bytes, local ones as `local_ops`
+            ctx.put_bytes(w, me, 16, &[7; 8]);
+            ctx.get_bytes(w, peer, 16, &mut [0; 32]);
+            ctx.cas_u64(w, peer, 6, 0, 1);
+            ctx.fadd_u64(w, me, 7, 1);
+            ctx.allreduce_sum_u64(1);
         });
         let reports = fabric.last_reports();
         assert_eq!(reports.len(), 2);
         for r in &reports {
-            assert_eq!(r.puts, 1);
+            assert_eq!((r.puts, r.bytes_put), (1, 8));
+            assert_eq!((r.gets, r.bytes_get), (1, 32));
+            assert_eq!((r.atomics, r.local_ops), (1, 2));
+            assert_eq!((r.collectives, r.coll_bytes), (1, 8));
             assert_eq!(r.flushes, 1);
             assert!(r.sim_time_ns > 0.0);
         }

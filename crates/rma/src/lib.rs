@@ -68,7 +68,7 @@ pub use cost::{CostModel, SimClock};
 pub use dirty::DirtyMap;
 pub use fabric::{Fabric, FabricBuilder, RankCtx, WinId};
 pub use faults::{FaultMode, FaultPlane};
-pub use stats::{CommStats, RankReport};
+pub use stats::{Counter, RankReport};
 pub use wait::WakeSource;
 pub use window::Window;
 

@@ -224,9 +224,9 @@ fn record_and_ack(bc: &BatchCtx, req: &Request, outcome: OpOutcome) {
 
 /// Acknowledge one op. Its counters come first, so a client that sees
 /// its ticket resolve also sees the op in [`crate::GdiServer::metrics`].
-fn fulfill(bc: &BatchCtx, req: &Request, outcome: OpOutcome, grouped: bool) {
+fn fulfill(bc: &BatchCtx, req: &Request, outcome: OpOutcome) {
     let op = (outcome.is_committed(), req.submitted.elapsed());
-    bc.counters.complete(grouped, std::iter::once(op));
+    bc.counters.complete(std::iter::once(op));
     record_and_ack(bc, req, outcome);
 }
 
@@ -235,13 +235,10 @@ fn fulfill(bc: &BatchCtx, req: &Request, outcome: OpOutcome, grouped: bool) {
 /// for the whole group, then the tickets.
 fn ack_group(bc: &BatchCtx, group: Vec<(&Request, OpOutcome)>) {
     let now = Instant::now();
-    bc.counters.complete(
-        true,
-        group.iter().map(|(req, outcome)| {
-            let waited = now.saturating_duration_since(req.submitted);
-            (outcome.is_committed(), waited)
-        }),
-    );
+    bc.counters.complete(group.iter().map(|(req, outcome)| {
+        let waited = now.saturating_duration_since(req.submitted);
+        (outcome.is_committed(), waited)
+    }));
     for (req, outcome) in group {
         record_and_ack(bc, req, outcome);
     }
@@ -333,7 +330,7 @@ fn execute_batch_inner(eng: &GdaRank, bc: &BatchCtx, batch: &VecDeque<Request>) 
         let req = &batch[0];
         let t0 = eng.ctx().now_ns();
         let out = run_individual(eng, req);
-        fulfill(bc, req, out, false);
+        fulfill(bc, req, out);
         if req.op.is_read() {
             timing.add(eng.ctx().now_ns() - t0, 1);
         }
@@ -374,7 +371,7 @@ fn execute_batch_inner(eng: &GdaRank, bc: &BatchCtx, batch: &VecDeque<Request>) 
                 // a critical error killed the shared transaction; the
                 // remaining reads fall back individually
                 let out = run_individual(eng, req);
-                fulfill(bc, req, out, false);
+                fulfill(bc, req, out);
                 continue;
             }
             match apply_op(&tx, &req.op) {
@@ -388,7 +385,7 @@ fn execute_batch_inner(eng: &GdaRank, bc: &BatchCtx, batch: &VecDeque<Request>) 
                     // give it the same individual retry the reads behind
                     // it will get
                     let out = run_individual(eng, req);
-                    fulfill(bc, req, out, false);
+                    fulfill(bc, req, out);
                 }
             }
         }
@@ -400,9 +397,9 @@ fn execute_batch_inner(eng: &GdaRank, bc: &BatchCtx, batch: &VecDeque<Request>) 
                     // stale-metadata commit failure: reads are
                     // effect-free, so re-run against a fresh snapshot
                     let out = run_individual(eng, req);
-                    fulfill(bc, req, out, false);
+                    fulfill(bc, req, out);
                 } else {
-                    fulfill(bc, req, outcome, true);
+                    fulfill(bc, req, outcome);
                 }
             }
         }
@@ -420,7 +417,7 @@ fn execute_batch_inner(eng: &GdaRank, bc: &BatchCtx, batch: &VecDeque<Request>) 
     // ---- deduplicated creates, after the groups made theirs visible ---
     for req in &solo {
         let out = run_individual(eng, req);
-        fulfill(bc, req, out, false);
+        fulfill(bc, req, out);
     }
     timing
 }
@@ -434,7 +431,7 @@ fn execute_write_group(eng: &GdaRank, bc: &BatchCtx, writes: &[&Request]) {
     if writes.len() == 1 {
         let req = writes[0];
         let out = run_individual(eng, req);
-        fulfill(bc, req, out, false);
+        fulfill(bc, req, out);
         return;
     }
     let tx = eng.begin_grouped(AccessMode::ReadWrite);
@@ -447,7 +444,7 @@ fn execute_write_group(eng: &GdaRank, bc: &BatchCtx, writes: &[&Request]) {
             }
             Ok(GroupApply::Skip(e)) if tx.status() == TxStatus::Active => {
                 // clean conflict: this op aborts, the group lives on
-                fulfill(bc, req, OpOutcome::Aborted(e), true);
+                fulfill(bc, req, OpOutcome::Aborted(e));
             }
             // the shared transaction was poisoned (engine-level abort)
             _ => {
@@ -466,7 +463,7 @@ fn execute_write_group(eng: &GdaRank, bc: &BatchCtx, writes: &[&Request]) {
                     // honest individual re-run
                     for (req, _) in done {
                         let out = run_individual(eng, req);
-                        fulfill(bc, req, out, false);
+                        fulfill(bc, req, out);
                     }
                 }
                 uncertain => {
@@ -486,11 +483,11 @@ fn execute_write_group(eng: &GdaRank, bc: &BatchCtx, writes: &[&Request]) {
             tx.abort();
             for (req, _) in done {
                 let out = run_individual(eng, req);
-                fulfill(bc, req, out, false);
+                fulfill(bc, req, out);
             }
             for req in &writes[i..] {
                 let out = run_individual(eng, req);
-                fulfill(bc, req, out, false);
+                fulfill(bc, req, out);
             }
         }
     }

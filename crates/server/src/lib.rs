@@ -35,8 +35,9 @@
 //! * **Admission control**: the queue bound plus an
 //!   [`AdmissionPolicy`] — block (backpressure) or reject (load
 //!   shedding) — with live per-rank throughput, latency-percentile and
-//!   abort-rate metrics ([`GdiServer::metrics`]) built on
-//!   [`rma::CommStats`] fabric counters.
+//!   abort-rate metrics ([`GdiServer::metrics`]) beside the fabric's
+//!   [`rma::Counter`] table, exported together by name through
+//!   [`ServerMetrics::snapshot`].
 //!
 //! ## Shape of a serving process
 //!
@@ -59,7 +60,7 @@ pub mod queue;
 pub mod request;
 pub mod server;
 
-pub use metrics::{LatencyHist, RankMetrics, RecoverySummary, ServerMetrics};
+pub use metrics::{LatencyHist, MetricsSnapshot, RankMetrics, RecoverySummary, ServerMetrics};
 pub use request::{Op, OpOutcome, OpReply, Ticket};
 pub use server::{
     AdmissionPolicy, GdiServer, OlapJobFn, RoutePolicy, ServeSummary, ServerOptions, Session,

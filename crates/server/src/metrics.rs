@@ -1,7 +1,8 @@
 //! Live service metrics: per-rank throughput, latency percentiles and
 //! abort rates, plus the fabric-level [`rma::RankReport`] counters
-//! (requests served, batches drained, messages, simulated busy time)
-//! collected when serving stops.
+//! (requests served, batches drained, simulated busy time) collected when
+//! serving stops. [`ServerMetrics::snapshot`] lists every counter of both
+//! kinds by name.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -95,9 +96,6 @@ pub(crate) struct RankCounters {
     pub rejected: AtomicU64,
     pub committed: AtomicU64,
     pub aborted: AtomicU64,
-    pub batches: AtomicU64,
-    pub grouped_ops: AtomicU64,
-    pub fallback_ops: AtomicU64,
     /// Requests shed at drain time because they outlived the configured
     /// per-op deadline (resolved [`crate::OpOutcome::DeadlineExceeded`],
     /// never executed).
@@ -111,7 +109,7 @@ pub(crate) struct RankCounters {
 impl RankCounters {
     /// Count a group of decided ops — `(committed, submit → now)` each —
     /// with one histogram lock and one add per counter.
-    pub fn complete(&self, grouped: bool, ops: impl Iterator<Item = (bool, Duration)>) {
+    pub fn complete(&self, ops: impl Iterator<Item = (bool, Duration)>) {
         let (mut total, mut committed) = (0u64, 0u64);
         {
             let mut latency = self.latency.lock();
@@ -123,12 +121,6 @@ impl RankCounters {
         }
         self.committed.fetch_add(committed, Ordering::Relaxed);
         self.aborted.fetch_add(total - committed, Ordering::Relaxed);
-        let class = if grouped {
-            &self.grouped_ops
-        } else {
-            &self.fallback_ops
-        };
-        class.fetch_add(total, Ordering::Relaxed);
     }
 }
 
@@ -140,11 +132,6 @@ pub struct RankMetrics {
     pub rejected: u64,
     pub committed: u64,
     pub aborted: u64,
-    pub batches: u64,
-    /// Ops that committed/aborted as part of a group commit.
-    pub grouped_ops: u64,
-    /// Ops that went through the one-transaction-per-request fallback.
-    pub fallback_ops: u64,
     /// Requests shed unexecuted because they outlived the per-op
     /// deadline ([`crate::ServerOptions::deadline`]).
     pub deadline_misses: u64,
@@ -276,15 +263,6 @@ impl ServerMetrics {
         h
     }
 
-    /// Committed ops per wall-clock second.
-    pub fn wall_throughput_ops(&self) -> f64 {
-        if self.wall_elapsed_s <= 0.0 {
-            0.0
-        } else {
-            self.committed() as f64 / self.wall_elapsed_s
-        }
-    }
-
     /// The fabric-level counters summed over all serving ranks (reports
     /// are captured when serving stops; sim time is the maximum): read
     /// the fields — `fabric_total().cache_hits`, `.scan_builds`, … —
@@ -295,6 +273,51 @@ impl ServerMetrics {
             total.merge(report);
         }
         total
+    }
+
+    /// Every counter as one name → value list: the server's own
+    /// (`server.*`), then the rows of [`ServerMetrics::fabric_total`].
+    pub fn snapshot(&self) -> MetricsSnapshot {
+        let mut rows = vec![
+            (
+                "server.submitted",
+                self.per_rank.iter().map(|r| r.submitted).sum(),
+            ),
+            ("server.rejected", self.rejected()),
+            ("server.committed", self.committed()),
+            ("server.aborted", self.aborted()),
+            ("server.deadline_misses", self.deadline_misses()),
+            ("server.dedup_hits", self.dedup_hits()),
+            ("server.checkpoints", self.checkpoints),
+            ("server.maintenance_runs", self.maintenance_runs),
+            ("server.degraded_entries", self.degraded_entries),
+            ("server.write_rejects", self.write_rejects),
+            ("server.retries", self.retries),
+            ("server.fault_hits", self.fault_hits),
+        ];
+        rows.extend(self.fabric_total().counters());
+        MetricsSnapshot { rows }
+    }
+}
+
+/// Counters by dotted name ([`ServerMetrics::snapshot`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MetricsSnapshot {
+    /// `(name, value)`, server counters first, then the fabric table's
+    /// rows in table order.
+    pub rows: Vec<(&'static str, u64)>,
+}
+
+impl MetricsSnapshot {
+    /// One flat JSON object, `{"server.submitted":12,…}`, in row order.
+    /// The names are plain identifiers and dots, so nothing is escaped.
+    pub fn to_json(&self) -> String {
+        let fields: Vec<String> = self
+            .rows
+            .iter()
+            .map(|(k, v)| format!("\"{k}\":{v}"))
+            .collect();
+        format!("{{{}}}", fields.join(","))
     }
 }
 

@@ -767,7 +767,6 @@ impl GdiServer {
             ctx.record_drain(drained);
             batches += 1;
             executed += drained as u64;
-            inner.counters[rank].batches.fetch_add(1, Ordering::Relaxed);
             let t = execute_batch(
                 &eng,
                 &inner.counters[rank],
@@ -836,9 +835,6 @@ impl GdiServer {
                 rejected: c.rejected.load(Ordering::Relaxed),
                 committed: c.committed.load(Ordering::Relaxed),
                 aborted: c.aborted.load(Ordering::Relaxed),
-                batches: c.batches.load(Ordering::Relaxed),
-                grouped_ops: c.grouped_ops.load(Ordering::Relaxed),
-                fallback_ops: c.fallback_ops.load(Ordering::Relaxed),
                 deadline_misses: c.deadline_misses.load(Ordering::Relaxed),
                 dedup_hits: c.dedup_hits.load(Ordering::Relaxed),
                 queue_depth: inner.queues[rank].len(),

@@ -8,7 +8,7 @@ use gda::GdaDb;
 use gdi::{AccessMode, AppVertexId, EdgeOrientation};
 use graphgen::{sized_config, GraphSpec, LpgConfig};
 use proptest::prelude::*;
-use rma::CostModel;
+use rma::{CostModel, Counter};
 use server::{AdmissionPolicy, GdiServer, Op, OpOutcome, ServerOptions};
 use workloads::oltp::Mix;
 use workloads::traffic::{load_and_serve, TrafficConfig};
@@ -395,7 +395,7 @@ fn sustains_1000_sessions_on_4_ranks() {
     let lat = run.metrics.latency();
     assert_eq!(lat.count(), (sessions * ops) as u64);
     assert!(lat.percentile_ns(50.0) <= lat.percentile_ns(99.0));
-    // fabric drain counters flowed through rma::CommStats
+    // fabric drain counters flowed through the counter table (rma::Counter)
     let drained: u64 = run
         .metrics
         .per_rank
@@ -403,6 +403,72 @@ fn sustains_1000_sessions_on_4_ranks() {
         .filter_map(|r| r.fabric.as_ref().map(|f| f.requests_served))
         .sum();
     assert_eq!(drained, (sessions * ops) as u64);
+}
+
+/// The exported snapshot names every counter once: each server counter
+/// with its field's value, each row of the fabric table with
+/// `fabric_total()`'s, and `to_json()` emits every name exactly once with
+/// that value.
+#[test]
+fn registry_snapshot_names_every_counter() {
+    let s = spec(7, 5);
+    let nranks = 2;
+    let (sessions, ops) = (8, 20);
+    let db_cfg = server_cfg(&s, nranks, sessions * ops);
+    let (db, fabric) = GdaDb::with_fabric("registry", db_cfg, nranks, CostModel::default());
+    let cfg = TrafficConfig {
+        sessions,
+        ops_per_session: ops,
+        mix: Mix::LINKBENCH,
+        seed: 3,
+        workers: 4,
+    };
+    let m = load_and_serve(&db, &fabric, ServerOptions::default(), &s, &cfg).metrics;
+    let total = m.fabric_total();
+    assert!(
+        m.committed() > 0 && total.requests_served > 0,
+        "traffic was served"
+    );
+
+    let mut expected = vec![
+        (
+            "server.submitted",
+            m.per_rank.iter().map(|r| r.submitted).sum(),
+        ),
+        ("server.rejected", m.rejected()),
+        ("server.committed", m.committed()),
+        ("server.aborted", m.aborted()),
+        ("server.deadline_misses", m.deadline_misses()),
+        ("server.dedup_hits", m.dedup_hits()),
+        ("server.checkpoints", m.checkpoints),
+        ("server.maintenance_runs", m.maintenance_runs),
+        ("server.degraded_entries", m.degraded_entries),
+        ("server.write_rejects", m.write_rejects),
+        ("server.retries", m.retries),
+        ("server.fault_hits", m.fault_hits),
+    ];
+    expected.extend(Counter::ALL.iter().map(|&c| (c.name(), total.get(c))));
+    let snap = m.snapshot();
+    assert_eq!(snap.rows, expected);
+    let mut names: Vec<&str> = snap.rows.iter().map(|(name, _)| *name).collect();
+    names.sort_unstable();
+    names.dedup();
+    assert_eq!(names.len(), snap.rows.len(), "names are unique");
+
+    let json = snap.to_json();
+    assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
+    assert_eq!(
+        json.matches(':').count(),
+        snap.rows.len(),
+        "one field per row"
+    );
+    for (name, value) in &snap.rows {
+        let key = format!("\"{name}\":");
+        assert_eq!(json.matches(&key).count(), 1, "{name} once");
+        let rest = &json[json.find(&key).expect("present") + key.len()..];
+        let end = rest.find([',', '}']).expect("terminated");
+        assert_eq!(rest[..end].parse::<u64>(), Ok(*value), "{name}");
+    }
 }
 
 /// Translation-cache churn: concurrent sessions add, read, delete and
