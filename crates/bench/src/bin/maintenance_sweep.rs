@@ -7,8 +7,10 @@
 //! read-back verification):
 //!
 //! * **scale axis** — fixed churn across growing graph scales: full
-//!   checkpoint bytes must grow with the database while delta bytes
-//!   stay flat (durability cost proportional to churn, not data);
+//!   checkpoint bytes must grow with the database while delta bytes —
+//!   the manifest plus the redo bytes a delta seals, read off the
+//!   `log_bytes` counter between checkpoints — stay flat (durability
+//!   cost proportional to churn, not data);
 //! * **churn axis** — fixed scale across growing per-round op counts:
 //!   delta bytes must track the churn.
 //!
@@ -160,12 +162,11 @@ fn run_on(backend: BackendKind) {
         let (first, last) = r.live_first_last();
         eprintln!(
             "  [maintenance_sweep] P={nranks} s={scale}: full {} B / {:.3} sim ms, \
-             max delta {} B ({} chunks), live {first}->{last} blocks, \
+             max delta {} B, live {first}->{last} blocks, \
              vacuumed {} versions, {} checks / {} mismatches",
             r.report.full.bytes,
             r.report.full.sim_stall_s * 1e3,
             r.delta_bytes(),
-            r.report.deltas.iter().map(|d| d.chunks).max().unwrap_or(0),
             r.vacuumed(),
             r.report.checks,
             r.report.mismatches.len()
@@ -245,7 +246,7 @@ fn run_on(backend: BackendKind) {
         format!(
             "{{\"nranks\":{},\"scale\":{},\"ops_per_round\":{},\"committed\":{},\
              \"full_bytes\":{},\"full_stall_sim_s\":{:.6},\"delta_bytes_max\":{},\
-             \"delta_chunks_max\":{},\"delta_stall_sim_s\":{:.6},\"live_blocks_first\":{},\
+             \"delta_stall_sim_s\":{:.6},\"live_blocks_first\":{},\
              \"live_blocks_last\":{},\"total_blocks\":{},\"vacuumed_versions\":{},\
              \"verified_bytes\":{},\"verify_errors\":{},\"replay_records\":{},\
              \"checks\":{},\"mismatches\":{}}}",
@@ -256,7 +257,6 @@ fn run_on(backend: BackendKind) {
             r.report.full.bytes,
             r.report.full.sim_stall_s,
             r.delta_bytes(),
-            r.report.deltas.iter().map(|d| d.chunks).max().unwrap_or(0),
             delta_stall,
             live_first,
             live_last,

@@ -99,6 +99,9 @@ impl<'d, 'c, 'f> GdaRank<'d, 'c, 'f> {
         let nranks = self.nranks();
         let me = self.rank();
         let mut report = BulkReport::default();
+        // bulk writes bypass the redo log: only a full image makes them
+        // durable
+        self.note_unlogged();
 
         // ---- phase 1: route vertices to their owners -------------------
         let mut vrows: Vec<Vec<VertexSpec>> = vec![Vec::new(); nranks];

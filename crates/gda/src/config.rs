@@ -237,11 +237,8 @@ impl GdaConfig {
     }
 
     fn fabric_builder(&self, nranks: usize, cost: CostModel) -> FabricBuilder {
-        // one dirty-tracking chunk = one BGDL block: a delta checkpoint
-        // ships exactly the blocks commits touched since the last one
         FabricBuilder::new(nranks)
             .cost(cost)
-            .dirty_chunk(self.block_size)
             .window(self.data_bytes())
             .window(self.usage_bytes())
             .window(self.system_bytes())

@@ -262,11 +262,19 @@ impl<'d, 'c, 'f> GdaRank<'d, 'c, 'f> {
         self.persist.is_some()
     }
 
-    /// Collective: take a durable checkpoint (quiesce, snapshot every
-    /// rank's dirty chunks or full windows + index postings, publish,
-    /// truncate the redo logs). Every rank must call this together;
-    /// returns the published checkpoint id. Writes a delta chained to
-    /// the last full snapshot when churn is low — see
+    /// Hook for a change no redo frame records — a bulk load, an index
+    /// definition: the next checkpoint must be a full image.
+    pub(crate) fn note_unlogged(&self) {
+        if let Some(store) = &self.persist {
+            store.note_unlogged();
+        }
+    }
+
+    /// Collective: take a durable checkpoint (quiesce, publish a
+    /// manifest, then seal every rank's redo log as the chain's next
+    /// segment — a **delta** — or write every rank's live set and
+    /// truncate the logs — a **full** image). Every rank must call this
+    /// together; returns the published checkpoint id. See
     /// [`crate::persist`] for the protocol and the rebase policy.
     pub fn checkpoint(&self) -> GdiResult<u64> {
         crate::persist::checkpoint_rank(self)
@@ -426,11 +434,16 @@ impl<'d, 'c, 'f> GdaRank<'d, 'c, 'f> {
         labels: Vec<LabelId>,
         ptypes: Vec<PTypeId>,
     ) -> GdiResult<IndexId> {
+        // replay derives a logged vertex's postings from the index
+        // definitions, which would put a vertex committed before this
+        // index existed into it: the next image must be exact
+        self.note_unlogged();
         self.db.indexes.create(name, labels, ptypes)
     }
 
     /// `GDI_DeleteIndex`.
     pub fn delete_index(&self, id: IndexId) -> GdiResult<()> {
+        self.note_unlogged();
         self.db.indexes.delete(id)
     }
 

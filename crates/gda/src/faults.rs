@@ -28,8 +28,8 @@
 pub use rma::faults::points::{FABRIC_COLLECTIVE, FABRIC_QUIESCE};
 pub use rma::faults::{flip_bit, FaultMode, FaultPlane, PERSISTENT};
 
-/// Writing one rank's snapshot piece (full or delta image, tmp file +
-/// rename). Supports [`FaultMode::Error`] and [`FaultMode::TornWrite`];
+/// Writing one rank's full snapshot image (tmp file + rename; a delta
+/// writes none). Supports [`FaultMode::Error`] and [`FaultMode::TornWrite`];
 /// a voted failure aborts the whole checkpoint and unwinds.
 pub const SNAP_WRITE: &str = "snap.write";
 
@@ -43,10 +43,16 @@ pub const MANIFEST_WRITE: &str = "manifest.write";
 /// truncate it at the last checksum-valid boundary.
 pub const REDO_APPEND: &str = "redo.append";
 
-/// Rotating (truncating) one rank's redo log after a published
+/// Rotating (truncating) one rank's redo log after a published full
 /// checkpoint. Non-fatal by design: a stale log tail is skipped at
 /// replay because its frames carry a superseded generation.
 pub const REDO_ROTATE: &str = "redo.rotate";
+
+/// Sealing one rank's redo log into the published delta's directory
+/// (a rename). Non-fatal by design: an unsealed log stays live, recovery
+/// reads it after the chain's segments, and the next delta seals it
+/// whole.
+pub const REDO_SEAL: &str = "redo.seal";
 
 /// Publishing the `CURRENT` pointer (tmp write + atomic rename) — the
 /// checkpoint commit point. A failure here aborts the checkpoint with
@@ -66,9 +72,10 @@ pub const SNAP_READ: &str = "snap.read";
 /// probed on rank 0).
 pub const MANIFEST_READ: &str = "manifest.read";
 
-/// Reading one rank's redo log during recovery, at any live rank count
-/// ([`FaultMode::BitFlip`] corrupts a frame, so the replayed tail ends
-/// in front of it; any other failing mode is an I/O error).
+/// Reading one rank's redo log or sealed segment during recovery, at any
+/// live rank count ([`FaultMode::BitFlip`] corrupts a frame: the live
+/// log's replayed tail ends in front of it, a segment is refused with an
+/// I/O error; any other failing mode is an I/O error).
 pub const REDO_READ: &str = "redo.read";
 
 /// One rank's materialization slice of a recovery's redistribution, at
@@ -83,6 +90,7 @@ pub const CATALOG: &[&str] = &[
     MANIFEST_WRITE,
     REDO_APPEND,
     REDO_ROTATE,
+    REDO_SEAL,
     CURRENT_RENAME,
     SNAP_PRUNE,
     SNAP_READ,

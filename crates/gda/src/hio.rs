@@ -75,30 +75,6 @@ pub fn write_chain(
     bytes: &[u8],
     blocks: &mut Vec<DPtr>,
 ) -> GdiResult<()> {
-    write_blocks(ctx, bm, bytes, blocks, true)
-}
-
-/// [`write_chain`] for an MVCC **version archive**: the same blocks, but
-/// written with the volatile put, so no checkpoint ships them (see
-/// `rma::dirty`, "Volatile writes"). Pinned readers of the running
-/// database see archives exactly as before; recovery rebuilds every
-/// object from its live chain and never reads one.
-pub fn write_archive(
-    ctx: &RankCtx,
-    bm: &BlockManager,
-    bytes: &[u8],
-    blocks: &mut Vec<DPtr>,
-) -> GdiResult<()> {
-    write_blocks(ctx, bm, bytes, blocks, false)
-}
-
-fn write_blocks(
-    ctx: &RankCtx,
-    bm: &BlockManager,
-    bytes: &[u8],
-    blocks: &mut Vec<DPtr>,
-    durable: bool,
-) -> GdiResult<()> {
     debug_assert!(!blocks.is_empty(), "write_chain needs a primary block");
     let cfg_payload = bm.block_size() - BLOCK_PAYLOAD_OFFSET;
     let needed = bytes.len().div_ceil(cfg_payload).max(1);
@@ -125,12 +101,7 @@ fn write_blocks(
         for b in buf[16 + chunk.len()..].iter_mut() {
             *b = 0;
         }
-        let off = dp.offset() as usize;
-        if durable {
-            ctx.put_bytes(WIN_DATA, dp.rank(), off, &buf);
-        } else {
-            ctx.put_bytes_volatile(WIN_DATA, dp.rank(), off, &buf);
-        }
+        ctx.put_bytes(WIN_DATA, dp.rank(), dp.offset() as usize, &buf);
     }
     ctx.end_nb_batch();
     ctx.flush(target);

@@ -32,10 +32,11 @@
 //! * [`bulk`] — collective bulk ingestion;
 //! * [`db`] — database objects, multi-database registry, the per-rank
 //!   engine handle;
-//! * [`persist`] — durability: collective full **and incremental
-//!   (delta)** checkpoints driven by dirty-chunk tracking, per-rank
-//!   redo logs, crash recovery (snapshot chain + logical replay, onto
-//!   the snapshot's rank count or any other);
+//! * [`persist`] — durability: per-rank redo logs, collective full
+//!   checkpoints (the live set) **and incremental (delta)** ones that
+//!   seal each rank's redo log as a chain segment, crash recovery (base
+//!   image + one logical replay of the segments and live logs, onto the
+//!   snapshot's rank count or any other);
 //! * [`maint`] — collective background maintenance: MVCC version
 //!   vacuum below the snapshot floor, free-list vacuum, holder-chain
 //!   compaction, checksum verification of the published snapshot chain;

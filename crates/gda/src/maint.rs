@@ -27,14 +27,16 @@
 //! 3. **Holder-chain compaction** — relocate multi-block holders'
 //!    *continuation* blocks (never the primary: it is the object's
 //!    identity) to lower-numbered free blocks. Logical content is
-//!    unchanged, so no redo record is written; the moved blocks reach
-//!    durability through the dirty map at the next delta checkpoint,
-//!    and a crash before that recovers the (equivalent)
-//!    pre-compaction layout.
+//!    unchanged, so no redo record is written, and none is needed:
+//!    recovery replays holders by primary into freshly allocated
+//!    chains, so the layout a compaction leaves is never read back —
+//!    the next full image walks the moved chain, every earlier image
+//!    and segment still yields the same holder bytes.
 //! 4. **Checksum verification** — re-read every file of the published
-//!    snapshot chain and validate its trailing checksum
-//!    ([`crate::persist`]), surfacing silent corruption *before* the
-//!    next recovery depends on the file.
+//!    snapshot chain — the base image, the manifests and the sealed redo
+//!    segments — and validate its checksums ([`crate::persist`]),
+//!    surfacing silent corruption *before* the next recovery depends on
+//!    the file.
 //!
 //! The pass requires quiescence: no transaction may be open anywhere
 //! except **pinned read-only snapshots** — those never write back
@@ -81,13 +83,12 @@ pub struct MaintenanceReport {
 /// Seal a truncated archive chain: zero the `prev` field of the last
 /// kept archive, in place (one aligned word write into the archive's
 /// primary block — `prev` sits entirely inside the first block's
-/// payload, after the 48-byte header start). Archives are volatile, so
-/// the seal is too: the volatile put, no dirty mark. Shared by the
-/// commit-path truncation ([`crate::tx`]) and the vacuum.
+/// payload, after the 48-byte header start). Shared by the commit-path
+/// truncation ([`crate::tx`]) and the vacuum.
 pub(crate) fn seal_chain_tail(ctx: &RankCtx, dp: DPtr) {
     let at = dp.offset() as usize + BLOCK_PAYLOAD_OFFSET + PREV_OFFSET;
     debug_assert!(at.is_multiple_of(8), "prev is an aligned word");
-    ctx.put_bytes_volatile(WIN_DATA, dp.rank(), at, &0u64.to_le_bytes());
+    ctx.put_bytes(WIN_DATA, dp.rank(), at, &0u64.to_le_bytes());
     ctx.flush(dp.rank());
 }
 

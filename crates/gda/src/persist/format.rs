@@ -41,7 +41,13 @@ pub(super) const MANIFEST_MAGIC: &[u8; 8] = b"GDAMANI\x01";
 /// system windows are gone), and a full image's data window holds the
 /// live chains only, every other block zero. A v6 directory is refused
 /// by version, like every older one.
-pub(super) const FORMAT_VERSION: u32 = 7;
+/// v8: a delta checkpoint is its manifest plus each rank's sealed redo
+/// log (`ckpt-<id>/redo-rank-<r>.seg`); there are no delta snapshot
+/// files, and a chain member's frames are read from its segments, not
+/// patched into an image. Snapshot files keep the v7 full-image layout.
+/// A v7 directory is refused by version: its deltas are images the
+/// recovery no longer folds.
+pub(super) const FORMAT_VERSION: u32 = 8;
 
 /// Bytes of the fixed `[magic 8][version u32]` prefix of snapshot and
 /// manifest files.

@@ -4,24 +4,27 @@
 //! (§6) never survives a process failure. This module adds the missing
 //! durability half for a serving deployment:
 //!
-//! * a **collective fuzzy checkpoint** ([`GdaRank::checkpoint`]): the
-//!   fabric quiesces ([`rma::RankCtx::quiesce`], the drain barrier the
-//!   server's group-commit cycle already rendezvouses on), every rank
-//!   serializes what recovery reads of its windows — the live holder
-//!   chains of its block pool and its DHT partition *including the
-//!   epoch word* — plus its explicit-index postings into a versioned
-//!   per-rank snapshot file, and rank 0 writes a manifest carrying the
-//!   metadata catalog and index definitions;
 //! * a **per-rank logical redo log**: every committed transaction
 //!   appends one frame describing its effects at holder granularity
-//!   ([`RedoRecord`]), so recovery = *load latest snapshot + replay the
-//!   log tail*. Appends are charged to the LogGP clock through
-//!   [`rma::RankCtx::record_log_write`]; group commit amortizes the
-//!   fixed submission overhead exactly as it amortizes RMA doorbells;
+//!   ([`RedoRecord`]), so recovery = *load the chain's base image +
+//!   replay every frame logged since*. Appends are charged to the LogGP
+//!   clock through [`rma::RankCtx::record_log_write`]; group commit
+//!   amortizes the fixed submission overhead exactly as it amortizes
+//!   RMA doorbells;
+//! * a **collective checkpoint** ([`GdaRank::checkpoint`]): the fabric
+//!   quiesces ([`rma::RankCtx::quiesce`], the drain barrier the server's
+//!   group-commit cycle already rendezvouses on) and rank 0 writes a
+//!   manifest carrying the snapshot chain, the metadata catalog and the
+//!   index definitions. A **full** checkpoint first has every rank
+//!   serialize what recovery reads of its windows — the live holder
+//!   chains of its block pool and its DHT partition — plus its
+//!   explicit-index postings into a versioned per-rank snapshot file; a
+//!   **delta** writes nothing else and *seals* each rank's redo log as
+//!   the chain's next segment;
 //! * **recovery** ([`recover`], [`recover_with_topology`]; the
 //!   `persist/recover.rs` module docs): reads the `CURRENT` pointer,
-//!   the manifest, every rank's snapshot chain and redo tail, replays
-//!   the tails logically into one object map, then — collectively,
+//!   the manifest, every rank's base image and redo history, replays
+//!   the history logically into one object map, then — collectively,
 //!   inside `fabric.run` on a fresh fabric of any rank count —
 //!   materializes that map ([`RecoveryPlan::restore_rank`]) and commits
 //!   it with a fresh full checkpoint, so the next crash replays from a
@@ -29,19 +32,32 @@
 //!
 //! ## Snapshot publication protocol
 //!
-//! A checkpoint is crash-safe at every step: rank files and the
-//! manifest are written to `ckpt-<id>/` under temporary names and
+//! A checkpoint is crash-safe at every step: a full's rank files and
+//! every manifest are written to `ckpt-<id>/` under temporary names and
 //! renamed — all *voted on* — before rank 0 atomically replaces the
-//! `CURRENT` pointer. Only after a successful publish does each rank
-//! truncate its redo log; truncation failure is non-fatal because every
-//! log frame carries the checkpoint generation it was appended under,
-//! so replay skips frames from before the published snapshot. That
-//! ordering means no unwind path ever has to move `CURRENT` back: it
-//! only ever advances to a snapshot all ranks have fully committed to.
-//! A failed checkpoint (any rank; detected with an abort-vote
-//! allreduce, like a collective commit) deletes its partial directory,
-//! re-marks the dirty chunks it drained, and leaves the previous
-//! snapshot — and the serving database — untouched.
+//! `CURRENT` pointer. That ordering means no unwind path ever has to
+//! move `CURRENT` back: it only ever advances to a checkpoint all ranks
+//! have fully committed to. A failed checkpoint (any rank; detected
+//! with an abort-vote allreduce, like a collective commit) deletes its
+//! partial directory and leaves the previous chain, every redo log and
+//! the serving database untouched.
+//!
+//! Only after a successful publish does each rank settle its redo log:
+//! a full **truncates** it, a delta **seals** it (renames it to
+//! `ckpt-<id>/redo-rank-<r>.seg`, so the next append starts a fresh
+//! log). Both are non-fatal. A frame carries the checkpoint generation
+//! it was appended under, so frames a failed truncation leaves behind
+//! are older than the new base and replay skips them (and the next
+//! checkpoint is a full again, so such a log is never sealed); a log a
+//! failed seal leaves behind is still read — after the chain's
+//! segments — and the next delta seals it whole. A crash between the
+//! publish and a seal is the same case.
+//!
+//! Only the live log can end in a torn frame (a crash mid-append). A
+//! segment is a log sealed whole after a checkpoint that found every
+//! append since the last one intact, so recovery refuses — with a typed
+//! I/O error and the directory untouched — a segment whose frames stop
+//! short of its end.
 //!
 //! ## Snapshot files stream
 //!
@@ -58,31 +74,37 @@
 //!
 //! ## Incremental (delta) checkpoints
 //!
-//! Durability cost is proportional to *churn*, not database size: the
-//! fabric tracks which chunks of each window were written since the
-//! last checkpoint ([`rma::DirtyMap`], one chunk = one block), and a
-//! checkpoint ordinarily writes only the data- and index-window chunks
-//! among them — as runs of adjacent chunks — into a **delta** file
-//! chained onto the last **full** snapshot. The manifest records the
-//! chain (`full base, delta, delta, …`); recovery folds the chain in
-//! order before replaying the redo tails. A checkpoint *rebases* to a
-//! full snapshot when the chain is empty or too long, when a rank's
-//! dirty fraction of those two windows makes a delta pointless, or on
-//! explicit request ([`GdaRank::checkpoint_full`]). Garbage collection
-//! never removes a checkpoint directory still referenced by the current
-//! chain.
+//! Recovery is one logical replay of whole-holder redo records onto the
+//! objects lifted from a full image, so the frames logged since that
+//! image *are* everything a later checkpoint would otherwise copy out of
+//! the windows. A **delta** therefore writes no image: its manifest
+//! extends the chain (`full base, delta, delta, …`) and each rank's redo
+//! log becomes that delta's segment. Recovery reads each rank's log as
+//! the concatenation of the segments of the chain's deltas, in chain
+//! order, then the live log — whichever exist — parsed as one log with
+//! the base id as its minimum generation (`PersistStore::read_log`), and
+//! replays it. A delta costs a manifest and a rename; the bytes it makes
+//! durable are the redo bytes, written once.
 //!
-//! Both kinds ship only what recovery lifts. A full image walks the live
-//! set — every chain the DHT names, and the heavyweight edge holders
-//! their records name — and writes the data window with every other
-//! block as zeros. A delta never sees an MVCC archive: archives (and
-//! the seal of a truncated archive chain) are written with the volatile
-//! put, which leaves the dirty map alone. Archives serve pinned readers
-//! of the running database only; recovery starts every object at epoch 0
-//! without archives and never follows `prev`. The argument that the
-//! folded chain still equals the live windows on every live block is in
-//! `rma::dirty` ("Volatile writes") and `persist/snapshot.rs`; the
-//! test oracle [`audit_image`] checks it.
+//! A checkpoint *rebases* to a **full** image — every rank's live set:
+//! every chain the DHT names and the heavyweight edge holders their
+//! records name, every other data block written as zeros; never an MVCC
+//! archive — when:
+//! * it is requested ([`GdaRank::checkpoint_full`]);
+//! * the chain is empty (no full image yet) or has reached
+//!   `DELTA_CHAIN_CAP` members, which bounds what recovery replays and
+//!   lets gc reclaim old bases;
+//! * the live logs are not exactly the changes since the last
+//!   checkpoint (`PersistStore::note_unlogged`): a bulk load, an index
+//!   definition change or a redo append that failed (counted in
+//!   [`PersistStore::log_errors`]) is missing from them, or a full's
+//!   failed truncation left stale frames in one. A delta would seal a
+//!   log that misses a change — or a torn frame in front of later ones —
+//!   while a full image re-anchors it.
+//!
+//! Any rank can raise a rule; the vote is one `allreduce_any`. Garbage
+//! collection never removes a checkpoint directory still referenced by
+//! the current chain, so a segment lives exactly as long as its chain.
 //!
 //! ## Durability scope
 //!
@@ -100,7 +122,7 @@
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -122,16 +144,17 @@ mod snapshot;
 
 pub use self::{
     format::Checksum,
-    recover::{recover, recover_with_topology, RankRecovery, RecoveryPlan},
-    snapshot::{audit_image, STRIP_BYTES},
+    recover::{audit_image, recover, recover_with_topology, RankRecovery, RecoveryPlan},
+    snapshot::STRIP_BYTES,
 };
 use format::{
     check_file_header, io_err, Dec, Enc, FILE_HEADER_BYTES, FORMAT_VERSION, MANIFEST_MAGIC,
 };
-use snapshot::{live_blocks, write_rank_snapshot, Image, SNAPSHOT_WINDOWS};
+use snapshot::{live_blocks, write_rank_snapshot};
 
-/// A delta chain longer than this rebases to a full snapshot (bounds
-/// recovery work and keeps gc able to reclaim old bases).
+/// A chain this long rebases to a full snapshot: the base plus at most
+/// `DELTA_CHAIN_CAP - 1` sealed segments bounds what recovery replays,
+/// and keeps gc able to reclaim old bases.
 const DELTA_CHAIN_CAP: usize = 8;
 
 // ---------------------------------------------------------------------
@@ -237,11 +260,11 @@ const MIN_RECORD_BYTES: u64 = 26;
 
 /// Frame a batch of records (one committed transaction) for the log:
 /// `[payload_len u32][checksum u64][payload]`, where the payload starts
-/// with the checkpoint generation the frame was appended under. Redo
-/// files keep their name across checkpoints (truncation at publish),
-/// so the generation is what lets replay reject frames that predate
-/// the published snapshot when a truncation failed or the process
-/// crashed between publish and truncate.
+/// with the checkpoint generation the frame was appended under. A full
+/// checkpoint truncates the log at publish, so the generation is what
+/// lets replay reject frames that predate the chain's base when a
+/// truncation failed or the process crashed between publish and
+/// truncate.
 fn encode_frame(records: &[RedoRecord], generation: u64) -> Vec<u8> {
     let payload_estimate: usize = records
         .iter()
@@ -278,32 +301,39 @@ fn decode_frame(payload: &[u8]) -> GdiResult<(u64, Vec<RedoRecord>)> {
     Ok((generation, frame))
 }
 
-/// Parse a log file's bytes into records, stopping at the first torn or
-/// corrupt frame. Frames stamped with a generation below `min_gen`
-/// parse but contribute no records: they describe commits already
-/// captured by the snapshot being replayed onto. Returns the records
-/// and the byte length of the valid prefix (a recovery cuts the file
-/// there before anything appends to it again: `PersistStore::cut_log`).
-fn parse_log(bytes: &[u8], min_gen: u64) -> (Vec<RedoRecord>, usize) {
+/// Parse a log of `len` bytes into records, one frame at a time,
+/// stopping at the first torn or corrupt frame: a frame length past the
+/// log (checked before anything is allocated for it), a checksum
+/// mismatch, or a payload that does not decode (a record count past the
+/// payload, a record's byte length past the frame). Frames stamped with
+/// a generation below `min_gen` parse but contribute no records: they
+/// describe commits already captured by the image being replayed onto.
+/// Returns the records and the byte length of the valid prefix (a
+/// recovery cuts the live log there before anything appends to it
+/// again: `PersistStore::cut_log`).
+fn parse_log(mut log: impl Read, len: u64, min_gen: u64) -> (Vec<RedoRecord>, u64) {
     let mut records = Vec::new();
-    let mut pos = 0usize;
-    while let Some(head) = bytes.get(pos..pos + FRAME_HEADER_BYTES) {
-        let len = u32::from_le_bytes(head[..4].try_into().expect("4 bytes")) as usize;
+    let mut payload = Vec::new();
+    let mut head = [0u8; FRAME_HEADER_BYTES];
+    let mut pos = 0u64;
+    while log.read_exact(&mut head).is_ok() {
+        let n = u32::from_le_bytes(head[..4].try_into().expect("4 bytes"));
         let sum = u64::from_le_bytes(head[4..].try_into().expect("8 bytes"));
-        let start = pos + FRAME_HEADER_BYTES;
-        let Some(payload) = bytes.get(start..start + len) else {
+        let end = pos + FRAME_HEADER_BYTES as u64 + u64::from(n);
+        if end > len {
             break; // torn tail
-        };
-        if Checksum::of(payload) != sum {
+        }
+        payload.resize(n as usize, 0);
+        if log.read_exact(&mut payload).is_err() || Checksum::of(&payload) != sum {
             break; // corrupt frame
         }
-        let Ok((generation, frame)) = decode_frame(payload) else {
+        let Ok((generation, frame)) = decode_frame(&payload) else {
             break;
         };
         if generation >= min_gen {
             records.extend(frame);
         }
-        pos = start + len;
+        pos = end;
     }
     (records, pos)
 }
@@ -367,11 +397,11 @@ pub struct CheckpointReport {
     /// Was this a full snapshot (`true`) or a delta chained onto the
     /// previous chain member (`false`)?
     pub full: bool,
-    /// Snapshot bytes written by each rank.
+    /// Bytes the checkpoint itself wrote on each rank: a full its
+    /// snapshot files, a delta its manifest (rank 0; 0 elsewhere). The
+    /// redo bytes a delta seals were written — and counted — by the
+    /// commits that logged them.
     pub per_rank_bytes: Vec<u64>,
-    /// Dirty chunks shipped by each rank (0 for a full snapshot —
-    /// every chunk shipped implicitly).
-    pub per_rank_chunks: Vec<u64>,
     /// Simulated seconds the checkpoint stalled commits (quiesce entry
     /// to publish, max over ranks).
     pub sim_stall_s: f64,
@@ -403,6 +433,9 @@ pub struct PersistStore {
     chain: Mutex<Vec<u64>>,
     writers: Vec<Mutex<Option<RedoWriter>>>,
     log_errors: AtomicU64,
+    /// Set by a change no redo frame records ([`Self::note_unlogged`]),
+    /// cleared by the full image that captures it.
+    unlogged: AtomicBool,
     faults: Arc<FaultPlane>,
     last_checkpoint: Mutex<Option<CheckpointReport>>,
 }
@@ -425,6 +458,7 @@ impl PersistStore {
             chain: Mutex::new(chain),
             writers: (0..nranks).map(|_| Mutex::new(None)).collect(),
             log_errors: AtomicU64::new(0),
+            unlogged: AtomicBool::new(false),
             faults,
             last_checkpoint: Mutex::new(None),
         })
@@ -444,7 +478,8 @@ impl PersistStore {
 
     /// The published snapshot chain: the full base first, every delta
     /// after it in order, ending at [`PersistStore::current`]. Empty at
-    /// genesis. Recovery folds exactly these files.
+    /// genesis. Recovery reads the base's image and every delta's
+    /// segments.
     pub fn chain(&self) -> Vec<u64> {
         self.chain.lock().clone()
     }
@@ -461,11 +496,11 @@ impl PersistStore {
     }
 
     /// Re-read and checksum-validate every file of the published
-    /// snapshot chain that belongs to `rank` (plus the manifests, for
-    /// rank 0), streaming each through `O(strip)` memory: the online
-    /// scrub behind the maintenance verifier pass. Returns `(bytes
-    /// verified, errors found)` — an unreadable file counts as one
-    /// error.
+    /// snapshot chain that belongs to `rank` — the base's snapshot file,
+    /// streamed through `O(strip)` memory, and every sealed segment —
+    /// plus the manifests, for rank 0: the online scrub behind the
+    /// maintenance verifier pass. Returns `(bytes verified, errors
+    /// found)` — an unreadable file counts as one error.
     pub fn verify_chain(&self, rank: usize) -> (u64, u64) {
         snapshot::verify_rank_chain(self, rank)
     }
@@ -504,6 +539,11 @@ impl PersistStore {
 
     fn log_path(&self, rank: usize) -> PathBuf {
         self.opts.dir.join(format!("redo-rank-{rank}.log"))
+    }
+
+    /// Where delta `id` keeps `rank`'s sealed redo log.
+    fn segment_path(&self, id: u64, rank: usize) -> PathBuf {
+        self.ckpt_dir(id).join(format!("redo-rank-{rank}.seg"))
     }
 
     fn current_path(&self) -> PathBuf {
@@ -565,15 +605,26 @@ impl PersistStore {
         Ok(frame.len())
     }
 
+    /// Count a failed redo append: its commit is a change no frame
+    /// records.
     pub(crate) fn note_log_error(&self) {
         self.log_errors.fetch_add(1, Ordering::Relaxed);
+        self.note_unlogged();
     }
 
-    /// Truncate `rank`'s redo log after a successful publish: every
-    /// frame in it describes a commit the just-published chain already
-    /// captures. Failure is non-fatal for the checkpoint — stale frames
-    /// carry an older generation and are skipped at replay — so the
-    /// caller only reports it.
+    /// Record a change to the database that no redo frame describes (a
+    /// bulk load, an index definition change, a failed append): the next
+    /// checkpoint must be a full image, because a delta is only the
+    /// frames.
+    pub(crate) fn note_unlogged(&self) {
+        self.unlogged.store(true, Ordering::Release);
+    }
+
+    /// Truncate `rank`'s redo log after a full checkpoint published:
+    /// every frame in it describes a commit the new base image captures.
+    /// Failure is non-fatal for the checkpoint — stale frames carry an
+    /// older generation and are skipped at replay — so the caller only
+    /// reports it.
     fn truncate_log(&self, rank: usize) -> GdiResult<()> {
         if self.probe_fault(faults::REDO_ROTATE, rank).is_some() {
             return Err(GdiError::Io("injected redo rotate failure".into()));
@@ -581,9 +632,35 @@ impl PersistStore {
         self.cut_log(rank, 0)
     }
 
+    /// Seal `rank`'s redo log after delta `id` published: rename it to
+    /// the delta's segment, so the next append starts a fresh log.
+    /// Failure is non-fatal for the checkpoint — an unsealed log stays
+    /// live, recovery reads it after the chain's segments, and the next
+    /// delta seals it whole — so the caller only reports it. A rank that
+    /// logged nothing since the last checkpoint has no log to seal.
+    fn seal_log(&self, rank: usize, id: u64) -> GdiResult<()> {
+        if self.probe_fault(faults::REDO_SEAL, rank).is_some() {
+            return Err(GdiError::Io("injected redo seal failure".into()));
+        }
+        // the append handle would follow the renamed file: drop it
+        let mut writer = self.writers[rank].lock();
+        *writer = None;
+        match fs::rename(self.log_path(rank), self.segment_path(id, rank)) {
+            Ok(()) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
+            Err(e) => return Err(io_err("seal redo log", e)),
+        }
+        if self.opts.sync {
+            sync_dir(&self.ckpt_dir(id))?;
+            sync_dir(&self.opts.dir)?;
+        }
+        Ok(())
+    }
+
     /// Cut `rank`'s redo log to at most `len` bytes. A recovery cuts
-    /// every log it read to the valid prefix [`Self::read_log`] returned
-    /// once its closing checkpoint has published, so a torn or corrupt
+    /// every live log it read to the valid prefix [`Self::read_log`]
+    /// returned once its closing checkpoint has published, so a torn or
+    /// corrupt
     /// tail that a failed truncation left behind can never strand the
     /// frames appended after it (replay stops at the first invalid
     /// frame). A missing or shorter log is left alone.
@@ -608,29 +685,54 @@ impl PersistStore {
         Ok(())
     }
 
-    /// Read `rank`'s redo log for recovery: the records of every
-    /// checksum-clean frame stamped `min_gen` or later (see
-    /// [`parse_log`]) and the byte length of the valid prefix. The one
-    /// log reader. Only a log that does not exist is an empty tail; any
-    /// other I/O error surfaces instead of silently dropping commits.
-    /// Probes `redo.read`: a [`FaultMode::BitFlip`] corrupts the bytes
-    /// read, so the tail ends in front of the flipped frame; any other
-    /// mode is an I/O error. Never writes: the recovery cuts the log to
-    /// the returned length ([`Self::cut_log`]) only after its closing
+    /// Read `rank`'s redo history for recovery: the segments the deltas
+    /// of `chain` sealed, in chain order, then the live log — whichever
+    /// of those files exist — as one log of frames stamped at or after
+    /// the chain's base (see [`parse_log`]; 0 at genesis). Only the live
+    /// log may end in a torn or corrupt frame: the history ends there. A
+    /// sealed segment never legitimately does — an append that failed
+    /// forces the next checkpoint to be a full image, which seals
+    /// nothing — so a segment whose frames stop short of its end is
+    /// corruption of acknowledged, checkpointed commits, and an I/O
+    /// error. Returns the records, the valid bytes read, and the valid
+    /// prefix of the live log. The one log reader: only a missing file
+    /// reads as empty, any other I/O error surfaces instead of silently
+    /// dropping commits. Probes `redo.read` per file: a
+    /// [`FaultMode::BitFlip`] corrupts the bytes read; any other mode is
+    /// an I/O error. Never writes: the recovery cuts the live log to its
+    /// valid prefix ([`Self::cut_log`]) only after its closing
     /// checkpoint has published.
-    fn read_log(&self, rank: usize, min_gen: u64) -> GdiResult<(Vec<RedoRecord>, u64)> {
-        let mut bytes = match fs::read(self.log_path(rank)) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(io_err("read redo segment", e)),
-        };
-        match self.probe_fault(faults::REDO_READ, rank) {
-            Some(FaultMode::BitFlip(k)) => faults::flip_bit(&mut bytes, k),
-            Some(_) => return Err(GdiError::Io("injected redo read failure".into())),
-            None => {}
+    fn read_log(&self, rank: usize, chain: &[u64]) -> GdiResult<(Vec<RedoRecord>, u64, u64)> {
+        let min_gen = chain.first().copied().unwrap_or(0);
+        let segments = chain.iter().skip(1).map(|&id| self.segment_path(id, rank));
+        let files: Vec<PathBuf> = segments.chain([self.log_path(rank)]).collect();
+        let (mut records, mut bytes, mut live) = (Vec::new(), 0u64, 0u64);
+        for (i, path) in files.iter().enumerate() {
+            let mut file = match fs::read(path) {
+                Ok(b) => b,
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
+                Err(e) => return Err(io_err("read redo log", e)),
+            };
+            match self.probe_fault(faults::REDO_READ, rank) {
+                Some(FaultMode::BitFlip(k)) => faults::flip_bit(&mut file, k),
+                Some(_) => return Err(GdiError::Io("injected redo read failure".into())),
+                None => {}
+            }
+            let (frames, valid) = parse_log(&file[..], file.len() as u64, min_gen);
+            if i + 1 < files.len() {
+                if valid < file.len() as u64 {
+                    return Err(GdiError::Io(format!(
+                        "corrupt frame at byte {valid} of sealed redo segment {}",
+                        path.display()
+                    )));
+                }
+            } else {
+                live = valid;
+            }
+            records.extend(frames);
+            bytes += valid;
         }
-        let (records, valid_len) = parse_log(&bytes, min_gen);
-        Ok((records, valid_len as u64))
+        Ok((records, bytes, live))
     }
 
     fn publish_current(&self, id: u64) -> GdiResult<()> {
@@ -894,7 +996,8 @@ fn decode_manifest(bytes: &[u8]) -> GdiResult<Manifest> {
     for _ in 0..nchain {
         chain.push(d.u64()?);
     }
-    if chain.last().copied().unwrap_or(id) != id {
+    // only the genesis manifest (id 0) has no chain
+    if chain.last().copied().unwrap_or(0) != id {
         return Err(GdiError::Io("manifest chain does not end at id".into()));
     }
     let cfg = decode_cfg(&mut d)?;
@@ -1052,13 +1155,13 @@ pub(crate) fn create_store(db: &GdaDb, opts: PersistOptions) -> GdiResult<Arc<Pe
 // ---------------------------------------------------------------------
 
 /// The collective checkpoint body behind [`GdaRank::checkpoint`]:
-/// delta when the chain and churn allow it, full otherwise.
+/// delta when the chain and the logs allow it, full otherwise.
 pub(crate) fn checkpoint_rank(eng: &GdaRank) -> GdiResult<u64> {
     checkpoint_rank_inner(eng, false)
 }
 
 /// The collective body behind [`GdaRank::checkpoint_full`]: force a
-/// full rebase regardless of chain length or churn.
+/// full rebase regardless of the chain and the logs.
 pub(crate) fn checkpoint_rank_full(eng: &GdaRank) -> GdiResult<u64> {
     checkpoint_rank_inner(eng, true)
 }
@@ -1072,33 +1175,17 @@ fn checkpoint_rank_inner(eng: &GdaRank, force_full: bool) -> GdiResult<u64> {
     let wall0 = Instant::now();
     ctx.quiesce();
     let sim0 = ctx.now_ns();
-    let old = store.current();
-    let id = old + 1;
+    let id = store.current() + 1;
     let dir = store.ckpt_dir(id);
 
-    // Drain this rank's dirty map first: a delta ships the data- and
-    // index-window chunks among these, a full image supersedes them, and
-    // every unwind path re-marks them so an aborted attempt loses no
-    // information.
-    let drained = ctx.take_dirty(me);
-
-    // Decide full vs delta collectively. A full rebase is forced when
-    // the chain is empty (genesis, or right after one), has hit the
-    // length cap (bounds recovery-time folding and lets gc reclaim old
-    // bases), or any rank dirtied enough of the windows a snapshot
-    // carries that a delta stops paying for itself (≥ half their
-    // chunks).
+    // Decide full vs delta collectively (the rules are in the module
+    // docs): a delta is the frames logged since the last checkpoint, so
+    // it must hold every change, and the chain must have a base and room.
     let chain = store.chain();
-    let chunk = ctx.dirty_chunk_bytes();
-    let (mut my_dirty, mut total_chunks) = (0u64, 0u64);
-    for w in SNAPSHOT_WINDOWS {
-        my_dirty += rma::dirty::dirty_chunks(std::slice::from_ref(&drained[w.0]));
-        total_chunks += ctx.win_len_bytes(w).div_ceil(chunk) as u64;
-    }
     let want_full = force_full
         || chain.is_empty()
         || chain.len() >= DELTA_CHAIN_CAP
-        || my_dirty.saturating_mul(2) >= total_chunks;
+        || store.unlogged.load(Ordering::Acquire);
     let full = ctx.allreduce_any(want_full);
     let chain_after: Vec<u64> = if full {
         vec![id]
@@ -1115,38 +1202,32 @@ fn checkpoint_rank_inner(eng: &GdaRank, force_full: bool) -> GdiResult<u64> {
         None
     };
     if ctx.allreduce_any(dir_err.is_some()) {
-        ctx.remark_dirty(me, &drained);
         return Err(dir_err.unwrap_or_else(|| GdiError::Io("checkpoint dir failed".into())));
     }
 
-    // every rank writes its snapshot file (a full one behind the
-    // collective live-set walk); manifest on rank 0
+    // a full image: every rank writes its snapshot file behind the
+    // collective live-set walk; then the manifest on rank 0
     let mut walk_s = 0.0;
     let mut res = if full {
         let walk0 = Instant::now();
         let live = live_blocks(eng);
         walk_s = walk0.elapsed().as_secs_f64();
-        live.and_then(|live| write_rank_snapshot(eng, &store, id, &dir, &Image::Full(&live)))
+        live.and_then(|live| write_rank_snapshot(eng, &store, id, &dir, &live))
     } else {
-        let delta = Image::Delta {
-            base: *chain.last().unwrap(),
-            bitmaps: &drained,
-        };
-        write_rank_snapshot(eng, &store, id, &dir, &delta)
+        Ok(0)
     };
     if res.is_ok() && me == 0 {
-        if store.probe_fault(faults::MANIFEST_WRITE, me).is_some() {
-            res = Err(GdiError::Io("injected manifest write failure".into()));
+        let written = if store.probe_fault(faults::MANIFEST_WRITE, me).is_some() {
+            Err(GdiError::Io("injected manifest write failure".into()))
         } else {
             let manifest = encode_manifest(&manifest_from_db(eng.db(), id, chain_after.clone()));
-            if let Err(e) = write_atomically(&dir.join("manifest.bin"), &manifest, store.opts.sync)
-            {
-                res = Err(e);
-            }
-        }
+            write_atomically(&dir.join("manifest.bin"), &manifest, store.opts.sync)
+                .map(|()| manifest.len() as u64)
+        };
+        // a delta's one file is its manifest
+        res = written.and_then(|manifest| if full { res } else { Ok(manifest) });
     }
     if ctx.allreduce_any(res.is_err()) {
-        ctx.remark_dirty(me, &drained);
         ctx.barrier();
         if me == 0 {
             let _ = fs::remove_dir_all(&dir);
@@ -1156,7 +1237,7 @@ fn checkpoint_rank_inner(eng: &GdaRank, force_full: bool) -> GdiResult<u64> {
             .err()
             .unwrap_or_else(|| GdiError::Io("checkpoint failed on a peer rank".into())));
     }
-    let (bytes, shipped) = *res.as_ref().unwrap();
+    let bytes = *res.as_ref().unwrap();
 
     // Rank 0 atomically swings `CURRENT`; everyone votes on the
     // outcome. A failed publish is atomic (tmp file + rename), so
@@ -1169,7 +1250,6 @@ fn checkpoint_rank_inner(eng: &GdaRank, force_full: bool) -> GdiResult<u64> {
         Ok(())
     };
     if ctx.allreduce_any(publish.is_err()) {
-        ctx.remark_dirty(me, &drained);
         ctx.barrier();
         if me == 0 {
             let _ = fs::remove_dir_all(&dir);
@@ -1181,20 +1261,31 @@ fn checkpoint_rank_inner(eng: &GdaRank, force_full: bool) -> GdiResult<u64> {
     }
     store.current.store(id, Ordering::Release);
     *store.chain.lock() = chain_after;
-    if !full {
+    if full {
+        store.unlogged.store(false, Ordering::Release);
+    } else {
         ctx.count(Counter::DeltaCheckpoints, 1);
-        ctx.count(Counter::DeltaChunks, shipped);
     }
-    // Post-publish: every frame in the redo log describes a commit the
-    // published chain captures, so truncate it. Failure is non-fatal —
-    // the stale frames carry generation ≤ `old` and replay skips them
-    // (`parse_log`).
-    if let Err(e) = store.truncate_log(me) {
-        eprintln!("gda: redo truncation failed on rank {me} (non-fatal): {e}");
+    // Post-publish, non-fatal either way (module docs): a full image
+    // captures every frame in the log, so truncate it; a delta's
+    // segment is the log, so seal it.
+    let settled = if full {
+        store.truncate_log(me)
+    } else {
+        store.seal_log(me, id)
+    };
+    if let Err(e) = &settled {
+        eprintln!("gda: settling the redo log failed on rank {me} (non-fatal): {e}");
     }
     ctx.barrier();
+    if full && settled.is_err() {
+        // a log the truncation left behind may hold a torn frame the
+        // image superseded: the next checkpoint rebases again instead
+        // of sealing it (raised past the barrier, so no rank's clear
+        // above can drop it)
+        store.note_unlogged();
+    }
     let per_rank_bytes = ctx.allgather(bytes);
-    let per_rank_chunks = ctx.allgather(shipped);
     let stall_ns = ctx.allreduce_max_f64(ctx.now_ns() - sim0);
     let live_walk_s = if full {
         ctx.allreduce_max_f64(walk_s)
@@ -1207,7 +1298,6 @@ fn checkpoint_rank_inner(eng: &GdaRank, force_full: bool) -> GdiResult<u64> {
             id,
             full,
             per_rank_bytes,
-            per_rank_chunks,
             sim_stall_s: stall_ns / 1e9,
             wall_s: wall0.elapsed().as_secs_f64(),
             live_walk_s,
@@ -1223,7 +1313,7 @@ pub(crate) mod tests {
     use crate::dptr::DPtr;
     use gdi::{AccessMode, AppVertexId, EdgeOrientation, PropertyValue, TxStatus};
     use rma::CostModel;
-    use snapshot::read_rank_snapshot_chain;
+    use snapshot::read_rank_snapshot;
 
     /// A unique, self-cleaning persistence directory for one test.
     pub(crate) struct TestDir(pub PathBuf);
@@ -1247,6 +1337,12 @@ pub(crate) mod tests {
         }
     }
 
+    /// [`parse_log`] over an in-memory log.
+    fn parse(log: &[u8], min_gen: u64) -> (Vec<RedoRecord>, usize) {
+        let (records, valid) = parse_log(log, log.len() as u64, min_gen);
+        (records, valid as usize)
+    }
+
     #[test]
     fn redo_frame_roundtrip_and_torn_tail() {
         let records = vec![
@@ -1267,24 +1363,24 @@ pub(crate) mod tests {
         let mut log = encode_frame(&records[..1], 3);
         log.extend_from_slice(&encode_frame(&records[1..], 4));
         let full_len = log.len();
-        let (parsed, len) = parse_log(&log, 0);
+        let (parsed, len) = parse(&log, 0);
         assert_eq!(parsed, records);
         assert_eq!(len, full_len);
         // torn tail: drop the final byte — the last frame is ignored
-        let (parsed, len) = parse_log(&log[..full_len - 1], 0);
+        let (parsed, len) = parse(&log[..full_len - 1], 0);
         assert_eq!(parsed, records[..1]);
         assert!(len < full_len);
         // corrupt checksum: flip a payload byte of frame 2
         let mut bad = log.clone();
         *bad.last_mut().unwrap() ^= 0xFF;
-        let (parsed, _) = parse_log(&bad, 0);
+        let (parsed, _) = parse(&bad, 0);
         assert_eq!(parsed, records[..1]);
         // generation filter: frames below min_gen parse (their bytes
         // count toward the valid prefix) but contribute no records
-        let (parsed, len) = parse_log(&log, 4);
+        let (parsed, len) = parse(&log, 4);
         assert_eq!(parsed, records[1..]);
         assert_eq!(len, full_len);
-        let (parsed, len) = parse_log(&log, 5);
+        let (parsed, len) = parse(&log, 5);
         assert!(parsed.is_empty());
         assert_eq!(len, full_len);
     }
@@ -1721,11 +1817,15 @@ pub(crate) mod tests {
                 ctx.barrier();
                 assert_eq!(eng.checkpoint().unwrap(), 1);
                 // one arming call (not one per rank thread): the fault
-                // is scoped to rank 0's snapshot write and fires once
+                // is scoped to rank 0's manifest write and fires once
                 if ctx.rank() == 0 {
-                    store
-                        .fault_plane()
-                        .arm_at(faults::SNAP_WRITE, Some(0), 0, 1, FaultMode::Error);
+                    store.fault_plane().arm_at(
+                        faults::MANIFEST_WRITE,
+                        Some(0),
+                        0,
+                        1,
+                        FaultMode::Error,
+                    );
                 }
                 let err = eng.checkpoint();
                 assert!(err.is_err(), "injected failure must surface");
@@ -2565,11 +2665,11 @@ pub(crate) mod tests {
         });
     }
 
-    /// Regression: a *peer* rank's redo-log truncation failing after
-    /// `CURRENT` has been published must be non-fatal — the checkpoint
-    /// still succeeds — and the stale frames it leaves behind (a
-    /// create *and delete* of app 40, both already captured by the
-    /// snapshot) must be skipped at replay via their generation stamp.
+    /// Regression: a *peer* rank's redo-log truncation failing after a
+    /// full checkpoint published `CURRENT` must be non-fatal — the
+    /// checkpoint still succeeds — and the stale frames it leaves behind
+    /// (a create *and delete* of app 40, both already captured by the
+    /// image) must be skipped at replay via their generation stamp.
     /// Without the stamp, replaying the stale delete against the new
     /// snapshot double-frees blocks the free list already owns, which
     /// the end-of-test pool accounting catches.
@@ -2593,8 +2693,8 @@ pub(crate) mod tests {
                 ctx.barrier();
                 assert_eq!(eng.checkpoint().unwrap(), 1);
                 // rank 1's log: create and delete app 40 — both of
-                // these land in checkpoint 2's snapshot, so replaying
-                // them *against* it is the double-free hazard
+                // these land in checkpoint 2's image, so replaying them
+                // *against* it is the double-free hazard
                 if ctx.rank() == 1 {
                     let tx = eng.begin(AccessMode::ReadWrite);
                     tx.create_vertex(AppVertexId(40)).unwrap();
@@ -2613,7 +2713,7 @@ pub(crate) mod tests {
                 }
                 ctx.barrier();
                 // truncation fails on rank 1, yet the checkpoint stands
-                assert_eq!(eng.checkpoint().unwrap(), 2);
+                assert_eq!(eng.checkpoint_full().unwrap(), 2);
                 assert_eq!(store.current(), 2);
                 assert!(store.ckpt_dir_exists(2));
                 let cur = fs::read_to_string(td.0.join("CURRENT")).unwrap();
@@ -2665,10 +2765,10 @@ pub(crate) mod tests {
         });
     }
 
-    /// Delta checkpoints chain onto the full base, shrink with churn
-    /// rather than database size, survive recovery — and gc must keep
-    /// every chain member alive (the old `id - 1` rule would delete
-    /// the base right out from under the deltas).
+    /// Delta checkpoints chain onto the full base, write their manifest
+    /// and seal each rank's log instead of an image, survive recovery —
+    /// and gc must keep every chain member alive (the old `id - 1` rule
+    /// would delete the base right out from under the deltas).
     #[test]
     fn delta_chain_recovers_and_gc_keeps_base() {
         let td = TestDir::new("deltachain");
@@ -2689,19 +2789,21 @@ pub(crate) mod tests {
                 let full = store.last_checkpoint().unwrap();
                 assert!(full.full);
                 assert_eq!(store.chain(), vec![1]);
-                // small churn → delta, much smaller than the full image
+                // a commit since → delta: the manifest, and the sealed log
                 let tx = eng.begin(AccessMode::ReadWrite);
                 tx.create_vertex(AppVertexId(100)).unwrap();
                 tx.commit().unwrap();
+                let logged = fs::metadata(store.log_path(0)).unwrap().len();
                 assert_eq!(eng.checkpoint().unwrap(), 2);
                 let delta = store.last_checkpoint().unwrap();
-                assert!(!delta.full, "small churn must produce a delta");
-                assert!(delta.per_rank_chunks.iter().sum::<u64>() > 0);
-                assert!(
-                    delta.per_rank_bytes.iter().sum::<u64>()
-                        < full.per_rank_bytes.iter().sum::<u64>() / 2,
-                    "delta {delta:?} vs full {full:?}"
+                assert!(!delta.full, "a logged commit must produce a delta");
+                let manifest = fs::metadata(store.ckpt_dir(2).join("manifest.bin")).unwrap();
+                assert_eq!(delta.per_rank_bytes, vec![manifest.len()]);
+                assert_eq!(
+                    fs::metadata(store.segment_path(2, 0)).unwrap().len(),
+                    logged
                 );
+                assert!(!store.log_path(0).exists(), "the live log was sealed");
                 // second delta: the old `n + 1 < id` gc rule would now
                 // delete ckpt-1 — the chain's base
                 let tx = eng.begin(AccessMode::ReadWrite);
@@ -2784,9 +2886,10 @@ pub(crate) mod tests {
     }
 
     /// A one-rank database with a label, an index and a property,
-    /// checkpointed into the chain `[1 (full), 2 (delta)]` with a redo
-    /// tail behind it. Returns the store (readable after the fabric is
-    /// gone) and the config the files were written under.
+    /// checkpointed into the chain `[1 (full), 2 (delta: a one-frame
+    /// segment)]` with a live redo log behind it. Returns the store
+    /// (readable after the fabric is gone) and the config the files were
+    /// written under.
     fn small_chain(td: &TestDir) -> (Arc<PersistStore>, GdaConfig) {
         let cfg = GdaConfig::tiny();
         let (db, fabric) = GdaDb::with_fabric("hostile", cfg, 1, CostModel::zero());
@@ -2828,10 +2931,25 @@ pub(crate) mod tests {
         head[4..].copy_from_slice(&Checksum::of(payload).to_le_bytes());
     }
 
+    /// Recompute the checksum of a segment's first frame over the payload
+    /// its — possibly hostile — length declares, when the file holds that
+    /// much: the frame decoder is reached whenever the length allows it.
+    fn reseal_segment(segment: &mut [u8]) {
+        let Some(head) = segment.get(..FRAME_HEADER_BYTES) else {
+            return;
+        };
+        let len = u32::from_le_bytes(head[..4].try_into().unwrap()) as usize;
+        if let Some(payload) = segment.get(FRAME_HEADER_BYTES..FRAME_HEADER_BYTES + len) {
+            let sum = Checksum::of(payload).to_le_bytes();
+            segment[4..FRAME_HEADER_BYTES].copy_from_slice(&sum);
+        }
+    }
+
     /// The four parsers fed `bytes` in place of the file at `target`
-    /// (0 = full snapshot, 1 = delta, 2 = manifest, 3 = redo frame),
-    /// checksum re-sealed so the parser itself is reached: each must
-    /// return a value or a typed I/O error.
+    /// (0 = full snapshot, 1 = sealed segment, 2 = manifest, 3 = redo
+    /// frame), checksum re-sealed so the parser itself is reached: each
+    /// must return a value or a typed I/O error, and a segment broken at
+    /// any frame must refuse the redo history.
     fn parse_hostile(
         store: &PersistStore,
         cfg: &GdaConfig,
@@ -2843,14 +2961,14 @@ pub(crate) mod tests {
             Err(other) => Err(format!("untyped error {other:?}")),
         };
         match target {
-            0 | 1 => {
+            0 => {
                 if bytes.len() >= 8 {
                     reseal(&mut bytes);
                 }
-                let path = store.ckpt_dir(target as u64 + 1).join("rank-0.snap");
+                let path = store.ckpt_dir(1).join("rank-0.snap");
                 let original = fs::read(&path).unwrap();
                 fs::write(&path, &bytes).unwrap();
-                let got = read_rank_snapshot_chain(store, &[1, 2], 0, cfg, 1);
+                let got = read_rank_snapshot(store, 1, 0, cfg, 1);
                 fs::write(&path, original).unwrap();
                 if let Ok(snap) = &got {
                     let want = snapshot::window_bytes(cfg);
@@ -2860,6 +2978,31 @@ pub(crate) mod tests {
                     }
                 }
                 typed(got.map(|_| ()))
+            }
+            1 => {
+                reseal_segment(&mut bytes);
+                let path = store.segment_path(2, 0);
+                let original = fs::read(&path).unwrap();
+                fs::write(&path, &bytes).unwrap();
+                let got = store.read_log(0, &[1, 2]);
+                fs::write(&path, original).unwrap();
+                // a segment broken anywhere refuses the history; a whole
+                // one is read, the live log behind it
+                let (prefix, valid) = parse(&bytes, 1);
+                match got {
+                    Err(GdiError::Io(_)) if valid < bytes.len() => Ok(()),
+                    Ok((records, read, _))
+                        if valid == bytes.len()
+                            && records.starts_with(&prefix)
+                            && read > valid as u64 =>
+                    {
+                        Ok(())
+                    }
+                    other => Err(format!(
+                        "segment valid for {valid} of {} bytes read as {other:?}",
+                        bytes.len()
+                    )),
+                }
             }
             2 => {
                 if bytes.len() >= 8 {
@@ -2871,7 +3014,7 @@ pub(crate) mod tests {
                 if bytes.len() >= FRAME_HEADER_BYTES {
                     reseal_frame(&mut bytes);
                 }
-                let (records, valid) = parse_log(&bytes, 0);
+                let (records, valid) = parse(&bytes, 0);
                 if valid != 0 && valid != bytes.len() {
                     return Err(format!("valid prefix {valid} of {}", bytes.len()));
                 }
@@ -2928,7 +3071,7 @@ pub(crate) mod tests {
         );
         vec![
             fs::read(store.ckpt_dir(1).join("rank-0.snap")).unwrap(),
-            fs::read(store.ckpt_dir(2).join("rank-0.snap")).unwrap(),
+            fs::read(store.segment_path(2, 0)).unwrap(),
             fs::read(store.ckpt_dir(2).join("manifest.bin")).unwrap(),
             frame,
         ]
@@ -2938,16 +3081,46 @@ pub(crate) mod tests {
     /// survives the values a hostile length would take: nothing
     /// panics, and nothing is allocated from a count the input cannot
     /// back (`u32::MAX` postings or `2⁶³` window bytes would abort the
-    /// test process if they were).
+    /// test process if they were). A sealed segment — what recovery
+    /// replays for a delta — is swept whole, and the three ways its
+    /// first frame can point past itself each stop the frame parser at
+    /// byte 0 and refuse the history with a typed error.
     #[test]
     fn every_field_position_survives_hostile_values() {
         let fx = HostileFixture::new("hostile-sweep");
         let (store, cfg) = (&fx.store, &fx.cfg);
+        let segment = &fx.images[1];
+        // the first record of the first frame is an upsert: tag, primary,
+        // app id, edge flag, version, then its bytes' length
+        let record_bytes_len = FRAME_HEADER_BYTES + 8 + 4 + 1 + 8 + 8 + 1 + 8;
+        assert_eq!(segment[FRAME_HEADER_BYTES + 12], 1, "an upsert comes first");
+        for (what, at) in [
+            ("frame length past the file", 0),
+            ("record count past the payload", FRAME_HEADER_BYTES + 8),
+            ("record bytes past the frame", record_bytes_len),
+        ] {
+            let mut m = segment.clone();
+            m[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            reseal_segment(&mut m);
+            assert_eq!(
+                parse(&m, 0),
+                (Vec::new(), 0),
+                "{what}: the first frame stops"
+            );
+            let path = store.segment_path(2, 0);
+            fs::write(&path, &m).unwrap();
+            let got = store.read_log(0, &[1, 2]);
+            fs::write(&path, segment).unwrap();
+            assert!(
+                matches!(&got, Err(GdiError::Io(e)) if e.contains("byte 0 of sealed redo segment")),
+                "{what}: {got:?}"
+            );
+        }
         for (target, image) in fx.images.iter().enumerate() {
             parse_hostile(store, cfg, target, image.clone()).unwrap();
             // snapshots are mostly window data: sweep their structured
-            // head and tail, and everything of the two small formats
-            let offsets: Vec<usize> = if target < 2 {
+            // head and tail, and everything of the three small formats
+            let offsets: Vec<usize> = if target == 0 {
                 (0..200.min(image.len()))
                     .chain(image.len().saturating_sub(400)..image.len())
                     .collect()
@@ -2980,9 +3153,9 @@ pub(crate) mod tests {
         #![proptest_config(proptest::ProptestConfig::with_cases(192))]
 
         /// Random damage — overwritten fields, truncation, appended
-        /// bytes — to valid snapshot, delta, manifest and redo-frame
-        /// images, re-sealed so the checksum passes: the parser answers
-        /// with a value or a typed error, never a panic.
+        /// bytes — to valid snapshot, sealed-segment, manifest and
+        /// redo-frame images, re-sealed so the checksum passes: the
+        /// parser answers with a value or a typed error, never a panic.
         #[test]
         fn resealed_mutations_never_panic_a_parser(
             target in 0usize..4,
@@ -3023,6 +3196,30 @@ pub(crate) mod tests {
         })
     }
 
+    /// The snapshot and manifest files of a [`small_chain`] directory.
+    const SMALL_CHAIN_FILES: [&str; 3] = [
+        "ckpt-1/rank-0.snap",
+        "ckpt-1/manifest.bin",
+        "ckpt-2/manifest.bin",
+    ];
+
+    /// Every file under `dir` with its bytes, sorted by path.
+    fn listing(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+        let mut files = Vec::new();
+        let mut dirs = vec![dir.to_path_buf()];
+        while let Some(d) = dirs.pop() {
+            for e in fs::read_dir(&d).unwrap().flatten() {
+                if e.path().is_dir() {
+                    dirs.push(e.path());
+                } else {
+                    files.push((e.path(), fs::read(e.path()).unwrap()));
+                }
+            }
+        }
+        files.sort();
+        files
+    }
+
     /// A directory written by format version 5 is refused at the
     /// manifest with the version named — not reported as a checksum
     /// mismatch, and before any redo frame is parsed: under the v6
@@ -3033,20 +3230,18 @@ pub(crate) mod tests {
         let td = TestDir::new("v5dir");
         small_chain(&td);
         // rewrite every file as version 5 would have sealed it
-        for id in [1u64, 2] {
-            for name in ["rank-0.snap", "manifest.bin"] {
-                let path = td.0.join(format!("ckpt-{id}/{name}"));
-                let mut file = fs::read(&path).unwrap();
-                file[8..12].copy_from_slice(&5u32.to_le_bytes());
-                let body = file.len() - 8;
-                let sum = fnv1a_v5(&file[..body]);
-                file[body..].copy_from_slice(&sum.to_le_bytes());
-                fs::write(&path, file).unwrap();
-            }
+        for name in SMALL_CHAIN_FILES {
+            let path = td.0.join(name);
+            let mut file = fs::read(&path).unwrap();
+            file[8..12].copy_from_slice(&5u32.to_le_bytes());
+            let body = file.len() - 8;
+            let sum = fnv1a_v5(&file[..body]);
+            file[body..].copy_from_slice(&sum.to_le_bytes());
+            fs::write(&path, file).unwrap();
         }
         let log_path = td.0.join("redo-rank-0.log");
         let mut log = fs::read(&log_path).unwrap();
-        let (records, valid) = parse_log(&log, 0);
+        let (records, valid) = parse(&log, 0);
         assert!(!records.is_empty() && valid == log.len());
         let mut pos = 0;
         while pos < log.len() {
@@ -3058,26 +3253,11 @@ pub(crate) mod tests {
         }
         fs::write(&log_path, &log).unwrap();
         assert_eq!(
-            parse_log(&log, 0),
+            parse(&log, 0),
             (Vec::new(), 0),
             "a v5 frame is a torn tail to the v6 parser"
         );
 
-        let listing = |dir: &Path| -> Vec<(PathBuf, Vec<u8>)> {
-            let mut files = Vec::new();
-            let mut dirs = vec![dir.to_path_buf()];
-            while let Some(d) = dirs.pop() {
-                for e in fs::read_dir(&d).unwrap().flatten() {
-                    if e.path().is_dir() {
-                        dirs.push(e.path());
-                    } else {
-                        files.push((e.path(), fs::read(e.path()).unwrap()));
-                    }
-                }
-            }
-            files.sort();
-            files
-        };
         let before = listing(&td.0);
         let err = recover(PersistOptions::new(&td.0), CostModel::zero()).err();
         assert_eq!(
@@ -3101,37 +3281,42 @@ pub(crate) mod tests {
         );
     }
 
-    /// A format-6 directory — four window images, archives and free
-    /// blocks in its fulls — is refused by version with a typed error,
-    /// not read past its usage and system images: v6 and v7 share the
-    /// checksum, so only the version word tells them apart.
+    /// Format-6 and format-7 directories are refused by version with a
+    /// typed error and left byte-identical. A v6 full carries four window
+    /// images, archives and free blocks; a v7 delta is an image patch the
+    /// v8 recovery no longer folds — while its redo log holds only the
+    /// frames since that delta, so reading it as v8 would silently drop
+    /// every commit the patches carried. All three share the checksum:
+    /// only the version word tells them apart.
     #[test]
     fn v6_directory_is_refused_by_version() {
-        let td = TestDir::new("v6dir");
-        small_chain(&td);
-        for id in [1u64, 2] {
-            for name in ["rank-0.snap", "manifest.bin"] {
-                let path = td.0.join(format!("ckpt-{id}/{name}"));
+        for old in [6u32, 7] {
+            let td = TestDir::new(&format!("v{old}dir"));
+            small_chain(&td);
+            for name in SMALL_CHAIN_FILES {
+                let path = td.0.join(name);
                 let mut file = fs::read(&path).unwrap();
-                file[8..12].copy_from_slice(&6u32.to_le_bytes());
+                file[8..12].copy_from_slice(&old.to_le_bytes());
                 reseal(&mut file);
                 fs::write(&path, file).unwrap();
             }
+            let before = listing(&td.0);
+            let err = recover(PersistOptions::new(&td.0), CostModel::zero()).err();
+            assert_eq!(
+                err,
+                Some(GdiError::Io(format!("unsupported manifest version {old}")))
+            );
+            assert!(listing(&td.0) == before, "v{old}: the directory changed");
+            let snap = snapshot::verify_file(
+                &td.0.join("ckpt-1/rank-0.snap"),
+                format::SNAP_MAGIC,
+                "snapshot",
+                None,
+            );
+            assert_eq!(
+                snap.unwrap_err(),
+                GdiError::Io(format!("unsupported snapshot version {old}"))
+            );
         }
-        let err = recover(PersistOptions::new(&td.0), CostModel::zero()).err();
-        assert_eq!(
-            err,
-            Some(GdiError::Io("unsupported manifest version 6".into()))
-        );
-        let snap = snapshot::verify_file(
-            &td.0.join("ckpt-2/rank-0.snap"),
-            format::SNAP_MAGIC,
-            "snapshot",
-            None,
-        );
-        assert_eq!(
-            snap.unwrap_err(),
-            GdiError::Io("unsupported snapshot version 6".into())
-        );
     }
 }

@@ -5,13 +5,13 @@
 //! identity [`RankMap`]. Both run the same two halves:
 //!
 //! 1. **Logical reconstruction** ([`plan`], single-threaded, before the
-//!    fabric exists): read every `P` shard's snapshot chain and redo log
-//!    (the one log reader, `PersistStore::read_log`), lift the committed
-//!    objects out of the snapshot images
-//!    ([`crate::dht::decode_partition`] enumerates the vertices,
-//!    `hio::walk_live` lifts the live holder chains — the same walk a
-//!    full checkpoint cuts its image to — and snapshot postings seed
-//!    index membership), drop the images, then replay the
+//!    fabric exists): read every `P` shard's base image and redo history
+//!    — the chain's sealed segments, then the live log, through the one
+//!    log reader `PersistStore::read_log` — lift the committed objects
+//!    out of the images ([`crate::dht::decode_partition`] enumerates the
+//!    vertices, `hio::walk_live` lifts the live holder chains — the same
+//!    walk a full checkpoint cuts its image to — and the image's
+//!    postings seed index membership), drop the images, then replay the
 //!    logs against that object map under [`ReplayOrder`]: deletes first,
 //!    leaving identity-keyed tombstones; then upserts in log order,
 //!    refused at or before their object's tombstone and when a state at
@@ -42,12 +42,13 @@
 //! the redo logs are untouched (read-only, a torn tail included). The
 //! old frames name the old addresses, so appending to those logs after
 //! a logical rebuild would be unsound: any failure — an unreadable shard
-//! or log, a rank erroring mid-redistribution, a failed closing
+//! or log, a sealed segment with a bad frame (only the live log may end
+//! torn), a rank erroring mid-redistribution, a failed closing
 //! checkpoint — is voted collectively (no barrier deadlocks), surfaces
 //! on every rank, and leaves the directory exactly as it was,
 //! recoverable again at any topology.
 //!
-//! After the publish, each shard's reader cuts its log to the valid
+//! After the publish, each shard's reader cuts its live log to the valid
 //! prefix it read. The checkpoint's own truncation is best-effort; were
 //! it to fail, a torn tail would otherwise stay in front of every later
 //! append and the next replay would stop there. A failed cut fails the
@@ -66,7 +67,7 @@ use gdi::{AppVertexId, GdiError, GdiResult};
 use rma::{CostModel, Counter, Fabric};
 
 use super::format::io_err;
-use super::snapshot::{read_rank_snapshot_chain, RankSnapshot};
+use super::snapshot::{read_rank_snapshot, walk_local_live, RankSnapshot};
 use super::{read_manifest, PersistOptions, PersistStore, RedoRecord};
 use crate::config::{GdaConfig, WIN_SYSTEM};
 use crate::db::{GdaDb, GdaRank};
@@ -87,9 +88,10 @@ pub struct RankRecovery {
     /// Snapshot bytes of the shards this rank is the reader of (0 at
     /// genesis).
     pub snapshot_bytes: u64,
-    /// Valid redo-log bytes of the shards this rank is the reader of.
+    /// Valid redo bytes — sealed segments and live log — of the shards
+    /// this rank is the reader of.
     pub log_bytes: u64,
-    /// Records in the redo tails of those shards.
+    /// Records in the redo histories of those shards.
     pub records: u64,
     /// Records the replay applied (newer than the state they met) —
     /// reported by rank 0 for all logs, 0 elsewhere.
@@ -199,22 +201,54 @@ struct ReplayCounts {
     errors: u64,
 }
 
-/// One snapshot shard as [`recover_with_topology`] read it.
+/// One snapshot shard as [`read_shards`] read it.
 struct Shard {
-    /// The folded snapshot chain (`None` at genesis: logs only).
+    /// The chain's base image (`None` at genesis: logs only).
     snapshot: Option<RankSnapshot>,
-    /// The shard's redo tail.
+    /// The shard's redo history.
     records: Vec<RedoRecord>,
     /// What the shard's reader reports.
     io: ShardIo,
 }
 
-/// Per snapshot shard: what its reader reports (and is charged for).
+/// Per snapshot shard: what its reader reports (and is charged for),
+/// and the valid prefix of its live log (what the reader cuts it to).
 #[derive(Debug, Clone, Copy, Default)]
 struct ShardIo {
     snap_bytes: u64,
     log_bytes: u64,
     records: u64,
+    live_log_bytes: u64,
+}
+
+/// Read every shard of the published `chain`, written by `nranks` ranks
+/// under `layout`: each one's base image and redo history.
+fn read_shards(
+    store: &PersistStore,
+    chain: &[u64],
+    layout: &GdaConfig,
+    nranks: usize,
+) -> GdiResult<Vec<Shard>> {
+    (0..nranks)
+        .map(|rank| {
+            let snapshot = chain
+                .first()
+                .map(|&base| read_rank_snapshot(store, base, rank, layout, nranks))
+                .transpose()?;
+            let (records, log_bytes, live_log_bytes) = store.read_log(rank, chain)?;
+            let io = ShardIo {
+                snap_bytes: snapshot.as_ref().map_or(0, |s| s.bytes),
+                log_bytes,
+                records: records.len() as u64,
+                live_log_bytes,
+            };
+            Ok(Shard {
+                snapshot,
+                records,
+                io,
+            })
+        })
+        .collect()
 }
 
 /// One live object during reconstruction.
@@ -732,7 +766,7 @@ impl RecoveryPlan {
         // (checkpoint errors are already collective).
         out.final_checkpoint = eng.checkpoint_full()?;
 
-        // ---- phase 6: cut every log read to its valid prefix ------------
+        // ---- phase 6: cut every live log read to its valid prefix ------
         // The published chain captures all of it; what lies past the
         // prefix (a torn or flipped frame, and anything behind it) was
         // not replayed and must not precede the next append.
@@ -740,9 +774,97 @@ impl RecoveryPlan {
             .map
             .shards_for(me)
             .into_iter()
-            .find_map(|s| store.cut_log(s, self.shards[s].log_bytes).err());
+            .find_map(|s| store.cut_log(s, self.shards[s].live_log_bytes).err());
         vote(ctx, cut)?;
         Ok(out)
+    }
+}
+
+/// Oracle for tests — collective, and the caller keeps the database
+/// quiet: what a recovery would rebuild from the published chain is what
+/// the database holds. Every rank lifts the objects out of every shard's
+/// base image and replays every redo history onto them, exactly as
+/// [`recover`] plans, then compares the objects whose primary it stores
+/// with its live chains (the walk a full image is cut to): the same
+/// set, each with the same identity and holder bytes — up to the MVCC
+/// bookkeeping recovery resets (commit epoch, archive link, depth) —
+/// and the same index membership. Archives, free blocks and the usage
+/// and system windows are not compared: recovery reads none of them.
+/// Returns the objects compared on this rank; a difference or an
+/// unreadable chain fails every rank with an `Io` error naming the first
+/// object that differs.
+pub fn audit_image(eng: &GdaRank) -> GdiResult<u64> {
+    let ctx = eng.ctx();
+    ctx.quiesce();
+    let mut live = FxHashMap::default();
+    let walked = walk_local_live(eng, |c| {
+        live.insert(c.primary.raw(), (c.app_id, c.is_edge, c.bytes.to_vec()));
+    });
+    let mine = walked.and_then(|()| audit_rank(eng, live));
+    if ctx.allreduce_any(mine.is_err()) {
+        return Err(mine
+            .err()
+            .unwrap_or_else(|| GdiError::Io("image audit failed on a peer rank".into())));
+    }
+    mine
+}
+
+/// [`audit_image`]'s comparison on one rank, against `live`: primary →
+/// (app id, edge holder?, holder bytes) of every chain the rank stores.
+fn audit_rank(eng: &GdaRank, mut live: FxHashMap<u64, (u64, bool, Vec<u8>)>) -> GdiResult<u64> {
+    let me = eng.rank();
+    let store = eng
+        .persistence()
+        .ok_or(GdiError::InvalidArgument("persistence not enabled"))?;
+    let shards = read_shards(&store, &store.chain(), eng.cfg(), eng.nranks())?;
+    let mut objects = seed_objects(eng.cfg(), &shards)?;
+    let logs: Vec<Vec<RedoRecord>> = shards.into_iter().map(|s| s.records).collect();
+    replay_logs(&mut objects, &logs, &eng.indexes().export_defs().0);
+    let mut postings: FxHashMap<u64, Vec<IndexId>> = FxHashMap::default();
+    for (ix, ps) in eng.indexes().export_rank(me) {
+        for p in ps {
+            postings.entry(p.vertex.raw()).or_default().push(ix);
+        }
+    }
+    // what recovery resets before it writes a holder back
+    let rebuilt = |bytes: &[u8]| {
+        Holder::try_decode(bytes).map(|mut h| {
+            h.commit_epoch = 0;
+            h.prev = 0;
+            h.depth = 0;
+            h.encode()
+        })
+    };
+    let differ = |what: &str, primary: u64| {
+        Err(GdiError::Io(format!(
+            "recovery would {what} object {:?} of rank {me}",
+            DPtr::from_raw(primary)
+        )))
+    };
+    let mut compared = 0u64;
+    for (&primary, obj) in objects
+        .iter()
+        .filter(|(p, _)| DPtr::from_raw(**p).rank() == me)
+    {
+        let Some((app_id, is_edge, bytes)) = live.remove(&primary) else {
+            return differ("resurrect", primary);
+        };
+        if (app_id, is_edge) != (obj.app_id, obj.is_edge) || rebuilt(&bytes) != rebuilt(&obj.bytes)
+        {
+            return differ("change", primary);
+        }
+        let mut want = postings.remove(&primary).unwrap_or_default();
+        let mut got = obj.indexes.clone();
+        want.sort_unstable();
+        got.sort_unstable();
+        if want != got {
+            return differ("re-index", primary);
+        }
+        compared += 1;
+    }
+    match live.keys().chain(postings.keys()).next() {
+        Some(&primary) => differ("lose", primary),
+        None => Ok(compared),
     }
 }
 
@@ -758,7 +880,7 @@ pub fn recover(
 /// Rebuild a database from its persistence directory onto `target_ranks
 /// = Some(Q)` live ranks (`None`: the `P` ranks that wrote the
 /// snapshot). Reads `CURRENT`, the manifest (catalog, index
-/// definitions), every shard's snapshot chain and redo log, and builds
+/// definitions), every shard's base image and redo history, and builds
 /// the logical state (see the module docs) — all before the fabric
 /// exists; then returns the database, a freshly built fabric and the
 /// [`RecoveryPlan`] whose [`RecoveryPlan::restore_rank`] every rank must
@@ -791,30 +913,7 @@ pub fn recover_with_topology(
 
     let backend = opts.backend;
     let store = PersistStore::new(opts, live_ranks, current, manifest.chain.clone());
-    let mut shards = Vec::with_capacity(snapshot_ranks);
-    for rank in 0..snapshot_ranks {
-        let snapshot = match current {
-            0 => None, // genesis: logs only
-            _ => Some(read_rank_snapshot_chain(
-                &store,
-                &manifest.chain,
-                rank,
-                &manifest.cfg,
-                snapshot_ranks,
-            )?),
-        };
-        let (records, log_bytes) = store.read_log(rank, current)?;
-        let io = ShardIo {
-            snap_bytes: snapshot.as_ref().map_or(0, |s| s.bytes),
-            log_bytes,
-            records: records.len() as u64,
-        };
-        shards.push(Shard {
-            snapshot,
-            records,
-            io,
-        });
-    }
+    let shards = read_shards(&store, &manifest.chain, &manifest.cfg, snapshot_ranks)?;
     let map = RankMap::resharded(snapshot_ranks, live_ranks);
     let (cfg, plan) = plan(current, &manifest.cfg, map, &manifest.index_defs, shards)?;
 

@@ -1,43 +1,38 @@
-//! The per-rank snapshot file codec (format v7): written and read in one
-//! pass each, through `O(strip)` memory.
+//! The per-rank snapshot file codec (format v8): written and read in one
+//! pass each, through `O(strip)` memory. Only a chain's base — a full
+//! checkpoint — has snapshot files; a delta is its sealed redo segments
+//! (`persist/mod.rs`, "Incremental (delta) checkpoints").
 //!
 //! ```text
-//! header    magic[8] version:u32 | id:u64 rank:u32 nranks:u32 | config | kind:u8
-//! full      2 × window (data, index):  len:u64, then runs  zeros:u32 data:u32
+//! header    magic[8] version:u32 | id:u64 rank:u32 nranks:u32 | config | kind:u8 = 0
+//! windows   2 × window (data, index):  len:u64, then runs  zeros:u32 data:u32
 //!           data×8 bytes until `len` is covered (counts are in words; a zero
 //!           run longer than u32::MAX words is split into several runs with
 //!           data = 0); the data window carries its live blocks only, every
 //!           other block reads as zeros
-//! delta     base:u64 chunk:u32, then 2 × window (data, index):  len:u64
-//!           runs:u32, then runs  first_chunk:u32 n_chunks:u32 bytes — the
-//!           bytes of chunks first .. first+n, cut at the window's end
 //! postings  indexes:u32, then per index  id:u32 count:u64 (vertex:u64 app:u64)×count
 //! trailer   checksum:u64 over every byte before it
 //! ```
+//!
+//! The kind byte is the v7 full-image kind, kept so a v8 file is a v7
+//! full image in all but its version word; any other value is refused.
 //!
 //! **A snapshot holds exactly the bytes recovery lifts.** Recovery reads
 //! the DHT partition out of the index image and, through it, every live
 //! holder chain out of the data image ([`hio::walk_live`]); it never
 //! reads the free lists (usage window), the lock and counter words
 //! (system window), a free block or an MVCC archive. So no file carries
-//! the usage or system window, a full image zeroes every data block
-//! outside the live set ([`live_blocks`], the same walk over the live
-//! window), and archives never reach a delta: they are written with the
-//! volatile put (`rma::dirty`, "Volatile writes"). Folded, the chain
-//! equals the live windows on every block of the live set
-//! ([`audit_image`] checks it): a live block is either unchanged since
-//! the last image or was rewritten — marked — since.
+//! the usage or system window, and the data window is zero outside the
+//! live set ([`live_blocks`], the same walk over the live window).
 //!
 //! The **writer** pushes these sections through a buffered file handle
-//! that feeds the [`Checksum`] on the way: a full image is zero-run-length
-//! encoded strip by strip straight out of the window, a delta copies runs
-//! of adjacent dirty chunks straight out of the window; no window, and
-//! no file, is ever materialized in memory. The **reader** first streams
-//! the whole file through the checksum ([`verify_file`] — also the
-//! maintenance verifier), and only then decodes it: a full image's data
-//! runs are read straight into the zero-initialized window image, a
-//! delta's runs straight into the image they patch. One decoder
-//! ([`read_rank_snapshot_chain`]) serves recovery at every rank count.
+//! that feeds the [`Checksum`] on the way, zero-run-length encoding strip
+//! by strip straight out of the window; no window, and no file, is ever
+//! materialized in memory. The **reader** first streams the whole file
+//! through the checksum ([`verify_file`] — also the maintenance
+//! verifier), and only then decodes it, reading the data runs straight
+//! into the zero-initialized window image. One decoder
+//! ([`read_rank_snapshot`]) serves recovery at every rank count.
 
 use std::fs::{self, File};
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -50,7 +45,7 @@ use super::format::{
     check_file_header, io_err, Checksum, Dec, Enc, FILE_HEADER_BYTES, FORMAT_VERSION,
     MANIFEST_MAGIC, SNAP_MAGIC,
 };
-use super::{decode_cfg, encode_cfg, publish_tmp, PersistStore};
+use super::{decode_cfg, encode_cfg, parse_log, publish_tmp, PersistStore};
 use crate::config::{GdaConfig, WIN_DATA, WIN_INDEX};
 use crate::db::GdaRank;
 use crate::dht;
@@ -73,12 +68,10 @@ pub const STRIP_BYTES: usize = 256 * 1024;
 /// The windows snapshot files carry, in file order (which is `WinId`
 /// order): the block pool and the DHT partition. Recovery rebuilds the
 /// free lists and the system words; it never reads them.
-pub(super) const SNAPSHOT_WINDOWS: [WinId; 2] = [WIN_DATA, WIN_INDEX];
+const SNAPSHOT_WINDOWS: [WinId; 2] = [WIN_DATA, WIN_INDEX];
 
-/// Snapshot-kind byte: a self-contained full image.
+/// The snapshot-kind byte every file carries: a self-contained full image.
 const SNAP_FULL: u8 = 0;
-/// Snapshot-kind byte: a delta patch over the previous chain member.
-const SNAP_DELTA: u8 = 1;
 
 /// The byte lengths of [`SNAPSHOT_WINDOWS`] under `cfg`.
 pub(super) fn window_bytes(cfg: &GdaConfig) -> [usize; 2] {
@@ -115,11 +108,6 @@ impl LiveBlocks {
             .is_some_and(|w| w & (1 << (b % 64)) != 0)
     }
 
-    /// Indices of the live blocks, ascending.
-    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        rma::dirty::set_chunks(&self.bits).into_iter()
-    }
-
     /// Zero every byte of `buf` — the window bytes from offset `off` on —
     /// that lies outside a live block.
     fn clear_dead(&self, off: usize, buf: &mut [u8]) {
@@ -135,33 +123,43 @@ impl LiveBlocks {
     }
 }
 
-/// Collective, quiesced: this rank's live blocks — every block of every
-/// chain [`hio::walk_live`] finds from the DHT, walked by the rank that
-/// stores it. [`dht::owned_entries`] routes each vertex to its primary's
-/// rank; an edge holder named by a vertex on another rank takes a second
-/// exchange (every rank joins it, whatever its own walk found).
-pub(crate) fn live_blocks(eng: &GdaRank) -> GdiResult<LiveBlocks> {
+/// Collective, quiesced: hand `visit` every chain of the live set this
+/// rank stores — every chain [`hio::walk_live`] finds from the DHT,
+/// walked by the rank that stores it. [`dht::owned_entries`] routes each
+/// vertex to its primary's rank; an edge holder named by a vertex on
+/// another rank takes a second exchange (every rank joins it, whatever
+/// its own walk found).
+pub(crate) fn walk_local_live(
+    eng: &GdaRank,
+    mut visit: impl FnMut(&LiveChain<'_>),
+) -> GdiResult<()> {
     let (ctx, cfg, me) = (eng.ctx(), eng.cfg(), eng.rank());
-    let mut live = LiveBlocks::new(cfg);
     let here = |rank: usize| (rank == me).then_some(Source::Live(ctx));
-    let mut mark = |c: &LiveChain<'_>| c.blocks.iter().for_each(|dp| live.insert(*dp));
     let vertices = dht::owned_entries(ctx, cfg)
         .into_iter()
         .map(|(app, raw)| (app, DPtr::from_raw(raw)));
-    let first = hio::walk_live(cfg, here, vertices, [], &mut mark);
+    let first = hio::walk_live(cfg, here, vertices, [], &mut visit);
     let mut rows = vec![Vec::new(); eng.nranks()];
     for dp in first.as_deref().unwrap_or_default() {
         rows[dp.rank()].push(dp.raw());
     }
     let routed = ctx.alltoallv(rows).into_iter().flatten();
-    let second = hio::walk_live(cfg, here, [], routed.map(DPtr::from_raw), &mut mark);
+    let second = hio::walk_live(cfg, here, [], routed.map(DPtr::from_raw), &mut visit);
     match first.and(second) {
         Ok(rest) => {
             debug_assert!(rest.is_empty(), "routed holders are all local");
-            Ok(live)
+            Ok(())
         }
         Err(e) => Err(GdiError::Io(format!("live set: {e}"))),
     }
+}
+
+/// Collective, quiesced: this rank's live blocks, every block of every
+/// chain [`walk_local_live`] visits.
+pub(crate) fn live_blocks(eng: &GdaRank) -> GdiResult<LiveBlocks> {
+    let mut live = LiveBlocks::new(eng.cfg());
+    walk_local_live(eng, |c| c.blocks.iter().for_each(|dp| live.insert(*dp)))?;
+    Ok(live)
 }
 
 // ---------------------------------------------------------------------
@@ -319,60 +317,16 @@ fn write_full_window(
     Ok(())
 }
 
-/// Stream the dirty part of this rank's instance of `win`: every run of
-/// adjacent set bits in `bitmap` as one `(first chunk, chunk count)`
-/// header and the bytes of that range, copied straight from the window.
-/// Returns the number of chunks shipped.
-fn write_delta_window(
-    ctx: &RankCtx,
-    win: WinId,
-    bitmap: &[u64],
-    w: &mut SnapWriter,
-    strip: &mut [u8],
-) -> GdiResult<u64> {
-    let chunk = ctx.dirty_chunk_bytes();
-    let len = ctx.win_len_bytes(win);
-    let runs = || rma::dirty::set_runs(bitmap, len.div_ceil(chunk));
-    w.u64(len as u64)?;
-    w.u32(runs().count() as u32)?;
-    let mut shipped = 0u64;
-    for (first, n) in runs() {
-        w.u32(first as u32)?;
-        w.u32(n as u32)?;
-        let end = ((first + n) * chunk).min(len);
-        let mut off = first * chunk;
-        while off < end {
-            let buf = &mut strip[..STRIP_BYTES.min(end - off)];
-            ctx.get_bytes(win, ctx.rank(), off, buf);
-            w.put(buf)?;
-            off += buf.len();
-        }
-        shipped += n as u64;
-    }
-    Ok(shipped)
-}
-
-/// What one rank's snapshot file holds.
-pub(super) enum Image<'a> {
-    /// A self-contained chain base: the index window whole, the data
-    /// window's live blocks ([`live_blocks`]).
-    Full(&'a LiveBlocks),
-    /// A patch on chain member `base`: the chunks set in the drained
-    /// dirty bitmaps (one per fabric window, in `WinId` order) of the
-    /// windows a snapshot carries.
-    Delta { base: u64, bitmaps: &'a [Vec<u64>] },
-}
-
-/// Write one rank's snapshot file — a full image or a delta — to a tmp
-/// file, then rename it into place. Returns `(file bytes, chunks
-/// shipped)`; a full image reports 0 chunks.
+/// Write one rank's snapshot file — the index window whole, the data
+/// window's `live` blocks — to a tmp file, then rename it into place.
+/// Returns the file's bytes.
 pub(super) fn write_rank_snapshot(
     eng: &GdaRank,
     store: &PersistStore,
     id: u64,
     dir: &Path,
-    image: &Image<'_>,
-) -> GdiResult<(u64, u64)> {
+    live: &LiveBlocks,
+) -> GdiResult<u64> {
     let ctx = eng.ctx();
     let me = eng.rank();
     let torn_at = match store.probe_fault(faults::SNAP_WRITE, me) {
@@ -394,28 +348,13 @@ pub(super) fn write_rank_snapshot(
     head.u32(me as u32);
     head.u32(eng.nranks() as u32);
     encode_cfg(&mut head, eng.cfg());
-    match image {
-        Image::Full(_) => head.u8(SNAP_FULL),
-        Image::Delta { base, .. } => {
-            head.u8(SNAP_DELTA);
-            head.u64(*base);
-            head.u32(ctx.dirty_chunk_bytes() as u32);
-        }
-    }
+    head.u8(SNAP_FULL);
     w.put(&head.buf)?;
 
     let mut strip = vec![0u8; STRIP_BYTES];
-    let mut shipped = 0u64;
     for win in SNAPSHOT_WINDOWS {
-        match image {
-            Image::Full(live) => {
-                let live = (win == WIN_DATA).then_some(*live);
-                write_full_window(ctx, win, live, &mut w, &mut strip)?
-            }
-            Image::Delta { bitmaps, .. } => {
-                shipped += write_delta_window(ctx, win, &bitmaps[win.0], &mut w, &mut strip)?
-            }
-        }
+        let live = (win == WIN_DATA).then_some(live);
+        write_full_window(ctx, win, live, &mut w, &mut strip)?;
     }
     drop(strip);
 
@@ -439,14 +378,14 @@ pub(super) fn write_rank_snapshot(
         return Err(GdiError::Io("injected torn snapshot write".into()));
     }
     publish_tmp(file, &tmp, &path, store.opts.sync)?;
-    Ok((bytes, shipped))
+    Ok(bytes)
 }
 
 // ---------------------------------------------------------------------
 // reader
 // ---------------------------------------------------------------------
 
-/// One rank's decoded snapshot chain: the window images (in
+/// One rank's decoded snapshot file: the window images (in
 /// [`SNAPSHOT_WINDOWS`] order: data, index) plus the rank's index
 /// postings. Recovery lifts the logical contents out of the images;
 /// nothing puts them back into windows verbatim.
@@ -544,27 +483,6 @@ fn read_full_window<R: Read>(d: &mut Dec<R>, want: usize) -> GdiResult<Vec<u8>> 
     Ok(img)
 }
 
-/// Decode one window's delta runs straight into the image they patch.
-fn patch_delta_window<R: Read>(d: &mut Dec<R>, chunk: u64, img: &mut [u8]) -> GdiResult<()> {
-    let len = img.len() as u64;
-    if d.u64()? != len {
-        return Err(GdiError::Io("delta window size mismatch".into()));
-    }
-    for _ in 0..d.u32()? {
-        let first = d.u32()? as u64;
-        let n = d.u32()? as u64;
-        // `first` and `chunk` are 32-bit values, so the product cannot
-        // overflow; every chunk of the run must start inside the window
-        let off = first * chunk;
-        if n == 0 || off >= len || n > (len - off).div_ceil(chunk) {
-            return Err(GdiError::Io("delta chunk out of window bounds".into()));
-        }
-        let end = (off + n * chunk).min(len);
-        d.fill(&mut img[off as usize..end as usize])?;
-    }
-    Ok(())
-}
-
 /// Decode a file's posting section; every count is checked against the
 /// bytes that remain before anything is allocated for it.
 fn read_postings<R: Read>(d: &mut Dec<R>) -> GdiResult<Vec<(IndexId, Vec<Posting>)>> {
@@ -584,20 +502,16 @@ fn read_postings<R: Read>(d: &mut Dec<R>) -> GdiResult<Vec<(IndexId, Vec<Posting
     Ok(postings)
 }
 
-/// Verify, then decode, the snapshot file of checkpoint `id`, shard
-/// `rank`, onto `snap`: the chain base (`prev == None`) must be a full
-/// image and fills `snap.windows`; every later member must be a delta
-/// on `prev` and patches them in place. `layout` is the config the
-/// shard was written under — no live fabric needed.
-fn fold_snapshot_file(
+/// Verify, then decode, the snapshot file of full checkpoint `id`, shard
+/// `rank`. `layout` is the config the shard was written under — no live
+/// fabric needed. Recovery reads every shard's chain base through here.
+pub(crate) fn read_rank_snapshot(
     store: &PersistStore,
     id: u64,
     rank: usize,
     layout: &GdaConfig,
     nranks: usize,
-    prev: Option<u64>,
-    snap: &mut RankSnapshot,
-) -> GdiResult<()> {
+) -> GdiResult<RankSnapshot> {
     let path = store.ckpt_dir(id).join(format!("rank-{rank}.snap"));
     let flip = match store.probe_fault(faults::SNAP_READ, rank) {
         Some(FaultMode::BitFlip(k)) => Some(k),
@@ -620,119 +534,29 @@ fn fold_snapshot_file(
     {
         return Err(GdiError::Io("snapshot layout does not match config".into()));
     }
-    match (d.u8()?, prev) {
-        (SNAP_FULL, None) => {
-            for want in window_bytes(layout) {
-                snap.windows.push(read_full_window(&mut d, want)?);
-            }
-        }
-        (SNAP_DELTA, Some(prev)) => {
-            if d.u64()? != prev {
-                return Err(GdiError::Io("delta does not chain onto predecessor".into()));
-            }
-            let chunk = d.u32()? as u64;
-            if chunk < 8 {
-                return Err(GdiError::Io("bad delta chunk size".into()));
-            }
-            for img in &mut snap.windows {
-                patch_delta_window(&mut d, chunk, img)?;
-            }
-        }
-        (SNAP_FULL, Some(_)) => {
-            return Err(GdiError::Io("snapshot chain member is not a delta".into()))
-        }
-        (SNAP_DELTA, None) => {
-            return Err(GdiError::Io(
-                "snapshot chain base is not a full image".into(),
-            ))
-        }
-        _ => return Err(GdiError::Io("unknown snapshot kind".into())),
+    if d.u8()? != SNAP_FULL {
+        return Err(GdiError::Io("unknown snapshot kind".into()));
     }
-    // every file carries the rank's full posting set: the last one wins
-    snap.postings = read_postings(&mut d)?;
+    let mut windows = Vec::with_capacity(SNAPSHOT_WINDOWS.len());
+    for want in window_bytes(layout) {
+        windows.push(read_full_window(&mut d, want)?);
+    }
+    let postings = read_postings(&mut d)?;
     if d.left() != 0 {
         return Err(GdiError::Io("trailing bytes in rank snapshot".into()));
     }
-    snap.bytes += file_len;
-    Ok(())
-}
-
-/// Fold the published snapshot chain into one logical rank image: the
-/// full base restores every window verbatim, each delta overlays its
-/// dirty runs in chain order, and the *last* file's postings win.
-/// Recovery reads every shard through here.
-pub(crate) fn read_rank_snapshot_chain(
-    store: &PersistStore,
-    chain: &[u64],
-    rank: usize,
-    layout: &GdaConfig,
-    nranks: usize,
-) -> GdiResult<RankSnapshot> {
-    if chain.is_empty() {
-        return Err(GdiError::Io("empty snapshot chain".into()));
-    }
-    let mut snap = RankSnapshot {
-        windows: Vec::with_capacity(SNAPSHOT_WINDOWS.len()),
-        postings: Vec::new(),
-        bytes: 0,
-    };
-    let mut prev = None;
-    for &id in chain {
-        fold_snapshot_file(store, id, rank, layout, nranks, prev, &mut snap)?;
-        prev = Some(id);
-    }
-    Ok(snap)
-}
-
-/// Oracle for tests — collective, and the caller keeps the database
-/// quiet: fold this rank's published snapshot chain and compare it with
-/// the live windows wherever recovery reads it. Every block of every
-/// live chain (the live set a full image is cut to) must equal the data
-/// window byte for byte, and the index image the whole index window;
-/// archives, free blocks, the usage and system windows are not compared
-/// — no snapshot holds them. Returns the live blocks compared on this rank; a
-/// difference or an unreadable chain fails every rank with an `Io`
-/// error naming the first block that differs.
-pub fn audit_image(eng: &GdaRank) -> GdiResult<u64> {
-    let (ctx, cfg, me) = (eng.ctx(), eng.cfg(), eng.rank());
-    ctx.quiesce();
-    let live = live_blocks(eng);
-    let mine = live.and_then(|live| {
-        let store = eng
-            .persistence()
-            .ok_or(GdiError::InvalidArgument("persistence not enabled"))?;
-        let snap = read_rank_snapshot_chain(&store, &store.chain(), me, cfg, eng.nranks())?;
-        let mut window = vec![0u8; cfg.block_size];
-        let mut compared = 0u64;
-        for b in live.iter() {
-            let at = b * cfg.block_size;
-            ctx.get_bytes(WIN_DATA, me, at, &mut window);
-            if snap.data()[at..at + cfg.block_size] != window[..] {
-                return Err(GdiError::Io(format!(
-                    "image differs from the window at live block {b} of rank {me}"
-                )));
-            }
-            compared += 1;
-        }
-        let mut index = vec![0u8; ctx.win_len_bytes(WIN_INDEX)];
-        ctx.get_bytes(WIN_INDEX, me, 0, &mut index);
-        if snap.index() != index {
-            return Err(GdiError::Io(format!(
-                "index image differs from the window on rank {me}"
-            )));
-        }
-        Ok(compared)
-    });
-    if ctx.allreduce_any(mine.is_err()) {
-        return Err(mine
-            .err()
-            .unwrap_or_else(|| GdiError::Io("image audit failed on a peer rank".into())));
-    }
-    mine
+    Ok(RankSnapshot {
+        windows,
+        postings,
+        bytes: file_len,
+    })
 }
 
 /// The body of [`PersistStore::verify_chain`]: every file of the
-/// published chain that belongs to `rank` through [`verify_file`].
+/// published chain that belongs to `rank` — the base's snapshot file
+/// through [`verify_file`], every sealed segment streamed frame by frame
+/// through a strip-sized buffer, and (rank 0) every manifest. A segment
+/// whose frames stop short of its end counts as one error.
 pub(super) fn verify_rank_chain(store: &PersistStore, rank: usize) -> (u64, u64) {
     let mut bytes = 0u64;
     let mut errors = 0u64;
@@ -744,15 +568,34 @@ pub(super) fn verify_rank_chain(store: &PersistStore, rank: usize) -> (u64, u64)
                 bytes += fs::metadata(path).map_or(0, |m| m.len());
             }
         };
-    for id in store.chain() {
-        let dir = store.ckpt_dir(id);
-        check(
-            &dir.join(format!("rank-{rank}.snap")),
-            SNAP_MAGIC,
-            "snapshot",
-        );
-        if rank == 0 {
-            check(&dir.join("manifest.bin"), MANIFEST_MAGIC, "manifest");
+    let chain = store.chain();
+    if let Some(&base) = chain.first() {
+        let path = store.ckpt_dir(base).join(format!("rank-{rank}.snap"));
+        check(&path, SNAP_MAGIC, "snapshot");
+    }
+    if rank == 0 {
+        for &id in &chain {
+            check(
+                &store.ckpt_dir(id).join("manifest.bin"),
+                MANIFEST_MAGIC,
+                "manifest",
+            );
+        }
+    }
+    for &id in chain.iter().skip(1) {
+        let segment = File::open(store.segment_path(id, rank))
+            .and_then(|file| Ok((file.metadata()?.len(), file)));
+        match segment {
+            Ok((len, file)) => {
+                // every frame is checked and decoded; none is kept
+                let frames = BufReader::with_capacity(STRIP_BYTES, file);
+                let (_, valid) = parse_log(frames, len, u64::MAX);
+                bytes += len;
+                errors += u64::from(valid != len);
+            }
+            // a rank that logged nothing in the interval sealed nothing
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+            Err(_) => errors += 1,
         }
     }
     (bytes, errors)
@@ -766,16 +609,14 @@ pub(super) mod tests {
     const WIN: WinId = WinId(0);
 
     /// Run `f` on the single rank of a fabric whose one window holds
-    /// `image`, with dirty tracking at `chunk` bytes and a clean map.
-    fn with_window<T: Send>(image: &[u8], chunk: usize, f: impl Fn(&RankCtx) -> T + Sync) -> T {
+    /// `image`.
+    fn with_window<T: Send>(image: &[u8], f: impl Fn(&RankCtx) -> T + Sync) -> T {
         let fabric = FabricBuilder::new(1)
             .cost(CostModel::zero())
-            .dirty_chunk(chunk)
             .window(image.len())
             .build();
         let mut out = fabric.run(|ctx| {
             ctx.put_bytes(WIN, 0, 0, image);
-            ctx.take_dirty(0);
             f(ctx)
         });
         out.pop().expect("one rank")
@@ -803,7 +644,7 @@ pub(super) mod tests {
     /// Encode `image` as a full window, check the decoder gives it back
     /// and consumes exactly what was written; returns the encoded size.
     pub(in crate::persist) fn full_roundtrip(image: &[u8]) -> usize {
-        let enc = with_window(image, 64, |ctx| {
+        let enc = with_window(image, |ctx| {
             written("codec-full", |w, strip| {
                 write_full_window(ctx, WIN, None, w, strip).unwrap()
             })
@@ -861,59 +702,6 @@ pub(super) mod tests {
         assert_eq!(d.left(), 16);
     }
 
-    #[test]
-    fn delta_runs_roundtrip_up_to_the_last_partial_chunk() {
-        const CHUNK: usize = 64;
-        // ten whole chunks and a partial eleventh of 24 bytes
-        let base: Vec<u8> = (0..10 * CHUNK + 24).map(|i| (i % 200) as u8).collect();
-        let (enc, shipped, now) = with_window(&base, CHUNK, |ctx| {
-            ctx.put_bytes(WIN, 0, 3, &[0xEE; 5]); // chunk 0
-            ctx.put_bytes(WIN, 0, 3 * CHUNK + 60, &[0xDD; 2 * CHUNK]); // chunks 3..=5
-            ctx.put_u64(WIN, 0, (8 * CHUNK) / 8, 0x1234); // chunk 8
-            ctx.put_bytes(WIN, 0, 9 * CHUNK + 1, &[0xCC; CHUNK + 20]); // chunks 9..=10
-            let bitmap = ctx.take_dirty(0).remove(0);
-            let mut shipped = 0;
-            let enc = written("codec-delta", |w, strip| {
-                shipped = write_delta_window(ctx, WIN, &bitmap, w, strip).unwrap();
-            });
-            let mut now = vec![0u8; base.len()];
-            ctx.get_bytes(WIN, 0, 0, &mut now);
-            (enc, shipped, now)
-        });
-        assert_eq!(shipped, 1 + 3 + 1 + 2);
-        // len, run count, three run headers, 1 + 3 + 3 chunks of bytes
-        // of which the last is the partial one
-        assert_eq!(enc.len(), 8 + 4 + 3 * 8 + 6 * CHUNK + 24);
-        let mut img = base.clone();
-        let mut d = Dec::over(&enc);
-        patch_delta_window(&mut d, CHUNK as u64, &mut img).unwrap();
-        assert_eq!(d.left(), 0);
-        assert!(
-            img == now && img != base,
-            "delta did not reproduce the window"
-        );
-    }
-
-    #[test]
-    fn a_delta_run_longer_than_a_strip_is_copied_in_pieces() {
-        const CHUNK: usize = 512;
-        let base = vec![1u8; 2 * STRIP_BYTES + 3 * CHUNK];
-        let (enc, shipped) = with_window(&base, CHUNK, |ctx| {
-            let fresh = vec![2u8; base.len() - CHUNK];
-            ctx.put_bytes(WIN, 0, CHUNK, &fresh);
-            let bitmap = ctx.take_dirty(0).remove(0);
-            let mut shipped = 0;
-            let enc = written("codec-long", |w, strip| {
-                shipped = write_delta_window(ctx, WIN, &bitmap, w, strip).unwrap();
-            });
-            (enc, shipped)
-        });
-        assert_eq!(shipped as usize, base.len() / CHUNK - 1);
-        let mut img = base.clone();
-        patch_delta_window(&mut Dec::over(&enc), CHUNK as u64, &mut img).unwrap();
-        assert!(img[..CHUNK].iter().all(|b| *b == 1) && img[CHUNK..].iter().all(|b| *b == 2));
-    }
-
     /// Little-endian concatenation of 32-bit fields.
     fn u32s(fields: &[u32]) -> Vec<u8> {
         fields.iter().flat_map(|f| f.to_le_bytes()).collect()
@@ -938,31 +726,6 @@ pub(super) mod tests {
         assert!(full(64, &[u32::MAX, u32::MAX], 64).is_err());
         assert!(full(64, &[0, 0], 64).is_err());
         assert!(full(1 << 20, &[0, 1 << 17], 1 << 20).is_err());
-
-        let delta = |len: u64, fields: &[u32], img: &mut [u8]| {
-            let mut b = len.to_le_bytes().to_vec();
-            b.extend(u32s(fields));
-            b.resize(b.len() + 256, 0xBB);
-            patch_delta_window(&mut Dec::over(&b), 64, img)
-        };
-        let mut img = vec![0u8; 3 * 64 + 8];
-        delta(200, &[1, 2, 2], &mut img).unwrap();
-        assert!(img[..128].iter().all(|b| *b == 0) && img[128..].iter().all(|b| *b == 0xBB));
-        assert!(delta(208, &[0], &mut img).is_err(), "wrong window length");
-        assert!(
-            delta(200, &[1, 4, 1], &mut img).is_err(),
-            "starts past the end"
-        );
-        assert!(
-            delta(200, &[1, 3, 2], &mut img).is_err(),
-            "second chunk past the end"
-        );
-        assert!(delta(200, &[1, 0, 0], &mut img).is_err(), "empty run");
-        assert!(delta(200, &[1, u32::MAX, u32::MAX], &mut img).is_err());
-        assert!(
-            delta(200, &[u32::MAX, 0, 1], &mut img).is_err(),
-            "count outruns the file"
-        );
 
         let postings = |fields: &[u32]| read_postings(&mut Dec::over(&u32s(fields)));
         assert!(postings(&[1, 7, 1, 0, 5, 0, 6, 0]).is_ok());

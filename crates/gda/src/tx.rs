@@ -1203,12 +1203,13 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
     /// version, commit epoch and `prev`) to fresh blocks on `id`'s rank:
     /// the version-chain archive of one overwritten holder. Single-phase
     /// — the archive is unreachable until the committing writer
-    /// publishes the new version's `prev` pointing at it — and volatile
-    /// ([`hio::write_archive`]): no checkpoint ships it.
+    /// publishes the new version's `prev` pointing at it — and never
+    /// durable: a full image carries live chains only, a delta carries
+    /// redo frames only.
     fn archive_version(&self, id: DPtr, bytes: &[u8]) -> GdiResult<DPtr> {
         let primary = self.eng.bm.acquire(id.rank())?;
         let mut blocks = vec![primary];
-        match hio::write_archive(self.eng.ctx, &self.eng.bm, bytes, &mut blocks) {
+        match hio::write_chain(self.eng.ctx, &self.eng.bm, bytes, &mut blocks) {
             Ok(()) => Ok(primary),
             Err(e) => {
                 hio::free_chain(&self.eng.bm, &blocks);

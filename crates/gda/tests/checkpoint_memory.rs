@@ -7,6 +7,8 @@
 //! * a full checkpoint, a delta checkpoint and a verification of the
 //!   published chain each stay within **4 MiB** of the level they
 //!   started at — no window image, no file image, no per-chunk buffers;
+//!   the delta seals, and the verification streams, a redo segment
+//!   larger than that budget;
 //! * a whole recovery — reading the chain back, replay, the fabric it
 //!   boots, the closing checkpoint — stays within **1.5 × the windows +
 //!   4 MiB**: the snapshot images are dropped before the fabric
@@ -14,7 +16,8 @@
 //!   sits beside either;
 //! * decoders handed counts far beyond what their input could back
 //!   (checksum re-sealed, so the parser is reached) answer with a typed
-//!   error having allocated next to nothing.
+//!   error — or, for a frame at the end of the live log, a torn tail —
+//!   having allocated next to nothing.
 //!
 //! The tests share the process-wide counters, so they serialize on one
 //! lock.
@@ -26,7 +29,9 @@ use std::sync::{Arc, Mutex};
 
 use gda::persist::{recover, Checksum, PersistStore};
 use gda::{GdaConfig, GdaDb, GdaRank, PersistOptions};
-use gdi::{AccessMode, AppVertexId, GdiError};
+use gdi::{
+    AccessMode, AppVertexId, Datatype, EntityType, GdiError, Multiplicity, PropertyValue, SizeType,
+};
 use rma::CostModel;
 
 /// Live and peak heap bytes of the whole process.
@@ -154,6 +159,16 @@ fn checkpoint_verify_and_restore_stream_through_bounded_memory() {
             let eng = db.attach(ctx);
             eng.init_collective();
             create_vertices(&eng, 0..20_000);
+            let blob = eng
+                .create_ptype(
+                    "blob",
+                    Datatype::Byte,
+                    EntityType::Vertex,
+                    Multiplicity::Single,
+                    SizeType::NoLimit,
+                    0,
+                )
+                .unwrap();
 
             let (id, peak) = peak_over(|| eng.checkpoint().unwrap());
             let report = store.last_checkpoint().unwrap();
@@ -161,11 +176,25 @@ fn checkpoint_verify_and_restore_stream_through_bounded_memory() {
             assert!(report.per_rank_bytes[0] as usize > MIB, "{report:?}");
             assert!(peak <= STREAM_BUDGET, "full checkpoint held {peak} bytes");
 
-            create_vertices(&eng, 20_000..23_000);
+            // 3 000 creates carrying a 2 KiB blob each: a segment larger
+            // than the budget the delta and the verification stay within
+            let payload = PropertyValue::Bytes(vec![0x5A; 2048]);
+            for batch in (20_000..23_000).collect::<Vec<u64>>().chunks(100) {
+                let tx = eng.begin(AccessMode::ReadWrite);
+                for id in batch {
+                    let v = tx.create_vertex(AppVertexId(*id)).unwrap();
+                    tx.add_property(v, blob, &payload).unwrap();
+                }
+                tx.commit().unwrap();
+            }
             let (id, peak) = peak_over(|| eng.checkpoint().unwrap());
             let report = store.last_checkpoint().unwrap();
             assert!(id == 2 && !report.full);
-            assert!(report.per_rank_chunks[0] >= 3_000, "{report:?}");
+            // the delta sealed the creates' frames and wrote its manifest
+            // alone
+            let segment = std::fs::metadata(td.0.join("ckpt-2/redo-rank-0.seg")).unwrap();
+            assert!(segment.len() as usize > STREAM_BUDGET, "{segment:?}");
+            assert!(report.per_rank_bytes[0] < 4096, "{report:?}");
             assert!(peak <= STREAM_BUDGET, "delta checkpoint held {peak} bytes");
 
             let ((bytes, errors), peak) = peak_over(|| store.verify_chain(0));
@@ -180,9 +209,9 @@ fn checkpoint_verify_and_restore_stream_through_bounded_memory() {
             create_vertices(&eng, 23_000..23_500);
         });
     }
-    // the whole recovery: fold the chain into one image per window,
-    // read the tail, lift and replay the objects, drop the images, build
-    // the fabric, materialize, take the closing full checkpoint
+    // the whole recovery: read the base image per window and the redo
+    // history, lift and replay the objects, drop the images, build the
+    // fabric, materialize, take the closing full checkpoint
     let (rec, peak) = peak_over(|| {
         let (db, fabric, plan) = recover(PersistOptions::new(&td.0), CostModel::zero()).unwrap();
         assert_eq!(plan.snapshot_id(), 2);
@@ -231,15 +260,12 @@ fn recover_and_restore(dir: &Path) -> Result<gda::RankRecovery, GdiError> {
         .expect("one rank")
 }
 
-/// Byte offsets into the v7 layouts (`docs/ARCHITECTURE.md`).
+/// Byte offsets into the v8 layouts (`docs/ARCHITECTURE.md`).
 mod layout {
     /// Snapshot header: magic, version, id, rank, nranks, config, kind.
     pub const SNAP_HEADER: usize = 8 + 4 + 8 + 4 + 4 + 58 + 1;
     /// A full image's first window length (`u64`).
     pub const FULL_FIRST_WINDOW_LEN: usize = SNAP_HEADER;
-    /// A delta's first window: base id and chunk size come first, the
-    /// window length (`u64`) precedes the run count (`u32`).
-    pub const DELTA_FIRST_RUN_COUNT: usize = SNAP_HEADER + 8 + 4 + 8;
     /// Manifest: magic, version, id, then the name (`u32` length +
     /// bytes), the rank count and the chain length (`u32`).
     pub fn manifest_chain_len(name: &str) -> usize {
@@ -250,46 +276,48 @@ mod layout {
     pub const FRAME_RECORD_COUNT: usize = 4 + 8 + 8;
 }
 
+/// A one-rank database with a labelled index, checkpointed into the
+/// chain `[1 (full), 2 (delta)]` — the delta's segment holds the frame
+/// of 2 creates — with a live log (2 more creates) behind it.
+fn small_chain(td: &TestDir) -> Arc<PersistStore> {
+    let (db, fabric) = GdaDb::with_fabric("h", GdaConfig::tiny(), 1, CostModel::zero());
+    let store = db.enable_persistence(PersistOptions::new(&td.0)).unwrap();
+    fabric.run(|ctx| {
+        let eng = db.attach(ctx);
+        eng.init_collective();
+        let node = eng.create_label("Node").unwrap();
+        eng.create_index("nodes", vec![node], vec![]).unwrap();
+        let tx = eng.begin(AccessMode::ReadWrite);
+        for id in 0..10 {
+            let v = tx.create_vertex(AppVertexId(id)).unwrap();
+            tx.add_label(v, node).unwrap();
+        }
+        tx.commit().unwrap();
+        assert_eq!(eng.checkpoint().unwrap(), 1);
+        create_vertices(&eng, 10..12);
+        assert_eq!(eng.checkpoint().unwrap(), 2);
+        create_vertices(&eng, 12..14);
+    });
+    assert_eq!(store.chain(), vec![1, 2]);
+    store
+}
+
 #[test]
 fn hostile_counts_are_refused_before_anything_is_allocated_for_them() {
     let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
-    let cfg = GdaConfig::tiny();
     let td = TestDir::new("hostile");
-    let store: Arc<PersistStore> = {
-        let (db, fabric) = GdaDb::with_fabric("h", cfg, 1, CostModel::zero());
-        let store = db.enable_persistence(PersistOptions::new(&td.0)).unwrap();
-        fabric.run(|ctx| {
-            let eng = db.attach(ctx);
-            eng.init_collective();
-            let node = eng.create_label("Node").unwrap();
-            eng.create_index("nodes", vec![node], vec![]).unwrap();
-            let tx = eng.begin(AccessMode::ReadWrite);
-            for id in 0..10 {
-                let v = tx.create_vertex(AppVertexId(id)).unwrap();
-                tx.add_label(v, node).unwrap();
-            }
-            tx.commit().unwrap();
-            assert_eq!(eng.checkpoint().unwrap(), 1);
-            create_vertices(&eng, 10..12);
-            assert_eq!(eng.checkpoint().unwrap(), 2);
-            create_vertices(&eng, 12..14);
-        });
-        store
-    };
-    assert_eq!(store.chain(), vec![1, 2]);
+    small_chain(&td);
     let full = td.0.join("ckpt-1/rank-0.snap");
-    let delta = td.0.join("ckpt-2/rank-0.snap");
     let manifest = td.0.join("ckpt-2/manifest.bin");
-    let log = td.0.join("redo-rank-0.log");
     // every window of this database is < 64 KiB: a parse that stays
     // within a few strips of memory allocated nothing for the counts
     // planted below, each of which claims ≥ 256 MiB
     let budget = 2 * MIB;
-    let snapshot_len = std::fs::metadata(&delta).unwrap().len() as usize;
-    // the delta's posting section: [indexes u32][id u32][count u64]
+    let snapshot_len = std::fs::metadata(&full).unwrap().len() as usize;
+    // the image's posting section: [indexes u32][id u32][count u64]
     // [10 labelled vertices × 16][trailer 8]
     let posting_count = snapshot_len - 8 - 10 * 16 - 8;
-    let cases: [(&str, &Path, usize, Vec<u8>); 5] = [
+    let cases: [(&str, &Path, usize, Vec<u8>); 4] = [
         (
             "window length",
             &full,
@@ -297,20 +325,14 @@ fn hostile_counts_are_refused_before_anything_is_allocated_for_them() {
             (1u64 << 40).to_le_bytes().to_vec(),
         ),
         (
-            "delta run count",
-            &delta,
-            layout::DELTA_FIRST_RUN_COUNT,
-            u32::MAX.to_le_bytes().to_vec(),
-        ),
-        (
             "posting count",
-            &delta,
+            &full,
             posting_count,
             (1u64 << 28).to_le_bytes().to_vec(),
         ),
         (
             "index count",
-            &delta,
+            &full,
             posting_count - 8,
             (1u32 << 28).to_le_bytes().to_vec(),
         ),
@@ -332,17 +354,58 @@ fn hostile_counts_are_refused_before_anything_is_allocated_for_them() {
         assert!(peak <= budget, "{what}: parsing held {peak} bytes");
     }
 
-    // a redo frame claiming 2²⁸ records is a corrupt frame: replay stops
-    // in front of it (and truncates it away) instead of reserving room
-    let mut frames = std::fs::read(&log).unwrap();
-    let at = layout::FRAME_RECORD_COUNT;
-    frames[at..at + 4].copy_from_slice(&(1u32 << 28).to_le_bytes());
-    let payload_len = u32::from_le_bytes(frames[..4].try_into().unwrap()) as usize;
-    let sum = Checksum::of(&frames[12..12 + payload_len]);
-    frames[4..12].copy_from_slice(&sum.to_le_bytes());
-    std::fs::write(&log, frames).unwrap();
-    let (outcome, peak) = peak_over(|| recover_and_restore(&td.0));
-    let rec = outcome.expect("a corrupt log frame is a torn tail, not a failure");
-    assert_eq!((rec.records, rec.log_bytes), (0, 0));
-    assert!(peak <= budget, "redo parsing held {peak} bytes");
+    // a redo frame claiming 2²⁸ records is a corrupt frame: the parser
+    // stops in front of it instead of reserving room. At the end of the
+    // live log that is a torn tail — the history ends there, the log is
+    // cut there and nothing behind it replays. Inside a sealed segment
+    // it is corruption of checkpointed commits — recovery refuses with a
+    // typed error and leaves the directory as it found it.
+    for file in ["ckpt-2/redo-rank-0.seg", "redo-rank-0.log"] {
+        let td = TestDir::new("hostile-frame");
+        small_chain(&td);
+        let path = td.0.join(file);
+        let mut frames = std::fs::read(&path).unwrap();
+        let at = layout::FRAME_RECORD_COUNT;
+        frames[at..at + 4].copy_from_slice(&(1u32 << 28).to_le_bytes());
+        let payload_len = u32::from_le_bytes(frames[..4].try_into().unwrap()) as usize;
+        let sum = Checksum::of(&frames[12..12 + payload_len]);
+        frames[4..12].copy_from_slice(&sum.to_le_bytes());
+        std::fs::write(&path, frames).unwrap();
+        let before = listing(&td.0);
+        let (outcome, peak) = peak_over(|| recover_and_restore(&td.0));
+        if file.ends_with(".seg") {
+            assert!(
+                matches!(&outcome, Err(GdiError::Io(e)) if e.contains("sealed redo segment")),
+                "{file}: expected a typed I/O error, got {outcome:?}"
+            );
+            assert!(
+                listing(&td.0) == before,
+                "a refused recovery changed the directory"
+            );
+        } else {
+            let rec = outcome.expect("a torn live log ends the history, it is not a failure");
+            assert_eq!(
+                rec.records, 2,
+                "{file}: the segment replays, the live log does not"
+            );
+        }
+        assert!(peak <= budget, "{file}: redo parsing held {peak} bytes");
+    }
+}
+
+/// Every file under `dir` with its bytes, sorted by path.
+fn listing(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let mut files = Vec::new();
+    let mut dirs = vec![dir.to_path_buf()];
+    while let Some(d) = dirs.pop() {
+        for e in std::fs::read_dir(&d).unwrap().flatten() {
+            if e.path().is_dir() {
+                dirs.push(e.path());
+            } else {
+                files.push((e.path(), std::fs::read(e.path()).unwrap()));
+            }
+        }
+    }
+    files.sort();
+    files
 }

@@ -4,15 +4,21 @@
 //! then crashed and recovered must read back exactly the state the
 //! uninterrupted execution produced (tracked by an in-test model),
 //! across rank counts P ∈ {1, 2, 4} and property-tested churn mixes.
+//! Directed cases cover the crash windows of a delta's seal and the
+//! changes no redo frame records, which must force a full image.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use gda::blocks::BlockManager;
+use gda::faults::{self, FaultMode, PERSISTENT};
 use gda::hio;
-use gda::{DPtr, GdaConfig, GdaDb, PersistOptions};
-use gdi::{AccessMode, AppVertexId, Datatype, EntityType, Multiplicity, PropertyValue, SizeType};
+use gda::persist::{audit_image, PersistStore};
+use gda::{DPtr, GdaConfig, GdaDb, GdaRank, PersistOptions, VertexSpec};
+use gdi::{
+    AccessMode, AppVertexId, Datatype, EntityType, Multiplicity, PTypeId, PropertyValue, SizeType,
+};
 use proptest::prelude::*;
 use rma::CostModel;
 
@@ -317,9 +323,9 @@ fn vacuumed_archives_do_not_resurrect_through_recovery() {
     });
 }
 
-/// The run structure of one rank's snapshot file (format v7, see
-/// `docs/ARCHITECTURE.md`): per window (data, index), the chunks a
-/// delta ships, or the bytes a full image spends on the window.
+/// The run structure of one rank's snapshot file (format v8, see
+/// `docs/ARCHITECTURE.md`): the bytes a full image spends on its data
+/// window.
 mod file {
     /// magic, version, id, rank, nranks, config, kind
     const HEADER: usize = 8 + 4 + 8 + 4 + 4 + 58 + 1;
@@ -330,25 +336,6 @@ mod file {
 
     fn u64_at(f: &[u8], at: usize) -> usize {
         u64::from_le_bytes(f[at..at + 8].try_into().unwrap()) as usize
-    }
-
-    /// A delta's shipped chunk indices, per window.
-    pub fn delta_chunks(f: &[u8]) -> [Vec<usize>; 2] {
-        assert_eq!(f[HEADER - 1], 1, "a delta file");
-        let chunk = u32_at(f, HEADER + 8);
-        let mut at = HEADER + 12;
-        [(); 2].map(|()| {
-            let len = u64_at(f, at);
-            let runs = u32_at(f, at + 8);
-            at += 12;
-            let mut chunks = Vec::new();
-            for _ in 0..runs {
-                let (first, n) = (u32_at(f, at), u32_at(f, at + 4));
-                at += 8 + (n * chunk).min(len - first * chunk);
-                chunks.extend(first..first + n);
-            }
-            chunks
-        })
     }
 
     /// The bytes a full image's data window takes in the file: its
@@ -366,14 +353,15 @@ mod file {
     }
 }
 
-/// Archives are volatile, end to end: while a pinned reader keeps a
-/// vertex's old versions alive and the vertex is overwritten past
-/// `mvcc_chain_limit` (archiving every pre-image, truncating and
-/// sealing below the reader's snapshot), a delta ships exactly that
-/// vertex's live chain — not one archive block — and the next full image
-/// carries the live chains and nothing else. The pinned reader still
-/// reads its version after both checkpoints, and recovery reads the
-/// latest values.
+/// Archives never reach the disk, end to end: while a pinned reader
+/// keeps a vertex's old versions alive and the vertex is overwritten
+/// past `mvcc_chain_limit` (archiving every pre-image, truncating and
+/// sealing below the reader's snapshot), a delta carries no window byte
+/// at all — its directory is the manifest and the sealed segment, and
+/// the segment is exactly the redo bytes the overwrites logged — and the
+/// next full image carries the live chains and no archive block. The
+/// pinned reader still reads its version after both checkpoints, and
+/// recovery reads the latest values.
 #[test]
 fn archives_never_reach_a_checkpoint() {
     let dir = TestDir::new("volatile");
@@ -418,6 +406,7 @@ fn archives_never_reach_a_checkpoint() {
             eng.checkpoint().unwrap();
 
             let pinned = eng.begin(AccessMode::ReadOnly);
+            let logged_before = ctx.stats_snapshot().log_bytes;
             let rounds = 2 * cfg.mvcc_chain_limit as u64;
             for round in 1..=rounds {
                 update(hot, 100 + round);
@@ -427,23 +416,23 @@ fn archives_never_reach_a_checkpoint() {
             assert!(archives.chain_truncations >= 1, "{archives:?}");
 
             let chain = |dp: DPtr| hio::read_chain(ctx, &cfg, dp).unwrap().1;
-            let offsets = |blocks: Vec<DPtr>| -> Vec<usize> {
-                let mut c: Vec<usize> = blocks
-                    .iter()
-                    .map(|b| b.offset() as usize / cfg.block_size)
-                    .collect();
-                c.sort_unstable();
-                c
-            };
             let delta = eng.checkpoint().unwrap();
-            let f = std::fs::read(dir.0.join(format!("ckpt-{delta}/rank-0.snap"))).unwrap();
-            let [data, index] = file::delta_chunks(&f);
+            let mut files: Vec<String> = std::fs::read_dir(dir.0.join(format!("ckpt-{delta}")))
+                .unwrap()
+                .map(|e| e.unwrap().file_name().into_string().unwrap())
+                .collect();
+            files.sort();
             assert_eq!(
-                data,
-                offsets(chain(ids[0])),
-                "the delta ships the hot vertex's live chain and no archive"
+                files,
+                ["manifest.bin", "redo-rank-0.seg"],
+                "a delta writes no window image"
             );
-            assert_eq!(index, Vec::<usize>::new(), "an update moves no DHT entry");
+            let segment = std::fs::metadata(dir.0.join(format!("ckpt-{delta}/redo-rank-0.seg")));
+            assert_eq!(
+                segment.unwrap().len(),
+                archives.log_bytes - logged_before,
+                "the segment is the overwrites' redo frames, no archive"
+            );
             let snap = pinned.translate_vertex_id(AppVertexId(hot)).unwrap();
             assert_eq!(
                 pinned.property(snap, val).unwrap(),
@@ -483,4 +472,211 @@ fn archives_never_reach_a_checkpoint() {
         })
         .collect();
     recover_and_check(&dir, &model, &[]);
+}
+
+/// Run `body` on every rank of a fresh persistent `p`-rank database
+/// with the `val` property (the crash is the drop that follows); returns
+/// what each rank returned.
+fn on_persistent_ranks<T: Send>(
+    dir: &TestDir,
+    p: usize,
+    body: impl Fn(&GdaRank, PTypeId, &PersistStore) -> T + Sync,
+) -> Vec<T> {
+    let (db, fabric) = GdaDb::with_fabric("seal", churn_cfg(), p, CostModel::zero());
+    let store = db.enable_persistence(PersistOptions::new(&dir.0)).unwrap();
+    fabric.run(|ctx| {
+        let eng = db.attach(ctx);
+        eng.init_collective();
+        if ctx.rank() == 0 {
+            eng.create_ptype(
+                "val",
+                Datatype::Uint64,
+                EntityType::Vertex,
+                Multiplicity::Single,
+                SizeType::Fixed,
+                1,
+            )
+            .unwrap();
+        }
+        ctx.barrier();
+        eng.refresh_meta();
+        let val = eng.meta().ptype_from_name("val").unwrap();
+        body(&eng, val, &store)
+    })
+}
+
+/// One rank's share of an interval: overwrite every vertex the rank
+/// created before, then create `n` more from its own id range, one
+/// commit per op — every frame lands in this rank's log. The model
+/// records each committed value; the interval ends on a barrier.
+fn rank_interval(eng: &GdaRank, val: PTypeId, model: &mut BTreeMap<u64, u64>, round: u64, n: u64) {
+    let write = |id: u64, create: bool| {
+        let value = PropertyValue::U64(round * 10_000 + id);
+        let tx = eng.begin(AccessMode::ReadWrite);
+        if create {
+            let v = tx.create_vertex(AppVertexId(id)).unwrap();
+            tx.add_property(v, val, &value).unwrap();
+        } else {
+            let v = tx.translate_vertex_id(AppVertexId(id)).unwrap();
+            tx.update_property(v, val, &value).unwrap();
+        }
+        tx.commit().unwrap();
+        round * 10_000 + id
+    };
+    let old: Vec<u64> = model.keys().copied().collect();
+    for id in old {
+        model.insert(id, write(id, false));
+    }
+    let first = 1_000 * (eng.rank() as u64 + 1) + model.len() as u64;
+    for id in first..first + n {
+        model.insert(id, write(id, true));
+    }
+    eng.ctx().barrier();
+}
+
+/// Every rank's model, merged (the ranks' id ranges are disjoint).
+fn merged(models: Vec<BTreeMap<u64, u64>>) -> BTreeMap<u64, u64> {
+    models.into_iter().flatten().collect()
+}
+
+/// A crash after a delta published but before any rank sealed its log
+/// (every seal fails, and the database dies right after): each live log
+/// still holds its rank's interval, recovery reads it behind the chain's
+/// segments, and every acknowledged commit is back.
+#[test]
+fn a_crash_between_publish_and_seal_loses_no_commit() {
+    let dir = TestDir::new("seal-crash");
+    let models = on_persistent_ranks(&dir, 2, |eng, val, store| {
+        let me = eng.rank();
+        let mut model = BTreeMap::new();
+        rank_interval(eng, val, &mut model, 1, 6);
+        assert_eq!(eng.checkpoint().unwrap(), 1);
+        rank_interval(eng, val, &mut model, 2, 4);
+        if me == 0 {
+            store
+                .fault_plane()
+                .arm_at(faults::REDO_SEAL, None, 0, PERSISTENT, FaultMode::Error);
+        }
+        eng.ctx().barrier();
+        assert_eq!(eng.checkpoint().unwrap(), 2, "an unsealed log is non-fatal");
+        assert!(!store.last_checkpoint().unwrap().full);
+        assert!(dir.0.join(format!("redo-rank-{me}.log")).exists());
+        assert!(!dir.0.join(format!("ckpt-2/redo-rank-{me}.seg")).exists());
+        model
+    });
+    recover_and_check(&dir, &merged(models), &[]);
+}
+
+/// A seal that fails on one rank is non-fatal: that rank keeps serving
+/// on its live log, the next delta seals both intervals into one
+/// segment, and recovery equals the uninterrupted run.
+#[test]
+fn a_failed_seal_is_sealed_whole_by_the_next_delta() {
+    let dir = TestDir::new("seal-retry");
+    let models = on_persistent_ranks(&dir, 2, |eng, val, store| {
+        let me = eng.rank();
+        let log = dir.0.join(format!("redo-rank-{me}.log"));
+        let segment = |id: u64| dir.0.join(format!("ckpt-{id}/redo-rank-{me}.seg"));
+        let mut model = BTreeMap::new();
+        rank_interval(eng, val, &mut model, 1, 6);
+        assert_eq!(eng.checkpoint().unwrap(), 1);
+        rank_interval(eng, val, &mut model, 2, 3);
+        if me == 0 {
+            store
+                .fault_plane()
+                .arm_at(faults::REDO_SEAL, Some(1), 0, 1, FaultMode::Error);
+        }
+        eng.ctx().barrier();
+        assert_eq!(eng.checkpoint().unwrap(), 2);
+        audit_image(eng).unwrap();
+        assert_eq!(segment(2).exists(), me == 0, "rank 1's seal failed");
+        let unsealed = std::fs::metadata(&log).map_or(0, |m| m.len());
+        rank_interval(eng, val, &mut model, 3, 3);
+        let both = std::fs::metadata(&log).unwrap().len();
+        assert_eq!(eng.checkpoint().unwrap(), 3);
+        audit_image(eng).unwrap();
+        let sealed = std::fs::metadata(segment(3)).unwrap().len();
+        assert_eq!(sealed, both, "the segment is the whole log");
+        assert!(!log.exists());
+        if me == 1 {
+            assert!(0 < unsealed && unsealed < both, "two intervals in one file");
+        }
+        rank_interval(eng, val, &mut model, 4, 2);
+        model
+    });
+    recover_and_check(&dir, &merged(models), &[]);
+}
+
+/// The rules that force a full image hold the chain up: a bulk load and
+/// an index definition change are not in any redo frame, so the next
+/// checkpoint is a full image even with a chain to extend. After the
+/// bulk load the loaded vertices are in it; after the index creation the
+/// postings are exactly the live ones — a delta would replay the
+/// labelled vertices committed before the index existed into it — and a
+/// crash recovers both. A log a full's failed truncation left behind
+/// forces the next full the same way.
+#[test]
+fn changes_no_frame_records_force_a_full_image() {
+    let dir = TestDir::new("unlogged");
+    let models = on_persistent_ranks(&dir, 2, |eng, val, store| {
+        let checkpoint = |want_full: bool, why: &str| {
+            eng.checkpoint().unwrap();
+            assert_eq!(store.last_checkpoint().unwrap().full, want_full, "{why}");
+            audit_image(eng).unwrap();
+        };
+        let mut model = BTreeMap::new();
+        rank_interval(eng, val, &mut model, 1, 4);
+        checkpoint(true, "the base");
+        rank_interval(eng, val, &mut model, 2, 2);
+        checkpoint(false, "a delta on the base");
+
+        let loaded: Vec<VertexSpec> = match eng.rank() {
+            0 => (500..520)
+                .map(|id| VertexSpec::new(id).with_prop(val, PropertyValue::U64(id)))
+                .collect(),
+            _ => Vec::new(),
+        };
+        model.extend(loaded.iter().map(|v| (v.app.0, v.app.0)));
+        eng.bulk_load(loaded, Vec::new()).unwrap();
+        checkpoint(true, "a bulk load forces a full image");
+
+        if eng.rank() == 0 {
+            eng.create_label("Tag").unwrap();
+        }
+        eng.ctx().barrier();
+        eng.refresh_meta();
+        let tag = eng.meta().label_from_name("Tag").unwrap();
+        let tx = eng.begin(AccessMode::ReadWrite);
+        for &id in model.keys().filter(|id| (1_000..10_000).contains(*id)) {
+            let v = tx.translate_vertex_id(AppVertexId(id)).unwrap();
+            tx.add_label(v, tag).unwrap();
+        }
+        tx.commit().unwrap();
+        eng.ctx().barrier();
+        if eng.rank() == 0 {
+            eng.create_index("tagged", vec![tag], Vec::new()).unwrap();
+        }
+        eng.ctx().barrier();
+        checkpoint(true, "an index definition forces a full image");
+
+        // a full whose truncation fails on rank 1 leaves stale frames in
+        // that log: the next checkpoint rebases instead of sealing them
+        rank_interval(eng, val, &mut model, 3, 2);
+        if eng.rank() == 0 {
+            store
+                .fault_plane()
+                .arm_at(faults::REDO_ROTATE, Some(1), 0, 1, FaultMode::Error);
+        }
+        eng.ctx().barrier();
+        eng.checkpoint_full().unwrap();
+        rank_interval(eng, val, &mut model, 4, 2);
+        checkpoint(
+            true,
+            "a log a failed truncation left behind is never sealed",
+        );
+        rank_interval(eng, val, &mut model, 5, 2);
+        checkpoint(false, "a clean truncation lets deltas resume");
+        model
+    });
+    recover_and_check(&dir, &merged(models), &[]);
 }

@@ -249,7 +249,7 @@ fn failed_checkpoint_under_oom_keeps_serving_and_recovers() {
             assert_eq!(eng.checkpoint().unwrap(), 1);
             if ctx.rank() == 0 {
                 store.fault_plane().arm_at(
-                    gda::faults::SNAP_WRITE,
+                    gda::faults::MANIFEST_WRITE,
                     Some(0),
                     0,
                     1,

@@ -20,7 +20,6 @@ use parking_lot::Mutex;
 use crate::backend::{BackendKind, FabricTime};
 use crate::barrier::PoisonBarrier;
 use crate::cost::CostModel;
-use crate::dirty::DirtyMap;
 use crate::faults::{FaultMode, FaultPlane};
 use crate::stats::{CommStats, Counter, RankReport};
 use crate::window::Window;
@@ -40,9 +39,6 @@ pub(crate) struct Shared {
     /// Collective exchange board, one slot per rank.
     pub boards: Vec<Mutex<Option<Arc<dyn Any + Send + Sync>>>>,
     pub barrier: PoisonBarrier,
-    /// Dirty-chunk bitmaps fed by every one-sided write (the delta-
-    /// checkpoint capture layer; see [`crate::dirty`]).
-    pub dirty: DirtyMap,
     /// Fault-injection registry probed at the quiesce/collective paths
     /// (and shared with storage layers above; see [`crate::faults`]).
     pub faults: Arc<FaultPlane>,
@@ -54,7 +50,6 @@ pub struct FabricBuilder {
     window_bytes: Vec<usize>,
     cost: CostModel,
     backend: Option<BackendKind>,
-    dirty_chunk: usize,
     faults: Option<Arc<FaultPlane>>,
 }
 
@@ -68,7 +63,6 @@ impl FabricBuilder {
             window_bytes: Vec::new(),
             cost: CostModel::default(),
             backend: None,
-            dirty_chunk: crate::dirty::DEFAULT_CHUNK_BYTES,
             faults: None,
         }
     }
@@ -96,16 +90,6 @@ impl FabricBuilder {
         self
     }
 
-    /// Granularity (bytes) of the dirty-chunk write tracking (defaults
-    /// to [`crate::dirty::DEFAULT_CHUNK_BYTES`]). Engines align it with
-    /// their storage unit — GDA passes its block size, so one dirty bit
-    /// is one block.
-    pub fn dirty_chunk(mut self, bytes: usize) -> Self {
-        assert!(bytes >= 8, "dirty chunk must cover at least a word");
-        self.dirty_chunk = bytes;
-        self
-    }
-
     /// Share a fault-injection plane with this fabric (defaults to a
     /// fresh, empty plane). Harnesses pass the same [`FaultPlane`] to the
     /// fabric and to the storage layer so one registry covers fabric
@@ -122,7 +106,6 @@ impl FabricBuilder {
             .collect();
         let clocks = (0..self.nranks).map(|_| AtomicU64::new(0)).collect();
         let boards = (0..self.nranks).map(|_| Mutex::new(None)).collect();
-        let dirty = DirtyMap::new(self.nranks, &self.window_bytes, self.dirty_chunk);
         Fabric {
             shared: Arc::new(Shared {
                 nranks: self.nranks,
@@ -132,7 +115,6 @@ impl FabricBuilder {
                 clocks,
                 boards,
                 barrier: PoisonBarrier::new(self.nranks),
-                dirty,
                 faults: self.faults.unwrap_or_default(),
             }),
             last_reports: Mutex::new(Vec::new()),
@@ -428,28 +410,6 @@ impl<'a> RankCtx<'a> {
         self.count(c, 1);
     }
 
-    // ------------------------------------------------------------------
-    // Dirty-chunk tracking (delta-checkpoint capture; see `crate::dirty`)
-    // ------------------------------------------------------------------
-
-    /// Granularity (bytes) of the fabric's dirty-chunk tracking.
-    pub fn dirty_chunk_bytes(&self) -> usize {
-        self.shared.dirty.chunk_bytes()
-    }
-
-    /// Drain and clear the dirty bitmaps of `rank`'s windows (one raw
-    /// bitmap per window, in window order). Call only while the fabric
-    /// is quiesced — concurrent writers could land in either epoch.
-    pub fn take_dirty(&self, rank: usize) -> Vec<Vec<u64>> {
-        self.shared.dirty.take(rank)
-    }
-
-    /// OR previously taken bitmaps back into `rank`'s dirty map (the
-    /// unwind path of an aborted checkpoint).
-    pub fn remark_dirty(&self, rank: usize, bitmaps: &[Vec<u64>]) {
-        self.shared.dirty.remark(rank, bitmaps)
-    }
-
     /// Quiesce the fabric: flush every peer, then synchronize all ranks
     /// (a barrier on the reconciled clock). After every rank returns,
     /// no one-sided operation issued before the quiesce is outstanding
@@ -574,14 +534,6 @@ impl<'a> RankCtx<'a> {
 
     /// One-sided bulk PUT: write `src` into `target`'s window.
     pub fn put_bytes(&self, win: WinId, target: usize, off: usize, src: &[u8]) {
-        self.shared.dirty.mark(win, target, off, src.len());
-        self.put_bytes_volatile(win, target, off, src);
-    }
-
-    /// [`RankCtx::put_bytes`] without the dirty mark — the same clock
-    /// charge and the same counters — for bytes no checkpoint may
-    /// ship (see [`crate::dirty`], "Volatile writes").
-    pub fn put_bytes_volatile(&self, win: WinId, target: usize, off: usize, src: &[u8]) {
         self.charge_transfer(target, src.len());
         self.count_transfer(target, Counter::Puts, Counter::BytesPut, src.len());
         self.win(win, target).write_bytes(off, src);
@@ -598,7 +550,6 @@ impl<'a> RankCtx<'a> {
     pub fn put_u64(&self, win: WinId, target: usize, word: usize, v: u64) {
         self.charge_transfer(target, 8);
         self.count_transfer(target, Counter::Puts, Counter::BytesPut, 8);
-        self.shared.dirty.mark(win, target, word * 8, 8);
         self.win(win, target).store(word, v)
     }
 
@@ -615,7 +566,6 @@ impl<'a> RankCtx<'a> {
         self.clock
             .advance(self.shared.cost.atomic(self.rank, target));
         self.count_atomic(target);
-        self.shared.dirty.mark(win, target, word * 8, 8);
         self.win(win, target).store(word, v)
     }
 
@@ -626,10 +576,6 @@ impl<'a> RankCtx<'a> {
         self.clock
             .advance(self.shared.cost.atomic(self.rank, target));
         self.count_atomic(target);
-        // conservatively dirty even when the CAS loses — cheaper than
-        // branching on the outcome, and a false positive only re-ships
-        // one chunk
-        self.shared.dirty.mark(win, target, word * 8, 8);
         self.win(win, target).cas(word, compare, new)
     }
 
@@ -638,7 +584,6 @@ impl<'a> RankCtx<'a> {
         self.clock
             .advance(self.shared.cost.atomic(self.rank, target));
         self.count_atomic(target);
-        self.shared.dirty.mark(win, target, word * 8, 8);
         self.win(win, target).fadd(word, delta)
     }
 
@@ -647,7 +592,6 @@ impl<'a> RankCtx<'a> {
         self.clock
             .advance(self.shared.cost.atomic(self.rank, target));
         self.count_atomic(target);
-        self.shared.dirty.mark(win, target, word * 8, 8);
         self.win(win, target).fsub(word, delta)
     }
 
@@ -820,54 +764,6 @@ mod tests {
         let r = fabric.last_reports()[0];
         assert_eq!(r.log_appends, 2);
         assert_eq!(r.log_bytes, 1024);
-    }
-
-    #[test]
-    fn volatile_put_charges_like_put_bytes_and_marks_nothing() {
-        let w = WinId(0);
-        // the same local and remote puts, once marking and once not:
-        // (clock after each put, dirty chunks, window bytes, report)
-        let run = |volatile: bool| {
-            let fabric = FabricBuilder::new(2)
-                .backend(BackendKind::Sim)
-                .dirty_chunk(64)
-                .window(1024)
-                .build();
-            let mut out = fabric.run(|ctx| {
-                if ctx.rank() != 0 {
-                    return None;
-                }
-                let mut clock = Vec::new();
-                for (target, off, len) in [(0, 8, 24), (1, 100, 300), (1, 0, 8)] {
-                    let src = vec![0xA5; len];
-                    if volatile {
-                        ctx.put_bytes_volatile(w, target, off, &src);
-                    } else {
-                        ctx.put_bytes(w, target, off, &src);
-                    }
-                    clock.push(ctx.now_ns());
-                }
-                let dirty: Vec<u64> = (0..2)
-                    .map(|r| crate::dirty::dirty_chunks(&ctx.take_dirty(r)))
-                    .collect();
-                let mut bytes = vec![0u8; 1024];
-                ctx.get_bytes(w, 1, 0, &mut bytes);
-                // wall time is the host's, not a charge
-                let report = RankReport {
-                    wall_time_ns: 0.0,
-                    ..ctx.stats_snapshot()
-                };
-                Some((clock, dirty, bytes, report))
-            });
-            out.swap_remove(0).expect("rank 0 reports")
-        };
-        let (clock, dirty, bytes, report) = run(false);
-        let (v_clock, v_dirty, v_bytes, v_report) = run(true);
-        assert_eq!(v_clock, clock, "bit-for-bit the same charges");
-        assert_eq!(v_report, report, "the same CommStats");
-        assert_eq!(v_bytes, bytes, "the same window bytes");
-        assert_eq!(dirty, vec![1, 7]);
-        assert_eq!(v_dirty, vec![0, 0], "no dirty bit set");
     }
 
     #[test]

@@ -55,7 +55,6 @@ pub mod backend;
 pub mod barrier;
 pub mod collectives;
 pub mod cost;
-pub mod dirty;
 pub mod fabric;
 pub mod faults;
 pub mod stats;
@@ -65,7 +64,6 @@ pub mod window;
 pub use backend::{BackendKind, BACKEND_ENV};
 pub use barrier::PoisonBarrier;
 pub use cost::{CostModel, SimClock};
-pub use dirty::DirtyMap;
 pub use fabric::{Fabric, FabricBuilder, RankCtx, WinId};
 pub use faults::{FaultMode, FaultPlane};
 pub use stats::{Counter, RankReport};

@@ -107,10 +107,9 @@ counters! {
     log_appends: LogAppends = "persist.log_appends",
     /// Redo-log payload bytes written by this rank.
     log_bytes: LogBytes = "persist.log_bytes",
-    /// Delta (incremental) checkpoint images written by this rank.
+    /// Delta (incremental) checkpoints this rank took part in: each
+    /// sealed its redo log instead of writing an image.
     delta_checkpoints: DeltaCheckpoints = "persist.delta_checkpoints",
-    /// Dirty chunks shipped by those delta images.
-    delta_chunks: DeltaChunks = "persist.delta_chunks",
     /// Logical objects this rank re-materialized during a recovery
     /// (onto any rank count).
     reshard_objects: ReshardObjects = "recovery.objects",

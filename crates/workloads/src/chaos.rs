@@ -56,7 +56,8 @@ pub struct ChaosScenario {
     /// Fault point to arm (a [`gda::faults`] name). `redo.append`
     /// degrades via the serve loop's store-health observer; the
     /// checkpoint-path points degrade via the failing collective
-    /// checkpoint.
+    /// checkpoint, a delta — so a point every checkpoint passes
+    /// (`snap.write` is a full image's only).
     pub fault_point: &'static str,
     /// Fabric execution backend: `None` follows the process default
     /// (`GDI_FABRIC_BACKEND`, else simulated), `Some(_)` pins one.
@@ -75,7 +76,7 @@ impl ChaosScenario {
             dir: dir.into(),
             server: ServerOptions::default(),
             cost: CostModel::default(),
-            fault_point: faults::SNAP_WRITE,
+            fault_point: faults::MANIFEST_WRITE,
             backend: None,
         }
     }
@@ -168,10 +169,10 @@ fn commit_phase(
     }
 }
 
-/// The image ≡ window oracle after a published checkpoint
+/// The recovered ≡ live oracle after a published checkpoint
 /// ([`gda::persist::audit_image`], run as a collective job): `None`
-/// when the folded snapshot chain equals the live windows on every
-/// live chain, else what differs.
+/// when what a recovery would rebuild from the published chain is the
+/// live state, object for object, else what differs.
 fn audit_image(srv: &GdiServer) -> Option<String> {
     let slot: Arc<Mutex<Option<String>>> = Arc::default();
     let sink = slot.clone();

@@ -4,14 +4,15 @@
 //! A persistence-enabled server takes one **full** checkpoint over the
 //! bulk-loaded base graph, then serves `rounds` of tracked update-heavy
 //! session traffic; after each round it publishes a **delta**
-//! checkpoint (dirty chunks only) and runs a collective maintenance
-//! pass (MVCC vacuum, free-list vacuum, chain compaction, snapshot
-//! checksum verification). The run ends with a kill and a recovery from
-//! the full+delta chain plus the redo tail, verified with
-//! read-your-committed-writes. Per round the scenario samples delta
-//! bytes/stall (the churn-proportional gate: flat in database size,
-//! linear in churn) and the live-block count (the vacuum's
-//! bounded-garbage gate).
+//! checkpoint (a manifest; each rank's redo log becomes its segment) and
+//! runs a collective maintenance pass (MVCC vacuum, free-list vacuum,
+//! chain compaction, checksum verification of the chain). The run ends
+//! with a kill and a recovery from the full image plus every segment and
+//! live log, verified with read-your-committed-writes. Per round the
+//! scenario samples the bytes a delta made durable — its manifest and
+//! the redo bytes logged since the previous checkpoint — and its stall
+//! (the churn-proportional gate: flat in database size, linear in
+//! churn), and the live-block count (the vacuum's bounded-garbage gate).
 //!
 //! Used by `gdi-bench`'s `maintenance_sweep` for the cost curves and by
 //! the workload's own test for correctness.
@@ -23,7 +24,7 @@ use std::sync::Arc;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use gda::persist::PersistOptions;
+use gda::persist::{CheckpointReport, PersistOptions};
 use gda::GdaDb;
 use gdi::{AppVertexId, GdiError, PropertyValue};
 use graphgen::{load_into, sized_config, GraphSpec, LpgMeta};
@@ -85,12 +86,39 @@ pub struct CheckpointSample {
     pub id: u64,
     /// Full snapshot (`true`) or delta (`false`).
     pub full: bool,
-    /// Snapshot bytes written, summed over ranks.
+    /// Bytes the checkpoint made durable, summed over ranks: a full its
+    /// files; a delta its manifest and the redo bytes it sealed — what
+    /// the fabric's `log_bytes` counter grew by since the previous
+    /// checkpoint.
     pub bytes: u64,
-    /// Dirty chunks shipped, summed over ranks (0 for full).
-    pub chunks: u64,
     /// Simulated seconds commits were stalled (max over ranks).
     pub sim_stall_s: f64,
+}
+
+impl CheckpointSample {
+    /// Sample `ck`, a checkpoint taken after `logged` redo bytes.
+    fn of(ck: &CheckpointReport, logged: u64) -> Self {
+        let written: u64 = ck.per_rank_bytes.iter().sum();
+        Self {
+            id: ck.id,
+            full: ck.full,
+            bytes: if ck.full { written } else { written + logged },
+            sim_stall_s: ck.sim_stall_s,
+        }
+    }
+}
+
+/// Redo bytes the serving ranks have appended so far (the fabric's
+/// `log_bytes` counter, summed; 0 if the collective job did not run).
+fn logged_bytes(srv: &GdiServer) -> u64 {
+    let job = srv.submit_olap(|eng| {
+        let ctx = eng.ctx();
+        ctx.allreduce_sum_u64(ctx.stats_snapshot().log_bytes) as f64
+    });
+    match job.map(|ticket| ticket.wait()) {
+        Ok(OpOutcome::Committed(OpReply::Scalar(bytes))) => bytes as u64,
+        _ => 0,
+    }
 }
 
 /// One maintenance pass, as sampled by the scenario.
@@ -324,19 +352,14 @@ pub fn run_maintenance_churn(cfg: &MaintenanceScenario) -> MaintenanceRunReport 
                 *n += cfg.tracked_per_session as u64;
             }
             // the full base: grows with database size
+            let mut logged = logged_bytes(&srv);
             let ck = srv.checkpoint();
             if ck.is_err() {
                 srv.shutdown();
             }
             let ck = ck.expect("initial full checkpoint");
             assert!(ck.full, "first checkpoint must be a full snapshot");
-            full = CheckpointSample {
-                id: ck.id,
-                full: ck.full,
-                bytes: ck.per_rank_bytes.iter().sum(),
-                chunks: ck.per_rank_chunks.iter().sum(),
-                sim_stall_s: ck.sim_stall_s,
-            };
+            full = CheckpointSample::of(&ck, 0);
             // churn rounds: traffic → delta checkpoint → maintenance
             for _round in 0..cfg.rounds {
                 std::thread::scope(|inner| {
@@ -354,18 +377,14 @@ pub fn run_maintenance_churn(cfg: &MaintenanceScenario) -> MaintenanceRunReport 
                         });
                     }
                 });
+                let before = logged;
+                logged = logged_bytes(&srv);
                 let ck = srv.checkpoint();
                 if ck.is_err() {
                     srv.shutdown();
                 }
                 let ck = ck.expect("round checkpoint");
-                deltas.push(CheckpointSample {
-                    id: ck.id,
-                    full: ck.full,
-                    bytes: ck.per_rank_bytes.iter().sum(),
-                    chunks: ck.per_rank_chunks.iter().sum(),
-                    sim_stall_s: ck.sim_stall_s,
-                });
+                deltas.push(CheckpointSample::of(&ck, logged - before));
                 let m = srv.maintenance();
                 if m.is_err() {
                     srv.shutdown();
@@ -448,9 +467,9 @@ mod tests {
     fn churn_rounds_round_trip_with_bounded_garbage() {
         let dir = crate::scratch::ScratchDir::new("wl-maintenance");
         let mut cfg = MaintenanceScenario::new(dir.path());
-        // delta bytes scale with churn (dirty 256-byte chunks), full
+        // delta bytes scale with churn (the redo frames it seals), full
         // bytes with graph size: keep the churn small relative to the
-        // scale-7 windows so the ≪ gate is meaningful
+        // scale-7 graph so the ≪ gate is meaningful
         cfg.scale = 7;
         cfg.sessions = 2;
         cfg.tracked_per_session = 8;

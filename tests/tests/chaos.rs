@@ -11,10 +11,10 @@
 //!
 //! Plus two deterministic cases at the integration level: snapshot
 //! writes torn at every boundary of the streamed file layout (header,
-//! mid-run, strip boundary, trailing checksum — full image and delta),
-//! and a torn redo tail: a crash mid-append leaves a half-written frame
-//! whose checksum fails; recovery must truncate it and keep every
-//! earlier commit.
+//! mid-run, strip boundary, trailing checksum — of the full image; a
+//! delta writes no snapshot file), and a torn redo tail: a crash
+//! mid-append leaves a half-written frame whose checksum fails; recovery
+//! must truncate it and keep every earlier commit.
 //!
 //! Runs under both fabric backends (CI sets `GDI_FABRIC_BACKEND`) and
 //! scales down via `PROPTEST_CASES` for the smoke form.
@@ -41,6 +41,7 @@ const CRASH_POINTS: &[&str] = &[
     faults::MANIFEST_WRITE,
     faults::CURRENT_RENAME,
     faults::REDO_ROTATE,
+    faults::REDO_SEAL,
     faults::SNAP_PRUNE,
 ];
 
@@ -147,7 +148,7 @@ fn tortured_state(
             };
             checkpoint(0);
             apply_ops(&eng, &ops[cuts.0..cuts.1], ptype);
-            checkpoint(1); // dirty-chunk delta path
+            checkpoint(1); // delta path: manifest, then the seals
             let _ = eng.maintenance(); // vacuum + verify + prune path
             apply_ops(&eng, &ops[cuts.1..], ptype);
             (ids, bytes)
@@ -240,9 +241,10 @@ proptest! {
 /// database whose files span several strips: inside the fixed header,
 /// mid-run, exactly on a strip (= write-buffer) boundary and one byte to
 /// either side of it, just before and inside the trailing checksum, and
-/// with every byte down but the rename missing — for the full image and
-/// for the delta. Each time the checkpoint fails, the previous snapshot
-/// stays current, and recovery reads back the uninterrupted run.
+/// with every byte down but the rename missing — for the full image (a
+/// delta writes no snapshot file: the second `snap.write` never comes).
+/// Each time the checkpoint fails, the previous snapshot stays current,
+/// and recovery reads back the uninterrupted run.
 #[test]
 fn snapshot_torn_at_every_layout_boundary_recovers() {
     let cfg = GdaConfig {
@@ -278,17 +280,17 @@ fn snapshot_torn_at_every_layout_boundary_recovers() {
             mode,
         )
     };
-    // an unharmed run (the fault is armed beyond the last write) tells
-    // the lengths of rank 0's two files
-    let clean = run(99, FaultMode::Error);
+    // an unharmed run (the fault is armed at the second write, which a
+    // delta never makes) tells the length of rank 0's snapshot file
+    let clean = run(1, FaultMode::Error);
     assert!(clean.state == want && clean.ballast_intact == ballast);
     assert_eq!(clean.checkpoints, [Some(1), Some(2)]);
-    let [Some(full_len), Some(delta_len)] = clean.snap_bytes.map(|b| b.map(|b| b as usize)) else {
-        panic!("both checkpoints succeeded");
+    let Some(full_len) = clean.snap_bytes[0].map(|b| b as usize) else {
+        panic!("the full checkpoint succeeded");
     };
     assert!(
-        full_len > 2 * STRIP_BYTES + 1 && delta_len > 600,
-        "the files must span strips: {full_len} / {delta_len}"
+        full_len > 2 * STRIP_BYTES + 1,
+        "the file must span strips: {full_len}"
     );
     let boundaries = |len: usize| {
         let mut at = vec![5, 40, len / 2, len - 9, len - 8, len - 4, len - 1, len];
@@ -297,32 +299,26 @@ fn snapshot_torn_at_every_layout_boundary_recovers() {
         }
         at
     };
-    // call 0 writes the full image, call 1 the delta; after a torn
-    // call 0 the second call writes the (first) full image instead
-    for (skip, len) in [(0u64, full_len), (1, delta_len)] {
-        for at in boundaries(len) {
-            let got = run(skip, FaultMode::TornWrite(at));
-            let what = format!("file {skip} torn at {at} of {len}");
-            assert!(
-                got.state == want,
-                "{what}: diverged\n got {:?}\nwant {want:?}",
-                got.state
-            );
-            assert_eq!(got.ballast_intact, ballast, "{what}: ballast lost");
-            let expect = if skip == 0 {
-                [None, Some(1)]
-            } else {
-                [Some(1), None]
-            };
-            assert_eq!(
-                got.checkpoints, expect,
-                "{what}: the torn checkpoint must fail alone"
-            );
-            assert_eq!(
-                got.recovered_from, 1,
-                "{what}: the previous snapshot stays current"
-            );
-        }
+    // call 0 writes the full image; after it tears, the second call
+    // writes the (first) full image instead
+    for at in boundaries(full_len) {
+        let got = run(0, FaultMode::TornWrite(at));
+        let what = format!("torn at {at} of {full_len}");
+        assert!(
+            got.state == want,
+            "{what}: diverged\n got {:?}\nwant {want:?}",
+            got.state
+        );
+        assert_eq!(got.ballast_intact, ballast, "{what}: ballast lost");
+        assert_eq!(
+            got.checkpoints,
+            [None, Some(1)],
+            "{what}: the torn checkpoint must fail alone"
+        );
+        assert_eq!(
+            got.recovered_from, 1,
+            "{what}: the previous snapshot stays current"
+        );
     }
 }
 

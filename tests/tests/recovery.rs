@@ -152,7 +152,7 @@ fn recover_from_previous_snapshot_after_failed_checkpoint() {
             ctx.barrier();
             if ctx.rank() == 0 {
                 store.fault_plane().arm_at(
-                    gda::faults::SNAP_WRITE,
+                    gda::faults::MANIFEST_WRITE,
                     Some(0),
                     0,
                     1,

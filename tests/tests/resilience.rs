@@ -11,7 +11,7 @@ use gda::faults::{self, FaultMode, PERSISTENT};
 use gda::persist::PersistOptions;
 use gda::{GdaConfig, GdaDb};
 use gdi::AppVertexId;
-use rma::CostModel;
+use rma::{CostModel, Fabric};
 use server::{GdiServer, Op, OpOutcome, OpReply, ServerOptions, SubmitError};
 use workloads::scratch::ScratchDir;
 
@@ -47,16 +47,23 @@ fn with_server(
         db.attach(ctx).init_collective();
     });
     let srv = GdiServer::new(db.clone(), opts);
-    std::thread::scope(|scope| {
-        let s = &srv;
-        let ranks = scope.spawn(move || fabric.run(|ctx| s.serve_rank(ctx)));
-        body(&srv, &db);
-        srv.shutdown();
-        ranks.join().expect("serving fabric panicked");
-    });
+    serve(&srv, fabric, || body(&srv, &db));
 }
 
-/// A failed collective checkpoint (injected snapshot-write fault) must
+/// Serve `srv` on `fabric` while `body` drives it. The serve loops end
+/// even when `body` panics, so a failed assertion fails the test
+/// instead of hanging it.
+fn serve<T>(srv: &GdiServer, fabric: Fabric, body: impl FnOnce() -> T) -> T {
+    std::thread::scope(|scope| {
+        let ranks = scope.spawn(move || fabric.run(|ctx| srv.serve_rank(ctx)));
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body));
+        srv.shutdown();
+        ranks.join().expect("serving fabric panicked");
+        outcome.unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+    })
+}
+
+/// A failed collective checkpoint (injected manifest-write fault) must
 /// flip the server into degraded read-only mode: reads keep serving with
 /// zero aborts, writes are rejected with the typed [`SubmitError::ReadOnly`],
 /// and the first *successful* checkpoint exits degradation.
@@ -78,11 +85,11 @@ fn failed_checkpoint_degrades_to_read_only_until_checkpoint_succeeds() {
             srv.checkpoint().expect("healthy checkpoint");
             assert!(!srv.degraded());
 
-            // every snapshot write on rank 0 now fails: the next
+            // every manifest write on rank 0 now fails: the next
             // checkpoint vote aborts on all ranks
             let store = db.persistence().expect("persistence enabled");
             store.fault_plane().arm_at(
-                faults::SNAP_WRITE,
+                faults::MANIFEST_WRITE,
                 Some(0),
                 0,
                 PERSISTENT,
@@ -125,7 +132,9 @@ fn failed_checkpoint_degrades_to_read_only_until_checkpoint_succeeds() {
 
 /// Redo-log append errors observed on the store (commits whose
 /// durability silently failed) must also degrade the server — and the
-/// exit checkpoint captures the lost tail in a fresh snapshot.
+/// exit checkpoint captures the lost tail in a fresh full image, even
+/// with a chain it could extend (a delta would seal a log without the
+/// lost commit): after a crash, recovery finds it.
 #[test]
 fn store_write_errors_degrade_to_read_only() {
     let dir = ScratchDir::new("resilience-logerr");
@@ -139,6 +148,7 @@ fn store_write_errors_degrade_to_read_only() {
                 session.execute(add(1)),
                 Ok(OpOutcome::Committed(_))
             ));
+            assert!(srv.checkpoint().expect("the base").full);
             let store = db.persistence().expect("persistence enabled");
             store
                 .fault_plane()
@@ -162,10 +172,11 @@ fn store_write_errors_degrade_to_read_only() {
                 session.execute(count(1)),
                 Ok(OpOutcome::Committed(_))
             ));
-            // repair + checkpoint: the snapshot covers the lost tail,
+            // repair + checkpoint: the image covers the lost tail,
             // degradation exits, writes flow again
             store.fault_plane().disarm_all();
-            srv.checkpoint().expect("exit checkpoint");
+            let exit = srv.checkpoint().expect("exit checkpoint");
+            assert!(exit.full, "a lost append forces a full image");
             assert!(!srv.degraded());
             assert!(matches!(
                 session.execute(add(3)),
@@ -173,6 +184,24 @@ fn store_write_errors_degrade_to_read_only() {
             ));
         },
     );
+    // the crash: recovery finds the commit whose append failed, and the
+    // one logged after the exit checkpoint
+    let (srv, fabric) = GdiServer::recover(
+        PersistOptions::new(dir.path()),
+        CostModel::zero(),
+        ServerOptions::default(),
+    )
+    .expect("recover");
+    serve(&srv, fabric, || {
+        let session = srv.session();
+        for v in 1..=3 {
+            let reply = session.execute(count(v));
+            assert!(
+                matches!(reply, Ok(OpOutcome::Committed(OpReply::Count(0)))),
+                "vertex {v} lost: {reply:?}"
+            );
+        }
+    });
 }
 
 /// A retried idempotency token must never double-apply: the serving
