@@ -157,11 +157,15 @@ fn run_point(nranks: usize, scale: u32) -> PointOut {
         let all = Constraint::any();
         p.nm_seq_s = timed(&mut || {
             // the pre-batching behaviour: one blocking chain walk per
-            // candidate (fresh transaction per probe, nothing cached)
+            // distinct candidate (fresh transaction per probe, which
+            // keeps nothing: repeats are skipped here as in the batch)
             for &v in &probes {
                 let tx = eng.begin(AccessMode::ReadOnly);
+                let mut seen = std::collections::HashSet::from([v]);
                 for nbr in tx.neighbors(v, EdgeOrientation::Any, None).unwrap() {
-                    tx.associate_vertex(nbr).unwrap();
+                    if seen.insert(nbr) {
+                        tx.associate_vertex(nbr).unwrap();
+                    }
                 }
                 tx.commit().unwrap();
             }

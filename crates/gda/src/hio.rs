@@ -16,11 +16,12 @@
 //! payload → stamp := v), so a lock-free reader that copies a block and
 //! then re-reads the stamp word observes equal non-zero stamps *iff* the
 //! copy is untorn — payload bytes only ever change while the zero stamp
-//! is visible. [`read_chain_validated`] retries transient failures
-//! (a writer finishes its finite three phases, so retries terminate)
-//! and never blocks the writer; structural failures surface as the
-//! usual stale-internal-id `NotFound`. Locked readers and the quiesced
-//! recovery replay use the plain [`read_chain`], which ignores stamps.
+//! is visible. A validated read retries transient failures (a writer
+//! finishes its finite three phases, so retries terminate) and never
+//! blocks the writer; structural failures surface as the usual
+//! stale-internal-id `NotFound`. Locked readers, collective read-only
+//! transactions and the quiesced recovery replay read plain copies,
+//! which ignore stamps.
 //!
 //! The *primary block* is the identity of the object: its `DPtr` is the
 //! internal vertex/edge id, and it never changes across resizes — resizing
@@ -221,7 +222,8 @@ pub fn overwrite_chain(
 // ---------------------------------------------------------------------
 // Reading a chain. Every structural rule lives in `Cursor`; the two
 // drivers below (`walk`, `walk_levels`) only decide when blocks are
-// fetched, and the `read_chain*` entry points only pick a `Source`.
+// fetched, and the `read_chain*` entry points only pick a `Source` and
+// who owns the buffers.
 // Who calls which: docs/ARCHITECTURE.md, "Reading a holder chain".
 // ---------------------------------------------------------------------
 
@@ -242,8 +244,8 @@ struct Shape {
 
 /// Where a walk's blocks come from.
 pub(crate) enum Source<'a> {
-    /// One blocking `get` per block: locked, quiesced and rank-local
-    /// readers, which no writer can race.
+    /// One blocking `get` per block: locked and quiesced readers and
+    /// collective read-only transactions, which no writer can race.
     Live(&'a RankCtx<'a>),
     /// Lock-free: the block copy and a re-read of its stamp word.
     Validated(&'a RankCtx<'a>),
@@ -427,7 +429,7 @@ impl Cursor {
 /// Driver 1: walk one chain block by block, each fetch completing
 /// before the next is aimed. Holder bytes land in `out`, every block
 /// taken is reported to `visit`; returns how the walk ended (never
-/// [`Step::More`]) and the stamp it validated.
+/// [`Step::More`]).
 fn walk(
     src: &Source<'_>,
     cfg: &GdaConfig,
@@ -435,7 +437,7 @@ fn walk(
     block_buf: &mut [u8],
     out: &mut Vec<u8>,
     mut visit: impl FnMut(DPtr),
-) -> (Step, u64) {
+) -> Step {
     debug_assert_eq!(block_buf.len(), cfg.block_size);
     let shape = src.shape(cfg);
     let mut cur = Cursor::new(primary, matches!(src, Source::Validated(_)));
@@ -450,7 +452,7 @@ fn walk(
             Err(end) => end,
         };
     }
-    (step, cur.stamp)
+    step
 }
 
 /// Driver 2: walk many chains at once, **pipelining** the block reads:
@@ -515,7 +517,7 @@ pub fn read_chain(
         (vec![0u8; cfg.block_size], Vec::new(), Vec::new());
     let src = Source::Live(ctx);
     let visit = |dp| blocks.push(dp);
-    match walk(&src, cfg, primary, &mut block_buf, &mut bytes, visit).0 {
+    match walk(&src, cfg, primary, &mut block_buf, &mut bytes, visit) {
         Step::Done => Ok((bytes, blocks)),
         _ => Err(STALE),
     }
@@ -528,22 +530,23 @@ pub fn read_chain(
 /// condition everywhere else too).
 const VALIDATE_RETRIES: usize = 100_000;
 
-/// Lock-free **snapshot fetch** of the chain at `primary`: the MVCC
-/// read path (see the module docs for the seqlock argument). On success
-/// the assembled holder bytes carry a `version` field equal to the
-/// returned stamp, so the bytes are exactly one atomic publication.
-///
-/// Returns the holder bytes and the stamp they were published under.
-/// Never blocks the writer and never reports a *conflict*: transient
-/// invalidity retries, structural implausibility is the ordinary
+/// Copy the chain at `primary` out of `src` into caller-owned, reused
+/// buffers — `block_buf` (one block) and `out`, which receives the
+/// holder bytes — with no per-chain allocation and no block list. The
+/// one buffered entry point: the `scan` sweep and every read of a
+/// read-only transaction (`crate::tx`) go through it. A validated
+/// source retries a torn copy until one is untorn (see the module docs
+/// for the seqlock argument), so the bytes are exactly one atomic
+/// publication; it never blocks the writer and never reports a
+/// *conflict*. Structural implausibility is the ordinary
 /// stale-internal-id `NotFound`.
-pub fn read_chain_validated(
-    ctx: &RankCtx,
+pub(crate) fn read_chain_into(
+    src: &Source<'_>,
     cfg: &GdaConfig,
     primary: DPtr,
-) -> GdiResult<(Vec<u8>, u64)> {
-    let (mut block_buf, mut bytes) = (vec![0u8; cfg.block_size], Vec::new());
-    let src = Source::Validated(ctx);
+    block_buf: &mut [u8],
+    out: &mut Vec<u8>,
+) -> GdiResult<()> {
     for attempt in 0..VALIDATE_RETRIES {
         if attempt > 0 {
             // a torn read means a writer is mid-publication; on an
@@ -551,15 +554,36 @@ pub fn read_chain_validated(
             // can finish instead of charge-spinning validated copies
             std::thread::yield_now();
         }
-        match walk(&src, cfg, primary, &mut block_buf, &mut bytes, |_| {}) {
-            (Step::Done, stamp) => return Ok((bytes, stamp)),
-            (Step::Stale, _) => return Err(STALE),
+        // (only a validated walk ever tears)
+        match walk(src, cfg, primary, block_buf, out, |_| {}) {
+            Step::Done => return Ok(()),
+            Step::Stale => return Err(STALE),
             _ => {}
         }
     }
     Err(GdiError::NotFound(
         "object (snapshot validation did not converge)",
     ))
+}
+
+/// Lock-free **snapshot fetch** of the chain at `primary`
+/// ([`read_chain_into`] from the validated source, into fresh buffers).
+/// Returns the holder bytes and the stamp they were published under.
+pub fn read_chain_validated(
+    ctx: &RankCtx,
+    cfg: &GdaConfig,
+    primary: DPtr,
+) -> GdiResult<(Vec<u8>, u64)> {
+    let (mut block_buf, mut bytes) = (vec![0u8; cfg.block_size], Vec::new());
+    read_chain_into(
+        &Source::Validated(ctx),
+        cfg,
+        primary,
+        &mut block_buf,
+        &mut bytes,
+    )?;
+    let stamp = stamp_of(&bytes);
+    Ok((bytes, stamp))
 }
 
 /// Many holders at once through the level-pipelined driver. Per-primary
@@ -612,23 +636,6 @@ pub fn free_chain(bm: &BlockManager, blocks: &[DPtr]) {
     }
 }
 
-/// [`read_chain`] of a chain on **this rank** into caller-owned, reused
-/// buffers (one local `get` per block, no per-chain allocation, no
-/// block list). The OLAP scan sweep's reader (`crate::scan`) and the
-/// byte path of collective read-only transactions; like every unlocked
-/// read it assumes no concurrent writer.
-pub fn read_chain_local(
-    ctx: &RankCtx,
-    cfg: &GdaConfig,
-    primary: DPtr,
-    block_buf: &mut [u8],
-    out: &mut Vec<u8>,
-) -> Option<()> {
-    debug_assert_eq!(primary.rank(), ctx.rank());
-    let (step, _) = walk(&Source::Live(ctx), cfg, primary, block_buf, out, |_| {});
-    (step == Step::Done).then_some(())
-}
-
 /// One chain of the live set, as [`walk_live`] hands it over.
 pub(crate) struct LiveChain<'a> {
     /// The primary block: the object's internal id.
@@ -674,7 +681,7 @@ pub(crate) fn walk_live<'s>(
         |src: &Source<'_>, primary: DPtr, bytes: &mut Vec<u8>, blocks: &mut Vec<DPtr>| {
             blocks.clear();
             let visit = |dp| blocks.push(dp);
-            walk(src, cfg, primary, &mut block_buf, bytes, visit).0 == Step::Done
+            walk(src, cfg, primary, &mut block_buf, bytes, visit) == Step::Done
         };
     let mut queue: Vec<DPtr> = holders.into_iter().collect();
     for (app, primary) in vertices {
@@ -686,7 +693,11 @@ pub(crate) fn walk_live<'s>(
         if scan.app_id != app || scan.is_edge {
             return Err("DHT entry does not match its holder");
         }
-        queue.extend(scan.live().map(|r| r.edge_holder).filter(|h| !h.is_null()));
+        queue.extend(
+            scan.live()
+                .map(|(_, r)| r.edge_holder)
+                .filter(|h| !h.is_null()),
+        );
         visit(&LiveChain {
             primary,
             app_id: app,
@@ -851,7 +862,7 @@ mod tests {
         let (mut block_buf, mut bytes, mut blocks) =
             (vec![0u8; cfg.block_size], Vec::new(), Vec::new());
         let visit = |dp| blocks.push(dp);
-        let (step, _) = walk(
+        let step = walk(
             &Source::Image(data),
             cfg,
             primary,
@@ -867,8 +878,9 @@ mod tests {
     #[test]
     fn offline_chain_read_matches_live_read() {
         with_pool(|ctx, bm, cfg| {
-            let small = big_holder(1, 1);
-            let large = big_holder(40, 10);
+            // (published versions: a validated read refuses stamp 0)
+            let (mut small, mut large) = (big_holder(1, 1), big_holder(40, 10));
+            (small.version, large.version) = (1, 2);
             let mut primaries = Vec::new();
             for h in [&small, &large] {
                 let primary = bm.acquire(0).unwrap();
@@ -879,6 +891,10 @@ mod tests {
             let mut image = vec![0u8; ctx.win_len_bytes(WIN_DATA)];
             ctx.get_bytes(WIN_DATA, 0, 0, &mut image);
             let (mut block, mut reused) = (vec![0u8; cfg.block_size], Vec::new());
+            let sources = [Source::Live(ctx), Source::Validated(ctx)];
+            let mut buffered = |src: &Source<'_>, primary| {
+                read_chain_into(src, cfg, primary, &mut block, &mut reused).map(|()| reused.clone())
+            };
             for (h, primary) in [&small, &large].into_iter().zip(&primaries) {
                 let (live_bytes, live_blocks) = read_chain(ctx, cfg, *primary).unwrap();
                 let (img_bytes, img_blocks) =
@@ -886,19 +902,24 @@ mod tests {
                 assert_eq!(img_bytes, live_bytes);
                 assert_eq!(img_blocks, live_blocks);
                 assert_eq!(Holder::decode(&img_bytes), *h);
-                // the scan sweep's reader: same bytes, block by block
-                // from the window, into buffers that are reused
-                read_chain_local(ctx, cfg, *primary, &mut block, &mut reused).expect("local read");
-                assert_eq!(reused, live_bytes);
+                // the buffered reader: same bytes, block by block from
+                // the window, into buffers that are reused
+                for src in &sources {
+                    assert_eq!(buffered(src, *primary), Ok(live_bytes.clone()));
+                }
             }
             // a never-written block decodes to None, not garbage
             let free = bm.acquire(0).unwrap();
             assert!(read_chain_bytes(cfg, &image, free).is_none());
-            assert!(read_chain_local(ctx, cfg, free, &mut block, &mut reused).is_none());
             // neither does a pointer past the window's end
             let beyond = DPtr::new(0, image.len() as u64);
             assert!(read_chain_bytes(cfg, &image, beyond).is_none());
-            assert!(read_chain_local(ctx, cfg, beyond, &mut block, &mut reused).is_none());
+            for src in &sources {
+                // (the validated copy of a never-published block tears
+                // until it gives up: a `NotFound` of its own)
+                assert!(matches!(buffered(src, free), Err(GdiError::NotFound(_))));
+                assert_eq!(buffered(src, beyond), Err(STALE));
+            }
         });
     }
 
@@ -1054,15 +1075,17 @@ mod tests {
     /// What every entry point makes of `primaries[1]` (the two batch
     /// readers see it between its intact neighbours, which must read
     /// fine whatever the middle slot holds), as holder bytes or `None`;
-    /// typed errors are checked on the way. Order: `read_chain`,
-    /// `read_chains`, `read_chain_local`, `read_chain_bytes` over
-    /// `image`, `read_chain_validated`, `read_chains_validated`.
+    /// typed errors are checked on the way. Order: the readers that
+    /// consult no stamp — `read_chain`, `read_chains`, `read_chain_into`
+    /// from the live window, `read_chain_bytes` over `image` — then the
+    /// validated ones: `read_chain_into`, `read_chain_validated`,
+    /// `read_chains_validated`.
     fn all_readers(
         ctx: &RankCtx,
         cfg: &GdaConfig,
         primaries: [DPtr; 3],
         image: &[u8],
-    ) -> [Option<Vec<u8>>; 6] {
+    ) -> [Option<Vec<u8>>; 7] {
         fn bytes<T>(r: GdiResult<(Vec<u8>, T)>) -> Option<Vec<u8>> {
             match r {
                 Ok((bytes, _)) => Some(bytes),
@@ -1079,13 +1102,18 @@ mod tests {
             );
             assert!(validated[neighbour].is_ok());
         }
-        let (mut block, mut local) = (vec![0u8; cfg.block_size], Vec::new());
-        let read = read_chain_local(ctx, cfg, primaries[1], &mut block, &mut local);
+        let buffered = |src: Source<'_>| {
+            let (mut block, mut out) = (vec![0u8; cfg.block_size], Vec::new());
+            bytes(
+                read_chain_into(&src, cfg, primaries[1], &mut block, &mut out).map(|()| (out, ())),
+            )
+        };
         [
             bytes(read_chain(ctx, cfg, primaries[1])),
             bytes(plain.swap_remove(1)),
-            read.map(|()| local),
+            buffered(Source::Live(ctx)),
             read_chain_bytes(cfg, image, primaries[1]).map(|(bytes, _)| bytes),
+            buffered(Source::Validated(ctx)),
             bytes(read_chain_validated(ctx, cfg, primaries[1])),
             bytes(validated.swap_remove(1)),
         ]
@@ -1114,7 +1142,7 @@ mod tests {
                 image[link_at..link_at + 8].copy_from_slice(&bad.raw().to_le_bytes());
                 assert_eq!(
                     all_readers(ctx, cfg, primaries, &image),
-                    [const { None }; 6]
+                    [const { None }; 7]
                 );
                 assert_eq!(read_chain(ctx, cfg, primaries[1]).err(), Some(STALE));
                 assert_eq!(
@@ -1188,8 +1216,7 @@ mod tests {
                 // the cursor itself, with what it visits and reserves
                 let (mut buf, mut out) = (vec![0u8; cfg.block_size], Vec::new());
                 let (src, mut visited) = (Source::Image(&image), 0);
-                let (step, _) =
-                    walk(&src, cfg, primaries[1], &mut buf, &mut out, |_| visited += 1);
+                let step = walk(&src, cfg, primaries[1], &mut buf, &mut out, |_| visited += 1);
                 assert!(visited <= cfg.blocks_per_rank, "{visited} blocks visited");
                 assert!(out.capacity() <= max_total, "{} bytes reserved", out.capacity());
                 let announced =
@@ -1203,10 +1230,11 @@ mod tests {
                 // offline walk word for word; a validated read returns
                 // only what they find, and never a chain whose stamps
                 // disagree
-                let [plain @ .., one, batched] = all_readers(ctx, cfg, primaries, &image);
+                let [plain @ .., buffered, one, batched] = all_readers(ctx, cfg, primaries, &image);
                 assert!(plain.iter().all(|p| *p == offline), "{plain:?} != {offline:?}");
                 assert!(one.is_none() || one == offline);
                 assert_eq!(one, batched);
+                assert_eq!(one, buffered);
                 if field == BLOCK_STAMP_OFFSET {
                     assert_eq!(offline, Some(good));
                     assert_eq!(one.is_some(), word == 12, "stamp {word} on block {block}");

@@ -301,6 +301,16 @@ impl Holder {
 
     // ----- edges -----------------------------------------------------------
 
+    /// This decoded holder's edge records behind the reader that
+    /// [`Holder::scan_edges`] gives serialized bytes.
+    pub(crate) fn edge_scan(&self) -> EdgeScan<'_> {
+        EdgeScan {
+            app_id: self.app_id,
+            is_edge: self.is_edge,
+            src: EdgeSrc::Decoded(&self.edges),
+        }
+    }
+
     /// Live (non-tombstoned) edge records with their slots.
     pub fn live_edges(&self) -> impl Iterator<Item = (u32, &EdgeRecord)> {
         self.edges
@@ -432,7 +442,7 @@ impl Holder {
         Some(EdgeScan {
             app_id: u64::from_le_bytes(bytes[16..24].try_into().unwrap()),
             is_edge: lay.flags & FLAG_EDGE_HOLDER != 0,
-            records: lay.edge_records(bytes),
+            src: EdgeSrc::Bytes(lay.edge_records(bytes)),
         })
     }
 
@@ -440,14 +450,25 @@ impl Holder {
     /// validation — so it accepts exactly the bytes
     /// [`Holder::try_decode`] accepts — and then labels are tested and
     /// property values found **in place**: no `Holder`, no `Entry`, no
-    /// copy of a value. Predicates of collective read-only transactions
-    /// are evaluated this way (`crate::tx`).
+    /// copy of a value. Every read of a read-only transaction is
+    /// answered this way (`crate::tx`).
     pub fn scan_entries(bytes: &[u8]) -> Option<EntryScan<'_>> {
         let lay = Layout::validated(bytes)?;
         Some(EntryScan {
             app_id: u64::from_le_bytes(bytes[16..24].try_into().unwrap()),
             src: EntrySrc::Bytes(&bytes[lay.entries_start()..lay.end]),
         })
+    }
+
+    /// `(app_id, commit_epoch, prev, depth)` of a serialized holder
+    /// whose header holds up (the header checks of
+    /// [`Holder::try_decode`]): what a snapshot read walks the archive
+    /// chain by, without decoding a version.
+    pub(crate) fn version_of(bytes: &[u8]) -> Option<(u64, u64, u64, u8)> {
+        let lay = Layout::parse(bytes)?;
+        let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap_or_default());
+        let depth = ((lay.flags & DEPTH_MASK) >> 16) as u8;
+        Some((word(16), word(32), word(PREV_OFFSET), depth))
     }
 }
 
@@ -556,25 +577,52 @@ impl<'a> Iterator for Frames<'a> {
     }
 }
 
-/// The validated edge section of a serialized holder (see
-/// [`Holder::scan_edges`]).
+/// The edge records of one holder, read where they lie: the validated
+/// edge section of serialized bytes (see [`Holder::scan_edges`]) or a
+/// decoded holder's record list ([`Holder::edge_scan`]).
 #[derive(Debug, Clone, Copy)]
 pub struct EdgeScan<'a> {
     /// Application-level id of the holder.
     pub app_id: u64,
     /// Is the holder a heavyweight edge's (not a vertex's)?
     pub is_edge: bool,
-    records: &'a [u8],
+    src: EdgeSrc<'a>,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum EdgeSrc<'a> {
+    Bytes(&'a [u8]),
+    Decoded(&'a [EdgeRecord]),
 }
 
 impl<'a> EdgeScan<'a> {
-    /// The live (non-tombstoned) edge records in slot order — the
-    /// records [`Holder::live_edges`] yields on the decoded holder.
-    pub fn live(&self) -> impl Iterator<Item = EdgeRecord> + 'a {
-        self.records
+    /// Every record, tombstones included, in slot order.
+    fn records(&self) -> impl Iterator<Item = EdgeRecord> + 'a {
+        let (section, decoded) = match self.src {
+            EdgeSrc::Bytes(section) => (section, &[][..]),
+            EdgeSrc::Decoded(records) => (&[][..], records),
+        };
+        section
             .chunks_exact(EDGE_RECORD_BYTES)
-            .filter(|rec| rec[21] & EdgeRecord::TOMBSTONE == 0)
             .map(|rec| EdgeRecord::decode(rec).expect("direction bytes validated by scan_edges"))
+            .chain(decoded.iter().copied())
+    }
+
+    /// The live (non-tombstoned) edge records with their slots, in slot
+    /// order — the pairs [`Holder::live_edges`] yields on the decoded
+    /// holder.
+    pub fn live(&self) -> impl Iterator<Item = (u32, EdgeRecord)> + 'a {
+        self.records()
+            .enumerate()
+            .filter(|(_, r)| !r.is_tombstone())
+            .map(|(slot, r)| (slot as u32, r))
+    }
+
+    /// The live record in `slot`, if there is one.
+    pub(crate) fn get(&self, slot: u32) -> Option<EdgeRecord> {
+        self.records()
+            .nth(slot as usize)
+            .filter(|r| !r.is_tombstone())
     }
 }
 
@@ -810,8 +858,15 @@ mod tests {
             (None, None) => {}
             (Some(scan), Some(h)) => {
                 assert_eq!(scan.app_id, h.app_id);
-                let want: Vec<EdgeRecord> = h.live_edges().map(|(_, r)| *r).collect();
+                let want: Vec<(u32, EdgeRecord)> = h.live_edges().map(|(s, r)| (s, *r)).collect();
                 assert_eq!(scan.live().collect::<Vec<_>>(), want);
+                // the decoded holder behind the same reader, slot by slot
+                assert_eq!(h.edge_scan().live().collect::<Vec<_>>(), want);
+                for slot in 0..=h.edges.len() as u32 {
+                    let live = want.iter().find(|(s, _)| *s == slot).map(|(_, r)| *r);
+                    assert_eq!(scan.get(slot), live);
+                    assert_eq!(h.edge_scan().get(slot), live);
+                }
             }
             (scan, decoded) => panic!(
                 "scan_edges {} what try_decode {}",
@@ -872,11 +927,12 @@ mod tests {
             assert_scan_matches_decode(&bytes);
             assert!(Holder::scan_edges(&bytes).is_some());
         }
-        let live: Vec<EdgeRecord> = Holder::scan_edges(&busy().encode())
+        let live: Vec<u32> = Holder::scan_edges(&busy().encode())
             .unwrap()
             .live()
+            .map(|(slot, _)| slot)
             .collect();
-        assert_eq!(live.len(), 3, "the tombstoned slot is skipped");
+        assert_eq!(live, [0, 2, 3], "the tombstoned slot is skipped");
     }
 
     #[test]

@@ -26,9 +26,9 @@
 //!   types;
 //! * [`index`] — explicit indexes with per-rank partitions and DNF
 //!   constraints;
-//! * [`tx`] — local and collective ACID transactions: per-transaction
-//!   holder caches, two-phase locking, dirty-block write-back, and the
-//!   uncached byte-level reads of collective read-only transactions;
+//! * [`tx`] — local and collective ACID transactions: writers'
+//!   per-transaction holder caches, locking and dirty-block write-back,
+//!   and the uncached byte-level reads of every read-only transaction;
 //! * [`bulk`] — collective bulk ingestion;
 //! * [`db`] — database objects, multi-database registry, the per-rank
 //!   engine handle;

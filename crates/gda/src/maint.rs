@@ -80,12 +80,70 @@ pub struct MaintenanceReport {
     pub verify_errors: u64,
 }
 
+/// Trim the archive chain at `head`, walking newest → oldest: with a
+/// snapshot `floor`, keep every version with `commit_epoch > floor`
+/// **plus the first with epoch ≤ floor** (the version every snapshot ≥
+/// floor resolves to), free the strictly older rest — then **seal the
+/// cut**: the last kept archive's `prev` still names the first freed
+/// block, so it is zeroed in place (archives never change otherwise, so
+/// no reader can tear on it). An unsealed cut is a dangling pointer into
+/// freed — eventually reused — space, and every later walk of this
+/// chain (a pinned reader, the vacuum, the delete path) would need to
+/// *guess* where the chain ends. With no `floor` the whole chain is
+/// freed. The one trim behind the commit path ([`crate::tx`]: the chain
+/// limit, and a deleted object's archives) and the vacuum; the caller
+/// holds the object's write lock or runs quiesced, so the chain cannot
+/// change underneath.
+///
+/// `live` bounds the walk to the holder's recorded archive depth,
+/// defence in depth against a chain whose seal never made it to the
+/// window (a crash between the frees and the word write): walking by
+/// pointers alone could double-free or cycle. Returns `(archives kept,
+/// versions freed, blocks freed)`.
+pub(crate) fn trim_archives(
+    eng: &GdaRank,
+    head: u64,
+    floor: Option<u64>,
+    live: usize,
+) -> (usize, u64, u64) {
+    let (mut kept, mut versions, mut blocks_freed) = (0usize, 0u64, 0u64);
+    let mut cut = floor.is_none();
+    let mut tail: Option<DPtr> = None;
+    let mut cur = head;
+    let mut seen = 0usize;
+    while cur != 0 && seen < live {
+        seen += 1;
+        let dp = DPtr::from_raw(cur);
+        let Ok((bytes, blocks)) = hio::read_chain(eng.ctx(), eng.cfg(), dp) else {
+            break;
+        };
+        let Some(a) = Holder::try_decode(&bytes) else {
+            break;
+        };
+        if cut {
+            hio::free_chain(&eng.bm, &blocks);
+            versions += 1;
+            blocks_freed += blocks.len() as u64;
+        } else {
+            kept += 1;
+            if floor.is_some_and(|f| a.commit_epoch <= f) {
+                cut = true;
+                tail = Some(dp);
+            }
+        }
+        cur = a.prev;
+    }
+    if let (true, Some(dp)) = (versions > 0, tail) {
+        seal_chain_tail(eng.ctx(), dp);
+    }
+    (kept, versions, blocks_freed)
+}
+
 /// Seal a truncated archive chain: zero the `prev` field of the last
 /// kept archive, in place (one aligned word write into the archive's
 /// primary block — `prev` sits entirely inside the first block's
-/// payload, after the 48-byte header start). Shared by the commit-path
-/// truncation ([`crate::tx`]) and the vacuum.
-pub(crate) fn seal_chain_tail(ctx: &RankCtx, dp: DPtr) {
+/// payload, after the 48-byte header start).
+fn seal_chain_tail(ctx: &RankCtx, dp: DPtr) {
     let at = dp.offset() as usize + BLOCK_PAYLOAD_OFFSET + PREV_OFFSET;
     debug_assert!(at.is_multiple_of(8), "prev is an aligned word");
     ctx.put_bytes(WIN_DATA, dp.rank(), at, &0u64.to_le_bytes());
@@ -123,67 +181,18 @@ fn vacuum_object(eng: &GdaRank, id: DPtr, h: &Holder, floor: u64) -> (u64, u64) 
     if h.prev == 0 || h.depth == 0 {
         return (0, 0);
     }
-    let ctx = eng.ctx();
-    let mut versions = 0u64;
-    let mut blocks_freed = 0u64;
-    if h.commit_epoch <= floor {
-        // every snapshot ≥ floor resolves to the live version itself:
-        // the whole archive chain is unreachable garbage
-        let mut cur = h.prev;
-        let mut seen = 0usize;
-        while cur != 0 && seen < h.depth as usize {
-            seen += 1;
-            let Ok((bytes, blocks)) = hio::read_chain(ctx, eng.cfg(), DPtr::from_raw(cur)) else {
-                break;
-            };
-            let Some(a) = Holder::try_decode(&bytes) else {
-                break;
-            };
-            hio::free_chain(&eng.bm, &blocks);
-            versions += 1;
-            blocks_freed += blocks.len() as u64;
-            cur = a.prev;
-        }
-        patch_live_holder(ctx, id, 0, Some(0));
-        return (versions, blocks_freed);
+    // a live version at or below the floor is what every snapshot ≥
+    // floor resolves to: the whole archive chain is unreachable garbage.
+    // Above it, keep every archive a pinned snapshot could still need.
+    let whole = h.commit_epoch <= floor;
+    let (kept, versions, blocks) =
+        trim_archives(eng, h.prev, (!whole).then_some(floor), h.depth as usize);
+    if whole {
+        patch_live_holder(eng.ctx(), id, 0, Some(0));
+    } else if versions > 0 {
+        patch_live_holder(eng.ctx(), id, kept.min(u8::MAX as usize) as u8, None);
     }
-    // the live version is above the floor: keep every archive a pinned
-    // snapshot could still need (epoch > floor, plus the first at or
-    // below it), free the strictly older rest, seal the cut
-    let mut kept = 0usize;
-    let mut cut = false;
-    let mut tail: Option<DPtr> = None;
-    let mut cur = h.prev;
-    let mut seen = 0usize;
-    while cur != 0 && seen < h.depth as usize {
-        seen += 1;
-        let dp = DPtr::from_raw(cur);
-        let Ok((bytes, blocks)) = hio::read_chain(ctx, eng.cfg(), dp) else {
-            break;
-        };
-        let Some(a) = Holder::try_decode(&bytes) else {
-            break;
-        };
-        if cut {
-            hio::free_chain(&eng.bm, &blocks);
-            versions += 1;
-            blocks_freed += blocks.len() as u64;
-        } else {
-            kept += 1;
-            if a.commit_epoch <= floor {
-                cut = true;
-                tail = Some(dp);
-            }
-        }
-        cur = a.prev;
-    }
-    if versions > 0 {
-        if let Some(dp) = tail {
-            seal_chain_tail(ctx, dp);
-        }
-        patch_live_holder(ctx, id, kept.min(u8::MAX as usize) as u8, None);
-    }
-    (versions, blocks_freed)
+    (versions, blocks)
 }
 
 /// Relocate the continuation blocks of one holder chain to

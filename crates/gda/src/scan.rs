@@ -22,7 +22,7 @@
 //! 3. each rank sorts its pairs by app id — that order *is* the row
 //!    numbering — fills the block → row table, and reads every live
 //!    holder's chain **block by block out of its own data window** into
-//!    one reused chain buffer ([`crate::hio::read_chain_local`]): only
+//!    one reused chain buffer ([`crate::hio::read_chain_into`]): only
 //!    live blocks are touched and nothing window-sized is allocated;
 //! 4. each serialized holder is validated exactly as
 //!    [`Holder::try_decode`] validates it ([`Holder::scan_edges`]) and
@@ -88,7 +88,7 @@ use crate::config::GdaConfig;
 use crate::db::GdaRank;
 use crate::dht;
 use crate::dptr::DPtr;
-use crate::hio;
+use crate::hio::{self, Source};
 use crate::holder::{EdgeScan, Holder};
 
 /// One edge as the tx-based builders hand it over: `(target,
@@ -493,7 +493,7 @@ impl Assembler {
     /// those, the `Outgoing` orientation, in slot order. A record is
     /// numbered once for both lists.
     fn push_records(&mut self, scan: &EdgeScan) {
-        for r in scan.live() {
+        for (_, r) in scan.live() {
             let h = self.halo_id(r.target);
             self.view.any_tgt.push(h);
             self.view.any_lbl.push(r.label);
@@ -616,8 +616,8 @@ fn sweep(eng: &GdaRank, mut mine: Vec<(u64, u64)>) -> CsrView {
     let mut scanned_bytes = 0u64;
     for &(app, raw) in &mine {
         let vid = DPtr::from_raw(raw);
-        hio::read_chain_local(ctx, cfg, vid, &mut block, &mut chain)
-            .unwrap_or_else(|| panic!("scan sweep: holder of app {app} at {vid} undecodable"));
+        hio::read_chain_into(&Source::Live(ctx), cfg, vid, &mut block, &mut chain)
+            .unwrap_or_else(|_| panic!("scan sweep: holder of app {app} at {vid} undecodable"));
         scanned_bytes += chain.len() as u64;
         let scan = Holder::scan_edges(&chain)
             .unwrap_or_else(|| panic!("scan sweep: holder of app {app} at {vid} corrupt"));

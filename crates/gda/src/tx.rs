@@ -1,34 +1,32 @@
 //! Transactions and the graph-data CRUD routines (§5.6).
 //!
 //! All changes of a [`Transaction`] are **visible only locally** until
-//! commit. Who locks what is decided once, at an object's first touch
-//! (`Transaction::first_touch`): local read-only transactions take no
-//! locks at all — they pin a snapshot epoch at `begin` and read
-//! validated version chains (snapshot isolation); local writers lock
-//! only what they write (write-write conflict detection); collective
-//! transactions keep two-phase locking. Which chain reader serves which
-//! of them: docs/ARCHITECTURE.md, "Reading a holder chain".
+//! commit. Read-only transactions take no locks at all; a writer's
+//! locks are decided once, at an object's first touch
+//! (`Transaction::first_touch`): local writers lock only what they write
+//! (write-write conflict detection), collective writers keep two-phase
+//! locking. Which chain reader serves which of them: docs/ARCHITECTURE.md,
+//! "Reading a holder chain".
 //!
-//! ### Why collective read-only reads skip the holder cache
+//! ### One read-only path
 //!
-//! A **collective read-only** transaction is the paper's "read-only
-//! transactions that can assume that no participating process modifies
-//! the data": it takes no lock, pins nothing and validates nothing, so
-//! the cache buys it neither repeatable reads nor read-your-writes —
-//! only a decode and a hash insert per vertex. Its reads of a vertex
-//! **this rank owns** and that it has not cached therefore go through
-//! the byte-level `Transaction::with_local_bytes`; a vertex read again
-//! *later* is copied (and, on the simulated clock, charged) again — the
-//! price of keeping nothing. The condition is the one that path already
-//! relied on when it read unlocked through [`hio::read_chain`]: **no
-//! rank writes the data while the collective transaction is open**
-//! (inside the server, collective jobs run at a rendezvous with the
-//! writers quiesced). Everything else keeps the decoded cache because
-//! it needs what the cache gives: local transactions (a pinned reader's
-//! snapshot version, an MVCC writer's validated copy and pre-image),
-//! collective read-write transactions (their own writes), remote ids
-//! (one fetch per vertex, batched), and any id the transaction already
-//! cached.
+//! A read-only transaction never builds a decoded holder. Every read it
+//! makes — labels, properties, neighbours, edges, whoever owns the id —
+//! copies the element's chain into two buffers the transaction reuses
+//! and answers from the serialized bytes (`Transaction::with_bytes`,
+//! `Holder::scan_entries`, `Holder::scan_edges`). A local reader pinned
+//! a snapshot epoch at `begin`: it takes the validated seqlock copy and,
+//! when that version committed after its pin, follows the archived
+//! `prev` links at the byte level to the version its epoch sees
+//! (snapshot isolation; repeatable reads rest on the pinned epoch). A
+//! collective reader is the paper's "read-only transaction that can
+//! assume that no participating process modifies the data" (inside the
+//! server, collective jobs run at a rendezvous with the writers
+//! quiesced): it takes the plain copy. The buffers remember whose chain
+//! they hold, so consecutive reads of one element copy it once; an
+//! element read again later is copied (and, on the simulated clock,
+//! charged) again — the price of keeping nothing. The decoded cache is
+//! for writers only: their own writes, their locks and their pre-images.
 //!
 //! Conflicts do not block indefinitely: lock acquisition is bounded, and a
 //! failed acquisition aborts the transaction with
@@ -40,7 +38,7 @@
 //! holds its own `Transaction`) and close with collective communication:
 //! an abort-vote allreduce before write-back, then a barrier (§5.6).
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, RefCell, RefMut};
 
 use rma::Counter;
 use rustc_hash::{FxHashMap, FxHashSet};
@@ -52,13 +50,13 @@ use gdi::{
 
 use crate::db::GdaRank;
 use crate::dptr::{owner_rank, DPtr, EdgeUid};
-use crate::hio;
-use crate::holder::{EdgeRecord, EntryScan, Holder};
+use crate::hio::{self, Source};
+use crate::holder::{EdgeRecord, EdgeScan, EntryScan, Holder};
 use crate::index::{holder_matches, IndexId, Posting};
 use crate::locks::LockKind;
 
 /// Cached state of one object (vertex holder or heavy-edge holder) inside a
-/// transaction.
+/// writing transaction.
 #[derive(Debug)]
 struct CachedObj {
     holder: Holder,
@@ -99,11 +97,13 @@ pub struct Transaction<'r, 'd, 'c, 'f> {
     /// locks and reads validated version chains at this epoch — it can
     /// neither abort on conflict nor block a writer.
     snap: Cell<Option<u64>>,
+    /// Writers only: read-only transactions read bytes (module docs).
     cache: RefCell<FxHashMap<u64, CachedObj>>,
-    /// Block buffer and chain bytes of the byte-level read path, reused
-    /// from one read to the next, and the id whose chain the bytes hold
-    /// (see the module docs).
-    scratch: Cell<(Vec<u8>, Vec<u8>, u64)>,
+    /// Block buffer and chain bytes of the read-only path, reused from
+    /// one read to the next (see the module docs) …
+    scratch: Cell<(Vec<u8>, Vec<u8>)>,
+    /// … and the id whose version the chain bytes hold (0: none).
+    held: Cell<u64>,
 }
 
 impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
@@ -126,6 +126,7 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
             snap: Cell::new(snap),
             cache: RefCell::new(FxHashMap::default()),
             scratch: Cell::default(),
+            held: Cell::new(0),
         }
     }
 
@@ -210,59 +211,14 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
         Err(e)
     }
 
-    /// The version of an object a snapshot pinned at `snap` reads, given
-    /// its already-fetched current version `holder`, which committed
-    /// *after* the snapshot: walk down the archived `prev` chain to the
-    /// newest version with `commit_epoch ≤ snap`. Never takes a lock,
-    /// never aborts on conflict; an object with no version at the
-    /// snapshot (created later) is simply `NotFound`.
-    fn archived_at(&self, mut holder: Holder, snap: u64) -> GdiResult<Holder> {
-        // The walk is bounded by the live holder's recorded archive
-        // depth and requires strictly decreasing commit epochs of the
-        // same object: a `prev` that reaches freed (possibly reused)
-        // space — a truncated tail, or a vacuum racing this read — must
-        // read as *chain end*, never decode as a stranger's bytes.
-        let mut steps = holder.depth as usize;
-        while holder.commit_epoch > snap {
-            if holder.prev == 0 || steps == 0 {
-                return Err(GdiError::NotFound("object (no version at snapshot)"));
-            }
-            steps -= 1;
-            let prev = DPtr::from_raw(holder.prev);
-            // archives reachable from a pinned snapshot are immutable
-            // (truncation and vacuum free only below the snapshot floor
-            // ≤ our pinned epoch); any validated-read failure therefore
-            // means the link left the live chain — chain end, not error
-            let Some(next) = hio::read_chain_validated(self.eng.ctx, self.eng.cfg(), prev)
-                .ok()
-                .and_then(|(bytes, _stamp)| Holder::try_decode(&bytes))
-                .filter(|h| h.commit_epoch < holder.commit_epoch && h.app_id == holder.app_id)
-            else {
-                return Err(GdiError::NotFound("object (no version at snapshot)"));
-            };
-            holder = next;
-        }
-        Ok(holder)
-    }
-
     /// Ensure `id` is cached with at least the requested access. Fetches
     /// blocks and acquires the distributed lock on first touch; upgrades
     /// read→write on first mutation. A transaction-critical failure
-    /// (lock conflict) aborts the transaction per §3.3.
-    fn ensure_cached(&self, id: DPtr, write: bool) -> GdiResult<()> {
-        self.ensure_cached_policy(id, write, true)
-    }
-
-    /// [`Transaction::ensure_cached`] with an abort policy: when
-    /// `abort_on_critical` is false, a failed lock acquisition is
-    /// reported without poisoning the transaction — the probe behaviour
+    /// (lock conflict) aborts the transaction per §3.3 — unless
+    /// `abort_on_critical` is false: then it is reported without
+    /// poisoning the transaction, the probe behaviour
     /// [`Transaction::prepare_write`] exposes to batchers.
-    fn ensure_cached_policy(
-        &self,
-        id: DPtr,
-        write: bool,
-        abort_on_critical: bool,
-    ) -> GdiResult<()> {
+    fn ensure_cached(&self, id: DPtr, write: bool, abort_on_critical: bool) -> GdiResult<()> {
         self.check_active()?;
         if id.is_null() {
             return Err(GdiError::InvalidArgument("null internal id"));
@@ -286,7 +242,7 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
         if obj.lock == Some(LockKind::Read) {
             self.eng.lm.upgrade(id)?;
             obj.lock = Some(LockKind::Write);
-        } else if !obj.created && self.snap.get().is_none() {
+        } else if !obj.created {
             // MVCC writer's lock-free first-touch read turning into a
             // write intent: take the write lock *now* (write-write
             // conflict detection), then refetch — the lockless copy
@@ -320,26 +276,20 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
         Ok(())
     }
 
-    /// **First touch** of `ids` — none of them cached, null or repeated:
-    /// decide the read policy once for the whole slice, take every lock
-    /// before the first read (all released again if one is refused),
-    /// fetch — one id through the blocking single-chain readers, several
-    /// as one pipelined non-blocking batch per chain level
-    /// ([`hio::read_chains`]) — and build the cache entries. Returns the
-    /// error of the *first* failing id, what touching them one by one
-    /// would have surfaced; ids that did not fail are cached either way,
-    /// and whether the error aborts the transaction is the caller's call.
+    /// **First touch** of `ids` by a writer — none of them cached, null
+    /// or repeated: decide the lock once for the whole slice, take every
+    /// lock before the first read (all released again if one is
+    /// refused), fetch — one id through the blocking single-chain
+    /// readers, several as one pipelined non-blocking batch per chain
+    /// level ([`hio::read_chains`]) — and build the cache entries.
+    /// Returns the error of the *first* failing id, what touching them
+    /// one by one would have surfaced; ids that did not fail are cached
+    /// either way, and whether the error aborts the transaction is the
+    /// caller's call.
     fn first_touch(&self, ids: &[DPtr], write: bool) -> GdiResult<()> {
+        debug_assert_ne!(self.mode, AccessMode::ReadOnly, "read-only reads bytes");
         let (ctx, cfg, lm) = (self.eng.ctx, self.eng.cfg(), &self.eng.lm);
-        let snap = self.snap.get();
-        let lock = match (self.kind, self.mode) {
-            // A pinned snapshot reader never locks: it reads validated
-            // version chains at its epoch instead (see `archived_at`).
-            _ if snap.is_some() => None,
-            // Collective read-only transactions skip locking entirely: the
-            // paper's optimized read path ("read-only transactions that can
-            // assume that no participating process modifies the data").
-            (TxKind::Collective, AccessMode::ReadOnly) => None,
+        let lock = match self.kind {
             _ if write => Some(LockKind::Write),
             // Local writer conflicts are write-write only: a local
             // read-write transaction reads lock-free (validated seqlock
@@ -347,17 +297,15 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
             // touch of an object takes the write lock — so two
             // transactions with overlapping read sets but disjoint write
             // sets both commit (snapshot isolation admits write skew).
-            (TxKind::Local, _) => None,
-            _ => Some(LockKind::Read),
+            TxKind::Local => None,
+            TxKind::Collective => Some(LockKind::Read),
         };
-        // A pinned reader and an MVCC writer's read hold no lock, so a
-        // plain chain read could tear against a concurrent 3-phase
-        // overwrite — they take the validated seqlock copy of the
-        // committed version instead. Their entries carry no block list,
-        // lock or pre-image: a snapshot reader never writes back or
-        // frees anything, and a writer's later write touch refetches
-        // (`upgrade`).
-        let lock_free = snap.is_some() || (lock.is_none() && self.mvcc_writer());
+        // A local writer's read holds no lock, so a plain chain read
+        // could tear against a concurrent 3-phase overwrite — it takes
+        // the validated seqlock copy of the committed version instead.
+        // Its entry carries no block list, lock or pre-image: the write
+        // touch that follows refetches (`upgrade`).
+        let lock_free = lock.is_none();
         let keep_orig = !lock_free && self.mvcc_writer();
         if let Some(kind) = lock {
             for (i, &id) in ids.iter().enumerate() {
@@ -374,13 +322,7 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
         let mut first_err = None;
         let mut admit = |id: DPtr, fetched: GdiResult<(Vec<u8>, Vec<DPtr>)>| {
             let cached = fetched.and_then(|(bytes, blocks)| {
-                let mut holder = decode(&bytes)?;
-                if let Some(s) = snap {
-                    if holder.commit_epoch > s {
-                        holder = self.archived_at(holder, s)?;
-                    }
-                    ctx.count(Counter::SnapshotReads, 1);
-                }
+                let holder = decode(&bytes)?;
                 self.cache.borrow_mut().insert(
                     id.raw(),
                     CachedObj {
@@ -415,20 +357,18 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
         first_err.map_or(Ok(()), Err)
     }
 
-    /// First-touch every holder in `ids` the transaction would read
-    /// through its cache and has not cached yet, as one batch
-    /// ([`Transaction::first_touch`]). Equivalent to calling
-    /// [`Transaction::ensure_cached`] per id — same lock, abort and
-    /// error semantics — but the block reads of all candidates overlap
-    /// instead of paying one blocking round trip each.
+    /// A writer's first touch of every holder in `ids` it has not cached
+    /// yet, as one batch ([`Transaction::first_touch`]). Equivalent to
+    /// calling [`Transaction::ensure_cached`] per id — same lock, abort
+    /// and error semantics — but the block reads of all candidates
+    /// overlap instead of paying one blocking round trip each.
     fn prefetch_holders(&self, ids: &[DPtr]) -> GdiResult<()> {
         self.check_active()?;
         let mut seen = FxHashSet::default();
-        // (a byte-path id is read where it lies, when it is read)
         let want: Vec<DPtr> = ids
             .iter()
             .copied()
-            .filter(|&id| !id.is_null() && !self.reads_bytes(id))
+            .filter(|&id| !id.is_null())
             .filter(|id| !self.cache.borrow().contains_key(&id.raw()))
             .filter(|id| seen.insert(id.raw()))
             .collect();
@@ -438,19 +378,19 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
         self.first_touch(&want, false).or_else(|e| self.fail(e))
     }
 
-    /// Read access to a cached holder.
-    fn with_holder<R>(&self, id: DPtr, f: impl FnOnce(&Holder) -> R) -> GdiResult<R> {
-        self.ensure_cached(id, false)?;
-        let cache = self.cache.borrow();
-        Ok(f(&cache.get(&id.raw()).unwrap().holder))
+    /// The cache entry of `id`, first touched (and locked) with at
+    /// least the requested access if it is not cached yet.
+    fn entry(&self, id: DPtr, write: bool) -> GdiResult<RefMut<'_, CachedObj>> {
+        self.ensure_cached(id, write, true)?;
+        // (never an error: `ensure_cached` has just cached it)
+        RefMut::filter_map(self.cache.borrow_mut(), |c| c.get_mut(&id.raw()))
+            .map_err(|_| hio::STALE)
     }
 
     /// Write access to a cached holder (marks it dirty).
     fn with_holder_mut<R>(&self, id: DPtr, f: impl FnOnce(&mut Holder) -> R) -> GdiResult<R> {
         self.check_writable()?;
-        self.ensure_cached(id, true)?;
-        let mut cache = self.cache.borrow_mut();
-        let obj = cache.get_mut(&id.raw()).unwrap();
+        let mut obj = self.entry(id, true)?;
         obj.dirty = true;
         Ok(f(&mut obj.holder))
     }
@@ -466,48 +406,117 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
         Ok(r)
     }
 
-    /// Does a read of `id` take the byte path (module docs)? Decided
-    /// from what the transaction already knows: its kind and mode, who
-    /// owns `id`, and whether it sits decoded in the cache.
-    fn reads_bytes(&self, id: DPtr) -> bool {
-        self.kind == TxKind::Collective
-            && self.mode == AccessMode::ReadOnly
-            && !id.is_null()
-            && id.rank() == self.eng.rank()
-            && !self.cache.borrow().contains_key(&id.raw())
+    /// Apply `f` to the mirror of `rec` — the record of the same edge as
+    /// seen from `remote` — in `target`'s holder, if it still has one.
+    fn update_mirror(
+        &self,
+        target: DPtr,
+        remote: DPtr,
+        rec: &EdgeRecord,
+        f: impl FnOnce(&mut EdgeRecord),
+    ) -> GdiResult<()> {
+        let mut nbr = self.entry(target, true)?;
+        if let Some(slot) = find_mirror_slot(&nbr.holder, remote, rec) {
+            f(&mut nbr.holder.edges[slot as usize]);
+            nbr.dirty = true;
+            nbr.topo = true;
+        }
+        Ok(())
     }
 
-    /// The byte-level read: copy the chain at the local `id` into the
-    /// transaction's scratch buffers and hand the serialized holder to
-    /// `f`. The bytes stay put until the next read, so consecutive reads
-    /// of one id (`has_label`, `property`, `neighbors` of the same
+    /// The read-only path (module docs): hand `f` the serialized version
+    /// of `id` this transaction reads, out of the scratch buffers. The
+    /// bytes stay put until the next read of another id, so consecutive
+    /// reads of one id (`has_label`, `property`, `neighbors` of the same
     /// vertex) copy — and are charged for — its chain once. A chain that
     /// does not hold up structurally, or bytes `f` refuses, are the usual
     /// stale-internal-id `NotFound`.
-    fn with_local_bytes<R>(&self, id: DPtr, f: impl FnOnce(&[u8]) -> Option<R>) -> GdiResult<R> {
+    fn with_bytes<R>(&self, id: DPtr, f: impl FnOnce(&[u8]) -> Option<R>) -> GdiResult<R> {
         self.check_active()?;
-        let (mut block, mut chain, mut held) = self.scratch.take();
-        if held != id.raw() {
-            block.resize(self.eng.cfg().block_size, 0);
-            let read =
-                hio::read_chain_local(self.eng.ctx, self.eng.cfg(), id, &mut block, &mut chain);
-            held = read.map_or(0, |()| id.raw());
+        if id.is_null() {
+            return Err(GdiError::InvalidArgument("null internal id"));
         }
-        let out = (held != 0).then_some(&chain[..]).and_then(f);
-        self.scratch.set((block, chain, held));
-        out.ok_or(hio::STALE)
+        let (ctx, cfg) = (self.eng.ctx, self.eng.cfg());
+        // (a read nested in `f` finds the buffers empty and holding nothing)
+        let (mut block, mut chain) = self.scratch.take();
+        let mut held = self.held.replace(0);
+        let mut read = Ok(());
+        if held != id.raw() {
+            // a collective reader's plain copy, or a pinned reader's
+            // validated copy rewound to its snapshot
+            block.resize(cfg.block_size, 0);
+            read = match self.snap.get() {
+                None => hio::read_chain_into(&Source::Live(ctx), cfg, id, &mut block, &mut chain),
+                Some(snap) => {
+                    let src = Source::Validated(ctx);
+                    hio::read_chain_into(&src, cfg, id, &mut block, &mut chain).and_then(|()| {
+                        ctx.count(Counter::SnapshotReads, 1);
+                        self.rewind(snap, &mut chain)
+                    })
+                }
+            };
+            held = if read.is_ok() { id.raw() } else { 0 };
+        }
+        let out = read.and_then(|()| f(&chain).ok_or(hio::STALE));
+        self.scratch.set((block, chain));
+        self.held.set(held);
+        out
+    }
+
+    /// Resolve `chain`, a validated copy of a live chain, to the version
+    /// a snapshot pinned at `snap` reads: walk the archived `prev` links
+    /// down to the newest version with `commit_epoch ≤ snap`, each one
+    /// copied over the last. Never takes a lock, never aborts on
+    /// conflict; an object with no version at the snapshot (created
+    /// later) is simply `NotFound`.
+    fn rewind(&self, snap: u64, chain: &mut Vec<u8>) -> GdiResult<()> {
+        const GONE: GdiError = GdiError::NotFound("object (no version at snapshot)");
+        let (app, mut epoch, mut prev, mut steps) = Holder::version_of(chain).ok_or(hio::STALE)?;
+        // The walk is bounded by the live holder's recorded archive
+        // depth and requires strictly decreasing commit epochs of the
+        // same object: a `prev` that reaches freed (possibly reused)
+        // space — a truncated tail, or a vacuum racing this read — must
+        // read as *chain end*, never as a stranger's bytes. Archives
+        // reachable from a pinned snapshot are immutable (truncation and
+        // vacuum free only below the snapshot floor ≤ our pinned epoch),
+        // so any failure to read one means the link left the live chain.
+        let mut block = Vec::new();
+        while epoch > snap {
+            if prev == 0 || steps == 0 {
+                return Err(GONE);
+            }
+            steps -= 1;
+            block.resize(self.eng.cfg().block_size, 0);
+            let (src, at) = (Source::Validated(self.eng.ctx), DPtr::from_raw(prev));
+            (epoch, prev) = hio::read_chain_into(&src, self.eng.cfg(), at, &mut block, chain)
+                .ok()
+                .and_then(|()| Holder::version_of(chain))
+                .filter(|&(a, e, _, _)| e < epoch && a == app)
+                .map(|(_, e, p, _)| (e, p))
+                .ok_or(GONE)?;
+        }
+        Ok(())
     }
 
     /// Read access to the labels and properties of `id`, all from **one**
-    /// read of the element: serialized bytes on the byte path (module
+    /// read of the element: its bytes in a read-only transaction (module
     /// docs), the cached decoded holder otherwise. Evaluate a whole
     /// pattern inside `f` rather than calling [`Transaction::has_label`]
     /// and [`Transaction::property`] once per predicate.
     pub fn with_entries<R>(&self, id: DPtr, f: impl FnOnce(&EntryScan<'_>) -> R) -> GdiResult<R> {
-        if self.reads_bytes(id) {
-            self.with_local_bytes(id, |bytes| Holder::scan_entries(bytes).map(|e| f(&e)))
+        if self.mode == AccessMode::ReadOnly {
+            self.with_bytes(id, |bytes| Holder::scan_entries(bytes).map(|e| f(&e)))
         } else {
-            self.with_holder(id, |h| f(&h.entry_scan()))
+            Ok(f(&self.entry(id, false)?.holder.entry_scan()))
+        }
+    }
+
+    /// The edge-section twin of [`Transaction::with_entries`].
+    fn with_edges<R>(&self, id: DPtr, f: impl FnOnce(&EdgeScan<'_>) -> R) -> GdiResult<R> {
+        if self.mode == AccessMode::ReadOnly {
+            self.with_bytes(id, |bytes| Holder::scan_edges(bytes).map(|e| f(&e)))
+        } else {
+            Ok(f(&self.entry(id, false)?.holder.edge_scan()))
         }
     }
 
@@ -543,9 +552,10 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
     }
 
     /// `GDI_AssociateVertex`: make the vertex accessible through this
-    /// transaction (fetches and caches its holder).
+    /// transaction (a writer fetches and caches its holder, a read-only
+    /// transaction reads its bytes).
     pub fn associate_vertex(&self, id: DPtr) -> GdiResult<()> {
-        self.ensure_cached(id, false)
+        self.with_entries(id, |_| ())
     }
 
     /// Batch-friendly entry point: acquire the write lock on `id` and
@@ -560,7 +570,7 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
         if self.mode == AccessMode::ReadOnly {
             return Err(GdiError::ReadOnlyViolation);
         }
-        self.ensure_cached_policy(id, true, false)
+        self.ensure_cached(id, true, false)
     }
 
     /// Probe-lock the full write-set of [`Transaction::delete_vertex`]:
@@ -571,8 +581,9 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
     /// itself cannot hit a lock conflict.
     pub fn prepare_delete_vertex(&self, id: DPtr) -> GdiResult<()> {
         self.prepare_write(id)?;
-        let targets: Vec<(DPtr, DPtr)> = self.with_holder(id, |h| {
-            h.live_edges()
+        let targets: Vec<(DPtr, DPtr)> = self.with_edges(id, |edges| {
+            edges
+                .live()
                 .map(|(_, r)| (r.target, r.edge_holder))
                 .collect()
         })?;
@@ -638,17 +649,9 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
     /// mirror records at all neighbours, and any heavy-edge holders.
     pub fn delete_vertex(&self, id: DPtr) -> GdiResult<()> {
         self.check_writable()?;
-        self.ensure_cached(id, true)?;
-        let edges: Vec<EdgeRecord> = {
-            let cache = self.cache.borrow();
-            cache
-                .get(&id.raw())
-                .unwrap()
-                .holder
-                .live_edges()
-                .map(|(_, r)| *r)
-                .collect()
-        };
+        let edges: Vec<EdgeRecord> = (self.entry(id, true)?.holder.live_edges())
+            .map(|(_, r)| *r)
+            .collect();
         for rec in edges {
             if !rec.edge_holder.is_null() {
                 self.delete_object(rec.edge_holder)?;
@@ -656,23 +659,14 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
             if rec.target == id {
                 continue; // self-loop: both records die with the holder
             }
-            self.ensure_cached(rec.target, true)?;
-            let mut cache = self.cache.borrow_mut();
-            let nbr = cache.get_mut(&rec.target.raw()).unwrap();
-            if let Some(slot) = find_mirror_slot(&nbr.holder, id, &rec) {
-                nbr.holder.remove_edge(slot);
-                nbr.dirty = true;
-                nbr.topo = true;
-            }
+            self.update_mirror(rec.target, id, &rec, tombstone)?;
         }
         self.delete_object(id)
     }
 
     /// Mark a cached object deleted.
     fn delete_object(&self, id: DPtr) -> GdiResult<()> {
-        self.ensure_cached(id, true)?;
-        let mut cache = self.cache.borrow_mut();
-        let obj = cache.get_mut(&id.raw()).unwrap();
+        let mut obj = self.entry(id, true)?;
         obj.deleted = true;
         obj.dirty = true;
         obj.topo = true;
@@ -717,12 +711,14 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
     // properties
     // ------------------------------------------------------------------
 
+    /// Check `value` against `ptype`'s definition; its encoded bytes and
+    /// whether the p-type is single-valued.
     fn validate_property(
         &self,
         ptype: PTypeId,
         value: &PropertyValue,
         on_edge: bool,
-    ) -> GdiResult<Vec<u8>> {
+    ) -> GdiResult<(Vec<u8>, bool)> {
         self.used_meta.set(true);
         let meta = self.eng.meta();
         let def = meta
@@ -739,7 +735,7 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
         if !def.stype.validate(bytes.len() / eb, def.count) {
             return Err(GdiError::SizeExceeded);
         }
-        Ok(bytes)
+        Ok((bytes, def.mult == gdi::Multiplicity::Single))
     }
 
     /// Decode the raw value bytes of a property entry under `ptype`'s
@@ -754,11 +750,7 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
     /// `GDI_AddPropertyToVertex`. For `Single`-multiplicity types, adding a
     /// second entry is an error (use [`Transaction::update_property`]).
     pub fn add_property(&self, id: DPtr, ptype: PTypeId, value: &PropertyValue) -> GdiResult<()> {
-        let bytes = self.validate_property(ptype, value, false)?;
-        let single = {
-            let meta = self.eng.meta();
-            meta.ptype(ptype).unwrap().mult == gdi::Multiplicity::Single
-        };
+        let (bytes, single) = self.validate_property(ptype, value, false)?;
         self.with_holder_mut(id, |h| {
             if single && !h.properties_raw(ptype).is_empty() {
                 Err(GdiError::AlreadyExists("single-valued property"))
@@ -776,7 +768,7 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
         ptype: PTypeId,
         value: &PropertyValue,
     ) -> GdiResult<()> {
-        let bytes = self.validate_property(ptype, value, false)?;
+        let (bytes, _) = self.validate_property(ptype, value, false)?;
         self.with_holder_mut(id, |h| h.set_property(ptype, bytes))
     }
 
@@ -861,13 +853,8 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
 
     /// Read the record behind an edge UID.
     fn edge_record(&self, e: EdgeUid) -> GdiResult<EdgeRecord> {
-        self.with_holder(e.vertex, |h| {
-            h.edges
-                .get(e.slot as usize)
-                .copied()
-                .filter(|r| !r.is_tombstone())
-        })?
-        .ok_or(GdiError::NotFound("edge"))
+        self.with_edges(e.vertex, |edges| edges.get(e.slot))?
+            .ok_or(GdiError::NotFound("edge"))
     }
 
     /// Internal id of the edge's heavy holder, if it has one (batch-
@@ -887,30 +874,7 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
     pub fn delete_edge(&self, e: EdgeUid) -> GdiResult<()> {
         self.check_writable()?;
         let rec = self.edge_record(e)?;
-        self.with_holder_topo(e.vertex, |h| h.remove_edge(e.slot))?;
-        if rec.target != e.vertex {
-            self.ensure_cached(rec.target, true)?;
-            let mut cache = self.cache.borrow_mut();
-            let nbr = cache.get_mut(&rec.target.raw()).unwrap();
-            if let Some(slot) = find_mirror_slot(&nbr.holder, e.vertex, &rec) {
-                nbr.holder.remove_edge(slot);
-                nbr.dirty = true;
-                nbr.topo = true;
-            }
-        } else {
-            // self-loop: remove the sibling record in the same holder
-            self.with_holder_topo(e.vertex, |h| {
-                let sib = h
-                    .live_edges()
-                    .find(|(s, r)| {
-                        *s != e.slot && r.target == e.vertex && r.edge_holder == rec.edge_holder
-                    })
-                    .map(|(s, _)| s);
-                if let Some(s) = sib {
-                    h.remove_edge(s);
-                }
-            })?;
-        }
+        self.update_edge_records(e, &rec, tombstone)?;
         if !rec.edge_holder.is_null() {
             self.delete_object(rec.edge_holder)?;
         }
@@ -920,8 +884,9 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
     /// `GDI_GetEdgesOfVertex`: edge UIDs incident to `id` matching the
     /// orientation selector.
     pub fn edges(&self, id: DPtr, orient: EdgeOrientation) -> GdiResult<Vec<EdgeUid>> {
-        self.with_holder(id, |h| {
-            h.live_edges()
+        self.with_edges(id, |edges| {
+            edges
+                .live()
                 .filter(|(_, r)| orient.matches(r.dir))
                 .map(|(s, _)| EdgeUid::new(id, s))
                 .collect()
@@ -930,10 +895,8 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
 
     /// Count edges without materializing UIDs.
     pub fn edge_count(&self, id: DPtr, orient: EdgeOrientation) -> GdiResult<usize> {
-        self.with_holder(id, |h| {
-            h.live_edges()
-                .filter(|(_, r)| orient.matches(r.dir))
-                .count()
+        self.with_edges(id, |edges| {
+            edges.live().filter(|(_, r)| orient.matches(r.dir)).count()
         })
     }
 
@@ -951,8 +914,7 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
     }
 
     /// [`Transaction::neighbors`] without the list: `f` sees every
-    /// neighbour in edge-record order. On the byte path (module docs)
-    /// the records are read in place from the serialized holder.
+    /// neighbour in edge-record order.
     pub fn for_each_neighbor(
         &self,
         id: DPtr,
@@ -960,33 +922,23 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
         label: Option<LabelId>,
         mut f: impl FnMut(DPtr),
     ) -> GdiResult<()> {
-        let wanted = |r: &EdgeRecord| orient.matches(r.dir) && label.is_none_or(|l| r.label == l.0);
-        if self.reads_bytes(id) {
-            self.with_local_bytes(id, |bytes| {
-                let edges = Holder::scan_edges(bytes)?;
-                edges.live().filter(wanted).for_each(|r| f(r.target));
-                Some(())
-            })
-        } else {
-            self.with_holder(id, |h| {
-                h.live_edges()
-                    .map(|(_, r)| r)
-                    .filter(|r| wanted(r))
-                    .for_each(|r| f(r.target))
-            })
-        }
+        self.with_edges(id, |edges| {
+            edges
+                .live()
+                .filter(|(_, r)| orient.matches(r.dir) && label.is_none_or(|l| r.label == l.0))
+                .for_each(|(_, r)| f(r.target))
+        })
     }
 
     /// `GDI_GetNeighborVerticesOfVertex` with a *constraint object*
     /// (Listing 3, lines 9–10): expand over edges matching `edge_label`,
     /// keep only neighbors whose holders satisfy the DNF `constraint`
     /// (the "let the storage handle the filtering" path of §3.1). The
-    /// candidate holders the transaction reads through its cache are
-    /// fetched as **one pipelined non-blocking batch**
+    /// candidates are fetched as **one pipelined non-blocking batch**
     /// ([`crate::hio::read_chains`]) — one network latency per chain
-    /// level across all candidates, instead of one blocking chain walk
-    /// per neighbor; candidates on the byte path (module docs) are
-    /// filtered where they lie.
+    /// level across all of them, instead of one blocking chain walk per
+    /// neighbor — into a writer's cache, or as bytes a read-only
+    /// transaction tests in place.
     pub fn neighbors_matching(
         &self,
         id: DPtr,
@@ -995,21 +947,68 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
         constraint: &Constraint,
     ) -> GdiResult<Vec<DPtr>> {
         let candidates = self.neighbors(id, orient, edge_label)?;
-        self.prefetch_holders(&candidates)?;
+        let fetched = if self.mode == AccessMode::ReadOnly {
+            self.read_versions(&candidates)?
+        } else {
+            self.prefetch_holders(&candidates)?;
+            FxHashMap::default()
+        };
         let mut out = Vec::new();
         for nbr in candidates {
-            if self.entries_match(nbr, constraint)? {
+            let keep = match fetched.get(&nbr.raw()) {
+                Some(bytes) => Holder::scan_entries(bytes)
+                    .map(|e| self.matches(&e, constraint))
+                    .ok_or(hio::STALE)?,
+                None => self.entries_match(nbr, constraint)?,
+            };
+            if keep {
                 out.push(nbr);
             }
         }
         Ok(out)
     }
 
+    /// The read-only twin of [`Transaction::prefetch_holders`]: the
+    /// versions this transaction reads of the distinct ids in `ids` —
+    /// all but the one the scratch buffers already hold — as one
+    /// level-pipelined batch, keyed by id. Fails with the error of the
+    /// first id that fails.
+    fn read_versions(&self, ids: &[DPtr]) -> GdiResult<FxHashMap<u64, Vec<u8>>> {
+        self.check_active()?;
+        let (ctx, cfg, snap) = (self.eng.ctx, self.eng.cfg(), self.snap.get());
+        // (null ids are the usual `InvalidArgument`, when they are read)
+        let mut seen = FxHashSet::from_iter([0, self.held.get()]);
+        let want: Vec<DPtr> = ids
+            .iter()
+            .copied()
+            .filter(|id| seen.insert(id.raw()))
+            .collect();
+        let fetched = match snap {
+            Some(_) => hio::read_chains_validated(ctx, cfg, &want),
+            None => (hio::read_chains(ctx, cfg, &want).into_iter())
+                .map(|read| read.map(|(bytes, _blocks)| (bytes, 0)))
+                .collect(),
+        };
+        std::iter::zip(want, fetched)
+            .map(|(id, read)| {
+                let (mut bytes, _stamp) = read?;
+                if let Some(snap) = snap {
+                    ctx.count(Counter::SnapshotReads, 1);
+                    self.rewind(snap, &mut bytes)?;
+                }
+                Ok((id.raw(), bytes))
+            })
+            .collect()
+    }
+
     /// Does `id` satisfy `constraint`? One read of the element.
     fn entries_match(&self, id: DPtr, constraint: &Constraint) -> GdiResult<bool> {
-        self.with_entries(id, |e| {
-            holder_matches(e, constraint, |pt, raw| self.decode_property(pt, raw))
-        })
+        self.with_entries(id, |e| self.matches(e, constraint))
+    }
+
+    /// Do the entries `e` satisfy `constraint`?
+    fn matches(&self, e: &EntryScan<'_>, constraint: &Constraint) -> bool {
+        holder_matches(e, constraint, |pt, raw| self.decode_property(pt, raw))
     }
 
     /// `GDI_GetVerticesOfEdge`: (origin, target) internal ids.
@@ -1035,7 +1034,7 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
             out.push(LabelId(rec.label));
         }
         if !rec.edge_holder.is_null() {
-            out.extend(self.with_holder(rec.edge_holder, |h| h.labels())?);
+            out.extend(self.labels(rec.edge_holder)?);
         }
         Ok(out)
     }
@@ -1067,7 +1066,7 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
         ptype: PTypeId,
         value: &PropertyValue,
     ) -> GdiResult<()> {
-        let bytes = self.validate_property(ptype, value, true)?;
+        let (bytes, _) = self.validate_property(ptype, value, true)?;
         let rec = self.edge_record(e)?;
         let holder = self.ensure_edge_holder(e, &rec)?;
         self.with_holder_mut(holder, |h| h.set_property(ptype, bytes))
@@ -1079,11 +1078,7 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
         if rec.edge_holder.is_null() {
             return Ok(None);
         }
-        self.with_holder(rec.edge_holder, |h| {
-            h.properties_raw(ptype)
-                .first()
-                .and_then(|raw| self.decode_property(ptype, raw))
-        })
+        self.property(rec.edge_holder, ptype)
     }
 
     /// `GDI_RemovePropertyFromEdge`: remove all entries of `ptype` from the
@@ -1104,7 +1099,7 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
         if rec.edge_holder.is_null() {
             return Ok(Vec::new());
         }
-        self.with_holder(rec.edge_holder, |h| h.ptypes())
+        self.ptypes(rec.edge_holder)
     }
 
     /// `GDI_SetOriginVertexOfEdge` / `GDI_SetTargetVertexOfEdge` analog:
@@ -1145,15 +1140,9 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
     ) -> GdiResult<()> {
         self.with_holder_topo(e.vertex, |h| f(&mut h.edges[e.slot as usize]))?;
         if rec.target != e.vertex {
-            self.ensure_cached(rec.target, true)?;
-            let mut cache = self.cache.borrow_mut();
-            let nbr = cache.get_mut(&rec.target.raw()).unwrap();
-            if let Some(slot) = find_mirror_slot(&nbr.holder, e.vertex, rec) {
-                f(&mut nbr.holder.edges[slot as usize]);
-                nbr.dirty = true;
-                nbr.topo = true;
-            }
+            self.update_mirror(rec.target, e.vertex, rec, &f)?;
         } else {
+            // self-loop: the sibling record in the same holder
             self.with_holder_topo(e.vertex, |h| {
                 let sib = h
                     .live_edges()
@@ -1218,89 +1207,12 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
         }
     }
 
-    /// Truncate an archive chain below the snapshot `floor`: walking
-    /// newest → oldest from `head`, keep every version with
-    /// `commit_epoch > floor` **plus the first with epoch ≤ floor** (the
-    /// version every snapshot ≥ floor resolves to), free the strictly
-    /// older rest — then **seal the cut**: the last kept archive's
-    /// `prev` still names the first freed block, so it is zeroed in
-    /// place (one aligned word write into the archive's primary block;
-    /// archives never change otherwise, so no reader can tear on it).
-    /// An unsealed cut is a dangling pointer into freed — eventually
-    /// reused — space, and every later walk of this chain (a pinned
-    /// reader, the maintenance vacuum, the delete path's
-    /// [`Self::free_archives`]) would need to *guess* where the chain
-    /// ends. Returns the number of archives kept. Caller holds the
-    /// object's write lock, so the chain cannot change underneath.
-    ///
-    /// `live` bounds the walk to the holder's recorded archive depth,
-    /// defence in depth against a chain whose seal never made it to the
-    /// window (a crash between the frees and the word write): walking
-    /// by pointers alone could double-free or cycle.
-    fn truncate_chain(&self, head: u64, floor: u64, live: usize) -> usize {
-        let mut kept = 0usize;
-        let mut freed = 0u64;
-        let mut cut = false;
-        let mut cur = head;
-        let mut seen = 0usize;
-        let mut tail: Option<DPtr> = None;
-        while cur != 0 && seen < live {
-            seen += 1;
-            let dp = DPtr::from_raw(cur);
-            let Ok((bytes, blocks)) = hio::read_chain(self.eng.ctx, self.eng.cfg(), dp) else {
-                break;
-            };
-            let Some(h) = Holder::try_decode(&bytes) else {
-                break;
-            };
-            if cut {
-                hio::free_chain(&self.eng.bm, &blocks);
-                freed += 1;
-            } else {
-                kept += 1;
-                if h.commit_epoch <= floor {
-                    cut = true;
-                    tail = Some(dp);
-                }
-            }
-            cur = h.prev;
-        }
-        if freed > 0 {
-            if let Some(dp) = tail {
-                crate::maint::seal_chain_tail(self.eng.ctx, dp);
-            }
-            self.eng.ctx().count(Counter::ChainTruncations, freed);
-        }
-        kept
-    }
-
-    /// Free an entire archive chain (delete path — the object itself is
-    /// going away, so no snapshot resolution below it remains possible;
-    /// a pinned reader racing this already accepts `NotFound`, the
-    /// documented non-versioned-delete scope). Returns archives freed.
-    ///
-    /// `live` bounds the walk to the holder's recorded depth for the
-    /// same reason as [`Self::truncate_chain`]: the tail `prev` of a
-    /// previously truncated chain dangles into freed space.
-    fn free_archives(&self, head: u64, live: usize) -> u64 {
-        let mut freed = 0u64;
-        let mut cur = head;
-        let mut seen = 0usize;
-        while cur != 0 && seen < live {
-            seen += 1;
-            let dp = DPtr::from_raw(cur);
-            let Ok((bytes, blocks)) = hio::read_chain(self.eng.ctx, self.eng.cfg(), dp) else {
-                break;
-            };
-            let Some(h) = Holder::try_decode(&bytes) else {
-                break;
-            };
-            hio::free_chain(&self.eng.bm, &blocks);
-            freed += 1;
-            cur = h.prev;
-        }
+    /// [`crate::maint::trim_archives`] on the commit path, counted as
+    /// chain truncations. Returns the number of archives kept.
+    fn truncate_chain(&self, head: u64, floor: Option<u64>, live: usize) -> usize {
+        let (kept, freed, _) = crate::maint::trim_archives(self.eng, head, floor, live);
         self.eng.ctx().count(Counter::ChainTruncations, freed);
-        freed
+        kept
     }
 
     // ------------------------------------------------------------------
@@ -1398,7 +1310,7 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
                 }
                 hio::free_chain(&self.eng.bm, &obj.blocks);
                 if !obj.created && obj.holder.prev != 0 {
-                    self.free_archives(obj.holder.prev, obj.holder.depth as usize);
+                    self.truncate_chain(obj.holder.prev, None, obj.holder.depth as usize);
                 }
                 if logging && !obj.created {
                     // the logged version also caps the owner's stamp
@@ -1452,7 +1364,7 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
                             && obj.holder.prev != 0
                         {
                             let f = *floor.get_or_insert_with(|| self.eng.snapshot_floor());
-                            if let Some(f) = f {
+                            if f.is_some() {
                                 let kept = self.truncate_chain(
                                     obj.holder.prev,
                                     f,
@@ -1624,8 +1536,83 @@ fn find_mirror_slot(holder: &Holder, remote: DPtr, rec: &EdgeRecord) -> Option<u
         .map(|(s, _)| s)
 }
 
+/// Tombstone an edge record (what [`Holder::remove_edge`] does to a live
+/// slot).
+fn tombstone(r: &mut EdgeRecord) {
+    r.flags |= EdgeRecord::TOMBSTONE;
+}
+
 /// Decode fetched chain bytes; bytes that are no holder are the usual
 /// stale internal id.
 fn decode(bytes: &[u8]) -> GdiResult<Holder> {
     Holder::try_decode(bytes).ok_or(hio::STALE)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::GdaConfig;
+    use crate::db::GdaDb;
+    use gdi::{Datatype, EntityType, Multiplicity, SizeType};
+    use rma::CostModel;
+
+    /// A read-only transaction — pinned or collective, on local and
+    /// remote ids, through every reader — answers from bytes and puts
+    /// nothing into the decoded cache (module docs).
+    #[test]
+    fn read_only_transactions_cache_nothing() {
+        let (db, fabric) = GdaDb::with_fabric("ro", GdaConfig::tiny(), 2, CostModel::zero());
+        fabric.run(|ctx| {
+            let eng = db.attach(ctx);
+            eng.init_collective();
+            let ids = (ctx.rank() == 0).then(|| {
+                let tag = eng.create_label("Tag").unwrap();
+                let (int, single, fixed) =
+                    (Datatype::Uint64, Multiplicity::Single, SizeType::Fixed);
+                let p = eng
+                    .create_ptype("p", int, EntityType::VertexEdge, single, fixed, 1)
+                    .unwrap();
+                let tx = eng.begin(AccessMode::ReadWrite);
+                let [a, b] = [1, 2].map(|i| tx.create_vertex(AppVertexId(i)).unwrap());
+                tx.add_label(a, tag).unwrap();
+                tx.add_property(b, p, &PropertyValue::U64(7)).unwrap();
+                let e = tx.add_edge(a, b, Some(tag), true).unwrap();
+                tx.set_edge_property(e, p, &PropertyValue::U64(9)).unwrap();
+                tx.commit().unwrap();
+                (tag.0, p.0)
+            });
+            let (tag, p) = ctx.bcast(0, ids);
+            let (tag, p) = (LabelId(tag), PTypeId(p));
+            eng.refresh_meta();
+            let any = EdgeOrientation::Any;
+            let readers = [
+                eng.begin(AccessMode::ReadOnly),
+                eng.begin_collective(AccessMode::ReadOnly),
+            ];
+            for tx in readers {
+                let [a, b] = [1, 2].map(|i| tx.translate_vertex_id(AppVertexId(i)).unwrap());
+                assert_ne!(a.rank(), b.rank(), "one local id, one remote");
+                for v in [a, b] {
+                    tx.associate_vertex(v).unwrap();
+                    assert_eq!(tx.has_label(v, tag).unwrap(), v == a);
+                    assert_eq!(tx.edge_count(v, any).unwrap(), 1);
+                    let nbrs = tx.neighbors_matching(v, any, None, &Constraint::any());
+                    assert_eq!(nbrs.unwrap().len(), 1);
+                }
+                assert_eq!(tx.property(b, p).unwrap(), Some(PropertyValue::U64(7)));
+                // a read nested in another's closure leaves the buffers
+                // naming the chain they hold
+                let nested = tx.with_entries(a, |_| tx.property(b, p).unwrap());
+                assert_eq!(nested.unwrap(), Some(PropertyValue::U64(7)));
+                assert_eq!(tx.property(b, p).unwrap(), Some(PropertyValue::U64(7)));
+                let e = tx.edges(a, EdgeOrientation::Outgoing).unwrap()[0];
+                assert_eq!(tx.edge_endpoints(e).unwrap(), (a, b));
+                assert_eq!(tx.edge_labels(e).unwrap(), vec![tag]);
+                assert_eq!(tx.edge_ptypes(e).unwrap(), vec![p]);
+                assert_eq!(tx.edge_property(e, p).unwrap(), Some(PropertyValue::U64(9)));
+                assert!(tx.cache.borrow().is_empty(), "rank {}", ctx.rank());
+                tx.commit().unwrap();
+            }
+        });
+    }
 }

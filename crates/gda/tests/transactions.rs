@@ -938,9 +938,9 @@ fn lock_free_reads_of_hostile_ids_are_not_found() {
 }
 
 // ---------------------------------------------------------------------
-// Which reads take the byte path (`gda::tx` module docs): chosen from
-// kind, mode, owner and cache membership — observable only through what
-// a read returns, so each test sets up a case where the wrong path
+// Which reads take the byte path (`gda::tx` module docs): every read of
+// a read-only transaction, none of a writer's — observable only through
+// what a read returns, so each test sets up a case where the wrong path
 // returns the wrong value.
 // ---------------------------------------------------------------------
 
@@ -1094,9 +1094,9 @@ fn pinned_reader_keeps_its_snapshot_of_a_local_vertex() {
 }
 
 /// In a collective read-only transaction a vertex is read from bytes by
-/// its owner and through the decoded cache by everyone else: both ranks
-/// must report the same labels, properties, app ids and neighbours for
-/// every vertex, and the generated values.
+/// its owner and by everyone else alike: both ranks must report the same
+/// labels, properties, app ids and neighbours for every vertex, and the
+/// generated values.
 #[test]
 fn collective_reader_agrees_with_the_owner_on_remote_vertices() {
     two_rank_people(10, |eng, person, age, _| {

@@ -225,6 +225,60 @@ fn snapshot_read_under_writer_lock_neither_blocks_nor_aborts() {
     );
 }
 
+/// Repeatable reads after eviction: a pinned reader reads A, a writer
+/// commits a new version of A (property, label and edges), the reader
+/// reads B — which takes A's bytes out of its scratch buffers — and
+/// then reads A again. Every field must still be the pinned version:
+/// repeatable reads rest on the pinned epoch and the archive walk, not
+/// on anything the reader kept.
+#[test]
+fn pinned_rereads_after_eviction_are_repeatable() {
+    let (db, fabric) = GdaDb::with_fabric("evict", GdaConfig::tiny(), 1, CostModel::zero());
+    fabric.run(|ctx| {
+        let eng = db.attach(ctx);
+        eng.init_collective();
+        let ptype = install_ptype(&eng);
+        let tag = eng.create_label("Tag").unwrap();
+        seed_vertices(&eng, ptype, &[1, 2, 3], 1);
+        let setup = eng.begin(AccessMode::ReadWrite);
+        let [a, b, c] = [1, 2, 3].map(|i| setup.translate_vertex_id(app(i)).unwrap());
+        setup.add_label(a, tag).unwrap();
+        setup.add_edge(a, b, None, true).unwrap();
+        setup.commit().unwrap();
+
+        let fields = |tx: &gda::Transaction| {
+            (
+                tx.property(a, ptype).unwrap(),
+                tx.labels(a).unwrap(),
+                tx.edge_count(a, gdi::EdgeOrientation::Any).unwrap(),
+                tx.edges(a, gdi::EdgeOrientation::Any).unwrap(),
+            )
+        };
+        let reader = eng.begin(AccessMode::ReadOnly);
+        let pinned = fields(&reader);
+        assert_eq!(pinned.0, Some(PropertyValue::U64(1)));
+        assert_eq!((pinned.1.len(), pinned.2), (1, 1));
+
+        let writer = eng.begin(AccessMode::ReadWrite);
+        writer
+            .update_property(a, ptype, &PropertyValue::U64(2))
+            .unwrap();
+        writer.remove_label(a, tag).unwrap();
+        writer.add_edge(a, c, None, true).unwrap();
+        writer.commit().unwrap();
+
+        assert_eq!(read_val(&reader, ptype, 2), Some(1), "B evicts A");
+        assert_eq!(fields(&reader), pinned, "A again, at the pinned epoch");
+        reader.commit().unwrap();
+
+        let fresh = eng.begin(AccessMode::ReadOnly);
+        let now = fields(&fresh);
+        assert_eq!(now.0, Some(PropertyValue::U64(2)));
+        assert_eq!((now.1.len(), now.2), (0, 2), "a new pin sees the writer");
+        fresh.commit().unwrap();
+    });
+}
+
 /// There is one read path: every local read-only transaction pins a
 /// snapshot, however it was begun; writers and collective transactions
 /// (the paper's no-concurrent-writer path) never do.
