@@ -38,10 +38,9 @@ pub struct GdaConfig {
     /// `GDI_ERROR_LOCK_CONFLICT` (the source of the paper's failed-
     /// transaction percentages).
     pub max_lock_retries: usize,
-    /// Enable the per-rank, epoch-validated app-id → `DPtr` translation
-    /// cache in front of `Dht::lookup` (see `gda::cache`).
-    pub translation_cache: bool,
-    /// Maximum resident entries of the translation cache (per rank).
+    /// Maximum resident entries of the per-rank, epoch-validated
+    /// app-id → `DPtr` translation cache in front of `Dht::lookup` (see
+    /// `gda::cache`).
     pub translation_cache_capacity: usize,
     /// Maximum archived versions kept per object before commit-time
     /// truncation frees archives older than the snapshot floor.
@@ -56,7 +55,6 @@ impl Default for GdaConfig {
             dht_buckets_per_rank: 4096,
             dht_heap_per_rank: 8192,
             max_lock_retries: 48,
-            translation_cache: true,
             translation_cache_capacity: 8192,
             mvcc_chain_limit: 4,
         }
@@ -72,7 +70,6 @@ impl GdaConfig {
             dht_buckets_per_rank: 64,
             dht_heap_per_rank: 256,
             max_lock_retries: 48,
-            translation_cache: true,
             translation_cache_capacity: 128,
             mvcc_chain_limit: 4,
         }
@@ -106,10 +103,6 @@ impl GdaConfig {
         assert!(self.blocks_per_rank >= 2, "need at least one usable block");
         assert!(self.dht_buckets_per_rank >= 1);
         assert!(self.dht_heap_per_rank >= 1);
-        assert!(
-            !self.translation_cache || self.translation_cache_capacity >= 1,
-            "an enabled translation cache needs a positive capacity"
-        );
     }
 
     /// Bytes of the data window.

@@ -25,7 +25,7 @@ use gdi::{
 use rma::{CostModel, Counter, Fabric, RankCtx};
 
 use crate::blocks::BlockManager;
-use crate::cache::{CacheStats, TranslationCache};
+use crate::cache::TranslationCache;
 use crate::config::GdaConfig;
 use crate::dht::Dht;
 use crate::dptr::DPtr;
@@ -165,11 +165,7 @@ impl GdaDb {
             bm: BlockManager::new(ctx, self.cfg),
             lm: LockManager::new(ctx, self.cfg),
             dht: Dht::new(ctx, self.cfg),
-            tcache: TranslationCache::new(
-                self.cfg.translation_cache,
-                self.cfg.translation_cache_capacity,
-                ctx.nranks(),
-            ),
+            tcache: TranslationCache::new(self.cfg.translation_cache_capacity),
             persist: self.persistence(),
             meta_snap: RefCell::new(self.meta.snapshot()),
             scan_cache: RefCell::new(None),
@@ -656,19 +652,6 @@ impl<'d, 'c, 'f> GdaRank<'d, 'c, 'f> {
             .map(DPtr::from_raw)
     }
 
-    /// [`GdaRank::translate`] with forced remote epoch revalidation (see
-    /// [`crate::cache::TranslationCache::lookup_fresh`]).
-    pub(crate) fn translate_fresh(&self, app: AppVertexId) -> Option<DPtr> {
-        self.tcache
-            .lookup_fresh(&self.dht, self.ctx, app.0)
-            .map(DPtr::from_raw)
-    }
-
-    /// Translation-cache counters of this rank.
-    pub fn translation_cache_stats(&self) -> CacheStats {
-        self.tcache.stats()
-    }
-
     // ---- OLAP scan views (see `crate::scan`) ----------------------------
 
     /// Atomically read `rank`'s **topology-epoch word** (one `aget` of
@@ -736,19 +719,6 @@ impl<'d, 'c, 'f> GdaRank<'d, 'c, 'f> {
     /// rendezvous.
     pub fn olap_view_peek(&self) -> Option<Rc<crate::scan::CsrView>> {
         self.scan_cache.borrow().clone()
-    }
-
-    /// Pin the translation cache for one service drain cycle: snapshot
-    /// every rank's epoch word now and skip per-lookup revalidation until
-    /// [`GdaRank::cache_end_cycle`] — one epoch check per batch instead
-    /// of per op. Local commits stay exact via write-through.
-    pub fn cache_begin_cycle(&self) {
-        self.tcache.begin_cycle(&self.dht, self.nranks());
-    }
-
-    /// Leave the pinned cycle (per-lookup revalidation resumes).
-    pub fn cache_end_cycle(&self) {
-        self.tcache.end_cycle();
     }
 }
 

@@ -229,14 +229,6 @@ impl<'c, 'f> Dht<'c, 'f> {
     /// be unique; duplicate keys yield multiple entries, with lookups
     /// returning the most recently inserted.
     pub fn insert(&self, key: u64, value: u64) -> GdiResult<()> {
-        self.insert_traced(key, value).map(|_| ())
-    }
-
-    /// [`Dht::insert`], returning the owner rank's epoch word as observed
-    /// by the insert-epoch bump (the pre-bump value): the delete half of
-    /// that word is what a write-through cache entry for `key` must
-    /// record, since it was current while `key` was being published.
-    pub fn insert_traced(&self, key: u64, value: u64) -> GdiResult<u64> {
         self.insert_impl(key, value, true)
     }
 
@@ -245,7 +237,7 @@ impl<'c, 'f> Dht<'c, 'f> {
     /// collective round of [`Dht::bump_own_insert_epoch`] before any
     /// reader may trust a cached negative entry again.
     pub fn insert_quiet(&self, key: u64, value: u64) -> GdiResult<()> {
-        self.insert_impl(key, value, false).map(|_| ())
+        self.insert_impl(key, value, false)
     }
 
     /// Bump this rank's own insert epoch once — the batched equivalent
@@ -255,14 +247,11 @@ impl<'c, 'f> Dht<'c, 'f> {
     /// entry anywhere is retired, at one local atomic per rank instead
     /// of `P` remote fadds per inserted key.
     pub fn bump_own_insert_epoch(&self) {
-        if !self.cfg.translation_cache {
-            return;
-        }
         self.ctx
             .fadd_u64(WIN_INDEX, self.ctx.rank(), EPOCH_WORD, EPOCH_INS_DELTA);
     }
 
-    fn insert_impl(&self, key: u64, value: u64, bump: bool) -> GdiResult<u64> {
+    fn insert_impl(&self, key: u64, value: u64, bump: bool) -> GdiResult<()> {
         assert_ne!(key, FREE_KEY, "u64::MAX is a reserved key");
         let (rank, bucket) = self.place(key);
         let entry = self.alloc(rank)?;
@@ -275,21 +264,14 @@ impl<'c, 'f> Dht<'c, 'f> {
             self.ctx.flush(rank);
             let prev = self.ctx.cas_u64(WIN_INDEX, rank, bucket, head, entry);
             if prev == head {
-                if !bump || !self.cfg.translation_cache {
-                    // nothing (yet) reads the epoch word: skip the remote
-                    // bump so the path matches seed costs
-                    return Ok(0);
+                if bump {
+                    // publish, then bump: a reader that cached a negative
+                    // entry just before the bump revalidates on its next
+                    // epoch check and finds the key
+                    self.ctx
+                        .fadd_u64(WIN_INDEX, rank, EPOCH_WORD, EPOCH_INS_DELTA);
                 }
-                // publish, then bump: a reader that cached a negative
-                // entry just before the bump revalidates on its next
-                // epoch check and finds the key. The returned (pre-bump)
-                // word is safe for a write-through *positive* entry:
-                // no delete of this key can land before the bump, since
-                // the inserting transaction still holds the write lock
-                // on the vertex a deleter would have to acquire first.
-                return Ok(self
-                    .ctx
-                    .fadd_u64(WIN_INDEX, rank, EPOCH_WORD, EPOCH_INS_DELTA));
+                return Ok(());
             }
         }
     }
@@ -323,19 +305,6 @@ impl<'c, 'f> Dht<'c, 'f> {
 
     /// Delete a key (Listing 4 `delete`). Returns whether it was present.
     pub fn delete(&self, key: u64) -> bool {
-        self.delete_traced(key).is_some()
-    }
-
-    /// [`Dht::delete`], returning `Some(epoch word)` when the key was
-    /// present: the insert half of that word is what a write-through
-    /// *negative* cache entry for `key` must record. The word is read
-    /// **before the unlink**, because a re-create of the same key can
-    /// only publish (and bump the insert epoch) after the entry is
-    /// unlinked — recording a pre-unlink insert epoch therefore
-    /// guarantees the negative entry self-invalidates against any
-    /// recreation, instead of folding a racing re-create's bump into
-    /// the recorded epoch and masking the new vertex forever.
-    pub fn delete_traced(&self, key: u64) -> Option<u64> {
         let (rank, bucket) = self.place(key);
         'restart: loop {
             let mut cur = self.ctx.aget_u64(WIN_INDEX, rank, bucket);
@@ -357,13 +326,6 @@ impl<'c, 'f> Dht<'c, 'f> {
                         // lost a race (entry or its successor changed)
                         continue 'restart;
                     }
-                    if !self.cfg.translation_cache {
-                        self.unlink(rank, bucket, cur, next);
-                        self.dealloc(rank, cur);
-                        return Some(0);
-                    }
-                    // epoch snapshot before the unlink (see doc comment)
-                    let word = self.read_epoch(rank);
                     // CAS 2: unlink — we own `cur`; retry until the
                     // predecessor cell is swung past it
                     self.unlink(rank, bucket, cur, next);
@@ -372,11 +334,11 @@ impl<'c, 'f> Dht<'c, 'f> {
                     // translations of this rank revalidate
                     self.ctx
                         .fadd_u64(WIN_INDEX, rank, EPOCH_WORD, EPOCH_DEL_DELTA);
-                    return Some(word);
+                    return true;
                 }
                 cur = next;
             }
-            return None;
+            return false;
         }
     }
 
@@ -751,19 +713,18 @@ mod tests {
             let dht = Dht::new(ctx, cfg);
             dht.init_collective();
             assert_eq!(dht.read_epoch(0), 0);
-            let w0 = dht.insert_traced(5, 50).unwrap();
-            assert_eq!(epoch_ins(w0), 0, "pre-bump word returned");
-            let w1 = dht.insert_traced(6, 60).unwrap();
-            assert_eq!(epoch_ins(w1), 1);
-            assert_eq!(epoch_del(w1), 0);
-            let w2 = dht.delete_traced(5).expect("key present");
-            assert_eq!(epoch_del(w2), 0);
-            assert_eq!(epoch_ins(w2), 2);
+            dht.insert(5, 50).unwrap();
+            assert_eq!(epoch_ins(dht.read_epoch(0)), 1);
+            dht.insert(6, 60).unwrap();
+            let w = dht.read_epoch(0);
+            assert_eq!(epoch_ins(w), 2);
+            assert_eq!(epoch_del(w), 0);
+            assert!(dht.delete(5));
             let now = dht.read_epoch(0);
             assert_eq!(epoch_del(now), 1);
             assert_eq!(epoch_ins(now), 2);
             // deleting an absent key must not bump anything
-            assert_eq!(dht.delete_traced(5), None);
+            assert!(!dht.delete(5));
             assert_eq!(dht.read_epoch(0), now);
         });
     }

@@ -105,7 +105,6 @@ pub mod scan;
 pub mod tx;
 
 pub use bulk::{BulkReport, EdgeSpec, VertexSpec};
-pub use cache::CacheStats;
 pub use config::GdaConfig;
 pub use db::{DbRegistry, GdaDb, GdaRank};
 pub use dptr::{DPtr, EdgeUid};

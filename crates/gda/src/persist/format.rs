@@ -47,7 +47,10 @@ pub(super) const MANIFEST_MAGIC: &[u8; 8] = b"GDAMANI\x01";
 /// patched into an image. Snapshot files keep the v7 full-image layout.
 /// A v7 directory is refused by version: its deltas are images the
 /// recovery no longer folds.
-pub(super) const FORMAT_VERSION: u32 = 8;
+/// v9: the config record of manifests and snapshot headers lost its two
+/// switch bytes — the translation-cache switch and the retired v6 `mvcc`
+/// byte — and is seven u64 words. A v8 directory is refused by version.
+pub(super) const FORMAT_VERSION: u32 = 9;
 
 /// Bytes of the fixed `[magic 8][version u32]` prefix of snapshot and
 /// manifest files.

@@ -883,11 +883,7 @@ fn encode_cfg(enc: &mut Enc, cfg: &GdaConfig) {
     enc.u64(cfg.dht_buckets_per_rank as u64);
     enc.u64(cfg.dht_heap_per_rank as u64);
     enc.u64(cfg.max_lock_retries as u64);
-    enc.u8(cfg.translation_cache as u8);
     enc.u64(cfg.translation_cache_capacity as u64);
-    // v6 position of the retired `mvcc` switch: written as 1, skipped on
-    // read (snapshot reads are unconditional)
-    enc.u8(1);
     enc.u64(cfg.mvcc_chain_limit as u64);
 }
 
@@ -898,12 +894,8 @@ fn decode_cfg<R: Read>(dec: &mut Dec<R>) -> GdiResult<GdaConfig> {
         dht_buckets_per_rank: dec.u64()? as usize,
         dht_heap_per_rank: dec.u64()? as usize,
         max_lock_retries: dec.u64()? as usize,
-        translation_cache: dec.u8()? != 0,
         translation_cache_capacity: dec.u64()? as usize,
-        mvcc_chain_limit: {
-            dec.u8()?; // legacy `mvcc` byte, either value
-            dec.u64()? as usize
-        },
+        mvcc_chain_limit: dec.u64()? as usize,
     })
 }
 
@@ -1434,77 +1426,6 @@ pub(crate) mod tests {
         let mut bad = bytes.clone();
         bad[20] ^= 0xFF;
         assert!(decode_manifest(&bad).is_err());
-    }
-
-    /// Format v6 keeps the byte of the retired `GdaConfig::mvcc` switch:
-    /// written as 1, accepted as 0 or 1. A directory a `mvcc = false`
-    /// build checkpointed — every holder at commit epoch 0, the epoch
-    /// counter and the watermark never moved; a bulk load writes the
-    /// same — recovers, and every read resolves through the (now
-    /// unconditional) snapshot path, because epoch 0 is visible to every
-    /// pin.
-    #[test]
-    fn legacy_mvcc_byte_is_accepted_and_epoch_zero_holders_resolve() {
-        for legacy in [0u8, 1] {
-            let td = TestDir::new(&format!("legacy-mvcc-{legacy}"));
-            let cfg = GdaConfig::tiny();
-            {
-                let (db, fabric) = GdaDb::with_fabric("legacy", cfg, 2, CostModel::zero());
-                db.enable_persistence(PersistOptions::new(&td.0)).unwrap();
-                fabric.run(|ctx| {
-                    let eng = db.attach(ctx);
-                    eng.init_collective();
-                    let (vs, es) = if ctx.rank() == 0 {
-                        (
-                            (0..20).map(crate::bulk::VertexSpec::new).collect(),
-                            (0..20u64)
-                                .map(|i| crate::bulk::EdgeSpec {
-                                    from: AppVertexId(i),
-                                    to: AppVertexId((i + 1) % 20),
-                                    label: 0,
-                                    directed: true,
-                                })
-                                .collect(),
-                        )
-                    } else {
-                        (Vec::new(), Vec::new())
-                    };
-                    eng.bulk_load(vs, es).unwrap();
-                    assert_eq!(eng.checkpoint().unwrap(), 1);
-                });
-            }
-            let path = td.0.join("ckpt-1/manifest.bin");
-            let mut bytes = fs::read(&path).unwrap();
-            // header, id, name, nranks, chain, then the cfg record: five
-            // u64, the cache flag, the cache capacity — and the byte
-            let at = FILE_HEADER_BYTES + 8 + (4 + "legacy".len()) + 4 + (4 + 8) + 5 * 8 + 1 + 8;
-            assert_eq!(bytes[at], 1, "the retired switch is written as 1");
-            bytes[at] = legacy;
-            reseal(&mut bytes);
-            let back = decode_manifest(&bytes).unwrap();
-            assert_eq!(back.cfg.mvcc_chain_limit, cfg.mvcc_chain_limit);
-            assert_eq!(back.cfg.block_size, cfg.block_size);
-            fs::write(&path, &bytes).unwrap();
-
-            let (db, fabric, plan) =
-                recover(PersistOptions::new(&td.0), CostModel::zero()).unwrap();
-            fabric.run(|ctx| {
-                let eng = db.attach(ctx);
-                plan.restore_rank(&eng).unwrap();
-                let tx = eng.begin(AccessMode::ReadOnly);
-                assert_eq!(
-                    tx.snapshot_epoch(),
-                    Some(0),
-                    "nothing ever committed an epoch"
-                );
-                for i in 0..20u64 {
-                    let v = tx.translate_vertex_id(AppVertexId(i)).unwrap();
-                    assert_eq!(tx.edge_count(v, EdgeOrientation::Outgoing).unwrap(), 1);
-                    assert_eq!(tx.edge_count(v, EdgeOrientation::Incoming).unwrap(), 1);
-                }
-                tx.commit().unwrap();
-            });
-        }
     }
 
     /// Full lifecycle on one rank: commits → checkpoint → more commits
@@ -3281,16 +3202,17 @@ pub(crate) mod tests {
         );
     }
 
-    /// Format-6 and format-7 directories are refused by version with a
+    /// Format-6, -7 and -8 directories are refused by version with a
     /// typed error and left byte-identical. A v6 full carries four window
     /// images, archives and free blocks; a v7 delta is an image patch the
-    /// v8 recovery no longer folds — while its redo log holds only the
-    /// frames since that delta, so reading it as v8 would silently drop
-    /// every commit the patches carried. All three share the checksum:
-    /// only the version word tells them apart.
+    /// recovery no longer folds — while its redo log holds only the
+    /// frames since that delta, so reading it as current would silently
+    /// drop every commit the patches carried; a v8 config record carries
+    /// two switch bytes the v9 decoder would misread as lengths. All four
+    /// share the checksum: only the version word tells them apart.
     #[test]
     fn v6_directory_is_refused_by_version() {
-        for old in [6u32, 7] {
+        for old in [6u32, 7, 8] {
             let td = TestDir::new(&format!("v{old}dir"));
             small_chain(&td);
             for name in SMALL_CHAIN_FILES {

@@ -538,17 +538,10 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
         }
     }
 
-    /// [`Transaction::translate_vertex_id`] that revalidates the owner
-    /// rank's epoch remotely even while the cache is pinned to a drain
-    /// cycle. Service layers use it for vertices a request does **not**
-    /// route by (an edge's target endpoint): those get no write-through
-    /// on this rank, so the pinned snapshot cannot vouch for them.
+    /// [`Transaction::translate_vertex_id`] under its former name, kept
+    /// only for `benchmark/src/layers.rs:539`, which still calls it.
     pub fn translate_vertex_id_fresh(&self, app: AppVertexId) -> GdiResult<DPtr> {
-        self.check_active()?;
-        match self.eng.translate_fresh(app) {
-            Some(id) => Ok(id),
-            None => Err(GdiError::NotFound("vertex (application id)")),
-        }
+        self.translate_vertex_id(app)
     }
 
     /// `GDI_AssociateVertex`: make the vertex accessible through this
@@ -1297,12 +1290,10 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
             if obj.deleted {
                 if !obj.created {
                     // remove from DHT and indexes, then free storage; the
-                    // traced delete bumps the owner's epoch and feeds the
-                    // write-through negative cache entry
+                    // delete bumps the owner's epoch, retiring every cached
+                    // translation of the vertex
                     if !obj.holder.is_edge {
-                        if let Some(word) = self.eng.dht.delete_traced(obj.holder.app_id) {
-                            self.eng.tcache.note_delete(obj.holder.app_id, word);
-                        }
+                        self.eng.dht.delete(obj.holder.app_id);
                         self.eng
                             .indexes()
                             .reindex_vertex(id, AppVertexId(obj.holder.app_id), None);
@@ -1414,15 +1405,12 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
                 }
                 wrote_any = true;
                 if obj.created && !obj.holder.is_edge {
-                    match self.eng.dht.insert_traced(obj.holder.app_id, raw) {
-                        Ok(word) => self.eng.tcache.note_insert(obj.holder.app_id, raw, word),
-                        Err(e) => {
-                            result = Err(e);
-                            // written (wrote_any is set): persisted mirrors
-                            // may point here, so the blocks must leak rather
-                            // than be reused
-                            continue;
-                        }
+                    if let Err(e) = self.eng.dht.insert(obj.holder.app_id, raw) {
+                        result = Err(e);
+                        // written (wrote_any is set): persisted mirrors
+                        // may point here, so the blocks must leak rather
+                        // than be reused
+                        continue;
                     }
                 }
                 if !obj.holder.is_edge {

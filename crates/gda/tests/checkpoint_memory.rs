@@ -260,10 +260,10 @@ fn recover_and_restore(dir: &Path) -> Result<gda::RankRecovery, GdiError> {
         .expect("one rank")
 }
 
-/// Byte offsets into the v8 layouts (`docs/ARCHITECTURE.md`).
+/// Byte offsets into the v9 layouts (`docs/ARCHITECTURE.md`).
 mod layout {
     /// Snapshot header: magic, version, id, rank, nranks, config, kind.
-    pub const SNAP_HEADER: usize = 8 + 4 + 8 + 4 + 4 + 58 + 1;
+    pub const SNAP_HEADER: usize = 8 + 4 + 8 + 4 + 4 + 7 * 8 + 1;
     /// A full image's first window length (`u64`).
     pub const FULL_FIRST_WINDOW_LEN: usize = SNAP_HEADER;
     /// Manifest: magic, version, id, then the name (`u32` length +

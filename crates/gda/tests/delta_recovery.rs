@@ -323,12 +323,12 @@ fn vacuumed_archives_do_not_resurrect_through_recovery() {
     });
 }
 
-/// The run structure of one rank's snapshot file (format v8, see
+/// The run structure of one rank's snapshot file (format v9, see
 /// `docs/ARCHITECTURE.md`): the bytes a full image spends on its data
 /// window.
 mod file {
-    /// magic, version, id, rank, nranks, config, kind
-    const HEADER: usize = 8 + 4 + 8 + 4 + 4 + 58 + 1;
+    /// magic, version, id, rank, nranks, config (seven u64), kind
+    const HEADER: usize = 8 + 4 + 8 + 4 + 4 + 7 * 8 + 1;
 
     fn u32_at(f: &[u8], at: usize) -> usize {
         u32::from_le_bytes(f[at..at + 4].try_into().unwrap()) as usize

@@ -469,6 +469,63 @@ fn distributed_crud_across_ranks() {
     });
 }
 
+/// No rank serves a translation another rank's commit retired: every
+/// rank caches every id (positive and negative), then each rank deletes
+/// some of its own vertices and creates new ones through transactions.
+/// After a barrier every rank's cached answer must equal the uncached DHT
+/// walk for every id — including ids a peer deleted or created after
+/// this rank had cached them.
+#[test]
+fn cross_rank_translations_never_go_stale() {
+    const PER_RANK: u64 = 40;
+    let cfg = GdaConfig::tiny();
+    let (db, fabric) =
+        GdaDb::with_fabric_on("stale", cfg, 3, CostModel::default(), rma::BackendKind::Sim);
+    fabric.run(|ctx| {
+        let eng = db.attach(ctx);
+        eng.init_collective();
+        let all = 0..ctx.nranks() as u64 * PER_RANK;
+        let mine = ctx.rank() as u64 * PER_RANK;
+        let tx = eng.begin(AccessMode::ReadWrite);
+        for i in 0..30 {
+            tx.create_vertex(app(mine + i)).unwrap();
+        }
+        tx.commit().unwrap();
+        ctx.barrier();
+        // every rank caches every id, ids 30.. of each slice as absent
+        let tx = eng.begin(AccessMode::ReadOnly);
+        for id in all.clone() {
+            assert_eq!(tx.translate_vertex_id(app(id)).is_ok(), id % PER_RANK < 30);
+        }
+        tx.commit().unwrap();
+        ctx.barrier();
+        for i in (0..30).step_by(3) {
+            let tx = eng.begin(AccessMode::ReadWrite);
+            let v = tx.translate_vertex_id(app(mine + i)).unwrap();
+            tx.delete_vertex(v).unwrap();
+            tx.commit().unwrap();
+        }
+        let tx = eng.begin(AccessMode::ReadWrite);
+        for i in 30..PER_RANK {
+            tx.create_vertex(app(mine + i)).unwrap();
+        }
+        tx.commit().unwrap();
+        ctx.barrier();
+        let tx = eng.begin(AccessMode::ReadOnly);
+        for id in all {
+            let (live, i) = (eng.peek_translate(app(id)).is_some(), id % PER_RANK);
+            assert_eq!(live, i >= 30 || i % 3 != 0, "id {id}");
+            assert_eq!(
+                tx.translate_vertex_id(app(id)).is_ok(),
+                live,
+                "rank {} serves a stale translation of {id}",
+                ctx.rank()
+            );
+        }
+        tx.commit().unwrap();
+    });
+}
+
 #[test]
 fn write_conflicts_abort_not_corrupt() {
     let cfg = GdaConfig::tiny();

@@ -90,10 +90,7 @@ fn apply_op(tx: &Transaction, op: &Op) -> Result<OpReply, GdiError> {
         }
         Op::AddEdge { from, to, label } => {
             let a = tx.translate_vertex_id(*from)?;
-            // `to` is the one vertex the request does not route by: its
-            // owner rank's write-through never reaches this rank, so the
-            // translation must revalidate even in a pinned drain cycle
-            let b = tx.translate_vertex_id_fresh(*to)?;
+            let b = tx.translate_vertex_id(*to)?;
             tx.add_edge(a, b, *label, true)?;
             Ok(OpReply::Unit)
         }
@@ -162,8 +159,7 @@ fn apply_grouped(tx: &Transaction, op: &Op) -> Result<GroupApply, GdiError> {
         }
         Op::AddEdge { from, to, label } => {
             let a = prep!(tx.translate_vertex_id(*from));
-            // non-routed endpoint: revalidate past the pinned snapshot
-            let b = prep!(tx.translate_vertex_id_fresh(*to));
+            let b = prep!(tx.translate_vertex_id(*to));
             prep!(tx.prepare_write(a));
             prep!(tx.prepare_write(b));
             tx.add_edge(a, b, *label, true)?;
@@ -248,14 +244,6 @@ fn ack_group(bc: &BatchCtx, group: Vec<(&Request, OpOutcome)>) {
 /// request is served in its own transaction (what
 /// [`ServerOptions::unbatched`] drains, the baseline the throughput
 /// bench compares against); anything larger is grouped.
-///
-/// The whole drain cycle shares one translation-cache epoch check
-/// ([`GdaRank::cache_begin_cycle`]): the owner-rank epoch words are
-/// snapshotted once per batch instead of revalidated per op, and this
-/// rank's own commits stay exact through the cache's write-through.
-/// Pinning costs one remote `aget` per rank, so it only pays off once a
-/// batch carries at least that many ops — tiny drains (the unbatched
-/// baseline, an idle server) keep per-op revalidation instead.
 pub(crate) fn execute_batch(
     eng: &GdaRank,
     counters: &RankCounters,
@@ -288,14 +276,7 @@ pub(crate) fn execute_batch(
     if batch.is_empty() {
         return ReadTiming::default();
     }
-    let pin = batch.len() >= eng.nranks();
-    if pin {
-        eng.cache_begin_cycle();
-    }
     let timing = execute_batch_inner(eng, &bc, batch);
-    if pin {
-        eng.cache_end_cycle();
-    }
     // every request has its outcome: dropping one is a state read. The
     // emptied buffer goes back to the serve loop for the next drain
     batch.clear();

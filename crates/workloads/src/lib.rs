@@ -7,8 +7,8 @@
 //!   (Read Mostly, Read Intensive, Write Intensive, LinkBench), driven as
 //!   streams of single-process transactions, with success/abort accounting;
 //! * [`latency`] — log-bucketed latency histograms (Fig. 5);
-//! * [`locality`] — vertex-id samplers (uniform vs Zipf) for the
-//!   lookup-locality sweeps of the translation-cache bench;
+//! * [`locality`] — vertex-id samplers (uniform vs Zipf) for
+//!   lookup-locality experiments;
 //! * [`analytics`] — OLAP algorithms in collective transactions: BFS,
 //!   PageRank, CDLP (community detection by label propagation), WCC
 //!   (weakly connected components), LCC (local clustering coefficient) and

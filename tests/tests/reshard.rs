@@ -85,7 +85,7 @@ fn apply_ops(eng: &gda::GdaRank, ops: &[WlOp], ptype: gdi::PTypeId) {
                     }
                     WlOp::AddEdge(a, b) => {
                         let ia = tx.translate_vertex_id(AppVertexId(a))?;
-                        let ib = tx.translate_vertex_id_fresh(AppVertexId(b))?;
+                        let ib = tx.translate_vertex_id(AppVertexId(b))?;
                         tx.add_edge(ia, ib, None, true)?;
                     }
                     WlOp::Delete(v) => {

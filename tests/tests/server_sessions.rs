@@ -2,14 +2,16 @@
 //! stress (exactly-once acknowledgement, no double-apply), group-commit
 //! vs single-commit equivalence, OLAP jobs, admission control, the
 //! ≥1000-session sustain check, translation-cache churn staleness and
-//! the cached-vs-uncached equivalence property.
+//! a replay property against a sequential model.
+
+use std::collections::BTreeMap;
 
 use gda::GdaDb;
 use gdi::{AccessMode, AppVertexId, EdgeOrientation};
 use graphgen::{sized_config, GraphSpec, LpgConfig};
 use proptest::prelude::*;
 use rma::{CostModel, Counter};
-use server::{AdmissionPolicy, GdiServer, Op, OpOutcome, ServerOptions};
+use server::{AdmissionPolicy, GdiServer, Op, OpOutcome, OpReply, ServerOptions};
 use workloads::oltp::Mix;
 use workloads::traffic::{load_and_serve, TrafficConfig};
 
@@ -484,7 +486,6 @@ fn churn_sessions_never_serve_stale_translations() {
     let sessions = 16u64;
     let cycles = 8u64;
     let db_cfg = server_cfg(&s, nranks, (sessions * cycles * 4) as usize);
-    assert!(db_cfg.translation_cache, "cache must be on for this test");
     let (db, fabric) = GdaDb::with_fabric("churn", db_cfg, nranks, CostModel::default());
     fabric.run(|ctx| {
         let eng = db.attach(ctx);
@@ -548,6 +549,16 @@ fn churn_sessions_never_serve_stale_translations() {
         for h in handles {
             h.join().expect("churn session panicked");
         }
+        // with the churn settled, one base vertex read twice in a row:
+        // nothing moves its owner's epoch in between, so the second
+        // translation is a cache hit
+        let session = srv.session();
+        for _ in 0..2 {
+            let out = session
+                .execute(Op::CountEdges { v: AppVertexId(0) })
+                .unwrap();
+            assert!(out.is_committed(), "base read aborted: {out:?}");
+        }
         srv.shutdown();
         ranks.join().expect("serving fabric panicked");
     });
@@ -560,8 +571,8 @@ fn churn_sessions_never_serve_stale_translations() {
 }
 
 /// Property: a single closed-loop session applying an arbitrary op
-/// sequence observes *identical* outcomes (and leaves identical final
-/// state) whether the translation cache is on or off.
+/// sequence observes exactly the outcomes (and leaves exactly the final
+/// state) of a sequential model of that sequence.
 #[derive(Debug, Clone)]
 enum POp {
     Add(u64),
@@ -570,19 +581,56 @@ enum POp {
     Edge(u64, u64),
 }
 
-/// Run `ops` through a fresh server; returns per-op outcome summaries
-/// and the final `(app id, out-degree)` state of every live vertex.
-fn replay(ops: &[POp], s: &GraphSpec, cached: bool) -> (Vec<String>, Vec<(u64, usize)>) {
+/// Every live `app id → neighbour app ids` (one entry per edge record,
+/// so a directed self-loop lists its vertex twice), read on rank 0
+/// through the uncached diagnostic path.
+fn live_adjacency(db: &GdaDb, fabric: &rma::Fabric, upto: u64) -> BTreeMap<u64, Vec<u64>> {
+    let states = fabric.run(|ctx| {
+        let eng = db.attach(ctx);
+        let mut out = BTreeMap::new();
+        if ctx.rank() == 0 {
+            let tx = eng.begin(AccessMode::ReadOnly);
+            for app in 0..upto {
+                if eng.peek_translate(AppVertexId(app)).is_some() {
+                    let id = tx.translate_vertex_id(AppVertexId(app)).unwrap();
+                    let nbrs = tx.neighbors(id, EdgeOrientation::Any, None).unwrap();
+                    let apps = nbrs.iter().map(|&t| tx.vertex_app_id(t).unwrap().0);
+                    out.insert(app, apps.collect());
+                }
+            }
+            tx.commit().unwrap();
+        }
+        out
+    });
+    states.into_iter().next().unwrap()
+}
+
+/// `(app id, degree)` of every live vertex.
+fn degrees(adj: &BTreeMap<u64, Vec<u64>>) -> Vec<(u64, usize)> {
+    adj.iter().map(|(&app, nbrs)| (app, nbrs.len())).collect()
+}
+
+/// Run `ops` through a fresh server; returns the initial adjacency, the
+/// per-op replies (`None` for an abort) and the final adjacency.
+#[allow(clippy::type_complexity)]
+fn replay(
+    ops: &[POp],
+    s: &GraphSpec,
+) -> (
+    BTreeMap<u64, Vec<u64>>,
+    Vec<Option<OpReply>>,
+    BTreeMap<u64, Vec<u64>>,
+) {
     let nranks = 2;
-    let mut db_cfg = server_cfg(s, nranks, 4 * ops.len() + 64);
-    db_cfg.translation_cache = cached;
-    let name = if cached { "prop-cached" } else { "prop-raw" };
-    let (db, fabric) = GdaDb::with_fabric(name, db_cfg, nranks, CostModel::default());
+    let db_cfg = server_cfg(s, nranks, 4 * ops.len() + 64);
+    let (db, fabric) = GdaDb::with_fabric("prop-replay", db_cfg, nranks, CostModel::default());
     fabric.run(|ctx| {
         let eng = db.attach(ctx);
         eng.init_collective();
         graphgen::load_into(&eng, s);
     });
+    let upto = s.n_vertices() + 64;
+    let initial = live_adjacency(&db, &fabric, upto);
     let server = GdiServer::new(db.clone(), ServerOptions::default());
     let mut outcomes = Vec::with_capacity(ops.len());
     std::thread::scope(|scope| {
@@ -605,37 +653,57 @@ fn replay(ops: &[POp], s: &GraphSpec, cached: bool) -> (Vec<String>, Vec<(u64, u
                     label: None,
                 },
             };
-            outcomes.push(format!("{:?}", session.execute(op).unwrap()));
+            outcomes.push(match session.execute(op).unwrap() {
+                OpOutcome::Committed(reply) => Some(reply),
+                OpOutcome::Aborted(_) => None,
+                other => panic!("a lone session got {other:?}"),
+            });
         }
         srv.shutdown();
         ranks.join().expect("serving fabric panicked");
     });
-    // canonical final state through the *uncached* diagnostic path
-    let n = s.n_vertices();
-    let states = fabric.run(|ctx| {
-        let eng = db.attach(ctx);
-        let mut out = Vec::new();
-        if ctx.rank() == 0 {
-            let tx = eng.begin(AccessMode::ReadOnly);
-            for app in 0..(n + 64) {
-                if eng.peek_translate(AppVertexId(app)).is_some() {
-                    let id = tx.translate_vertex_id(AppVertexId(app)).unwrap();
-                    let d = tx.edge_count(id, EdgeOrientation::Any).unwrap();
-                    out.push((app, d));
+    (initial, outcomes, live_adjacency(&db, &fabric, upto))
+}
+
+/// The sequential model: an add commits iff its id is absent; a delete,
+/// read or edge commits iff its ids are present. A delete drops the
+/// vertex's mirror records at its neighbours.
+fn model(adj: &mut BTreeMap<u64, Vec<u64>>, op: &POp) -> Option<OpReply> {
+    match *op {
+        POp::Add(v) => {
+            if adj.contains_key(&v) {
+                return None;
+            }
+            adj.insert(v, Vec::new());
+            Some(OpReply::Unit)
+        }
+        POp::Del(v) => {
+            for u in adj.remove(&v)? {
+                if u != v {
+                    let mirror = adj.get_mut(&u).expect("neighbours are live");
+                    let at = mirror.iter().position(|&w| w == v).expect("mirror record");
+                    mirror.remove(at);
                 }
             }
-            tx.commit().unwrap();
+            Some(OpReply::Unit)
         }
-        out
-    });
-    (outcomes, states.into_iter().next().unwrap())
+        POp::Read(v) => adj.get(&v).map(|nbrs| OpReply::Count(nbrs.len())),
+        POp::Edge(a, b) => {
+            if !adj.contains_key(&a) || !adj.contains_key(&b) {
+                return None;
+            }
+            adj.get_mut(&a).unwrap().push(b);
+            adj.get_mut(&b).unwrap().push(a);
+            Some(OpReply::Unit)
+        }
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     #[test]
-    fn cached_and_uncached_replays_are_identical(
+    fn server_replay_matches_sequential_model(
         raw_ops in prop::collection::vec((0u8..4, 0u64..24, 0u64..24), 1..32)
     ) {
         let s = spec(6, 13);
@@ -653,9 +721,9 @@ proptest! {
                 _ => POp::Edge(id(x, y % 3 == 0), id(y, x % 3 == 0)),
             })
             .collect();
-        let (out_cached, state_cached) = replay(&ops, &s, true);
-        let (out_raw, state_raw) = replay(&ops, &s, false);
-        prop_assert_eq!(out_cached, out_raw);
-        prop_assert_eq!(state_cached, state_raw);
+        let (mut want, got, state) = replay(&ops, &s);
+        let expected: Vec<Option<OpReply>> = ops.iter().map(|op| model(&mut want, op)).collect();
+        prop_assert_eq!(got, expected);
+        prop_assert_eq!(degrees(&state), degrees(&want));
     }
 }
