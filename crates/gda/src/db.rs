@@ -258,6 +258,12 @@ impl<'d, 'c, 'f> GdaRank<'d, 'c, 'f> {
         self.persist.is_some()
     }
 
+    /// Must a commit log its puts as whole images
+    /// ([`PersistStore::logs_whole`])?
+    pub(crate) fn logs_whole(&self) -> bool {
+        self.persist.as_ref().is_some_and(|s| s.logs_whole())
+    }
+
     /// Hook for a change no redo frame records — a bulk load, an index
     /// definition: the next checkpoint must be a full image.
     pub(crate) fn note_unlogged(&self) {
@@ -340,7 +346,14 @@ impl<'d, 'c, 'f> GdaRank<'d, 'c, 'f> {
             return;
         }
         match store.append(self.rank(), &records) {
-            Ok(bytes) => self.ctx.record_log_write(bytes),
+            Ok(bytes) => {
+                self.ctx.record_log_write(bytes);
+                let whole = records
+                    .iter()
+                    .filter(|r| matches!(r, RedoRecord::Put { base: None, .. }))
+                    .count();
+                self.ctx.count(Counter::RedoWholeRecords, whole as u64);
+            }
             Err(e) => {
                 store.note_log_error();
                 eprintln!(

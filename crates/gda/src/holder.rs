@@ -63,6 +63,152 @@ pub(crate) const FLAGS_WORD_OFFSET: usize = 24;
 /// Flag bits that may legitimately be set on a serialized holder.
 const KNOWN_FLAGS: u32 = FLAG_EDGE_HOLDER | DEPTH_MASK;
 
+/// The little-endian `u32` at byte `at` of `b`. Every caller has checked
+/// the length first; a word that runs past the end of `b` reads as zero
+/// instead of panicking.
+#[inline]
+pub(crate) fn le_u32(b: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(le_word(b, at))
+}
+
+/// The little-endian `u64` at byte `at` of `b` (see [`le_u32`]).
+#[inline]
+pub(crate) fn le_u64(b: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(le_word(b, at))
+}
+
+/// (A shape the optimizer folds into the caller's own length checks:
+/// the scan sweep reads every edge record through it.)
+#[inline]
+fn le_word<const N: usize>(b: &[u8], at: usize) -> [u8; N] {
+    let mut word = [0u8; N];
+    // a start within N of usize::MAX wraps below itself: no range
+    if let Some(src) = b.get(at..at.wrapping_add(N)) {
+        word.copy_from_slice(src);
+    }
+    word
+}
+
+/// The serialized header of a holder whose sections are `num_edges`
+/// edge records and `entries` entry bytes (the layout in the module
+/// docs).
+fn header(num_edges: u32, entries: u32, flags: u32, words: [u64; 4]) -> [u8; HEADER_BYTES] {
+    let total = HEADER_BYTES as u32 + num_edges * EDGE_RECORD_BYTES as u32 + entries;
+    let mut h = [0u8; HEADER_BYTES];
+    for (i, w) in [total, num_edges, entries, flags].into_iter().enumerate() {
+        h[4 * i..4 * i + 4].copy_from_slice(&w.to_le_bytes());
+    }
+    for (i, w) in words.into_iter().enumerate() {
+        h[16 + 8 * i..24 + 8 * i].copy_from_slice(&w.to_le_bytes());
+    }
+    h
+}
+
+/// One holder's body (everything past the header) as a byte splice over
+/// a base holder's body: the base's bytes `at..at + cut` replaced by
+/// `bytes`. A redo record carries a committed holder this way — against
+/// the version it overwrote, or against nothing (a whole image: `at` and
+/// `cut` 0). The header is not part of it: [`apply_splice`] rebuilds it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Splice {
+    /// Offset into the base body of the first replaced byte.
+    pub at: u32,
+    /// Base body bytes replaced.
+    pub cut: u32,
+    /// What replaces them.
+    pub bytes: Vec<u8>,
+    /// Edge records of the spliced holder (its header's `num_edges`).
+    pub num_edges: u32,
+}
+
+/// The body of a serialized holder (empty for an empty slice).
+fn body(holder: &[u8]) -> &[u8] {
+    let end = le_u32(holder, 0) as usize;
+    holder.get(HEADER_BYTES..end).unwrap_or_default()
+}
+
+/// Bytes `a` and `b` agree on from their start, compared a word at a
+/// time (a commit diffs whole holders: bytewise is 5x slower).
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    let (aw, bw) = (a.as_chunks::<8>().0, b.as_chunks::<8>().0);
+    let words = 8 * aw.iter().zip(bw).take_while(|(x, y)| x == y).count();
+    let (a, b) = (&a[words..], &b[words..]);
+    words + a.iter().zip(b).take_while(|(x, y)| x == y).count()
+}
+
+/// Bytes `a` and `b` agree on from their end (see [`common_prefix`]).
+fn common_suffix(a: &[u8], b: &[u8]) -> usize {
+    let (aw, bw) = (a.as_rchunks::<8>().1, b.as_rchunks::<8>().1);
+    let words = 8 * aw
+        .iter()
+        .rev()
+        .zip(bw.iter().rev())
+        .take_while(|(x, y)| x == y)
+        .count();
+    let (a, b) = (&a[..a.len() - words], &b[..b.len() - words]);
+    words
+        + a.iter()
+            .rev()
+            .zip(b.iter().rev())
+            .take_while(|(x, y)| x == y)
+            .count()
+}
+
+/// The splice turning `pre`'s body into `post`'s — two serialized
+/// holders — with their common prefix and suffix trimmed. An empty `pre`
+/// is no base: the splice is `post`'s whole body.
+pub fn splice(pre: &[u8], post: &[u8]) -> Splice {
+    let (old, new) = (body(pre), body(post));
+    let prefix = common_prefix(old, new);
+    let suffix = common_suffix(&old[prefix..], &new[prefix..]);
+    Splice {
+        at: prefix as u32,
+        cut: (old.len() - prefix - suffix) as u32,
+        bytes: new[prefix..new.len() - suffix].to_vec(),
+        num_edges: le_u32(post, 4),
+    }
+}
+
+/// The holder `s` makes of `pre` (a serialized holder, or empty for no
+/// base), under a header rebuilt from `app_id`, `is_edge`, `version`,
+/// `s.num_edges` and the new body's length — at commit epoch 0, with no
+/// archive link and depth 0, which is how recovery writes every holder
+/// back. `None` — never a panic — when `pre` is no holder, the splice
+/// reaches past its body, `num_edges` does not fit the new body, or the
+/// result is not a holder [`Holder::try_decode`] accepts.
+pub fn apply_splice(
+    pre: &[u8],
+    s: &Splice,
+    app_id: u64,
+    is_edge: bool,
+    version: u64,
+) -> Option<Vec<u8>> {
+    let base = if pre.is_empty() {
+        &[][..]
+    } else {
+        &pre[HEADER_BYTES..Layout::parse(pre)?.end]
+    };
+    let (head, rest) = base.split_at_checked(s.at as usize)?;
+    let tail = rest.get(s.cut as usize..)?;
+    let len = head.len() + s.bytes.len() + tail.len();
+    let edges = (s.num_edges as usize).checked_mul(EDGE_RECORD_BYTES)?;
+    let entries = u32::try_from(len.checked_sub(edges)?).ok()?;
+    u32::try_from(HEADER_BYTES + len).ok()?;
+    let flags = if is_edge { FLAG_EDGE_HOLDER } else { 0 };
+    let mut out = Vec::with_capacity(HEADER_BYTES + len);
+    out.extend_from_slice(&header(
+        s.num_edges,
+        entries,
+        flags,
+        [app_id, version, 0, 0],
+    ));
+    out.extend_from_slice(head);
+    out.extend_from_slice(&s.bytes);
+    out.extend_from_slice(tail);
+    Layout::validated(&out)?;
+    Some(out)
+}
+
 /// A lightweight edge record stored inside a vertex holder (§5.4.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EdgeRecord {
@@ -110,9 +256,10 @@ impl EdgeRecord {
     }
 
     fn decode(b: &[u8]) -> Option<Self> {
-        let target = DPtr::from_raw(u64::from_le_bytes(b[0..8].try_into().unwrap()));
-        let edge_holder = DPtr::from_raw(u64::from_le_bytes(b[8..16].try_into().unwrap()));
-        let label = u32::from_le_bytes(b[16..20].try_into().unwrap());
+        let b = b.first_chunk::<EDGE_RECORD_BYTES>()?;
+        let target = DPtr::from_raw(le_u64(b, 0));
+        let edge_holder = DPtr::from_raw(le_u64(b, 8));
+        let label = le_u32(b, 16);
         let dir = Direction::from_u8(b[20])?;
         let flags = b[21];
         Some(Self {
@@ -153,9 +300,7 @@ impl Entry {
     /// The label id, if this is a label entry.
     pub fn as_label(&self) -> Option<LabelId> {
         if self.id == ENTRY_LABEL && self.data.len() == 4 {
-            Some(LabelId(u32::from_le_bytes(
-                self.data[..].try_into().unwrap(),
-            )))
+            Some(LabelId(le_u32(&self.data, 0)))
         } else {
             None
         }
@@ -364,15 +509,14 @@ impl Holder {
         let total = self.encoded_len();
         let mut out = Vec::with_capacity(total);
         let entries_bytes: usize = self.entries.iter().map(Entry::encoded_len).sum();
-        out.extend_from_slice(&(total as u32).to_le_bytes());
-        out.extend_from_slice(&(self.edges.len() as u32).to_le_bytes());
-        out.extend_from_slice(&(entries_bytes as u32).to_le_bytes());
         let flags = if self.is_edge { FLAG_EDGE_HOLDER } else { 0 } | ((self.depth as u32) << 16);
-        out.extend_from_slice(&flags.to_le_bytes());
-        out.extend_from_slice(&self.app_id.to_le_bytes());
-        out.extend_from_slice(&self.version.to_le_bytes());
-        out.extend_from_slice(&self.commit_epoch.to_le_bytes());
-        out.extend_from_slice(&self.prev.to_le_bytes());
+        let words = [self.app_id, self.version, self.commit_epoch, self.prev];
+        out.extend_from_slice(&header(
+            self.edges.len() as u32,
+            entries_bytes as u32,
+            flags,
+            words,
+        ));
         for e in &self.edges {
             e.encode(&mut out);
         }
@@ -389,7 +533,7 @@ impl Holder {
 
     /// Total length field of a serialized holder (peek at the first bytes).
     pub fn peek_total_len(bytes: &[u8]) -> usize {
-        u32::from_le_bytes(bytes[0..4].try_into().unwrap()) as usize
+        le_u32(bytes, 0) as usize
     }
 
     /// Decode from the on-block byte layout. Panics on corrupt input; use
@@ -404,10 +548,10 @@ impl Holder {
     /// any inconsistency.
     pub fn try_decode(bytes: &[u8]) -> Option<Self> {
         let lay = Layout::parse(bytes)?;
-        let app_id = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
-        let version = u64::from_le_bytes(bytes[24..32].try_into().unwrap());
-        let commit_epoch = u64::from_le_bytes(bytes[32..40].try_into().unwrap());
-        let prev = u64::from_le_bytes(bytes[40..48].try_into().unwrap());
+        let app_id = le_u64(bytes, 16);
+        let version = le_u64(bytes, 24);
+        let commit_epoch = le_u64(bytes, 32);
+        let prev = le_u64(bytes, PREV_OFFSET);
         let mut edges = Vec::with_capacity(lay.num_edges);
         for rec in lay.edge_records(bytes).chunks_exact(EDGE_RECORD_BYTES) {
             edges.push(EdgeRecord::decode(rec)?);
@@ -440,7 +584,7 @@ impl Holder {
     pub fn scan_edges(bytes: &[u8]) -> Option<EdgeScan<'_>> {
         let lay = Layout::validated(bytes)?;
         Some(EdgeScan {
-            app_id: u64::from_le_bytes(bytes[16..24].try_into().unwrap()),
+            app_id: le_u64(bytes, 16),
             is_edge: lay.flags & FLAG_EDGE_HOLDER != 0,
             src: EdgeSrc::Bytes(lay.edge_records(bytes)),
         })
@@ -455,7 +599,7 @@ impl Holder {
     pub fn scan_entries(bytes: &[u8]) -> Option<EntryScan<'_>> {
         let lay = Layout::validated(bytes)?;
         Some(EntryScan {
-            app_id: u64::from_le_bytes(bytes[16..24].try_into().unwrap()),
+            app_id: le_u64(bytes, 16),
             src: EntrySrc::Bytes(&bytes[lay.entries_start()..lay.end]),
         })
     }
@@ -466,9 +610,13 @@ impl Holder {
     /// chain by, without decoding a version.
     pub(crate) fn version_of(bytes: &[u8]) -> Option<(u64, u64, u64, u8)> {
         let lay = Layout::parse(bytes)?;
-        let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap_or_default());
         let depth = ((lay.flags & DEPTH_MASK) >> 16) as u8;
-        Some((word(16), word(32), word(PREV_OFFSET), depth))
+        Some((
+            le_u64(bytes, 16),
+            le_u64(bytes, 32),
+            le_u64(bytes, PREV_OFFSET),
+            depth,
+        ))
     }
 }
 
@@ -492,9 +640,9 @@ impl Layout {
         if total < HEADER_BYTES || bytes.len() < total {
             return None;
         }
-        let num_edges = u32::from_le_bytes(bytes[4..8].try_into().unwrap()) as usize;
-        let entries_bytes = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
-        let flags = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
+        let num_edges = le_u32(bytes, 4) as usize;
+        let entries_bytes = le_u32(bytes, 8) as usize;
+        let flags = le_u32(bytes, 12);
         if flags & !KNOWN_FLAGS != 0 {
             return None;
         }
@@ -567,8 +715,8 @@ impl<'a> Iterator for Frames<'a> {
         if off + 8 > end {
             return Some(None);
         }
-        let id = u32::from_le_bytes(self.section[off..off + 4].try_into().unwrap());
-        let len = u32::from_le_bytes(self.section[off + 4..off + 8].try_into().unwrap()) as usize;
+        let id = le_u32(self.section, off);
+        let len = le_u32(self.section, off + 4) as usize;
         if off + 8 + len > end {
             return Some(None);
         }
@@ -834,7 +982,7 @@ mod tests {
         h.depth = 3;
         let bytes = h.encode();
         assert_eq!(
-            u64::from_le_bytes(bytes[32..40].try_into().unwrap()),
+            le_u64(&bytes, 32),
             77,
             "commit_epoch must sit at the fixed header offset"
         );
@@ -1011,7 +1159,7 @@ mod tests {
             m[at..at + v.len()].copy_from_slice(v);
             m
         };
-        let u32_at = |at: usize| u32::from_le_bytes(good[at..at + 4].try_into().unwrap());
+        let u32_at = |at: usize| le_u32(&good, at);
         // unknown flag bit
         refused(with(15, &[good[15] | 0x80]));
         // bad direction byte: on a live record, and on the tombstoned
@@ -1039,8 +1187,174 @@ mod tests {
         refused(ragged);
     }
 
+    /// Edge records `(rank, block, label, direction, tombstone)`.
+    type GenEdges = Vec<(usize, u64, u32, u8, u8)>;
+
+    /// A holder from the generators below: `edges` as records, `props`
+    /// as `(entry id, value length)` entries — id 2 is the label tag, so
+    /// label entries of every width occur.
+    fn generated(edges: &GenEdges, props: &[(u32, usize)], is_edge: bool) -> Holder {
+        let mut h = Holder::new_vertex(77);
+        h.is_edge = is_edge;
+        for &(rank, block, label, dir, tomb) in edges {
+            h.push_edge(EdgeRecord {
+                flags: tomb,
+                ..EdgeRecord::lightweight(
+                    DPtr::new(rank, block * 128),
+                    label,
+                    Direction::from_u8(dir).unwrap(),
+                )
+            });
+        }
+        for &(id, len) in props {
+            h.entries.push(Entry {
+                id,
+                data: vec![0xA5; len],
+            });
+        }
+        h
+    }
+
+    /// One committed write, as the transaction layer makes them: `op`
+    /// picks the mutator, `arg` its operand.
+    fn mutate(h: &mut Holder, op: u8, arg: u64) {
+        let slot = (arg as usize % (h.edges.len() + 1)) as u32;
+        match op {
+            0 => drop(h.push_edge(EdgeRecord::lightweight(
+                DPtr::new(arg as usize % 4, 128 * (arg % 64)),
+                (arg % 5) as u32,
+                Direction::from_u8((arg % 3) as u8).unwrap(),
+            ))),
+            1 => drop(h.remove_edge(slot)),
+            2 => h.set_property(PTypeId(3 + (arg % 4) as u32), arg.to_le_bytes().to_vec()),
+            3 => h.add_property(
+                PTypeId(3 + (arg % 4) as u32),
+                vec![arg as u8; arg as usize % 19],
+            ),
+            4 => drop(h.remove_property(PTypeId(3 + (arg % 4) as u32))),
+            5 => drop(h.add_label(LabelId((arg % 6) as u32))),
+            6 => drop(h.remove_label(LabelId((arg % 6) as u32))),
+            _ => drop(h.remove_all_properties()),
+        }
+    }
+
+    /// `post` as recovery writes it back: commit epoch 0, no archive
+    /// link, depth 0.
+    fn rebuilt(mut post: Holder) -> Vec<u8> {
+        (post.commit_epoch, post.prev, post.depth) = (0, 0, 0);
+        post.encode()
+    }
+
+    #[test]
+    fn splice_of_a_value_update_is_the_changed_bytes() {
+        let pre = busy();
+        let mut post = pre.clone();
+        post.set_property(PTypeId(4), 78u64.to_le_bytes().to_vec());
+        (post.version, post.commit_epoch, post.prev, post.depth) = (9, 5, 4096, 2);
+        let (a, b) = (pre.encode(), post.encode());
+        let s = splice(&a, &b);
+        assert_eq!((s.cut, s.bytes.as_slice()), (1, &[78u8][..]), "{s:?}");
+        assert_eq!(s.num_edges, 4);
+        let got = apply_splice(&a, &s, post.app_id, post.is_edge, post.version);
+        assert_eq!(got, Some(rebuilt(post.clone())));
+        // against no base, the splice is the whole body
+        let whole = splice(&[], &b);
+        assert_eq!((whole.at, whole.cut), (0, 0));
+        assert_eq!(whole.bytes, b[HEADER_BYTES..]);
+        assert_eq!(
+            apply_splice(&[], &whole, post.app_id, post.is_edge, post.version),
+            Some(rebuilt(post))
+        );
+    }
+
+    /// Splices that do not fit their base are refused, never applied.
+    #[test]
+    fn apply_splice_refuses_what_does_not_fit() {
+        let pre = busy().encode();
+        let len = (pre.len() - HEADER_BYTES) as u32;
+        let fits = Splice {
+            at: len,
+            cut: 0,
+            bytes: Vec::new(),
+            num_edges: 4,
+        };
+        assert!(apply_splice(&pre, &fits, 42, false, 1).is_some());
+        for bad in [
+            Splice {
+                at: len + 1,
+                ..fits.clone()
+            },
+            Splice {
+                at: len,
+                cut: 1,
+                ..fits.clone()
+            },
+            Splice {
+                at: u32::MAX,
+                cut: u32::MAX,
+                ..fits.clone()
+            },
+            Splice {
+                num_edges: 5,
+                ..fits.clone()
+            },
+            Splice {
+                num_edges: u32::MAX,
+                ..fits.clone()
+            },
+            Splice {
+                num_edges: 3,
+                ..fits.clone()
+            },
+            Splice {
+                at: 0,
+                cut: 1,
+                ..fits.clone()
+            },
+        ] {
+            assert_eq!(apply_splice(&pre, &bad, 42, false, 1), None, "{bad:?}");
+        }
+        // a base that is no holder
+        assert_eq!(
+            apply_splice(&pre[..HEADER_BYTES], &fits, 42, false, 1),
+            None
+        );
+        assert_eq!(apply_splice(&[], &fits, 42, false, 1), None);
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// `apply_splice(pre, splice(pre, post)) == post` for random
+        /// holders and random write sequences — whatever MVCC header the
+        /// two versions carry — and the splice never holds more than
+        /// the new body.
+        #[test]
+        fn apply_splice_inverts_splice(
+            edges in proptest::collection::vec((0usize..4, 1u64..64, 0u32..5, 0u8..3, 0u8..2), 0..12),
+            props in proptest::collection::vec((2u32..9, 0usize..20), 0..6),
+            is_edge in proptest::any::<bool>(),
+            ops in proptest::collection::vec((0u8..8, proptest::any::<u64>()), 0..6),
+            header in (proptest::any::<u64>(), proptest::any::<u64>(), proptest::any::<u8>()),
+        ) {
+            let mut pre = generated(&edges, &props, is_edge);
+            (pre.commit_epoch, pre.prev, pre.depth) = header;
+            let mut post = pre.clone();
+            for (op, arg) in ops {
+                mutate(&mut post, op, arg);
+            }
+            post.compact_edges();
+            post.version = pre.version + 1;
+            (post.commit_epoch, post.prev, post.depth) = (header.0 + 1, 64, header.2.saturating_add(1));
+            let (a, b) = (pre.encode(), post.encode());
+            let want = rebuilt(post.clone());
+            for base in [&a[..], &[]] {
+                let s = splice(base, &b);
+                proptest::prop_assert!(s.bytes.len() <= b.len() - HEADER_BYTES);
+                let got = apply_splice(base, &s, post.app_id, post.is_edge, post.version);
+                proptest::prop_assert_eq!(got.as_ref(), Some(&want));
+            }
+        }
 
         /// Random holders round-trip through all three readers alike —
         /// and so does every single-field corruption of them: any byte
@@ -1053,23 +1367,7 @@ mod tests {
             is_edge in 0u8..2,
             hits in proptest::collection::vec((0usize..4096, 0u64..6), 1..8),
         ) {
-            let mut h = Holder::new_vertex(77);
-            h.is_edge = is_edge == 1;
-            for (rank, block, label, dir, tomb) in edges {
-                h.push_edge(EdgeRecord {
-                    flags: tomb,
-                    ..EdgeRecord::lightweight(
-                        DPtr::new(rank, block * 128),
-                        label,
-                        Direction::from_u8(dir).unwrap(),
-                    )
-                });
-            }
-            // (id 2 is the label tag: label entries of every width)
-            for (id, len) in props {
-                h.entries.push(Entry { id, data: vec![0xA5; len] });
-            }
-            let good = h.encode();
+            let good = generated(&edges, &props, is_edge == 1).encode();
             assert_scan_matches_decode(&good);
             proptest::prop_assert!(Holder::scan_edges(&good).is_some());
             proptest::prop_assert!(Holder::scan_entries(&good).is_some());

@@ -50,7 +50,12 @@ pub(super) const MANIFEST_MAGIC: &[u8; 8] = b"GDAMANI\x01";
 /// v9: the config record of manifests and snapshot headers lost its two
 /// switch bytes — the translation-cache switch and the retired v6 `mvcc`
 /// byte — and is seven u64 words. A v8 directory is refused by version.
-pub(super) const FORMAT_VERSION: u32 = 9;
+/// v10: a redo put carries the holder's body as a byte splice — over the
+/// version it overwrote (tag 3, with that base version) or over nothing
+/// (tag 1, a whole image) — plus the new edge-record count, and no
+/// holder header: replay rebuilds it. A v9 directory is refused by
+/// version: its tag-1 records carry whole holders, header included.
+pub(super) const FORMAT_VERSION: u32 = 10;
 
 /// Bytes of the fixed `[magic 8][version u32]` prefix of snapshot and
 /// manifest files.
@@ -67,7 +72,7 @@ pub(super) fn check_file_header(
     if &head[..8] != magic {
         return Err(GdiError::Io(format!("bad {what} magic")));
     }
-    let version = u32::from_le_bytes(head[8..].try_into().expect("4 header bytes"));
+    let version = crate::holder::le_u32(head, 8);
     if version != FORMAT_VERSION {
         return Err(GdiError::Io(format!(
             "unsupported {what} version {version}"

@@ -4,13 +4,15 @@
 //! (§6) never survives a process failure. This module adds the missing
 //! durability half for a serving deployment:
 //!
-//! * a **per-rank logical redo log**: every committed transaction
-//!   appends one frame describing its effects at holder granularity
-//!   ([`RedoRecord`]), so recovery = *load the chain's base image +
-//!   replay every frame logged since*. Appends are charged to the LogGP
-//!   clock through [`rma::RankCtx::record_log_write`]; group commit
-//!   amortizes the fixed submission overhead exactly as it amortizes
-//!   RMA doorbells;
+//! * a **per-rank physiological redo log**: every committed
+//!   transaction appends one frame describing its effects per object
+//!   ([`RedoRecord`]) — a delete, or a put whose holder body is a byte
+//!   splice over the version the commit overwrote (a whole image where
+//!   there is none: the codec in `persist/redo.rs`) — so recovery =
+//!   *load the chain's base image + replay every frame logged since*.
+//!   Appends are charged to the LogGP clock through
+//!   [`rma::RankCtx::record_log_write`]; group commit amortizes the
+//!   fixed submission overhead exactly as it amortizes RMA doorbells;
 //! * a **collective checkpoint** ([`GdaRank::checkpoint`]): the fabric
 //!   quiesces ([`rma::RankCtx::quiesce`], the drain barrier the server's
 //!   group-commit cycle already rendezvouses on) and rank 0 writes a
@@ -68,16 +70,16 @@
 //! streams the whole file through the checksum first, then decodes
 //! runs straight into the image they belong to. The file layout, the
 //! checksum's definition and its detection argument live with the
-//! codec in `persist/snapshot.rs` and `persist/format.rs`, recovery in
-//! `persist/recover.rs`; this file keeps the store, the manifest, the
-//! redo log and the checkpoint collective.
+//! codec in `persist/snapshot.rs` and `persist/format.rs`, the redo
+//! codec in `persist/redo.rs`, recovery in `persist/recover.rs`; this
+//! file keeps the store, the manifest and the checkpoint collective.
 //!
 //! ## Incremental (delta) checkpoints
 //!
-//! Recovery is one logical replay of whole-holder redo records onto the
-//! objects lifted from a full image, so the frames logged since that
-//! image *are* everything a later checkpoint would otherwise copy out of
-//! the windows. A **delta** therefore writes no image: its manifest
+//! Recovery is one replay of redo records onto the objects lifted from
+//! a full image, so the frames logged since that image *are* everything
+//! a later checkpoint would otherwise copy out of the windows. A
+//! **delta** therefore writes no image: its manifest
 //! extends the chain (`full base, delta, delta, …`) and each rank's redo
 //! log becomes that delta's segment. Recovery reads each rank's log as
 //! the concatenation of the segments of the chain's deltas, in chain
@@ -100,7 +102,9 @@
 //!   [`PersistStore::log_errors`]) is missing from them, or a full's
 //!   failed truncation left stale frames in one. A delta would seal a
 //!   log that misses a change — or a torn frame in front of later ones —
-//!   while a full image re-anchors it.
+//!   while a full image re-anchors it. Until then every put is logged
+//!   whole ([`PersistStore::logs_whole`]): a patch may only name a base
+//!   the history is sure to hold.
 //!
 //! Any rank can raise a rule; the vote is one `allreduce_any`. Garbage
 //! collection never removes a checkpoint directory still referenced by
@@ -111,8 +115,13 @@
 //! Each [`RedoRecord`] carries the holder's post-commit **version** (a
 //! commit stamp, strictly monotone per object across delete/recreate
 //! incarnations): what recovery orders records of one object by, across
-//! logs. Two scope rules are deliberate (documented in
-//! `docs/ARCHITECTURE.md`): catalog DDL (labels, property types, index
+//! logs — and a patch also its **base**, the version it was spliced
+//! against, which replay requires the object to be at exactly. The
+//! header is no part of a splice: truncation and the vacuum rewrite
+//! `prev` and the depth in place, and replay rebuilds the header from
+//! the record (commit epoch 0, no archive link, depth 0 — how recovery
+//! writes every holder back). Two scope rules are deliberate
+//! (documented in `docs/ARCHITECTURE.md`): catalog DDL (labels, property types, index
 //! definitions) is durable at **checkpoint** granularity — take a
 //! checkpoint after schema setup — and delete-then-recreate of the same
 //! application id is assumed not to race across ranks between
@@ -140,203 +149,25 @@ use crate::meta::{MetaParts, PTypeDef};
 
 mod format;
 mod recover;
+mod redo;
 mod snapshot;
 
 pub use self::{
     format::Checksum,
     recover::{audit_image, recover, recover_with_topology, RankRecovery, RecoveryPlan},
+    redo::RedoRecord,
     snapshot::STRIP_BYTES,
 };
 use format::{
     check_file_header, io_err, Dec, Enc, FILE_HEADER_BYTES, FORMAT_VERSION, MANIFEST_MAGIC,
 };
+use redo::{encode_frame, parse_log};
 use snapshot::{live_blocks, write_rank_snapshot};
 
 /// A chain this long rebases to a full snapshot: the base plus at most
 /// `DELTA_CHAIN_CAP - 1` sealed segments bounds what recovery replays,
 /// and keeps gc able to reclaim old bases.
 const DELTA_CHAIN_CAP: usize = 8;
-
-// ---------------------------------------------------------------------
-// redo records
-// ---------------------------------------------------------------------
-
-/// One logical effect of a committed transaction, as appended to the
-/// committing rank's redo log.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RedoRecord {
-    /// The object at `primary` has (new) post-commit state `bytes`.
-    Upsert {
-        /// Raw `DPtr` of the object's primary block (its internal id).
-        primary: u64,
-        /// Application vertex id (0 for edge holders).
-        app_id: u64,
-        /// Is this a heavyweight-edge holder?
-        is_edge: bool,
-        /// Post-commit holder version (strictly monotone per live
-        /// object; replay applies only newer records).
-        version: u64,
-        /// The serialized holder (what the write-back persisted).
-        bytes: Vec<u8>,
-    },
-    /// The object at `primary` was deleted by the commit.
-    Delete {
-        /// Raw `DPtr` of the deleted object's primary block.
-        primary: u64,
-        /// Application vertex id (0 for edge holders).
-        app_id: u64,
-        /// Was this a heavyweight-edge holder?
-        is_edge: bool,
-        /// Version of the holder when it was deleted (replay deletes
-        /// only objects at or below this version).
-        version: u64,
-    },
-}
-
-impl RedoRecord {
-    fn encode(&self, enc: &mut Enc) {
-        match self {
-            RedoRecord::Upsert {
-                primary,
-                app_id,
-                is_edge,
-                version,
-                bytes,
-            } => {
-                enc.u8(1);
-                enc.u64(*primary);
-                enc.u64(*app_id);
-                enc.u8(*is_edge as u8);
-                enc.u64(*version);
-                enc.bytes(bytes);
-            }
-            RedoRecord::Delete {
-                primary,
-                app_id,
-                is_edge,
-                version,
-            } => {
-                enc.u8(2);
-                enc.u64(*primary);
-                enc.u64(*app_id);
-                enc.u8(*is_edge as u8);
-                enc.u64(*version);
-            }
-        }
-    }
-
-    fn decode(dec: &mut Dec<&[u8]>) -> GdiResult<Self> {
-        let tag = dec.u8()?;
-        let primary = dec.u64()?;
-        let app_id = dec.u64()?;
-        let is_edge = dec.u8()? != 0;
-        let version = dec.u64()?;
-        match tag {
-            1 => Ok(RedoRecord::Upsert {
-                primary,
-                app_id,
-                is_edge,
-                version,
-                bytes: dec.bytes()?,
-            }),
-            2 => Ok(RedoRecord::Delete {
-                primary,
-                app_id,
-                is_edge,
-                version,
-            }),
-            _ => Err(GdiError::Io("unknown redo record tag".into())),
-        }
-    }
-}
-
-/// Bytes of a redo frame's header: `[payload_len u32][checksum u64]`.
-const FRAME_HEADER_BYTES: usize = 12;
-
-/// Smallest encoded [`RedoRecord`] (a delete: tag, primary, app id,
-/// edge flag, version) — what bounds a frame's record count by its
-/// payload length.
-const MIN_RECORD_BYTES: u64 = 26;
-
-/// Frame a batch of records (one committed transaction) for the log:
-/// `[payload_len u32][checksum u64][payload]`, where the payload starts
-/// with the checkpoint generation the frame was appended under. A full
-/// checkpoint truncates the log at publish, so the generation is what
-/// lets replay reject frames that predate the chain's base when a
-/// truncation failed or the process crashed between publish and
-/// truncate.
-fn encode_frame(records: &[RedoRecord], generation: u64) -> Vec<u8> {
-    let payload_estimate: usize = records
-        .iter()
-        .map(|r| match r {
-            RedoRecord::Upsert { bytes, .. } => MIN_RECORD_BYTES as usize + 4 + bytes.len(),
-            RedoRecord::Delete { .. } => MIN_RECORD_BYTES as usize,
-        })
-        .sum();
-    // the header is reserved up front and patched once the payload
-    // behind it is complete: one buffer, no copy
-    let mut e = Enc::default();
-    e.buf.reserve(FRAME_HEADER_BYTES + 12 + payload_estimate);
-    e.buf.resize(FRAME_HEADER_BYTES, 0);
-    e.u64(generation);
-    e.u32(records.len() as u32);
-    for r in records {
-        r.encode(&mut e);
-    }
-    let (head, payload) = e.buf.split_at_mut(FRAME_HEADER_BYTES);
-    head[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    head[4..].copy_from_slice(&Checksum::of(payload).to_le_bytes());
-    e.buf
-}
-
-/// Decode one checksum-clean frame payload: its generation and records.
-fn decode_frame(payload: &[u8]) -> GdiResult<(u64, Vec<RedoRecord>)> {
-    let mut dec = Dec::over(payload);
-    let generation = dec.u64()?;
-    let count = dec.u32()? as u64;
-    let mut frame = Vec::with_capacity(dec.count(count, MIN_RECORD_BYTES)?);
-    for _ in 0..count {
-        frame.push(RedoRecord::decode(&mut dec)?);
-    }
-    Ok((generation, frame))
-}
-
-/// Parse a log of `len` bytes into records, one frame at a time,
-/// stopping at the first torn or corrupt frame: a frame length past the
-/// log (checked before anything is allocated for it), a checksum
-/// mismatch, or a payload that does not decode (a record count past the
-/// payload, a record's byte length past the frame). Frames stamped with
-/// a generation below `min_gen` parse but contribute no records: they
-/// describe commits already captured by the image being replayed onto.
-/// Returns the records and the byte length of the valid prefix (a
-/// recovery cuts the live log there before anything appends to it
-/// again: `PersistStore::cut_log`).
-fn parse_log(mut log: impl Read, len: u64, min_gen: u64) -> (Vec<RedoRecord>, u64) {
-    let mut records = Vec::new();
-    let mut payload = Vec::new();
-    let mut head = [0u8; FRAME_HEADER_BYTES];
-    let mut pos = 0u64;
-    while log.read_exact(&mut head).is_ok() {
-        let n = u32::from_le_bytes(head[..4].try_into().expect("4 bytes"));
-        let sum = u64::from_le_bytes(head[4..].try_into().expect("8 bytes"));
-        let end = pos + FRAME_HEADER_BYTES as u64 + u64::from(n);
-        if end > len {
-            break; // torn tail
-        }
-        payload.resize(n as usize, 0);
-        if log.read_exact(&mut payload).is_err() || Checksum::of(&payload) != sum {
-            break; // corrupt frame
-        }
-        let Ok((generation, frame)) = decode_frame(&payload) else {
-            break;
-        };
-        if generation >= min_gen {
-            records.extend(frame);
-        }
-        pos = end;
-    }
-    (records, pos)
-}
 
 // ---------------------------------------------------------------------
 // the store
@@ -434,7 +265,9 @@ pub struct PersistStore {
     writers: Vec<Mutex<Option<RedoWriter>>>,
     log_errors: AtomicU64,
     /// Set by a change no redo frame records ([`Self::note_unlogged`]),
-    /// cleared by the full image that captures it.
+    /// cleared by the full image that captures it. A store without a
+    /// full image starts set: what the database held before persistence
+    /// was enabled is in no frame.
     unlogged: AtomicBool,
     faults: Arc<FaultPlane>,
     last_checkpoint: Mutex<Option<CheckpointReport>>,
@@ -455,10 +288,10 @@ impl PersistStore {
         Arc::new(Self {
             opts,
             current: AtomicU64::new(current),
+            unlogged: AtomicBool::new(chain.is_empty()),
             chain: Mutex::new(chain),
             writers: (0..nranks).map(|_| Mutex::new(None)).collect(),
             log_errors: AtomicU64::new(0),
-            unlogged: AtomicBool::new(false),
             faults,
             last_checkpoint: Mutex::new(None),
         })
@@ -615,9 +448,19 @@ impl PersistStore {
     /// Record a change to the database that no redo frame describes (a
     /// bulk load, an index definition change, a failed append): the next
     /// checkpoint must be a full image, because a delta is only the
-    /// frames.
+    /// frames — and until that image every put is logged whole
+    /// ([`Self::logs_whole`]).
     pub(crate) fn note_unlogged(&self) {
         self.unlogged.store(true, Ordering::Release);
+    }
+
+    /// Must a commit log its puts as whole images? While the store is
+    /// flagged unlogged, the history since the last full image may miss
+    /// the version a patch would be based on — a failed append's, say —
+    /// and replay refuses a patch whose base it does not hold, so
+    /// nothing logged until the next full image may depend on one.
+    pub(crate) fn logs_whole(&self) -> bool {
+        self.unlogged.load(Ordering::Acquire)
     }
 
     /// Truncate `rank`'s redo log after a full checkpoint published:
@@ -974,7 +817,7 @@ fn decode_manifest(bytes: &[u8]) -> GdiResult<Manifest> {
     let head = bytes[..FILE_HEADER_BYTES].try_into().expect("header");
     check_file_header(head, MANIFEST_MAGIC, "manifest")?;
     let (body, tail) = bytes.split_at(bytes.len() - 8);
-    if Checksum::of(body) != u64::from_le_bytes(tail.try_into().expect("8 bytes")) {
+    if Checksum::of(body) != crate::holder::le_u64(tail, 0) {
         return Err(GdiError::Io("manifest checksum mismatch".into()));
     }
     let mut d = Dec::over(&body[FILE_HEADER_BYTES..]);
@@ -1304,6 +1147,8 @@ pub(crate) mod tests {
     use super::*;
     use crate::dptr::DPtr;
     use gdi::{AccessMode, AppVertexId, EdgeOrientation, PropertyValue, TxStatus};
+    use redo::tests::parse;
+    use redo::FRAME_HEADER_BYTES;
     use rma::CostModel;
     use snapshot::read_rank_snapshot;
 
@@ -1327,54 +1172,6 @@ pub(crate) mod tests {
         fn drop(&mut self) {
             let _ = fs::remove_dir_all(&self.0);
         }
-    }
-
-    /// [`parse_log`] over an in-memory log.
-    fn parse(log: &[u8], min_gen: u64) -> (Vec<RedoRecord>, usize) {
-        let (records, valid) = parse_log(log, log.len() as u64, min_gen);
-        (records, valid as usize)
-    }
-
-    #[test]
-    fn redo_frame_roundtrip_and_torn_tail() {
-        let records = vec![
-            RedoRecord::Upsert {
-                primary: DPtr::new(1, 256).raw(),
-                app_id: 7,
-                is_edge: false,
-                version: 3,
-                bytes: vec![1, 2, 3, 4, 5],
-            },
-            RedoRecord::Delete {
-                primary: DPtr::new(0, 128).raw(),
-                app_id: 9,
-                is_edge: true,
-                version: 11,
-            },
-        ];
-        let mut log = encode_frame(&records[..1], 3);
-        log.extend_from_slice(&encode_frame(&records[1..], 4));
-        let full_len = log.len();
-        let (parsed, len) = parse(&log, 0);
-        assert_eq!(parsed, records);
-        assert_eq!(len, full_len);
-        // torn tail: drop the final byte — the last frame is ignored
-        let (parsed, len) = parse(&log[..full_len - 1], 0);
-        assert_eq!(parsed, records[..1]);
-        assert!(len < full_len);
-        // corrupt checksum: flip a payload byte of frame 2
-        let mut bad = log.clone();
-        *bad.last_mut().unwrap() ^= 0xFF;
-        let (parsed, _) = parse(&bad, 0);
-        assert_eq!(parsed, records[..1]);
-        // generation filter: frames below min_gen parse (their bytes
-        // count toward the valid prefix) but contribute no records
-        let (parsed, len) = parse(&log, 4);
-        assert_eq!(parsed, records[1..]);
-        assert_eq!(len, full_len);
-        let (parsed, len) = parse(&log, 5);
-        assert!(parsed.is_empty());
-        assert_eq!(len, full_len);
     }
 
     #[test]
@@ -1582,7 +1379,7 @@ pub(crate) mod tests {
                     tx.create_vertex(AppVertexId(1)).unwrap();
                     tx.commit().unwrap();
                 }
-                // and one that lives and dies inside the tail: its upsert
+                // and one that lives and dies inside the tail: its put
                 // sits *before* its delete in the log and must stay dead
                 let tx = eng.begin(AccessMode::ReadWrite);
                 let v = tx.create_vertex(AppVertexId(3)).unwrap();
@@ -2189,7 +1986,7 @@ pub(crate) mod tests {
 
     /// Regression: an object created *and* deleted after the checkpoint
     /// leaves only refused records in the tail (the delete tombstones
-    /// its upsert). The primary sweep 1 claimed for the upsert must be
+    /// its put). The primary sweep 1 claimed for the put must be
     /// released at end of replay, not leaked into every later
     /// checkpoint.
     #[test]
@@ -2942,6 +2739,18 @@ pub(crate) mod tests {
                 if valid == 0 && !records.is_empty() {
                     return Err("records out of a rejected frame".into());
                 }
+                // what the frame decodes to also replays without a panic:
+                // a splice that does not fit its base is refused
+                let puts = records
+                    .iter()
+                    .filter(|r| matches!(r, RedoRecord::Put { .. }))
+                    .count() as u64;
+                let (_, [applied, skipped, refused, errors]) = recover::replay_alone(&[records]);
+                if applied + skipped + refused + errors < puts {
+                    return Err(format!(
+                        "{puts} puts, {applied} + {skipped} + {refused} + {errors}"
+                    ));
+                }
                 Ok(())
             }
         }
@@ -2970,16 +2779,38 @@ pub(crate) mod tests {
         }
     }
 
+    /// A holder and a write to it: the base and the patch of the
+    /// hostile frame.
+    fn patched_holder() -> (Vec<u8>, Vec<u8>) {
+        let mut h = crate::holder::Holder::new_vertex(7);
+        h.push_edge(crate::holder::EdgeRecord::lightweight(
+            DPtr::new(0, 512),
+            0,
+            gdi::Direction::Out,
+        ));
+        h.add_property(PTypeId(3), vec![9; 40]);
+        h.version = 3;
+        let pre = h.encode();
+        h.set_property(PTypeId(3), vec![9; 41]);
+        h.version = 4;
+        (pre, h.encode())
+    }
+
     /// The pristine images [`parse_hostile`] mutates, in target order.
+    /// The frame holds a whole image, a patch over it and a delete.
     fn pristine_images(store: &PersistStore) -> Vec<Vec<u8>> {
+        let (pre, post) = patched_holder();
+        let primary = DPtr::new(0, 256).raw();
         let frame = encode_frame(
             &[
-                RedoRecord::Upsert {
-                    primary: DPtr::new(0, 256).raw(),
+                redo::whole(primary, 7, 3, &pre),
+                RedoRecord::Put {
+                    primary,
                     app_id: 7,
                     is_edge: false,
-                    version: 3,
-                    bytes: vec![9; 40],
+                    version: 4,
+                    base: Some(3),
+                    splice: crate::holder::splice(&pre, &post),
                 },
                 RedoRecord::Delete {
                     primary: DPtr::new(0, 128).raw(),
@@ -2998,6 +2829,74 @@ pub(crate) mod tests {
         ]
     }
 
+    /// Hostile puts, one field at a time: a splice reaching past its
+    /// base's body, edge records the new body cannot hold, a whole image
+    /// whose edge records overrun it. The frame codec refuses the whole
+    /// image with a typed error; the patches decode, and replay refuses
+    /// each one at its base — counted as an error, the base left as it
+    /// was — instead of panicking or applying it.
+    #[test]
+    fn hostile_puts_are_refused_not_applied() {
+        let (pre, post) = patched_holder();
+        let good = crate::holder::splice(&pre, &post);
+        let body = (pre.len() - crate::holder::HEADER_BYTES) as u32;
+        let put = |splice: crate::holder::Splice| RedoRecord::Put {
+            primary: 1,
+            app_id: 7,
+            is_edge: false,
+            version: 4,
+            base: Some(3),
+            splice,
+        };
+        let (objects, counts) =
+            recover::replay_alone(&[vec![redo::whole(1, 7, 3, &pre), put(good.clone())]]);
+        assert_eq!(counts, [2, 0, 0, 0]);
+        assert_eq!(objects[&1].1, post, "the pristine patch applies");
+        use crate::holder::Splice;
+        for bad in [
+            Splice {
+                at: body + 1,
+                cut: 0,
+                ..good.clone()
+            },
+            Splice {
+                at: body,
+                cut: 1,
+                ..good.clone()
+            },
+            Splice {
+                at: u32::MAX,
+                cut: u32::MAX,
+                ..good.clone()
+            },
+            Splice {
+                num_edges: 2,
+                ..good.clone()
+            },
+            Splice {
+                num_edges: u32::MAX,
+                ..good.clone()
+            },
+        ] {
+            let frame = encode_frame(&[redo::whole(1, 7, 3, &pre), put(bad.clone())], 0);
+            let (records, valid) = parse(&frame, 0);
+            assert_eq!(valid, frame.len(), "a patch is checked at its base");
+            let (objects, counts) = recover::replay_alone(&[records]);
+            assert_eq!(counts, [1, 0, 0, 1], "{bad:?}");
+            assert_eq!(objects[&1], (3, pre.clone()), "{bad:?}: the base stands");
+        }
+        let mut whole = redo::whole(1, 7, 3, &pre);
+        if let RedoRecord::Put { splice, .. } = &mut whole {
+            splice.num_edges = 4;
+        }
+        let frame = encode_frame(&[whole], 0);
+        assert_eq!(
+            parse(&frame, 0),
+            (Vec::new(), 0),
+            "a whole image is checked whole"
+        );
+    }
+
     /// Every 4- and 8-byte field position of every persisted structure
     /// survives the values a hostile length would take: nothing
     /// panics, and nothing is allocated from a count the input cannot
@@ -3011,10 +2910,15 @@ pub(crate) mod tests {
         let fx = HostileFixture::new("hostile-sweep");
         let (store, cfg) = (&fx.store, &fx.cfg);
         let segment = &fx.images[1];
-        // the first record of the first frame is an upsert: tag, primary,
-        // app id, edge flag, version, then its bytes' length
-        let record_bytes_len = FRAME_HEADER_BYTES + 8 + 4 + 1 + 8 + 8 + 1 + 8;
-        assert_eq!(segment[FRAME_HEADER_BYTES + 12], 1, "an upsert comes first");
+        // the first record of the first frame is a whole image: tag,
+        // primary, app id, edge flag, version, edge records, then its
+        // bytes' length
+        let record_bytes_len = FRAME_HEADER_BYTES + 8 + 4 + 1 + 8 + 8 + 1 + 8 + 4;
+        assert_eq!(
+            segment[FRAME_HEADER_BYTES + 12],
+            1,
+            "a whole image comes first"
+        );
         for (what, at) in [
             ("frame length past the file", 0),
             ("record count past the payload", FRAME_HEADER_BYTES + 8),
@@ -3202,17 +3106,19 @@ pub(crate) mod tests {
         );
     }
 
-    /// Format-6, -7 and -8 directories are refused by version with a
-    /// typed error and left byte-identical. A v6 full carries four window
+    /// Format-6 to -9 directories are refused by version with a typed
+    /// error and left byte-identical. A v6 full carries four window
     /// images, archives and free blocks; a v7 delta is an image patch the
     /// recovery no longer folds — while its redo log holds only the
     /// frames since that delta, so reading it as current would silently
     /// drop every commit the patches carried; a v8 config record carries
-    /// two switch bytes the v9 decoder would misread as lengths. All four
-    /// share the checksum: only the version word tells them apart.
+    /// two switch bytes the v9 decoder would misread as lengths; a v9
+    /// redo put is a whole holder, header included, which the v10
+    /// decoder would read as an edge count and a body. All five share
+    /// the checksum: only the version word tells them apart.
     #[test]
     fn v6_directory_is_refused_by_version() {
-        for old in [6u32, 7, 8] {
+        for old in [6u32, 7, 8, 9] {
             let td = TestDir::new(&format!("v{old}dir"));
             small_chain(&td);
             for name in SMALL_CHAIN_FILES {

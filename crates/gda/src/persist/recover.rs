@@ -13,10 +13,13 @@
 //!    walk a full checkpoint cuts its image to — and the image's
 //!    postings seed index membership), drop the images, then replay the
 //!    logs against that object map under [`ReplayOrder`]: deletes first,
-//!    leaving identity-keyed tombstones; then upserts in log order,
-//!    refused at or before their object's tombstone and when a state at
-//!    least as new is already live. The result is one map `old primary →
-//!    (app id, holder bytes, index membership)`, each object's owner
+//!    leaving identity-keyed tombstones; then puts in version order
+//!    across all logs, refused at or before their object's tombstone and
+//!    when a state at least as new is already live, a patch applied only
+//!    to its object at exactly its base (a missing base is refused and
+//!    counted). Patches apply here, in the snapshot's address space, so
+//!    everything after sees whole holders. The result is one map `old
+//!    primary → (app id, holder bytes, index membership)`, each object's owner
 //!    under the live topology, and the live config: the snapshot's at
 //!    `Q = P` (every object keeps its rank), grown to fit the data on
 //!    `Q ≠ P` ranks (scale-in needs more blocks and DHT heap per rank).
@@ -75,7 +78,7 @@ use crate::dht::decode_partition;
 use crate::dptr::DPtr;
 use crate::faults;
 use crate::hio;
-use crate::holder::Holder;
+use crate::holder::{apply_splice, Holder};
 use crate::index::{IndexDef, IndexId, IndexShared, Posting};
 use crate::meta::MetaStore;
 use crate::rankmap::RankMap;
@@ -99,9 +102,13 @@ pub struct RankRecovery {
     /// Records the replay skipped as stale (older than or equal to the
     /// state they met, or refused by a tombstone) — rank 0, all logs.
     pub skipped: u64,
-    /// Records or references that could not be materialized (an
-    /// undecodable holder, an edge to an object that does not exist);
-    /// should be zero.
+    /// Patches refused because the history does not hold their base
+    /// version (a log cut short in front of it) — rank 0, all logs.
+    /// Never applied to another version.
+    pub refused: u64,
+    /// Records or references that could not be materialized (a splice
+    /// that does not fit its base or makes no valid holder, an edge to
+    /// an object that does not exist); should be zero.
     pub errors: u64,
     /// Simulated seconds of restore on this rank.
     pub sim_restore_s: f64,
@@ -116,10 +123,10 @@ pub struct RankRecovery {
 
 /// The **replay-order rule** of [`plan`]: which record of an object is
 /// the later state. Deletes replay in a first pass and leave tombstones
-/// here; an upsert in the second pass consults its own identity's
-/// tombstone to distinguish a genuinely later state from an older
-/// record of the deleted object — which must never resurrect it — and
-/// is then measured against whatever state its primary already holds.
+/// here; a put in the second pass consults its own identity's tombstone
+/// to distinguish a genuinely later state from an older record of the
+/// deleted object — which must never resurrect it — and is then
+/// measured against whatever state its primary already holds.
 #[derive(Default)]
 struct ReplayOrder {
     /// Object identity `(primary, app_id, is_edge)` → `(version at
@@ -131,7 +138,7 @@ impl ReplayOrder {
     /// `(identity, version)` of the object state a record speaks of.
     fn key(rec: &RedoRecord) -> ((u64, u64, bool), u64) {
         match *rec {
-            RedoRecord::Upsert {
+            RedoRecord::Put {
                 primary,
                 app_id,
                 is_edge,
@@ -154,7 +161,7 @@ impl ReplayOrder {
         self.tombstones.insert(id, (version, log, seq));
     }
 
-    /// May the upsert `rec` (position `seq` of log `log`) replay past its
+    /// May the put `rec` (position `seq` of log `log`) replay past its
     /// object's tombstone? Only when it is *later than the delete*: a
     /// later position in the same log, or a newer version from another
     /// log (a genuine recreate) — which then retires the tombstone.
@@ -181,16 +188,6 @@ impl ReplayOrder {
         let ((_, rec_app, rec_edge), _) = Self::key(rec);
         (rec_app, rec_edge) == (app_id, is_edge)
     }
-
-    /// Does `rec` move its object forward from a state at version
-    /// `current`? An upsert only when strictly newer (replay is
-    /// idempotent); a delete unless a newer state already won.
-    fn supersedes(rec: &RedoRecord, current: u64) -> bool {
-        match rec {
-            RedoRecord::Upsert { version, .. } => *version > current,
-            RedoRecord::Delete { version, .. } => *version >= current,
-        }
-    }
 }
 
 /// What the logical replay did (global counts over all logs).
@@ -198,6 +195,7 @@ impl ReplayOrder {
 struct ReplayCounts {
     applied: u64,
     skipped: u64,
+    refused: u64,
     errors: u64,
 }
 
@@ -364,7 +362,14 @@ fn seed_objects(cfg: &GdaConfig, shards: &[Shard]) -> GdiResult<FxHashMap<u64, L
 
 /// Replay the redo tails (log `r` = snapshot shard `r`) against the
 /// object map under [`ReplayOrder`]: every committed delete lands (or
-/// tombstones) first, then the upserts in log order.
+/// tombstones) first, then every put — all logs' in one version order,
+/// so each object's states follow each other as they were committed,
+/// whichever rank logged them. A whole image replaces an older state; a
+/// patch applies only to the object at exactly its base. A patch whose
+/// base is older than the state it meets is stale (skipped); one whose
+/// base the history does not hold — the object is missing, another one,
+/// or older than the base — is refused and counted, never applied to
+/// another version.
 fn replay_logs(
     objects: &mut FxHashMap<u64, LiveObject>,
     logs: &[Vec<RedoRecord>],
@@ -372,74 +377,86 @@ fn replay_logs(
 ) -> ReplayCounts {
     let mut order = ReplayOrder::default();
     let mut replay = ReplayCounts::default();
+    let mut puts = Vec::new();
     for (r, log) in logs.iter().enumerate() {
         for (seq, rec) in log.iter().enumerate() {
-            if let RedoRecord::Delete { primary, .. } = rec {
-                order.tombstone(rec, r, seq);
-                match objects.get(primary) {
-                    Some(cur)
-                        if ReplayOrder::same_object(rec, cur.app_id, cur.is_edge)
-                            && ReplayOrder::supersedes(rec, cur.version) =>
-                    {
-                        objects.remove(primary);
-                        replay.applied += 1;
-                    }
-                    _ => replay.skipped += 1,
+            let RedoRecord::Delete {
+                primary, version, ..
+            } = rec
+            else {
+                puts.push((ReplayOrder::key(rec).1, r, seq));
+                continue;
+            };
+            order.tombstone(rec, r, seq);
+            match objects.get(primary) {
+                Some(cur)
+                    if ReplayOrder::same_object(rec, cur.app_id, cur.is_edge)
+                        && *version >= cur.version =>
+                {
+                    objects.remove(primary);
+                    replay.applied += 1;
                 }
+                _ => replay.skipped += 1,
             }
         }
     }
-    for (r, log) in logs.iter().enumerate() {
-        for (seq, rec) in log.iter().enumerate() {
-            let RedoRecord::Upsert {
-                primary,
-                app_id,
-                is_edge,
-                version,
-                bytes,
-            } = rec
-            else {
-                continue;
-            };
-            if !order.admits(rec, r, seq) {
+    puts.sort_unstable();
+    for (_, r, seq) in puts {
+        let rec = &logs[r][seq];
+        let RedoRecord::Put {
+            primary,
+            app_id,
+            is_edge,
+            version,
+            base,
+            splice,
+        } = rec
+        else {
+            continue;
+        };
+        if !order.admits(rec, r, seq) {
+            replay.skipped += 1;
+            continue;
+        }
+        let cur = objects
+            .get(primary)
+            .filter(|cur| ReplayOrder::same_object(rec, cur.app_id, cur.is_edge));
+        let from: &[u8] = match (base, cur) {
+            // a state at least as new is live: replay is idempotent
+            (_, Some(cur)) if cur.version >= *version => {
                 replay.skipped += 1;
                 continue;
             }
-            let Some(h) = Holder::try_decode(bytes) else {
-                replay.errors += 1;
+            // vacant, or stale bytes of a different (deleted) occupant:
+            // a whole image is the authority
+            (None, _) => &[],
+            (Some(base), Some(cur)) if cur.version == *base => &cur.bytes,
+            (Some(base), Some(cur)) if cur.version > *base => {
+                replay.skipped += 1;
                 continue;
-            };
-            let indexes = if *is_edge {
-                Vec::new()
-            } else {
-                membership(index_defs, &h.labels())
-            };
-            match objects.get_mut(primary) {
-                Some(cur) if ReplayOrder::same_object(rec, cur.app_id, cur.is_edge) => {
-                    if !ReplayOrder::supersedes(rec, cur.version) {
-                        replay.skipped += 1;
-                    } else {
-                        cur.version = *version;
-                        cur.bytes = bytes.clone();
-                        cur.indexes = indexes;
-                        replay.applied += 1;
-                    }
-                }
-                _ => {
-                    // vacant, or stale bytes of a different (deleted)
-                    // occupant: the record is the authority
-                    let object = LiveObject {
-                        app_id: *app_id,
-                        is_edge: *is_edge,
-                        version: *version,
-                        bytes: bytes.clone(),
-                        indexes,
-                    };
-                    objects.insert(*primary, object);
-                    replay.applied += 1;
-                }
             }
-        }
+            (Some(_), _) => {
+                replay.refused += 1;
+                continue;
+            }
+        };
+        let Some(bytes) = apply_splice(from, splice, *app_id, *is_edge, *version) else {
+            replay.errors += 1;
+            continue;
+        };
+        let indexes = match (*is_edge, Holder::scan_entries(&bytes)) {
+            (false, Some(scan)) => membership(index_defs, &scan.labels().collect::<Vec<_>>()),
+            _ => Vec::new(),
+        };
+        let object = LiveObject {
+            app_id: *app_id,
+            is_edge: *is_edge,
+            version: *version,
+            bytes,
+            indexes,
+        };
+        objects.insert(*primary, object);
+        replay.applied += 1;
     }
     replay
 }
@@ -652,6 +669,7 @@ impl RecoveryPlan {
             // the logical replay's global outcome, reported once
             out.applied = self.replay.applied;
             out.skipped = self.replay.skipped;
+            out.refused = self.replay.refused;
             out.errors = self.replay.errors;
         }
 
@@ -928,4 +946,22 @@ pub fn recover_with_topology(
         .cfg
         .build_fabric_shared(live_ranks, cost, backend, Some(faults_plane));
     Ok((db, fabric, Arc::new(plan)))
+}
+
+/// Replayed objects: primary → (version, holder bytes).
+#[cfg(test)]
+type Replayed = FxHashMap<u64, (u64, Vec<u8>)>;
+
+/// [`replay_logs`] onto an empty object map, without index
+/// definitions: the objects it leaves and its `[applied, skipped,
+/// refused, errors]` counts.
+#[cfg(test)]
+pub(super) fn replay_alone(logs: &[Vec<RedoRecord>]) -> (Replayed, [u64; 4]) {
+    let mut objects = FxHashMap::default();
+    let c = replay_logs(&mut objects, logs, &[]);
+    let objects = objects
+        .into_iter()
+        .map(|(primary, o)| (primary, (o.version, o.bytes)))
+        .collect();
+    (objects, [c.applied, c.skipped, c.refused, c.errors])
 }

@@ -1,4 +1,4 @@
-//! The per-rank snapshot file codec (format v9): written and read in one
+//! The per-rank snapshot file codec (format v10): written and read in one
 //! pass each, through `O(strip)` memory. Only a chain's base — a full
 //! checkpoint — has snapshot files; a delta is its sealed redo segments
 //! (`persist/mod.rs`, "Incremental (delta) checkpoints").
@@ -14,9 +14,9 @@
 //! trailer   checksum:u64 over every byte before it
 //! ```
 //!
-//! The kind byte is the v7 full-image kind, kept so a v9 file is a v7
-//! full image in all but its version word and config record; any other
-//! value is refused.
+//! The kind byte is the v7 full-image kind, kept so a v10 file is a v7
+//! full image in all but its version word and config record (v9's
+//! layout: v10 changed the redo put only); any other value is refused.
 //!
 //! **A snapshot holds exactly the bytes recovery lifts.** Recovery reads
 //! the DHT partition out of the index image and, through it, every live

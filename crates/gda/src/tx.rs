@@ -51,9 +51,10 @@ use gdi::{
 use crate::db::GdaRank;
 use crate::dptr::{owner_rank, DPtr, EdgeUid};
 use crate::hio::{self, Source};
-use crate::holder::{EdgeRecord, EdgeScan, EntryScan, Holder};
+use crate::holder::{splice, EdgeRecord, EdgeScan, EntryScan, Holder};
 use crate::index::{holder_matches, IndexId, Posting};
 use crate::locks::LockKind;
+use crate::persist::RedoRecord;
 
 /// Cached state of one object (vertex holder or heavy-edge holder) inside a
 /// writing transaction.
@@ -1261,7 +1262,8 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
         // objects actually persisted — a partially failed commit logs
         // exactly what it made visible)
         let logging = self.eng.persist_enabled();
-        let mut redo: Vec<crate::persist::RedoRecord> = Vec::new();
+        let logs_whole = self.eng.logs_whole();
+        let mut redo: Vec<RedoRecord> = Vec::new();
         // Has any object been written back (or freed) already? Once one
         // has, persisted holders may reference a created object's blocks
         // (mirror edge records), so reclaiming those blocks on a later
@@ -1311,7 +1313,7 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
                     // would refuse the recreate as older than its
                     // tombstone
                     self.eng.advance_version_stamp(id, obj.holder.version);
-                    redo.push(crate::persist::RedoRecord::Delete {
+                    redo.push(RedoRecord::Delete {
                         primary: raw,
                         app_id: obj.holder.app_id,
                         is_edge: obj.holder.is_edge,
@@ -1335,8 +1337,9 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
                 // it must be unique per rank across objects and
                 // incarnations (a reused block must never revalidate
                 // under a stale stamp)
+                let base = obj.holder.version;
                 let stamp = self.eng.next_version_stamp(id);
-                let want = obj.holder.version + 1;
+                let want = base + 1;
                 obj.holder.version = if want > stamp {
                     self.eng.advance_version_stamp(id, want);
                     want
@@ -1421,12 +1424,17 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
                     );
                 }
                 if logging {
-                    redo.push(crate::persist::RedoRecord::Upsert {
+                    // the new body as a splice over the pre-image it
+                    // overwrote; whole where there is none, or none the
+                    // history is sure to hold (`PersistStore::logs_whole`)
+                    let pre = obj.orig.as_deref().filter(|_| !logs_whole);
+                    redo.push(RedoRecord::Put {
                         primary: raw,
                         app_id: obj.holder.app_id,
                         is_edge: obj.holder.is_edge,
                         version: obj.holder.version,
-                        bytes,
+                        base: pre.map(|_| base),
+                        splice: splice(pre.unwrap_or_default(), &bytes),
                     });
                 }
                 touched.insert(id.rank());

@@ -107,6 +107,10 @@ counters! {
     log_appends: LogAppends = "persist.log_appends",
     /// Redo-log payload bytes written by this rank.
     log_bytes: LogBytes = "persist.log_bytes",
+    /// Redo records this rank logged as whole holder images (creates,
+    /// collective writes, every put while the store is flagged
+    /// unlogged) instead of splices over the version they overwrote.
+    redo_whole_records: RedoWholeRecords = "persist.redo_whole_records",
     /// Delta (incremental) checkpoints this rank took part in: each
     /// sealed its redo log instead of writing an image.
     delta_checkpoints: DeltaCheckpoints = "persist.delta_checkpoints",
@@ -228,6 +232,10 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), Counter::ALL.len(), "export names are unique");
+        assert_eq!(
+            Counter::RedoWholeRecords.name(),
+            "persist.redo_whole_records"
+        );
     }
 
     /// A merge sums every row and keeps the larger of each clock.

@@ -456,6 +456,10 @@ fn registry_snapshot_names_every_counter() {
     names.sort_unstable();
     names.dedup();
     assert_eq!(names.len(), snap.rows.len(), "names are unique");
+    assert!(
+        names.contains(&"persist.redo_whole_records"),
+        "the whole-image fallback rate is exported"
+    );
 
     let json = snap.to_json();
     assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
