@@ -114,6 +114,13 @@ impl<'c, 'f> LockManager<'c, 'f> {
         Err(GdiError::LockConflict)
     }
 
+    /// One attempt at the write lock, with no retry: `true` if it was
+    /// free (no writer, no readers) and is now ours.
+    pub(crate) fn try_acquire_write(&self, dp: DPtr) -> bool {
+        self.lock_word(dp)
+            .is_ok_and(|(rank, word)| self.ctx.cas_u64(WIN_SYSTEM, rank, word, 0, WRITE_BIT) == 0)
+    }
+
     /// Upgrade a read lock we hold to a write lock: succeeds only while we
     /// are the sole reader (CAS `1 → WRITE_BIT`). On failure the read lock
     /// is still held.

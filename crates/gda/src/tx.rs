@@ -609,15 +609,29 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
     /// The created twin of [`Transaction::first_touch`]: allocate a
     /// primary block on `rank`, write-lock it and cache `holder` there as
     /// a created (dirty, topology-changing) object. Returns its id.
+    ///
+    /// A block straight from the pool can still be locked. A deleting
+    /// commit or an abort returns its chain to the pool before it
+    /// releases the old primary's lock (released first, a writer still
+    /// holding the old id could lock the dead holder and write back into
+    /// blocks the pool has handed on), and a transaction with a stale id
+    /// may lock a pooled block. Such a block is set aside and the next
+    /// one taken; the set-aside blocks go back to the pool once a free
+    /// one is held, and become a primary only when their lock reads 0.
     fn create_object(&self, rank: usize, holder: Holder) -> GdiResult<DPtr> {
-        let primary = match self.eng.bm.acquire(rank) {
+        let mut aside = Vec::new();
+        let taken = loop {
+            match self.eng.bm.acquire(rank) {
+                Ok(p) if self.eng.lm.try_acquire_write(p) => break Ok(p),
+                Ok(p) => aside.push(p),
+                Err(e) => break Err(e),
+            }
+        };
+        hio::free_chain(&self.eng.bm, &aside);
+        let primary = match taken {
             Ok(p) => p,
             Err(e) => return self.fail(e),
         };
-        if let Err(e) = self.eng.lm.acquire_write(primary) {
-            self.eng.bm.release(primary);
-            return self.fail(e);
-        }
         self.cache.borrow_mut().insert(
             primary.raw(),
             CachedObj {

@@ -1,7 +1,10 @@
 //! End-to-end transaction tests for the GDA engine: CRUD, ACID behaviour,
 //! conflicts, collective transactions, indexes and bulk load.
 
-use gda::{EdgeSpec, GdaConfig, GdaDb, VertexSpec};
+use std::time::{Duration, Instant};
+
+use gda::faults::{self, FaultMode};
+use gda::{EdgeSpec, GdaConfig, GdaDb, PersistOptions, VertexSpec};
 use gdi::{
     AccessMode, AppVertexId, CmpOp, Constraint, Datatype, EdgeOrientation, EntityType, GdiError,
     LabelId, Multiplicity, PropertyValue, SizeType, Subconstraint, TxStatus,
@@ -524,6 +527,79 @@ fn cross_rank_translations_never_go_stale() {
         }
         tx.commit().unwrap();
     });
+}
+
+/// A deleting commit returns the object's blocks to the owner's pool
+/// before it releases the object's write lock, which goes with the rest
+/// after the redo append. A create on the owner rank that pops the freed
+/// primary in that gap must take another block, not fail on the lock.
+/// A stalled redo append holds the gap open for a second, and the
+/// create starts once the stall has begun.
+#[test]
+fn a_create_takes_another_block_while_a_deleting_commit_holds_the_lock() {
+    const STALL: Duration = Duration::from_secs(1);
+    let dir = std::env::temp_dir().join(format!("gda-delete-create-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (db, fabric) = GdaDb::with_fabric_on(
+        "gap",
+        GdaConfig::tiny(),
+        2,
+        CostModel::default(),
+        rma::BackendKind::Sim,
+    );
+    let store = db.enable_persistence(PersistOptions::new(&dir)).unwrap();
+    // both vertices live on rank 1: the victim's primary is the top of
+    // rank 1's pool once the delete frees it
+    let (victim, newcomer) = (app(1), app(3));
+    fabric.run(|ctx| {
+        let eng = db.attach(ctx);
+        eng.init_collective();
+        if ctx.rank() == 0 {
+            let tx = eng.begin(AccessMode::ReadWrite);
+            tx.create_vertex(victim).unwrap();
+            tx.commit().unwrap();
+        }
+        ctx.barrier();
+        let freed = eng.peek_translate(victim).unwrap();
+        assert_eq!(freed.rank(), 1);
+        ctx.barrier();
+        if ctx.rank() == 0 {
+            store.fault_plane().arm_at(
+                faults::REDO_APPEND,
+                Some(0),
+                0,
+                1,
+                FaultMode::Latency(STALL.as_nanos() as u64),
+            );
+            let tx = eng.begin(AccessMode::ReadWrite);
+            let v = tx.translate_vertex_id(victim).unwrap();
+            tx.delete_vertex(v).unwrap();
+            tx.commit().unwrap();
+        } else {
+            // the fault fires once the delete has freed the chain, and
+            // its count is read under the plane's lock: from here on the
+            // primary is pooled and still write-locked for the stall
+            let start = Instant::now();
+            while store.fault_plane().fired_at(faults::REDO_APPEND) == 0 {
+                assert!(start.elapsed() < 10 * STALL, "the delete never committed");
+                std::thread::yield_now();
+            }
+            let start = Instant::now();
+            let tx = eng.begin(AccessMode::ReadWrite);
+            let v = tx.create_vertex(newcomer).unwrap();
+            assert!(start.elapsed() < STALL, "the create waited out the stall");
+            assert_ne!(v, freed, "the create took the still-locked primary");
+            // (the commit itself publishes after the delete's epoch, so
+            // it waits for the stalled commit whatever block it holds)
+            tx.commit().unwrap();
+        }
+        ctx.barrier();
+        assert!(eng.peek_translate(victim).is_none());
+        assert!(eng.peek_translate(newcomer).is_some());
+    });
+    assert_eq!(store.fault_plane().fired(), 1);
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -51,6 +51,8 @@
 //!
 //! [`AtomicU64`]: std::sync::atomic::AtomicU64
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod backend;
 pub mod barrier;
 pub mod collectives;

@@ -14,12 +14,23 @@
 //!   accesses (it may mix old and new words) and must be ordered by
 //!   flushes and application-level locks, but no aligned word is ever
 //!   torn, which is what the seqlock readers in `gda::hio` rely on.
+//!
+//! A window's capacity is reserved address space, not memory. It is
+//! allocated zeroed in one piece, so the allocator can hand back fresh
+//! pages straight from the OS, which commits a page the first time a word
+//! in it is written. Untouched words read 0 like any other zero word, and
+//! the resident cost of a window is the pages the store has written, not
+//! the capacity it was sized for (`GdaConfig::sized_for` reserves 3× the
+//! data).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::WORD_BYTES;
 
 /// A word-granular shared memory region.
+///
+/// The capacity is address space: a page of it becomes resident once a
+/// word in it is written (see the module docs).
 pub struct Window {
     words: Box<[AtomicU64]>,
 }
@@ -34,14 +45,15 @@ impl std::fmt::Debug for Window {
 
 impl Window {
     /// Create a zero-initialized window of at least `bytes` bytes (rounded up
-    /// to whole words).
+    /// to whole words). No word is written here, so no page is resident
+    /// until the first store to it.
     pub fn new(bytes: usize) -> Self {
         let nwords = bytes.div_ceil(WORD_BYTES);
-        let mut v = Vec::with_capacity(nwords);
-        v.resize_with(nwords, || AtomicU64::new(0));
-        Self {
-            words: v.into_boxed_slice(),
-        }
+        // SAFETY: `new_zeroed_slice` returns `nwords` words whose bytes
+        // are all zero, and all-zero bits are a valid `AtomicU64` holding
+        // 0 (it has the size, alignment and bit validity of `u64`).
+        let words = unsafe { Box::<[AtomicU64]>::new_zeroed_slice(nwords).assume_init() };
+        Self { words }
     }
 
     /// Size in bytes.
