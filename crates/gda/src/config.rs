@@ -83,10 +83,12 @@ impl GdaConfig {
         let per_vertex = 80 + payload_hint + 8;
         let edge_bytes = edges * crate::holder::EDGE_RECORD_BYTES * 2;
         let bytes = vertices * per_vertex + edge_bytes;
-        // ×3 (not ×2) headroom: version-chain archives hold the previous
-        // version of every overwritten holder until truncation. The
-        // headroom costs address space, not memory: a window page is
-        // resident only once a block in it has been written
+        // ×3 headroom for version-chain archives: each is the undo of one
+        // overwrite (`holder::Archive`, usually one block, up to the whole
+        // previous version when an overwrite rewrote all of it), kept
+        // until truncation. The headroom costs address space, not memory:
+        // a window page is resident only once a block in it has been
+        // written
         let blocks = (bytes / (cfg.block_size - 16)).max(64) * 3 + vertices * 2;
         cfg.blocks_per_rank = blocks.next_power_of_two();
         cfg.dht_buckets_per_rank = (vertices.max(16)).next_power_of_two();

@@ -567,7 +567,7 @@ pub(crate) fn read_chain_into(
 }
 
 /// Lock-free **snapshot fetch** of the chain at `primary`
-/// ([`read_chain_into`] from the validated source, into fresh buffers).
+/// (`read_chain_into` from the validated source, into fresh buffers).
 /// Returns the holder bytes and the stamp they were published under.
 pub fn read_chain_validated(
     ctx: &RankCtx,

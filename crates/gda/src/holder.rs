@@ -22,8 +22,9 @@
 //! `commit_epoch` is the global commit epoch the version became visible
 //! at (0 = bulk-loaded / pre-MVCC, visible to every snapshot). `prev`
 //! is the raw `DPtr` of the archived previous version's chain head
-//! (NULL if none) — the MVCC version chain snapshot reads walk. Flag
-//! bits 16..24 carry the archive-chain depth (see [`Holder::depth`]).
+//! (NULL if none) — the MVCC version chain snapshot reads walk, whose
+//! records are the undo of one overwrite each ([`Archive`]). Flag bits
+//! 16..24 carry the archive-chain depth (see [`Holder::depth`]).
 //!
 //! Entry ids follow §5.4.3: `ENTRY_LABEL` (2) tags a label entry whose data
 //! is the label integer id; ids `>= FIRST_PTYPE_ID` are property entries of
@@ -52,9 +53,10 @@ pub const FLAG_EDGE_HOLDER: u32 = 1;
 /// Mask of the archive-chain **depth** packed into flag bits 16..24.
 pub(crate) const DEPTH_MASK: u32 = 0xFF << 16;
 /// Byte offset of the `prev` (archived version chain head) field within
-/// a serialized holder — patched **in place** by chain truncation and
-/// the maintenance vacuum (one aligned word write) to seal a truncated
-/// chain, so no later walk follows a freed link.
+/// a serialized holder and an [`Archive`] record — patched **in place**
+/// by chain truncation and the maintenance vacuum (one aligned word
+/// write) to seal a truncated chain, so no later walk follows a freed
+/// link.
 pub(crate) const PREV_OFFSET: usize = 40;
 /// Byte offset of the word holding `entries_bytes` (low half) and the
 /// flags+depth word (high half) within a serialized holder — the word
@@ -207,6 +209,106 @@ pub fn apply_splice(
     out.extend_from_slice(tail);
     Layout::validated(&out)?;
     Some(out)
+}
+
+/// Write `prev` and the archive-chain `depth` into the header of the
+/// serialized holder `bytes` — a commit links the version it encoded to
+/// the archive it wrote after encoding it.
+pub(crate) fn relink(bytes: &mut [u8], prev: u64, depth: u8) {
+    let flags = (le_u32(bytes, 12) & !DEPTH_MASK) | (u32::from(depth) << 16);
+    bytes[12..16].copy_from_slice(&flags.to_le_bytes());
+    bytes[PREV_OFFSET..PREV_OFFSET + 8].copy_from_slice(&prev.to_le_bytes());
+}
+
+/// One archived version, as its record on the MVCC version chain holds
+/// it: not a copy of the version but the **undo** of the overwrite that
+/// replaced it (Neumann, Mühlbauer and Kemper, SIGMOD 2015) — the splice
+/// turning the overwriting version's body back into this one's.
+///
+/// ```text
+/// record (48 B): total_len:u32 | num_edges:u32 | at:u32 | cut:u32 |
+///                app_id:u64 | version:u64 | commit_epoch:u64 | prev:u64
+/// bytes:         the total_len − 48 bytes of the archived body the
+///                overwrite replaced, which the undo puts back at `at`
+///                in place of the `cut` bytes the overwrite inserted
+/// ```
+///
+/// `total_len`, `app_id`, `version`, `commit_epoch` and `prev` sit where
+/// a holder's header has them, so the block chain stores, stamps and
+/// walks a record as it does a holder, and truncation seals one with
+/// the same word write (`PREV_OFFSET`). A reader rewinds the version it
+/// copied one record at a time (`Archive::rewind`), newest first.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Archive {
+    /// Application-level id of the archived holder.
+    pub app_id: u64,
+    /// The archived version's stamp.
+    pub version: u64,
+    /// The commit epoch the archived version became visible at.
+    pub commit_epoch: u64,
+    /// Raw `DPtr` of the next older record, or 0 at the chain's end.
+    pub prev: u64,
+    /// The splice from the overwriting version's body to this one's
+    /// (`num_edges`: the archived version's edge records).
+    pub undo: Splice,
+}
+
+impl Archive {
+    /// The record of `pre`, a serialized holder, overwritten through the
+    /// forward splice `fwd` (`splice(pre, post)`): the same `at`, cutting
+    /// the bytes `fwd` inserted and restoring the ones it cut.
+    pub(crate) fn record(pre: &[u8], fwd: &Splice) -> Vec<u8> {
+        let (at, cut) = (fwd.at as usize, fwd.cut as usize);
+        let restored = body(pre).get(at..at + cut).unwrap_or_default();
+        let total = (HEADER_BYTES + restored.len()) as u32;
+        let mut out = Vec::with_capacity(HEADER_BYTES + restored.len());
+        for w in [total, le_u32(pre, 4), fwd.at, fwd.bytes.len() as u32] {
+            out.extend_from_slice(&w.to_le_bytes());
+        }
+        for at in [16, 24, 32, PREV_OFFSET] {
+            out.extend_from_slice(&le_u64(pre, at).to_le_bytes());
+        }
+        out.extend_from_slice(restored);
+        out
+    }
+
+    /// Parse a record's bytes (as a chain read returns them). `None` —
+    /// never a panic — when they are shorter than the header or than the
+    /// length it announces; what the splice says is checked where it is
+    /// applied (`Archive::rewind`).
+    pub fn parse(bytes: &[u8]) -> Option<Archive> {
+        let total = le_u32(bytes, 0) as usize;
+        let restored = bytes.get(HEADER_BYTES..total)?;
+        Some(Archive {
+            app_id: le_u64(bytes, 16),
+            version: le_u64(bytes, 24),
+            commit_epoch: le_u64(bytes, 32),
+            prev: le_u64(bytes, PREV_OFFSET),
+            undo: Splice {
+                at: le_u32(bytes, 8),
+                cut: le_u32(bytes, 12),
+                bytes: restored.to_vec(),
+                num_edges: le_u32(bytes, 4),
+            },
+        })
+    }
+
+    /// The archived version, rewound from `post` — the serialized
+    /// version that overwrote it — through [`apply_splice`], with its
+    /// commit epoch and `prev` in the header (depth 0). `None` when
+    /// `post` is no holder, is another object's, or the undo does not
+    /// fit it.
+    pub(crate) fn rewind(&self, post: &[u8]) -> Option<Vec<u8>> {
+        let lay = Layout::parse(post)?;
+        if le_u64(post, 16) != self.app_id {
+            return None;
+        }
+        let is_edge = lay.flags & FLAG_EDGE_HOLDER != 0;
+        let mut pre = apply_splice(post, &self.undo, self.app_id, is_edge, self.version)?;
+        pre[32..40].copy_from_slice(&self.commit_epoch.to_le_bytes());
+        relink(&mut pre, self.prev, 0);
+        Some(pre)
+    }
 }
 
 /// A lightweight edge record stored inside a vertex holder (§5.4.2).
@@ -604,19 +706,14 @@ impl Holder {
         })
     }
 
-    /// `(app_id, commit_epoch, prev, depth)` of a serialized holder
-    /// whose header holds up (the header checks of
-    /// [`Holder::try_decode`]): what a snapshot read walks the archive
-    /// chain by, without decoding a version.
-    pub(crate) fn version_of(bytes: &[u8]) -> Option<(u64, u64, u64, u8)> {
+    /// `(commit_epoch, prev, depth)` of a serialized holder whose header
+    /// holds up (the header checks of [`Holder::try_decode`]): where a
+    /// snapshot read starts its walk down the archive chain, without
+    /// decoding a version.
+    pub(crate) fn version_of(bytes: &[u8]) -> Option<(u64, u64, u8)> {
         let lay = Layout::parse(bytes)?;
         let depth = ((lay.flags & DEPTH_MASK) >> 16) as u8;
-        Some((
-            le_u64(bytes, 16),
-            le_u64(bytes, 32),
-            le_u64(bytes, PREV_OFFSET),
-            depth,
-        ))
+        Some((le_u64(bytes, 32), le_u64(bytes, PREV_OFFSET), depth))
     }
 }
 
@@ -727,7 +824,7 @@ impl<'a> Iterator for Frames<'a> {
 
 /// The edge records of one holder, read where they lie: the validated
 /// edge section of serialized bytes (see [`Holder::scan_edges`]) or a
-/// decoded holder's record list ([`Holder::edge_scan`]).
+/// decoded holder's record list (`Holder::edge_scan`).
 #[derive(Debug, Clone, Copy)]
 pub struct EdgeScan<'a> {
     /// Application-level id of the holder.
@@ -1353,6 +1450,83 @@ mod tests {
                 proptest::prop_assert!(s.bytes.len() <= b.len() - HEADER_BYTES);
                 let got = apply_splice(base, &s, post.app_id, post.is_edge, post.version);
                 proptest::prop_assert_eq!(got.as_ref(), Some(&want));
+            }
+        }
+
+        /// Rewinding `post` by the archive record built from
+        /// `splice(pre, post)` gives back `pre`'s body under `pre`'s
+        /// version, commit epoch and `prev`, for random holders and
+        /// random write sequences; the record holds only the bytes the
+        /// overwrite replaced.
+        #[test]
+        fn archive_rewind_inverts_splice(
+            edges in proptest::collection::vec((0usize..4, 1u64..64, 0u32..5, 0u8..3, 0u8..2), 0..12),
+            props in proptest::collection::vec((2u32..9, 0usize..20), 0..6),
+            is_edge in proptest::any::<bool>(),
+            ops in proptest::collection::vec((0u8..8, proptest::any::<u64>()), 0..6),
+            header in (proptest::any::<u64>(), proptest::any::<u64>(), proptest::any::<u8>()),
+        ) {
+            let mut pre = generated(&edges, &props, is_edge);
+            (pre.version, pre.commit_epoch, pre.prev, pre.depth) = (9, header.0, header.1, header.2);
+            let mut post = pre.clone();
+            for (op, arg) in ops {
+                mutate(&mut post, op, arg);
+            }
+            post.compact_edges();
+            (post.version, post.commit_epoch, post.prev, post.depth) = (10, header.0 + 1, 4096, 1);
+            let (a, b) = (pre.encode(), post.encode());
+            let fwd = splice(&a, &b);
+            let record = Archive::record(&a, &fwd);
+            proptest::prop_assert_eq!(record.len(), HEADER_BYTES + fwd.cut as usize);
+            let archive = Archive::parse(&record).unwrap();
+            proptest::prop_assert_eq!(
+                (archive.app_id, archive.version, archive.commit_epoch, archive.prev),
+                (pre.app_id, pre.version, pre.commit_epoch, pre.prev)
+            );
+            let mut want = pre.clone();
+            want.depth = 0;
+            proptest::prop_assert_eq!(archive.rewind(&b), Some(want.encode()));
+        }
+
+        /// A hostile archive record — any byte of it overwritten, a whole
+        /// word set to `u32::MAX`, the record cut short — and a hostile
+        /// version to rewind are refused or yield a holder every reader
+        /// accepts; never a panic.
+        #[test]
+        fn hostile_archive_records_never_panic(
+            edges in proptest::collection::vec((0usize..4, 1u64..64, 0u32..5, 0u8..3, 0u8..2), 0..12),
+            props in proptest::collection::vec((2u32..9, 0usize..20), 0..6),
+            ops in proptest::collection::vec((0u8..8, proptest::any::<u64>()), 1..6),
+            hits in proptest::collection::vec((0usize..4096, 0u64..6, proptest::any::<bool>()), 1..8),
+        ) {
+            let pre = generated(&edges, &props, false);
+            let mut post = pre.clone();
+            for (op, arg) in ops {
+                mutate(&mut post, op, arg);
+            }
+            post.compact_edges();
+            let (a, b) = (pre.encode(), post.encode());
+            let good = Archive::record(&a, &splice(&a, &b));
+            for (at, kind, on_record) in hits {
+                let (mut record, mut version) = (good.clone(), b.clone());
+                let m = if on_record { &mut record } else { &mut version };
+                let at = at % m.len();
+                match kind {
+                    0 => m[at] = 0xFF,
+                    1 => m[at] = m[at].wrapping_add(1),
+                    2 => m[at] = m[at].wrapping_sub(1),
+                    3 => m[at] ^= 0x80,
+                    4 => {
+                        let at = at & !3;
+                        let end = (at + 4).min(m.len());
+                        m[at..end].copy_from_slice(&u32::MAX.to_le_bytes()[..end - at]);
+                    }
+                    _ => m.truncate(at),
+                }
+                if let Some(rewound) = Archive::parse(&record).and_then(|r| r.rewind(&version)) {
+                    proptest::prop_assert!(Holder::try_decode(&rewound).is_some());
+                    assert_scan_matches_decode(&rewound);
+                }
             }
         }
 

@@ -53,7 +53,7 @@ use crate::db::GdaRank;
 use crate::dht;
 use crate::dptr::DPtr;
 use crate::hio::{self, BLOCK_PAYLOAD_OFFSET};
-use crate::holder::{Holder, DEPTH_MASK, FLAGS_WORD_OFFSET, PREV_OFFSET};
+use crate::holder::{Archive, Holder, DEPTH_MASK, FLAGS_WORD_OFFSET, PREV_OFFSET};
 
 /// What one collective maintenance pass did, globally (every field is
 /// an allreduced sum; identical on every rank).
@@ -117,7 +117,7 @@ pub(crate) fn trim_archives(
         let Ok((bytes, blocks)) = hio::read_chain(eng.ctx(), eng.cfg(), dp) else {
             break;
         };
-        let Some(a) = Holder::try_decode(&bytes) else {
+        let Some(a) = Archive::parse(&bytes) else {
             break;
         };
         if cut {

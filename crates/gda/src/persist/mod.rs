@@ -103,7 +103,7 @@
 //!   failed truncation left stale frames in one. A delta would seal a
 //!   log that misses a change — or a torn frame in front of later ones —
 //!   while a full image re-anchors it. Until then every put is logged
-//!   whole ([`PersistStore::logs_whole`]): a patch may only name a base
+//!   whole (`PersistStore::logs_whole`): a patch may only name a base
 //!   the history is sure to hold.
 //!
 //! Any rank can raise a rule; the vote is one `allreduce_any`. Garbage

@@ -22,7 +22,7 @@
 //! 3. each rank sorts its pairs by app id — that order *is* the row
 //!    numbering — fills the block → row table, and reads every live
 //!    holder's chain **block by block out of its own data window** into
-//!    one reused chain buffer ([`crate::hio::read_chain_into`]): only
+//!    one reused chain buffer (`crate::hio::read_chain_into`): only
 //!    live blocks are touched and nothing window-sized is allocated;
 //! 4. each serialized holder is validated exactly as
 //!    [`Holder::try_decode`] validates it ([`Holder::scan_edges`]) and

@@ -51,7 +51,7 @@ use gdi::{
 use crate::db::GdaRank;
 use crate::dptr::{owner_rank, DPtr, EdgeUid};
 use crate::hio::{self, Source};
-use crate::holder::{splice, EdgeRecord, EdgeScan, EntryScan, Holder};
+use crate::holder::{relink, splice, Archive, EdgeRecord, EdgeScan, EntryScan, Holder};
 use crate::index::{holder_matches, IndexId, Posting};
 use crate::locks::LockKind;
 use crate::persist::RedoRecord;
@@ -74,9 +74,10 @@ struct CachedObj {
     /// GNN layer's feature updates never force a view rebuild.
     topo: bool,
     /// The holder bytes exactly as fetched (pre-image). Captured only by
-    /// MVCC-eligible writers: a dirty object's pre-image is archived
-    /// onto its version chain at commit, so pinned snapshots keep
-    /// reading the overwritten version.
+    /// MVCC-eligible writers: commit diffs a dirty object's new version
+    /// against it once, for the redo record's splice and for the undo it
+    /// archives onto the version chain, so pinned snapshots keep reading
+    /// the overwritten version.
     orig: Option<Vec<u8>>,
 }
 
@@ -466,13 +467,13 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
 
     /// Resolve `chain`, a validated copy of a live chain, to the version
     /// a snapshot pinned at `snap` reads: walk the archived `prev` links
-    /// down to the newest version with `commit_epoch ≤ snap`, each one
-    /// copied over the last. Never takes a lock, never aborts on
-    /// conflict; an object with no version at the snapshot (created
-    /// later) is simply `NotFound`.
+    /// down to the newest version with `commit_epoch ≤ snap`, rewinding
+    /// the bytes by each record's undo on the way ([`Archive::rewind`]).
+    /// Never takes a lock, never aborts on conflict; an object with no
+    /// version at the snapshot (created later) is simply `NotFound`.
     fn rewind(&self, snap: u64, chain: &mut Vec<u8>) -> GdiResult<()> {
         const GONE: GdiError = GdiError::NotFound("object (no version at snapshot)");
-        let (app, mut epoch, mut prev, mut steps) = Holder::version_of(chain).ok_or(hio::STALE)?;
+        let (mut epoch, mut prev, mut steps) = Holder::version_of(chain).ok_or(hio::STALE)?;
         // The walk is bounded by the live holder's recorded archive
         // depth and requires strictly decreasing commit epochs of the
         // same object: a `prev` that reaches freed (possibly reused)
@@ -480,8 +481,9 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
         // read as *chain end*, never as a stranger's bytes. Archives
         // reachable from a pinned snapshot are immutable (truncation and
         // vacuum free only below the snapshot floor ≤ our pinned epoch),
-        // so any failure to read one means the link left the live chain.
-        let mut block = Vec::new();
+        // so any failure to read or apply one means the link left the
+        // live chain.
+        let (mut block, mut record) = (Vec::new(), Vec::new());
         while epoch > snap {
             if prev == 0 || steps == 0 {
                 return Err(GONE);
@@ -489,12 +491,13 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
             steps -= 1;
             block.resize(self.eng.cfg().block_size, 0);
             let (src, at) = (Source::Validated(self.eng.ctx), DPtr::from_raw(prev));
-            (epoch, prev) = hio::read_chain_into(&src, self.eng.cfg(), at, &mut block, chain)
+            let archive = hio::read_chain_into(&src, self.eng.cfg(), at, &mut block, &mut record)
                 .ok()
-                .and_then(|()| Holder::version_of(chain))
-                .filter(|&(a, e, _, _)| e < epoch && a == app)
-                .map(|(_, e, p, _)| (e, p))
+                .and_then(|()| Archive::parse(&record))
+                .filter(|a| a.commit_epoch < epoch)
                 .ok_or(GONE)?;
+            *chain = archive.rewind(chain).ok_or(GONE)?;
+            (epoch, prev) = (archive.commit_epoch, archive.prev);
         }
         Ok(())
     }
@@ -1196,18 +1199,23 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
     // MVCC version-chain maintenance (commit-path helpers)
     // ------------------------------------------------------------------
 
-    /// Write a pre-image (`bytes` exactly as fetched, still carrying its
-    /// version, commit epoch and `prev`) to fresh blocks on `id`'s rank:
-    /// the version-chain archive of one overwritten holder. Single-phase
-    /// — the archive is unreachable until the committing writer
-    /// publishes the new version's `prev` pointing at it — and never
-    /// durable: a full image carries live chains only, a delta carries
-    /// redo frames only.
-    fn archive_version(&self, id: DPtr, bytes: &[u8]) -> GdiResult<DPtr> {
+    /// Write `record` — the [`Archive`] of one overwritten version — to
+    /// a fresh block chain on `id`'s rank: the new head of `id`'s
+    /// version chain. Single-phase — the archive is unreachable until
+    /// the committing writer publishes the new version's `prev` pointing
+    /// at it — and never durable: a full image carries live chains only,
+    /// a delta carries redo frames only.
+    fn archive_version(&self, id: DPtr, record: &[u8]) -> GdiResult<DPtr> {
         let primary = self.eng.bm.acquire(id.rank())?;
         let mut blocks = vec![primary];
-        match hio::write_chain(self.eng.ctx, &self.eng.bm, bytes, &mut blocks) {
-            Ok(()) => Ok(primary),
+        match hio::write_chain(self.eng.ctx, &self.eng.bm, record, &mut blocks) {
+            Ok(()) => {
+                self.eng.ctx().count(Counter::VersionArchives, 1);
+                self.eng
+                    .ctx()
+                    .count(Counter::ArchiveBytes, record.len() as u64);
+                Ok(primary)
+            }
             Err(e) => {
                 hio::free_chain(&self.eng.bm, &blocks);
                 Err(e)
@@ -1360,47 +1368,57 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
                 } else {
                     stamp
                 };
+                // the chain an unversioned overwrite (a collective writer:
+                // no concurrent reader) ends: its records undo the version
+                // this write replaces, not the one it writes
+                let mut ended = None;
                 if let Some(e) = epoch {
                     if obj.created {
                         obj.holder.prev = 0;
                         obj.holder.depth = 0;
-                    } else {
+                    } else if obj.holder.depth as usize + 1 > self.eng.cfg().mvcc_chain_limit
+                        && obj.holder.prev != 0
+                    {
                         // bound the chain before it grows: when the new
                         // archive would push the depth past the limit,
                         // free every version no snapshot can still read
-                        if obj.holder.depth as usize + 1 > self.eng.cfg().mvcc_chain_limit
-                            && obj.holder.prev != 0
-                        {
-                            let f = *floor.get_or_insert_with(|| self.eng.snapshot_floor());
-                            if f.is_some() {
-                                let kept = self.truncate_chain(
-                                    obj.holder.prev,
-                                    f,
-                                    obj.holder.depth as usize,
-                                );
-                                obj.holder.depth = kept.min(u8::MAX as usize) as u8;
-                            }
-                        }
-                        let pre = obj
-                            .orig
-                            .as_deref()
-                            .expect("MVCC writer cached a pre-existing object without pre-image");
-                        match self.archive_version(id, pre) {
-                            Ok(head) => {
-                                obj.holder.prev = head.raw();
-                                obj.holder.depth = obj.holder.depth.saturating_add(1);
-                                self.eng.ctx().count(Counter::VersionArchives, 1);
-                            }
-                            Err(e) => {
-                                result = Err(e);
-                                continue;
-                            }
+                        let f = *floor.get_or_insert_with(|| self.eng.snapshot_floor());
+                        if f.is_some() {
+                            let kept =
+                                self.truncate_chain(obj.holder.prev, f, obj.holder.depth as usize);
+                            obj.holder.depth = kept.min(u8::MAX as usize) as u8;
                         }
                     }
                     obj.holder.commit_epoch = e;
+                } else if !obj.created && obj.holder.prev != 0 {
+                    ended = Some((obj.holder.prev, obj.holder.depth as usize));
+                    (obj.holder.prev, obj.holder.depth) = (0, 0);
                 }
                 obj.holder.compact_edges();
-                let bytes = obj.holder.encode();
+                let mut bytes = obj.holder.encode();
+                // one diff against the pre-image: the redo record's
+                // forward splice, and the archive's undo of it
+                let archives = epoch.is_some() && !obj.created;
+                let fwd = (obj.orig.as_deref())
+                    .filter(|_| archives || (logging && !logs_whole))
+                    .map(|pre| (pre, splice(pre, &bytes)));
+                if archives {
+                    let Some((pre, fwd)) = &fwd else {
+                        result = Err(NO_PRE_IMAGE);
+                        continue;
+                    };
+                    match self.archive_version(id, &Archive::record(pre, fwd)) {
+                        Ok(head) => {
+                            obj.holder.prev = head.raw();
+                            obj.holder.depth = obj.holder.depth.saturating_add(1);
+                            relink(&mut bytes, obj.holder.prev, obj.holder.depth);
+                        }
+                        Err(e) => {
+                            result = Err(e);
+                            continue;
+                        }
+                    }
+                }
                 // pre-existing objects are republished with the 3-phase
                 // seqlock overwrite so concurrent validated snapshot
                 // reads can never assemble a torn mix of versions;
@@ -1437,18 +1455,24 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
                         Some(&obj.holder.labels()),
                     );
                 }
+                if let Some((prev, depth)) = ended {
+                    self.truncate_chain(prev, None, depth);
+                }
                 if logging {
                     // the new body as a splice over the pre-image it
                     // overwrote; whole where there is none, or none the
                     // history is sure to hold (`PersistStore::logs_whole`)
-                    let pre = obj.orig.as_deref().filter(|_| !logs_whole);
+                    let (base, splice) = match fwd.filter(|_| !logs_whole) {
+                        Some((_, fwd)) => (Some(base), fwd),
+                        None => (None, splice(&[], &bytes)),
+                    };
                     redo.push(RedoRecord::Put {
                         primary: raw,
                         app_id: obj.holder.app_id,
                         is_edge: obj.holder.is_edge,
                         version: obj.holder.version,
-                        base: pre.map(|_| base),
-                        splice: splice(pre.unwrap_or_default(), &bytes),
+                        base,
+                        splice,
                     });
                 }
                 touched.insert(id.rank());
@@ -1551,6 +1575,11 @@ fn find_mirror_slot(holder: &Holder, remote: DPtr, rec: &EdgeRecord) -> Option<u
 fn tombstone(r: &mut EdgeRecord) {
     r.flags |= EdgeRecord::TOMBSTONE;
 }
+
+/// A commit meets a written object it holds no pre-image of, so it
+/// cannot archive the version it overwrites (never expected: every
+/// write-locked first touch of an MVCC writer keeps one).
+const NO_PRE_IMAGE: GdiError = GdiError::NotFound("pre-image of an overwritten object");
 
 /// Decode fetched chain bytes; bytes that are no holder are the usual
 /// stale internal id.

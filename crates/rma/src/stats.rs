@@ -143,6 +143,9 @@ counters! {
     watermark_advances: WatermarkAdvances = "mvcc.watermark_advances",
     /// Overwritten holder versions archived onto version chains.
     version_archives: VersionArchives = "mvcc.version_archives",
+    /// Bytes of archive records written onto version chains (header and
+    /// undo bytes; each record is the undo of one overwrite).
+    archive_bytes: ArchiveBytes = "mvcc.archive_bytes",
     /// Archived versions freed by commit-time chain truncation.
     chain_truncations: ChainTruncations = "mvcc.chain_truncations",
     /// Collective maintenance passes this rank completed (vacuum +
@@ -236,6 +239,7 @@ mod tests {
             Counter::RedoWholeRecords.name(),
             "persist.redo_whole_records"
         );
+        assert_eq!(Counter::ArchiveBytes.name(), "mvcc.archive_bytes");
     }
 
     /// A merge sums every row and keeps the larger of each clock.

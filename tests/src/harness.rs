@@ -146,7 +146,7 @@ pub fn reference_state(nranks: usize, cfg: GdaConfig, ops: &[WlOp], ids: u64) ->
 /// read or decode. Assumes no concurrent writers.
 pub fn free_plus_live_blocks(eng: &gda::GdaRank) -> usize {
     use gda::hio::read_chain;
-    use gda::holder::Holder;
+    use gda::holder::{Archive, Holder};
     use gda::DPtr;
     use std::collections::BTreeSet;
     let (ctx, cfg) = (eng.ctx(), eng.cfg());
@@ -166,7 +166,7 @@ pub fn free_plus_live_blocks(eng: &gda::GdaRank) -> usize {
         while cur != 0 && seen < h.depth {
             let (bytes, blocks) = read_chain(ctx, cfg, DPtr::from_raw(cur)).expect("archive chain");
             live += blocks.len();
-            cur = Holder::try_decode(&bytes).expect("archive decodes").prev;
+            cur = Archive::parse(&bytes).expect("archive record parses").prev;
             seen += 1;
         }
     };

@@ -460,6 +460,10 @@ fn registry_snapshot_names_every_counter() {
         names.contains(&"persist.redo_whole_records"),
         "the whole-image fallback rate is exported"
     );
+    assert!(
+        names.contains(&"mvcc.archive_bytes"),
+        "the bytes archived per overwrite are exported"
+    );
 
     let json = snap.to_json();
     assert!(json.starts_with('{') && json.ends_with('}'), "{json}");

@@ -312,14 +312,26 @@ fn every_local_read_only_transaction_pins_and_nothing_else_does() {
 
 const IDS: u64 = 6;
 const SLOTS: usize = 2;
+/// Labels the `Label` op adds and removes.
+const LABELS: u32 = 2;
 
-/// One step of a serialized interleaving. `Write` commits on the id's
-/// owner rank; `BeginRead` pins a snapshot on the slot's rank and holds
-/// it open across later writes; `EndRead` performs every read at the
-/// pinned epoch, checks it against the oracle, and unpins.
+/// One step of a serialized interleaving. The writes commit on the
+/// owner rank of the (first) id, and only once it exists (`Write`
+/// creates it): `Write` sets the fixed-width `val`; `Link` adds an edge
+/// `a → b` and `Unlink` removes one (compaction then shifts the entry
+/// section); `Label` adds or removes a label; `Name` sets the
+/// variable-length `name` to `len` bytes (removes it at 0).
+/// `BeginRead` pins a snapshot on the slot's rank and holds it open
+/// across later writes; `EndRead` performs every read at the pinned
+/// epoch — values, labels, both neighbour sets — checks it against the
+/// oracle, and unpins.
 #[derive(Debug, Clone, Copy)]
 enum SiOp {
     Write(u64, u64),
+    Link(u64, u64),
+    Unlink(u64, u64),
+    Label(u64, u32, bool),
+    Name(u64, usize),
     BeginRead(usize),
     EndRead(usize),
 }
@@ -332,25 +344,244 @@ fn arb_si_op() -> impl Strategy<Value = SiOp> {
     ]
 }
 
-/// The oracle: every committed write as `(epoch, id, val)`, in epoch
-/// order (execution is serialized by barriers, so push order == epoch
-/// order). `base` holds writes that predate the epoch space of the
-/// current fabric (i.e. recovered pre-crash state, visible to every
+/// [`arb_si_op`] plus the writes that change a holder's length; a
+/// `Write` twice as likely, since the others need a vertex to exist.
+fn arb_si_op_wide() -> impl Strategy<Value = SiOp> {
+    let write = || (0..IDS, 0u64..1_000_000).prop_map(|(v, x)| SiOp::Write(v, x));
+    prop_oneof![
+        write(),
+        write(),
+        (0..SLOTS).prop_map(SiOp::BeginRead),
+        (0..SLOTS).prop_map(SiOp::EndRead),
+        (0..IDS, 0..IDS).prop_map(|(a, b)| SiOp::Link(a, b)),
+        (0..IDS, 0..IDS).prop_map(|(a, b)| SiOp::Unlink(a, b)),
+        (0..IDS, 0..LABELS, any::<bool>()).prop_map(|(v, l, add)| SiOp::Label(v, l, add)),
+        (0..IDS, 0usize..300).prop_map(|(v, len)| SiOp::Name(v, len)),
+    ]
+}
+
+/// The metadata the ops write: `val` (u64), `name` (text) and the labels.
+#[derive(Clone)]
+struct Meta {
+    val: gdi::PTypeId,
+    name: gdi::PTypeId,
+    labels: Vec<gdi::LabelId>,
+}
+
+fn label_name(l: u32) -> String {
+    format!("L{l}")
+}
+
+fn install_meta(eng: &GdaRank) -> Meta {
+    let val = install_ptype(eng);
+    if eng.rank() == 0 {
+        eng.create_ptype(
+            "name",
+            Datatype::Char,
+            EntityType::Vertex,
+            Multiplicity::Single,
+            SizeType::NoLimit,
+            0,
+        )
+        .unwrap();
+        for l in 0..LABELS {
+            eng.create_label(&label_name(l)).unwrap();
+        }
+    }
+    eng.ctx().barrier();
+    eng.refresh_meta();
+    Meta {
+        val,
+        ..lookup_meta(eng)
+    }
+}
+
+fn lookup_meta(eng: &GdaRank) -> Meta {
+    let meta = eng.meta();
+    Meta {
+        val: meta.ptype_from_name("val").unwrap(),
+        name: meta.ptype_from_name("name").unwrap(),
+        labels: (0..LABELS)
+            .map(|l| meta.label_from_name(&label_name(l)).unwrap())
+            .collect(),
+    }
+}
+
+/// One vertex as a snapshot reads it: `val`, its out- and in-neighbours
+/// (sorted app ids), its labels (sorted) and its `name`.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Vertex {
+    val: u64,
+    out: Vec<u64>,
+    inc: Vec<u64>,
+    labels: Vec<u32>,
+    name: Option<String>,
+}
+
+/// A committed write's effect on the oracle's graph.
+#[derive(Debug, Clone)]
+enum Effect {
+    Set(u64, u64),
+    Link(u64, u64),
+    Unlink(u64, u64),
+    Label(u64, u32, bool),
+    Name(u64, Option<String>),
+}
+
+impl Effect {
+    fn apply(&self, g: &mut BTreeMap<u64, Vertex>) {
+        fn v(g: &mut BTreeMap<u64, Vertex>, id: u64) -> &mut Vertex {
+            g.entry(id).or_default()
+        }
+        let drop_one = |list: &mut Vec<u64>, x: u64| {
+            let at = list.iter().position(|&y| y == x).expect("edge to remove");
+            list.remove(at);
+        };
+        match self {
+            Effect::Set(id, val) => v(g, *id).val = *val,
+            Effect::Link(a, b) => {
+                v(g, *a).out.push(*b);
+                v(g, *b).inc.push(*a);
+            }
+            Effect::Unlink(a, b) => {
+                drop_one(&mut v(g, *a).out, *b);
+                drop_one(&mut v(g, *b).inc, *a);
+            }
+            Effect::Label(id, l, add) => {
+                let labels = &mut v(g, *id).labels;
+                labels.retain(|x| x != l);
+                if *add {
+                    labels.push(*l);
+                }
+            }
+            Effect::Name(id, name) => v(g, *id).name = name.clone(),
+        }
+        for x in g.values_mut() {
+            x.out.sort_unstable();
+            x.inc.sort_unstable();
+            x.labels.sort_unstable();
+        }
+    }
+}
+
+/// The oracle: every committed write's effect as `(epoch, effect)`, in
+/// epoch order (execution is serialized by barriers, so push order ==
+/// epoch order). `base` holds the graph that predates the epoch space of
+/// the current fabric (i.e. recovered pre-crash state, visible to every
 /// pin).
 struct Oracle {
-    base: BTreeMap<u64, u64>,
-    log: Mutex<Vec<(u64, u64, u64)>>,
+    base: BTreeMap<u64, Vertex>,
+    log: Mutex<Vec<(u64, Effect)>>,
 }
 
 impl Oracle {
-    fn expected_at(&self, snap: u64) -> BTreeMap<u64, u64> {
-        let mut m = self.base.clone();
-        for &(e, id, val) in self.log.lock().unwrap().iter() {
-            if e <= snap {
-                m.insert(id, val);
+    fn new(base: BTreeMap<u64, Vertex>) -> Self {
+        Oracle {
+            base,
+            log: Mutex::new(Vec::new()),
+        }
+    }
+
+    fn expected_at(&self, snap: u64) -> BTreeMap<u64, Vertex> {
+        let mut g = self.base.clone();
+        for (e, effect) in self.log.lock().unwrap().iter() {
+            if *e <= snap {
+                effect.apply(&mut g);
             }
         }
-        m
+        g
+    }
+
+    /// Every logged effect applied over `base`: the graph now.
+    fn latest(&self) -> BTreeMap<u64, Vertex> {
+        self.expected_at(u64::MAX)
+    }
+}
+
+/// Vertex `id` as `tx` reads it, or `None` when it has no version there.
+fn read_vertex(tx: &gda::Transaction, meta: &Meta, id: u64) -> Option<Vertex> {
+    let v = tx.translate_vertex_id(app(id)).ok()?;
+    let Ok(Some(PropertyValue::U64(val))) = tx.property(v, meta.val) else {
+        return None;
+    };
+    let apps = |orient| {
+        let nbrs = tx.neighbors(v, orient, None).unwrap();
+        let mut ids: Vec<u64> = (nbrs.into_iter())
+            .map(|n| tx.vertex_app_id(n).unwrap().0)
+            .collect();
+        ids.sort_unstable();
+        ids
+    };
+    let mut labels: Vec<u32> = tx.labels(v).unwrap().iter().map(|l| l.0).collect();
+    labels.sort_unstable();
+    // (the oracle counts labels by index, the engine by id)
+    let index = |id| meta.labels.iter().position(|l| l.0 == id).unwrap() as u32;
+    let name = match tx.property(v, meta.name).unwrap() {
+        Some(PropertyValue::Text(s)) => Some(s),
+        None => None,
+        other => panic!("name reads {other:?}"),
+    };
+    Some(Vertex {
+        val,
+        out: apps(gdi::EdgeOrientation::Outgoing),
+        inc: apps(gdi::EdgeOrientation::Incoming),
+        labels: labels.into_iter().map(index).collect(),
+        name,
+    })
+}
+
+/// Run `op`, a write, in a transaction on this rank (the owner of the
+/// vertex it writes first): the effect it committed, if it changed
+/// anything.
+fn write_op(tx: &gda::Transaction, meta: &Meta, op: SiOp, exists: bool) -> Option<Effect> {
+    let id = |x| tx.translate_vertex_id(app(x)).unwrap();
+    match op {
+        SiOp::Write(x, val) if exists => {
+            tx.update_property(id(x), meta.val, &PropertyValue::U64(val))
+                .unwrap();
+            Some(Effect::Set(x, val))
+        }
+        SiOp::Write(x, val) => {
+            let v = tx.create_vertex(app(x)).unwrap();
+            tx.add_property(v, meta.val, &PropertyValue::U64(val))
+                .unwrap();
+            Some(Effect::Set(x, val))
+        }
+        SiOp::Link(a, b) => {
+            tx.add_edge(id(a), id(b), None, true).unwrap();
+            Some(Effect::Link(a, b))
+        }
+        SiOp::Unlink(a, b) => {
+            let (va, vb) = (id(a), id(b));
+            let out = tx.edges(va, gdi::EdgeOrientation::Outgoing).unwrap();
+            let e = (out.into_iter()).find(|&e| tx.edge_endpoints(e).unwrap().1 == vb)?;
+            tx.delete_edge(e).unwrap();
+            Some(Effect::Unlink(a, b))
+        }
+        SiOp::Label(x, l, add) => {
+            let (v, label) = (id(x), meta.labels[l as usize]);
+            if tx.has_label(v, label).unwrap() == add {
+                return None;
+            }
+            if add {
+                tx.add_label(v, label).unwrap();
+            } else {
+                tx.remove_label(v, label).unwrap();
+            }
+            Some(Effect::Label(x, l, add))
+        }
+        SiOp::Name(x, 0) => {
+            (tx.remove_properties(id(x), meta.name).unwrap() > 0).then_some(Effect::Name(x, None))
+        }
+        SiOp::Name(x, len) => {
+            let name: String = (0..len)
+                .map(|i| char::from(b'a' + (i % 26) as u8))
+                .collect();
+            let value = PropertyValue::Text(name.clone());
+            tx.update_property(id(x), meta.name, &value).unwrap();
+            Some(Effect::Name(x, Some(name)))
+        }
+        SiOp::BeginRead(_) | SiOp::EndRead(_) => unreachable!("not a write"),
     }
 }
 
@@ -360,7 +591,7 @@ impl Oracle {
 /// maintained identically on every rank.
 fn apply_si_ops(
     eng: &GdaRank,
-    ptype: gdi::PTypeId,
+    meta: &Meta,
     ops: &[SiOp],
     oracle: &Oracle,
     created: &mut std::collections::BTreeSet<u64>,
@@ -373,8 +604,8 @@ fn apply_si_ops(
     let check = |tx: &gda::Transaction, snap: u64, divergences: &mut Vec<String>| {
         let want = oracle.expected_at(snap);
         for id in 0..IDS {
-            let got = read_val(tx, ptype, id);
-            if got != want.get(&id).copied() {
+            let got = read_vertex(tx, meta, id);
+            if got.as_ref() != want.get(&id) {
                 divergences.push(format!(
                     "id {id} at snapshot {snap}: read {:?}, oracle {:?}",
                     got,
@@ -386,27 +617,6 @@ fn apply_si_ops(
     for op in ops {
         eng.ctx().barrier();
         match *op {
-            SiOp::Write(id, val) => {
-                let exists = created.contains(&id);
-                if owner_rank(app(id), n) == me {
-                    let tx = eng.begin(AccessMode::ReadWrite);
-                    if exists {
-                        let v = tx.translate_vertex_id(app(id)).unwrap();
-                        tx.update_property(v, ptype, &PropertyValue::U64(val))
-                            .unwrap();
-                    } else {
-                        let v = tx.create_vertex(app(id)).unwrap();
-                        tx.add_property(v, ptype, &PropertyValue::U64(val)).unwrap();
-                    }
-                    tx.commit().unwrap();
-                    oracle
-                        .log
-                        .lock()
-                        .unwrap()
-                        .push((eng.last_commit_epoch(), id, val));
-                }
-                created.insert(id);
-            }
             SiOp::BeginRead(slot) => {
                 if !open_slots[slot] {
                     open_slots[slot] = true;
@@ -424,6 +634,31 @@ fn apply_si_ops(
                         check(&tx, snap, &mut divergences);
                         tx.commit().unwrap();
                     }
+                }
+            }
+            write => {
+                // (a write of a vertex that does not exist yet is skipped
+                // on every rank alike, as is a self-loop)
+                let (first, runs) = match write {
+                    SiOp::Write(x, _) => (x, true),
+                    SiOp::Label(x, ..) | SiOp::Name(x, _) => (x, created.contains(&x)),
+                    SiOp::Link(a, b) | SiOp::Unlink(a, b) => {
+                        (a, a != b && created.contains(&a) && created.contains(&b))
+                    }
+                    _ => unreachable!("reads are matched above"),
+                };
+                let exists = created.contains(&first);
+                if runs && owner_rank(app(first), n) == me {
+                    let tx = eng.begin(AccessMode::ReadWrite);
+                    let effect = write_op(&tx, meta, write, exists);
+                    tx.commit().unwrap();
+                    if let Some(effect) = effect {
+                        let epoch = eng.last_commit_epoch();
+                        oracle.log.lock().unwrap().push((epoch, effect));
+                    }
+                }
+                if let SiOp::Write(x, _) = write {
+                    created.insert(x);
                 }
             }
         }
@@ -449,16 +684,13 @@ fn si_divergences(backend: BackendKind, nranks: usize, ops: &[SiOp]) -> Vec<Stri
         CostModel::zero(),
         backend,
     );
-    let oracle = Oracle {
-        base: BTreeMap::new(),
-        log: Mutex::new(Vec::new()),
-    };
+    let oracle = Oracle::new(BTreeMap::new());
     let all = fabric.run(|ctx| {
         let eng = db.attach(ctx);
         eng.init_collective();
-        let ptype = install_ptype(&eng);
+        let meta = install_meta(&eng);
         let mut created = std::collections::BTreeSet::new();
-        apply_si_ops(&eng, ptype, ops, &oracle, &mut created)
+        apply_si_ops(&eng, &meta, ops, &oracle, &mut created)
     });
     all.into_iter().flatten().collect()
 }
@@ -474,10 +706,7 @@ fn si_divergences_recovered(
     ops2: &[SiOp],
     dir: &std::path::Path,
 ) -> Vec<String> {
-    let oracle1 = Oracle {
-        base: BTreeMap::new(),
-        log: Mutex::new(Vec::new()),
-    };
+    let oracle1 = Oracle::new(BTreeMap::new());
     let mut created_after_p1 = std::collections::BTreeSet::new();
     {
         let (db, fabric) = GdaDb::with_fabric_on(
@@ -492,9 +721,9 @@ fn si_divergences_recovered(
         let phase1 = fabric.run(|ctx| {
             let eng = db.attach(ctx);
             eng.init_collective();
-            let ptype = install_ptype(&eng);
+            let meta = install_meta(&eng);
             let mut created = std::collections::BTreeSet::new();
-            let d = apply_si_ops(&eng, ptype, ops1, &oracle1, &mut created);
+            let d = apply_si_ops(&eng, &meta, ops1, &oracle1, &mut created);
             eng.checkpoint().unwrap();
             (d, created)
         });
@@ -508,26 +737,16 @@ fn si_divergences_recovered(
         }
         // drop: the crash — everything in memory is lost
     }
-    let base: BTreeMap<u64, u64> = {
-        let mut m = BTreeMap::new();
-        for &(_, id, val) in oracle1.log.lock().unwrap().iter() {
-            m.insert(id, val);
-        }
-        m
-    };
-    let oracle2 = Oracle {
-        base,
-        log: Mutex::new(Vec::new()),
-    };
+    let oracle2 = Oracle::new(oracle1.latest());
     let (db, fabric, plan) =
         recover(PersistOptions::new(dir).backend(backend), CostModel::zero()).unwrap();
     let all = fabric.run(|ctx| {
         let eng = db.attach(ctx);
         let rec = plan.restore_rank(&eng).unwrap();
         assert_eq!(rec.errors, 0, "replay errors: {rec:?}");
-        let ptype = eng.meta().ptype_from_name("val").unwrap();
+        let meta = lookup_meta(&eng);
         let mut created = created_after_p1.clone();
-        apply_si_ops(&eng, ptype, ops2, &oracle2, &mut created)
+        apply_si_ops(&eng, &meta, ops2, &oracle2, &mut created)
     });
     all.into_iter().flatten().collect()
 }
@@ -542,6 +761,27 @@ proptest! {
     #[test]
     fn snapshot_reads_match_sequential_oracle(
         ops in prop::collection::vec(arb_si_op(), 1..20),
+    ) {
+        for backend in [BackendKind::Sim, BackendKind::Wall] {
+            for nranks in [1usize, 2, 4] {
+                let d = si_divergences(backend, nranks, &ops);
+                prop_assert!(
+                    d.is_empty(),
+                    "SI divergence at {:?} P={}:\n{}\nops {:?}",
+                    backend, nranks, d.join("\n"), ops
+                );
+            }
+        }
+    }
+
+    /// The differential over writes that change a holder's length —
+    /// edges added and removed, labels, a variable-length value — so
+    /// every archive a reader rewinds through undoes a splice that
+    /// shifts the bytes after it: neighbour sets, labels and values at
+    /// every pinned epoch, at P ∈ {1, 2, 4} under both backends.
+    #[test]
+    fn snapshot_reads_match_oracle_on_length_changing_writes(
+        ops in prop::collection::vec(arb_si_op_wide(), 1..24),
     ) {
         for backend in [BackendKind::Sim, BackendKind::Wall] {
             for nranks in [1usize, 2, 4] {
