@@ -34,7 +34,7 @@ use rma::RankCtx;
 use crate::blocks::BlockManager;
 use crate::config::{GdaConfig, WIN_DATA};
 use crate::dptr::DPtr;
-use crate::holder::Holder;
+use crate::holder::{le_u64, Holder};
 
 /// Byte offset of a block's payload (after the chain pointer and the
 /// version-stamp word).
@@ -53,11 +53,8 @@ pub fn payload_per_block(cfg: &GdaConfig) -> usize {
 /// after total_len/num_edges/entries_bytes/flags/app_id).
 #[inline]
 fn stamp_of(bytes: &[u8]) -> u64 {
-    if bytes.len() >= 32 {
-        u64::from_le_bytes(bytes[24..32].try_into().unwrap())
-    } else {
-        0
-    }
+    // (0 for bytes too short to hold the word)
+    le_u64(bytes, 24)
 }
 
 /// Number of blocks needed for a serialized holder of `total_len` bytes.
@@ -83,8 +80,8 @@ pub fn write_chain(
     while blocks.len() < needed {
         blocks.push(bm.acquire(target)?);
     }
-    while blocks.len() > needed {
-        let surplus = blocks.pop().unwrap();
+    // (surplus blocks go back last first)
+    for surplus in blocks.drain(needed..).rev() {
         bm.release(surplus);
     }
     let stamp = stamp_of(bytes);
@@ -382,7 +379,7 @@ impl Cursor {
     /// (`reread` as returned by [`Source::fetch`]), appending its payload
     /// to `out`.
     fn take(&mut self, shape: &Shape, block: &[u8], reread: u64, out: &mut Vec<u8>) -> Step {
-        let word = |at: usize| u64::from_le_bytes(block[at..at + 8].try_into().unwrap());
+        let word = |at: usize| le_u64(block, at);
         if self.validate {
             // untorn iff both stamp observations agree on a non-zero
             // value; a continuation under another stamp than the

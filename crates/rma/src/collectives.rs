@@ -10,9 +10,15 @@
 //! Data moves through a per-rank exchange board; simulated clocks are
 //! reconciled at every collective (`max` over ranks + the collective's
 //! modeled cost), matching the synchronizing nature of these operations.
+//! Shared results (broadcast, gathers) are cloned out of the board; the
+//! personalized all-to-all moves each row to its one reader instead, so
+//! the bulk data of a load, a checkpoint's routing or a frontier exchange
+//! is never held twice.
 
 use std::any::Any;
 use std::sync::Arc;
+
+use parking_lot::Mutex;
 
 use crate::fabric::RankCtx;
 use crate::stats::Counter;
@@ -179,9 +185,14 @@ impl<'a> RankCtx<'a> {
     /// Personalized all-to-all: `rows[t]` is sent to rank `t`; the result's
     /// element `s` is what rank `s` sent to this rank.
     ///
+    /// Rows move, they are not copied: the board holds one slot per
+    /// destination and each receiver takes its own row out of every
+    /// sender's board, so a row's allocation changes hands once and the
+    /// exchange holds no second copy of the data.
+    ///
     /// This is the backbone of the OLAP workloads (frontier exchange in BFS,
     /// contribution delivery in PageRank/CDLP/WCC, feature pushes in GNN).
-    pub fn alltoallv<T: Clone + Send + Sync + 'static>(&self, rows: Vec<Vec<T>>) -> Vec<Vec<T>> {
+    pub fn alltoallv<T: Send + 'static>(&self, rows: Vec<Vec<T>>) -> Vec<Vec<T>> {
         assert_eq!(
             rows.len(),
             self.nranks(),
@@ -206,11 +217,14 @@ impl<'a> RankCtx<'a> {
         // fold both into the modeled cost using the observed receive size.
         let cost_model = *self.cost_model();
         let recvd_cell = std::cell::Cell::new(0usize);
-        let out = self.exchange(rows, sent, 0.0, |views| {
+        let board: Vec<Mutex<Vec<T>>> = rows.into_iter().map(Mutex::new).collect();
+        let out = self.exchange(board, sent, 0.0, |views| {
             let mut recv: Vec<Vec<T>> = Vec::with_capacity(views.len());
             let mut rbytes = 0usize;
             for (s, view) in views.iter().enumerate() {
-                let row = view[me].clone();
+                // each slot has exactly one reader: rank `me` takes row
+                // `me` of every board
+                let row = std::mem::take(&mut *view[me].lock());
                 if s != me {
                     rbytes += row.len() * elem;
                 }
