@@ -14,7 +14,7 @@
 //!   core count caps the achievable throughput, producing the flat
 //!   scaling lines of Figs. 4–6.
 //!
-//! OLAP (BFS, k-hop, BI2) runs server-side and sequentially per query,
+//! OLAP (BFS, BI2) runs server-side and sequentially per query,
 //! which is why Neo4j's analytic runtimes in Fig. 6 sit orders of
 //! magnitude above GDA's.
 
@@ -350,41 +350,6 @@ impl Neo4jStore {
             },
         );
         (visited, levels)
-    }
-
-    /// Server-side k-hop count.
-    pub fn khop(&self, ctx: &RankCtx, root: u64, k: u32) -> u64 {
-        let result = if ctx.rank() == 0 {
-            let g = self.inner.read();
-            let mut seen: std::collections::HashSet<u64> = Default::default();
-            let mut frontier = vec![root];
-            seen.insert(root);
-            let mut edges_touched = 0u64;
-            for _ in 0..k {
-                let mut next = Vec::new();
-                for v in frontier {
-                    if let Some(vx) = g.verts.get(&v) {
-                        for &(w, _, _) in &vx.adj {
-                            edges_touched += 1;
-                            if seen.insert(w) {
-                                next.push(w);
-                            }
-                        }
-                    }
-                }
-                frontier = next;
-            }
-            self.charge(
-                ctx,
-                edges_touched as f64 * self.cost.traverse_edge_ns
-                    + seen.len() as f64 * self.cost.scan_vertex_ns,
-                1.0,
-            );
-            seen.len() as u64
-        } else {
-            0
-        };
-        ctx.bcast(0, if ctx.rank() == 0 { Some(result) } else { None })
     }
 
     /// Server-side BI-2-style aggregate (same predicate as

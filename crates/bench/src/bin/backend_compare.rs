@@ -24,7 +24,7 @@
 //! Writes `results/BENCH_backend_compare.json` (skipped under
 //! `--smoke`, which also shrinks rep counts and the rank sweep).
 
-use gdi_bench::{emit, emit_json_unless_smoke, gda_oltp, spec_for, RunParams};
+use gdi_bench::{emit, emit_json_unless_smoke, oltp, spec_for, RunParams, System};
 use graphgen::LpgConfig;
 use rma::{BackendKind, CostModel, FabricBuilder, WinId};
 use std::hint::black_box;
@@ -202,8 +202,8 @@ fn main() {
     let mut e2e: Vec<(usize, f64, f64)> = Vec::new();
     for &p in &ranks {
         eprintln!("  [backend_compare] end-to-end P={p} ...");
-        let (sim_mqps, _) = gda_oltp(BackendKind::Sim, p, &spec, &Mix::READ_MOSTLY, ops);
-        let (wall_mqps, _) = gda_oltp(BackendKind::Wall, p, &spec, &Mix::READ_MOSTLY, ops);
+        let run = |backend| oltp(System::Gda, backend, p, &spec, &Mix::READ_MOSTLY, ops).mqps;
+        let (sim_mqps, wall_mqps) = (run(BackendKind::Sim), run(BackendKind::Wall));
         e2e.push((p, sim_mqps, wall_mqps));
     }
     let (_, sim0, wall0) = e2e[0];

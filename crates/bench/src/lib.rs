@@ -1,21 +1,29 @@
 //! # `gdi-bench` — the evaluation harness (§6)
 //!
-//! One binary per paper table/figure (`CONTRIBUTING.md` has the index).
-//! This library holds the shared machinery: scenario runners for GDA and
-//! the three baselines, weak/strong-scaling sweeps, environment-variable
-//! sizing, and plain-text table output.
+//! Two kinds of binary share this library:
 //!
-//! ## Sizing
+//! * `paper` — the paper's evaluation (Figs. 4–6, Tables 1–3, §6.6–6.8)
+//!   as one claim table on the simulated fabric, written to
+//!   `results/BENCH_paper.json`; [`paper`] holds the claims, and
+//!   `tests/tests/paper_claims.rs` asserts them at smoke size;
+//! * the subsystem sweeps (`recovery_sweep`, `reshard_sweep`,
+//!   `maintenance_sweep`, `chaos_sweep`, `olap_scan_sweep`,
+//!   `query_sweep`, `si_sweep`, `backend_compare`), each with its own
+//!   `--smoke` gate and `results/BENCH_<name>.json`.
 //!
-//! Defaults are sized for a small host (the figures' *shape* is the
-//! deliverable, not Piz Daint's absolute numbers). Override with:
+//! The library holds the shared machinery: OLTP runners for GDA and the
+//! two baselines, OLAP runners for GDA, Graph500 and Neo4j, `--backend`
+//! selection and result output.
+//!
+//! ## Sweep sizing
+//!
+//! The subsystem sweeps read [`RunParams`] from the environment (the
+//! `paper` runner does not; its only size switch is `--smoke`):
 //!
 //! * `GDI_BENCH_RANKS` — comma-separated rank counts (default `1,2,4,8`)
 //! * `GDI_BENCH_SCALE` — Kronecker scale of the *smallest* weak-scaling
 //!   point / the fixed strong-scaling graph (default `10`)
 //! * `GDI_BENCH_OPS` — OLTP transactions per rank (default `1000`)
-
-use std::sync::Arc;
 
 use gda::GdaDb;
 use gdi::AccessMode;
@@ -23,6 +31,8 @@ use graphgen::{load_into, sized_config, GraphSpec, LpgConfig, LpgMeta};
 use rma::{CostModel, RankCtx};
 use workloads::analytics::build_view;
 use workloads::oltp::{Mix, OltpConfig, OltpResult};
+
+pub mod paper;
 
 pub use rma::{BackendKind, BACKEND_ENV};
 
@@ -74,46 +84,6 @@ impl RunParams {
     }
 }
 
-/// One point of a measured series.
-#[derive(Debug, Clone)]
-pub struct Point {
-    pub nranks: usize,
-    pub scale: u32,
-    /// Primary metric (throughput in MQ/s or runtime in seconds).
-    pub value: f64,
-    /// Failed-transaction fraction (OLTP) or 0.
-    pub fail_frac: f64,
-}
-
-/// A named series of points (one line in a figure).
-#[derive(Debug, Clone)]
-pub struct Series {
-    pub name: String,
-    pub points: Vec<Point>,
-}
-
-/// Render series as an aligned text table (the harness' "figure").
-pub fn render_series(title: &str, metric: &str, series: &[Series]) -> String {
-    let mut out = format!("### {title}\n");
-    out.push_str(&format!(
-        "{:<28} {:>7} {:>7} {:>14} {:>9}\n",
-        "series", "ranks", "scale", metric, "failed%"
-    ));
-    for s in series {
-        for p in &s.points {
-            out.push_str(&format!(
-                "{:<28} {:>7} {:>7} {:>14.6} {:>8.2}%\n",
-                s.name,
-                p.nranks,
-                p.scale,
-                p.value,
-                p.fail_frac * 100.0
-            ));
-        }
-    }
-    out
-}
-
 /// Write a harness output file under `results/` (and echo to stdout).
 pub fn emit(name: &str, content: &str) {
     println!("{content}");
@@ -128,12 +98,15 @@ pub fn emit(name: &str, content: &str) {
 }
 
 /// Write the machine-readable summary of a bench run to
-/// `results/BENCH_<name>.json` (and echo a `BENCH_JSON` line to
-/// stdout). Every `bench/bin/*` harness emits one, so the perf
-/// trajectory is tracked across PRs by diffing committed JSON instead
-/// of re-parsing text tables.
-pub fn emit_json(name: &str, json: &str) {
+/// `results/BENCH_<name>.json` and echo a `BENCH_JSON` line to stdout,
+/// so the perf trajectory is tracked across PRs by diffing committed
+/// JSON. A `--smoke` run only echoes: the committed files record
+/// **full** runs, and a smoke-sized point must never clobber them.
+pub fn emit_json_unless_smoke(name: &str, json: &str, smoke: bool) {
     println!("BENCH_JSON {json}");
+    if smoke {
+        return;
+    }
     let dir = std::path::Path::new("results");
     let _ = std::fs::create_dir_all(dir);
     let path = dir.join(format!("BENCH_{name}.json"));
@@ -141,47 +114,6 @@ pub fn emit_json(name: &str, json: &str) {
         eprintln!("warning: could not write {}: {e}", path.display());
     } else {
         eprintln!("[written {}]", path.display());
-    }
-}
-
-/// Serialize measured series into the standard bench-JSON shape:
-/// `{"bench":name,"series":[{"name":..,"points":[{nranks,scale,value,fail_frac}..]}..]}`.
-pub fn series_json(bench: &str, series: &[Series]) -> String {
-    let mut out = format!("{{\"bench\":\"{bench}\",\"series\":[");
-    for (si, s) in series.iter().enumerate() {
-        if si > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("{{\"name\":\"{}\",\"points\":[", s.name));
-        for (pi, p) in s.points.iter().enumerate() {
-            if pi > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"nranks\":{},\"scale\":{},\"value\":{:.9},\"fail_frac\":{:.6}}}",
-                p.nranks, p.scale, p.value, p.fail_frac
-            ));
-        }
-        out.push_str("]}");
-    }
-    out.push_str("]}");
-    out
-}
-
-/// [`emit_json`] for plain series sweeps (the fig/tab harness shape).
-pub fn emit_series_json(bench: &str, series: &[Series]) {
-    emit_json(bench, &series_json(bench, series));
-}
-
-/// [`emit_json`] that refuses to touch `results/` in smoke mode: the
-/// committed `BENCH_<name>.json` files record **full** runs, and a CI
-/// `--smoke` run must never clobber that trajectory with a smoke-sized
-/// point. The `BENCH_JSON` stdout line is printed either way.
-pub fn emit_json_unless_smoke(name: &str, json: &str, smoke: bool) {
-    if smoke {
-        println!("BENCH_JSON {json}");
-    } else {
-        emit_json(name, json);
     }
 }
 
@@ -219,25 +151,6 @@ fn backend_selection_from(args: impl Iterator<Item = String>) -> Vec<BackendKind
     vec![BackendKind::from_env()]
 }
 
-/// Command-line arguments (after the binary name) with the
-/// `--backend ...` flag removed — for harnesses that read positional
-/// modes via `args().nth(1)`.
-pub fn args_without_backend() -> Vec<String> {
-    let mut out = Vec::new();
-    let mut args = std::env::args().skip(1).peekable();
-    while let Some(a) = args.next() {
-        if a.starts_with("--backend=") {
-            continue;
-        }
-        if a == "--backend" {
-            args.next();
-            continue;
-        }
-        out.push(a);
-    }
-    out
-}
-
 /// Run `f` once per selected backend with `GDI_FABRIC_BACKEND` set
 /// accordingly, so every fabric the closure builds (without an explicit
 /// pin) runs on that backend. The previous value is restored afterwards.
@@ -254,17 +167,6 @@ pub fn for_backends(selection: &[BackendKind], mut f: impl FnMut(BackendKind)) {
     }
 }
 
-/// Label a series with its backend: simulated names stay exactly as
-/// committed in `results/BENCH_*.json`; wall-clock series get a `/wall`
-/// suffix so nondeterministic hardware timings are never confused with
-/// the LogGP baseline.
-pub fn label_series(mut series: Series, backend: BackendKind) -> Series {
-    if backend == BackendKind::Wall {
-        series.name.push_str("/wall");
-    }
-    series
-}
-
 /// Build a graph spec for a sweep point.
 pub fn spec_for(scale: u32, seed: u64, lpg: LpgConfig) -> GraphSpec {
     GraphSpec {
@@ -275,88 +177,98 @@ pub fn spec_for(scale: u32, seed: u64, lpg: LpgConfig) -> GraphSpec {
     }
 }
 
-/// Run one scaling sweep over `params.ranks`: weak scaling grows the
-/// graph with the machine, strong scaling fixes it at `base_scale`. The
-/// runner returns `(metric value, failed-transaction fraction)` for one
-/// point; use [`sweep_runtime`] for seconds-valued runners without a
-/// failure channel. This is the shared core of every figure binary.
-pub fn sweep(
-    name: &str,
-    params: &RunParams,
-    weak: bool,
-    lpg: LpgConfig,
-    runner: impl Fn(usize, &GraphSpec) -> (f64, f64),
-) -> Series {
-    let mut points = Vec::new();
-    for &nranks in &params.ranks {
-        let scale = if weak {
-            params.weak_scale(nranks)
-        } else {
-            params.base_scale
-        };
-        let spec = spec_for(scale, params.seed, lpg);
-        let (value, fail) = runner(nranks, &spec);
-        points.push(Point {
-            nranks,
-            scale,
-            value,
-            fail_frac: fail,
-        });
-        eprintln!(
-            "  [{name}] P={nranks} s={scale}: {value:.6} ({:.2}% failed)",
-            fail * 100.0
-        );
-    }
-    Series {
-        name: name.into(),
-        points,
-    }
-}
-
-/// [`sweep`] for runtime-valued runners (no failure fraction).
-pub fn sweep_runtime(
-    name: &str,
-    params: &RunParams,
-    weak: bool,
-    lpg: LpgConfig,
-    runner: impl Fn(usize, &GraphSpec) -> f64,
-) -> Series {
-    sweep(name, params, weak, lpg, |p, s| (runner(p, s), 0.0))
-}
-
 // ---------------------------------------------------------------------
-// GDA runners
+// OLTP runners
 // ---------------------------------------------------------------------
 
-/// Run a GDA OLTP mix on `backend` (harnesses pass
-/// [`BackendKind::from_env`]): returns `(throughput MQ/s, failure
-/// fraction)`.
-pub fn gda_oltp(
+/// The systems an OLTP run can serve: GDA and the two baselines.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum System {
+    Gda,
+    /// JanusGraph-like: sharded storage servers behind client ranks.
+    Janus,
+    /// Neo4j-like: one server; the ranks are its clients.
+    Neo4j,
+}
+
+/// One OLTP run: per-rank results (latency histograms for Fig. 5) and
+/// the summary the throughput figures plot.
+#[derive(Debug, Clone)]
+pub struct OltpRun {
+    pub results: Vec<OltpResult>,
+    /// Committed transactions per second of the makespan, in millions.
+    pub mqps: f64,
+    /// Failed-transaction fraction.
+    pub fail: f64,
+}
+
+/// Run `ops` transactions of `mix` per rank on `system` over `nranks`
+/// ranks of `backend`. A baseline's makespan is bounded below by its
+/// servers' busy time: ops cannot complete faster than the shards (or
+/// the one Neo4j server) serve them.
+pub fn oltp(
+    system: System,
     backend: BackendKind,
     nranks: usize,
     spec: &GraphSpec,
     mix: &Mix,
     ops: usize,
-) -> (f64, f64) {
-    let cfg = oltp_sized_config(spec, nranks, ops);
-    let (db, fabric) = GdaDb::with_fabric_on("bench", cfg, nranks, CostModel::default(), backend);
-    let results = fabric.run(|ctx| {
-        let eng = db.attach(ctx);
-        eng.init_collective();
-        let (meta, _) = load_into(&eng, spec);
-        ctx.barrier();
-        workloads::oltp::run_oltp(
-            &eng,
-            spec,
-            &meta,
-            mix,
-            &OltpConfig {
-                ops_per_rank: ops,
-                seed: spec.seed,
-            },
-        )
-    });
-    summarize_oltp(&results)
+) -> OltpRun {
+    let ocfg = OltpConfig {
+        ops_per_rank: ops,
+        seed: spec.seed,
+    };
+    let fabric = || {
+        rma::FabricBuilder::new(nranks)
+            .cost(CostModel::default())
+            .backend(backend)
+            .build()
+    };
+    let (results, server_s) = match system {
+        System::Gda => {
+            let cfg = oltp_sized_config(spec, nranks, ops);
+            let (db, fabric) =
+                GdaDb::with_fabric_on("bench", cfg, nranks, CostModel::default(), backend);
+            let results = fabric.run(|ctx| {
+                let eng = db.attach(ctx);
+                eng.init_collective();
+                let (meta, _) = load_into(&eng, spec);
+                ctx.barrier();
+                workloads::oltp::run_oltp(&eng, spec, &meta, mix, &ocfg)
+            });
+            (results, 0.0)
+        }
+        System::Janus => {
+            let store = baselines::JanusStore::new(nranks);
+            let results = fabric().run(|ctx| {
+                store.load(ctx, spec);
+                ctx.barrier();
+                store.run_oltp(ctx, spec, mix, &ocfg)
+            });
+            (results, store.max_server_busy_s())
+        }
+        System::Neo4j => {
+            let store = baselines::Neo4jStore::default();
+            let results = fabric().run(|ctx| {
+                store.load(ctx, spec);
+                store.run_oltp(ctx, spec, mix, &ocfg)
+            });
+            (results, store.server_makespan_s())
+        }
+    };
+    let committed: u64 = results.iter().map(|r| r.committed).sum();
+    let aborted: u64 = results.iter().map(|r| r.aborted).sum();
+    let client_s = results.iter().map(|r| r.sim_ns).fold(0.0, f64::max) / 1e9;
+    let makespan = client_s.max(server_s);
+    OltpRun {
+        mqps: if makespan > 0.0 {
+            committed as f64 / makespan / 1e6
+        } else {
+            0.0
+        },
+        fail: aborted as f64 / (committed + aborted).max(1) as f64,
+        results,
+    }
 }
 
 /// Size a config with headroom for OLTP-inserted vertices/edges.
@@ -368,98 +280,33 @@ pub fn oltp_sized_config(spec: &GraphSpec, nranks: usize, ops: usize) -> gda::Gd
     cfg
 }
 
-/// GDA OLTP with full per-op results (latency histograms for Fig. 5).
-pub fn gda_oltp_detailed(
-    backend: BackendKind,
-    nranks: usize,
-    spec: &GraphSpec,
-    mix: &Mix,
-    ops: usize,
-) -> Vec<OltpResult> {
-    let cfg = oltp_sized_config(spec, nranks, ops);
-    let (db, fabric) = GdaDb::with_fabric_on("bench", cfg, nranks, CostModel::default(), backend);
-    fabric.run(|ctx| {
-        let eng = db.attach(ctx);
-        eng.init_collective();
-        let (meta, _) = load_into(&eng, spec);
-        ctx.barrier();
-        workloads::oltp::run_oltp(
-            &eng,
-            spec,
-            &meta,
-            mix,
-            &OltpConfig {
-                ops_per_rank: ops,
-                seed: spec.seed,
-            },
-        )
-    })
-}
-
-/// Summarize per-rank OLTP results into `(MQ/s, failure fraction)`.
-pub fn summarize_oltp(results: &[OltpResult]) -> (f64, f64) {
-    let qps = workloads::oltp::throughput_qps(results);
-    let committed: u64 = results.iter().map(|r| r.committed).sum();
-    let aborted: u64 = results.iter().map(|r| r.aborted).sum();
-    let fail = if committed + aborted == 0 {
-        0.0
-    } else {
-        aborted as f64 / (committed + aborted) as f64
-    };
-    (qps / 1e6, fail)
-}
+// ---------------------------------------------------------------------
+// OLAP runners
+// ---------------------------------------------------------------------
 
 /// The OLAP algorithms of Fig. 6.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OlapAlgo {
     Bfs,
+    /// PageRank, 10 iterations, damping 0.85.
     Pagerank,
+    /// Label propagation, 5 iterations.
     Cdlp,
+    /// Connected components, 5 iterations.
     Wcc,
     Lcc,
     Khop(u32),
-    Gnn { layers: usize, k: usize },
+    Gnn {
+        layers: usize,
+        k: usize,
+    },
     Bi2,
 }
 
-impl OlapAlgo {
-    pub fn name(&self) -> String {
-        match self {
-            OlapAlgo::Bfs => "BFS".into(),
-            OlapAlgo::Pagerank => "PageRank (i=10, df=0.85)".into(),
-            OlapAlgo::Cdlp => "CDLP (i=5)".into(),
-            OlapAlgo::Wcc => "WCC (i=5)".into(),
-            OlapAlgo::Lcc => "LCC".into(),
-            OlapAlgo::Khop(k) => format!("{k}-Hop"),
-            OlapAlgo::Gnn { layers, k } => format!("GNN (l={layers}, k={k})"),
-            OlapAlgo::Bi2 => "BI2".into(),
-        }
-    }
-}
-
-/// Which OLAP view builder a run uses (the before/after axis of the
-/// zero-transaction scan layer).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ViewMode {
-    /// The tx-based reference path: a collective read transaction and
-    /// one `neighbors` call per vertex (the differential oracle).
-    Tx,
-    /// The scan layer: `GdaRank::olap_view` — an epoch-validated CSR
-    /// mirror built by one raw-window sweep.
-    Scan,
-}
-
-/// Run one GDA OLAP/OLSP workload with view builder `mode`; returns the
-/// active-clock runtime in seconds (max over ranks, measured between two
-/// barriers — simulated on the LogGP backend, real elapsed on the wall
-/// backend).
-pub fn gda_olap(
-    backend: BackendKind,
-    nranks: usize,
-    spec: &GraphSpec,
-    algo: OlapAlgo,
-    mode: ViewMode,
-) -> f64 {
+/// Run one GDA OLAP/OLSP workload; returns the active-clock runtime in
+/// seconds (max over ranks, measured between two barriers — simulated on
+/// the LogGP backend, real elapsed on the wall backend).
+pub fn gda_olap(backend: BackendKind, nranks: usize, spec: &GraphSpec, algo: OlapAlgo) -> f64 {
     let mut cfg = sized_config(spec, nranks);
     if let OlapAlgo::Gnn { k, .. } = algo {
         // feature vectors dominate storage
@@ -472,50 +319,37 @@ pub fn gda_olap(
         let eng = db.attach(ctx);
         eng.init_collective();
         let (meta, _) = load_into(&eng, spec);
-        run_algo_timed(&eng, ctx, spec, &meta, algo, mode)
+        run_algo_timed(&eng, ctx, spec, &meta, algo)
     });
     times.into_iter().fold(0.0, f64::max)
 }
 
 /// Execute an algorithm between clock-reconciling barriers and return the
-/// rank's simulated elapsed seconds.
+/// rank's elapsed seconds.
 ///
-/// The timed region *includes* materializing the local partition with
-/// the view builder `mode` names: a graph database answers OLAP queries
-/// from its transactional storage, so fetching adjacency ([`ViewMode::Tx`]:
-/// through the collective read transaction) is part of the query — this
-/// is exactly the overhead that separates GDA from the raw Graph500
-/// kernel in Fig. 6e/6f.
-pub fn run_algo_timed(
+/// The timed region *includes* materializing the local partition through
+/// the collective read transaction: a graph database answers OLAP queries
+/// from its transactional storage, so fetching adjacency is part of the
+/// query — this is exactly the overhead that separates GDA from the raw
+/// Graph500 kernel in Fig. 6e/6f.
+fn run_algo_timed(
     eng: &gda::GdaRank,
     ctx: &RankCtx,
     spec: &GraphSpec,
     meta: &LpgMeta,
     algo: OlapAlgo,
-    mode: ViewMode,
 ) -> f64 {
     ctx.barrier();
     let t0 = ctx.now_ns();
-    // materialize the local partition: either through the collective
-    // read transaction (tx path — the Fig. 6e/6f overhead separating
-    // GDA from the raw Graph500 kernel) or by the zero-transaction
-    // raw-window sweep (`gda::scan`); both are part of the query
-    let view = &*match mode {
-        ViewMode::Scan => eng.olap_view(),
-        ViewMode::Tx => std::rc::Rc::new(match meta.all_index {
-            Some(ix) => workloads::analytics::build_view_indexed(eng, ix),
-            None => {
-                let apps = spec.vertices_for_rank(ctx.rank(), ctx.nranks());
-                build_view(eng, &apps)
-            }
-        }),
+    let view = &match meta.all_index {
+        Some(ix) => workloads::analytics::build_view_indexed(eng, ix),
+        None => build_view(eng, &spec.vertices_for_rank(ctx.rank(), ctx.nranks())),
     };
     match algo {
         OlapAlgo::Bfs => {
-            let root = bfs_root(spec);
             let tx = eng.begin_collective(AccessMode::ReadOnly);
             drop(tx);
-            workloads::analytics::bfs(eng, view, root);
+            workloads::analytics::bfs(eng, view, bfs_root(spec));
         }
         OlapAlgo::Pagerank => {
             workloads::analytics::pagerank(eng, view, 10, 0.85);
@@ -543,8 +377,7 @@ pub fn run_algo_timed(
             workloads::gnn::train_forward(eng, view, pt, &gcfg);
         }
         OlapAlgo::Bi2 => {
-            let params = bi2_params();
-            workloads::bi2::bi2(eng, spec, meta, &params);
+            workloads::bi2::bi2(eng, spec, meta, &bi2_params());
         }
     }
     ctx.barrier();
@@ -582,132 +415,6 @@ pub fn rich_lpg() -> LpgConfig {
     }
 }
 
-// ---------------------------------------------------------------------
-// Baseline runners
-// ---------------------------------------------------------------------
-
-/// JanusGraph-like OLTP: `(MQ/s, failure fraction)`.
-pub fn janus_oltp(
-    backend: BackendKind,
-    nranks: usize,
-    spec: &GraphSpec,
-    mix: &Mix,
-    ops: usize,
-) -> (f64, f64) {
-    let store = Arc::new(baselines::JanusStore::new(nranks));
-    let fabric = rma::FabricBuilder::new(nranks)
-        .cost(CostModel::default())
-        .backend(backend)
-        .build();
-    let s = store.clone();
-    let results = fabric.run(move |ctx| {
-        s.load(ctx, spec);
-        ctx.barrier();
-        s.run_oltp(
-            ctx,
-            spec,
-            mix,
-            &OltpConfig {
-                ops_per_rank: ops,
-                seed: spec.seed,
-            },
-        )
-    });
-    let (client_mqps, fail) = summarize_oltp(&results);
-    // server-side bound: ops cannot complete faster than shards serve them
-    let committed: u64 = results.iter().map(|r| r.committed).sum();
-    let client_time = committed as f64 / (client_mqps * 1e6);
-    let makespan = client_time.max(store.max_server_busy_s());
-    (committed as f64 / makespan / 1e6, fail)
-}
-
-/// Janus OLTP with full per-op results.
-pub fn janus_oltp_detailed(
-    nranks: usize,
-    spec: &GraphSpec,
-    mix: &Mix,
-    ops: usize,
-) -> Vec<OltpResult> {
-    let store = Arc::new(baselines::JanusStore::new(nranks));
-    let fabric = rma::FabricBuilder::new(nranks)
-        .cost(CostModel::default())
-        .build();
-    let s = store.clone();
-    fabric.run(move |ctx| {
-        s.load(ctx, spec);
-        ctx.barrier();
-        s.run_oltp(
-            ctx,
-            spec,
-            mix,
-            &OltpConfig {
-                ops_per_rank: ops,
-                seed: spec.seed,
-            },
-        )
-    })
-}
-
-/// Neo4j-like OLTP: `(MQ/s, failure fraction)`. `nranks` are clients; the
-/// store is always one server.
-pub fn neo4j_oltp(
-    backend: BackendKind,
-    nranks: usize,
-    spec: &GraphSpec,
-    mix: &Mix,
-    ops: usize,
-) -> (f64, f64) {
-    let store = Arc::new(baselines::Neo4jStore::default());
-    let fabric = rma::FabricBuilder::new(nranks)
-        .cost(CostModel::default())
-        .backend(backend)
-        .build();
-    let s = store.clone();
-    let results = fabric.run(move |ctx| {
-        s.load(ctx, spec);
-        s.run_oltp(
-            ctx,
-            spec,
-            mix,
-            &OltpConfig {
-                ops_per_rank: ops,
-                seed: spec.seed,
-            },
-        )
-    });
-    let (client_mqps, fail) = summarize_oltp(&results);
-    let committed: u64 = results.iter().map(|r| r.committed).sum();
-    let client_time = committed as f64 / (client_mqps * 1e6);
-    let makespan = client_time.max(store.server_makespan_s());
-    (committed as f64 / makespan / 1e6, fail)
-}
-
-/// Neo4j OLTP with full per-op results.
-pub fn neo4j_oltp_detailed(
-    nranks: usize,
-    spec: &GraphSpec,
-    mix: &Mix,
-    ops: usize,
-) -> Vec<OltpResult> {
-    let store = Arc::new(baselines::Neo4jStore::default());
-    let fabric = rma::FabricBuilder::new(nranks)
-        .cost(CostModel::default())
-        .build();
-    let s = store.clone();
-    fabric.run(move |ctx| {
-        s.load(ctx, spec);
-        s.run_oltp(
-            ctx,
-            spec,
-            mix,
-            &OltpConfig {
-                ops_per_rank: ops,
-                seed: spec.seed,
-            },
-        )
-    })
-}
-
 /// Graph500 reference BFS runtime in active-clock seconds.
 pub fn graph500_bfs(backend: BackendKind, nranks: usize, spec: &GraphSpec) -> f64 {
     let fabric = rma::FabricBuilder::new(nranks)
@@ -727,27 +434,23 @@ pub fn graph500_bfs(backend: BackendKind, nranks: usize, spec: &GraphSpec) -> f6
 
 /// Neo4j server-side OLAP runtime in active-clock seconds.
 pub fn neo4j_olap(backend: BackendKind, nranks: usize, spec: &GraphSpec, algo: OlapAlgo) -> f64 {
-    let store = Arc::new(baselines::Neo4jStore::default());
+    let store = baselines::Neo4jStore::default();
     let fabric = rma::FabricBuilder::new(nranks)
         .cost(CostModel::default())
         .backend(backend)
         .build();
-    let s = store.clone();
-    let times = fabric.run(move |ctx| {
-        s.load(ctx, spec);
+    let times = fabric.run(|ctx| {
+        store.load(ctx, spec);
         ctx.barrier();
         let t0 = ctx.now_ns();
         match algo {
             OlapAlgo::Bfs => {
-                s.bfs(ctx, bfs_root(spec));
-            }
-            OlapAlgo::Khop(k) => {
-                s.khop(ctx, bfs_root(spec), k);
+                store.bfs(ctx, bfs_root(spec));
             }
             OlapAlgo::Bi2 => {
-                s.bi2(ctx, &bi2_params());
+                store.bi2(ctx, &bi2_params());
             }
-            _ => unimplemented!("Neo4j baseline covers BFS/k-hop/BI2 only"),
+            _ => unimplemented!("Neo4j baseline covers BFS/BI2 only"),
         }
         ctx.barrier();
         (ctx.now_ns() - t0) / 1e9
@@ -772,16 +475,6 @@ mod tests {
     }
 
     #[test]
-    fn wall_series_get_suffixed() {
-        let s = Series {
-            name: "GDA".into(),
-            points: vec![],
-        };
-        assert_eq!(label_series(s.clone(), BackendKind::Sim).name, "GDA");
-        assert_eq!(label_series(s, BackendKind::Wall).name, "GDA/wall");
-    }
-
-    #[test]
     fn params_env_defaults() {
         let p = RunParams::default();
         assert_eq!(p.weak_scale(1), p.base_scale);
@@ -791,25 +484,35 @@ mod tests {
     #[test]
     fn small_end_to_end_point() {
         let spec = spec_for(8, 7, LpgConfig::default());
-        let (mqps, fail) = gda_oltp(BackendKind::from_env(), 2, &spec, &Mix::READ_MOSTLY, 50);
-        assert!(mqps > 0.0);
-        assert!(fail < 0.5);
+        let run = oltp(
+            System::Gda,
+            BackendKind::from_env(),
+            2,
+            &spec,
+            &Mix::READ_MOSTLY,
+            50,
+        );
+        assert!(run.mqps > 0.0);
+        assert!(run.fail < 0.5);
+        assert_eq!(run.results.len(), 2);
     }
 
     #[test]
     fn render_is_stable() {
-        let s = Series {
-            name: "x".into(),
-            points: vec![Point {
-                nranks: 2,
-                scale: 10,
-                value: 1.5,
-                fail_frac: 0.01,
-            }],
-        };
-        let out = render_series("t", "MQ/s", &[s]);
-        assert!(out.contains("### t"));
-        assert!(out.contains('x'));
-        assert!(out.contains("1.5"));
+        let rows = vec![paper::Claim {
+            id: "x.y",
+            source: "Fig. 0".into(),
+            predicate: "a > b",
+            config: "P=2".into(),
+            // the last bits of a Sim clock are summation order, not data
+            values: vec![("a".into(), 1.5), ("b".into(), 0.25 + 1e-15)],
+            pass: true,
+        }];
+        let text = paper::render(&rows);
+        assert!(text.contains("x.y") && text.contains("pass") && text.contains("a > b"));
+        let json = paper::to_json(&rows, false);
+        assert!(json.contains(r#"{"id":"x.y","pass":true,"source":"Fig. 0""#));
+        assert!(json.contains(r#""values":{"a":1.50000e0,"b":2.50000e-1}"#));
+        assert_eq!(json, paper::to_json(&rows, false));
     }
 }

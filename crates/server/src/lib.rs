@@ -51,8 +51,7 @@
 //! [`GdiServer::serve_rank`] inside `fabric.run` (after loading), client
 //! threads submit concurrently, and [`GdiServer::shutdown`] drains and
 //! stops the loops. See `workloads::traffic` for the Table-3 session
-//! driver and `gdi-bench`'s `server_throughput` for the batched-versus-
-//! unbatched comparison.
+//! driver.
 
 pub mod batch;
 pub mod metrics;

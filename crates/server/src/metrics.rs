@@ -142,7 +142,8 @@ pub struct RankMetrics {
     /// Client-observed **wall-clock** latency (submit → ack), including
     /// queueing and host scheduling. This is the serving-path SLO view;
     /// it is *not* on the simulated clock that sim-throughput uses (the
-    /// engine-side simulated latencies are fig5's domain).
+    /// engine-side simulated latencies are the Fig. 5 rows of `gdi-bench`'s
+    /// `paper` table).
     pub latency: LatencyHist,
     /// Fabric counters of the serve phase (filled after serving stops).
     pub fabric: Option<RankReport>,

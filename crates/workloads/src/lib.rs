@@ -7,8 +7,6 @@
 //!   (Read Mostly, Read Intensive, Write Intensive, LinkBench), driven as
 //!   streams of single-process transactions, with success/abort accounting;
 //! * [`latency`] — log-bucketed latency histograms (Fig. 5);
-//! * [`locality`] — vertex-id samplers (uniform vs Zipf) for
-//!   lookup-locality experiments;
 //! * [`analytics`] — OLAP algorithms in collective transactions: BFS,
 //!   PageRank, CDLP (community detection by label propagation), WCC
 //!   (weakly connected components), LCC (local clustering coefficient) and
@@ -43,7 +41,6 @@ pub mod bi2;
 pub mod chaos;
 pub mod gnn;
 pub mod latency;
-pub mod locality;
 pub mod maintenance;
 pub mod olsp;
 pub mod oltp;
@@ -54,5 +51,4 @@ pub mod scratch;
 pub mod traffic;
 
 pub use latency::Histogram;
-pub use locality::VertexSampler;
 pub use oltp::{Mix, OltpConfig, OltpResult, OpKind};
