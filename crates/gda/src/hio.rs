@@ -30,6 +30,7 @@
 
 use gdi::{GdiError, GdiResult};
 use rma::RankCtx;
+use rustc_hash::FxHashSet;
 
 use crate::blocks::BlockManager;
 use crate::config::{GdaConfig, WIN_DATA};
@@ -52,7 +53,7 @@ pub fn payload_per_block(cfg: &GdaConfig) -> usize {
 /// holder's own `version` field, read off the encoded bytes (offset 24,
 /// after total_len/num_edges/entries_bytes/flags/app_id).
 #[inline]
-fn stamp_of(bytes: &[u8]) -> u64 {
+pub(crate) fn stamp_of(bytes: &[u8]) -> u64 {
     // (0 for bytes too short to hold the word)
     le_u64(bytes, 24)
 }
@@ -246,26 +247,18 @@ pub(crate) enum Source<'a> {
     Live(&'a RankCtx<'a>),
     /// Lock-free: the block copy and a re-read of its stamp word.
     Validated(&'a RankCtx<'a>),
-    /// One rank's data-window image out of a snapshot; no fabric.
-    Image(&'a [u8]),
 }
 
 impl Source<'_> {
     fn shape(&self, cfg: &GdaConfig) -> Shape {
         let payload = payload_per_block(cfg);
-        let (win_len, nranks) = match self {
-            Source::Live(ctx) | Source::Validated(ctx) => {
-                (ctx.win_len_bytes(WIN_DATA), ctx.nranks())
-            }
-            // the caller picked the image by the primary's rank
-            Source::Image(data) => (data.len(), usize::MAX),
-        };
+        let (Source::Live(ctx) | Source::Validated(ctx)) = self;
         Shape {
             block: cfg.block_size,
             payload,
             max_total: payload * cfg.blocks_per_rank,
-            win_len,
-            nranks,
+            win_len: ctx.win_len_bytes(WIN_DATA),
+            nranks: ctx.nranks(),
         }
     }
 
@@ -295,10 +288,6 @@ impl Source<'_> {
                 ctx.get_bytes(WIN_DATA, dp.rank(), off + BLOCK_STAMP_OFFSET, &mut again);
                 ctx.end_nb_batch();
                 u64::from_le_bytes(again)
-            }
-            Source::Image(data) => {
-                buf.copy_from_slice(&data[off..off + buf.len()]);
-                0
             }
         }
     }
@@ -641,56 +630,87 @@ pub(crate) struct LiveChain<'a> {
     pub(crate) app_id: u64,
     /// A heavyweight edge's holder rather than a vertex's?
     pub(crate) is_edge: bool,
-    /// The holder's version field.
-    pub(crate) version: u64,
     /// The serialized holder.
     pub(crate) bytes: &'a [u8],
     /// Its blocks, in chain order.
     pub(crate) blocks: &'a [DPtr],
 }
 
-/// **The live set**: every holder chain a recovery lifts, and so the
-/// only blocks a full checkpoint image carries. One traversal serves
-/// both, the checkpoint writer over live windows and recovery over
-/// snapshot images, so the two cannot drift apart.
+/// **The live set**: every holder chain a recovery lifts — so exactly
+/// the chains a full checkpoint writes as records — and the chains a
+/// maintenance pass vacuums and compacts. Collective, quiesced: hands
+/// `visit` every chain of the live set this rank stores, each once.
 ///
-/// Walks the vertex chains `vertices` names (DHT entries: app id and
-/// primary), then every heavyweight edge-holder chain in `holders` or
-/// named by a live edge record of one of those vertices, each once.
-/// `src(rank)` says where a rank's blocks are read, or `None`: not here.
-/// An edge holder on such a rank is returned for the caller to route to
-/// its rank instead of walked. Nothing follows `prev`: archives are
-/// never part of the live set.
+/// The vertex chains are the DHT's entries ([`dht::owned_entries`]
+/// routes each to its primary's rank); the rest are the heavyweight
+/// edge holders a live edge record of one of them names. An edge holder
+/// stored on another rank than the vertex naming it takes a second
+/// exchange, which every rank joins whatever its own walk found.
+/// Nothing follows `prev`: archives are never part of the live set.
 ///
-/// Fails on a chain that does not read or validate, on a vertex that is
-/// not the object its DHT entry names, and on an edge record that
-/// points at a vertex holder.
-pub(crate) fn walk_live<'s>(
+/// Fails on a chain that does not read, on a vertex that is not the
+/// object its DHT entry names, and on an edge record that points at a
+/// vertex holder — on this rank alone, so callers vote on the outcome.
+///
+/// [`dht::owned_entries`]: crate::dht::owned_entries
+pub(crate) fn walk_live(
+    ctx: &RankCtx,
     cfg: &GdaConfig,
-    src: impl Fn(usize) -> Option<Source<'s>>,
-    vertices: impl IntoIterator<Item = (u64, DPtr)>,
-    holders: impl IntoIterator<Item = DPtr>,
     mut visit: impl FnMut(&LiveChain<'_>),
+) -> GdiResult<()> {
+    // both mirrors of a heavyweight edge name the same holder, and the
+    // two may be walked on different ranks
+    let mut seen = FxHashSet::default();
+    let vertices = crate::dht::owned_entries(ctx, cfg);
+    let first = walk_chains(ctx, cfg, &mut seen, vertices, Vec::new(), &mut visit);
+    let mut rows = vec![Vec::new(); ctx.nranks()];
+    for dp in first.as_deref().unwrap_or_default() {
+        rows[dp.rank()].push(dp.raw());
+    }
+    let routed = ctx.alltoallv(rows).into_iter().flatten();
+    let routed = routed.map(DPtr::from_raw).collect();
+    let second = walk_chains(ctx, cfg, &mut seen, Vec::new(), routed, &mut visit);
+    match first.and(second) {
+        Ok(rest) => {
+            debug_assert!(rest.is_empty(), "routed holders are all local");
+            Ok(())
+        }
+        Err(e) => Err(GdiError::Io(format!("live set: {e}"))),
+    }
+}
+
+/// One step of [`walk_live`] on this rank: the vertex chains `vertices`
+/// names (DHT entries: app id and primary, all stored here), then every
+/// edge-holder chain in `holders` or named by a live edge record of one
+/// of those vertices and not yet `seen`. Returns the named edge holders
+/// stored on other ranks, unwalked.
+fn walk_chains(
+    ctx: &RankCtx,
+    cfg: &GdaConfig,
+    seen: &mut FxHashSet<u64>,
+    vertices: Vec<(u64, u64)>,
+    mut holders: Vec<DPtr>,
+    visit: &mut impl FnMut(&LiveChain<'_>),
 ) -> Result<Vec<DPtr>, &'static str> {
+    let src = Source::Live(ctx);
     let mut block_buf = vec![0u8; cfg.block_size];
     let (mut bytes, mut blocks) = (Vec::new(), Vec::new());
-    let mut lift =
-        |src: &Source<'_>, primary: DPtr, bytes: &mut Vec<u8>, blocks: &mut Vec<DPtr>| {
-            blocks.clear();
-            let visit = |dp| blocks.push(dp);
-            walk(src, cfg, primary, &mut block_buf, bytes, visit) == Step::Done
-        };
-    let mut queue: Vec<DPtr> = holders.into_iter().collect();
-    for (app, primary) in vertices {
-        let here = src(primary.rank()).ok_or("a vertex chain on a missing rank")?;
-        if !lift(&here, primary, &mut bytes, &mut blocks) {
+    let mut lift = |primary: DPtr, bytes: &mut Vec<u8>, blocks: &mut Vec<DPtr>| {
+        blocks.clear();
+        let visit = |dp| blocks.push(dp);
+        walk(&src, cfg, primary, &mut block_buf, bytes, visit) == Step::Done
+    };
+    for (app, raw) in vertices {
+        let primary = DPtr::from_raw(raw);
+        debug_assert_eq!(primary.rank(), ctx.rank(), "vertices are routed here");
+        if !lift(primary, &mut bytes, &mut blocks) {
             return Err("unreadable vertex chain");
         }
         let scan = Holder::scan_edges(&bytes).ok_or("undecodable vertex holder")?;
         if scan.app_id != app || scan.is_edge {
             return Err("DHT entry does not match its holder");
         }
-        queue.extend(
+        holders.extend(
             scan.live()
                 .map(|(_, r)| r.edge_holder)
                 .filter(|h| !h.is_null()),
@@ -699,23 +719,20 @@ pub(crate) fn walk_live<'s>(
             primary,
             app_id: app,
             is_edge: false,
-            version: stamp_of(&bytes),
             bytes: &bytes,
             blocks: &blocks,
         });
     }
-    let mut seen = rustc_hash::FxHashSet::default();
     let mut foreign = Vec::new();
-    for primary in queue {
-        // both mirrors of a heavyweight edge name the same holder
+    for primary in holders {
+        if primary.rank() != ctx.rank() {
+            foreign.push(primary);
+            continue;
+        }
         if !seen.insert(primary.raw()) {
             continue;
         }
-        let Some(here) = src(primary.rank()) else {
-            foreign.push(primary);
-            continue;
-        };
-        if !lift(&here, primary, &mut bytes, &mut blocks) {
+        if !lift(primary, &mut bytes, &mut blocks) {
             return Err("unreadable edge-holder chain");
         }
         let scan = Holder::scan_edges(&bytes).ok_or("undecodable edge holder")?;
@@ -726,7 +743,6 @@ pub(crate) fn walk_live<'s>(
             primary,
             app_id: scan.app_id,
             is_edge: true,
-            version: stamp_of(&bytes),
             bytes: &bytes,
             blocks: &blocks,
         });
@@ -849,18 +865,18 @@ mod tests {
         });
     }
 
-    /// One chain out of a data-window image: the walk recovery's lift
-    /// (`walk_live` over `Source::Image`) runs per chain.
+    /// One chain through [`walk`] over the live window, the blocks it
+    /// visits included: the walk [`walk_live`] runs per chain.
     fn read_chain_bytes(
+        ctx: &RankCtx,
         cfg: &GdaConfig,
-        data: &[u8],
         primary: DPtr,
     ) -> Option<(Vec<u8>, Vec<DPtr>)> {
         let (mut block_buf, mut bytes, mut blocks) =
             (vec![0u8; cfg.block_size], Vec::new(), Vec::new());
         let visit = |dp| blocks.push(dp);
         let step = walk(
-            &Source::Image(data),
+            &Source::Live(ctx),
             cfg,
             primary,
             &mut block_buf,
@@ -870,8 +886,8 @@ mod tests {
         (step == Step::Done).then_some((bytes, blocks))
     }
 
-    /// The offline chain reader must reproduce exactly what the live
-    /// fetch path reads — it is the seed of every recovery.
+    /// The live-set walk's chain reader must reproduce exactly what the
+    /// live fetch path reads — it is what a full checkpoint writes.
     #[test]
     fn offline_chain_read_matches_live_read() {
         with_pool(|ctx, bm, cfg| {
@@ -885,8 +901,6 @@ mod tests {
                 write_chain(ctx, bm, &h.encode(), &mut blocks).unwrap();
                 primaries.push(primary);
             }
-            let mut image = vec![0u8; ctx.win_len_bytes(WIN_DATA)];
-            ctx.get_bytes(WIN_DATA, 0, 0, &mut image);
             let (mut block, mut reused) = (vec![0u8; cfg.block_size], Vec::new());
             let sources = [Source::Live(ctx), Source::Validated(ctx)];
             let mut buffered = |src: &Source<'_>, primary| {
@@ -895,7 +909,7 @@ mod tests {
             for (h, primary) in [&small, &large].into_iter().zip(&primaries) {
                 let (live_bytes, live_blocks) = read_chain(ctx, cfg, *primary).unwrap();
                 let (img_bytes, img_blocks) =
-                    read_chain_bytes(cfg, &image, *primary).expect("offline read");
+                    read_chain_bytes(ctx, cfg, *primary).expect("live-set read");
                 assert_eq!(img_bytes, live_bytes);
                 assert_eq!(img_blocks, live_blocks);
                 assert_eq!(Holder::decode(&img_bytes), *h);
@@ -907,10 +921,10 @@ mod tests {
             }
             // a never-written block decodes to None, not garbage
             let free = bm.acquire(0).unwrap();
-            assert!(read_chain_bytes(cfg, &image, free).is_none());
+            assert!(read_chain_bytes(ctx, cfg, free).is_none());
             // neither does a pointer past the window's end
-            let beyond = DPtr::new(0, image.len() as u64);
-            assert!(read_chain_bytes(cfg, &image, beyond).is_none());
+            let beyond = DPtr::new(0, ctx.win_len_bytes(WIN_DATA) as u64);
+            assert!(read_chain_bytes(ctx, cfg, beyond).is_none());
             for src in &sources {
                 // (the validated copy of a never-published block tears
                 // until it gives up: a `NotFound` of its own)
@@ -1043,8 +1057,8 @@ mod tests {
 
     /// Two ranks; rank 0 lays down three chains in its own window — a
     /// one-block holder, the five-block `victim`, another one-block
-    /// holder — and hands them to `f` with an offline image of it.
-    fn with_victim(f: impl Fn(&RankCtx, &GdaConfig, [DPtr; 3], &[DPtr], &[u8]) + Sync) {
+    /// holder — and hands them to `f`.
+    fn with_victim(f: impl Fn(&RankCtx, &GdaConfig, [DPtr; 3], &[DPtr]) + Sync) {
         let cfg = GdaConfig::tiny();
         let fabric = cfg.build_fabric(2, CostModel::zero());
         fabric.run(|ctx| {
@@ -1061,9 +1075,7 @@ mod tests {
                 }
                 assert_eq!(chains[1].len(), 5);
                 let primaries = [chains[0][0], chains[1][0], chains[2][0]];
-                let mut image = vec![0u8; ctx.win_len_bytes(WIN_DATA)];
-                ctx.get_bytes(WIN_DATA, 0, 0, &mut image);
-                f(ctx, &cfg, primaries, &chains[1], &image);
+                f(ctx, &cfg, primaries, &chains[1]);
             }
             ctx.barrier();
         });
@@ -1074,15 +1086,10 @@ mod tests {
     /// fine whatever the middle slot holds), as holder bytes or `None`;
     /// typed errors are checked on the way. Order: the readers that
     /// consult no stamp — `read_chain`, `read_chains`, `read_chain_into`
-    /// from the live window, `read_chain_bytes` over `image` — then the
-    /// validated ones: `read_chain_into`, `read_chain_validated`,
+    /// from the live window, `read_chain_bytes` (the live-set walk) —
+    /// then the validated ones: `read_chain_into`, `read_chain_validated`,
     /// `read_chains_validated`.
-    fn all_readers(
-        ctx: &RankCtx,
-        cfg: &GdaConfig,
-        primaries: [DPtr; 3],
-        image: &[u8],
-    ) -> [Option<Vec<u8>>; 7] {
+    fn all_readers(ctx: &RankCtx, cfg: &GdaConfig, primaries: [DPtr; 3]) -> [Option<Vec<u8>>; 7] {
         fn bytes<T>(r: GdiResult<(Vec<u8>, T)>) -> Option<Vec<u8>> {
             match r {
                 Ok((bytes, _)) => Some(bytes),
@@ -1109,7 +1116,7 @@ mod tests {
             bytes(read_chain(ctx, cfg, primaries[1])),
             bytes(plain.swap_remove(1)),
             buffered(Source::Live(ctx)),
-            read_chain_bytes(cfg, image, primaries[1]).map(|(bytes, _)| bytes),
+            read_chain_bytes(ctx, cfg, primaries[1]).map(|(bytes, _)| bytes),
             buffered(Source::Validated(ctx)),
             bytes(read_chain_validated(ctx, cfg, primaries[1])),
             bytes(validated.swap_remove(1)),
@@ -1123,8 +1130,8 @@ mod tests {
     /// fabric's window table instead).
     #[test]
     fn links_off_rank_or_off_window_are_stale_ids() {
-        with_victim(|ctx, cfg, primaries, victim, image| {
-            let win = image.len() as u64;
+        with_victim(|ctx, cfg, primaries, victim| {
+            let win = ctx.win_len_bytes(WIN_DATA) as u64;
             let hostile = [
                 DPtr::new(7, victim[2].offset()),              // no such rank
                 DPtr::new(1, victim[2].offset()),              // not the primary's rank
@@ -1135,12 +1142,7 @@ mod tests {
                 // as the victim's second link …
                 let link_at = victim[1].offset() as usize;
                 ctx.put_bytes(WIN_DATA, 0, link_at, &bad.raw().to_le_bytes());
-                let mut image = image.to_vec();
-                image[link_at..link_at + 8].copy_from_slice(&bad.raw().to_le_bytes());
-                assert_eq!(
-                    all_readers(ctx, cfg, primaries, &image),
-                    [const { None }; 7]
-                );
+                assert_eq!(all_readers(ctx, cfg, primaries), [const { None }; 7]);
                 assert_eq!(read_chain(ctx, cfg, primaries[1]).err(), Some(STALE));
                 assert_eq!(
                     read_chain_validated(ctx, cfg, primaries[1]).err(),
@@ -1182,10 +1184,10 @@ mod tests {
             kind in 0usize..9,
             raw in proptest::prelude::any::<u64>(),
         ) {
-            with_victim(|ctx, cfg, primaries, victim, image| {
+            with_victim(|ctx, cfg, primaries, victim| {
                 let max_total = payload_per_block(cfg) * cfg.blocks_per_rank;
                 let good = read_chain(ctx, cfg, primaries[1]).unwrap().0;
-                let (win, len) = (image.len() as u64, good.len());
+                let (win, len) = (ctx.win_len_bytes(WIN_DATA) as u64, good.len());
                 let hostile: u64 = match kind {
                     0 => 0, // NULL / zero stamp / zero length
                     1 => victim[raw as usize % 5].raw(), // a cycle (or a skip)
@@ -1206,34 +1208,33 @@ mod tests {
                 };
                 let at = victim[block].offset() as usize + field;
                 let word = if width == 4 { hostile & u64::from(u32::MAX) } else { hostile };
-                let mut image = image.to_vec();
-                image[at..at + width].copy_from_slice(&word.to_le_bytes()[..width]);
                 ctx.put_bytes(WIN_DATA, 0, at, &word.to_le_bytes()[..width]);
 
                 // the cursor itself, with what it visits and reserves
                 let (mut buf, mut out) = (vec![0u8; cfg.block_size], Vec::new());
-                let (src, mut visited) = (Source::Image(&image), 0);
+                let (src, mut visited) = (Source::Live(ctx), 0);
                 let step = walk(&src, cfg, primaries[1], &mut buf, &mut out, |_| visited += 1);
                 assert!(visited <= cfg.blocks_per_rank, "{visited} blocks visited");
                 assert!(out.capacity() <= max_total, "{} bytes reserved", out.capacity());
-                let announced =
-                    Holder::peek_total_len(&image[primaries[1].offset() as usize + 16..]);
-                let offline = (step == Step::Done).then_some(out);
-                if let Some(bytes) = &offline {
+                let mut head = [0u8; 4];
+                ctx.get_bytes(WIN_DATA, 0, primaries[1].offset() as usize + 16, &mut head);
+                let announced = Holder::peek_total_len(&head);
+                let walked = (step == Step::Done).then_some(out);
+                if let Some(bytes) = &walked {
                     assert_eq!(bytes.len(), announced);
                 }
 
                 // the plain readers consult no stamp and agree with the
-                // offline walk word for word; a validated read returns
+                // cursor's walk word for word; a validated read returns
                 // only what they find, and never a chain whose stamps
                 // disagree
-                let [plain @ .., buffered, one, batched] = all_readers(ctx, cfg, primaries, &image);
-                assert!(plain.iter().all(|p| *p == offline), "{plain:?} != {offline:?}");
-                assert!(one.is_none() || one == offline);
+                let [plain @ .., buffered, one, batched] = all_readers(ctx, cfg, primaries);
+                assert!(plain.iter().all(|p| *p == walked), "{plain:?} != {walked:?}");
+                assert!(one.is_none() || one == walked);
                 assert_eq!(one, batched);
                 assert_eq!(one, buffered);
                 if field == BLOCK_STAMP_OFFSET {
-                    assert_eq!(offline, Some(good));
+                    assert_eq!(walked, Some(good));
                     assert_eq!(one.is_some(), word == 12, "stamp {word} on block {block}");
                 }
             });

@@ -10,10 +10,11 @@
 //!    chain only when the chain *grows past* `mvcc_chain_limit`
 //!    ([`crate::tx`]), so a hot object's garbage is bounded but a
 //!    **cold** object — overwritten a few times, then never again —
-//!    keeps its archives forever. The vacuum sweeps every local
-//!    primary and frees all archived versions no pinned snapshot can
-//!    still resolve to (strictly below the global snapshot floor),
-//!    patching the live holder's recorded depth and `prev` **in
+//!    keeps its archives forever. The vacuum sweeps every chain of the
+//!    live set this rank stores (`hio::walk_live`, the walk a full
+//!    checkpoint writes) and frees all archived versions no pinned
+//!    snapshot can still resolve to (strictly below the global snapshot
+//!    floor), patching the live holder's recorded depth and `prev` **in
 //!    place** (two aligned word writes; no version bump — the seqlock
 //!    stamp is unchanged and both words flip atomically, so a racing
 //!    pinned reader sees either the old or the new link, never a torn
@@ -43,14 +44,11 @@
 //! cached holder state (which would resurrect a vacuumed `prev`) and
 //! their pins hold the snapshot floor down, which the vacuum respects.
 
-use rustc_hash::FxHashSet;
-
-use gdi::GdiResult;
+use gdi::{GdiError, GdiResult};
 use rma::{Counter, RankCtx};
 
-use crate::config::{GdaConfig, WIN_DATA, WIN_INDEX};
+use crate::config::{GdaConfig, WIN_DATA};
 use crate::db::GdaRank;
-use crate::dht;
 use crate::dptr::DPtr;
 use crate::hio::{self, BLOCK_PAYLOAD_OFFSET};
 use crate::holder::{Archive, Holder, DEPTH_MASK, FLAGS_WORD_OFFSET, PREV_OFFSET};
@@ -220,12 +218,14 @@ fn compact_chain(eng: &GdaRank, bytes: &[u8], blocks: &[DPtr]) -> u64 {
         return 0;
     }
     if hio::write_chain(eng.ctx(), bm, bytes, &mut newb).is_err() {
-        // rewrite failed mid-way: the primary still chains to a valid
-        // image only if nothing was written — write_chain only errs
-        // acquiring blocks, which cannot happen here (the chain never
-        // grows), so this arm is unreachable; keep the old layout
-        for dp in replaced {
-            let _ = dp;
+        // write_chain errs only acquiring blocks, before it writes one
+        // (and the chain never grows here): the old layout stands, and
+        // every block the new one holds that the old does not — the
+        // candidates swapped in — goes back to the pool
+        for (i, dp) in newb.iter().enumerate() {
+            if blocks.get(i) != Some(dp) {
+                bm.release(*dp);
+            }
         }
         return 0;
     }
@@ -245,7 +245,6 @@ pub(crate) fn maintenance_rank(eng: &GdaRank) -> GdiResult<MaintenanceReport> {
     let ctx = eng.ctx();
     let cfg: &GdaConfig = eng.cfg();
     let me = eng.rank();
-    let nranks = eng.nranks();
     ctx.quiesce();
 
     // -- agree on the vacuum floor ------------------------------------
@@ -260,81 +259,40 @@ pub(crate) fn maintenance_rank(eng: &GdaRank) -> GdiResult<MaintenanceReport> {
         ctx.allreduce_min_u64(local_floor.unwrap_or(u64::MAX))
     };
 
-    // -- enumerate the primaries this rank owns -----------------------
-    // DHT partitions are keyed by app id, not by primary placement:
-    // decode the local partition, then route every (app, primary) pair
-    // to the rank that owns the primary (the scan sweep's idiom).
-    let mut img = vec![0u8; ctx.win_len_bytes(WIN_INDEX)];
-    ctx.get_bytes(WIN_INDEX, me, 0, &mut img);
-    let pairs = dht::decode_partition(cfg, &img);
-    ctx.charge_cpu(pairs.len() as u64 + cfg.dht_buckets_per_rank as u64);
-    let mut rows: Vec<Vec<u64>> = vec![Vec::new(); nranks];
-    for (_, raw) in pairs {
-        rows[DPtr::from_raw(raw).rank()].push(raw);
-    }
-    let mut mine: Vec<u64> = ctx.alltoallv(rows).into_iter().flatten().collect();
-    mine.sort_unstable();
-
     // -- pass 1: MVCC version vacuum ----------------------------------
-    // Heavy-edge holders are not in the DHT; they are discovered off
-    // the local vertices' edge records (a heavy edge's holder lives on
-    // an endpoint's rank, so every local edge holder is referenced by
-    // at least one local vertex).
+    // Over the live set — every chain this rank stores that the DHT
+    // names, directly or through a heavyweight edge record — the walk a
+    // full checkpoint writes: an unreadable chain fails the pass on
+    // every rank.
     let mut vacuumed_objects = 0u64;
     let mut vacuumed_versions = 0u64;
     let mut vacuumed_blocks = 0u64;
-    let mut edge_holders: FxHashSet<u64> = FxHashSet::default();
     // multi-block chains, as (highest block offset, primary): the
     // compaction candidates
     let mut chains: Vec<(u64, DPtr)> = Vec::new();
-    let mut note_chain = |blocks: &[DPtr]| {
-        if blocks.len() > 1 {
-            let top = blocks.iter().map(|b| b.offset()).max().unwrap_or(0);
-            chains.push((top, blocks[0]));
+    let walked = hio::walk_live(ctx, cfg, |c| {
+        if c.blocks.len() > 1 {
+            let top = c.blocks.iter().map(|b| b.offset()).max().unwrap_or(0);
+            chains.push((top, c.primary));
         }
-    };
-    for &raw in &mine {
-        let id = DPtr::from_raw(raw);
-        let Ok((bytes, blocks)) = hio::read_chain(ctx, cfg, id) else {
-            continue;
-        };
-        let Some(h) = Holder::try_decode(&bytes) else {
-            continue;
-        };
-        for (_, e) in h.live_edges() {
-            if !e.edge_holder.is_null() && e.edge_holder.rank() == me {
-                edge_holders.insert(e.edge_holder.raw());
-            }
+        if skip_vacuum {
+            return;
         }
-        if !skip_vacuum {
-            let (v, b) = vacuum_object(eng, id, &h, floor);
-            if v > 0 {
-                vacuumed_objects += 1;
-                vacuumed_versions += v;
-                vacuumed_blocks += b;
-            }
-        }
-        note_chain(&blocks);
-    }
-    let mut eh: Vec<u64> = edge_holders.into_iter().collect();
-    eh.sort_unstable();
-    for raw in eh {
-        let id = DPtr::from_raw(raw);
-        let Ok((bytes, blocks)) = hio::read_chain(ctx, cfg, id) else {
-            continue;
+        // (the walk validated the holder as `try_decode` does)
+        let Some(h) = Holder::try_decode(c.bytes) else {
+            return;
         };
-        let Some(h) = Holder::try_decode(&bytes) else {
-            continue;
-        };
-        if !skip_vacuum {
-            let (v, b) = vacuum_object(eng, id, &h, floor);
-            if v > 0 {
-                vacuumed_objects += 1;
-                vacuumed_versions += v;
-                vacuumed_blocks += b;
-            }
+        let (v, b) = vacuum_object(eng, c.primary, &h, floor);
+        if v > 0 {
+            vacuumed_objects += 1;
+            vacuumed_versions += v;
+            vacuumed_blocks += b;
         }
-        note_chain(&blocks);
+    });
+    if ctx.allreduce_any(walked.is_err()) {
+        return Err(walked
+            .err()
+            .unwrap_or_else(|| GdiError::Io("maintenance failed on a peer rank".into())));
     }
 
     // -- pass 2: free-list vacuum -------------------------------------

@@ -55,7 +55,13 @@ pub(super) const MANIFEST_MAGIC: &[u8; 8] = b"GDAMANI\x01";
 /// (tag 1, a whole image) — plus the new edge-record count, and no
 /// holder header: replay rebuilds it. A v9 directory is refused by
 /// version: its tag-1 records carry whole holders, header included.
-pub(super) const FORMAT_VERSION: u32 = 10;
+/// v11: a snapshot file is the live set as records — `primary:u64
+/// len:u32 holder` per live chain, then the postings, then the record
+/// count — instead of the data and index window images, and its header
+/// lost the config record (the manifest keeps it) and the v7 kind byte.
+/// A v10 snapshot is refused by version: its first record would be a
+/// config word.
+pub(super) const FORMAT_VERSION: u32 = 11;
 
 /// Bytes of the fixed `[magic 8][version u32]` prefix of snapshot and
 /// manifest files.

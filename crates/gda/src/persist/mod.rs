@@ -18,9 +18,9 @@
 //!   group-commit cycle already rendezvouses on) and rank 0 writes a
 //!   manifest carrying the snapshot chain, the metadata catalog and the
 //!   index definitions. A **full** checkpoint first has every rank
-//!   serialize what recovery reads of its windows — the live holder
-//!   chains of its block pool and its DHT partition — plus its
-//!   explicit-index postings into a versioned per-rank snapshot file; a
+//!   write what recovery reads — a `(primary, holder bytes)` record per
+//!   live holder chain it stores, plus its explicit-index postings —
+//!   into a versioned per-rank snapshot file; a
 //!   **delta** writes nothing else and *seals* each rank's redo log as
 //!   the chain's next segment;
 //! * **recovery** ([`recover`], [`recover_with_topology`]; the
@@ -63,12 +63,13 @@
 //!
 //! ## Snapshot files stream
 //!
-//! Neither side of the codec ever holds a window image next to the
-//! window, or a file next to what it decodes to: the writer moves one
-//! strip ([`STRIP_BYTES`]) at a time from the window through a buffered
-//! file handle that feeds the [`Checksum`] on the way, and the reader
-//! streams the whole file through the checksum first, then decodes
-//! runs straight into the image they belong to. The file layout, the
+//! Neither side of the codec ever holds a window image, or a file next
+//! to what it decodes to: the writer pushes each record, as the
+//! live-set walk visits its chain, through a strip-sized
+//! ([`STRIP_BYTES`]) buffered file handle that feeds the [`Checksum`] on
+//! the way, and the reader streams the whole file through the checksum
+//! first, then decodes the records straight into recovery's object map.
+//! The file layout, the
 //! checksum's definition and its detection argument live with the
 //! codec in `persist/snapshot.rs` and `persist/format.rs`, the redo
 //! codec in `persist/redo.rs`, recovery in `persist/recover.rs`; this
@@ -88,10 +89,9 @@
 //! replays it. A delta costs a manifest and a rename; the bytes it makes
 //! durable are the redo bytes, written once.
 //!
-//! A checkpoint *rebases* to a **full** image — every rank's live set:
-//! every chain the DHT names and the heavyweight edge holders their
-//! records name, every other data block written as zeros; never an MVCC
-//! archive — when:
+//! A checkpoint *rebases* to a **full** image — every rank's live set as
+//! records: every chain the DHT names and the heavyweight edge holders
+//! their records name; never an MVCC archive or a free block — when:
 //! * it is requested ([`GdaRank::checkpoint_full`]);
 //! * the chain is empty (no full image yet) or has reached
 //!   `DELTA_CHAIN_CAP` members, which bounds what recovery replays and
@@ -162,7 +162,7 @@ use format::{
     check_file_header, io_err, Dec, Enc, FILE_HEADER_BYTES, FORMAT_VERSION, MANIFEST_MAGIC,
 };
 use redo::{encode_frame, parse_log};
-use snapshot::{live_blocks, write_rank_snapshot};
+use snapshot::write_rank_snapshot;
 
 /// A chain this long rebases to a full snapshot: the base plus at most
 /// `DELTA_CHAIN_CAP - 1` sealed segments bounds what recovery replays,
@@ -238,9 +238,6 @@ pub struct CheckpointReport {
     pub sim_stall_s: f64,
     /// Wall-clock seconds of the collective (rank 0's view).
     pub wall_s: f64,
-    /// Wall-clock seconds of a full image's live-set walk (max over
-    /// ranks; 0 for a delta).
-    pub live_walk_s: f64,
 }
 
 /// One rank's open redo log: the append handle and the file's length,
@@ -1040,14 +1037,11 @@ fn checkpoint_rank_inner(eng: &GdaRank, force_full: bool) -> GdiResult<u64> {
         return Err(dir_err.unwrap_or_else(|| GdiError::Io("checkpoint dir failed".into())));
     }
 
-    // a full image: every rank writes its snapshot file behind the
-    // collective live-set walk; then the manifest on rank 0
-    let mut walk_s = 0.0;
+    // a full image: every rank writes its snapshot file as the
+    // collective live-set walk visits its chains; then the manifest on
+    // rank 0
     let mut res = if full {
-        let walk0 = Instant::now();
-        let live = live_blocks(eng);
-        walk_s = walk0.elapsed().as_secs_f64();
-        live.and_then(|live| write_rank_snapshot(eng, &store, id, &dir, &live))
+        write_rank_snapshot(eng, &store, id, &dir)
     } else {
         Ok(0)
     };
@@ -1122,11 +1116,6 @@ fn checkpoint_rank_inner(eng: &GdaRank, force_full: bool) -> GdiResult<u64> {
     }
     let per_rank_bytes = ctx.allgather(bytes);
     let stall_ns = ctx.allreduce_max_f64(ctx.now_ns() - sim0);
-    let live_walk_s = if full {
-        ctx.allreduce_max_f64(walk_s)
-    } else {
-        0.0
-    };
     if me == 0 {
         store.gc(id);
         *store.last_checkpoint.lock() = Some(CheckpointReport {
@@ -1135,7 +1124,6 @@ fn checkpoint_rank_inner(eng: &GdaRank, force_full: bool) -> GdiResult<u64> {
             per_rank_bytes,
             sim_stall_s: stall_ns / 1e9,
             wall_s: wall0.elapsed().as_secs_f64(),
-            live_walk_s,
         });
     }
     ctx.barrier();
@@ -1150,7 +1138,6 @@ pub(crate) mod tests {
     use redo::tests::parse;
     use redo::FRAME_HEADER_BYTES;
     use rma::CostModel;
-    use snapshot::read_rank_snapshot;
 
     /// A unique, self-cleaning persistence directory for one test.
     pub(crate) struct TestDir(pub PathBuf);
@@ -1172,25 +1159,6 @@ pub(crate) mod tests {
         fn drop(&mut self) {
             let _ = fs::remove_dir_all(&self.0);
         }
-    }
-
-    #[test]
-    fn sparse_window_roundtrip() {
-        for pattern in [
-            vec![0u8; 64],
-            (0u8..=255).cycle().take(512).collect::<Vec<u8>>(),
-            {
-                let mut v = vec![0u8; 1024];
-                v[8] = 1;
-                v[512] = 2;
-                v[1016] = 3;
-                v
-            },
-        ] {
-            snapshot::tests::full_roundtrip(&pattern);
-        }
-        // all-zero windows compress to a few bytes
-        assert!(snapshot::tests::full_roundtrip(&vec![0u8; 1 << 20]) < 32);
     }
 
     #[test]
@@ -2606,9 +2574,8 @@ pub(crate) mod tests {
     /// A one-rank database with a label, an index and a property,
     /// checkpointed into the chain `[1 (full), 2 (delta: a one-frame
     /// segment)]` with a live redo log behind it. Returns the store
-    /// (readable after the fabric is gone) and the config the files were
-    /// written under.
-    fn small_chain(td: &TestDir) -> (Arc<PersistStore>, GdaConfig) {
+    /// (readable after the fabric is gone).
+    fn small_chain(td: &TestDir) -> Arc<PersistStore> {
         let cfg = GdaConfig::tiny();
         let (db, fabric) = GdaDb::with_fabric("hostile", cfg, 1, CostModel::zero());
         let store = db.enable_persistence(PersistOptions::new(&td.0)).unwrap();
@@ -2632,7 +2599,7 @@ pub(crate) mod tests {
             assert!(!store.last_checkpoint().unwrap().full);
             vertices(15..17);
         });
-        (store, cfg)
+        store
     }
 
     /// Recompute the trailing checksum of a snapshot or manifest image.
@@ -2664,13 +2631,13 @@ pub(crate) mod tests {
     }
 
     /// The four parsers fed `bytes` in place of the file at `target`
-    /// (0 = full snapshot, 1 = sealed segment, 2 = manifest, 3 = redo
-    /// frame), checksum re-sealed so the parser itself is reached: each
-    /// must return a value or a typed I/O error, and a segment broken at
-    /// any frame must refuse the redo history.
+    /// (0 = full snapshot, read by recovery's record reader, 1 = sealed
+    /// segment, 2 = manifest, 3 = redo frame), checksum re-sealed so the
+    /// parser itself is reached: each must return a value or a typed I/O
+    /// error, and a segment broken at any frame must refuse the redo
+    /// history.
     fn parse_hostile(
         store: &PersistStore,
-        cfg: &GdaConfig,
         target: usize,
         mut bytes: Vec<u8>,
     ) -> Result<(), String> {
@@ -2686,15 +2653,8 @@ pub(crate) mod tests {
                 let path = store.ckpt_dir(1).join("rank-0.snap");
                 let original = fs::read(&path).unwrap();
                 fs::write(&path, &bytes).unwrap();
-                let got = read_rank_snapshot(store, 1, 0, cfg, 1);
+                let got = recover::seed_alone(store, 1, 1);
                 fs::write(&path, original).unwrap();
-                if let Ok(snap) = &got {
-                    let want = snapshot::window_bytes(cfg);
-                    let lens: Vec<usize> = snap.windows.iter().map(Vec::len).collect();
-                    if lens != want {
-                        return Err(format!("decoded window lengths {lens:?}"));
-                    }
-                }
                 typed(got.map(|_| ()))
             }
             1 => {
@@ -2761,19 +2721,17 @@ pub(crate) mod tests {
     struct HostileFixture {
         _dir: TestDir,
         store: Arc<PersistStore>,
-        cfg: GdaConfig,
         images: Vec<Vec<u8>>,
     }
 
     impl HostileFixture {
         fn new(tag: &str) -> Self {
             let dir = TestDir::new(tag);
-            let (store, cfg) = small_chain(&dir);
+            let store = small_chain(&dir);
             let images = pristine_images(&store);
             Self {
                 _dir: dir,
                 store,
-                cfg,
                 images,
             }
         }
@@ -2900,7 +2858,7 @@ pub(crate) mod tests {
     /// Every 4- and 8-byte field position of every persisted structure
     /// survives the values a hostile length would take: nothing
     /// panics, and nothing is allocated from a count the input cannot
-    /// back (`u32::MAX` postings or `2⁶³` window bytes would abort the
+    /// back (`u32::MAX` postings or `2⁶³` records would abort the
     /// test process if they were). A sealed segment — what recovery
     /// replays for a delta — is swept whole, and the three ways its
     /// first frame can point past itself each stop the frame parser at
@@ -2908,7 +2866,7 @@ pub(crate) mod tests {
     #[test]
     fn every_field_position_survives_hostile_values() {
         let fx = HostileFixture::new("hostile-sweep");
-        let (store, cfg) = (&fx.store, &fx.cfg);
+        let store = &fx.store;
         let segment = &fx.images[1];
         // the first record of the first frame is a whole image: tag,
         // primary, app id, edge flag, version, edge records, then its
@@ -2942,17 +2900,8 @@ pub(crate) mod tests {
             );
         }
         for (target, image) in fx.images.iter().enumerate() {
-            parse_hostile(store, cfg, target, image.clone()).unwrap();
-            // snapshots are mostly window data: sweep their structured
-            // head and tail, and everything of the three small formats
-            let offsets: Vec<usize> = if target == 0 {
-                (0..200.min(image.len()))
-                    .chain(image.len().saturating_sub(400)..image.len())
-                    .collect()
-            } else {
-                (0..image.len()).collect()
-            };
-            for at in offsets {
+            parse_hostile(store, target, image.clone()).unwrap();
+            for at in 0..image.len() {
                 for (width, hostile) in [
                     (4usize, u32::MAX as u64),
                     (4, 1 << 31),
@@ -2966,7 +2915,7 @@ pub(crate) mod tests {
                     }
                     let mut m = image.clone();
                     m[at..at + width].copy_from_slice(&hostile.to_le_bytes()[..width]);
-                    if let Err(e) = parse_hostile(store, cfg, target, m) {
+                    if let Err(e) = parse_hostile(store, target, m) {
                         panic!("target {target} offset {at} width {width} := {hostile:#x}: {e}");
                     }
                 }
@@ -3009,7 +2958,7 @@ pub(crate) mod tests {
                 m.truncate((m.len() as f64 * cut) as usize);
             }
             m.extend_from_slice(&extra);
-            let outcome = parse_hostile(&fx.store, &fx.cfg, target, m);
+            let outcome = parse_hostile(&fx.store, target, m);
             proptest::prop_assert!(outcome.is_ok(), "target {target}: {outcome:?}");
         }
     }
@@ -3145,6 +3094,185 @@ pub(crate) mod tests {
                 snap.unwrap_err(),
                 GdiError::Io(format!("unsupported snapshot version {old}"))
             );
+        }
+    }
+    /// A snapshot file written by format version 10 — window images and
+    /// a config record where v11 has records — is refused by version
+    /// under a current manifest, with the directory left as it was.
+    #[test]
+    fn v10_snapshot_is_refused_by_version() {
+        let td = TestDir::new("v10snap");
+        small_chain(&td);
+        let path = td.0.join("ckpt-1/rank-0.snap");
+        let mut file = fs::read(&path).unwrap();
+        file[8..12].copy_from_slice(&10u32.to_le_bytes());
+        reseal(&mut file);
+        fs::write(&path, file).unwrap();
+        let before = listing(&td.0);
+        let err = recover(PersistOptions::new(&td.0), CostModel::zero()).err();
+        assert_eq!(
+            err,
+            Some(GdiError::Io("unsupported snapshot version 10".into()))
+        );
+        assert!(listing(&td.0) == before, "the directory changed");
+    }
+
+    /// A v11 snapshot file of checkpoint 1, shard 0 of 1: `records`, no
+    /// postings, `count` as the record count, checksum sealed.
+    fn records_file(records: &[(DPtr, Vec<u8>)], count: u64) -> Vec<u8> {
+        let mut e = Enc::default();
+        e.buf.extend_from_slice(format::SNAP_MAGIC);
+        e.u32(FORMAT_VERSION);
+        e.u64(1);
+        e.u32(0);
+        e.u32(1);
+        for (primary, holder) in records {
+            e.u64(primary.raw());
+            e.bytes(holder);
+        }
+        e.u32(0);
+        e.u64(count);
+        e.u64(0);
+        reseal(&mut e.buf);
+        e.buf
+    }
+
+    /// What recovery's record reader makes of `file` as the chain base
+    /// of a one-rank directory: the primaries it lifts, or its refusal.
+    fn read_records(file: Vec<u8>) -> GdiResult<Vec<u64>> {
+        let td = TestDir::new("records");
+        let store = PersistStore::new(PersistOptions::new(&td.0), 1, 1, vec![1]);
+        fs::create_dir_all(store.ckpt_dir(1)).unwrap();
+        fs::write(store.ckpt_dir(1).join("rank-0.snap"), file).unwrap();
+        recover::seed_alone(&store, 1, 1)
+    }
+
+    /// Block `b` of rank 0: vertex 1 sits in block 1 (`at(1)`), vertex 2
+    /// in block 2, the edge holder in block 3.
+    fn at(b: u64) -> DPtr {
+        DPtr::new(0, 512 * b)
+    }
+
+    /// The records a full checkpoint writes for vertices 1 and 2 joined by
+    /// a heavyweight edge whose records name `edge_holder`, and the edge's
+    /// holder.
+    fn heavy_pair(edge_holder: DPtr) -> Vec<(DPtr, Vec<u8>)> {
+        let mut a = crate::holder::Holder::new_vertex(1);
+        let mut b = crate::holder::Holder::new_vertex(2);
+        for (v, to, dir) in [
+            (&mut a, at(2), gdi::Direction::Out),
+            (&mut b, at(1), gdi::Direction::In),
+        ] {
+            v.push_edge(crate::holder::EdgeRecord {
+                edge_holder,
+                ..crate::holder::EdgeRecord::lightweight(to, 0, dir)
+            });
+        }
+        let e = crate::holder::Holder::new_edge(at(1), at(2));
+        vec![
+            (at(1), a.encode()),
+            (at(2), b.encode()),
+            (at(3), e.encode()),
+        ]
+    }
+
+    /// The refusal `read_records` answers `records` with.
+    fn refusal(records: &[(DPtr, Vec<u8>)]) -> String {
+        match read_records(records_file(records, records.len() as u64)) {
+            Err(GdiError::Io(e)) => e,
+            other => panic!("expected a typed I/O error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn record_reader_lifts_a_heavy_edge_and_its_holder() {
+        let pair = heavy_pair(at(3));
+        assert_eq!(
+            read_records(records_file(&pair, 3)),
+            Ok(vec![at(1).raw(), at(2).raw(), at(3).raw()])
+        );
+        assert_eq!(read_records(records_file(&[], 0)), Ok(vec![]));
+    }
+
+    #[test]
+    fn record_reader_refuses_a_holder_that_does_not_decode() {
+        let want = "recovery: a snapshot record holds no holder";
+        for cut in [1, 8] {
+            let mut pair = heavy_pair(at(3));
+            let len = pair[1].1.len();
+            pair[1].1.truncate(len - cut);
+            assert_eq!(refusal(&pair), want, "{cut} bytes short");
+        }
+        let mut pair = heavy_pair(at(3));
+        pair[1].1.extend_from_slice(&[0; 8]);
+        assert_eq!(refusal(&pair), want, "longer than its holder");
+        let mut pair = heavy_pair(at(3));
+        pair[0].1[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(refusal(&pair), want, "unknown flags");
+    }
+
+    #[test]
+    fn record_reader_refuses_an_edge_holder_that_is_a_vertex() {
+        // both edge records name vertex 2's holder as the edge's
+        assert_eq!(
+            refusal(&heavy_pair(at(2))),
+            "recovery: an edge record names no edge-holder record"
+        );
+    }
+
+    #[test]
+    fn record_reader_refuses_an_edge_holder_naming_no_record() {
+        let mut pair = heavy_pair(at(3));
+        pair.pop();
+        assert_eq!(
+            refusal(&pair),
+            "recovery: an edge record names no edge-holder record"
+        );
+    }
+
+    #[test]
+    fn record_reader_refuses_a_repeated_primary() {
+        let mut pair = heavy_pair(at(3));
+        let other = crate::holder::Holder::new_vertex(3).encode();
+        pair.push((at(1), other));
+        assert_eq!(refusal(&pair), "recovery: a primary recorded twice");
+    }
+
+    #[test]
+    fn record_reader_refuses_a_repeated_vertex_app_id() {
+        let mut pair = heavy_pair(at(3));
+        let again = crate::holder::Holder::new_vertex(2).encode();
+        pair.push((DPtr::new(0, 2048), again));
+        assert_eq!(refusal(&pair), "recovery: a vertex app id recorded twice");
+    }
+
+    #[test]
+    fn record_reader_refuses_a_primary_off_its_shard() {
+        for primary in [DPtr::new(1, 2048), DPtr::NULL] {
+            let mut pair = heavy_pair(at(3));
+            pair.push((primary, crate::holder::Holder::new_vertex(3).encode()));
+            assert_eq!(refusal(&pair), "snapshot record off its shard's rank");
+        }
+    }
+
+    #[test]
+    fn record_reader_refuses_counts_beyond_the_bytes_left() {
+        let pair = heavy_pair(at(3));
+        let beyond = "persisted count exceeds the bytes that remain";
+        // (12 bytes is the least a record takes)
+        let fits = (records_file(&pair, 3).len() as u64 - 28 - 16) / 12;
+        for count in [fits + 1, 1 << 28, u64::MAX] {
+            let got = read_records(records_file(&pair, count));
+            assert_eq!(got, Err(GdiError::Io(beyond.into())), "count {count}");
+        }
+        // the first record's length, just past and far past the file
+        let left = records_file(&pair, 3).len() as u32 - 28 - 12;
+        for len in [left, 1 << 28, u32::MAX] {
+            let mut file = records_file(&pair, 3);
+            file[36..40].copy_from_slice(&len.to_le_bytes());
+            reseal(&mut file);
+            let got = read_records(file);
+            assert_eq!(got, Err(GdiError::Io(beyond.into())), "length {len}");
         }
     }
 }

@@ -7,20 +7,20 @@
 //! 1. **Logical reconstruction** ([`plan`], single-threaded, before the
 //!    fabric exists): read every `P` shard's base image and redo history
 //!    — the chain's sealed segments, then the live log, through the one
-//!    log reader `PersistStore::read_log` — lift the committed objects
-//!    out of the images ([`crate::dht::decode_partition`] enumerates the
-//!    vertices, `hio::walk_live` lifts the live holder chains — the same
-//!    walk a full checkpoint cuts its image to — and the image's
-//!    postings seed index membership), drop the images, then replay the
-//!    logs against that object map under [`ReplayOrder`]: deletes first,
-//!    leaving identity-keyed tombstones; then puts in version order
-//!    across all logs, refused at or before their object's tombstone and
-//!    when a state at least as new is already live, a patch applied only
-//!    to its object at exactly its base (a missing base is refused and
-//!    counted). Patches apply here, in the snapshot's address space, so
-//!    everything after sees whole holders. The result is one map `old
-//!    primary → (app id, holder bytes, index membership)`, each object's owner
-//!    under the live topology, and the live config: the snapshot's at
+//!    log reader `PersistStore::read_log` — with the base image's records
+//!    going straight into the object map ([`seed_objects`]: one record
+//!    per live holder chain, as the full checkpoint's `hio::walk_live`
+//!    visited it, and the image's postings seed index membership), then
+//!    replay the logs against that object map under [`ReplayOrder`]:
+//!    deletes first, leaving identity-keyed tombstones; then puts in
+//!    version order across all logs, refused at or before their object's
+//!    tombstone and when a state at least as new is already live, a
+//!    patch applied only to its object at exactly its base (a missing
+//!    base is refused and counted). Patches apply here, in the
+//!    snapshot's address space, so everything after sees whole holders.
+//!    The result is one map `old primary → (app id, holder bytes, index
+//!    membership)`, each object's owner under the live topology, and
+//!    the live config: the snapshot's at
 //!    `Q = P` (every object keeps its rank), grown to fit the data on
 //!    `Q ≠ P` ranks (scale-in needs more blocks and DHT heap per rank).
 //! 2. **Collective redistribution** ([`RecoveryPlan::restore_rank`],
@@ -36,7 +36,7 @@
 //! Every object gets a fresh primary from an ordinary allocation, and
 //! every holder starts a fresh epoch-0 world without archives, so after
 //! a recovery each rank's pool holds exactly its live holders' blocks;
-//! the snapshot images are gone before the fabric allocates its windows.
+//! no window image is ever built on the way.
 //!
 //! ## Failure semantics
 //!
@@ -64,17 +64,16 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::{Mutex, RwLock};
-use rustc_hash::FxHashMap;
+use rustc_hash::{FxHashMap, FxHashSet};
 
 use gdi::{AppVertexId, GdiError, GdiResult};
 use rma::{CostModel, Counter, Fabric};
 
 use super::format::io_err;
-use super::snapshot::{read_rank_snapshot, walk_local_live, RankSnapshot};
+use super::snapshot::read_rank_snapshot;
 use super::{read_manifest, PersistOptions, PersistStore, RedoRecord};
 use crate::config::{GdaConfig, WIN_SYSTEM};
 use crate::db::{GdaDb, GdaRank};
-use crate::dht::decode_partition;
 use crate::dptr::DPtr;
 use crate::faults;
 use crate::hio;
@@ -199,10 +198,8 @@ struct ReplayCounts {
     errors: u64,
 }
 
-/// One snapshot shard as [`read_shards`] read it.
+/// One snapshot shard's redo history as [`read_shards`] read it.
 struct Shard {
-    /// The chain's base image (`None` at genesis: logs only).
-    snapshot: Option<RankSnapshot>,
     /// The shard's redo history.
     records: Vec<RedoRecord>,
     /// What the shard's reader reports.
@@ -219,34 +216,28 @@ struct ShardIo {
     live_log_bytes: u64,
 }
 
-/// Read every shard of the published `chain`, written by `nranks` ranks
-/// under `layout`: each one's base image and redo history.
+/// Read every shard of the published `chain`, written by `nranks` ranks:
+/// the committed objects of the chain's base ([`seed_objects`]) and each
+/// shard's redo history.
 fn read_shards(
     store: &PersistStore,
     chain: &[u64],
-    layout: &GdaConfig,
     nranks: usize,
-) -> GdiResult<Vec<Shard>> {
-    (0..nranks)
+) -> GdiResult<(FxHashMap<u64, LiveObject>, Vec<Shard>)> {
+    let (objects, snap_bytes) = seed_objects(store, chain.first().copied(), nranks)?;
+    let shards = (0..nranks)
         .map(|rank| {
-            let snapshot = chain
-                .first()
-                .map(|&base| read_rank_snapshot(store, base, rank, layout, nranks))
-                .transpose()?;
             let (records, log_bytes, live_log_bytes) = store.read_log(rank, chain)?;
             let io = ShardIo {
-                snap_bytes: snapshot.as_ref().map_or(0, |s| s.bytes),
+                snap_bytes: snap_bytes[rank],
                 log_bytes,
                 records: records.len() as u64,
                 live_log_bytes,
             };
-            Ok(Shard {
-                snapshot,
-                records,
-                io,
-            })
+            Ok(Shard { records, io })
         })
-        .collect()
+        .collect::<GdiResult<_>>()?;
+    Ok((objects, shards))
 }
 
 /// One live object during reconstruction.
@@ -315,49 +306,73 @@ fn corrupt(what: &str) -> GdiError {
     GdiError::Io(format!("recovery: {what}"))
 }
 
-/// Lift every committed object out of the snapshot images: the live set
-/// ([`hio::walk_live`], the traversal a full checkpoint's image is cut
-/// to) over the data images, from the vertices the DHT images name.
-fn seed_objects(cfg: &GdaConfig, shards: &[Shard]) -> GdiResult<FxHashMap<u64, LiveObject>> {
-    let snaps = || shards.iter().filter_map(|s| s.snapshot.as_ref());
+/// Lift every committed object out of the snapshot files of the chain's
+/// `base` (none at genesis): each shard's records straight into the
+/// object map, then the postings onto the vertices they name. Refuses,
+/// with a typed `Io` error, a record whose holder does not decode (or
+/// is not exactly its record's length), a primary or vertex app id
+/// recorded twice, and — once every shard is read, as an edge holder may
+/// sit on another shard than the vertex naming it — a vertex's live
+/// edge record whose `edge_holder` names no edge-holder record. Returns
+/// the objects and each shard's snapshot bytes.
+fn seed_objects(
+    store: &PersistStore,
+    base: Option<u64>,
+    nranks: usize,
+) -> GdiResult<(FxHashMap<u64, LiveObject>, Vec<u64>)> {
+    let mut objects: FxHashMap<u64, LiveObject> = FxHashMap::default();
+    let mut snap_bytes = vec![0; nranks];
+    let Some(base) = base else {
+        return Ok((objects, snap_bytes));
+    };
+    let mut apps = FxHashSet::default();
+    let mut named = Vec::new();
+    let mut postings = Vec::new();
+    for (rank, bytes) in snap_bytes.iter_mut().enumerate() {
+        let snap = read_rank_snapshot(store, base, rank, nranks, |primary, holder| {
+            let scan = Holder::scan_edges(&holder)
+                .filter(|_| Holder::peek_total_len(&holder) == holder.len())
+                .ok_or_else(|| corrupt("a snapshot record holds no holder"))?;
+            let (app_id, is_edge) = (scan.app_id, scan.is_edge);
+            if !is_edge {
+                if !apps.insert(app_id) {
+                    return Err(corrupt("a vertex app id recorded twice"));
+                }
+                let holders = scan.live().map(|(_, r)| r.edge_holder);
+                named.extend(holders.filter(|h| !h.is_null()).map(DPtr::raw));
+            }
+            let object = LiveObject {
+                app_id,
+                is_edge,
+                version: hio::stamp_of(&holder),
+                bytes: holder,
+                indexes: Vec::new(),
+            };
+            match objects.insert(primary.raw(), object) {
+                Some(_) => Err(corrupt("a primary recorded twice")),
+                None => Ok(()),
+            }
+        })?;
+        *bytes = snap.bytes;
+        postings.push(snap.postings);
+    }
+    if !named
+        .iter()
+        .all(|h| objects.get(h).is_some_and(|o| o.is_edge))
+    {
+        return Err(corrupt("an edge record names no edge-holder record"));
+    }
     // Index membership is *not* re-derived from labels for snapshot
     // residents: a vertex created before an index existed is not in it.
     // The postings are the authority.
-    let mut member: FxHashMap<u64, Vec<IndexId>> = FxHashMap::default();
-    for snap in snaps() {
-        for (ix, ps) in &snap.postings {
-            for p in ps {
-                member.entry(p.vertex.raw()).or_default().push(*ix);
+    for (ix, ps) in postings.into_iter().flatten() {
+        for p in ps {
+            if let Some(o) = objects.get_mut(&p.vertex.raw()).filter(|o| !o.is_edge) {
+                o.indexes.push(ix);
             }
         }
     }
-    let image = |rank: usize| {
-        let snap = shards.get(rank)?.snapshot.as_ref()?;
-        Some(hio::Source::Image(snap.data()))
-    };
-    let vertices = snaps()
-        .flat_map(|snap| decode_partition(cfg, snap.index()))
-        .map(|(app, raw)| (app, DPtr::from_raw(raw)));
-    let mut objects: FxHashMap<u64, LiveObject> = FxHashMap::default();
-    let lift = |c: &hio::LiveChain<'_>| {
-        let indexes = match c.is_edge {
-            true => Vec::new(),
-            false => member.remove(&c.primary.raw()).unwrap_or_default(),
-        };
-        let object = LiveObject {
-            app_id: c.app_id,
-            is_edge: c.is_edge,
-            version: c.version,
-            bytes: c.bytes.to_vec(),
-            indexes,
-        };
-        objects.insert(c.primary.raw(), object);
-    };
-    let missing = hio::walk_live(cfg, image, vertices, [], lift).map_err(corrupt)?;
-    if !missing.is_empty() {
-        return Err(corrupt("holder chain points at a missing shard"));
-    }
-    Ok(objects)
+    Ok((objects, snap_bytes))
 }
 
 /// Replay the redo tails (log `r` = snapshot shard `r`) against the
@@ -462,18 +477,17 @@ fn replay_logs(
 }
 
 /// Build the logical state and its placement under `map`. Pure
-/// computation over the shards already read; no fabric exists yet (the
-/// returned config decides its window sizes). The snapshot images are
-/// dropped as soon as the objects are lifted out of them.
+/// computation over the objects and shards already read; no fabric
+/// exists yet (the returned config decides its window sizes).
 fn plan(
     snapshot_id: u64,
     snap_cfg: &GdaConfig,
     map: RankMap,
     index_defs: &[IndexDef],
+    mut objects: FxHashMap<u64, LiveObject>,
     shards: Vec<Shard>,
 ) -> GdiResult<(GdaConfig, RecoveryPlan)> {
     let live_ranks = map.live_ranks();
-    let mut objects = seed_objects(snap_cfg, &shards)?;
     let (logs, io): (Vec<_>, Vec<_>) = shards.into_iter().map(|s| (s.records, s.io)).unzip();
     let replay = replay_logs(&mut objects, &logs, index_defs);
     let max_version = objects
@@ -800,10 +814,10 @@ impl RecoveryPlan {
 
 /// Oracle for tests — collective, and the caller keeps the database
 /// quiet: what a recovery would rebuild from the published chain is what
-/// the database holds. Every rank lifts the objects out of every shard's
+/// the database holds. Every rank reads the objects out of every shard's
 /// base image and replays every redo history onto them, exactly as
 /// [`recover`] plans, then compares the objects whose primary it stores
-/// with its live chains (the walk a full image is cut to): the same
+/// with its live chains (the walk a full image writes): the same
 /// set, each with the same identity and holder bytes — up to the MVCC
 /// bookkeeping recovery resets (commit epoch, archive link, depth) —
 /// and the same index membership. Archives, free blocks and the usage
@@ -815,7 +829,7 @@ pub fn audit_image(eng: &GdaRank) -> GdiResult<u64> {
     let ctx = eng.ctx();
     ctx.quiesce();
     let mut live = FxHashMap::default();
-    let walked = walk_local_live(eng, |c| {
+    let walked = hio::walk_live(ctx, eng.cfg(), |c| {
         live.insert(c.primary.raw(), (c.app_id, c.is_edge, c.bytes.to_vec()));
     });
     let mine = walked.and_then(|()| audit_rank(eng, live));
@@ -834,8 +848,7 @@ fn audit_rank(eng: &GdaRank, mut live: FxHashMap<u64, (u64, bool, Vec<u8>)>) -> 
     let store = eng
         .persistence()
         .ok_or(GdiError::InvalidArgument("persistence not enabled"))?;
-    let shards = read_shards(&store, &store.chain(), eng.cfg(), eng.nranks())?;
-    let mut objects = seed_objects(eng.cfg(), &shards)?;
+    let (mut objects, shards) = read_shards(&store, &store.chain(), eng.nranks())?;
     let logs: Vec<Vec<RedoRecord>> = shards.into_iter().map(|s| s.records).collect();
     replay_logs(&mut objects, &logs, &eng.indexes().export_defs().0);
     let mut postings: FxHashMap<u64, Vec<IndexId>> = FxHashMap::default();
@@ -931,9 +944,10 @@ pub fn recover_with_topology(
 
     let backend = opts.backend;
     let store = PersistStore::new(opts, live_ranks, current, manifest.chain.clone());
-    let shards = read_shards(&store, &manifest.chain, &manifest.cfg, snapshot_ranks)?;
+    let (objects, shards) = read_shards(&store, &manifest.chain, snapshot_ranks)?;
     let map = RankMap::resharded(snapshot_ranks, live_ranks);
-    let (cfg, plan) = plan(current, &manifest.cfg, map, &manifest.index_defs, shards)?;
+    let defs = &manifest.index_defs;
+    let (cfg, plan) = plan(current, &manifest.cfg, map, defs, objects, shards)?;
 
     let meta = MetaStore::from_parts(manifest.meta);
     let indexes = IndexShared::from_parts(live_ranks, manifest.index_defs, manifest.index_next_id);
@@ -946,6 +960,16 @@ pub fn recover_with_topology(
         .cfg
         .build_fabric_shared(live_ranks, cost, backend, Some(faults_plane));
     Ok((db, fabric, Arc::new(plan)))
+}
+
+/// [`seed_objects`] of the chain base `base`, written by `nranks` ranks:
+/// the primaries it lifts, sorted, or its refusal.
+#[cfg(test)]
+pub(super) fn seed_alone(store: &PersistStore, base: u64, nranks: usize) -> GdiResult<Vec<u64>> {
+    let (objects, _) = seed_objects(store, Some(base), nranks)?;
+    let mut primaries: Vec<u64> = objects.into_keys().collect();
+    primaries.sort_unstable();
+    Ok(primaries)
 }
 
 /// Replayed objects: primary → (version, holder bytes).

@@ -11,9 +11,9 @@
 //!   larger than that budget;
 //! * a whole recovery — reading the chain back, replay, the fabric it
 //!   boots, the closing checkpoint — stays within **1.5 × the windows +
-//!   4 MiB**: the snapshot images are dropped before the fabric
-//!   allocates its windows, and no whole-file buffer or patch vector
-//!   sits beside either;
+//!   4 MiB**: the snapshot's records go straight into the object map (no
+//!   window image is ever built), and no whole-file buffer or patch
+//!   vector sits beside it;
 //! * decoders handed counts far beyond what their input could back
 //!   (checksum re-sealed, so the parser is reached) answer with a typed
 //!   error — or, for a frame at the end of the live log, a torn tail —
@@ -209,9 +209,9 @@ fn checkpoint_verify_and_restore_stream_through_bounded_memory() {
             create_vertices(&eng, 23_000..23_500);
         });
     }
-    // the whole recovery: read the base image per window and the redo
-    // history, lift and replay the objects, drop the images, build the
-    // fabric, materialize, take the closing full checkpoint
+    // the whole recovery: read the base's records and the redo history,
+    // replay onto the objects, build the fabric, materialize, take the
+    // closing full checkpoint
     let (rec, peak) = peak_over(|| {
         let (db, fabric, plan) = recover(PersistOptions::new(&td.0), CostModel::zero()).unwrap();
         assert_eq!(plan.snapshot_id(), 2);
@@ -230,7 +230,7 @@ fn checkpoint_verify_and_restore_stream_through_bounded_memory() {
     assert_eq!(rec.errors, 0);
     assert!(rec.records > 0 && rec.final_checkpoint == 3);
     eprintln!("recovery peak: {peak} bytes for {window_bytes} bytes of windows");
-    // the images and the windows never coexist
+    // no window image beside the windows
     assert!(
         peak <= window_bytes * 3 / 2 + STREAM_BUDGET,
         "recovery held {peak} bytes for {window_bytes} bytes of windows"
@@ -260,12 +260,15 @@ fn recover_and_restore(dir: &Path) -> Result<gda::RankRecovery, GdiError> {
         .expect("one rank")
 }
 
-/// Byte offsets into the v9 layouts (`docs/ARCHITECTURE.md`).
+/// Byte offsets into the v11 layouts (`docs/ARCHITECTURE.md`).
 mod layout {
-    /// Snapshot header: magic, version, id, rank, nranks, config, kind.
-    pub const SNAP_HEADER: usize = 8 + 4 + 8 + 4 + 4 + 7 * 8 + 1;
-    /// A full image's first window length (`u64`).
-    pub const FULL_FIRST_WINDOW_LEN: usize = SNAP_HEADER;
+    /// Snapshot header: magic, version, id, rank, nranks.
+    pub const SNAP_HEADER: usize = 8 + 4 + 8 + 4 + 4;
+    /// The first record's holder length (`u32`), after its primary.
+    pub const FIRST_RECORD_LEN: usize = SNAP_HEADER + 8;
+    /// The record count (`u64`), this many bytes before the file's end:
+    /// it and the trailing checksum.
+    pub const RECORD_COUNT_FROM_END: usize = 8 + 8;
     /// Manifest: magic, version, id, then the name (`u32` length +
     /// bytes), the rank count and the chain length (`u32`).
     pub fn manifest_chain_len(name: &str) -> usize {
@@ -315,14 +318,20 @@ fn hostile_counts_are_refused_before_anything_is_allocated_for_them() {
     let budget = 2 * MIB;
     let snapshot_len = std::fs::metadata(&full).unwrap().len() as usize;
     // the image's posting section: [indexes u32][id u32][count u64]
-    // [10 labelled vertices × 16][trailer 8]
-    let posting_count = snapshot_len - 8 - 10 * 16 - 8;
-    let cases: [(&str, &Path, usize, Vec<u8>); 4] = [
+    // [10 labelled vertices × 16], then [record count u64][trailer 8]
+    let posting_count = snapshot_len - layout::RECORD_COUNT_FROM_END - 10 * 16 - 8;
+    let cases: [(&str, &Path, usize, Vec<u8>); 5] = [
         (
-            "window length",
+            "record length",
             &full,
-            layout::FULL_FIRST_WINDOW_LEN,
-            (1u64 << 40).to_le_bytes().to_vec(),
+            layout::FIRST_RECORD_LEN,
+            (1u32 << 28).to_le_bytes().to_vec(),
+        ),
+        (
+            "record count",
+            &full,
+            snapshot_len - layout::RECORD_COUNT_FROM_END,
+            (1u64 << 28).to_le_bytes().to_vec(),
         ),
         (
             "posting count",

@@ -323,34 +323,17 @@ fn vacuumed_archives_do_not_resurrect_through_recovery() {
     });
 }
 
-/// The run structure of one rank's snapshot file (format v9, see
-/// `docs/ARCHITECTURE.md`): the bytes a full image spends on its data
-/// window.
+/// The layout of one rank's snapshot file (format v11, see
+/// `docs/ARCHITECTURE.md`): header, a record per live chain, postings,
+/// record count, trailer.
 mod file {
-    /// magic, version, id, rank, nranks, config (seven u64), kind
-    const HEADER: usize = 8 + 4 + 8 + 4 + 4 + 7 * 8 + 1;
-
-    fn u32_at(f: &[u8], at: usize) -> usize {
-        u32::from_le_bytes(f[at..at + 4].try_into().unwrap()) as usize
-    }
-
-    fn u64_at(f: &[u8], at: usize) -> usize {
-        u64::from_le_bytes(f[at..at + 8].try_into().unwrap()) as usize
-    }
-
-    /// The bytes a full image's data window takes in the file: its
-    /// length word, every run header and every data word.
-    pub fn full_data_bytes(f: &[u8]) -> usize {
-        assert_eq!(f[HEADER - 1], 0, "a full file");
-        let len = u64_at(f, HEADER);
-        let (mut at, mut covered) = (HEADER + 8, 0);
-        while covered < len {
-            let (zeros, data) = (u32_at(f, at), u32_at(f, at + 4));
-            at += 8 + data * 8;
-            covered += (zeros + data) * 8;
-        }
-        at - HEADER
-    }
+    /// magic, version, id, rank, nranks
+    pub const HEADER: usize = 8 + 4 + 8 + 4 + 4;
+    /// A record's frame in front of its holder: primary and length.
+    pub const RECORD_HEAD: usize = 8 + 4;
+    /// A posting section without an index, the record count and the
+    /// trailing checksum.
+    pub const TAIL_WITHOUT_INDEXES: usize = 4 + 8 + 8;
 }
 
 /// Archives never reach the disk, end to end: while a pinned reader
@@ -415,7 +398,7 @@ fn archives_never_reach_a_checkpoint() {
             assert!(archives.version_archives >= rounds + 2, "{archives:?}");
             assert!(archives.chain_truncations >= 1, "{archives:?}");
 
-            let chain = |dp: DPtr| hio::read_chain(ctx, &cfg, dp).unwrap().1;
+            let holder_len = |dp: DPtr| hio::read_chain(ctx, &cfg, dp).unwrap().0.len();
             let delta = eng.checkpoint().unwrap();
             let mut files: Vec<String> = std::fs::read_dir(dir.0.join(format!("ckpt-{delta}")))
                 .unwrap()
@@ -441,16 +424,11 @@ fn archives_never_reach_a_checkpoint() {
 
             let full = eng.checkpoint_full().unwrap();
             let f = std::fs::read(dir.0.join(format!("ckpt-{full}/rank-0.snap"))).unwrap();
-            let live: usize = ids.iter().map(|&v| chain(v).len()).sum();
-            // one run per live block at most, plus the length word and
-            // one run per strip the window is streamed in
-            let strips = cfg.data_bytes().div_ceil(gda::persist::STRIP_BYTES);
-            let bound = live * cfg.block_size + 8 * (live + strips) + 8;
-            let got = file::full_data_bytes(&f);
-            assert!(
-                got <= bound,
-                "full data window {got} B > live chains {bound} B"
-            );
+            // a record per live chain and nothing else: no archive, no
+            // free block, no window layout
+            let records: usize = ids.iter().map(|&v| file::RECORD_HEAD + holder_len(v)).sum();
+            let want = file::HEADER + records + file::TAIL_WITHOUT_INDEXES;
+            assert_eq!(f.len(), want, "a full image is its live chains' records");
             assert_eq!(
                 pinned.property(snap, val).unwrap(),
                 Some(PropertyValue::U64(20))

@@ -48,10 +48,10 @@ const CRASH_POINTS: &[&str] = &[
 /// Byte counts a torn `snap.write` lets through before the "crash", for
 /// the sampled harness (whose files are a few KiB): nothing, inside the
 /// version field, inside the checkpoint id (the historical point),
-/// inside the config, at the first window's first run header, mid-run
-/// twice, and everything — trailing checksum included — with only the
-/// rename missing.
-const TORN_AT: &[usize] = &[0, 9, 16, 61, 95, 400, 2_500, usize::MAX];
+/// inside the first record's primary and its length, inside a holder
+/// three times, and everything — trailing checksum included — with only
+/// the rename missing.
+const TORN_AT: &[usize] = &[0, 9, 16, 30, 38, 95, 400, 2_500, usize::MAX];
 
 /// Application ids of the ballast vertices (clear of the scripted ids).
 const BALLAST_BASE: u64 = 1_000_000;
@@ -238,9 +238,12 @@ proptest! {
 }
 
 /// A snapshot write torn at every boundary of the streamed layout, on a
-/// database whose files span several strips: inside the fixed header,
-/// mid-run, exactly on a strip (= write-buffer) boundary and one byte to
-/// either side of it, just before and inside the trailing checksum, and
+/// database whose files span several strips: inside the fixed header, on
+/// the first record's boundaries (before and inside its primary, its
+/// length and its holder), mid-file, exactly on a strip (= write-buffer)
+/// boundary and one byte to either side of it, on the end of the records
+/// (postings, then the record count), just before and inside the
+/// trailing checksum, and
 /// with every byte down but the rename missing — for the full image (a
 /// delta writes no snapshot file: the second `snap.write` never comes).
 /// Each time the checkpoint fails, the previous snapshot stays current,
@@ -293,7 +296,11 @@ fn snapshot_torn_at_every_layout_boundary_recovers() {
         "the file must span strips: {full_len}"
     );
     let boundaries = |len: usize| {
-        let mut at = vec![5, 40, len / 2, len - 9, len - 8, len - 4, len - 1, len];
+        // header 28 B, a record's primary 8 B and length 4 B; the file
+        // ends with the posting section (no index: 4 B), the record
+        // count and the checksum
+        let mut at = vec![5, 28, 32, 36, 38, 40, 44, len / 2];
+        at.extend([len - 20, len - 16, len - 9, len - 8, len - 4, len - 1, len]);
         for strip in (STRIP_BYTES..len).step_by(STRIP_BYTES) {
             at.extend([strip - 1, strip, strip + 1]);
         }
