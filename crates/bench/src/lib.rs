@@ -1,42 +1,39 @@
 //! # `gdi-bench` — the evaluation harness (§6)
 //!
-//! Two kinds of binary share this library:
+//! Two binaries share this library:
 //!
-//! * `paper` — the paper's evaluation (Figs. 4–6, Tables 1–3, §6.6–6.8)
-//!   as one claim table on the simulated fabric, written to
-//!   `results/BENCH_paper.json`; [`paper`] holds the claims, and
+//! * `paper` — every claim as one table on the simulated fabric, written
+//!   to `results/BENCH_paper.json`: the paper's evaluation (Figs. 4–6,
+//!   Tables 1–3, §6.6–6.8) and the reproduction's own subsystems
+//!   (recovery, reshard, maintenance, chaos, snapshot-isolation reads,
+//!   the scan layer, the query planner). [`paper`] holds the claims, and
 //!   `tests/tests/paper_claims.rs` asserts them at smoke size;
-//! * the subsystem sweeps (`recovery_sweep`, `reshard_sweep`,
-//!   `maintenance_sweep`, `chaos_sweep`, `olap_scan_sweep`,
-//!   `query_sweep`, `si_sweep`, `backend_compare`), each with its own
-//!   `--smoke` gate and `results/BENCH_<name>.json`.
+//! * `backend_compare` — where the simulated and the wall-clock backend
+//!   disagree, written to `results/BENCH_backend_compare.json`.
 //!
 //! The library holds the shared machinery: OLTP runners for GDA and the
-//! two baselines, OLAP runners for GDA, Graph500 and Neo4j, `--backend`
-//! selection and result output.
+//! two baselines, OLAP runners for GDA, Graph500 and Neo4j, and result
+//! output.
 //!
-//! ## Sweep sizing
+//! ## `backend_compare` sizing
 //!
-//! The subsystem sweeps read [`RunParams`] from the environment (the
+//! `backend_compare` reads [`RunParams`] from the environment (the
 //! `paper` runner does not; its only size switch is `--smoke`):
 //!
 //! * `GDI_BENCH_RANKS` — comma-separated rank counts (default `1,2,4,8`)
-//! * `GDI_BENCH_SCALE` — Kronecker scale of the *smallest* weak-scaling
-//!   point / the fixed strong-scaling graph (default `10`)
+//! * `GDI_BENCH_SCALE` — Kronecker scale of the graph (default `10`)
 //! * `GDI_BENCH_OPS` — OLTP transactions per rank (default `1000`)
 
 use gda::GdaDb;
 use gdi::AccessMode;
 use graphgen::{load_into, sized_config, GraphSpec, LpgConfig, LpgMeta};
-use rma::{CostModel, RankCtx};
+use rma::{BackendKind, CostModel, RankCtx};
 use workloads::analytics::build_view;
 use workloads::oltp::{Mix, OltpConfig, OltpResult};
 
 pub mod paper;
 
-pub use rma::{BackendKind, BACKEND_ENV};
-
-/// Sweep parameters, from the environment.
+/// `backend_compare`'s parameters, from the environment.
 #[derive(Debug, Clone)]
 pub struct RunParams {
     pub ranks: Vec<usize>,
@@ -77,11 +74,6 @@ impl RunParams {
         }
         p
     }
-
-    /// Weak-scaling graph scale at `nranks` (dataset grows with machine).
-    pub fn weak_scale(&self, nranks: usize) -> u32 {
-        self.base_scale + rma::cost::log2_ceil(nranks)
-    }
 }
 
 /// Write a harness output file under `results/` (and echo to stdout).
@@ -114,56 +106,6 @@ pub fn emit_json_unless_smoke(name: &str, json: &str, smoke: bool) {
         eprintln!("warning: could not write {}: {e}", path.display());
     } else {
         eprintln!("[written {}]", path.display());
-    }
-}
-
-// ---------------------------------------------------------------------
-// Backend selection (`--backend sim|wall|both`)
-// ---------------------------------------------------------------------
-
-/// Backends a harness run sweeps, from the `--backend sim|wall|both`
-/// command-line flag (also accepted as `--backend=X`). Without the flag
-/// the run follows the process default (`GDI_FABRIC_BACKEND`, else
-/// simulated) — the committed-baseline behavior.
-pub fn backend_selection() -> Vec<BackendKind> {
-    backend_selection_from(std::env::args().skip(1))
-}
-
-fn backend_selection_from(args: impl Iterator<Item = String>) -> Vec<BackendKind> {
-    let mut args = args.peekable();
-    while let Some(a) = args.next() {
-        let value = if let Some(v) = a.strip_prefix("--backend=") {
-            Some(v.to_string())
-        } else if a == "--backend" {
-            args.next()
-        } else {
-            None
-        };
-        if let Some(v) = value {
-            return match v.trim().to_ascii_lowercase().as_str() {
-                "both" => vec![BackendKind::Sim, BackendKind::Wall],
-                other => vec![other
-                    .parse()
-                    .unwrap_or_else(|e: String| panic!("--backend: {e}"))],
-            };
-        }
-    }
-    vec![BackendKind::from_env()]
-}
-
-/// Run `f` once per selected backend with `GDI_FABRIC_BACKEND` set
-/// accordingly, so every fabric the closure builds (without an explicit
-/// pin) runs on that backend. The previous value is restored afterwards.
-/// Call from a harness `main` before spawning threads.
-pub fn for_backends(selection: &[BackendKind], mut f: impl FnMut(BackendKind)) {
-    let saved = std::env::var_os(BACKEND_ENV);
-    for &backend in selection {
-        std::env::set_var(BACKEND_ENV, backend.label());
-        f(backend);
-    }
-    match saved {
-        Some(v) => std::env::set_var(BACKEND_ENV, v),
-        None => std::env::remove_var(BACKEND_ENV),
     }
 }
 
@@ -461,25 +403,6 @@ pub fn neo4j_olap(backend: BackendKind, nranks: usize, spec: &GraphSpec, algo: O
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn backend_flag_parsing() {
-        let sel = |args: &[&str]| backend_selection_from(args.iter().map(|s| s.to_string()));
-        assert_eq!(sel(&["--smoke"]), vec![BackendKind::from_env()]);
-        assert_eq!(sel(&["--backend", "sim"]), vec![BackendKind::Sim]);
-        assert_eq!(sel(&["--backend=wall"]), vec![BackendKind::Wall]);
-        assert_eq!(
-            sel(&["--smoke", "--backend", "both"]),
-            vec![BackendKind::Sim, BackendKind::Wall]
-        );
-    }
-
-    #[test]
-    fn params_env_defaults() {
-        let p = RunParams::default();
-        assert_eq!(p.weak_scale(1), p.base_scale);
-        assert_eq!(p.weak_scale(8), p.base_scale + 3);
-    }
 
     #[test]
     fn small_end_to_end_point() {

@@ -21,6 +21,10 @@ pub const WIN_SYSTEM: WinId = WinId(2);
 /// Window id of the internal-index (DHT) window.
 pub const WIN_INDEX: WinId = WinId(3);
 
+/// Maximum archived versions kept per object before commit-time
+/// truncation frees archives older than the snapshot floor.
+pub const MVCC_CHAIN_LIMIT: usize = 4;
+
 /// Tunable GDA parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct GdaConfig {
@@ -34,17 +38,10 @@ pub struct GdaConfig {
     pub dht_buckets_per_rank: usize,
     /// Heap entries (3 words each) of the internal DHT per rank.
     pub dht_heap_per_rank: usize,
-    /// Bounded lock acquisition attempts before a transaction aborts with
-    /// `GDI_ERROR_LOCK_CONFLICT` (the source of the paper's failed-
-    /// transaction percentages).
-    pub max_lock_retries: usize,
     /// Maximum resident entries of the per-rank, epoch-validated
     /// app-id → `DPtr` translation cache in front of `Dht::lookup` (see
     /// `gda::cache`).
     pub translation_cache_capacity: usize,
-    /// Maximum archived versions kept per object before commit-time
-    /// truncation frees archives older than the snapshot floor.
-    pub mvcc_chain_limit: usize,
 }
 
 impl Default for GdaConfig {
@@ -54,9 +51,7 @@ impl Default for GdaConfig {
             blocks_per_rank: 8192,
             dht_buckets_per_rank: 4096,
             dht_heap_per_rank: 8192,
-            max_lock_retries: 48,
             translation_cache_capacity: 8192,
-            mvcc_chain_limit: 4,
         }
     }
 }
@@ -69,9 +64,7 @@ impl GdaConfig {
             blocks_per_rank: 256,
             dht_buckets_per_rank: 64,
             dht_heap_per_rank: 256,
-            max_lock_retries: 48,
             translation_cache_capacity: 128,
-            mvcc_chain_limit: 4,
         }
     }
 

@@ -84,7 +84,9 @@ pub const REDO_READ: &str = "redo.read";
 pub const RESHARD_REDISTRIBUTE: &str = "reshard.redistribute";
 
 /// The storage-side fault points in catalog order (fabric points not
-/// included): the grid the chaos harness and `chaos_sweep` iterate.
+/// included). The `chaos.full_recovery` claim (`gdi_bench::paper`)
+/// sweeps the three whose persistent failure degrades a serving
+/// database: `manifest.write`, `current.rename` and `redo.append`.
 pub const CATALOG: &[&str] = &[
     SNAP_WRITE,
     MANIFEST_WRITE,

@@ -105,7 +105,7 @@ pub mod scan;
 pub mod tx;
 
 pub use bulk::{BulkReport, EdgeSpec, VertexSpec};
-pub use config::GdaConfig;
+pub use config::{GdaConfig, MVCC_CHAIN_LIMIT};
 pub use db::{DbRegistry, GdaDb, GdaRank};
 pub use dptr::{DPtr, EdgeUid};
 pub use index::{IndexDef, IndexId, Posting};

@@ -13,7 +13,7 @@
 //!
 //! All operations are single remote atomics (FADD/CAS), the cheapest
 //! possible on RDMA NICs. Acquisition is *bounded*: after
-//! `max_lock_retries` failed attempts the caller receives
+//! `MAX_LOCK_RETRIES` failed attempts the caller receives
 //! `GDI_ERROR_LOCK_CONFLICT` and the transaction aborts — conflicts surface
 //! as the failed-transaction percentages the paper reports (Fig. 4c/4d).
 
@@ -23,6 +23,11 @@ use rma::RankCtx;
 use crate::config::{GdaConfig, WIN_SYSTEM};
 use crate::dptr::DPtr;
 use crate::hio::STALE;
+
+/// Bounded lock acquisition attempts before a transaction aborts with
+/// `GDI_ERROR_LOCK_CONFLICT` (the source of the paper's failed-
+/// transaction percentages).
+const MAX_LOCK_RETRIES: usize = 48;
 
 /// The write bit of a lock word.
 pub const WRITE_BIT: u64 = 1 << 63;
@@ -81,7 +86,7 @@ impl<'c, 'f> LockManager<'c, 'f> {
     /// write bit was set, undo and retry (bounded).
     pub fn acquire_read(&self, dp: DPtr) -> GdiResult<()> {
         let (rank, word) = self.lock_word(dp)?;
-        for attempt in 0..self.cfg.max_lock_retries {
+        for attempt in 0..MAX_LOCK_RETRIES {
             let prev = self.ctx.fadd_u64(WIN_SYSTEM, rank, word, 1);
             if prev & WRITE_BIT == 0 {
                 return Ok(());
@@ -105,7 +110,7 @@ impl<'c, 'f> LockManager<'c, 'f> {
     /// readers) to the write bit.
     pub fn acquire_write(&self, dp: DPtr) -> GdiResult<()> {
         let (rank, word) = self.lock_word(dp)?;
-        for attempt in 0..self.cfg.max_lock_retries {
+        for attempt in 0..MAX_LOCK_RETRIES {
             if self.ctx.cas_u64(WIN_SYSTEM, rank, word, 0, WRITE_BIT) == 0 {
                 return Ok(());
             }
@@ -126,7 +131,7 @@ impl<'c, 'f> LockManager<'c, 'f> {
     /// is still held.
     pub fn upgrade(&self, dp: DPtr) -> GdiResult<()> {
         let (rank, word) = self.lock_word(dp)?;
-        for attempt in 0..self.cfg.max_lock_retries {
+        for attempt in 0..MAX_LOCK_RETRIES {
             let prev = self.ctx.cas_u64(WIN_SYSTEM, rank, word, 1, WRITE_BIT);
             if prev == 1 {
                 return Ok(());

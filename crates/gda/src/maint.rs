@@ -7,7 +7,7 @@
 //! One pass runs four sub-passes, in order:
 //!
 //! 1. **MVCC version vacuum** — the commit path truncates an archive
-//!    chain only when the chain *grows past* `mvcc_chain_limit`
+//!    chain only when the chain *grows past* [`crate::MVCC_CHAIN_LIMIT`]
 //!    ([`crate::tx`]), so a hot object's garbage is bounded but a
 //!    **cold** object — overwritten a few times, then never again —
 //!    keeps its archives forever. The vacuum sweeps every chain of the
@@ -401,7 +401,7 @@ mod tests {
                 let tx = eng.begin(AccessMode::ReadWrite);
                 let v = tx.create_vertex(AppVertexId(1)).unwrap();
                 tx.commit().unwrap();
-                // three overwrites: depth 3, below mvcc_chain_limit
+                // three overwrites: depth 3, below MVCC_CHAIN_LIMIT
                 // (4), so the commit path never truncates — the chain
                 // is leaked garbage once the watermark moves past it
                 for i in 0..3u64 {

@@ -61,7 +61,10 @@ pub(super) const MANIFEST_MAGIC: &[u8; 8] = b"GDAMANI\x01";
 /// lost the config record (the manifest keeps it) and the v7 kind byte.
 /// A v10 snapshot is refused by version: its first record would be a
 /// config word.
-pub(super) const FORMAT_VERSION: u32 = 11;
+/// v12: the manifest's config record lost the lock-retry bound and the
+/// MVCC chain limit, now engine constants, and is five u64 words. A v11
+/// directory is refused by version.
+pub(super) const FORMAT_VERSION: u32 = 12;
 
 /// Bytes of the fixed `[magic 8][version u32]` prefix of snapshot and
 /// manifest files.

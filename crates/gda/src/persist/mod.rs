@@ -722,9 +722,7 @@ fn encode_cfg(enc: &mut Enc, cfg: &GdaConfig) {
     enc.u64(cfg.blocks_per_rank as u64);
     enc.u64(cfg.dht_buckets_per_rank as u64);
     enc.u64(cfg.dht_heap_per_rank as u64);
-    enc.u64(cfg.max_lock_retries as u64);
     enc.u64(cfg.translation_cache_capacity as u64);
-    enc.u64(cfg.mvcc_chain_limit as u64);
 }
 
 fn decode_cfg<R: Read>(dec: &mut Dec<R>) -> GdiResult<GdaConfig> {
@@ -733,9 +731,7 @@ fn decode_cfg<R: Read>(dec: &mut Dec<R>) -> GdiResult<GdaConfig> {
         blocks_per_rank: dec.u64()? as usize,
         dht_buckets_per_rank: dec.u64()? as usize,
         dht_heap_per_rank: dec.u64()? as usize,
-        max_lock_retries: dec.u64()? as usize,
         translation_cache_capacity: dec.u64()? as usize,
-        mvcc_chain_limit: dec.u64()? as usize,
     })
 }
 
@@ -3117,7 +3113,32 @@ pub(crate) mod tests {
         assert!(listing(&td.0) == before, "the directory changed");
     }
 
-    /// A v11 snapshot file of checkpoint 1, shard 0 of 1: `records`, no
+    /// A format-11 directory — whose manifests carry a seven-word config
+    /// record, two words longer than v12's: the v12 decoder would read
+    /// the lock-retry word as the translation-cache capacity and the
+    /// chain limit as the start of the metadata — is refused by version
+    /// at its manifest and left byte-identical.
+    #[test]
+    fn v11_directory_is_refused_by_version_and_left_untouched() {
+        let td = TestDir::new("v11dir");
+        small_chain(&td);
+        for name in SMALL_CHAIN_FILES {
+            let path = td.0.join(name);
+            let mut file = fs::read(&path).unwrap();
+            file[8..12].copy_from_slice(&11u32.to_le_bytes());
+            reseal(&mut file);
+            fs::write(&path, file).unwrap();
+        }
+        let before = listing(&td.0);
+        let err = recover(PersistOptions::new(&td.0), CostModel::zero()).err();
+        assert_eq!(
+            err,
+            Some(GdiError::Io("unsupported manifest version 11".into()))
+        );
+        assert!(listing(&td.0) == before, "the directory changed");
+    }
+
+    /// A v12 snapshot file of checkpoint 1, shard 0 of 1: `records`, no
     /// postings, `count` as the record count, checksum sealed.
     fn records_file(records: &[(DPtr, Vec<u8>)], count: u64) -> Vec<u8> {
         let mut e = Enc::default();

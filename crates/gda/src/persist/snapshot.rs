@@ -1,4 +1,4 @@
-//! The per-rank snapshot file codec (format v11): written and read in one
+//! The per-rank snapshot file codec (format v12; its layout dates from v11): written and read in one
 //! pass each, through `O(strip)` memory. Only a chain's base — a full
 //! checkpoint — has snapshot files; a delta is its sealed redo segments
 //! (`persist/mod.rs`, "Incremental (delta) checkpoints").

@@ -1376,7 +1376,7 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
                     if obj.created {
                         obj.holder.prev = 0;
                         obj.holder.depth = 0;
-                    } else if obj.holder.depth as usize + 1 > self.eng.cfg().mvcc_chain_limit
+                    } else if obj.holder.depth as usize + 1 > crate::MVCC_CHAIN_LIMIT
                         && obj.holder.prev != 0
                     {
                         // bound the chain before it grows: when the new

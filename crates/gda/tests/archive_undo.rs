@@ -118,7 +118,7 @@ fn head_record(eng: &GdaRank, hub: DPtr) -> (DPtr, Archive) {
 #[test]
 fn overwrites_of_a_multi_block_hub_take_one_block_each() {
     with_hub(|eng, hub, meta| {
-        let n = eng.cfg().mvcc_chain_limit as u64;
+        let n = gda::MVCC_CHAIN_LIMIT as u64;
         let pinned = eng.begin(AccessMode::ReadOnly);
         let first = state(&pinned, hub, meta);
         // (B evicts the hub from the reader's buffers)

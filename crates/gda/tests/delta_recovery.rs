@@ -338,7 +338,7 @@ mod file {
 
 /// Archives never reach the disk, end to end: while a pinned reader
 /// keeps a vertex's old versions alive and the vertex is overwritten
-/// past `mvcc_chain_limit` (archiving every pre-image, truncating and
+/// past `MVCC_CHAIN_LIMIT` (archiving every pre-image, truncating and
 /// sealing below the reader's snapshot), a delta carries no window byte
 /// at all — its directory is the manifest and the sealed segment, and
 /// the segment is exactly the redo bytes the overwrites logged — and the
@@ -390,7 +390,7 @@ fn archives_never_reach_a_checkpoint() {
 
             let pinned = eng.begin(AccessMode::ReadOnly);
             let logged_before = ctx.stats_snapshot().log_bytes;
-            let rounds = 2 * cfg.mvcc_chain_limit as u64;
+            let rounds = 2 * gda::MVCC_CHAIN_LIMIT as u64;
             for round in 1..=rounds {
                 update(hot, 100 + round);
             }
@@ -442,7 +442,7 @@ fn archives_never_reach_a_checkpoint() {
             (
                 id,
                 if id == hot {
-                    100 + 2 * churn_cfg().mvcc_chain_limit as u64
+                    100 + 2 * gda::MVCC_CHAIN_LIMIT as u64
                 } else {
                     id
                 },

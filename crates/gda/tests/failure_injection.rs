@@ -18,7 +18,6 @@ fn starved_cfg() -> GdaConfig {
         blocks_per_rank: 8,
         dht_buckets_per_rank: 8,
         dht_heap_per_rank: 8,
-        max_lock_retries: 8,
         ..GdaConfig::tiny()
     }
 }

@@ -8,7 +8,7 @@
 //! * [`BackendKind::Sim`] — the LogGP model of [`crate::cost`]: every
 //!   operation advances a per-rank virtual clock by its modeled cost
 //!   (Aries-calibrated constants). Deterministic, hardware-independent,
-//!   and the substrate of every committed `results/BENCH_*.json` curve.
+//!   and the substrate of the claim table (`results/BENCH_paper.json`).
 //! * [`BackendKind::Wall`] — real wall-clock shared-memory execution:
 //!   cost charges are no-ops and the rank clock reads a monotonic
 //!   [`std::time::Instant`] anchored at the start of [`crate::Fabric::run`].

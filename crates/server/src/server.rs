@@ -467,6 +467,37 @@ impl GdiServer {
         }
     }
 
+    /// Run `step` on every serving rank as one collective job with
+    /// admission paused: `Ok(true)` if it succeeded (rank 0's outcome
+    /// resolves the job), `Ok(false)` if it failed — the failing rank
+    /// logs why — and an error if the server is shutting down or the job
+    /// did not complete.
+    fn collective_step(
+        &self,
+        what: &'static str,
+        step: impl for<'r, 'd, 'c, 'f> Fn(&'r GdaRank<'d, 'c, 'f>) -> GdiResult<()>
+            + Send
+            + Sync
+            + 'static,
+    ) -> GdiResult<bool> {
+        self.pause_admission();
+        let submitted = self.submit_olap(move |eng| match step(eng) {
+            Ok(()) => 1.0,
+            Err(e) => {
+                eprintln!("[server] {what} failed on rank {}: {e}", eng.rank());
+                0.0
+            }
+        });
+        let outcome = submitted.map(|ticket| ticket.wait());
+        self.resume_admission();
+        match outcome {
+            Err(_) => Err(GdiError::Io("server is shutting down".into())),
+            Ok(OpOutcome::Committed(OpReply::Scalar(v))) => Ok(v > 0.5),
+            Ok(OpOutcome::Committed(_)) => Ok(false),
+            Ok(_) => Err(GdiError::Io(format!("{what} job did not complete"))),
+        }
+    }
+
     /// Trigger a durable collective checkpoint while serving: pauses
     /// admission, rendezvouses every serving rank through the
     /// collective-job machinery (each runs [`GdaRank::checkpoint`]),
@@ -478,41 +509,20 @@ impl GdiServer {
             .db
             .persistence()
             .ok_or(GdiError::InvalidArgument("persistence not enabled"))?;
-        self.pause_admission();
-        let submitted = self.submit_olap(|eng| match eng.checkpoint() {
-            Ok(_) => 1.0,
-            Err(e) => {
-                eprintln!("[server] checkpoint failed on rank {}: {e}", eng.rank());
-                0.0
-            }
-        });
-        let outcome = match submitted {
-            Ok(ticket) => ticket.wait(),
-            Err(_) => {
-                self.resume_admission();
-                return Err(GdiError::Io("server is shutting down".into()));
-            }
-        };
-        self.resume_admission();
-        match outcome {
-            OpOutcome::Committed(OpReply::Scalar(v)) if v > 0.5 => {
-                self.0.checkpoints.fetch_add(1, Ordering::Relaxed);
-                // durability is proven again: the published snapshot
-                // covers everything a lost redo tail failed to log
-                self.0
-                    .last_log_errors
-                    .store(store.log_errors(), Ordering::Relaxed);
-                self.exit_degraded();
-                store
-                    .last_checkpoint()
-                    .ok_or(GdiError::Io("checkpoint report missing".into()))
-            }
-            OpOutcome::Committed(_) => {
-                self.enter_degraded("collective checkpoint failed");
-                Err(GdiError::Io("checkpoint failed; see rank logs".into()))
-            }
-            _ => Err(GdiError::Io("checkpoint job did not complete".into())),
+        if !self.collective_step("checkpoint", |eng| eng.checkpoint().map(drop))? {
+            self.enter_degraded("collective checkpoint failed");
+            return Err(GdiError::Io("checkpoint failed; see rank logs".into()));
         }
+        self.0.checkpoints.fetch_add(1, Ordering::Relaxed);
+        // durability is proven again: the published snapshot covers
+        // everything a lost redo tail failed to log
+        self.0
+            .last_log_errors
+            .store(store.log_errors(), Ordering::Relaxed);
+        self.exit_degraded();
+        store
+            .last_checkpoint()
+            .ok_or(GdiError::Io("checkpoint report missing".into()))
     }
 
     /// Run one collective background-maintenance pass while serving:
@@ -528,38 +538,17 @@ impl GdiServer {
         // (stored inside ServerInner) never creates an Arc cycle
         let slot: Arc<Mutex<Option<gda::MaintenanceReport>>> = Arc::new(Mutex::new(None));
         let sink = slot.clone();
-        self.pause_admission();
-        let submitted = self.submit_olap(move |eng| match eng.maintenance() {
-            Ok(report) => {
-                // identical on every rank (the report is allreduce-summed)
-                *sink.lock() = Some(report);
-                1.0
-            }
-            Err(e) => {
-                eprintln!("[server] maintenance failed on rank {}: {e}", eng.rank());
-                0.0
-            }
-        });
-        let outcome = match submitted {
-            Ok(ticket) => ticket.wait(),
-            Err(_) => {
-                self.resume_admission();
-                return Err(GdiError::Io("server is shutting down".into()));
-            }
-        };
-        self.resume_admission();
-        match outcome {
-            OpOutcome::Committed(OpReply::Scalar(v)) if v > 0.5 => {
-                self.0.maintenance_runs.fetch_add(1, Ordering::Relaxed);
-                slot.lock()
-                    .take()
-                    .ok_or(GdiError::Io("maintenance report missing".into()))
-            }
-            OpOutcome::Committed(_) => {
-                Err(GdiError::Io("maintenance failed; see rank logs".into()))
-            }
-            _ => Err(GdiError::Io("maintenance job did not complete".into())),
+        let ran = self.collective_step("maintenance", move |eng| {
+            // identical on every rank (the report is allreduce-summed)
+            *sink.lock() = Some(eng.maintenance()?);
+            Ok(())
+        })?;
+        if !ran {
+            return Err(GdiError::Io("maintenance failed; see rank logs".into()));
         }
+        self.0.maintenance_runs.fetch_add(1, Ordering::Relaxed);
+        let report = slot.lock().take();
+        report.ok_or(GdiError::Io("maintenance report missing".into()))
     }
 
     pub(crate) fn submit_from(&self, op: Op, session: u64) -> Result<Ticket, SubmitError> {

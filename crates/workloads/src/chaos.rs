@@ -18,9 +18,9 @@
 //! committed write verified present and every rejected write verified
 //! absent.
 //!
-//! Used by `tests/` for correctness and by the `chaos_sweep` bench for
-//! the recovery-success-rate / MTTR grid across fault points and rank
-//! counts.
+//! Used by `tests/` for correctness and by the `chaos.full_recovery`
+//! claim of `gdi_bench::paper` for the recovery-success-rate / MTTR grid
+//! across fault points and rank counts.
 
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
@@ -409,6 +409,9 @@ mod tests {
         cfg.cost = CostModel::zero();
         cfg.fault_point = faults::REDO_APPEND;
         let report = run_chaos(&cfg);
+        assert!(report.write_rejects > 0, "{report:?}");
+        assert!(report.degraded_reads > 0, "{report:?}");
+        assert!(report.fault_hits >= 1, "{report:?}");
         assert!(
             report.passed(),
             "chaos contract violated:\n{}\n{report:?}",

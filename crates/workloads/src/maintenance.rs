@@ -14,8 +14,9 @@
 //! (the churn-proportional gate: flat in database size, linear in
 //! churn), and the live-block count (the vacuum's bounded-garbage gate).
 //!
-//! Used by `gdi-bench`'s `maintenance_sweep` for the cost curves and by
-//! the workload's own test for correctness.
+//! Used by the `maintenance.delta_checkpoints` claim of
+//! `gdi_bench::paper` for the cost curves and by the workload's own test
+//! for correctness.
 
 use std::collections::HashMap;
 use std::path::PathBuf;

@@ -12,7 +12,8 @@
 //! of the bulk-loaded base graph), and nothing uncommitted may appear.
 //!
 //! Used by `gda/tests` + `tests/` for correctness and by the
-//! `recovery_sweep` bench for the checkpoint-stall / replay-time curves.
+//! `recovery.kill_restart` and `reshard.elastic_restore` claims of
+//! `gdi_bench::paper` for the checkpoint-stall / replay-time numbers.
 
 use std::collections::HashMap;
 use std::path::PathBuf;

@@ -17,7 +17,8 @@ use gda::{GdaConfig, GdaDb, GdaRank};
 use gdi::{AccessMode, AppVertexId, EdgeOrientation};
 use rma::CostModel;
 use workloads::analytics::{
-    bfs, build_view, cdlp, khop, lcc, pagerank, scan_view, wcc, wcc_converged, CsrView,
+    bfs, build_view, build_view_indexed, cdlp, khop, lcc, pagerank, scan_view, wcc, wcc_converged,
+    CsrView,
 };
 
 /// One random mutation step of the churn driver.
@@ -597,6 +598,46 @@ fn run_stale_halo_case(nranks: usize, durable: bool) {
             }
         }
     });
+}
+
+/// On a bulk-loaded Kronecker graph (P = 2, scale 8), the scan-built
+/// view equals the tx-built and the index-seeded tx-built views, and
+/// PageRank, WCC and BFS give the same answers on the tx view as on the
+/// epoch-validated mirror — built once, then reused by a second job.
+#[test]
+fn loaded_graph_scan_view_matches_every_tx_view_and_kernel() {
+    let spec = gdi_bench::spec_for(8, 42, graphgen::LpgConfig::default());
+    let nranks = 2;
+    let cfg = graphgen::sized_config(&spec, nranks);
+    let (db, fabric) = GdaDb::with_fabric("scan-loaded", cfg, nranks, CostModel::default());
+    let per_rank = fabric.run(|ctx| {
+        let eng = db.attach(ctx);
+        eng.init_collective();
+        let (meta, _) = graphgen::load_into(&eng, &spec);
+        let tx_view = build_view(&eng, &spec.vertices_for_rank(ctx.rank(), ctx.nranks()));
+        let ix_view = build_view_indexed(&eng, meta.all_index.expect("__all index"));
+        let sc_view = scan_view(&eng);
+        assert!(sc_view.logical_eq(&tx_view), "scan view != tx view");
+        assert!(sc_view.logical_eq(&ix_view), "scan view != indexed tx view");
+        let pr_tx = pagerank(&eng, &tx_view, 10, 0.85);
+        let srv = db.attach(ctx);
+        for job in ["first build", "reuse"] {
+            let pr = pagerank(&srv, &srv.olap_view(), 10, 0.85);
+            assert_eq!(
+                pr, pr_tx,
+                "PageRank on the mirror ({job}) != on the tx view"
+            );
+        }
+        let mirror = srv.olap_view();
+        let root = gdi_bench::bfs_root(&spec);
+        assert_eq!(wcc_converged(&eng, &tx_view), wcc_converged(&srv, &mirror));
+        assert_eq!(bfs(&eng, &tx_view, root), bfs(&srv, &mirror, root));
+        ctx.stats_snapshot().scan_reuses
+    });
+    assert!(
+        per_rank.iter().sum::<u64>() > 0,
+        "the mirror was never reused"
+    );
 }
 
 #[test]

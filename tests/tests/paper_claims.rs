@@ -76,3 +76,18 @@ fn every_claim_passes_at_smoke_size() {
     ids.dedup();
     assert_eq!(ids.len(), smoke().len(), "claim ids are unique");
 }
+
+/// `paper::to_json` writes a row's text as is: none of it may need
+/// escaping.
+#[test]
+fn row_text_needs_no_json_escaping() {
+    for c in smoke() {
+        let names = c.values.iter().map(|v| v.0.as_str());
+        for text in [c.id, &c.source, c.predicate, &c.config]
+            .into_iter()
+            .chain(names)
+        {
+            assert!(!text.contains(['"', '\\']), "{}: {text}", c.id);
+        }
+    }
+}

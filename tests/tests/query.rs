@@ -163,8 +163,9 @@ fn build_query(meta: &LpgMeta, s: &QuerySketch) -> Query {
 }
 
 /// Run every query `build` makes through the planner-picked plan and
-/// every viable forced choice on a fresh `nranks`-rank database; every
-/// result must equal the sequential oracle. Returns the oracle's values.
+/// every viable forced choice on a fresh `nranks`-rank database; the
+/// pick must be one of the viable choices and every result must equal
+/// the sequential oracle. Returns the oracle's values.
 fn assert_all_paths_match(
     nranks: usize,
     spec: &GraphSpec,
@@ -194,7 +195,15 @@ fn assert_all_paths_match(
                     want
                 ));
             }
-            for choice in planner::viable_choices(&cat, q) {
+            let viable = planner::viable_choices(&cat, q);
+            if !viable.contains(&picked.choice) {
+                failures.push(format!(
+                    "query {qi} [{}] planner pick {} is not a viable path: {viable:?}",
+                    q.display(),
+                    picked.choice
+                ));
+            }
+            for choice in viable {
                 let Some(plan) = planner::plan_choice(&cat, q, choice) else {
                     continue;
                 };

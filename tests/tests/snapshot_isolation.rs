@@ -306,6 +306,45 @@ fn every_local_read_only_transaction_pins_and_nothing_else_does() {
     });
 }
 
+/// The abort-free claim through the serving front-end: 48 Read Mostly
+/// sessions on four session-affine ranks, 1 200 ops over a scale-8
+/// graph, and not one read op aborts — while the reads really are
+/// pinned snapshot reads.
+#[test]
+fn served_reads_never_abort_under_many_sessions() {
+    use server::{RoutePolicy, ServerOptions};
+    use workloads::traffic::{load_and_serve, TrafficConfig};
+
+    let (nranks, sessions, ops_per_session) = (4, 48, 25);
+    let spec = gdi_bench::spec_for(8, 42, graphgen::LpgConfig::default());
+    let total_ops = sessions * ops_per_session;
+    let mut cfg = gdi_bench::oltp_sized_config(&spec, nranks, total_ops);
+    cfg.dht_heap_per_rank += (total_ops * 2).next_power_of_two();
+    cfg.blocks_per_rank += (total_ops * 2).next_power_of_two();
+    let (db, fabric) = GdaDb::with_fabric("si-served", cfg, nranks, CostModel::default());
+    let traffic = TrafficConfig {
+        sessions,
+        ops_per_session,
+        mix: workloads::oltp::Mix::READ_MOSTLY,
+        seed: spec.seed,
+        workers: 16,
+    };
+    let opts = ServerOptions {
+        route: RoutePolicy::SessionAffine,
+        ..ServerOptions::default()
+    };
+    let run = load_and_serve(&db, &fabric, opts, &spec, &traffic);
+    assert!(run.traffic.read_committed() > 0, "no read committed");
+    assert_eq!(run.traffic.read_aborted(), 0, "a read op aborted");
+    let fab = run.metrics.fabric_total();
+    assert!(
+        fab.snapshot_pins > 0 && fab.snapshot_reads > 0,
+        "no pinned reads were served ({} pins, {} snapshot reads): the gate is vacuous",
+        fab.snapshot_pins,
+        fab.snapshot_reads
+    );
+}
+
 // ---------------------------------------------------------------------
 // Differential harness: snapshot reads vs a sequential oracle
 // ---------------------------------------------------------------------
