@@ -57,7 +57,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use rma::cost::log2_ceil;
 use rma::{BackendKind, CostModel};
-use workloads::latency::Histogram;
+use server::LatencyHist;
 use workloads::oltp::{Mix, OltpConfig, OpKind};
 
 use crate::{gda_olap, graph500_bfs, neo4j_olap, oltp, spec_for, OlapAlgo, OltpRun, System};
@@ -427,7 +427,7 @@ fn fig4c_wi_failures_low(lab: &mut Lab) -> Claim {
 /// p50 in µs of `kind` (every op if `None`) over all ranks of a run,
 /// NaN if the run has no such op.
 fn p50_us(run: &OltpRun, kind: Option<OpKind>) -> f64 {
-    let mut h = Histogram::new();
+    let mut h = LatencyHist::new();
     for (k, st) in run.results.iter().flat_map(|r| &r.per_op) {
         if kind.is_none_or(|want| want == *k) {
             h.merge(&st.latency);

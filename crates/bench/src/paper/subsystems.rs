@@ -22,12 +22,9 @@ use server::{RoutePolicy, ServerOptions};
 use workloads::analytics::{
     bfs, build_view, build_view_indexed, pagerank, scan_view, wcc_converged,
 };
-use workloads::chaos::{run_chaos, ChaosScenario};
-use workloads::maintenance::{run_maintenance_churn, MaintenanceRunReport, MaintenanceScenario};
+use workloads::durability::{self, Report, Scenario, Script};
 use workloads::oltp::Mix;
 use workloads::queries::{load_with_label_indexes, reference_eval, suite, SuiteParams};
-use workloads::recovery::{run_kill_restart, RecoveryReport, RecoveryScenario};
-use workloads::reshard::{run_reshard, ReshardScenario};
 use workloads::scratch::ScratchDir;
 use workloads::traffic::{load_and_serve, TrafficConfig};
 
@@ -49,7 +46,7 @@ fn tagged(tag: &str, named: &[(&str, f64)]) -> Vec<(String, f64)> {
         .collect()
 }
 
-fn recovered_values(r: &RecoveryReport) -> [(&'static str, f64); 6] {
+fn recovered_values(r: &Report) -> [(&'static str, f64); 6] {
     let rec = r.recovery.clone().unwrap_or_default();
     [
         ("committed", r.committed_writes as f64),
@@ -70,15 +67,14 @@ pub(super) fn recovery_kill_restart(lab: &mut Lab) -> Claim {
     let (mut values, mut pass) = (Vec::new(), true);
     for &(p, scale) in &points {
         let dir = ScratchDir::new(&format!("paper-recovery-p{p}"));
-        let mut cfg = RecoveryScenario::new(dir.path());
+        let mut cfg = Scenario::kill_restart(dir.path());
         cfg.backend = Some(BackendKind::Sim);
         cfg.nranks = p;
-        cfg.scale = scale;
+        cfg.scale = Some(scale);
         cfg.sessions = sessions;
-        cfg.ops_before = ops;
-        cfg.ops_after = ops;
+        cfg.ops = ops;
         cfg.cost = CostModel::default();
-        let r = run_kill_restart(&cfg);
+        let r = durability::run(&cfg);
         let rec = r.recovery.clone().unwrap_or_default();
         pass &= r.passed() && rec.records > 0 && rec.errors == 0 && r.committed_writes > 0;
         let tag = format!("P={p}");
@@ -88,10 +84,7 @@ pub(super) fn recovery_kill_restart(lab: &mut Lab) -> Claim {
             &[
                 ("replayed records", rec.records as f64),
                 ("stall sim s", r.checkpoint.sim_stall_s),
-                (
-                    "snapshot bytes",
-                    r.checkpoint.per_rank_bytes.iter().sum::<u64>() as f64,
-                ),
+                ("snapshot bytes", r.checkpoint.bytes as f64),
             ],
         ));
     }
@@ -123,17 +116,18 @@ pub(super) fn reshard_elastic_restore(lab: &mut Lab) -> Claim {
     let (mut values, mut pass) = (Vec::new(), true);
     for &(p, q, scale) in &points {
         let dir = ScratchDir::new(&format!("paper-reshard-{p}-to-{q}"));
-        let mut cfg = ReshardScenario::new(dir.path());
+        let mut cfg = Scenario::kill_restart(dir.path());
         cfg.backend = Some(BackendKind::Sim);
-        cfg.ranks_before = p;
-        cfg.ranks_after = q;
-        cfg.scale = scale;
+        cfg.nranks = p;
+        cfg.scale = Some(scale);
         cfg.sessions = sessions;
-        cfg.ops_before = ops;
-        cfg.ops_after = ops;
-        cfg.ops_post = ops;
+        cfg.ops = ops;
+        cfg.script = Script::KillRestart {
+            restart_ranks: Some(q),
+            post_ops: ops,
+        };
         cfg.cost = CostModel::default();
-        let r = run_reshard(&cfg);
+        let r = durability::run(&cfg);
         let rec = r.recovery.clone().unwrap_or_default();
         pass &= r.passed()
             && rec.errors == 0
@@ -159,14 +153,14 @@ pub(super) fn reshard_elastic_restore(lab: &mut Lab) -> Claim {
 /// One maintenance point's own gates: zero divergence and a clean
 /// verifier, zero replay errors, commits, delta ≪ full, a live-block
 /// count bounded across the rounds, and a vacuum that reclaimed.
-fn maintenance_point_passes(r: &MaintenanceRunReport) -> bool {
+fn maintenance_point_passes(r: &Report) -> bool {
     let rec = r.recovery.clone().unwrap_or_default();
     let first = r.maint.first().map_or(0, |m| m.live_blocks);
     let vacuumed: u64 = r.maint.iter().map(|m| m.vacuumed_versions).sum();
     r.passed()
         && rec.errors == 0
         && r.committed_writes > 0
-        && r.max_delta_bytes() * 2 < r.full.bytes
+        && r.max_delta_bytes() * 2 < r.checkpoint.bytes
         && r.final_live_blocks() <= first + first / 4
         && vacuumed > 0
 }
@@ -182,15 +176,15 @@ pub(super) fn maintenance_delta_checkpoints(lab: &mut Lab) -> Claim {
     let churn_scale = 11;
     let run = |scale: u32, ops_per_round: usize| {
         let dir = ScratchDir::new(&format!("paper-maintenance-s{scale}-o{ops_per_round}"));
-        let mut cfg = MaintenanceScenario::new(dir.path());
+        let mut cfg = Scenario::churn(dir.path());
         cfg.backend = Some(BackendKind::Sim);
         cfg.nranks = p;
-        cfg.scale = scale;
+        cfg.scale = Some(scale);
         cfg.sessions = sessions;
-        cfg.rounds = rounds;
-        cfg.ops_per_round = ops_per_round;
+        cfg.ops = ops_per_round;
+        cfg.script = Script::Churn { rounds };
         cfg.cost = CostModel::default();
-        run_maintenance_churn(&cfg)
+        durability::run(&cfg)
     };
     // the churn axis crosses the scale axis at (11, 40): run it once
     let mut points: Vec<(u32, usize)> = scales.iter().map(|&s| (s, ops)).collect();
@@ -208,7 +202,7 @@ pub(super) fn maintenance_delta_checkpoints(lab: &mut Lab) -> Claim {
     if let [first, .., last] = &by_scale[..] {
         // fixed churn: full bytes grow with the database, delta bytes
         // stay flat — durability cost follows churn, not data
-        pass &= last.full.bytes > first.full.bytes * 2
+        pass &= last.checkpoint.bytes > first.checkpoint.bytes * 2
             && last.max_delta_bytes() < first.max_delta_bytes() * 3;
     }
     if let [lo, .., hi] = &by_churn[..] {
@@ -226,7 +220,7 @@ pub(super) fn maintenance_delta_checkpoints(lab: &mut Lab) -> Claim {
                 ("mismatches", r.mismatches.len() as f64),
                 ("verify errors", verify_errors as f64),
                 ("replay errors", rec.errors as f64),
-                ("full bytes", r.full.bytes as f64),
+                ("full bytes", r.checkpoint.bytes as f64),
                 ("max delta bytes", r.max_delta_bytes() as f64),
                 (
                     "live blocks first",
@@ -265,29 +259,27 @@ pub(super) fn chaos_full_recovery(lab: &mut Lab) -> Claim {
     let (mut values, mut recovered) = (Vec::new(), 0);
     for &(fault, p) in &grid {
         let dir = ScratchDir::new(&format!("paper-chaos-p{p}-{}", fault.replace('.', "-")));
-        let mut cfg = ChaosScenario::new(dir.path());
+        let mut cfg = Scenario::chaos(dir.path(), fault);
         cfg.backend = Some(BackendKind::Sim);
         cfg.nranks = p;
         cfg.sessions = sessions;
-        cfg.ops_before = ops;
-        cfg.ops_during = ops / 2;
-        cfg.ops_after = ops;
-        cfg.fault_point = fault;
+        cfg.ops = ops;
         cfg.cost = CostModel::default();
-        let r = run_chaos(&cfg);
-        let ok = r.passed() && r.write_rejects > 0 && r.degraded_reads > 0 && r.fault_hits >= 1;
+        let r = durability::run(&cfg);
+        let d = r.degradation.clone().unwrap_or_default();
+        let ok = r.passed() && d.write_rejects > 0 && d.reads > 0 && d.fault_hits >= 1;
         recovered += ok as usize;
         values.extend(tagged(
             &format!("{fault} P={p}"),
             &[
                 ("recovered", ok as u8 as f64),
                 ("committed", r.committed_writes as f64),
-                ("degraded reads", r.degraded_reads as f64),
-                ("degraded read aborts", r.degraded_read_aborts as f64),
-                ("write rejects", r.write_rejects as f64),
-                ("write leaks", r.write_leaks as f64),
-                ("fault hits", r.fault_hits as f64),
-                ("MTTR wall s", r.mttr_s),
+                ("degraded reads", d.reads as f64),
+                ("degraded read aborts", d.read_aborts as f64),
+                ("write rejects", d.write_rejects as f64),
+                ("write leaks", d.write_leaks as f64),
+                ("fault hits", d.fault_hits as f64),
+                ("MTTR wall s", r.restart_wall_s),
             ],
         ));
     }

@@ -68,6 +68,12 @@ impl LatencyHist {
         self.max_ns
     }
 
+    /// Samples per bucket: `buckets()[i]` counts those in `[2^i,
+    /// 2^(i+1))` ns (below 1 ns in bucket 0).
+    pub fn buckets(&self) -> &[u64; 64] {
+        &self.buckets
+    }
+
     /// Upper bound of the bucket containing the p-th percentile sample,
     /// clamped to the largest observed sample — a bucket's power-of-two
     /// ceiling must never report a percentile above `max_ns` (e.g. a
@@ -185,6 +191,9 @@ pub struct RecoverySummary {
     /// `Some(P)` when this recovery **resharded** a `P`-rank snapshot
     /// onto a different live rank count (elastic restore).
     pub resharded_from: Option<usize>,
+    /// Why the restore failed, if it did: the server then stopped
+    /// without serving (see [`crate::GdiServer::recover`]).
+    pub failed: Option<gdi::GdiError>,
 }
 
 /// Whole-server snapshot: per-rank plus aggregates.
@@ -366,6 +375,35 @@ mod tests {
     }
 
     #[test]
+    fn histogram_records_count_mean_and_max() {
+        let mut h = LatencyHist::new();
+        h.add(1_000.0);
+        h.add(3_000.0);
+        assert_eq!(h.count(), 2);
+        assert!((h.mean_ns() - 2_000.0).abs() < 1e-9);
+        assert_eq!(h.max_ns(), 3_000.0);
+    }
+
+    #[test]
+    fn histogram_empty_is_sane() {
+        let h = LatencyHist::new();
+        assert_eq!(h.count(), 0);
+        assert_eq!(h.mean_ns(), 0.0);
+        assert_eq!(h.percentile_ns(99.0), 0.0);
+        assert!(h.buckets().iter().all(|&c| c == 0));
+    }
+
+    #[test]
+    fn histogram_tiny_and_huge_samples_land_in_the_end_buckets() {
+        let mut h = LatencyHist::new();
+        h.add(0.5);
+        h.add(1e30); // beyond the last bucket's lower edge
+        assert_eq!(h.count(), 2);
+        assert_eq!((h.buckets()[0], h.buckets()[63]), (1, 1));
+        assert!(h.percentile_ns(100.0) <= h.max_ns());
+    }
+
+    #[test]
     fn histogram_merge() {
         let mut a = LatencyHist::new();
         let mut b = LatencyHist::new();
@@ -374,5 +412,31 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), 2);
         assert_eq!(a.max_ns(), 1e6);
+    }
+
+    #[test]
+    fn histogram_percentiles_monotone_over_microseconds() {
+        let mut h = LatencyHist::new();
+        for i in 1..=1000u64 {
+            h.add(i as f64 * 1_000.0); // 1µs .. 1ms
+        }
+        let p50 = h.percentile_ns(50.0);
+        let p95 = h.percentile_ns(95.0);
+        let p99 = h.percentile_ns(99.0);
+        assert!(p50 <= p95 && p95 <= p99);
+        assert!((250_000.0..=1_200_000.0).contains(&p50), "p50 {p50}");
+    }
+
+    #[test]
+    fn histogram_merge_combines_counts_max_and_buckets() {
+        let mut a = LatencyHist::new();
+        let mut b = LatencyHist::new();
+        a.add(500.0);
+        b.add(5_000.0);
+        b.add(50_000.0);
+        a.merge(&b);
+        assert_eq!(a.count(), 3);
+        assert_eq!(a.max_ns(), 50_000.0);
+        assert_eq!(a.buckets().iter().sum::<u64>(), 3);
     }
 }

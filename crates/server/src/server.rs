@@ -219,6 +219,9 @@ struct ServerInner {
     /// collectively before their first drain.
     recovery: Mutex<Option<Arc<RecoveryPlan>>>,
     recovery_stats: Mutex<Vec<Option<RankRecovery>>>,
+    /// Why the recovery plan failed, if it did (the server then stopped
+    /// without serving; see [`RecoverySummary::failed`]).
+    recovery_failed: Mutex<Option<GdiError>>,
     /// Which fabric backend the serve loops run on (recorded by the
     /// first [`GdiServer::serve_rank`] from its rank context).
     backend: Mutex<Option<rma::BackendKind>>,
@@ -238,6 +241,45 @@ struct ServerInner {
     last_log_errors: AtomicU64,
     /// Idempotency window shared by all serving ranks.
     dedup: Mutex<DedupWindow>,
+}
+
+impl ServerInner {
+    /// Fail the whole server fast: stop admissions, close every queue
+    /// (waking every peer's serve loop and every blocked producer), and
+    /// drain `rank`'s queue so its pending tickets resolve as aborts
+    /// (via the `Request` drop-guard).
+    fn fail_fast(&self, rank: usize) {
+        self.accepting.store(false, Ordering::SeqCst);
+        for q in &self.queues {
+            q.close();
+        }
+        // closed: the wait returns at once
+        let mut orphans = VecDeque::new();
+        self.queues[rank].drain_wait(&mut orphans, usize::MAX, || false);
+    }
+
+    /// A failed restore on `ctx`'s rank: record why, fail fast, and
+    /// resolve the OLAP jobs submitted meanwhile (no rank serves them).
+    #[cold]
+    fn stop_on_failed_restore(&self, ctx: &RankCtx, e: GdiError) -> ServeSummary {
+        let rank = ctx.rank();
+        eprintln!("[server] recovery failed on rank {rank}, stopping: {e}");
+        self.recovery_failed.lock().get_or_insert(e);
+        self.fail_fast(rank);
+        for job in self.olap_jobs.lock().iter_mut() {
+            job.take();
+        }
+        ServeSummary {
+            rank,
+            executed: 0,
+            batches: 0,
+            olap_jobs: 0,
+            sim_serve_ns: 0.0,
+            sim_read_ns: 0.0,
+            read_ops: 0,
+            backend: ctx.backend(),
+        }
+    }
 }
 
 /// Per-rank summary returned by [`GdiServer::serve_rank`].
@@ -295,6 +337,7 @@ impl GdiServer {
             maintenance_runs: AtomicU64::new(0),
             recovery: Mutex::new(None),
             recovery_stats: Mutex::new((0..nranks).map(|_| None).collect()),
+            recovery_failed: Mutex::new(None),
             backend: Mutex::new(None),
             degraded: AtomicBool::new(false),
             degraded_entries: AtomicU64::new(0),
@@ -314,7 +357,12 @@ impl GdiServer {
     /// collective rebuild of the replayed state, see
     /// `gda::persist::recover_with_topology`) and then starts draining
     /// requests.
-    /// Recovery metrics land in [`ServerMetrics::recovery`].
+    /// Recovery metrics land in [`ServerMetrics::recovery`]. A restore
+    /// that fails (collectively: every rank sees the error) stops the
+    /// server instead of serving a half-recovered database: admission
+    /// ends, pending tickets resolve as aborts, every serve loop returns,
+    /// and the error lands in [`RecoverySummary::failed`]. The directory
+    /// is left as it was, so a second recovery can retry.
     pub fn recover(
         opts: PersistOptions,
         cost: CostModel,
@@ -659,16 +707,7 @@ impl GdiServer {
         impl Drop for PanicGuard<'_> {
             fn drop(&mut self) {
                 if std::thread::panicking() {
-                    self.inner.accepting.store(false, Ordering::SeqCst);
-                    // closing wakes every peer's serve loop and every
-                    // blocked producer
-                    for q in &self.inner.queues {
-                        q.close();
-                    }
-                    // closed and non-empty: the wait returns at once;
-                    // dropping the requests resolves their tickets
-                    let mut orphans = VecDeque::new();
-                    self.inner.queues[self.rank].drain_wait(&mut orphans, usize::MAX, || false);
+                    self.inner.fail_fast(self.rank);
                 }
             }
         }
@@ -688,9 +727,10 @@ impl GdiServer {
                 Ok(stats) => {
                     inner.recovery_stats.lock()[rank] = Some(stats);
                 }
-                // a failed restore is fatal: poison the fabric (via the
-                // guard) rather than serve a half-recovered database
-                Err(e) => panic!("recovery failed on rank {rank}: {e}"),
+                // the restore votes, so every rank lands here together:
+                // stop the server rather than serve a half-recovered
+                // database
+                Err(e) => return inner.stop_on_failed_restore(ctx, e),
             }
         }
         inner.serving.fetch_add(1, Ordering::SeqCst);
@@ -835,6 +875,7 @@ impl GdiServer {
             let stats = inner.recovery_stats.lock();
             let mut sum = RecoverySummary {
                 snapshot_id: plan.snapshot_id(),
+                failed: inner.recovery_failed.lock().clone(),
                 ..RecoverySummary::default()
             };
             for s in stats.iter().flatten() {

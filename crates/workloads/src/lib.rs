@@ -5,8 +5,8 @@
 //!
 //! * [`oltp`] — the four interactive workload mixes of Table 3
 //!   (Read Mostly, Read Intensive, Write Intensive, LinkBench), driven as
-//!   streams of single-process transactions, with success/abort accounting;
-//! * [`latency`] — log-bucketed latency histograms (Fig. 5);
+//!   streams of single-process transactions, with success/abort accounting
+//!   and per-op latency histograms (Fig. 5);
 //! * [`analytics`] — OLAP algorithms in collective transactions: BFS,
 //!   PageRank, CDLP (community detection by label propagation), WCC
 //!   (weakly connected components), LCC (local clustering coefficient) and
@@ -18,37 +18,23 @@
 //! * [`traffic`] — the serving-path twin of [`oltp`]: the same Table-3
 //!   mixes replayed through the `server` crate's concurrent sessions
 //!   (request batching + group commit) instead of direct engine calls;
-//! * [`recovery`] — the crash/restart axis: tracked traffic with a
-//!   mid-stream collective checkpoint, a kill, a recovery from disk,
-//!   and read-your-committed-writes verification across the restart;
-//! * [`maintenance`] — the churn-proportional durability axis: rounds
-//!   of update-heavy traffic, each closed by a delta checkpoint and a
-//!   collective maintenance pass (MVCC vacuum, compaction, snapshot
-//!   verification), killed and recovered from the full+delta chain;
-//! * [`chaos`] — the fault-injection axis: live traffic through a
-//!   persistent storage fault on the shared fault plane, graceful
-//!   degradation to read-only, repair, kill, and recovery with an MTTR
-//!   measurement;
-//! * [`reshard`] — the elastic axis: the same kill-and-restart, but the
-//!   recovered server boots a **different rank count** (scale-out and
-//!   scale-in across the restart), forcing the full redistribution
-//!   path, with a post-reshard throughput phase;
+//! * [`durability`] — the crash/restart axis: one serve → crash →
+//!   recover → verify harness with one ledger of acknowledged writes,
+//!   driving three scripts — kill-and-restart (at the same or a
+//!   different rank count: the elastic restore), churn with delta
+//!   checkpoints and maintenance passes, and chaos (a persistent
+//!   storage fault, degradation to read-only, repair, MTTR);
 //! * [`scratch`] — self-cleaning temp directories shared by the
 //!   crash/restart tests and benches.
 
 pub mod analytics;
 pub mod bi2;
-pub mod chaos;
+pub mod durability;
 pub mod gnn;
-pub mod latency;
-pub mod maintenance;
 pub mod olsp;
 pub mod oltp;
 pub mod queries;
-pub mod recovery;
-pub mod reshard;
 pub mod scratch;
 pub mod traffic;
 
-pub use latency::Histogram;
 pub use oltp::{Mix, OltpConfig, OltpResult, OpKind};

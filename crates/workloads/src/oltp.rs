@@ -13,8 +13,7 @@ use rand::{Rng, SeedableRng};
 use gda::GdaRank;
 use gdi::{AccessMode, AppVertexId, EdgeOrientation, GdiError, PropertyValue};
 use graphgen::{GraphSpec, LpgMeta};
-
-use crate::latency::Histogram;
+use server::LatencyHist;
 
 /// The seven operation kinds of Table 3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -159,7 +158,7 @@ impl Default for OltpConfig {
 pub struct OpStats {
     pub attempts: u64,
     pub committed: u64,
-    pub latency: Histogram,
+    pub latency: LatencyHist,
 }
 
 /// Result of an OLTP run on one rank.

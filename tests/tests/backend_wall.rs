@@ -10,7 +10,8 @@
 //!   op sequences executed under `Wall` at P ∈ {1, 2, 4} against the
 //!   single-rank simulated reference;
 //! * the full service-layer kill/recover round trip of
-//!   `workloads::recovery` pinned to `Wall` at P ∈ {1, 2, 4}.
+//!   `workloads::durability`'s kill-restart script pinned to `Wall` at
+//!   P ∈ {1, 2, 4}.
 
 use std::collections::BTreeMap;
 
@@ -22,7 +23,7 @@ use gdi::{
     SizeType,
 };
 use rma::{BackendKind, CostModel};
-use workloads::recovery::{run_kill_restart, RecoveryScenario};
+use workloads::durability::{self, Scenario};
 use workloads::scratch::ScratchDir;
 
 /// One logical operation, routed by its first vertex id.
@@ -200,15 +201,14 @@ proptest! {
 fn recovery_round_trip_under_wall_backend() {
     for nranks in [1usize, 2, 4] {
         let td = ScratchDir::new(&format!("bw-recovery-{nranks}"));
-        let mut cfg = RecoveryScenario::new(td.path());
+        let mut cfg = Scenario::kill_restart(td.path());
         cfg.backend = Some(BackendKind::Wall);
         cfg.nranks = nranks;
-        cfg.scale = 6;
+        cfg.scale = Some(6);
         cfg.sessions = 4;
-        cfg.ops_before = 20;
-        cfg.ops_after = 20;
+        cfg.ops = 20;
         cfg.cost = CostModel::default();
-        let report = run_kill_restart(&cfg);
+        let report = durability::run(&cfg);
         assert!(report.committed_writes > 0, "P={nranks}: no committed work");
         assert!(
             report.passed(),

@@ -8,6 +8,7 @@ use proptest::prelude::*;
 use gda::dptr::{DPtr, TaggedIdx};
 use gda::holder::{EdgeRecord, Entry, Holder};
 use gdi::{CmpOp, Constraint, Datatype, Direction, LabelId, PTypeId, PropertyValue, Subconstraint};
+use server::LatencyHist;
 
 // ---------------------------------------------------------------------
 // DPtr / TaggedIdx
@@ -285,7 +286,7 @@ proptest! {
 proptest! {
     #[test]
     fn histogram_count_and_mean(samples in prop::collection::vec(1.0f64..1e9, 1..200)) {
-        let mut h = workloads::Histogram::new();
+        let mut h = LatencyHist::new();
         for &s in &samples {
             h.add(s);
         }
@@ -306,19 +307,36 @@ proptest! {
         a in prop::collection::vec(1.0f64..1e9, 0..100),
         b in prop::collection::vec(1.0f64..1e9, 0..100)
     ) {
-        let mut ha = workloads::Histogram::new();
-        let mut hb = workloads::Histogram::new();
-        let mut hall = workloads::Histogram::new();
+        let mut ha = LatencyHist::new();
+        let mut hb = LatencyHist::new();
+        let mut hall = LatencyHist::new();
         for &s in &a { ha.add(s); hall.add(s); }
         for &s in &b { hb.add(s); hall.add(s); }
         ha.merge(&hb);
         // bucket counts and max must be identical; the mean only up to
         // floating-point summation order
         prop_assert_eq!(ha.count(), hall.count());
-        prop_assert_eq!(ha.series(), hall.series());
+        prop_assert_eq!(ha.buckets(), hall.buckets());
         prop_assert_eq!(ha.max_ns(), hall.max_ns());
         let scale = hall.mean_ns().abs().max(1.0);
         prop_assert!((ha.mean_ns() - hall.mean_ns()).abs() < 1e-9 * scale);
+    }
+
+    /// A percentile is a bucket's upper edge, clamped: it never reports
+    /// more than the largest sample (a lone 100 ns sample is p50 = 100,
+    /// not the bucket edge 128).
+    #[test]
+    fn histogram_percentiles_never_exceed_the_max(
+        samples in prop::collection::vec(0.0f64..1e9, 1..200),
+        p in 0.0f64..100.0
+    ) {
+        let mut h = LatencyHist::new();
+        for &s in &samples {
+            h.add(s);
+        }
+        for p in [p, 100.0] {
+            prop_assert!(h.percentile_ns(p) <= h.max_ns(), "p{} = {} > max {}", p, h.percentile_ns(p), h.max_ns());
+        }
     }
 }
 

@@ -17,7 +17,7 @@ use gda::{GdaConfig, GdaDb};
 use gdi::{AccessMode, AppVertexId};
 use gdi_tests::harness::{apply_ops, install_ptype, read_state, reference_state, ReadState, WlOp};
 use rma::CostModel;
-use workloads::recovery::{run_kill_restart, RecoveryScenario};
+use workloads::durability::{self, Scenario};
 use workloads::scratch::ScratchDir;
 
 fn arb_op(ids: u64) -> impl Strategy<Value = WlOp> {
@@ -98,14 +98,13 @@ proptest! {
 #[test]
 fn server_round_trip_checkpoint_kill_recover() {
     let td = ScratchDir::new("server");
-    let mut cfg = RecoveryScenario::new(td.path());
+    let mut cfg = Scenario::kill_restart(td.path());
     cfg.nranks = 2;
-    cfg.scale = 6;
+    cfg.scale = Some(6);
     cfg.sessions = 6;
-    cfg.ops_before = 25;
-    cfg.ops_after = 25;
+    cfg.ops = 25;
     cfg.cost = CostModel::zero();
-    let report = run_kill_restart(&cfg);
+    let report = durability::run(&cfg);
     assert!(report.committed_writes > 0);
     assert!(
         report.passed(),

@@ -10,7 +10,7 @@ use std::time::Duration;
 use gda::faults::{self, FaultMode, PERSISTENT};
 use gda::persist::PersistOptions;
 use gda::{GdaConfig, GdaDb};
-use gdi::AppVertexId;
+use gdi::{AppVertexId, GdiError};
 use rma::{CostModel, Fabric};
 use server::{GdiServer, Op, OpOutcome, OpReply, ServerOptions, SubmitError};
 use workloads::scratch::ScratchDir;
@@ -266,4 +266,78 @@ fn zero_deadline_sheds_everything_unexecuted() {
         assert_eq!(m.retries, 2, "bounded retry budget");
         assert_eq!(m.committed(), 0, "nothing may have executed");
     });
+}
+
+/// A restore that fails — an injected fault mid-redistribution on the
+/// recovered server's fault plane — stops the server instead of
+/// panicking its serve loops: every rank returns, sessions get a typed
+/// error, the summary says why, and the untouched directory recovers on
+/// a second attempt.
+#[test]
+fn a_failed_restore_stops_the_server_and_the_directory_still_recovers() {
+    let dir = ScratchDir::new("res-failed-restore");
+    with_server(
+        "failed-restore",
+        Some(dir.path()),
+        ServerOptions::default(),
+        |srv, _db| {
+            let session = srv.session();
+            for v in 0..12 {
+                if v == 8 {
+                    srv.checkpoint().expect("healthy checkpoint");
+                }
+                assert!(session.execute(add(v)).expect("accepted").is_committed());
+            }
+        },
+    );
+    // the crash: the first server is gone, the directory stays
+
+    let boot = || {
+        GdiServer::recover(
+            PersistOptions::new(dir.path()),
+            CostModel::zero(),
+            ServerOptions::default(),
+        )
+        .expect("boot from the directory")
+    };
+    let (srv, fabric) = boot();
+    let plane = srv.db().persistence().expect("a persistent server");
+    plane
+        .fault_plane()
+        .arm_at(faults::RESHARD_REDISTRIBUTE, None, 0, 1, FaultMode::Error);
+    let session = srv.session();
+    let (early, served) = std::thread::scope(|scope| {
+        let ranks = scope.spawn(|| fabric.run(|ctx| srv.serve_rank(ctx)));
+        // racing the restore: queued and then resolved, or refused
+        let early = session.execute(count(1));
+        (early, ranks.join())
+    });
+    let summaries = served.expect("no serve loop may panic on a failed restore");
+    assert!(summaries.iter().all(|s| s.executed == 0), "{summaries:?}");
+    assert!(
+        matches!(
+            early,
+            Err(SubmitError::ShuttingDown) | Ok(OpOutcome::Aborted(_))
+        ),
+        "{early:?}"
+    );
+    assert_eq!(session.execute(count(1)), Err(SubmitError::ShuttingDown));
+    let rec = srv.metrics().recovery.expect("a recovered server");
+    assert!(matches!(rec.failed, Some(GdiError::Io(_))), "{rec:?}");
+    assert_eq!(plane.fault_plane().fired(), 1);
+    drop((srv, plane));
+
+    let (srv, fabric) = boot();
+    serve(&srv, fabric, || {
+        let session = srv.session();
+        for v in 0..12 {
+            assert_eq!(
+                session.execute(count(v)).expect("accepted"),
+                OpOutcome::Committed(OpReply::Count(0)),
+                "vertex {v} after the second recovery"
+            );
+        }
+    });
+    let rec = srv.metrics().recovery.expect("a recovered server");
+    assert!(rec.failed.is_none() && rec.errors == 0, "{rec:?}");
 }
