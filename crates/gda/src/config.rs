@@ -21,10 +21,6 @@ pub const WIN_SYSTEM: WinId = WinId(2);
 /// Window id of the internal-index (DHT) window.
 pub const WIN_INDEX: WinId = WinId(3);
 
-/// Maximum archived versions kept per object before commit-time
-/// truncation frees archives older than the snapshot floor.
-pub const MVCC_CHAIN_LIMIT: usize = 4;
-
 /// Tunable GDA parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct GdaConfig {
@@ -79,7 +75,7 @@ impl GdaConfig {
         // ×3 headroom for version-chain archives: each is the undo of one
         // overwrite (`holder::Archive`, usually one block, up to the whole
         // previous version when an overwrite rewrote all of it), kept
-        // until truncation. The headroom costs address space, not memory:
+        // until the snapshot floor passes it. The headroom costs address space, not memory:
         // a window page is resident only once a block in it has been
         // written
         let blocks = (bytes / (cfg.block_size - 16)).max(64) * 3 + vertices * 2;
@@ -163,8 +159,8 @@ impl GdaConfig {
     /// System-window word index of this rank's **min-active-snapshot**
     /// word: the smallest snapshot epoch any live read-only transaction
     /// on the rank has pinned. `u64::MAX` = none active; `0` = a pin is
-    /// in progress (registration marker — truncation skips the round).
-    /// The chain truncator takes the minimum over all ranks (and the
+    /// in progress (registration marker — a reclaim skips the round).
+    /// An archive reclaim takes the minimum over all ranks (and the
     /// watermark) as the version-retention floor.
     pub fn snap_word(&self) -> usize {
         self.blocks_per_rank + 5
@@ -176,7 +172,7 @@ impl GdaConfig {
     /// *before* the authoritative CAS on rank 0, so at any instant
     /// `shadow ≥ W` on every rank — which lets a snapshot pin read its
     /// local shadow (one local atomic instead of a remote round trip)
-    /// and still pin an epoch no truncation floor can have passed.
+    /// and still pin an epoch no reclaim floor can have passed.
     /// Writers pay `P` shadow stores per commit; pins are free of
     /// network latency — the right trade for read-mostly traffic.
     pub fn wmark_shadow_word(&self) -> usize {

@@ -46,6 +46,29 @@ pub struct GdaDb {
     pub(crate) meta: SharedMeta,
     pub(crate) indexes: Arc<IndexShared>,
     persist: Mutex<Option<Arc<PersistStore>>>,
+    /// One retire list per rank, here rather than in the rank's
+    /// [`GdaRank`] so it outlives a `fabric.run` (see
+    /// [`GdaRank::reclaim_archives`]).
+    retired: Vec<Mutex<RetireList>>,
+}
+
+/// The blocks of the archive records one rank's commits wrote, each
+/// tagged with the epoch of the commit that wrote it: the rank frees an
+/// entry once the snapshot floor reaches that epoch.
+#[derive(Debug, Default)]
+struct RetireList {
+    entries: Vec<Retired>,
+    /// Entries the last reclaim kept: a commit reclaims again once the
+    /// list holds more than twice as many (and more than P).
+    kept: usize,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Retired {
+    epoch: u64,
+    block: DPtr,
+    /// The record's first block (counts the record once).
+    first: bool,
 }
 
 impl GdaDb {
@@ -59,6 +82,7 @@ impl GdaDb {
             meta: Arc::new(MetaStore::new()),
             indexes: Arc::new(IndexShared::new(nranks)),
             persist: Mutex::new(None),
+            retired: (0..nranks).map(|_| Mutex::default()).collect(),
         })
     }
 
@@ -79,6 +103,7 @@ impl GdaDb {
             meta: Arc::new(meta),
             indexes: Arc::new(indexes),
             persist: Mutex::new(None),
+            retired: (0..nranks).map(|_| Mutex::default()).collect(),
         })
     }
 
@@ -191,7 +216,8 @@ pub struct GdaRank<'d, 'c, 'f> {
     scan_cache: RefCell<Option<Rc<crate::scan::CsrView>>>,
     /// Snapshot epochs pinned by live read-only transactions on this
     /// rank (a multiset — the minimum is published to the rank's
-    /// min-active-snapshot system word for the chain truncator).
+    /// min-active-snapshot system word, which holds every rank's
+    /// archive reclaim down: [`GdaRank::snapshot_floor`]).
     snaps: RefCell<Vec<u64>>,
     /// Commit epoch of the last read-write transaction this handle
     /// committed (0 before any — the SI differential harness keys its
@@ -214,6 +240,7 @@ impl<'d, 'c, 'f> GdaRank<'d, 'c, 'f> {
         );
         self.snaps.borrow_mut().clear();
         self.last_epoch.set(0);
+        *self.db.retired[self.rank()].lock() = RetireList::default();
         self.bm.init_collective();
         self.dht.init_collective();
         self.tcache.clear();
@@ -289,8 +316,8 @@ impl<'d, 'c, 'f> GdaRank<'d, 'c, 'f> {
         crate::persist::checkpoint_rank_full(self)
     }
 
-    /// Collective: run one background-maintenance pass (MVCC version
-    /// vacuum below the global read watermark, holder-chain
+    /// Collective: run one background-maintenance pass (every rank's
+    /// retire list drained to the agreed snapshot floor, holder-chain
     /// compaction, free-list vacuum, checksum verification of the
     /// published snapshot chain). Every rank must call this together.
     /// See [`crate::maint`].
@@ -545,7 +572,7 @@ impl<'d, 'c, 'f> GdaRank<'d, 'c, 'f> {
 
     /// Pin a snapshot epoch for a read-only transaction: write the `0`
     /// registration marker to this rank's min-active-snapshot word
-    /// (flushed — a concurrent truncator that sees it skips its round),
+    /// (flushed — a concurrent reclaim that sees it skips its round),
     /// read this rank's **watermark shadow**, account the pin in the
     /// rank-local multiset and publish the new minimum. Returns the
     /// pinned epoch.
@@ -554,8 +581,8 @@ impl<'d, 'c, 'f> GdaRank<'d, 'c, 'f> {
     /// *local* atomic, so beginning a read-only transaction costs no
     /// network round trip at all. Safety: the shadow is refreshed before
     /// the authoritative watermark advances (`shadow ≥ W` always), and
-    /// every truncation floor is bounded by a `W` read *before* the
-    /// truncator scanned our snap word — so the pinned epoch can never
+    /// every reclaim floor is bounded by a `W` read *before* the
+    /// reclaim scanned our snap word — so the pinned epoch can never
     /// lie below a floor that already freed versions.
     pub(crate) fn pin_snapshot(&self) -> u64 {
         let word = self.cfg().snap_word();
@@ -591,12 +618,12 @@ impl<'d, 'c, 'f> GdaRank<'d, 'c, 'f> {
         );
     }
 
-    /// The version-retention **floor**: archived versions whose commit
-    /// epoch lies strictly below it can never be needed by any current
-    /// or future snapshot. Reads the watermark *first*, then every
-    /// rank's min-active-snapshot word; `None` means a pin registration
-    /// was mid-flight somewhere (its epoch unknowable) — the caller
-    /// skips truncation this round.
+    /// The version-retention **floor**: no current or future snapshot
+    /// lies below it, so an archive record written by a commit at an
+    /// epoch at or below it can never be read again. Reads the
+    /// watermark *first*, then every rank's min-active-snapshot word;
+    /// `None` means a pin registration was mid-flight somewhere (its
+    /// epoch unknowable) — the caller skips its reclaim this round.
     pub(crate) fn snapshot_floor(&self) -> Option<u64> {
         let mut floor = self.read_watermark();
         let word = self.cfg().snap_word();
@@ -610,6 +637,72 @@ impl<'d, 'c, 'f> GdaRank<'d, 'c, 'f> {
             }
         }
         Some(floor)
+    }
+
+    // ---- archive reclaim ---------------------------------------------------
+    //
+    // A pinned reader at snapshot s follows a `prev` written by the commit
+    // at epoch E only while the version it holds has epoch E > s
+    // (`Transaction::rewind`), and s ≥ the floor. So once the floor
+    // reaches E the record is unreachable, whatever still names it: the
+    // live holder's `prev` may dangle, and is never followed.
+
+    /// Put the blocks of the archive record a commit at `epoch` just
+    /// wrote on this rank's retire list.
+    pub(crate) fn retire_archive(&self, epoch: u64, blocks: &[DPtr]) {
+        let mut list = self.db.retired[self.rank()].lock();
+        list.entries
+            .extend(blocks.iter().enumerate().map(|(i, &block)| Retired {
+                epoch,
+                block,
+                first: i == 0,
+            }));
+    }
+
+    /// A commit's reclaim: once this rank's list holds more than
+    /// `max(P, 2 × the entries the last reclaim kept)`, read the floor
+    /// (P remote atomics, so at most one read per archive) and free what
+    /// it passed. Counted as chain truncations.
+    pub(crate) fn reclaim_if_due(&self) {
+        let due = {
+            let list = self.db.retired[self.rank()].lock();
+            list.entries.len() > self.nranks().max(2 * list.kept)
+        };
+        if let Some(floor) = due.then(|| self.snapshot_floor()).flatten() {
+            let (records, _) = self.reclaim_archives(floor);
+            self.ctx.count(Counter::ChainTruncations, records);
+        }
+    }
+
+    /// Free every entry of this rank's retire list whose commit epoch is
+    /// at or below `floor`, a snapshot floor. Returns the records and the
+    /// blocks freed.
+    pub(crate) fn reclaim_archives(&self, floor: u64) -> (u64, u64) {
+        let (mut records, mut blocks) = (0, 0);
+        let mut list = self.db.retired[self.rank()].lock();
+        list.entries.retain(|r| {
+            if r.epoch > floor {
+                return true;
+            }
+            self.bm.release(r.block);
+            records += u64::from(r.first);
+            blocks += 1;
+            false
+        });
+        list.kept = list.entries.len();
+        (records, blocks)
+    }
+
+    /// Diagnostics: the blocks of this rank's pool that sit on a retire
+    /// list, any rank's — a block on two lists is listed twice.
+    pub fn retired_blocks(&self) -> Vec<DPtr> {
+        let mut out = Vec::new();
+        for list in &self.db.retired {
+            let entries = list.lock();
+            let mine = entries.entries.iter().map(|r| r.block);
+            out.extend(mine.filter(|b| b.rank() == self.rank()));
+        }
+        out
     }
 
     /// Commit epoch of the last read-write transaction this engine

@@ -120,7 +120,8 @@ pub fn write_chain(
 /// is visible, so a reader whose before/after stamp reads agree on a
 /// non-zero value holds an untorn copy. The chain is resized *before*
 /// phase 1: a resize failure (block exhaustion) must not strand zeroed
-/// stamps, or readers would retry forever.
+/// stamps, or readers would retry forever. It returns the blocks it
+/// acquired and leaves `blocks` as it found them.
 pub fn overwrite_chain(
     ctx: &RankCtx,
     bm: &BlockManager,
@@ -133,7 +134,17 @@ pub fn overwrite_chain(
     let target = blocks[0].rank();
     let old_blocks = blocks.clone();
     while blocks.len() < needed {
-        blocks.push(bm.acquire(target)?);
+        match bm.acquire(target) {
+            Ok(dp) => blocks.push(dp),
+            Err(e) => {
+                // nothing is written yet: the old chain stands, and the
+                // blocks acquired for it so far go back to the pool
+                for dp in blocks.drain(old_blocks.len()..).rev() {
+                    bm.release(dp);
+                }
+                return Err(e);
+            }
+        }
     }
     // surplus blocks are zeroed in phase 1 (still owned) but handed
     // back only after phase 3 — releasing first would let another
@@ -638,7 +649,7 @@ pub(crate) struct LiveChain<'a> {
 
 /// **The live set**: every holder chain a recovery lifts — so exactly
 /// the chains a full checkpoint writes as records — and the chains a
-/// maintenance pass vacuums and compacts. Collective, quiesced: hands
+/// maintenance pass compacts. Collective, quiesced: hands
 /// `visit` every chain of the live set this rank stores, each once.
 ///
 /// The vertex chains are the DHT's entries ([`dht::owned_entries`]

@@ -23,8 +23,7 @@
 //! at (0 = bulk-loaded / pre-MVCC, visible to every snapshot). `prev`
 //! is the raw `DPtr` of the archived previous version's chain head
 //! (NULL if none) — the MVCC version chain snapshot reads walk, whose
-//! records are the undo of one overwrite each ([`Archive`]). Flag bits
-//! 16..24 carry the archive-chain depth (see [`Holder::depth`]).
+//! records are the undo of one overwrite each ([`Archive`]).
 //!
 //! Entry ids follow §5.4.3: `ENTRY_LABEL` (2) tags a label entry whose data
 //! is the label integer id; ids `>= FIRST_PTYPE_ID` are property entries of
@@ -50,20 +49,11 @@ pub const EDGE_RECORD_BYTES: usize = 24;
 pub const HEADER_BYTES: usize = 48;
 /// Holder flag: this holder describes a (heavyweight) edge, not a vertex.
 pub const FLAG_EDGE_HOLDER: u32 = 1;
-/// Mask of the archive-chain **depth** packed into flag bits 16..24.
-pub(crate) const DEPTH_MASK: u32 = 0xFF << 16;
 /// Byte offset of the `prev` (archived version chain head) field within
-/// a serialized holder and an [`Archive`] record — patched **in place**
-/// by chain truncation and the maintenance vacuum (one aligned word
-/// write) to seal a truncated chain, so no later walk follows a freed
-/// link.
-pub(crate) const PREV_OFFSET: usize = 40;
-/// Byte offset of the word holding `entries_bytes` (low half) and the
-/// flags+depth word (high half) within a serialized holder — the word
-/// the maintenance vacuum rewrites to patch the archive depth in place.
-pub(crate) const FLAGS_WORD_OFFSET: usize = 24;
+/// a serialized holder and an [`Archive`] record.
+const PREV_OFFSET: usize = 40;
 /// Flag bits that may legitimately be set on a serialized holder.
-const KNOWN_FLAGS: u32 = FLAG_EDGE_HOLDER | DEPTH_MASK;
+const KNOWN_FLAGS: u32 = FLAG_EDGE_HOLDER;
 
 /// The little-endian `u32` at byte `at` of `b`. Every caller has checked
 /// the length first; a word that runs past the end of `b` reads as zero
@@ -174,10 +164,10 @@ pub fn splice(pre: &[u8], post: &[u8]) -> Splice {
 /// The holder `s` makes of `pre` (a serialized holder, or empty for no
 /// base), under a header rebuilt from `app_id`, `is_edge`, `version`,
 /// `s.num_edges` and the new body's length — at commit epoch 0, with no
-/// archive link and depth 0, which is how recovery writes every holder
-/// back. `None` — never a panic — when `pre` is no holder, the splice
-/// reaches past its body, `num_edges` does not fit the new body, or the
-/// result is not a holder [`Holder::try_decode`] accepts.
+/// archive link, which is how recovery writes every holder back. `None`
+/// — never a panic — when `pre` is no holder, the splice reaches past
+/// its body, `num_edges` does not fit the new body, or the result is not
+/// a holder [`Holder::try_decode`] accepts.
 pub fn apply_splice(
     pre: &[u8],
     s: &Splice,
@@ -211,12 +201,10 @@ pub fn apply_splice(
     Some(out)
 }
 
-/// Write `prev` and the archive-chain `depth` into the header of the
-/// serialized holder `bytes` — a commit links the version it encoded to
-/// the archive it wrote after encoding it.
-pub(crate) fn relink(bytes: &mut [u8], prev: u64, depth: u8) {
-    let flags = (le_u32(bytes, 12) & !DEPTH_MASK) | (u32::from(depth) << 16);
-    bytes[12..16].copy_from_slice(&flags.to_le_bytes());
+/// Write `prev` into the header of the serialized holder `bytes` — a
+/// commit links the version it encoded to the archive it wrote after
+/// encoding it.
+pub(crate) fn relink(bytes: &mut [u8], prev: u64) {
     bytes[PREV_OFFSET..PREV_OFFSET + 8].copy_from_slice(&prev.to_le_bytes());
 }
 
@@ -235,8 +223,7 @@ pub(crate) fn relink(bytes: &mut [u8], prev: u64, depth: u8) {
 ///
 /// `total_len`, `app_id`, `version`, `commit_epoch` and `prev` sit where
 /// a holder's header has them, so the block chain stores, stamps and
-/// walks a record as it does a holder, and truncation seals one with
-/// the same word write (`PREV_OFFSET`). A reader rewinds the version it
+/// walks a record as it does a holder. A reader rewinds the version it
 /// copied one record at a time (`Archive::rewind`), newest first.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Archive {
@@ -295,7 +282,7 @@ impl Archive {
 
     /// The archived version, rewound from `post` — the serialized
     /// version that overwrote it — through [`apply_splice`], with its
-    /// commit epoch and `prev` in the header (depth 0). `None` when
+    /// commit epoch and `prev` in the header. `None` when
     /// `post` is no holder, is another object's, or the undo does not
     /// fit it.
     pub(crate) fn rewind(&self, post: &[u8]) -> Option<Vec<u8>> {
@@ -306,7 +293,7 @@ impl Archive {
         let is_edge = lay.flags & FLAG_EDGE_HOLDER != 0;
         let mut pre = apply_splice(post, &self.undo, self.app_id, is_edge, self.version)?;
         pre[32..40].copy_from_slice(&self.commit_epoch.to_le_bytes());
-        relink(&mut pre, self.prev, 0);
+        relink(&mut pre, self.prev);
         Some(pre)
     }
 }
@@ -434,11 +421,10 @@ pub struct Holder {
     /// bulk-loaded / pre-MVCC: visible to every snapshot).
     pub commit_epoch: u64,
     /// Raw `DPtr` of the archived previous version's chain head, or
-    /// `DPtr::NULL` if none survives. Archives are immutable; dangling
-    /// pointers below the truncation floor are never followed.
+    /// `DPtr::NULL` if none. Archives are immutable; once the snapshot
+    /// floor reaches this version's commit epoch the record may be freed
+    /// and the pointer dangles, but no snapshot follows it any more.
     pub prev: u64,
-    /// Archive-chain depth behind this version (saturating at 255).
-    pub depth: u8,
     /// Lightweight edge records (vertices) or the two endpoints (edges).
     pub edges: Vec<EdgeRecord>,
     /// Label and property entries.
@@ -611,7 +597,7 @@ impl Holder {
         let total = self.encoded_len();
         let mut out = Vec::with_capacity(total);
         let entries_bytes: usize = self.entries.iter().map(Entry::encoded_len).sum();
-        let flags = if self.is_edge { FLAG_EDGE_HOLDER } else { 0 } | ((self.depth as u32) << 16);
+        let flags = if self.is_edge { FLAG_EDGE_HOLDER } else { 0 };
         let words = [self.app_id, self.version, self.commit_epoch, self.prev];
         out.extend_from_slice(&header(
             self.edges.len() as u32,
@@ -671,7 +657,6 @@ impl Holder {
             version,
             commit_epoch,
             prev,
-            depth: ((lay.flags & DEPTH_MASK) >> 16) as u8,
             edges,
             entries,
         })
@@ -706,14 +691,13 @@ impl Holder {
         })
     }
 
-    /// `(commit_epoch, prev, depth)` of a serialized holder whose header
-    /// holds up (the header checks of [`Holder::try_decode`]): where a
-    /// snapshot read starts its walk down the archive chain, without
-    /// decoding a version.
-    pub(crate) fn version_of(bytes: &[u8]) -> Option<(u64, u64, u8)> {
-        let lay = Layout::parse(bytes)?;
-        let depth = ((lay.flags & DEPTH_MASK) >> 16) as u8;
-        Some((le_u64(bytes, 32), le_u64(bytes, PREV_OFFSET), depth))
+    /// `(commit_epoch, prev)` of a serialized holder whose header holds
+    /// up (the header checks of [`Holder::try_decode`]): where a snapshot
+    /// read starts its walk down the archive chain, without decoding a
+    /// version.
+    pub(crate) fn version_of(bytes: &[u8]) -> Option<(u64, u64)> {
+        Layout::parse(bytes)?;
+        Some((le_u64(bytes, 32), le_u64(bytes, PREV_OFFSET)))
     }
 }
 
@@ -1076,7 +1060,6 @@ mod tests {
         let mut h = sample();
         h.commit_epoch = 77;
         h.prev = DPtr::new(1, 4096).raw();
-        h.depth = 3;
         let bytes = h.encode();
         assert_eq!(
             le_u64(&bytes, 32),
@@ -1085,11 +1068,13 @@ mod tests {
         );
         let d = Holder::decode(&bytes);
         assert_eq!(d, h);
-        assert_eq!(d.depth, 3);
-        // an unknown flag bit outside FLAG_EDGE_HOLDER | depth is corrupt
-        let mut bad = bytes.clone();
-        bad[15] |= 0x80; // flags bit 31
-        assert!(Holder::try_decode(&bad).is_none());
+        // an unknown flag bit outside FLAG_EDGE_HOLDER is corrupt — the
+        // archive-depth bits 16..24 of format 12 included
+        for bit in [16, 23, 31] {
+            let mut bad = bytes.clone();
+            bad[12 + bit / 8] |= 1 << (bit % 8);
+            assert!(Holder::try_decode(&bad).is_none(), "flag bit {bit}");
+        }
     }
 
     /// What `scan_edges` and `scan_entries` promise, on arbitrary bytes:
@@ -1336,9 +1321,9 @@ mod tests {
     }
 
     /// `post` as recovery writes it back: commit epoch 0, no archive
-    /// link, depth 0.
+    /// link.
     fn rebuilt(mut post: Holder) -> Vec<u8> {
-        (post.commit_epoch, post.prev, post.depth) = (0, 0, 0);
+        (post.commit_epoch, post.prev) = (0, 0);
         post.encode()
     }
 
@@ -1347,7 +1332,7 @@ mod tests {
         let pre = busy();
         let mut post = pre.clone();
         post.set_property(PTypeId(4), 78u64.to_le_bytes().to_vec());
-        (post.version, post.commit_epoch, post.prev, post.depth) = (9, 5, 4096, 2);
+        (post.version, post.commit_epoch, post.prev) = (9, 5, 4096);
         let (a, b) = (pre.encode(), post.encode());
         let s = splice(&a, &b);
         assert_eq!((s.cut, s.bytes.as_slice()), (1, &[78u8][..]), "{s:?}");
@@ -1432,17 +1417,17 @@ mod tests {
             props in proptest::collection::vec((2u32..9, 0usize..20), 0..6),
             is_edge in proptest::any::<bool>(),
             ops in proptest::collection::vec((0u8..8, proptest::any::<u64>()), 0..6),
-            header in (proptest::any::<u64>(), proptest::any::<u64>(), proptest::any::<u8>()),
+            header in (proptest::any::<u64>(), proptest::any::<u64>()),
         ) {
             let mut pre = generated(&edges, &props, is_edge);
-            (pre.commit_epoch, pre.prev, pre.depth) = header;
+            (pre.commit_epoch, pre.prev) = header;
             let mut post = pre.clone();
             for (op, arg) in ops {
                 mutate(&mut post, op, arg);
             }
             post.compact_edges();
             post.version = pre.version + 1;
-            (post.commit_epoch, post.prev, post.depth) = (header.0 + 1, 64, header.2.saturating_add(1));
+            (post.commit_epoch, post.prev) = (header.0 + 1, 64);
             let (a, b) = (pre.encode(), post.encode());
             let want = rebuilt(post.clone());
             for base in [&a[..], &[]] {
@@ -1464,16 +1449,16 @@ mod tests {
             props in proptest::collection::vec((2u32..9, 0usize..20), 0..6),
             is_edge in proptest::any::<bool>(),
             ops in proptest::collection::vec((0u8..8, proptest::any::<u64>()), 0..6),
-            header in (proptest::any::<u64>(), proptest::any::<u64>(), proptest::any::<u8>()),
+            header in (proptest::any::<u64>(), proptest::any::<u64>()),
         ) {
             let mut pre = generated(&edges, &props, is_edge);
-            (pre.version, pre.commit_epoch, pre.prev, pre.depth) = (9, header.0, header.1, header.2);
+            (pre.version, pre.commit_epoch, pre.prev) = (9, header.0, header.1);
             let mut post = pre.clone();
             for (op, arg) in ops {
                 mutate(&mut post, op, arg);
             }
             post.compact_edges();
-            (post.version, post.commit_epoch, post.prev, post.depth) = (10, header.0 + 1, 4096, 1);
+            (post.version, post.commit_epoch, post.prev) = (10, header.0 + 1, 4096);
             let (a, b) = (pre.encode(), post.encode());
             let fwd = splice(&a, &b);
             let record = Archive::record(&a, &fwd);
@@ -1483,9 +1468,7 @@ mod tests {
                 (archive.app_id, archive.version, archive.commit_epoch, archive.prev),
                 (pre.app_id, pre.version, pre.commit_epoch, pre.prev)
             );
-            let mut want = pre.clone();
-            want.depth = 0;
-            proptest::prop_assert_eq!(archive.rewind(&b), Some(want.encode()));
+            proptest::prop_assert_eq!(archive.rewind(&b), Some(pre.encode()));
         }
 
         /// A hostile archive record — any byte of it overwritten, a whole

@@ -6,21 +6,14 @@
 //!
 //! One pass runs four sub-passes, in order:
 //!
-//! 1. **MVCC version vacuum** — the commit path truncates an archive
-//!    chain only when the chain *grows past* [`crate::MVCC_CHAIN_LIMIT`]
-//!    ([`crate::tx`]), so a hot object's garbage is bounded but a
-//!    **cold** object — overwritten a few times, then never again —
-//!    keeps its archives forever. The vacuum sweeps every chain of the
-//!    live set this rank stores (`hio::walk_live`, the walk a full
-//!    checkpoint writes) and frees all archived versions no pinned
-//!    snapshot can still resolve to (strictly below the global snapshot
-//!    floor), patching the live holder's recorded depth and `prev` **in
-//!    place** (two aligned word writes; no version bump — the seqlock
-//!    stamp is unchanged and both words flip atomically, so a racing
-//!    pinned reader sees either the old or the new link, never a torn
-//!    one). Every truncation *seals* the cut by zeroing the last kept
-//!    archive's `prev` (`seal_chain_tail`), so no later walk follows
-//!    a freed link into reused space.
+//! 1. **MVCC version vacuum** — every rank drains its retire list (the
+//!    blocks of the archive records its commits wrote, each tagged with
+//!    the committing epoch) down to the snapshot floor all ranks agree
+//!    on (`GdaRank::reclaim_archives`, the reclaim a commit runs once
+//!    its list has grown). A record freed here was written at an epoch
+//!    at or below every pinned snapshot, so no reader follows a `prev`
+//!    to it any more; a cold object's archives come back without the
+//!    object being written again.
 //! 2. **Free-list vacuum** — rebuild the rank's block free list in
 //!    ascending order ([`crate::blocks::BlockManager::vacuum_free_list`])
 //!    so subsequent allocation packs live data at the front of the
@@ -40,18 +33,16 @@
 //!    the file.
 //!
 //! The pass requires quiescence: no transaction may be open anywhere
-//! except **pinned read-only snapshots** — those never write back
-//! cached holder state (which would resurrect a vacuumed `prev`) and
-//! their pins hold the snapshot floor down, which the vacuum respects.
+//! except **pinned read-only snapshots** — their pins hold the snapshot
+//! floor down, which the vacuum respects.
 
 use gdi::{GdiError, GdiResult};
-use rma::{Counter, RankCtx};
+use rma::Counter;
 
-use crate::config::{GdaConfig, WIN_DATA};
+use crate::config::GdaConfig;
 use crate::db::GdaRank;
 use crate::dptr::DPtr;
-use crate::hio::{self, BLOCK_PAYLOAD_OFFSET};
-use crate::holder::{Archive, Holder, DEPTH_MASK, FLAGS_WORD_OFFSET, PREV_OFFSET};
+use crate::hio;
 
 /// What one collective maintenance pass did, globally (every field is
 /// an allreduced sum; identical on every rank).
@@ -60,8 +51,6 @@ pub struct MaintenanceReport {
     /// The snapshot floor the vacuum ran against (0 when the vacuum
     /// was skipped because a pin was mid-registration).
     pub floor: u64,
-    /// Objects whose archive chain the vacuum touched.
-    pub vacuumed_objects: u64,
     /// Archived versions freed by the vacuum.
     pub vacuumed_versions: u64,
     /// Blocks returned to the free lists by the vacuum.
@@ -76,121 +65,6 @@ pub struct MaintenanceReport {
     pub verified_bytes: u64,
     /// Checksum/readability failures found in the published chain.
     pub verify_errors: u64,
-}
-
-/// Trim the archive chain at `head`, walking newest → oldest: with a
-/// snapshot `floor`, keep every version with `commit_epoch > floor`
-/// **plus the first with epoch ≤ floor** (the version every snapshot ≥
-/// floor resolves to), free the strictly older rest — then **seal the
-/// cut**: the last kept archive's `prev` still names the first freed
-/// block, so it is zeroed in place (archives never change otherwise, so
-/// no reader can tear on it). An unsealed cut is a dangling pointer into
-/// freed — eventually reused — space, and every later walk of this
-/// chain (a pinned reader, the vacuum, the delete path) would need to
-/// *guess* where the chain ends. With no `floor` the whole chain is
-/// freed. The one trim behind the commit path ([`crate::tx`]: the chain
-/// limit, and a deleted object's archives) and the vacuum; the caller
-/// holds the object's write lock or runs quiesced, so the chain cannot
-/// change underneath.
-///
-/// `live` bounds the walk to the holder's recorded archive depth,
-/// defence in depth against a chain whose seal never made it to the
-/// window (a crash between the frees and the word write): walking by
-/// pointers alone could double-free or cycle. Returns `(archives kept,
-/// versions freed, blocks freed)`.
-pub(crate) fn trim_archives(
-    eng: &GdaRank,
-    head: u64,
-    floor: Option<u64>,
-    live: usize,
-) -> (usize, u64, u64) {
-    let (mut kept, mut versions, mut blocks_freed) = (0usize, 0u64, 0u64);
-    let mut cut = floor.is_none();
-    let mut tail: Option<DPtr> = None;
-    let mut cur = head;
-    let mut seen = 0usize;
-    while cur != 0 && seen < live {
-        seen += 1;
-        let dp = DPtr::from_raw(cur);
-        let Ok((bytes, blocks)) = hio::read_chain(eng.ctx(), eng.cfg(), dp) else {
-            break;
-        };
-        let Some(a) = Archive::parse(&bytes) else {
-            break;
-        };
-        if cut {
-            hio::free_chain(&eng.bm, &blocks);
-            versions += 1;
-            blocks_freed += blocks.len() as u64;
-        } else {
-            kept += 1;
-            if floor.is_some_and(|f| a.commit_epoch <= f) {
-                cut = true;
-                tail = Some(dp);
-            }
-        }
-        cur = a.prev;
-    }
-    if let (true, Some(dp)) = (versions > 0, tail) {
-        seal_chain_tail(eng.ctx(), dp);
-    }
-    (kept, versions, blocks_freed)
-}
-
-/// Seal a truncated archive chain: zero the `prev` field of the last
-/// kept archive, in place (one aligned word write into the archive's
-/// primary block — `prev` sits entirely inside the first block's
-/// payload, after the 48-byte header start).
-fn seal_chain_tail(ctx: &RankCtx, dp: DPtr) {
-    let at = dp.offset() as usize + BLOCK_PAYLOAD_OFFSET + PREV_OFFSET;
-    debug_assert!(at.is_multiple_of(8), "prev is an aligned word");
-    ctx.put_bytes(WIN_DATA, dp.rank(), at, &0u64.to_le_bytes());
-    ctx.flush(dp.rank());
-}
-
-/// Patch a live holder's archive bookkeeping in place: rewrite the
-/// depth bits inside the flags word and (when `prev` is given) the
-/// `prev` pointer, without touching the seqlock stamp or the version.
-/// Safe against concurrent pinned readers: each write is one aligned
-/// word, and any old/new combination of the two words yields a valid
-/// (possibly shorter) walk — see the module docs.
-fn patch_live_holder(ctx: &RankCtx, id: DPtr, depth: u8, prev: Option<u64>) {
-    let base = id.offset() as usize + BLOCK_PAYLOAD_OFFSET;
-    let fw = (base + FLAGS_WORD_OFFSET) / 8;
-    let word = ctx.get_u64(WIN_DATA, id.rank(), fw);
-    let flags = ((word >> 32) as u32 & !DEPTH_MASK) | ((depth as u32) << 16);
-    ctx.put_u64(
-        WIN_DATA,
-        id.rank(),
-        fw,
-        (word & 0xFFFF_FFFF) | ((flags as u64) << 32),
-    );
-    if let Some(p) = prev {
-        let pw = (base + PREV_OFFSET) / 8;
-        ctx.put_u64(WIN_DATA, id.rank(), pw, p);
-    }
-    ctx.flush(id.rank());
-}
-
-/// Vacuum one object's archive chain against `floor`. Returns
-/// `(versions_freed, blocks_freed)`; `(0, 0)` when nothing was
-/// reclaimable.
-fn vacuum_object(eng: &GdaRank, id: DPtr, h: &Holder, floor: u64) -> (u64, u64) {
-    if h.prev == 0 || h.depth == 0 {
-        return (0, 0);
-    }
-    // a live version at or below the floor is what every snapshot ≥
-    // floor resolves to: the whole archive chain is unreachable garbage.
-    // Above it, keep every archive a pinned snapshot could still need.
-    let whole = h.commit_epoch <= floor;
-    let (kept, versions, blocks) =
-        trim_archives(eng, h.prev, (!whole).then_some(floor), h.depth as usize);
-    if whole {
-        patch_live_holder(eng.ctx(), id, 0, Some(0));
-    } else if versions > 0 {
-        patch_live_holder(eng.ctx(), id, kept.min(u8::MAX as usize) as u8, None);
-    }
-    (versions, blocks)
 }
 
 /// Relocate the continuation blocks of one holder chain to
@@ -260,33 +134,22 @@ pub(crate) fn maintenance_rank(eng: &GdaRank) -> GdiResult<MaintenanceReport> {
     };
 
     // -- pass 1: MVCC version vacuum ----------------------------------
-    // Over the live set — every chain this rank stores that the DHT
-    // names, directly or through a heavyweight edge record — the walk a
-    // full checkpoint writes: an unreadable chain fails the pass on
-    // every rank.
-    let mut vacuumed_objects = 0u64;
-    let mut vacuumed_versions = 0u64;
-    let mut vacuumed_blocks = 0u64;
-    // multi-block chains, as (highest block offset, primary): the
-    // compaction candidates
+    // This rank's retire list, to the agreed floor: its blocks may live
+    // on any rank, so the vote below also orders every free before the
+    // free-list vacuum.
+    let (vacuumed_versions, vacuumed_blocks) = if skip_vacuum {
+        (0, 0)
+    } else {
+        eng.reclaim_archives(floor)
+    };
+    // multi-block chains of the live set this rank stores, as (highest
+    // block offset, primary): the compaction candidates. An unreadable
+    // chain fails the pass on every rank.
     let mut chains: Vec<(u64, DPtr)> = Vec::new();
     let walked = hio::walk_live(ctx, cfg, |c| {
         if c.blocks.len() > 1 {
             let top = c.blocks.iter().map(|b| b.offset()).max().unwrap_or(0);
             chains.push((top, c.primary));
-        }
-        if skip_vacuum {
-            return;
-        }
-        // (the walk validated the holder as `try_decode` does)
-        let Some(h) = Holder::try_decode(c.bytes) else {
-            return;
-        };
-        let (v, b) = vacuum_object(eng, c.primary, &h, floor);
-        if v > 0 {
-            vacuumed_objects += 1;
-            vacuumed_versions += v;
-            vacuumed_blocks += b;
         }
     });
     if ctx.allreduce_any(walked.is_err()) {
@@ -307,10 +170,6 @@ pub(crate) fn maintenance_rank(eng: &GdaRank) -> GdiResult<MaintenanceReport> {
     let mut compacted_blocks = 0u64;
     chains.sort_unstable_by_key(|&(top, _)| std::cmp::Reverse(top));
     for &(_, primary) in &chains {
-        // read the chain now, not during the vacuum sweep: the vacuum
-        // patched `depth`/`prev` of the holders it touched in place, and
-        // rewriting a pre-vacuum image would resurrect the link to the
-        // archives it just freed (the next pass would free them again)
         let Ok((bytes, blocks)) = hio::read_chain(ctx, cfg, primary) else {
             continue;
         };
@@ -339,7 +198,6 @@ pub(crate) fn maintenance_rank(eng: &GdaRank) -> GdiResult<MaintenanceReport> {
     ctx.barrier();
     Ok(MaintenanceReport {
         floor,
-        vacuumed_objects: ctx.allreduce_sum_u64(vacuumed_objects),
         vacuumed_versions: ctx.allreduce_sum_u64(vacuumed_versions),
         vacuumed_blocks: ctx.allreduce_sum_u64(vacuumed_blocks),
         free_blocks: ctx.allreduce_sum_u64(free_blocks),
@@ -378,10 +236,10 @@ mod tests {
         .unwrap()
     }
 
-    /// The bug family this PR fixes, end to end: cold objects
-    /// overwritten a few times leak archives forever (the commit path
-    /// truncates only chains that *grow* past the limit); the vacuum
-    /// reclaims them down to the snapshot floor, and pool accounting
+    /// A cold object — overwritten a few times, then never again — gets
+    /// its archives back without being written again: the commits left
+    /// them on the retire list (it was not yet long enough to reclaim),
+    /// the pass drains it to the snapshot floor, and pool accounting
     /// proves it.
     #[test]
     fn vacuum_reclaims_cold_archives() {
@@ -401,9 +259,8 @@ mod tests {
                 let tx = eng.begin(AccessMode::ReadWrite);
                 let v = tx.create_vertex(AppVertexId(1)).unwrap();
                 tx.commit().unwrap();
-                // three overwrites: depth 3, below MVCC_CHAIN_LIMIT
-                // (4), so the commit path never truncates — the chain
-                // is leaked garbage once the watermark moves past it
+                // three overwrites: a list of at most P + 1 entries is
+                // never reclaimed at commit
                 for i in 0..3u64 {
                     let tx = eng.begin(AccessMode::ReadWrite);
                     let v = tx.translate_vertex_id(AppVertexId(1)).unwrap();
@@ -418,7 +275,6 @@ mod tests {
             let owner = ctx.allreduce_max_u64(owner as u64) as usize;
             let before = eng.bm.count_free(owner);
             let rep = eng.maintenance().unwrap();
-            assert_eq!(rep.vacuumed_objects, 1, "{rep:?}");
             assert_eq!(rep.vacuumed_versions, 3, "{rep:?}");
             assert!(rep.vacuumed_blocks >= 3);
             assert_eq!(
@@ -426,7 +282,7 @@ mod tests {
                 before + rep.vacuumed_blocks as usize,
                 "every freed archive block is back in the pool"
             );
-            // the patched holder reads back clean and live
+            // the live version reads back; its `prev` dangles, unread
             eng.refresh_meta();
             let tx = eng.begin(AccessMode::ReadOnly);
             let v = tx.translate_vertex_id(AppVertexId(1)).unwrap();
@@ -440,8 +296,6 @@ mod tests {
             let rep2 = eng.maintenance().unwrap();
             assert_eq!(rep2.vacuumed_versions, 0, "{rep2:?}");
             // ... and a delete after the vacuum drains the pool fully
-            // (the in-place patch kept depth == surviving archives, so
-            // the delete path double-frees nothing)
             if ctx.rank() == 0 {
                 let tx = eng.begin(AccessMode::ReadWrite);
                 let v = tx.translate_vertex_id(AppVertexId(1)).unwrap();
@@ -454,10 +308,10 @@ mod tests {
         });
     }
 
-    /// A pinned snapshot reader holds the floor down: the vacuum must
-    /// keep every version the pin can still resolve to, and reclaim
-    /// the rest only after the pin is gone. The reader's bounded walk
-    /// never decodes a freed block while racing the vacuum.
+    /// A pinned snapshot reader holds the floor down: no retire-list
+    /// entry above the pin is freed — not by the reclaims of the commits
+    /// behind it, not by a pass — and the pin reads its version
+    /// throughout; the pass after it unpins frees them all.
     #[test]
     fn vacuum_respects_pinned_snapshots() {
         let cfg = GdaConfig::tiny();
@@ -471,18 +325,21 @@ mod tests {
             tx.update_property(v, blob, &prop_bytes(8)).unwrap();
             tx.commit().unwrap();
             // a local read-only transaction under MVCC pins the
-            // watermark at begin; overwrite twice behind the pin
+            // watermark at begin; overwrite six times behind the pin
             let pinned = eng.begin(AccessMode::ReadOnly);
             assert!(pinned.snapshot_epoch().is_some());
-            for i in 1..3usize {
+            let truncations = ctx.stats_snapshot().chain_truncations;
+            for i in 1..=6usize {
                 let tx = eng.begin(AccessMode::ReadWrite);
                 let v = tx.translate_vertex_id(AppVertexId(1)).unwrap();
                 tx.update_property(v, blob, &prop_bytes(8 + i)).unwrap();
                 tx.commit().unwrap();
             }
+            assert_eq!(eng.retired_blocks().len(), 6, "the commits kept all");
+            assert_eq!(ctx.stats_snapshot().chain_truncations, truncations);
             let rep = eng.maintenance().unwrap();
-            // the pinned version must survive the vacuum; only
-            // archives strictly below the pin's resolution point go
+            assert_eq!(rep.vacuumed_versions, 0, "{rep:?}");
+            assert_eq!(eng.retired_blocks().len(), 6, "the pass kept all");
             let v = pinned.translate_vertex_id(AppVertexId(1)).unwrap();
             assert_eq!(
                 pinned.property(v, blob).unwrap(),
@@ -490,12 +347,10 @@ mod tests {
                 "pin reads its snapshot across a vacuum"
             );
             pinned.commit().unwrap();
-            // pin released: the next pass reclaims the remaining chain
-            let rep2 = eng.maintenance().unwrap();
-            assert!(
-                rep.vacuumed_versions + rep2.vacuumed_versions >= 2,
-                "{rep:?} then {rep2:?}"
-            );
+            // pin released: the next pass reclaims them all
+            let rep = eng.maintenance().unwrap();
+            assert_eq!(rep.vacuumed_versions, 6, "{rep:?}");
+            assert!(eng.retired_blocks().is_empty());
             let tx = eng.begin(AccessMode::ReadWrite);
             let v = tx.translate_vertex_id(AppVertexId(1)).unwrap();
             tx.delete_vertex(v).unwrap();
@@ -504,13 +359,11 @@ mod tests {
         });
     }
 
-    /// A pass that both vacuums a multi-block holder's archives and
-    /// compacts its chain must rewrite the holder *as the vacuum left
-    /// it*: compacting from the pre-vacuum image would resurrect the
-    /// `prev` link to blocks the same pass just freed, and the next
-    /// pass would free them again ("free-list cycle during vacuum").
+    /// Passes that each reclaim a growing multi-block holder's archives
+    /// and compact its chain free no block twice and leak none: deleting
+    /// everything afterwards drains the pool exactly.
     #[test]
-    fn vacuumed_holders_compact_from_their_patched_image() {
+    fn reclaiming_and_compacting_in_one_pass_frees_no_block_twice() {
         let cfg = GdaConfig {
             blocks_per_rank: 1024,
             ..GdaConfig::tiny()

@@ -64,7 +64,10 @@ pub(super) const MANIFEST_MAGIC: &[u8; 8] = b"GDAMANI\x01";
 /// v12: the manifest's config record lost the lock-retry bound and the
 /// MVCC chain limit, now engine constants, and is five u64 words. A v11
 /// directory is refused by version.
-pub(super) const FORMAT_VERSION: u32 = 12;
+/// v13: a holder's flags lost the archive-chain depth (bits 16..24),
+/// which the decoder now refuses as unknown flags. A v12 directory is
+/// refused by version: its images may carry depth bits.
+pub(super) const FORMAT_VERSION: u32 = 13;
 
 /// Bytes of the fixed `[magic 8][version u32]` prefix of snapshot and
 /// manifest files.

@@ -117,10 +117,9 @@
 //! incarnations): what recovery orders records of one object by, across
 //! logs — and a patch also its **base**, the version it was spliced
 //! against, which replay requires the object to be at exactly. The
-//! header is no part of a splice: truncation and the vacuum rewrite
-//! `prev` and the depth in place, and replay rebuilds the header from
-//! the record (commit epoch 0, no archive link, depth 0 — how recovery
-//! writes every holder back). Two scope rules are deliberate
+//! header is no part of a splice: replay rebuilds it from the record
+//! (commit epoch 0, no archive link — how recovery writes every holder
+//! back). Two scope rules are deliberate
 //! (documented in `docs/ARCHITECTURE.md`): catalog DDL (labels, property types, index
 //! definitions) is durable at **checkpoint** granularity — take a
 //! checkpoint after schema setup — and delete-then-recreate of the same
@@ -3114,7 +3113,7 @@ pub(crate) mod tests {
     }
 
     /// A format-11 directory — whose manifests carry a seven-word config
-    /// record, two words longer than v12's: the v12 decoder would read
+    /// record, two words longer than v12's: a v12 decoder would read
     /// the lock-retry word as the translation-cache capacity and the
     /// chain limit as the start of the metadata — is refused by version
     /// at its manifest and left byte-identical.
@@ -3138,8 +3137,33 @@ pub(crate) mod tests {
         assert!(listing(&td.0) == before, "the directory changed");
     }
 
-    /// A v12 snapshot file of checkpoint 1, shard 0 of 1: `records`, no
-    /// postings, `count` as the record count, checksum sealed.
+    /// A format-12 directory — whose snapshot holders may carry the
+    /// archive-chain depth in flag bits 16..24, which the v13 decoder
+    /// refuses as unknown flags — is refused by version at its manifest
+    /// and left byte-identical.
+    #[test]
+    fn v12_directory_is_refused_by_version_and_left_untouched() {
+        let td = TestDir::new("v12dir");
+        small_chain(&td);
+        for name in SMALL_CHAIN_FILES {
+            let path = td.0.join(name);
+            let mut file = fs::read(&path).unwrap();
+            file[8..12].copy_from_slice(&12u32.to_le_bytes());
+            reseal(&mut file);
+            fs::write(&path, file).unwrap();
+        }
+        let before = listing(&td.0);
+        let err = recover(PersistOptions::new(&td.0), CostModel::zero()).err();
+        assert_eq!(
+            err,
+            Some(GdiError::Io("unsupported manifest version 12".into()))
+        );
+        assert!(listing(&td.0) == before, "the directory changed");
+    }
+
+    /// A snapshot file of the current format, checkpoint 1, shard 0 of
+    /// 1: `records`, no postings, `count` as the record count, checksum
+    /// sealed.
     fn records_file(records: &[(DPtr, Vec<u8>)], count: u64) -> Vec<u8> {
         let mut e = Enc::default();
         e.buf.extend_from_slice(format::SNAP_MAGIC);

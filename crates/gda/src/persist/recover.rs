@@ -745,7 +745,6 @@ impl RecoveryPlan {
             // every object must be visible to every snapshot
             h.commit_epoch = 0;
             h.prev = 0;
-            h.depth = 0;
             let bytes = h.encode();
             let new_primary = DPtr::from_raw(remap[&p.old_primary]);
             let mut blocks = vec![new_primary];
@@ -862,7 +861,6 @@ fn audit_rank(eng: &GdaRank, mut live: FxHashMap<u64, (u64, bool, Vec<u8>)>) -> 
         Holder::try_decode(bytes).map(|mut h| {
             h.commit_epoch = 0;
             h.prev = 0;
-            h.depth = 0;
             h.encode()
         })
     };

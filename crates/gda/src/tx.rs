@@ -473,22 +473,21 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
     /// version at the snapshot (created later) is simply `NotFound`.
     fn rewind(&self, snap: u64, chain: &mut Vec<u8>) -> GdiResult<()> {
         const GONE: GdiError = GdiError::NotFound("object (no version at snapshot)");
-        let (mut epoch, mut prev, mut steps) = Holder::version_of(chain).ok_or(hio::STALE)?;
-        // The walk is bounded by the live holder's recorded archive
-        // depth and requires strictly decreasing commit epochs of the
-        // same object: a `prev` that reaches freed (possibly reused)
-        // space — a truncated tail, or a vacuum racing this read — must
-        // read as *chain end*, never as a stranger's bytes. Archives
-        // reachable from a pinned snapshot are immutable (truncation and
-        // vacuum free only below the snapshot floor ≤ our pinned epoch),
-        // so any failure to read or apply one means the link left the
-        // live chain.
+        let (mut epoch, mut prev) = Holder::version_of(chain).ok_or(hio::STALE)?;
+        // The walk requires strictly decreasing commit epochs of the same
+        // object, which also bounds it: a `prev` that reaches freed
+        // (possibly reused) space must read as *chain end*, never as a
+        // stranger's bytes. A record this walk can reach was written by
+        // a commit at an epoch above `snap`, and a rank frees a record
+        // only once the snapshot floor — at most our pinned epoch —
+        // reaches its commit's epoch (`GdaRank::reclaim_archives`), so
+        // any failure to read or apply one means the link left the live
+        // chain.
         let (mut block, mut record) = (Vec::new(), Vec::new());
         while epoch > snap {
-            if prev == 0 || steps == 0 {
+            if prev == 0 {
                 return Err(GONE);
             }
-            steps -= 1;
             block.resize(self.eng.cfg().block_size, 0);
             let (src, at) = (Source::Validated(self.eng.ctx), DPtr::from_raw(prev));
             let archive = hio::read_chain_into(&src, self.eng.cfg(), at, &mut block, &mut record)
@@ -1201,15 +1200,19 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
 
     /// Write `record` — the [`Archive`] of one overwritten version — to
     /// a fresh block chain on `id`'s rank: the new head of `id`'s
-    /// version chain. Single-phase — the archive is unreachable until
-    /// the committing writer publishes the new version's `prev` pointing
-    /// at it — and never durable: a full image carries live chains only,
-    /// a delta carries redo frames only.
-    fn archive_version(&self, id: DPtr, record: &[u8]) -> GdiResult<DPtr> {
+    /// version chain, retired at once under the commit's `epoch` (the
+    /// rank frees it when the snapshot floor reaches `epoch`, so a
+    /// write-back that fails after this leaks nothing). Single-phase —
+    /// the archive is unreachable until the committing writer publishes
+    /// the new version's `prev` pointing at it — and never durable: a
+    /// full image carries live chains only, a delta carries redo frames
+    /// only.
+    fn archive_version(&self, id: DPtr, record: &[u8], epoch: u64) -> GdiResult<DPtr> {
         let primary = self.eng.bm.acquire(id.rank())?;
         let mut blocks = vec![primary];
         match hio::write_chain(self.eng.ctx, &self.eng.bm, record, &mut blocks) {
             Ok(()) => {
+                self.eng.retire_archive(epoch, &blocks);
                 self.eng.ctx().count(Counter::VersionArchives, 1);
                 self.eng
                     .ctx()
@@ -1221,14 +1224,6 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
                 Err(e)
             }
         }
-    }
-
-    /// [`crate::maint::trim_archives`] on the commit path, counted as
-    /// chain truncations. Returns the number of archives kept.
-    fn truncate_chain(&self, head: u64, floor: Option<u64>, live: usize) -> usize {
-        let (kept, freed, _) = crate::maint::trim_archives(self.eng, head, floor, live);
-        self.eng.ctx().count(Counter::ChainTruncations, freed);
-        kept
     }
 
     // ------------------------------------------------------------------
@@ -1262,17 +1257,15 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
         // publish. Every allocated epoch is published at the end of
         // this function — even on a failed commit — because watermark
         // publication is strictly in epoch order and a silent gap would
-        // wedge every later commit.
+        // wedge every later commit. The rank's archive reclaim runs
+        // first, so no later epoch waits behind it.
         let epoch =
             if self.mvcc_writer() && cache.values().any(|o| o.dirty || o.created || o.deleted) {
+                self.eng.reclaim_if_due();
                 Some(self.eng.alloc_commit_epoch())
             } else {
                 None
             };
-        // snapshot floor for commit-time chain truncation, computed at
-        // most once per commit and only when some chain hits its limit
-        // (`None` inside = a pin was mid-registration; skip this round)
-        let mut floor: Option<Option<u64>> = None;
         let mut touched: FxHashSet<usize> = FxHashSet::default();
         // ranks whose *topology* this commit changed (membership or edge
         // lists): their topology-epoch word is bumped after the
@@ -1324,9 +1317,6 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
                     }
                 }
                 hio::free_chain(&self.eng.bm, &obj.blocks);
-                if !obj.created && obj.holder.prev != 0 {
-                    self.truncate_chain(obj.holder.prev, None, obj.holder.depth as usize);
-                }
                 if logging && !obj.created {
                     // the logged version also caps the owner's stamp
                     // counter: a recreate of this app id must stamp
@@ -1368,50 +1358,33 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
                 } else {
                     stamp
                 };
-                // the chain an unversioned overwrite (a collective writer:
-                // no concurrent reader) ends: its records undo the version
-                // this write replaces, not the one it writes
-                let mut ended = None;
+                // an unversioned overwrite (a collective writer: no
+                // concurrent reader) ends the chain: its records undo the
+                // version this write replaces, not the one it writes, and
+                // stay on their retire lists until the floor passes them
+                if epoch.is_none() || obj.created {
+                    obj.holder.prev = 0;
+                }
                 if let Some(e) = epoch {
-                    if obj.created {
-                        obj.holder.prev = 0;
-                        obj.holder.depth = 0;
-                    } else if obj.holder.depth as usize + 1 > crate::MVCC_CHAIN_LIMIT
-                        && obj.holder.prev != 0
-                    {
-                        // bound the chain before it grows: when the new
-                        // archive would push the depth past the limit,
-                        // free every version no snapshot can still read
-                        let f = *floor.get_or_insert_with(|| self.eng.snapshot_floor());
-                        if f.is_some() {
-                            let kept =
-                                self.truncate_chain(obj.holder.prev, f, obj.holder.depth as usize);
-                            obj.holder.depth = kept.min(u8::MAX as usize) as u8;
-                        }
-                    }
                     obj.holder.commit_epoch = e;
-                } else if !obj.created && obj.holder.prev != 0 {
-                    ended = Some((obj.holder.prev, obj.holder.depth as usize));
-                    (obj.holder.prev, obj.holder.depth) = (0, 0);
                 }
                 obj.holder.compact_edges();
                 let mut bytes = obj.holder.encode();
                 // one diff against the pre-image: the redo record's
                 // forward splice, and the archive's undo of it
-                let archives = epoch.is_some() && !obj.created;
+                let archives = epoch.filter(|_| !obj.created);
                 let fwd = (obj.orig.as_deref())
-                    .filter(|_| archives || (logging && !logs_whole))
+                    .filter(|_| archives.is_some() || (logging && !logs_whole))
                     .map(|pre| (pre, splice(pre, &bytes)));
-                if archives {
+                if let Some(e) = archives {
                     let Some((pre, fwd)) = &fwd else {
                         result = Err(NO_PRE_IMAGE);
                         continue;
                     };
-                    match self.archive_version(id, &Archive::record(pre, fwd)) {
+                    match self.archive_version(id, &Archive::record(pre, fwd), e) {
                         Ok(head) => {
                             obj.holder.prev = head.raw();
-                            obj.holder.depth = obj.holder.depth.saturating_add(1);
-                            relink(&mut bytes, obj.holder.prev, obj.holder.depth);
+                            relink(&mut bytes, obj.holder.prev);
                         }
                         Err(e) => {
                             result = Err(e);
@@ -1454,9 +1427,6 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
                         AppVertexId(obj.holder.app_id),
                         Some(&obj.holder.labels()),
                     );
-                }
-                if let Some((prev, depth)) = ended {
-                    self.truncate_chain(prev, None, depth);
                 }
                 if logging {
                     // the new body as a splice over the pre-image it

@@ -9,7 +9,10 @@
 //! a value that grows and shrinks) each rewind to their own version; an
 //! overwrite no snapshot versions (a collective writer) ends the chain
 //! it can no longer be rewound through; and a hostile record is a
-//! `NotFound`, never a panic.
+//! `NotFound`, never a panic. A record goes back to the pool once the
+//! snapshot floor passes the commit that wrote it — never while a
+//! reader pinned below that commit could still rewind through it, and
+//! also when the write-back it was written for failed.
 
 use gda::blocks::BlockManager;
 use gda::config::WIN_DATA;
@@ -20,6 +23,9 @@ use gdi::{
     AccessMode, AppVertexId, Datatype, EdgeOrientation, EntityType, GdiError, LabelId,
     Multiplicity, PTypeId, PropertyValue, SizeType,
 };
+
+/// Overwrites a pinned reader rewinds through in the directed cases.
+const OVERWRITES: u64 = 12;
 use rma::CostModel;
 
 /// The hub's application id; its neighbours are `1..=SPOKES`.
@@ -102,6 +108,29 @@ fn state(tx: &Transaction, hub: DPtr, meta: Meta) -> State {
     )
 }
 
+/// Records on the hub's version chain, walked from the live holder (safe
+/// while a reader pinned before them holds every record).
+fn chain_len(eng: &GdaRank, hub: DPtr) -> usize {
+    let (bytes, _) = read_chain(eng.ctx(), eng.cfg(), hub).unwrap();
+    let (mut cur, mut n) = (Holder::decode(&bytes).prev, 0);
+    while cur != 0 {
+        let (record, _) = read_chain(eng.ctx(), eng.cfg(), DPtr::from_raw(cur)).unwrap();
+        cur = Archive::parse(&record).unwrap().prev;
+        n += 1;
+    }
+    n
+}
+
+/// Blocks of the hub's and the spokes' live chains.
+fn live_blocks(eng: &GdaRank, hub: DPtr) -> usize {
+    let tx = eng.begin(AccessMode::ReadOnly);
+    let spokes = (1..=SPOKES).map(|s| tx.translate_vertex_id(AppVertexId(s)).unwrap());
+    let chains = spokes.chain([hub]).collect::<Vec<_>>();
+    tx.commit().unwrap();
+    let blocks = |v| read_chain(eng.ctx(), eng.cfg(), v).unwrap().1.len();
+    chains.into_iter().map(blocks).sum()
+}
+
 /// The record at the head of the hub's version chain, and where it is.
 fn head_record(eng: &GdaRank, hub: DPtr) -> (DPtr, Archive) {
     let (bytes, _) = read_chain(eng.ctx(), eng.cfg(), hub).unwrap();
@@ -112,13 +141,14 @@ fn head_record(eng: &GdaRank, hub: DPtr) -> (DPtr, Archive) {
 }
 
 /// N overwrites of a five-block holder take N blocks from the pool —
-/// one record each, as long as no truncation runs (N = the chain
-/// limit) — where a copy of the pre-image took five. A reader pinned
-/// before them still reads the first version, through all N records.
+/// one record each, all kept: the reader pinned before them holds the
+/// snapshot floor below every one — where a copy of the pre-image took
+/// five. The reader still reads the first version, through all N
+/// records.
 #[test]
 fn overwrites_of_a_multi_block_hub_take_one_block_each() {
     with_hub(|eng, hub, meta| {
-        let n = gda::MVCC_CHAIN_LIMIT as u64;
+        let n = OVERWRITES;
         let pinned = eng.begin(AccessMode::ReadOnly);
         let first = state(&pinned, hub, meta);
         // (B evicts the hub from the reader's buffers)
@@ -199,9 +229,8 @@ fn pinned_readers_rewind_length_changing_overwrites() {
             readers.push((tx, pinned));
             write(eng, |tx| step(tx));
         }
-        let depth = Holder::decode(&read_chain(eng.ctx(), eng.cfg(), hub).unwrap().0).depth;
         assert_eq!(
-            depth as usize,
+            chain_len(eng, hub),
             steps.len(),
             "the first pin holds every record"
         );
@@ -225,9 +254,10 @@ fn pinned_readers_rewind_length_changing_overwrites() {
 }
 
 /// An overwrite that no snapshot versions — a collective writer's,
-/// which assumes no concurrent reader — frees the hub's records: they
+/// which assumes no concurrent reader — unlinks the hub's records: they
 /// undo the version it replaced, not the one it wrote, so no later
-/// rewind may start from it.
+/// rewind may start from it. They go back to the pool with the next
+/// reclaim.
 #[test]
 fn a_collective_overwrite_ends_the_undo_chain() {
     with_hub(|eng, hub, meta| {
@@ -242,9 +272,12 @@ fn a_collective_overwrite_ends_the_undo_chain() {
         tx.update_property(hub, meta.val, &PropertyValue::U64(9))
             .unwrap();
         tx.commit().unwrap();
-        assert_eq!(free_blocks(eng), free + 2, "both records freed");
         let live = Holder::decode(&read_chain(eng.ctx(), eng.cfg(), hub).unwrap().0);
-        assert_eq!((live.prev, live.depth), (0, 0));
+        assert_eq!(live.prev, 0, "the chain ends at the live version");
+        assert_eq!(free_blocks(eng), free, "records wait for a reclaim");
+        let rep = eng.maintenance().unwrap();
+        assert_eq!(rep.vacuumed_versions, 2, "{rep:?}");
+        assert_eq!(free_blocks(eng), free + 2, "both records freed");
         let fresh = eng.begin(AccessMode::ReadOnly);
         assert_eq!(
             fresh.property(hub, meta.val).unwrap(),
@@ -289,5 +322,84 @@ fn hostile_archive_records_are_not_found_never_a_panic() {
         pinned.labels(other).unwrap();
         assert_eq!(pinned.property(hub, meta.val).unwrap(), first);
         pinned.commit().unwrap();
+    });
+}
+
+/// A reader pinned before a dozen overwrites reads its version after
+/// every one of them, across the reclaims commits and maintenance passes
+/// run meanwhile: none frees a record the pin can still rewind through.
+/// Once it unpins, one pass returns the pool to exactly the live blocks.
+#[test]
+fn a_reader_pinned_across_overwrites_keeps_its_version_until_it_unpins() {
+    with_hub(|eng, hub, meta| {
+        let pinned = eng.begin(AccessMode::ReadOnly);
+        let first = state(&pinned, hub, meta);
+        let spoke = pinned.translate_vertex_id(AppVertexId(1)).unwrap();
+        for i in 1..=OVERWRITES {
+            write(eng, |tx| {
+                tx.update_property(hub, meta.val, &PropertyValue::U64(i))
+                    .unwrap()
+            });
+            if i % 4 == 0 {
+                assert_eq!(eng.maintenance().unwrap().vacuumed_versions, 0);
+            }
+            // (B evicts the hub from the reader's buffers)
+            pinned.labels(spoke).unwrap();
+            assert_eq!(state(&pinned, hub, meta), first, "after overwrite {i}");
+        }
+        assert_eq!(chain_len(eng, hub), OVERWRITES as usize);
+        pinned.commit().unwrap();
+        let rep = eng.maintenance().unwrap();
+        assert_eq!(rep.vacuumed_versions, OVERWRITES, "{rep:?}");
+        assert_eq!(
+            free_blocks(eng) + live_blocks(eng, hub),
+            eng.cfg().blocks_per_rank,
+            "the pool is the live blocks and the free ones"
+        );
+    });
+}
+
+/// A write-back that runs out of blocks after its commit archived the
+/// pre-image leaks nothing: the record goes back with the next reclaim,
+/// and the blocks acquired to grow the holder go back at once. The pool
+/// has exactly two free blocks: the record takes one, and growing the
+/// holder from one block to three gets one and fails on the next.
+#[test]
+fn a_failed_write_back_leaks_no_block() {
+    let cfg = GdaConfig {
+        blocks_per_rank: 4,
+        ..GdaConfig::tiny()
+    };
+    let (db, fabric) = GdaDb::with_fabric("leak", cfg, 1, CostModel::zero());
+    fabric.run(|ctx| {
+        let eng = db.attach(ctx);
+        eng.init_collective();
+        let (m, size) = (Multiplicity::Single, SizeType::NoLimit);
+        let blob = eng
+            .create_ptype("blob", Datatype::Byte, EntityType::Vertex, m, size, 0)
+            .unwrap();
+        let tx = eng.begin(AccessMode::ReadWrite);
+        let ids: Vec<DPtr> = (1..=2u64)
+            .map(|a| tx.create_vertex(AppVertexId(a)).unwrap())
+            .collect();
+        tx.commit().unwrap();
+        assert_eq!(free_blocks(&eng), 2);
+        let tx = eng.begin(AccessMode::ReadWrite);
+        tx.add_property(ids[0], blob, &PropertyValue::Bytes(vec![7; 200]))
+            .unwrap();
+        assert_eq!(tx.commit(), Err(GdiError::OutOfMemory));
+        eng.maintenance().unwrap();
+        let live: usize = (ids.iter())
+            .map(|&v| read_chain(ctx, eng.cfg(), v).unwrap().1.len())
+            .sum();
+        assert_eq!(live, 2, "the failed write left the holder as it was");
+        assert_eq!(
+            free_blocks(&eng) + live,
+            cfg.blocks_per_rank,
+            "free + live == capacity"
+        );
+        let tx = eng.begin(AccessMode::ReadOnly);
+        assert_eq!(tx.property(ids[0], blob).unwrap(), None);
+        tx.commit().unwrap();
     });
 }

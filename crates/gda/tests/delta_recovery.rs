@@ -338,15 +338,16 @@ mod file {
 
 /// Archives never reach the disk, end to end: while a pinned reader
 /// keeps a vertex's old versions alive and the vertex is overwritten
-/// past `MVCC_CHAIN_LIMIT` (archiving every pre-image, truncating and
-/// sealing below the reader's snapshot), a delta carries no window byte
-/// at all — its directory is the manifest and the sealed segment, and
-/// the segment is exactly the redo bytes the overwrites logged — and the
-/// next full image carries the live chains and no archive block. The
-/// pinned reader still reads its version after both checkpoints, and
-/// recovery reads the latest values.
+/// `ROUNDS` times (archiving every pre-image; the commits' reclaims
+/// free the records below the reader's snapshot), a delta carries no
+/// window byte at all — its directory is the manifest and the sealed
+/// segment, and the segment is exactly the redo bytes the overwrites
+/// logged — and the next full image carries the live chains and no
+/// archive block. The pinned reader still reads its version after both
+/// checkpoints, and recovery reads the latest values.
 #[test]
 fn archives_never_reach_a_checkpoint() {
+    const ROUNDS: u64 = 8;
     let dir = TestDir::new("volatile");
     let cfg = churn_cfg();
     let hot = 1u64;
@@ -383,19 +384,18 @@ fn archives_never_reach_a_checkpoint() {
                 .collect();
             tx.commit().unwrap();
             eng.checkpoint().unwrap();
-            // two archives the truncation below will free
+            // two archives the first reclaim below frees
             update(hot, 10);
             update(hot, 20);
             eng.checkpoint().unwrap();
 
             let pinned = eng.begin(AccessMode::ReadOnly);
             let logged_before = ctx.stats_snapshot().log_bytes;
-            let rounds = 2 * gda::MVCC_CHAIN_LIMIT as u64;
-            for round in 1..=rounds {
+            for round in 1..=ROUNDS {
                 update(hot, 100 + round);
             }
             let archives = ctx.stats_snapshot();
-            assert!(archives.version_archives >= rounds + 2, "{archives:?}");
+            assert!(archives.version_archives >= ROUNDS + 2, "{archives:?}");
             assert!(archives.chain_truncations >= 1, "{archives:?}");
 
             let holder_len = |dp: DPtr| hio::read_chain(ctx, &cfg, dp).unwrap().0.len();
@@ -438,16 +438,7 @@ fn archives_never_reach_a_checkpoint() {
         // crash
     }
     let model: BTreeMap<u64, u64> = (1..=8u64)
-        .map(|id| {
-            (
-                id,
-                if id == hot {
-                    100 + 2 * gda::MVCC_CHAIN_LIMIT as u64
-                } else {
-                    id
-                },
-            )
-        })
+        .map(|id| (id, if id == hot { 100 + ROUNDS } else { id }))
         .collect();
     recover_and_check(&dir, &model, &[]);
 }

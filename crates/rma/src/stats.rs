@@ -146,12 +146,14 @@ counters! {
     /// Bytes of archive records written onto version chains (header and
     /// undo bytes; each record is the undo of one overwrite).
     archive_bytes: ArchiveBytes = "mvcc.archive_bytes",
-    /// Archived versions freed by commit-time chain truncation.
+    /// Archived versions a rank freed off its retire list at commit
+    /// (the snapshot floor had passed their commit epoch; `gda::db`).
     chain_truncations: ChainTruncations = "mvcc.chain_truncations",
     /// Collective maintenance passes this rank completed (vacuum +
     /// compaction + free-list rebuild + verify; `gda::maint`).
     maintenance_passes: MaintenancePasses = "maint.passes",
-    /// Archived versions freed by the background MVCC vacuum.
+    /// Archived versions the maintenance pass freed off this rank's
+    /// retire list, drained to the agreed snapshot floor.
     vacuumed_versions: VacuumedVersions = "maint.vacuumed_versions",
     /// Holder chains rewritten contiguously by the compactor.
     compacted_chains: CompactedChains = "maint.compacted_chains",

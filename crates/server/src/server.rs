@@ -44,9 +44,11 @@ pub struct ServerOptions {
     pub route: RoutePolicy,
     /// Background maintenance cadence: `Some(n)` makes rank 0's serve
     /// loop submit a collective [`GdaRank::maintenance`] pass after
-    /// every `n` drain cycles it executes (MVCC vacuum below the
-    /// snapshot floor, free-list vacuum, chain compaction, snapshot
-    /// checksum verification). Passes ride the OLAP rendezvous, so they
+    /// every `n` drain cycles it executes (every rank's archive retire
+    /// list drained to the snapshot floor, free-list vacuum, chain
+    /// compaction, snapshot checksum verification). Commits reclaim
+    /// archives too, so a long interval delays only the reclaim of what
+    /// their amortised reclaims have not reached yet. Passes ride the OLAP rendezvous, so they
     /// run between batches when no transaction is in flight. `None`
     /// (the default) leaves maintenance to explicit
     /// [`GdiServer::maintenance`] calls.
@@ -576,8 +578,9 @@ impl GdiServer {
     /// Run one collective background-maintenance pass while serving:
     /// pauses admission, rendezvouses every serving rank through the
     /// collective-job machinery (each runs [`GdaRank::maintenance`] —
-    /// MVCC version vacuum below the snapshot floor, free-list vacuum,
-    /// holder-chain compaction, snapshot checksum verification), resumes
+    /// its archive retire list drained to the agreed snapshot floor,
+    /// free-list vacuum, holder-chain compaction, snapshot checksum
+    /// verification), resumes
     /// admission and returns the aggregated report. The pass runs at
     /// the OLAP rendezvous point, where no serve-loop transaction is in
     /// flight — the quiescence the maintenance passes require.

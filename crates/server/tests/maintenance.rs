@@ -36,7 +36,7 @@ fn setup_blob_ptype(db: &std::sync::Arc<GdaDb>, fabric: &rma::Fabric) -> PTypeId
 
 #[test]
 fn explicit_maintenance_reclaims_mvcc_garbage_while_serving() {
-    let cfg = GdaConfig::tiny(); // mvcc on, chain limit 4
+    let cfg = GdaConfig::tiny();
     let (db, fabric) = GdaDb::with_fabric("srv-maint", cfg, 2, CostModel::default());
     let blob = setup_blob_ptype(&db, &fabric);
     let server = GdiServer::new(db.clone(), ServerOptions::default());
@@ -55,9 +55,9 @@ fn explicit_maintenance_reclaims_mvcc_garbage_while_serving() {
                 .unwrap();
             assert!(out.is_committed(), "{out:?}");
         }
-        // every overwrite archives a pre-image onto the version chain;
-        // the commit path only truncates past the chain limit, so the
-        // cold remainder is exactly what the vacuum must reclaim
+        // every overwrite puts its archive on its rank's retire list; a
+        // commit reclaims only once the list outgrows max(P, 2 × what
+        // its last reclaim kept), so the remainder is the vacuum's
         for round in 0..6u64 {
             for v in 1..=4u64 {
                 let out = session
@@ -134,17 +134,16 @@ fn scheduled_maintenance_runs_between_drain_cycles() {
     let fabric = m.fabric_total();
     assert_eq!(fabric.maintenance_passes, 2 * m.maintenance_runs);
     assert_eq!(fabric.verify_errors, 0);
-    // the vacuum kept the hot vertex's chain bounded without touching
-    // its live version (all later reads committed above)
+    // the passes freed the hot vertex's archives without touching its
+    // live version (all later reads committed above)
     assert!(fabric.vacuumed_versions >= 1, "{m:?}");
 }
 
-/// Engine defect found by the benchmark PR: a maintenance pass that both
-/// vacuumed a multi-block holder's archives and compacted its chain
-/// rewrote the holder from bytes read *before* the vacuum, resurrecting
-/// the `prev` link to the blocks it had just freed. The next pass walked
-/// that link and freed them a second time — "free-list cycle during
-/// vacuum". Fifty edge inserts on one vertex grow exactly such a holder.
+/// Passes that each reclaim a growing multi-block holder's archives and
+/// compact its chain keep every block accounted for: after each one,
+/// free + live + retired is the whole pool on both ranks, and no block
+/// is freed twice ("free-list cycle during vacuum"). Fifty edge inserts
+/// on one vertex grow exactly such a holder.
 #[test]
 fn repeated_maintenance_keeps_the_block_pool_whole() {
     let cfg = GdaConfig {
@@ -169,7 +168,7 @@ fn repeated_maintenance_keeps_the_block_pool_whole() {
                 .unwrap();
             assert!(out.is_committed(), "{out:?}");
         }
-        // each rank's free + live blocks, by collective job
+        // each rank's free + live + retired blocks, by collective job
         let pool_blocks = || {
             let sums = std::sync::Arc::new(parking_lot::Mutex::new(Vec::new()));
             let sink = sums.clone();

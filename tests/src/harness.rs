@@ -3,8 +3,8 @@
 //! an uninterrupted reference executor. Used by the `recovery` and
 //! `chaos` integration suites to express the differential oracle
 //! *recovered state ≡ uninterrupted state*. Also the block-pool audit
-//! ([`free_plus_live_blocks`]) the recovery-fault and server
-//! maintenance suites share.
+//! ([`free_plus_live_blocks`]: free + live + retired) the recovery-fault
+//! and server maintenance suites share.
 
 use std::collections::BTreeMap;
 
@@ -138,36 +138,34 @@ pub fn reference_state(nranks: usize, cfg: GdaConfig, ops: &[WlOp], ids: u64) ->
     states.into_iter().next().unwrap()
 }
 
-/// Collective: this rank's free blocks plus every block reachable from
-/// a live local holder (its chain, its archived versions, its
-/// heavy-edge holders and theirs). The block-conservation invariant:
-/// this equals `blocks_per_rank` unless a block leaked or sits on the
-/// free list while still in use. Panics on a live chain that does not
-/// read or decode. Assumes no concurrent writers.
+/// Collective: this rank's free blocks, plus every block of a live
+/// local holder's chain (and of its heavy-edge holders'), plus the
+/// blocks of this rank's pool on a retire list (the archive records
+/// the snapshot floor has not passed yet). The block-conservation
+/// invariant: this equals `blocks_per_rank` unless a block leaked or
+/// sits on the free list while still in use. Panics on a live chain
+/// that does not read or decode, and on a block counted twice: in two
+/// live chains, on two retire lists, or retired and live. Assumes no
+/// concurrent writers.
 pub fn free_plus_live_blocks(eng: &gda::GdaRank) -> usize {
     use gda::hio::read_chain;
-    use gda::holder::{Archive, Holder};
+    use gda::holder::Holder;
     use gda::DPtr;
     use std::collections::BTreeSet;
     let (ctx, cfg) = (eng.ctx(), eng.cfg());
     let view = eng.olap_view();
-    let mut live = 0;
+    let mut live = BTreeSet::new();
     let mut edge_holders = BTreeSet::new();
     let mut walk = |id: DPtr, edge_holders: &mut BTreeSet<u64>| {
         let (bytes, blocks) = read_chain(ctx, cfg, id).expect("live holder chain");
         let h = Holder::try_decode(&bytes).expect("live holder decodes");
-        live += blocks.len();
+        for b in blocks {
+            assert!(live.insert(b.raw()), "{b:?} is in two live chains");
+        }
         for (_, e) in h.live_edges() {
             if !e.edge_holder.is_null() && e.edge_holder.rank() == eng.rank() {
                 edge_holders.insert(e.edge_holder.raw());
             }
-        }
-        let (mut cur, mut seen) = (h.prev, 0);
-        while cur != 0 && seen < h.depth {
-            let (bytes, blocks) = read_chain(ctx, cfg, DPtr::from_raw(cur)).expect("archive chain");
-            live += blocks.len();
-            cur = Archive::parse(&bytes).expect("archive record parses").prev;
-            seen += 1;
         }
     };
     for &v in &view.vids {
@@ -176,5 +174,10 @@ pub fn free_plus_live_blocks(eng: &gda::GdaRank) -> usize {
     for raw in std::mem::take(&mut edge_holders) {
         walk(DPtr::from_raw(raw), &mut edge_holders);
     }
-    gda::blocks::BlockManager::new(ctx, *cfg).count_free(eng.rank()) + live
+    let mut retired = BTreeSet::new();
+    for b in eng.retired_blocks() {
+        assert!(retired.insert(b.raw()), "{b:?} is on two retire lists");
+        assert!(!live.contains(&b.raw()), "{b:?} is retired and live");
+    }
+    gda::blocks::BlockManager::new(ctx, *cfg).count_free(eng.rank()) + live.len() + retired.len()
 }

@@ -77,18 +77,16 @@ fn arb_holder() -> impl Strategy<Value = Holder> {
         any::<u64>(),
         any::<u64>(),
         any::<u64>(),
-        any::<u64>(),
         prop::collection::vec(arb_edge(), 0..24),
         prop::collection::vec(arb_entry(), 0..16),
     )
         .prop_map(
-            |(app_id, is_edge, version, commit_epoch, prev, depth, edges, entries)| Holder {
+            |(app_id, is_edge, version, commit_epoch, prev, edges, entries)| Holder {
                 app_id,
                 is_edge,
                 version,
                 commit_epoch,
                 prev,
-                depth: depth as u8,
                 edges,
                 entries,
             },
