@@ -1,124 +1,60 @@
 //! Criterion micro-benchmarks of GDA's performance-critical building
-//! blocks (§5): block acquire/release, DHT operations, distributed RW
-//! locks, holder serialization, transaction begin/commit, and collective
-//! primitives. These are the wall-clock counterparts of the work–depth
-//! table in `gda::analysis`.
+//! blocks (§5), each through the public routine that exercises it: an
+//! uncached DHT lookup, a write lock taken and released, transaction
+//! begin/commit (block acquire/release and DHT insert/delete included),
+//! and collective primitives. These are the wall-clock counterparts of
+//! the work–depth table in `gda::analysis`.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
-use gda::blocks::BlockManager;
-use gda::dht::Dht;
-use gda::holder::{EdgeRecord, Holder};
-use gda::locks::LockManager;
-use gda::{DPtr, GdaConfig, GdaDb};
-use gdi::{AccessMode, AppVertexId, Direction, LabelId, PTypeId, PropertyValue};
+use gda::{GdaConfig, GdaDb};
+use gdi::{AccessMode, AppVertexId, PropertyValue};
 use rma::{CostModel, FabricBuilder};
 
-fn bench_blocks(c: &mut Criterion) {
+fn bench_translate(c: &mut Criterion) {
     let cfg = GdaConfig {
         blocks_per_rank: 1 << 15,
-        ..GdaConfig::default()
-    };
-    let fabric = cfg.build_fabric(1, CostModel::zero());
-    c.bench_function("block_acquire_release", |b| {
-        let b = parking_lot::Mutex::new(b);
-        fabric.run(|ctx| {
-            let bm = BlockManager::new(ctx, cfg);
-            bm.init_collective();
-            b.lock().iter(|| {
-                let dp = bm.acquire(0).unwrap();
-                bm.release(black_box(dp));
-            });
-        });
-    });
-}
-
-fn bench_dht(c: &mut Criterion) {
-    let cfg = GdaConfig {
         dht_buckets_per_rank: 1 << 14,
         dht_heap_per_rank: 1 << 16,
         ..GdaConfig::default()
     };
-    let fabric = cfg.build_fabric(1, CostModel::zero());
-    c.bench_function("dht_insert_delete", |b| {
-        let b = parking_lot::Mutex::new(b);
-        fabric.run(|ctx| {
-            let dht = Dht::new(ctx, cfg);
-            dht.init_collective();
-            let mut k = 0u64;
-            b.lock().iter(|| {
-                k += 1;
-                dht.insert(k, k).unwrap();
-                assert!(dht.delete(black_box(k)));
-            });
-        });
-    });
-    let fabric2 = cfg.build_fabric(1, CostModel::zero());
+    let (db, fabric) = GdaDb::with_fabric("translate", cfg, 1, CostModel::zero());
     c.bench_function("dht_lookup_hit", |b| {
         let b = parking_lot::Mutex::new(b);
-        fabric2.run(|ctx| {
-            let dht = Dht::new(ctx, cfg);
-            dht.init_collective();
+        fabric.run(|ctx| {
+            let eng = db.attach(ctx);
+            eng.init_collective();
+            let tx = eng.begin(AccessMode::ReadWrite);
             for k in 0..10_000u64 {
-                dht.insert(k, k * 2).unwrap();
+                tx.create_vertex(AppVertexId(k)).unwrap();
             }
+            tx.commit().unwrap();
             let mut k = 0u64;
             b.lock().iter(|| {
                 k = (k + 7) % 10_000;
-                black_box(dht.lookup(black_box(k)))
+                black_box(eng.peek_translate(AppVertexId(black_box(k))))
             });
         });
     });
 }
 
-fn bench_locks(c: &mut Criterion) {
-    let cfg = GdaConfig::default();
-    let fabric = cfg.build_fabric(1, CostModel::zero());
-    c.bench_function("rwlock_read_acquire_release", |b| {
+fn bench_write_lock(c: &mut Criterion) {
+    let (db, fabric) = GdaDb::with_fabric("lock", GdaConfig::default(), 1, CostModel::zero());
+    c.bench_function("tx_prepare_write_abort", |b| {
         let b = parking_lot::Mutex::new(b);
         fabric.run(|ctx| {
-            let lm = LockManager::new(ctx, cfg);
-            let dp = DPtr::new(0, cfg.block_size as u64);
+            let eng = db.attach(ctx);
+            eng.init_collective();
+            let tx = eng.begin(AccessMode::ReadWrite);
+            let v = tx.create_vertex(AppVertexId(1)).unwrap();
+            tx.commit().unwrap();
             b.lock().iter(|| {
-                lm.acquire_read(black_box(dp)).unwrap();
-                lm.release_read(dp);
+                let tx = eng.begin(AccessMode::ReadWrite);
+                tx.prepare_write(black_box(v)).unwrap();
+                tx.abort();
             });
         });
-    });
-    let fabric2 = cfg.build_fabric(1, CostModel::zero());
-    c.bench_function("rwlock_write_acquire_release", |b| {
-        let b = parking_lot::Mutex::new(b);
-        fabric2.run(|ctx| {
-            let lm = LockManager::new(ctx, cfg);
-            let dp = DPtr::new(0, cfg.block_size as u64);
-            b.lock().iter(|| {
-                lm.acquire_write(black_box(dp)).unwrap();
-                lm.release_write(dp);
-            });
-        });
-    });
-}
-
-fn bench_holder_codec(c: &mut Criterion) {
-    let mut h = Holder::new_vertex(42);
-    h.add_label(LabelId(5));
-    for i in 0..16 {
-        h.push_edge(EdgeRecord::lightweight(
-            DPtr::new(0, 512 * (i + 1)),
-            3,
-            Direction::Out,
-        ));
-    }
-    for i in 0..4u32 {
-        h.add_property(PTypeId(3 + i), vec![7u8; 24]);
-    }
-    c.bench_function("holder_encode_16e_4p", |b| {
-        b.iter(|| black_box(black_box(&h).encode()))
-    });
-    let bytes = h.encode();
-    c.bench_function("holder_decode_16e_4p", |b| {
-        b.iter(|| black_box(Holder::decode(black_box(&bytes))))
     });
 }
 
@@ -246,6 +182,6 @@ fn bench_generator(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_blocks, bench_dht, bench_locks, bench_holder_codec, bench_transactions, bench_collectives, bench_generator
+    targets = bench_translate, bench_write_lock, bench_transactions, bench_collectives, bench_generator
 );
 criterion_main!(benches);

@@ -1,12 +1,15 @@
-//! The GDI routine catalog (Fig. 2) and its implementation map.
+//! The GDI routine catalog (Fig. 2).
 //!
 //! The paper structures GDI into groups of routines — general management,
 //! graph metadata (labels, property types), graph data (vertices, edges),
 //! transactions, indexes, constraints, and errors — each marked local
 //! (`[L]`) or collective (`[C]`). This module is the machine-readable
-//! version of that figure: every routine with its group, call class, and
-//! where this reproduction implements it. Tests assert the catalog is
-//! complete and that nothing claims to be implemented without a target.
+//! version of that figure: every routine with its group and call class,
+//! and the routines this reproduction does not implement
+//! ([`NOT_IMPLEMENTED`]). Where each other routine lives is a table of
+//! typed paths in `gda`'s `routines` test, so a rename or a narrowed
+//! visibility fails to build it, and that test checks that every routine
+//! here is either in the table or on the not-implemented list.
 
 /// How many processes actively participate in a routine (§3.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,17 +52,14 @@ pub struct Routine {
     pub group: Group,
     /// Local or collective call class.
     pub class: CallClass,
-    /// `crate::path` of the implementing item.
-    pub implemented_by: &'static str,
 }
 
 macro_rules! routine {
-    ($name:literal, $group:ident, $class:ident, $by:literal) => {
+    ($name:literal, $group:ident, $class:ident) => {
         Routine {
             name: $name,
             group: Group::$group,
             class: CallClass::$class,
-            implemented_by: $by,
         }
     };
 }
@@ -67,413 +67,103 @@ macro_rules! routine {
 /// The full catalog (Fig. 2), in figure order.
 pub const CATALOG: &[Routine] = &[
     // ---- general management ------------------------------------------
-    routine!("GDI_Init", Management, Collective, "rma::Fabric::run"),
-    routine!(
-        "GDI_Finalize",
-        Management,
-        Collective,
-        "rma::Fabric::run (scope exit)"
-    ),
-    routine!(
-        "GDI_CreateDatabase",
-        Management,
-        Collective,
-        "gda::DbRegistry::create"
-    ),
-    routine!(
-        "GDI_DeleteDatabase",
-        Management,
-        Collective,
-        "gda::DbRegistry::delete"
-    ),
+    routine!("GDI_Init", Management, Collective),
+    routine!("GDI_Finalize", Management, Collective),
+    routine!("GDI_CreateDatabase", Management, Collective),
+    routine!("GDI_DeleteDatabase", Management, Collective),
     // ---- labels -------------------------------------------------------
-    routine!(
-        "GDI_CreateLabel",
-        Labels,
-        Collective,
-        "gda::GdaRank::create_label"
-    ),
-    routine!(
-        "GDI_UpdateLabel",
-        Labels,
-        Collective,
-        "gda::GdaRank::update_label"
-    ),
-    routine!(
-        "GDI_DeleteLabel",
-        Labels,
-        Collective,
-        "gda::GdaRank::delete_label"
-    ),
-    routine!(
-        "GDI_GetLabelFromName",
-        Labels,
-        Local,
-        "gda::meta::MetaSnapshot::label_from_name"
-    ),
-    routine!(
-        "GDI_GetNameOfLabel",
-        Labels,
-        Local,
-        "gda::meta::MetaSnapshot::label_name"
-    ),
-    routine!(
-        "GDI_GetAllLabelsOfDatabase",
-        Labels,
-        Local,
-        "gda::meta::MetaSnapshot::all_labels"
-    ),
+    routine!("GDI_CreateLabel", Labels, Collective),
+    routine!("GDI_UpdateLabel", Labels, Collective),
+    routine!("GDI_DeleteLabel", Labels, Collective),
+    routine!("GDI_GetLabelFromName", Labels, Local),
+    routine!("GDI_GetNameOfLabel", Labels, Local),
+    routine!("GDI_GetAllLabelsOfDatabase", Labels, Local),
     // ---- property types ------------------------------------------------
-    routine!(
-        "GDI_CreatePropertyType",
-        PropertyTypes,
-        Collective,
-        "gda::GdaRank::create_ptype"
-    ),
-    routine!(
-        "GDI_UpdatePropertyType",
-        PropertyTypes,
-        Collective,
-        "gda::meta::MetaStore (create/delete)"
-    ),
-    routine!(
-        "GDI_DeletePropertyType",
-        PropertyTypes,
-        Collective,
-        "gda::GdaRank::delete_ptype"
-    ),
-    routine!(
-        "GDI_GetPropertyTypeFromName",
-        PropertyTypes,
-        Local,
-        "gda::meta::MetaSnapshot::ptype_from_name"
-    ),
-    routine!(
-        "GDI_GetNameOfPropertyType",
-        PropertyTypes,
-        Local,
-        "gda::meta::PTypeDef::name"
-    ),
-    routine!(
-        "GDI_GetAllPropertyTypesOfDatabase",
-        PropertyTypes,
-        Local,
-        "gda::meta::MetaSnapshot::all_ptypes"
-    ),
-    routine!(
-        "GDI_GetEntityTypeOfPropertyType",
-        PropertyTypes,
-        Local,
-        "gda::meta::PTypeDef::entity"
-    ),
-    routine!(
-        "GDI_GetSizeTypeOfPropertyType",
-        PropertyTypes,
-        Local,
-        "gda::meta::PTypeDef::stype"
-    ),
-    routine!(
-        "GDI_GetDatatypeOfPropertyType",
-        PropertyTypes,
-        Local,
-        "gda::meta::PTypeDef::dtype"
-    ),
+    routine!("GDI_CreatePropertyType", PropertyTypes, Collective),
+    routine!("GDI_UpdatePropertyType", PropertyTypes, Collective),
+    routine!("GDI_DeletePropertyType", PropertyTypes, Collective),
+    routine!("GDI_GetPropertyTypeFromName", PropertyTypes, Local),
+    routine!("GDI_GetNameOfPropertyType", PropertyTypes, Local),
+    routine!("GDI_GetAllPropertyTypesOfDatabase", PropertyTypes, Local),
+    routine!("GDI_GetEntityTypeOfPropertyType", PropertyTypes, Local),
+    routine!("GDI_GetSizeTypeOfPropertyType", PropertyTypes, Local),
+    routine!("GDI_GetDatatypeOfPropertyType", PropertyTypes, Local),
     // ---- vertices -------------------------------------------------------
-    routine!(
-        "GDI_CreateVertex",
-        Vertices,
-        Local,
-        "gda::Transaction::create_vertex"
-    ),
-    routine!(
-        "GDI_DeleteVertex",
-        Vertices,
-        Local,
-        "gda::Transaction::delete_vertex"
-    ),
-    routine!(
-        "GDI_TranslateVertexID",
-        Vertices,
-        Local,
-        "gda::Transaction::translate_vertex_id"
-    ),
-    routine!(
-        "GDI_AssociateVertex",
-        Vertices,
-        Local,
-        "gda::Transaction::associate_vertex"
-    ),
-    routine!(
-        "GDI_GetEdgesOfVertex",
-        Vertices,
-        Local,
-        "gda::Transaction::edges"
-    ),
-    routine!(
-        "GDI_GetNeighborVerticesOfVertex",
-        Vertices,
-        Local,
-        "gda::Transaction::neighbors / neighbors_matching"
-    ),
-    routine!(
-        "GDI_AddLabelToVertex",
-        Vertices,
-        Local,
-        "gda::Transaction::add_label"
-    ),
-    routine!(
-        "GDI_RemoveLabelFromVertex",
-        Vertices,
-        Local,
-        "gda::Transaction::remove_label"
-    ),
-    routine!(
-        "GDI_GetAllLabelsOfVertex",
-        Vertices,
-        Local,
-        "gda::Transaction::labels"
-    ),
-    routine!(
-        "GDI_AddPropertyToVertex",
-        Vertices,
-        Local,
-        "gda::Transaction::add_property"
-    ),
-    routine!(
-        "GDI_UpdatePropertyOfVertex",
-        Vertices,
-        Local,
-        "gda::Transaction::update_property"
-    ),
-    routine!(
-        "GDI_RemovePropertyFromVertex",
-        Vertices,
-        Local,
-        "gda::Transaction::remove_properties"
-    ),
-    routine!(
-        "GDI_GetPropertiesOfVertex",
-        Vertices,
-        Local,
-        "gda::Transaction::property / properties"
-    ),
-    routine!(
-        "GDI_RemoveAllPropertiesFromVertex",
-        Vertices,
-        Local,
-        "gda::Transaction::remove_all_properties"
-    ),
-    routine!(
-        "GDI_GetAllPropertyTypesOfVertex",
-        Vertices,
-        Local,
-        "gda::Transaction::ptypes"
-    ),
-    routine!(
-        "GDI_BulkLoadVertices",
-        Vertices,
-        Collective,
-        "gda::GdaRank::bulk_load"
-    ),
+    routine!("GDI_CreateVertex", Vertices, Local),
+    routine!("GDI_DeleteVertex", Vertices, Local),
+    routine!("GDI_TranslateVertexID", Vertices, Local),
+    routine!("GDI_AssociateVertex", Vertices, Local),
+    routine!("GDI_GetEdgesOfVertex", Vertices, Local),
+    routine!("GDI_GetNeighborVerticesOfVertex", Vertices, Local),
+    routine!("GDI_AddLabelToVertex", Vertices, Local),
+    routine!("GDI_RemoveLabelFromVertex", Vertices, Local),
+    routine!("GDI_GetAllLabelsOfVertex", Vertices, Local),
+    routine!("GDI_AddPropertyToVertex", Vertices, Local),
+    routine!("GDI_UpdatePropertyOfVertex", Vertices, Local),
+    routine!("GDI_RemovePropertyFromVertex", Vertices, Local),
+    routine!("GDI_GetPropertiesOfVertex", Vertices, Local),
+    routine!("GDI_RemoveAllPropertiesFromVertex", Vertices, Local),
+    routine!("GDI_GetAllPropertyTypesOfVertex", Vertices, Local),
+    routine!("GDI_BulkLoadVertices", Vertices, Collective),
     // ---- edges -----------------------------------------------------------
-    routine!("GDI_CreateEdge", Edges, Local, "gda::Transaction::add_edge"),
-    routine!(
-        "GDI_DeleteEdge",
-        Edges,
-        Local,
-        "gda::Transaction::delete_edge"
-    ),
-    routine!(
-        "GDI_GetVerticesOfEdge",
-        Edges,
-        Local,
-        "gda::Transaction::edge_endpoints"
-    ),
-    routine!(
-        "GDI_GetDirectionOfEdge",
-        Edges,
-        Local,
-        "gda::Transaction::edge_direction"
-    ),
-    routine!(
-        "GDI_SetOriginVertexOfEdge",
-        Edges,
-        Local,
-        "gda::Transaction::flip_edge"
-    ),
-    routine!(
-        "GDI_SetTargetVertexOfEdge",
-        Edges,
-        Local,
-        "gda::Transaction::flip_edge"
-    ),
-    routine!(
-        "GDI_AddLabelToEdge",
-        Edges,
-        Local,
-        "gda::Transaction::add_edge_label"
-    ),
-    routine!(
-        "GDI_GetAllLabelsOfEdge",
-        Edges,
-        Local,
-        "gda::Transaction::edge_labels"
-    ),
-    routine!(
-        "GDI_AddPropertyToEdge",
-        Edges,
-        Local,
-        "gda::Transaction::set_edge_property"
-    ),
-    routine!(
-        "GDI_UpdatePropertyOfEdge",
-        Edges,
-        Local,
-        "gda::Transaction::set_edge_property"
-    ),
-    routine!(
-        "GDI_RemovePropertyFromEdge",
-        Edges,
-        Local,
-        "gda::Transaction::remove_edge_properties"
-    ),
-    routine!(
-        "GDI_GetPropertiesOfEdge",
-        Edges,
-        Local,
-        "gda::Transaction::edge_property"
-    ),
-    routine!(
-        "GDI_GetAllPropertyTypesOfEdge",
-        Edges,
-        Local,
-        "gda::Transaction::edge_ptypes"
-    ),
-    routine!(
-        "GDI_BulkLoadEdges",
-        Edges,
-        Collective,
-        "gda::GdaRank::bulk_load"
-    ),
+    routine!("GDI_CreateEdge", Edges, Local),
+    routine!("GDI_DeleteEdge", Edges, Local),
+    routine!("GDI_GetVerticesOfEdge", Edges, Local),
+    routine!("GDI_GetDirectionOfEdge", Edges, Local),
+    routine!("GDI_SetOriginVertexOfEdge", Edges, Local),
+    routine!("GDI_SetTargetVertexOfEdge", Edges, Local),
+    routine!("GDI_AddLabelToEdge", Edges, Local),
+    routine!("GDI_GetAllLabelsOfEdge", Edges, Local),
+    routine!("GDI_AddPropertyToEdge", Edges, Local),
+    routine!("GDI_UpdatePropertyOfEdge", Edges, Local),
+    routine!("GDI_RemovePropertyFromEdge", Edges, Local),
+    routine!("GDI_GetPropertiesOfEdge", Edges, Local),
+    routine!("GDI_GetAllPropertyTypesOfEdge", Edges, Local),
+    routine!("GDI_BulkLoadEdges", Edges, Collective),
     // ---- transactions ------------------------------------------------------
-    routine!(
-        "GDI_StartTransaction",
-        Transactions,
-        Local,
-        "gda::GdaRank::begin"
-    ),
-    routine!(
-        "GDI_CloseTransaction",
-        Transactions,
-        Local,
-        "gda::Transaction::commit / abort"
-    ),
-    routine!(
-        "GDI_StartCollectiveTransaction",
-        Transactions,
-        Collective,
-        "gda::GdaRank::begin_collective"
-    ),
-    routine!(
-        "GDI_CloseCollectiveTransaction",
-        Transactions,
-        Collective,
-        "gda::Transaction::commit / abort"
-    ),
-    routine!(
-        "GDI_GetTypeOfTransaction",
-        Transactions,
-        Local,
-        "gda::Transaction::kind"
-    ),
+    routine!("GDI_StartTransaction", Transactions, Local),
+    routine!("GDI_CloseTransaction", Transactions, Local),
+    routine!("GDI_StartCollectiveTransaction", Transactions, Collective),
+    routine!("GDI_CloseCollectiveTransaction", Transactions, Collective),
+    routine!("GDI_GetTypeOfTransaction", Transactions, Local),
     // ---- indexes --------------------------------------------------------------
-    routine!(
-        "GDI_CreateIndex",
-        Indexes,
-        Collective,
-        "gda::GdaRank::create_index"
-    ),
-    routine!(
-        "GDI_DeleteIndex",
-        Indexes,
-        Collective,
-        "gda::GdaRank::delete_index"
-    ),
-    routine!(
-        "GDI_AddLabelToIndex",
-        Indexes,
-        Collective,
-        "gda::index::IndexShared::add_label"
-    ),
-    routine!(
-        "GDI_RemoveLabelFromIndex",
-        Indexes,
-        Collective,
-        "gda::index::IndexShared::remove_label"
-    ),
-    routine!(
-        "GDI_GetAllLabelsOfIndex",
-        Indexes,
-        Local,
-        "gda::index::IndexDef::labels"
-    ),
-    routine!(
-        "GDI_GetLocalVerticesOfIndex",
-        Indexes,
-        Local,
-        "gda::GdaRank::local_index_vertices / Transaction::local_index_scan"
-    ),
-    routine!(
-        "GDI_GetAllIndexesOfDatabase",
-        Indexes,
-        Local,
-        "gda::GdaRank::all_indexes"
-    ),
+    routine!("GDI_CreateIndex", Indexes, Collective),
+    routine!("GDI_DeleteIndex", Indexes, Collective),
+    routine!("GDI_AddLabelToIndex", Indexes, Collective),
+    routine!("GDI_RemoveLabelFromIndex", Indexes, Collective),
+    routine!("GDI_GetAllLabelsOfIndex", Indexes, Local),
+    routine!("GDI_GetLocalVerticesOfIndex", Indexes, Local),
+    routine!("GDI_GetAllIndexesOfDatabase", Indexes, Local),
     // ---- constraints -------------------------------------------------------------
-    routine!(
-        "GDI_CreateConstraint",
-        Constraints,
-        Local,
-        "gdi::Constraint::any / from_sub"
-    ),
-    routine!(
-        "GDI_CreateSubconstraint",
-        Constraints,
-        Local,
-        "gdi::Subconstraint::new"
-    ),
-    routine!(
-        "GDI_AddLabelConditionToSubconstraint",
-        Constraints,
-        Local,
-        "gdi::Subconstraint::with_label / without_label"
-    ),
+    routine!("GDI_CreateConstraint", Constraints, Local),
+    routine!("GDI_CreateSubconstraint", Constraints, Local),
+    routine!("GDI_AddLabelConditionToSubconstraint", Constraints, Local),
     routine!(
         "GDI_AddPropertyConditionToSubconstraint",
         Constraints,
-        Local,
-        "gdi::Subconstraint::with_prop"
+        Local
     ),
-    routine!(
-        "GDI_AddSubconstraintToConstraint",
-        Constraints,
-        Local,
-        "gdi::Constraint::or"
-    ),
-    routine!(
-        "GDI_VerifyStaleness",
-        Constraints,
-        Local,
-        "gdi::Constraint::is_stale"
-    ),
+    routine!("GDI_AddSubconstraintToConstraint", Constraints, Local),
+    routine!("GDI_VerifyStaleness", Constraints, Local),
     // ---- errors -----------------------------------------------------------------------
-    routine!(
-        "GDI_GetErrorClass",
-        Errors,
-        Local,
-        "gdi::GdiError::is_transaction_critical"
+    routine!("GDI_GetErrorClass", Errors, Local),
+    routine!("GDI_GetErrorName", Errors, Local),
+];
+
+/// Catalog routines this reproduction does not implement, each with why.
+pub const NOT_IMPLEMENTED: &[(&str, &str)] = &[
+    (
+        "GDI_AddLabelToIndex",
+        "index membership is evaluated only when a commit reindexes a \
+         vertex, so a changed label set needs a collective re-index of \
+         every existing vertex and a full checkpoint; an index's labels \
+         are fixed at GDI_CreateIndex",
     ),
-    routine!("GDI_GetErrorName", Errors, Local, "gdi::GdiError::name"),
+    (
+        "GDI_RemoveLabelFromIndex",
+        "as GDI_AddLabelToIndex: a changed label set needs a collective \
+         re-index and a full checkpoint",
+    ),
 ];
 
 /// Look up a routine by its GDI name.
@@ -496,7 +186,6 @@ mod tests {
         for r in CATALOG {
             assert!(r.name.starts_with("GDI_"), "{}", r.name);
             assert!(seen.insert(r.name), "duplicate routine {}", r.name);
-            assert!(!r.implemented_by.is_empty(), "{} unmapped", r.name);
         }
     }
 

@@ -26,27 +26,27 @@ use crate::dptr::{DPtr, TaggedIdx};
 const HEAD_WORD: usize = 0;
 
 /// Block-pool view bound to a rank context.
-pub struct BlockManager<'c, 'f> {
+pub(crate) struct BlockManager<'c, 'f> {
     ctx: &'c RankCtx<'f>,
     cfg: GdaConfig,
 }
 
 impl<'c, 'f> BlockManager<'c, 'f> {
     /// Bind a block-pool view to a rank context.
-    pub fn new(ctx: &'c RankCtx<'f>, cfg: GdaConfig) -> Self {
+    pub(crate) fn new(ctx: &'c RankCtx<'f>, cfg: GdaConfig) -> Self {
         Self { ctx, cfg }
     }
 
     /// Block size in bytes.
     #[inline]
-    pub fn block_size(&self) -> usize {
+    pub(crate) fn block_size(&self) -> usize {
         self.cfg.block_size
     }
 
     /// Collective: initialize this rank's free list (blocks `1..=N` linked
     /// in order, block 0 reserved as the null block). Must be called by
     /// every rank before any block traffic; ends with a barrier.
-    pub fn init_collective(&self) {
+    pub(crate) fn init_collective(&self) {
         let me = self.ctx.rank();
         let n = self.cfg.blocks_per_rank;
         for i in 1..=n {
@@ -60,7 +60,7 @@ impl<'c, 'f> BlockManager<'c, 'f> {
 
     /// Try to allocate one block on `target`. Returns the `DPtr` of the
     /// block, or `GDI_ERROR_NO_MEMORY` if the target's pool is exhausted.
-    pub fn acquire(&self, target: usize) -> GdiResult<DPtr> {
+    pub(crate) fn acquire(&self, target: usize) -> GdiResult<DPtr> {
         let mut head = TaggedIdx::from_raw(self.ctx.aget_u64(WIN_SYSTEM, target, HEAD_WORD));
         loop {
             let idx = head.idx();
@@ -81,7 +81,7 @@ impl<'c, 'f> BlockManager<'c, 'f> {
 
     /// Return a block to its owner's pool. The caller must not use the
     /// block afterwards.
-    pub fn release(&self, dp: DPtr) {
+    pub(crate) fn release(&self, dp: DPtr) {
         debug_assert!(!dp.is_null(), "releasing the null block");
         let target = dp.rank();
         let idx = dp.offset() / self.cfg.block_size as u64;
@@ -110,18 +110,9 @@ impl<'c, 'f> BlockManager<'c, 'f> {
     /// locality). **Maintenance primitive** — requires quiescence: the
     /// walk-then-rewrite is not safe against concurrent pool traffic.
     /// Returns the free-block count.
-    pub fn vacuum_free_list(&self, target: usize) -> usize {
-        let head = TaggedIdx::from_raw(self.ctx.aget_u64(WIN_SYSTEM, target, HEAD_WORD));
-        let mut idx = head.idx();
-        let mut free = Vec::new();
-        while idx != 0 {
-            free.push(idx);
-            idx = self.ctx.get_u64(WIN_USAGE, target, idx as usize);
-            assert!(
-                free.len() <= self.cfg.blocks_per_rank,
-                "free-list cycle during vacuum"
-            );
-        }
+    pub(crate) fn vacuum_free_list(&self, target: usize) -> usize {
+        let (head, free) = self.walk_free(target);
+        let mut free = free.expect("free-list cycle during vacuum");
         free.sort_unstable();
         for (i, &b) in free.iter().enumerate() {
             let next = free.get(i + 1).copied().unwrap_or(0);
@@ -136,20 +127,33 @@ impl<'c, 'f> BlockManager<'c, 'f> {
         free.len()
     }
 
-    /// Count the free blocks on `target` by walking the free list (O(n);
-    /// diagnostic only — not part of the hot path).
-    pub fn count_free(&self, target: usize) -> usize {
+    /// The free blocks on `target`, in list order, by walking the free
+    /// list (O(n); audits only, not the hot path). `None` on a list
+    /// longer than the pool: it has a cycle.
+    pub(crate) fn free_blocks(&self, target: usize) -> Option<Vec<DPtr>> {
+        let size = self.cfg.block_size as u64;
+        let free = self.walk_free(target).1?;
+        Some(
+            free.into_iter()
+                .map(|i| DPtr::new(target, i * size))
+                .collect(),
+        )
+    }
+
+    /// `target`'s free-list head and the block indices on its list, in
+    /// list order (`None` past `blocks_per_rank` of them: a cycle).
+    fn walk_free(&self, target: usize) -> (TaggedIdx, Option<Vec<u64>>) {
         let head = TaggedIdx::from_raw(self.ctx.aget_u64(WIN_SYSTEM, target, HEAD_WORD));
         let mut idx = head.idx();
-        let mut n = 0;
+        let mut free = Vec::new();
         while idx != 0 {
-            n += 1;
-            idx = self.ctx.get_u64(WIN_USAGE, target, idx as usize);
-            if n > self.cfg.blocks_per_rank {
-                panic!("free-list cycle detected");
+            if free.len() == self.cfg.blocks_per_rank {
+                return (head, None);
             }
+            free.push(idx);
+            idx = self.ctx.get_u64(WIN_USAGE, target, idx as usize);
         }
-        n
+        (head, Some(free))
     }
 }
 
@@ -158,6 +162,13 @@ mod tests {
     use super::*;
     use rma::CostModel;
     use std::collections::HashSet;
+
+    impl BlockManager<'_, '_> {
+        /// Free blocks on `target`: the length of the audit's walk.
+        pub(crate) fn count_free(&self, target: usize) -> usize {
+            self.free_blocks(target).expect("free-list cycle").len()
+        }
+    }
 
     fn setup(nranks: usize) -> (rma::Fabric, GdaConfig) {
         let cfg = GdaConfig::tiny();

@@ -50,14 +50,14 @@ fn guard(raw: u64, word: u64) -> u32 {
 /// The per-rank translation cache. Lives inside [`crate::db::GdaRank`];
 /// not `Send`/`Sync` (single-writer: the owning rank thread). Its hits,
 /// misses and invalidations are the `cache.*` rows of [`rma::Counter`].
-pub struct TranslationCache {
+pub(crate) struct TranslationCache {
     cap: usize,
     entries: RefCell<FxHashMap<u64, CacheEntry>>,
 }
 
 impl TranslationCache {
     /// A cache holding at most `capacity` entries.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         Self {
             cap: capacity.max(1),
             entries: RefCell::new(FxHashMap::default()),
@@ -65,14 +65,14 @@ impl TranslationCache {
     }
 
     /// Drop every entry (storage re-initialization).
-    pub fn clear(&self) {
+    pub(crate) fn clear(&self) {
         self.entries.borrow_mut().clear();
     }
 
     /// Translate `key` through the cache: one epoch `aget`, then either a
     /// valid entry answers or the full `Dht::lookup` runs and its outcome
     /// is cached against the epoch word read before the walk.
-    pub fn lookup(&self, dht: &Dht, ctx: &RankCtx, key: u64) -> Option<u64> {
+    pub(crate) fn lookup(&self, dht: &Dht, ctx: &RankCtx, key: u64) -> Option<u64> {
         let word = dht.read_epoch(dht.placement_rank(key));
         let cached = self.entries.borrow().get(&key).copied();
         if let Some(e) = cached {

@@ -15,14 +15,14 @@ use rma::{BackendKind, CostModel, Fabric, FabricBuilder, WinId};
 /// Window id of the data window.
 pub const WIN_DATA: WinId = WinId(0);
 /// Window id of the usage (free-list) window.
-pub const WIN_USAGE: WinId = WinId(1);
+pub(crate) const WIN_USAGE: WinId = WinId(1);
 /// Window id of the system (head + locks) window.
 pub const WIN_SYSTEM: WinId = WinId(2);
 /// Window id of the internal-index (DHT) window.
-pub const WIN_INDEX: WinId = WinId(3);
+pub(crate) const WIN_INDEX: WinId = WinId(3);
 
 /// Tunable GDA parameters.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GdaConfig {
     /// BGDL block size in bytes (tunable communication/storage tradeoff,
     /// §5.5). Must be a multiple of 8 and at least 64.
@@ -86,8 +86,19 @@ impl GdaConfig {
         cfg
     }
 
+    /// Blocks of this layout a holder with `edges` edge records and
+    /// `entry_bytes` bytes of label and property entries fills: its
+    /// header, records and entries over one block's payload. Fractional,
+    /// so a cost model rounds it as it needs.
+    pub fn holder_blocks(&self, edges: f64, entry_bytes: f64) -> f64 {
+        let bytes = crate::holder::HEADER_BYTES as f64
+            + crate::holder::EDGE_RECORD_BYTES as f64 * edges
+            + entry_bytes;
+        bytes / crate::hio::payload_per_block(self) as f64
+    }
+
     /// Validate invariants.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert!(self.block_size >= 64, "block size too small");
         assert!(
             self.block_size.is_multiple_of(8),
@@ -104,7 +115,7 @@ impl GdaConfig {
     }
 
     /// Bytes of the usage window.
-    pub fn usage_bytes(&self) -> usize {
+    pub(crate) fn usage_bytes(&self) -> usize {
         (self.blocks_per_rank + 1) * 8
     }
 
@@ -112,7 +123,7 @@ impl GdaConfig {
     /// the commit-stamp counter word + the topology-epoch word + the
     /// commit-epoch counter + the read-epoch watermark + the per-rank
     /// min-active-snapshot word + the per-rank watermark shadow).
-    pub fn system_bytes(&self) -> usize {
+    pub(crate) fn system_bytes(&self) -> usize {
         (self.blocks_per_rank + 7) * 8
     }
 
@@ -133,7 +144,7 @@ impl GdaConfig {
     /// validates cached OLAP scan views (see `gda::scan`): a view built
     /// from rank `r`'s raw windows is trustworthy exactly while `r`'s
     /// topology word is unchanged.
-    pub fn topo_word(&self) -> usize {
+    pub(crate) fn topo_word(&self) -> usize {
         self.blocks_per_rank + 2
     }
 
@@ -142,7 +153,7 @@ impl GdaConfig {
     /// its commit epoch `e`. Collective (bulk-load) transactions allocate
     /// no epoch — their holders stay at epoch 0, visible to every
     /// snapshot.
-    pub fn epoch_counter_word(&self) -> usize {
+    pub(crate) fn epoch_counter_word(&self) -> usize {
         self.blocks_per_rank + 3
     }
 
@@ -152,7 +163,7 @@ impl GdaConfig {
     /// publish their epoch in order (spin until `W == e-1`, then CAS),
     /// so a snapshot pinned at `s = W` observes the exact committed
     /// state as of epoch `s`.
-    pub fn watermark_word(&self) -> usize {
+    pub(crate) fn watermark_word(&self) -> usize {
         self.blocks_per_rank + 4
     }
 
@@ -162,7 +173,7 @@ impl GdaConfig {
     /// in progress (registration marker — a reclaim skips the round).
     /// An archive reclaim takes the minimum over all ranks (and the
     /// watermark) as the version-retention floor.
-    pub fn snap_word(&self) -> usize {
+    pub(crate) fn snap_word(&self) -> usize {
         self.blocks_per_rank + 5
     }
 
@@ -175,13 +186,13 @@ impl GdaConfig {
     /// and still pin an epoch no reclaim floor can have passed.
     /// Writers pay `P` shadow stores per commit; pins are free of
     /// network latency — the right trade for read-mostly traffic.
-    pub fn wmark_shadow_word(&self) -> usize {
+    pub(crate) fn wmark_shadow_word(&self) -> usize {
         self.blocks_per_rank + 6
     }
 
     /// Bytes of the index window (tagged heap head + epoch word + buckets
     /// + heap).
-    pub fn index_bytes(&self) -> usize {
+    pub(crate) fn index_bytes(&self) -> usize {
         (2 + self.dht_buckets_per_rank + 3 * (self.dht_heap_per_rank + 1)) * 8
     }
 
@@ -202,9 +213,10 @@ impl GdaConfig {
 
     /// Like [`GdaConfig::build_fabric`] with an optional backend pin and
     /// an optional shared fault-injection plane (see [`crate::faults`]):
-    /// the shape [`crate::persist::recover`] uses so the fabric it boots
+    /// the shape [`crate::persist::recover_with_topology`] uses so the
+    /// fabric it boots
     /// probes the same registry as the persistence store.
-    pub fn build_fabric_shared(
+    pub(crate) fn build_fabric_shared(
         &self,
         nranks: usize,
         cost: CostModel,

@@ -112,8 +112,9 @@ impl GdaDb {
     /// (collective) writes snapshots there. Writes a genesis manifest
     /// (checkpoint 0) capturing the catalog as of now; fails if the
     /// directory already holds a database (use
-    /// [`crate::persist::recover`] for that). Ranks attached *before*
-    /// this call do not log — enable persistence before `fabric.run`.
+    /// [`crate::persist::recover_with_topology`] for that). Ranks
+    /// attached *before* this call do not log — enable persistence
+    /// before `fabric.run`.
     pub fn enable_persistence(&self, opts: PersistOptions) -> GdiResult<Arc<PersistStore>> {
         let mut guard = self.persist.lock();
         if guard.is_some() {
@@ -200,6 +201,17 @@ impl GdaDb {
     }
 }
 
+/// What [`GdaRank::audit_pool`] counted in one rank's block pool.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PoolAudit {
+    /// Blocks on the free list.
+    pub free: usize,
+    /// Blocks of live holder chains, vertices' and heavyweight edges'.
+    pub live: usize,
+    /// Blocks of archive records on a retire list.
+    pub retired: usize,
+}
+
 /// The per-rank engine handle (all GDI routines are invoked through it).
 pub struct GdaRank<'d, 'c, 'f> {
     pub(crate) db: &'d GdaDb,
@@ -268,7 +280,7 @@ impl<'d, 'c, 'f> GdaRank<'d, 'c, 'f> {
     }
 
     /// The database this rank is attached to.
-    pub fn db(&self) -> &GdaDb {
+    pub(crate) fn db(&self) -> &GdaDb {
         self.db
     }
 
@@ -276,7 +288,7 @@ impl<'d, 'c, 'f> GdaRank<'d, 'c, 'f> {
 
     /// The persistence store this attach captured (if the database had
     /// durability enabled at [`GdaDb::attach`] time).
-    pub fn persistence(&self) -> Option<Arc<PersistStore>> {
+    pub(crate) fn persistence(&self) -> Option<Arc<PersistStore>> {
         self.persist.clone()
     }
 
@@ -320,7 +332,7 @@ impl<'d, 'c, 'f> GdaRank<'d, 'c, 'f> {
     /// retire list drained to the agreed snapshot floor, holder-chain
     /// compaction, free-list vacuum, checksum verification of the
     /// published snapshot chain). Every rank must call this together.
-    /// See [`crate::maint`].
+    /// See `crate::maint`.
     pub fn maintenance(&self) -> GdiResult<crate::maint::MaintenanceReport> {
         crate::maint::maintenance_rank(self)
     }
@@ -513,7 +525,7 @@ impl<'d, 'c, 'f> GdaRank<'d, 'c, 'f> {
     /// Atomically read the global **read-epoch watermark** (one `aget`
     /// of rank 0's system window): the highest commit epoch whose
     /// writes — and those of all lower epochs — are fully flushed.
-    pub fn read_watermark(&self) -> u64 {
+    pub(crate) fn read_watermark(&self) -> u64 {
         self.ctx
             .aget_u64(crate::config::WIN_SYSTEM, 0, self.cfg().watermark_word())
     }
@@ -693,9 +705,9 @@ impl<'d, 'c, 'f> GdaRank<'d, 'c, 'f> {
         (records, blocks)
     }
 
-    /// Diagnostics: the blocks of this rank's pool that sit on a retire
-    /// list, any rank's — a block on two lists is listed twice.
-    pub fn retired_blocks(&self) -> Vec<DPtr> {
+    /// The blocks of this rank's pool that sit on a retire list, any
+    /// rank's — a block on two lists is listed twice.
+    pub(crate) fn retired_blocks(&self) -> Vec<DPtr> {
         let mut out = Vec::new();
         for list in &self.db.retired {
             let entries = list.lock();
@@ -703,6 +715,55 @@ impl<'d, 'c, 'f> GdaRank<'d, 'c, 'f> {
             out.extend(mine.filter(|b| b.rank() == self.rank()));
         }
         out
+    }
+
+    /// Collective administration audit of this rank's block pool: every
+    /// block is free, in the chain of one live holder (the live set a
+    /// full checkpoint writes) or on one retire list, and the three
+    /// counts sum to `blocks_per_rank`. A block counted twice — in two
+    /// chains, on two lists, or in two of the three sets — a free list
+    /// with a cycle, an unreadable live chain or a sum other than the
+    /// capacity (a leaked block) fails every rank with an `Io` error
+    /// naming the first fault. Assumes no concurrent writers.
+    pub fn audit_pool(&self) -> GdiResult<PoolAudit> {
+        let (ctx, me) = (self.ctx, self.rank());
+        ctx.quiesce();
+        let mut owner: FxHashMap<u64, &'static str> = FxHashMap::default();
+        let mut twice = None;
+        let mut claim = |b: DPtr, set: &'static str| {
+            if let Some(first) = owner.insert(b.raw(), set) {
+                twice.get_or_insert(format!("block {b} is {first} and {set}"));
+            }
+        };
+        let mut live = 0;
+        let walked = crate::hio::walk_live(ctx, self.cfg(), |c| {
+            live += c.blocks.len();
+            c.blocks.iter().for_each(|&b| claim(b, "live"));
+        });
+        let retired = self.retired_blocks();
+        retired.iter().for_each(|&b| claim(b, "retired"));
+        let free = self.bm.free_blocks(me);
+        free.iter().flatten().for_each(|&b| claim(b, "free"));
+        let audit = PoolAudit {
+            free: free.as_ref().map_or(0, Vec::len),
+            live,
+            retired: retired.len(),
+        };
+        let capacity = self.cfg().blocks_per_rank;
+        let fault = match (walked, free, twice) {
+            (Err(e), _, _) => Some(e.to_string()),
+            (_, None, _) => Some("the free list has a cycle".into()),
+            (_, _, Some(twice)) => Some(twice),
+            _ if audit.free + audit.live + audit.retired != capacity => {
+                Some(format!("{audit:?} does not sum to {capacity} blocks"))
+            }
+            _ => None,
+        };
+        if ctx.allreduce_any(fault.is_some()) {
+            let fault = fault.unwrap_or_else(|| "failed on a peer rank".into());
+            return Err(GdiError::Io(format!("pool audit, rank {me}: {fault}")));
+        }
+        Ok(audit)
     }
 
     /// Commit epoch of the last read-write transaction this engine
@@ -764,7 +825,7 @@ impl<'d, 'c, 'f> GdaRank<'d, 'c, 'f> {
     /// the system window): the scan-view revalidation primitive.
     /// Commits bump the word on every rank whose membership or edge
     /// lists they changed; property-only commits leave it alone.
-    pub fn topology_epoch(&self, rank: usize) -> u64 {
+    pub(crate) fn topology_epoch(&self, rank: usize) -> u64 {
         self.ctx
             .aget_u64(crate::config::WIN_SYSTEM, rank, self.cfg().topo_word())
     }
@@ -835,11 +896,6 @@ pub struct DbRegistry {
 }
 
 impl DbRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// `GDI_CreateDatabase`.
     pub fn create(&self, name: &str, cfg: GdaConfig, nranks: usize) -> GdiResult<Arc<GdaDb>> {
         let mut g = self.dbs.lock();
@@ -851,11 +907,6 @@ impl DbRegistry {
         Ok(db)
     }
 
-    /// Look up an existing database.
-    pub fn get(&self, name: &str) -> Option<Arc<GdaDb>> {
-        self.dbs.lock().get(name).cloned()
-    }
-
     /// `GDI_DeleteDatabase`.
     pub fn delete(&self, name: &str) -> GdiResult<()> {
         self.dbs
@@ -864,22 +915,29 @@ impl DbRegistry {
             .map(|_| ())
             .ok_or(GdiError::NotFound("database"))
     }
-
-    /// Names of all live databases.
-    pub fn names(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.dbs.lock().keys().cloned().collect();
-        v.sort();
-        v
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    impl DbRegistry {
+        /// Look up an existing database.
+        fn get(&self, name: &str) -> Option<Arc<GdaDb>> {
+            self.dbs.lock().get(name).cloned()
+        }
+
+        /// Names of all live databases.
+        fn names(&self) -> Vec<String> {
+            let mut v: Vec<String> = self.dbs.lock().keys().cloned().collect();
+            v.sort();
+            v
+        }
+    }
+
     #[test]
     fn registry_lifecycle() {
-        let reg = DbRegistry::new();
+        let reg = DbRegistry::default();
         let cfg = GdaConfig::tiny();
         let a = reg.create("a", cfg, 2).unwrap();
         assert_eq!(a.name, "a");
@@ -893,6 +951,43 @@ mod tests {
         reg.delete("a").unwrap();
         assert_eq!(reg.delete("a").unwrap_err(), GdiError::NotFound("database"));
         assert!(reg.get("a").is_none());
+    }
+
+    /// The pool audit counts a whole pool, and returns a typed error —
+    /// on every rank — for a block that is live and free at once and
+    /// for a block that is nowhere (a leak).
+    #[test]
+    fn audit_pool_refuses_a_double_count_and_a_leak() {
+        let cfg = GdaConfig::tiny();
+        let (db, fabric) = GdaDb::with_fabric("audit", cfg, 2, CostModel::zero());
+        fabric.run(|ctx| {
+            let eng = db.attach(ctx);
+            eng.init_collective();
+            let tx = eng.begin(AccessMode::ReadWrite);
+            let v = tx.create_vertex(AppVertexId(ctx.rank() as u64)).unwrap();
+            tx.commit().unwrap();
+            let whole = PoolAudit {
+                free: cfg.blocks_per_rank - 1,
+                live: 1,
+                retired: 0,
+            };
+            assert_eq!(eng.audit_pool(), Ok(whole));
+            ctx.barrier();
+            if ctx.rank() == 0 {
+                eng.bm.release(v);
+            }
+            let twice = eng.audit_pool().unwrap_err();
+            assert!(matches!(twice, GdiError::Io(_)), "{twice:?}");
+            if ctx.rank() == 0 {
+                assert!(twice.to_string().contains("live and free"), "{twice}");
+                eng.bm.acquire(0).unwrap();
+                eng.bm.acquire(0).unwrap();
+            }
+            let leak = eng.audit_pool().unwrap_err();
+            if ctx.rank() == 0 {
+                assert!(leak.to_string().contains("does not sum"), "{leak}");
+            }
+        });
     }
 
     #[test]

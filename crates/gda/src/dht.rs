@@ -55,13 +55,13 @@ const EPOCH_INS_DELTA: u64 = 1;
 
 /// Delete half of an epoch word (invalidates positive cached entries).
 #[inline]
-pub const fn epoch_del(word: u64) -> u32 {
+pub(crate) const fn epoch_del(word: u64) -> u32 {
     (word >> 32) as u32
 }
 
 /// Insert half of an epoch word (invalidates negative cached entries).
 #[inline]
-pub const fn epoch_ins(word: u64) -> u32 {
+pub(crate) const fn epoch_ins(word: u64) -> u32 {
     word as u32
 }
 
@@ -71,7 +71,7 @@ const FREE_KEY: u64 = u64::MAX;
 
 /// 64-bit finalizer (splitmix64): good avalanche for sequential app ids.
 #[inline]
-pub fn hash64(mut x: u64) -> u64 {
+pub(crate) fn hash64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -79,14 +79,14 @@ pub fn hash64(mut x: u64) -> u64 {
 }
 
 /// The distributed hash table, bound to a rank context.
-pub struct Dht<'c, 'f> {
+pub(crate) struct Dht<'c, 'f> {
     ctx: &'c RankCtx<'f>,
     cfg: GdaConfig,
 }
 
 impl<'c, 'f> Dht<'c, 'f> {
     /// Bind a DHT view to a rank context.
-    pub fn new(ctx: &'c RankCtx<'f>, cfg: GdaConfig) -> Self {
+    pub(crate) fn new(ctx: &'c RankCtx<'f>, cfg: GdaConfig) -> Self {
         Self { ctx, cfg }
     }
 
@@ -131,14 +131,14 @@ impl<'c, 'f> Dht<'c, 'f> {
     /// The rank whose index window holds `key`'s chain (and thus whose
     /// epoch word validates cached translations of `key`).
     #[inline]
-    pub fn placement_rank(&self, key: u64) -> usize {
+    pub(crate) fn placement_rank(&self, key: u64) -> usize {
         self.place(key).0
     }
 
     /// Atomically read `rank`'s epoch word (one remote `aget`) — the
     /// translation-cache revalidation primitive.
     #[inline]
-    pub fn read_epoch(&self, rank: usize) -> u64 {
+    pub(crate) fn read_epoch(&self, rank: usize) -> u64 {
         self.ctx.aget_u64(WIN_INDEX, rank, EPOCH_WORD)
     }
 
@@ -151,7 +151,7 @@ impl<'c, 'f> Dht<'c, 'f> {
     /// bucket, and can never follow a free-list link into unrelated memory.
     /// Their key word holds the reserved free-key sentinel (`u64::MAX`),
     /// so they can never match a lookup.
-    pub fn init_collective(&self) {
+    pub(crate) fn init_collective(&self) {
         let me = self.ctx.rank();
         // empty every bucket (re-initialization must not leave stale chain
         // heads pointing into the rebuilt free list)
@@ -228,7 +228,7 @@ impl<'c, 'f> Dht<'c, 'f> {
     /// Insert a key/value pair (Listing 4 `insert`). Keys are expected to
     /// be unique; duplicate keys yield multiple entries, with lookups
     /// returning the most recently inserted.
-    pub fn insert(&self, key: u64, value: u64) -> GdiResult<()> {
+    pub(crate) fn insert(&self, key: u64, value: u64) -> GdiResult<()> {
         self.insert_impl(key, value, true)
     }
 
@@ -236,7 +236,7 @@ impl<'c, 'f> Dht<'c, 'f> {
     /// epoch bump. A batch of quiet inserts must be followed by a
     /// collective round of [`Dht::bump_own_insert_epoch`] before any
     /// reader may trust a cached negative entry again.
-    pub fn insert_quiet(&self, key: u64, value: u64) -> GdiResult<()> {
+    pub(crate) fn insert_quiet(&self, key: u64, value: u64) -> GdiResult<()> {
         self.insert_impl(key, value, false)
     }
 
@@ -246,7 +246,7 @@ impl<'c, 'f> Dht<'c, 'f> {
     /// rank's word advances exactly once and every cached negative
     /// entry anywhere is retired, at one local atomic per rank instead
     /// of `P` remote fadds per inserted key.
-    pub fn bump_own_insert_epoch(&self) {
+    pub(crate) fn bump_own_insert_epoch(&self) {
         self.ctx
             .fadd_u64(WIN_INDEX, self.ctx.rank(), EPOCH_WORD, EPOCH_INS_DELTA);
     }
@@ -277,7 +277,7 @@ impl<'c, 'f> Dht<'c, 'f> {
     }
 
     /// Look up a key (Listing 4 `lookup`).
-    pub fn lookup(&self, key: u64) -> Option<u64> {
+    pub(crate) fn lookup(&self, key: u64) -> Option<u64> {
         let (rank, bucket) = self.place(key);
         'restart: loop {
             let mut ptr = self.ctx.aget_u64(WIN_INDEX, rank, bucket);
@@ -304,7 +304,7 @@ impl<'c, 'f> Dht<'c, 'f> {
     }
 
     /// Delete a key (Listing 4 `delete`). Returns whether it was present.
-    pub fn delete(&self, key: u64) -> bool {
+    pub(crate) fn delete(&self, key: u64) -> bool {
         let (rank, bucket) = self.place(key);
         'restart: loop {
             let mut cur = self.ctx.aget_u64(WIN_INDEX, rank, bucket);
@@ -376,45 +376,6 @@ impl<'c, 'f> Dht<'c, 'f> {
             std::thread::yield_now();
         }
     }
-
-    /// Number of live entries in this rank's buckets (diagnostic; walks all
-    /// local chains).
-    pub fn local_len(&self) -> usize {
-        /// Bucket-walk restarts before giving up on a chain that always
-        /// has a delete in flight (pathological churn): the walk then
-        /// keeps the entries counted so far instead of livelocking.
-        const MAX_RESTARTS: usize = 64;
-        let me = self.ctx.rank();
-        let mut n = 0;
-        for b in 0..self.nbuckets() {
-            let mut restarts = 0;
-            'bucket: loop {
-                let mut count = 0;
-                let mut ptr = self.ctx.aget_u64(WIN_INDEX, me, self.bucket_word(b));
-                while ptr != 0 {
-                    let next = self.ctx.get_u64(WIN_INDEX, me, self.next_word(ptr));
-                    if next == ptr {
-                        // a marked (self-pointing) entry hides its
-                        // successors — the chain beyond it is only
-                        // recoverable by the deleting process. Restart
-                        // this bucket like `lookup` does instead of
-                        // undercounting every live entry behind it.
-                        restarts += 1;
-                        if restarts < MAX_RESTARTS {
-                            std::thread::yield_now();
-                            continue 'bucket;
-                        }
-                        break;
-                    }
-                    count += 1;
-                    ptr = next;
-                }
-                n += count;
-                break;
-            }
-        }
-        n
-    }
 }
 
 /// Offline decode of one rank's DHT partition from its raw **index
@@ -433,7 +394,7 @@ impl<'c, 'f> Dht<'c, 'f> {
 /// a live entry sits on exactly one chain, at most `dht_heap_per_rank`
 /// entries are visited over *all* buckets — a link cycle reachable from
 /// every bucket ends the decode instead of being walked once per bucket.
-pub fn decode_partition(cfg: &GdaConfig, win: &[u8]) -> Vec<(u64, u64)> {
+pub(crate) fn decode_partition(cfg: &GdaConfig, win: &[u8]) -> Vec<(u64, u64)> {
     let nwords = win.len() / 8;
     let word = |i: usize| -> u64 { u64::from_le_bytes(win[i * 8..i * 8 + 8].try_into().unwrap()) };
     let nb = cfg.dht_buckets_per_rank;
@@ -491,6 +452,47 @@ pub(crate) fn owned_entries(ctx: &RankCtx, cfg: &GdaConfig) -> Vec<(u64, u64)> {
 mod tests {
     use super::*;
     use rma::CostModel;
+
+    impl Dht<'_, '_> {
+        /// Number of live entries in this rank's buckets (diagnostic; walks all
+        /// local chains).
+        pub(crate) fn local_len(&self) -> usize {
+            /// Bucket-walk restarts before giving up on a chain that always
+            /// has a delete in flight (pathological churn): the walk then
+            /// keeps the entries counted so far instead of livelocking.
+            const MAX_RESTARTS: usize = 64;
+            let me = self.ctx.rank();
+            let mut n = 0;
+            for b in 0..self.nbuckets() {
+                let mut restarts = 0;
+                'bucket: loop {
+                    let mut count = 0;
+                    let mut ptr = self.ctx.aget_u64(WIN_INDEX, me, self.bucket_word(b));
+                    while ptr != 0 {
+                        let next = self.ctx.get_u64(WIN_INDEX, me, self.next_word(ptr));
+                        if next == ptr {
+                            // a marked (self-pointing) entry hides its
+                            // successors — the chain beyond it is only
+                            // recoverable by the deleting process. Restart
+                            // this bucket like `lookup` does instead of
+                            // undercounting every live entry behind it.
+                            restarts += 1;
+                            if restarts < MAX_RESTARTS {
+                                std::thread::yield_now();
+                                continue 'bucket;
+                            }
+                            break;
+                        }
+                        count += 1;
+                        ptr = next;
+                    }
+                    n += count;
+                    break;
+                }
+            }
+            n
+        }
+    }
 
     fn fabric(n: usize) -> (rma::Fabric, GdaConfig) {
         let cfg = GdaConfig::tiny();

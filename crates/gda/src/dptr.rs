@@ -14,9 +14,9 @@
 use gdi::AppVertexId;
 
 /// Number of bits for the offset part of a `DPtr`.
-pub const OFFSET_BITS: u32 = 48;
+pub(crate) const OFFSET_BITS: u32 = 48;
 /// Mask of the offset part.
-pub const OFFSET_MASK: u64 = (1u64 << OFFSET_BITS) - 1;
+pub(crate) const OFFSET_MASK: u64 = (1u64 << OFFSET_BITS) - 1;
 
 /// A 64-bit distributed pointer: `rank:16 | byte_offset:48`.
 ///
@@ -27,7 +27,7 @@ pub struct DPtr(pub u64);
 
 impl DPtr {
     /// The null distributed pointer.
-    pub const NULL: DPtr = DPtr(0);
+    pub(crate) const NULL: DPtr = DPtr(0);
 
     /// Pack a rank and a byte offset.
     #[inline]
@@ -51,7 +51,7 @@ impl DPtr {
 
     /// Is this the null pointer?
     #[inline]
-    pub fn is_null(self) -> bool {
+    pub(crate) fn is_null(self) -> bool {
         self.0 == 0
     }
 
@@ -80,43 +80,43 @@ impl std::fmt::Display for DPtr {
 
 /// A tagged index: `tag:16 | index:48`, used for ABA-safe free-list heads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TaggedIdx(pub u64);
+pub(crate) struct TaggedIdx(pub u64);
 
 impl TaggedIdx {
     /// Pack a tag and an index.
     #[inline]
-    pub fn new(tag: u16, idx: u64) -> TaggedIdx {
+    pub(crate) fn new(tag: u16, idx: u64) -> TaggedIdx {
         debug_assert!(idx <= OFFSET_MASK);
         TaggedIdx(((tag as u64) << OFFSET_BITS) | idx)
     }
 
     /// The 16-bit ABA tag.
     #[inline]
-    pub fn tag(self) -> u16 {
+    pub(crate) fn tag(self) -> u16 {
         (self.0 >> OFFSET_BITS) as u16
     }
 
     /// The 48-bit index (block index, heap-entry index, …; 0 = empty list).
     #[inline]
-    pub fn idx(self) -> u64 {
+    pub(crate) fn idx(self) -> u64 {
         self.0 & OFFSET_MASK
     }
 
     /// Successor head pointing at `new_idx` with the tag bumped (wrapping).
     #[inline]
-    pub fn bump(self, new_idx: u64) -> TaggedIdx {
+    pub(crate) fn bump(self, new_idx: u64) -> TaggedIdx {
         TaggedIdx::new(self.tag().wrapping_add(1), new_idx)
     }
 
     /// Raw 64-bit representation.
     #[inline]
-    pub fn raw(self) -> u64 {
+    pub(crate) fn raw(self) -> u64 {
         self.0
     }
 
     /// Rebuild from the raw representation.
     #[inline]
-    pub fn from_raw(v: u64) -> TaggedIdx {
+    pub(crate) fn from_raw(v: u64) -> TaggedIdx {
         TaggedIdx(v)
     }
 }
@@ -137,14 +137,14 @@ pub struct EdgeUid {
 
 impl EdgeUid {
     /// An edge UID based at `vertex`, record slot `slot`.
-    pub fn new(vertex: DPtr, slot: u32) -> EdgeUid {
+    pub(crate) fn new(vertex: DPtr, slot: u32) -> EdgeUid {
         EdgeUid { vertex, slot }
     }
 }
 
 /// Choose the owner rank of an application vertex id: round-robin
 /// distribution across ranks (§5.4: "use round-robin distribution").
-/// Delegates to [`crate::rankmap::vertex_owner`] — the single
+/// Delegates to `crate::rankmap::vertex_owner` — the single
 /// authoritative copy of the formula, so elastic resharding can reason
 /// about ownership under both the snapshot and the live topology.
 #[inline]
@@ -155,6 +155,7 @@ pub fn owner_rank(app: AppVertexId, nranks: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn dptr_pack_unpack() {
@@ -220,5 +221,16 @@ mod tests {
         let e2 = EdgeUid::new(v, 1);
         assert_ne!(e1, e2);
         assert_eq!(e1, EdgeUid::new(v, 0));
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn tagged_idx_bump_never_collides_with_original(tag in any::<u16>(), idx in 0u64..(1u64<<48), idx2 in 0u64..(1u64<<48)) {
+            let t = TaggedIdx::new(tag, idx);
+            // one bump always changes the raw value, even if pointing back at
+            // the same index — the ABA property
+            prop_assert_ne!(t.bump(idx2).raw(), t.raw());
+            prop_assert_eq!(t.bump(idx2).idx(), idx2);
+        }
     }
 }

@@ -20,13 +20,13 @@
 //! ```
 //!
 //! Every point sits at an I/O boundary whose failure the recovery path
-//! must tolerate; `tests/tests/chaos.rs` walks this catalog crash point by
-//! crash point and proves recovered state ≡ uninterrupted state.
+//! must tolerate; `tests/tests/chaos.rs` walks these points crash point
+//! by crash point and proves recovered state ≡ uninterrupted state.
 //!
 //! [`PersistStore::fault_plane`]: crate::persist::PersistStore::fault_plane
 
-pub use rma::faults::points::{FABRIC_COLLECTIVE, FABRIC_QUIESCE};
-pub use rma::faults::{flip_bit, FaultMode, FaultPlane, PERSISTENT};
+pub(crate) use rma::faults::flip_bit;
+pub use rma::faults::{FaultMode, FaultPlane, PERSISTENT};
 
 /// Writing one rank's full snapshot image (tmp file + rename; a delta
 /// writes none). Supports [`FaultMode::Error`] and [`FaultMode::TornWrite`];
@@ -82,21 +82,3 @@ pub const REDO_READ: &str = "redo.read";
 /// any live rank count; a voted failure aborts the recovery with the
 /// directory untouched.
 pub const RESHARD_REDISTRIBUTE: &str = "reshard.redistribute";
-
-/// The storage-side fault points in catalog order (fabric points not
-/// included). The `chaos.full_recovery` claim (`gdi_bench::paper`)
-/// sweeps the three whose persistent failure degrades a serving
-/// database: `manifest.write`, `current.rename` and `redo.append`.
-pub const CATALOG: &[&str] = &[
-    SNAP_WRITE,
-    MANIFEST_WRITE,
-    REDO_APPEND,
-    REDO_ROTATE,
-    REDO_SEAL,
-    CURRENT_RENAME,
-    SNAP_PRUNE,
-    SNAP_READ,
-    MANIFEST_READ,
-    REDO_READ,
-    RESHARD_REDISTRIBUTE,
-];

@@ -39,13 +39,13 @@ use crate::holder::{le_u64, Holder};
 
 /// Byte offset of a block's payload (after the chain pointer and the
 /// version-stamp word).
-pub const BLOCK_PAYLOAD_OFFSET: usize = 16;
+pub(crate) const BLOCK_PAYLOAD_OFFSET: usize = 16;
 /// Byte offset of a block's version-stamp word.
-pub const BLOCK_STAMP_OFFSET: usize = 8;
+pub(crate) const BLOCK_STAMP_OFFSET: usize = 8;
 
 /// Payload bytes per block (block minus the chain pointer and stamp).
 #[inline]
-pub fn payload_per_block(cfg: &GdaConfig) -> usize {
+pub(crate) fn payload_per_block(cfg: &GdaConfig) -> usize {
     cfg.block_size - BLOCK_PAYLOAD_OFFSET
 }
 
@@ -60,7 +60,7 @@ pub(crate) fn stamp_of(bytes: &[u8]) -> u64 {
 
 /// Number of blocks needed for a serialized holder of `total_len` bytes.
 #[inline]
-pub fn blocks_needed(cfg: &GdaConfig, total_len: usize) -> usize {
+pub(crate) fn blocks_needed(cfg: &GdaConfig, total_len: usize) -> usize {
     total_len.div_ceil(payload_per_block(cfg)).max(1)
 }
 
@@ -68,7 +68,7 @@ pub fn blocks_needed(cfg: &GdaConfig, total_len: usize) -> usize {
 /// resizing the chain as needed. `blocks[0]` (the primary block) must
 /// already exist and is never replaced; continuation blocks are acquired on
 /// and released to the primary's rank.
-pub fn write_chain(
+pub(crate) fn write_chain(
     ctx: &RankCtx,
     bm: &BlockManager,
     bytes: &[u8],
@@ -122,7 +122,7 @@ pub fn write_chain(
 /// phase 1: a resize failure (block exhaustion) must not strand zeroed
 /// stamps, or readers would retry forever. It returns the blocks it
 /// acquired and leaves `blocks` as it found them.
-pub fn overwrite_chain(
+pub(crate) fn overwrite_chain(
     ctx: &RankCtx,
     bm: &BlockManager,
     bytes: &[u8],
@@ -505,7 +505,7 @@ fn walk_levels(
 /// the holder bytes and the chain's block addresses, or — on any
 /// structural implausibility — the stale-internal-id
 /// `GDI_ERROR_NOT_FOUND` that transactions must tolerate (§3.4).
-pub fn read_chain(
+pub(crate) fn read_chain(
     ctx: &RankCtx,
     cfg: &GdaConfig,
     primary: DPtr,
@@ -566,7 +566,7 @@ pub(crate) fn read_chain_into(
 /// Lock-free **snapshot fetch** of the chain at `primary`
 /// (`read_chain_into` from the validated source, into fresh buffers).
 /// Returns the holder bytes and the stamp they were published under.
-pub fn read_chain_validated(
+pub(crate) fn read_chain_validated(
     ctx: &RankCtx,
     cfg: &GdaConfig,
     primary: DPtr,
@@ -587,7 +587,7 @@ pub fn read_chain_validated(
 /// results preserve input order and fail individually with the same
 /// structural checks as [`read_chain`] — a stale internal id poisons
 /// only its own slot.
-pub fn read_chains(
+pub(crate) fn read_chains(
     ctx: &RankCtx,
     cfg: &GdaConfig,
     primaries: &[DPtr],
@@ -609,7 +609,7 @@ pub fn read_chains(
 /// pipelined pass validates every block copy; chains torn by a
 /// concurrent overwrite — rare — fall back to the per-chain retry loop.
 /// Per-primary results preserve input order.
-pub fn read_chains_validated(
+pub(crate) fn read_chains_validated(
     ctx: &RankCtx,
     cfg: &GdaConfig,
     primaries: &[DPtr],
@@ -627,7 +627,7 @@ pub fn read_chains_validated(
 }
 
 /// Release every block of a chain (object deletion).
-pub fn free_chain(bm: &BlockManager, blocks: &[DPtr]) {
+pub(crate) fn free_chain(bm: &BlockManager, blocks: &[DPtr]) {
     for dp in blocks {
         bm.release(*dp);
     }

@@ -44,11 +44,11 @@ use gdi::{Direction, LabelId, PTypeId, ENTRY_LABEL, FIRST_PTYPE_ID};
 use crate::dptr::DPtr;
 
 /// Bytes of one serialized edge record.
-pub const EDGE_RECORD_BYTES: usize = 24;
+pub(crate) const EDGE_RECORD_BYTES: usize = 24;
 /// Bytes of the serialized holder header.
-pub const HEADER_BYTES: usize = 48;
+pub(crate) const HEADER_BYTES: usize = 48;
 /// Holder flag: this holder describes a (heavyweight) edge, not a vertex.
-pub const FLAG_EDGE_HOLDER: u32 = 1;
+pub(crate) const FLAG_EDGE_HOLDER: u32 = 1;
 /// Byte offset of the `prev` (archived version chain head) field within
 /// a serialized holder and an [`Archive`] record.
 const PREV_OFFSET: usize = 40;
@@ -102,7 +102,7 @@ fn header(num_edges: u32, entries: u32, flags: u32, words: [u64; 4]) -> [u8; HEA
 /// the version it overwrote, or against nothing (a whole image: `at` and
 /// `cut` 0). The header is not part of it: [`apply_splice`] rebuilds it.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Splice {
+pub(crate) struct Splice {
     /// Offset into the base body of the first replaced byte.
     pub at: u32,
     /// Base body bytes replaced.
@@ -149,7 +149,7 @@ fn common_suffix(a: &[u8], b: &[u8]) -> usize {
 /// The splice turning `pre`'s body into `post`'s — two serialized
 /// holders — with their common prefix and suffix trimmed. An empty `pre`
 /// is no base: the splice is `post`'s whole body.
-pub fn splice(pre: &[u8], post: &[u8]) -> Splice {
+pub(crate) fn splice(pre: &[u8], post: &[u8]) -> Splice {
     let (old, new) = (body(pre), body(post));
     let prefix = common_prefix(old, new);
     let suffix = common_suffix(&old[prefix..], &new[prefix..]);
@@ -168,7 +168,7 @@ pub fn splice(pre: &[u8], post: &[u8]) -> Splice {
 /// — never a panic — when `pre` is no holder, the splice reaches past
 /// its body, `num_edges` does not fit the new body, or the result is not
 /// a holder [`Holder::try_decode`] accepts.
-pub fn apply_splice(
+pub(crate) fn apply_splice(
     pre: &[u8],
     s: &Splice,
     app_id: u64,
@@ -226,7 +226,7 @@ pub(crate) fn relink(bytes: &mut [u8], prev: u64) {
 /// walks a record as it does a holder. A reader rewinds the version it
 /// copied one record at a time (`Archive::rewind`), newest first.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Archive {
+pub(crate) struct Archive {
     /// Application-level id of the archived holder.
     pub app_id: u64,
     /// The archived version's stamp.
@@ -263,7 +263,7 @@ impl Archive {
     /// never a panic — when they are shorter than the header or than the
     /// length it announces; what the splice says is checked where it is
     /// applied (`Archive::rewind`).
-    pub fn parse(bytes: &[u8]) -> Option<Archive> {
+    pub(crate) fn parse(bytes: &[u8]) -> Option<Archive> {
         let total = le_u32(bytes, 0) as usize;
         let restored = bytes.get(HEADER_BYTES..total)?;
         Some(Archive {
@@ -300,7 +300,7 @@ impl Archive {
 
 /// A lightweight edge record stored inside a vertex holder (§5.4.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EdgeRecord {
+pub(crate) struct EdgeRecord {
     /// `DPtr` of the other endpoint's vertex holder.
     pub target: DPtr,
     /// `DPtr` of a heavyweight edge holder carrying extra labels/properties,
@@ -317,10 +317,10 @@ pub struct EdgeRecord {
 
 impl EdgeRecord {
     /// Flag bit marking a tombstoned (removed) record.
-    pub const TOMBSTONE: u8 = 1;
+    pub(crate) const TOMBSTONE: u8 = 1;
 
     /// A lightweight record (no heavy holder) to `target`.
-    pub fn lightweight(target: DPtr, label: u32, dir: Direction) -> Self {
+    pub(crate) fn lightweight(target: DPtr, label: u32, dir: Direction) -> Self {
         Self {
             target,
             edge_holder: DPtr::NULL,
@@ -331,7 +331,7 @@ impl EdgeRecord {
     }
 
     /// Is this record tombstoned?
-    pub fn is_tombstone(&self) -> bool {
+    pub(crate) fn is_tombstone(&self) -> bool {
         self.flags & Self::TOMBSTONE != 0
     }
 
@@ -363,7 +363,7 @@ impl EdgeRecord {
 
 /// One label or property entry (§5.4.3).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Entry {
+pub(crate) struct Entry {
     /// `ENTRY_LABEL` for labels; a p-type integer id (`>= FIRST_PTYPE_ID`)
     /// for properties.
     pub id: u32,
@@ -373,7 +373,7 @@ pub struct Entry {
 
 impl Entry {
     /// A label entry.
-    pub fn label(label: LabelId) -> Self {
+    pub(crate) fn label(label: LabelId) -> Self {
         Self {
             id: ENTRY_LABEL,
             data: label.0.to_le_bytes().to_vec(),
@@ -381,13 +381,13 @@ impl Entry {
     }
 
     /// A property entry of `ptype` with raw value bytes.
-    pub fn property(ptype: PTypeId, data: Vec<u8>) -> Self {
+    pub(crate) fn property(ptype: PTypeId, data: Vec<u8>) -> Self {
         debug_assert!(ptype.0 >= FIRST_PTYPE_ID);
         Self { id: ptype.0, data }
     }
 
     /// The label id, if this is a label entry.
-    pub fn as_label(&self) -> Option<LabelId> {
+    pub(crate) fn as_label(&self) -> Option<LabelId> {
         if self.id == ENTRY_LABEL && self.data.len() == 4 {
             Some(LabelId(le_u32(&self.data, 0)))
         } else {
@@ -396,19 +396,19 @@ impl Entry {
     }
 
     /// Is this a property entry of `ptype`?
-    pub fn is_property_of(&self, ptype: PTypeId) -> bool {
+    pub(crate) fn is_property_of(&self, ptype: PTypeId) -> bool {
         self.id == ptype.0
     }
 
     /// Serialized size including the 8-byte entry header and padding.
-    pub fn encoded_len(&self) -> usize {
+    pub(crate) fn encoded_len(&self) -> usize {
         8 + self.data.len().div_ceil(8) * 8
     }
 }
 
 /// A decoded holder: the Logical Layout view of one vertex or heavy edge.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct Holder {
+pub(crate) struct Holder {
     /// Application-level id (vertices only; 0 for edge holders).
     pub app_id: u64,
     /// Is this an edge holder?
@@ -433,7 +433,7 @@ pub struct Holder {
 
 impl Holder {
     /// A fresh vertex holder.
-    pub fn new_vertex(app_id: u64) -> Self {
+    pub(crate) fn new_vertex(app_id: u64) -> Self {
         Self {
             app_id,
             ..Default::default()
@@ -441,7 +441,7 @@ impl Holder {
     }
 
     /// A fresh edge holder for a heavy edge between `origin` and `target`.
-    pub fn new_edge(origin: DPtr, target: DPtr) -> Self {
+    pub(crate) fn new_edge(origin: DPtr, target: DPtr) -> Self {
         Self {
             is_edge: true,
             edges: vec![
@@ -455,17 +455,17 @@ impl Holder {
     // ----- labels ---------------------------------------------------------
 
     /// All labels on the element.
-    pub fn labels(&self) -> Vec<LabelId> {
+    pub(crate) fn labels(&self) -> Vec<LabelId> {
         self.entry_scan().labels().collect()
     }
 
     /// Does the element carry `label`?
-    pub fn has_label(&self, label: LabelId) -> bool {
+    pub(crate) fn has_label(&self, label: LabelId) -> bool {
         self.entry_scan().has_label(label)
     }
 
     /// Add a label; no-op if already present. Returns whether it was added.
-    pub fn add_label(&mut self, label: LabelId) -> bool {
+    pub(crate) fn add_label(&mut self, label: LabelId) -> bool {
         if self.has_label(label) {
             return false;
         }
@@ -474,7 +474,7 @@ impl Holder {
     }
 
     /// Remove a label. Returns whether it was present.
-    pub fn remove_label(&mut self, label: LabelId) -> bool {
+    pub(crate) fn remove_label(&mut self, label: LabelId) -> bool {
         let before = self.entries.len();
         self.entries.retain(|e| e.as_label() != Some(label));
         self.entries.len() != before
@@ -483,14 +483,14 @@ impl Holder {
     // ----- properties ------------------------------------------------------
 
     /// Raw bytes of all property entries of `ptype`, in entry order.
-    pub fn properties_raw(&self, ptype: PTypeId) -> Vec<&[u8]> {
+    pub(crate) fn properties_raw(&self, ptype: PTypeId) -> Vec<&[u8]> {
         self.entry_scan().properties_raw(ptype).collect()
     }
 
     /// This decoded holder's entries behind the reader that
     /// [`Holder::scan_entries`] gives serialized bytes: one label test
     /// and one property lookup for both representations.
-    pub fn entry_scan(&self) -> EntryScan<'_> {
+    pub(crate) fn entry_scan(&self) -> EntryScan<'_> {
         EntryScan {
             app_id: self.app_id,
             src: EntrySrc::Decoded(&self.entries),
@@ -498,13 +498,13 @@ impl Holder {
     }
 
     /// Append a property entry.
-    pub fn add_property(&mut self, ptype: PTypeId, data: Vec<u8>) {
+    pub(crate) fn add_property(&mut self, ptype: PTypeId, data: Vec<u8>) {
         self.entries.push(Entry::property(ptype, data));
     }
 
     /// Replace the first entry of `ptype` (insert if absent) — the `Single`
     /// multiplicity update path.
-    pub fn set_property(&mut self, ptype: PTypeId, data: Vec<u8>) {
+    pub(crate) fn set_property(&mut self, ptype: PTypeId, data: Vec<u8>) {
         if let Some(e) = self.entries.iter_mut().find(|e| e.is_property_of(ptype)) {
             e.data = data;
         } else {
@@ -513,7 +513,7 @@ impl Holder {
     }
 
     /// Remove all entries of `ptype`. Returns the number removed.
-    pub fn remove_property(&mut self, ptype: PTypeId) -> usize {
+    pub(crate) fn remove_property(&mut self, ptype: PTypeId) -> usize {
         let before = self.entries.len();
         self.entries.retain(|e| !e.is_property_of(ptype));
         before - self.entries.len()
@@ -521,15 +521,10 @@ impl Holder {
 
     /// Remove every property entry (keeps labels) —
     /// `GDI_RemoveAllPropertiesFromVertex`.
-    pub fn remove_all_properties(&mut self) -> usize {
+    pub(crate) fn remove_all_properties(&mut self) -> usize {
         let before = self.entries.len();
         self.entries.retain(|e| e.id == ENTRY_LABEL);
         before - self.entries.len()
-    }
-
-    /// All distinct p-type ids present — `GDI_GetAllPropertyTypesOf…`.
-    pub fn ptypes(&self) -> Vec<PTypeId> {
-        self.entry_scan().ptypes()
     }
 
     // ----- edges -----------------------------------------------------------
@@ -545,7 +540,7 @@ impl Holder {
     }
 
     /// Live (non-tombstoned) edge records with their slots.
-    pub fn live_edges(&self) -> impl Iterator<Item = (u32, &EdgeRecord)> {
+    pub(crate) fn live_edges(&self) -> impl Iterator<Item = (u32, &EdgeRecord)> {
         self.edges
             .iter()
             .enumerate()
@@ -553,47 +548,30 @@ impl Holder {
             .map(|(i, e)| (i as u32, e))
     }
 
-    /// Number of live edges.
-    pub fn edge_count(&self) -> usize {
-        self.edges.iter().filter(|e| !e.is_tombstone()).count()
-    }
-
     /// Append an edge record; returns its slot (stable edge-UID offset).
-    pub fn push_edge(&mut self, rec: EdgeRecord) -> u32 {
+    pub(crate) fn push_edge(&mut self, rec: EdgeRecord) -> u32 {
         self.edges.push(rec);
         (self.edges.len() - 1) as u32
-    }
-
-    /// Tombstone the edge record in `slot`. Returns the record if it was
-    /// live.
-    pub fn remove_edge(&mut self, slot: u32) -> Option<EdgeRecord> {
-        let rec = self.edges.get_mut(slot as usize)?;
-        if rec.is_tombstone() {
-            return None;
-        }
-        let out = *rec;
-        rec.flags |= EdgeRecord::TOMBSTONE;
-        Some(out)
     }
 
     /// Drop trailing/interior tombstones (compaction at write-back; edge
     /// UIDs are volatile across transactions, §3.4, so compaction between
     /// transactions is legal).
-    pub fn compact_edges(&mut self) {
+    pub(crate) fn compact_edges(&mut self) {
         self.edges.retain(|e| !e.is_tombstone());
     }
 
     // ----- serialization ---------------------------------------------------
 
     /// Serialized size in bytes.
-    pub fn encoded_len(&self) -> usize {
+    pub(crate) fn encoded_len(&self) -> usize {
         HEADER_BYTES
             + self.edges.len() * EDGE_RECORD_BYTES
             + self.entries.iter().map(Entry::encoded_len).sum::<usize>()
     }
 
     /// Serialize to the on-block byte layout.
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let total = self.encoded_len();
         let mut out = Vec::with_capacity(total);
         let entries_bytes: usize = self.entries.iter().map(Entry::encoded_len).sum();
@@ -620,7 +598,7 @@ impl Holder {
     }
 
     /// Total length field of a serialized holder (peek at the first bytes).
-    pub fn peek_total_len(bytes: &[u8]) -> usize {
+    pub(crate) fn peek_total_len(bytes: &[u8]) -> usize {
         le_u32(bytes, 0) as usize
     }
 
@@ -628,13 +606,13 @@ impl Holder {
     /// [`Holder::try_decode`] for bytes fetched from shared memory, where a
     /// stale internal id may point at storage that was reclaimed and
     /// reused by another object (§3.4: volatile ids).
-    pub fn decode(bytes: &[u8]) -> Self {
+    pub(crate) fn decode(bytes: &[u8]) -> Self {
         Self::try_decode(bytes).expect("corrupt holder bytes")
     }
 
     /// Defensive decode: structural validation of every field, `None` on
     /// any inconsistency.
-    pub fn try_decode(bytes: &[u8]) -> Option<Self> {
+    pub(crate) fn try_decode(bytes: &[u8]) -> Option<Self> {
         let lay = Layout::parse(bytes)?;
         let app_id = le_u64(bytes, 16);
         let version = le_u64(bytes, 24);
@@ -668,7 +646,7 @@ impl Holder {
     /// layout parser) and hand back its edge section without materialising
     /// a `Holder`: no entry is copied, no `Vec` is allocated. The OLAP
     /// scan sweep reads adjacency this way (`crate::scan`).
-    pub fn scan_edges(bytes: &[u8]) -> Option<EdgeScan<'_>> {
+    pub(crate) fn scan_edges(bytes: &[u8]) -> Option<EdgeScan<'_>> {
         let lay = Layout::validated(bytes)?;
         Some(EdgeScan {
             app_id: le_u64(bytes, 16),
@@ -683,7 +661,7 @@ impl Holder {
     /// property values found **in place**: no `Holder`, no `Entry`, no
     /// copy of a value. Every read of a read-only transaction is
     /// answered this way (`crate::tx`).
-    pub fn scan_entries(bytes: &[u8]) -> Option<EntryScan<'_>> {
+    pub(crate) fn scan_entries(bytes: &[u8]) -> Option<EntryScan<'_>> {
         let lay = Layout::validated(bytes)?;
         Some(EntryScan {
             app_id: le_u64(bytes, 16),
@@ -810,7 +788,7 @@ impl<'a> Iterator for Frames<'a> {
 /// edge section of serialized bytes (see [`Holder::scan_edges`]) or a
 /// decoded holder's record list (`Holder::edge_scan`).
 #[derive(Debug, Clone, Copy)]
-pub struct EdgeScan<'a> {
+pub(crate) struct EdgeScan<'a> {
     /// Application-level id of the holder.
     pub app_id: u64,
     /// Is the holder a heavyweight edge's (not a vertex's)?
@@ -840,7 +818,7 @@ impl<'a> EdgeScan<'a> {
     /// The live (non-tombstoned) edge records with their slots, in slot
     /// order — the pairs [`Holder::live_edges`] yields on the decoded
     /// holder.
-    pub fn live(&self) -> impl Iterator<Item = (u32, EdgeRecord)> + 'a {
+    pub(crate) fn live(&self) -> impl Iterator<Item = (u32, EdgeRecord)> + 'a {
         self.records()
             .enumerate()
             .filter(|(_, r)| !r.is_tombstone())
@@ -857,8 +835,8 @@ impl<'a> EdgeScan<'a> {
 
 /// The label and property entries of one holder, read where they lie:
 /// the validated entry section of serialized bytes (see
-/// [`Holder::scan_entries`]) or a decoded holder's entry list
-/// ([`Holder::entry_scan`]). Either way an entry is `(id, value bytes)`
+/// `Holder::scan_entries`) or a decoded holder's entry list
+/// (`Holder::entry_scan`). Either way an entry is `(id, value bytes)`
 /// in entry order, so a predicate has one definition for both.
 #[derive(Debug, Clone, Copy)]
 pub struct EntryScan<'a> {
@@ -886,7 +864,7 @@ impl<'a> EntryScan<'a> {
     }
 
     /// Does the element carry `label`? (A label entry holds exactly the
-    /// 4-byte label id, as [`Entry::as_label`] reads it.)
+    /// 4-byte label id, as `Entry::as_label` reads it.)
     pub fn has_label(&self, label: LabelId) -> bool {
         self.entries()
             .any(|(id, data)| id == ENTRY_LABEL && data == label.0.to_le_bytes())
@@ -912,7 +890,7 @@ impl<'a> EntryScan<'a> {
     }
 
     /// Raw value bytes of the property entries of `ptype`, in entry
-    /// order — what [`Holder::properties_raw`] returns.
+    /// order — what `Holder::properties_raw` returns.
     pub fn properties_raw(&self, ptype: PTypeId) -> impl Iterator<Item = &'a [u8]> + 'a {
         self.entries()
             .filter(move |(id, _)| *id == ptype.0)
@@ -923,6 +901,31 @@ impl<'a> EntryScan<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    impl Holder {
+        /// All distinct p-type ids present.
+        fn ptypes(&self) -> Vec<PTypeId> {
+            self.entry_scan().ptypes()
+        }
+
+        /// Number of live edges.
+        fn edge_count(&self) -> usize {
+            self.edges.iter().filter(|e| !e.is_tombstone()).count()
+        }
+
+        /// Tombstone the edge record in `slot`. Returns the record if it
+        /// was live.
+        fn remove_edge(&mut self, slot: u32) -> Option<EdgeRecord> {
+            let rec = self.edges.get_mut(slot as usize)?;
+            if rec.is_tombstone() {
+                return None;
+            }
+            let out = *rec;
+            rec.flags |= EdgeRecord::TOMBSTONE;
+            Some(out)
+        }
+    }
 
     fn sample() -> Holder {
         let mut h = Holder::new_vertex(42);
@@ -1546,6 +1549,101 @@ mod tests {
                 }
                 assert_scan_matches_decode(&m);
             }
+        }
+    }
+
+    fn arb_direction() -> impl Strategy<Value = Direction> {
+        prop_oneof![
+            Just(Direction::Out),
+            Just(Direction::In),
+            Just(Direction::Undirected)
+        ]
+    }
+
+    fn arb_edge() -> impl Strategy<Value = EdgeRecord> {
+        (
+            0usize..64,
+            0u64..(1u64 << 40),
+            any::<u32>(),
+            arb_direction(),
+            prop::bool::ANY,
+        )
+            .prop_map(|(rank, off, label, dir, tomb)| {
+                let mut e = EdgeRecord::lightweight(DPtr::new(rank, off & !7), label, dir);
+                if tomb {
+                    e.flags |= EdgeRecord::TOMBSTONE;
+                }
+                e
+            })
+    }
+
+    fn arb_entry() -> impl Strategy<Value = Entry> {
+        prop_oneof![
+            (1u32..2000).prop_map(|l| Entry::label(LabelId(l))),
+            (3u32..500, prop::collection::vec(any::<u8>(), 0..100))
+                .prop_map(|(p, data)| Entry::property(PTypeId(p), data)),
+        ]
+    }
+
+    fn arb_holder() -> impl Strategy<Value = Holder> {
+        (
+            any::<u64>(),
+            prop::bool::ANY,
+            any::<u64>(),
+            any::<u64>(),
+            any::<u64>(),
+            prop::collection::vec(arb_edge(), 0..24),
+            prop::collection::vec(arb_entry(), 0..16),
+        )
+            .prop_map(
+                |(app_id, is_edge, version, commit_epoch, prev, edges, entries)| Holder {
+                    app_id,
+                    is_edge,
+                    version,
+                    commit_epoch,
+                    prev,
+                    edges,
+                    entries,
+                },
+            )
+    }
+
+    proptest! {
+        #[test]
+        fn holder_encode_decode_roundtrip(h in arb_holder()) {
+            let bytes = h.encode();
+            prop_assert_eq!(bytes.len(), h.encoded_len());
+            prop_assert_eq!(Holder::peek_total_len(&bytes), bytes.len());
+            prop_assert_eq!(Holder::decode(&bytes), h);
+        }
+
+        #[test]
+        fn holder_label_ops_preserve_properties(h in arb_holder(), l in 1u32..2000) {
+            let mut h2 = h.clone();
+            let label = LabelId(l);
+            h2.add_label(label);
+            prop_assert!(h2.has_label(label));
+            // property entries untouched by label operations
+            prop_assert_eq!(h2.ptypes(), h.ptypes());
+            h2.remove_label(label);
+            prop_assert!(!h2.has_label(label));
+        }
+
+        #[test]
+        fn holder_edge_count_equals_live_records(h in arb_holder()) {
+            let live = h.edges.iter().filter(|e| !e.is_tombstone()).count();
+            prop_assert_eq!(h.edge_count(), live);
+            prop_assert_eq!(h.live_edges().count(), live);
+        }
+
+        #[test]
+        fn compaction_preserves_live_edges(h in arb_holder()) {
+            let mut h2 = h.clone();
+            let live: Vec<EdgeRecord> = h.live_edges().map(|(_, e)| *e).collect();
+            h2.compact_edges();
+            let after: Vec<EdgeRecord> = h2.live_edges().map(|(_, e)| *e).collect();
+            prop_assert_eq!(live, after);
+            prop_assert_eq!(h2.edges.len(), h2.edge_count());
         }
     }
 }

@@ -39,7 +39,7 @@ pub struct IndexDef {
 
 impl IndexDef {
     /// Does a vertex with these labels belong to the index?
-    pub fn matches(&self, labels: &[LabelId]) -> bool {
+    pub(crate) fn matches(&self, labels: &[LabelId]) -> bool {
         self.labels.is_empty() || self.labels.iter().any(|l| labels.contains(l))
     }
 }
@@ -69,7 +69,7 @@ fn postings(part: &FxHashMap<u64, AppVertexId>) -> Vec<Posting> {
 
 /// Shared index state of one database.
 #[derive(Debug)]
-pub struct IndexShared {
+pub(crate) struct IndexShared {
     defs: RwLock<Vec<IndexDef>>,
     next_id: Mutex<u32>,
     /// `postings[rank]`: that rank's partitions of every index.
@@ -78,7 +78,7 @@ pub struct IndexShared {
 
 impl IndexShared {
     /// Empty index state for a fabric of `nranks` ranks.
-    pub fn new(nranks: usize) -> Self {
+    pub(crate) fn new(nranks: usize) -> Self {
         Self {
             defs: RwLock::new(Vec::new()),
             next_id: Mutex::new(1),
@@ -89,7 +89,7 @@ impl IndexShared {
     }
 
     /// `GDI_CreateIndex`.
-    pub fn create(
+    pub(crate) fn create(
         &self,
         name: &str,
         labels: Vec<LabelId>,
@@ -112,7 +112,7 @@ impl IndexShared {
     }
 
     /// `GDI_DeleteIndex`.
-    pub fn delete(&self, id: IndexId) -> GdiResult<()> {
+    pub(crate) fn delete(&self, id: IndexId) -> GdiResult<()> {
         let mut defs = self.defs.write();
         let before = defs.len();
         defs.retain(|d| d.id != id);
@@ -126,47 +126,18 @@ impl IndexShared {
     }
 
     /// `GDI_GetAllIndexesOfDatabase`.
-    pub fn all(&self) -> Vec<IndexDef> {
+    pub(crate) fn all(&self) -> Vec<IndexDef> {
         self.defs.read().clone()
-    }
-
-    /// Definition of one index.
-    pub fn def(&self, id: IndexId) -> GdiResult<IndexDef> {
-        self.defs
-            .read()
-            .iter()
-            .find(|d| d.id == id)
-            .cloned()
-            .ok_or(GdiError::NotFound("index"))
-    }
-
-    /// `GDI_AddLabelToIndex` / `GDI_RemoveLabelFromIndex`.
-    pub fn add_label(&self, id: IndexId, label: LabelId) -> GdiResult<()> {
-        let mut defs = self.defs.write();
-        let d = defs
-            .iter_mut()
-            .find(|d| d.id == id)
-            .ok_or(GdiError::NotFound("index"))?;
-        if !d.labels.contains(&label) {
-            d.labels.push(label);
-        }
-        Ok(())
-    }
-
-    /// `GDI_RemoveLabelFromIndex`.
-    pub fn remove_label(&self, id: IndexId, label: LabelId) -> GdiResult<()> {
-        let mut defs = self.defs.write();
-        let d = defs
-            .iter_mut()
-            .find(|d| d.id == id)
-            .ok_or(GdiError::NotFound("index"))?;
-        d.labels.retain(|l| *l != label);
-        Ok(())
     }
 
     /// Recompute the postings of one vertex against every index, given its
     /// (possibly new) labels. `None` labels = vertex deleted.
-    pub fn reindex_vertex(&self, vertex: DPtr, app_id: AppVertexId, labels: Option<&[LabelId]>) {
+    pub(crate) fn reindex_vertex(
+        &self,
+        vertex: DPtr,
+        app_id: AppVertexId,
+        labels: Option<&[LabelId]>,
+    ) {
         let defs = self.defs.read();
         let mut rank = self.postings[vertex.rank()].lock();
         for d in defs.iter() {
@@ -182,7 +153,7 @@ impl IndexShared {
 
     /// The local partition of an index on `rank`
     /// (`GDI_GetLocalVerticesOfIndex`), unfiltered.
-    pub fn local_vertices(&self, rank: usize, id: IndexId) -> Vec<Posting> {
+    pub(crate) fn local_vertices(&self, rank: usize, id: IndexId) -> Vec<Posting> {
         let mut v = self.postings[rank]
             .lock()
             .get(&id)
@@ -195,19 +166,19 @@ impl IndexShared {
     /// Number of postings in `rank`'s partition of an index: the map's
     /// length under the partition lock, nothing materialised or sorted
     /// (the planner's statistic — it only ever needed the count).
-    pub fn local_len(&self, rank: usize, id: IndexId) -> usize {
+    pub(crate) fn local_len(&self, rank: usize, id: IndexId) -> usize {
         self.postings[rank].lock().get(&id).map_or(0, |m| m.len())
     }
 
     /// Export the index definitions plus the id allocator (persistence
     /// support: the manifest half of a durable snapshot).
-    pub fn export_defs(&self) -> (Vec<IndexDef>, u32) {
+    pub(crate) fn export_defs(&self) -> (Vec<IndexDef>, u32) {
         (self.defs.read().clone(), *self.next_id.lock())
     }
 
     /// Export one rank's postings of every index, sorted for stable
     /// snapshot bytes (persistence support: the per-rank half).
-    pub fn export_rank(&self, rank: usize) -> Vec<(IndexId, Vec<Posting>)> {
+    pub(crate) fn export_rank(&self, rank: usize) -> Vec<(IndexId, Vec<Posting>)> {
         let mut out: Vec<_> = self.postings[rank]
             .lock()
             .iter()
@@ -221,7 +192,7 @@ impl IndexShared {
     }
 
     /// Rebuild shared index state from exported parts (recovery).
-    pub fn from_parts(nranks: usize, defs: Vec<IndexDef>, next_id: u32) -> Self {
+    pub(crate) fn from_parts(nranks: usize, defs: Vec<IndexDef>, next_id: u32) -> Self {
         Self {
             defs: RwLock::new(defs),
             next_id: Mutex::new(next_id.max(1)),
@@ -233,7 +204,7 @@ impl IndexShared {
 
     /// Install one rank's exported postings (recovery; replaces that
     /// rank's partitions wholesale).
-    pub fn import_rank(&self, rank: usize, parts: Vec<(IndexId, Vec<Posting>)>) {
+    pub(crate) fn import_rank(&self, rank: usize, parts: Vec<(IndexId, Vec<Posting>)>) {
         let mut guard = self.postings[rank].lock();
         guard.clear();
         for (id, postings) in parts {
@@ -243,16 +214,6 @@ impl IndexShared {
             }
         }
     }
-
-    /// Look up a vertex by app id within an index partition — the fast path
-    /// behind `GDI_TranslateVertexID` when an index is available.
-    pub fn find_by_app_id(&self, rank: usize, id: IndexId, app: AppVertexId) -> Option<DPtr> {
-        let guard = self.postings[rank].lock();
-        let part = guard.get(&id)?;
-        part.iter()
-            .find(|(_, &a)| a == app)
-            .map(|(&raw, _)| DPtr::from_raw(raw))
-    }
 }
 
 /// Evaluate a constraint against a holder's entries — serialized bytes
@@ -260,7 +221,7 @@ impl IndexShared {
 /// constrained expansions do. Property values are compared decoded; the
 /// caller supplies the decode function from p-type to value, and only
 /// the entries of a p-type the constraint names are ever decoded.
-pub fn holder_matches(
+pub(crate) fn holder_matches(
     entries: &EntryScan<'_>,
     constraint: &Constraint,
     decode: impl Fn(PTypeId, &[u8]) -> Option<gdi::PropertyValue>,
@@ -344,16 +305,6 @@ mod tests {
     }
 
     #[test]
-    fn find_by_app_id_works() {
-        let ix = IndexShared::new(1);
-        let all = ix.create("all", vec![], vec![]).unwrap();
-        let v = DPtr::new(0, 384);
-        ix.reindex_vertex(v, AppVertexId(42), Some(&[]));
-        assert_eq!(ix.find_by_app_id(0, all, AppVertexId(42)), Some(v));
-        assert_eq!(ix.find_by_app_id(0, all, AppVertexId(43)), None);
-    }
-
-    #[test]
     fn index_def_matching() {
         let d = IndexDef {
             id: IndexId(1),
@@ -365,21 +316,6 @@ mod tests {
         assert!(d.matches(&[LabelId(1), LabelId(9)]));
         assert!(!d.matches(&[LabelId(9)]));
         assert!(!d.matches(&[]));
-    }
-
-    #[test]
-    fn mutate_index_labels() {
-        let ix = IndexShared::new(1);
-        let id = ix.create("x", vec![LabelId(1)], vec![]).unwrap();
-        ix.add_label(id, LabelId(2)).unwrap();
-        ix.add_label(id, LabelId(2)).unwrap(); // idempotent
-        assert_eq!(ix.def(id).unwrap().labels, vec![LabelId(1), LabelId(2)]);
-        ix.remove_label(id, LabelId(1)).unwrap();
-        assert_eq!(ix.def(id).unwrap().labels, vec![LabelId(2)]);
-        assert_eq!(
-            ix.add_label(IndexId(999), LabelId(1)),
-            Err(GdiError::NotFound("index"))
-        );
     }
 
     #[test]

@@ -5,47 +5,61 @@
 //! machines, here running on the simulated RMA fabric of the [`rma`] crate
 //! (see `docs/ARCHITECTURE.md` for the substitution argument).
 //!
-//! Architecture (paper Fig. 3):
+//! ## Public surface
 //!
-//! * [`dptr`] — 64-bit distributed pointers (`rank:16 | offset:48`), tagged
+//! GDI is an interface kept apart from its implementation (§3), so this
+//! crate exports the GDI routines and administration, nothing of how it
+//! stores a graph:
+//!
+//! * the GDI routines — [`GdaRank`] (metadata, indexes, transactions,
+//!   bulk load), [`Transaction`] (vertices, edges, properties, index
+//!   scans), [`DbRegistry`] (databases), [`MetaSnapshot`], and the opaque
+//!   handles [`DPtr`] and [`EdgeUid`];
+//! * administration — boot ([`GdaConfig`], [`GdaDb`], [`owner_rank`]),
+//!   bulk load ([`VertexSpec`], [`EdgeSpec`]), [`persist`] (durability:
+//!   per-rank redo logs, collective full and delta checkpoints, crash
+//!   recovery onto any rank count), maintenance
+//!   ([`GdaRank::maintenance`]), the block-pool audit
+//!   ([`GdaRank::audit_pool`]), the fault-point catalog ([`faults`]),
+//!   the zero-transaction OLAP scan layer ([`scan`], cached per rank by
+//!   [`GdaRank::olap_view`]) and the work–depth table ([`analysis`],
+//!   §5.9).
+//!
+//! ## Architecture (paper Fig. 3)
+//!
+//! The modules below are `pub(crate)`: a change to a holder layout or a
+//! chain protocol is not an API change.
+//!
+//! * `dptr` — 64-bit distributed pointers (`rank:16 | offset:48`), tagged
 //!   free-list heads, edge UIDs;
 //! * [`config`] — tunable block size & window layout (the BGDL
 //!   communication/storage tradeoff);
-//! * [`blocks`] — the Blocked Graph Data Layout: lock-free, one-sided,
+//! * `blocks` — the Blocked Graph Data Layout: lock-free, one-sided,
 //!   ABA-safe fixed-size block pool per rank;
-//! * [`holder`] / [`hio`] — the Logical Layout level: flexible-size vertex
+//! * `holder` / `hio` — the Logical Layout level: flexible-size vertex
 //!   and edge holders (metadata, lightweight edges, label/property entries)
 //!   mapped onto block chains;
-//! * [`dht`] — the fully-offloaded lock-free distributed hash table used
+//! * `dht` — the fully-offloaded lock-free distributed hash table used
 //!   for application-id → internal-id translation;
-//! * [`cache`] — the per-rank, epoch-validated translation cache in front
+//! * `cache` — the per-rank, epoch-validated translation cache in front
 //!   of the DHT (positive + negative entries, one-`aget` revalidation);
-//! * [`locks`] — one-word distributed reader–writer locks (write bit +
+//! * `locks` — one-word distributed reader–writer locks (write bit +
 //!   reader counter, single remote atomics);
-//! * [`meta`] — replicated, eventually-consistent labels and property
+//! * `meta` — replicated, eventually-consistent labels and property
 //!   types;
-//! * [`index`] — explicit indexes with per-rank partitions and DNF
+//! * `index` — explicit indexes with per-rank partitions and DNF
 //!   constraints;
-//! * [`tx`] — local and collective ACID transactions: writers'
+//! * `tx` — local and collective ACID transactions: writers'
 //!   per-transaction holder caches, locking and dirty-block write-back,
 //!   and the uncached byte-level reads of every read-only transaction;
-//! * [`bulk`] — collective bulk ingestion;
-//! * [`db`] — database objects, multi-database registry, the per-rank
+//! * `bulk` — collective bulk ingestion;
+//! * `db` — database objects, multi-database registry, the per-rank
 //!   engine handle;
-//! * [`persist`] — durability: per-rank redo logs, collective full
-//!   checkpoints (the live set) **and incremental (delta)** ones that
-//!   seal each rank's redo log as a chain segment, crash recovery (base
-//!   image + one logical replay of the segments and live logs, onto the
-//!   snapshot's rank count or any other);
-//! * [`maint`] — collective background maintenance: MVCC version
+//! * `maint` — collective background maintenance: MVCC version
 //!   vacuum below the snapshot floor, free-list vacuum, holder-chain
 //!   compaction, checksum verification of the published snapshot chain;
-//! * [`rankmap`] — the canonical rank-ownership math and the
-//!   snapshot-rank → live-rank map every recovery is built on;
-//! * [`scan`] — the zero-transaction OLAP scan layer: epoch-validated
-//!   CSR mirrors built from raw window sweeps, cached per rank
-//!   ([`GdaRank::olap_view`]);
-//! * [`analysis`] — the work–depth guarantees table (§5.9).
+//! * `rankmap` — the canonical rank-ownership math and the
+//!   snapshot-rank → live-rank map every recovery is built on.
 //!
 //! ## Quick start
 //!
@@ -83,37 +97,36 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod analysis;
-pub mod blocks;
-pub mod bulk;
-pub mod cache;
+pub(crate) mod blocks;
+pub(crate) mod bulk;
+pub(crate) mod cache;
 pub mod config;
-pub mod db;
-pub mod dht;
-pub mod dptr;
+pub(crate) mod db;
+pub(crate) mod dht;
+pub(crate) mod dptr;
 pub mod faults;
-pub mod hio;
-pub mod holder;
-pub mod index;
-pub mod locks;
-pub mod maint;
-pub mod meta;
+pub(crate) mod hio;
+pub(crate) mod holder;
+pub(crate) mod index;
+pub(crate) mod locks;
+pub(crate) mod maint;
+pub(crate) mod meta;
 pub mod persist;
-pub mod rankmap;
+pub(crate) mod rankmap;
 pub mod scan;
-pub mod tx;
+pub(crate) mod tx;
 
 pub use bulk::{BulkReport, EdgeSpec, VertexSpec};
 pub use config::GdaConfig;
-pub use db::{DbRegistry, GdaDb, GdaRank};
-pub use dptr::{DPtr, EdgeUid};
+pub use db::{DbRegistry, GdaDb, GdaRank, PoolAudit};
+pub use dptr::{owner_rank, DPtr, EdgeUid};
+pub use holder::EntryScan;
 pub use index::{IndexDef, IndexId, Posting};
 pub use maint::MaintenanceReport;
-pub use meta::{LabelDef, PTypeDef};
-pub use persist::{
-    CheckpointReport, PersistOptions, PersistStore, RankRecovery, RecoveryPlan, RedoRecord,
-};
-pub use rankmap::RankMap;
+pub use meta::{LabelDef, MetaSnapshot, PTypeDef};
+pub use persist::{CheckpointReport, PersistOptions, PersistStore, RankRecovery, RecoveryPlan};
 pub use scan::{CsrView, ScanPartition};
 pub use tx::Transaction;

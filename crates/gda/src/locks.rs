@@ -30,11 +30,11 @@ use crate::hio::STALE;
 const MAX_LOCK_RETRIES: usize = 48;
 
 /// The write bit of a lock word.
-pub const WRITE_BIT: u64 = 1 << 63;
+pub(crate) const WRITE_BIT: u64 = 1 << 63;
 
 /// Kind of lock held on an object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LockKind {
+pub(crate) enum LockKind {
     /// A shared reader lock.
     Read,
     /// An exclusive writer lock.
@@ -42,14 +42,14 @@ pub enum LockKind {
 }
 
 /// Reader-writer lock operations bound to a rank context.
-pub struct LockManager<'c, 'f> {
+pub(crate) struct LockManager<'c, 'f> {
     ctx: &'c RankCtx<'f>,
     cfg: GdaConfig,
 }
 
 impl<'c, 'f> LockManager<'c, 'f> {
     /// Bind a lock-manager view to a rank context.
-    pub fn new(ctx: &'c RankCtx<'f>, cfg: GdaConfig) -> Self {
+    pub(crate) fn new(ctx: &'c RankCtx<'f>, cfg: GdaConfig) -> Self {
         Self { ctx, cfg }
     }
 
@@ -84,7 +84,7 @@ impl<'c, 'f> LockManager<'c, 'f> {
 
     /// Acquire a read lock: atomically bump the reader counter; if the
     /// write bit was set, undo and retry (bounded).
-    pub fn acquire_read(&self, dp: DPtr) -> GdiResult<()> {
+    pub(crate) fn acquire_read(&self, dp: DPtr) -> GdiResult<()> {
         let (rank, word) = self.lock_word(dp)?;
         for attempt in 0..MAX_LOCK_RETRIES {
             let prev = self.ctx.fadd_u64(WIN_SYSTEM, rank, word, 1);
@@ -98,7 +98,7 @@ impl<'c, 'f> LockManager<'c, 'f> {
     }
 
     /// Release a read lock (of an id no lock was granted on: a no-op).
-    pub fn release_read(&self, dp: DPtr) {
+    pub(crate) fn release_read(&self, dp: DPtr) {
         let Ok((rank, word)) = self.lock_word(dp) else {
             return;
         };
@@ -108,7 +108,7 @@ impl<'c, 'f> LockManager<'c, 'f> {
 
     /// Acquire a write lock: CAS the whole word from 0 (no writer, no
     /// readers) to the write bit.
-    pub fn acquire_write(&self, dp: DPtr) -> GdiResult<()> {
+    pub(crate) fn acquire_write(&self, dp: DPtr) -> GdiResult<()> {
         let (rank, word) = self.lock_word(dp)?;
         for attempt in 0..MAX_LOCK_RETRIES {
             if self.ctx.cas_u64(WIN_SYSTEM, rank, word, 0, WRITE_BIT) == 0 {
@@ -129,7 +129,7 @@ impl<'c, 'f> LockManager<'c, 'f> {
     /// Upgrade a read lock we hold to a write lock: succeeds only while we
     /// are the sole reader (CAS `1 → WRITE_BIT`). On failure the read lock
     /// is still held.
-    pub fn upgrade(&self, dp: DPtr) -> GdiResult<()> {
+    pub(crate) fn upgrade(&self, dp: DPtr) -> GdiResult<()> {
         let (rank, word) = self.lock_word(dp)?;
         for attempt in 0..MAX_LOCK_RETRIES {
             let prev = self.ctx.cas_u64(WIN_SYSTEM, rank, word, 1, WRITE_BIT);
@@ -154,7 +154,7 @@ impl<'c, 'f> LockManager<'c, 'f> {
     /// concurrent reader's transient `+1/-1` probe (its failed
     /// acquire-read) may be in flight, which would make a
     /// `CAS(WRITE_BIT → 0)` fail spuriously.
-    pub fn release_write(&self, dp: DPtr) {
+    pub(crate) fn release_write(&self, dp: DPtr) {
         let Ok((rank, word)) = self.lock_word(dp) else {
             return;
         };
@@ -163,17 +163,11 @@ impl<'c, 'f> LockManager<'c, 'f> {
     }
 
     /// Release a lock of either kind.
-    pub fn release(&self, dp: DPtr, kind: LockKind) {
+    pub(crate) fn release(&self, dp: DPtr, kind: LockKind) {
         match kind {
             LockKind::Read => self.release_read(dp),
             LockKind::Write => self.release_write(dp),
         }
-    }
-
-    /// Diagnostic: raw lock word.
-    pub fn peek(&self, dp: DPtr) -> GdiResult<u64> {
-        let (rank, word) = self.lock_word(dp)?;
-        Ok(self.ctx.aget_u64(WIN_SYSTEM, rank, word))
     }
 }
 
@@ -181,6 +175,14 @@ impl<'c, 'f> LockManager<'c, 'f> {
 mod tests {
     use super::*;
     use rma::CostModel;
+
+    impl LockManager<'_, '_> {
+        /// Diagnostic: raw lock word.
+        pub(crate) fn peek(&self, dp: DPtr) -> GdiResult<u64> {
+            let (rank, word) = self.lock_word(dp)?;
+            Ok(self.ctx.aget_u64(WIN_SYSTEM, rank, word))
+        }
+    }
 
     fn fabric(n: usize) -> (rma::Fabric, GdaConfig) {
         let cfg = GdaConfig::tiny();

@@ -212,7 +212,8 @@ pub(crate) fn maintenance_rank(eng: &GdaRank) -> GdiResult<MaintenanceReport> {
 mod tests {
     use super::*;
     use crate::db::GdaDb;
-    use crate::persist::{recover, PersistOptions};
+    use crate::persist::tests::recover;
+    use crate::persist::PersistOptions;
     use gdi::{
         AccessMode, AppVertexId, Datatype, EntityType, Multiplicity, PTypeId, PropertyValue,
         SizeType,

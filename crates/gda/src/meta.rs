@@ -62,7 +62,7 @@ struct MetaInner {
 
 /// The authoritative metadata store of one database, shared by all ranks.
 #[derive(Debug)]
-pub struct MetaStore {
+pub(crate) struct MetaStore {
     inner: RwLock<MetaInner>,
     epoch: AtomicU64,
 }
@@ -75,7 +75,7 @@ impl Default for MetaStore {
 
 impl MetaStore {
     /// An empty catalog.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             inner: RwLock::new(MetaInner {
                 labels: Vec::new(),
@@ -88,7 +88,7 @@ impl MetaStore {
     }
 
     /// Current metadata epoch.
-    pub fn epoch(&self) -> u64 {
+    pub(crate) fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::Acquire)
     }
 
@@ -97,7 +97,7 @@ impl MetaStore {
     }
 
     /// Create a label (`GDI_CreateLabel`).
-    pub fn create_label(&self, name: &str) -> GdiResult<LabelId> {
+    pub(crate) fn create_label(&self, name: &str) -> GdiResult<LabelId> {
         let mut g = self.inner.write();
         if g.labels.iter().any(|l| l.name == name) {
             return Err(GdiError::AlreadyExists("label"));
@@ -114,7 +114,7 @@ impl MetaStore {
     }
 
     /// Rename a label (`GDI_UpdateLabel`).
-    pub fn update_label(&self, id: LabelId, new_name: &str) -> GdiResult<()> {
+    pub(crate) fn update_label(&self, id: LabelId, new_name: &str) -> GdiResult<()> {
         let mut g = self.inner.write();
         if g.labels.iter().any(|l| l.name == new_name && l.id != id) {
             return Err(GdiError::AlreadyExists("label name"));
@@ -133,7 +133,7 @@ impl MetaStore {
     /// Delete a label (`GDI_DeleteLabel`). Graph data still carrying the
     /// label id is unaffected (eventual consistency: readers resolve the id
     /// to "unknown" until converged).
-    pub fn delete_label(&self, id: LabelId) -> GdiResult<()> {
+    pub(crate) fn delete_label(&self, id: LabelId) -> GdiResult<()> {
         let mut g = self.inner.write();
         let before = g.labels.len();
         g.labels.retain(|l| l.id != id);
@@ -147,7 +147,7 @@ impl MetaStore {
 
     /// Create a property type (`GDI_CreatePropertyType`).
     #[allow(clippy::too_many_arguments)]
-    pub fn create_ptype(
+    pub(crate) fn create_ptype(
         &self,
         name: &str,
         dtype: Datatype,
@@ -177,7 +177,7 @@ impl MetaStore {
     }
 
     /// Delete a property type (`GDI_DeletePropertyType`).
-    pub fn delete_ptype(&self, id: PTypeId) -> GdiResult<()> {
+    pub(crate) fn delete_ptype(&self, id: PTypeId) -> GdiResult<()> {
         let mut g = self.inner.write();
         let before = g.ptypes.len();
         g.ptypes.retain(|p| p.id != id);
@@ -192,7 +192,7 @@ impl MetaStore {
     /// Export the full catalog state for a durable snapshot (labels,
     /// property types, id allocators and the current epoch) — the
     /// persistence twin of [`MetaStore::snapshot`].
-    pub fn export_parts(&self) -> MetaParts {
+    pub(crate) fn export_parts(&self) -> MetaParts {
         let g = self.inner.read();
         MetaParts {
             labels: g.labels.clone(),
@@ -206,7 +206,7 @@ impl MetaStore {
     /// Rebuild a store from exported parts (recovery). Id allocators are
     /// restored too, so ids created after recovery never collide with
     /// pre-crash ids.
-    pub fn from_parts(parts: MetaParts) -> Self {
+    pub(crate) fn from_parts(parts: MetaParts) -> Self {
         Self {
             inner: RwLock::new(MetaInner {
                 labels: parts.labels,
@@ -219,7 +219,7 @@ impl MetaStore {
     }
 
     /// Take a consistent snapshot (what a rank replicates locally).
-    pub fn snapshot(&self) -> MetaSnapshot {
+    pub(crate) fn snapshot(&self) -> MetaSnapshot {
         // epoch first: if a mutation lands between the two reads we get a
         // snapshot at least as new as the recorded epoch, which is safe
         // (staleness detection errs towards aborting).
@@ -249,7 +249,7 @@ impl MetaStore {
 /// Exportable catalog state of a [`MetaStore`] (persistence support: what
 /// a durable snapshot's manifest carries).
 #[derive(Debug, Clone, PartialEq)]
-pub struct MetaParts {
+pub(crate) struct MetaParts {
     /// All label definitions.
     pub labels: Vec<LabelDef>,
     /// All property-type definitions.
@@ -313,7 +313,7 @@ impl MetaSnapshot {
 }
 
 /// Convenience alias for sharing a store.
-pub type SharedMeta = Arc<MetaStore>;
+pub(crate) type SharedMeta = Arc<MetaStore>;
 
 #[cfg(test)]
 mod tests {

@@ -99,7 +99,7 @@ pub(super) fn check_file_header(
 /// Starting from the FNV offset basis, every 8 input bytes are folded
 /// as `h = (h ^ word) * PRIME`; a final partial word is zero-padded; the
 /// total byte length is folded last, the same way. Feeding the input
-/// through [`Checksum::update`] in any split gives the same sum, so a
+/// through `Checksum::update` in any split gives the same sum, so a
 /// file can be sealed while it streams out and verified while it
 /// streams in, in `O(1)` memory.
 ///
@@ -134,7 +134,7 @@ impl Checksum {
     const PRIME: u64 = 0x100_0000_01b3;
 
     /// The sum of the empty input, ready for [`Checksum::update`].
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             h: Self::BASIS,
             len: 0,
@@ -149,7 +149,7 @@ impl Checksum {
     }
 
     /// Append `bytes` to the summed input.
-    pub fn update(&mut self, mut bytes: &[u8]) {
+    pub(crate) fn update(&mut self, mut bytes: &[u8]) {
         self.len += bytes.len() as u64;
         if self.npending > 0 {
             let take = (8 - self.npending).min(bytes.len());
@@ -174,7 +174,7 @@ impl Checksum {
     }
 
     /// The sum of everything fed so far (the state stays usable).
-    pub fn finish(&self) -> u64 {
+    pub(crate) fn finish(&self) -> u64 {
         let mut h = self.h;
         if self.npending > 0 {
             let mut last = [0u8; 8];

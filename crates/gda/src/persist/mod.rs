@@ -6,7 +6,7 @@
 //!
 //! * a **per-rank physiological redo log**: every committed
 //!   transaction appends one frame describing its effects per object
-//!   ([`RedoRecord`]) — a delete, or a put whose holder body is a byte
+//!   (`RedoRecord`) — a delete, or a put whose holder body is a byte
 //!   splice over the version the commit overwrote (a whole image where
 //!   there is none: the codec in `persist/redo.rs`) — so recovery =
 //!   *load the chain's base image + replay every frame logged since*.
@@ -23,7 +23,7 @@
 //!   into a versioned per-rank snapshot file; a
 //!   **delta** writes nothing else and *seals* each rank's redo log as
 //!   the chain's next segment;
-//! * **recovery** ([`recover`], [`recover_with_topology`]; the
+//! * **recovery** ([`recover_with_topology`]; the
 //!   `persist/recover.rs` module docs): reads the `CURRENT` pointer,
 //!   the manifest, every rank's base image and redo history, replays
 //!   the history logically into one object map, then — collectively,
@@ -112,7 +112,7 @@
 //!
 //! ## Durability scope
 //!
-//! Each [`RedoRecord`] carries the holder's post-commit **version** (a
+//! Each `RedoRecord` carries the holder's post-commit **version** (a
 //! commit stamp, strictly monotone per object across delete/recreate
 //! incarnations): what recovery orders records of one object by, across
 //! logs — and a patch also its **base**, the version it was spliced
@@ -151,10 +151,10 @@ mod recover;
 mod redo;
 mod snapshot;
 
+pub(crate) use self::redo::RedoRecord;
 pub use self::{
     format::Checksum,
-    recover::{audit_image, recover, recover_with_topology, RankRecovery, RecoveryPlan},
-    redo::RedoRecord,
+    recover::{audit_image, recover_with_topology, RankRecovery, RecoveryPlan},
     snapshot::STRIP_BYTES,
 };
 use format::{
@@ -183,7 +183,8 @@ pub struct PersistOptions {
     /// tests and benches model the device cost through the LogGP clock
     /// instead of paying host fsyncs.
     pub sync: bool,
-    /// Fabric execution backend for the fabric [`recover`] builds:
+    /// Fabric execution backend for the fabric [`recover_with_topology`]
+    /// builds:
     /// `None` (default) follows the process default
     /// (`GDI_FABRIC_BACKEND`, else simulated), `Some(_)` pins one.
     pub backend: Option<rma::BackendKind>,
@@ -205,16 +206,10 @@ impl PersistOptions {
         }
     }
 
-    /// Pin the fabric execution backend used by [`recover`].
+    /// Pin the fabric execution backend used by
+    /// [`recover_with_topology`].
     pub fn backend(mut self, backend: rma::BackendKind) -> Self {
         self.backend = Some(backend);
-        self
-    }
-
-    /// Share a fault-injection plane with the store (and, through
-    /// [`recover`], with the fabric it builds).
-    pub fn faults(mut self, plane: Arc<FaultPlane>) -> Self {
-        self.faults = Some(plane);
         self
     }
 }
@@ -301,12 +296,12 @@ impl PersistStore {
     /// The published checkpoint id (`0` = genesis: no snapshot yet,
     /// recovery re-initializes the storage and replays from the first
     /// log segment).
-    pub fn current(&self) -> u64 {
+    pub(crate) fn current(&self) -> u64 {
         self.current.load(Ordering::Acquire)
     }
 
     /// The published snapshot chain: the full base first, every delta
-    /// after it in order, ending at [`PersistStore::current`]. Empty at
+    /// after it in order, ending at the published checkpoint. Empty at
     /// genesis. Recovery reads the base's image and every delta's
     /// segments.
     pub fn chain(&self) -> Vec<u64> {
@@ -358,12 +353,6 @@ impl PersistStore {
 
     fn ckpt_dir(&self, id: u64) -> PathBuf {
         self.opts.dir.join(format!("ckpt-{id}"))
-    }
-
-    /// Does checkpoint `id`'s snapshot directory exist on disk?
-    /// (Diagnostic/test helper — a failed checkpoint must leave none.)
-    pub fn ckpt_dir_exists(&self, id: u64) -> bool {
-        self.ckpt_dir(id).exists()
     }
 
     fn log_path(&self, rank: usize) -> PathBuf {
@@ -962,7 +951,7 @@ fn write_atomically(path: &Path, bytes: &[u8], sync: bool) -> GdiResult<()> {
 /// Set up persistence for a fresh database: creates the directory,
 /// writes the genesis manifest (checkpoint id 0: catalog as of now, no
 /// window snapshot) and the `CURRENT` pointer. Fails if the directory
-/// already contains a `CURRENT` (use [`recover`] for that).
+/// already contains a `CURRENT` (use [`recover_with_topology`] for that).
 pub(crate) fn create_store(db: &GdaDb, opts: PersistOptions) -> GdiResult<Arc<PersistStore>> {
     fs::create_dir_all(&opts.dir).map_err(|e| io_err("create persistence dir", e))?;
     let store = PersistStore::new(opts, db.nranks(), 0, Vec::new());
@@ -1133,6 +1122,22 @@ pub(crate) mod tests {
     use redo::tests::parse;
     use redo::FRAME_HEADER_BYTES;
     use rma::CostModel;
+
+    /// Rebuild a database at the topology its snapshot was written by.
+    pub(crate) fn recover(
+        opts: PersistOptions,
+        cost: CostModel,
+    ) -> GdiResult<(Arc<GdaDb>, rma::Fabric, Arc<RecoveryPlan>)> {
+        recover_with_topology(opts, cost, None)
+    }
+
+    impl PersistStore {
+        /// Does checkpoint `id`'s snapshot directory exist on disk? (A
+        /// failed checkpoint must leave none.)
+        fn ckpt_dir_exists(&self, id: u64) -> bool {
+            self.ckpt_dir(id).exists()
+        }
+    }
 
     /// A unique, self-cleaning persistence directory for one test.
     pub(crate) struct TestDir(pub PathBuf);

@@ -1,8 +1,8 @@
 //! Crash recovery: one replay, whatever the live rank count.
 //!
 //! [`recover_with_topology`] boots the published snapshot chain —
-//! written by `P` ranks — on `Q` live ranks; [`recover`] is `Q = P`, the
-//! identity [`RankMap`]. Both run the same two halves:
+//! written by `P` ranks — on `Q` live ranks; `None` is `Q = P`, the
+//! identity [`RankMap`]. Either way it runs the same two halves:
 //!
 //! 1. **Logical reconstruction** ([`plan`], single-threaded, before the
 //!    fabric exists): read every `P` shard's base image and redo history
@@ -261,8 +261,8 @@ struct PlannedObject {
     object: LiveObject,
 }
 
-/// The collective restore work [`recover`] hands back: the reconstructed
-/// logical state and its placement. Every rank of the freshly built
+/// The collective restore work [`recover_with_topology`] hands back:
+/// the reconstructed logical state and its placement. Every rank of the freshly built
 /// fabric must call [`RecoveryPlan::restore_rank`] (the server does this
 /// inside its serve loop) exactly once.
 pub struct RecoveryPlan {
@@ -598,14 +598,8 @@ impl RecoveryPlan {
 
     /// `Some(P)` when this plan reshards a `P`-rank snapshot onto a
     /// different live rank count; `None` at the snapshot's own topology.
-    pub fn resharding_from(&self) -> Option<usize> {
+    pub(crate) fn resharding_from(&self) -> Option<usize> {
         (!self.map.is_identity()).then_some(self.map.snapshot_ranks())
-    }
-
-    /// Number of logical objects the restore materializes.
-    /// Diagnostic/bench support.
-    pub fn reshard_objects(&self) -> usize {
-        self.objects.len()
     }
 
     /// Collective: rebuild this rank's share of the logical state on the
@@ -815,8 +809,8 @@ impl RecoveryPlan {
 /// quiet: what a recovery would rebuild from the published chain is what
 /// the database holds. Every rank reads the objects out of every shard's
 /// base image and replays every redo history onto them, exactly as
-/// [`recover`] plans, then compares the objects whose primary it stores
-/// with its live chains (the walk a full image writes): the same
+/// [`recover_with_topology`] plans, then compares the objects whose
+/// primary it stores with its live chains (the walk a full image writes): the same
 /// set, each with the same identity and holder bytes — up to the MVCC
 /// bookkeeping recovery resets (commit epoch, archive link, depth) —
 /// and the same index membership. Archives, free blocks and the usage
@@ -897,15 +891,6 @@ fn audit_rank(eng: &GdaRank, mut live: FxHashMap<u64, (u64, bool, Vec<u8>)>) -> 
     }
 }
 
-/// Rebuild a database from its persistence directory at the topology
-/// the snapshot was written by: [`recover_with_topology`] with `None`.
-pub fn recover(
-    opts: PersistOptions,
-    cost: CostModel,
-) -> GdiResult<(Arc<GdaDb>, Fabric, Arc<RecoveryPlan>)> {
-    recover_with_topology(opts, cost, None)
-}
-
 /// Rebuild a database from its persistence directory onto `target_ranks
 /// = Some(Q)` live ranks (`None`: the `P` ranks that wrote the
 /// snapshot). Reads `CURRENT`, the manifest (catalog, index
@@ -958,6 +943,14 @@ pub fn recover_with_topology(
         .cfg
         .build_fabric_shared(live_ranks, cost, backend, Some(faults_plane));
     Ok((db, fabric, Arc::new(plan)))
+}
+
+#[cfg(test)]
+impl RecoveryPlan {
+    /// Number of logical objects the restore materializes.
+    pub(super) fn reshard_objects(&self) -> usize {
+        self.objects.len()
+    }
 }
 
 /// [`seed_objects`] of the chain base `base`, written by `nranks` ranks:

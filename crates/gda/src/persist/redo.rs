@@ -19,7 +19,7 @@ use crate::holder::{le_u32, le_u64, Splice, EDGE_RECORD_BYTES};
 /// One logical effect of a committed transaction, as appended to the
 /// committing rank's redo log.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RedoRecord {
+pub(crate) enum RedoRecord {
     /// The object at `primary` has (new) post-commit state: the holder
     /// [`crate::holder::apply_splice`] makes of `splice` over the
     /// object's state at version `base` — or, `None`, over nothing.

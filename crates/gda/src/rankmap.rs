@@ -32,21 +32,21 @@ use crate::dht::hash64;
 /// layer that places or routes by vertex id must call this (or
 /// [`crate::dptr::owner_rank`], which delegates here).
 #[inline]
-pub fn vertex_owner(app: AppVertexId, nranks: usize) -> usize {
+pub(crate) fn vertex_owner(app: AppVertexId, nranks: usize) -> usize {
     (app.0 % nranks as u64) as usize
 }
 
 /// Rank whose index window holds a DHT key's chain (placement half of
 /// the paper's `h(k) mod P` scheme).
 #[inline]
-pub fn dht_rank(key: u64, nranks: usize) -> usize {
+pub(crate) fn dht_rank(key: u64, nranks: usize) -> usize {
     (hash64(key) % nranks as u64) as usize
 }
 
 /// Bucket index of a DHT key on its placement rank (`(h(k)/P) mod B` —
 /// dividing by `P` decorrelates the bucket choice from the rank choice).
 #[inline]
-pub fn dht_bucket(key: u64, nranks: usize, nbuckets: usize) -> usize {
+pub(crate) fn dht_bucket(key: u64, nranks: usize, nbuckets: usize) -> usize {
     ((hash64(key) / nranks as u64) % nbuckets as u64) as usize
 }
 
@@ -55,21 +55,15 @@ pub fn dht_bucket(key: u64, nranks: usize, nbuckets: usize) -> usize {
 /// For a same-topology recovery this is the identity; for a resharded
 /// recovery it relates the `P` on-disk shards to the `Q` live ranks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RankMap {
+pub(crate) struct RankMap {
     snapshot_ranks: usize,
     live_ranks: usize,
 }
 
 impl RankMap {
-    /// The identity map of an `n`-rank topology (normal operation and
-    /// same-topology recovery).
-    pub fn identity(n: usize) -> Self {
-        Self::resharded(n, n)
-    }
-
     /// A map restoring `snapshot_ranks` on-disk shards onto
     /// `live_ranks` live ranks.
-    pub fn resharded(snapshot_ranks: usize, live_ranks: usize) -> Self {
+    pub(crate) fn resharded(snapshot_ranks: usize, live_ranks: usize) -> Self {
         assert!(snapshot_ranks >= 1, "need at least one snapshot rank");
         assert!(live_ranks >= 1, "need at least one live rank");
         Self {
@@ -80,31 +74,31 @@ impl RankMap {
 
     /// Number of ranks the snapshot was written by (`P`).
     #[inline]
-    pub fn snapshot_ranks(&self) -> usize {
+    pub(crate) fn snapshot_ranks(&self) -> usize {
         self.snapshot_ranks
     }
 
     /// Number of ranks being booted (`Q`).
     #[inline]
-    pub fn live_ranks(&self) -> usize {
+    pub(crate) fn live_ranks(&self) -> usize {
         self.live_ranks
     }
 
     /// Is this a same-topology map?
     #[inline]
-    pub fn is_identity(&self) -> bool {
+    pub(crate) fn is_identity(&self) -> bool {
         self.snapshot_ranks == self.live_ranks
     }
 
     /// Owner rank of a vertex under the **live** topology.
     #[inline]
-    pub fn vertex_owner(&self, app: AppVertexId) -> usize {
+    pub(crate) fn vertex_owner(&self, app: AppVertexId) -> usize {
         vertex_owner(app, self.live_ranks)
     }
 
     /// DHT placement rank of a key under the **live** topology.
     #[inline]
-    pub fn dht_rank(&self, key: u64) -> usize {
+    pub(crate) fn dht_rank(&self, key: u64) -> usize {
         dht_rank(key, self.live_ranks)
     }
 
@@ -113,14 +107,14 @@ impl RankMap {
     /// Round-robin over the live ranks: every shard has exactly one
     /// reader, and shards spread evenly over readers for `Q < P`.
     #[inline]
-    pub fn shard_reader(&self, snapshot_rank: usize) -> usize {
+    pub(crate) fn shard_reader(&self, snapshot_rank: usize) -> usize {
         debug_assert!(snapshot_rank < self.snapshot_ranks);
         snapshot_rank % self.live_ranks
     }
 
     /// The snapshot shards a live rank reads (inverse of
     /// [`RankMap::shard_reader`]).
-    pub fn shards_for(&self, live_rank: usize) -> Vec<usize> {
+    pub(crate) fn shards_for(&self, live_rank: usize) -> Vec<usize> {
         (0..self.snapshot_ranks)
             .filter(|s| self.shard_reader(*s) == live_rank)
             .collect()
@@ -130,6 +124,13 @@ impl RankMap {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl RankMap {
+        /// The identity map of an `n`-rank topology.
+        fn identity(n: usize) -> Self {
+            Self::resharded(n, n)
+        }
+    }
 
     /// The formulas here are the on-disk/placement contract: `dptr` and
     /// `dht` delegate to them, and this test pins the exact values so a

@@ -13,7 +13,7 @@
 //! Building a [`CsrView`] is collective:
 //!
 //! 1. every rank decodes **its own DHT partition** out of the raw
-//!    index-window bytes ([`crate::dht::decode_partition`] — one local
+//!    index-window bytes (`crate::dht::decode_partition` — one local
 //!    sequential read, no remote chain walks);
 //! 2. one `alltoallv` routes the decoded `(app id, primary)` pairs to
 //!    the rank owning each primary block, so a view's rows follow
@@ -25,7 +25,7 @@
 //!    one reused chain buffer (`crate::hio::read_chain_into`): only
 //!    live blocks are touched and nothing window-sized is allocated;
 //! 4. each serialized holder is validated exactly as
-//!    [`Holder::try_decode`] validates it ([`Holder::scan_edges`]) and
+//!    `Holder::try_decode` validates it (`Holder::scan_edges`) and
 //!    its live edge records are appended straight to the CSR arrays
 //!    under the dense numbering below — no `Holder`, no per-row vectors;
 //! 5. one `alltoallv` of ghost-id lists resolves the halo.
@@ -66,7 +66,7 @@
 //! ## Epoch validation
 //!
 //! The view is stamped with its rank's **topology-epoch word**
-//! ([`crate::config::GdaConfig::topo_word`]): commits bump it once per
+//! (`crate::config::GdaConfig::topo_word`): commits bump it once per
 //! touched rank when (and only when) they change membership or an edge
 //! list, so property-only writes (a GNN layer's feature updates) never
 //! retire a view. One epoch read per OLAP job revalidates a cached
@@ -93,7 +93,7 @@ use crate::holder::{EdgeScan, Holder};
 
 /// One edge as the tx-based builders hand it over: `(target,
 /// lightweight label)`.
-pub type ScanEdge = (DPtr, u32);
+pub(crate) type ScanEdge = (DPtr, u32);
 
 /// Which vertices a scan view covers on this rank. One variant is left;
 /// the enum stays only because the frozen `benchmark/` names it (a
@@ -157,7 +157,7 @@ impl CsrView {
     }
 
     /// Number of ghost slots: distinct remote edge targets.
-    pub fn ghosts(&self) -> usize {
+    pub(crate) fn ghosts(&self) -> usize {
         self.ghost_ids.len()
     }
 

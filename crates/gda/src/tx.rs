@@ -159,23 +159,13 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
     /// per-block network latencies overlap and each touched rank is flushed
     /// once for the whole group. Entry point for service layers that
     /// coalesce many client operations into one engine transaction.
-    pub fn enable_grouped_commit(&self) {
+    pub(crate) fn enable_grouped_commit(&self) {
         self.grouped.set(true);
-    }
-
-    /// Is grouped commit enabled?
-    pub fn is_grouped(&self) -> bool {
-        self.grouped.get()
     }
 
     /// `GDI_GetTypeOfTransaction`.
     pub fn kind(&self) -> TxKind {
         self.kind
-    }
-
-    /// Declared access mode.
-    pub fn mode(&self) -> AccessMode {
-        self.mode
     }
 
     /// Current lifecycle status.
@@ -867,18 +857,6 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
             .ok_or(GdiError::NotFound("edge"))
     }
 
-    /// Internal id of the edge's heavy holder, if it has one (batch-
-    /// friendly: lets a batcher [`Transaction::prepare_write`] every
-    /// object a vertex deletion will touch, heavy edges included).
-    pub fn edge_holder_id(&self, e: EdgeUid) -> GdiResult<Option<DPtr>> {
-        let rec = self.edge_record(e)?;
-        Ok(if rec.edge_holder.is_null() {
-            None
-        } else {
-            Some(rec.edge_holder)
-        })
-    }
-
     /// `GDI_DeleteEdge`: tombstones both endpoint records and deletes any
     /// heavy-edge holder.
     pub fn delete_edge(&self, e: EdgeUid) -> GdiResult<()> {
@@ -945,7 +923,7 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
     /// keep only neighbors whose holders satisfy the DNF `constraint`
     /// (the "let the storage handle the filtering" path of §3.1). The
     /// candidates are fetched as **one pipelined non-blocking batch**
-    /// ([`crate::hio::read_chains`]) — one network latency per chain
+    /// (`crate::hio::read_chains`) — one network latency per chain
     /// level across all of them, instead of one blocking chain walk per
     /// neighbor — into a writer's cache, or as bytes a read-only
     /// transaction tests in place.
@@ -1559,6 +1537,8 @@ fn decode(bytes: &[u8]) -> GdiResult<Holder> {
 
 #[cfg(test)]
 mod tests {
+    mod archive_undo;
+
     use super::*;
     use crate::config::GdaConfig;
     use crate::db::GdaDb;

@@ -1,7 +1,7 @@
 //! An archive is the undo of one overwrite, not a copy of the version.
 //!
 //! A commit that overwrites a version links the new one to a record of
-//! the bytes the overwrite replaced (`gda::holder::Archive`); a pinned
+//! the bytes the overwrite replaced (`crate::holder::Archive`); a pinned
 //! reader rewinds the live version it copied one record at a time. These
 //! directed cases pin what follows from that: an overwrite of a large
 //! holder costs one block, not the holder's chain; readers pinned
@@ -14,11 +14,11 @@
 //! reader pinned below that commit could still rewind through it, and
 //! also when the write-back it was written for failed.
 
-use gda::blocks::BlockManager;
-use gda::config::WIN_DATA;
-use gda::hio::{read_chain, BLOCK_PAYLOAD_OFFSET};
-use gda::holder::{Archive, Holder};
-use gda::{DPtr, GdaConfig, GdaDb, GdaRank, Transaction};
+use crate::blocks::BlockManager;
+use crate::config::WIN_DATA;
+use crate::hio::{read_chain, BLOCK_PAYLOAD_OFFSET};
+use crate::holder::{Archive, Holder};
+use crate::{DPtr, GdaConfig, GdaDb, GdaRank, Transaction};
 use gdi::{
     AccessMode, AppVertexId, Datatype, EdgeOrientation, EntityType, GdiError, LabelId,
     Multiplicity, PTypeId, PropertyValue, SizeType,

@@ -10,9 +10,8 @@
 
 use std::collections::BTreeMap;
 
-use gda::holder::{EdgeRecord, Entry, Holder};
-use gda::{hio, BulkReport, DPtr, EdgeSpec, GdaConfig, GdaDb, GdaRank, VertexSpec};
-use gdi::{AccessMode, AppVertexId, Direction, LabelId};
+use gda::{BulkReport, DPtr, EdgeSpec, GdaConfig, GdaDb, GdaRank, VertexSpec};
+use gdi::{AccessMode, AppVertexId, Direction, EdgeOrientation, LabelId, PTypeId};
 use graphgen::load::{edge_spec, install_metadata, vertex_spec};
 use graphgen::{sized_config, GraphSpec};
 use rma::{BackendKind, CostModel};
@@ -23,7 +22,10 @@ const RANKS: [usize; 3] = [1, 2, 4];
 /// What one vertex's holder must hold.
 #[derive(Debug, Default)]
 struct Expect {
-    entries: Vec<Entry>,
+    /// Labels in entry order, each once.
+    labels: Vec<LabelId>,
+    /// Encoded property values in entry order.
+    props: Vec<(PTypeId, Vec<u8>)>,
     /// `(target app, label, direction)` in record order.
     edges: Vec<(u64, u32, Direction)>,
 }
@@ -36,15 +38,17 @@ struct Reference(BTreeMap<u64, Expect>);
 impl Reference {
     fn vertex(&mut self, v: &VertexSpec) {
         self.0.entry(v.app.0).or_insert_with(|| {
-            let mut h = Holder::new_vertex(v.app.0);
+            let mut labels = Vec::new();
             for l in &v.labels {
-                h.add_label(*l);
-            }
-            for (p, val) in &v.props {
-                h.add_property(*p, val.encode());
+                if !labels.contains(l) {
+                    labels.push(*l);
+                }
             }
             Expect {
-                entries: h.entries,
+                labels,
+                props: (v.props.iter())
+                    .map(|(p, val)| (*p, val.encode()))
+                    .collect(),
                 edges: Vec::new(),
             }
         });
@@ -72,7 +76,10 @@ impl Reference {
     }
 }
 
-/// Compare every holder this rank owns with `reference`.
+/// Compare every holder this rank owns with `reference`, as a
+/// read-only transaction reads it: labels in entry order, each
+/// p-type's values in entry order, and every edge record's target,
+/// label and direction in record order.
 fn check_holders(eng: &GdaRank, reference: &Reference) {
     let tx = eng.begin(AccessMode::ReadOnly);
     let ptr: BTreeMap<u64, DPtr> = reference
@@ -80,27 +87,46 @@ fn check_holders(eng: &GdaRank, reference: &Reference) {
         .keys()
         .map(|&app| (app, tx.translate_vertex_id(AppVertexId(app)).unwrap()))
         .collect();
-    tx.commit().unwrap();
     let me = eng.rank();
     for (&app, want) in &reference.0 {
         let dp = ptr[&app];
         if dp.rank() != me {
             continue;
         }
-        let (bytes, _) = hio::read_chain(eng.ctx(), eng.cfg(), dp).unwrap();
-        let h = Holder::decode(&bytes);
-        assert_eq!(h.app_id, app);
+        assert_eq!(tx.vertex_app_id(dp).unwrap(), AppVertexId(app));
+        // (entries of one p-type keep their order under a stable sort)
+        let mut want_props = want.props.clone();
+        want_props.sort_by_key(|(p, _)| *p);
+        let mut ptypes: Vec<PTypeId> = want_props.iter().map(|(p, _)| *p).collect();
+        ptypes.dedup();
+        let props = tx.with_entries(dp, |scan| {
+            let raw = |p| scan.properties_raw(p).map(move |v| (p, v.to_vec()));
+            ptypes.iter().flat_map(|&p| raw(p)).collect::<Vec<_>>()
+        });
         assert_eq!(
-            h.entries, want.entries,
+            (
+                tx.labels(dp).unwrap(),
+                tx.ptypes(dp).unwrap(),
+                props.unwrap()
+            ),
+            (want.labels.clone(), ptypes, want_props),
             "vertex {app}: labels and properties"
         );
-        let edges: Vec<EdgeRecord> = want
-            .edges
-            .iter()
-            .map(|&(to, label, dir)| EdgeRecord::lightweight(ptr[&to], label, dir))
+        let edges: Vec<(DPtr, u32, Direction)> = (tx.edges(dp, EdgeOrientation::Any).unwrap())
+            .into_iter()
+            .map(|e| {
+                let dir = tx.edge_direction(e).unwrap();
+                let (from, to) = tx.edge_endpoints(e).unwrap();
+                let label = tx.edge_labels(e).unwrap().first().map_or(0, |l| l.0);
+                (if dir == Direction::In { from } else { to }, label, dir)
+            })
             .collect();
-        assert_eq!(h.edges, edges, "vertex {app}: edge records");
+        let want_edges: Vec<(DPtr, u32, Direction)> = (want.edges.iter())
+            .map(|&(to, label, dir)| (ptr[&to], label, dir))
+            .collect();
+        assert_eq!(edges, want_edges, "vertex {app}: edge records");
     }
+    tx.commit().unwrap();
 }
 
 /// The report summed over all ranks.

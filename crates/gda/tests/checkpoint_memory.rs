@@ -27,12 +27,12 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use gda::persist::{recover, Checksum, PersistStore};
+use gda::persist::{recover_with_topology, Checksum, PersistStore};
 use gda::{GdaConfig, GdaDb, GdaRank, PersistOptions};
 use gdi::{
     AccessMode, AppVertexId, Datatype, EntityType, GdiError, Multiplicity, PropertyValue, SizeType,
 };
-use rma::CostModel;
+use rma::{CostModel, WinId};
 
 /// Live and peak heap bytes of the whole process.
 struct Counting;
@@ -148,11 +148,8 @@ fn checkpoint_verify_and_restore_stream_through_bounded_memory() {
         dht_heap_per_rank: 32 * 1024,
         ..GdaConfig::tiny()
     };
-    let window_bytes =
-        cfg.data_bytes() + cfg.usage_bytes() + cfg.system_bytes() + cfg.index_bytes();
-    assert!(window_bytes >= 64 * MIB);
     let td = TestDir::new("stream");
-    {
+    let window_bytes = {
         let (db, fabric) = GdaDb::with_fabric("mem", cfg, 1, CostModel::zero());
         let store = db.enable_persistence(PersistOptions::new(&td.0)).unwrap();
         fabric.run(|ctx| {
@@ -207,13 +204,17 @@ fn checkpoint_verify_and_restore_stream_through_bounded_memory() {
 
             // a redo tail for the recovery below
             create_vertices(&eng, 23_000..23_500);
-        });
-    }
+            // the engine's four windows (`gda::config`)
+            (0..4).map(|w| ctx.win_len_bytes(WinId(w))).sum::<usize>()
+        })[0]
+    };
+    assert!(window_bytes >= 64 * MIB);
     // the whole recovery: read the base's records and the redo history,
     // replay onto the objects, build the fabric, materialize, take the
     // closing full checkpoint
     let (rec, peak) = peak_over(|| {
-        let (db, fabric, plan) = recover(PersistOptions::new(&td.0), CostModel::zero()).unwrap();
+        let (db, fabric, plan) =
+            recover_with_topology(PersistOptions::new(&td.0), CostModel::zero(), None).unwrap();
         assert_eq!(plan.snapshot_id(), 2);
         let mut recs = fabric.run(|ctx| {
             let eng = db.attach(ctx);
@@ -252,7 +253,8 @@ fn plant(path: &Path, at: usize, value: &[u8]) -> Vec<u8> {
 
 /// Recover from `dir` and restore its single rank.
 fn recover_and_restore(dir: &Path) -> Result<gda::RankRecovery, GdiError> {
-    let (db, fabric, plan) = recover(PersistOptions::new(dir), CostModel::zero())?;
+    let (db, fabric, plan) =
+        recover_with_topology(PersistOptions::new(dir), CostModel::zero(), None)?;
     let db: Arc<GdaDb> = db;
     fabric
         .run(|ctx| plan.restore_rank(&db.attach(ctx)))

@@ -11,9 +11,7 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use gda::blocks::BlockManager;
 use gda::faults::{self, FaultMode, PERSISTENT};
-use gda::hio;
 use gda::persist::{audit_image, PersistStore};
 use gda::{DPtr, GdaConfig, GdaDb, GdaRank, PersistOptions, VertexSpec};
 use gdi::{
@@ -173,7 +171,8 @@ fn run_and_crash(
 /// against the model.
 fn recover_and_check(dir: &TestDir, model: &BTreeMap<u64, u64>, deleted: &[u64]) {
     let (db, fabric, plan) =
-        gda::persist::recover(PersistOptions::new(&dir.0), CostModel::zero()).unwrap();
+        gda::persist::recover_with_topology(PersistOptions::new(&dir.0), CostModel::zero(), None)
+            .unwrap();
     let model = model.clone();
     let deleted = deleted.to_vec();
     fabric.run(move |ctx| {
@@ -289,7 +288,8 @@ fn vacuumed_archives_do_not_resurrect_through_recovery() {
         // crash
     }
     let (db, fabric, plan) =
-        gda::persist::recover(PersistOptions::new(&dir.0), CostModel::zero()).unwrap();
+        gda::persist::recover_with_topology(PersistOptions::new(&dir.0), CostModel::zero(), None)
+            .unwrap();
     fabric.run(|ctx| {
         let eng = db.attach(ctx);
         let rec = plan.restore_rank(&eng).unwrap();
@@ -318,8 +318,7 @@ fn vacuumed_archives_do_not_resurrect_through_recovery() {
         }
         tx.commit().unwrap();
         eng.maintenance().unwrap();
-        let bm = BlockManager::new(ctx, churn_cfg());
-        assert_eq!(bm.count_free(0), churn_cfg().blocks_per_rank);
+        assert_eq!(eng.audit_pool().unwrap().free, churn_cfg().blocks_per_rank);
     });
 }
 
@@ -331,6 +330,9 @@ mod file {
     pub const HEADER: usize = 8 + 4 + 8 + 4 + 4;
     /// A record's frame in front of its holder: primary and length.
     pub const RECORD_HEAD: usize = 8 + 4;
+    /// A record's holder here: a vertex with one `u64` property — the
+    /// holder header, then one entry (its frame, then the value).
+    pub const HOLDER: usize = 48 + 8 + 8;
     /// A posting section without an index, the record count and the
     /// trailing checksum.
     pub const TAIL_WITHOUT_INDEXES: usize = 4 + 8 + 8;
@@ -398,7 +400,6 @@ fn archives_never_reach_a_checkpoint() {
             assert!(archives.version_archives >= ROUNDS + 2, "{archives:?}");
             assert!(archives.chain_truncations >= 1, "{archives:?}");
 
-            let holder_len = |dp: DPtr| hio::read_chain(ctx, &cfg, dp).unwrap().0.len();
             let delta = eng.checkpoint().unwrap();
             let mut files: Vec<String> = std::fs::read_dir(dir.0.join(format!("ckpt-{delta}")))
                 .unwrap()
@@ -426,7 +427,7 @@ fn archives_never_reach_a_checkpoint() {
             let f = std::fs::read(dir.0.join(format!("ckpt-{full}/rank-0.snap"))).unwrap();
             // a record per live chain and nothing else: no archive, no
             // free block, no window layout
-            let records: usize = ids.iter().map(|&v| file::RECORD_HEAD + holder_len(v)).sum();
+            let records = ids.len() * (file::RECORD_HEAD + file::HOLDER);
             let want = file::HEADER + records + file::TAIL_WITHOUT_INDEXES;
             assert_eq!(f.len(), want, "a full image is its live chains' records");
             assert_eq!(

@@ -3,7 +3,6 @@
 //! database exactly as it found it (atomicity) and release every resource
 //! (no leaked blocks, locks, or DHT entries).
 
-use gda::blocks::BlockManager;
 use gda::{GdaConfig, GdaDb};
 use gdi::{
     AccessMode, AppVertexId, CmpOp, Constraint, Datatype, EdgeOrientation, EntityType, GdiError,
@@ -45,8 +44,7 @@ fn out_of_blocks_fails_cleanly_and_recovers() {
         tx.abort(); // give everything back
 
         // full capacity must be available again
-        let bm = BlockManager::new(ctx, cfg);
-        assert_eq!(bm.count_free(0), cfg.blocks_per_rank);
+        assert_eq!(eng.audit_pool().unwrap().free, cfg.blocks_per_rank);
 
         // and a committed transaction of the same size succeeds now
         let tx = eng.begin(AccessMode::ReadWrite);
@@ -218,7 +216,7 @@ fn lock_conflict_storm_never_corrupts_edges() {
 /// even those made *after* the failed attempt.
 #[test]
 fn failed_checkpoint_under_oom_keeps_serving_and_recovers() {
-    use gda::persist::{recover, PersistOptions};
+    use gda::persist::{recover_with_topology, PersistOptions};
 
     let dir = std::env::temp_dir().join(format!("gda-fi-ckpt-oom-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -258,8 +256,8 @@ fn failed_checkpoint_under_oom_keeps_serving_and_recovers() {
             assert!(eng.checkpoint().is_err(), "injected failure surfaces");
             // the failed attempt left no partial state: CURRENT still
             // points at the good snapshot, no half-written directory
-            assert_eq!(store.current(), 1);
-            assert!(!store.ckpt_dir_exists(2));
+            assert_eq!(store.chain().last(), Some(&1));
+            assert!(!store.dir().join("ckpt-2").exists());
             ctx.barrier();
             // the database keeps serving, including transactions that
             // themselves hit resource exhaustion and roll back cleanly
@@ -283,7 +281,8 @@ fn failed_checkpoint_under_oom_keeps_serving_and_recovers() {
     }
     // recovery is anchored at the previous (good) snapshot; the commits
     // made after the failed checkpoint replay from the redo tail
-    let (db, fabric, plan) = recover(PersistOptions::new(&dir), CostModel::zero()).unwrap();
+    let (db, fabric, plan) =
+        recover_with_topology(PersistOptions::new(&dir), CostModel::zero(), None).unwrap();
     assert_eq!(plan.snapshot_id(), 1);
     fabric.run(|ctx| {
         let eng = db.attach(ctx);

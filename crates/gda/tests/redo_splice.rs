@@ -96,7 +96,8 @@ fn set(eng: &GdaRank, val: PTypeId, value: u64) {
 /// the `val` it reads on `X`.
 fn recover(dir: &TestDir) -> (RankRecovery, Option<PropertyValue>) {
     let (db, fabric, plan) =
-        gda::persist::recover(PersistOptions::new(&dir.0), CostModel::zero()).unwrap();
+        gda::persist::recover_with_topology(PersistOptions::new(&dir.0), CostModel::zero(), None)
+            .unwrap();
     let mut out = fabric.run(|ctx| {
         let eng = db.attach(ctx);
         let rec = plan.restore_rank(&eng).unwrap();

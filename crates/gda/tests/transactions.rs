@@ -910,7 +910,7 @@ fn operations_on_closed_transaction_fail() {
 
 #[test]
 fn many_parallel_databases() {
-    let reg = gda::DbRegistry::new();
+    let reg = gda::DbRegistry::default();
     let cfg = GdaConfig::tiny();
     let db1 = reg.create("one", cfg, 2).unwrap();
     let db2 = reg.create("two", cfg, 2).unwrap();

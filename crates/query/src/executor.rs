@@ -76,8 +76,7 @@ use std::cell::RefCell;
 
 use rustc_hash::{FxHashMap, FxHashSet};
 
-use gda::holder::EntryScan;
-use gda::{CsrView, DPtr, GdaRank, Transaction};
+use gda::{CsrView, DPtr, EntryScan, GdaRank, Transaction};
 use gdi::{AccessMode, EdgeOrientation, GdiError, GdiResult, PTypeId, PropertyValue};
 use rma::Counter;
 
@@ -624,8 +623,9 @@ pub fn run(eng: &GdaRank, q: &Query) -> (Plan, QueryOutput) {
 mod tests {
     use super::*;
     use crate::ast::PropFilter;
-    use gda::holder::Holder;
-    use gdi::{CmpOp, Datatype, LabelId};
+    use gda::{GdaConfig, GdaDb};
+    use gdi::{AppVertexId, CmpOp, Datatype, EntityType, LabelId, Multiplicity, SizeType};
+    use rma::CostModel;
 
     /// Every p-type is declared `Uint64`: 8 bytes decode to a number,
     /// a width that is no multiple of 8 not at all.
@@ -650,17 +650,46 @@ mod tests {
 
     /// Labels 10 and 11; p-type 3 = 5 then 50 (multi-valued), p-type 4 of
     /// an undecodable width, p-type 5 absent — read from the serialized
-    /// bytes (that they and the decoded holder give the same entries is
-    /// `gda::holder`'s differential test).
+    /// bytes, as a read-only transaction reads them (that they and the
+    /// decoded holder give the same entries is `gda`'s holder
+    /// differential test). A fresh database allocates label ids from 1
+    /// and p-type ids from 3, so the ids are the ones named here.
     fn holds(p: &NodePattern) -> bool {
-        let mut h = Holder::new_vertex(1);
-        h.add_label(LabelId(10));
-        h.add_label(LabelId(11));
-        h.add_property(PTypeId(3), 5u64.to_le_bytes().to_vec());
-        h.add_property(PTypeId(3), 50u64.to_le_bytes().to_vec());
-        h.add_property(PTypeId(4), vec![7; 5]);
-        let bytes = h.encode();
-        pattern_holds(&Holder::scan_entries(&bytes).unwrap(), p, decode_u64)
+        let (db, fabric) = GdaDb::with_fabric("holds", GdaConfig::tiny(), 1, CostModel::zero());
+        let held = fabric.run(|ctx| {
+            let eng = db.attach(ctx);
+            eng.init_collective();
+            for l in 1..=12 {
+                assert_eq!(eng.create_label(&format!("l{l}")), Ok(LabelId(l)));
+            }
+            let (v, m) = (EntityType::Vertex, Multiplicity::Multi);
+            for (id, dt, size) in [
+                (3, Datatype::Uint64, SizeType::Fixed),
+                (4, Datatype::Byte, SizeType::NoLimit),
+                (5, Datatype::Uint64, SizeType::Fixed),
+            ] {
+                let created = eng.create_ptype(&format!("p{id}"), dt, v, m, size, 1);
+                assert_eq!(created, Ok(PTypeId(id)));
+            }
+            eng.refresh_meta();
+            let tx = eng.begin(AccessMode::ReadWrite);
+            let h = tx.create_vertex(AppVertexId(1)).unwrap();
+            tx.add_label(h, LabelId(10)).unwrap();
+            tx.add_label(h, LabelId(11)).unwrap();
+            for (pt, value) in [
+                (3, PropertyValue::U64(5)),
+                (3, PropertyValue::U64(50)),
+                (4, PropertyValue::Bytes(vec![7; 5])),
+            ] {
+                tx.add_property(h, PTypeId(pt), &value).unwrap();
+            }
+            tx.commit().unwrap();
+            let tx = eng.begin(AccessMode::ReadOnly);
+            let held = tx.with_entries(h, |e| pattern_holds(e, p, decode_u64));
+            tx.commit().unwrap();
+            held.unwrap()
+        });
+        held[0]
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! variable (with no labels) turns the last expansion into a
 //! cycle-closing step, e.g. `(a)-[:knows]->(b)-[:knows]->(a)`.
 
-use gda::meta::MetaSnapshot;
+use gda::MetaSnapshot;
 use gdi::{AppVertexId, CmpOp, EdgeOrientation, LabelId, PropertyValue};
 
 use crate::ast::{AggTarget, Aggregate, Expand, NodePattern, Projection, PropFilter, Query};
@@ -367,25 +367,33 @@ pub fn parse(text: &str, meta: &MetaSnapshot) -> Result<Query, ParseError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gda::meta::MetaStore;
+    use gda::{GdaConfig, GdaDb};
+    use rma::CostModel;
 
     fn meta() -> MetaSnapshot {
-        let m = MetaStore::new();
-        for l in ["person", "post", "knows", "likes"] {
-            m.create_label(l).unwrap();
-        }
-        for p in ["age", "score"] {
-            m.create_ptype(
-                p,
-                gdi::Datatype::Uint64,
-                gdi::EntityType::VertexEdge,
-                gdi::Multiplicity::Single,
-                gdi::SizeType::Fixed,
-                1,
-            )
-            .unwrap();
-        }
-        m.snapshot()
+        let (db, fabric) = GdaDb::with_fabric("parse", GdaConfig::tiny(), 1, CostModel::zero());
+        let metas = fabric.run(|ctx| {
+            let eng = db.attach(ctx);
+            eng.init_collective();
+            for l in ["person", "post", "knows", "likes"] {
+                eng.create_label(l).unwrap();
+            }
+            for p in ["age", "score"] {
+                eng.create_ptype(
+                    p,
+                    gdi::Datatype::Uint64,
+                    gdi::EntityType::VertexEdge,
+                    gdi::Multiplicity::Single,
+                    gdi::SizeType::Fixed,
+                    1,
+                )
+                .unwrap();
+            }
+            eng.refresh_meta();
+            let snapshot = eng.meta().clone();
+            snapshot
+        });
+        metas.into_iter().next().unwrap()
     }
 
     #[test]

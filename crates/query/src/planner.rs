@@ -38,7 +38,7 @@
 //! (every rank sees identical statistics), and everything downstream is
 //! a pure function of `(Catalog, Query)`.
 
-use gda::{GdaRank, IndexDef};
+use gda::{GdaConfig, GdaRank, IndexDef};
 use gdi::{CmpOp, EdgeOrientation};
 use rma::CostModel;
 
@@ -81,8 +81,8 @@ pub struct Catalog {
     /// Every rank holds a cached scan view (a Csr stage revalidates
     /// instead of sweeping).
     pub view_cached: bool,
-    /// BGDL block size in bytes: a holder is read in whole blocks.
-    pub block_bytes: usize,
+    /// The engine's block layout: a holder is read in whole blocks.
+    pub layout: GdaConfig,
     /// The fabric's LogGP constants.
     pub cost: CostModel,
     /// Metadata epoch the catalog was taken at.
@@ -161,7 +161,7 @@ impl Catalog {
             deg_out,
             deg_any,
             view_cached,
-            block_bytes: eng.cfg().block_size,
+            layout: *eng.cfg(),
             cost: *ctx.cost_model(),
             meta_epoch: eng.meta_epoch(),
         }
@@ -218,12 +218,8 @@ impl Catalog {
     /// the entries — plus half a block, because sizes are skewed and a
     /// partly filled last block is read whole.
     fn holder_read_ns(&self) -> f64 {
-        let payload = (self.block_bytes - gda::hio::BLOCK_PAYLOAD_OFFSET) as f64;
-        let bytes = gda::holder::HEADER_BYTES as f64
-            + gda::holder::EDGE_RECORD_BYTES as f64 * self.deg_any
-            + HOLDER_ENTRY_BYTES;
-        let blocks = (bytes / payload + 0.5).max(1.0);
-        blocks * self.cost.transfer(0, 0, self.block_bytes)
+        let blocks = self.layout.holder_blocks(self.deg_any, HOLDER_ENTRY_BYTES);
+        (blocks + 0.5).max(1.0) * self.cost.transfer(0, 0, self.layout.block_size)
     }
 
     /// Cost of making the scan view available: when cached everywhere,
@@ -630,7 +626,7 @@ mod tests {
             deg_out: 8.0,
             deg_any: 16.0,
             view_cached: true,
-            block_bytes: 512,
+            layout: GdaConfig::default(),
             cost: CostModel::default(),
             meta_epoch: 1,
         }

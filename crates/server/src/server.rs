@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use gda::dptr::owner_rank;
+use gda::owner_rank;
 use gda::persist::{CheckpointReport, PersistOptions, RankRecovery, RecoveryPlan};
 use gda::{GdaDb, GdaRank};
 use gdi::{GdiError, GdiResult};
@@ -405,11 +405,6 @@ impl GdiServer {
         }
     }
 
-    /// Number of ranks currently inside their serve loop.
-    pub fn serving_ranks(&self) -> usize {
-        self.0.serving.load(Ordering::SeqCst)
-    }
-
     /// The owning rank of an op (round-robin vertex partitioning).
     pub fn route(&self, op: &Op) -> usize {
         owner_rank(op.routing_vertex(), self.0.db.nranks())
@@ -470,11 +465,6 @@ impl GdiServer {
         if before == Ok(1) {
             self.0.pause_wake.notify();
         }
-    }
-
-    /// Is admission currently paused?
-    pub fn admission_paused(&self) -> bool {
-        self.0.paused.load(Ordering::SeqCst) > 0
     }
 
     /// Is the server in degraded read-only mode (failed checkpoint or

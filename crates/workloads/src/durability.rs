@@ -15,6 +15,11 @@
 //! indeterminate (commit-uncertain) outcome takes the vertices it could
 //! have changed out of verification.
 //!
+//! After every checkpoint (failed ones included), maintenance pass and
+//! recovery the harness runs the engine's block-pool audit
+//! ([`gda::GdaRank::audit_pool`]): a leaked or doubly counted block is a
+//! mismatch too.
+//!
 //! The scripts:
 //! * [`Script::KillRestart`] — a collective checkpoint mid-traffic,
 //!   more commits (they live only in the redo tails), kill, recover.
@@ -51,8 +56,8 @@ use rand::{Rng, SeedableRng};
 
 use gda::faults::{self, FaultMode, PERSISTENT};
 use gda::persist::{CheckpointReport, PersistOptions};
-use gda::{GdaConfig, GdaDb};
-use gdi::{AppVertexId, GdiError, PTypeId, PropertyValue};
+use gda::{GdaConfig, GdaDb, GdaRank};
+use gdi::{AppVertexId, GdiError, GdiResult, PTypeId, PropertyValue};
 use graphgen::{load_into, sized_config, GraphSpec, LpgMeta};
 use rma::{BackendKind, CostModel, Fabric};
 use server::{
@@ -664,6 +669,7 @@ pub fn run(cfg: &Scenario) -> Report {
         // the restore ends at "serving + verified": the post-restart
         // phase must not inflate it
         report.restart_wall_s = restart_t0.elapsed().as_secs_f64();
+        report.mismatches.extend(audit_pool(&srv, "recovery"));
         if let Script::KillRestart { post_ops, .. } = script {
             if post_ops > 0 {
                 let meta = needs(&meta);
@@ -697,6 +703,7 @@ fn kill_restart(
     drive(srv, clients, ops, |s, c, _| kill_restart_step(s, c, meta));
     let ck = srv.checkpoint().expect("mid-traffic checkpoint");
     report.checkpoint = CheckpointSample::of(&ck, 0);
+    report.mismatches.extend(audit_pool(srv, "the checkpoint"));
     drive(srv, clients, ops, |s, c, _| kill_restart_step(s, c, meta));
 }
 
@@ -798,6 +805,9 @@ fn churn(
     let ck = srv.checkpoint().expect("initial full checkpoint");
     assert!(ck.full, "first checkpoint must be a full snapshot");
     report.checkpoint = CheckpointSample::of(&ck, 0);
+    report
+        .mismatches
+        .extend(audit_pool(srv, "the full checkpoint"));
     for _round in 0..rounds {
         drive(srv, clients, ops, |s, c, _| churn_step(s, c, p0));
         let before = logged;
@@ -806,7 +816,13 @@ fn churn(
         report
             .deltas
             .push(CheckpointSample::of(&ck, logged - before));
+        report
+            .mismatches
+            .extend(audit_pool(srv, "a round checkpoint"));
         let m = srv.maintenance().expect("round maintenance");
+        report
+            .mismatches
+            .extend(audit_pool(srv, "a maintenance pass"));
         report.maint.push(MaintSample {
             vacuumed_versions: m.vacuumed_versions,
             verify_errors: m.verify_errors,
@@ -869,23 +885,40 @@ fn chaos_step(session: &Session, c: &mut Client, i: usize) {
     }
 }
 
-/// The recovered ≡ live oracle after a published checkpoint
-/// ([`gda::persist::audit_image`], run as a collective job): `None`
-/// when what a recovery would rebuild from the published chain is the
-/// live state, object for object, else what differs.
-fn audit_image(srv: &GdiServer) -> Option<String> {
+/// Run `check` as a collective job on every serving rank: `None` when
+/// it passed, else the error a failing rank returned.
+fn audit(
+    srv: &GdiServer,
+    check: impl for<'r, 'd, 'c, 'f> Fn(&'r GdaRank<'d, 'c, 'f>) -> GdiResult<()> + Send + Sync + 'static,
+) -> Option<String> {
     let slot: Arc<Mutex<Option<String>>> = Arc::default();
     let sink = slot.clone();
     let ticket = srv.submit_olap(move |eng| {
-        if let Err(e) = gda::persist::audit_image(eng) {
+        if let Err(e) = check(eng) {
             *sink.lock().unwrap_or_else(|p| p.into_inner()) = Some(e.to_string());
         }
         0.0
     });
     match ticket {
         Ok(t) if t.wait().is_committed() => slot.lock().unwrap_or_else(|p| p.into_inner()).take(),
-        _ => Some("image audit job did not run".into()),
+        _ => Some("audit job did not run".into()),
     }
+}
+
+/// The recovered ≡ live oracle after a published checkpoint
+/// ([`gda::persist::audit_image`]): `None` when what a recovery would
+/// rebuild from the published chain is the live state, object for
+/// object, else what differs.
+fn audit_image(srv: &GdiServer) -> Option<String> {
+    audit(srv, |eng| gda::persist::audit_image(eng).map(drop))
+}
+
+/// The block-conservation audit ([`GdaRank::audit_pool`]) after `step`:
+/// `None` when every rank's pool is its free, live and retired blocks,
+/// each counted once, else a mismatch line.
+fn audit_pool(srv: &GdiServer, step: &str) -> Option<String> {
+    let fault = audit(srv, |eng| eng.audit_pool().map(drop));
+    fault.map(|e| format!("after {step}: {e}"))
 }
 
 /// Healthy traffic and an anchoring checkpoint, then the fault:
@@ -900,7 +933,12 @@ fn chaos(
     drive(srv, clients, ops, chaos_step);
     let ck = srv.checkpoint().expect("healthy anchoring checkpoint");
     report.checkpoint = CheckpointSample::of(&ck, 0);
-    let audit = |when: &str| audit_image(srv).map(|e| format!("{when} checkpoint: {e}"));
+    let audit = |when: &str| {
+        let image = audit_image(srv).map(|e| format!("{when} checkpoint: {e}"));
+        image
+            .into_iter()
+            .chain(audit_pool(srv, &format!("the {when} checkpoint")))
+    };
     report.mismatches.extend(audit("anchoring"));
 
     // arm the persistent fault and force degradation
@@ -925,6 +963,9 @@ fn chaos(
         // the collective checkpoint votes abort on the injected error
         // and the server degrades on the spot
         let _ = srv.checkpoint();
+        report
+            .mismatches
+            .extend(audit_pool(srv, "the failed checkpoint"));
     }
     let mut d = Degradation {
         entered: srv.degraded(),

@@ -44,7 +44,7 @@ pub type ReadState = BTreeMap<u64, Option<(Option<u64>, usize)>>;
 pub fn apply_ops(eng: &gda::GdaRank, ops: &[WlOp], ptype: gdi::PTypeId) {
     let me = eng.rank();
     for op in ops {
-        if gda::dptr::owner_rank(AppVertexId(op.routing()), eng.nranks()) == me {
+        if gda::owner_rank(AppVertexId(op.routing()), eng.nranks()) == me {
             let tx = eng.begin(AccessMode::ReadWrite);
             let r = (|| -> Result<(), gdi::GdiError> {
                 match *op {
@@ -138,46 +138,14 @@ pub fn reference_state(nranks: usize, cfg: GdaConfig, ops: &[WlOp], ids: u64) ->
     states.into_iter().next().unwrap()
 }
 
-/// Collective: this rank's free blocks, plus every block of a live
-/// local holder's chain (and of its heavy-edge holders'), plus the
-/// blocks of this rank's pool on a retire list (the archive records
-/// the snapshot floor has not passed yet). The block-conservation
-/// invariant: this equals `blocks_per_rank` unless a block leaked or
-/// sits on the free list while still in use. Panics on a live chain
-/// that does not read or decode, and on a block counted twice: in two
-/// live chains, on two retire lists, or retired and live. Assumes no
-/// concurrent writers.
+/// Collective: this rank's free, live and retired blocks, summed by
+/// the engine's pool audit ([`gda::GdaRank::audit_pool`]). The
+/// block-conservation invariant: this equals `blocks_per_rank` unless a
+/// block leaked or sits on the free list while still in use. Panics
+/// with the audit's error on a block counted twice, an unreadable live
+/// chain or a sum other than the capacity. Assumes no concurrent
+/// writers.
 pub fn free_plus_live_blocks(eng: &gda::GdaRank) -> usize {
-    use gda::hio::read_chain;
-    use gda::holder::Holder;
-    use gda::DPtr;
-    use std::collections::BTreeSet;
-    let (ctx, cfg) = (eng.ctx(), eng.cfg());
-    let view = eng.olap_view();
-    let mut live = BTreeSet::new();
-    let mut edge_holders = BTreeSet::new();
-    let mut walk = |id: DPtr, edge_holders: &mut BTreeSet<u64>| {
-        let (bytes, blocks) = read_chain(ctx, cfg, id).expect("live holder chain");
-        let h = Holder::try_decode(&bytes).expect("live holder decodes");
-        for b in blocks {
-            assert!(live.insert(b.raw()), "{b:?} is in two live chains");
-        }
-        for (_, e) in h.live_edges() {
-            if !e.edge_holder.is_null() && e.edge_holder.rank() == eng.rank() {
-                edge_holders.insert(e.edge_holder.raw());
-            }
-        }
-    };
-    for &v in &view.vids {
-        walk(v, &mut edge_holders);
-    }
-    for raw in std::mem::take(&mut edge_holders) {
-        walk(DPtr::from_raw(raw), &mut edge_holders);
-    }
-    let mut retired = BTreeSet::new();
-    for b in eng.retired_blocks() {
-        assert!(retired.insert(b.raw()), "{b:?} is on two retire lists");
-        assert!(!live.contains(&b.raw()), "{b:?} is retired and live");
-    }
-    gda::blocks::BlockManager::new(ctx, *cfg).count_free(eng.rank()) + live.len() + retired.len()
+    let audit = eng.audit_pool().unwrap_or_else(|e| panic!("{e}"));
+    audit.free + audit.live + audit.retired
 }

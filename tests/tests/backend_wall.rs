@@ -84,7 +84,7 @@ fn install_ptype(eng: &gda::GdaRank) -> gdi::PTypeId {
 fn apply_ops(eng: &gda::GdaRank, ops: &[WlOp], ptype: gdi::PTypeId) {
     let me = eng.rank();
     for op in ops {
-        if gda::dptr::owner_rank(AppVertexId(op.routing()), eng.nranks()) == me {
+        if gda::owner_rank(AppVertexId(op.routing()), eng.nranks()) == me {
             let tx = eng.begin(AccessMode::ReadWrite);
             let r = (|| -> Result<(), gdi::GdiError> {
                 match *op {

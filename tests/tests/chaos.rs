@@ -24,7 +24,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use gda::faults::{self, FaultMode};
-use gda::persist::{recover, PersistOptions, STRIP_BYTES};
+use gda::persist::{recover_with_topology, PersistOptions, STRIP_BYTES};
 use gda::{GdaConfig, GdaDb};
 use gdi::{AccessMode, AppVertexId, Datatype, EntityType, Multiplicity, PropertyValue, SizeType};
 use gdi_tests::harness::{apply_ops, install_ptype, read_state, reference_state, ReadState, WlOp};
@@ -156,7 +156,8 @@ fn tortured_state(
         per_rank[0]
         // drop: the crash (everything in memory is lost)
     };
-    let (db, fabric, plan) = recover(PersistOptions::new(dir), CostModel::zero()).unwrap();
+    let (db, fabric, plan) =
+        recover_with_topology(PersistOptions::new(dir), CostModel::zero(), None).unwrap();
     let db: Arc<GdaDb> = db;
     let states = fabric.run(|ctx| {
         let eng = db.attach(ctx);
@@ -368,7 +369,8 @@ fn torn_redo_tail_is_truncated_at_last_valid_frame() {
         });
         assert_eq!(store.log_errors(), 1, "torn append surfaced");
     }
-    let (db, fabric, plan) = recover(PersistOptions::new(td.path()), CostModel::zero()).unwrap();
+    let (db, fabric, plan) =
+        recover_with_topology(PersistOptions::new(td.path()), CostModel::zero(), None).unwrap();
     let db: Arc<GdaDb> = db;
     fabric.run(|ctx| {
         let eng = db.attach(ctx);

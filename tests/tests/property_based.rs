@@ -1,17 +1,16 @@
 //! Property-based tests (proptest) on the core data structures and
-//! invariants: holder serialization, distributed pointers, property-value
-//! codecs, constraints, histograms and the DHT under arbitrary operation
-//! sequences.
+//! invariants: distributed pointers, property-value codecs, constraints,
+//! histograms and the DHT under arbitrary operation sequences. (The
+//! holder codec's properties are unit tests of `gda`'s holder module.)
 
 use proptest::prelude::*;
 
-use gda::dptr::{DPtr, TaggedIdx};
-use gda::holder::{EdgeRecord, Entry, Holder};
-use gdi::{CmpOp, Constraint, Datatype, Direction, LabelId, PTypeId, PropertyValue, Subconstraint};
+use gda::DPtr;
+use gdi::{CmpOp, Constraint, Datatype, LabelId, PTypeId, PropertyValue, Subconstraint};
 use server::LatencyHist;
 
 // ---------------------------------------------------------------------
-// DPtr / TaggedIdx
+// DPtr
 // ---------------------------------------------------------------------
 
 proptest! {
@@ -21,114 +20,6 @@ proptest! {
         prop_assert_eq!(p.rank(), rank);
         prop_assert_eq!(p.offset(), off);
         prop_assert_eq!(DPtr::from_raw(p.raw()), p);
-    }
-
-    #[test]
-    fn tagged_idx_bump_never_collides_with_original(tag in any::<u16>(), idx in 0u64..(1u64<<48), idx2 in 0u64..(1u64<<48)) {
-        let t = TaggedIdx::new(tag, idx);
-        // one bump always changes the raw value, even if pointing back at
-        // the same index — the ABA property
-        prop_assert_ne!(t.bump(idx2).raw(), t.raw());
-        prop_assert_eq!(t.bump(idx2).idx(), idx2);
-    }
-}
-
-// ---------------------------------------------------------------------
-// Holder serialization
-// ---------------------------------------------------------------------
-
-fn arb_direction() -> impl Strategy<Value = Direction> {
-    prop_oneof![
-        Just(Direction::Out),
-        Just(Direction::In),
-        Just(Direction::Undirected)
-    ]
-}
-
-fn arb_edge() -> impl Strategy<Value = EdgeRecord> {
-    (
-        0usize..64,
-        0u64..(1u64 << 40),
-        any::<u32>(),
-        arb_direction(),
-        prop::bool::ANY,
-    )
-        .prop_map(|(rank, off, label, dir, tomb)| {
-            let mut e = EdgeRecord::lightweight(DPtr::new(rank, off & !7), label, dir);
-            if tomb {
-                e.flags |= EdgeRecord::TOMBSTONE;
-            }
-            e
-        })
-}
-
-fn arb_entry() -> impl Strategy<Value = Entry> {
-    prop_oneof![
-        (1u32..2000).prop_map(|l| Entry::label(LabelId(l))),
-        (3u32..500, prop::collection::vec(any::<u8>(), 0..100))
-            .prop_map(|(p, data)| Entry::property(PTypeId(p), data)),
-    ]
-}
-
-fn arb_holder() -> impl Strategy<Value = Holder> {
-    (
-        any::<u64>(),
-        prop::bool::ANY,
-        any::<u64>(),
-        any::<u64>(),
-        any::<u64>(),
-        prop::collection::vec(arb_edge(), 0..24),
-        prop::collection::vec(arb_entry(), 0..16),
-    )
-        .prop_map(
-            |(app_id, is_edge, version, commit_epoch, prev, edges, entries)| Holder {
-                app_id,
-                is_edge,
-                version,
-                commit_epoch,
-                prev,
-                edges,
-                entries,
-            },
-        )
-}
-
-proptest! {
-    #[test]
-    fn holder_encode_decode_roundtrip(h in arb_holder()) {
-        let bytes = h.encode();
-        prop_assert_eq!(bytes.len(), h.encoded_len());
-        prop_assert_eq!(Holder::peek_total_len(&bytes), bytes.len());
-        prop_assert_eq!(Holder::decode(&bytes), h);
-    }
-
-    #[test]
-    fn holder_label_ops_preserve_properties(h in arb_holder(), l in 1u32..2000) {
-        let mut h2 = h.clone();
-        let label = LabelId(l);
-        h2.add_label(label);
-        prop_assert!(h2.has_label(label));
-        // property entries untouched by label operations
-        prop_assert_eq!(h2.ptypes(), h.ptypes());
-        h2.remove_label(label);
-        prop_assert!(!h2.has_label(label));
-    }
-
-    #[test]
-    fn holder_edge_count_equals_live_records(h in arb_holder()) {
-        let live = h.edges.iter().filter(|e| !e.is_tombstone()).count();
-        prop_assert_eq!(h.edge_count(), live);
-        prop_assert_eq!(h.live_edges().count(), live);
-    }
-
-    #[test]
-    fn compaction_preserves_live_edges(h in arb_holder()) {
-        let mut h2 = h.clone();
-        let live: Vec<EdgeRecord> = h.live_edges().map(|(_, e)| *e).collect();
-        h2.compact_edges();
-        let after: Vec<EdgeRecord> = h2.live_edges().map(|(_, e)| *e).collect();
-        prop_assert_eq!(live, after);
-        prop_assert_eq!(h2.edges.len(), h2.edge_count());
     }
 }
 

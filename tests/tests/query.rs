@@ -12,8 +12,8 @@
 
 use proptest::prelude::*;
 
-use gda::persist::{recover, PersistOptions};
-use gda::{GdaDb, IndexDef, IndexId};
+use gda::persist::{recover_with_topology, PersistOptions};
+use gda::{GdaConfig, GdaDb, IndexDef, IndexId};
 use gdi::{AppVertexId, CmpOp, EdgeOrientation, LabelId, PTypeId};
 use graphgen::{sized_config, GraphSpec, LpgMeta};
 use query::{executor, planner, AggTarget, Query, QueryBuilder, QueryValue};
@@ -718,7 +718,8 @@ fn suite_matches_oracle_after_recovery() {
         });
         // drop: the crash — everything in memory is lost
     }
-    let (db, fabric, plan) = recover(PersistOptions::new(td.path()), CostModel::zero()).unwrap();
+    let (db, fabric, plan) =
+        recover_with_topology(PersistOptions::new(td.path()), CostModel::zero(), None).unwrap();
     let outcomes = fabric.run(|ctx| {
         let eng = db.attach(ctx);
         let rec = plan.restore_rank(&eng).unwrap();
@@ -799,7 +800,7 @@ fn golden_catalog() -> planner::Catalog {
         deg_out: 8.0,
         deg_any: 16.0,
         view_cached: true,
-        block_bytes: 512,
+        layout: GdaConfig::default(),
         cost: CostModel::default(),
         meta_epoch: 1,
     }

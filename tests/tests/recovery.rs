@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use gda::persist::{recover, PersistOptions};
+use gda::persist::{recover_with_topology, PersistOptions};
 use gda::{GdaConfig, GdaDb};
 use gdi::{AccessMode, AppVertexId};
 use gdi_tests::harness::{apply_ops, install_ptype, read_state, reference_state, ReadState, WlOp};
@@ -54,7 +54,8 @@ fn recovered_state(
         });
         // drop: the crash (everything in memory is lost)
     }
-    let (db, fabric, plan) = recover(PersistOptions::new(dir), CostModel::zero()).unwrap();
+    let (db, fabric, plan) =
+        recover_with_topology(PersistOptions::new(dir), CostModel::zero(), None).unwrap();
     let states = fabric.run(|ctx| {
         let eng = db.attach(ctx);
         let rec = plan.restore_rank(&eng).unwrap();
@@ -169,7 +170,8 @@ fn recover_from_previous_snapshot_after_failed_checkpoint() {
             ctx.barrier();
         });
     }
-    let (db, fabric, plan) = recover(PersistOptions::new(td.path()), CostModel::zero()).unwrap();
+    let (db, fabric, plan) =
+        recover_with_topology(PersistOptions::new(td.path()), CostModel::zero(), None).unwrap();
     assert_eq!(plan.snapshot_id(), 1, "previous snapshot is the anchor");
     let db: Arc<GdaDb> = db;
     fabric.run(|ctx| {

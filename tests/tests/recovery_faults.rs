@@ -85,8 +85,11 @@ fn crashed_dir(p: usize, cfg: GdaConfig, dir: &Path) {
 fn crash_after(p: usize, cfg: GdaConfig, dir: &Path, torn: Option<WlOp>) {
     let plane = FaultPlane::shared();
     let (db, fabric) = GdaDb::with_fabric("recovery-faults", cfg, p, CostModel::zero());
-    db.enable_persistence(PersistOptions::new(dir).faults(plane.clone()))
-        .unwrap();
+    db.enable_persistence(PersistOptions {
+        faults: Some(plane.clone()),
+        ..PersistOptions::new(dir)
+    })
+    .unwrap();
     fabric.run(|ctx| {
         let eng = db.attach(ctx);
         eng.init_collective();
@@ -144,7 +147,10 @@ fn recover_at(opts: PersistOptions, q: usize) -> Result<ReadState, GdiError> {
 fn with_fault(dir: &Path, point: &str, rank: Option<usize>, mode: FaultMode) -> PersistOptions {
     let plane: Arc<FaultPlane> = FaultPlane::shared();
     plane.arm_at(point, rank, 0, 1, mode);
-    PersistOptions::new(dir).faults(plane)
+    PersistOptions {
+        faults: Some(plane),
+        ..PersistOptions::new(dir)
+    }
 }
 
 /// Every file under `dir` with its bytes, sorted by path.
@@ -297,7 +303,7 @@ fn a_torn_tail_behind_a_failed_truncation_strands_no_later_commit() {
     let cfg = GdaConfig::tiny();
     for p in [1usize, 2] {
         let torn_id = (0..IDS)
-            .find(|&v| gda::dptr::owner_rank(gdi::AppVertexId(v), p) == p - 1)
+            .find(|&v| gda::owner_rank(gdi::AppVertexId(v), p) == p - 1)
             .unwrap();
         let base = ScratchDir::new("rf-torn");
         crash_after(p, cfg, base.path(), Some(WlOp::SetProp(torn_id, 99_999)));
@@ -376,7 +382,7 @@ fn a_same_topology_recovery_keeps_the_config() {
         let states = fabric.run(|ctx| {
             let eng = db.attach(ctx);
             plan.restore_rank(&eng).unwrap();
-            let free = gda::blocks::BlockManager::new(ctx, *eng.cfg()).count_free(ctx.rank());
+            let free = eng.audit_pool().unwrap().free;
             assert!(
                 2 * (cfg.blocks_per_rank - free) > cfg.blocks_per_rank,
                 "P={p}: rank {} must be more than half full, {free} of {} free",

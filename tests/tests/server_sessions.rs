@@ -314,7 +314,7 @@ fn olap_job_rendezvous_during_serving() {
                 let mut local = 0u64;
                 for app in 0..n {
                     let id = AppVertexId(app);
-                    if gda::dptr::owner_rank(id, eng.nranks()) == eng.rank()
+                    if gda::owner_rank(id, eng.nranks()) == eng.rank()
                         && tx.translate_vertex_id(id).is_ok()
                     {
                         local += 1;

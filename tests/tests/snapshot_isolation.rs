@@ -20,8 +20,8 @@ use std::sync::Mutex;
 
 use proptest::prelude::*;
 
-use gda::dptr::owner_rank;
-use gda::persist::{recover, PersistOptions};
+use gda::owner_rank;
+use gda::persist::{recover_with_topology, PersistOptions};
 use gda::{GdaConfig, GdaDb, GdaRank};
 use gdi::{
     AccessMode, AppVertexId, Datatype, EntityType, GdiError, Multiplicity, PropertyValue, SizeType,
@@ -777,8 +777,12 @@ fn si_divergences_recovered(
         // drop: the crash — everything in memory is lost
     }
     let oracle2 = Oracle::new(oracle1.latest());
-    let (db, fabric, plan) =
-        recover(PersistOptions::new(dir).backend(backend), CostModel::zero()).unwrap();
+    let (db, fabric, plan) = recover_with_topology(
+        PersistOptions::new(dir).backend(backend),
+        CostModel::zero(),
+        None,
+    )
+    .unwrap();
     let all = fabric.run(|ctx| {
         let eng = db.attach(ctx);
         let rec = plan.restore_rank(&eng).unwrap();
