@@ -249,13 +249,14 @@ impl<'d, 'c, 'f> GdaRank<'d, 'c, 'f> {
                 h.add_label(l);
             }
             for (p, v) in std::mem::take(&mut spec.props) {
-                h.add_property(p, v.encode());
+                h.add_property(p, &v.encode());
             }
-            h.version = self.next_version_stamp(primary);
+            h.set_version(self.next_version_stamp(primary));
             let mut blocks = vec![primary];
-            hio::write_chain(self.ctx(), &self.bm, &h.encode(), &mut blocks)?;
+            hio::write_chain(self.ctx(), &self.bm, h.bytes(), &mut blocks)?;
+            let labels: Vec<_> = h.entry_scan().labels().collect();
             self.indexes()
-                .reindex_vertex(primary, AppVertexId(h.app_id), Some(&h.labels()));
+                .reindex_vertex(primary, AppVertexId(h.app_id()), Some(&labels));
         }
         drop(rows);
 
@@ -271,9 +272,9 @@ impl<'d, 'c, 'f> GdaRank<'d, 'c, 'f> {
             };
             let dp = DPtr::from_raw(raw);
             let (bytes, mut blocks) = hio::read_chain(self.ctx(), self.cfg(), dp)?;
-            let mut h = Holder::decode(&bytes);
+            let mut h = Holder::from_bytes(bytes).ok_or(hio::STALE)?;
             h.push_edge(half.record(target)?);
-            hio::write_chain(self.ctx(), &self.bm, &h.encode(), &mut blocks)?;
+            hio::write_chain(self.ctx(), &self.bm, h.bytes(), &mut blocks)?;
             report.half_edges += 1;
         }
         self.ctx().flush(me);

@@ -343,36 +343,13 @@ impl<'d, 'c, 'f> GdaRank<'d, 'c, 'f> {
     /// incarnation of an application id lives on the same owner rank,
     /// so stamps give persisted holder versions a strict monotone order
     /// per object — across delete/recreate — which is what redo replay
-    /// orders cross-log records by. Only taken when persistence is
-    /// enabled (the in-memory path keeps the free `version + 1` bump).
+    /// orders cross-log records by — and, with or without persistence,
+    /// the seqlock stamp every block of the written chain carries.
     pub(crate) fn next_version_stamp(&self, id: crate::dptr::DPtr) -> u64 {
         let word = self.cfg().stamp_word();
         self.ctx
             .fadd_u64(crate::config::WIN_SYSTEM, id.rank(), word, 1)
             + 1
-    }
-
-    /// Raise `id`'s owner-rank commit-stamp counter to at least `floor`
-    /// (CAS max loop). Needed when persistence is enabled on a database
-    /// that already carries in-memory `version + 1` bumps: every future
-    /// stamp — including one taken for a *later incarnation* of the same
-    /// application id on another rank — must stay strictly above any
-    /// version already written, or redo replay's cross-log tombstone
-    /// ordering would refuse a genuine recreate.
-    pub(crate) fn advance_version_stamp(&self, id: crate::dptr::DPtr, floor: u64) {
-        let word = self.cfg().stamp_word();
-        let mut cur = self
-            .ctx
-            .aget_u64(crate::config::WIN_SYSTEM, id.rank(), word);
-        while cur < floor {
-            let prev = self
-                .ctx
-                .cas_u64(crate::config::WIN_SYSTEM, id.rank(), word, cur, floor);
-            if prev == cur {
-                break;
-            }
-            cur = prev;
-        }
     }
 
     /// Commit-path hook: append one committed transaction's redo

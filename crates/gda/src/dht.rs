@@ -453,45 +453,12 @@ mod tests {
     use super::*;
     use rma::CostModel;
 
-    impl Dht<'_, '_> {
-        /// Number of live entries in this rank's buckets (diagnostic; walks all
-        /// local chains).
-        pub(crate) fn local_len(&self) -> usize {
-            /// Bucket-walk restarts before giving up on a chain that always
-            /// has a delete in flight (pathological churn): the walk then
-            /// keeps the entries counted so far instead of livelocking.
-            const MAX_RESTARTS: usize = 64;
-            let me = self.ctx.rank();
-            let mut n = 0;
-            for b in 0..self.nbuckets() {
-                let mut restarts = 0;
-                'bucket: loop {
-                    let mut count = 0;
-                    let mut ptr = self.ctx.aget_u64(WIN_INDEX, me, self.bucket_word(b));
-                    while ptr != 0 {
-                        let next = self.ctx.get_u64(WIN_INDEX, me, self.next_word(ptr));
-                        if next == ptr {
-                            // a marked (self-pointing) entry hides its
-                            // successors — the chain beyond it is only
-                            // recoverable by the deleting process. Restart
-                            // this bucket like `lookup` does instead of
-                            // undercounting every live entry behind it.
-                            restarts += 1;
-                            if restarts < MAX_RESTARTS {
-                                std::thread::yield_now();
-                                continue 'bucket;
-                            }
-                            break;
-                        }
-                        count += 1;
-                        ptr = next;
-                    }
-                    n += count;
-                    break;
-                }
-            }
-            n
-        }
+    /// Entries in this rank's partition, decoded from a copy of its
+    /// index window (the caller keeps the partition quiet).
+    fn partition_len(ctx: &RankCtx, cfg: &GdaConfig) -> usize {
+        let mut img = vec![0u8; ctx.win_len_bytes(WIN_INDEX)];
+        ctx.get_bytes(WIN_INDEX, ctx.rank(), 0, &mut img);
+        decode_partition(cfg, &img).len()
     }
 
     fn fabric(n: usize) -> (rma::Fabric, GdaConfig) {
@@ -523,7 +490,7 @@ mod tests {
                 assert_eq!(dht.lookup(k), Some(k * 2 + 1));
             }
             assert_eq!(dht.lookup(100), None);
-            assert_eq!(dht.local_len(), 100);
+            assert_eq!(partition_len(ctx, &cfg), 100);
         });
     }
 
@@ -541,7 +508,7 @@ mod tests {
                 for k in 0..cfg.dht_heap_per_rank as u64 {
                     assert!(dht.delete(k), "round {round} key {k}");
                 }
-                assert_eq!(dht.local_len(), 0);
+                assert_eq!(partition_len(ctx, &cfg), 0);
             }
         });
     }
@@ -595,7 +562,7 @@ mod tests {
             let mine_visible = (0..40).all(|k| dht.lookup(me * 100 + k) == Some(me));
             assert!(mine_visible);
             let total: u64 = ctx.allreduce_sum_u64(40);
-            let local_total: u64 = ctx.allreduce_sum_u64(dht.local_len() as u64);
+            let local_total: u64 = ctx.allreduce_sum_u64(partition_len(ctx, &cfg) as u64);
             assert_eq!(total, local_total);
         });
     }
@@ -648,63 +615,8 @@ mod tests {
                 }
             }
             ctx.barrier();
-            let remaining = ctx.allreduce_sum_u64(dht.local_len() as u64);
+            let remaining = ctx.allreduce_sum_u64(partition_len(ctx, &cfg) as u64);
             assert_eq!(remaining, 0);
-        });
-    }
-
-    /// Regression: `local_len` used to stop counting a chain at the first
-    /// marked (self-pointing) entry, undercounting every live entry behind
-    /// an in-flight delete. With a concurrent deleter churning keys that
-    /// share rank-0 buckets with stable keys, the count of rank 0 must
-    /// never drop below the number of stable entries.
-    #[test]
-    fn local_len_counts_entries_behind_inflight_deletes() {
-        let (f, cfg) = fabric(2);
-        f.run(|ctx| {
-            let dht = Dht::new(ctx, cfg);
-            dht.init_collective();
-            // stable keys placed on rank 0, inserted first so churned
-            // entries prepend in front of them within shared chains
-            let stable: Vec<u64> = (0..10_000u64)
-                .filter(|k| hash64(*k).is_multiple_of(2))
-                .take(32)
-                .collect();
-            let churn: Vec<u64> = (10_000..20_000u64)
-                .filter(|k| hash64(*k).is_multiple_of(2))
-                .take(16)
-                .collect();
-            if ctx.rank() == 0 {
-                for &k in &stable {
-                    dht.insert(k, 1).unwrap();
-                }
-            }
-            ctx.barrier();
-            if ctx.rank() == 1 {
-                // deleter: keep marked entries appearing in rank 0 chains
-                for _ in 0..60 {
-                    for &k in &churn {
-                        dht.insert(k, 2).unwrap();
-                    }
-                    for &k in &churn {
-                        assert!(dht.delete(k));
-                    }
-                }
-            } else {
-                for _ in 0..120 {
-                    let n = dht.local_len();
-                    assert!(
-                        n >= stable.len(),
-                        "local_len {n} undercounts {} stable entries",
-                        stable.len()
-                    );
-                    assert!(n <= stable.len() + churn.len());
-                }
-            }
-            ctx.barrier();
-            if ctx.rank() == 0 {
-                assert_eq!(dht.local_len(), stable.len());
-            }
         });
     }
 

@@ -789,7 +789,7 @@ mod tests {
             ));
         }
         for i in 0..props {
-            h.add_property(PTypeId(3 + i as u32), vec![i as u8; 13]);
+            h.add_property(PTypeId(3 + i as u32), &[i as u8; 13]);
         }
         h
     }
@@ -798,14 +798,14 @@ mod tests {
     fn single_block_roundtrip() {
         with_pool(|ctx, bm, cfg| {
             let h = big_holder(1, 1);
-            assert_eq!(blocks_needed(cfg, h.encoded_len()), 1);
+            assert_eq!(blocks_needed(cfg, h.bytes().len()), 1);
             let primary = bm.acquire(0).unwrap();
             let mut blocks = vec![primary];
-            write_chain(ctx, bm, &h.encode(), &mut blocks).unwrap();
+            write_chain(ctx, bm, h.bytes(), &mut blocks).unwrap();
             assert_eq!(blocks.len(), 1);
             let (bytes, found) = read_chain(ctx, cfg, primary).unwrap();
             assert_eq!(found, blocks);
-            assert_eq!(Holder::decode(&bytes), h);
+            assert_eq!(bytes, h.bytes());
         });
     }
 
@@ -813,15 +813,15 @@ mod tests {
     fn multi_block_roundtrip() {
         with_pool(|ctx, bm, cfg| {
             let h = big_holder(40, 10); // well beyond one 128 B block
-            let need = blocks_needed(cfg, h.encoded_len());
+            let need = blocks_needed(cfg, h.bytes().len());
             assert!(need > 3);
             let primary = bm.acquire(0).unwrap();
             let mut blocks = vec![primary];
-            write_chain(ctx, bm, &h.encode(), &mut blocks).unwrap();
+            write_chain(ctx, bm, h.bytes(), &mut blocks).unwrap();
             assert_eq!(blocks.len(), need);
             let (bytes, found) = read_chain(ctx, cfg, primary).unwrap();
             assert_eq!(found.len(), need);
-            assert_eq!(Holder::decode(&bytes), h);
+            assert_eq!(bytes, h.bytes());
         });
     }
 
@@ -833,19 +833,19 @@ mod tests {
             let mut blocks = vec![primary];
 
             let big = big_holder(60, 5);
-            write_chain(ctx, bm, &big.encode(), &mut blocks).unwrap();
+            write_chain(ctx, bm, big.bytes(), &mut blocks).unwrap();
             let grown = blocks.len();
             assert!(grown > 1);
             assert_eq!(bm.count_free(0), free0 - grown);
 
             let small = big_holder(0, 0);
-            write_chain(ctx, bm, &small.encode(), &mut blocks).unwrap();
+            write_chain(ctx, bm, small.bytes(), &mut blocks).unwrap();
             assert_eq!(blocks.len(), 1);
             assert_eq!(blocks[0], primary, "primary identity must be stable");
             assert_eq!(bm.count_free(0), free0 - 1);
 
             let (bytes, _) = read_chain(ctx, cfg, primary).unwrap();
-            assert_eq!(Holder::decode(&bytes), small);
+            assert_eq!(bytes, small.bytes());
 
             free_chain(bm, &blocks);
             assert_eq!(bm.count_free(0), free0);
@@ -861,16 +861,16 @@ mod tests {
                 let mut h = Holder::new_vertex(1);
                 // entries grow in 8-byte steps; find a property payload that
                 // makes the encoding land near k * payload
-                let base = h.encoded_len();
+                let base = h.bytes().len();
                 let want = payload * 2 + extra * 8;
                 if want > base + 8 {
-                    h.add_property(PTypeId(3), vec![0xCD; want - base - 8]);
+                    h.add_property(PTypeId(3), &vec![0xCD; want - base - 8]);
                 }
                 let primary = bm.acquire(0).unwrap();
                 let mut blocks = vec![primary];
-                write_chain(ctx, bm, &h.encode(), &mut blocks).unwrap();
+                write_chain(ctx, bm, h.bytes(), &mut blocks).unwrap();
                 let (bytes, _) = read_chain(ctx, cfg, primary).unwrap();
-                assert_eq!(Holder::decode(&bytes), h, "extra={extra}");
+                assert_eq!(bytes, h.bytes(), "extra={extra}");
                 free_chain(bm, &blocks);
             }
         });
@@ -904,12 +904,13 @@ mod tests {
         with_pool(|ctx, bm, cfg| {
             // (published versions: a validated read refuses stamp 0)
             let (mut small, mut large) = (big_holder(1, 1), big_holder(40, 10));
-            (small.version, large.version) = (1, 2);
+            small.set_version(1);
+            large.set_version(2);
             let mut primaries = Vec::new();
             for h in [&small, &large] {
                 let primary = bm.acquire(0).unwrap();
                 let mut blocks = vec![primary];
-                write_chain(ctx, bm, &h.encode(), &mut blocks).unwrap();
+                write_chain(ctx, bm, h.bytes(), &mut blocks).unwrap();
                 primaries.push(primary);
             }
             let (mut block, mut reused) = (vec![0u8; cfg.block_size], Vec::new());
@@ -923,7 +924,7 @@ mod tests {
                     read_chain_bytes(ctx, cfg, *primary).expect("live-set read");
                 assert_eq!(img_bytes, live_bytes);
                 assert_eq!(img_blocks, live_blocks);
-                assert_eq!(Holder::decode(&img_bytes), *h);
+                assert_eq!(img_bytes, h.bytes());
                 // the buffered reader: same bytes, block by block from
                 // the window, into buffers that are reused
                 for src in &sources {
@@ -964,7 +965,7 @@ mod tests {
                 for h in &holders {
                     let primary = bm.acquire(1).unwrap();
                     let mut blocks = vec![primary];
-                    write_chain(ctx, &bm, &h.encode(), &mut blocks).unwrap();
+                    write_chain(ctx, &bm, h.bytes(), &mut blocks).unwrap();
                     primaries.push(primary);
                 }
                 let t0 = ctx.now_ns();
@@ -1007,22 +1008,22 @@ mod tests {
     fn validated_read_tracks_seqlock_overwrites() {
         with_pool(|ctx, bm, cfg| {
             let mut h = big_holder(25, 3);
-            h.version = 7;
+            h.set_version(7);
             let primary = bm.acquire(0).unwrap();
             let mut blocks = vec![primary];
-            write_chain(ctx, bm, &h.encode(), &mut blocks).unwrap();
+            write_chain(ctx, bm, h.bytes(), &mut blocks).unwrap();
             let (bytes, stamp) = read_chain_validated(ctx, cfg, primary).unwrap();
             assert_eq!(stamp, 7);
-            assert_eq!(Holder::decode(&bytes), h);
+            assert_eq!(bytes, h.bytes());
 
             // grow through the seqlock republish
             let mut h2 = big_holder(60, 5);
-            h2.version = 8;
-            overwrite_chain(ctx, bm, &h2.encode(), &mut blocks).unwrap();
+            h2.set_version(8);
+            overwrite_chain(ctx, bm, h2.bytes(), &mut blocks).unwrap();
             assert!(blocks.len() > 1);
             let (bytes, stamp) = read_chain_validated(ctx, cfg, primary).unwrap();
             assert_eq!(stamp, 8);
-            assert_eq!(Holder::decode(&bytes), h2);
+            assert_eq!(bytes, h2.bytes());
             let (plain, found) = read_chain(ctx, cfg, primary).unwrap();
             assert_eq!(plain, bytes);
             assert_eq!(&found, &blocks);
@@ -1030,14 +1031,14 @@ mod tests {
             // shrink: surplus returns to the pool only after publication
             let free_before = bm.count_free(0);
             let mut h3 = big_holder(0, 0);
-            h3.version = 9;
-            overwrite_chain(ctx, bm, &h3.encode(), &mut blocks).unwrap();
+            h3.set_version(9);
+            overwrite_chain(ctx, bm, h3.bytes(), &mut blocks).unwrap();
             assert_eq!(blocks.len(), 1);
             assert_eq!(blocks[0], primary, "primary identity must be stable");
             assert!(bm.count_free(0) > free_before);
             let (bytes, stamp) = read_chain_validated(ctx, cfg, primary).unwrap();
             assert_eq!(stamp, 9);
-            assert_eq!(Holder::decode(&bytes), h3);
+            assert_eq!(bytes, h3.bytes());
         });
     }
 
@@ -1053,10 +1054,10 @@ mod tests {
                 let h = big_holder(30, 4);
                 let primary = bm.acquire(1).unwrap();
                 let mut blocks = vec![primary];
-                write_chain(ctx, &bm, &h.encode(), &mut blocks).unwrap();
+                write_chain(ctx, &bm, h.bytes(), &mut blocks).unwrap();
                 assert!(blocks.iter().all(|b| b.rank() == 1));
                 let (bytes, _) = read_chain(ctx, &cfg, primary).unwrap();
-                assert_eq!(Holder::decode(&bytes), h);
+                assert_eq!(bytes, h.bytes());
             }
             ctx.barrier();
         });
@@ -1079,9 +1080,9 @@ mod tests {
                 let mut chains = Vec::new();
                 for (version, edges) in [(11, 1), (12, 20), (13, 2)] {
                     let mut h = big_holder(edges, 0);
-                    h.version = version;
+                    h.set_version(version);
                     let mut blocks = vec![bm.acquire(0).unwrap()];
-                    write_chain(ctx, &bm, &h.encode(), &mut blocks).unwrap();
+                    write_chain(ctx, &bm, h.bytes(), &mut blocks).unwrap();
                     chains.push(blocks);
                 }
                 assert_eq!(chains[1].len(), 5);
@@ -1174,7 +1175,7 @@ mod tests {
                 );
             }
             let (bytes, blocks) = read_chain(ctx, cfg, primaries[1]).expect("link restored");
-            assert_eq!((Holder::decode(&bytes).version, &blocks[..]), (12, victim));
+            assert_eq!((stamp_of(&bytes), &blocks[..]), (12, victim));
         });
     }
 

@@ -216,8 +216,8 @@ impl IndexShared {
     }
 }
 
-/// Evaluate a constraint against a holder's entries — serialized bytes
-/// or a decoded holder, [`EntryScan`] reads both — as index scans and
+/// Evaluate a constraint against a holder's entries — fetched bytes or
+/// a writer's cached holder, [`EntryScan`] reads both — as index scans and
 /// constrained expansions do. Property values are compared decoded; the
 /// caller supplies the decode function from p-type to value, and only
 /// the entries of a p-type the constraint names are ever decoded.
@@ -322,7 +322,7 @@ mod tests {
     fn holder_constraint_matching() {
         let mut h = Holder::new_vertex(1);
         h.add_label(person());
-        h.add_property(PTypeId(3), 35u64.to_le_bytes().to_vec());
+        h.add_property(PTypeId(3), &35u64.to_le_bytes());
         let c = Constraint::from_sub(Subconstraint::new().with_label(person()).with_prop(
             PTypeId(3),
             CmpOp::Gt,
@@ -331,9 +331,8 @@ mod tests {
         let decode = |_pt: PTypeId, raw: &[u8]| {
             Some(PropertyValue::U64(u64::from_le_bytes(raw.try_into().ok()?)))
         };
-        // the decoded holder and its serialized bytes answer alike
-        let bytes = h.encode();
-        let scan = Holder::scan_entries(&bytes).unwrap();
+        // the holder and its validated bytes answer alike
+        let scan = Holder::scan_entries(h.bytes()).unwrap();
         assert!(holder_matches(&h.entry_scan(), &c, decode));
         assert!(holder_matches(&scan, &c, decode));
         let c2 = Constraint::from_sub(Subconstraint::new().with_prop(
@@ -352,19 +351,20 @@ mod tests {
         PropertyValue::decode(gdi::Datatype::Uint64, raw).ok()
     }
 
-    /// The constraint semantics written out against the decoded holder's
-    /// own fields (no `EntryScan`): every label condition holds, and every
-    /// property condition holds for **some** decodable entry of its type.
-    fn reference_matches(h: &Holder, c: &Constraint) -> bool {
+    /// The constraint semantics written out against the labels and the
+    /// `(p-type, value bytes)` entries a holder was built from (no
+    /// `EntryScan`): every label condition holds, and every property
+    /// condition holds for **some** decodable entry of its type.
+    fn reference_matches(labels: &[LabelId], props: &[(PTypeId, Vec<u8>)], c: &Constraint) -> bool {
         let sub_holds = |sub: &Subconstraint| {
             sub.label_conds
                 .iter()
-                .all(|lc| h.entries.iter().any(|e| e.as_label() == Some(lc.label)) == lc.present)
+                .all(|lc| labels.contains(&lc.label) == lc.present)
                 && sub.prop_conds.iter().all(|pc| {
-                    h.entries
+                    props
                         .iter()
-                        .filter(|e| e.id == pc.ptype.0)
-                        .filter_map(|e| decode_u64(pc.ptype, &e.data))
+                        .filter(|(pt, _)| *pt == pc.ptype)
+                        .filter_map(|(pt, data)| decode_u64(*pt, data))
                         .any(|v| pc.op.eval(v.cmp_total(&pc.value)))
                 })
         };
@@ -383,7 +383,7 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(256))]
 
-        /// Constraint evaluation over serialized bytes ≡ over the decoded
+        /// Constraint evaluation over serialized bytes ≡ over the built
         /// holder ≡ the written-out reference: random holders (0–3
         /// labels; properties absent, single, multi-valued, of the
         /// declared width and not) × random DNF constraints (0–3 label
@@ -402,16 +402,19 @@ mod tests {
             ),
         ) {
             let mut h = Holder::new_vertex(9);
-            for l in labels {
-                h.add_label(LabelId(l));
+            let labels: Vec<LabelId> = labels.into_iter().map(LabelId).collect();
+            for &l in &labels {
+                h.add_label(l);
             }
+            let mut entries = Vec::new();
             for (pt, v, shape) in props {
                 // shape 0–1: the declared 8 bytes; 2: two elements; 3: a
                 // width that is no multiple of the element size
                 let width = [8, 8, 16, 5][shape];
                 let mut data = v.to_le_bytes().repeat(2);
                 data.truncate(width);
-                h.add_property(PTypeId(pt), data);
+                h.add_property(PTypeId(pt), &data);
+                entries.push((PTypeId(pt), data));
             }
             let mut c = Constraint::any();
             for (label_conds, prop_conds) in subs {
@@ -428,9 +431,8 @@ mod tests {
                 }
                 c = c.or(sub);
             }
-            let bytes = h.encode();
-            let scan = Holder::scan_entries(&bytes).expect("encoded holders scan");
-            let want = reference_matches(&h, &c);
+            let scan = Holder::scan_entries(h.bytes()).expect("built holders scan");
+            let want = reference_matches(&labels, &entries, &c);
             proptest::prop_assert_eq!(holder_matches(&scan, &c, decode_u64), want);
             proptest::prop_assert_eq!(holder_matches(&h.entry_scan(), &c, decode_u64), want);
         }

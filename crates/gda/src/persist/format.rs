@@ -67,7 +67,7 @@ pub(super) const MANIFEST_MAGIC: &[u8; 8] = b"GDAMANI\x01";
 /// v13: a holder's flags lost the archive-chain depth (bits 16..24),
 /// which the decoder now refuses as unknown flags. A v12 directory is
 /// refused by version: its images may carry depth bits.
-pub(super) const FORMAT_VERSION: u32 = 13;
+pub(crate) const FORMAT_VERSION: u32 = 13;
 
 /// Bytes of the fixed `[magic 8][version u32]` prefix of snapshot and
 /// manifest files.

@@ -151,15 +151,14 @@ mod recover;
 mod redo;
 mod snapshot;
 
+pub(crate) use self::format::FORMAT_VERSION;
 pub(crate) use self::redo::RedoRecord;
 pub use self::{
     format::Checksum,
     recover::{audit_image, recover_with_topology, RankRecovery, RecoveryPlan},
     snapshot::STRIP_BYTES,
 };
-use format::{
-    check_file_header, io_err, Dec, Enc, FILE_HEADER_BYTES, FORMAT_VERSION, MANIFEST_MAGIC,
-};
+use format::{check_file_header, io_err, Dec, Enc, FILE_HEADER_BYTES, MANIFEST_MAGIC};
 use redo::{encode_frame, parse_log};
 use snapshot::write_rank_snapshot;
 
@@ -1872,19 +1871,20 @@ pub(crate) mod tests {
     }
 
     /// Regression: enabling persistence on a database that already
-    /// carries in-memory `version + 1` bumps (they never touched the
-    /// owner-rank stamp counters) must not let a later incarnation of
-    /// an app id stamp *below* an earlier logged delete. The logged
-    /// delete caps the owner's commit-stamp counter, so a cross-rank
-    /// recreate in the redo tail stamps above the tombstone version and
-    /// survives replay instead of being refused as stale.
+    /// carries commits must not let a later incarnation of an app id
+    /// stamp *below* an earlier logged delete. Every version, logged or
+    /// not, is a stamp from the owner rank's commit-stamp counter, and
+    /// every incarnation of an app id lives on that rank, so a recreate
+    /// in another rank's redo tail stamps above the tombstone version
+    /// and survives replay instead of being refused as stale.
     #[test]
     fn midlife_persistence_keeps_cross_log_versions_ordered() {
         let td = TestDir::new("midlife");
         let cfg = GdaConfig::tiny();
         {
             let (db, fabric) = GdaDb::with_fabric("ml", cfg, 2, CostModel::zero());
-            // phase 1: no persistence — versions grow by unstamped +1s
+            // phase 1: no persistence — versions are owner-rank stamps
+            // all the same
             fabric.run(|ctx| {
                 let eng = db.attach(ctx);
                 eng.init_collective();
@@ -2746,12 +2746,12 @@ pub(crate) mod tests {
             0,
             gdi::Direction::Out,
         ));
-        h.add_property(PTypeId(3), vec![9; 40]);
-        h.version = 3;
-        let pre = h.encode();
-        h.set_property(PTypeId(3), vec![9; 41]);
-        h.version = 4;
-        (pre, h.encode())
+        h.add_property(PTypeId(3), &[9; 40]);
+        h.set_version(3);
+        let pre = h.bytes().to_vec();
+        h.set_property(PTypeId(3), &[9; 41]);
+        h.set_version(4);
+        (pre, h.bytes().to_vec())
     }
 
     /// The pristine images [`parse_hostile`] mutates, in target order.
@@ -3220,9 +3220,9 @@ pub(crate) mod tests {
         }
         let e = crate::holder::Holder::new_edge(at(1), at(2));
         vec![
-            (at(1), a.encode()),
-            (at(2), b.encode()),
-            (at(3), e.encode()),
+            (at(1), a.bytes().to_vec()),
+            (at(2), b.bytes().to_vec()),
+            (at(3), e.bytes().to_vec()),
         ]
     }
 
@@ -3283,7 +3283,7 @@ pub(crate) mod tests {
     #[test]
     fn record_reader_refuses_a_repeated_primary() {
         let mut pair = heavy_pair(at(3));
-        let other = crate::holder::Holder::new_vertex(3).encode();
+        let other = crate::holder::Holder::new_vertex(3).bytes().to_vec();
         pair.push((at(1), other));
         assert_eq!(refusal(&pair), "recovery: a primary recorded twice");
     }
@@ -3291,7 +3291,7 @@ pub(crate) mod tests {
     #[test]
     fn record_reader_refuses_a_repeated_vertex_app_id() {
         let mut pair = heavy_pair(at(3));
-        let again = crate::holder::Holder::new_vertex(2).encode();
+        let again = crate::holder::Holder::new_vertex(2).bytes().to_vec();
         pair.push((DPtr::new(0, 2048), again));
         assert_eq!(refusal(&pair), "recovery: a vertex app id recorded twice");
     }
@@ -3300,7 +3300,10 @@ pub(crate) mod tests {
     fn record_reader_refuses_a_primary_off_its_shard() {
         for primary in [DPtr::new(1, 2048), DPtr::NULL] {
             let mut pair = heavy_pair(at(3));
-            pair.push((primary, crate::holder::Holder::new_vertex(3).encode()));
+            pair.push((
+                primary,
+                crate::holder::Holder::new_vertex(3).bytes().to_vec(),
+            ));
             assert_eq!(refusal(&pair), "snapshot record off its shard's rank");
         }
     }

@@ -515,8 +515,8 @@ fn plan(
             } else if map.is_identity() {
                 old_rank
             } else {
-                Holder::try_decode(&obj.bytes)
-                    .and_then(|h| h.edges.first().map(|e| e.target.raw()))
+                Holder::scan_edges(&obj.bytes)
+                    .and_then(|scan| scan.records().next().map(|e| e.target.raw()))
                     .and_then(|anchor| {
                         objects
                             .get(&anchor)
@@ -626,20 +626,21 @@ impl RecoveryPlan {
     }
 
     /// Allocate on this rank `objects` of the requested kind that it
-    /// owns, recording each new primary in the remap table.
+    /// owns, recording each new primary in the remap table (one write
+    /// guard for the rank's whole phase).
     fn allocate(&self, eng: &GdaRank, edges: bool) -> Option<GdiError> {
         let me = eng.rank();
+        let mut pairs = Vec::new();
         for p in &self.objects {
             if p.object.is_edge != edges || p.new_rank != me {
                 continue;
             }
             match eng.bm.acquire(me) {
-                Ok(dp) => {
-                    self.remap.write().insert(p.old_primary, dp.raw());
-                }
+                Ok(dp) => pairs.push((p.old_primary, dp.raw())),
                 Err(e) => return Some(e),
             }
         }
+        self.remap.write().extend(pairs);
         None
     }
 
@@ -708,16 +709,17 @@ impl RecoveryPlan {
                 break;
             }
             let obj = &p.object;
-            let Some(mut h) = Holder::try_decode(&obj.bytes) else {
+            let Some(mut h) = Holder::from_bytes(obj.bytes.clone()) else {
                 out.errors += 1;
                 continue;
             };
             // rewrite every embedded reference into the live address
-            // space; an unresolvable reference means the committed state
-            // was inconsistent — count it and drop the record rather
-            // than leak a snapshot-space pointer into live data
+            // space, record by record in place; an unresolvable reference
+            // means the committed state was inconsistent — count it and
+            // drop the record rather than leak a snapshot-space pointer
+            // into live data
             let mut broken = 0u64;
-            h.edges.retain_mut(|rec| {
+            h.retain_edges(|rec| {
                 for dp in [&mut rec.target, &mut rec.edge_holder] {
                     if dp.is_null() {
                         continue;
@@ -737,12 +739,11 @@ impl RecoveryPlan {
             // old incarnation's version chain lives in snapshot address
             // space and the new fabric's watermark starts at zero, so
             // every object must be visible to every snapshot
-            h.commit_epoch = 0;
-            h.prev = 0;
-            let bytes = h.encode();
+            h.set_commit_epoch(0);
+            h.set_prev(0);
             let new_primary = DPtr::from_raw(remap[&p.old_primary]);
             let mut blocks = vec![new_primary];
-            if let Err(e) = hio::write_chain(ctx, &eng.bm, &bytes, &mut blocks) {
+            if let Err(e) = hio::write_chain(ctx, &eng.bm, h.bytes(), &mut blocks) {
                 my_err = Some(e);
                 break;
             }
@@ -761,7 +762,7 @@ impl RecoveryPlan {
                 }
             }
             moved += 1;
-            moved_bytes += bytes.len() as u64;
+            moved_bytes += h.bytes().len() as u64;
         }
         if my_err.is_none() {
             let mut parts: Vec<(IndexId, Vec<Posting>)> = postings.into_iter().collect();
@@ -852,10 +853,10 @@ fn audit_rank(eng: &GdaRank, mut live: FxHashMap<u64, (u64, bool, Vec<u8>)>) -> 
     }
     // what recovery resets before it writes a holder back
     let rebuilt = |bytes: &[u8]| {
-        Holder::try_decode(bytes).map(|mut h| {
-            h.commit_epoch = 0;
-            h.prev = 0;
-            h.encode()
+        Holder::from_bytes(bytes.to_vec()).map(|mut h| {
+            h.set_commit_epoch(0);
+            h.set_prev(0);
+            h
         })
     };
     let differ = |what: &str, primary: u64| {

@@ -266,18 +266,18 @@ pub(super) mod tests {
     #[test]
     fn redo_frame_roundtrip_and_torn_tail() {
         let mut pre = Holder::new_vertex(7);
-        pre.add_property(gdi::PTypeId(3), vec![1, 2, 3, 4, 5]);
+        pre.add_property(gdi::PTypeId(3), &[1, 2, 3, 4, 5]);
         let mut post = pre.clone();
-        post.set_property(gdi::PTypeId(3), vec![1, 2, 9, 4, 5]);
+        post.set_property(gdi::PTypeId(3), &[1, 2, 9, 4, 5]);
         let records = vec![
-            whole(DPtr::new(1, 256).raw(), 7, 3, &pre.encode()),
+            whole(DPtr::new(1, 256).raw(), 7, 3, pre.bytes()),
             RedoRecord::Put {
                 primary: DPtr::new(1, 256).raw(),
                 app_id: 7,
                 is_edge: false,
                 version: 4,
                 base: Some(3),
-                splice: splice(&pre.encode(), &post.encode()),
+                splice: splice(pre.bytes(), post.bytes()),
             },
             RedoRecord::Delete {
                 primary: DPtr::new(0, 128).raw(),
@@ -323,19 +323,19 @@ pub(super) mod tests {
                 gdi::Direction::Out,
             ));
         }
-        pre.add_property(gdi::PTypeId(3), 5u64.to_le_bytes().to_vec());
+        pre.add_property(gdi::PTypeId(3), &5u64.to_le_bytes());
         let mut post = pre.clone();
-        post.set_property(gdi::PTypeId(3), 6u64.to_le_bytes().to_vec());
+        post.set_property(gdi::PTypeId(3), &6u64.to_le_bytes());
         let rec = RedoRecord::Put {
             primary: 1,
             app_id: 7,
             is_edge: false,
             version: 2,
             base: Some(1),
-            splice: splice(&pre.encode(), &post.encode()),
+            splice: splice(pre.bytes(), post.bytes()),
         };
         let frame = encode_frame(&[rec], 1).len();
-        let image = encode_frame(&[whole(1, 7, 2, &post.encode())], 1).len();
+        let image = encode_frame(&[whole(1, 7, 2, post.bytes())], 1).len();
         assert!(frame < 80, "{frame} B");
         assert!(image > HEADER_BYTES + 32 * EDGE_RECORD_BYTES, "{image} B");
     }

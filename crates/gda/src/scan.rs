@@ -25,9 +25,9 @@
 //!    one reused chain buffer (`crate::hio::read_chain_into`): only
 //!    live blocks are touched and nothing window-sized is allocated;
 //! 4. each serialized holder is validated exactly as
-//!    `Holder::try_decode` validates it (`Holder::scan_edges`) and
+//!    `Holder::from_bytes` validates it (`Holder::scan_edges`) and
 //!    its live edge records are appended straight to the CSR arrays
-//!    under the dense numbering below — no `Holder`, no per-row vectors;
+//!    under the dense numbering below — no copy, no per-row vectors;
 //! 5. one `alltoallv` of ghost-id lists resolves the halo.
 //!
 //! ## Dense numbering and halo exchange

@@ -10,7 +10,7 @@
 //!
 //! ### One read-only path
 //!
-//! A read-only transaction never builds a decoded holder. Every read it
+//! A read-only transaction never builds a `Holder`. Every read it
 //! makes — labels, properties, neighbours, edges, whoever owns the id —
 //! copies the element's chain into two buffers the transaction reuses
 //! and answers from the serialized bytes (`Transaction::with_bytes`,
@@ -25,7 +25,7 @@
 //! quiesced): it takes the plain copy. The buffers remember whose chain
 //! they hold, so consecutive reads of one element copy it once; an
 //! element read again later is copied (and, on the simulated clock,
-//! charged) again — the price of keeping nothing. The decoded cache is
+//! charged) again — the price of keeping nothing. The holder cache is
 //! for writers only: their own writes, their locks and their pre-images.
 //!
 //! Conflicts do not block indefinitely: lock acquisition is bounded, and a
@@ -51,7 +51,7 @@ use gdi::{
 use crate::db::GdaRank;
 use crate::dptr::{owner_rank, DPtr, EdgeUid};
 use crate::hio::{self, Source};
-use crate::holder::{relink, splice, Archive, EdgeRecord, EdgeScan, EntryScan, Holder};
+use crate::holder::{splice, Archive, EdgeRecord, EdgeScan, EntryScan, Holder};
 use crate::index::{holder_matches, IndexId, Posting};
 use crate::locks::LockKind;
 use crate::persist::RedoRecord;
@@ -60,6 +60,8 @@ use crate::persist::RedoRecord;
 /// writing transaction.
 #[derive(Debug)]
 struct CachedObj {
+    /// The holder as fetched, then as this transaction edits it: the
+    /// bytes commit writes back.
     holder: Holder,
     blocks: Vec<DPtr>,
     lock: Option<LockKind>,
@@ -240,10 +242,14 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
             // conflict detection), then refetch — the lockless copy
             // may be stale and carries no block list or pre-image
             self.eng.lm.acquire_write(id)?;
-            let refetched = hio::read_chain(self.eng.ctx, self.eng.cfg(), id)
-                .and_then(|(bytes, blocks)| Ok((decode(&bytes)?, blocks, bytes)));
+            let refetched =
+                hio::read_chain(self.eng.ctx, self.eng.cfg(), id).and_then(|(bytes, blocks)| {
+                    // bytes that are no holder: the usual stale internal id
+                    let holder = Holder::from_bytes(bytes.clone()).ok_or(hio::STALE)?;
+                    Ok((holder, blocks, bytes))
+                });
             match refetched {
-                Ok((holder, blocks, bytes)) if holder.version == obj.holder.version => {
+                Ok((holder, blocks, bytes)) if holder.version() == obj.holder.version() => {
                     obj.holder = holder;
                     obj.blocks = blocks;
                     obj.orig = Some(bytes);
@@ -314,7 +320,8 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
         let mut first_err = None;
         let mut admit = |id: DPtr, fetched: GdiResult<(Vec<u8>, Vec<DPtr>)>| {
             let cached = fetched.and_then(|(bytes, blocks)| {
-                let holder = decode(&bytes)?;
+                let orig = keep_orig.then(|| bytes.clone());
+                let holder = Holder::from_bytes(bytes).ok_or(hio::STALE)?;
                 self.cache.borrow_mut().insert(
                     id.raw(),
                     CachedObj {
@@ -325,7 +332,7 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
                         created: false,
                         deleted: false,
                         topo: false,
-                        orig: keep_orig.then_some(bytes),
+                        orig,
                     },
                 );
                 Ok(())
@@ -409,7 +416,7 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
     ) -> GdiResult<()> {
         let mut nbr = self.entry(target, true)?;
         if let Some(slot) = find_mirror_slot(&nbr.holder, remote, rec) {
-            f(&mut nbr.holder.edges[slot as usize]);
+            nbr.holder.update_edge(slot, f);
             nbr.dirty = true;
             nbr.topo = true;
         }
@@ -493,7 +500,7 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
 
     /// Read access to the labels and properties of `id`, all from **one**
     /// read of the element: its bytes in a read-only transaction (module
-    /// docs), the cached decoded holder otherwise. Evaluate a whole
+    /// docs), a writer's cached holder otherwise. Evaluate a whole
     /// pattern inside `f` rather than calling [`Transaction::has_label`]
     /// and [`Transaction::property`] once per predicate.
     pub fn with_entries<R>(&self, id: DPtr, f: impl FnOnce(&EntryScan<'_>) -> R) -> GdiResult<R> {
@@ -649,8 +656,8 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
     /// mirror records at all neighbours, and any heavy-edge holders.
     pub fn delete_vertex(&self, id: DPtr) -> GdiResult<()> {
         self.check_writable()?;
-        let edges: Vec<EdgeRecord> = (self.entry(id, true)?.holder.live_edges())
-            .map(|(_, r)| *r)
+        let edges: Vec<EdgeRecord> = (self.entry(id, true)?.holder.edge_scan().live())
+            .map(|(_, r)| r)
             .collect();
         for rec in edges {
             if !rec.edge_holder.is_null() {
@@ -752,10 +759,10 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
     pub fn add_property(&self, id: DPtr, ptype: PTypeId, value: &PropertyValue) -> GdiResult<()> {
         let (bytes, single) = self.validate_property(ptype, value, false)?;
         self.with_holder_mut(id, |h| {
-            if single && !h.properties_raw(ptype).is_empty() {
+            if single && h.entry_scan().properties_raw(ptype).next().is_some() {
                 Err(GdiError::AlreadyExists("single-valued property"))
             } else {
-                h.add_property(ptype, bytes);
+                h.add_property(ptype, &bytes);
                 Ok(())
             }
         })?
@@ -769,7 +776,7 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
         value: &PropertyValue,
     ) -> GdiResult<()> {
         let (bytes, _) = self.validate_property(ptype, value, false)?;
-        self.with_holder_mut(id, |h| h.set_property(ptype, bytes))
+        self.with_holder_mut(id, |h| h.set_property(ptype, &bytes))
     }
 
     /// `GDI_RemovePropertyFromVertex` (all entries of the type). Returns
@@ -1057,7 +1064,7 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
         let (bytes, _) = self.validate_property(ptype, value, true)?;
         let rec = self.edge_record(e)?;
         let holder = self.ensure_edge_holder(e, &rec)?;
-        self.with_holder_mut(holder, |h| h.set_property(ptype, bytes))
+        self.with_holder_mut(holder, |h| h.set_property(ptype, &bytes))
     }
 
     /// `GDI_GetPropertiesOfEdge`: first entry of the type.
@@ -1126,20 +1133,21 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
         rec: &EdgeRecord,
         f: impl Fn(&mut EdgeRecord),
     ) -> GdiResult<()> {
-        self.with_holder_topo(e.vertex, |h| f(&mut h.edges[e.slot as usize]))?;
+        self.with_holder_topo(e.vertex, |h| h.update_edge(e.slot, &f))?;
         if rec.target != e.vertex {
             self.update_mirror(rec.target, e.vertex, rec, &f)?;
         } else {
             // self-loop: the sibling record in the same holder
             self.with_holder_topo(e.vertex, |h| {
                 let sib = h
-                    .live_edges()
+                    .edge_scan()
+                    .live()
                     .find(|(s, r)| {
                         *s != e.slot && r.target == e.vertex && r.edge_holder == rec.edge_holder
                     })
                     .map(|(s, _)| s);
                 if let Some(s) = sib {
-                    f(&mut h.edges[s as usize]);
+                    h.update_edge(s, &f);
                 }
             })?;
         }
@@ -1287,83 +1295,66 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
                     // remove from DHT and indexes, then free storage; the
                     // delete bumps the owner's epoch, retiring every cached
                     // translation of the vertex
-                    if !obj.holder.is_edge {
-                        self.eng.dht.delete(obj.holder.app_id);
-                        self.eng
-                            .indexes()
-                            .reindex_vertex(id, AppVertexId(obj.holder.app_id), None);
+                    if !obj.holder.is_edge() {
+                        self.eng.dht.delete(obj.holder.app_id());
+                        self.eng.indexes().reindex_vertex(
+                            id,
+                            AppVertexId(obj.holder.app_id()),
+                            None,
+                        );
                     }
                 }
                 hio::free_chain(&self.eng.bm, &obj.blocks);
                 if logging && !obj.created {
-                    // the logged version also caps the owner's stamp
-                    // counter: a recreate of this app id must stamp
-                    // strictly above it even when this version predates
-                    // persistence (and so was never stamped), or replay
-                    // would refuse the recreate as older than its
-                    // tombstone
-                    self.eng.advance_version_stamp(id, obj.holder.version);
                     redo.push(RedoRecord::Delete {
                         primary: raw,
-                        app_id: obj.holder.app_id,
-                        is_edge: obj.holder.is_edge,
-                        version: obj.holder.version,
+                        app_id: obj.holder.app_id(),
+                        is_edge: obj.holder.is_edge(),
+                        version: obj.holder.version(),
                     });
                 }
                 touched.insert(id.rank());
                 topo_touched.insert(id.rank());
                 wrote_any = true;
             } else if obj.dirty || obj.created {
-                // a persisted write versions the holder with a commit
-                // stamp from its owner rank — strictly monotone per
-                // object across incarnations, the replay ordering
-                // authority. Pre-persistence in-memory bumps can outrun
-                // the counter (persistence enabled mid-life): then the
-                // counter must be raised along with the written version,
-                // or a later incarnation of this app id could stamp
-                // *below* it and lose to its tombstone at replay.
-                // Without persistence the stamp is taken all the same:
-                // version doubles as the seqlock publication stamp, so
-                // it must be unique per rank across objects and
-                // incarnations (a reused block must never revalidate
-                // under a stale stamp)
-                let base = obj.holder.version;
+                // every write versions the holder with a commit stamp
+                // from its owner rank: strictly monotone per object
+                // across incarnations, the replay ordering authority,
+                // and unique per rank across objects and incarnations,
+                // as the seqlock publication stamp must be (a reused
+                // block must never revalidate under a stale stamp).
+                // Every version a holder carries came from that counter
+                // (a commit, a bulk load) or lies at or below the floor
+                // recovery raises every counter to, so the new stamp is
+                // always above it.
+                let base = obj.holder.version();
                 let stamp = self.eng.next_version_stamp(id);
-                let want = base + 1;
-                obj.holder.version = if want > stamp {
-                    self.eng.advance_version_stamp(id, want);
-                    want
-                } else {
-                    stamp
-                };
+                debug_assert!(base < stamp, "version {base} not below stamp {stamp}");
+                obj.holder.set_version(stamp);
                 // an unversioned overwrite (a collective writer: no
                 // concurrent reader) ends the chain: its records undo the
                 // version this write replaces, not the one it writes, and
                 // stay on their retire lists until the floor passes them
                 if epoch.is_none() || obj.created {
-                    obj.holder.prev = 0;
+                    obj.holder.set_prev(0);
                 }
                 if let Some(e) = epoch {
-                    obj.holder.commit_epoch = e;
+                    obj.holder.set_commit_epoch(e);
                 }
                 obj.holder.compact_edges();
-                let mut bytes = obj.holder.encode();
                 // one diff against the pre-image: the redo record's
                 // forward splice, and the archive's undo of it
                 let archives = epoch.filter(|_| !obj.created);
                 let fwd = (obj.orig.as_deref())
                     .filter(|_| archives.is_some() || (logging && !logs_whole))
-                    .map(|pre| (pre, splice(pre, &bytes)));
+                    .map(|pre| (pre, splice(pre, obj.holder.bytes())));
                 if let Some(e) = archives {
                     let Some((pre, fwd)) = &fwd else {
                         result = Err(NO_PRE_IMAGE);
                         continue;
                     };
                     match self.archive_version(id, &Archive::record(pre, fwd), e) {
-                        Ok(head) => {
-                            obj.holder.prev = head.raw();
-                            relink(&mut bytes, obj.holder.prev);
-                        }
+                        Ok(head) => obj.holder.set_prev(head.raw()),
                         Err(e) => {
                             result = Err(e);
                             continue;
@@ -1375,10 +1366,11 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
                 // reads can never assemble a torn mix of versions;
                 // created objects are unreachable until the DHT insert
                 // below and write single-phase
+                let (bytes, blocks) = (obj.holder.bytes(), &mut obj.blocks);
                 let write_res = if !obj.created {
-                    hio::overwrite_chain(self.eng.ctx, &self.eng.bm, &bytes, &mut obj.blocks)
+                    hio::overwrite_chain(self.eng.ctx, &self.eng.bm, bytes, blocks)
                 } else {
-                    hio::write_chain(self.eng.ctx, &self.eng.bm, &bytes, &mut obj.blocks)
+                    hio::write_chain(self.eng.ctx, &self.eng.bm, bytes, blocks)
                 };
                 if let Err(e) = write_res {
                     result = Err(e);
@@ -1390,8 +1382,8 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
                     continue;
                 }
                 wrote_any = true;
-                if obj.created && !obj.holder.is_edge {
-                    if let Err(e) = self.eng.dht.insert(obj.holder.app_id, raw) {
+                if obj.created && !obj.holder.is_edge() {
+                    if let Err(e) = self.eng.dht.insert(obj.holder.app_id(), raw) {
                         result = Err(e);
                         // written (wrote_any is set): persisted mirrors
                         // may point here, so the blocks must leak rather
@@ -1399,12 +1391,10 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
                         continue;
                     }
                 }
-                if !obj.holder.is_edge {
-                    self.eng.indexes().reindex_vertex(
-                        id,
-                        AppVertexId(obj.holder.app_id),
-                        Some(&obj.holder.labels()),
-                    );
+                if !obj.holder.is_edge() {
+                    let labels: Vec<LabelId> = obj.holder.entry_scan().labels().collect();
+                    let app = AppVertexId(obj.holder.app_id());
+                    self.eng.indexes().reindex_vertex(id, app, Some(&labels));
                 }
                 if logging {
                     // the new body as a splice over the pre-image it
@@ -1412,13 +1402,13 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
                     // history is sure to hold (`PersistStore::logs_whole`)
                     let (base, splice) = match fwd.filter(|_| !logs_whole) {
                         Some((_, fwd)) => (Some(base), fwd),
-                        None => (None, splice(&[], &bytes)),
+                        None => (None, splice(&[], obj.holder.bytes())),
                     };
                     redo.push(RedoRecord::Put {
                         primary: raw,
-                        app_id: obj.holder.app_id,
-                        is_edge: obj.holder.is_edge,
-                        version: obj.holder.version,
+                        app_id: obj.holder.app_id(),
+                        is_edge: obj.holder.is_edge(),
+                        version: obj.holder.version(),
                         base,
                         splice,
                     });
@@ -1508,7 +1498,8 @@ impl Drop for Transaction<'_, '_, '_, '_> {
 /// remote vertex, reversed direction, same label and heavy-holder link.
 fn find_mirror_slot(holder: &Holder, remote: DPtr, rec: &EdgeRecord) -> Option<u32> {
     holder
-        .live_edges()
+        .edge_scan()
+        .live()
         .find(|(_, r)| {
             r.target == remote
                 && r.dir == rec.dir.reverse()
@@ -1518,8 +1509,8 @@ fn find_mirror_slot(holder: &Holder, remote: DPtr, rec: &EdgeRecord) -> Option<u
         .map(|(s, _)| s)
 }
 
-/// Tombstone an edge record (what [`Holder::remove_edge`] does to a live
-/// slot).
+/// Tombstone an edge record (its slot stays, so later slots keep their
+/// edge UIDs until commit compacts).
 fn tombstone(r: &mut EdgeRecord) {
     r.flags |= EdgeRecord::TOMBSTONE;
 }
@@ -1528,12 +1519,6 @@ fn tombstone(r: &mut EdgeRecord) {
 /// cannot archive the version it overwrites (never expected: every
 /// write-locked first touch of an MVCC writer keeps one).
 const NO_PRE_IMAGE: GdiError = GdiError::NotFound("pre-image of an overwritten object");
-
-/// Decode fetched chain bytes; bytes that are no holder are the usual
-/// stale internal id.
-fn decode(bytes: &[u8]) -> GdiResult<Holder> {
-    Holder::try_decode(bytes).ok_or(hio::STALE)
-}
 
 #[cfg(test)]
 mod tests {

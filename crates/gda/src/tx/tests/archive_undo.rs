@@ -112,7 +112,7 @@ fn state(tx: &Transaction, hub: DPtr, meta: Meta) -> State {
 /// while a reader pinned before them holds every record).
 fn chain_len(eng: &GdaRank, hub: DPtr) -> usize {
     let (bytes, _) = read_chain(eng.ctx(), eng.cfg(), hub).unwrap();
-    let (mut cur, mut n) = (Holder::decode(&bytes).prev, 0);
+    let (mut cur, mut n) = (Holder::version_of(&bytes).unwrap().1, 0);
     while cur != 0 {
         let (record, _) = read_chain(eng.ctx(), eng.cfg(), DPtr::from_raw(cur)).unwrap();
         cur = Archive::parse(&record).unwrap().prev;
@@ -134,7 +134,7 @@ fn live_blocks(eng: &GdaRank, hub: DPtr) -> usize {
 /// The record at the head of the hub's version chain, and where it is.
 fn head_record(eng: &GdaRank, hub: DPtr) -> (DPtr, Archive) {
     let (bytes, _) = read_chain(eng.ctx(), eng.cfg(), hub).unwrap();
-    let head = DPtr::from_raw(Holder::decode(&bytes).prev);
+    let head = DPtr::from_raw(Holder::version_of(&bytes).unwrap().1);
     let (record, blocks) = read_chain(eng.ctx(), eng.cfg(), head).unwrap();
     assert_eq!(blocks.len(), 1, "a value update's record fits one block");
     (head, Archive::parse(&record).unwrap())
@@ -272,8 +272,9 @@ fn a_collective_overwrite_ends_the_undo_chain() {
         tx.update_property(hub, meta.val, &PropertyValue::U64(9))
             .unwrap();
         tx.commit().unwrap();
-        let live = Holder::decode(&read_chain(eng.ctx(), eng.cfg(), hub).unwrap().0);
-        assert_eq!(live.prev, 0, "the chain ends at the live version");
+        let live = read_chain(eng.ctx(), eng.cfg(), hub).unwrap().0;
+        let (_, prev) = Holder::version_of(&live).unwrap();
+        assert_eq!(prev, 0, "the chain ends at the live version");
         assert_eq!(free_blocks(eng), free, "records wait for a reclaim");
         let rep = eng.maintenance().unwrap();
         assert_eq!(rep.vacuumed_versions, 2, "{rep:?}");

@@ -650,8 +650,8 @@ mod tests {
 
     /// Labels 10 and 11; p-type 3 = 5 then 50 (multi-valued), p-type 4 of
     /// an undecodable width, p-type 5 absent — read from the serialized
-    /// bytes, as a read-only transaction reads them (that they and the
-    /// decoded holder give the same entries is `gda`'s holder
+    /// bytes, as a read-only transaction reads them (that the entry scan
+    /// reads what the holder's reference encoder wrote is `gda`'s holder
     /// differential test). A fresh database allocates label ids from 1
     /// and p-type ids from 3, so the ids are the ones named here.
     fn holds(p: &NodePattern) -> bool {

@@ -15,9 +15,12 @@
 //! indeterminate (commit-uncertain) outcome takes the vertices it could
 //! have changed out of verification.
 //!
-//! After every checkpoint (failed ones included), maintenance pass and
-//! recovery the harness runs the engine's block-pool audit
-//! ([`gda::GdaRank::audit_pool`]): a leaked or doubly counted block is a
+//! After every recovery, successful checkpoint and maintenance pass the
+//! harness runs the engine's image audit ([`gda::persist::audit_image`]:
+//! what a recovery would rebuild from the published chain is the live
+//! state, byte for byte) and its block-pool audit
+//! ([`gda::GdaRank::audit_pool`]); after a failed checkpoint, the pool
+//! audit alone. A difference, or a leaked or doubly counted block, is a
 //! mismatch too.
 //!
 //! The scripts:
@@ -36,8 +39,7 @@
 //!   server degrades to read-only (reads keep serving abort-free,
 //!   writes bounce with the typed [`SubmitError::ReadOnly`] and so must
 //!   be absent after recovery), the fault is repaired and a checkpoint
-//!   exits degradation, `audit_image` checks both published images,
-//!   and the restart time is the MTTR.
+//!   exits degradation, and the restart time is the MTTR.
 //!
 //! Each script keeps its own op generator, seed and RNG draws. Data
 //! mismatches land in the [`Report`], never in panics, so the
@@ -669,7 +671,7 @@ pub fn run(cfg: &Scenario) -> Report {
         // the restore ends at "serving + verified": the post-restart
         // phase must not inflate it
         report.restart_wall_s = restart_t0.elapsed().as_secs_f64();
-        report.mismatches.extend(audit_pool(&srv, "recovery"));
+        report.mismatches.extend(audit_state(&srv, "recovery"));
         if let Script::KillRestart { post_ops, .. } = script {
             if post_ops > 0 {
                 let meta = needs(&meta);
@@ -703,7 +705,7 @@ fn kill_restart(
     drive(srv, clients, ops, |s, c, _| kill_restart_step(s, c, meta));
     let ck = srv.checkpoint().expect("mid-traffic checkpoint");
     report.checkpoint = CheckpointSample::of(&ck, 0);
-    report.mismatches.extend(audit_pool(srv, "the checkpoint"));
+    report.mismatches.extend(audit_state(srv, "the checkpoint"));
     drive(srv, clients, ops, |s, c, _| kill_restart_step(s, c, meta));
 }
 
@@ -807,7 +809,7 @@ fn churn(
     report.checkpoint = CheckpointSample::of(&ck, 0);
     report
         .mismatches
-        .extend(audit_pool(srv, "the full checkpoint"));
+        .extend(audit_state(srv, "the full checkpoint"));
     for _round in 0..rounds {
         drive(srv, clients, ops, |s, c, _| churn_step(s, c, p0));
         let before = logged;
@@ -818,11 +820,11 @@ fn churn(
             .push(CheckpointSample::of(&ck, logged - before));
         report
             .mismatches
-            .extend(audit_pool(srv, "a round checkpoint"));
+            .extend(audit_state(srv, "a round checkpoint"));
         let m = srv.maintenance().expect("round maintenance");
         report
             .mismatches
-            .extend(audit_pool(srv, "a maintenance pass"));
+            .extend(audit_state(srv, "a maintenance pass"));
         report.maint.push(MaintSample {
             vacuumed_versions: m.vacuumed_versions,
             verify_errors: m.verify_errors,
@@ -905,12 +907,13 @@ fn audit(
     }
 }
 
-/// The recovered ≡ live oracle after a published checkpoint
-/// ([`gda::persist::audit_image`]): `None` when what a recovery would
-/// rebuild from the published chain is the live state, object for
-/// object, else what differs.
-fn audit_image(srv: &GdiServer) -> Option<String> {
-    audit(srv, |eng| gda::persist::audit_image(eng).map(drop))
+/// Both audits after `step` — the recovered ≡ live oracle
+/// ([`gda::persist::audit_image`]) and the block-conservation audit
+/// ([`audit_pool`]) — as one mismatch line per audit that fails.
+fn audit_state(srv: &GdiServer, step: &str) -> Vec<String> {
+    let image = audit(srv, |eng| gda::persist::audit_image(eng).map(drop));
+    let image = image.map(|e| format!("after {step}: {e}"));
+    image.into_iter().chain(audit_pool(srv, step)).collect()
 }
 
 /// The block-conservation audit ([`GdaRank::audit_pool`]) after `step`:
@@ -933,13 +936,9 @@ fn chaos(
     drive(srv, clients, ops, chaos_step);
     let ck = srv.checkpoint().expect("healthy anchoring checkpoint");
     report.checkpoint = CheckpointSample::of(&ck, 0);
-    let audit = |when: &str| {
-        let image = audit_image(srv).map(|e| format!("{when} checkpoint: {e}"));
-        image
-            .into_iter()
-            .chain(audit_pool(srv, &format!("the {when} checkpoint")))
-    };
-    report.mismatches.extend(audit("anchoring"));
+    report
+        .mismatches
+        .extend(audit_state(srv, "the anchoring checkpoint"));
 
     // arm the persistent fault and force degradation
     let store = srv.db().persistence().expect("a persistent server");
@@ -1003,7 +1002,9 @@ fn chaos(
     plane.disarm_all();
     d.fault_hits = plane.fired();
     srv.checkpoint().expect("post-repair checkpoint");
-    report.mismatches.extend(audit("post-repair"));
+    report
+        .mismatches
+        .extend(audit_state(srv, "the post-repair checkpoint"));
     d.exited = !srv.degraded();
     report.degradation = Some(d);
     drive(srv, clients, ops, chaos_step);
