@@ -19,6 +19,8 @@
 //! entries (8 B header + padded data): id:u32 | len:u32 | data…pad8
 //! ```
 //!
+//! Every pad byte is zero; a reader refuses bytes where one is not.
+//!
 //! `commit_epoch` is the global commit epoch the version became visible
 //! at (0 = bulk-loaded / pre-MVCC, visible to every snapshot). `prev`
 //! is the raw `DPtr` of the archived previous version's chain head
@@ -697,14 +699,31 @@ impl Layout {
     }
 
     /// [`Layout::parse`] plus every edge record's direction byte
-    /// (tombstoned records included) and the entry framing.
+    /// (tombstoned records included), the entry framing, and every pad
+    /// byte — an edge record's last two, an entry frame's after its data
+    /// — being zero, so one logical holder has exactly one byte form.
     fn validated(bytes: &[u8]) -> Option<Layout> {
         let lay = Layout::parse(bytes)?;
         for rec in lay.edge_records(bytes).chunks_exact(EDGE_RECORD_BYTES) {
-            Direction::from_u8(rec[20])?;
+            // the record's last word: dir:u8 | eflags:u8 | pad:u16
+            let tail = le_u32(rec, 20);
+            Direction::from_u8(tail as u8)?;
+            if tail >> 16 != 0 {
+                return None;
+            }
         }
-        for frame in Frames::new(&bytes[lay.entries_start()..lay.end]) {
-            frame?;
+        let section = &bytes[lay.entries_start()..lay.end];
+        for frame in Frames::new(section) {
+            let (off, _, data) = frame?;
+            let used = data.len() % 8;
+            if used != 0 {
+                // the frame's last word: `used` data bytes, then the pad
+                // (a padded frame past the section is refused either way)
+                let end = off + frame_bytes(data.len());
+                if le_u64(section.get(end - 8..end)?, 0) >> (8 * used) != 0 {
+                    return None;
+                }
+            }
         }
         Some(lay)
     }
@@ -922,7 +941,8 @@ mod tests {
         /// The reference decoder: `None` for bytes that are no holder —
         /// a header shorter than 48 bytes or longer than the bytes, an
         /// unknown flag bit, lengths that do not add up, a direction byte
-        /// naming no direction, an entry frame past its section or a
+        /// naming no direction, a non-zero pad byte (of an edge record or
+        /// after an entry's data), an entry frame past its section or a
         /// section no frame boundary ends.
         fn parse(bytes: &[u8]) -> Option<Model> {
             let u32_at =
@@ -945,6 +965,9 @@ mod tests {
                 ..Model::default()
             };
             for at in (0..n).map(|i| HEADER_BYTES + 24 * i) {
+                if bytes[at + 22..at + 24] != [0, 0] {
+                    return None;
+                }
                 m.edges.push(EdgeRecord {
                     target: DPtr::from_raw(u64_at(at)?),
                     edge_holder: DPtr::from_raw(u64_at(at + 8)?),
@@ -961,6 +984,10 @@ mod tests {
                 }
                 m.entries
                     .push((u32_at(at)?, bytes[at + 8..at + 8 + len].to_vec()));
+                let pad = at + 8 + len..(at + 8 + len.div_ceil(8) * 8).min(total);
+                if bytes[pad].iter().any(|&b| b != 0) {
+                    return None;
+                }
                 at += 8 + len.div_ceil(8) * 8;
             }
             (at == total).then_some(m)
@@ -1346,9 +1373,10 @@ mod tests {
         let (Some(m), Some(holder)) = (decoded, holder) else {
             return;
         };
-        // (pad bytes are kept as they came: no reader looks at them)
+        // a holder has one byte form: its reference encoding
         let announced = &bytes[..Holder::peek_total_len(bytes)];
         assert_eq!(holder.bytes(), announced, "kept bytes");
+        assert_eq!(m.serialized(), announced, "one byte form");
         let live: Vec<(u32, EdgeRecord)> = (m.edges.iter().enumerate())
             .filter(|(_, r)| !r.is_tombstone())
             .map(|(s, r)| (s as u32, *r))
@@ -1524,6 +1552,40 @@ mod tests {
         longer.extend_from_slice(&[0xEE; 5]);
         assert_scan_matches_decode(&longer);
         assert_eq!(Holder::from_bytes(longer).unwrap().bytes(), good);
+    }
+
+    /// Pad bytes count toward validity: one `0xFF` pad byte in an edge
+    /// record, or after an entry's data, and every reader refuses the
+    /// holder — the reference decoder, the scans, `from_bytes` and an
+    /// archive rewinding it — so one logical holder has one byte form.
+    #[test]
+    fn a_non_zero_pad_byte_is_refused() {
+        let mut pre = busy();
+        pre.set_version(9);
+        let mut post = pre.clone();
+        post.set_version(10);
+        let archive = Archive::parse(&Archive::record(
+            pre.bytes(),
+            &splice(pre.bytes(), post.bytes()),
+        ))
+        .unwrap();
+        let good = post.bytes().to_vec();
+        assert_eq!(archive.rewind(&good).as_deref(), Some(pre.bytes()));
+        // property 9's frame, second to last: 13 data bytes, 3 pad bytes
+        let frame = good.len() - 8 - (8 + 16);
+        assert_eq!((le_u32(&good, frame), le_u32(&good, frame + 4)), (9, 13));
+        let edge_pads = [HEADER_BYTES + 22, HEADER_BYTES + EDGE_RECORD_BYTES + 23];
+        let entry_pads = [frame + 8 + 13, frame + 8 + 15];
+        for at in edge_pads.into_iter().chain(entry_pads) {
+            let mut m = good.clone();
+            m[at] = 0xFF;
+            assert!(Model::parse(&m).is_none(), "byte {at}");
+            assert_scan_matches_decode(&m);
+            assert!(Holder::scan_edges(&m).is_none(), "byte {at}");
+            assert!(Holder::scan_entries(&m).is_none(), "byte {at}");
+            assert!(archive.rewind(&m).is_none(), "byte {at}");
+            assert!(Holder::from_bytes(m).is_none(), "byte {at}");
+        }
     }
 
     /// Edge records `(rank, block, label, direction, tombstone)`.

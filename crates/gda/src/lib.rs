@@ -127,6 +127,6 @@ pub use holder::EntryScan;
 pub use index::{IndexDef, IndexId, Posting};
 pub use maint::MaintenanceReport;
 pub use meta::{LabelDef, MetaSnapshot, PTypeDef};
-pub use persist::{CheckpointReport, PersistOptions, PersistStore, RankRecovery, RecoveryPlan};
+pub use persist::{CheckpointReport, PersistOptions, PersistStore, RankRecovery};
 pub use scan::{CsrView, ScanPartition};
 pub use tx::Transaction;

@@ -454,10 +454,10 @@ mod tests {
             });
         }
         // the compacted layout recovers
-        let (db, fabric, plan) = recover(PersistOptions::new(&td_base), CostModel::zero()).unwrap();
+        let (db, fabric, recs) = recover(PersistOptions::new(&td_base), CostModel::zero()).unwrap();
         fabric.run(|ctx| {
             let eng = db.attach(ctx);
-            let rec = plan.restore_rank(&eng).unwrap();
+            let rec = &recs[ctx.rank()];
             assert_eq!(rec.errors, 0, "{rec:?}");
             let tx = eng.begin(AccessMode::ReadOnly);
             let v = tx.translate_vertex_id(AppVertexId(1000)).unwrap();

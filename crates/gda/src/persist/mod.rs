@@ -24,13 +24,14 @@
 //!   **delta** writes nothing else and *seals* each rank's redo log as
 //!   the chain's next segment;
 //! * **recovery** ([`recover_with_topology`]; the
-//!   `persist/recover.rs` module docs): reads the `CURRENT` pointer,
-//!   the manifest, every rank's base image and redo history, replays
-//!   the history logically into one object map, then — collectively,
-//!   inside `fabric.run` on a fresh fabric of any rank count —
-//!   materializes that map ([`RecoveryPlan::restore_rank`]) and commits
-//!   it with a fresh full checkpoint, so the next crash replays from a
-//!   clean boundary.
+//!   `persist/recover.rs` module docs), one call: it reads the `CURRENT`
+//!   pointer, the manifest, every rank's base image and redo history,
+//!   replays the history logically into one object map, builds a fresh
+//!   fabric of any rank count, materializes that map on it collectively
+//!   (one `fabric.run`) and commits it with a fresh full checkpoint, so
+//!   the next crash replays from a clean boundary. It returns the
+//!   restored database and fabric, ready to serve, or the error every
+//!   rank voted, with the directory as it was.
 //!
 //! ## Snapshot publication protocol
 //!
@@ -155,7 +156,7 @@ pub(crate) use self::format::FORMAT_VERSION;
 pub(crate) use self::redo::RedoRecord;
 pub use self::{
     format::Checksum,
-    recover::{audit_image, recover_with_topology, RankRecovery, RecoveryPlan},
+    recover::{audit_image, recover_with_topology, RankRecovery},
     snapshot::STRIP_BYTES,
 };
 use format::{check_file_header, io_err, Dec, Enc, FILE_HEADER_BYTES, MANIFEST_MAGIC};
@@ -1126,7 +1127,7 @@ pub(crate) mod tests {
     pub(crate) fn recover(
         opts: PersistOptions,
         cost: CostModel,
-    ) -> GdiResult<(Arc<GdaDb>, rma::Fabric, Arc<RecoveryPlan>)> {
+    ) -> GdiResult<(Arc<GdaDb>, rma::Fabric, Vec<RankRecovery>)> {
         recover_with_topology(opts, cost, None)
     }
 
@@ -1242,11 +1243,11 @@ pub(crate) mod tests {
             });
             // db + fabric dropped here: the "crash"
         }
-        let (db, fabric, plan) = recover(PersistOptions::new(&td.0), CostModel::zero()).unwrap();
-        assert_eq!(plan.snapshot_id(), 1);
+        let (db, fabric, recs) = recover(PersistOptions::new(&td.0), CostModel::zero()).unwrap();
+        assert_eq!(recs[0].snapshot_id, 1);
         fabric.run(|ctx| {
             let eng = db.attach(ctx);
-            let rec = plan.restore_rank(&eng).unwrap();
+            let rec = &recs[ctx.rank()];
             assert!(rec.records >= 2, "redo tail replayed: {rec:?}");
             assert_eq!(rec.errors, 0);
             assert_eq!(rec.final_checkpoint, 2);
@@ -1304,11 +1305,10 @@ pub(crate) mod tests {
                 ctx.barrier();
             });
         }
-        let (db, fabric, plan) = recover(PersistOptions::new(&td.0), CostModel::zero()).unwrap();
-        assert_eq!(plan.snapshot_id(), 0);
+        let (db, fabric, recs) = recover(PersistOptions::new(&td.0), CostModel::zero()).unwrap();
+        assert_eq!(recs[0].snapshot_id, 0);
         fabric.run(|ctx| {
             let eng = db.attach(ctx);
-            plan.restore_rank(&eng).unwrap();
             let tx = eng.begin(AccessMode::ReadOnly);
             for i in 0..6u64 {
                 tx.translate_vertex_id(AppVertexId(i)).unwrap();
@@ -1356,10 +1356,10 @@ pub(crate) mod tests {
                 tx.commit().unwrap();
             });
         }
-        let (db, fabric, plan) = recover(PersistOptions::new(&td.0), CostModel::zero()).unwrap();
+        let (db, fabric, recs) = recover(PersistOptions::new(&td.0), CostModel::zero()).unwrap();
         fabric.run(|ctx| {
             let eng = db.attach(ctx);
-            let rec = plan.restore_rank(&eng).unwrap();
+            let rec = &recs[ctx.rank()];
             assert_eq!(rec.errors, 0);
             let tx = eng.begin(AccessMode::ReadOnly);
             tx.translate_vertex_id(AppVertexId(1)).unwrap();
@@ -1456,10 +1456,10 @@ pub(crate) mod tests {
                 ctx.barrier();
             });
         }
-        let (db, fabric, plan) = recover(PersistOptions::new(&td.0), CostModel::zero()).unwrap();
+        let (db, fabric, recs) = recover(PersistOptions::new(&td.0), CostModel::zero()).unwrap();
         fabric.run(|ctx| {
             let eng = db.attach(ctx);
-            let rec = plan.restore_rank(&eng).unwrap();
+            let rec = &recs[ctx.rank()];
             assert_eq!(rec.errors, 0, "{rec:?}");
             let blob = eng.meta().ptype_from_name("blob").unwrap();
             let tx = eng.begin(AccessMode::ReadOnly);
@@ -1528,11 +1528,10 @@ pub(crate) mod tests {
                 assert_eq!(eng.checkpoint().unwrap(), 2);
             });
         }
-        let (db, fabric, plan) = recover(PersistOptions::new(&td.0), CostModel::zero()).unwrap();
-        assert_eq!(plan.snapshot_id(), 2);
+        let (db, fabric, recs) = recover(PersistOptions::new(&td.0), CostModel::zero()).unwrap();
+        assert_eq!(recs[0].snapshot_id, 2);
         fabric.run(|ctx| {
             let eng = db.attach(ctx);
-            plan.restore_rank(&eng).unwrap();
             let tx = eng.begin(AccessMode::ReadOnly);
             for i in [0u64, 1, 2, 3, 50] {
                 tx.translate_vertex_id(AppVertexId(i)).unwrap();
@@ -1570,10 +1569,10 @@ pub(crate) mod tests {
             });
         }
         let torn_len = fs::metadata(td.0.join("redo-rank-0.log")).unwrap().len();
-        let (db, fabric, plan) = recover(PersistOptions::new(&td.0), CostModel::zero()).unwrap();
+        let (db, fabric, recs) = recover(PersistOptions::new(&td.0), CostModel::zero()).unwrap();
         fabric.run(|ctx| {
             let eng = db.attach(ctx);
-            let rec = plan.restore_rank(&eng).unwrap();
+            let rec = &recs[ctx.rank()];
             assert_eq!(rec.errors, 0);
             assert!(
                 rec.log_bytes < torn_len,
@@ -1622,10 +1621,10 @@ pub(crate) mod tests {
                 assert_eq!(store.log_errors(), 1);
             });
         }
-        let (db, fabric, plan) = recover(PersistOptions::new(&td.0), CostModel::zero()).unwrap();
+        let (db, fabric, recs) = recover(PersistOptions::new(&td.0), CostModel::zero()).unwrap();
         fabric.run(|ctx| {
             let eng = db.attach(ctx);
-            let rec = plan.restore_rank(&eng).unwrap();
+            let rec = &recs[ctx.rank()];
             assert_eq!(rec.errors, 0);
             let tx = eng.begin(AccessMode::ReadOnly);
             for i in [0u64, 1, 2, 3, 60] {
@@ -1683,11 +1682,11 @@ pub(crate) mod tests {
         }
         let cur = fs::read_to_string(td.0.join("CURRENT")).unwrap();
         assert_eq!(cur.trim(), "1", "CURRENT still names the old snapshot");
-        let (db, fabric, plan) = recover(PersistOptions::new(&td.0), CostModel::zero()).unwrap();
-        assert_eq!(plan.snapshot_id(), 1);
+        let (db, fabric, recs) = recover(PersistOptions::new(&td.0), CostModel::zero()).unwrap();
+        assert_eq!(recs[0].snapshot_id, 1);
         fabric.run(|ctx| {
             let eng = db.attach(ctx);
-            let rec = plan.restore_rank(&eng).unwrap();
+            let rec = &recs[ctx.rank()];
             assert_eq!(rec.errors, 0);
             let tx = eng.begin(AccessMode::ReadOnly);
             for i in [0u64, 1, 2, 3, 100, 101] {
@@ -1735,10 +1734,10 @@ pub(crate) mod tests {
                 }
             });
         }
-        let (db, fabric, plan) = recover(PersistOptions::new(&td.0), CostModel::zero()).unwrap();
+        let (db, fabric, recs) = recover(PersistOptions::new(&td.0), CostModel::zero()).unwrap();
         fabric.run(|ctx| {
             let eng = db.attach(ctx);
-            let rec = plan.restore_rank(&eng).unwrap();
+            let rec = &recs[ctx.rank()];
             assert_eq!(rec.errors, 0, "{rec:?}");
             let tx = eng.begin(AccessMode::ReadOnly);
             let mut out_edges = 0usize;
@@ -1836,10 +1835,10 @@ pub(crate) mod tests {
                 ctx.barrier();
             });
         }
-        let (db, fabric, plan) = recover(PersistOptions::new(&td.0), CostModel::zero()).unwrap();
+        let (db, fabric, recs) = recover(PersistOptions::new(&td.0), CostModel::zero()).unwrap();
         fabric.run(|ctx| {
             let eng = db.attach(ctx);
-            let rec = plan.restore_rank(&eng).unwrap();
+            let rec = &recs[ctx.rank()];
             assert_eq!(rec.errors, 0, "{rec:?}");
             let blob = eng.meta().ptype_from_name("blob").unwrap();
             let tx = eng.begin(AccessMode::ReadOnly);
@@ -1937,10 +1936,10 @@ pub(crate) mod tests {
                 ctx.barrier();
             });
         }
-        let (db, fabric, plan) = recover(PersistOptions::new(&td.0), CostModel::zero()).unwrap();
+        let (db, fabric, recs) = recover(PersistOptions::new(&td.0), CostModel::zero()).unwrap();
         fabric.run(|ctx| {
             let eng = db.attach(ctx);
-            let rec = plan.restore_rank(&eng).unwrap();
+            let rec = &recs[ctx.rank()];
             assert_eq!(rec.errors, 0, "{rec:?}");
             let age = eng.meta().ptype_from_name("age").unwrap();
             let tx = eng.begin(AccessMode::ReadOnly);
@@ -1981,10 +1980,10 @@ pub(crate) mod tests {
                 tx.commit().unwrap();
             });
         }
-        let (db, fabric, plan) = recover(PersistOptions::new(&td.0), CostModel::zero()).unwrap();
+        let (db, fabric, recs) = recover(PersistOptions::new(&td.0), CostModel::zero()).unwrap();
         fabric.run(|ctx| {
             let eng = db.attach(ctx);
-            let rec = plan.restore_rank(&eng).unwrap();
+            let rec = &recs[ctx.rank()];
             assert_eq!(rec.errors, 0, "{rec:?}");
             let tx = eng.begin(AccessMode::ReadOnly);
             tx.translate_vertex_id(AppVertexId(1)).unwrap();
@@ -2113,11 +2112,9 @@ pub(crate) mod tests {
         }
         // reference: what a same-topology recovery reads back
         let want = {
-            let (db, fabric, plan) =
-                recover(PersistOptions::new(&td.0), CostModel::zero()).unwrap();
+            let (db, fabric, _) = recover(PersistOptions::new(&td.0), CostModel::zero()).unwrap();
             let states = fabric.run(|ctx| {
                 let eng = db.attach(ctx);
-                plan.restore_rank(&eng).unwrap();
                 let val = eng.meta().ptype_from_name("val").unwrap();
                 observable_state(&eng, 101, val)
             });
@@ -2127,14 +2124,13 @@ pub(crate) mod tests {
         // so the chain re-reshards its own output: 2 → 1 → 3 → 5
         let mut from = 2usize;
         for q in [1usize, 3, 5] {
-            let (db, fabric, plan) =
+            let (db, fabric, recs) =
                 recover_with_topology(PersistOptions::new(&td.0), CostModel::zero(), Some(q))
                     .unwrap();
-            assert_eq!(plan.resharding_from(), Some(from), "Q={q}");
-            assert!(plan.reshard_objects() > 0);
+            assert!(recs.iter().map(|r| r.objects).sum::<u64>() > 0);
             let states = fabric.run(|ctx| {
                 let eng = db.attach(ctx);
-                let rec = plan.restore_rank(&eng).unwrap();
+                let rec = &recs[ctx.rank()];
                 assert_eq!(rec.resharded_from, Some(from));
                 assert!(rec.final_checkpoint > 0, "reshard must publish");
                 let val = eng.meta().ptype_from_name("val").unwrap();
@@ -2175,12 +2171,12 @@ pub(crate) mod tests {
             }
             // the reshard's closing checkpoint is a native Q-topology
             // snapshot: a plain recover() boots Q ranks from it
-            let (db2, fabric2, plan2) =
+            let (db2, fabric2, recs2) =
                 recover(PersistOptions::new(&td.0), CostModel::zero()).unwrap();
             assert_eq!(db2.nranks(), q);
             let states2 = fabric2.run(|ctx| {
                 let eng = db2.attach(ctx);
-                let rec = plan2.restore_rank(&eng).unwrap();
+                let rec = &recs2[ctx.rank()];
                 assert_eq!(rec.errors, 0);
                 let val = eng.meta().ptype_from_name("val").unwrap();
                 observable_state(&eng, 101, val)
@@ -2223,12 +2219,11 @@ pub(crate) mod tests {
                 ctx.barrier();
             });
         }
-        let (db, fabric, plan) =
+        let (db, fabric, recs) =
             recover_with_topology(PersistOptions::new(&td.0), CostModel::zero(), Some(3)).unwrap();
-        assert_eq!(plan.snapshot_id(), 0);
+        assert_eq!(recs[0].snapshot_id, 0);
         fabric.run(|ctx| {
             let eng = db.attach(ctx);
-            plan.restore_rank(&eng).unwrap();
             let tx = eng.begin(AccessMode::ReadOnly);
             for i in 0..6u64 {
                 tx.translate_vertex_id(AppVertexId(i)).unwrap();
@@ -2271,34 +2266,33 @@ pub(crate) mod tests {
             });
         }
         {
-            let (db, fabric, plan) =
-                recover_with_topology(PersistOptions::new(&td.0), CostModel::zero(), Some(4))
-                    .unwrap();
-            db.persistence().unwrap().fault_plane().arm_at(
+            let plane = FaultPlane::shared();
+            plane.arm_at(
                 faults::RESHARD_REDISTRIBUTE,
                 Some(1),
                 0,
                 1,
                 FaultMode::Error,
             );
-            let results = fabric.run(|ctx| {
-                let eng = db.attach(ctx);
-                plan.restore_rank(&eng).err()
-            });
-            assert!(
-                results.iter().all(|e| e.is_some()),
-                "every rank must observe the collective abort: {results:?}"
+            let mut opts = PersistOptions::new(&td.0);
+            opts.faults = Some(plane.clone());
+            let err = recover_with_topology(opts, CostModel::zero(), Some(4)).err();
+            assert_eq!(
+                err,
+                Some(GdiError::Io("injected reshard failure".into())),
+                "the collective abort returns the failing rank's error"
             );
+            assert_eq!(plane.fired(), 1);
         }
         // CURRENT still names the P-topology snapshot...
         let cur = fs::read_to_string(td.0.join("CURRENT")).unwrap();
         assert_eq!(cur.trim(), "1", "aborted reshard must not publish");
         // ...and the untouched snapshot + logs recover at P as before
-        let (db, fabric, plan) = recover(PersistOptions::new(&td.0), CostModel::zero()).unwrap();
+        let (db, fabric, recs) = recover(PersistOptions::new(&td.0), CostModel::zero()).unwrap();
         assert_eq!(db.nranks(), 2);
         fabric.run(|ctx| {
             let eng = db.attach(ctx);
-            let rec = plan.restore_rank(&eng).unwrap();
+            let rec = &recs[ctx.rank()];
             assert_eq!(rec.errors, 0);
             let tx = eng.begin(AccessMode::ReadOnly);
             for i in (0..8u64).chain([50]) {
@@ -2331,7 +2325,7 @@ pub(crate) mod tests {
                 eng.checkpoint().unwrap();
             });
         }
-        let (db, fabric, plan) =
+        let (db, fabric, recs) =
             recover_with_topology(PersistOptions::new(&td.0), CostModel::zero(), Some(1)).unwrap();
         assert!(
             db.cfg.blocks_per_rank > cfg.blocks_per_rank,
@@ -2341,7 +2335,7 @@ pub(crate) mod tests {
         assert!(db.cfg.dht_heap_per_rank > cfg.dht_heap_per_rank);
         fabric.run(|ctx| {
             let eng = db.attach(ctx);
-            let rec = plan.restore_rank(&eng).unwrap();
+            let rec = &recs[ctx.rank()];
             assert_eq!(rec.errors, 0, "{rec:?}");
             let tx = eng.begin(AccessMode::ReadOnly);
             for i in 0..per_rank * 4 {
@@ -2418,11 +2412,11 @@ pub(crate) mod tests {
                 ctx.barrier();
             });
         }
-        let (db, fabric, plan) = recover(PersistOptions::new(&td.0), CostModel::zero()).unwrap();
-        assert_eq!(plan.snapshot_id(), 2);
+        let (db, fabric, recs) = recover(PersistOptions::new(&td.0), CostModel::zero()).unwrap();
+        assert_eq!(recs[0].snapshot_id, 2);
         fabric.run(|ctx| {
             let eng = db.attach(ctx);
-            let rec = plan.restore_rank(&eng).unwrap();
+            let rec = &recs[ctx.rank()];
             assert_eq!(rec.errors, 0, "{rec:?}");
             let tx = eng.begin(AccessMode::ReadOnly);
             for i in [0u64, 1, 2, 3, 50] {
@@ -2507,11 +2501,11 @@ pub(crate) mod tests {
                 tx.commit().unwrap();
             });
         }
-        let (db, fabric, plan) = recover(PersistOptions::new(&td.0), CostModel::zero()).unwrap();
-        assert_eq!(plan.snapshot_id(), 3);
+        let (db, fabric, recs) = recover(PersistOptions::new(&td.0), CostModel::zero()).unwrap();
+        assert_eq!(recs[0].snapshot_id, 3);
         fabric.run(|ctx| {
             let eng = db.attach(ctx);
-            let rec = plan.restore_rank(&eng).unwrap();
+            let rec = &recs[ctx.rank()];
             assert_eq!(rec.errors, 0, "{rec:?}");
             let tx = eng.begin(AccessMode::ReadOnly);
             for i in (0..40u64).chain([100, 101, 102]) {
@@ -3259,6 +3253,9 @@ pub(crate) mod tests {
         let mut pair = heavy_pair(at(3));
         pair[0].1[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
         assert_eq!(refusal(&pair), want, "unknown flags");
+        let mut pair = heavy_pair(at(3));
+        pair[0].1[48 + 22] = 0xFF; // the pad of vertex 1's edge record
+        assert_eq!(refusal(&pair), want, "a non-zero pad byte");
     }
 
     #[test]

@@ -2,7 +2,10 @@
 //!
 //! [`recover_with_topology`] boots the published snapshot chain —
 //! written by `P` ranks — on `Q` live ranks; `None` is `Q = P`, the
-//! identity [`RankMap`]. Either way it runs the same two halves:
+//! identity [`RankMap`]. It is one collective call, like an MPI
+//! routine: when it returns, every rank of the new fabric has restored
+//! its share and the recovery is committed, or it has failed everywhere.
+//! Either way it runs the same two halves:
 //!
 //! 1. **Logical reconstruction** ([`plan`], single-threaded, before the
 //!    fabric exists): read every `P` shard's base image and redo history
@@ -23,15 +26,19 @@
 //!    the live config: the snapshot's at
 //!    `Q = P` (every object keeps its rank), grown to fit the data on
 //!    `Q ≠ P` ranks (scale-in needs more blocks and DHT heap per rank).
-//! 2. **Collective redistribution** ([`RecoveryPlan::restore_rank`],
-//!    every rank of the fresh fabric): phase by phase with abort votes
-//!    in between — allocate every object's new primary on its owner
-//!    (filling the shared old → new remap table), then materialize:
-//!    rewrite each holder's edge records through the table, write the
-//!    chains, insert DHT entries (quiet inserts + one collective epoch
-//!    bump, the bulk-load discipline), import the index postings, raise
-//!    every commit-stamp counter above the largest live version — and
-//!    commit with a full checkpoint.
+//! 2. **Collective restore** (one `fabric.run` on the fresh fabric,
+//!    inside [`recover_with_topology`]): each rank takes its own share
+//!    of the plan by value — the objects it owns, in old-primary order —
+//!    and allocates all their new primaries in one pass, publishing each
+//!    into a dense old → new table (the sorted old primaries, one slot
+//!    per object, written only by the object's owner). After one abort
+//!    vote the table is complete and read-only: each rank moves its
+//!    holders' bytes into the editor one at a time, rewrites their edge
+//!    records through the table, writes the chain and drops the bytes,
+//!    inserts its DHT entries (quiet inserts + one collective epoch
+//!    bump, the bulk-load discipline) and imports its index postings;
+//!    then every commit-stamp counter is raised above the largest live
+//!    version, and a full checkpoint commits the recovery.
 //!
 //! Every object gets a fresh primary from an ordinary allocation, and
 //! every holder starts a fresh epoch-0 world without archives, so after
@@ -47,27 +54,27 @@
 //! a logical rebuild would be unsound: any failure — an unreadable shard
 //! or log, a sealed segment with a bad frame (only the live log may end
 //! torn), a rank erroring mid-redistribution, a failed closing
-//! checkpoint — is voted collectively (no barrier deadlocks), surfaces
-//! on every rank, and leaves the directory exactly as it was,
-//! recoverable again at any topology.
+//! checkpoint — is voted collectively (no barrier deadlocks) and
+//! returned as [`recover_with_topology`]'s error, with the directory
+//! exactly as it was, recoverable again at any topology.
 //!
 //! After the publish, each shard's reader cuts its live log to the valid
 //! prefix it read. The checkpoint's own truncation is best-effort; were
 //! it to fail, a torn tail would otherwise stay in front of every later
 //! append and the next replay would stop there. A failed cut fails the
-//! recovery on every rank: it has committed, but no rank may serve
-//! until a second recovery (which cuts again) succeeds.
+//! recovery: it has committed, but no database is returned, so nothing
+//! serves until a second recovery (which cuts again) succeeds.
 
 use std::fs;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use rustc_hash::{FxHashMap, FxHashSet};
 
 use gdi::{AppVertexId, GdiError, GdiResult};
-use rma::{CostModel, Counter, Fabric};
+use rma::{CostModel, Fabric};
 
 use super::format::io_err;
 use super::snapshot::read_rank_snapshot;
@@ -82,11 +89,13 @@ use crate::index::{IndexDef, IndexId, IndexShared, Posting};
 use crate::meta::MetaStore;
 use crate::rankmap::RankMap;
 
-/// What one rank did during [`RecoveryPlan::restore_rank`].
+/// What one rank did during the restore [`recover_with_topology`] runs.
 #[derive(Debug, Clone, Default)]
 pub struct RankRecovery {
     /// This rank's id.
     pub rank: usize,
+    /// The checkpoint id the recovery restored from (0 = genesis).
+    pub snapshot_id: u64,
     /// Snapshot bytes of the shards this rank is the reader of (0 at
     /// genesis).
     pub snapshot_bytes: u64,
@@ -109,6 +118,11 @@ pub struct RankRecovery {
     /// that does not fit its base or makes no valid holder, an edge to
     /// an object that does not exist); should be zero.
     pub errors: u64,
+    /// Objects this rank re-materialized (it owns them on the live
+    /// topology).
+    pub objects: u64,
+    /// Holder bytes of those objects.
+    pub holder_bytes: u64,
     /// Simulated seconds of restore on this rank.
     pub sim_restore_s: f64,
     /// Wall-clock seconds of restore on this rank.
@@ -251,46 +265,28 @@ struct LiveObject {
     indexes: Vec<IndexId>,
 }
 
-/// One object of the reconstructed state, with its owner under the
-/// live topology.
-struct PlannedObject {
-    /// Raw `DPtr` of the primary block in the snapshot address space.
-    old_primary: u64,
-    /// Owner rank under the live topology (allocates + materializes it).
-    new_rank: usize,
-    object: LiveObject,
-}
-
-/// The collective restore work [`recover_with_topology`] hands back:
-/// the reconstructed logical state and its placement. Every rank of the freshly built
-/// fabric must call [`RecoveryPlan::restore_rank`] (the server does this
-/// inside its serve loop) exactly once.
-pub struct RecoveryPlan {
+/// The collective restore's input: the reconstructed logical state,
+/// partitioned by owner under the live topology, and the dense old →
+/// new table the restore resolves references through. Built by [`plan`]
+/// and consumed by [`Restore::run`] inside
+/// [`recover_with_topology`].
+struct Restore {
     snapshot_id: u64,
     map: RankMap,
-    /// Sorted by old primary: a deterministic materialization order.
-    objects: Vec<PlannedObject>,
-    /// old primary raw → new primary raw; written in the allocation
-    /// phases, read-only (shared read guards, no copies) during
-    /// materialization.
-    remap: RwLock<FxHashMap<u64, u64>>,
+    /// Per live rank: the objects it owns as `(slot in old, object)`,
+    /// in old-primary order. Each rank takes its own share by value.
+    parts: Vec<Mutex<Vec<(usize, LiveObject)>>>,
+    /// Every object's old primary (raw `DPtr` in the snapshot address
+    /// space), sorted.
+    old: Vec<u64>,
+    /// `new[i]`: the new primary of the object at `old[i]`. Written only
+    /// by the object's owner, read only after the allocation vote.
+    new: Vec<AtomicU64>,
     replay: ReplayCounts,
     shards: Vec<ShardIo>,
     /// Largest holder version alive anywhere (snapshot or logs): every
     /// live rank's commit-stamp counter starts strictly above it.
     max_version: u64,
-    restored: Vec<AtomicBool>,
-    stats: Mutex<Vec<Option<RankRecovery>>>,
-}
-
-impl std::fmt::Debug for RecoveryPlan {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RecoveryPlan")
-            .field("snapshot_id", &self.snapshot_id)
-            .field("map", &self.map)
-            .field("objects", &self.objects.len())
-            .finish()
-    }
 }
 
 /// Index membership of a vertex with these labels, under these defs —
@@ -486,7 +482,7 @@ fn plan(
     index_defs: &[IndexDef],
     mut objects: FxHashMap<u64, LiveObject>,
     shards: Vec<Shard>,
-) -> GdiResult<(GdaConfig, RecoveryPlan)> {
+) -> (GdaConfig, Restore) {
     let live_ranks = map.live_ranks();
     let (logs, io): (Vec<_>, Vec<_>) = shards.into_iter().map(|s| (s.records, s.io)).unzip();
     let replay = replay_logs(&mut objects, &logs, index_defs);
@@ -504,16 +500,18 @@ fn plan(
     // engine's locality rule: `ensure_edge_holder` allocates on the
     // base vertex's rank), with the old rank folded into the live space
     // as a fallback. Every placement is resolved first (edge anchors
-    // need the vertex map), then the map is *drained* into the plan —
-    // holder payloads are moved, not cloned.
-    let new_ranks: FxHashMap<u64, usize> = objects
+    // need the vertex map), then the map is *drained* into the owners'
+    // shares — holder payloads are moved, not cloned.
+    let mut old: Vec<u64> = objects.keys().copied().collect();
+    old.sort_unstable();
+    let owners: Vec<usize> = old
         .iter()
-        .map(|(&praw, obj)| {
-            let old_rank = DPtr::from_raw(praw).rank();
-            let rank = if !obj.is_edge {
+        .map(|praw| {
+            let obj = &objects[praw];
+            if !obj.is_edge {
                 map.vertex_owner(AppVertexId(obj.app_id))
             } else if map.is_identity() {
-                old_rank
+                DPtr::from_raw(*praw).rank()
             } else {
                 Holder::scan_edges(&obj.bytes)
                     .and_then(|scan| scan.records().next().map(|e| e.target.raw()))
@@ -523,20 +521,10 @@ fn plan(
                             .filter(|o| !o.is_edge)
                             .map(|o| map.vertex_owner(AppVertexId(o.app_id)))
                     })
-                    .unwrap_or(old_rank % live_ranks)
-            };
-            (praw, rank)
+                    .unwrap_or(DPtr::from_raw(*praw).rank() % live_ranks)
+            }
         })
         .collect();
-    let mut planned: Vec<PlannedObject> = objects
-        .into_iter()
-        .map(|(praw, object)| PlannedObject {
-            old_primary: praw,
-            new_rank: new_ranks[&praw],
-            object,
-        })
-        .collect();
-    planned.sort_unstable_by_key(|o| o.old_primary);
 
     // At the snapshot's own rank count its config stands: every object
     // keeps its rank, the data fit there before, and the rebuild drops
@@ -549,10 +537,11 @@ fn plan(
     if !map.is_identity() {
         let mut blocks_per = vec![0usize; live_ranks];
         let mut heap_per = vec![0usize; live_ranks];
-        for p in &planned {
-            blocks_per[p.new_rank] += hio::blocks_needed(snap_cfg, p.object.bytes.len());
-            if !p.object.is_edge {
-                heap_per[map.dht_rank(p.object.app_id)] += 1;
+        for (praw, &owner) in old.iter().zip(&owners) {
+            let obj = &objects[praw];
+            blocks_per[owner] += hio::blocks_needed(snap_cfg, obj.bytes.len());
+            if !obj.is_edge {
+                heap_per[map.dht_rank(obj.app_id)] += 1;
             }
         }
         let need_blocks = blocks_per.iter().copied().max().unwrap_or(0);
@@ -565,18 +554,23 @@ fn plan(
             .max(((need_heap + 1) * 2).next_power_of_two());
     }
 
-    let plan = RecoveryPlan {
+    let mut parts: Vec<Vec<(usize, LiveObject)>> = (0..live_ranks).map(|_| Vec::new()).collect();
+    for (slot, (praw, owner)) in old.iter().zip(owners).enumerate() {
+        if let Some(obj) = objects.remove(praw) {
+            parts[owner].push((slot, obj));
+        }
+    }
+    let restore = Restore {
         snapshot_id,
         map,
-        objects: planned,
-        remap: RwLock::new(FxHashMap::default()),
+        parts: parts.into_iter().map(Mutex::new).collect(),
+        new: old.iter().map(|_| AtomicU64::new(0)).collect(),
+        old,
         replay,
         shards: io,
         max_version,
-        restored: (0..live_ranks).map(|_| AtomicBool::new(false)).collect(),
-        stats: Mutex::new(vec![None; live_ranks]),
     };
-    Ok((cfg, plan))
+    (cfg, restore)
 }
 
 /// Collective abort vote: if any rank failed its phase, every rank
@@ -584,78 +578,43 @@ fn plan(
 /// peers deadlocked in a later barrier).
 fn vote(ctx: &rma::RankCtx, my_err: Option<GdiError>) -> GdiResult<()> {
     if ctx.allreduce_any(my_err.is_some()) {
-        Err(my_err.unwrap_or_else(|| GdiError::Io("recovery failed on a peer rank".into())))
+        Err(my_err.unwrap_or_else(peer_failed))
     } else {
         Ok(())
     }
 }
 
-impl RecoveryPlan {
-    /// The checkpoint id the plan restores from (0 = genesis).
-    pub fn snapshot_id(&self) -> u64 {
-        self.snapshot_id
-    }
+/// What [`vote`] returns on a rank whose own phase went through.
+fn peer_failed() -> GdiError {
+    GdiError::Io("recovery failed on a peer rank".into())
+}
 
-    /// `Some(P)` when this plan reshards a `P`-rank snapshot onto a
-    /// different live rank count; `None` at the snapshot's own topology.
-    pub(crate) fn resharding_from(&self) -> Option<usize> {
-        (!self.map.is_identity()).then_some(self.map.snapshot_ranks())
+impl Restore {
+    /// The new primary of the object whose old primary is `old`, once
+    /// the allocation vote has passed; `None` for a reference to no
+    /// object of the plan.
+    fn resolve(&self, old: u64) -> Option<u64> {
+        let slot = self.old.binary_search(&old).ok()?;
+        Some(self.new[slot].load(Ordering::Acquire))
     }
 
     /// Collective: rebuild this rank's share of the logical state on the
     /// fresh fabric and commit it with a full checkpoint (see the module
-    /// docs). Every rank of the fabric must call this together, once;
-    /// repeated calls return the recorded stats.
-    pub fn restore_rank(&self, eng: &GdaRank) -> GdiResult<RankRecovery> {
-        let me = eng.rank();
-        if self.restored[me].swap(true, Ordering::SeqCst) {
-            return self.stats.lock()[me]
-                .clone()
-                .ok_or(GdiError::InvalidArgument("restore already in progress"));
-        }
-        match self.redistribute(eng) {
-            Ok(out) => {
-                self.stats.lock()[me] = Some(out.clone());
-                Ok(out)
-            }
-            Err(e) => {
-                self.restored[me].store(false, Ordering::SeqCst);
-                Err(e)
-            }
-        }
-    }
-
-    /// Allocate on this rank `objects` of the requested kind that it
-    /// owns, recording each new primary in the remap table (one write
-    /// guard for the rank's whole phase).
-    fn allocate(&self, eng: &GdaRank, edges: bool) -> Option<GdiError> {
-        let me = eng.rank();
-        let mut pairs = Vec::new();
-        for p in &self.objects {
-            if p.object.is_edge != edges || p.new_rank != me {
-                continue;
-            }
-            match eng.bm.acquire(me) {
-                Ok(dp) => pairs.push((p.old_primary, dp.raw())),
-                Err(e) => return Some(e),
-            }
-        }
-        self.remap.write().extend(pairs);
-        None
-    }
-
-    fn redistribute(&self, eng: &GdaRank) -> GdiResult<RankRecovery> {
+    /// docs). Every rank of the fabric runs it together, once.
+    fn run(&self, eng: &GdaRank) -> GdiResult<RankRecovery> {
         let store = eng
             .persistence()
             .ok_or(GdiError::InvalidArgument("persistence not enabled"))?;
         let ctx = eng.ctx();
         let me = eng.rank();
         debug_assert_eq!(eng.nranks(), self.map.live_ranks());
+        let mine = std::mem::take(&mut *self.parts[me].lock());
         let wall0 = Instant::now();
         let sim0 = ctx.now_ns();
         let mut out = RankRecovery {
             rank: me,
-            resharded_from: self.resharding_from(),
+            snapshot_id: self.snapshot_id,
+            resharded_from: (!self.map.is_identity()).then_some(self.map.snapshot_ranks()),
             ..Default::default()
         };
 
@@ -682,23 +641,20 @@ impl RecoveryPlan {
             out.errors = self.replay.errors;
         }
 
-        // ---- phases 1 + 2: vertex primaries, then edge-holder primaries
-        vote(ctx, self.allocate(eng, false))?;
-        vote(ctx, self.allocate(eng, true))?;
+        // ---- phase 1: every owned primary, in old-primary order -------
+        let alloc = mine.iter().try_for_each(|&(slot, _)| {
+            let dp = eng.bm.acquire(me)?;
+            self.new[slot].store(dp.raw(), Ordering::Release);
+            Ok(())
+        });
+        vote(ctx, alloc.err())?;
 
-        // ---- phase 3: materialize (rewrite dptrs, write chains, DHT,
+        // ---- phase 2: materialize (rewrite dptrs, write chains, DHT,
         // index postings) ---------------------------------------------
-        // The remap table is complete and read-only from here: every rank
-        // holds a shared read guard for the whole phase.
-        let remap = self.remap.read();
+        // The table is complete and read-only from here.
         let mut my_err: Option<GdiError> = None;
-        let mut moved = 0u64;
-        let mut moved_bytes = 0u64;
         let mut postings: FxHashMap<IndexId, Vec<Posting>> = FxHashMap::default();
-        for p in &self.objects {
-            if p.new_rank != me {
-                continue;
-            }
+        for (slot, obj) in mine {
             // fault point: a rank errors mid-redistribution; the vote
             // below aborts the recovery everywhere
             if store
@@ -708,8 +664,7 @@ impl RecoveryPlan {
                 my_err = Some(GdiError::Io("injected reshard failure".into()));
                 break;
             }
-            let obj = &p.object;
-            let Some(mut h) = Holder::from_bytes(obj.bytes.clone()) else {
+            let Some(mut h) = Holder::from_bytes(obj.bytes) else {
                 out.errors += 1;
                 continue;
             };
@@ -724,8 +679,8 @@ impl RecoveryPlan {
                     if dp.is_null() {
                         continue;
                     }
-                    match remap.get(&dp.raw()) {
-                        Some(&n) => *dp = DPtr::from_raw(n),
+                    match self.resolve(dp.raw()) {
+                        Some(n) => *dp = DPtr::from_raw(n),
                         None => {
                             broken += 1;
                             return false;
@@ -741,7 +696,7 @@ impl RecoveryPlan {
             // every object must be visible to every snapshot
             h.set_commit_epoch(0);
             h.set_prev(0);
-            let new_primary = DPtr::from_raw(remap[&p.old_primary]);
+            let new_primary = DPtr::from_raw(self.new[slot].load(Ordering::Acquire));
             let mut blocks = vec![new_primary];
             if let Err(e) = hio::write_chain(ctx, &eng.bm, h.bytes(), &mut blocks) {
                 my_err = Some(e);
@@ -754,26 +709,24 @@ impl RecoveryPlan {
                     my_err = Some(e);
                     break;
                 }
-                for ix in &obj.indexes {
-                    postings.entry(*ix).or_default().push(Posting {
+                for ix in obj.indexes {
+                    postings.entry(ix).or_default().push(Posting {
                         vertex: new_primary,
                         app_id: AppVertexId(obj.app_id),
                     });
                 }
             }
-            moved += 1;
-            moved_bytes += h.bytes().len() as u64;
+            out.objects += 1;
+            out.holder_bytes += h.bytes().len() as u64;
         }
         if my_err.is_none() {
             let mut parts: Vec<(IndexId, Vec<Posting>)> = postings.into_iter().collect();
             parts.sort_unstable_by_key(|(id, _)| *id);
             eng.indexes().import_rank(me, parts);
         }
-        ctx.count(Counter::ReshardObjects, moved);
-        ctx.count(Counter::ReshardBytes, moved_bytes);
         vote(ctx, my_err)?;
 
-        // ---- phase 4: epochs + commit stamps ----------------------------
+        // ---- phase 3: epochs + commit stamps ----------------------------
         eng.dht.bump_own_insert_epoch();
         // every future commit must stamp strictly above anything alive
         let stamp_word = eng.cfg().stamp_word();
@@ -785,14 +738,14 @@ impl RecoveryPlan {
         out.sim_restore_s = (ctx.now_ns() - sim0) / 1e9;
         out.wall_restore_s = wall0.elapsed().as_secs_f64();
 
-        // ---- phase 5: the committing checkpoint -------------------------
+        // ---- phase 4: the committing checkpoint -------------------------
         // A full rebase: a delta would chain the rebuilt windows onto the
         // old chain, whose addresses (and, resharded, whose rank count)
         // they no longer share. Its failure is the recovery's failure
         // (checkpoint errors are already collective).
         out.final_checkpoint = eng.checkpoint_full()?;
 
-        // ---- phase 6: cut every live log read to its valid prefix ------
+        // ---- phase 5: cut every live log read to its valid prefix ------
         // The published chain captures all of it; what lies past the
         // prefix (a torn or flipped frame, and anything behind it) was
         // not replayed and must not precede the next append.
@@ -897,18 +850,19 @@ fn audit_rank(eng: &GdaRank, mut live: FxHashMap<u64, (u64, bool, Vec<u8>)>) -> 
 /// snapshot). Reads `CURRENT`, the manifest (catalog, index
 /// definitions), every shard's base image and redo history, and builds
 /// the logical state (see the module docs) — all before the fabric
-/// exists; then returns the database, a freshly built fabric and the
-/// [`RecoveryPlan`] whose [`RecoveryPlan::restore_rank`] every rank must
-/// run inside `fabric.run` before serving. At `Q = P` the database keeps
-/// the snapshot's config; at `Q ≠ P` it is grown automatically where `Q`
-/// ranks need more per-rank capacity than `P` did (scale-in). Nothing in
-/// the directory changes until the restore's closing checkpoint
-/// publishes.
+/// exists; then builds the fabric and runs the collective restore on it
+/// (one `fabric.run`). Returns the restored database, ready to serve,
+/// its fabric and what each rank did, in rank order. At `Q = P` the
+/// database keeps the snapshot's config; at `Q ≠ P` it is grown
+/// automatically where `Q` ranks need more per-rank capacity than `P`
+/// did (scale-in). A failure is voted on every rank and returned — the
+/// failing rank's own error — with the directory exactly as it was
+/// (see "Failure semantics" in the module docs).
 pub fn recover_with_topology(
     opts: PersistOptions,
     cost: CostModel,
     target_ranks: Option<usize>,
-) -> GdiResult<(Arc<GdaDb>, Fabric, Arc<RecoveryPlan>)> {
+) -> GdiResult<(Arc<GdaDb>, Fabric, Vec<RankRecovery>)> {
     let current = fs::read_to_string(opts.dir.join("CURRENT"))
         .map_err(|e| io_err("read CURRENT", e))?
         .trim()
@@ -931,7 +885,7 @@ pub fn recover_with_topology(
     let (objects, shards) = read_shards(&store, &manifest.chain, snapshot_ranks)?;
     let map = RankMap::resharded(snapshot_ranks, live_ranks);
     let defs = &manifest.index_defs;
-    let (cfg, plan) = plan(current, &manifest.cfg, map, defs, objects, shards)?;
+    let (cfg, restore) = plan(current, &manifest.cfg, map, defs, objects, shards);
 
     let meta = MetaStore::from_parts(manifest.meta);
     let indexes = IndexShared::from_parts(live_ranks, manifest.index_defs, manifest.index_next_id);
@@ -943,14 +897,22 @@ pub fn recover_with_topology(
     let fabric = db
         .cfg
         .build_fabric_shared(live_ranks, cost, backend, Some(faults_plane));
-    Ok((db, fabric, Arc::new(plan)))
-}
-
-#[cfg(test)]
-impl RecoveryPlan {
-    /// Number of logical objects the restore materializes.
-    pub(super) fn reshard_objects(&self) -> usize {
-        self.objects.len()
+    let results = fabric.run(|ctx| restore.run(&db.attach(ctx)));
+    drop(restore);
+    // every rank fails together; return the error of a rank that failed
+    // its own phase rather than a peer's echo of it
+    let mut stats = Vec::with_capacity(live_ranks);
+    let mut failed: Option<GdiError> = None;
+    for r in results {
+        match r {
+            Ok(rec) => stats.push(rec),
+            Err(e) if failed.as_ref().is_none_or(|f| *f == peer_failed()) => failed = Some(e),
+            Err(_) => {}
+        }
+    }
+    match failed {
+        Some(e) => Err(e),
+        None => Ok((db, fabric, stats)),
     }
 }
 

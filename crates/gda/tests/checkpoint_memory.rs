@@ -213,18 +213,16 @@ fn checkpoint_verify_and_restore_stream_through_bounded_memory() {
     // replay onto the objects, build the fabric, materialize, take the
     // closing full checkpoint
     let (rec, peak) = peak_over(|| {
-        let (db, fabric, plan) =
+        let (db, fabric, mut recs) =
             recover_with_topology(PersistOptions::new(&td.0), CostModel::zero(), None).unwrap();
-        assert_eq!(plan.snapshot_id(), 2);
-        let mut recs = fabric.run(|ctx| {
+        assert_eq!(recs[0].snapshot_id, 2);
+        fabric.run(|ctx| {
             let eng = db.attach(ctx);
-            let rec = plan.restore_rank(&eng).unwrap();
             let tx = eng.begin(AccessMode::ReadOnly);
             for id in [0u64, 19_999, 22_999, 23_499] {
                 tx.translate_vertex_id(AppVertexId(id)).unwrap();
             }
             tx.commit().unwrap();
-            rec
         });
         recs.pop().expect("one rank")
     });
@@ -253,13 +251,9 @@ fn plant(path: &Path, at: usize, value: &[u8]) -> Vec<u8> {
 
 /// Recover from `dir` and restore its single rank.
 fn recover_and_restore(dir: &Path) -> Result<gda::RankRecovery, GdiError> {
-    let (db, fabric, plan) =
+    let (_, _, mut recs) =
         recover_with_topology(PersistOptions::new(dir), CostModel::zero(), None)?;
-    let db: Arc<GdaDb> = db;
-    fabric
-        .run(|ctx| plan.restore_rank(&db.attach(ctx)))
-        .pop()
-        .expect("one rank")
+    Ok(recs.pop().expect("one rank"))
 }
 
 /// Byte offsets into the v11 layouts (`docs/ARCHITECTURE.md`).

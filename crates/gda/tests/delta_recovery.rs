@@ -170,14 +170,14 @@ fn run_and_crash(
 /// Recover the crashed store and compare every surviving and deleted id
 /// against the model.
 fn recover_and_check(dir: &TestDir, model: &BTreeMap<u64, u64>, deleted: &[u64]) {
-    let (db, fabric, plan) =
+    let (db, fabric, recs) =
         gda::persist::recover_with_topology(PersistOptions::new(&dir.0), CostModel::zero(), None)
             .unwrap();
     let model = model.clone();
     let deleted = deleted.to_vec();
     fabric.run(move |ctx| {
         let eng = db.attach(ctx);
-        let rec = plan.restore_rank(&eng).unwrap();
+        let rec = &recs[ctx.rank()];
         assert_eq!(rec.errors, 0, "replay errors: {rec:?}");
         ctx.barrier();
         if ctx.rank() == 0 {
@@ -287,12 +287,12 @@ fn vacuumed_archives_do_not_resurrect_through_recovery() {
         });
         // crash
     }
-    let (db, fabric, plan) =
+    let (db, fabric, recs) =
         gda::persist::recover_with_topology(PersistOptions::new(&dir.0), CostModel::zero(), None)
             .unwrap();
     fabric.run(|ctx| {
         let eng = db.attach(ctx);
-        let rec = plan.restore_rank(&eng).unwrap();
+        let rec = &recs[ctx.rank()];
         assert_eq!(rec.errors, 0);
         let val = eng.meta().ptype_from_name("val").unwrap();
         let tx = eng.begin(AccessMode::ReadOnly);

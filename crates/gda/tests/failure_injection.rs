@@ -281,12 +281,12 @@ fn failed_checkpoint_under_oom_keeps_serving_and_recovers() {
     }
     // recovery is anchored at the previous (good) snapshot; the commits
     // made after the failed checkpoint replay from the redo tail
-    let (db, fabric, plan) =
+    let (db, fabric, recs) =
         recover_with_topology(PersistOptions::new(&dir), CostModel::zero(), None).unwrap();
-    assert_eq!(plan.snapshot_id(), 1);
+    assert_eq!(recs[0].snapshot_id, 1);
     fabric.run(|ctx| {
         let eng = db.attach(ctx);
-        let rec = plan.restore_rank(&eng).unwrap();
+        let rec = &recs[ctx.rank()];
         assert_eq!(rec.errors, 0);
         let tx = eng.begin(AccessMode::ReadOnly);
         for i in (0..6u64).chain([50]) {

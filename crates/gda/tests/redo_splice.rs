@@ -95,20 +95,19 @@ fn set(eng: &GdaRank, val: PTypeId, value: u64) {
 /// Recover `dir` at its own rank count: rank 0's recovery report and
 /// the `val` it reads on `X`.
 fn recover(dir: &TestDir) -> (RankRecovery, Option<PropertyValue>) {
-    let (db, fabric, plan) =
+    let (db, fabric, mut recs) =
         gda::persist::recover_with_topology(PersistOptions::new(&dir.0), CostModel::zero(), None)
             .unwrap();
-    let mut out = fabric.run(|ctx| {
+    let mut got = fabric.run(|ctx| {
         let eng = db.attach(ctx);
-        let rec = plan.restore_rank(&eng).unwrap();
         let val = eng.meta().ptype_from_name("val").unwrap();
         let tx = eng.begin(AccessMode::ReadOnly);
         let v = tx.translate_vertex_id(AppVertexId(X)).unwrap();
         let got = tx.property(v, val).unwrap();
         tx.commit().unwrap();
-        (rec, got)
+        got
     });
-    out.swap_remove(0)
+    (recs.swap_remove(0), got.swap_remove(0))
 }
 
 /// An update of a vertex with 32 edge records logs the bytes that

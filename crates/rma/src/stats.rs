@@ -114,11 +114,6 @@ counters! {
     /// Delta (incremental) checkpoints this rank took part in: each
     /// sealed its redo log instead of writing an image.
     delta_checkpoints: DeltaCheckpoints = "persist.delta_checkpoints",
-    /// Logical objects this rank re-materialized during a recovery
-    /// (onto any rank count).
-    reshard_objects: ReshardObjects = "recovery.objects",
-    /// Holder payload bytes moved into this rank by a recovery.
-    reshard_bytes: ReshardBytes = "recovery.bytes",
     /// OLAP scan-view builds (full raw-window sweeps) on this rank.
     scan_builds: ScanBuilds = "scan.builds",
     /// OLAP jobs that reused a cached scan view (epoch unchanged).

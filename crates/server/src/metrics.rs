@@ -186,14 +186,28 @@ pub struct RecoverySummary {
     pub max_sim_restore_s: f64,
     /// Slowest rank's wall-clock restore+replay seconds.
     pub max_wall_restore_s: f64,
-    /// Ranks that finished restoring so far.
-    pub ranks_restored: usize,
     /// `Some(P)` when this recovery **resharded** a `P`-rank snapshot
     /// onto a different live rank count (elastic restore).
     pub resharded_from: Option<usize>,
-    /// Why the restore failed, if it did: the server then stopped
-    /// without serving (see [`crate::GdiServer::recover`]).
-    pub failed: Option<gdi::GdiError>,
+}
+
+impl RecoverySummary {
+    /// The sum over what each rank's restore did.
+    pub(crate) fn of(ranks: &[gda::persist::RankRecovery]) -> Self {
+        let mut sum = RecoverySummary::default();
+        for s in ranks {
+            sum.snapshot_id = s.snapshot_id;
+            sum.snapshot_bytes += s.snapshot_bytes;
+            sum.log_bytes += s.log_bytes;
+            sum.records += s.records;
+            sum.applied += s.applied;
+            sum.errors += s.errors;
+            sum.max_sim_restore_s = sum.max_sim_restore_s.max(s.sim_restore_s);
+            sum.max_wall_restore_s = sum.max_wall_restore_s.max(s.wall_restore_s);
+            sum.resharded_from = sum.resharded_from.or(s.resharded_from);
+        }
+        sum
+    }
 }
 
 /// Whole-server snapshot: per-rank plus aggregates.

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use gda::owner_rank;
-use gda::persist::{CheckpointReport, PersistOptions, RankRecovery, RecoveryPlan};
+use gda::persist::{CheckpointReport, PersistOptions};
 use gda::{GdaDb, GdaRank};
 use gdi::{GdiError, GdiResult};
 use parking_lot::Mutex;
@@ -217,13 +217,9 @@ struct ServerInner {
     /// (explicit [`GdiServer::maintenance`] calls plus scheduled passes
     /// from [`ServerOptions::maintenance_interval`]).
     maintenance_runs: AtomicU64,
-    /// Pending (or completed) crash-recovery plan; serve loops run it
-    /// collectively before their first drain.
-    recovery: Mutex<Option<Arc<RecoveryPlan>>>,
-    recovery_stats: Mutex<Vec<Option<RankRecovery>>>,
-    /// Why the recovery plan failed, if it did (the server then stopped
-    /// without serving; see [`RecoverySummary::failed`]).
-    recovery_failed: Mutex<Option<GdiError>>,
+    /// What the crash recovery that booted this server did (`None` for
+    /// a server built by [`GdiServer::new`]).
+    recovered: Option<RecoverySummary>,
     /// Which fabric backend the serve loops run on (recorded by the
     /// first [`GdiServer::serve_rank`] from its rank context).
     backend: Mutex<Option<rma::BackendKind>>,
@@ -258,29 +254,6 @@ impl ServerInner {
         // closed: the wait returns at once
         let mut orphans = VecDeque::new();
         self.queues[rank].drain_wait(&mut orphans, usize::MAX, || false);
-    }
-
-    /// A failed restore on `ctx`'s rank: record why, fail fast, and
-    /// resolve the OLAP jobs submitted meanwhile (no rank serves them).
-    #[cold]
-    fn stop_on_failed_restore(&self, ctx: &RankCtx, e: GdiError) -> ServeSummary {
-        let rank = ctx.rank();
-        eprintln!("[server] recovery failed on rank {rank}, stopping: {e}");
-        self.recovery_failed.lock().get_or_insert(e);
-        self.fail_fast(rank);
-        for job in self.olap_jobs.lock().iter_mut() {
-            job.take();
-        }
-        ServeSummary {
-            rank,
-            executed: 0,
-            batches: 0,
-            olap_jobs: 0,
-            sim_serve_ns: 0.0,
-            sim_read_ns: 0.0,
-            read_ops: 0,
-            backend: ctx.backend(),
-        }
     }
 }
 
@@ -318,6 +291,10 @@ pub struct GdiServer(Arc<ServerInner>);
 
 impl GdiServer {
     pub fn new(db: Arc<GdaDb>, opts: ServerOptions) -> Self {
+        Self::build(db, opts, None)
+    }
+
+    fn build(db: Arc<GdaDb>, opts: ServerOptions, recovered: Option<RecoverySummary>) -> Self {
         assert!(opts.max_batch >= 1, "max_batch must be positive");
         let nranks = db.nranks();
         GdiServer(Arc::new(ServerInner {
@@ -337,9 +314,7 @@ impl GdiServer {
             pause_wake: WakeSource::new(),
             checkpoints: AtomicU64::new(0),
             maintenance_runs: AtomicU64::new(0),
-            recovery: Mutex::new(None),
-            recovery_stats: Mutex::new((0..nranks).map(|_| None).collect()),
-            recovery_failed: Mutex::new(None),
+            recovered,
             backend: Mutex::new(None),
             degraded: AtomicBool::new(false),
             degraded_entries: AtomicU64::new(0),
@@ -351,20 +326,16 @@ impl GdiServer {
         }))
     }
 
-    /// Boot a server from a persistence directory after a crash: reads
-    /// the latest snapshot manifest, rebuilds the database object and a
-    /// fresh fabric, and arms the recovery plan. The caller runs
-    /// [`GdiServer::serve_rank`] on every rank of the returned fabric
-    /// as usual — each serve loop first restores its rank (the
-    /// collective rebuild of the replayed state, see
-    /// `gda::persist::recover_with_topology`) and then starts draining
-    /// requests.
-    /// Recovery metrics land in [`ServerMetrics::recovery`]. A restore
-    /// that fails (collectively: every rank sees the error) stops the
-    /// server instead of serving a half-recovered database: admission
-    /// ends, pending tickets resolve as aborts, every serve loop returns,
-    /// and the error lands in [`RecoverySummary::failed`]. The directory
-    /// is left as it was, so a second recovery can retry.
+    /// Boot a server from a persistence directory after a crash: one
+    /// call to `gda::persist::recover_with_topology`, which replays the
+    /// latest snapshot chain, rebuilds the database on a fresh fabric
+    /// and commits it with a full checkpoint before it returns. The
+    /// caller then runs [`GdiServer::serve_rank`] on every rank of the
+    /// returned fabric as usual; the database is whole from the first
+    /// drain on. What the recovery did is in [`ServerMetrics::recovery`].
+    /// A failed restore (every rank votes on it) is this call's `Err`,
+    /// with the directory left as it was, so a second recovery can
+    /// retry.
     pub fn recover(
         opts: PersistOptions,
         cost: CostModel,
@@ -375,21 +346,19 @@ impl GdiServer {
 
     /// [`GdiServer::recover`] with an **elastic target topology**: boot
     /// the latest snapshot (written by `P` ranks) onto `Some(Q)` ranks.
-    /// The serve loops run the full redistribution collectively before
-    /// draining any request (see `gda::persist::recover_with_topology`);
-    /// once they serve, the database is a native `Q`-rank database with
-    /// its own published checkpoint. `None` keeps the snapshot's
-    /// topology.
+    /// When it returns, the full redistribution has run (see
+    /// `gda::persist::recover_with_topology`) and the database is a
+    /// native `Q`-rank database with its own published checkpoint.
+    /// `None` keeps the snapshot's topology.
     pub fn recover_with_ranks(
         opts: PersistOptions,
         cost: CostModel,
         server_opts: ServerOptions,
         target_ranks: Option<usize>,
     ) -> GdiResult<(GdiServer, Fabric)> {
-        let (db, fabric, plan) = gda::persist::recover_with_topology(opts, cost, target_ranks)?;
-        let server = GdiServer::new(db, server_opts);
-        *server.0.recovery.lock() = Some(plan);
-        Ok((server, fabric))
+        let (db, fabric, ranks) = gda::persist::recover_with_topology(opts, cost, target_ranks)?;
+        let summary = RecoverySummary::of(&ranks);
+        Ok((GdiServer::build(db, server_opts, Some(summary)), fabric))
     }
 
     /// The database being served.
@@ -712,20 +681,6 @@ impl GdiServer {
         let rank = ctx.rank();
         *inner.backend.lock() = Some(ctx.backend());
         let trace = std::env::var_os("GDI_SERVER_TRACE").is_some();
-        // crash recovery: restore this rank (collective — every serve
-        // loop of a recovered server enters here) before serving
-        let plan = inner.recovery.lock().clone();
-        if let Some(plan) = plan {
-            match plan.restore_rank(&eng) {
-                Ok(stats) => {
-                    inner.recovery_stats.lock()[rank] = Some(stats);
-                }
-                // the restore votes, so every rank lands here together:
-                // stop the server rather than serve a half-recovered
-                // database
-                Err(e) => return inner.stop_on_failed_restore(ctx, e),
-            }
-        }
         inner.serving.fetch_add(1, Ordering::SeqCst);
         let sim_t0 = ctx.now_ns();
         let mut olap_served: u64 = 0;
@@ -864,32 +819,12 @@ impl GdiServer {
                 fabric: reports[rank],
             })
             .collect();
-        let recovery = inner.recovery.lock().as_ref().map(|plan| {
-            let stats = inner.recovery_stats.lock();
-            let mut sum = RecoverySummary {
-                snapshot_id: plan.snapshot_id(),
-                failed: inner.recovery_failed.lock().clone(),
-                ..RecoverySummary::default()
-            };
-            for s in stats.iter().flatten() {
-                sum.snapshot_bytes += s.snapshot_bytes;
-                sum.log_bytes += s.log_bytes;
-                sum.records += s.records;
-                sum.applied += s.applied;
-                sum.errors += s.errors;
-                sum.max_sim_restore_s = sum.max_sim_restore_s.max(s.sim_restore_s);
-                sum.max_wall_restore_s = sum.max_wall_restore_s.max(s.wall_restore_s);
-                sum.ranks_restored += 1;
-                sum.resharded_from = sum.resharded_from.or(s.resharded_from);
-            }
-            sum
-        });
         ServerMetrics {
             per_rank,
             wall_elapsed_s: inner.started.elapsed().as_secs_f64(),
             checkpoints: inner.checkpoints.load(Ordering::Relaxed),
             maintenance_runs: inner.maintenance_runs.load(Ordering::Relaxed),
-            recovery,
+            recovery: inner.recovered.clone(),
             backend: *inner.backend.lock(),
             degraded: inner.degraded.load(Ordering::SeqCst),
             degraded_entries: inner.degraded_entries.load(Ordering::Relaxed),

@@ -169,7 +169,7 @@ fn analytics_survive_elastic_reshard() {
         });
         // drop = crash
     }
-    let (db, fabric, plan) = recover_with_topology(
+    let (db, fabric, recs) = recover_with_topology(
         PersistOptions::new(dir.path()),
         CostModel::default(),
         Some(3),
@@ -177,7 +177,7 @@ fn analytics_survive_elastic_reshard() {
     .unwrap();
     let per_rank = fabric.run(|ctx| {
         let eng = db.attach(ctx);
-        let rec = plan.restore_rank(&eng).unwrap();
+        let rec = &recs[ctx.rank()];
         assert_eq!(rec.errors, 0, "{rec:?}");
         let apps = spec.vertices_for_rank(ctx.rank(), ctx.nranks());
         let view = build_view(&eng, &apps);

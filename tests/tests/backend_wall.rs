@@ -218,6 +218,5 @@ fn recovery_round_trip_under_wall_backend() {
         let rec = report.recovery.expect("recovery metrics");
         assert_eq!(rec.errors, 0, "P={nranks}: replay errors");
         assert!(rec.records > 0, "P={nranks}: empty redo tail");
-        assert_eq!(rec.ranks_restored, nranks);
     }
 }

@@ -156,12 +156,12 @@ fn tortured_state(
         per_rank[0]
         // drop: the crash (everything in memory is lost)
     };
-    let (db, fabric, plan) =
+    let (db, fabric, recs) =
         recover_with_topology(PersistOptions::new(dir), CostModel::zero(), None).unwrap();
     let db: Arc<GdaDb> = db;
     let states = fabric.run(|ctx| {
         let eng = db.attach(ctx);
-        let rec = plan.restore_rank(&eng).unwrap();
+        let rec = &recs[ctx.rank()];
         assert_eq!(rec.errors, 0, "replay errors: {rec:?}");
         let ptype = eng.meta().ptype_from_name("val").unwrap();
         let ballast_intact = if ballast > 0 {
@@ -185,7 +185,7 @@ fn tortured_state(
         state,
         checkpoints,
         snap_bytes,
-        recovered_from: plan.snapshot_id(),
+        recovered_from: recs[0].snapshot_id,
         ballast_intact,
     }
 }
@@ -369,12 +369,12 @@ fn torn_redo_tail_is_truncated_at_last_valid_frame() {
         });
         assert_eq!(store.log_errors(), 1, "torn append surfaced");
     }
-    let (db, fabric, plan) =
+    let (db, fabric, recs) =
         recover_with_topology(PersistOptions::new(td.path()), CostModel::zero(), None).unwrap();
     let db: Arc<GdaDb> = db;
     fabric.run(|ctx| {
         let eng = db.attach(ctx);
-        let rec = plan.restore_rank(&eng).unwrap();
+        let rec = &recs[ctx.rank()];
         assert_eq!(rec.errors, 0, "truncation, not replay errors: {rec:?}");
         let ptype = eng.meta().ptype_from_name("val").unwrap();
         let tx = eng.begin(AccessMode::ReadOnly);

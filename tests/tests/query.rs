@@ -718,11 +718,11 @@ fn suite_matches_oracle_after_recovery() {
         });
         // drop: the crash — everything in memory is lost
     }
-    let (db, fabric, plan) =
+    let (db, fabric, recs) =
         recover_with_topology(PersistOptions::new(td.path()), CostModel::zero(), None).unwrap();
     let outcomes = fabric.run(|ctx| {
         let eng = db.attach(ctx);
-        let rec = plan.restore_rank(&eng).unwrap();
+        let rec = &recs[ctx.rank()];
         assert_eq!(rec.errors, 0, "replay errors: {rec:?}");
         ctx.barrier();
         let meta = remeta(&eng, &spec);

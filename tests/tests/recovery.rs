@@ -54,11 +54,11 @@ fn recovered_state(
         });
         // drop: the crash (everything in memory is lost)
     }
-    let (db, fabric, plan) =
+    let (db, fabric, recs) =
         recover_with_topology(PersistOptions::new(dir), CostModel::zero(), None).unwrap();
     let states = fabric.run(|ctx| {
         let eng = db.attach(ctx);
-        let rec = plan.restore_rank(&eng).unwrap();
+        let rec = &recs[ctx.rank()];
         assert_eq!(rec.errors, 0, "replay errors: {rec:?}");
         let ptype = eng.meta().ptype_from_name("val").unwrap();
         read_state(&eng, ids, ptype)
@@ -116,7 +116,6 @@ fn server_round_trip_checkpoint_kill_recover() {
     let rec = report.recovery.expect("recovery metrics");
     assert!(rec.records > 0, "the redo tail must contain work: {rec:?}");
     assert_eq!(rec.errors, 0);
-    assert_eq!(rec.ranks_restored, 2);
 }
 
 /// Recovery directly after an *unclean* checkpoint history: the newest
@@ -170,13 +169,13 @@ fn recover_from_previous_snapshot_after_failed_checkpoint() {
             ctx.barrier();
         });
     }
-    let (db, fabric, plan) =
+    let (db, fabric, recs) =
         recover_with_topology(PersistOptions::new(td.path()), CostModel::zero(), None).unwrap();
-    assert_eq!(plan.snapshot_id(), 1, "previous snapshot is the anchor");
+    assert_eq!(recs[0].snapshot_id, 1, "previous snapshot is the anchor");
     let db: Arc<GdaDb> = db;
     fabric.run(|ctx| {
         let eng = db.attach(ctx);
-        let rec = plan.restore_rank(&eng).unwrap();
+        let rec = &recs[ctx.rank()];
         assert_eq!(rec.errors, 0);
         let tx = eng.begin(AccessMode::ReadOnly);
         for i in (0..8u64).chain([101, 102]) {

@@ -10,13 +10,15 @@
 //! * an unreadable log, snapshot piece or manifest is a typed `Io`
 //!   error that leaves the directory byte-identical, and a retry
 //!   without the fault recovers the uninterrupted state;
-//! * a failed closing checkpoint or redistribution fails every rank,
-//!   leaves `CURRENT`, the snapshot directories and the logs
+//! * a failed closing checkpoint or redistribution fails the recovery
+//!   with a typed error, leaves `CURRENT`, the snapshot directories and the logs
 //!   byte-identical, and a second recovery equals the uninterrupted
 //!   run — at the snapshot's own rank count too;
 //! * a torn log tail the closing checkpoint fails to truncate is cut by
 //!   the recovery, so the commits served after it survive the next
 //!   crash;
+//! * a recovery that crashes before it serves leaves a directory whose
+//!   recovery equals it: recover, crash, recover equals recover;
 //! * at the snapshot's own rank count the config stays the snapshot's;
 //! * after a recovery, every rank's free blocks plus the blocks its
 //!   live holders reach add up to the pool.
@@ -30,7 +32,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use gda::faults::{self, FaultMode, FaultPlane};
-use gda::persist::{recover_with_topology, PersistOptions};
+use gda::persist::{audit_image, recover_with_topology, PersistOptions};
 use gda::{GdaConfig, GdaDb};
 use gdi::GdiError;
 use gdi_tests::harness::{
@@ -120,13 +122,12 @@ fn crash_after(p: usize, cfg: GdaConfig, dir: &Path, torn: Option<WlOp>) {
 }
 
 /// Recover `dir` onto `q` ranks through `opts`: rank 0's read state, or
-/// the error — which every rank must then have returned.
+/// the recovery's error.
 fn recover_at(opts: PersistOptions, q: usize) -> Result<ReadState, GdiError> {
-    let (db, fabric, plan) = recover_with_topology(opts, CostModel::zero(), Some(q))?;
-    let db: Arc<GdaDb> = db;
+    let (db, fabric, recs) = recover_with_topology(opts, CostModel::zero(), Some(q))?;
     let mut per_rank = fabric.run(|ctx| {
         let eng = db.attach(ctx);
-        let rec = plan.restore_rank(&eng)?;
+        let rec = &recs[ctx.rank()];
         assert_eq!(rec.errors, 0, "replay errors: {rec:?}");
         assert_eq!(
             free_plus_live_blocks(&eng),
@@ -135,13 +136,23 @@ fn recover_at(opts: PersistOptions, q: usize) -> Result<ReadState, GdiError> {
             ctx.rank()
         );
         let ptype = eng.meta().ptype_from_name("val").unwrap();
-        Ok(read_state(&eng, IDS, ptype))
+        read_state(&eng, IDS, ptype)
     });
-    assert!(
-        per_rank.iter().all(Result::is_ok) || per_rank.iter().all(Result::is_err),
-        "a recovery must fail on every rank or on none: {per_rank:?}"
-    );
-    per_rank.swap_remove(0)
+    Ok(per_rank.swap_remove(0))
+}
+
+/// Recover `dir` onto `q` ranks and read, without serving: rank 0's read
+/// state and every rank's image audit (the objects it compared).
+fn recovered_image(dir: &Path, q: usize) -> (ReadState, Vec<u64>) {
+    let (db, fabric, _) =
+        recover_with_topology(PersistOptions::new(dir), CostModel::zero(), Some(q)).unwrap();
+    let per_rank = fabric.run(|ctx| {
+        let eng = db.attach(ctx);
+        let ptype = eng.meta().ptype_from_name("val").unwrap();
+        (read_state(&eng, IDS, ptype), audit_image(&eng).unwrap())
+    });
+    let audits = per_rank.iter().map(|(_, n)| *n).collect();
+    (per_rank.into_iter().next().unwrap().0, audits)
 }
 
 fn with_fault(dir: &Path, point: &str, rank: Option<usize>, mode: FaultMode) -> PersistOptions {
@@ -267,8 +278,8 @@ fn read_errors_are_typed_and_leave_the_directory_untouched() {
 
 /// A recovery commits only through its closing full checkpoint, at the
 /// snapshot's own rank count as much as at another: a failure there, or
-/// in the redistribution before it, fails every rank and changes
-/// nothing on disk.
+/// in the redistribution before it, fails the recovery with a typed
+/// error and changes nothing on disk.
 #[test]
 fn a_failed_recovery_commit_fails_every_rank_and_changes_nothing() {
     let cfg = GdaConfig::tiny();
@@ -319,11 +330,11 @@ fn a_torn_tail_behind_a_failed_truncation_strands_no_later_commit() {
                 Some(p - 1),
                 FaultMode::Error,
             );
-            let (db, fabric, plan) =
+            let (db, fabric, recs) =
                 recover_with_topology(opts, CostModel::zero(), Some(q)).unwrap();
             fabric.run(|ctx| {
                 let eng = db.attach(ctx);
-                let rec = plan.restore_rank(&eng).unwrap();
+                let rec = &recs[ctx.rank()];
                 if ctx.rank() == p - 1 {
                     // the truncation failed; the cut kept the valid prefix
                     assert!(rec.log_bytes > 0, "P={p} Q={q}: {rec:?}");
@@ -337,12 +348,39 @@ fn a_torn_tail_behind_a_failed_truncation_strands_no_later_commit() {
                 let ptype = eng.meta().ptype_from_name("val").unwrap();
                 apply_ops(&eng, &later, ptype);
             });
-            drop((db, fabric, plan)); // the second crash
+            drop((db, fabric, recs)); // the second crash
             let got = recover_at(PersistOptions::new(work.path()), q).unwrap();
             assert_eq!(
                 got, want,
                 "P={p} Q={q}: commits after the recovery were lost"
             );
+        }
+    }
+}
+
+/// Recover, crash, recover equals recover: the database a recovery
+/// returns is dropped without serving, and recovering the directory
+/// again reads back the same state, with the same image audit on every
+/// rank — onto the snapshot's own rank count and onto another.
+#[test]
+fn recover_crash_recover_equals_recover() {
+    let cfg = GdaConfig::tiny();
+    for p in [1usize, 2] {
+        let base = ScratchDir::new("rf-twice");
+        crashed_dir(p, cfg, base.path());
+        let want = reference_state(p, cfg, &all_ops(), IDS);
+        for q in targets(p) {
+            let work = ScratchDir::new("rf-twice-work");
+            copy_dir(base.path(), work.path());
+            let first = recovered_image(work.path(), q);
+            assert_eq!(first.0, want, "P={p} Q={q}: the first recovery diverged");
+            assert!(
+                first.1.iter().sum::<u64>() > 0,
+                "P={p} Q={q}: audited nothing"
+            );
+            // the first recovery's database is dropped: the crash
+            let second = recovered_image(work.path(), q);
+            assert_eq!(second, first, "P={p} Q={q}: the second recovery differs");
         }
     }
 }
@@ -374,14 +412,13 @@ fn a_same_topology_recovery_keeps_the_config() {
             });
         }
         let want = reference_state(p, cfg, &ops, ids);
-        let (db, fabric, plan) =
+        let (db, fabric, _) =
             recover_with_topology(PersistOptions::new(dir.path()), CostModel::zero(), None)
                 .unwrap();
         assert_eq!(db.cfg.blocks_per_rank, cfg.blocks_per_rank, "P={p}");
         assert_eq!(db.cfg.dht_heap_per_rank, cfg.dht_heap_per_rank, "P={p}");
         let states = fabric.run(|ctx| {
             let eng = db.attach(ctx);
-            plan.restore_rank(&eng).unwrap();
             let free = eng.audit_pool().unwrap().free;
             assert!(
                 2 * (cfg.blocks_per_rank - free) > cfg.blocks_per_rank,

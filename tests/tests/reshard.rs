@@ -202,12 +202,12 @@ fn run_and_crash(nranks: usize, cfg: GdaConfig, ops: &[WlOp], cut: usize, dir: &
 
 /// Recover the crashed directory at `q` ranks and read everything.
 fn recover_at(q: usize, dir: &Path, ids: u64) -> FullState {
-    let (db, fabric, plan) =
+    let (db, fabric, recs) =
         recover_with_topology(PersistOptions::new(dir), CostModel::zero(), Some(q)).unwrap();
     assert_eq!(db.nranks(), q);
     let states = fabric.run(|ctx| {
         let eng = db.attach(ctx);
-        let rec = plan.restore_rank(&eng).unwrap();
+        let rec = &recs[ctx.rank()];
         assert_eq!(rec.errors, 0, "restore errors at Q={q}: {rec:?}");
         let ptype = eng.meta().ptype_from_name("val").unwrap();
         let ix = eng.all_indexes()[0].id;
@@ -315,24 +315,24 @@ fn failed_reshard_attempt_is_retryable() {
     run_and_crash(p, cfg, &ops, ops.len() / 2, dir.path());
     // attempt 1: a receiving rank fails mid-redistribution
     {
-        let (db, fabric, plan) =
-            recover_with_topology(PersistOptions::new(dir.path()), CostModel::zero(), Some(4))
-                .unwrap();
-        db.persistence().unwrap().fault_plane().arm_at(
+        let plane = gda::faults::FaultPlane::shared();
+        plane.arm_at(
             gda::faults::RESHARD_REDISTRIBUTE,
             Some(1),
             0,
             1,
             gda::faults::FaultMode::Error,
         );
-        let errs = fabric.run(|ctx| {
-            let eng = db.attach(ctx);
-            plan.restore_rank(&eng).err()
-        });
+        let opts = PersistOptions {
+            faults: Some(plane.clone()),
+            ..PersistOptions::new(dir.path())
+        };
+        let err = recover_with_topology(opts, CostModel::zero(), Some(4)).err();
         assert!(
-            errs.iter().all(|e| e.is_some()),
-            "collective abort: {errs:?}"
+            matches!(err, Some(gdi::GdiError::Io(_))),
+            "collective abort: {err:?}"
         );
+        assert_eq!(plane.fired(), 1);
     }
     // attempt 2: the snapshot and logs are untouched — reshard succeeds
     let got = recover_at(4, dir.path(), ids);

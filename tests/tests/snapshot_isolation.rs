@@ -777,7 +777,7 @@ fn si_divergences_recovered(
         // drop: the crash — everything in memory is lost
     }
     let oracle2 = Oracle::new(oracle1.latest());
-    let (db, fabric, plan) = recover_with_topology(
+    let (db, fabric, recs) = recover_with_topology(
         PersistOptions::new(dir).backend(backend),
         CostModel::zero(),
         None,
@@ -785,7 +785,7 @@ fn si_divergences_recovered(
     .unwrap();
     let all = fabric.run(|ctx| {
         let eng = db.attach(ctx);
-        let rec = plan.restore_rank(&eng).unwrap();
+        let rec = &recs[ctx.rank()];
         assert_eq!(rec.errors, 0, "replay errors: {rec:?}");
         let meta = lookup_meta(&eng);
         let mut created = created_after_p1.clone();
