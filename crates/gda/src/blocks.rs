@@ -101,59 +101,20 @@ impl<'c, 'f> BlockManager<'c, 'f> {
         }
     }
 
-    /// Rebuild `target`'s free list in **ascending block order**.
-    /// Sustained acquire/release churn leaves the LIFO list in arrival
-    /// order, so a block freed long ago can sit behind hundreds of
-    /// recently freed ones; after a vacuum, `acquire` hands out the
-    /// lowest-numbered free blocks first, which keeps live data packed
-    /// at the front of the window (smaller deltas, better scan
-    /// locality). **Maintenance primitive** — requires quiescence: the
-    /// walk-then-rewrite is not safe against concurrent pool traffic.
-    /// Returns the free-block count.
-    pub(crate) fn vacuum_free_list(&self, target: usize) -> usize {
-        let (head, free) = self.walk_free(target);
-        let mut free = free.expect("free-list cycle during vacuum");
-        free.sort_unstable();
-        for (i, &b) in free.iter().enumerate() {
-            let next = free.get(i + 1).copied().unwrap_or(0);
-            self.ctx.put_u64(WIN_USAGE, target, b as usize, next);
-        }
-        let new_head = free.first().copied().unwrap_or(0);
-        // the tag still bumps: a stale CAS from before the vacuum must
-        // not succeed against the rebuilt list
-        self.ctx
-            .put_u64(WIN_SYSTEM, target, HEAD_WORD, head.bump(new_head).raw());
-        self.ctx.flush(target);
-        free.len()
-    }
-
     /// The free blocks on `target`, in list order, by walking the free
     /// list (O(n); audits only, not the hot path). `None` on a list
     /// longer than the pool: it has a cycle.
     pub(crate) fn free_blocks(&self, target: usize) -> Option<Vec<DPtr>> {
-        let size = self.cfg.block_size as u64;
-        let free = self.walk_free(target).1?;
-        Some(
-            free.into_iter()
-                .map(|i| DPtr::new(target, i * size))
-                .collect(),
-        )
-    }
-
-    /// `target`'s free-list head and the block indices on its list, in
-    /// list order (`None` past `blocks_per_rank` of them: a cycle).
-    fn walk_free(&self, target: usize) -> (TaggedIdx, Option<Vec<u64>>) {
-        let head = TaggedIdx::from_raw(self.ctx.aget_u64(WIN_SYSTEM, target, HEAD_WORD));
-        let mut idx = head.idx();
+        let mut idx = TaggedIdx::from_raw(self.ctx.aget_u64(WIN_SYSTEM, target, HEAD_WORD)).idx();
         let mut free = Vec::new();
         while idx != 0 {
             if free.len() == self.cfg.blocks_per_rank {
-                return (head, None);
+                return None;
             }
-            free.push(idx);
+            free.push(DPtr::new(target, idx * self.cfg.block_size as u64));
             idx = self.ctx.get_u64(WIN_USAGE, target, idx as usize);
         }
-        (head, Some(free))
+        Some(free)
     }
 }
 

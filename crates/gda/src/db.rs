@@ -329,10 +329,9 @@ impl<'d, 'c, 'f> GdaRank<'d, 'c, 'f> {
     }
 
     /// Collective: run one background-maintenance pass (every rank's
-    /// retire list drained to the agreed snapshot floor, holder-chain
-    /// compaction, free-list vacuum, checksum verification of the
-    /// published snapshot chain). Every rank must call this together.
-    /// See `crate::maint`.
+    /// retire list drained to the agreed snapshot floor, checksum
+    /// verification of the published snapshot chain; no live block
+    /// moves). Every rank must call this together. See `crate::maint`.
     pub fn maintenance(&self) -> GdiResult<crate::maint::MaintenanceReport> {
         crate::maint::maintenance_rank(self)
     }

@@ -648,9 +648,9 @@ pub(crate) struct LiveChain<'a> {
 }
 
 /// **The live set**: every holder chain a recovery lifts — so exactly
-/// the chains a full checkpoint writes as records — and the chains a
-/// maintenance pass compacts. Collective, quiesced: hands
-/// `visit` every chain of the live set this rank stores, each once.
+/// the chains a full checkpoint writes as records and the image and
+/// pool audits count. Collective, quiesced: hands `visit` every chain
+/// of the live set this rank stores, each once.
 ///
 /// The vertex chains are the DHT's entries ([`dht::owned_entries`]
 /// routes each to its primary's rank); the rest are the heavyweight

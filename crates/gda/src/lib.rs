@@ -56,8 +56,9 @@
 //! * `db` — database objects, multi-database registry, the per-rank
 //!   engine handle;
 //! * `maint` — collective background maintenance: MVCC version
-//!   vacuum below the snapshot floor, free-list vacuum, holder-chain
-//!   compaction, checksum verification of the published snapshot chain;
+//!   vacuum below the snapshot floor and checksum verification of the
+//!   published snapshot chain; it frees and verifies, never moves a
+//!   block;
 //! * `rankmap` — the canonical rank-ownership math and the
 //!   snapshot-rank → live-rank map every recovery is built on.
 //!

@@ -4,29 +4,19 @@
 //! (`server::GdiServer` schedules them) or directly via
 //! [`crate::db::GdaRank::maintenance`].
 //!
-//! One pass runs four sub-passes, in order:
+//! A pass frees and verifies; it never moves a block. The ranks first
+//! agree on the snapshot floor (the minimum of every rank's), then run
+//! two sub-passes:
 //!
 //! 1. **MVCC version vacuum** — every rank drains its retire list (the
 //!    blocks of the archive records its commits wrote, each tagged with
-//!    the committing epoch) down to the snapshot floor all ranks agree
-//!    on (`GdaRank::reclaim_archives`, the reclaim a commit runs once
-//!    its list has grown). A record freed here was written at an epoch
-//!    at or below every pinned snapshot, so no reader follows a `prev`
-//!    to it any more; a cold object's archives come back without the
-//!    object being written again.
-//! 2. **Free-list vacuum** — rebuild the rank's block free list in
-//!    ascending order ([`crate::blocks::BlockManager::vacuum_free_list`])
-//!    so subsequent allocation packs live data at the front of the
-//!    window.
-//! 3. **Holder-chain compaction** — relocate multi-block holders'
-//!    *continuation* blocks (never the primary: it is the object's
-//!    identity) to lower-numbered free blocks. Logical content is
-//!    unchanged, so no redo record is written, and none is needed:
-//!    recovery replays holders by primary into freshly allocated
-//!    chains, so the layout a compaction leaves is never read back —
-//!    the next full image walks the moved chain, every earlier image
-//!    and segment still yields the same holder bytes.
-//! 4. **Checksum verification** — re-read every file of the published
+//!    the committing epoch) down to that floor
+//!    (`GdaRank::reclaim_archives`, the reclaim a commit runs once its
+//!    list has grown). A record freed here was written at an epoch at
+//!    or below every pinned snapshot, so no reader follows a `prev` to
+//!    it any more; a cold object's archives come back without the
+//!    object being written again. No live holder is read or written.
+//! 2. **Checksum verification** — re-read every file of the published
 //!    snapshot chain — the base image, the manifests and the sealed redo
 //!    segments — and validate its checksums ([`crate::persist`]),
 //!    surfacing silent corruption *before* the next recovery depends on
@@ -36,13 +26,10 @@
 //! except **pinned read-only snapshots** — their pins hold the snapshot
 //! floor down, which the vacuum respects.
 
-use gdi::{GdiError, GdiResult};
+use gdi::GdiResult;
 use rma::Counter;
 
-use crate::config::GdaConfig;
 use crate::db::GdaRank;
-use crate::dptr::DPtr;
-use crate::hio;
 
 /// What one collective maintenance pass did, globally (every field is
 /// an allreduced sum; identical on every rank).
@@ -55,70 +42,18 @@ pub struct MaintenanceReport {
     pub vacuumed_versions: u64,
     /// Blocks returned to the free lists by the vacuum.
     pub vacuumed_blocks: u64,
-    /// Free blocks across all ranks after the free-list vacuum.
-    pub free_blocks: u64,
-    /// Holder chains whose continuation blocks were relocated.
-    pub compacted_chains: u64,
-    /// Continuation blocks moved to lower addresses.
-    pub compacted_blocks: u64,
     /// Snapshot-chain bytes re-read and checksum-verified.
     pub verified_bytes: u64,
     /// Checksum/readability failures found in the published chain.
     pub verify_errors: u64,
 }
 
-/// Relocate the continuation blocks of one holder chain to
-/// lower-numbered blocks when the free list offers them. Returns the
-/// number of blocks moved (0 = chain untouched).
-fn compact_chain(eng: &GdaRank, bytes: &[u8], blocks: &[DPtr]) -> u64 {
-    if blocks.len() < 2 {
-        return 0;
-    }
-    let bm = &eng.bm;
-    let me = blocks[0].rank();
-    let mut newb = blocks.to_vec();
-    let mut replaced = Vec::new();
-    for slot in newb.iter_mut().skip(1) {
-        let Ok(cand) = bm.acquire(me) else {
-            break;
-        };
-        if cand.offset() < slot.offset() {
-            replaced.push(std::mem::replace(slot, cand));
-        } else {
-            bm.release(cand);
-        }
-    }
-    if replaced.is_empty() {
-        return 0;
-    }
-    if hio::write_chain(eng.ctx(), bm, bytes, &mut newb).is_err() {
-        // write_chain errs only acquiring blocks, before it writes one
-        // (and the chain never grows here): the old layout stands, and
-        // every block the new one holds that the old does not — the
-        // candidates swapped in — goes back to the pool
-        for (i, dp) in newb.iter().enumerate() {
-            if blocks.get(i) != Some(dp) {
-                bm.release(*dp);
-            }
-        }
-        return 0;
-    }
-    let moved = replaced.len() as u64;
-    // old continuation blocks go back to the pool only after the new
-    // chain is fully published
-    for dp in replaced {
-        bm.release(dp);
-    }
-    moved
-}
-
 /// Collective: one full maintenance pass (see the module docs for the
-/// four sub-passes and the quiescence requirement). Every rank must
-/// call this together; returns the globally aggregated report.
+/// floor agreement, the two sub-passes and the quiescence requirement).
+/// Every rank must call this together; returns the globally aggregated
+/// report.
 pub(crate) fn maintenance_rank(eng: &GdaRank) -> GdiResult<MaintenanceReport> {
     let ctx = eng.ctx();
-    let cfg: &GdaConfig = eng.cfg();
-    let me = eng.rank();
     ctx.quiesce();
 
     // -- agree on the vacuum floor ------------------------------------
@@ -135,60 +70,21 @@ pub(crate) fn maintenance_rank(eng: &GdaRank) -> GdiResult<MaintenanceReport> {
 
     // -- pass 1: MVCC version vacuum ----------------------------------
     // This rank's retire list, to the agreed floor: its blocks may live
-    // on any rank, so the vote below also orders every free before the
-    // free-list vacuum.
+    // on any rank, so the barrier below orders every free before the
+    // pass returns.
     let (vacuumed_versions, vacuumed_blocks) = if skip_vacuum {
         (0, 0)
     } else {
         eng.reclaim_archives(floor)
     };
-    // multi-block chains of the live set this rank stores, as (highest
-    // block offset, primary): the compaction candidates. An unreadable
-    // chain fails the pass on every rank.
-    let mut chains: Vec<(u64, DPtr)> = Vec::new();
-    let walked = hio::walk_live(ctx, cfg, |c| {
-        if c.blocks.len() > 1 {
-            let top = c.blocks.iter().map(|b| b.offset()).max().unwrap_or(0);
-            chains.push((top, c.primary));
-        }
-    });
-    if ctx.allreduce_any(walked.is_err()) {
-        return Err(walked
-            .err()
-            .unwrap_or_else(|| GdiError::Io("maintenance failed on a peer rank".into())));
-    }
 
-    // -- pass 2: free-list vacuum -------------------------------------
-    // Before compaction, so `acquire` below hands out the lowest free
-    // blocks first.
-    let free_blocks = eng.bm.vacuum_free_list(me) as u64;
-
-    // -- pass 3: holder-chain compaction ------------------------------
-    // Largest offsets first: draining the high end of the window first
-    // maximizes how far the live data packs down in one pass.
-    let mut compacted_chains = 0u64;
-    let mut compacted_blocks = 0u64;
-    chains.sort_unstable_by_key(|&(top, _)| std::cmp::Reverse(top));
-    for &(_, primary) in &chains {
-        let Ok((bytes, blocks)) = hio::read_chain(ctx, cfg, primary) else {
-            continue;
-        };
-        let moved = compact_chain(eng, &bytes, &blocks);
-        if moved > 0 {
-            compacted_chains += 1;
-            compacted_blocks += moved;
-        }
-    }
-
-    // -- pass 4: checksum verification of the published chain ---------
+    // -- pass 2: checksum verification of the published chain ---------
     let (verified_bytes, verify_errors) = match eng.persistence() {
-        Some(store) => store.verify_chain(me),
+        Some(store) => store.verify_chain(eng.rank()),
         None => (0, 0),
     };
     for (c, n) in [
         (Counter::VacuumedVersions, vacuumed_versions),
-        (Counter::CompactedChains, compacted_chains),
-        (Counter::CompactedBlocks, compacted_blocks),
         (Counter::VerifiedBytes, verified_bytes),
         (Counter::VerifyErrors, verify_errors),
         (Counter::MaintenancePasses, 1),
@@ -200,9 +96,6 @@ pub(crate) fn maintenance_rank(eng: &GdaRank) -> GdiResult<MaintenanceReport> {
         floor,
         vacuumed_versions: ctx.allreduce_sum_u64(vacuumed_versions),
         vacuumed_blocks: ctx.allreduce_sum_u64(vacuumed_blocks),
-        free_blocks: ctx.allreduce_sum_u64(free_blocks),
-        compacted_chains: ctx.allreduce_sum_u64(compacted_chains),
-        compacted_blocks: ctx.allreduce_sum_u64(compacted_blocks),
         verified_bytes: ctx.allreduce_sum_u64(verified_bytes),
         verify_errors: ctx.allreduce_sum_u64(verify_errors),
     })
@@ -211,8 +104,9 @@ pub(crate) fn maintenance_rank(eng: &GdaRank) -> GdiResult<MaintenanceReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::GdaConfig;
     use crate::db::GdaDb;
-    use crate::persist::tests::recover;
+    use crate::hio;
     use crate::persist::PersistOptions;
     use gdi::{
         AccessMode, AppVertexId, Datatype, EntityType, Multiplicity, PTypeId, PropertyValue,
@@ -361,10 +255,10 @@ mod tests {
     }
 
     /// Passes that each reclaim a growing multi-block holder's archives
-    /// and compact its chain free no block twice and leak none: deleting
-    /// everything afterwards drains the pool exactly.
+    /// free no block twice and leak none: deleting everything afterwards
+    /// drains the pool exactly.
     #[test]
-    fn reclaiming_and_compacting_in_one_pass_frees_no_block_twice() {
+    fn reclaiming_passes_free_no_block_twice() {
         let cfg = GdaConfig {
             blocks_per_rank: 1024,
             ..GdaConfig::tiny()
@@ -405,67 +299,46 @@ mod tests {
         });
     }
 
-    /// Compaction migrates continuation blocks downwards after churn
-    /// opens holes at the front of the window, and the relocated
-    /// chains stay readable (and recoverable).
+    /// A pass moves no live block: a fat multi-block vertex allocated
+    /// above small ones keeps its chain — bytes and blocks — after the
+    /// small ones are deleted and free blocks open up below it.
     #[test]
-    fn compaction_packs_continuation_blocks() {
-        let td_base = std::env::temp_dir().join(format!("gda-maint-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&td_base);
+    fn a_pass_moves_no_live_block() {
         let cfg = GdaConfig::tiny();
-        {
-            let (db, fabric) = GdaDb::with_fabric("cmp", cfg, 1, CostModel::zero());
-            db.enable_persistence(PersistOptions::new(&td_base))
-                .unwrap();
-            fabric.run(|ctx| {
-                let eng = db.attach(ctx);
-                eng.init_collective();
-                let blob = blob_ptype(&eng);
-                // small vertices filling the front of the window...
-                let tx = eng.begin(AccessMode::ReadWrite);
-                for i in 0..30u64 {
-                    tx.create_vertex(AppVertexId(i)).unwrap();
-                }
-                tx.commit().unwrap();
-                // ...then a fat multi-block vertex allocated above them
-                let tx = eng.begin(AccessMode::ReadWrite);
-                let v = tx.create_vertex(AppVertexId(1000)).unwrap();
-                tx.update_property(v, blob, &prop_bytes(300)).unwrap();
-                tx.commit().unwrap();
-                // churn: delete the small vertices, opening holes below
-                let tx = eng.begin(AccessMode::ReadWrite);
-                for i in 0..30u64 {
-                    let v = tx.translate_vertex_id(AppVertexId(i)).unwrap();
-                    tx.delete_vertex(v).unwrap();
-                }
-                tx.commit().unwrap();
-                let rep = eng.maintenance().unwrap();
-                assert!(rep.compacted_chains >= 1, "{rep:?}");
-                assert!(rep.compacted_blocks >= 1, "{rep:?}");
-                // the fat vertex survived the move
-                let tx = eng.begin(AccessMode::ReadOnly);
-                let v = tx.translate_vertex_id(AppVertexId(1000)).unwrap();
-                assert_eq!(tx.property(v, blob).unwrap(), Some(prop_bytes(300)));
-                tx.commit().unwrap();
-                // converged: a second pass moves nothing further
-                let rep2 = eng.maintenance().unwrap();
-                assert_eq!(rep2.compacted_blocks, 0, "{rep2:?}");
-                eng.checkpoint().unwrap();
-            });
-        }
-        // the compacted layout recovers
-        let (db, fabric, recs) = recover(PersistOptions::new(&td_base), CostModel::zero()).unwrap();
+        let (db, fabric) = GdaDb::with_fabric("still", cfg, 1, CostModel::zero());
         fabric.run(|ctx| {
             let eng = db.attach(ctx);
-            let rec = &recs[ctx.rank()];
-            assert_eq!(rec.errors, 0, "{rec:?}");
+            eng.init_collective();
+            let blob = blob_ptype(&eng);
+            // small vertices filling the front of the window...
+            let tx = eng.begin(AccessMode::ReadWrite);
+            for i in 0..30u64 {
+                tx.create_vertex(AppVertexId(i)).unwrap();
+            }
+            tx.commit().unwrap();
+            // ...then a fat multi-block vertex allocated above them
+            let tx = eng.begin(AccessMode::ReadWrite);
+            let fat = tx.create_vertex(AppVertexId(1000)).unwrap();
+            tx.update_property(fat, blob, &prop_bytes(300)).unwrap();
+            tx.commit().unwrap();
+            // churn: delete the small vertices, opening holes below
+            let tx = eng.begin(AccessMode::ReadWrite);
+            for i in 0..30u64 {
+                let v = tx.translate_vertex_id(AppVertexId(i)).unwrap();
+                tx.delete_vertex(v).unwrap();
+            }
+            tx.commit().unwrap();
+            let before = hio::read_chain(ctx, eng.cfg(), fat).unwrap();
+            assert!(before.1.len() > 1, "not a multi-block chain");
+            eng.maintenance().unwrap();
+            let after = hio::read_chain(ctx, eng.cfg(), fat).unwrap();
+            assert_eq!(after.1, before.1, "the pass moved a block");
+            assert_eq!(after.0, before.0, "the pass rewrote the chain");
             let tx = eng.begin(AccessMode::ReadOnly);
             let v = tx.translate_vertex_id(AppVertexId(1000)).unwrap();
-            let blob = PTypeId(3);
             assert_eq!(tx.property(v, blob).unwrap(), Some(prop_bytes(300)));
             tx.commit().unwrap();
         });
-        let _ = std::fs::remove_dir_all(&td_base);
     }
 
     /// The verifier walks the published chain and reports corruption

@@ -144,16 +144,12 @@ counters! {
     /// Archived versions a rank freed off its retire list at commit
     /// (the snapshot floor had passed their commit epoch; `gda::db`).
     chain_truncations: ChainTruncations = "mvcc.chain_truncations",
-    /// Collective maintenance passes this rank completed (vacuum +
-    /// compaction + free-list rebuild + verify; `gda::maint`).
+    /// Collective maintenance passes this rank completed (archive
+    /// vacuum + snapshot-chain verify; `gda::maint`).
     maintenance_passes: MaintenancePasses = "maint.passes",
     /// Archived versions the maintenance pass freed off this rank's
     /// retire list, drained to the agreed snapshot floor.
     vacuumed_versions: VacuumedVersions = "maint.vacuumed_versions",
-    /// Holder chains rewritten contiguously by the compactor.
-    compacted_chains: CompactedChains = "maint.compacted_chains",
-    /// Continuation blocks relocated by chain compaction.
-    compacted_blocks: CompactedBlocks = "maint.compacted_blocks",
     /// Bytes of published snapshot-chain data checksum-verified online.
     verified_bytes: VerifiedBytes = "maint.verified_bytes",
     /// Snapshot-chain files that failed online verification.

@@ -139,11 +139,10 @@ fn scheduled_maintenance_runs_between_drain_cycles() {
     assert!(fabric.vacuumed_versions >= 1, "{m:?}");
 }
 
-/// Passes that each reclaim a growing multi-block holder's archives and
-/// compact its chain keep every block accounted for: after each one,
-/// free + live + retired is the whole pool on both ranks, and no block
-/// is freed twice ("free-list cycle during vacuum"). Fifty edge inserts
-/// on one vertex grow exactly such a holder.
+/// Passes that each reclaim a growing multi-block holder's archives
+/// keep every block accounted for: after each one, free + live +
+/// retired is the whole pool on both ranks, and no block is freed
+/// twice. Fifty edge inserts on one vertex grow exactly such a holder.
 #[test]
 fn repeated_maintenance_keeps_the_block_pool_whole() {
     let cfg = GdaConfig {
@@ -200,8 +199,8 @@ fn repeated_maintenance_keeps_the_block_pool_whole() {
             let report = server.maintenance().unwrap();
             let pool = pool_blocks();
             passes.push((report, pool.clone()));
-            // a broken pool panics the next pass on its rank thread,
-            // which would hang this one: stop and fail below instead
+            // a broken pool can hand a block out twice and corrupt
+            // what the next round writes: stop and fail below instead
             if pool != [cfg.blocks_per_rank; 2] {
                 break;
             }

@@ -32,9 +32,10 @@
 //!   index partitions), and `post_ops` then measures the new topology.
 //! * [`Script::Churn`] — one full checkpoint over the base graph, then
 //!   rounds of update-heavy traffic, each closed by a delta checkpoint
-//!   and a collective maintenance pass (MVCC vacuum, compaction,
-//!   snapshot verification). Per round it samples the bytes the delta
-//!   made durable, its stall, and the live blocks after the pass.
+//!   and a collective maintenance pass (MVCC vacuum, snapshot
+//!   verification). Per round it samples the bytes the delta made
+//!   durable, its stall, and the blocks the pool audit after the pass
+//!   counts as held.
 //! * [`Script::Chaos`] — a persistent storage fault under traffic: the
 //!   server degrades to read-only (reads keep serving abort-free,
 //!   writes bounce with the typed [`SubmitError::ReadOnly`] and so must
@@ -244,7 +245,8 @@ pub struct MaintSample {
     pub vacuumed_versions: u64,
     /// Verifier failures (must stay 0).
     pub verify_errors: u64,
-    /// Allocated blocks across all ranks *after* the pass — the
+    /// Allocated blocks across all ranks *after* the pass — live and
+    /// retired, as the pool audit counts them (so capacity − free); the
     /// bounded-garbage gate watches this stay flat across rounds.
     pub live_blocks: u64,
 }
@@ -619,7 +621,6 @@ pub fn run(cfg: &Scenario) -> Report {
             spec.as_ref().map(|spec| load_into(&eng, spec).0)
         });
         let meta = metas.into_iter().next().flatten();
-        let total_blocks = (gcfg.blocks_per_rank * cfg.nranks) as u64;
         let srv = GdiServer::new(db, ServerOptions::default());
         let base = serving(&srv, fabric, || {
             let clients = &mut clients[..];
@@ -627,14 +628,9 @@ pub fn run(cfg: &Scenario) -> Report {
                 Script::KillRestart { .. } => {
                     kill_restart(&srv, needs(&meta), clients, cfg.ops, &mut report)
                 }
-                Script::Churn { rounds } => churn(
-                    &srv,
-                    needs(&meta),
-                    clients,
-                    (cfg.ops, rounds),
-                    total_blocks,
-                    &mut report,
-                ),
+                Script::Churn { rounds } => {
+                    churn(&srv, needs(&meta), clients, (cfg.ops, rounds), &mut report)
+                }
                 Script::Chaos { fault_point } => {
                     chaos(&srv, fault_point, clients, cfg.ops, &mut report)
                 }
@@ -668,7 +664,7 @@ pub fn run(cfg: &Scenario) -> Report {
         // the restore ends at "serving + verified": the post-restart
         // phase must not inflate it
         report.restart_wall_s = restart_t0.elapsed().as_secs_f64();
-        report.mismatches.extend(audit_state(&srv, "recovery"));
+        audit_state(&srv, "recovery", &mut report.mismatches);
         if let Script::KillRestart { post_ops, .. } = script {
             if post_ops > 0 {
                 let meta = needs(&meta);
@@ -702,7 +698,7 @@ fn kill_restart(
     drive(srv, clients, ops, |s, c, _| kill_restart_step(s, c, meta));
     let ck = srv.checkpoint().expect("mid-traffic checkpoint");
     report.checkpoint = CheckpointSample::of(&ck, 0);
-    report.mismatches.extend(audit_state(srv, "the checkpoint"));
+    audit_state(srv, "the checkpoint", &mut report.mismatches);
     drive(srv, clients, ops, |s, c, _| kill_restart_step(s, c, meta));
 }
 
@@ -778,7 +774,6 @@ fn churn(
     meta: &LpgMeta,
     clients: &mut [Client],
     (ops, rounds): (usize, usize),
-    total_blocks: u64,
     report: &mut Report,
 ) {
     let p0 = meta.ptype(0);
@@ -804,9 +799,7 @@ fn churn(
     let ck = srv.checkpoint().expect("initial full checkpoint");
     assert!(ck.full, "first checkpoint must be a full snapshot");
     report.checkpoint = CheckpointSample::of(&ck, 0);
-    report
-        .mismatches
-        .extend(audit_state(srv, "the full checkpoint"));
+    audit_state(srv, "the full checkpoint", &mut report.mismatches);
     for _round in 0..rounds {
         drive(srv, clients, ops, |s, c, _| churn_step(s, c, p0));
         let before = logged;
@@ -815,17 +808,13 @@ fn churn(
         report
             .deltas
             .push(CheckpointSample::of(&ck, logged - before));
-        report
-            .mismatches
-            .extend(audit_state(srv, "a round checkpoint"));
+        audit_state(srv, "a round checkpoint", &mut report.mismatches);
         let m = srv.maintenance().expect("round maintenance");
-        report
-            .mismatches
-            .extend(audit_state(srv, "a maintenance pass"));
+        let live_blocks = audit_state(srv, "a maintenance pass", &mut report.mismatches);
         report.maint.push(MaintSample {
             vacuumed_versions: m.vacuumed_versions,
             verify_errors: m.verify_errors,
-            live_blocks: total_blocks.saturating_sub(m.free_blocks),
+            live_blocks,
         });
     }
 }
@@ -884,41 +873,58 @@ fn chaos_step(session: &Session, c: &mut Client, i: usize) {
     }
 }
 
-/// Run `check` as a collective job on every serving rank: `None` when
-/// it passed, else the error a failing rank returned.
+/// Run `check` as a collective job on every serving rank, after
+/// `step`: rank 0's value when it passed, else a mismatch line with the
+/// error a failing rank returned.
 fn audit(
     srv: &GdiServer,
-    check: impl for<'r, 'd, 'c, 'f> Fn(&'r GdaRank<'d, 'c, 'f>) -> GdiResult<()> + Send + Sync + 'static,
-) -> Option<String> {
+    step: &str,
+    check: impl for<'r, 'd, 'c, 'f> Fn(&'r GdaRank<'d, 'c, 'f>) -> GdiResult<u64>
+        + Send
+        + Sync
+        + 'static,
+) -> Result<u64, String> {
     let slot: Arc<Mutex<Option<String>>> = Arc::default();
     let sink = slot.clone();
-    let ticket = srv.submit_olap(move |eng| {
-        if let Err(e) = check(eng) {
+    let ticket = srv.submit_olap(move |eng| match check(eng) {
+        Ok(n) => n as f64,
+        Err(e) => {
             *sink.lock().unwrap_or_else(|p| p.into_inner()) = Some(e.to_string());
+            0.0
         }
-        0.0
     });
-    match ticket {
-        Ok(t) if t.wait().is_committed() => slot.lock().unwrap_or_else(|p| p.into_inner()).take(),
-        _ => Some("audit job did not run".into()),
+    let reply = ticket.map(|t| t.wait());
+    let fault = slot.lock().unwrap_or_else(|p| p.into_inner()).take();
+    match (reply, fault) {
+        (_, Some(e)) => Err(format!("after {step}: {e}")),
+        (Ok(OpOutcome::Committed(OpReply::Scalar(n))), None) => Ok(n as u64),
+        _ => Err(format!("after {step}: audit job did not run")),
     }
 }
 
 /// Both audits after `step` — the recovered ≡ live oracle
 /// ([`gda::persist::audit_image`]) and the block-conservation audit
-/// ([`audit_pool`]) — as one mismatch line per audit that fails.
-fn audit_state(srv: &GdiServer, step: &str) -> Vec<String> {
-    let image = audit(srv, |eng| gda::persist::audit_image(eng).map(drop));
-    let image = image.map(|e| format!("after {step}: {e}"));
-    image.into_iter().chain(audit_pool(srv, step)).collect()
+/// ([`audit_pool`]) — with one line in `mismatches` per audit that
+/// fails. Returns the blocks the pool audit counted as held (0 if it
+/// failed).
+fn audit_state(srv: &GdiServer, step: &str, mismatches: &mut Vec<String>) -> u64 {
+    let image = audit(srv, step, |eng| gda::persist::audit_image(eng).map(|_| 0));
+    let pool = audit_pool(srv, step);
+    mismatches.extend(image.err().into_iter().chain(pool.as_ref().err().cloned()));
+    pool.unwrap_or(0)
 }
 
 /// The block-conservation audit ([`GdaRank::audit_pool`]) after `step`:
-/// `None` when every rank's pool is its free, live and retired blocks,
-/// each counted once, else a mismatch line.
-fn audit_pool(srv: &GdiServer, step: &str) -> Option<String> {
-    let fault = audit(srv, |eng| eng.audit_pool().map(drop));
-    fault.map(|e| format!("after {step}: {e}"))
+/// when every rank's pool is its free, live and retired blocks, each
+/// counted once, the live and retired blocks summed over ranks (every
+/// block not free); else a mismatch line.
+fn audit_pool(srv: &GdiServer, step: &str) -> Result<u64, String> {
+    audit(srv, step, |eng| {
+        let pool = eng.audit_pool()?;
+        Ok(eng
+            .ctx()
+            .allreduce_sum_u64((pool.live + pool.retired) as u64))
+    })
 }
 
 /// Healthy traffic and an anchoring checkpoint, then the fault:
@@ -933,9 +939,7 @@ fn chaos(
     drive(srv, clients, ops, chaos_step);
     let ck = srv.checkpoint().expect("healthy anchoring checkpoint");
     report.checkpoint = CheckpointSample::of(&ck, 0);
-    report
-        .mismatches
-        .extend(audit_state(srv, "the anchoring checkpoint"));
+    audit_state(srv, "the anchoring checkpoint", &mut report.mismatches);
 
     // arm the persistent fault and force degradation
     let store = srv.db().persistence().expect("a persistent server");
@@ -961,7 +965,7 @@ fn chaos(
         let _ = srv.checkpoint();
         report
             .mismatches
-            .extend(audit_pool(srv, "the failed checkpoint"));
+            .extend(audit_pool(srv, "the failed checkpoint").err());
     }
     let mut d = Degradation {
         entered: srv.degraded(),
@@ -999,9 +1003,7 @@ fn chaos(
     plane.disarm_all();
     d.fault_hits = plane.fired();
     srv.checkpoint().expect("post-repair checkpoint");
-    report
-        .mismatches
-        .extend(audit_state(srv, "the post-repair checkpoint"));
+    audit_state(srv, "the post-repair checkpoint", &mut report.mismatches);
     d.exited = !srv.degraded();
     report.degradation = Some(d);
     drive(srv, clients, ops, chaos_step);
