@@ -332,7 +332,7 @@ impl<'d, 'c, 'f> GdaRank<'d, 'c, 'f> {
     /// retire list drained to the agreed snapshot floor, checksum
     /// verification of the published snapshot chain; no live block
     /// moves). Every rank must call this together. See `crate::maint`.
-    pub fn maintenance(&self) -> GdiResult<crate::maint::MaintenanceReport> {
+    pub fn maintenance(&self) -> crate::maint::MaintenanceReport {
         crate::maint::maintenance_rank(self)
     }
 

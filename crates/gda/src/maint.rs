@@ -26,7 +26,6 @@
 //! except **pinned read-only snapshots** — their pins hold the snapshot
 //! floor down, which the vacuum respects.
 
-use gdi::GdiResult;
 use rma::Counter;
 
 use crate::db::GdaRank;
@@ -52,7 +51,7 @@ pub struct MaintenanceReport {
 /// floor agreement, the two sub-passes and the quiescence requirement).
 /// Every rank must call this together; returns the globally aggregated
 /// report.
-pub(crate) fn maintenance_rank(eng: &GdaRank) -> GdiResult<MaintenanceReport> {
+pub(crate) fn maintenance_rank(eng: &GdaRank) -> MaintenanceReport {
     let ctx = eng.ctx();
     ctx.quiesce();
 
@@ -92,13 +91,13 @@ pub(crate) fn maintenance_rank(eng: &GdaRank) -> GdiResult<MaintenanceReport> {
         ctx.count(c, n);
     }
     ctx.barrier();
-    Ok(MaintenanceReport {
+    MaintenanceReport {
         floor,
         vacuumed_versions: ctx.allreduce_sum_u64(vacuumed_versions),
         vacuumed_blocks: ctx.allreduce_sum_u64(vacuumed_blocks),
         verified_bytes: ctx.allreduce_sum_u64(verified_bytes),
         verify_errors: ctx.allreduce_sum_u64(verify_errors),
-    })
+    }
 }
 
 #[cfg(test)]
@@ -169,7 +168,7 @@ mod tests {
             };
             let owner = ctx.allreduce_max_u64(owner as u64) as usize;
             let before = eng.bm.count_free(owner);
-            let rep = eng.maintenance().unwrap();
+            let rep = eng.maintenance();
             assert_eq!(rep.vacuumed_versions, 3, "{rep:?}");
             assert!(rep.vacuumed_blocks >= 3);
             assert_eq!(
@@ -188,7 +187,7 @@ mod tests {
             );
             tx.commit().unwrap();
             // a second pass finds nothing: the vacuum converges
-            let rep2 = eng.maintenance().unwrap();
+            let rep2 = eng.maintenance();
             assert_eq!(rep2.vacuumed_versions, 0, "{rep2:?}");
             // ... and a delete after the vacuum drains the pool fully
             if ctx.rank() == 0 {
@@ -232,7 +231,7 @@ mod tests {
             }
             assert_eq!(eng.retired_blocks().len(), 6, "the commits kept all");
             assert_eq!(ctx.stats_snapshot().chain_truncations, truncations);
-            let rep = eng.maintenance().unwrap();
+            let rep = eng.maintenance();
             assert_eq!(rep.vacuumed_versions, 0, "{rep:?}");
             assert_eq!(eng.retired_blocks().len(), 6, "the pass kept all");
             let v = pinned.translate_vertex_id(AppVertexId(1)).unwrap();
@@ -243,7 +242,7 @@ mod tests {
             );
             pinned.commit().unwrap();
             // pin released: the next pass reclaims them all
-            let rep = eng.maintenance().unwrap();
+            let rep = eng.maintenance();
             assert_eq!(rep.vacuumed_versions, 6, "{rep:?}");
             assert!(eng.retired_blocks().is_empty());
             let tx = eng.begin(AccessMode::ReadWrite);
@@ -284,7 +283,7 @@ mod tests {
                     tx.add_edge(hub, to, None, true).unwrap();
                     tx.commit().unwrap();
                 }
-                let rep = eng.maintenance().unwrap();
+                let rep = eng.maintenance();
                 assert!(rep.vacuumed_versions >= 1, "{rep:?}");
             }
             // deleting everything drains the pool exactly: no block was
@@ -330,7 +329,7 @@ mod tests {
             tx.commit().unwrap();
             let before = hio::read_chain(ctx, eng.cfg(), fat).unwrap();
             assert!(before.1.len() > 1, "not a multi-block chain");
-            eng.maintenance().unwrap();
+            eng.maintenance();
             let after = hio::read_chain(ctx, eng.cfg(), fat).unwrap();
             assert_eq!(after.1, before.1, "the pass moved a block");
             assert_eq!(after.0, before.0, "the pass rewrote the chain");
@@ -358,7 +357,7 @@ mod tests {
             tx.create_vertex(AppVertexId(1)).unwrap();
             tx.commit().unwrap();
             eng.checkpoint().unwrap();
-            let rep = eng.maintenance().unwrap();
+            let rep = eng.maintenance();
             assert!(rep.verified_bytes > 0, "{rep:?}");
             assert_eq!(rep.verify_errors, 0, "{rep:?}");
             // flip one byte mid-file: the next pass must notice
@@ -367,7 +366,7 @@ mod tests {
             let mid = bytes.len() / 2;
             bytes[mid] ^= 0xFF;
             std::fs::write(&snap, &bytes).unwrap();
-            let rep = eng.maintenance().unwrap();
+            let rep = eng.maintenance();
             assert!(rep.verify_errors > 0, "{rep:?}");
         });
         let _ = std::fs::remove_dir_all(&td_base);

@@ -276,7 +276,7 @@ fn a_collective_overwrite_ends_the_undo_chain() {
         let (_, prev) = Holder::version_of(&live).unwrap();
         assert_eq!(prev, 0, "the chain ends at the live version");
         assert_eq!(free_blocks(eng), free, "records wait for a reclaim");
-        let rep = eng.maintenance().unwrap();
+        let rep = eng.maintenance();
         assert_eq!(rep.vacuumed_versions, 2, "{rep:?}");
         assert_eq!(free_blocks(eng), free + 2, "both records freed");
         let fresh = eng.begin(AccessMode::ReadOnly);
@@ -342,7 +342,7 @@ fn a_reader_pinned_across_overwrites_keeps_its_version_until_it_unpins() {
                     .unwrap()
             });
             if i % 4 == 0 {
-                assert_eq!(eng.maintenance().unwrap().vacuumed_versions, 0);
+                assert_eq!(eng.maintenance().vacuumed_versions, 0);
             }
             // (B evicts the hub from the reader's buffers)
             pinned.labels(spoke).unwrap();
@@ -350,7 +350,7 @@ fn a_reader_pinned_across_overwrites_keeps_its_version_until_it_unpins() {
         }
         assert_eq!(chain_len(eng, hub), OVERWRITES as usize);
         pinned.commit().unwrap();
-        let rep = eng.maintenance().unwrap();
+        let rep = eng.maintenance();
         assert_eq!(rep.vacuumed_versions, OVERWRITES, "{rep:?}");
         assert_eq!(
             free_blocks(eng) + live_blocks(eng, hub),
@@ -389,7 +389,7 @@ fn a_failed_write_back_leaks_no_block() {
         tx.add_property(ids[0], blob, &PropertyValue::Bytes(vec![7; 200]))
             .unwrap();
         assert_eq!(tx.commit(), Err(GdiError::OutOfMemory));
-        eng.maintenance().unwrap();
+        eng.maintenance();
         let live: usize = (ids.iter())
             .map(|&v| read_chain(ctx, eng.cfg(), v).unwrap().1.len())
             .sum();

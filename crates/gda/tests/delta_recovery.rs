@@ -155,7 +155,7 @@ fn run_and_crash(
             }
             if (i + 1) % (2 * ckpt_every) == 0 {
                 ctx.barrier();
-                eng.maintenance().unwrap();
+                eng.maintenance();
             }
         }
         ctx.barrier();
@@ -264,7 +264,7 @@ fn vacuumed_archives_do_not_resurrect_through_recovery() {
                 }
                 tx.commit().unwrap();
             }
-            let rep = eng.maintenance().unwrap();
+            let rep = eng.maintenance();
             assert!(rep.vacuumed_versions >= 1, "{rep:?}");
             // final values, vacuumed again so the published checkpoint
             // contains no archive blocks, then publish
@@ -275,7 +275,7 @@ fn vacuumed_archives_do_not_resurrect_through_recovery() {
                     .unwrap();
             }
             tx.commit().unwrap();
-            eng.maintenance().unwrap();
+            eng.maintenance();
             eng.checkpoint().unwrap();
             // redo tail past the publish: inserts only (no archives)
             let tx = eng.begin(AccessMode::ReadWrite);
@@ -317,7 +317,7 @@ fn vacuumed_archives_do_not_resurrect_through_recovery() {
             tx.delete_vertex(v).unwrap();
         }
         tx.commit().unwrap();
-        eng.maintenance().unwrap();
+        eng.maintenance();
         assert_eq!(eng.audit_pool().unwrap().free, churn_cfg().blocks_per_rank);
     });
 }

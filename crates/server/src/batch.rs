@@ -1,11 +1,13 @@
 //! Batch execution: coalescing compatible client ops into shared engine
 //! transactions and fanning per-session outcomes back.
 //!
-//! One drain cycle yields one batch. Reads execute first inside a shared
-//! read-only transaction; writes execute in grouped read-write
-//! transactions closed by **one** commit each (group commit). The serial
-//! order "all reads, then the write groups" is what every session is
-//! acknowledged against, so the result is serializable.
+//! One drain cycle yields one batch, and every op in it runs inside a
+//! *group*: one shared transaction closed by **one** commit. The reads
+//! form one read-only group; the writes form read-write groups of at
+//! most [`WRITE_GROUP`] (group commit). The serial order "all reads, then
+//! the write groups" is what every session is acknowledged against, so
+//! the result is serializable. A drain of one request is a group of one;
+//! there is no other executor.
 //!
 //! ## Prepare-then-mutate, and the exactly-once discipline
 //!
@@ -15,19 +17,25 @@
 //! conflict). A prepare failure — usually a cross-rank lock conflict —
 //! leaves the shared transaction untouched, so the batcher simply
 //! acknowledges that op as aborted and keeps the group going: no group
-//! abort, no re-execution, no double-apply.
+//! abort, no re-execution, no double-apply. A read's failure (`NotFound`
+//! and the like) is clean in the same way.
 //!
-//! Two rare paths remain:
-//! * an error that *does* poison the shared transaction (engine aborts
-//!   it): the group aborts — zero visible effects — and every op without
-//!   an outcome yet re-executes individually;
-//! * a failed group *commit* (resource exhaustion mid-write-back): every
-//!   grouped op is acknowledged [`OpOutcome::Indeterminate`] without
-//!   re-execution, because the engine does not guarantee which objects of
-//!   a failed commit persisted and re-running could double-apply. The
-//!   batcher keeps this path nearly unreachable by deduplicating same-id
+//! A group fails as a whole in two rare ways, and one rule covers the
+//! clean one: **re-run as a group of one**.
+//! * An error that *does* poison the shared transaction (the engine
+//!   aborts it), or a commit that fails before write-back
+//!   (`StaleMetadata`, validation), leaves zero visible effects. Every op
+//!   without a decided outcome re-runs as a group of one. A group of one
+//!   is not retried again: the failure is its op's
+//!   [`OpOutcome::Aborted`].
+//! * A commit that fails mid-write-back (resource exhaustion) acknowledges
+//!   every applied op [`OpOutcome::Indeterminate`] without re-execution,
+//!   because the engine does not guarantee which objects of a failed
+//!   commit persisted and re-running could double-apply. The batcher
+//!   keeps this path nearly unreachable by deduplicating same-id
 //!   `AddVertex` ops (the one commit-time error a front-end can provoke)
-//!   out of the group.
+//!   out of the group: each duplicate runs after the groups, as a group
+//!   of one.
 
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
@@ -49,8 +57,7 @@ struct BatchCtx<'a> {
     dedup: &'a Mutex<DedupWindow>,
 }
 
-/// Apply one op inside an open transaction (unbatched path: ordinary
-/// abort-on-critical-error semantics).
+/// Apply one read op inside the group's shared read-only transaction.
 fn apply_op(tx: &Transaction, op: &Op) -> Result<OpReply, GdiError> {
     match op {
         Op::GetVertexProps { v, ptype } => {
@@ -68,63 +75,35 @@ fn apply_op(tx: &Transaction, op: &Op) -> Result<OpReply, GdiError> {
             let id = tx.translate_vertex_id(*v)?;
             Ok(OpReply::Count(tx.edges(id, EdgeOrientation::Any)?.len()))
         }
-        Op::AddVertex { v, label, prop } => {
-            let id = tx.create_vertex(*v)?;
-            if let Some(l) = label {
-                tx.add_label(id, *l)?;
-            }
-            if let Some((p, value)) = prop {
-                tx.add_property(id, *p, value)?;
-            }
-            Ok(OpReply::Unit)
-        }
-        Op::DeleteVertex { v } => {
-            let id = tx.translate_vertex_id(*v)?;
-            tx.delete_vertex(id)?;
-            Ok(OpReply::Unit)
-        }
-        Op::UpdateVertexProp { v, ptype, value } => {
-            let id = tx.translate_vertex_id(*v)?;
-            tx.update_property(id, *ptype, value)?;
-            Ok(OpReply::Unit)
-        }
-        Op::AddEdge { from, to, label } => {
-            let a = tx.translate_vertex_id(*from)?;
-            let b = tx.translate_vertex_id(*to)?;
-            tx.add_edge(a, b, *label, true)?;
-            Ok(OpReply::Unit)
-        }
+        // writes never enter read groups
+        Op::AddVertex { .. }
+        | Op::DeleteVertex { .. }
+        | Op::UpdateVertexProp { .. }
+        | Op::AddEdge { .. } => Err(GdiError::InvalidArgument("write op in a read group")),
     }
-}
-
-/// Result of applying one op inside a *shared* (grouped) transaction.
-enum GroupApply {
-    /// Applied; commits with the group.
-    Done(OpReply),
-    /// Not applied, transaction untouched: acknowledge the abort and
-    /// keep the group going.
-    Skip(GdiError),
 }
 
 /// Undo a create after a post-create validation failure, keeping the op
 /// all-or-nothing inside the shared transaction. The vertex is
 /// transaction-local (created, unlocked by nobody else), so the delete
 /// is a cache-only operation that cannot conflict.
-fn rollback_create(tx: &Transaction, id: DPtr, e: GdiError) -> Result<GroupApply, GdiError> {
+fn rollback_create(tx: &Transaction, id: DPtr, e: GdiError) -> Result<OpOutcome, GdiError> {
     tx.delete_vertex(id)?;
-    Ok(GroupApply::Skip(e))
+    Ok(OpOutcome::Aborted(e))
 }
 
-/// Prepare-then-mutate application of one write op in a shared grouped
-/// transaction. `Err` means the shared transaction may be poisoned (the
-/// caller aborts the group); `Ok(Skip)` means the op failed cleanly.
-fn apply_grouped(tx: &Transaction, op: &Op) -> Result<GroupApply, GdiError> {
+/// Prepare-then-mutate application of one write op in the group's shared
+/// transaction. `Ok(Committed)` means applied (it commits with the
+/// group); `Ok(Aborted)` means the op failed cleanly and left the
+/// transaction untouched; `Err` means the shared transaction may be
+/// poisoned (the caller aborts the group).
+fn apply_grouped(tx: &Transaction, op: &Op) -> Result<OpOutcome, GdiError> {
     macro_rules! prep {
         ($e:expr) => {
             match $e {
                 Ok(v) => v,
                 // prepare-phase failure: nothing mutated, skip this op
-                Err(e) => return Ok(GroupApply::Skip(e)),
+                Err(e) => return Ok(OpOutcome::Aborted(e)),
             }
         };
     }
@@ -141,7 +120,6 @@ fn apply_grouped(tx: &Transaction, op: &Op) -> Result<GroupApply, GdiError> {
                     return rollback_create(tx, id, e);
                 }
             }
-            Ok(GroupApply::Done(OpReply::Unit))
         }
         Op::DeleteVertex { v } => {
             let id = prep!(tx.translate_vertex_id(*v));
@@ -149,13 +127,11 @@ fn apply_grouped(tx: &Transaction, op: &Op) -> Result<GroupApply, GdiError> {
             // the enumeration) so the delete itself cannot conflict
             prep!(tx.prepare_delete_vertex(id));
             tx.delete_vertex(id)?;
-            Ok(GroupApply::Done(OpReply::Unit))
         }
         Op::UpdateVertexProp { v, ptype, value } => {
             let id = prep!(tx.translate_vertex_id(*v));
             prep!(tx.prepare_write(id));
             prep!(tx.update_property(id, *ptype, value));
-            Ok(GroupApply::Done(OpReply::Unit))
         }
         Op::AddEdge { from, to, label } => {
             let a = prep!(tx.translate_vertex_id(*from));
@@ -163,13 +139,13 @@ fn apply_grouped(tx: &Transaction, op: &Op) -> Result<GroupApply, GdiError> {
             prep!(tx.prepare_write(a));
             prep!(tx.prepare_write(b));
             tx.add_edge(a, b, *label, true)?;
-            Ok(GroupApply::Done(OpReply::Unit))
         }
         // reads never enter write groups
         Op::GetVertexProps { .. } | Op::CountEdges { .. } | Op::GetEdges { .. } => {
-            Err(GdiError::InvalidArgument("read op in a write group"))
+            return Err(GdiError::InvalidArgument("read op in a write group"));
         }
     }
+    Ok(OpOutcome::Committed(OpReply::Unit))
 }
 
 /// Classify a failed *write* commit: pre-write-back aborts
@@ -183,52 +159,13 @@ fn failed_commit_outcome(e: GdiError) -> OpOutcome {
     }
 }
 
-/// One transaction per request: the unbatched path, also the fallback
-/// when a group poisons.
-fn run_individual(eng: &GdaRank, req: &Request) -> OpOutcome {
-    let read = req.op.is_read();
-    let mode = if read {
-        AccessMode::ReadOnly
-    } else {
-        AccessMode::ReadWrite
-    };
-    let tx = eng.begin(mode);
-    match apply_op(&tx, &req.op) {
-        Ok(reply) => match tx.commit() {
-            Ok(()) => OpOutcome::Committed(reply),
-            // reads have no effects, so their failed commit is a clean
-            // abort; failed write commits are classified by error
-            Err(e) if read => OpOutcome::Aborted(e),
-            Err(e) => failed_commit_outcome(e),
-        },
-        Err(e) => {
-            tx.abort();
-            OpOutcome::Aborted(e)
-        }
-    }
-}
-
-/// Record a decided-and-applied outcome for its token's retries (aborts
-/// stay absent: no effects — a retry may honestly re-execute), then
-/// resolve the ticket.
-fn record_and_ack(bc: &BatchCtx, req: &Request, outcome: OpOutcome) {
-    if let (Some(token), true) = (req.token, outcome.is_committed()) {
-        bc.dedup.lock().record(token, outcome.clone());
-    }
-    req.ticket.fulfill(outcome);
-}
-
-/// Acknowledge one op. Its counters come first, so a client that sees
-/// its ticket resolve also sees the op in [`crate::GdiServer::metrics`].
-fn fulfill(bc: &BatchCtx, req: &Request, outcome: OpOutcome) {
-    let op = (outcome.is_committed(), req.submitted.elapsed());
-    bc.counters.complete(std::iter::once(op));
-    record_and_ack(bc, req, outcome);
-}
-
-/// Acknowledge ops decided together (a validated read group, a committed
-/// write group): one clock read and one pass over the rank's counters
-/// for the whole group, then the tickets.
+/// Acknowledge ops decided together (a group's outcomes, or what its
+/// failure leaves decided): one clock read and one pass over the rank's
+/// counters for the whole group — so a client that sees its ticket
+/// resolve also sees the op in [`crate::GdiServer::metrics`] — then each
+/// committed outcome is recorded for its token's retries (aborts stay
+/// absent: no effects, a retry may honestly re-execute) and the tickets
+/// resolve.
 fn ack_group(bc: &BatchCtx, group: Vec<(&Request, OpOutcome)>) {
     let now = Instant::now();
     bc.counters.complete(group.iter().map(|(req, outcome)| {
@@ -236,14 +173,16 @@ fn ack_group(bc: &BatchCtx, group: Vec<(&Request, OpOutcome)>) {
         (outcome.is_committed(), waited)
     }));
     for (req, outcome) in group {
-        record_and_ack(bc, req, outcome);
+        if let (Some(token), true) = (req.token, outcome.is_committed()) {
+            bc.dedup.lock().record(token, outcome.clone());
+        }
+        req.ticket.fulfill(outcome);
     }
 }
 
-/// Execute one drained batch and leave `batch` empty. A batch of one
-/// request is served in its own transaction (what
-/// [`ServerOptions::unbatched`] drains, the baseline the throughput
-/// bench compares against); anything larger is grouped.
+/// Execute one drained batch and leave `batch` empty: its reads as one
+/// group, its writes in groups of at most [`WRITE_GROUP`], and each
+/// duplicate create as a group of one.
 pub(crate) fn execute_batch(
     eng: &GdaRank,
     counters: &RankCounters,
@@ -294,30 +233,12 @@ pub(crate) struct ReadTiming {
     pub read_ops: u64,
 }
 
-impl ReadTiming {
-    fn add(&mut self, ns: f64, ops: u64) {
-        self.read_ns += ns;
-        self.read_ops += ops;
-    }
-}
-
 /// Maximum writes per grouped transaction: bounds the write-lock
 /// footprint one group holds while it executes.
 const WRITE_GROUP: usize = 16;
 
 fn execute_batch_inner(eng: &GdaRank, bc: &BatchCtx, batch: &VecDeque<Request>) -> ReadTiming {
     let mut timing = ReadTiming::default();
-    if batch.len() == 1 {
-        let req = &batch[0];
-        let t0 = eng.ctx().now_ns();
-        let out = run_individual(eng, req);
-        fulfill(bc, req, out);
-        if req.op.is_read() {
-            timing.add(eng.ctx().now_ns() - t0, 1);
-        }
-        return timing;
-    }
-
     let mut reads: Vec<&Request> = Vec::new();
     let mut writes: Vec<&Request> = Vec::new();
     let mut solo: Vec<&Request> = Vec::new();
@@ -339,52 +260,14 @@ fn execute_batch_inner(eng: &GdaRank, bc: &BatchCtx, batch: &VecDeque<Request>) 
         }
     }
 
-    // ---- shared read-only transaction --------------------------------
+    // ---- one shared read-only transaction ------------------------------
     if !reads.is_empty() {
         let read_t0 = eng.ctx().now_ns();
-        let tx = eng.begin(AccessMode::ReadOnly);
-        // outcomes are buffered and acknowledged only after the shared
-        // transaction passes commit-time validation (§3.8 staleness) —
-        // acking earlier would bypass a check the direct API surfaces
-        let mut buffered: Vec<(&Request, OpOutcome)> = Vec::with_capacity(reads.len());
-        for req in &reads {
-            if tx.status() != TxStatus::Active {
-                // a critical error killed the shared transaction; the
-                // remaining reads fall back individually
-                let out = run_individual(eng, req);
-                fulfill(bc, req, out);
-                continue;
-            }
-            match apply_op(&tx, &req.op) {
-                Ok(reply) => buffered.push((req, OpOutcome::Committed(reply))),
-                Err(e) if tx.status() == TxStatus::Active => {
-                    // honest per-op failure (NotFound etc.), tx unharmed
-                    buffered.push((req, OpOutcome::Aborted(e)));
-                }
-                Err(_) => {
-                    // this read's critical error poisoned the shared tx:
-                    // give it the same individual retry the reads behind
-                    // it will get
-                    let out = run_individual(eng, req);
-                    fulfill(bc, req, out);
-                }
-            }
-        }
-        if tx.status() != TxStatus::Active || tx.commit().is_ok() {
-            ack_group(bc, buffered);
-        } else {
-            for (req, outcome) in buffered {
-                if outcome.is_committed() {
-                    // stale-metadata commit failure: reads are
-                    // effect-free, so re-run against a fresh snapshot
-                    let out = run_individual(eng, req);
-                    fulfill(bc, req, out);
-                } else {
-                    fulfill(bc, req, outcome);
-                }
-            }
-        }
-        timing.add(eng.ctx().now_ns() - read_t0, reads.len() as u64);
+        execute_group(eng, bc, &reads);
+        timing = ReadTiming {
+            read_ns: eng.ctx().now_ns() - read_t0,
+            read_ops: reads.len() as u64,
+        };
     }
 
     // ---- grouped write transactions (group commit) --------------------
@@ -392,84 +275,93 @@ fn execute_batch_inner(eng: &GdaRank, bc: &BatchCtx, batch: &VecDeque<Request>) 
     // cross-rank conflict window) proportional to `WRITE_GROUP`, not to
     // whatever the drain returned
     for chunk in writes.chunks(WRITE_GROUP) {
-        execute_write_group(eng, bc, chunk);
+        execute_group(eng, bc, chunk);
     }
 
     // ---- deduplicated creates, after the groups made theirs visible ---
-    for req in &solo {
-        let out = run_individual(eng, req);
-        fulfill(bc, req, out);
+    for req in solo {
+        execute_group(eng, bc, &[req]);
     }
     timing
 }
 
-/// One write group: a single grouped transaction, one commit, outcomes
-/// fanned back per session (see the module docs for the discipline).
-fn execute_write_group(eng: &GdaRank, bc: &BatchCtx, writes: &[&Request]) {
-    if writes.is_empty() {
-        return;
-    }
-    if writes.len() == 1 {
-        let req = writes[0];
-        let out = run_individual(eng, req);
-        fulfill(bc, req, out);
-        return;
-    }
-    let tx = eng.begin_grouped(AccessMode::ReadWrite);
-    let mut done: Vec<(&Request, OpOutcome)> = Vec::with_capacity(writes.len());
-    let mut poison_at: Option<usize> = None;
-    for (i, req) in writes.iter().enumerate() {
-        match apply_grouped(&tx, &req.op) {
-            Ok(GroupApply::Done(reply)) if tx.status() == TxStatus::Active => {
-                done.push((req, OpOutcome::Committed(reply)));
-            }
-            Ok(GroupApply::Skip(e)) if tx.status() == TxStatus::Active => {
-                // clean conflict: this op aborts, the group lives on
-                fulfill(bc, req, OpOutcome::Aborted(e));
-            }
+/// One group — all reads or all writes, never empty: a single shared
+/// transaction closed by one commit, outcomes fanned back per session
+/// (see the module docs for the discipline). Outcomes are buffered and
+/// acknowledged only once the commit decides them; for reads that is
+/// commit-time validation (§3.8 staleness), which acking earlier would
+/// bypass.
+fn execute_group(eng: &GdaRank, bc: &BatchCtx, group: &[&Request]) {
+    let write = !group[0].op.is_read();
+    let tx = if write {
+        eng.begin_grouped(AccessMode::ReadWrite)
+    } else {
+        eng.begin(AccessMode::ReadOnly)
+    };
+    let mut applied: Vec<(&Request, OpOutcome)> = Vec::with_capacity(group.len());
+    let mut poison = None;
+    for &req in group {
+        let outcome = if write {
+            apply_grouped(&tx, &req.op)
+        } else {
+            // a read changes nothing: its failure (NotFound etc.) is
+            // clean unless it closed the transaction
+            Ok(apply_op(&tx, &req.op).map_or_else(OpOutcome::Aborted, OpOutcome::Committed))
+        };
+        match outcome {
+            Ok(out) if tx.status() == TxStatus::Active => applied.push((req, out)),
             // the shared transaction was poisoned (engine-level abort)
-            _ => {
-                poison_at = Some(i);
+            Ok(OpOutcome::Aborted(e)) | Err(e) => {
+                poison = Some(e);
+                break;
+            }
+            Ok(_) => {
+                poison = Some(GdiError::TransactionClosed);
                 break;
             }
         }
     }
-    match poison_at {
-        None => match tx.commit() {
-            Ok(()) => ack_group(bc, done),
-            Err(e) => match failed_commit_outcome(e) {
-                OpOutcome::Aborted(_) => {
-                    // pre-write-back abort (stale metadata / validation):
-                    // provably zero effects, so every applied op gets its
-                    // honest individual re-run
-                    for (req, _) in done {
-                        let out = run_individual(eng, req);
-                        fulfill(bc, req, out);
-                    }
-                }
-                uncertain => {
-                    // partial persistence is possible and re-running
-                    // could double-apply: report commit-uncertain
-                    for (_, outcome) in &mut done {
-                        *outcome = uncertain.clone();
-                    }
-                    ack_group(bc, done);
-                }
-            },
-        },
-        Some(i) => {
-            // group aborted: zero visible effects. Every op without an
-            // outcome yet (applied ones and the unprocessed tail) gets
-            // its honest individual execution.
+    let failure = match poison {
+        Some(e) => {
+            // the group aborts: zero visible effects
             tx.abort();
-            for (req, _) in done {
-                let out = run_individual(eng, req);
-                fulfill(bc, req, out);
-            }
-            for req in &writes[i..] {
-                let out = run_individual(eng, req);
-                fulfill(bc, req, out);
-            }
+            OpOutcome::Aborted(e)
         }
+        None => match tx.commit() {
+            Ok(()) => {
+                ack_group(bc, applied);
+                return;
+            }
+            Err(e) if write => failed_commit_outcome(e),
+            // reads have no effects, so their failed commit is clean
+            Err(e) => OpOutcome::Aborted(e),
+        },
+    };
+    // An op the failure left undecided — applied, or never reached
+    // behind the poison — re-runs as a group of one when the failure was
+    // clean and the group was larger. A group of one is not retried: the
+    // failure is its op's outcome. A commit that failed mid-write-back
+    // may have persisted part of the group, and re-running could
+    // double-apply, so its applied ops are all `Indeterminate`.
+    let tail = &group[applied.len()..];
+    let mut decided = Vec::with_capacity(group.len());
+    let mut undecided = Vec::with_capacity(group.len());
+    for (req, out) in applied {
+        // a clean per-op abort stands whatever the group does
+        if out.is_committed() {
+            undecided.push(req);
+        } else {
+            decided.push((req, out));
+        }
+    }
+    undecided.extend_from_slice(tail);
+    if group.len() > 1 && matches!(failure, OpOutcome::Aborted(_)) {
+        ack_group(bc, decided);
+        for req in undecided {
+            execute_group(eng, bc, &[req]);
+        }
+    } else {
+        decided.extend(undecided.into_iter().map(|req| (req, failure.clone())));
+        ack_group(bc, decided);
     }
 }

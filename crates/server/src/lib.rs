@@ -17,13 +17,15 @@
 //! * **Request batching**: a serving rank drains up to
 //!   [`ServerOptions::max_batch`] requests per cycle
 //!   ([`rma::RankCtx::record_drain`] charges the amortized poll cost) and
-//!   coalesces them: reads share one read-only transaction, writes share
-//!   one grouped read-write transaction.
-//! * **Group commit**: the write group closes with a single commit whose
+//!   coalesces them into groups: reads share one read-only transaction,
+//!   writes share grouped read-write transactions. A group is the only
+//!   way an op executes; a lone request is a group of one.
+//! * **Group commit**: a write group closes with a single commit whose
 //!   write-back runs as one non-blocking RMA batch
 //!   ([`gda::GdaRank::begin_grouped`]); per-session outcomes are fanned
-//!   back individually, with an exactly-once fallback discipline (see
-//!   `batch.rs`).
+//!   back individually. One exactly-once fallback rule covers a group
+//!   that fails cleanly: its undecided ops re-run as groups of one, and a
+//!   group of one is not retried (see `batch.rs`).
 //! * **Hand-offs that do not sleep**: a push, a drain and an ack are each
 //!   a short critical section or a single atomic transition, and every
 //!   waiter — serve loop on its queue, client on its ticket, producer on
@@ -53,7 +55,7 @@
 //! stops the loops. See `workloads::traffic` for the Table-3 session
 //! driver.
 
-pub mod batch;
+mod batch;
 pub mod metrics;
 pub mod queue;
 pub mod request;

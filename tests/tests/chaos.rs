@@ -149,7 +149,7 @@ fn tortured_state(
             checkpoint(0);
             apply_ops(&eng, &ops[cuts.0..cuts.1], ptype);
             checkpoint(1); // delta path: manifest, then the seals
-            let _ = eng.maintenance(); // vacuum + verify + prune path
+            eng.maintenance(); // vacuum + verify + prune path
             apply_ops(&eng, &ops[cuts.1..], ptype);
             (ids, bytes)
         });

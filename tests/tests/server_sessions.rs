@@ -1,13 +1,15 @@
 //! Integration tests of the `server` service layer: concurrent-session
 //! stress (exactly-once acknowledgement, no double-apply), group-commit
-//! vs single-commit equivalence, OLAP jobs, admission control, the
+//! vs single-commit equivalence, what one drain decides (a duplicated
+//! create, a missing read), OLAP jobs, admission control, the
 //! ≥1000-session sustain check, translation-cache churn staleness and
 //! a replay property against a sequential model.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use gda::GdaDb;
-use gdi::{AccessMode, AppVertexId, EdgeOrientation};
+use gdi::{AccessMode, AppVertexId, EdgeOrientation, GdiError};
 use graphgen::{sized_config, GraphSpec, LpgConfig};
 use proptest::prelude::*;
 use rma::{CostModel, Counter};
@@ -268,12 +270,137 @@ fn group_commit_equals_single_commit_on_disjoint_writes() {
     };
 
     let grouped = extract(ServerOptions::default(), "grouped");
-    let single = extract(ServerOptions::unbatched(), "single");
+    let single = extract(
+        ServerOptions {
+            max_batch: 1,
+            ..ServerOptions::default()
+        },
+        "single",
+    );
     assert_eq!(
         grouped, single,
         "group commit must produce the same state as per-request commits"
     );
     assert!(grouped.iter().all(|&(_, d)| d == 1));
+}
+
+/// A loaded two-rank database for the one-drain tests.
+fn loaded_pair(name: &str) -> (GraphSpec, Arc<GdaDb>, rma::Fabric) {
+    let s = spec(6, 31);
+    let db_cfg = server_cfg(&s, 2, 64);
+    let (db, fabric) = GdaDb::with_fabric(name, db_cfg, 2, CostModel::default());
+    fabric.run(|ctx| {
+        let eng = db.attach(ctx);
+        eng.init_collective();
+        graphgen::load_into(&eng, &s);
+    });
+    (s, db, fabric)
+}
+
+/// Submit every op before any rank serves, so the owning rank's first
+/// drain holds them all, then serve until each ticket resolves. Returns
+/// the outcomes in submission order and how many drains each rank ran.
+fn serve_one_drain(
+    db: &Arc<GdaDb>,
+    fabric: &rma::Fabric,
+    ops: &[Op],
+) -> (Vec<OpOutcome>, Vec<u64>) {
+    let server = GdiServer::new(db.clone(), ServerOptions::default());
+    let rank = server.route(&ops[0]);
+    assert!(
+        ops.iter().all(|op| server.route(op) == rank),
+        "one rank owns every op"
+    );
+    let session = server.session();
+    let tickets: Vec<_> = ops
+        .iter()
+        .map(|op| session.submit(op.clone()).unwrap())
+        .collect();
+    std::thread::scope(|scope| {
+        let srv = &server;
+        let ranks = scope.spawn(move || fabric.run(|ctx| srv.serve_rank(ctx)));
+        let outcomes = tickets.iter().map(|t| t.wait()).collect();
+        srv.shutdown();
+        let summaries = ranks.join().expect("serving fabric panicked");
+        (outcomes, summaries.iter().map(|s| s.batches).collect())
+    })
+}
+
+/// Two `AddVertex` ops with one app id in one drain, among other creates
+/// for the same rank: exactly one of the two commits, the other aborts,
+/// and the vertex exists once.
+#[test]
+fn duplicate_creates_in_one_drain_commit_once() {
+    let (s, db, fabric) = loaded_pair("dup-drain");
+    let live_blocks = || -> usize {
+        let per_rank = fabric.run(|ctx| {
+            let audit = db.attach(ctx).audit_pool().unwrap();
+            audit.live + audit.retired
+        });
+        per_rank.iter().sum()
+    };
+    let before = live_blocks();
+    // fresh ids, all owned by rank 0 (`app % 2`); `dup` is created twice
+    let fresh = |k: u64| AppVertexId(s.n_vertices() + 2 * k);
+    let dup = fresh(1);
+    let create = |v| Op::AddVertex {
+        v,
+        label: None,
+        prop: None,
+    };
+    let ops = [
+        create(fresh(0)),
+        create(dup),
+        create(fresh(2)),
+        create(dup),
+        create(fresh(3)),
+    ];
+    let (outs, drains) = serve_one_drain(&db, &fabric, &ops);
+    assert_eq!(drains, vec![1, 0], "one drain held every op");
+
+    for i in [0, 2, 4] {
+        assert!(outs[i].is_committed(), "distinct create {i}: {:?}", outs[i]);
+    }
+    let dup_outs = [&outs[1], &outs[3]];
+    assert_eq!(
+        dup_outs.iter().filter(|o| o.is_committed()).count(),
+        1,
+        "exactly one create of the duplicated id commits: {dup_outs:?}"
+    );
+    assert!(
+        dup_outs.iter().any(|o| matches!(o, OpOutcome::Aborted(_))),
+        "the other one aborts: {dup_outs:?}"
+    );
+    let found = fabric.run(|ctx| {
+        let eng = db.attach(ctx);
+        let tx = eng.begin(AccessMode::ReadOnly);
+        let found = tx.translate_vertex_id(dup).is_ok();
+        tx.commit().unwrap();
+        found
+    });
+    assert!(found.iter().all(|&f| f), "the duplicated id resolves");
+    // an empty vertex is one block: four distinct vertices, four blocks
+    assert_eq!(live_blocks() - before, 4, "the vertex exists once");
+}
+
+/// A read drain of an existing, a missing and an existing vertex: the
+/// missing one aborts with `NotFound`, the other two commit.
+#[test]
+fn missing_vertex_in_a_read_drain_aborts_alone() {
+    let (s, db, fabric) = loaded_pair("read-drain");
+    // ids 0 and 2 exist; the first id past the graph does not, and all
+    // three are owned by rank 0
+    let count = |v| Op::CountEdges { v: AppVertexId(v) };
+    let ops = [count(0), count(s.n_vertices()), count(2)];
+    let (outs, drains) = serve_one_drain(&db, &fabric, &ops);
+    assert_eq!(drains, vec![1, 0], "one drain held every op");
+    assert!(outs[0].is_committed(), "{:?}", outs[0]);
+    assert!(
+        matches!(outs[1], OpOutcome::Aborted(GdiError::NotFound(_))),
+        "{:?}",
+        outs[1]
+    );
+    assert!(outs[2].is_committed(), "{:?}", outs[2]);
 }
 
 /// A collective OLAP job runs between interactive batches and returns a
