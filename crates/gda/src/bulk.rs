@@ -168,16 +168,13 @@ impl<'d, 'c, 'f> GdaRank<'d, 'c, 'f> {
                 .filter(|&s| s < u32::MAX)
                 .ok_or(GdiError::SizeExceeded)?;
             let primary = self.bm.acquire(me)?;
-            // quiet insert: one epoch bump per rank after the loop
-            // replaces millions of per-vertex bumps
-            self.dht.insert_quiet(spec.app.0, primary.raw())?;
+            self.dht.insert(spec.app.0, primary.raw())?;
             slot_of.insert(spec.app.0, slot);
             vertices.push((primary, spec));
             report.vertices += 1;
         }
-        // collective: every rank bumps its own word before the barrier,
-        // so all cached negative entries are retired machine-wide
-        self.dht.bump_own_insert_epoch();
+        // every rank's vertices are in the DHT before phase 4 looks up
+        // remote endpoints
         self.ctx().barrier();
 
         // ---- phase 3: route half-edges to endpoint owners ----------------

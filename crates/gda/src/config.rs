@@ -8,7 +8,7 @@
 //! | **data**   | the BGDL block pool: `blocks_per_rank` fixed-size blocks |
 //! | **usage**  | the free-list links: word *i* = next free block after *i* |
 //! | **system** | word 0 = tagged free-list head; word *i* = RW lock of block *i*; then the commit-stamp counter (persistence), the topology-epoch word (OLAP scan views), the commit-epoch counter + read-epoch watermark (rank 0, MVCC) and the per-rank min-active-snapshot word |
-//! | **index**  | DHT: word 0 = tagged heap free head; word 1 = epoch word (`delete:32 \| insert:32`); buckets; 3-word heap entries |
+//! | **index**  | DHT: word 0 = tagged heap free head; word 1 = reserved (nothing reads or writes it); buckets; 3-word heap entries |
 
 use rma::{BackendKind, CostModel, Fabric, FabricBuilder, WinId};
 
@@ -34,9 +34,9 @@ pub struct GdaConfig {
     pub dht_buckets_per_rank: usize,
     /// Heap entries (3 words each) of the internal DHT per rank.
     pub dht_heap_per_rank: usize,
-    /// Maximum resident entries of the per-rank, epoch-validated
-    /// app-id → `DPtr` translation cache in front of `Dht::lookup` (see
-    /// `gda::cache`).
+    /// Inert: nothing reads it. Translation is one `Dht::lookup` with no
+    /// cache in front, so this capacity sizes nothing. It stays because
+    /// the frozen `benchmark/` sets it, and the manifest still records it.
     pub translation_cache_capacity: usize,
 }
 
@@ -82,7 +82,6 @@ impl GdaConfig {
         cfg.blocks_per_rank = blocks.next_power_of_two();
         cfg.dht_buckets_per_rank = (vertices.max(16)).next_power_of_two();
         cfg.dht_heap_per_rank = (vertices.max(16) * 2).next_power_of_two();
-        cfg.translation_cache_capacity = (vertices.max(64) * 2).next_power_of_two();
         cfg
     }
 
@@ -190,8 +189,8 @@ impl GdaConfig {
         self.blocks_per_rank + 6
     }
 
-    /// Bytes of the index window (tagged heap head + epoch word + buckets
-    /// + heap).
+    /// Bytes of the index window (tagged heap head + reserved word +
+    /// buckets + heap).
     pub(crate) fn index_bytes(&self) -> usize {
         (2 + self.dht_buckets_per_rank + 3 * (self.dht_heap_per_rank + 1)) * 8
     }

@@ -25,7 +25,6 @@ use gdi::{
 use rma::{CostModel, Counter, Fabric, RankCtx};
 
 use crate::blocks::BlockManager;
-use crate::cache::TranslationCache;
 use crate::config::GdaConfig;
 use crate::dht::Dht;
 use crate::dptr::DPtr;
@@ -191,7 +190,6 @@ impl GdaDb {
             bm: BlockManager::new(ctx, self.cfg),
             lm: LockManager::new(ctx, self.cfg),
             dht: Dht::new(ctx, self.cfg),
-            tcache: TranslationCache::new(self.cfg.translation_cache_capacity),
             persist: self.persistence(),
             meta_snap: RefCell::new(self.meta.snapshot()),
             scan_cache: RefCell::new(None),
@@ -219,7 +217,6 @@ pub struct GdaRank<'d, 'c, 'f> {
     pub(crate) bm: BlockManager<'c, 'f>,
     pub(crate) lm: LockManager<'c, 'f>,
     pub(crate) dht: Dht<'c, 'f>,
-    pub(crate) tcache: TranslationCache,
     pub(crate) persist: Option<Arc<PersistStore>>,
     meta_snap: RefCell<MetaSnapshot>,
     /// Cached OLAP scan view of this rank's partition (see
@@ -255,7 +252,6 @@ impl<'d, 'c, 'f> GdaRank<'d, 'c, 'f> {
         *self.db.retired[self.rank()].lock() = RetireList::default();
         self.bm.init_collective();
         self.dht.init_collective();
-        self.tcache.clear();
         self.scan_cache.borrow_mut().take();
     }
 
@@ -777,22 +773,11 @@ impl<'d, 'c, 'f> GdaRank<'d, 'c, 'f> {
         tx
     }
 
-    /// Resolve an application vertex id without a transaction (diagnostic;
-    /// deliberately **uncached** — the reference path benches compare the
-    /// translation cache against).
-    pub fn peek_translate(&self, app: AppVertexId) -> Option<crate::dptr::DPtr> {
-        self.dht.lookup(app.0).map(crate::dptr::DPtr::from_raw)
-    }
-
-    // ---- translation cache (see `crate::cache`) -------------------------
-
-    /// Resolve an application vertex id through the epoch-validated
-    /// translation cache (the hot path behind
-    /// [`crate::tx::Transaction::translate_vertex_id`]).
-    pub(crate) fn translate(&self, app: AppVertexId) -> Option<DPtr> {
-        self.tcache
-            .lookup(&self.dht, self.ctx, app.0)
-            .map(DPtr::from_raw)
+    /// Resolve an application vertex id without a transaction: one DHT
+    /// lookup, the same walk
+    /// [`crate::tx::Transaction::translate_vertex_id`] makes.
+    pub fn peek_translate(&self, app: AppVertexId) -> Option<DPtr> {
+        self.dht.lookup(app.0).map(DPtr::from_raw)
     }
 
     // ---- OLAP scan views (see `crate::scan`) ----------------------------

@@ -10,19 +10,15 @@
 //!
 //! ```text
 //! word 0                  : tagged free-list head of the entry heap
-//! word 1                  : epoch word `delete_epoch:32 | insert_epoch:32`
+//! word 1                  : reserved — nothing reads or writes it
 //! words 2..=B+1           : buckets — each holds the heap index of the
 //!                           first chain entry (0 = empty)
 //! words B+2..             : heap of 3-word entries {key, value, next}
 //! ```
 //!
-//! The **epoch word** backs the per-rank translation cache
-//! ([`crate::cache`]): every successful `delete` bumps the high half and
-//! every `insert` bumps the low half with one remote `fadd`, so a cached
-//! positive translation is trusted only while the owner rank's delete
-//! epoch is unchanged, and a cached negative entry only while the insert
-//! epoch is unchanged — one `aget` revalidates either, instead of a
-//! remote chain walk.
+//! `Transaction::translate_vertex_id` is one [`Dht::lookup`], a walk of
+//! the live chain, so a translation is never stale: an insert is seen
+//! once its CAS links the entry, a delete once it unlinks it.
 //!
 //! A key `k` hashes to bucket rank `h(k) mod P` and bucket index
 //! `(h(k)/P) mod B`; chains stay on the bucket's rank (distributed
@@ -43,27 +39,6 @@ use crate::dptr::{DPtr, TaggedIdx, OFFSET_MASK};
 
 /// Word index of the heap free-list head.
 const HEAP_HEAD_WORD: usize = 0;
-
-/// Word index of the per-rank epoch counter (`delete:32 | insert:32`).
-const EPOCH_WORD: usize = 1;
-
-/// `fadd` delta bumping the delete half of the epoch word.
-const EPOCH_DEL_DELTA: u64 = 1 << 32;
-
-/// `fadd` delta bumping the insert half of the epoch word.
-const EPOCH_INS_DELTA: u64 = 1;
-
-/// Delete half of an epoch word (invalidates positive cached entries).
-#[inline]
-pub(crate) const fn epoch_del(word: u64) -> u32 {
-    (word >> 32) as u32
-}
-
-/// Insert half of an epoch word (invalidates negative cached entries).
-#[inline]
-pub(crate) const fn epoch_ins(word: u64) -> u32 {
-    word as u32
-}
 
 /// Sentinel key stored in freed heap entries so that in-flight traversals
 /// can never match them. Application keys must be `< u64::MAX`.
@@ -128,20 +103,6 @@ impl<'c, 'f> Dht<'c, 'f> {
         (rank, self.bucket_word(bucket))
     }
 
-    /// The rank whose index window holds `key`'s chain (and thus whose
-    /// epoch word validates cached translations of `key`).
-    #[inline]
-    pub(crate) fn placement_rank(&self, key: u64) -> usize {
-        self.place(key).0
-    }
-
-    /// Atomically read `rank`'s epoch word (one remote `aget`) — the
-    /// translation-cache revalidation primitive.
-    #[inline]
-    pub(crate) fn read_epoch(&self, rank: usize) -> u64 {
-        self.ctx.aget_u64(WIN_INDEX, rank, EPOCH_WORD)
-    }
-
     /// Collective: initialize this rank's heap free list; ends in a barrier.
     ///
     /// The free list is threaded through the **value** word of free entries
@@ -158,7 +119,6 @@ impl<'c, 'f> Dht<'c, 'f> {
         for b in 0..self.nbuckets() {
             self.ctx.put_u64(WIN_INDEX, me, self.bucket_word(b), 0);
         }
-        self.ctx.put_u64(WIN_INDEX, me, EPOCH_WORD, 0);
         let n = self.cfg.dht_heap_per_rank as u64;
         for i in 1..=n {
             let link = if i < n { i + 1 } else { 0 };
@@ -229,29 +189,6 @@ impl<'c, 'f> Dht<'c, 'f> {
     /// be unique; duplicate keys yield multiple entries, with lookups
     /// returning the most recently inserted.
     pub(crate) fn insert(&self, key: u64, value: u64) -> GdiResult<()> {
-        self.insert_impl(key, value, true)
-    }
-
-    /// Bulk-load variant of [`Dht::insert`] that skips the per-insert
-    /// epoch bump. A batch of quiet inserts must be followed by a
-    /// collective round of [`Dht::bump_own_insert_epoch`] before any
-    /// reader may trust a cached negative entry again.
-    pub(crate) fn insert_quiet(&self, key: u64, value: u64) -> GdiResult<()> {
-        self.insert_impl(key, value, false)
-    }
-
-    /// Bump this rank's own insert epoch once — the batched equivalent
-    /// of per-insert bumps after a quiet bulk load. Called by **every**
-    /// rank of a collective load (before its closing barrier), each
-    /// rank's word advances exactly once and every cached negative
-    /// entry anywhere is retired, at one local atomic per rank instead
-    /// of `P` remote fadds per inserted key.
-    pub(crate) fn bump_own_insert_epoch(&self) {
-        self.ctx
-            .fadd_u64(WIN_INDEX, self.ctx.rank(), EPOCH_WORD, EPOCH_INS_DELTA);
-    }
-
-    fn insert_impl(&self, key: u64, value: u64, bump: bool) -> GdiResult<()> {
         assert_ne!(key, FREE_KEY, "u64::MAX is a reserved key");
         let (rank, bucket) = self.place(key);
         let entry = self.alloc(rank)?;
@@ -264,16 +201,20 @@ impl<'c, 'f> Dht<'c, 'f> {
             self.ctx.flush(rank);
             let prev = self.ctx.cas_u64(WIN_INDEX, rank, bucket, head, entry);
             if prev == head {
-                if bump {
-                    // publish, then bump: a reader that cached a negative
-                    // entry just before the bump revalidates on its next
-                    // epoch check and finds the key
-                    self.ctx
-                        .fadd_u64(WIN_INDEX, rank, EPOCH_WORD, EPOCH_INS_DELTA);
-                }
                 return Ok(());
             }
         }
+    }
+
+    /// Heap entry `idx` on `rank` as `[key, value, next]`, in one get.
+    /// The window loads its words in order, each with acquire, so a
+    /// walker sees them in the order three single-word gets would.
+    fn read_entry(&self, rank: usize, idx: u64) -> [u64; 3] {
+        let mut buf = [0u8; 24];
+        self.ctx
+            .get_bytes(WIN_INDEX, rank, self.entry_word(idx) * 8, &mut buf);
+        let word = |i: usize| u64::from_le_bytes(buf[i * 8..i * 8 + 8].try_into().unwrap());
+        [word(0), word(1), word(2)]
     }
 
     /// Look up a key (Listing 4 `lookup`).
@@ -285,10 +226,7 @@ impl<'c, 'f> Dht<'c, 'f> {
                 return None;
             }
             while ptr != 0 {
-                let ew = self.entry_word(ptr);
-                let k = self.ctx.get_u64(WIN_INDEX, rank, ew);
-                let v = self.ctx.get_u64(WIN_INDEX, rank, ew + 1);
-                let next = self.ctx.get_u64(WIN_INDEX, rank, ew + 2);
+                let [k, v, next] = self.read_entry(rank, ptr);
                 if next == ptr {
                     // entry is being deleted: chain beyond it is opaque
                     std::thread::yield_now();
@@ -309,9 +247,7 @@ impl<'c, 'f> Dht<'c, 'f> {
         'restart: loop {
             let mut cur = self.ctx.aget_u64(WIN_INDEX, rank, bucket);
             while cur != 0 {
-                let ew = self.entry_word(cur);
-                let k = self.ctx.get_u64(WIN_INDEX, rank, ew);
-                let next = self.ctx.get_u64(WIN_INDEX, rank, ew + 2);
+                let [k, _, next] = self.read_entry(rank, cur);
                 if next == cur {
                     // someone is deleting `cur`; restart once it is unlinked
                     std::thread::yield_now();
@@ -330,10 +266,6 @@ impl<'c, 'f> Dht<'c, 'f> {
                     // predecessor cell is swung past it
                     self.unlink(rank, bucket, cur, next);
                     self.dealloc(rank, cur);
-                    // bump the owner's delete epoch so cached positive
-                    // translations of this rank revalidate
-                    self.ctx
-                        .fadd_u64(WIN_INDEX, rank, EPOCH_WORD, EPOCH_DEL_DELTA);
                     return true;
                 }
                 cur = next;
@@ -620,26 +552,30 @@ mod tests {
         });
     }
 
+    /// Index-window word 1 is reserved: no insert or delete writes it,
+    /// and lookups answer from the chains alone.
     #[test]
-    fn epoch_word_tracks_inserts_and_deletes() {
+    fn reserved_word_stays_zero() {
+        const RESERVED_WORD: usize = 1;
         let (f, cfg) = fabric(1);
         f.run(|ctx| {
             let dht = Dht::new(ctx, cfg);
             dht.init_collective();
-            assert_eq!(dht.read_epoch(0), 0);
+            let reserved = || ctx.aget_u64(WIN_INDEX, 0, RESERVED_WORD);
+            assert_eq!(reserved(), 0);
             dht.insert(5, 50).unwrap();
-            assert_eq!(epoch_ins(dht.read_epoch(0)), 1);
+            assert_eq!(reserved(), 0);
+            assert_eq!(dht.lookup(5), Some(50));
             dht.insert(6, 60).unwrap();
-            let w = dht.read_epoch(0);
-            assert_eq!(epoch_ins(w), 2);
-            assert_eq!(epoch_del(w), 0);
+            assert_eq!(reserved(), 0);
+            assert_eq!((dht.lookup(5), dht.lookup(6)), (Some(50), Some(60)));
             assert!(dht.delete(5));
-            let now = dht.read_epoch(0);
-            assert_eq!(epoch_del(now), 1);
-            assert_eq!(epoch_ins(now), 2);
-            // deleting an absent key must not bump anything
+            assert_eq!(reserved(), 0);
+            assert_eq!((dht.lookup(5), dht.lookup(6)), (None, Some(60)));
+            // deleting an absent key changes nothing
             assert!(!dht.delete(5));
-            assert_eq!(dht.read_epoch(0), now);
+            assert_eq!(reserved(), 0);
+            assert_eq!((dht.lookup(5), dht.lookup(6)), (None, Some(60)));
         });
     }
 

@@ -41,8 +41,6 @@
 //!   mapped onto block chains;
 //! * `dht` — the fully-offloaded lock-free distributed hash table used
 //!   for application-id → internal-id translation;
-//! * `cache` — the per-rank, epoch-validated translation cache in front
-//!   of the DHT (positive + negative entries, one-`aget` revalidation);
 //! * `locks` — one-word distributed reader–writer locks (write bit +
 //!   reader counter, single remote atomics);
 //! * `meta` — replicated, eventually-consistent labels and property
@@ -103,7 +101,6 @@
 pub mod analysis;
 pub(crate) mod blocks;
 pub(crate) mod bulk;
-pub(crate) mod cache;
 pub mod config;
 pub(crate) mod db;
 pub(crate) mod dht;

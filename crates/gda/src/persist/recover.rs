@@ -35,8 +35,7 @@
 //!    vote the table is complete and read-only: each rank moves its
 //!    holders' bytes into the editor one at a time, rewrites their edge
 //!    records through the table, writes the chain and drops the bytes,
-//!    inserts its DHT entries (quiet inserts + one collective epoch
-//!    bump, the bulk-load discipline) and imports its index postings;
+//!    inserts its DHT entries and imports its index postings;
 //!    then every commit-stamp counter is raised above the largest live
 //!    version, and a full checkpoint commits the recovery.
 //!
@@ -703,9 +702,7 @@ impl Restore {
                 break;
             }
             if !obj.is_edge {
-                // bulk-load discipline: quiet inserts now, one collective
-                // epoch bump afterwards (no reader exists yet)
-                if let Err(e) = eng.dht.insert_quiet(obj.app_id, new_primary.raw()) {
+                if let Err(e) = eng.dht.insert(obj.app_id, new_primary.raw()) {
                     my_err = Some(e);
                     break;
                 }
@@ -726,8 +723,7 @@ impl Restore {
         }
         vote(ctx, my_err)?;
 
-        // ---- phase 3: epochs + commit stamps ----------------------------
-        eng.dht.bump_own_insert_epoch();
+        // ---- phase 3: commit stamps -------------------------------------
         // every future commit must stamp strictly above anything alive
         let stamp_word = eng.cfg().stamp_word();
         if ctx.aget_u64(WIN_SYSTEM, me, stamp_word) < self.max_version {

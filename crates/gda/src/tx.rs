@@ -524,15 +524,14 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
     // vertex id translation & creation
     // ------------------------------------------------------------------
 
-    /// `GDI_TranslateVertexID`: application id → internal id via the
-    /// offloaded DHT (§5.7), fronted by the per-rank epoch-validated
-    /// translation cache (`crate::cache`). Valid under both access modes:
-    /// revalidation observes any epoch bump that preceded the
-    /// transaction, so a vertex deleted before this transaction began can
-    /// never translate.
+    /// `GDI_TranslateVertexID`: application id → internal id with one
+    /// lookup in the offloaded DHT (§5.7). Valid under both access modes:
+    /// the DHT holds no stale entry, so a vertex whose delete committed
+    /// before this transaction began can never translate, and a committed
+    /// insert translates at once.
     pub fn translate_vertex_id(&self, app: AppVertexId) -> GdiResult<DPtr> {
         self.check_active()?;
-        match self.eng.translate(app) {
+        match self.eng.peek_translate(app) {
             Some(id) => Ok(id),
             None => Err(GdiError::NotFound("vertex (application id)")),
         }
@@ -596,7 +595,7 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
     /// visibility (DHT entry, index postings) happens at commit.
     pub fn create_vertex(&self, app: AppVertexId) -> GdiResult<DPtr> {
         self.check_writable()?;
-        if self.eng.translate(app).is_some() {
+        if self.eng.peek_translate(app).is_some() {
             return Err(GdiError::AlreadyExists("vertex (application id)"));
         }
         self.create_object(
@@ -1587,6 +1586,45 @@ mod tests {
                 assert!(tx.cache.borrow().is_empty(), "rank {}", ctx.rank());
                 tx.commit().unwrap();
             }
+        });
+    }
+
+    /// Translation is one DHT lookup and nothing else: translating a
+    /// vertex whose DHT entry sits on the other rank costs the same
+    /// remote traffic every time, and exactly one remote atomic — the
+    /// bucket-head `aget` — each time.
+    #[test]
+    fn translation_is_one_dht_lookup() {
+        let cfg = GdaConfig::tiny();
+        let (db, fabric) =
+            GdaDb::with_fabric_on("xlate", cfg, 2, CostModel::default(), rma::BackendKind::Sim);
+        fabric.run(|ctx| {
+            let eng = db.attach(ctx);
+            eng.init_collective();
+            if ctx.rank() == 0 {
+                let app = (1..)
+                    .map(AppVertexId)
+                    .find(|a| crate::rankmap::dht_rank(a.0, 2) == 1)
+                    .unwrap();
+                let tx = eng.begin(AccessMode::ReadWrite);
+                let v = tx.create_vertex(app).unwrap();
+                tx.commit().unwrap();
+
+                let tx = eng.begin(AccessMode::ReadOnly);
+                let traffic = |s: &rma::RankReport| (s.atomics, s.gets);
+                let before = traffic(&ctx.stats_snapshot());
+                assert_eq!(tx.translate_vertex_id(app).unwrap(), v);
+                let first = traffic(&ctx.stats_snapshot());
+                assert_eq!(tx.translate_vertex_id(app).unwrap(), v);
+                let second = traffic(&ctx.stats_snapshot());
+                tx.commit().unwrap();
+
+                let cost1 = (first.0 - before.0, first.1 - before.1);
+                let cost2 = (second.0 - first.0, second.1 - first.1);
+                assert_eq!(cost1, cost2, "(atomics, gets) of two translations");
+                assert_eq!(cost1.0, 1, "one remote atomic: the bucket-head aget");
+            }
+            ctx.barrier();
         });
     }
 }

@@ -25,7 +25,7 @@ macro_rules! counters {
             /// Every counter, in table order.
             pub const ALL: &'static [Counter] = &[$(Counter::$variant),*];
 
-            /// The dotted export name (`rma.puts`, `cache.hits`, …).
+            /// The dotted export name (`rma.puts`, `mvcc.version_archives`, …).
             pub fn name(self) -> &'static str {
                 match self {
                     $( Counter::$variant => $name, )*
@@ -97,11 +97,13 @@ counters! {
     batches_drained: BatchesDrained = "drain.batches",
     /// Requests dequeued across all drains (server layer).
     requests_served: RequestsServed = "drain.requests",
-    /// Translation-cache hits (GDA epoch-validated app-id cache).
+    /// Inert, always 0: GDA translates with one DHT lookup and has no
+    /// translation cache to hit. Kept because the frozen `benchmark/`
+    /// reads it.
     cache_hits: CacheHits = "cache.hits",
-    /// Translation-cache misses (full DHT chain walk paid).
+    /// Inert, always 0 (see `cache.hits`); kept for `benchmark/`.
     cache_misses: CacheMisses = "cache.misses",
-    /// Translation-cache entries invalidated by an epoch bump.
+    /// Inert, always 0 (see `cache.hits`); kept for `benchmark/`.
     cache_invalidations: CacheInvalidations = "cache.invalidations",
     /// Durable redo-log appends issued by this rank (persistence layer).
     log_appends: LogAppends = "persist.log_appends",

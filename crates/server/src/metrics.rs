@@ -289,7 +289,7 @@ impl ServerMetrics {
 
     /// The fabric-level counters summed over all serving ranks (reports
     /// are captured when serving stops; sim time is the maximum): read
-    /// the fields — `fabric_total().cache_hits`, `.scan_builds`, … —
+    /// the fields — `fabric_total().scan_builds`, `.version_archives`, … —
     /// instead of one accessor per counter.
     pub fn fabric_total(&self) -> RankReport {
         let mut total = RankReport::default();

@@ -192,6 +192,21 @@ pub fn run_oltp(
     mix: &Mix,
     cfg: &OltpConfig,
 ) -> OltpResult {
+    run_oltp_relabeled(eng, spec, meta, mix, cfg, &|v| v)
+}
+
+/// [`run_oltp`] on a graph whose base vertex `v` was loaded under app id
+/// `app_of(v)`. The stream picks the same base vertices whatever the
+/// relabeling, so two loads that differ only in `app_of` run the same
+/// operations on the same vertices.
+pub fn run_oltp_relabeled(
+    eng: &GdaRank,
+    spec: &GraphSpec,
+    meta: &LpgMeta,
+    mix: &Mix,
+    cfg: &OltpConfig,
+    app_of: &dyn Fn(u64) -> u64,
+) -> OltpResult {
     let mut rng = SmallRng::seed_from_u64(cfg.seed ^ (eng.rank() as u64).wrapping_mul(0x9E37));
     let n = spec.n_vertices();
     // fresh vertices get ids above the base graph, disjoint per rank
@@ -215,7 +230,7 @@ pub fn run_oltp(
             meta,
             kind,
             &mut rng,
-            n,
+            &|rng: &mut SmallRng| app_of(rng.gen_range(0..n)),
             &mut next_new,
             &mut added,
         );
@@ -248,7 +263,7 @@ fn run_one(
     meta: &LpgMeta,
     kind: OpKind,
     rng: &mut SmallRng,
-    n: u64,
+    base: &dyn Fn(&mut SmallRng) -> u64,
     next_new: &mut u64,
     added: &mut Vec<u64>,
 ) -> bool {
@@ -261,7 +276,7 @@ fn run_one(
     let mut body = || -> Result<(), GdiError> {
         match kind {
             OpKind::GetVertexProps => {
-                let v = tx.translate_vertex_id(AppVertexId(rng.gen_range(0..n)))?;
+                let v = tx.translate_vertex_id(AppVertexId(base(rng)))?;
                 if !meta.ptypes.is_empty() {
                     let p = meta.ptype(rng.gen_range(0..meta.ptypes.len()));
                     let _ = tx.property(v, p)?;
@@ -270,11 +285,11 @@ fn run_one(
                 }
             }
             OpKind::CountEdges => {
-                let v = tx.translate_vertex_id(AppVertexId(rng.gen_range(0..n)))?;
+                let v = tx.translate_vertex_id(AppVertexId(base(rng)))?;
                 let _ = tx.edge_count(v, EdgeOrientation::Any)?;
             }
             OpKind::GetEdges => {
-                let v = tx.translate_vertex_id(AppVertexId(rng.gen_range(0..n)))?;
+                let v = tx.translate_vertex_id(AppVertexId(base(rng)))?;
                 let _ = tx.edges(v, EdgeOrientation::Any)?;
             }
             OpKind::AddVertex => {
@@ -292,20 +307,20 @@ fn run_one(
             OpKind::DeleteVertex => {
                 // prefer deleting a vertex this stream added, like
                 // LinkBench's node deletes; fall back to a base vertex
-                let app = added.pop().unwrap_or_else(|| rng.gen_range(0..n));
+                let app = added.pop().unwrap_or_else(|| base(rng));
                 let v = tx.translate_vertex_id(AppVertexId(app))?;
                 tx.delete_vertex(v)?;
             }
             OpKind::UpdateVertexProp => {
-                let v = tx.translate_vertex_id(AppVertexId(rng.gen_range(0..n)))?;
+                let v = tx.translate_vertex_id(AppVertexId(base(rng)))?;
                 if !meta.ptypes.is_empty() {
                     let p = meta.ptype(rng.gen_range(0..meta.ptypes.len()));
                     tx.update_property(v, p, &PropertyValue::U64(rng.gen()))?;
                 }
             }
             OpKind::AddEdge => {
-                let a = tx.translate_vertex_id(AppVertexId(rng.gen_range(0..n)))?;
-                let b = tx.translate_vertex_id(AppVertexId(rng.gen_range(0..n)))?;
+                let a = tx.translate_vertex_id(AppVertexId(base(rng)))?;
+                let b = tx.translate_vertex_id(AppVertexId(base(rng)))?;
                 let label = if meta.labels.is_empty() {
                     None
                 } else {

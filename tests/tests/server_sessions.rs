@@ -608,12 +608,12 @@ fn registry_snapshot_names_every_counter() {
     }
 }
 
-/// Translation-cache churn: concurrent sessions add, read, delete and
-/// re-read their own (disjoint) vertices while also reading the shared
-/// base graph and racing edges against other sessions' churn. The cache
-/// must never serve a stale translation: a read of a vertex whose delete
-/// was acknowledged must abort, a read of a just-added vertex and of any
-/// base vertex must commit.
+/// Translation churn: concurrent sessions add, read, delete and re-read
+/// their own (disjoint) vertices while also reading the shared base
+/// graph and racing edges against other sessions' churn. Translation
+/// must never be stale: a read of a vertex whose delete was acknowledged
+/// must abort, a read of a just-added vertex and of any base vertex must
+/// commit.
 #[test]
 fn churn_sessions_never_serve_stale_translations() {
     let s = spec(7, 31);
@@ -650,7 +650,7 @@ fn churn_sessions_never_serve_stale_translations() {
                         .unwrap();
                     assert!(out.is_committed(), "fresh add must commit: {out:?}");
                     // a read straight after the acknowledged add (same
-                    // owner rank, FIFO): a stale *negative* cache entry
+                    // owner rank, FIFO): a stale *negative* translation
                     // would abort it
                     let out = session.execute(Op::CountEdges { v }).unwrap();
                     assert!(out.is_committed(), "read-after-add aborted: {out:?}");
@@ -668,7 +668,7 @@ fn churn_sessions_never_serve_stale_translations() {
                     let out = session.execute(Op::DeleteVertex { v }).unwrap();
                     assert!(out.is_committed(), "own delete must commit: {out:?}");
                     // the acknowledged delete must be visible: a stale
-                    // *positive* cache entry would let this read commit
+                    // *positive* translation would let this read commit
                     let out = session.execute(Op::CountEdges { v }).unwrap();
                     assert!(
                         !out.is_committed(),
@@ -684,25 +684,9 @@ fn churn_sessions_never_serve_stale_translations() {
         for h in handles {
             h.join().expect("churn session panicked");
         }
-        // with the churn settled, one base vertex read twice in a row:
-        // nothing moves its owner's epoch in between, so the second
-        // translation is a cache hit
-        let session = srv.session();
-        for _ in 0..2 {
-            let out = session
-                .execute(Op::CountEdges { v: AppVertexId(0) })
-                .unwrap();
-            assert!(out.is_committed(), "base read aborted: {out:?}");
-        }
         srv.shutdown();
         ranks.join().expect("serving fabric panicked");
     });
-
-    // the cache was actually in play, and its counters flowed through
-    // the fabric reports into the server metrics
-    let m = server.metrics().fabric_total();
-    assert!(m.cache_hits > 0, "translation cache never hit during churn");
-    assert!(m.cache_misses > 0);
 }
 
 /// Property: a single closed-loop session applying an arbitrary op
