@@ -18,7 +18,7 @@ use gdi::{AccessMode, Constraint, EdgeOrientation};
 use graphgen::{load_into, sized_config, GraphSpec, LpgConfig};
 use query::{executor, planner};
 use rma::{BackendKind, CostModel};
-use server::{RoutePolicy, ServerOptions};
+use server::{RoutePolicy, ServeSummary, ServerOptions};
 use workloads::analytics::{
     bfs, build_view, build_view_indexed, pagerank, scan_view, wcc_converged,
 };
@@ -342,6 +342,9 @@ pub(super) fn snapshot_isolation_reads_abort_free(lab: &mut Lab) -> Claim {
             .fold(0.0, f64::max);
         let read_ns: f64 = run.summaries.iter().map(|s| s.sim_read_ns).sum();
         let read_ops: u64 = run.summaries.iter().map(|s| s.read_ops).sum();
+        let per_read = |n: fn(&ServeSummary) -> u64| {
+            run.summaries.iter().map(n).sum::<u64>() as f64 / read_ops.max(1) as f64
+        };
         pass &= run.traffic.read_aborted() == 0 && fab.snapshot_pins > 0 && fab.snapshot_reads > 0;
         values.extend(tagged(
             &format!("S={sessions}"),
@@ -354,6 +357,8 @@ pub(super) fn snapshot_isolation_reads_abort_free(lab: &mut Lab) -> Claim {
                 ("version archives", fab.version_archives as f64),
                 ("sim us/op", serve_ns / committed.max(1) as f64 / 1e3),
                 ("sim us/read", read_ns / read_ops.max(1) as f64 / 1e3),
+                ("remote gets/read", per_read(|s| s.read_gets)),
+                ("remote atomics/read", per_read(|s| s.read_atomics)),
                 ("client p50 wall us", lat.percentile_ns(50.0) / 1e3),
                 ("client p99 wall us", lat.percentile_ns(99.0) / 1e3),
             ],

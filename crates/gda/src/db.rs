@@ -195,6 +195,7 @@ impl GdaDb {
             scan_cache: RefCell::new(None),
             snaps: RefCell::new(Vec::new()),
             last_epoch: Cell::new(0),
+            reads: Cell::default(),
         }
     }
 }
@@ -232,6 +233,9 @@ pub struct GdaRank<'d, 'c, 'f> {
     /// committed (0 before any — the SI differential harness keys its
     /// oracle on this).
     last_epoch: Cell<u64>,
+    /// The read-only path's buffers between transactions: each one takes
+    /// them at begin and hands them back when it ends (`crate::tx`).
+    pub(crate) reads: Cell<crate::tx::Reads>,
 }
 
 impl<'d, 'c, 'f> GdaRank<'d, 'c, 'f> {

@@ -19,6 +19,8 @@
 //! `Transaction::translate_vertex_id` is one [`Dht::lookup`], a walk of
 //! the live chain, so a translation is never stale: an insert is seen
 //! once its CAS links the entry, a delete once it unlinks it.
+//! `Transaction::translate_vertex_ids` is one [`Dht::lookup_many`],
+//! which walks all its keys' chains together, one round per level.
 //!
 //! A key `k` hashes to bucket rank `h(k) mod P` and bucket index
 //! `(h(k)/P) mod B`; chains stay on the bucket's rank (distributed
@@ -51,6 +53,18 @@ pub(crate) fn hash64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
+}
+
+/// One key's walk down its chain ([`Dht::walk`]).
+struct Probe {
+    key: u64,
+    /// Rank and bucket word of the key's chain.
+    rank: usize,
+    bucket: usize,
+    /// The heap entry to read next; 0 while the bucket head is.
+    at: u64,
+    /// The answer, once the walk has one.
+    found: Option<Option<u64>>,
 }
 
 /// The distributed hash table, bound to a rank context.
@@ -217,27 +231,79 @@ impl<'c, 'f> Dht<'c, 'f> {
         [word(0), word(1), word(2)]
     }
 
-    /// Look up a key (Listing 4 `lookup`).
+    /// Look up a key (Listing 4 `lookup`): the one-key case of
+    /// [`Dht::lookup_many`].
     pub(crate) fn lookup(&self, key: u64) -> Option<u64> {
+        let mut probe = [self.probe(key)];
+        self.walk(&mut probe);
+        probe[0].found.flatten()
+    }
+
+    /// Look up many keys at once, answers in key order. Their chains are
+    /// walked together, one round per chain level (see [`Dht::walk`]), so
+    /// `k` keys pay the latency of their deepest chain, not `k` chains'.
+    pub(crate) fn lookup_many(&self, keys: &[u64]) -> Vec<Option<u64>> {
+        let mut probes: Vec<Probe> = keys.iter().map(|&k| self.probe(k)).collect();
+        self.walk(&mut probes);
+        probes.iter().map(|p| p.found.flatten()).collect()
+    }
+
+    fn probe(&self, key: u64) -> Probe {
         let (rank, bucket) = self.place(key);
-        'restart: loop {
-            let mut ptr = self.ctx.aget_u64(WIN_INDEX, rank, bucket);
-            if ptr == 0 {
-                return None;
+        Probe {
+            key,
+            rank,
+            bucket,
+            at: 0,
+            found: None,
+        }
+    }
+
+    /// Walk every probe's chain, level by level: level 0 reads the bucket
+    /// heads (word-atomic `get`s), level `k` every unfinished chain's
+    /// `k`-th entry ([`Dht::read_entry`]). A level prefetches every word
+    /// it will read (on Wall its cache misses overlap), then reads them
+    /// all in one non-blocking batch (on Sim it pays one latency). A key
+    /// whose entry is mid-delete (self-pointing) alone restarts.
+    fn walk(&self, probes: &mut [Probe]) {
+        loop {
+            // a lone read has nothing to overlap with: no prefetch, no batch
+            let overlap = match probes.iter().filter(|p| p.found.is_none()).count() {
+                0 => return,
+                n => n > 1,
+            };
+            for p in probes.iter().filter(|p| overlap && p.found.is_none()) {
+                let (word, words) = match p.at {
+                    0 => (p.bucket, 1),
+                    at => (self.entry_word(at), 3),
+                };
+                self.ctx.prefetch(WIN_INDEX, p.rank, word * 8, words * 8);
             }
-            while ptr != 0 {
-                let [k, v, next] = self.read_entry(rank, ptr);
-                if next == ptr {
-                    // entry is being deleted: chain beyond it is opaque
-                    std::thread::yield_now();
-                    continue 'restart;
+            let mut restarted = false;
+            overlap.then(|| self.ctx.begin_nb_batch());
+            for p in probes.iter_mut().filter(|p| p.found.is_none()) {
+                if p.at == 0 {
+                    p.at = self.ctx.get_u64(WIN_INDEX, p.rank, p.bucket);
+                    p.found = (p.at == 0).then_some(None);
+                    continue;
                 }
-                if k == key {
-                    return Some(v);
+                let [k, v, next] = self.read_entry(p.rank, p.at);
+                if next == p.at {
+                    p.at = 0;
+                    restarted = true;
+                } else if k == p.key {
+                    p.found = Some(Some(v));
+                } else if next == 0 {
+                    p.found = Some(None);
+                } else {
+                    p.at = next;
                 }
-                ptr = next;
             }
-            return None;
+            overlap.then(|| self.ctx.end_nb_batch());
+            if restarted {
+                // let the deleter finish its unlink
+                std::thread::yield_now();
+            }
         }
     }
 
@@ -679,6 +745,140 @@ mod tests {
                 proptest::prop_assert_eq!(sorted(got), want);
             }
         }
+    }
+
+    /// `lookup_many` answers what one `lookup` per key answers: present
+    /// and absent keys, keys chained in one bucket, a repeated key, in
+    /// any order, from a rank that owns some chains and not others.
+    #[test]
+    fn lookup_many_matches_per_key_lookups() {
+        let (f, cfg) = fabric(2);
+        f.run(|ctx| {
+            let dht = Dht::new(ctx, cfg);
+            dht.init_collective();
+            if ctx.rank() == 0 {
+                for k in 0..60u64 {
+                    dht.insert(k, k * 5 + 3).unwrap();
+                }
+                for k in (0..60u64).step_by(7) {
+                    assert!(dht.delete(k));
+                }
+            }
+            ctx.barrier();
+            // present, deleted and never-inserted keys, one of them twice
+            let keys: Vec<u64> = (0..80u64).rev().chain([13, 13]).collect();
+            let one_by_one: Vec<_> = keys.iter().map(|&k| dht.lookup(k)).collect();
+            assert_eq!(dht.lookup_many(&keys), one_by_one);
+            assert_eq!(dht.lookup_many(&[]), Vec::new());
+            // some present keys share a bucket: their chains are > 1 deep
+            let mut places: Vec<_> = (0..60u64)
+                .filter(|k| k % 7 != 0)
+                .map(|k| dht.place(k))
+                .collect();
+            places.sort_unstable();
+            assert!(places.windows(2).any(|w| w[0] == w[1]), "no shared bucket");
+        });
+    }
+
+    /// A key whose entry is mid-delete (self-pointing) restarts its own
+    /// walk until the deleter is done; the other keys of the same call
+    /// are answered as if it were not there.
+    #[test]
+    fn lookup_many_restarts_only_a_key_mid_delete() {
+        let (f, cfg) = fabric(2);
+        let victim = 9u64;
+        f.run(|ctx| {
+            let dht = Dht::new(ctx, cfg);
+            dht.init_collective();
+            if ctx.rank() == 0 {
+                for k in 0..40u64 {
+                    dht.insert(k, k + 100).unwrap();
+                }
+            }
+            ctx.barrier();
+            let (rank, bucket) = dht.place(victim);
+            if ctx.rank() == 1 {
+                // CAS 1 of a delete: the victim's entry points at itself
+                let mut at = ctx.get_u64(WIN_INDEX, rank, bucket);
+                while dht.read_entry(rank, at)[0] != victim {
+                    at = dht.read_entry(rank, at)[2];
+                }
+                let next = dht.read_entry(rank, at)[2];
+                ctx.put_u64(WIN_INDEX, rank, dht.next_word(at), at);
+                ctx.barrier();
+                // ... and the deleter backs off: the entry is live again
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                ctx.put_u64(WIN_INDEX, rank, dht.next_word(at), next);
+            } else {
+                ctx.barrier();
+                let keys: Vec<u64> = (0..40u64).chain([77]).collect();
+                let gets = || ctx.stats_snapshot().gets + ctx.stats_snapshot().local_ops;
+                let g0 = gets();
+                let got = dht.lookup_many(&keys);
+                let restarted = gets() - g0;
+                let want: Vec<_> = keys.iter().map(|&k| (k < 40).then_some(k + 100)).collect();
+                assert_eq!(got, want);
+                let g1 = gets();
+                assert_eq!(
+                    keys.iter().map(|&k| dht.lookup(k)).collect::<Vec<_>>(),
+                    want
+                );
+                assert!(restarted > gets() - g1, "the victim's walk restarted");
+            }
+            ctx.barrier();
+        });
+    }
+
+    /// On Sim, `k` keys whose chains sit on the other rank cost less than
+    /// two single lookups — one latency per level, not per key — while
+    /// the walk issues exactly the atomics and gets the `k` lookups do.
+    #[test]
+    fn lookup_many_pays_one_latency_per_level() {
+        let cfg = GdaConfig::tiny();
+        let f = cfg.build_fabric_on(2, CostModel::default(), rma::BackendKind::Sim);
+        f.run(|ctx| {
+            let dht = Dht::new(ctx, cfg);
+            dht.init_collective();
+            if ctx.rank() == 0 {
+                for k in 0..60u64 {
+                    dht.insert(k, k).unwrap();
+                }
+                let remote: Vec<u64> = (0..60u64)
+                    .filter(|&k| dht.place(k).0 == 1)
+                    .take(8)
+                    .collect();
+                assert_eq!(remote.len(), 8);
+                let cost = |f: &dyn Fn()| {
+                    let (s0, t0) = (ctx.stats_snapshot(), ctx.now_ns());
+                    f();
+                    let s1 = ctx.stats_snapshot();
+                    (
+                        ctx.now_ns() - t0,
+                        s1.atomics - s0.atomics,
+                        s1.gets - s0.gets,
+                    )
+                };
+                let singles: Vec<_> = remote
+                    .iter()
+                    .map(|&k| cost(&|| assert_eq!(dht.lookup(k), Some(k))))
+                    .collect();
+                let many = cost(&|| {
+                    assert_eq!(
+                        dht.lookup_many(&remote),
+                        remote.iter().map(|&k| Some(k)).collect::<Vec<_>>()
+                    )
+                });
+                let dearest = singles.iter().map(|s| s.0).fold(0.0, f64::max);
+                assert!(
+                    many.0 < 2.0 * dearest,
+                    "{} ns for 8 keys, {dearest} ns for one",
+                    many.0
+                );
+                let sum = |i: fn(&(f64, u64, u64)) -> u64| singles.iter().map(i).sum::<u64>();
+                assert_eq!((many.1, many.2), (sum(|s| s.1), sum(|s| s.2)));
+            }
+            ctx.barrier();
+        });
     }
 
     #[test]

@@ -452,51 +452,73 @@ fn walk(
     step
 }
 
+/// A level walk's buffers, reused from walk to walk: one block and per chain its cursor,
+/// how it ended and its bytes (chain `i` in `bytes[i]`; later entries are spare).
+#[derive(Default)]
+pub(crate) struct ChainBufs {
+    block: Vec<u8>,
+    walks: Vec<(Cursor, Step)>,
+    pub(crate) bytes: Vec<Vec<u8>>,
+}
+
 /// Driver 2: walk many chains at once, **pipelining** the block reads:
 /// per chain *depth level*, every outstanding block is issued inside
 /// one non-blocking batch, so the whole level costs a single network
 /// latency instead of one blocking round trip per chain hop (§5.1's
-/// non-blocking overlap, applied across objects). Level 0 fetches all
+/// non-blocking overlap, applied across objects); it prefetches every
+/// block first ([`RankCtx::prefetch`]), so on Wall the level's cache
+/// misses overlap too. Level 0 fetches all
 /// primary blocks, level `k` the `k`-th continuation block of every
 /// chain still incomplete; the deepest chain bounds the number of
-/// rounds. Per chain, in input order: its cursor, how its walk ended
-/// and its bytes — a hostile chain ends only its own walk.
+/// rounds. Leaves chain `i`'s cursor, how its walk ended and its bytes
+/// at index `i` of `bufs` — a hostile chain ends only its own walk.
 fn walk_levels(
     ctx: &RankCtx,
     cfg: &GdaConfig,
     primaries: &[DPtr],
     validate: bool,
+    bufs: &mut ChainBufs,
     mut visit: impl FnMut(usize, DPtr),
-) -> Vec<(Cursor, Step, Vec<u8>)> {
+) {
     let src = if validate {
         Source::Validated(ctx)
     } else {
         Source::Live(ctx)
     };
     let shape = src.shape(cfg);
-    let mut block_buf = vec![0u8; cfg.block_size];
-    let mut chains: Vec<(Cursor, Step, Vec<u8>)> = primaries
-        .iter()
-        .map(|&p| (Cursor::new(p, validate), Step::More, Vec::new()))
-        .collect();
-    while chains.iter().any(|(_, step, _)| *step == Step::More) {
-        ctx.begin_nb_batch();
-        for (i, (cur, step, bytes)) in chains.iter_mut().enumerate() {
+    let fresh = |&p| (Cursor::new(p, validate), Step::More);
+    let (block, walks, bytes) = (&mut bufs.block, &mut bufs.walks, &mut bufs.bytes);
+    block.resize(cfg.block_size, 0);
+    walks.clear();
+    walks.extend(primaries.iter().map(fresh));
+    bytes.resize_with(bytes.len().max(primaries.len()), Vec::new);
+    loop {
+        // a lone chain has nothing to overlap with: no prefetch, no batch
+        let overlap = match walks.iter().filter(|(_, step)| *step == Step::More).count() {
+            0 => return,
+            n => n > 1,
+        };
+        for (cur, step) in walks.iter().filter(|_| overlap) {
+            if let (Step::More, Ok(dp)) = (step, cur.aim(&shape)) {
+                ctx.prefetch(WIN_DATA, dp.rank(), dp.offset() as usize, shape.block);
+            }
+        }
+        overlap.then(|| ctx.begin_nb_batch());
+        for (i, ((cur, step), out)) in walks.iter_mut().zip(bytes.iter_mut()).enumerate() {
             if *step != Step::More {
                 continue;
             }
             *step = match cur.aim(&shape) {
                 Ok(dp) => {
-                    let reread = src.fetch(dp, &mut block_buf);
+                    let reread = src.fetch(dp, block);
                     visit(i, dp);
-                    cur.take(&shape, &block_buf, reread, bytes)
+                    cur.take(&shape, block, reread, out)
                 }
                 Err(end) => end,
             };
         }
-        ctx.end_nb_batch();
+        overlap.then(|| ctx.end_nb_batch());
     }
-    chains
 }
 
 /// Fetch the full serialized holder starting at `primary` with blocking
@@ -593,37 +615,62 @@ pub(crate) fn read_chains(
     primaries: &[DPtr],
 ) -> Vec<GdiResult<(Vec<u8>, Vec<DPtr>)>> {
     let mut blocks = vec![Vec::new(); primaries.len()];
+    let mut bufs = ChainBufs::default();
     let visit = |i: usize, dp| blocks[i].push(dp);
-    let walked = walk_levels(ctx, cfg, primaries, false, visit);
-    walked
-        .into_iter()
-        .zip(blocks)
-        .map(|((_, step, bytes), blocks)| match step {
+    walk_levels(ctx, cfg, primaries, false, &mut bufs, visit);
+    (bufs.walks.into_iter().zip(bufs.bytes).zip(blocks))
+        .map(|(((_, step), bytes), blocks)| match step {
             Step::Done => Ok((bytes, blocks)),
             _ => Err(STALE),
         })
         .collect()
 }
 
-/// [`read_chain_validated`] across many chains: one optimistic
-/// pipelined pass validates every block copy; chains torn by a
-/// concurrent overwrite — rare — fall back to the per-chain retry loop.
-/// Per-primary results preserve input order.
+/// Many chains into reused buffers ([`ChainBufs`]): one level-pipelined
+/// pass, plain or validated. A validated pass retries a chain torn by a
+/// concurrent overwrite — rare — on its own ([`read_chain_into`]).
+/// `each` sees every chain in input order: its index and its bytes, or
+/// why it did not read.
+pub(crate) fn read_chains_into(
+    ctx: &RankCtx,
+    cfg: &GdaConfig,
+    primaries: &[DPtr],
+    validate: bool,
+    bufs: &mut ChainBufs,
+    mut each: impl FnMut(usize, GdiResult<&mut Vec<u8>>),
+) {
+    walk_levels(ctx, cfg, primaries, validate, bufs, |_, _| {});
+    let (block, walks, bytes) = (&mut bufs.block, &mut bufs.walks, &mut bufs.bytes);
+    let src = Source::Validated(ctx);
+    for (i, ((&p, (_, step)), out)) in primaries.iter().zip(walks).zip(bytes).enumerate() {
+        let read = match step {
+            Step::Done => Ok(()),
+            Step::Stale => Err(STALE),
+            // (only a validated walk tears)
+            _ => read_chain_into(&src, cfg, p, block, out),
+        };
+        each(i, read.map(|()| out));
+    }
+}
+
+/// [`read_chain_validated`] across many chains ([`read_chains_into`],
+/// validated, into fresh buffers). Per-primary results preserve input
+/// order.
 pub(crate) fn read_chains_validated(
     ctx: &RankCtx,
     cfg: &GdaConfig,
     primaries: &[DPtr],
 ) -> Vec<GdiResult<(Vec<u8>, u64)>> {
-    let walked = walk_levels(ctx, cfg, primaries, true, |_, _| {});
-    primaries
-        .iter()
-        .zip(walked)
-        .map(|(&p, (cur, step, bytes))| match step {
-            Step::Done => Ok((bytes, cur.stamp)),
-            Step::Stale => Err(STALE),
-            _ => read_chain_validated(ctx, cfg, p),
-        })
-        .collect()
+    let mut out = Vec::with_capacity(primaries.len());
+    let mut bufs = ChainBufs::default();
+    read_chains_into(ctx, cfg, primaries, true, &mut bufs, |_, read| {
+        out.push(read.map(|bytes| {
+            let bytes = std::mem::take(bytes);
+            let stamp = stamp_of(&bytes);
+            (bytes, stamp)
+        }))
+    });
+    out
 }
 
 /// Release every block of a chain (object deletion).

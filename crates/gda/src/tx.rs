@@ -12,9 +12,13 @@
 //!
 //! A read-only transaction never builds a `Holder`. Every read it
 //! makes — labels, properties, neighbours, edges, whoever owns the id —
-//! copies the element's chain into two buffers the transaction reuses
-//! and answers from the serialized bytes (`Transaction::with_bytes`,
-//! `Holder::scan_entries`, `Holder::scan_edges`). A local reader pinned
+//! answers from the serialized bytes of the element's chain
+//! (`Transaction::with_bytes`, `Holder::scan_entries`,
+//! `Holder::scan_edges`). The transaction holds the chains it fetched
+//! last, in buffers reused from one fetch (and transaction) to the next:
+//! `Transaction::associate_vertices` fetches a whole group's chains in
+//! one level-pipelined pass (how the server answers a read group), and a
+//! read of an id outside them fetches that id alone. A local reader pinned
 //! a snapshot epoch at `begin`: it takes the validated seqlock copy and,
 //! when that version committed after its pin, follows the archived
 //! `prev` links at the byte level to the version its epoch sees
@@ -22,11 +26,11 @@
 //! collective reader is the paper's "read-only transaction that can
 //! assume that no participating process modifies the data" (inside the
 //! server, collective jobs run at a rendezvous with the writers
-//! quiesced): it takes the plain copy. The buffers remember whose chain
-//! they hold, so consecutive reads of one element copy it once; an
-//! element read again later is copied (and, on the simulated clock,
-//! charged) again — the price of keeping nothing. The holder cache is
-//! for writers only: their own writes, their locks and their pre-images.
+//! quiesced): it takes the plain copy. Consecutive reads of held chains
+//! copy nothing; an element read again after another fetch is copied
+//! (and, on the simulated clock, charged) again — the price of keeping
+//! nothing else. The holder cache is for writers only: their own
+//! writes, their locks and their pre-images.
 //!
 //! Conflicts do not block indefinitely: lock acquisition is bounded, and a
 //! failed acquisition aborts the transaction with
@@ -103,11 +107,19 @@ pub struct Transaction<'r, 'd, 'c, 'f> {
     snap: Cell<Option<u64>>,
     /// Writers only: read-only transactions read bytes (module docs).
     cache: RefCell<FxHashMap<u64, CachedObj>>,
-    /// Block buffer and chain bytes of the read-only path, reused from
-    /// one read to the next (see the module docs) …
-    scratch: Cell<(Vec<u8>, Vec<u8>)>,
-    /// … and the id whose version the chain bytes hold (0: none).
-    held: Cell<u64>,
+    /// The chains the read-only path fetched last (module docs).
+    reads: Cell<Reads>,
+}
+
+/// The read-only path's chains: the versions of the ids its last fetch
+/// read, in buffers reused from one fetch (and transaction) to the next.
+#[derive(Default)]
+pub(crate) struct Reads {
+    /// `(id, index into bufs.bytes)` of each chain read, sorted by id.
+    held: Vec<(u64, usize)>,
+    bufs: hio::ChainBufs,
+    /// The distinct ids of the fetch, sorted.
+    want: Vec<DPtr>,
 }
 
 impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
@@ -119,6 +131,8 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
         // path and skip both.)
         let snap =
             (kind == TxKind::Local && mode == AccessMode::ReadOnly).then(|| eng.pin_snapshot());
+        let mut reads = eng.reads.take();
+        reads.held.clear(); // another transaction's versions
         Self {
             eng,
             kind,
@@ -129,8 +143,7 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
             grouped: Cell::new(false),
             snap: Cell::new(snap),
             cache: RefCell::new(FxHashMap::default()),
-            scratch: Cell::default(),
-            held: Cell::new(0),
+            reads: Cell::new(reads),
         }
     }
 
@@ -424,42 +437,62 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
     }
 
     /// The read-only path (module docs): hand `f` the serialized version
-    /// of `id` this transaction reads, out of the scratch buffers. The
-    /// bytes stay put until the next read of another id, so consecutive
-    /// reads of one id (`has_label`, `property`, `neighbors` of the same
-    /// vertex) copy — and are charged for — its chain once. A chain that
-    /// does not hold up structurally, or bytes `f` refuses, are the usual
-    /// stale-internal-id `NotFound`.
+    /// of `id` this transaction reads, out of the chains fetched last —
+    /// or, when `id` is not among them, after fetching it alone
+    /// ([`Transaction::fetch`]). The bytes stay put until the next fetch,
+    /// so consecutive reads of one id (`has_label`, `property`,
+    /// `neighbors` of the same vertex) copy — and are charged for — its
+    /// chain once. A chain that does not hold up structurally, or bytes
+    /// `f` refuses, are the usual stale-internal-id `NotFound`.
     fn with_bytes<R>(&self, id: DPtr, f: impl FnOnce(&[u8]) -> Option<R>) -> GdiResult<R> {
         self.check_active()?;
         if id.is_null() {
             return Err(GdiError::InvalidArgument("null internal id"));
         }
-        let (ctx, cfg) = (self.eng.ctx, self.eng.cfg());
-        // (a read nested in `f` finds the buffers empty and holding nothing)
-        let (mut block, mut chain) = self.scratch.take();
-        let mut held = self.held.replace(0);
-        let mut read = Ok(());
-        if held != id.raw() {
-            // a collective reader's plain copy, or a pinned reader's
-            // validated copy rewound to its snapshot
-            block.resize(cfg.block_size, 0);
-            read = match self.snap.get() {
-                None => hio::read_chain_into(&Source::Live(ctx), cfg, id, &mut block, &mut chain),
-                Some(snap) => {
-                    let src = Source::Validated(ctx);
-                    hio::read_chain_into(&src, cfg, id, &mut block, &mut chain).and_then(|()| {
-                        ctx.count(Counter::SnapshotReads, 1);
-                        self.rewind(snap, &mut chain)
-                    })
-                }
-            };
-            held = if read.is_ok() { id.raw() } else { 0 };
-        }
-        let out = read.and_then(|()| f(&chain).ok_or(hio::STALE));
-        self.scratch.set((block, chain));
-        self.held.set(held);
+        // (a read nested in `f` finds no chain held)
+        let mut reads = self.reads.take();
+        let at = match reads.held.binary_search_by_key(&id.raw(), |h| h.0) {
+            Ok(at) => Ok(reads.held[at].1),
+            Err(_) => self.fetch(&mut reads, &[id]).map(|()| 0),
+        };
+        let out = at.and_then(|at| f(&reads.bufs.bytes[at]).ok_or(hio::STALE));
+        self.reads.set(reads);
         out
+    }
+
+    /// Replace the chains `reads` holds by those of `ids` (null and
+    /// repeated ids dropped), fetched in one level-pipelined pass
+    /// ([`hio::read_chains_into`]): a collective reader's plain copies,
+    /// or a pinned reader's validated copies, each rewound to its
+    /// snapshot. Every chain that reads is held; fails with the error of
+    /// the lowest id that did not (a null id's first).
+    fn fetch(&self, reads: &mut Reads, ids: &[DPtr]) -> GdiResult<()> {
+        let (ctx, cfg, snap) = (self.eng.ctx, self.eng.cfg(), self.snap.get());
+        let Reads { held, bufs, want } = reads;
+        want.clear();
+        want.extend(ids);
+        want.sort_unstable_by_key(|id| id.raw());
+        want.dedup();
+        held.clear();
+        let mut failed = None;
+        if want.first().is_some_and(|id| id.is_null()) {
+            want.remove(0);
+            failed = Some(GdiError::InvalidArgument("null internal id"));
+        }
+        hio::read_chains_into(ctx, cfg, want, snap.is_some(), bufs, |i, read| {
+            let read = read.and_then(|chain| match snap {
+                None => Ok(()),
+                Some(snap) => {
+                    ctx.count(Counter::SnapshotReads, 1);
+                    self.rewind(snap, chain)
+                }
+            });
+            match read {
+                Ok(()) => held.push((want[i].raw(), i)),
+                Err(e) => failed = failed.take().or(Some(e)),
+            }
+        });
+        failed.map_or(Ok(()), Err)
     }
 
     /// Resolve `chain`, a validated copy of a live chain, to the version
@@ -531,10 +564,20 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
     /// insert translates at once.
     pub fn translate_vertex_id(&self, app: AppVertexId) -> GdiResult<DPtr> {
         self.check_active()?;
-        match self.eng.peek_translate(app) {
-            Some(id) => Ok(id),
-            None => Err(GdiError::NotFound("vertex (application id)")),
+        self.eng.peek_translate(app).ok_or(UNKNOWN_APP_ID)
+    }
+
+    /// [`Transaction::translate_vertex_id`] for many ids, answers in id
+    /// order: one walk of all their DHT chains together, one round per
+    /// chain level, so the ids share each level's latency.
+    pub fn translate_vertex_ids(&self, apps: &[AppVertexId]) -> Vec<GdiResult<DPtr>> {
+        if let Err(e) = self.check_active() {
+            return apps.iter().map(|_| Err(e.clone())).collect();
         }
+        let keys: Vec<u64> = apps.iter().map(|a| a.0).collect();
+        (self.eng.dht.lookup_many(&keys).into_iter())
+            .map(|raw| raw.map(DPtr::from_raw).ok_or(UNKNOWN_APP_ID))
+            .collect()
     }
 
     /// [`Transaction::translate_vertex_id`] under its former name, kept
@@ -548,6 +591,23 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
     /// transaction reads its bytes).
     pub fn associate_vertex(&self, id: DPtr) -> GdiResult<()> {
         self.with_entries(id, |_| ())
+    }
+
+    /// `GDI_AssociateVertex` for many vertices. A read-only transaction
+    /// fetches all their chains together, one round per block level,
+    /// and keeps them: its reads of these ids then copy nothing more,
+    /// until it reads an id outside them. A writer associates them one
+    /// by one. Every vertex that can be associated is; fails with the
+    /// error of one that could not.
+    pub fn associate_vertices(&self, ids: &[DPtr]) -> GdiResult<()> {
+        self.check_active()?;
+        if self.mode != AccessMode::ReadOnly {
+            return ids.iter().try_for_each(|&id| self.associate_vertex(id));
+        }
+        let mut reads = self.reads.take();
+        let fetched = self.fetch(&mut reads, ids);
+        self.reads.set(reads);
+        fetched
     }
 
     /// Batch-friendly entry point: acquire the write lock on `id` and
@@ -964,14 +1024,16 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
 
     /// The read-only twin of [`Transaction::prefetch_holders`]: the
     /// versions this transaction reads of the distinct ids in `ids` —
-    /// all but the one the scratch buffers already hold — as one
+    /// all but the ones [`Transaction::with_bytes`] already holds — as one
     /// level-pipelined batch, keyed by id. Fails with the error of the
     /// first id that fails.
     fn read_versions(&self, ids: &[DPtr]) -> GdiResult<FxHashMap<u64, Vec<u8>>> {
         self.check_active()?;
         let (ctx, cfg, snap) = (self.eng.ctx, self.eng.cfg(), self.snap.get());
         // (null ids are the usual `InvalidArgument`, when they are read)
-        let mut seen = FxHashSet::from_iter([0, self.held.get()]);
+        let reads = self.reads.take();
+        let mut seen: FxHashSet<u64> = reads.held.iter().map(|h| h.0).chain([0]).collect();
+        self.reads.set(reads);
         let want: Vec<DPtr> = ids
             .iter()
             .copied()
@@ -1490,6 +1552,7 @@ impl Drop for Transaction<'_, '_, '_, '_> {
         if self.status.get().is_active() {
             self.abort_inner();
         }
+        self.eng.reads.set(self.reads.take());
     }
 }
 
@@ -1513,6 +1576,9 @@ fn find_mirror_slot(holder: &Holder, remote: DPtr, rec: &EdgeRecord) -> Option<u
 fn tombstone(r: &mut EdgeRecord) {
     r.flags |= EdgeRecord::TOMBSTONE;
 }
+
+/// An application id no vertex has.
+const UNKNOWN_APP_ID: GdiError = GdiError::NotFound("vertex (application id)");
 
 /// A commit meets a written object it holds no pre-image of, so it
 /// cannot archive the version it overwrites (never expected: every
@@ -1591,8 +1657,8 @@ mod tests {
 
     /// Translation is one DHT lookup and nothing else: translating a
     /// vertex whose DHT entry sits on the other rank costs the same
-    /// remote traffic every time, and exactly one remote atomic — the
-    /// bucket-head `aget` — each time.
+    /// remote traffic every time, and no remote atomic — the bucket head
+    /// is a word-atomic `get`, like the entries after it.
     #[test]
     fn translation_is_one_dht_lookup() {
         let cfg = GdaConfig::tiny();
@@ -1622,7 +1688,7 @@ mod tests {
                 let cost1 = (first.0 - before.0, first.1 - before.1);
                 let cost2 = (second.0 - first.0, second.1 - first.1);
                 assert_eq!(cost1, cost2, "(atomics, gets) of two translations");
-                assert_eq!(cost1.0, 1, "one remote atomic: the bucket-head aget");
+                assert_eq!(cost1, (0, 2), "two remote gets: the bucket head, the entry");
             }
             ctx.barrier();
         });

@@ -525,6 +525,17 @@ impl<'a> RankCtx<'a> {
         }
     }
 
+    /// The issue half of a non-blocking GET of `len` bytes at `off`: on
+    /// [`BackendKind::Wall`] it prefetches their cache lines, so a round
+    /// that prefetches all its reads first overlaps its misses; on Sim the
+    /// round's nb batch already defers the latency. Never charged or counted.
+    #[inline]
+    pub fn prefetch(&self, win: WinId, target: usize, off: usize, len: usize) {
+        if self.backend() == BackendKind::Wall {
+            self.win(win, target).prefetch(off, len);
+        }
+    }
+
     /// One-sided bulk GET: read `dst.len()` bytes from `target`'s window.
     pub fn get_bytes(&self, win: WinId, target: usize, off: usize, dst: &mut [u8]) {
         self.charge_transfer(target, dst.len());
@@ -963,6 +974,39 @@ mod nb_tests {
         let l = CostModel::default().l_ns;
         // batched saves 9 of the 10 latencies
         assert!((seq - bat - 9.0 * l).abs() < 1e-6, "saved {}", seq - bat);
+    }
+
+    /// `prefetch` is a hint: on either backend it moves neither the
+    /// simulated clock nor any counter, inside a batch or out, for
+    /// ranges inside the window, running past its end or starting there.
+    #[test]
+    fn prefetch_is_never_charged_or_counted() {
+        let w = WinId(0);
+        for backend in [BackendKind::Sim, BackendKind::Wall] {
+            let fabric = FabricBuilder::new(2).backend(backend).window(4096).build();
+            fabric.run(|ctx| {
+                let peer = 1 - ctx.rank();
+                let seen = |r: RankReport| (r.sim_time_ns, r.counters().collect::<Vec<_>>());
+                let before = seen(ctx.stats_snapshot());
+                let len = ctx.win_len_bytes(w);
+                for target in [ctx.rank(), peer] {
+                    for (off, n) in [
+                        (0, 24),
+                        (60, 8),
+                        (len - 8, 8),
+                        (len - 8, 200),
+                        (len, 64),
+                        (3, 0),
+                    ] {
+                        ctx.prefetch(w, target, off, n);
+                        ctx.begin_nb_batch();
+                        ctx.prefetch(w, target, off, n);
+                        ctx.end_nb_batch();
+                    }
+                }
+                assert_eq!(seen(ctx.stats_snapshot()), before, "{backend}");
+            });
+        }
     }
 
     #[test]

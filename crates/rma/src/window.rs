@@ -124,6 +124,33 @@ impl Window {
         }
     }
 
+    /// Hint the CPU to load the cache lines holding window bytes of
+    /// `[off, off + len)`: one T0 prefetch per 64-byte line on x86_64,
+    /// nothing elsewhere. Reads nothing and cannot fault.
+    pub(crate) fn prefetch(&self, off: usize, len: usize) {
+        const LINE: usize = 64;
+        let end = off.saturating_add(len).min(self.len_bytes());
+        if off >= end {
+            return;
+        }
+        let base = self.words.as_ptr().cast::<i8>();
+        // from the start of the line holding byte `off` to byte `end`
+        let first = base.wrapping_add(off);
+        let mut line = first.wrapping_sub(first as usize % LINE);
+        let stop = base.wrapping_add(end);
+        while line < stop {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `_mm_prefetch` only hints the cache: it dereferences
+            // nothing, never faults, and SSE is part of the x86_64
+            // baseline. Every line it names holds a byte of this window.
+            unsafe {
+                use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+                _mm_prefetch::<_MM_HINT_T0>(line);
+            }
+            line = line.wrapping_add(LINE);
+        }
+    }
+
     /// Bulk write of `src` starting at byte offset `off`.
     ///
     /// Whole words are stored atomically; partial boundary words use a

@@ -9,6 +9,13 @@
 //! the result is serializable. A drain of one request is a group of one;
 //! there is no other executor.
 //!
+//! A read group resolves and reads its vertices together: one
+//! [`Transaction::translate_vertex_ids`] call (one round per DHT chain
+//! level), then one [`Transaction::associate_vertices`] call for the ids
+//! that resolved (one round per block level). Each op is answered from
+//! its id's bytes; an id that did not resolve is its `Aborted(NotFound)`.
+//! So G reads pay their deepest chains' latency, not G chains'.
+//!
 //! ## Prepare-then-mutate, and the exactly-once discipline
 //!
 //! Inside a write group every op runs in two phases: *prepare* (resolve
@@ -57,24 +64,14 @@ struct BatchCtx<'a> {
     dedup: &'a Mutex<DedupWindow>,
 }
 
-/// Apply one read op inside the group's shared read-only transaction.
-fn apply_op(tx: &Transaction, op: &Op) -> Result<OpReply, GdiError> {
+/// Answer one read op about vertex `id` (the op's vertex, translated)
+/// inside the group's shared read-only transaction.
+fn apply_op(tx: &Transaction, op: &Op, id: DPtr) -> Result<OpReply, GdiError> {
     match op {
-        Op::GetVertexProps { v, ptype } => {
-            let id = tx.translate_vertex_id(*v)?;
-            match ptype {
-                Some(p) => Ok(OpReply::Props(tx.properties(id, *p)?)),
-                None => Ok(OpReply::Labels(tx.labels(id)?)),
-            }
-        }
-        Op::CountEdges { v } => {
-            let id = tx.translate_vertex_id(*v)?;
-            Ok(OpReply::Count(tx.edge_count(id, EdgeOrientation::Any)?))
-        }
-        Op::GetEdges { v } => {
-            let id = tx.translate_vertex_id(*v)?;
-            Ok(OpReply::Count(tx.edges(id, EdgeOrientation::Any)?.len()))
-        }
+        Op::GetVertexProps { ptype: Some(p), .. } => Ok(OpReply::Props(tx.properties(id, *p)?)),
+        Op::GetVertexProps { ptype: None, .. } => Ok(OpReply::Labels(tx.labels(id)?)),
+        Op::CountEdges { .. } => Ok(OpReply::Count(tx.edge_count(id, EdgeOrientation::Any)?)),
+        Op::GetEdges { .. } => Ok(OpReply::Count(tx.edges(id, EdgeOrientation::Any)?.len())),
         // writes never enter read groups
         Op::AddVertex { .. }
         | Op::DeleteVertex { .. }
@@ -223,14 +220,17 @@ pub(crate) fn execute_batch(
 }
 
 /// Active-clock time a batch spent inside **read** requests (simulated ns
-/// on the LogGP backend, wall ns otherwise) and how many it served — the
-/// per-class service-time split the read-path benches gate on, which the
-/// blended per-op number can't show (a handful of write commits amortize
-/// MVCC bookkeeping that would otherwise drown the read-side win).
+/// on the LogGP backend, wall ns otherwise), how many it served and the
+/// remote gets and atomics they issued — the per-class service-time
+/// split the read-path benches gate on, which the blended per-op number
+/// can't show (a handful of write commits amortize MVCC bookkeeping
+/// that would otherwise drown the read-side win).
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct ReadTiming {
     pub read_ns: f64,
     pub read_ops: u64,
+    pub read_gets: u64,
+    pub read_atomics: u64,
 }
 
 /// Maximum writes per grouped transaction: bounds the write-lock
@@ -262,11 +262,15 @@ fn execute_batch_inner(eng: &GdaRank, bc: &BatchCtx, batch: &VecDeque<Request>) 
 
     // ---- one shared read-only transaction ------------------------------
     if !reads.is_empty() {
-        let read_t0 = eng.ctx().now_ns();
+        let ctx = eng.ctx();
+        let (t0, s0) = (ctx.now_ns(), ctx.stats_snapshot());
         execute_group(eng, bc, &reads);
+        let s1 = ctx.stats_snapshot();
         timing = ReadTiming {
-            read_ns: eng.ctx().now_ns() - read_t0,
+            read_ns: ctx.now_ns() - t0,
             read_ops: reads.len() as u64,
+            read_gets: s1.gets - s0.gets,
+            read_atomics: s1.atomics - s0.atomics,
         };
     }
 
@@ -298,15 +302,26 @@ fn execute_group(eng: &GdaRank, bc: &BatchCtx, group: &[&Request]) {
     } else {
         eng.begin(AccessMode::ReadOnly)
     };
+    // (module docs; a chain that does not read is not kept, so its op's
+    // own read fetches it again and reports why)
+    let mut ids = Vec::new();
+    if !write {
+        let apps: Vec<_> = group.iter().map(|req| req.op.routing_vertex()).collect();
+        ids = tx.translate_vertex_ids(&apps);
+        let found: Vec<DPtr> = ids.iter().flatten().copied().collect();
+        let _ = tx.associate_vertices(&found);
+    }
+    let mut ids = ids.into_iter();
     let mut applied: Vec<(&Request, OpOutcome)> = Vec::with_capacity(group.len());
     let mut poison = None;
     for &req in group {
-        let outcome = if write {
-            apply_grouped(&tx, &req.op)
-        } else {
+        let outcome = match ids.next() {
+            None => apply_grouped(&tx, &req.op),
             // a read changes nothing: its failure (NotFound etc.) is
             // clean unless it closed the transaction
-            Ok(apply_op(&tx, &req.op).map_or_else(OpOutcome::Aborted, OpOutcome::Committed))
+            Some(id) => Ok(id
+                .and_then(|id| apply_op(&tx, &req.op, id))
+                .map_or_else(OpOutcome::Aborted, OpOutcome::Committed)),
         };
         match outcome {
             Ok(out) if tx.status() == TxStatus::Active => applied.push((req, out)),

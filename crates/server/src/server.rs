@@ -267,6 +267,10 @@ pub struct ServeSummary {
     pub sim_read_ns: f64,
     /// Read requests those nanoseconds covered.
     pub read_ops: u64,
+    /// Remote gets those read requests issued.
+    pub read_gets: u64,
+    /// Remote atomics those read requests issued.
+    pub read_atomics: u64,
     /// Fabric execution backend this rank served on.
     pub backend: rma::BackendKind,
 }
@@ -739,6 +743,8 @@ impl GdiServer {
             );
             read_timing.read_ns += t.read_ns;
             read_timing.read_ops += t.read_ops;
+            read_timing.read_gets += t.read_gets;
+            read_timing.read_atomics += t.read_atomics;
             // every rank watches the store after its own commits: redo
             // append errors degrade the server to read-only until a
             // checkpoint succeeds
@@ -774,6 +780,8 @@ impl GdiServer {
             sim_serve_ns: ctx.now_ns() - sim_t0,
             sim_read_ns: read_timing.read_ns,
             read_ops: read_timing.read_ops,
+            read_gets: read_timing.read_gets,
+            read_atomics: read_timing.read_atomics,
             backend: ctx.backend(),
         }
     }

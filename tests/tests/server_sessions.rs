@@ -12,8 +12,10 @@ use gda::GdaDb;
 use gdi::{AccessMode, AppVertexId, EdgeOrientation, GdiError};
 use graphgen::{sized_config, GraphSpec, LpgConfig};
 use proptest::prelude::*;
-use rma::{CostModel, Counter};
-use server::{AdmissionPolicy, GdiServer, Op, OpOutcome, OpReply, ServerOptions};
+use rma::{BackendKind, CostModel, Counter};
+use server::{
+    AdmissionPolicy, GdiServer, Op, OpOutcome, OpReply, RoutePolicy, ServeSummary, ServerOptions,
+};
 use workloads::oltp::Mix;
 use workloads::traffic::{load_and_serve, TrafficConfig};
 
@@ -284,11 +286,17 @@ fn group_commit_equals_single_commit_on_disjoint_writes() {
     assert!(grouped.iter().all(|&(_, d)| d == 1));
 }
 
-/// A loaded two-rank database for the one-drain tests.
+/// A loaded two-rank database for the one-drain tests, on the backend
+/// `GDI_FABRIC_BACKEND` names …
 fn loaded_pair(name: &str) -> (GraphSpec, Arc<GdaDb>, rma::Fabric) {
+    loaded_pair_on(name, BackendKind::from_env())
+}
+
+/// … or on the one given.
+fn loaded_pair_on(name: &str, backend: BackendKind) -> (GraphSpec, Arc<GdaDb>, rma::Fabric) {
     let s = spec(6, 31);
     let db_cfg = server_cfg(&s, 2, 64);
-    let (db, fabric) = GdaDb::with_fabric(name, db_cfg, 2, CostModel::default());
+    let (db, fabric) = GdaDb::with_fabric_on(name, db_cfg, 2, CostModel::default(), backend);
     fabric.run(|ctx| {
         let eng = db.attach(ctx);
         eng.init_collective();
@@ -297,18 +305,35 @@ fn loaded_pair(name: &str) -> (GraphSpec, Arc<GdaDb>, rma::Fabric) {
     (s, db, fabric)
 }
 
-/// Submit every op before any rank serves, so the owning rank's first
+/// Submit every op before any rank serves, so the serving rank's first
 /// drain holds them all, then serve until each ticket resolves. Returns
-/// the outcomes in submission order and how many drains each rank ran.
+/// the outcomes in submission order, how many drains each rank ran and
+/// every rank's summary.
 fn serve_one_drain(
     db: &Arc<GdaDb>,
     fabric: &rma::Fabric,
     ops: &[Op],
-) -> (Vec<OpOutcome>, Vec<u64>) {
-    let server = GdiServer::new(db.clone(), ServerOptions::default());
+) -> (Vec<OpOutcome>, Vec<u64>, Vec<ServeSummary>) {
+    serve_one_drain_routed(db, fabric, RoutePolicy::Owner, ops)
+}
+
+/// [`serve_one_drain`] under a routing policy: `Owner` asserts that one
+/// rank owns every op, `SessionAffine` sends them all to session 0's
+/// rank, 0, whoever owns their vertices.
+fn serve_one_drain_routed(
+    db: &Arc<GdaDb>,
+    fabric: &rma::Fabric,
+    route: RoutePolicy,
+    ops: &[Op],
+) -> (Vec<OpOutcome>, Vec<u64>, Vec<ServeSummary>) {
+    let opts = ServerOptions {
+        route,
+        ..ServerOptions::default()
+    };
+    let server = GdiServer::new(db.clone(), opts);
     let rank = server.route(&ops[0]);
     assert!(
-        ops.iter().all(|op| server.route(op) == rank),
+        route == RoutePolicy::SessionAffine || ops.iter().all(|op| server.route(op) == rank),
         "one rank owns every op"
     );
     let session = server.session();
@@ -322,7 +347,8 @@ fn serve_one_drain(
         let outcomes = tickets.iter().map(|t| t.wait()).collect();
         srv.shutdown();
         let summaries = ranks.join().expect("serving fabric panicked");
-        (outcomes, summaries.iter().map(|s| s.batches).collect())
+        let drains = summaries.iter().map(|s| s.batches).collect();
+        (outcomes, drains, summaries)
     })
 }
 
@@ -355,7 +381,7 @@ fn duplicate_creates_in_one_drain_commit_once() {
         create(dup),
         create(fresh(3)),
     ];
-    let (outs, drains) = serve_one_drain(&db, &fabric, &ops);
+    let (outs, drains, _) = serve_one_drain(&db, &fabric, &ops);
     assert_eq!(drains, vec![1, 0], "one drain held every op");
 
     for i in [0, 2, 4] {
@@ -392,7 +418,7 @@ fn missing_vertex_in_a_read_drain_aborts_alone() {
     // three are owned by rank 0
     let count = |v| Op::CountEdges { v: AppVertexId(v) };
     let ops = [count(0), count(s.n_vertices()), count(2)];
-    let (outs, drains) = serve_one_drain(&db, &fabric, &ops);
+    let (outs, drains, _) = serve_one_drain(&db, &fabric, &ops);
     assert_eq!(drains, vec![1, 0], "one drain held every op");
     assert!(outs[0].is_committed(), "{:?}", outs[0]);
     assert!(
@@ -401,6 +427,125 @@ fn missing_vertex_in_a_read_drain_aborts_alone() {
         outs[1]
     );
     assert!(outs[2].is_committed(), "{:?}", outs[2]);
+}
+
+/// Rank and bucket of the DHT chain of application id `app` on two
+/// ranks of `buckets` buckets each: the placement of `gda::rankmap`
+/// (`h(k) mod P`, then `(h(k) / P) mod B`) with its hash, splitmix64.
+fn dht_place(app: u64, buckets: usize) -> (usize, u64) {
+    let mut x = app.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    let h = x ^ (x >> 31);
+    ((h % 2) as usize, (h / 2) % buckets as u64)
+}
+
+/// Rank of the DHT chain of `app` on two ranks.
+fn dht_rank_of(app: u64) -> usize {
+    dht_place(app, 1).0
+}
+
+/// The three read kinds in turn, about the vertices `vs`.
+fn mixed_reads(db: &Arc<GdaDb>, fabric: &rma::Fabric, vs: &[u64]) -> Vec<Op> {
+    let p0 = fabric.run(|ctx| db.attach(ctx).meta().ptype_from_name("P0"))[0];
+    let p0 = p0.expect("the generator's first property type");
+    (vs.iter().enumerate())
+        .map(|(i, &v)| {
+            let v = AppVertexId(v);
+            match i % 4 {
+                0 => Op::GetVertexProps { v, ptype: Some(p0) },
+                1 => Op::CountEdges { v },
+                2 => Op::GetEdges { v },
+                _ => Op::GetVertexProps { v, ptype: None },
+            }
+        })
+        .collect()
+}
+
+/// Each op served alone, as a drain of one.
+fn served_alone(
+    db: &Arc<GdaDb>,
+    fabric: &rma::Fabric,
+    route: RoutePolicy,
+    ops: &[Op],
+) -> Vec<OpOutcome> {
+    (ops.iter())
+        .map(|op| {
+            serve_one_drain_routed(db, fabric, route, std::slice::from_ref(op))
+                .0
+                .remove(0)
+        })
+        .collect()
+}
+
+/// On Sim, a read group pays one latency per DHT chain level and one per
+/// block level, not one chain of them per op: a drain of 8 reads of
+/// vertices on rank 0, whose DHT chains all sit on rank 1, costs less
+/// than 3× a drain of one of them (one after another it was ≈ 8×), and
+/// every read answers what it answers alone. Each of the 8 is alone in
+/// its DHT bucket, so no chain's depth hangs on the order a concurrent
+/// bulk load linked its entries in.
+#[test]
+fn read_drain_is_one_round_per_level() {
+    let (s, db, fabric) = loaded_pair_on("read-rounds", BackendKind::Sim);
+    let buckets = server_cfg(&s, 2, 64).dht_buckets_per_rank;
+    let place = |v| dht_place(v, buckets);
+    let all: Vec<_> = (0..s.n_vertices()).map(place).collect();
+    let alone = |v: u64| all.iter().filter(|&&p| p == place(v)).count() == 1;
+    let vs: Vec<u64> = (0..s.n_vertices())
+        .filter(|&v| v % 2 == 0 && place(v).0 == 1 && alone(v))
+        .take(8)
+        .collect();
+    assert_eq!(vs.len(), 8);
+    let ops = mixed_reads(&db, &fabric, &vs);
+    let (outs, drains, group) = serve_one_drain(&db, &fabric, &ops);
+    assert_eq!(drains, vec![1, 0], "one drain held every op");
+    assert!(outs.iter().all(|o| o.is_committed()), "{outs:?}");
+    assert_eq!(outs, served_alone(&db, &fabric, RoutePolicy::Owner, &ops));
+    let (_, _, one) = serve_one_drain(&db, &fabric, &ops[..1]);
+    let (group_ns, one_ns) = (group[0].sim_read_ns, one[0].sim_read_ns);
+    assert_eq!((group[0].read_ops, one[0].read_ops), (8, 1));
+    assert!(
+        group_ns < 3.0 * one_ns,
+        "8 reads took {group_ns} simulated ns, 1 read {one_ns}"
+    );
+}
+
+/// On both backends, a read drain with a repeated id, a missing id and
+/// ids whose DHT chains and holders sit on the other rank answers
+/// exactly what one-op drains answer: the missing id aborts with
+/// `NotFound`, the rest commit.
+#[test]
+fn read_drain_answers_equal_one_op_drains() {
+    for backend in [BackendKind::Sim, BackendKind::Wall] {
+        let (s, db, fabric) = loaded_pair_on("read-diff", backend);
+        let n = s.n_vertices();
+        // session-affine: rank 0 serves them all, whoever owns them.
+        // Holder (`v % 2`) and DHT chain both on rank 1, both on rank 0,
+        // the holder alone on rank 1; then repeats and a missing id
+        let pick = |keep: fn(u64) -> bool| (0..n).filter(move |&v| keep(v));
+        let mut vs: Vec<u64> = pick(|v| v % 2 == 1 && dht_rank_of(v) == 1)
+            .take(3)
+            .collect();
+        vs.extend(pick(|v| v % 2 == 0 && dht_rank_of(v) == 0).take(2));
+        vs.extend(pick(|v| v % 2 == 1 && dht_rank_of(v) == 0).take(2));
+        vs.extend([vs[0], n, vs[3], vs[0]]);
+        let ops = mixed_reads(&db, &fabric, &vs);
+        let route = RoutePolicy::SessionAffine;
+        let (outs, drains, _) = serve_one_drain_routed(&db, &fabric, route, &ops);
+        assert_eq!(drains, vec![1, 0], "{backend}: one drain held every op");
+        assert_eq!(outs, served_alone(&db, &fabric, route, &ops), "{backend}");
+        for (v, out) in vs.iter().zip(&outs) {
+            if *v == n {
+                assert!(
+                    matches!(out, OpOutcome::Aborted(GdiError::NotFound(_))),
+                    "{out:?}"
+                );
+            } else {
+                assert!(out.is_committed(), "{backend}: vertex {v}: {out:?}");
+            }
+        }
+    }
 }
 
 /// A collective OLAP job runs between interactive batches and returns a
