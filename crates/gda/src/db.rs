@@ -235,7 +235,7 @@ pub struct GdaRank<'d, 'c, 'f> {
     last_epoch: Cell<u64>,
     /// The read-only path's buffers between transactions: each one takes
     /// them at begin and hands them back when it ends (`crate::tx`).
-    pub(crate) reads: Cell<crate::tx::Reads>,
+    pub(crate) reads: Cell<Option<Box<crate::tx::Reads>>>,
 }
 
 impl<'d, 'c, 'f> GdaRank<'d, 'c, 'f> {

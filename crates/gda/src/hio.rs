@@ -375,6 +375,27 @@ impl Cursor {
         Ok(dp)
     }
 
+    /// Fetch the block the cursor aims at from `src` into `block`, report
+    /// it to `visit` and take it: how the walk stands afterwards.
+    #[inline]
+    fn advance(
+        &mut self,
+        src: &Source<'_>,
+        shape: &Shape,
+        block: &mut [u8],
+        out: &mut Vec<u8>,
+        visit: impl FnOnce(DPtr),
+    ) -> Step {
+        match self.aim(shape) {
+            Ok(dp) => {
+                let reread = src.fetch(dp, block);
+                visit(dp);
+                self.take(shape, block, reread, out)
+            }
+            Err(end) => end,
+        }
+    }
+
     /// Account for `block`, the copy of the block [`Cursor::aim`] named
     /// (`reread` as returned by [`Source::fetch`]), appending its payload
     /// to `out`.
@@ -440,14 +461,7 @@ fn walk(
     let mut cur = Cursor::new(primary, matches!(src, Source::Validated(_)));
     let mut step = Step::More;
     while step == Step::More {
-        step = match cur.aim(&shape) {
-            Ok(dp) => {
-                let reread = src.fetch(dp, block_buf);
-                visit(dp);
-                cur.take(&shape, block_buf, reread, out)
-            }
-            Err(end) => end,
-        };
+        step = cur.advance(src, &shape, block_buf, out, &mut visit);
     }
     step
 }
@@ -470,8 +484,10 @@ pub(crate) struct ChainBufs {
 /// misses overlap too. Level 0 fetches all
 /// primary blocks, level `k` the `k`-th continuation block of every
 /// chain still incomplete; the deepest chain bounds the number of
-/// rounds. Leaves chain `i`'s cursor, how its walk ended and its bytes
-/// at index `i` of `bufs` — a hostile chain ends only its own walk.
+/// rounds. The last chain left has nothing to overlap with: it walks on
+/// alone, block by block, as [`walk`] does. Leaves chain `i`'s cursor,
+/// how its walk ended and its bytes at index `i` of `bufs` — a hostile
+/// chain ends only its own walk.
 fn walk_levels(
     ctx: &RankCtx,
     cfg: &GdaConfig,
@@ -492,32 +508,28 @@ fn walk_levels(
     walks.clear();
     walks.extend(primaries.iter().map(fresh));
     bytes.resize_with(bytes.len().max(primaries.len()), Vec::new);
-    loop {
-        // a lone chain has nothing to overlap with: no prefetch, no batch
-        let overlap = match walks.iter().filter(|(_, step)| *step == Step::More).count() {
-            0 => return,
-            n => n > 1,
-        };
-        for (cur, step) in walks.iter().filter(|_| overlap) {
+    let mut live = primaries.len();
+    while live > 1 {
+        for (cur, step) in walks.iter() {
             if let (Step::More, Ok(dp)) = (step, cur.aim(&shape)) {
                 ctx.prefetch(WIN_DATA, dp.rank(), dp.offset() as usize, shape.block);
             }
         }
-        overlap.then(|| ctx.begin_nb_batch());
+        ctx.begin_nb_batch();
         for (i, ((cur, step), out)) in walks.iter_mut().zip(bytes.iter_mut()).enumerate() {
-            if *step != Step::More {
-                continue;
+            if *step == Step::More {
+                *step = cur.advance(&src, &shape, block, out, |dp| visit(i, dp));
+                live -= usize::from(*step != Step::More);
             }
-            *step = match cur.aim(&shape) {
-                Ok(dp) => {
-                    let reread = src.fetch(dp, block);
-                    visit(i, dp);
-                    cur.take(&shape, block, reread, out)
-                }
-                Err(end) => end,
-            };
         }
-        overlap.then(|| ctx.end_nb_batch());
+        ctx.end_nb_batch();
+    }
+    // the last chain left has nothing to overlap with: it walks on alone
+    if let Some(i) = walks.iter().position(|(_, step)| *step == Step::More) {
+        let ((cur, step), out) = (&mut walks[i], &mut bytes[i]);
+        while *step == Step::More {
+            *step = cur.advance(&src, &shape, block, out, |dp| visit(i, dp));
+        }
     }
 }
 
@@ -628,9 +640,10 @@ pub(crate) fn read_chains(
 
 /// Many chains into reused buffers ([`ChainBufs`]): one level-pipelined
 /// pass, plain or validated. A validated pass retries a chain torn by a
-/// concurrent overwrite — rare — on its own ([`read_chain_into`]).
-/// `each` sees every chain in input order: its index and its bytes, or
-/// why it did not read.
+/// concurrent overwrite — rare — on its own ([`read_chain_into`]), the
+/// single walk a lone chain takes from the start: it has nothing to
+/// overlap with. `each` sees every chain in input order: its index and
+/// its bytes, or why it did not read.
 pub(crate) fn read_chains_into(
     ctx: &RankCtx,
     cfg: &GdaConfig,
@@ -639,6 +652,20 @@ pub(crate) fn read_chains_into(
     bufs: &mut ChainBufs,
     mut each: impl FnMut(usize, GdiResult<&mut Vec<u8>>),
 ) {
+    if let [primary] = *primaries {
+        let src = if validate {
+            Source::Validated(ctx)
+        } else {
+            Source::Live(ctx)
+        };
+        bufs.block.resize(cfg.block_size, 0);
+        if bufs.bytes.is_empty() {
+            bufs.bytes.push(Vec::new());
+        }
+        let out = &mut bufs.bytes[0];
+        let read = read_chain_into(&src, cfg, primary, &mut bufs.block, out);
+        return each(0, read.map(|()| out));
+    }
     walk_levels(ctx, cfg, primaries, validate, bufs, |_, _| {});
     let (block, walks, bytes) = (&mut bufs.block, &mut bufs.walks, &mut bufs.bytes);
     let src = Source::Validated(ctx);

@@ -107,8 +107,9 @@ pub struct Transaction<'r, 'd, 'c, 'f> {
     snap: Cell<Option<u64>>,
     /// Writers only: read-only transactions read bytes (module docs).
     cache: RefCell<FxHashMap<u64, CachedObj>>,
-    /// The chains the read-only path fetched last (module docs).
-    reads: Cell<Reads>,
+    /// The chains the read-only path fetched last (module docs); boxed,
+    /// so a read moves a pointer in and out, not the buffers.
+    reads: Cell<Option<Box<Reads>>>,
 }
 
 /// The read-only path's chains: the versions of the ids its last fetch
@@ -131,7 +132,7 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
         // path and skip both.)
         let snap =
             (kind == TxKind::Local && mode == AccessMode::ReadOnly).then(|| eng.pin_snapshot());
-        let mut reads = eng.reads.take();
+        let mut reads = eng.reads.take().unwrap_or_default();
         reads.held.clear(); // another transaction's versions
         Self {
             eng,
@@ -143,7 +144,7 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
             grouped: Cell::new(false),
             snap: Cell::new(snap),
             cache: RefCell::new(FxHashMap::default()),
-            reads: Cell::new(reads),
+            reads: Cell::new(Some(reads)),
         }
     }
 
@@ -439,7 +440,7 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
     /// The read-only path (module docs): hand `f` the serialized version
     /// of `id` this transaction reads, out of the chains fetched last —
     /// or, when `id` is not among them, after fetching it alone
-    /// ([`Transaction::fetch`]). The bytes stay put until the next fetch,
+    /// (`Transaction::fetch`). The bytes stay put until the next fetch,
     /// so consecutive reads of one id (`has_label`, `property`,
     /// `neighbors` of the same vertex) copy — and are charged for — its
     /// chain once. A chain that does not hold up structurally, or bytes
@@ -450,13 +451,13 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
             return Err(GdiError::InvalidArgument("null internal id"));
         }
         // (a read nested in `f` finds no chain held)
-        let mut reads = self.reads.take();
+        let mut reads = self.reads.take().unwrap_or_default();
         let at = match reads.held.binary_search_by_key(&id.raw(), |h| h.0) {
             Ok(at) => Ok(reads.held[at].1),
             Err(_) => self.fetch(&mut reads, &[id]).map(|()| 0),
         };
         let out = at.and_then(|at| f(&reads.bufs.bytes[at]).ok_or(hio::STALE));
-        self.reads.set(reads);
+        self.reads.set(Some(reads));
         out
     }
 
@@ -469,16 +470,22 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
     fn fetch(&self, reads: &mut Reads, ids: &[DPtr]) -> GdiResult<()> {
         let (ctx, cfg, snap) = (self.eng.ctx, self.eng.cfg(), self.snap.get());
         let Reads { held, bufs, want } = reads;
-        want.clear();
-        want.extend(ids);
-        want.sort_unstable_by_key(|id| id.raw());
-        want.dedup();
         held.clear();
         let mut failed = None;
-        if want.first().is_some_and(|id| id.is_null()) {
-            want.remove(0);
-            failed = Some(GdiError::InvalidArgument("null internal id"));
-        }
+        let want: &[DPtr] = match ids {
+            [id] if !id.is_null() => ids,
+            _ => {
+                want.clear();
+                want.extend(ids);
+                want.sort_unstable_by_key(|id| id.raw());
+                want.dedup();
+                if want.first().is_some_and(|id| id.is_null()) {
+                    want.remove(0);
+                    failed = Some(GdiError::InvalidArgument("null internal id"));
+                }
+                want
+            }
+        };
         hio::read_chains_into(ctx, cfg, want, snap.is_some(), bufs, |i, read| {
             let read = read.and_then(|chain| match snap {
                 None => Ok(()),
@@ -604,9 +611,9 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
         if self.mode != AccessMode::ReadOnly {
             return ids.iter().try_for_each(|&id| self.associate_vertex(id));
         }
-        let mut reads = self.reads.take();
+        let mut reads = self.reads.take().unwrap_or_default();
         let fetched = self.fetch(&mut reads, ids);
-        self.reads.set(reads);
+        self.reads.set(Some(reads));
         fetched
     }
 
@@ -988,11 +995,12 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
     /// (Listing 3, lines 9–10): expand over edges matching `edge_label`,
     /// keep only neighbors whose holders satisfy the DNF `constraint`
     /// (the "let the storage handle the filtering" path of §3.1). The
-    /// candidates are fetched as **one pipelined non-blocking batch**
-    /// (`crate::hio::read_chains`) — one network latency per chain
-    /// level across all of them, instead of one blocking chain walk per
-    /// neighbor — into a writer's cache, or as bytes a read-only
-    /// transaction tests in place.
+    /// candidates are fetched as **one pipelined non-blocking batch** —
+    /// one network latency per chain level across all of them, instead
+    /// of one blocking chain walk per neighbor — into a writer's cache
+    /// ([`Transaction::prefetch_holders`]), or as the chains a read-only
+    /// transaction holds ([`Transaction::associate_vertices`]) and tests
+    /// in place.
     pub fn neighbors_matching(
         &self,
         id: DPtr,
@@ -1001,60 +1009,18 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
         constraint: &Constraint,
     ) -> GdiResult<Vec<DPtr>> {
         let candidates = self.neighbors(id, orient, edge_label)?;
-        let fetched = if self.mode == AccessMode::ReadOnly {
-            self.read_versions(&candidates)?
+        if self.mode == AccessMode::ReadOnly {
+            self.associate_vertices(&candidates)?;
         } else {
             self.prefetch_holders(&candidates)?;
-            FxHashMap::default()
-        };
+        }
         let mut out = Vec::new();
         for nbr in candidates {
-            let keep = match fetched.get(&nbr.raw()) {
-                Some(bytes) => Holder::scan_entries(bytes)
-                    .map(|e| self.matches(&e, constraint))
-                    .ok_or(hio::STALE)?,
-                None => self.entries_match(nbr, constraint)?,
-            };
-            if keep {
+            if self.entries_match(nbr, constraint)? {
                 out.push(nbr);
             }
         }
         Ok(out)
-    }
-
-    /// The read-only twin of [`Transaction::prefetch_holders`]: the
-    /// versions this transaction reads of the distinct ids in `ids` —
-    /// all but the ones [`Transaction::with_bytes`] already holds — as one
-    /// level-pipelined batch, keyed by id. Fails with the error of the
-    /// first id that fails.
-    fn read_versions(&self, ids: &[DPtr]) -> GdiResult<FxHashMap<u64, Vec<u8>>> {
-        self.check_active()?;
-        let (ctx, cfg, snap) = (self.eng.ctx, self.eng.cfg(), self.snap.get());
-        // (null ids are the usual `InvalidArgument`, when they are read)
-        let reads = self.reads.take();
-        let mut seen: FxHashSet<u64> = reads.held.iter().map(|h| h.0).chain([0]).collect();
-        self.reads.set(reads);
-        let want: Vec<DPtr> = ids
-            .iter()
-            .copied()
-            .filter(|id| seen.insert(id.raw()))
-            .collect();
-        let fetched = match snap {
-            Some(_) => hio::read_chains_validated(ctx, cfg, &want),
-            None => (hio::read_chains(ctx, cfg, &want).into_iter())
-                .map(|read| read.map(|(bytes, _blocks)| (bytes, 0)))
-                .collect(),
-        };
-        std::iter::zip(want, fetched)
-            .map(|(id, read)| {
-                let (mut bytes, _stamp) = read?;
-                if let Some(snap) = snap {
-                    ctx.count(Counter::SnapshotReads, 1);
-                    self.rewind(snap, &mut bytes)?;
-                }
-                Ok((id.raw(), bytes))
-            })
-            .collect()
     }
 
     /// Does `id` satisfy `constraint`? One read of the element.

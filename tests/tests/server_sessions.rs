@@ -429,20 +429,29 @@ fn missing_vertex_in_a_read_drain_aborts_alone() {
     assert!(outs[2].is_committed(), "{:?}", outs[2]);
 }
 
-/// Rank and bucket of the DHT chain of application id `app` on two
-/// ranks of `buckets` buckets each: the placement of `gda::rankmap`
-/// (`h(k) mod P`, then `(h(k) / P) mod B`) with its hash, splitmix64.
-fn dht_place(app: u64, buckets: usize) -> (usize, u64) {
-    let mut x = app.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    let h = x ^ (x >> 31);
-    ((h % 2) as usize, (h / 2) % buckets as u64)
-}
-
-/// Rank of the DHT chain of `app` on two ranks.
-fn dht_rank_of(app: u64) -> usize {
-    dht_place(app, 1).0
+/// Where the engine placed the vertices `0..n`, as rank 0 sees them:
+/// per vertex, the rank of its holder and the remote reads (gets and
+/// atomics) its translation costs rank 0 — none when its DHT chain is on
+/// rank 0, two (bucket head, entry) when it heads a chain on rank 1, more
+/// when it sits deeper in one.
+fn placements(db: &Arc<GdaDb>, fabric: &rma::Fabric, n: u64) -> Vec<(usize, u64)> {
+    fabric.run(|ctx| {
+        let eng = db.attach(ctx);
+        let tx = eng.begin(AccessMode::ReadOnly);
+        let out: Vec<_> = (0..n)
+            .filter(|_| ctx.rank() == 0)
+            .map(|v| {
+                let s0 = ctx.stats_snapshot();
+                let id = tx.translate_vertex_id(AppVertexId(v)).expect("loaded vertex");
+                let s1 = ctx.stats_snapshot();
+                let remote = s1.gets - s0.gets + s1.atomics - s0.atomics;
+                (id.rank(), remote)
+            })
+            .collect();
+        tx.commit().expect("read-only commit");
+        out
+    })
+    .swap_remove(0)
 }
 
 /// The three read kinds in turn, about the vertices `vs`.
@@ -488,12 +497,9 @@ fn served_alone(
 #[test]
 fn read_drain_is_one_round_per_level() {
     let (s, db, fabric) = loaded_pair_on("read-rounds", BackendKind::Sim);
-    let buckets = server_cfg(&s, 2, 64).dht_buckets_per_rank;
-    let place = |v| dht_place(v, buckets);
-    let all: Vec<_> = (0..s.n_vertices()).map(place).collect();
-    let alone = |v: u64| all.iter().filter(|&&p| p == place(v)).count() == 1;
-    let vs: Vec<u64> = (0..s.n_vertices())
-        .filter(|&v| v % 2 == 0 && place(v).0 == 1 && alone(v))
+    let vs: Vec<u64> = (placements(&db, &fabric, s.n_vertices()).into_iter().zip(0..))
+        .filter(|&((holder, remote), _)| holder == 0 && remote == 2)
+        .map(|(_, v)| v)
         .take(8)
         .collect();
     assert_eq!(vs.len(), 8);
@@ -521,14 +527,22 @@ fn read_drain_answers_equal_one_op_drains() {
         let (s, db, fabric) = loaded_pair_on("read-diff", backend);
         let n = s.n_vertices();
         // session-affine: rank 0 serves them all, whoever owns them.
-        // Holder (`v % 2`) and DHT chain both on rank 1, both on rank 0,
-        // the holder alone on rank 1; then repeats and a missing id
-        let pick = |keep: fn(u64) -> bool| (0..n).filter(move |&v| keep(v));
-        let mut vs: Vec<u64> = pick(|v| v % 2 == 1 && dht_rank_of(v) == 1)
-            .take(3)
-            .collect();
-        vs.extend(pick(|v| v % 2 == 0 && dht_rank_of(v) == 0).take(2));
-        vs.extend(pick(|v| v % 2 == 1 && dht_rank_of(v) == 0).take(2));
+        // Holder and DHT chain both on rank 1, both on rank 0, the holder
+        // alone on rank 1; then repeats and a missing id
+        let placed = placements(&db, &fabric, n);
+        let pick = |holder: usize, remote_chain: bool, k: usize| -> Vec<u64> {
+            (0..n)
+                .filter(|&v| {
+                    let (h, remote) = placed[v as usize];
+                    h == holder && (remote > 0) == remote_chain
+                })
+                .take(k)
+                .collect()
+        };
+        let mut vs = pick(1, true, 3);
+        vs.extend(pick(0, false, 2));
+        vs.extend(pick(1, false, 2));
+        assert_eq!(vs.len(), 7, "{backend}: every placement present");
         vs.extend([vs[0], n, vs[3], vs[0]]);
         let ops = mixed_reads(&db, &fabric, &vs);
         let route = RoutePolicy::SessionAffine;
