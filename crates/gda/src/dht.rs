@@ -259,14 +259,11 @@ impl<'c, 'f> Dht<'c, 'f> {
         }
     }
 
-    /// Walk every probe's chain, level by level: level 0 reads the bucket
-    /// heads (word-atomic `get`s), level `k` every unfinished chain's
-    /// `k`-th entry ([`Dht::step`]). A level prefetches every word it
-    /// will read (on Wall its cache misses overlap), then reads them all
-    /// in one non-blocking batch (on Sim it pays one latency). Once a
-    /// single probe is left it has nothing to overlap with, and walks the
-    /// rest of its chain alone, without prefetch or batch. A key whose
-    /// entry is mid-delete (self-pointing) alone restarts.
+    /// Walk every probe's chain, level by level: level 0 reads the bucket heads
+    /// (word-atomic `get`s), level `k` every unfinished chain's `k`-th entry
+    /// ([`Dht::step`]). A level prefetches every word it will read (on Wall its
+    /// cache misses overlap), then reads them all in one non-blocking batch (on
+    /// Sim it pays one latency). The last probe left walks on alone, unbatched.
     fn walk(&self, probes: &mut [Probe]) {
         let mut live = probes.len();
         while live > 1 {
@@ -298,10 +295,9 @@ impl<'c, 'f> Dht<'c, 'f> {
         }
     }
 
-    /// Read the next word or entry of `p`'s chain and move `p` on: to its
-    /// answer, to the next entry, or — returning true — back to the
-    /// bucket head, when the entry it read is mid-delete (self-pointing:
-    /// the chain beyond it is opaque).
+    /// Read the next word or entry of `p`'s chain and move `p` on: to its answer,
+    /// to the next entry, or — returning true — back to the bucket head, when the
+    /// entry it read is mid-delete (self-pointing: the chain beyond is opaque).
     #[inline]
     fn step(&self, p: &mut Probe) -> bool {
         if p.at == 0 {

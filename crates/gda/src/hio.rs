@@ -475,19 +475,15 @@ pub(crate) struct ChainBufs {
     pub(crate) bytes: Vec<Vec<u8>>,
 }
 
-/// Driver 2: walk many chains at once, **pipelining** the block reads:
-/// per chain *depth level*, every outstanding block is issued inside
-/// one non-blocking batch, so the whole level costs a single network
-/// latency instead of one blocking round trip per chain hop (§5.1's
-/// non-blocking overlap, applied across objects); it prefetches every
-/// block first ([`RankCtx::prefetch`]), so on Wall the level's cache
-/// misses overlap too. Level 0 fetches all
-/// primary blocks, level `k` the `k`-th continuation block of every
-/// chain still incomplete; the deepest chain bounds the number of
-/// rounds. The last chain left has nothing to overlap with: it walks on
-/// alone, block by block, as [`walk`] does. Leaves chain `i`'s cursor,
-/// how its walk ended and its bytes at index `i` of `bufs` — a hostile
-/// chain ends only its own walk.
+/// Driver 2: walk many chains at once, **pipelining** the block reads: per chain
+/// *depth level*, every outstanding block is prefetched ([`RankCtx::prefetch`], so on
+/// Wall the level's cache misses overlap), then issued inside one non-blocking batch,
+/// so the level costs a single network latency instead of one blocking round trip
+/// per chain hop (§5.1's non-blocking overlap, applied across objects). Level 0
+/// fetches all primary blocks, level `k` the `k`-th continuation block of every
+/// chain still incomplete. The last chain left walks on alone, as [`walk`] does.
+/// Leaves chain `i`'s cursor, how its walk ended and its bytes at index `i` of
+/// `bufs` — a hostile chain ends only its own walk.
 fn walk_levels(
     ctx: &RankCtx,
     cfg: &GdaConfig,
@@ -638,12 +634,11 @@ pub(crate) fn read_chains(
         .collect()
 }
 
-/// Many chains into reused buffers ([`ChainBufs`]): one level-pipelined
-/// pass, plain or validated. A validated pass retries a chain torn by a
-/// concurrent overwrite — rare — on its own ([`read_chain_into`]), the
-/// single walk a lone chain takes from the start: it has nothing to
-/// overlap with. `each` sees every chain in input order: its index and
-/// its bytes, or why it did not read.
+/// Many chains into reused buffers ([`ChainBufs`]): one level-pipelined pass, plain
+/// or validated. A validated pass retries a chain torn by a concurrent overwrite —
+/// rare — on its own ([`read_chain_into`]), the single walk a lone chain takes from
+/// the start. `each` sees every chain in input order: its index and its bytes, or
+/// why it did not read.
 pub(crate) fn read_chains_into(
     ctx: &RankCtx,
     cfg: &GdaConfig,

@@ -994,13 +994,11 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
     /// `GDI_GetNeighborVerticesOfVertex` with a *constraint object*
     /// (Listing 3, lines 9–10): expand over edges matching `edge_label`,
     /// keep only neighbors whose holders satisfy the DNF `constraint`
-    /// (the "let the storage handle the filtering" path of §3.1). The
-    /// candidates are fetched as **one pipelined non-blocking batch** —
-    /// one network latency per chain level across all of them, instead
-    /// of one blocking chain walk per neighbor — into a writer's cache
-    /// ([`Transaction::prefetch_holders`]), or as the chains a read-only
-    /// transaction holds ([`Transaction::associate_vertices`]) and tests
-    /// in place.
+    /// (the "let the storage handle the filtering" path of §3.1). The candidates
+    /// are fetched as **one pipelined non-blocking batch** — one network latency
+    /// per chain level across all of them, not one chain walk per neighbor — into
+    /// a writer's cache ([`Transaction::prefetch_holders`]), or as the chains a
+    /// reader holds ([`Transaction::associate_vertices`]) and tests in place.
     pub fn neighbors_matching(
         &self,
         id: DPtr,
@@ -1009,14 +1007,17 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
         constraint: &Constraint,
     ) -> GdiResult<Vec<DPtr>> {
         let candidates = self.neighbors(id, orient, edge_label)?;
+        // `id` (a self-loop's target) is read already: test it before the batch
+        let own = candidates.contains(&id) && self.entries_match(id, constraint)?;
+        let others: Vec<DPtr> = candidates.iter().copied().filter(|&c| c != id).collect();
         if self.mode == AccessMode::ReadOnly {
-            self.associate_vertices(&candidates)?;
+            self.associate_vertices(&others)?;
         } else {
-            self.prefetch_holders(&candidates)?;
+            self.prefetch_holders(&others)?;
         }
         let mut out = Vec::new();
         for nbr in candidates {
-            if self.entries_match(nbr, constraint)? {
+            if (nbr == id && own) || (nbr != id && self.entries_match(nbr, constraint)?) {
                 out.push(nbr);
             }
         }

@@ -9,12 +9,11 @@
 //! the result is serializable. A drain of one request is a group of one;
 //! there is no other executor.
 //!
-//! A read group resolves and reads its vertices together: one
-//! [`Transaction::translate_vertex_ids`] call (one round per DHT chain
-//! level), then one [`Transaction::associate_vertices`] call for the ids
-//! that resolved (one round per block level). Each op is answered from
-//! its id's bytes; an id that did not resolve is its `Aborted(NotFound)`.
-//! So G reads pay their deepest chains' latency, not G chains'.
+//! A read group resolves and reads its vertices together: one [`Transaction::translate_vertex_ids`]
+//! (one round per DHT chain level), then one [`Transaction::associate_vertices`] for the ids that
+//! resolved (one round per block level), so G reads pay their deepest chains' latency, not G
+//! chains'. Each op is answered from its id's bytes; an id that did not resolve is its
+//! `Aborted(NotFound)`.
 //!
 //! ## Prepare-then-mutate, and the exactly-once discipline
 //!

@@ -435,23 +435,26 @@ fn missing_vertex_in_a_read_drain_aborts_alone() {
 /// rank 0, two (bucket head, entry) when it heads a chain on rank 1, more
 /// when it sits deeper in one.
 fn placements(db: &Arc<GdaDb>, fabric: &rma::Fabric, n: u64) -> Vec<(usize, u64)> {
-    fabric.run(|ctx| {
-        let eng = db.attach(ctx);
-        let tx = eng.begin(AccessMode::ReadOnly);
-        let out: Vec<_> = (0..n)
-            .filter(|_| ctx.rank() == 0)
-            .map(|v| {
-                let s0 = ctx.stats_snapshot();
-                let id = tx.translate_vertex_id(AppVertexId(v)).expect("loaded vertex");
-                let s1 = ctx.stats_snapshot();
-                let remote = s1.gets - s0.gets + s1.atomics - s0.atomics;
-                (id.rank(), remote)
-            })
-            .collect();
-        tx.commit().expect("read-only commit");
-        out
-    })
-    .swap_remove(0)
+    fabric
+        .run(|ctx| {
+            let eng = db.attach(ctx);
+            let tx = eng.begin(AccessMode::ReadOnly);
+            let out: Vec<_> = (0..n)
+                .filter(|_| ctx.rank() == 0)
+                .map(|v| {
+                    let s0 = ctx.stats_snapshot();
+                    let id = tx
+                        .translate_vertex_id(AppVertexId(v))
+                        .expect("loaded vertex");
+                    let s1 = ctx.stats_snapshot();
+                    let remote = s1.gets - s0.gets + s1.atomics - s0.atomics;
+                    (id.rank(), remote)
+                })
+                .collect();
+            tx.commit().expect("read-only commit");
+            out
+        })
+        .swap_remove(0)
 }
 
 /// The three read kinds in turn, about the vertices `vs`.
@@ -497,11 +500,13 @@ fn served_alone(
 #[test]
 fn read_drain_is_one_round_per_level() {
     let (s, db, fabric) = loaded_pair_on("read-rounds", BackendKind::Sim);
-    let vs: Vec<u64> = (placements(&db, &fabric, s.n_vertices()).into_iter().zip(0..))
-        .filter(|&((holder, remote), _)| holder == 0 && remote == 2)
-        .map(|(_, v)| v)
-        .take(8)
-        .collect();
+    let vs: Vec<u64> = (placements(&db, &fabric, s.n_vertices())
+        .into_iter()
+        .zip(0..))
+    .filter(|&((holder, remote), _)| holder == 0 && remote == 2)
+    .map(|(_, v)| v)
+    .take(8)
+    .collect();
     assert_eq!(vs.len(), 8);
     let ops = mixed_reads(&db, &fabric, &vs);
     let (outs, drains, group) = serve_one_drain(&db, &fabric, &ops);
