@@ -142,6 +142,9 @@ pub struct OltpRun {
     pub mqps: f64,
     /// Failed-transaction fraction.
     pub fail: f64,
+    /// GDA only: the remote gets and remote atomics the op streams
+    /// issued (`rma.gets` / `rma.atomics`), summed over ranks.
+    pub remote_gets_atomics: Option<(u64, u64)>,
 }
 
 /// Run `ops` transactions of `mix` per rank on `system` over `nranks`
@@ -166,19 +169,25 @@ pub fn oltp(
             .backend(backend)
             .build()
     };
-    let (results, server_s) = match system {
+    let (results, server_s, remote) = match system {
         System::Gda => {
             let cfg = oltp_sized_config(spec, nranks, ops);
             let (db, fabric) =
                 GdaDb::with_fabric_on("bench", cfg, nranks, CostModel::default(), backend);
-            let results = fabric.run(|ctx| {
+            let runs = fabric.run(|ctx| {
                 let eng = db.attach(ctx);
                 eng.init_collective();
                 let (meta, _) = load_into(&eng, spec);
                 ctx.barrier();
-                workloads::oltp::run_oltp(&eng, spec, &meta, mix, &ocfg)
+                let s0 = ctx.stats_snapshot();
+                let result = workloads::oltp::run_oltp(&eng, spec, &meta, mix, &ocfg);
+                let s1 = ctx.stats_snapshot();
+                (result, s1.gets - s0.gets, s1.atomics - s0.atomics)
             });
-            (results, 0.0)
+            let gets = runs.iter().map(|r| r.1).sum();
+            let atomics = runs.iter().map(|r| r.2).sum();
+            let results = runs.into_iter().map(|r| r.0).collect();
+            (results, 0.0, Some((gets, atomics)))
         }
         System::Janus => {
             let store = baselines::JanusStore::new(nranks);
@@ -187,7 +196,7 @@ pub fn oltp(
                 ctx.barrier();
                 store.run_oltp(ctx, spec, mix, &ocfg)
             });
-            (results, store.max_server_busy_s())
+            (results, store.max_server_busy_s(), None)
         }
         System::Neo4j => {
             let store = baselines::Neo4jStore::default();
@@ -195,7 +204,7 @@ pub fn oltp(
                 store.load(ctx, spec);
                 store.run_oltp(ctx, spec, mix, &ocfg)
             });
-            (results, store.server_makespan_s())
+            (results, store.server_makespan_s(), None)
         }
     };
     let committed: u64 = results.iter().map(|r| r.committed).sum();
@@ -210,6 +219,7 @@ pub fn oltp(
         },
         fail: aborted as f64 / (committed + aborted).max(1) as f64,
         results,
+        remote_gets_atomics: remote,
     }
 }
 

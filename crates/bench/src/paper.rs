@@ -347,8 +347,19 @@ fn fig4a_rm_weak_scaling(lab: &mut Lab) -> Claim {
     let t = mqps(&runs);
     let pred = "Read Mostly weak scaling: MQ/s at the largest P > 1.5 x MQ/s at P=2";
     let pass = last(&t) > 1.5 * at(&t, 2);
-    let values = points("MQ/s", &t);
-    claim("fig4a.rm_weak_scaling", pred, config, values, pass)
+    // round trips per committed op: values only, the predicate ignores them
+    let per_op = |pick: fn((u64, u64)) -> u64| {
+        per_point(&runs, move |r| {
+            let committed: u64 = r.results.iter().map(|x| x.committed).sum();
+            r.remote_gets_atomics.map_or(0, pick) as f64 / committed.max(1) as f64
+        })
+    };
+    let (gets, atomics) = (per_op(|r| r.0), per_op(|r| r.1));
+    let values = [
+        points("MQ/s", &t),
+        two("remote gets/op", &gets, "remote atomics/op", &atomics),
+    ];
+    claim("fig4a.rm_weak_scaling", pred, config, values.concat(), pass)
 }
 
 fn fig4b_rm_strong_scaling(lab: &mut Lab) -> Claim {

@@ -260,10 +260,14 @@ pub(crate) enum Source<'a> {
     Validated(&'a RankCtx<'a>),
 }
 
-impl Source<'_> {
-    fn shape(&self, cfg: &GdaConfig) -> Shape {
-        let payload = payload_per_block(cfg);
+impl<'a> Source<'a> {
+    fn ctx(&self) -> &'a RankCtx<'a> {
         let (Source::Live(ctx) | Source::Validated(ctx)) = self;
+        ctx
+    }
+
+    fn shape(&self, cfg: &GdaConfig) -> Shape {
+        let (payload, ctx) = (payload_per_block(cfg), self.ctx());
         Shape {
             block: cfg.block_size,
             payload,
@@ -484,20 +488,9 @@ pub(crate) struct ChainBufs {
 /// chain still incomplete. The last chain left walks on alone, as [`walk`] does.
 /// Leaves chain `i`'s cursor, how its walk ended and its bytes at index `i` of
 /// `bufs` — a hostile chain ends only its own walk.
-fn walk_levels(
-    ctx: &RankCtx,
-    cfg: &GdaConfig,
-    primaries: &[DPtr],
-    validate: bool,
-    bufs: &mut ChainBufs,
-    mut visit: impl FnMut(usize, DPtr),
-) {
-    let src = if validate {
-        Source::Validated(ctx)
-    } else {
-        Source::Live(ctx)
-    };
-    let shape = src.shape(cfg);
+fn walk_levels(src: &Source<'_>, cfg: &GdaConfig, primaries: &[DPtr], bufs: &mut ChainBufs) {
+    let (ctx, shape) = (src.ctx(), src.shape(cfg));
+    let validate = matches!(src, Source::Validated(_));
     let fresh = |&p| (Cursor::new(p, validate), Step::More);
     let (block, walks, bytes) = (&mut bufs.block, &mut bufs.walks, &mut bufs.bytes);
     block.resize(cfg.block_size, 0);
@@ -512,9 +505,9 @@ fn walk_levels(
             }
         }
         ctx.begin_nb_batch();
-        for (i, ((cur, step), out)) in walks.iter_mut().zip(bytes.iter_mut()).enumerate() {
+        for ((cur, step), out) in walks.iter_mut().zip(bytes.iter_mut()) {
             if *step == Step::More {
-                *step = cur.advance(&src, &shape, block, out, |dp| visit(i, dp));
+                *step = cur.advance(src, &shape, block, out, |_| {});
                 live -= usize::from(*step != Step::More);
             }
         }
@@ -524,7 +517,7 @@ fn walk_levels(
     if let Some(i) = walks.iter().position(|(_, step)| *step == Step::More) {
         let ((cur, step), out) = (&mut walks[i], &mut bytes[i]);
         while *step == Step::More {
-            *step = cur.advance(&src, &shape, block, out, |dp| visit(i, dp));
+            *step = cur.advance(src, &shape, block, out, |_| {});
         }
     }
 }
@@ -593,106 +586,38 @@ pub(crate) fn read_chain_into(
     ))
 }
 
-/// Lock-free **snapshot fetch** of the chain at `primary`
-/// (`read_chain_into` from the validated source, into fresh buffers).
-/// Returns the holder bytes and the stamp they were published under.
-pub(crate) fn read_chain_validated(
-    ctx: &RankCtx,
-    cfg: &GdaConfig,
-    primary: DPtr,
-) -> GdiResult<(Vec<u8>, u64)> {
-    let (mut block_buf, mut bytes) = (vec![0u8; cfg.block_size], Vec::new());
-    read_chain_into(
-        &Source::Validated(ctx),
-        cfg,
-        primary,
-        &mut block_buf,
-        &mut bytes,
-    )?;
-    let stamp = stamp_of(&bytes);
-    Ok((bytes, stamp))
-}
-
-/// Many holders at once through the level-pipelined driver. Per-primary
-/// results preserve input order and fail individually with the same
-/// structural checks as [`read_chain`] — a stale internal id poisons
-/// only its own slot.
-pub(crate) fn read_chains(
-    ctx: &RankCtx,
-    cfg: &GdaConfig,
-    primaries: &[DPtr],
-) -> Vec<GdiResult<(Vec<u8>, Vec<DPtr>)>> {
-    let mut blocks = vec![Vec::new(); primaries.len()];
-    let mut bufs = ChainBufs::default();
-    let visit = |i: usize, dp| blocks[i].push(dp);
-    walk_levels(ctx, cfg, primaries, false, &mut bufs, visit);
-    (bufs.walks.into_iter().zip(bufs.bytes).zip(blocks))
-        .map(|(((_, step), bytes), blocks)| match step {
-            Step::Done => Ok((bytes, blocks)),
-            _ => Err(STALE),
-        })
-        .collect()
-}
-
-/// Many chains into reused buffers ([`ChainBufs`]): one level-pipelined pass, plain
-/// or validated. A validated pass retries a chain torn by a concurrent overwrite —
-/// rare — on its own ([`read_chain_into`]), the single walk a lone chain takes from
-/// the start. `each` sees every chain in input order: its index and its bytes, or
-/// why it did not read.
+/// Many chains from `src` into reused buffers ([`ChainBufs`]): one level-pipelined
+/// pass. A validated pass retries a chain torn by a concurrent overwrite — rare — on
+/// its own ([`read_chain_into`]), the single walk a lone chain takes from the start.
+/// `each` sees every chain in input order: its index and its bytes, or why it did
+/// not read.
 pub(crate) fn read_chains_into(
-    ctx: &RankCtx,
+    src: &Source<'_>,
     cfg: &GdaConfig,
     primaries: &[DPtr],
-    validate: bool,
     bufs: &mut ChainBufs,
     mut each: impl FnMut(usize, GdiResult<&mut Vec<u8>>),
 ) {
     if let [primary] = *primaries {
-        let src = if validate {
-            Source::Validated(ctx)
-        } else {
-            Source::Live(ctx)
-        };
         bufs.block.resize(cfg.block_size, 0);
         if bufs.bytes.is_empty() {
             bufs.bytes.push(Vec::new());
         }
         let out = &mut bufs.bytes[0];
-        let read = read_chain_into(&src, cfg, primary, &mut bufs.block, out);
+        let read = read_chain_into(src, cfg, primary, &mut bufs.block, out);
         return each(0, read.map(|()| out));
     }
-    walk_levels(ctx, cfg, primaries, validate, bufs, |_, _| {});
+    walk_levels(src, cfg, primaries, bufs);
     let (block, walks, bytes) = (&mut bufs.block, &mut bufs.walks, &mut bufs.bytes);
-    let src = Source::Validated(ctx);
     for (i, ((&p, (_, step)), out)) in primaries.iter().zip(walks).zip(bytes).enumerate() {
         let read = match step {
             Step::Done => Ok(()),
             Step::Stale => Err(STALE),
             // (only a validated walk tears)
-            _ => read_chain_into(&src, cfg, p, block, out),
+            _ => read_chain_into(src, cfg, p, block, out),
         };
         each(i, read.map(|()| out));
     }
-}
-
-/// [`read_chain_validated`] across many chains ([`read_chains_into`],
-/// validated, into fresh buffers). Per-primary results preserve input
-/// order.
-pub(crate) fn read_chains_validated(
-    ctx: &RankCtx,
-    cfg: &GdaConfig,
-    primaries: &[DPtr],
-) -> Vec<GdiResult<(Vec<u8>, u64)>> {
-    let mut out = Vec::with_capacity(primaries.len());
-    let mut bufs = ChainBufs::default();
-    read_chains_into(ctx, cfg, primaries, true, &mut bufs, |_, read| {
-        out.push(read.map(|bytes| {
-            let bytes = std::mem::take(bytes);
-            let stamp = stamp_of(&bytes);
-            (bytes, stamp)
-        }))
-    });
-    out
 }
 
 /// Release every block of a chain (object deletion).
@@ -1015,10 +940,36 @@ mod tests {
         });
     }
 
-    /// The pipelined multi-chain fetch must return byte-identical
-    /// results to per-chain [`read_chain`] calls, isolate a stale slot
-    /// to its own result, and — being level-batched — pay fewer network
-    /// latencies than the blocking loop.
+    /// [`read_chains_into`] from `src` into fresh buffers: each chain's
+    /// bytes, in input order.
+    fn read_group(
+        src: &Source<'_>,
+        cfg: &GdaConfig,
+        primaries: &[DPtr],
+    ) -> Vec<GdiResult<Vec<u8>>> {
+        let mut out = Vec::new();
+        let mut bufs = ChainBufs::default();
+        read_chains_into(src, cfg, primaries, &mut bufs, |_, read| {
+            out.push(read.map(|bytes| bytes.clone()))
+        });
+        out
+    }
+
+    /// A lock-free snapshot fetch of one chain — [`read_chains_into`]'s
+    /// one-primary case from the validated source — with the stamp its
+    /// bytes were published under.
+    fn read_snapshot(ctx: &RankCtx, cfg: &GdaConfig, primary: DPtr) -> GdiResult<(Vec<u8>, u64)> {
+        let read = read_group(&Source::Validated(ctx), cfg, &[primary]).remove(0);
+        read.map(|bytes| {
+            let stamp = stamp_of(&bytes);
+            (bytes, stamp)
+        })
+    }
+
+    /// The pipelined multi-chain fetch, plain and validated, must return
+    /// byte-identical results to per-chain [`read_chain`] calls, isolate
+    /// a stale slot to its own result, and — being level-batched — pay
+    /// fewer network latencies than the blocking loop.
     #[test]
     fn read_chains_matches_sequential_and_pipelines() {
         let cfg = GdaConfig::tiny();
@@ -1028,43 +979,51 @@ mod tests {
             bm.init_collective();
             if ctx.rank() == 0 {
                 // a mix of single- and multi-block holders on rank 1
-                let holders: Vec<Holder> =
+                // (published versions: a validated read refuses stamp 0)
+                let mut holders: Vec<Holder> =
                     vec![big_holder(1, 0), big_holder(25, 3), big_holder(8, 1)];
                 let mut primaries = Vec::new();
-                for h in &holders {
+                for (version, h) in (1..).zip(&mut holders) {
+                    h.set_version(version);
                     let primary = bm.acquire(1).unwrap();
                     let mut blocks = vec![primary];
                     write_chain(ctx, &bm, h.bytes(), &mut blocks).unwrap();
                     primaries.push(primary);
                 }
-                let t0 = ctx.now_ns();
-                let mut sequential = Vec::new();
-                for &p in &primaries {
-                    sequential.push(read_chain(ctx, &cfg, p).unwrap());
-                }
-                let t_seq = ctx.now_ns() - t0;
-                let t1 = ctx.now_ns();
-                let batched = read_chains(ctx, &cfg, &primaries);
-                let t_bat = ctx.now_ns() - t1;
-                for (got, want) in batched.iter().zip(&sequential) {
-                    let (bytes, blocks) = got.as_ref().expect("chain fetch");
-                    assert_eq!((bytes, blocks), (&want.0, &want.1));
-                }
-                // a LogGP-model relation: at wall scale both loops are
-                // nanoseconds of shared-memory reads and the ordering
-                // is scheduler noise
-                if ctx.backend() == rma::BackendKind::Sim {
-                    assert!(
-                        t_bat < t_seq,
-                        "pipelined fetch {t_bat} !< sequential {t_seq}"
-                    );
-                }
-                // a never-written block fails alone, not the whole batch
                 let free = bm.acquire(1).unwrap();
-                let mixed = read_chains(ctx, &cfg, &[primaries[0], free, primaries[2]]);
-                assert!(mixed[0].is_ok());
-                assert!(mixed[1].is_err());
-                assert!(mixed[2].is_ok());
+                let (mut block, mut out) = (vec![0u8; cfg.block_size], Vec::new());
+                for src in [Source::Live(ctx), Source::Validated(ctx)] {
+                    let t0 = ctx.now_ns();
+                    let mut sequential = Vec::new();
+                    for &p in &primaries {
+                        read_chain_into(&src, &cfg, p, &mut block, &mut out).unwrap();
+                        sequential.push(out.clone());
+                    }
+                    let t_seq = ctx.now_ns() - t0;
+                    for (bytes, &p) in sequential.iter().zip(&primaries) {
+                        assert_eq!(*bytes, read_chain(ctx, &cfg, p).unwrap().0);
+                    }
+                    let t1 = ctx.now_ns();
+                    let batched = read_group(&src, &cfg, &primaries);
+                    let t_bat = ctx.now_ns() - t1;
+                    for (got, want) in batched.iter().zip(&sequential) {
+                        assert_eq!(got.as_ref().expect("chain fetch"), want);
+                    }
+                    // a LogGP-model relation: at wall scale both loops are
+                    // nanoseconds of shared-memory reads and the ordering
+                    // is scheduler noise
+                    if ctx.backend() == rma::BackendKind::Sim {
+                        assert!(
+                            t_bat < t_seq,
+                            "pipelined fetch {t_bat} !< sequential {t_seq}"
+                        );
+                    }
+                    // a never-written block fails alone, not the whole batch
+                    let mixed = read_group(&src, &cfg, &[primaries[0], free, primaries[2]]);
+                    assert!(mixed[0].is_ok());
+                    assert!(mixed[1].is_err());
+                    assert!(mixed[2].is_ok());
+                }
             }
             ctx.barrier();
         });
@@ -1081,7 +1040,7 @@ mod tests {
             let primary = bm.acquire(0).unwrap();
             let mut blocks = vec![primary];
             write_chain(ctx, bm, h.bytes(), &mut blocks).unwrap();
-            let (bytes, stamp) = read_chain_validated(ctx, cfg, primary).unwrap();
+            let (bytes, stamp) = read_snapshot(ctx, cfg, primary).unwrap();
             assert_eq!(stamp, 7);
             assert_eq!(bytes, h.bytes());
 
@@ -1090,7 +1049,7 @@ mod tests {
             h2.set_version(8);
             overwrite_chain(ctx, bm, h2.bytes(), &mut blocks).unwrap();
             assert!(blocks.len() > 1);
-            let (bytes, stamp) = read_chain_validated(ctx, cfg, primary).unwrap();
+            let (bytes, stamp) = read_snapshot(ctx, cfg, primary).unwrap();
             assert_eq!(stamp, 8);
             assert_eq!(bytes, h2.bytes());
             let (plain, found) = read_chain(ctx, cfg, primary).unwrap();
@@ -1105,7 +1064,7 @@ mod tests {
             assert_eq!(blocks.len(), 1);
             assert_eq!(blocks[0], primary, "primary identity must be stable");
             assert!(bm.count_free(0) > free_before);
-            let (bytes, stamp) = read_chain_validated(ctx, cfg, primary).unwrap();
+            let (bytes, stamp) = read_snapshot(ctx, cfg, primary).unwrap();
             assert_eq!(stamp, 9);
             assert_eq!(bytes, h3.bytes());
         });
@@ -1162,14 +1121,15 @@ mod tests {
         });
     }
 
-    /// What every entry point makes of `primaries[1]` (the two batch
-    /// readers see it between its intact neighbours, which must read
-    /// fine whatever the middle slot holds), as holder bytes or `None`;
-    /// typed errors are checked on the way. Order: the readers that
-    /// consult no stamp — `read_chain`, `read_chains`, `read_chain_into`
-    /// from the live window, `read_chain_bytes` (the live-set walk) —
-    /// then the validated ones: `read_chain_into`, `read_chain_validated`,
-    /// `read_chains_validated`.
+    /// What every entry point makes of `primaries[1]` (the two group
+    /// reads see it between its intact neighbours, which must read fine
+    /// whatever the middle slot holds), as holder bytes or `None`; typed
+    /// errors are checked on the way. Order: the readers that consult no
+    /// stamp — `read_chain`, `read_chains_into` over the three chains,
+    /// `read_chain_into` from the live window, `read_chain_bytes` (the
+    /// live-set walk) — then the validated ones: `read_chain_into`,
+    /// `read_chains_into` of the one chain (`read_snapshot`) and over the
+    /// three.
     fn all_readers(ctx: &RankCtx, cfg: &GdaConfig, primaries: [DPtr; 3]) -> [Option<Vec<u8>>; 7] {
         fn bytes<T>(r: GdiResult<(Vec<u8>, T)>) -> Option<Vec<u8>> {
             match r {
@@ -1178,15 +1138,16 @@ mod tests {
                 Err(e) => panic!("untyped chain failure: {e:?}"),
             }
         }
-        let mut plain = read_chains(ctx, cfg, &primaries);
-        let mut validated = read_chains_validated(ctx, cfg, &primaries);
-        for neighbour in [0, 2] {
-            assert!(
-                plain[neighbour].is_ok(),
-                "a hostile chain poisons only its slot"
-            );
-            assert!(validated[neighbour].is_ok());
-        }
+        let group = |src: Source<'_>| {
+            let mut reads = read_group(&src, cfg, &primaries);
+            for neighbour in [0, 2] {
+                assert!(
+                    reads[neighbour].is_ok(),
+                    "a hostile chain poisons only its slot"
+                );
+            }
+            bytes(reads.swap_remove(1).map(|b| (b, ())))
+        };
         let buffered = |src: Source<'_>| {
             let (mut block, mut out) = (vec![0u8; cfg.block_size], Vec::new());
             bytes(
@@ -1195,12 +1156,12 @@ mod tests {
         };
         [
             bytes(read_chain(ctx, cfg, primaries[1])),
-            bytes(plain.swap_remove(1)),
+            group(Source::Live(ctx)),
             buffered(Source::Live(ctx)),
             read_chain_bytes(ctx, cfg, primaries[1]).map(|(bytes, _)| bytes),
             buffered(Source::Validated(ctx)),
-            bytes(read_chain_validated(ctx, cfg, primaries[1])),
-            bytes(validated.swap_remove(1)),
+            bytes(read_snapshot(ctx, cfg, primaries[1])),
+            group(Source::Validated(ctx)),
         ]
     }
 
@@ -1225,10 +1186,7 @@ mod tests {
                 ctx.put_bytes(WIN_DATA, 0, link_at, &bad.raw().to_le_bytes());
                 assert_eq!(all_readers(ctx, cfg, primaries), [const { None }; 7]);
                 assert_eq!(read_chain(ctx, cfg, primaries[1]).err(), Some(STALE));
-                assert_eq!(
-                    read_chain_validated(ctx, cfg, primaries[1]).err(),
-                    Some(STALE)
-                );
+                assert_eq!(read_snapshot(ctx, cfg, primaries[1]).err(), Some(STALE));
                 ctx.put_bytes(WIN_DATA, 0, link_at, &victim[2].raw().to_le_bytes());
                 // … and as a fabricated primary (but for the one that is
                 // somebody's address: a never-written block on rank 1)
@@ -1236,12 +1194,14 @@ mod tests {
                     continue;
                 }
                 assert_eq!(read_chain(ctx, cfg, bad).err(), Some(STALE));
-                assert_eq!(read_chain_validated(ctx, cfg, bad).err(), Some(STALE));
-                assert_eq!(read_chains(ctx, cfg, &[bad]).remove(0).err(), Some(STALE));
-                assert_eq!(
-                    read_chains_validated(ctx, cfg, &[bad]).remove(0).err(),
-                    Some(STALE)
-                );
+                assert_eq!(read_snapshot(ctx, cfg, bad).err(), Some(STALE));
+                for src in [Source::Live(ctx), Source::Validated(ctx)] {
+                    assert_eq!(read_group(&src, cfg, &[bad]).remove(0).err(), Some(STALE));
+                    // (in a group, through the level walk)
+                    let group = read_group(&src, cfg, &[bad, primaries[0]]);
+                    assert_eq!(group[0], Err(STALE));
+                    assert!(group[1].is_ok());
+                }
             }
             let (bytes, blocks) = read_chain(ctx, cfg, primaries[1]).expect("link restored");
             assert_eq!((stamp_of(&bytes), &blocks[..]), (12, victim));

@@ -1,8 +1,8 @@
 //! Transactions and the graph-data CRUD routines (§5.6).
 //!
 //! All changes of a [`Transaction`] are **visible only locally** until
-//! commit. Read-only transactions take no locks at all; a writer's
-//! locks are decided once, at an object's first touch
+//! commit. Read-only transactions take no locks at all. A writer touches
+//! one holder at a time, and decides its lock once, at that first touch
 //! (`Transaction::first_touch`): local writers lock only what they write
 //! (write-write conflict detection), collective writers keep two-phase
 //! locking. Which chain reader serves which of them: docs/ARCHITECTURE.md,
@@ -239,7 +239,7 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
             Some(obj) if write && obj.lock != Some(LockKind::Write) => Some(self.upgrade(id, obj)),
             Some(_) => return Ok(()),
         };
-        match cached.unwrap_or_else(|| self.first_touch(&[id], write)) {
+        match cached.unwrap_or_else(|| self.first_touch(id, write)) {
             Err(e) if abort_on_critical => self.fail(e),
             res => res,
         }
@@ -288,17 +288,11 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
         Ok(())
     }
 
-    /// **First touch** of `ids` by a writer — none of them cached, null
-    /// or repeated: decide the lock once for the whole slice, take every
-    /// lock before the first read (all released again if one is
-    /// refused), fetch — one id through the blocking single-chain
-    /// readers, several as one pipelined non-blocking batch per chain
-    /// level ([`hio::read_chains`]) — and build the cache entries.
-    /// Returns the error of the *first* failing id, what touching them
-    /// one by one would have surfaced; ids that did not fail are cached
-    /// either way, and whether the error aborts the transaction is the
-    /// caller's call.
-    fn first_touch(&self, ids: &[DPtr], write: bool) -> GdiResult<()> {
+    /// **First touch** of `id` by a writer — not cached yet, not null:
+    /// decide its lock, take it, read the chain and cache the holder. A
+    /// chain that does not read releases the lock again; whether the
+    /// error aborts the transaction is the caller's call.
+    fn first_touch(&self, id: DPtr, write: bool) -> GdiResult<()> {
         debug_assert_ne!(self.mode, AccessMode::ReadOnly, "read-only reads bytes");
         let (ctx, cfg, lm) = (self.eng.ctx, self.eng.cfg(), &self.eng.lm);
         let lock = match self.kind {
@@ -312,83 +306,49 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
             TxKind::Local => None,
             TxKind::Collective => Some(LockKind::Read),
         };
-        // A local writer's read holds no lock, so a plain chain read
-        // could tear against a concurrent 3-phase overwrite — it takes
-        // the validated seqlock copy of the committed version instead.
-        // Its entry carries no block list, lock or pre-image: the write
-        // touch that follows refetches (`upgrade`).
-        let lock_free = lock.is_none();
-        let keep_orig = !lock_free && self.mvcc_writer();
-        if let Some(kind) = lock {
-            for (i, &id) in ids.iter().enumerate() {
-                let res = match kind {
-                    LockKind::Read => lm.acquire_read(id),
-                    LockKind::Write => lm.acquire_write(id),
-                };
-                if let Err(e) = res {
-                    ids[..i].iter().for_each(|&held| lm.release(held, kind));
-                    return Err(e);
-                }
+        let fetched = match lock {
+            // A local writer's read holds no lock, so a plain chain read
+            // could tear against a concurrent 3-phase overwrite — it takes
+            // the validated seqlock copy of the committed version instead.
+            // Its entry carries no block list, lock or pre-image: the write
+            // touch that follows refetches (`upgrade`).
+            None => {
+                let (mut block, mut bytes) = (vec![0u8; cfg.block_size], Vec::new());
+                let src = Source::Validated(ctx);
+                hio::read_chain_into(&src, cfg, id, &mut block, &mut bytes)
+                    .map(|()| (bytes, Vec::new()))
             }
-        }
-        let mut first_err = None;
-        let mut admit = |id: DPtr, fetched: GdiResult<(Vec<u8>, Vec<DPtr>)>| {
-            let cached = fetched.and_then(|(bytes, blocks)| {
-                let orig = keep_orig.then(|| bytes.clone());
-                let holder = Holder::from_bytes(bytes).ok_or(hio::STALE)?;
-                self.cache.borrow_mut().insert(
-                    id.raw(),
-                    CachedObj {
-                        holder,
-                        blocks,
-                        lock,
-                        dirty: false,
-                        created: false,
-                        deleted: false,
-                        topo: false,
-                        orig,
-                    },
-                );
-                Ok(())
-            });
-            if let Err(e) = cached {
-                if let Some(kind) = lock {
-                    lm.release(id, kind);
+            Some(kind) => {
+                match kind {
+                    LockKind::Read => lm.acquire_read(id)?,
+                    LockKind::Write => lm.acquire_write(id)?,
                 }
-                first_err.get_or_insert(e);
+                hio::read_chain(ctx, cfg, id)
             }
         };
-        let unstamped = |(bytes, _stamp)| (bytes, Vec::new());
-        match (ids, lock_free) {
-            (&[id], true) => admit(id, hio::read_chain_validated(ctx, cfg, id).map(unstamped)),
-            (&[id], false) => admit(id, hio::read_chain(ctx, cfg, id)),
-            (_, true) => std::iter::zip(ids, hio::read_chains_validated(ctx, cfg, ids))
-                .for_each(|(&id, fetched)| admit(id, fetched.map(unstamped))),
-            (_, false) => std::iter::zip(ids, hio::read_chains(ctx, cfg, ids))
-                .for_each(|(&id, fetched)| admit(id, fetched)),
+        let keep_orig = lock.is_some() && self.mvcc_writer();
+        let cached = fetched.and_then(|(bytes, blocks)| {
+            let orig = keep_orig.then(|| bytes.clone());
+            let holder = Holder::from_bytes(bytes).ok_or(hio::STALE)?;
+            self.cache.borrow_mut().insert(
+                id.raw(),
+                CachedObj {
+                    holder,
+                    blocks,
+                    lock,
+                    dirty: false,
+                    created: false,
+                    deleted: false,
+                    topo: false,
+                    orig,
+                },
+            );
+            Ok(())
+        });
+        if let (Err(_), Some(kind)) = (&cached, lock) {
+            lm.release(id, kind);
         }
-        first_err.map_or(Ok(()), Err)
-    }
-
-    /// A writer's first touch of every holder in `ids` it has not cached
-    /// yet, as one batch ([`Transaction::first_touch`]). Equivalent to
-    /// calling [`Transaction::ensure_cached`] per id — same lock, abort
-    /// and error semantics — but the block reads of all candidates
-    /// overlap instead of paying one blocking round trip each.
-    fn prefetch_holders(&self, ids: &[DPtr]) -> GdiResult<()> {
-        self.check_active()?;
-        let mut seen = FxHashSet::default();
-        let want: Vec<DPtr> = ids
-            .iter()
-            .copied()
-            .filter(|&id| !id.is_null())
-            .filter(|id| !self.cache.borrow().contains_key(&id.raw()))
-            .filter(|id| seen.insert(id.raw()))
-            .collect();
-        if want.is_empty() {
-            return Ok(());
-        }
-        self.first_touch(&want, false).or_else(|e| self.fail(e))
+        cached
     }
 
     /// The cache entry of `id`, first touched (and locked) with at
@@ -469,6 +429,10 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
     /// the lowest id that did not (a null id's first).
     fn fetch(&self, reads: &mut Reads, ids: &[DPtr]) -> GdiResult<()> {
         let (ctx, cfg, snap) = (self.eng.ctx, self.eng.cfg(), self.snap.get());
+        let src = match snap {
+            Some(_) => Source::Validated(ctx),
+            None => Source::Live(ctx),
+        };
         let Reads { held, bufs, want } = reads;
         held.clear();
         let mut failed = None;
@@ -486,7 +450,7 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
                 want
             }
         };
-        hio::read_chains_into(ctx, cfg, want, snap.is_some(), bufs, |i, read| {
+        hio::read_chains_into(&src, cfg, want, bufs, |i, read| {
             let read = read.and_then(|chain| match snap {
                 None => Ok(()),
                 Some(snap) => {
@@ -603,9 +567,11 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
     /// `GDI_AssociateVertex` for many vertices. A read-only transaction
     /// fetches all their chains together, one round per block level,
     /// and keeps them: its reads of these ids then copy nothing more,
-    /// until it reads an id outside them. A writer associates them one
-    /// by one. Every vertex that can be associated is; fails with the
-    /// error of one that could not.
+    /// until it reads an id outside them. It holds every chain that
+    /// reads and fails with the error of the lowest id that did not. A
+    /// writer touches them one by one, in order, each under the lock its
+    /// first touch takes, and stops at the first that fails; a lock
+    /// conflict aborts it, as any touch's does.
     pub fn associate_vertices(&self, ids: &[DPtr]) -> GdiResult<()> {
         self.check_active()?;
         if self.mode != AccessMode::ReadOnly {
@@ -995,10 +961,11 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
     /// (Listing 3, lines 9–10): expand over edges matching `edge_label`,
     /// keep only neighbors whose holders satisfy the DNF `constraint`
     /// (the "let the storage handle the filtering" path of §3.1). The candidates
-    /// are fetched as **one pipelined non-blocking batch** — one network latency
-    /// per chain level across all of them, not one chain walk per neighbor — into
-    /// a writer's cache ([`Transaction::prefetch_holders`]), or as the chains a
-    /// reader holds ([`Transaction::associate_vertices`]) and tests in place.
+    /// are associated together ([`Transaction::associate_vertices`]): a reader
+    /// fetches them as **one pipelined non-blocking batch** — one network latency
+    /// per chain level across all of them, not one chain walk per neighbor — and
+    /// tests the chains it holds in place; a writer touches them one by one into
+    /// its cache.
     pub fn neighbors_matching(
         &self,
         id: DPtr,
@@ -1010,11 +977,7 @@ impl<'r, 'd, 'c, 'f> Transaction<'r, 'd, 'c, 'f> {
         // `id` (a self-loop's target) is read already: test it before the batch
         let own = candidates.contains(&id) && self.entries_match(id, constraint)?;
         let others: Vec<DPtr> = candidates.iter().copied().filter(|&c| c != id).collect();
-        if self.mode == AccessMode::ReadOnly {
-            self.associate_vertices(&others)?;
-        } else {
-            self.prefetch_holders(&others)?;
-        }
+        self.associate_vertices(&others)?;
         let mut out = Vec::new();
         for nbr in candidates {
             if (nbr == id && own) || (nbr != id && self.entries_match(nbr, constraint)?) {

@@ -1028,6 +1028,88 @@ fn neighbors_matching_batched_prefetch_semantics() {
     });
 }
 
+/// A writer's `neighbors_matching` touches its candidates one by one
+/// into its cache; it must answer what a reader answers. Two ranks on
+/// Sim, a hub on rank 0 whose eight candidates alternate between the
+/// ranks: a read-only, a local read-write and a collective read-write
+/// transaction return the same set, and a local writer's call while
+/// another writer holds one candidate's write lock reads that candidate
+/// lock-free at its committed version and commits.
+#[test]
+fn writer_neighbors_matching_answers_as_a_reader() {
+    let (db, fabric) = GdaDb::with_fabric_on(
+        "nm",
+        GdaConfig::tiny(),
+        2,
+        CostModel::default(),
+        rma::BackendKind::Sim,
+    );
+    fabric.run(|ctx| {
+        let eng = db.attach(ctx);
+        eng.init_collective();
+        let made = (ctx.rank() == 0).then(|| {
+            let (_, age, _) = std_meta(&eng);
+            let tx = eng.begin(AccessMode::ReadWrite);
+            let hub = tx.create_vertex(app(1)).unwrap();
+            let mut nbrs = Vec::new();
+            for i in 2..10u64 {
+                let v = tx.create_vertex(app(i)).unwrap();
+                tx.add_property(v, age, &PropertyValue::U64(i * 10))
+                    .unwrap();
+                tx.add_edge(hub, v, None, true).unwrap();
+                nbrs.push(v.raw());
+            }
+            tx.commit().unwrap();
+            (age.0, hub.raw(), nbrs)
+        });
+        let (age, hub, nbrs) = ctx.bcast(0, made);
+        eng.refresh_meta();
+        let (age, hub) = (gdi::PTypeId(age), gda::DPtr::from_raw(hub));
+        let nbrs: Vec<gda::DPtr> = nbrs.into_iter().map(gda::DPtr::from_raw).collect();
+        let ranks: std::collections::HashSet<usize> = nbrs.iter().map(|v| v.rank()).collect();
+        assert_eq!(ranks.len(), 2, "candidates on both ranks");
+        let young = Constraint::from_sub(Subconstraint::new().with_prop(
+            age,
+            CmpOp::Lt,
+            PropertyValue::U64(50),
+        ));
+        let matching = |tx: &gda::Transaction| {
+            tx.neighbors_matching(hub, EdgeOrientation::Outgoing, None, &young)
+                .unwrap()
+        };
+        let want = nbrs[..3].to_vec(); // ages 20, 30 and 40
+
+        for mode in [AccessMode::ReadOnly, AccessMode::ReadWrite] {
+            let tx = eng.begin(mode);
+            assert_eq!(matching(&tx), want, "local {mode:?}");
+            tx.commit().unwrap();
+        }
+        let tx = eng.begin_collective(AccessMode::ReadWrite);
+        assert_eq!(matching(&tx), want, "collective read-write");
+        tx.commit().unwrap();
+        ctx.barrier();
+
+        if ctx.rank() == 0 {
+            // another writer holds the write lock on a candidate of each rank
+            let blocker = eng.begin(AccessMode::ReadWrite);
+            for &v in &nbrs[1..3] {
+                blocker
+                    .update_property(v, age, &PropertyValue::U64(99))
+                    .unwrap();
+            }
+            let writer = eng.begin(AccessMode::ReadWrite);
+            assert_eq!(matching(&writer), want, "committed versions, lock-free");
+            assert_eq!(writer.status(), TxStatus::Active);
+            writer.commit().unwrap();
+            blocker.commit().unwrap();
+            let tx = eng.begin(AccessMode::ReadWrite);
+            assert_eq!(matching(&tx), want[..1], "the blocker's update is seen");
+            tx.commit().unwrap();
+        }
+        ctx.barrier();
+    });
+}
+
 /// A lock-free read handed an id — or meeting a continuation link —
 /// that names a rank that does not exist or storage past the data
 /// window reports the stale id it is; the parent commit panicked in the
